@@ -579,18 +579,18 @@ func BenchmarkFileBackendSearch(b *testing.B) {
 	}
 }
 
-// --- Query-planner benchmark (PR 7's layer): planner off/on, cold/warm plan cache. ---
+// --- Query-planner benchmark (PR 7's layer): planner off/on. ---
 
 // BenchmarkPlannedSearch measures exact k-NN latency on a non-materialized
 // CTree under the statistics-driven planner, on the workload where it earns
 // its keep: skewed queries (perturbations of indexed series), so the
 // collector's bound tightens immediately and leaf-range envelopes
 // disqualify most probes before their pages are read. "off" disables the
-// planner (the paper-faithful probe order), "cold" plans every query from
-// scratch, and "warm" reuses cached plans after a warming sweep — planning
-// must add zero allocations over the off path (the gate asserts
-// allocations never grow; the warm planned fill itself is pinned at
-// 0 allocs/op by planner_test.go).
+// planner (the paper-faithful probe order) and "cold" plans every query
+// (cmd/benchgate pairs sub-benchmarks with the base run by name, so the
+// names stay) — planning must add zero allocations over the off path (the
+// gate asserts allocations never grow; the planned fill itself is pinned
+// at 0 allocs/op by planner_test.go).
 // Every configuration returns byte-identical results (pinned by
 // planner_equivalence_test.go); io-cost/query shows the savings, which the
 // bench gate tracks alongside time and allocations.
@@ -618,26 +618,16 @@ func BenchmarkPlannedSearch(b *testing.B) {
 	}
 	// MemBudget keeps leaves small: many leaf ranges, the unit the planner
 	// orders and skips.
-	base := workload.BuildOptions{MemBudget: 64 << 10}
 	for _, mode := range []struct {
 		name string
 		opts workload.BuildOptions
-		warm bool
 	}{
-		{"off", workload.BuildOptions{MemBudget: base.MemBudget, DisablePlanner: true}, false},
-		{"cold", base, false},
-		{"warm", workload.BuildOptions{MemBudget: base.MemBudget, PlanCacheSize: 64}, true},
+		{"off", workload.BuildOptions{MemBudget: 64 << 10, DisablePlanner: true}},
+		{"cold", workload.BuildOptions{MemBudget: 64 << 10}},
 	} {
 		built, err := workload.BuildVariant("CTree", ds, cfg, mode.opts)
 		if err != nil {
 			b.Fatal(err)
-		}
-		if mode.warm {
-			for _, q := range queries {
-				if _, err := built.Index.ExactSearch(q, 5); err != nil {
-					b.Fatal(err)
-				}
-			}
 		}
 		b.Run(mode.name, func(b *testing.B) { run(b, built) })
 	}

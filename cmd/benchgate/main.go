@@ -15,9 +15,8 @@
 // The CI workflow currently gates BenchmarkParallelSearch, BenchmarkMinDist,
 // BenchmarkVerify, BenchmarkCachedSearch, and BenchmarkPlannedSearch (the
 // GATE_BENCH list in .github/workflows/ci.yml); the alloc/op rule is what
-// pins the cached search's zero-allocation warm page fetches and the warm
-// plan-cache path, and the io-cost/query rule is what pins the planner's
-// I/O savings.
+// pins the cached search's zero-allocation warm page fetches, and the
+// io-cost/query rule is what pins the planner's I/O savings.
 //
 // Time comparisons use the minimum across -count runs (noise only ever
 // slows a run down), and regressions below -noise-floor-ns are ignored so

@@ -33,7 +33,6 @@ func main() {
 		cache     = flag.String("cache", "", "comma-separated cache sizes in KB for the E14 buffer-pool experiment, 0 = uncached (default 0,256,4096,65536)")
 		workers   = flag.String("compact-workers", "", "comma-separated background-merge worker counts for the E15 ingest experiment, 0 = inline (default 0,2)")
 		storage   = flag.String("storage", "", "directory for the E16 storage-backend experiment's page files (default: a temp directory, removed afterwards)")
-		planCache = flag.Int("plan-cache", -1, "plan-cache entries per experiment index build, 0 = no cache; also sizes the E17 planner experiment's cached rows when > 0 (default: 0 for E1-E16 builds, 64 for E17)")
 		noPlanner = flag.Bool("no-planner", false, "disable statistics-driven probe ordering and skipping in every experiment build (E17, which A/B-tests the planner, is then skipped)")
 		kernels   = flag.String("kernels", "", "force a distance-kernel implementation: avx2, neon, or scalar (default: auto-detect)")
 		compress  = flag.Bool("compress", false, "store on-disk pages (tree leaves, LSM runs) in the packed encoding in every experiment build; results are identical, I/O cost drops")
@@ -68,7 +67,6 @@ func main() {
 		cfg.E15N, cfg.E15Queries = 2000, 4
 		cfg.E16N, cfg.E16Queries = 2000, 4
 		cfg.E17N, cfg.E17Queries = 2000, 8
-		cfg.E17Repeats, cfg.E17PlanCache = 3, 16
 	}
 	cfg.E16Dir = *storage
 	if *shards != "" {
@@ -110,18 +108,7 @@ func main() {
 		cfg.E15Workers = counts
 	}
 
-	if *planCache != -1 {
-		if *planCache < 0 {
-			fmt.Fprintf(os.Stderr, "coconut-bench: -plan-cache must be >= 0 entries (0 = no cache), got %d\n", *planCache)
-			os.Exit(2)
-		}
-		workload.PlannerDefaults(*noPlanner, *planCache)
-		if *planCache > 0 {
-			cfg.E17PlanCache = *planCache
-		}
-	} else if *noPlanner {
-		workload.PlannerDefaults(true, 0)
-	}
+	workload.PlannerDefaults(*noPlanner)
 
 	known := map[string]bool{}
 	for _, id := range knownExperiments {
@@ -281,7 +268,7 @@ func run(cfg workload.RunConfig, want map[string]bool) error {
 		emit(t)
 	}
 	if want["E17"] {
-		t, err := workload.E17Planner(sc, cfg.E17N, cfg.E17Queries, cfg.E17K, cfg.E17Repeats, cfg.E17PlanCache)
+		t, err := workload.E17Planner(sc, cfg.E17N, cfg.E17Queries, cfg.E17K)
 		if err != nil {
 			return err
 		}

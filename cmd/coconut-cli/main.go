@@ -15,7 +15,7 @@
 //	dataset  -kind astronomy -n 10000 -len 256
 //	build    -dataset ds-1 -variant CTree [-fill 0.9] [-growth 4] [-shards 4] [-cache 4194304]
 //	         [-wal batched|sync|off] [-compact-workers 2] [-storage sim|file]
-//	         [-plan-cache 64] [-no-planner] [-compress]
+//	         [-no-planner] [-compress]
 //	insert   -build build-1 -n 100 [-template supernova] [-ts 7]
 //	query    -build build-1 -template supernova [-k 5] [-exact] [-min 0 -max 99]
 //	recommend -streaming -queries 500 -memfrac 0.1 [-tight] [-smallwin]
@@ -181,7 +181,6 @@ func build(base string, args []string) error {
 	walMode := fs.String("wal", "", "CLSM durability: batched, sync, or off (needs the server's -wal root; empty = batched when the root is set)")
 	compactWorkers := fs.Int("compact-workers", 0, "CLSM background-merge workers (0 = server default, -1 = force inline)")
 	storage := fs.String("storage", "", "storage backend: sim (simulated disk) or file (real page files; needs the server's -storage root; empty = server default)")
-	planCache := fs.Int("plan-cache", 0, "plan-cache entries (0 = server default, -1 = force no cache)")
 	noPlanner := fs.Bool("no-planner", false, "disable statistics-driven probe ordering and skipping for this build")
 	compress := fs.Bool("compress", false, "store on-disk pages (tree leaves, LSM runs) in the packed encoding; answers identical, I/O cost lower")
 	fs.Parse(args)
@@ -209,16 +208,13 @@ func build(base string, args []string) error {
 	if *cache < -1 {
 		return fmt.Errorf("build: -cache must be >= -1 (-1 = force uncached, 0 = server default), got %d", *cache)
 	}
-	if *planCache < -1 {
-		return fmt.Errorf("build: -plan-cache must be >= -1 (-1 = force no cache, 0 = server default), got %d", *planCache)
-	}
 	var out server.BuildResponse
 	err := call("POST", base+"/api/build", server.BuildRequest{
 		Dataset: *ds, Variant: *variant, Segments: *segments, Bits: *bits,
 		FillFactor: *fill, GrowthFactor: *growth, MemBudget: *mem,
 		Shards: *shards, Parallelism: *par, CacheBytes: *cache,
 		Durability: *walMode, CompactionWorkers: *compactWorkers,
-		Storage: *storage, PlanCache: *planCache, DisablePlanner: *noPlanner,
+		Storage: *storage, DisablePlanner: *noPlanner,
 		Compress: *compress,
 	}, &out)
 	if err != nil {
@@ -342,8 +338,8 @@ func explainCmd(base string, args []string) error {
 	if tr == nil {
 		return fmt.Errorf("explain: server returned no trace (older server?)")
 	}
-	fmt.Printf("\nmode=%s k=%d kernel=%s wall=%dus plan_cache=%s planned_skips=%d\n",
-		tr.Mode, tr.K, tr.Kernel, tr.WallMicros, tr.PlanCache, tr.PlannedSkips)
+	fmt.Printf("\nmode=%s k=%d kernel=%s wall=%dus planned_skips=%d\n",
+		tr.Mode, tr.K, tr.Kernel, tr.WallMicros, tr.PlannedSkips)
 	for _, kc := range tr.Kinds {
 		fmt.Printf("  %-10s probed=%-6d skipped=%d\n", kc.Kind, kc.Probed, kc.Skipped)
 	}

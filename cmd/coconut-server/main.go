@@ -43,7 +43,6 @@ func main() {
 	walRoot := flag.String("wal", "", "WAL root directory: each CLSM build keeps a write-ahead log in its own subdirectory, making POST /api/insert durable (empty = no WALs)")
 	compactWorkers := flag.Int("compact-workers", 0, "default background-merge workers for CLSM builds (0 = inline merges; N > 0 runs level merges off the insert path)")
 	storageRoot := flag.String("storage", "", "storage root directory: builds default to the file-backed page store, each in its own subdirectory; results are byte-identical to the simulated disk (empty = simulated disk only)")
-	planCache := flag.Int("plan-cache", 0, "default plan-cache entries for builds (0 = no cache; N > 0 lets repeated query shapes reuse their pruning tables)")
 	noPlanner := flag.Bool("no-planner", false, "disable statistics-driven probe ordering and skipping for builds; answers are byte-identical either way, only I/O cost changes")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this private address (e.g. localhost:6060; empty = disabled)")
 	slowQuery := flag.Duration("slow-query", 0, "record queries and inserts slower than this in the slow-query log at GET /api/slowlog (0 = disabled)")
@@ -59,9 +58,6 @@ func main() {
 	if *compactWorkers < 0 || *compactWorkers > 64 {
 		log.Fatalf("coconut-server: -compact-workers must be in [0, 64], got %d", *compactWorkers)
 	}
-	if *planCache < 0 || *planCache > 1<<20 {
-		log.Fatalf("coconut-server: -plan-cache must be in [0, %d] entries (0 = no cache), got %d", 1<<20, *planCache)
-	}
 
 	s := server.New()
 	s.SetDefaultParallelism(*par)
@@ -70,7 +66,6 @@ func main() {
 	s.SetWALRoot(*walRoot)
 	s.SetDefaultCompactionWorkers(*compactWorkers)
 	s.SetStorageRoot(*storageRoot)
-	s.SetDefaultPlanCache(*planCache)
 	s.SetDefaultPlannerDisabled(*noPlanner)
 	s.SetSlowQuery(*slowQuery)
 	if *pprofAddr != "" {

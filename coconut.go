@@ -139,14 +139,6 @@ type Options struct {
 	// means the real filesystem; crash and fault-injection tests inject
 	// fsx.MemFS here.
 	FS fsx.FS
-	// PlanCacheSize bounds the query-plan cache: an LRU of filled pruning
-	// tables keyed by the query's quantized PAA signature and the index
-	// configuration, so repeated query shapes skip the per-query table
-	// build. 0 (the default) disables the cache. Sharded indexes share one
-	// cache across all shards, like the buffer pool; batch searches share
-	// it across worker slots. Results are byte-identical at every size —
-	// a hit requires exact PAA equality, the signature only buckets.
-	PlanCacheSize int
 	// DisablePlanner turns off statistics-driven probe planning: with the
 	// planner on (the default), searches order LSM-run, stream-partition,
 	// tree-leaf-range, and shard probes by a per-unit synopsis envelope
@@ -224,11 +216,11 @@ func (o Options) newBackend(sub string) (storage.Backend, error) {
 	return storage.NewFileDisk(storage.FileDiskOptions{Dir: dir, PageSize: o.PageSize, FS: o.FS})
 }
 
-// newPlanner builds the facade's query planner from the planning knobs.
+// newPlanner builds the facade's query planner from the planning knob.
 // Every facade handle owns exactly one (shared across shards and batch
-// slots), so skip and cache counters aggregate per index.
+// slots), so the skip counter aggregates per index.
 func (o Options) newPlanner() *index.Planner {
-	return &index.Planner{Disabled: o.DisablePlanner, Cache: index.NewPlanCache(o.PlanCacheSize)}
+	return &index.Planner{Disabled: o.DisablePlanner}
 }
 
 func (o Options) config() (index.Config, error) {
@@ -272,12 +264,8 @@ type Stats struct {
 	Pages                 int64 // total pages on the index's disk
 	// PlannedSkips counts probe units (runs, partitions, leaf ranges,
 	// shards) the query planner skipped because their synopsis envelope
-	// bound proved they could not improve the answer. PlanCacheHits and
-	// PlanCacheMisses count plan-cache lookups (both zero when
-	// Options.PlanCacheSize is 0).
-	PlannedSkips    int64
-	PlanCacheHits   int64
-	PlanCacheMisses int64
+	// bound proved they could not improve the answer.
+	PlannedSkips int64
 	// Kernel names the active distance-kernel implementation ("avx2",
 	// "neon", or "scalar") — see Options.Kernels.
 	Kernel string
@@ -367,11 +355,10 @@ func statsWith(d storage.Backend, pool *bufpool.Pool) Stats {
 	return toStats(d.Stats(), d.TotalPages())
 }
 
-// withPlanner folds a planner's skip and plan-cache counters into the
-// stats; a nil planner contributes zeros.
+// withPlanner folds a planner's skip counter into the stats; a nil planner
+// contributes zero.
 func (s Stats) withPlanner(pl *index.Planner) Stats {
 	s.PlannedSkips = pl.Skips()
-	s.PlanCacheHits, s.PlanCacheMisses = pl.CacheStats()
 	return s
 }
 
@@ -421,7 +408,7 @@ func attachPool(disk storage.Backend, opts Options, cache *bufpool.Cache) (*bufp
 
 // buildTreeCache is BuildTree with an optional shared cache and planner
 // (the sharded facade passes both so every shard's disk draws frames from a
-// single budget and every shard's searches share one plan cache).
+// single budget and every shard's searches count into one planner).
 func buildTreeCache(data [][]float64, opts Options, cache *bufpool.Cache, pl *index.Planner) (*Tree, error) {
 	cfg, err := opts.config()
 	if err != nil {
@@ -504,7 +491,7 @@ func (t *Tree) SetParallelism(n int) { t.tree.SetParallelism(n) }
 
 // Stats returns the I/O accounting of the tree's disk since creation,
 // cache counters included when a buffer pool is configured, plus the query
-// planner's skip and plan-cache counters.
+// planner's skip counter.
 func (t *Tree) Stats() Stats { return statsWith(t.disk, t.pool).withPlanner(t.planner) }
 
 // EnableCache installs a buffer pool of cacheBytes between the tree and
@@ -728,7 +715,7 @@ func (l *LSM) SetParallelism(n int) { l.lsm.SetParallelism(n) }
 
 // Stats returns the I/O accounting of the LSM's disk since creation, cache
 // counters included when a buffer pool is configured, plus the query
-// planner's skip and plan-cache counters.
+// planner's skip counter.
 func (l *LSM) Stats() Stats { return statsWith(l.disk, l.pool).withPlanner(l.planner) }
 
 // EnableCache installs a buffer pool of cacheBytes between the LSM and its

@@ -66,7 +66,9 @@ func checkCompressedEquiv(t *testing.T, label string, queries [][]float64, plain
 // checkCompressedCheaper asserts the I/O contract after identical build and
 // query traffic: key/id/ts-only layouts must strictly shrink (page count and
 // io-cost both drop); materialized layouts carry verbatim payloads that
-// dominate each entry, so they must merely never get worse.
+// dominate each entry, so they must merely never get worse. Callers compare
+// only handles built with Parallelism 1 (see equivParallelisms): the
+// seq/rand split io-cost weighs is schedule-dependent above that.
 func checkCompressedCheaper(t *testing.T, label string, materialized bool, refSt, compSt Stats) {
 	t.Helper()
 	refCost, compCost := refSt.Cost(10), compSt.Cost(10)
@@ -92,33 +94,37 @@ func checkCompressedCheaper(t *testing.T, label string, materialized bool, refSt
 func TestCompressedTreeEquivalence(t *testing.T) {
 	data, queries := cacheEquivData(3000, 64, 31)
 	for _, mat := range []bool{false, true} {
-		plainOpts, compOpts := compressedOpts(Options{SeriesLen: 64, Segments: 8, Bits: 6, Materialized: mat})
-		ref, err := BuildTree(data, plainOpts)
-		if err != nil {
-			t.Fatal(err)
+		for _, par := range equivParallelisms {
+			plainOpts, compOpts := compressedOpts(Options{SeriesLen: 64, Segments: 8, Bits: 6, Materialized: mat, Parallelism: par})
+			ref, err := BuildTree(data, plainOpts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			comp, err := BuildTree(data, compOpts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			label := fmt.Sprintf("%s/parallelism=%d", map[bool]string{false: "tree", true: "treefull"}[mat], par)
+			checkCompressedEquiv(t, label, queries, ref, comp)
+			wantB, err := ref.SearchBatch(queries, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotB, err := comp.SearchBatch(queries, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range wantB {
+				sameMatches(t, fmt.Sprintf("%s/batch/%d", label, i), wantB[i], gotB[i])
+			}
+			// The encoding's point: fewer pages hold the same entries, and the
+			// same query traffic costs less I/O. Verbatim payloads dominate
+			// materialized entries, so the strict win is pinned on the
+			// key/id/ts-only layout; materialized must simply never get worse.
+			if par == 1 {
+				checkCompressedCheaper(t, label, mat, ref.Stats(), comp.Stats())
+			}
 		}
-		comp, err := BuildTree(data, compOpts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		label := map[bool]string{false: "tree", true: "treefull"}[mat]
-		checkCompressedEquiv(t, label, queries, ref, comp)
-		wantB, err := ref.SearchBatch(queries, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotB, err := comp.SearchBatch(queries, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range wantB {
-			sameMatches(t, fmt.Sprintf("%s/batch/%d", label, i), wantB[i], gotB[i])
-		}
-		// The encoding's point: fewer pages hold the same entries, and the
-		// same query traffic costs less I/O. Verbatim payloads dominate
-		// materialized entries, so the strict win is pinned on the
-		// key/id/ts-only layout; materialized must simply never get worse.
-		checkCompressedCheaper(t, label, mat, ref.Stats(), comp.Stats())
 	}
 }
 
@@ -142,34 +148,38 @@ func TestCompressedLSMEquivalence(t *testing.T) {
 		return l
 	}
 	for _, mat := range []bool{false, true} {
-		plainOpts, compOpts := compressedOpts(Options{SeriesLen: 64, Segments: 8, Bits: 6, Materialized: mat})
-		ref := build(plainOpts)
-		comp := build(compOpts)
-		label := map[bool]string{false: "lsm", true: "lsmfull"}[mat]
-		checkCompressedEquiv(t, label, queries, ref, comp)
-		for _, q := range queries[:4] {
-			want, err := ref.SearchWindow(q, 5, 500, 2200)
+		for _, par := range equivParallelisms {
+			plainOpts, compOpts := compressedOpts(Options{SeriesLen: 64, Segments: 8, Bits: 6, Materialized: mat, Parallelism: par})
+			ref := build(plainOpts)
+			comp := build(compOpts)
+			label := fmt.Sprintf("%s/parallelism=%d", map[bool]string{false: "lsm", true: "lsmfull"}[mat], par)
+			checkCompressedEquiv(t, label, queries, ref, comp)
+			for _, q := range queries[:4] {
+				want, err := ref.SearchWindow(q, 5, 500, 2200)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := comp.SearchWindow(q, 5, 500, 2200)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameMatches(t, label+"/window", want, got)
+			}
+			wantB, err := ref.SearchBatch(queries, 3)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := comp.SearchWindow(q, 5, 500, 2200)
+			gotB, err := comp.SearchBatch(queries, 3)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameMatches(t, label+"/window", want, got)
+			for i := range wantB {
+				sameMatches(t, fmt.Sprintf("%s/batch/%d", label, i), wantB[i], gotB[i])
+			}
+			if par == 1 {
+				checkCompressedCheaper(t, label, mat, ref.Stats(), comp.Stats())
+			}
 		}
-		wantB, err := ref.SearchBatch(queries, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotB, err := comp.SearchBatch(queries, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range wantB {
-			sameMatches(t, fmt.Sprintf("%s/batch/%d", label, i), wantB[i], gotB[i])
-		}
-		checkCompressedCheaper(t, label, mat, ref.Stats(), comp.Stats())
 	}
 }
 

@@ -135,13 +135,7 @@ func (t *Tree) evalLeaf(n *node, q index.Query, col *index.Collector, sc *index.
 		return err
 	}
 	sc.Trace.NoteProbes("leaf", 1)
-	inWin := entries[:0:0]
-	for _, e := range entries {
-		if q.InWindow(e.TS) {
-			inWin = append(inWin, e)
-		}
-	}
-	_, err = index.EvalCandidates(q, inWin, t.opts.Raw, col, sc)
+	_, err = index.EvalPage(q, index.EntryPage(entries), t.opts.Raw, col, sc)
 	return err
 }
 
@@ -190,7 +184,7 @@ func (t *Tree) RangeSearch(q index.Query, eps float64) ([]index.Result, error) {
 	sc := ctx.Scratch0()
 	var visit func(n *node) error
 	visit = func(n *node) error {
-		if col.PruneSq(nodeMinDistSq(sc.P, n)) {
+		if col.SkipSq(nodeMinDistSq(sc.P, n)) {
 			if n.leaf {
 				sc.Trace.NoteSkips("leaf", 1)
 			}
@@ -207,13 +201,7 @@ func (t *Tree) RangeSearch(q index.Query, eps float64) ([]index.Result, error) {
 			return err
 		}
 		sc.Trace.NoteProbes("leaf", 1)
-		inWin := entries[:0:0]
-		for _, e := range entries {
-			if q.InWindow(e.TS) {
-				inWin = append(inWin, e)
-			}
-		}
-		return index.EvalRangeCandidates(q, inWin, t.opts.Raw, col, sc)
+		return index.EvalPageRange(q, index.EntryPage(entries), t.opts.Raw, col, sc)
 	}
 	for _, root := range t.roots {
 		if err := visit(root); err != nil {

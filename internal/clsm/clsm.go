@@ -100,9 +100,9 @@ type Options struct {
 	// The scheduler is owned by the caller and may be shared across many
 	// indexes (one background-work budget for a whole sharded deployment).
 	Scheduler *compact.Scheduler
-	// Planner carries the query planner's switches, plan cache, and skip
-	// counter. nil plans with defaults (ordering and skipping on, no cache);
-	// it may be shared across many indexes, like the Scheduler.
+	// Planner carries the query planner's switch and skip counter. nil
+	// plans with defaults (ordering and skipping on); it may be shared
+	// across many indexes, like the Scheduler.
 	Planner *index.Planner
 	// Compress writes new runs in the packed page encoding (record.PageBuilder):
 	// frame-of-reference bit-packed keys, IDs, and timestamps with verbatim
@@ -285,7 +285,7 @@ func (l *LSM) Count() int64 { return l.count.Load() }
 // configuration. Call only while no search is in flight.
 func (l *LSM) SetParallelism(n int) { l.pool = parallel.New(n) }
 
-// SetPlanner attaches the query planner (switches, plan cache, counters).
+// SetPlanner attaches the query planner (switch, skip counter).
 // Like SetParallelism it is not persisted; call after Open. Call only while
 // no search is in flight.
 func (l *LSM) SetPlanner(pl *index.Planner) { l.opts.Planner = pl }

@@ -35,7 +35,7 @@ import (
 // of the LSM trade-off; concurrency over runs is what claws the latency
 // back.
 func (l *LSM) ApproxSearch(q index.Query, k int) ([]index.Result, error) {
-	ctx := l.opts.Planner.AcquireCtx(q, l.opts.Config)
+	ctx := index.AcquireCtx(q, l.opts.Config)
 	defer ctx.Release()
 	v := l.pinView()
 	defer l.unpinView(v)
@@ -55,8 +55,10 @@ func (l *LSM) approxInto(v *view, q index.Query, col *index.Collector, ctx *inde
 	if err := scanBuffer(v.buf, q, col, false, ctx.Scratch0(), l.opts.Raw); err != nil {
 		return err
 	}
-	return l.forEachRun(allRuns(v.man), q, ctx, col, pool, func(r run, sc *index.Scratch, col *index.Collector) error {
-		return l.probeRun(r, q, col, sc)
+	runs := allRuns(v.man)
+	scs := ctx.Scratches(pool.WorkersFor(len(runs)))
+	return forEachRun(l, runs, q, ctx, col, pool, func(i, w int, col *index.Collector) error {
+		return l.probeRun(runs[i], q, col, scs[w])
 	})
 }
 
@@ -66,7 +68,7 @@ func (l *LSM) approxInto(v *view, q index.Query, col *index.Collector, ctx *inde
 // fully evaluated by the approximate phase (deduplication by ID makes
 // re-offering it a no-op), so only the runs need the full pass.
 func (l *LSM) ExactSearch(q index.Query, k int) ([]index.Result, error) {
-	ctx := l.opts.Planner.AcquireCtx(q, l.opts.Config)
+	ctx := index.AcquireCtx(q, l.opts.Config)
 	defer ctx.Release()
 	return l.exactCtx(q, k, ctx, l.pool)
 }
@@ -91,7 +93,7 @@ func (l *LSM) ExactSearchColl(q index.Query, k int, ctx *index.SearchCtx) (*inde
 // (tables refilled per query, scratch buffers persistent) for every query it
 // executes. out[i] is byte-identical to ExactSearch(qs[i], k).
 func (l *LSM) ExactSearchBatch(qs []index.Query, k int) ([][]index.Result, error) {
-	return index.BatchPlanned(l.opts.Planner, l.pool, l.opts.Config, qs, func(q index.Query, ctx *index.SearchCtx) ([]index.Result, error) {
+	return index.Batch(l.pool, l.opts.Config, qs, func(q index.Query, ctx *index.SearchCtx) ([]index.Result, error) {
 		return l.ExactSearchCtx(q, k, ctx)
 	})
 }
@@ -117,8 +119,10 @@ func (l *LSM) exactColl(q index.Query, k int, ctx *index.SearchCtx, pool *parall
 	}
 	sp.End()
 	sp = ctx.Trace.Start("scan")
-	err := l.forEachRun(allRuns(v.man), q, ctx, col, pool, func(r run, sc *index.Scratch, col *index.Collector) error {
-		return l.scanRun(r, q, col, sc)
+	runs := allRuns(v.man)
+	scs := ctx.Scratches(pool.WorkersFor(len(runs)))
+	err := forEachRun(l, runs, q, ctx, col, pool, func(i, w int, col *index.Collector) error {
+		return l.scanRun(runs[i], q, col, scs[w])
 	})
 	sp.End()
 	if err != nil {
@@ -127,87 +131,20 @@ func (l *LSM) exactColl(q index.Query, k int, ctx *index.SearchCtx, pool *parall
 	return col, nil
 }
 
-// forEachRun applies scan to every run, planned: runs are visited in
-// ascending order of their synopsis's envelope MINDIST lower bound (the
-// most promising run tightens the collector's pruning bound first) and a
-// run is skipped outright when its bound already exceeds the collector's
-// current worst, or its time range misses the query window. Both moves are
-// answer-preserving — the envelope bound never exceeds the per-entry bound
-// the scan itself prunes with, and the collector is order-independent — so
-// results are byte-identical to the unplanned fan-out, which a disabled
-// planner falls back to. Serial execution probes directly into col with the
-// bound tightening between runs; parallel execution pre-orders and
-// pre-filters on the approximate phase's bound, then each worker re-checks
-// against its own clone's evolving bound before scanning.
-func (l *LSM) forEachRun(runs []run, q index.Query, ctx *index.SearchCtx, col *index.Collector, pool *parallel.Pool, scan func(run, *index.Scratch, *index.Collector) error) error {
-	pl := l.opts.Planner
-	tr := ctx.Trace
-	if !pl.Enabled() || len(runs) == 0 {
-		tr.NoteProbes("run", int64(len(runs)))
-		return index.FanOut(pool, len(runs), ctx, col, (*index.Collector).PooledClone, (*index.Collector).MergeRelease,
-			func(i int, col *index.Collector, sc *index.Scratch) error {
-				return scan(runs[i], sc, col)
-			})
-	}
-	units := ctx.PlanUnits(len(runs))
-	for i := range runs {
-		b := ctx.P.SynopsisBoundSq(runs[i].syn)
-		if q.Windowed && runs[i].syn != nil && !runs[i].syn.IntersectsWindow(q.MinTS, q.MaxTS) {
-			b = math.Inf(1)
+// forEachRun probes every run through the planned-probe executor
+// (index.ProbeUnits). A run is bounded by its synopsis's envelope MINDIST,
+// or by +Inf when its time range misses the query window; probe(i, worker,
+// col) searches runs[i] as worker slot worker of pool.
+func forEachRun[C index.FanCollector[C]](l *LSM, runs []run, q index.Query, ctx *index.SearchCtx, col C, pool *parallel.Pool, probe func(i, worker int, col C) error) error {
+	return index.ProbeUnits(index.ProbePlan{
+		Planner: l.opts.Planner, Pool: pool, Trace: ctx.Trace, Kind: "run", Units: ctx.PlanUnits(len(runs)),
+	}, col, func(i int) float64 {
+		syn := runs[i].syn
+		if q.Windowed && syn != nil && !syn.IntersectsWindow(q.MinTS, q.MaxTS) {
+			return math.Inf(1)
 		}
-		units[i] = index.PlanUnit{BoundSq: b, Idx: i}
-	}
-	index.SortPlan(units)
-	if pool.WorkersFor(len(runs)) <= 1 {
-		sc := ctx.Scratch0()
-		skipped := int64(0)
-		for ui, u := range units {
-			if math.IsInf(u.BoundSq, 1) {
-				skipped++
-				tr.NoteUnit("run", u.Idx, u.BoundSq, true)
-				continue
-			}
-			if col.SkipSq(u.BoundSq) {
-				// Bounds ascend from here on and the collector's worst only
-				// tightens, so every remaining unit is skippable too.
-				skipped += int64(len(units) - ui)
-				if tr != nil {
-					for _, su := range units[ui:] {
-						tr.NoteUnit("run", su.Idx, su.BoundSq, true)
-					}
-				}
-				break
-			}
-			tr.NoteUnit("run", u.Idx, u.BoundSq, false)
-			if err := scan(runs[u.Idx], sc, col); err != nil {
-				pl.NoteSkips(skipped)
-				return err
-			}
-		}
-		pl.NoteSkips(skipped)
-		return nil
-	}
-	live := units[:0]
-	skipped := int64(0)
-	for _, u := range units {
-		if math.IsInf(u.BoundSq, 1) || col.SkipSq(u.BoundSq) {
-			skipped++
-			tr.NoteUnit("run", u.Idx, u.BoundSq, true)
-			continue
-		}
-		live = append(live, u)
-	}
-	pl.NoteSkips(skipped)
-	return index.FanOut(pool, len(live), ctx, col, (*index.Collector).PooledClone, (*index.Collector).MergeRelease,
-		func(i int, col *index.Collector, sc *index.Scratch) error {
-			if col.SkipSq(live[i].BoundSq) {
-				pl.NoteSkips(1)
-				tr.NoteUnit("run", live[i].Idx, live[i].BoundSq, true)
-				return nil
-			}
-			tr.NoteUnit("run", live[i].Idx, live[i].BoundSq, false)
-			return scan(runs[live[i].Idx], sc, col)
-		})
+		return ctx.P.SynopsisBoundSq(syn)
+	}, probe)
 }
 
 // scanBuffer evaluates a buffer snapshot's entries; with prune set, entries
@@ -286,6 +223,19 @@ func (l *LSM) firstKey(r run, page int) (sortable.Key, error) {
 	return k, nil
 }
 
+// pageOf describes page p of run r, pinned as data, to the page evaluator.
+func (l *LSM) pageOf(r run, p int, data []byte) index.Page {
+	if r.packed {
+		return index.PackedPage(data, l.codec)
+	}
+	perPage := l.opts.Disk.PageSize() / l.codec.Size()
+	n := perPage
+	if rem := r.count - int64(p)*int64(perPage); rem < int64(n) {
+		n = int(rem)
+	}
+	return index.FixedPage(data, n, l.codec)
+}
+
 // evalPage evaluates all entries on one page of a run straight from the
 // pinned page bytes. The page was just examined by firstKey when called
 // from probeRun; it re-pins to keep the logic self-contained (an uncached
@@ -296,18 +246,7 @@ func (l *LSM) evalPage(r run, page int, q index.Query, col *index.Collector, sc 
 	if err != nil {
 		return err
 	}
-	if r.packed {
-		_, err = index.EvalEncodedPacked(q, h.Data(), l.codec, l.opts.Raw, col, sc)
-		h.Release()
-		return err
-	}
-	perPage := l.opts.Disk.PageSize() / l.codec.Size()
-	start := int64(page) * int64(perPage)
-	n := perPage
-	if rem := r.count - start; rem < int64(n) {
-		n = int(rem)
-	}
-	_, err = index.EvalEncoded(q, h.Data(), n, l.codec, l.opts.Raw, col, sc)
+	_, err = index.EvalPage(q, l.pageOf(r, page, h.Data()), l.opts.Raw, col, sc)
 	h.Release()
 	return err
 }
@@ -316,28 +255,12 @@ func (l *LSM) evalPage(r run, page int, q index.Query, col *index.Collector, sc 
 // verifying each page's surviving candidates in ascending lower-bound
 // order.
 func (l *LSM) scanRun(r run, q index.Query, col *index.Collector, sc *index.Scratch) error {
-	perPage := l.opts.Disk.PageSize() / l.codec.Size()
 	pages, err := l.runPages(r)
 	if err != nil {
 		return err
 	}
 	for p := 0; p < pages; p++ {
-		h, err := l.opts.Reader.PinPage(r.file, int64(p))
-		if err != nil {
-			return err
-		}
-		if r.packed {
-			_, err = index.EvalEncodedPacked(q, h.Data(), l.codec, l.opts.Raw, col, sc)
-		} else {
-			start := int64(p) * int64(perPage)
-			n := perPage
-			if rem := r.count - start; rem < int64(n) {
-				n = int(rem)
-			}
-			_, err = index.EvalEncoded(q, h.Data(), n, l.codec, l.opts.Raw, col, sc)
-		}
-		h.Release()
-		if err != nil {
+		if err := l.evalPage(r, p, q, col, sc); err != nil {
 			return err
 		}
 	}
@@ -349,52 +272,20 @@ func (l *LSM) scanRun(r run, q index.Query, col *index.Collector, sc *index.Scra
 // pruning. Runs scan concurrently; the epsilon bound is static, so
 // per-worker range collectors merge into exactly the serial answer.
 func (l *LSM) RangeSearch(q index.Query, eps float64) ([]index.Result, error) {
-	ctx := l.opts.Planner.AcquireCtx(q, l.opts.Config)
+	ctx := index.AcquireCtx(q, l.opts.Config)
 	defer ctx.Release()
 	v := l.pinView()
 	defer l.unpinView(v)
 	col := index.NewRangeCollector(eps)
-	sc := ctx.Scratch0()
-	var buffered []record.Entry
-	for _, e := range v.buf {
-		if q.InWindow(e.TS) {
-			buffered = append(buffered, e)
-		}
-	}
-	if err := index.EvalRangeCandidates(q, buffered, l.opts.Raw, col, sc); err != nil {
+	if err := index.EvalPageRange(q, index.EntryPage(v.buf), l.opts.Raw, col, ctx.Scratch0()); err != nil {
 		return nil, err
 	}
 	runs := allRuns(v.man)
-	tr := ctx.Trace
-	if pl := l.opts.Planner; pl.Enabled() {
-		// The epsilon bound is static, so planned range search is a pure
-		// pre-filter: drop every run whose envelope bound prunes or whose
-		// time range misses the window (allRuns returned a fresh slice).
-		n := 0
-		for i, r := range runs {
-			if r.syn != nil {
-				b := ctx.P.SynopsisBoundSq(r.syn)
-				if (q.Windowed && !r.syn.IntersectsWindow(q.MinTS, q.MaxTS)) || col.PruneSq(b) {
-					tr.NoteUnit("run", i, b, true)
-					continue
-				}
-				tr.NoteUnit("run", i, b, false)
-			} else {
-				tr.NoteUnit("run", i, 0, false)
-			}
-			runs[n] = r
-			n++
-		}
-		pl.NoteSkips(int64(len(runs) - n))
-		runs = runs[:n]
-	} else {
-		tr.NoteProbes("run", int64(len(runs)))
-	}
-	sp := tr.Start("scan")
-	err := index.FanOut(l.pool, len(runs), ctx, col, (*index.RangeCollector).PooledClone, (*index.RangeCollector).MergeRelease,
-		func(i int, col *index.RangeCollector, sc *index.Scratch) error {
-			return l.rangeScanRun(runs[i], q, col, sc)
-		})
+	scs := ctx.Scratches(l.pool.WorkersFor(len(runs)))
+	sp := ctx.Trace.Start("scan")
+	err := forEachRun(l, runs, q, ctx, col, l.pool, func(i, w int, col *index.RangeCollector) error {
+		return l.rangeScanRun(runs[i], q, col, scs[w])
+	})
 	sp.End()
 	if err != nil {
 		return nil, err
@@ -403,7 +294,6 @@ func (l *LSM) RangeSearch(q index.Query, eps float64) ([]index.Result, error) {
 }
 
 func (l *LSM) rangeScanRun(r run, q index.Query, col *index.RangeCollector, sc *index.Scratch) error {
-	perPage := l.opts.Disk.PageSize() / l.codec.Size()
 	pages, err := l.runPages(r)
 	if err != nil {
 		return err
@@ -413,16 +303,7 @@ func (l *LSM) rangeScanRun(r run, q index.Query, col *index.RangeCollector, sc *
 		if err != nil {
 			return err
 		}
-		if r.packed {
-			err = index.EvalEncodedPackedRange(q, h.Data(), l.codec, l.opts.Raw, col, sc)
-		} else {
-			start := int64(p) * int64(perPage)
-			n := perPage
-			if rem := r.count - start; rem < int64(n) {
-				n = int(rem)
-			}
-			err = index.EvalEncodedRange(q, h.Data(), n, l.codec, l.opts.Raw, col, sc)
-		}
+		err = index.EvalPageRange(q, l.pageOf(r, p, h.Data()), l.opts.Raw, col, sc)
 		h.Release()
 		if err != nil {
 			return err

@@ -51,9 +51,9 @@ type Options struct {
 	// paths; values <= 0 select GOMAXPROCS. Search results and the built
 	// index are identical at every setting.
 	Parallelism int
-	// Planner carries the query planner's switches, plan cache, and skip
-	// counter. nil plans with defaults (zone-map leaf skipping on, no
-	// cache); it may be shared across many indexes.
+	// Planner carries the query planner's switch and skip counter. nil
+	// plans with defaults (zone-map leaf skipping on); it may be shared
+	// across many indexes.
 	Planner *index.Planner
 	// Compress selects the packed page encoding for leaf pages
 	// (delta/bit-packed keys, frame-of-reference IDs and timestamps): each
@@ -215,7 +215,7 @@ func (t *Tree) Leaves() int { return len(t.leaves) }
 // configuration. Call only while no search is in flight.
 func (t *Tree) SetParallelism(n int) { t.pool = parallel.New(n) }
 
-// SetPlanner attaches the query planner (switches, plan cache, counters).
+// SetPlanner attaches the query planner (switch, skip counter).
 // Like SetParallelism it is not persisted; call after Open. Call only while
 // no search is in flight.
 func (t *Tree) SetPlanner(pl *index.Planner) { t.opts.Planner = pl }

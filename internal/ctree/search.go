@@ -24,7 +24,7 @@ import (
 // search of the demo: one or two page reads, inherently navigational, so it
 // stays serial at every parallelism setting.
 func (t *Tree) ApproxSearch(q index.Query, k int) ([]index.Result, error) {
-	ctx := t.opts.Planner.AcquireCtx(q, t.opts.Config)
+	ctx := index.AcquireCtx(q, t.opts.Config)
 	defer ctx.Release()
 	col := index.NewCollector(k)
 	sp := ctx.Trace.Start("approx")
@@ -78,15 +78,18 @@ func (t *Tree) scanLeafInto(li int, q index.Query, col *index.Collector, sc *ind
 	if err != nil {
 		return 0, err
 	}
-	var n int
-	if t.packed {
-		n, err = index.EvalEncodedPacked(q, h.Data(), t.codec, t.opts.Raw, col, sc)
-	} else {
-		n, err = index.EvalEncoded(q, h.Data(), t.leaves[li].count, t.codec, t.opts.Raw, col, sc)
-	}
+	n, err := index.EvalPage(q, t.leafPage(li, h.Data()), t.opts.Raw, col, sc)
 	h.Release()
 	sc.Trace.NoteProbes("leaf", 1)
 	return n, err
+}
+
+// leafPage describes leaf li, pinned as data, to the page evaluator.
+func (t *Tree) leafPage(li int, data []byte) index.Page {
+	if t.packed {
+		return index.PackedPage(data, t.codec)
+	}
+	return index.FixedPage(data, t.leaves[li].count, t.codec)
 }
 
 // leafChunks splits the leaf directory into one contiguous range per
@@ -115,7 +118,7 @@ func (t *Tree) leafChunks(pool *parallel.Pool) [][2]int {
 // one contiguous leaf range per worker — the sequential access pattern of
 // Coconut's sortable layout, striped across the pool.
 func (t *Tree) ExactSearch(q index.Query, k int) ([]index.Result, error) {
-	ctx := t.opts.Planner.AcquireCtx(q, t.opts.Config)
+	ctx := index.AcquireCtx(q, t.opts.Config)
 	defer ctx.Release()
 	return t.exactCtx(q, k, ctx, t.pool)
 }
@@ -140,7 +143,7 @@ func (t *Tree) ExactSearchColl(q index.Query, k int, ctx *index.SearchCtx) (*ind
 // (tables refilled per query, scratch buffers persistent) for every query it
 // executes. out[i] is byte-identical to ExactSearch(qs[i], k).
 func (t *Tree) ExactSearchBatch(qs []index.Query, k int) ([][]index.Result, error) {
-	return index.BatchPlanned(t.opts.Planner, t.pool, t.opts.Config, qs, func(q index.Query, ctx *index.SearchCtx) ([]index.Result, error) {
+	return index.Batch(t.pool, t.opts.Config, qs, func(q index.Query, ctx *index.SearchCtx) ([]index.Result, error) {
 		return t.ExactSearchCtx(q, k, ctx)
 	})
 }
@@ -168,10 +171,10 @@ func (t *Tree) exactColl(q index.Query, k int, ctx *index.SearchCtx, pool *paral
 	sp.End()
 	sp = ctx.Trace.Start("scan")
 	chunks := t.leafChunks(pool)
-	err := index.FanOut(pool, len(chunks), ctx, col, (*index.Collector).PooledClone, (*index.Collector).MergeRelease,
-		func(i int, col *index.Collector, sc *index.Scratch) error {
-			return t.exactScanRange(chunks[i][0], chunks[i][1], q, col, sc)
-		})
+	scs := ctx.Scratches(len(chunks))
+	err := index.FanOut(pool, len(chunks), col, func(i, w int, col *index.Collector) error {
+		return t.exactScanRange(chunks[i][0], chunks[i][1], q, col, scs[w])
+	})
 	sp.End()
 	if err != nil {
 		return nil, err
@@ -185,7 +188,7 @@ func (t *Tree) exactColl(q index.Query, k int, ctx *index.SearchCtx, pool *paral
 // With planning enabled it applies zone-map skipping: a leaf whose symbol
 // envelope's MINDIST bound already exceeds the collector's worst cannot
 // contribute (the envelope bound is never larger than any member entry's
-// bound, which EvalEncoded would prune anyway), so skipping it drops only
+// bound, which EvalPage would prune anyway), so skipping it drops only
 // work, never answers. Skips are committed run-length-aware — see skipRuns.
 func (t *Tree) exactScanRange(lo, hi int, q index.Query, col *index.Collector, sc *index.Scratch) error {
 	read := func(li int) error {
@@ -193,11 +196,7 @@ func (t *Tree) exactScanRange(lo, hi int, q index.Query, col *index.Collector, s
 		if err != nil {
 			return err
 		}
-		if t.packed {
-			_, err = index.EvalEncodedPacked(q, h.Data(), t.codec, t.opts.Raw, col, sc)
-		} else {
-			_, err = index.EvalEncoded(q, h.Data(), t.leaves[li].count, t.codec, t.opts.Raw, col, sc)
-		}
+		_, err = index.EvalPage(q, t.leafPage(li, h.Data()), t.opts.Raw, col, sc)
 		h.Release()
 		return err
 	}
@@ -280,18 +279,18 @@ func (t *Tree) skipRuns(lo, hi int, tr *obs.QueryTrace, read func(li int) error,
 // of the query: one pruned scan of the leaf file, striped across the pool
 // in contiguous leaf ranges.
 func (t *Tree) RangeSearch(q index.Query, eps float64) ([]index.Result, error) {
-	ctx := t.opts.Planner.AcquireCtx(q, t.opts.Config)
+	ctx := index.AcquireCtx(q, t.opts.Config)
 	defer ctx.Release()
 	col := index.NewRangeCollector(eps)
 	if len(t.leaves) == 0 {
 		return col.Results(), nil
 	}
 	chunks := t.leafChunks(t.pool)
+	scs := ctx.Scratches(len(chunks))
 	sp := ctx.Trace.Start("scan")
-	err := index.FanOut(t.pool, len(chunks), ctx, col, (*index.RangeCollector).PooledClone, (*index.RangeCollector).MergeRelease,
-		func(i int, col *index.RangeCollector, sc *index.Scratch) error {
-			return t.rangeScanRange(chunks[i][0], chunks[i][1], q, col, sc)
-		})
+	err := index.FanOut(t.pool, len(chunks), col, func(i, w int, col *index.RangeCollector) error {
+		return t.rangeScanRange(chunks[i][0], chunks[i][1], q, col, scs[w])
+	})
 	sp.End()
 	if err != nil {
 		return nil, err
@@ -308,11 +307,7 @@ func (t *Tree) rangeScanRange(lo, hi int, q index.Query, col *index.RangeCollect
 		if err != nil {
 			return err
 		}
-		if t.packed {
-			err = index.EvalEncodedPackedRange(q, h.Data(), t.codec, t.opts.Raw, col, sc)
-		} else {
-			err = index.EvalEncodedRange(q, h.Data(), t.leaves[li].count, t.codec, t.opts.Raw, col, sc)
-		}
+		err = index.EvalPageRange(q, t.leafPage(li, h.Data()), t.opts.Raw, col, sc)
 		h.Release()
 		return err
 	}
@@ -327,7 +322,7 @@ func (t *Tree) rangeScanRange(lo, hi int, q index.Query, col *index.RangeCollect
 	}
 	return t.skipRuns(lo, hi, sc.Trace, read, func(li int) bool {
 		mn, mx := t.leafEnv(li)
-		return col.PruneSq(sc.P.EnvelopeSq(mn, mx))
+		return col.SkipSq(sc.P.EnvelopeSq(mn, mx))
 	})
 }
 

@@ -44,9 +44,13 @@ type BatchSearcher interface {
 }
 
 // Refill re-fills the context's pruning tables for a new query, keeping
-// every scratch buffer. Batch executors call it between queries instead of
-// releasing and re-acquiring the context.
-func (c *SearchCtx) Refill(q Query, cfg Config) { c.P.Fill(q.PAA, cfg) }
+// every scratch buffer, and re-binds the context's trace to the query's so a
+// pooled batch context follows each query's tracing state. Batch executors
+// call it between queries instead of releasing and re-acquiring the context.
+func (c *SearchCtx) Refill(q Query, cfg Config) {
+	c.P.Fill(q.PAA, cfg)
+	c.Trace = q.Trace
+}
 
 // Batch runs one exact search per query over the pool. Each worker slot
 // owns one SearchCtx for the whole batch: the slot refills its tables per
@@ -57,14 +61,6 @@ func (c *SearchCtx) Refill(q Query, cfg Config) { c.P.Fill(q.PAA, cfg) }
 // lowest-indexed query's error is reported (parallel.Pool's deterministic
 // error contract) and the partial outputs are discarded.
 func Batch(pool *parallel.Pool, cfg Config, qs []Query, search func(q Query, ctx *SearchCtx) ([]Result, error)) ([][]Result, error) {
-	return BatchPlanned(nil, pool, cfg, qs, search)
-}
-
-// BatchPlanned is Batch with per-query table fills routed through a
-// planner's plan cache, so worker slots share cached tables across repeated
-// query shapes. A nil planner (or one without a cache) fills directly —
-// identical to Batch.
-func BatchPlanned(pl *Planner, pool *parallel.Pool, cfg Config, qs []Query, search func(q Query, ctx *SearchCtx) ([]Result, error)) ([][]Result, error) {
 	if len(qs) == 0 {
 		return nil, nil
 	}
@@ -81,7 +77,7 @@ func BatchPlanned(pl *Planner, pool *parallel.Pool, cfg Config, qs []Query, sear
 	}()
 	err := pool.ForEach(len(qs), func(worker, i int) error {
 		ctx := ctxs[worker]
-		pl.Refill(ctx, qs[i], cfg)
+		ctx.Refill(qs[i], cfg)
 		rs, err := search(qs[i], ctx)
 		if err != nil {
 			return err

@@ -2,44 +2,54 @@ package index
 
 import "repro/internal/parallel"
 
+// FanCollector is what a fan-out needs from a result collector: pooled
+// per-worker clones that merge back order-independently, and the predicate
+// deciding that a whole probe unit, lower-bounded by lbSq, cannot
+// contribute. *Collector and *RangeCollector are the two implementations.
+type FanCollector[C any] interface {
+	PooledClone() C
+	MergeRelease(C)
+	SkipSq(lbSq float64) bool
+	// tightens reports whether SkipSq's bound moves as results arrive
+	// (k-NN) or is fixed for the whole query (range).
+	tightens() bool
+}
+
 // FanOut is the one fan-out/merge scaffold every parallel search path uses:
 // n independent scan tasks execute over the pool, collecting into col. With
 // a single usable worker the tasks run serially, in order, directly into
-// col with the context's slot-0 scratch — the exact serial path, sharing
-// col's evolving pruning bound across tasks. Otherwise each worker slot
-// scans into clone(col) with its own per-slot Scratch from ctx, and the
-// per-slot collectors merge back into col. Because both Collector and
-// RangeCollector are order-independent, the two routes return identical
-// results; the parallel one merely evaluates a few extra candidates whose
-// distances lose at the merge.
+// col as worker slot 0 — the exact serial path, sharing col's evolving
+// pruning bound across tasks. Otherwise each worker slot scans into a
+// pooled clone of col, and the per-slot collectors merge back into col.
+// Because both Collector and RangeCollector are order-independent, the two
+// routes return identical results; the parallel one merely evaluates a few
+// extra candidates whose distances lose at the merge.
 //
-// For Collector fan-outs pass (*Collector).PooledClone and
-// (*Collector).MergeRelease so the per-worker collectors recycle their
-// storage through the collector pool instead of churning fresh heaps and
-// seen maps every query.
-func FanOut[C any](pool *parallel.Pool, n int, ctx *SearchCtx, col C, clone func(C) C, merge func(dst, src C), scan func(i int, col C, sc *Scratch) error) error {
+// scan receives its worker slot so callers can hand each slot private state
+// (a Scratch from SearchCtx.Scratches, a SearchCtx per shard worker); slots
+// are dense in [0, pool.WorkersFor(n)), and that state must be materialized
+// on the coordinating goroutine before the call.
+func FanOut[C FanCollector[C]](pool *parallel.Pool, n int, col C, scan func(i, worker int, col C) error) error {
 	w := pool.WorkersFor(n)
 	if w <= 1 {
-		sc := ctx.Scratch0()
 		for i := 0; i < n; i++ {
-			if err := scan(i, col, sc); err != nil {
+			if err := scan(i, 0, col); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	scs := ctx.Scratches(w)
 	cols := make([]C, w)
-	for i := 0; i < w; i++ {
-		cols[i] = clone(col)
+	for i := range cols {
+		cols[i] = col.PooledClone()
 	}
 	err := pool.ForEach(n, func(worker, i int) error {
-		return scan(i, cols[worker], scs[worker])
+		return scan(i, worker, cols[worker])
 	})
-	// Merge even on error: the caller discards col then, but the merge
-	// callback is also what releases pooled clones back to their pool.
+	// Merge even on error: the caller discards col then, but merging is
+	// also what releases the pooled clones back to their pool.
 	for _, c := range cols {
-		merge(col, c)
+		col.MergeRelease(c)
 	}
 	return err
 }

@@ -8,16 +8,19 @@
 // z-normalized series — the standard setting in the data series similarity
 // search literature the paper builds on.
 //
-// # Planning
+// # The exact-search read path
 //
-// The package also hosts the statistics-driven query planner (Planner,
-// PlanUnit, PlanCache): zone-map synopses from package zonestat turn into
-// MINDIST lower bounds that order probe units best-bound-first and skip
-// units whose bound exceeds the collector's current worst. The bound is a
-// true lower bound, so planned and unplanned searches return byte-identical
-// results; only I/O cost changes. A PlanCache lets repeated query shapes
-// (keyed by quantized iSAX signature, hit only on exact PAA equality) reuse
-// their filled pruning tables.
+// Every variant's exact search is the same procedure, and the package hosts
+// it once. ProbeUnits (planner.go) is the planned-probe executor: zone-map
+// synopses from package zonestat turn into MINDIST lower bounds that order
+// probe units (runs, partitions, shards) best-bound-first and skip units
+// whose bound exceeds the collector's current worst. EvalPage and
+// EvalPageRange (prune.go) are the page-evaluation loops: one pinned page —
+// fixed-width, packed, or already decoded — filtered by window, pruned per
+// entry, and verified in ascending lower-bound order. Every bound is a true
+// lower bound, so planned and unplanned searches return byte-identical
+// results; only I/O cost changes. A variant supplies how to bound a unit
+// and how to pin its pages.
 package index
 
 import (
@@ -87,12 +90,11 @@ type Query struct {
 	MinTS, MaxTS int64
 	Windowed     bool
 	// Trace, when non-nil, records this query's execution — probe units
-	// probed vs. skipped with their synopsis bounds, plan-cache behavior,
-	// candidate verification tallies, per-phase wall time — for the
-	// ?trace=1 / explain surface. It flows into the pooled SearchCtx and
-	// its Scratches via AcquireCtx; the untraced default (nil) costs the
-	// hot path one nil check per instrumentation point. Answers are
-	// byte-identical traced or not.
+	// probed vs. skipped with their synopsis bounds, candidate verification
+	// tallies, per-phase wall time — for the ?trace=1 / explain surface. It
+	// flows into the pooled SearchCtx and its Scratches via AcquireCtx; the
+	// untraced default (nil) costs the hot path one nil check per
+	// instrumentation point. Answers are byte-identical traced or not.
 	Trace *obs.QueryTrace
 }
 
@@ -251,6 +253,8 @@ func (c *Collector) SkipSq(lbSq float64) bool {
 	return len(c.items) >= c.k && lbSq > c.items[0].distSq
 }
 
+func (c *Collector) tightens() bool { return true }
+
 // Clone returns a new collector with the same k and the same current
 // results. The parallel engine seeds one clone per worker so every worker
 // prunes with the bound established by the approximate phase. Prefer
@@ -401,16 +405,18 @@ func (c *RangeCollector) Bound() float64 { return c.eps }
 // as bound*bound).
 func (c *RangeCollector) BoundSq() float64 { return c.epsSq }
 
-// PruneSq reports whether a candidate (or subtree) whose squared lower
+// SkipSq reports whether a candidate (or subtree) whose squared lower
 // bound is lbSq cannot contain qualifying results and may be skipped. The
 // comparison happens in true-distance space, mirroring AddSq's membership
 // test, so prune-implies-reject holds exactly even in the 1-ulp window
 // where fl(eps*eps) under-rounds eps² — one sqrt per pruning decision on
 // the range path only (k-NN pruning, whose bound is a collected distance
 // rather than a caller contract, stays fully squared).
-func (c *RangeCollector) PruneSq(lbSq float64) bool {
+func (c *RangeCollector) SkipSq(lbSq float64) bool {
 	return math.Sqrt(lbSq) > c.eps
 }
+
+func (c *RangeCollector) tightens() bool { return false }
 
 // Add offers a candidate carrying a true distance; it is kept when within
 // eps and not a duplicate.

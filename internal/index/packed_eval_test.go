@@ -10,8 +10,8 @@ import (
 )
 
 // buildEvalFixture summarizes n random series into key-sorted entries plus
-// both page encodings of the same entry sequence: the fixed-size layout
-// EvalEncoded walks and a packed page EvalEncodedPacked decodes.
+// both page encodings of the same entry sequence: the fixed-size layout and
+// a packed page.
 func buildEvalFixture(t *testing.T, rng *rand.Rand, cfg Config, n, pageSize int) (*series.Dataset, []record.Entry, []byte, []byte) {
 	t.Helper()
 	codec := cfg.Codec()
@@ -66,16 +66,38 @@ func buildEvalFixture(t *testing.T, rng *rand.Rand, cfg Config, n, pageSize int)
 	return ds, entries, fixed, packed
 }
 
-// TestEvalEncodedPackedMatchesFixed is the compressed-probe equivalence
-// property: the packed-page evaluator must produce byte-identical collector
-// contents (and identical window-survivor counts) to the fixed-layout one,
-// materialized or not, windowed or not.
-func TestEvalEncodedPackedMatchesFixed(t *testing.T) {
+// evalLayouts names the three layouts of one entry sequence the page
+// evaluator reads through its cursor.
+func evalLayouts(entries []record.Entry, fixed, packed []byte, codec record.Codec) map[string]Page {
+	return map[string]Page{
+		"fixed":   FixedPage(fixed, len(entries), codec),
+		"packed":  PackedPage(packed, codec),
+		"entries": EntryPage(entries),
+	}
+}
+
+func sameResults(t *testing.T, label string, want, got []Result) {
+	t.Helper()
+	if len(want) != len(got) {
+		t.Fatalf("%s: %d vs %d results", label, len(want), len(got))
+	}
+	for i := range want {
+		if want[i] != got[i] {
+			t.Fatalf("%s result %d: %+v vs %+v", label, i, want[i], got[i])
+		}
+	}
+}
+
+// TestEvalPageLayoutsMatch is the page-cursor equivalence property: the
+// k-NN evaluator must produce byte-identical collector contents (and
+// identical window-survivor counts) whichever layout it reads the entries
+// from, materialized or not, windowed or not.
+func TestEvalPageLayoutsMatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for _, materialized := range []bool{false, true} {
 		cfg := Config{SeriesLen: 32, Segments: 8, Bits: 4, Materialized: materialized}
-		codec := cfg.Codec()
 		ds, entries, fixed, packed := buildEvalFixture(t, rng, cfg, 48, 32768)
+		layouts := evalLayouts(entries, fixed, packed, cfg.Codec())
 
 		for trial := 0; trial < 20; trial++ {
 			qs := make(series.Series, cfg.SeriesLen)
@@ -86,47 +108,36 @@ func TestEvalEncodedPackedMatchesFixed(t *testing.T) {
 			if trial%2 == 1 {
 				q.Windowed, q.MinTS, q.MaxTS = true, 2, 5
 			}
-
-			ctx1 := AcquireCtx(q, cfg)
-			colA := NewCollector(5)
-			nA, err := EvalEncoded(q, fixed, len(entries), codec, ds, colA, ctx1.Scratch0())
-			if err != nil {
-				t.Fatal(err)
-			}
-			ctx1.Release()
-
-			ctx2 := AcquireCtx(q, cfg)
-			colB := NewCollector(5)
-			nB, err := EvalEncodedPacked(q, packed, codec, ds, colB, ctx2.Scratch0())
-			if err != nil {
-				t.Fatal(err)
-			}
-			ctx2.Release()
-
-			if nA != nB {
-				t.Fatalf("materialized=%v trial %d: %d vs %d window survivors", materialized, trial, nA, nB)
-			}
-			ra, rb := colA.Results(), colB.Results()
-			if len(ra) != len(rb) {
-				t.Fatalf("materialized=%v trial %d: %d vs %d results", materialized, trial, len(ra), len(rb))
-			}
-			for i := range ra {
-				if ra[i] != rb[i] {
-					t.Fatalf("materialized=%v trial %d result %d: %+v vs %+v", materialized, trial, i, ra[i], rb[i])
+			eval := func(pg Page) (int, []Result) {
+				ctx := AcquireCtx(q, cfg)
+				defer ctx.Release()
+				col := NewCollector(5)
+				n, err := EvalPage(q, pg, ds, col, ctx.Scratch0())
+				if err != nil {
+					t.Fatal(err)
 				}
+				return n, col.Results()
+			}
+			wantN, want := eval(layouts["fixed"])
+			for _, name := range []string{"packed", "entries"} {
+				gotN, got := eval(layouts[name])
+				if gotN != wantN {
+					t.Fatalf("materialized=%v trial %d %s: %d vs %d window survivors", materialized, trial, name, gotN, wantN)
+				}
+				sameResults(t, name, want, got)
 			}
 		}
 	}
 }
 
-// TestEvalEncodedPackedRangeMatchesFixed mirrors the k-NN equivalence for
-// the epsilon-range evaluator.
-func TestEvalEncodedPackedRangeMatchesFixed(t *testing.T) {
+// TestEvalPageRangeLayoutsMatch mirrors the k-NN equivalence for the
+// epsilon-range evaluator.
+func TestEvalPageRangeLayoutsMatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	for _, materialized := range []bool{false, true} {
 		cfg := Config{SeriesLen: 32, Segments: 8, Bits: 4, Materialized: materialized}
-		codec := cfg.Codec()
 		ds, entries, fixed, packed := buildEvalFixture(t, rng, cfg, 48, 32768)
+		layouts := evalLayouts(entries, fixed, packed, cfg.Codec())
 
 		qs := make(series.Series, cfg.SeriesLen)
 		for j := range qs {
@@ -134,44 +145,34 @@ func TestEvalEncodedPackedRangeMatchesFixed(t *testing.T) {
 		}
 		q := NewQuery(qs, cfg)
 		for _, eps := range []float64{0.1, 5, 50} {
-			ctx1 := AcquireCtx(q, cfg)
-			colA := NewRangeCollector(eps)
-			if err := EvalEncodedRange(q, fixed, len(entries), codec, ds, colA, ctx1.Scratch0()); err != nil {
-				t.Fatal(err)
-			}
-			ctx1.Release()
-
-			ctx2 := AcquireCtx(q, cfg)
-			colB := NewRangeCollector(eps)
-			if err := EvalEncodedPackedRange(q, packed, codec, ds, colB, ctx2.Scratch0()); err != nil {
-				t.Fatal(err)
-			}
-			ctx2.Release()
-
-			ra, rb := colA.Results(), colB.Results()
-			if len(ra) != len(rb) {
-				t.Fatalf("materialized=%v eps=%v: %d vs %d results", materialized, eps, len(ra), len(rb))
-			}
-			for i := range ra {
-				if ra[i] != rb[i] {
-					t.Fatalf("materialized=%v eps=%v result %d: %+v vs %+v", materialized, eps, i, ra[i], rb[i])
+			eval := func(pg Page) []Result {
+				ctx := AcquireCtx(q, cfg)
+				defer ctx.Release()
+				col := NewRangeCollector(eps)
+				if err := EvalPageRange(q, pg, ds, col, ctx.Scratch0()); err != nil {
+					t.Fatal(err)
 				}
+				return col.Results()
+			}
+			want := eval(layouts["fixed"])
+			for _, name := range []string{"packed", "entries"} {
+				sameResults(t, name, want, eval(layouts[name]))
 			}
 		}
 	}
 }
 
-// TestEvalEncodedPackedDoesNotAllocate pins the packed probe path's
-// zero-allocation property: decompression is fused into the scan, with the
-// candidate buffer drawn from scratch.
-func TestEvalEncodedPackedDoesNotAllocate(t *testing.T) {
+// TestEvalPageDoesNotAllocate pins the probe path's zero-allocation
+// property on every layout and both loops: the cursor is a stack value,
+// packed decompression is fused into the scan, and the candidate buffer is
+// drawn from scratch.
+func TestEvalPageDoesNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not stable under -race")
 	}
 	rng := rand.New(rand.NewSource(23))
 	cfg := Config{SeriesLen: 32, Segments: 8, Bits: 4, Materialized: true}
-	codec := cfg.Codec()
-	ds, _, _, packed := buildEvalFixture(t, rng, cfg, 24, 16384)
+	ds, entries, fixed, packed := buildEvalFixture(t, rng, cfg, 24, 16384)
 	qs := make(series.Series, cfg.SeriesLen)
 	for j := range qs {
 		qs[j] = rng.NormFloat64()
@@ -180,17 +181,36 @@ func TestEvalEncodedPackedDoesNotAllocate(t *testing.T) {
 	ctx := AcquireCtx(q, cfg)
 	defer ctx.Release()
 	sc := ctx.Scratch0()
-	col := NewCollector(3)
-	// Warm the scratch candidate buffer to its high-water mark.
-	if _, err := EvalEncodedPacked(q, packed, codec, ds, col, sc); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(500, func() {
-		if _, err := EvalEncodedPacked(q, packed, codec, ds, col, sc); err != nil {
+	for name, pg := range evalLayouts(entries, fixed, packed, cfg.Codec()) {
+		col := NewCollector(3)
+		// Warm the scratch candidate buffer to its high-water mark.
+		if _, err := EvalPage(q, pg, ds, col, sc); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("packed probe allocated %v times per run, want 0", allocs)
+		allocs := testing.AllocsPerRun(500, func() {
+			if _, err := EvalPage(q, pg, ds, col, sc); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%s k-NN probe allocated %v times per run, want 0", name, allocs)
+		}
+		// Every entry lies within eps and is verified on each run; after the
+		// warming pass they are all duplicates, so the collector stops growing.
+		rcol := NewRangeCollector(50)
+		if err := EvalPageRange(q, pg, ds, rcol, sc); err != nil {
+			t.Fatal(err)
+		}
+		if len(rcol.Results()) != len(entries) {
+			t.Fatalf("%s: eps admits %d of %d entries", name, len(rcol.Results()), len(entries))
+		}
+		allocs = testing.AllocsPerRun(500, func() {
+			if err := EvalPageRange(q, pg, ds, rcol, sc); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%s range probe allocated %v times per run, want 0", name, allocs)
+		}
 	}
 }

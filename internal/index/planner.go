@@ -2,21 +2,22 @@ package index
 
 import (
 	"math"
-	"sync"
 	"sync/atomic"
 
-	"repro/internal/sax"
+	"repro/internal/obs"
+	"repro/internal/parallel"
 	"repro/internal/zonestat"
 )
 
 // This file implements the statistics-driven query planner shared by every
 // index: given a zonestat.Synopsis per probe unit (LSM run, stream
-// partition, tree leaf range, shard), the planner
+// partition, shard), ProbeUnits
 //
 //   - orders units by their envelope MINDIST lower bound so the collector's
 //     pruning bound tightens as early as possible, and
 //   - skips any unit whose bound already exceeds the collector's current
-//     worst (Collector.SkipSq / RangeCollector.PruneSq).
+//     worst (SkipSq on either collector), or is +Inf (an empty or
+//     window-disjoint unit).
 //
 // Both transformations are answer-preserving: the per-unit envelope bound
 // is never larger than the per-entry bound the probe itself would have
@@ -24,11 +25,12 @@ import (
 // (distance, id) ordering), so planned and unplanned searches return
 // byte-identical results. Tests assert this exactly.
 //
-// A Planner also optionally carries a PlanCache that reuses filled Pruner
-// tables across queries with identical PAA under the same Config — the
-// dominant cost of starting a query on repeated-shape workloads. All
-// methods are nil-receiver safe: a nil *Planner plans (ordering and
-// skipping need no state) but has no cache and drops its counters.
+// ProbeUnits is the only place that sorts a plan, counts a planner skip or
+// records a probe unit into a trace, which is what keeps a trace's planned
+// skips equal to the planner's counter delta. What an index variant
+// contributes is how to bound a unit and how to probe it. (CTree's leaf
+// skipping is a different, run-length-aware algorithm — see
+// ctree.skipRuns.)
 
 // PlanUnit pairs a probe unit's index in the caller's unit list with its
 // squared envelope lower bound, for sorting into probe order.
@@ -37,10 +39,9 @@ type PlanUnit struct {
 	Idx     int
 }
 
-// PlanUnits returns a reusable []PlanUnit of length n from the context,
-// initialized to the identity probe order with zero bounds, so planning a
-// probe order allocates nothing on the warm path. Callers overwrite the
-// bounds and sort.
+// PlanUnits returns a reusable []PlanUnit of length n from the context —
+// the plan buffer ProbeUnits fills and sorts — so planning a probe order
+// allocates nothing on the warm path.
 func (c *SearchCtx) PlanUnits(n int) []PlanUnit {
 	return planBuf(&c.plan, n)
 }
@@ -57,11 +58,7 @@ func planBuf(buf *[]PlanUnit, n int) []PlanUnit {
 	if cap(*buf) < n {
 		*buf = make([]PlanUnit, n)
 	}
-	units := (*buf)[:n]
-	for i := range units {
-		units[i] = PlanUnit{Idx: i}
-	}
-	return units
+	return (*buf)[:n]
 }
 
 // SortPlan orders units by ascending (BoundSq, Idx). Unit counts are small
@@ -95,15 +92,12 @@ func (p *Pruner) SynopsisBoundSq(syn *zonestat.Synopsis) float64 {
 	return p.EnvelopeSq(syn.MinSym, syn.MaxSym)
 }
 
-// Planner is the per-index planning handle: an enable switch, an optional
-// shared PlanCache, and a skip counter. Indexes hold a *Planner and call
-// its helpers on the query path; a nil Planner behaves like an enabled
-// planner with no cache, so constructors only materialize one when there is
-// a cache or counter to carry. One Planner may be shared by many indexes
-// (every shard of a Sharded facade shares one, like the buffer-pool cache).
+// Planner is the per-index planning handle: an enable switch and a skip
+// counter. A nil Planner behaves like an enabled planner that drops its
+// counter. One Planner may be shared by many indexes (every shard of a
+// Sharded facade shares one, like the buffer-pool cache).
 type Planner struct {
 	Disabled bool
-	Cache    *PlanCache
 	skips    atomic.Int64
 }
 
@@ -125,217 +119,91 @@ func (pl *Planner) Skips() int64 {
 	return pl.skips.Load()
 }
 
-// CacheStats returns the plan cache's hit and miss counters (zero without a
-// cache).
-func (pl *Planner) CacheStats() (hits, misses int64) {
-	if pl == nil || pl.Cache == nil {
-		return 0, 0
+// ProbePlan says where one planned fan-out runs: the planner that enables
+// it and counts its skips, the pool it fans out on, the trace and unit kind
+// ("run", "partition", "shard") it reports under, and the plan buffer — one
+// slot per probe unit, from SearchCtx.PlanUnits or OuterPlanUnits.
+type ProbePlan struct {
+	Planner *Planner
+	Pool    *parallel.Pool
+	Trace   *obs.QueryTrace
+	Kind    string
+	Units   []PlanUnit
+}
+
+// note records one unit as probed or skipped in the trace, counting a skip
+// into the planner.
+func (p ProbePlan) note(u PlanUnit, skipped bool) {
+	if skipped {
+		p.Planner.NoteSkips(1)
 	}
-	return pl.Cache.hits.Load(), pl.Cache.misses.Load()
+	p.Trace.NoteUnit(p.Kind, u.Idx, u.BoundSq, skipped)
 }
 
-// AcquireCtx is index.AcquireCtx routed through the planner's cache: on a
-// cache hit the pooled context is loaded from the cached tables instead of
-// recomputing them.
-func (pl *Planner) AcquireCtx(q Query, cfg Config) *SearchCtx {
-	ctx := ctxPool.Get().(*SearchCtx)
-	pl.Refill(ctx, q, cfg)
-	return ctx
+// skippable reports whether a unit lower-bounded by boundSq cannot change
+// col: +Inf marks a unit with nothing to find (empty, or outside the query
+// window), which holds even while a k-NN collector is not yet full.
+func skippable[C FanCollector[C]](col C, boundSq float64) bool {
+	return math.IsInf(boundSq, 1) || col.SkipSq(boundSq)
 }
 
-// Refill fills ctx's pruning tables for q under cfg through the planner's
-// cache, for batch paths that reuse one context across queries. It also
-// re-binds the context's trace to the query's (so pooled batch contexts
-// follow each query's tracing state) and records the plan-cache outcome
-// into the trace.
-func (pl *Planner) Refill(ctx *SearchCtx, q Query, cfg Config) {
-	ctx.Trace = q.Trace
-	if pl == nil || pl.Cache == nil {
-		ctx.P.Fill(q.PAA, cfg)
-		return
+// ProbeUnits probes len(p.Units) units into col. bound(i) is unit i's
+// squared envelope lower bound (0 = unknown, +Inf = nothing to find);
+// probe(i, worker, col) searches unit i into the collector it is handed, as
+// worker slot worker of p.Pool.
+//
+// With one usable worker, units are probed straight into col in ascending
+// (bound, index) order, each checked against col right before its probe:
+// bounds ascend and the collector's worst only tightens, so the first
+// skippable unit is the last one probed. A range collector's bound never
+// moves, so its units keep index order. With several workers, units already
+// skippable against col are dropped up front, and each worker re-checks a
+// unit against its own clone right before probing it — a clone's worst is
+// never tighter than the final merged worst, so a late skip only drops
+// candidates the merge would reject anyway.
+//
+// With the planner disabled every unit is probed through the plain FanOut:
+// the reference path the equivalence suites compare against.
+func ProbeUnits[C FanCollector[C]](p ProbePlan, col C, bound func(i int) float64, probe func(i, worker int, col C) error) error {
+	units := p.Units
+	if !p.Planner.Enabled() {
+		p.Trace.NoteProbes(p.Kind, int64(len(units)))
+		return FanOut(p.Pool, len(units), col, probe)
 	}
-	hit := pl.Cache.fill(&ctx.P, q, cfg)
-	q.Trace.NotePlanCache(hit)
-}
-
-// planKey buckets cache entries by the quantized query signature — the
-// query's full-cardinality iSAX word interleaved into a sortable key — plus
-// the index Config. Any Config change (bits, segments, series length,
-// materialization) changes the key, so reconfigured indexes can never see a
-// foreign table. The quantized signature is only the bucket key: a hit
-// additionally requires exact element-wise PAA equality, because tables
-// from a merely-similar PAA would be invalid bounds.
-type planKey struct {
-	cfg Config
-	sig [2]uint64
-}
-
-// planEntry is an immutable snapshot of a filled Pruner. Entries are never
-// mutated after insertion, so readers copy from them outside the cache
-// lock.
-type planEntry struct {
-	key     planKey
-	paa     []float64
-	backing []float64
-	filled  [sax.MaxBits + 1]bool
-	qsyms   []uint8
-	prev    *planEntry
-	next    *planEntry
-}
-
-// load copies the snapshot into p, reproducing exactly the state
-// p.Fill(e.paa, cfg) would have produced (including FillAll extensions
-// captured at snapshot time).
-func (e *planEntry) load(p *Pruner, cfg Config) {
-	p.segments = cfg.Segments
-	p.bits = cfg.Bits
-	p.seriesLen = cfg.SeriesLen
-	p.paa = append(p.paa[:0], e.paa...)
-	total := len(e.backing)
-	if cap(p.backing) < total {
-		p.backing = make([]float64, total)
+	for i := range units {
+		units[i] = PlanUnit{BoundSq: bound(i), Idx: i}
 	}
-	copy(p.backing[:total], e.backing)
-	off := 0
-	for b := 1; b <= cfg.Bits; b++ {
-		size := cfg.Segments << b
-		p.tab[b] = p.backing[off : off+size]
-		p.filled[b] = e.filled[b]
-		off += size
+	if col.tightens() {
+		SortPlan(units)
 	}
-	for b := cfg.Bits + 1; b <= sax.MaxBits; b++ {
-		p.tab[b] = nil
-		p.filled[b] = false
-	}
-	p.qsyms = append(p.qsyms[:0], e.qsyms...)
-}
-
-// PlanCache is a mutexed LRU of filled Pruner snapshots keyed by quantized
-// query signature + Config. Repeated query shapes (a dashboard refreshing
-// the same patterns, a batch with duplicated queries) skip the
-// O(Segments·2^Bits) table build entirely; a hit costs two memcopies into
-// the pooled context. Safe for concurrent use by any number of searches.
-type PlanCache struct {
-	mu       sync.Mutex
-	capacity int
-	m        map[planKey]*planEntry
-	head     *planEntry // most recently used
-	tail     *planEntry // least recently used
-	hits     atomic.Int64
-	misses   atomic.Int64
-}
-
-// NewPlanCache returns a cache holding at most capacity entries, or nil if
-// capacity is not positive (callers treat a nil cache as "no caching").
-func NewPlanCache(capacity int) *PlanCache {
-	if capacity <= 0 {
+	if p.Pool.WorkersFor(len(units)) <= 1 {
+		for _, u := range units {
+			if err := probeUnit(p, u, 0, col, probe); err != nil {
+				return err
+			}
+		}
 		return nil
 	}
-	return &PlanCache{capacity: capacity, m: make(map[planKey]*planEntry, capacity)}
-}
-
-// Len returns the number of cached plans.
-func (c *PlanCache) Len() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.m)
-}
-
-// Hits and Misses return the cache's counters.
-func (c *PlanCache) Hits() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.hits.Load()
-}
-
-func (c *PlanCache) Misses() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.misses.Load()
-}
-
-func (c *PlanCache) unlink(e *planEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		c.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		c.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-func (c *PlanCache) pushFront(e *planEntry) {
-	e.next = c.head
-	if c.head != nil {
-		c.head.prev = e
-	}
-	c.head = e
-	if c.tail == nil {
-		c.tail = e
-	}
-}
-
-func paaEqual(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+	live := units[:0]
+	for _, u := range units {
+		if skippable(col, u.BoundSq) {
+			p.note(u, true)
+			continue
 		}
+		live = append(live, u)
 	}
-	return true
+	return FanOut(p.Pool, len(live), col, func(i, worker int, col C) error {
+		return probeUnit(p, live[i], worker, col, probe)
+	})
 }
 
-// fill populates p for q under cfg, from the cache when an exact-PAA entry
-// exists, computing and inserting a snapshot otherwise. It reports whether
-// the fill was a cache hit.
-func (c *PlanCache) fill(p *Pruner, q Query, cfg Config) bool {
-	key := planKey{cfg: cfg, sig: [2]uint64{q.Key.Hi, q.Key.Lo}}
-	c.mu.Lock()
-	if e, ok := c.m[key]; ok && paaEqual(e.paa, q.PAA) {
-		c.unlink(e)
-		c.pushFront(e)
-		c.mu.Unlock()
-		// Entries are immutable after insertion; copying outside the lock
-		// keeps the critical section to pointer shuffling.
-		e.load(p, cfg)
-		c.hits.Add(1)
-		return true
+// probeUnit checks u against col right before probing it, and records
+// which of the two happened.
+func probeUnit[C FanCollector[C]](p ProbePlan, u PlanUnit, worker int, col C, probe func(i, worker int, col C) error) error {
+	skip := skippable(col, u.BoundSq)
+	p.note(u, skip)
+	if skip {
+		return nil
 	}
-	c.mu.Unlock()
-	c.misses.Add(1)
-	p.Fill(q.PAA, cfg)
-	total := cfg.Segments * (2<<cfg.Bits - 2)
-	e := &planEntry{
-		key:     key,
-		paa:     append([]float64(nil), p.paa...),
-		backing: append([]float64(nil), p.backing[:total]...),
-		filled:  p.filled,
-		qsyms:   append([]uint8(nil), p.qsyms...),
-	}
-	c.mu.Lock()
-	if old, ok := c.m[key]; ok {
-		// Same bucket filled meanwhile (a racing miss, or a different exact
-		// PAA sharing the quantized signature): the newest snapshot wins.
-		c.unlink(old)
-	}
-	c.m[key] = e
-	c.pushFront(e)
-	for len(c.m) > c.capacity {
-		lru := c.tail
-		c.unlink(lru)
-		delete(c.m, lru.key)
-	}
-	c.mu.Unlock()
-	return false
+	return probe(u.Idx, worker, col)
 }

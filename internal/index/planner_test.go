@@ -1,10 +1,16 @@
 package index
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"reflect"
 	"sort"
+	"sync"
 	"testing"
 
+	"repro/internal/obs"
+	"repro/internal/parallel"
 	"repro/internal/sax"
 	"repro/internal/series"
 	"repro/internal/sortable"
@@ -95,157 +101,7 @@ func TestSortPlan(t *testing.T) {
 	}
 }
 
-func fillEqual(a, b *Pruner) bool {
-	if a.segments != b.segments || a.bits != b.bits || a.seriesLen != b.seriesLen {
-		return false
-	}
-	if !paaEqual(a.paa, b.paa) {
-		return false
-	}
-	for lv := 1; lv <= a.bits; lv++ {
-		if a.filled[lv] != b.filled[lv] || len(a.tab[lv]) != len(b.tab[lv]) {
-			return false
-		}
-		if a.filled[lv] && !paaEqual(a.tab[lv], b.tab[lv]) {
-			return false
-		}
-	}
-	for i := range a.qsyms {
-		if a.qsyms[i] != b.qsyms[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func TestPlanCacheHitsAndInvalidation(t *testing.T) {
-	cfg := Config{SeriesLen: 128, Segments: 16, Bits: 8}
-	rng := rand.New(rand.NewSource(9))
-	q := NewQuery(randSeries(rng, cfg.SeriesLen), cfg)
-	pl := &Planner{Cache: NewPlanCache(4)}
-
-	ctx := pl.AcquireCtx(q, cfg)
-	var direct Pruner
-	direct.Fill(q.PAA, cfg)
-	if !fillEqual(&ctx.P, &direct) {
-		t.Fatal("miss path diverges from direct Fill")
-	}
-	if h, m := pl.CacheStats(); h != 0 || m != 1 {
-		t.Fatalf("after first fill: hits=%d misses=%d", h, m)
-	}
-	pl.Refill(ctx, q, cfg)
-	if !fillEqual(&ctx.P, &direct) {
-		t.Fatal("hit path diverges from direct Fill")
-	}
-	if h, m := pl.CacheStats(); h != 1 || m != 1 {
-		t.Fatalf("after repeat: hits=%d misses=%d", h, m)
-	}
-
-	// A changed Config must miss even with the identical series.
-	cfg2 := Config{SeriesLen: 128, Segments: 16, Bits: 6}
-	q2 := NewQuery(randSeries(rand.New(rand.NewSource(9)), cfg.SeriesLen), cfg2)
-	pl.Refill(ctx, q2, cfg2)
-	if h, m := pl.CacheStats(); h != 1 || m != 2 {
-		t.Fatalf("after bits change: hits=%d misses=%d", h, m)
-	}
-	cfg3 := Config{SeriesLen: 128, Segments: 8, Bits: 8}
-	q3 := NewQuery(randSeries(rand.New(rand.NewSource(9)), cfg.SeriesLen), cfg3)
-	pl.Refill(ctx, q3, cfg3)
-	if h, m := pl.CacheStats(); h != 1 || m != 3 {
-		t.Fatalf("after segments change: hits=%d misses=%d", h, m)
-	}
-
-	// Same quantized signature but different exact PAA must miss: nudge one
-	// PAA value within its breakpoint region so the iSAX word is unchanged.
-	q4 := q
-	q4.PAA = append([]float64(nil), q.PAA...)
-	card := 1 << cfg.Bits
-	bp := sax.Breakpoints(card)
-	sym := sax.Symbol(q4.PAA[0], card)
-	lo, hi := -4.0, 4.0
-	if sym > 0 {
-		lo = bp[sym-1]
-	}
-	if int(sym) < card-1 {
-		hi = bp[sym]
-	}
-	q4.PAA[0] = lo + (hi-lo)/2
-	if q4.PAA[0] == q.PAA[0] {
-		q4.PAA[0] = lo + (hi-lo)/3
-	}
-	if sortable.Interleave(sax.FromPAA(q4.PAA, cfg.Bits)) != q.Key {
-		t.Fatal("test setup: perturbed PAA changed the quantized signature")
-	}
-	pl.Refill(ctx, q4, cfg)
-	if h, m := pl.CacheStats(); h != 1 || m != 4 {
-		t.Fatalf("after exact-PAA change: hits=%d misses=%d", h, m)
-	}
-	var direct4 Pruner
-	direct4.Fill(q4.PAA, cfg)
-	if !fillEqual(&ctx.P, &direct4) {
-		t.Fatal("signature-collision path diverges from direct Fill")
-	}
-	ctx.Release()
-}
-
-func TestPlanCacheLRUEviction(t *testing.T) {
-	cfg := Config{SeriesLen: 64, Segments: 8, Bits: 4}
-	rng := rand.New(rand.NewSource(21))
-	cache := NewPlanCache(2)
-	pl := &Planner{Cache: cache}
-	qs := make([]Query, 3)
-	for i := range qs {
-		qs[i] = NewQuery(randSeries(rng, cfg.SeriesLen), cfg)
-	}
-	ctx := pl.AcquireCtx(qs[0], cfg)
-	pl.Refill(ctx, qs[1], cfg)
-	pl.Refill(ctx, qs[0], cfg) // touch 0: now 1 is LRU
-	pl.Refill(ctx, qs[2], cfg) // evicts 1
-	if cache.Len() != 2 {
-		t.Fatalf("cache len %d, want 2", cache.Len())
-	}
-	pl.Refill(ctx, qs[0], cfg)
-	pl.Refill(ctx, qs[1], cfg) // must be a miss again
-	h, m := pl.CacheStats()
-	if h != 2 || m != 4 {
-		t.Fatalf("hits=%d misses=%d, want 2/4", h, m)
-	}
-	ctx.Release()
-}
-
-func TestPlanCacheConcurrent(t *testing.T) {
-	cfg := Config{SeriesLen: 64, Segments: 8, Bits: 4}
-	rng := rand.New(rand.NewSource(33))
-	qs := make([]Query, 8)
-	for i := range qs {
-		qs[i] = NewQuery(randSeries(rng, cfg.SeriesLen), cfg)
-	}
-	pl := &Planner{Cache: NewPlanCache(4)}
-	done := make(chan struct{})
-	for w := 0; w < 4; w++ {
-		go func(seed int64) {
-			defer func() { done <- struct{}{} }()
-			r := rand.New(rand.NewSource(seed))
-			var direct Pruner
-			for n := 0; n < 200; n++ {
-				q := qs[r.Intn(len(qs))]
-				ctx := pl.AcquireCtx(q, cfg)
-				direct.Fill(q.PAA, cfg)
-				if !fillEqual(&ctx.P, &direct) {
-					t.Error("concurrent cache fill diverges from direct Fill")
-					ctx.Release()
-					return
-				}
-				ctx.Release()
-			}
-		}(int64(w))
-	}
-	for w := 0; w < 4; w++ {
-		<-done
-	}
-}
-
-// The warm planned path — cache hit + probe-order planning — must not
+// The warm planned path — table fill + probe-order planning — must not
 // allocate: it runs once per query on every index.
 func TestPlannedWarmPathAllocs(t *testing.T) {
 	if raceEnabled {
@@ -254,7 +110,7 @@ func TestPlannedWarmPathAllocs(t *testing.T) {
 	cfg := Config{SeriesLen: 128, Segments: 16, Bits: 8}
 	rng := rand.New(rand.NewSource(77))
 	q := NewQuery(randSeries(rng, cfg.SeriesLen), cfg)
-	pl := &Planner{Cache: NewPlanCache(8)}
+	pl := &Planner{}
 	syns := make([]*zonestat.Synopsis, 6)
 	for i := range syns {
 		syns[i] = zonestat.New(cfg.Segments, cfg.Bits)
@@ -263,12 +119,12 @@ func TestPlannedWarmPathAllocs(t *testing.T) {
 			syns[i].Add(sortable.Interleave(w), int64(n))
 		}
 	}
-	// Warm the pools and the cache.
-	ctx := pl.AcquireCtx(q, cfg)
+	// Warm the pools.
+	ctx := AcquireCtx(q, cfg)
 	_ = ctx.PlanUnits(len(syns))
 	ctx.Release()
 	allocs := testing.AllocsPerRun(100, func() {
-		c := pl.AcquireCtx(q, cfg)
+		c := AcquireCtx(q, cfg)
 		units := c.PlanUnits(len(syns))
 		for i, syn := range syns {
 			units[i] = PlanUnit{BoundSq: c.P.SynopsisBoundSq(syn), Idx: i}
@@ -291,20 +147,217 @@ func TestNilPlannerIsEnabledNoop(t *testing.T) {
 	if pl.Skips() != 0 {
 		t.Fatal("nil planner must drop counters")
 	}
-	if h, m := pl.CacheStats(); h != 0 || m != 0 {
-		t.Fatal("nil planner cache stats must be zero")
-	}
-	cfg := Config{SeriesLen: 64, Segments: 8, Bits: 4}
-	q := NewQuery(randSeries(rand.New(rand.NewSource(2)), cfg.SeriesLen), cfg)
-	ctx := pl.AcquireCtx(q, cfg)
-	var direct Pruner
-	direct.Fill(q.PAA, cfg)
-	if !fillEqual(&ctx.P, &direct) {
-		t.Fatal("nil planner AcquireCtx diverges from direct Fill")
-	}
-	ctx.Release()
 	disabled := &Planner{Disabled: true}
 	if disabled.Enabled() {
 		t.Fatal("disabled planner must not plan")
+	}
+}
+
+// execUnit is one synthetic probe unit: a lower bound and the candidates a
+// probe of it offers, none closer than the bound.
+type execUnit struct {
+	boundSq float64
+	cands   []sqItem
+}
+
+// randExecUnits draws n units whose bounds include 0 (unknown), ties, and
+// +Inf (nothing to find — such a unit holds no candidates).
+func randExecUnits(rng *rand.Rand, n int) []execUnit {
+	units := make([]execUnit, n)
+	id := int64(0)
+	for i := range units {
+		var b float64
+		switch rng.Intn(5) {
+		case 0:
+			b = 0
+		case 1:
+			b = math.Inf(1)
+		case 2:
+			b = float64(1 + rng.Intn(3)) // ties
+		default:
+			b = rng.Float64() * 10
+		}
+		units[i].boundSq = b
+		if math.IsInf(b, 1) {
+			continue
+		}
+		for c := rng.Intn(4); c > 0; c-- {
+			units[i].cands = append(units[i].cands, sqItem{id: id, distSq: b + rng.Float64()*4})
+			id++
+		}
+	}
+	return units
+}
+
+// execRun drives ProbeUnits (or, with plan == nil, the plain FanOut
+// reference) over units into col and reports which units were probed, in
+// what order, and the answer.
+func execRun[C FanCollector[C]](t *testing.T, plan *ProbePlan, pool *parallel.Pool, units []execUnit, col C,
+	add func(C, sqItem), results func(C) []Result) (probes []int, order []int, out []Result) {
+	t.Helper()
+	var mu sync.Mutex
+	probes = make([]int, len(units))
+	probe := func(i, _ int, col C) error {
+		mu.Lock()
+		probes[i]++
+		order = append(order, i)
+		mu.Unlock()
+		for _, c := range units[i].cands {
+			add(col, c)
+		}
+		return nil
+	}
+	var err error
+	if plan == nil {
+		err = FanOut(pool, len(units), col, probe)
+	} else {
+		err = ProbeUnits(*plan, col, func(i int) float64 { return units[i].boundSq }, probe)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return probes, order, results(col)
+}
+
+// checkExec asserts the executor's contract for one collector type.
+func checkExec[C FanCollector[C]](t *testing.T, label string, rng *rand.Rand, newCol func() C,
+	add func(C, sqItem), results func(C) []Result) {
+	t.Helper()
+	for trial := 0; trial < 40; trial++ {
+		units := randExecUnits(rng, rng.Intn(9))
+		for _, workers := range []int{1, 2, 4} {
+			pool := parallel.New(workers)
+			_, _, want := execRun(t, nil, pool, units, newCol(), add, results)
+			for name, pl := range map[string]*Planner{"on": {}, "off": {Disabled: true}, "nil": nil} {
+				where := fmt.Sprintf("%s trial %d workers=%d planner=%s", label, trial, workers, name)
+				ctx := new(SearchCtx)
+				tr := obs.NewQueryTrace()
+				col := newCol()
+				plan := &ProbePlan{Planner: pl, Pool: pool, Trace: tr, Kind: "unit", Units: ctx.PlanUnits(len(units))}
+				probes, order, got := execRun(t, plan, pool, units, col, add, results)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: answer %v, unplanned fan-out %v", where, got, want)
+				}
+				probed := 0
+				for i, n := range probes {
+					if n > 1 {
+						t.Fatalf("%s: unit %d probed %d times", where, i, n)
+					}
+					probed += n
+				}
+				snap := tr.Snapshot()
+				var tracedProbed, tracedSkipped int64
+				for _, kc := range snap.Kinds {
+					tracedProbed += kc.Probed
+					tracedSkipped += kc.Skipped
+				}
+				if tracedProbed != int64(probed) || tracedProbed+tracedSkipped != int64(len(units)) {
+					t.Fatalf("%s: trace has %d probed + %d skipped for %d units, %d probes ran", where, tracedProbed, tracedSkipped, len(units), probed)
+				}
+				if pl != nil && snap.PlannedSkips != pl.Skips() {
+					t.Fatalf("%s: trace planned skips %d, planner delta %d", where, snap.PlannedSkips, pl.Skips())
+				}
+				if !pl.Enabled() {
+					if probed != len(units) {
+						t.Fatalf("%s: disabled planner probed %d of %d units", where, probed, len(units))
+					}
+					continue
+				}
+				for i, u := range units {
+					if math.IsInf(u.boundSq, 1) && probes[i] != 0 {
+						t.Fatalf("%s: unit %d has a +Inf bound and was probed", where, i)
+					}
+				}
+				if workers > 1 {
+					continue
+				}
+				// Serial: the probes are a prefix of the plan order — for a
+				// tightening collector ascending (bound, index), stopping at
+				// the first skippable unit; for a static one, index order.
+				planOrder := make([]PlanUnit, len(units))
+				for i, u := range units {
+					planOrder[i] = PlanUnit{BoundSq: u.boundSq, Idx: i}
+				}
+				if col.tightens() {
+					SortPlan(planOrder)
+					for i, idx := range order {
+						if planOrder[i].Idx != idx {
+							t.Fatalf("%s: probe %d hit unit %d, plan order %v", where, i, idx, planOrder)
+						}
+					}
+				} else if !sort.IntsAreSorted(order) {
+					t.Fatalf("%s: static-bound probes out of index order: %v", where, order)
+				}
+			}
+		}
+	}
+}
+
+// TestProbeUnits is the planned-probe executor's property test: whatever
+// the bounds (0, ties, +Inf), k, worker count, collector type and planner
+// state, every unit is probed or skipped exactly once, answers equal the
+// unplanned fan-out's, and the trace's skips equal the planner's.
+func TestProbeUnits(t *testing.T) {
+	rng := rand.New(rand.NewSource(101))
+	for _, k := range []int{1, 5} {
+		// The collector starts seeded, as after an approximate phase, so
+		// some units are skippable before any probe.
+		seed := []sqItem{{id: -1, distSq: 3}, {id: -2, distSq: 6}}
+		checkExec(t, fmt.Sprintf("knn k=%d", k), rng,
+			func() *Collector {
+				c := NewCollector(k)
+				for _, s := range seed {
+					c.AddSq(s.id, s.ts, s.distSq)
+				}
+				return c
+			},
+			func(c *Collector, it sqItem) { c.AddSq(it.id, it.ts, it.distSq) },
+			(*Collector).Results)
+	}
+	checkExec(t, "range", rng,
+		func() *RangeCollector { return NewRangeCollector(2) },
+		func(c *RangeCollector, it sqItem) { c.AddSq(it.id, it.ts, it.distSq) },
+		(*RangeCollector).Results)
+}
+
+// The warm serial executor path — bound, sort, skip, probe, note — must not
+// allocate: it runs on every planned query of every index.
+func TestProbeUnitsSerialDoesNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not stable under -race")
+	}
+	units := randExecUnits(rand.New(rand.NewSource(103)), 8)
+	ctx := new(SearchCtx)
+	pl := &Planner{}
+	plan := ProbePlan{Planner: pl, Pool: SerialPool, Kind: "unit", Units: ctx.PlanUnits(len(units))}
+	bound := func(i int) float64 { return units[i].boundSq }
+	col := NewCollector(5)
+	probe := func(i, _ int, col *Collector) error {
+		for _, c := range units[i].cands {
+			col.AddSq(c.id, c.ts, c.distSq)
+		}
+		return nil
+	}
+	rcol := NewRangeCollector(2)
+	rprobe := func(i, _ int, col *RangeCollector) error {
+		for _, c := range units[i].cands {
+			col.AddSq(c.id, c.ts, c.distSq)
+		}
+		return nil
+	}
+	run := func() {
+		if err := ProbeUnits(plan, col, bound, probe); err != nil {
+			t.Fatal(err)
+		}
+		if err := ProbeUnits(plan, rcol, bound, rprobe); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warm: afterwards every candidate is a duplicate or a loser
+	if allocs := testing.AllocsPerRun(200, run); allocs != 0 {
+		t.Fatalf("warm serial executor allocates %v per run, want 0", allocs)
+	}
+	if pl.Skips() == 0 {
+		t.Fatal("fixture skipped no unit: the skip path went unmeasured")
 	}
 }

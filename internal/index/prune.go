@@ -49,8 +49,8 @@ import (
 // The context's Pruner is read-only after AcquireCtx (FillAll may extend it
 // with coarser cardinalities before fan-out; ADS+ needs those for its
 // per-segment cardinalities) and is therefore safely shared by every worker
-// of the query. Scratch states are handed out one per worker slot by
-// FanOut; a scratch is exclusive to its slot while a task runs, so its
+// of the query. Scratch states are indexed by the worker slot FanOut hands
+// each task; a scratch is exclusive to its slot while a task runs, so its
 // buffers need no locking. Scratches must be materialized on the
 // coordinating goroutine (Scratches / Scratch0) before workers start.
 // Release returns the whole bundle — tables, decode scratch, candidate
@@ -233,29 +233,22 @@ func (p *Pruner) MinDistSqMixed(syms, bits []uint8) float64 {
 	return acc
 }
 
-// entCand orders an already-decoded candidate entry by squared lower bound.
-type entCand struct {
+// pageCand orders one candidate of the page under evaluation — entry i of
+// the Page — by squared lower bound.
+type pageCand struct {
 	lbSq float64
-	e    record.Entry
-}
-
-// offCand orders an encoded candidate (an offset into a page buffer) by
-// squared lower bound.
-type offCand struct {
-	lbSq float64
-	off  int32
+	i    int32
 }
 
 // Scratch is the per-worker mutable state of one query: a raw-series
 // decode buffer and candidate-ordering scratch (index pages are read as
 // pinned zero-copy borrows, so no page buffer lives here). Exactly one
-// task uses a scratch at a time (FanOut hands one to each worker slot), so
+// task uses a scratch at a time (one per FanOut worker slot), so
 // none of it is locked. P points at the query's shared read-only Pruner.
 type Scratch struct {
-	P      *Pruner
-	ser    series.Series
-	ecands []entCand
-	ocands []offCand
+	P     *Pruner
+	ser   series.Series
+	cands []pageCand
 	// Trace aliases the query's trace recorder (nil untraced); workers
 	// report candidate tallies through it. Refreshed by Scratches.
 	Trace *obs.QueryTrace
@@ -290,8 +283,7 @@ var ctxPool = sync.Pool{New: func() any { return new(SearchCtx) }}
 // completes.
 func AcquireCtx(q Query, cfg Config) *SearchCtx {
 	ctx := ctxPool.Get().(*SearchCtx)
-	ctx.P.Fill(q.PAA, cfg)
-	ctx.Trace = q.Trace
+	ctx.Refill(q, cfg)
 	return ctx
 }
 
@@ -353,38 +345,172 @@ func TrueDistSq(q Query, e record.Entry, raw series.RawStore, limitSq float64, s
 	return rawDistSq(q, e.ID, raw, limitSq, sc)
 }
 
-// EvalCandidates evaluates a batch of already-in-memory candidate entries
-// against the collector in ascending lower-bound order: the most promising
-// candidate is verified first, collapsing the pruning bound so the rest are
-// skipped without paying their (possibly random) raw fetches. Bounds are
-// compared in squared space throughout. It returns the number of candidates
-// considered.
-func EvalCandidates(q Query, entries []record.Entry, raw series.RawStore, col *Collector, sc *Scratch) (int, error) {
-	cands := sc.ecands[:0]
-	for _, e := range entries {
-		cands = append(cands, entCand{e: e, lbSq: sc.P.MinDistSqKey(e.Key)})
+// Page is a cursor over the entries one probe evaluates, whatever their
+// layout — chosen where the page is pinned. The evaluation loops read every
+// layout through it by position: the window filter and the squared lower
+// bound come from the encoded header (or the packed columns, decoders fused
+// into the loop) alone, and only surviving candidates touch their payload.
+// It is a small stack value — building one allocates nothing, and no
+// record is ever decoded into an Entry. A Page aliases the pin (or the
+// caller's entry slice) and is valid only as long as it is.
+type Page struct {
+	n       int
+	recSize int                // > 0: fixed-width records in data
+	ents    []record.Entry     // non-nil: decoded entries
+	view    *record.PackedView // otherwise: packed columns of data, see packed
+	data    []byte
+	codec   record.Codec
+}
+
+// FixedPage describes n records encoded back-to-back (codec.Size() bytes
+// each) at the start of a pinned page.
+func FixedPage(data []byte, n int, codec record.Codec) Page {
+	return Page{n: n, recSize: codec.Size(), data: data, codec: codec}
+}
+
+// PackedPage describes a pinned packed (compressed) page; its header
+// carries the entry count.
+func PackedPage(data []byte, codec record.Codec) Page {
+	return Page{data: data, codec: codec}
+}
+
+// EntryPage describes already-decoded in-memory entries: leaf buffers,
+// write buffers.
+func EntryPage(entries []record.Entry) Page { return Page{n: len(entries), ents: entries} }
+
+// packed reports whether the page is in the packed layout. The evaluation
+// loops then open its column view in their own frame and point pg.view at
+// it: the view is too large to carry in every Page the probes pass around.
+func (pg *Page) packed() bool { return pg.recSize == 0 && pg.data != nil }
+
+func (pg *Page) rec(i int) []byte { return pg.data[i*pg.recSize : (i+1)*pg.recSize] }
+
+func (pg *Page) ts(i int) int64 {
+	switch {
+	case pg.recSize > 0:
+		return record.DecodeTS(pg.rec(i))
+	case pg.ents != nil:
+		return pg.ents[i].TS
+	default:
+		return pg.view.TS(i)
 	}
-	slices.SortFunc(cands, func(a, b entCand) int { return cmp.Compare(a.lbSq, b.lbSq) })
-	// Keep the grown capacity for the next batch, but zero the contents:
-	// entries can carry payload slices, which must not stay reachable from
-	// the pooled scratch after the query ends.
-	defer func() {
-		clear(cands)
-		sc.ecands = cands[:0]
-	}()
+}
+
+// nextInWindow returns the first entry at or after i (of n) whose timestamp
+// lies in q's window, or n. It inlines, so an unwindowed query pays one
+// branch per entry.
+func (pg *Page) nextInWindow(q *Query, i, n int) int {
+	if !q.Windowed {
+		return i
+	}
+	return pg.skipOutOfWindow(q.MinTS, q.MaxTS, i, n)
+}
+
+// skipOutOfWindow is nextInWindow's loop, written per layout over locals so
+// that passing over out-of-window entries — most of a page, on a narrow
+// window — costs a decode and two compares each, not a call.
+func (pg *Page) skipOutOfWindow(lo, hi int64, i, n int) int {
+	out := func(ts int64) bool { return ts < lo || ts > hi }
+	switch {
+	case pg.recSize > 0:
+		for data, size := pg.data, pg.recSize; i < n && out(record.DecodeTS(data[i*size:])); {
+			i++
+		}
+	case pg.ents != nil:
+		for ents := pg.ents; i < n && out(ents[i].TS); {
+			i++
+		}
+	default:
+		for view := pg.view; i < n && out(view.TS(i)); {
+			i++
+		}
+	}
+	return i
+}
+
+func (pg *Page) key(i int) sortable.Key {
+	switch {
+	case pg.recSize > 0:
+		return record.DecodeKeyOnly(pg.rec(i))
+	case pg.ents != nil:
+		return pg.ents[i].Key
+	default:
+		return pg.view.Key(i)
+	}
+}
+
+func (pg *Page) id(i int) int64 {
+	switch {
+	case pg.recSize > 0:
+		return record.DecodeID(pg.rec(i))
+	case pg.ents != nil:
+		return pg.ents[i].ID
+	default:
+		return pg.view.ID(i)
+	}
+}
+
+// distSq verifies entry i: the early-abandoning squared distance to the
+// query, accumulated directly from the encoded payload when the page
+// carries one, from a scratch-buffer raw fetch otherwise.
+func (pg *Page) distSq(q Query, i int, raw series.RawStore, limitSq float64, sc *Scratch) (float64, error) {
+	switch {
+	case pg.ents != nil:
+		return TrueDistSq(q, pg.ents[i], raw, limitSq, sc)
+	case !pg.codec.Materialized:
+		return rawDistSq(q, pg.id(i), raw, limitSq, sc)
+	case pg.recSize > 0:
+		return q.Norm.SqDistEncodedEarlyAbandon(pg.rec(i)[record.HeaderBytes:], limitSq), nil
+	default:
+		return q.Norm.SqDistEncodedEarlyAbandon(pg.view.PayloadBytes(i), limitSq), nil
+	}
+}
+
+// EvalPage evaluates one page against the k-NN collector: in-window entries
+// whose squared lower bound survives the collector's current worst become
+// candidates, and candidates verify in ascending lower-bound order — the
+// most promising first, collapsing the pruning bound so the rest are
+// skipped without paying their (possibly random) raw fetches. Candidate
+// slots reuse the scratch slice, so a warm probe allocates nothing. It
+// returns the number of in-window entries seen.
+func EvalPage(q Query, pg Page, raw series.RawStore, col *Collector, sc *Scratch) (int, error) {
+	n := pg.n
+	if pg.packed() {
+		view, err := pg.codec.ViewPacked(pg.data)
+		if err != nil {
+			return 0, err
+		}
+		n, pg.view = view.Count(), &view
+	}
+	cands := sc.cands[:0]
+	count := 0
 	traced := sc.Trace != nil
 	var ver, ab, pr int64
-	for i, c := range cands {
+	for i := pg.nextInWindow(&q, 0, n); i < n; i = pg.nextInWindow(&q, i+1, n) {
+		count++
+		lbSq := sc.P.MinDistSqKey(pg.key(i))
+		if col.SkipSq(lbSq) {
+			if traced {
+				pr++
+			}
+			continue // cheap reject before even locating the payload
+		}
+		cands = append(cands, pageCand{lbSq: lbSq, i: int32(i)})
+	}
+	slices.SortFunc(cands, func(a, b pageCand) int { return cmp.Compare(a.lbSq, b.lbSq) })
+	sc.cands = cands
+	for ci, c := range cands {
 		if col.SkipSq(c.lbSq) {
 			if traced {
-				pr += int64(len(cands) - i)
+				pr += int64(len(cands) - ci)
 			}
 			break // all remaining candidates have larger lower bounds
 		}
+		i := int(c.i)
 		limitSq := col.WorstSq()
-		dSq, err := TrueDistSq(q, c.e, raw, limitSq, sc)
+		dSq, err := pg.distSq(q, i, raw, limitSq, sc)
 		if err != nil {
-			return len(cands), err
+			return count, err
 		}
 		if traced {
 			ver++
@@ -392,27 +518,39 @@ func EvalCandidates(q Query, entries []record.Entry, raw series.RawStore, col *C
 				ab++
 			}
 		}
-		col.AddSq(c.e.ID, c.e.TS, dSq)
+		col.AddSq(pg.id(i), pg.ts(i), dSq)
 	}
 	if traced {
-		sc.Trace.NoteCands(int64(len(cands)), ver, ab, pr)
+		sc.Trace.NoteCands(int64(count), ver, ab, pr)
 	}
-	return len(cands), nil
+	return count, nil
 }
 
-// EvalRangeCandidates verifies in-memory candidates against a range
-// collector, pruning table-computed lower bounds by the epsilon bound.
-func EvalRangeCandidates(q Query, entries []record.Entry, raw series.RawStore, col *RangeCollector, sc *Scratch) error {
+// EvalPageRange is EvalPage against a range collector: the epsilon bound is
+// static, so candidates need no ordering and every in-window, unpruned
+// entry verifies directly.
+func EvalPageRange(q Query, pg Page, raw series.RawStore, col *RangeCollector, sc *Scratch) error {
+	n := pg.n
+	if pg.packed() {
+		view, err := pg.codec.ViewPacked(pg.data)
+		if err != nil {
+			return err
+		}
+		n, pg.view = view.Count(), &view
+	}
 	traced := sc.Trace != nil
-	var ver, ab, pr int64
-	for _, e := range entries {
-		if col.PruneSq(sc.P.MinDistSqKey(e.Key)) {
+	var seen, ver, ab, pr int64
+	for i := pg.nextInWindow(&q, 0, n); i < n; i = pg.nextInWindow(&q, i+1, n) {
+		if traced {
+			seen++
+		}
+		if col.SkipSq(sc.P.MinDistSqKey(pg.key(i))) {
 			if traced {
 				pr++
 			}
 			continue
 		}
-		dSq, err := TrueDistSq(q, e, raw, col.BoundSq(), sc)
+		dSq, err := pg.distSq(q, i, raw, col.BoundSq(), sc)
 		if err != nil {
 			return err
 		}
@@ -422,230 +560,7 @@ func EvalRangeCandidates(q Query, entries []record.Entry, raw series.RawStore, c
 				ab++
 			}
 		}
-		col.AddSq(e.ID, e.TS, dSq)
-	}
-	if traced {
-		sc.Trace.NoteCands(int64(len(entries)), ver, ab, pr)
-	}
-	return nil
-}
-
-// EvalEncoded evaluates n records encoded back-to-back in page (codec.Size()
-// bytes each) against the collector, straight from the page bytes: the
-// window filter and the squared lower bound are computed from the encoded
-// header alone, and surviving candidates verify in ascending lower-bound
-// order with early-abandoning squared distances accumulated directly from
-// the encoded payload (materialized) or a scratch-buffer raw fetch. No
-// record is ever decoded into an Entry, so a probe allocates nothing. It
-// returns the number of in-window candidates seen.
-func EvalEncoded(q Query, page []byte, n int, codec record.Codec, raw series.RawStore, col *Collector, sc *Scratch) (int, error) {
-	recSize := codec.Size()
-	cands := sc.ocands[:0]
-	count := 0
-	traced := sc.Trace != nil
-	var ver, ab, pr int64
-	for i := 0; i < n; i++ {
-		rec := page[i*recSize : (i+1)*recSize]
-		if !q.InWindow(record.DecodeTS(rec)) {
-			continue
-		}
-		count++
-		lbSq := sc.P.MinDistSqKey(record.DecodeKeyOnly(rec))
-		if col.SkipSq(lbSq) {
-			if traced {
-				pr++
-			}
-			continue // cheap reject before even locating the payload
-		}
-		cands = append(cands, offCand{lbSq: lbSq, off: int32(i * recSize)})
-	}
-	slices.SortFunc(cands, func(a, b offCand) int { return cmp.Compare(a.lbSq, b.lbSq) })
-	sc.ocands = cands
-	for ci, c := range cands {
-		if col.SkipSq(c.lbSq) {
-			if traced {
-				pr += int64(len(cands) - ci)
-			}
-			break
-		}
-		rec := page[c.off : int(c.off)+recSize]
-		limitSq := col.WorstSq()
-		var dSq float64
-		if codec.Materialized {
-			dSq = q.Norm.SqDistEncodedEarlyAbandon(codec.PayloadBytes(rec), limitSq)
-		} else {
-			var err error
-			dSq, err = rawDistSq(q, record.DecodeID(rec), raw, limitSq, sc)
-			if err != nil {
-				return count, err
-			}
-		}
-		if traced {
-			ver++
-			if dSq > limitSq {
-				ab++
-			}
-		}
-		col.AddSq(record.DecodeID(rec), record.DecodeTS(rec), dSq)
-	}
-	if traced {
-		sc.Trace.NoteCands(int64(count), ver, ab, pr)
-	}
-	return count, nil
-}
-
-// EvalEncodedPacked is EvalEncoded for a packed (compressed) page: the
-// column decoders are fused into the probe loop, so timestamps and keys
-// unpack straight into the window filter and the MINDIST table sum, and
-// surviving candidates verify with the same early-abandoning kernels over
-// the page's verbatim payload bytes. The view is a stack value and candidate
-// offsets reuse the scratch slice, so a packed probe allocates nothing —
-// results are byte-identical to decompressing the page and running
-// EvalEncoded. It returns the number of in-window candidates seen.
-func EvalEncodedPacked(q Query, page []byte, codec record.Codec, raw series.RawStore, col *Collector, sc *Scratch) (int, error) {
-	v, err := codec.ViewPacked(page)
-	if err != nil {
-		return 0, err
-	}
-	n := v.Count()
-	cands := sc.ocands[:0]
-	count := 0
-	traced := sc.Trace != nil
-	var ver, ab, pr int64
-	for i := 0; i < n; i++ {
-		if !q.InWindow(v.TS(i)) {
-			continue
-		}
-		count++
-		lbSq := sc.P.MinDistSqKey(v.Key(i))
-		if col.SkipSq(lbSq) {
-			if traced {
-				pr++
-			}
-			continue
-		}
-		cands = append(cands, offCand{lbSq: lbSq, off: int32(i)})
-	}
-	slices.SortFunc(cands, func(a, b offCand) int { return cmp.Compare(a.lbSq, b.lbSq) })
-	sc.ocands = cands
-	for ci, c := range cands {
-		if col.SkipSq(c.lbSq) {
-			if traced {
-				pr += int64(len(cands) - ci)
-			}
-			break
-		}
-		i := int(c.off)
-		limitSq := col.WorstSq()
-		var dSq float64
-		if codec.Materialized {
-			dSq = q.Norm.SqDistEncodedEarlyAbandon(v.PayloadBytes(i), limitSq)
-		} else {
-			var err error
-			dSq, err = rawDistSq(q, v.ID(i), raw, limitSq, sc)
-			if err != nil {
-				return count, err
-			}
-		}
-		if traced {
-			ver++
-			if dSq > limitSq {
-				ab++
-			}
-		}
-		col.AddSq(v.ID(i), v.TS(i), dSq)
-	}
-	if traced {
-		sc.Trace.NoteCands(int64(count), ver, ab, pr)
-	}
-	return count, nil
-}
-
-// EvalEncodedPackedRange is EvalEncodedRange for a packed page: static
-// epsilon bound, no candidate ordering, fused column decode.
-func EvalEncodedPackedRange(q Query, page []byte, codec record.Codec, raw series.RawStore, col *RangeCollector, sc *Scratch) error {
-	v, err := codec.ViewPacked(page)
-	if err != nil {
-		return err
-	}
-	n := v.Count()
-	traced := sc.Trace != nil
-	var seen, ver, ab, pr int64
-	for i := 0; i < n; i++ {
-		if !q.InWindow(v.TS(i)) {
-			continue
-		}
-		if traced {
-			seen++
-		}
-		if col.PruneSq(sc.P.MinDistSqKey(v.Key(i))) {
-			if traced {
-				pr++
-			}
-			continue
-		}
-		var dSq float64
-		if codec.Materialized {
-			dSq = q.Norm.SqDistEncodedEarlyAbandon(v.PayloadBytes(i), col.BoundSq())
-		} else {
-			var err error
-			dSq, err = rawDistSq(q, v.ID(i), raw, col.BoundSq(), sc)
-			if err != nil {
-				return err
-			}
-		}
-		if traced {
-			ver++
-			if dSq > col.BoundSq() {
-				ab++
-			}
-		}
-		col.AddSq(v.ID(i), v.TS(i), dSq)
-	}
-	if traced {
-		sc.Trace.NoteCands(seen, ver, ab, pr)
-	}
-	return nil
-}
-
-// EvalEncodedRange is EvalEncoded against a range collector: the epsilon
-// bound is static, so candidates need no ordering and every in-window,
-// unpruned record verifies directly from the encoded bytes.
-func EvalEncodedRange(q Query, page []byte, n int, codec record.Codec, raw series.RawStore, col *RangeCollector, sc *Scratch) error {
-	recSize := codec.Size()
-	traced := sc.Trace != nil
-	var seen, ver, ab, pr int64
-	for i := 0; i < n; i++ {
-		rec := page[i*recSize : (i+1)*recSize]
-		if !q.InWindow(record.DecodeTS(rec)) {
-			continue
-		}
-		if traced {
-			seen++
-		}
-		if col.PruneSq(sc.P.MinDistSqKey(record.DecodeKeyOnly(rec))) {
-			if traced {
-				pr++
-			}
-			continue
-		}
-		var dSq float64
-		if codec.Materialized {
-			dSq = q.Norm.SqDistEncodedEarlyAbandon(codec.PayloadBytes(rec), col.BoundSq())
-		} else {
-			var err error
-			dSq, err = rawDistSq(q, record.DecodeID(rec), raw, col.BoundSq(), sc)
-			if err != nil {
-				return err
-			}
-		}
-		if traced {
-			ver++
-			if dSq > col.BoundSq() {
-				ab++
-			}
-		}
-		col.AddSq(record.DecodeID(rec), record.DecodeTS(rec), dSq)
+		col.AddSq(pg.id(i), pg.ts(i), dSq)
 	}
 	if traced {
 		sc.Trace.NoteCands(seen, ver, ab, pr)

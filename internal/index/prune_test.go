@@ -121,10 +121,10 @@ func TestPrunerLowerBoundsTrueDistance(t *testing.T) {
 	}
 }
 
-// TestEvalEncodedMatchesEvalCandidates feeds the same candidate set through
-// the encoded-page pipeline and the decoded-entry pipeline and demands
+// TestEvalPageEncodedMatchesEntries feeds the same candidate set through
+// the page evaluator as an encoded page and as decoded entries and demands
 // identical collector contents, materialized and not.
-func TestEvalEncodedMatchesEvalCandidates(t *testing.T) {
+func TestEvalPageEncodedMatchesEntries(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	for _, materialized := range []bool{false, true} {
 		cfg := Config{SeriesLen: 32, Segments: 8, Bits: 4, Materialized: materialized}
@@ -160,14 +160,14 @@ func TestEvalEncodedMatchesEvalCandidates(t *testing.T) {
 
 		ctx1 := AcquireCtx(q, cfg)
 		colA := NewCollector(5)
-		if _, err := EvalCandidates(q, entries, ds, colA, ctx1.Scratch0()); err != nil {
+		if _, err := EvalPage(q, EntryPage(entries), ds, colA, ctx1.Scratch0()); err != nil {
 			t.Fatal(err)
 		}
 		ctx1.Release()
 
 		ctx2 := AcquireCtx(q, cfg)
 		colB := NewCollector(5)
-		if _, err := EvalEncoded(q, page, len(entries), codec, ds, colB, ctx2.Scratch0()); err != nil {
+		if _, err := EvalPage(q, FixedPage(page, len(entries), codec), ds, colB, ctx2.Scratch0()); err != nil {
 			t.Fatal(err)
 		}
 		ctx2.Release()

@@ -107,7 +107,6 @@ func TestZeroAllocHotPath(t *testing.T) {
 		tr.NoteUnit("run", 3, 1.25, false)
 		tr.NoteSkips("run", 7)
 		tr.NoteCands(10, 5, 2, 3)
-		tr.NotePlanCache(true)
 		sp := tr.Start("scan")
 		sp.End()
 	}); n != 0 {
@@ -116,7 +115,7 @@ func TestZeroAllocHotPath(t *testing.T) {
 }
 
 // TestQueryTrace exercises the traced path: unit detail, aggregates,
-// truncation, plan-cache state, candidate tallies, phases, and the
+// truncation, candidate tallies, phases, and the
 // snapshot's derived skip total.
 func TestQueryTrace(t *testing.T) {
 	tr := NewQueryTrace()
@@ -125,16 +124,12 @@ func TestQueryTrace(t *testing.T) {
 	tr.NoteSkips("run", 3)
 	tr.NoteProbes("leaf", 5)
 	tr.NoteSkips("leaf", 2)
-	tr.NotePlanCache(false)
 	tr.NoteCands(100, 40, 10, 50)
 	sp := tr.Start("scan")
 	time.Sleep(time.Millisecond)
 	sp.End()
 
 	s := tr.Snapshot()
-	if s.PlanCache != "miss" {
-		t.Fatalf("plan cache = %q, want miss", s.PlanCache)
-	}
 	if s.PlannedSkips != 6 { // 1 unit + 3 bulk + 2 leaf
 		t.Fatalf("planned skips = %d, want 6", s.PlannedSkips)
 	}

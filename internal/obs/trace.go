@@ -13,8 +13,8 @@ const maxUnitDetail = 256
 
 // QueryTrace records one query's execution for the ?trace=1 / explain
 // surface: which probe units (runs, partitions, leaves, shards) were
-// probed vs. skipped and at what synopsis bound, plan-cache behavior,
-// candidate verification counts, and per-phase wall time. Every method
+// probed vs. skipped and at what synopsis bound, candidate verification
+// counts, and per-phase wall time. Every method
 // is safe on a nil receiver — the untraced hot path pays one nil check
 // and nothing else. A traced query may take the internal mutex and
 // allocate freely; traces are per-request and never shared across
@@ -24,7 +24,6 @@ type QueryTrace struct {
 	units     []UnitSnapshot
 	truncated int
 	kinds     []KindCount
-	planCache int8 // 0 = no cache involved, 1 = hit, 2 = miss
 	phases    []PhaseSnapshot
 
 	seen, verified, abandoned, pruned atomic.Int64
@@ -87,7 +86,6 @@ type TraceSnapshot struct {
 	Mode           string          `json:"mode,omitempty"`
 	K              int             `json:"k,omitempty"`
 	Kernel         string          `json:"kernel,omitempty"`
-	PlanCache      string          `json:"plan_cache"` // "hit", "miss", or "none"
 	PlannedSkips   int64           `json:"planned_skips"`
 	Kinds          []KindCount     `json:"kinds,omitempty"`
 	Units          []UnitSnapshot  `json:"units,omitempty"`
@@ -158,21 +156,6 @@ func (t *QueryTrace) NoteProbes(kind string, n int64) {
 	t.mu.Unlock()
 }
 
-// NotePlanCache records whether the query's pruning table came from the
-// plan cache.
-func (t *QueryTrace) NotePlanCache(hit bool) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	if hit {
-		t.planCache = 1
-	} else {
-		t.planCache = 2
-	}
-	t.mu.Unlock()
-}
-
 // NoteCands adds candidate-verification tallies (safe from concurrent
 // search workers).
 func (t *QueryTrace) NoteCands(seen, verified, abandoned, pruned int64) {
@@ -239,14 +222,6 @@ func (t *QueryTrace) Snapshot() *TraceSnapshot {
 			Abandoned: t.abandoned.Load(),
 			Pruned:    t.pruned.Load(),
 		},
-	}
-	switch t.planCache {
-	case 1:
-		s.PlanCache = "hit"
-	case 2:
-		s.PlanCache = "miss"
-	default:
-		s.PlanCache = "none"
 	}
 	for _, k := range s.Kinds {
 		s.PlannedSkips += k.Skipped

@@ -103,11 +103,6 @@ func (s *Server) collectBuilds(e *obs.Emit) {
 		if pl := b.built.Planner; pl != nil && pl.Enabled() {
 			e.Counter("coconut_build_planner_skips", "Probe units skipped by the planner.",
 				float64(pl.Skips()), "build", id)
-			hits, misses := pl.CacheStats()
-			e.Counter("coconut_build_plan_cache_hits", "Plan-cache hits.",
-				float64(hits), "build", id)
-			e.Counter("coconut_build_plan_cache_misses", "Plan-cache misses.",
-				float64(misses), "build", id)
 		}
 		if wst, ok := b.built.WALStats(); ok {
 			e.Counter("coconut_build_wal_appends", "WAL records appended.",

@@ -19,7 +19,7 @@ func TestTracedQueryAgreesWithStats(t *testing.T) {
 	postJSON(t, ts.URL+"/api/datasets", DatasetRequest{Kind: "astronomy", N: 400, Len: 64, Seed: 7}, &d)
 	var b BuildResponse
 	if code := postJSON(t, ts.URL+"/api/build", BuildRequest{
-		Dataset: d.ID, Variant: "CTree", Segments: 8, Bits: 8, MemBudget: 16 << 10, PlanCache: 16,
+		Dataset: d.ID, Variant: "CTree", Segments: 8, Bits: 8, MemBudget: 16 << 10,
 	}, &b); code != http.StatusCreated {
 		t.Fatalf("build status %d", code)
 	}
@@ -27,7 +27,7 @@ func TestTracedQueryAgreesWithStats(t *testing.T) {
 	for i := range q {
 		q[i] = float64(i % 5)
 	}
-	// Twice traced: the second run exercises the plan-cache-hit branch.
+	// Twice traced: the planner counter the second delta reads is warm.
 	for i := 0; i < 2; i++ {
 		var qr QueryResponse
 		if code := postJSON(t, ts.URL+"/api/query", QueryRequest{Build: b.ID, Series: q, K: 2, Exact: true, Trace: true}, &qr); code != http.StatusOK {
@@ -61,13 +61,6 @@ func TestTracedQueryAgreesWithStats(t *testing.T) {
 		}
 		if len(tr.Phases) == 0 {
 			t.Fatalf("trace has no phases")
-		}
-		want := "miss"
-		if i == 1 {
-			want = "hit"
-		}
-		if tr.PlanCache != want {
-			t.Fatalf("run %d: plan_cache = %q, want %q", i, tr.PlanCache, want)
 		}
 	}
 	// Untraced queries must not carry a trace.

@@ -61,9 +61,6 @@ type Server struct {
 	// default to the file backend when a root is set; requests may force
 	// either backend per build.
 	storageRoot string
-	// defaultPlanCache applies to builds whose request leaves the
-	// plan_cache field unset; 0 keeps builds without a plan cache.
-	defaultPlanCache int
 	// defaultDisablePlanner turns statistics-driven probe ordering and
 	// skipping off for builds whose request does not ask for it.
 	defaultDisablePlanner bool
@@ -144,12 +141,6 @@ func (s *Server) SetDefaultCompactionWorkers(n int) { s.defaultCompactionWorkers
 // simulated disk and requests asking for "file" are rejected. Query
 // results are byte-identical on either backend. Call before serving.
 func (s *Server) SetStorageRoot(dir string) { s.storageRoot = dir }
-
-// SetDefaultPlanCache sets the plan-cache capacity (entries) applied to
-// builds whose request does not specify one: n > 0 lets repeated query
-// shapes reuse their filled pruning tables; 0 keeps builds without a plan
-// cache. Call before serving.
-func (s *Server) SetDefaultPlanCache(n int) { s.defaultPlanCache = n }
 
 // SetDefaultPlannerDisabled turns statistics-driven probe ordering and
 // envelope skipping off for builds whose request does not ask for it.
@@ -366,11 +357,6 @@ type BuildRequest struct {
 	// pool of that many workers; unset or 0 falls back to the server
 	// default, -1 forces inline merges. CLSM variants only, unsharded.
 	CompactionWorkers int `json:"compaction_workers"`
-	// PlanCache > 0 gives the build a plan cache of that many entries, so
-	// repeated query shapes reuse their filled pruning tables; unset or 0
-	// falls back to the server default, -1 forces no cache. Answers are
-	// identical at every setting.
-	PlanCache int `json:"plan_cache"`
 	// DisablePlanner turns statistics-driven probe ordering and envelope
 	// skipping off for this build. Answers are byte-identical either way —
 	// only I/O cost changes.
@@ -413,7 +399,6 @@ type BuildResponse struct {
 	Shards     int     `json:"shards"`
 	Backend    string  `json:"backend"` // "sim" or "file"
 	Planner    bool    `json:"planner"`
-	PlanCache  int     `json:"plan_cache"`
 	Compress   bool    `json:"compress"`
 	// Kernel names the distance-kernel implementation the process selected
 	// at startup ("avx2", "neon", or "scalar").
@@ -512,16 +497,6 @@ func (s *Server) handleBuild(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "compaction_workers must be at most 64, got %d", req.CompactionWorkers)
 		return
 	}
-	if req.PlanCache == 0 {
-		req.PlanCache = s.defaultPlanCache
-	}
-	if req.PlanCache < 0 {
-		req.PlanCache = 0 // explicit opt-out of the server default
-	}
-	if req.PlanCache > 1<<20 {
-		writeError(w, http.StatusBadRequest, "plan_cache must be at most %d entries, got %d", 1<<20, req.PlanCache)
-		return
-	}
 	if s.defaultDisablePlanner {
 		req.DisablePlanner = true
 	}
@@ -551,7 +526,6 @@ func (s *Server) handleBuild(w http.ResponseWriter, r *http.Request) {
 		Parallelism:    req.Parallelism,
 		Shards:         req.Shards,
 		CacheBytes:     req.CacheBytes,
-		PlanCacheSize:  req.PlanCache,
 		DisablePlanner: req.DisablePlanner,
 		ClusterShards:  req.ClusterShards,
 		NodeShards:     req.NodeShards,
@@ -614,7 +588,6 @@ func (s *Server) handleBuild(w http.ResponseWriter, r *http.Request) {
 		Shards:        b.Shards(),
 		Backend:       b.Disk.Kind(),
 		Planner:       b.Planner != nil && b.Planner.Enabled(),
-		PlanCache:     req.PlanCache,
 		Compress:      req.Compress,
 		Kernel:        simd.Active(),
 		ClusterShards: clusterShards,
@@ -784,16 +757,15 @@ type BatchQueryRequest struct {
 }
 
 // BatchQueryResponse reports per-query answers plus the batch's aggregate
-// I/O cost and planner accounting (envelope skips and plan-cache hits
-// across the whole batch; zero on planner-disabled builds).
+// I/O cost and planner accounting (envelope skips across the whole batch;
+// zero on planner-disabled builds).
 type BatchQueryResponse struct {
-	Results       [][]QueryResult `json:"results"`
-	Queries       int             `json:"queries"`
-	Cost          float64         `json:"cost"`
-	SeqIO         int64           `json:"seq_io"`
-	RandIO        int64           `json:"rand_io"`
-	PlannedSkips  int64           `json:"planned_skips"`
-	PlanCacheHits int64           `json:"plan_cache_hits"`
+	Results      [][]QueryResult `json:"results"`
+	Queries      int             `json:"queries"`
+	Cost         float64         `json:"cost"`
+	SeqIO        int64           `json:"seq_io"`
+	RandIO       int64           `json:"rand_io"`
+	PlannedSkips int64           `json:"planned_skips"`
 }
 
 // handleQueryBatch answers POST /api/query/batch: many queries executed
@@ -836,7 +808,6 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	b.mu.RLock()
 	before := b.built.IOStats()
 	skipsBefore := b.built.Planner.Skips()
-	hitsBefore, _ := b.built.Planner.CacheStats()
 	var rss [][]index.Result
 	var err error
 	if bs, ok := b.built.Index.(index.BatchSearcher); ok && req.Exact {
@@ -855,7 +826,6 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	skips := b.built.Planner.Skips() - skipsBefore
-	hits, _ := b.built.Planner.CacheStats()
 	b.mu.RUnlock()
 	if err != nil {
 		s.metrics.queryErrors.Inc()
@@ -865,13 +835,12 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	diff := b.built.IOStats().Sub(before)
 	s.observeQuery(modeBatch, time.Since(start), diff, req.Build)
 	resp := BatchQueryResponse{
-		Results:       make([][]QueryResult, len(rss)),
-		Queries:       len(rss),
-		Cost:          diff.Cost(s.cost),
-		SeqIO:         diff.SeqReads + diff.SeqWrites,
-		RandIO:        diff.RandReads + diff.RandWrites,
-		PlannedSkips:  skips,
-		PlanCacheHits: hits - hitsBefore,
+		Results:      make([][]QueryResult, len(rss)),
+		Queries:      len(rss),
+		Cost:         diff.Cost(s.cost),
+		SeqIO:        diff.SeqReads + diff.SeqWrites,
+		RandIO:       diff.RandReads + diff.RandWrites,
+		PlannedSkips: skips,
 	}
 	for i, rs := range rss {
 		out := make([]QueryResult, 0, len(rs))
@@ -1051,14 +1020,10 @@ type CompactionStatsJSON struct {
 }
 
 // PlannerStats is the /api/stats section describing a build's query
-// planner: envelope skips across every query so far, and — when the build
-// has a plan cache — its hit/miss counters.
+// planner: envelope skips across every query so far.
 type PlannerStats struct {
-	Enabled       bool    `json:"enabled"`
-	PlannedSkips  int64   `json:"planned_skips"`
-	PlanCacheHits int64   `json:"plan_cache_hits"`
-	PlanCacheMiss int64   `json:"plan_cache_misses"`
-	HitRatio      float64 `json:"hit_ratio"`
+	Enabled      bool  `json:"enabled"`
+	PlannedSkips int64 `json:"planned_skips"`
 }
 
 // StatsResponse reports a build's I/O accounting since construction:
@@ -1143,12 +1108,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if pl := b.built.Planner; pl != nil && pl.Enabled() {
-		hits, misses := pl.CacheStats()
-		ps := PlannerStats{Enabled: true, PlannedSkips: pl.Skips(), PlanCacheHits: hits, PlanCacheMiss: misses}
-		if hits+misses > 0 {
-			ps.HitRatio = float64(hits) / float64(hits+misses)
-		}
-		resp.Planner = ps
+		resp.Planner = PlannerStats{Enabled: true, PlannedSkips: pl.Skips()}
 	}
 	if c := b.built.Cache; c != nil {
 		resp.Cache = CacheStats{

@@ -34,7 +34,6 @@ type Group struct {
 	nshards int
 	owned   []int // ascending shard indices
 	shards  map[int]*Shard
-	planner *index.Planner
 
 	// idsMu guards every owned shard's IDs slice and lastID so inserts can
 	// run concurrently with searches, mirroring Sharded.idsMu.
@@ -102,11 +101,6 @@ func (g *Group) Owns(si int) bool { _, ok := g.shards[si]; return ok }
 // Shard returns the owned shard si, or nil.
 func (g *Group) Shard(si int) *Shard { return g.shards[si] }
 
-// SetPlanner installs the query planner shared by the group's probe paths
-// (typically the same planner installed in every sub-index, so plan caching
-// and skip counters are shared). Call only while no search is in flight.
-func (g *Group) SetPlanner(pl *index.Planner) { g.planner = pl }
-
 // Name identifies the group, e.g. "Group2of4xCTreeFull".
 func (g *Group) Name() string {
 	return fmt.Sprintf("Group%dof%dx%s", len(g.owned), g.nshards, g.shards[g.owned[0]].Index.Name())
@@ -136,14 +130,6 @@ func (g *Group) MaxID() int64 {
 	return m
 }
 
-// idsOf snapshots one owned shard's local-to-global mapping for a probe.
-func (g *Group) idsOf(si int) []int64 {
-	g.idsMu.RLock()
-	ids := g.shards[si].IDs
-	g.idsMu.RUnlock()
-	return ids
-}
-
 // resolve maps a requested shard list to owned shards, rejecting requests
 // for shards this node does not hold (a router/topology mismatch the node
 // must surface, not silently answer incompletely). nil requests every owned
@@ -160,32 +146,6 @@ func (g *Group) resolve(reqs []int) ([]int, error) {
 	return reqs, nil
 }
 
-// exactProbe mirrors Sharded.exactProbe: one shard's exact top-k folded
-// into col under global IDs, on the exact accumulated squared sums when the
-// sub-index exposes its collector.
-func (g *Group) exactProbe(si int, q index.Query, k int, ctx *index.SearchCtx, col *index.Collector) error {
-	ids := g.idsOf(si)
-	sub := g.shards[si].Index
-	if cs, ok := sub.(index.CollSearcher); ok {
-		c, err := cs.ExactSearchColl(q, k, ctx)
-		if err != nil {
-			return err
-		}
-		c.Each(func(id, ts int64, distSq float64) {
-			col.AddSq(ids[id], ts, distSq)
-		})
-		return nil
-	}
-	rs, err := sub.ExactSearch(q, k)
-	if err != nil {
-		return err
-	}
-	for _, r := range rs {
-		col.AddSq(ids[r.ID], r.TS, r.Dist*r.Dist)
-	}
-	return nil
-}
-
 // ExactSearchShards answers an exact k-NN over the requested shard subset
 // (nil = all owned), returning the collector itself: its contents are the k
 // best (squared distance, global ID) pairs over the union of the requested
@@ -198,11 +158,11 @@ func (g *Group) ExactSearchShards(q index.Query, k int, reqs []int) (*index.Coll
 	if err != nil {
 		return nil, err
 	}
-	ctx := g.planner.AcquireCtx(q, g.cfg)
+	ctx := index.AcquireCtx(q, g.cfg)
 	defer ctx.Release()
 	col := index.NewCollector(k)
 	for _, si := range shards {
-		if err := g.exactProbe(si, q, k, ctx, col); err != nil {
+		if err := g.shards[si].exactInto(&g.idsMu, q, k, ctx, col); err != nil {
 			return nil, err
 		}
 	}
@@ -212,7 +172,7 @@ func (g *Group) ExactSearchShards(q index.Query, k int, reqs []int) (*index.Coll
 // RangeSearchShards answers a range (epsilon) query over the requested
 // shard subset (nil = all owned), returning the collector with every
 // qualifying series under its global ID. Re-squaring reported distances is
-// exact on the range path (see Sharded.RangeSearch), so merging range
+// exact on the range path (see Shard.rangeInto), so merging range
 // collectors across nodes preserves every distance bit-for-bit.
 func (g *Group) RangeSearchShards(q index.Query, eps float64, reqs []int) (*index.RangeCollector, error) {
 	shards, err := g.resolve(reqs)
@@ -221,17 +181,8 @@ func (g *Group) RangeSearchShards(q index.Query, eps float64, reqs []int) (*inde
 	}
 	col := index.NewRangeCollector(eps)
 	for _, si := range shards {
-		rs, ok := g.shards[si].Index.(index.RangeSearcher)
-		if !ok {
-			return nil, fmt.Errorf("shard: %s does not support range search", g.shards[si].Index.Name())
-		}
-		found, err := rs.RangeSearch(q, eps)
-		if err != nil {
+		if err := g.shards[si].rangeInto(&g.idsMu, q, eps, col); err != nil {
 			return nil, err
-		}
-		ids := g.idsOf(si)
-		for _, r := range found {
-			col.AddSq(ids[r.ID], r.TS, r.Dist*r.Dist)
 		}
 	}
 	return col, nil
@@ -250,13 +201,8 @@ func (g *Group) ApproxSearchShards(q index.Query, k int, reqs []int) (*index.Col
 	}
 	col := index.NewCollector(k)
 	for _, si := range shards {
-		rs, err := g.shards[si].Index.ApproxSearch(q, k)
-		if err != nil {
+		if err := g.shards[si].approxInto(&g.idsMu, q, k, col); err != nil {
 			return nil, err
-		}
-		ids := g.idsOf(si)
-		for _, r := range rs {
-			col.AddSq(ids[r.ID], r.TS, r.Dist*r.Dist)
 		}
 	}
 	return col, nil

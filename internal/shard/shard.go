@@ -98,6 +98,85 @@ func (sh Shard) IOStats() storage.Stats {
 	return sh.Disk.Stats()
 }
 
+// ids snapshots the shard's local-to-global ID mapping under mu, the
+// owner's lock over every IDs slice it holds: inserts append under the
+// write lock and never touch an index a snapshot can see.
+func (sh *Shard) ids(mu *sync.RWMutex) []int64 {
+	mu.RLock()
+	ids := sh.IDs
+	mu.RUnlock()
+	return ids
+}
+
+// exactInto runs the shard's exact top-k and folds it into col under global
+// IDs. Sub-indexes exposing their collector (index.CollSearcher — CTree and
+// CLSM do) merge on the exact accumulated squared sums, making the sharded
+// selection bit-for-bit the unsharded one; others fall back to re-squared
+// reported distances, which preserves each distance exactly (IEEE-754 sqrt
+// is correctly rounded, so sqrt(fl(d*d)) == d) but not necessarily the last
+// ulp of the collector's squared ordering key. ctx must already be filled
+// for q and is used serially; callers own the cross-shard parallelism.
+func (sh *Shard) exactInto(mu *sync.RWMutex, q index.Query, k int, ctx *index.SearchCtx, col *index.Collector) error {
+	cs, ok := sh.Index.(index.CollSearcher)
+	if !ok {
+		rs, err := sh.Index.ExactSearch(q, k)
+		if err != nil {
+			return err
+		}
+		offer(sh, mu, col, rs)
+		return nil
+	}
+	sub, err := cs.ExactSearchColl(q, k, ctx)
+	if err != nil {
+		return err
+	}
+	ids := sh.ids(mu)
+	sub.Each(func(id, ts int64, distSq float64) {
+		col.AddSq(ids[id], ts, distSq)
+	})
+	return nil
+}
+
+// approxInto probes the shard's approximate path and folds the answer into
+// col under global IDs.
+func (sh *Shard) approxInto(mu *sync.RWMutex, q index.Query, k int, col *index.Collector) error {
+	rs, err := sh.Index.ApproxSearch(q, k)
+	if err != nil {
+		return err
+	}
+	offer(sh, mu, col, rs)
+	return nil
+}
+
+// rangeInto runs the shard's range search and folds every qualifying series
+// into col under its global ID. Unlike the k-NN heap, re-squaring reported
+// distances is exact here: a range collector performs no squared-key
+// selection — membership (sqrt(distSq) > eps) and the final ordering
+// (Results sorts on (Dist, ID)) are both decided in true-distance space.
+func (sh *Shard) rangeInto(mu *sync.RWMutex, q index.Query, eps float64, col *index.RangeCollector) error {
+	rs, ok := sh.Index.(index.RangeSearcher)
+	if !ok {
+		return fmt.Errorf("shard: %s does not support range search", sh.Index.Name())
+	}
+	found, err := rs.RangeSearch(q, eps)
+	if err != nil {
+		return err
+	}
+	offer(sh, mu, col, found)
+	return nil
+}
+
+// offer re-squares one shard's rendered results into a collector,
+// translating local IDs to global.
+func offer[C interface {
+	AddSq(id, ts int64, distSq float64) bool
+}](sh *Shard, mu *sync.RWMutex, col C, rs []index.Result) {
+	ids := sh.ids(mu)
+	for _, r := range rs {
+		col.AddSq(ids[r.ID], r.TS, r.Dist*r.Dist)
+	}
+}
+
 // Sharded is a horizontally partitioned index. It implements index.Index
 // (and index.RangeSearcher / index.Inserter / the batch interfaces when its
 // sub-indexes do), fanning probes across shards on a bounded worker pool
@@ -151,14 +230,6 @@ func (s *Sharded) Count() int64 {
 	return s.count
 }
 
-// idsOf snapshots one shard's local-to-global ID mapping for a probe.
-func (s *Sharded) idsOf(i int) []int64 {
-	s.idsMu.RLock()
-	ids := s.shards[i].IDs
-	s.idsMu.RUnlock()
-	return ids
-}
-
 // NumShards returns the shard count.
 func (s *Sharded) NumShards() int { return len(s.shards) }
 
@@ -178,7 +249,7 @@ func (s *Sharded) SetParallelism(n int) { s.pool = parallel.New(n) }
 // by each shard's best synopsis envelope bound and skips shards that cannot
 // improve the current answer. The same *index.Planner is typically also
 // installed in every shard's sub-index, so run- and leaf-level planning
-// share one plan cache and one set of counters. nil (the default) plans
+// share one set of counters. nil (the default) plans
 // with default settings; a planner with Disabled set restores the unplanned
 // fan-out. Call only while no search is in flight.
 func (s *Sharded) SetPlanner(pl *index.Planner) { s.planner = pl }
@@ -242,181 +313,50 @@ func (s *Sharded) TotalPages() int64 {
 	return n
 }
 
-// offer folds one shard's rendered results into a collector, translating
-// local IDs to global — the fallback for sub-indexes that cannot hand back
-// their collector. Re-squaring a reported distance preserves the distance
-// value exactly (IEEE-754 sqrt is correctly rounded, so sqrt(fl(d*d)) == d)
-// but not necessarily the last ulp of the collector's squared ordering key;
-// exact merges therefore prefer exactProbe's collector-to-collector path.
-func offer(col *index.Collector, ids []int64, rs []index.Result) {
-	for _, r := range rs {
-		col.AddSq(ids[r.ID], r.TS, r.Dist*r.Dist)
-	}
-}
-
-// exactProbe runs one shard's exact top-k and folds it into col under
-// global IDs. Sub-indexes exposing their collector (index.CollSearcher —
-// CTree and CLSM do) merge on the exact accumulated squared sums, making
-// the sharded selection bit-for-bit the unsharded one; others fall back to
-// re-squared reported distances. ctx must already be filled for q and is
-// used serially; callers own the cross-shard parallelism.
-func (s *Sharded) exactProbe(i int, q index.Query, k int, ctx *index.SearchCtx, col *index.Collector) error {
-	ids := s.idsOf(i)
-	if cs, ok := s.shards[i].Index.(index.CollSearcher); ok {
-		sub, err := cs.ExactSearchColl(q, k, ctx)
-		if err != nil {
-			return err
-		}
-		sub.Each(func(id, ts int64, distSq float64) {
-			col.AddSq(ids[id], ts, distSq)
-		})
-		return nil
-	}
-	rs, err := s.shards[i].Index.ExactSearch(q, k)
-	if err != nil {
-		return err
-	}
-	offer(col, ids, rs)
-	return nil
-}
-
-// fanKNN probes every shard with probe and merges the per-shard answers
-// into col: serially in shard order with one usable worker, through
-// per-worker pooled collector clones otherwise — identical results either
-// way, because collection is order-independent.
-func (s *Sharded) fanKNN(col *index.Collector, probe func(i int) ([]index.Result, error)) error {
-	n := len(s.shards)
-	w := s.pool.WorkersFor(n)
-	if w <= 1 {
-		for i := 0; i < n; i++ {
-			rs, err := probe(i)
-			if err != nil {
-				return err
-			}
-			offer(col, s.idsOf(i), rs)
-		}
-		return nil
-	}
-	cols := make([]*index.Collector, w)
-	for i := range cols {
-		cols[i] = col.PooledClone()
-	}
-	err := s.pool.ForEach(n, func(worker, i int) error {
-		rs, perr := probe(i)
-		if perr != nil {
-			return perr
-		}
-		offer(cols[worker], s.idsOf(i), rs)
-		return nil
-	})
-	for _, c := range cols {
-		col.MergeRelease(c)
-	}
-	return err
-}
-
 // ExactSearch returns the true k nearest neighbors across all shards:
 // every shard answers an exact top-k over its subset (concurrently, each on
 // its own disk, each worker with its own pooled search context), and the
 // per-shard collectors merge on their exact squared sums. Results are
 // byte-identical to the unsharded index's.
 func (s *Sharded) ExactSearch(q index.Query, k int) ([]index.Result, error) {
-	n := len(s.shards)
-	w := s.pool.WorkersFor(n)
-	col := index.NewCollector(k)
-	pl := s.planner
-	if w <= 1 {
-		ctx := pl.AcquireCtx(q, s.cfg)
-		defer ctx.Release()
-		if err := s.exactShards(q, k, ctx, col); err != nil {
-			return nil, err
-		}
-		return col.Results(), nil
-	}
-	ctxs := make([]*index.SearchCtx, w)
+	ctxs := make([]*index.SearchCtx, s.pool.WorkersFor(len(s.shards)))
 	for i := range ctxs {
-		ctxs[i] = pl.AcquireCtx(q, s.cfg)
+		ctxs[i] = index.AcquireCtx(q, s.cfg)
 	}
-	cols := make([]*index.Collector, w)
-	for i := range cols {
-		cols[i] = col.PooledClone()
-	}
-	var err error
-	if pl.Enabled() {
-		// Probe shards in ascending bound order; each worker re-checks the
-		// next shard's bound against its clone right before probing. A
-		// clone's worst is never tighter than the final merged worst, so a
-		// late skip can only drop candidates the merge would reject anyway.
-		units := ctxs[0].OuterPlanUnits(n)
-		for i := range units {
-			units[i].BoundSq = s.shardBoundSq(units[i].Idx, q, ctxs[0])
+	defer func() {
+		for _, c := range ctxs {
+			c.Release()
 		}
-		index.SortPlan(units)
-		err = s.pool.ForEach(n, func(worker, i int) error {
-			if cols[worker].SkipSq(units[i].BoundSq) {
-				pl.NoteSkips(1)
-				q.Trace.NoteUnit("shard", units[i].Idx, units[i].BoundSq, true)
-				return nil
-			}
-			q.Trace.NoteUnit("shard", units[i].Idx, units[i].BoundSq, false)
-			return s.exactProbe(units[i].Idx, q, k, ctxs[worker], cols[worker])
-		})
-	} else {
-		q.Trace.NoteProbes("shard", int64(n))
-		err = s.pool.ForEach(n, func(worker, i int) error {
-			return s.exactProbe(i, q, k, ctxs[worker], cols[worker])
-		})
-	}
-	for _, c := range cols {
-		col.MergeRelease(c)
-	}
-	for _, c := range ctxs {
-		c.Release()
-	}
+	}()
+	return s.exactShards(q, k, s.pool, ctxs)
+}
+
+// ExactSearchCtx answers an exact k-NN query probing shards serially with a
+// caller-managed context (already filled for q). One table fill serves
+// every shard — the shards share a summarization configuration — which is
+// what makes batched sharded search cheap: the batch executor parallelizes
+// across queries while each query pays a single context.
+func (s *Sharded) ExactSearchCtx(q index.Query, k int, ctx *index.SearchCtx) ([]index.Result, error) {
+	return s.exactShards(q, k, index.SerialPool, []*index.SearchCtx{ctx})
+}
+
+// exactShards probes the shards through the planned-probe executor, worker
+// slot w of pool searching with ctxs[w]. The plan lives in ctxs[0]'s outer
+// buffer: each shard's inner index plans its own runs or leaves in the
+// primary buffer of the same context.
+func (s *Sharded) exactShards(q index.Query, k int, pool *parallel.Pool, ctxs []*index.SearchCtx) ([]index.Result, error) {
+	col := index.NewCollector(k)
+	err := index.ProbeUnits(index.ProbePlan{
+		Planner: s.planner, Pool: pool, Trace: q.Trace, Kind: "shard", Units: ctxs[0].OuterPlanUnits(len(s.shards)),
+	}, col, func(i int) float64 {
+		return s.shardBoundSq(i, q, ctxs[0])
+	}, func(i, w int, col *index.Collector) error {
+		return s.shards[i].exactInto(&s.idsMu, q, k, ctxs[w], col)
+	})
 	if err != nil {
 		return nil, err
 	}
 	return col.Results(), nil
-}
-
-// exactShards probes every shard serially into col with one shared context,
-// in planned order (skipping bound-dominated shards) when planning is on.
-func (s *Sharded) exactShards(q index.Query, k int, ctx *index.SearchCtx, col *index.Collector) error {
-	n := len(s.shards)
-	pl := s.planner
-	if !pl.Enabled() {
-		q.Trace.NoteProbes("shard", int64(n))
-		for i := 0; i < n; i++ {
-			if err := s.exactProbe(i, q, k, ctx, col); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	units := ctx.OuterPlanUnits(n)
-	for i := range units {
-		units[i].BoundSq = s.shardBoundSq(units[i].Idx, q, ctx)
-	}
-	index.SortPlan(units)
-	tr := q.Trace
-	for ui, u := range units {
-		// Bounds ascend and the collector's worst only tightens, so the
-		// first skippable shard ends the fan-out.
-		if col.SkipSq(u.BoundSq) {
-			pl.NoteSkips(int64(len(units) - ui))
-			if tr != nil {
-				for _, su := range units[ui:] {
-					tr.NoteUnit("shard", su.Idx, su.BoundSq, true)
-				}
-			}
-			break
-		}
-		tr.NoteUnit("shard", u.Idx, u.BoundSq, false)
-		if err := s.exactProbe(u.Idx, q, k, ctx, col); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // ApproxSearch probes every shard's approximate path and merges the best k.
@@ -426,8 +366,8 @@ func (s *Sharded) exactShards(q index.Query, k int, ctx *index.SearchCtx, col *i
 // per shard.
 func (s *Sharded) ApproxSearch(q index.Query, k int) ([]index.Result, error) {
 	col := index.NewCollector(k)
-	err := s.fanKNN(col, func(i int) ([]index.Result, error) {
-		return s.shards[i].Index.ApproxSearch(q, k)
+	err := index.FanOut(s.pool, len(s.shards), col, func(i, _ int, col *index.Collector) error {
+		return s.shards[i].approxInto(&s.idsMu, q, k, col)
 	})
 	if err != nil {
 		return nil, err
@@ -438,88 +378,22 @@ func (s *Sharded) ApproxSearch(q index.Query, k int) ([]index.Result, error) {
 // RangeSearch returns every series within eps of the query: shards scan
 // concurrently and the per-shard answers (each exhaustive over its subset)
 // merge into one deduplicated, distance-sorted result, byte-identical to
-// the unsharded answer. Unlike the k-NN heap, re-squaring reported
-// distances is exact here: a range collector performs no squared-key
-// selection — membership (sqrt(distSq) > eps) and the final ordering
-// (Results sorts on (Dist, ID)) are both decided in true-distance space,
-// and sqrt(fl(d*d)) == d preserves every reported distance exactly. Every
-// shard must implement index.RangeSearcher.
+// the unsharded answer. The epsilon bound is static, so a shard whose
+// envelope bound exceeds it is dropped before the fan-out — no series in
+// the shard can lie within eps of the query. Every shard must implement
+// index.RangeSearcher.
 func (s *Sharded) RangeSearch(q index.Query, eps float64) ([]index.Result, error) {
+	ctx := index.AcquireCtx(q, s.cfg)
+	defer ctx.Release()
 	col := index.NewRangeCollector(eps)
-	n := len(s.shards)
-	probe := func(i int, into *index.RangeCollector) error {
-		rs, ok := s.shards[i].Index.(index.RangeSearcher)
-		if !ok {
-			return fmt.Errorf("shard: %s does not support range search", s.shards[i].Index.Name())
-		}
-		found, err := rs.RangeSearch(q, eps)
-		if err != nil {
-			return err
-		}
-		ids := s.idsOf(i)
-		for _, r := range found {
-			into.AddSq(ids[r.ID], r.TS, r.Dist*r.Dist)
-		}
-		return nil
-	}
-	// The epsilon bound is static, so a shard whose envelope bound exceeds
-	// it can be dropped before the fan-out — no series in the shard can lie
-	// within eps of the query. Pre-filtering is all the skipping a range
-	// scan admits (nothing tightens as probes complete).
-	targets := make([]int, 0, n)
-	pl := s.planner
-	if pl.Enabled() {
-		ctx := pl.AcquireCtx(q, s.cfg)
-		for i := 0; i < n; i++ {
-			b := s.shardBoundSq(i, q, ctx)
-			if col.PruneSq(b) {
-				pl.NoteSkips(1)
-				q.Trace.NoteUnit("shard", i, b, true)
-				continue
-			}
-			q.Trace.NoteUnit("shard", i, b, false)
-			targets = append(targets, i)
-		}
-		ctx.Release()
-	} else {
-		q.Trace.NoteProbes("shard", int64(n))
-		for i := 0; i < n; i++ {
-			targets = append(targets, i)
-		}
-	}
-	w := s.pool.WorkersFor(len(targets))
-	if w <= 1 {
-		for _, i := range targets {
-			if err := probe(i, col); err != nil {
-				return nil, err
-			}
-		}
-		return col.Results(), nil
-	}
-	cols := make([]*index.RangeCollector, w)
-	for i := range cols {
-		cols[i] = col.PooledClone()
-	}
-	err := s.pool.ForEach(len(targets), func(worker, i int) error {
-		return probe(targets[i], cols[worker])
+	err := index.ProbeUnits(index.ProbePlan{
+		Planner: s.planner, Pool: s.pool, Trace: q.Trace, Kind: "shard", Units: ctx.OuterPlanUnits(len(s.shards)),
+	}, col, func(i int) float64 {
+		return s.shardBoundSq(i, q, ctx)
+	}, func(i, _ int, col *index.RangeCollector) error {
+		return s.shards[i].rangeInto(&s.idsMu, q, eps, col)
 	})
-	for _, c := range cols {
-		col.MergeRelease(c)
-	}
 	if err != nil {
-		return nil, err
-	}
-	return col.Results(), nil
-}
-
-// ExactSearchCtx answers an exact k-NN query probing shards serially with a
-// caller-managed context (already filled for q). One table fill serves
-// every shard — the shards share a summarization configuration — which is
-// what makes batched sharded search cheap: the batch executor parallelizes
-// across queries while each query pays a single context.
-func (s *Sharded) ExactSearchCtx(q index.Query, k int, ctx *index.SearchCtx) ([]index.Result, error) {
-	col := index.NewCollector(k)
-	if err := s.exactShards(q, k, ctx, col); err != nil {
 		return nil, err
 	}
 	return col.Results(), nil
@@ -530,7 +404,7 @@ func (s *Sharded) ExactSearchCtx(q index.Query, k int, ctx *index.SearchCtx) ([]
 // context across every query it executes, and each query probes all shards
 // with that single context. out[i] is byte-identical to ExactSearch(qs[i], k).
 func (s *Sharded) ExactSearchBatch(qs []index.Query, k int) ([][]index.Result, error) {
-	return index.BatchPlanned(s.planner, s.pool, s.cfg, qs, func(q index.Query, ctx *index.SearchCtx) ([]index.Result, error) {
+	return index.Batch(s.pool, s.cfg, qs, func(q index.Query, ctx *index.SearchCtx) ([]index.Result, error) {
 		return s.ExactSearchCtx(q, k, ctx)
 	})
 }

@@ -257,7 +257,7 @@ func (b *BTP) Merges() int64 { return b.merges }
 // independent sorted runs, so probes execute concurrently on the worker
 // pool.
 func (b *BTP) ApproxSearch(q index.Query, k int) ([]index.Result, error) {
-	ctx := b.planner.AcquireCtx(q, b.cfg)
+	ctx := index.AcquireCtx(q, b.cfg)
 	defer ctx.Release()
 	col := index.NewCollector(k)
 	if err := b.approxInto(q, col, ctx); err != nil {
@@ -273,9 +273,7 @@ func (b *BTP) approxInto(q index.Query, col *index.Collector, ctx *index.SearchC
 	if err := b.scanBuffer(q, col, ctx.Scratch0()); err != nil {
 		return err
 	}
-	return b.forEachPart(q, ctx, col, func(p btpPart, sc *index.Scratch, col *index.Collector) error {
-		return b.probePart(p, q, col, sc)
-	})
+	return b.forEachPart(q, ctx, col, (*BTP).probePart)
 }
 
 // ExactSearch implements Scheme: the approximate phase seeds the bound,
@@ -286,96 +284,38 @@ func (b *BTP) approxInto(q index.Query, col *index.Collector, ctx *index.SearchC
 // window are skipped wholesale — the bandwidth saving TP pioneered, here
 // with a bounded partition count.
 func (b *BTP) ExactSearch(q index.Query, k int) ([]index.Result, error) {
-	ctx := b.planner.AcquireCtx(q, b.cfg)
+	ctx := index.AcquireCtx(q, b.cfg)
 	defer ctx.Release()
 	col := index.NewCollector(k)
 	if err := b.approxInto(q, col, ctx); err != nil {
 		return nil, err
 	}
-	err := b.forEachPart(q, ctx, col, func(p btpPart, sc *index.Scratch, col *index.Collector) error {
-		return b.scanPart(p, q, col, sc)
-	})
-	if err != nil {
+	if err := b.forEachPart(q, ctx, col, (*BTP).scanPart); err != nil {
 		return nil, err
 	}
 	return col.Results(), nil
 }
 
-// forEachPart applies scan to every partition intersecting the query
-// window through index.FanOut — the same fan-out/merge discipline as CLSM
-// runs, with the same determinism guarantee. With the planner enabled
-// (the default), partitions are probed in ascending order of their
-// synopsis envelope bound and a partition whose bound already exceeds the
-// collector's worst is skipped outright; the envelope bound never exceeds
-// any member's per-entry bound, so skipped partitions could not have
-// changed the answer.
-func (b *BTP) forEachPart(q index.Query, ctx *index.SearchCtx, col *index.Collector, scan func(btpPart, *index.Scratch, *index.Collector) error) error {
+// forEachPart applies scan (probePart or scanPart, as a method expression)
+// to every partition intersecting the query window through the planned-probe executor (index.ProbeUnits) — the same
+// discipline as CLSM runs, with the same determinism guarantee. A partition
+// is bounded by its synopsis's envelope MINDIST; window filtering happens
+// here, outside the planner's skip count.
+func (b *BTP) forEachPart(q index.Query, ctx *index.SearchCtx, col *index.Collector, scan func(*BTP, btpPart, index.Query, *index.Collector, *index.Scratch) error) error {
 	var active []btpPart
 	for _, p := range b.parts {
 		if intersects(q, p.minTS, p.maxTS) {
 			active = append(active, p)
 		}
 	}
-	pl := b.planner
-	tr := ctx.Trace
-	if !pl.Enabled() || len(active) == 0 {
-		tr.NoteProbes("partition", int64(len(active)))
-		return index.FanOut(b.pool, len(active), ctx, col, (*index.Collector).PooledClone, (*index.Collector).MergeRelease,
-			func(i int, col *index.Collector, sc *index.Scratch) error {
-				return scan(active[i], sc, col)
-			})
-	}
-	units := ctx.PlanUnits(len(active))
-	for i := range units {
-		units[i].BoundSq = ctx.P.SynopsisBoundSq(active[i].syn)
-	}
-	index.SortPlan(units)
-	if b.pool.WorkersFor(len(units)) <= 1 {
-		// Serial: bounds are sorted ascending and the collector's worst
-		// only tightens, so the first skippable unit ends the scan.
-		sc := ctx.Scratch0()
-		var skipped int64
-		for ui, u := range units {
-			if col.SkipSq(u.BoundSq) {
-				skipped += int64(len(units) - ui)
-				if tr != nil {
-					for _, su := range units[ui:] {
-						tr.NoteUnit("partition", su.Idx, su.BoundSq, true)
-					}
-				}
-				break
-			}
-			tr.NoteUnit("partition", u.Idx, u.BoundSq, false)
-			if err := scan(active[u.Idx], sc, col); err != nil {
-				return err
-			}
-		}
-		pl.NoteSkips(skipped)
-		return nil
-	}
-	// Parallel: drop statically skippable units, fan out over the rest in
-	// bound order, and let each worker re-check against its clone's bound
-	// right before scanning (the clone's worst is never tighter than the
-	// final merged worst, so late skips remain answer-preserving).
-	live := units[:0]
-	for _, u := range units {
-		if col.SkipSq(u.BoundSq) {
-			pl.NoteSkips(1)
-			tr.NoteUnit("partition", u.Idx, u.BoundSq, true)
-			continue
-		}
-		live = append(live, u)
-	}
-	return index.FanOut(b.pool, len(live), ctx, col, (*index.Collector).PooledClone, (*index.Collector).MergeRelease,
-		func(i int, wcol *index.Collector, sc *index.Scratch) error {
-			if wcol.SkipSq(live[i].BoundSq) {
-				pl.NoteSkips(1)
-				tr.NoteUnit("partition", live[i].Idx, live[i].BoundSq, true)
-				return nil
-			}
-			tr.NoteUnit("partition", live[i].Idx, live[i].BoundSq, false)
-			return scan(active[live[i].Idx], sc, wcol)
-		})
+	scs := ctx.Scratches(b.pool.WorkersFor(len(active)))
+	return index.ProbeUnits(index.ProbePlan{
+		Planner: b.planner, Pool: b.pool, Trace: ctx.Trace, Kind: "partition", Units: ctx.PlanUnits(len(active)),
+	}, col, func(i int) float64 {
+		return ctx.P.SynopsisBoundSq(active[i].syn)
+	}, func(i, w int, col *index.Collector) error {
+		return scan(b, active[i], q, col, scs[w])
+	})
 }
 
 func (b *BTP) scanBuffer(q index.Query, col *index.Collector, sc *index.Scratch) error {
@@ -449,7 +389,7 @@ func (b *BTP) evalPage(p btpPart, page int, q index.Query, col *index.Collector,
 	if rem := p.count - start; rem < int64(n) {
 		n = int(rem)
 	}
-	_, err = index.EvalEncoded(q, h.Data(), n, b.codec, b.raw, col, sc)
+	_, err = index.EvalPage(q, index.FixedPage(h.Data(), n, b.codec), b.raw, col, sc)
 	h.Release()
 	return err
 }

@@ -206,7 +206,7 @@ func (t *TP) ExactSearch(q index.Query, k int) ([]index.Result, error) {
 // collector, giving the same answer as the serial partition-by-partition
 // loop.
 func (t *TP) search(q index.Query, k int, f func(index.Index) ([]index.Result, error)) ([]index.Result, error) {
-	ctx := t.planner.AcquireCtx(q, t.sum.cfg)
+	ctx := index.AcquireCtx(q, t.sum.cfg)
 	defer ctx.Release()
 	sc := ctx.Scratch0()
 	col := index.NewCollector(k)
@@ -235,93 +235,27 @@ func (t *TP) search(q index.Query, k int, f func(index.Index) ([]index.Result, e
 			active = append(active, p)
 		}
 	}
-	pl := t.planner
-	if pl.Enabled() && len(active) > 0 {
-		// Order partitions by their synopsis envelope bound and skip those
-		// whose bound already exceeds the collector's worst. The envelope
-		// bound never exceeds any member's true distance, so a skipped
-		// partition could not have contributed a result — answers match the
-		// unplanned probe order byte for byte.
-		units := ctx.PlanUnits(len(active))
-		for i := range units {
-			units[i].BoundSq = ctx.P.SynopsisBoundSq(active[i].syn)
-		}
-		index.SortPlan(units)
-		tr := ctx.Trace
-		if t.pool.WorkersFor(len(units)) <= 1 {
-			// Serial: merge each partition's results before deciding on the
-			// next, so the bound tightens as probes proceed; bounds are
-			// sorted ascending, so the first skippable unit ends the scan.
-			for ui, u := range units {
-				if col.SkipSq(u.BoundSq) {
-					pl.NoteSkips(int64(len(units) - ui))
-					if tr != nil {
-						for _, su := range units[ui:] {
-							tr.NoteUnit("partition", su.Idx, su.BoundSq, true)
-						}
-					}
-					break
-				}
-				tr.NoteUnit("partition", u.Idx, u.BoundSq, false)
-				rs, err := f(active[u.Idx].idx)
-				if err != nil {
-					return nil, err
-				}
-				for _, r := range rs {
-					col.Add(r)
-				}
-			}
-			return col.Results(), nil
-		}
-		// Parallel: the bound only tightens once results merge, so the
-		// static pre-filter against the buffer-seeded collector is all the
-		// skipping available before the fan-out.
-		live := units[:0]
-		for _, u := range units {
-			if col.SkipSq(u.BoundSq) {
-				pl.NoteSkips(1)
-				tr.NoteUnit("partition", u.Idx, u.BoundSq, true)
-				continue
-			}
-			tr.NoteUnit("partition", u.Idx, u.BoundSq, false)
-			live = append(live, u)
-		}
-		results := make([][]index.Result, len(live))
-		err := t.pool.ForEach(len(live), func(_, i int) error {
-			rs, err := f(active[live[i].Idx].idx)
-			if err != nil {
-				return err
-			}
-			results[i] = rs
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		for _, rs := range results {
-			for _, r := range rs {
-				col.Add(r)
-			}
-		}
-		return col.Results(), nil
-	}
-	ctx.Trace.NoteProbes("partition", int64(len(active)))
-	results := make([][]index.Result, len(active))
-	err := t.pool.ForEach(len(active), func(_, i int) error {
+	// Partitions go through the planned-probe executor, bounded by their
+	// synopsis's envelope MINDIST. The envelope bound never exceeds any
+	// member's true distance, so a skipped partition could not have
+	// contributed a result — answers match the unplanned probe order byte
+	// for byte. Window filtering above stays outside the planner's count.
+	err := index.ProbeUnits(index.ProbePlan{
+		Planner: t.planner, Pool: t.pool, Trace: ctx.Trace, Kind: "partition", Units: ctx.PlanUnits(len(active)),
+	}, col, func(i int) float64 {
+		return ctx.P.SynopsisBoundSq(active[i].syn)
+	}, func(i, _ int, col *index.Collector) error {
 		rs, err := f(active[i].idx)
 		if err != nil {
 			return err
 		}
-		results[i] = rs
+		for _, r := range rs {
+			col.Add(r)
+		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
-	}
-	for _, rs := range results {
-		for _, r := range rs {
-			col.Add(r)
-		}
 	}
 	return col.Results(), nil
 }

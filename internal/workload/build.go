@@ -146,10 +146,6 @@ type BuildOptions struct {
 	// byte-identical either way; only I/O cost changes (the A/B switch
 	// experiment E17 measures).
 	DisablePlanner bool
-	// PlanCacheSize bounds the LRU plan cache (filled pruning tables keyed
-	// by quantized query signature + config). 0 disables caching; sharded
-	// builds share one cache across all shards.
-	PlanCacheSize int
 
 	// cache, when set, is the shared frame store a sharded build hands each
 	// of its per-shard sub-builds (CacheBytes then sizes nothing here).
@@ -159,21 +155,16 @@ type BuildOptions struct {
 	planner *index.Planner
 }
 
-// Process-wide planner defaults, applied by BuildVariant to builds whose
-// BuildOptions leave the planner knobs unset. cmd/coconut-bench's
-// -no-planner and -plan-cache flags steer whole experiment sweeps through
-// them. Set before any build runs; not safe to change concurrently.
-var (
-	defaultDisablePlanner bool
-	defaultPlanCacheSize  int
-)
+// defaultDisablePlanner is the process-wide planner default, applied by
+// BuildVariant to builds whose BuildOptions leave DisablePlanner unset.
+// cmd/coconut-bench's -no-planner flag steers whole experiment sweeps
+// through it. Set before any build runs; not safe to change concurrently.
+var defaultDisablePlanner bool
 
-// PlannerDefaults sets the process-wide planner defaults (see above).
-func PlannerDefaults(disable bool, cacheSize int) {
-	defaultDisablePlanner, defaultPlanCacheSize = disable, cacheSize
-}
+// PlannerDefaults sets the process-wide planner default (see above).
+func PlannerDefaults(disable bool) { defaultDisablePlanner = disable }
 
-// defaultCompress, like the planner defaults, steers whole experiment
+// defaultCompress, like the planner default, steers whole experiment
 // sweeps through cmd/coconut-bench's -compress flag: builds whose
 // BuildOptions leave Compress unset inherit it. Set before any build runs.
 var defaultCompress bool
@@ -185,16 +176,9 @@ func CompressDefault(on bool) { defaultCompress = on }
 func (o BuildOptions) compressOn() bool { return o.Compress || defaultCompress }
 
 // plannerFor builds the planner a BuildVariant call should use, folding the
-// process-wide defaults under the explicit options.
+// process-wide default under the explicit option.
 func (o BuildOptions) plannerFor() *index.Planner {
-	size := o.PlanCacheSize
-	if size == 0 {
-		size = defaultPlanCacheSize
-	}
-	return &index.Planner{
-		Disabled: o.DisablePlanner || defaultDisablePlanner,
-		Cache:    index.NewPlanCache(size),
-	}
+	return &index.Planner{Disabled: o.DisablePlanner || defaultDisablePlanner}
 }
 
 // newDisk creates the build's storage backend: the simulated disk by
@@ -606,9 +590,8 @@ func buildSharded(variant string, ds *series.Dataset, cfg index.Config, opts Bui
 		inner.cache = bufpool.NewCache(opts.CacheBytes, storage.DefaultPageSize)
 		inner.CacheBytes = 0
 	}
-	// Likewise one planner (and plan cache) for the whole sharded index.
+	// Likewise one planner for the whole sharded index.
 	inner.planner = opts.plannerFor()
-	inner.PlanCacheSize = 0
 	builts := make([]*Built, nsh)
 	pool := parallel.New(opts.Parallelism)
 	start := time.Now()
@@ -673,12 +656,10 @@ type QueryStats struct {
 	WallTime  time.Duration
 	MeanDist  float64 // mean distance of the best answer (quality indicator)
 	ExactDist float64 // mean true 1-NN distance (for approximate recall context)
-	// Planner activity during the workload: probe units skipped by their
-	// synopsis bound and plan-cache hits/misses (all zero with the planner
+	// PlannedSkips is the planner's activity during the workload: probe
+	// units skipped by their synopsis bound (zero with the planner
 	// disabled or absent).
-	PlannedSkips    int64
-	PlanCacheHits   int64
-	PlanCacheMisses int64
+	PlannedSkips int64
 }
 
 // Cost returns the workload's I/O cost per query under the model.
@@ -695,7 +676,6 @@ func RunQueries(b *Built, queries []series.Series, cfg index.Config, k int, exac
 	cfg.Materialized = false // query preparation does not depend on it
 	before := b.IOStats()
 	skipsBefore := b.Planner.Skips()
-	hitsBefore, missesBefore := b.Planner.CacheStats()
 	start := time.Now()
 	var distSum float64
 	for _, q := range queries {
@@ -716,15 +696,12 @@ func RunQueries(b *Built, queries []series.Series, cfg index.Config, k int, exac
 			distSum += rs[0].Dist
 		}
 	}
-	hits, misses := b.Planner.CacheStats()
 	return QueryStats{
-		Queries:         len(queries),
-		Stats:           b.IOStats().Sub(before),
-		WallTime:        time.Since(start),
-		MeanDist:        distSum / float64(max(1, len(queries))),
-		PlannedSkips:    b.Planner.Skips() - skipsBefore,
-		PlanCacheHits:   hits - hitsBefore,
-		PlanCacheMisses: misses - missesBefore,
+		Queries:      len(queries),
+		Stats:        b.IOStats().Sub(before),
+		WallTime:     time.Since(start),
+		MeanDist:     distSum / float64(max(1, len(queries))),
+		PlannedSkips: b.Planner.Skips() - skipsBefore,
 	}, nil
 }
 

@@ -54,7 +54,6 @@ func buildClusterGroup(variant string, ds *series.Dataset, cfg index.Config, opt
 		inner.CacheBytes = 0
 	}
 	inner.planner = opts.plannerFor()
-	inner.PlanCacheSize = 0
 
 	builts := make(map[int]*Built, len(ownedList))
 	pool := parallel.New(opts.Parallelism)
@@ -108,7 +107,6 @@ func buildClusterGroup(variant string, ds *series.Dataset, cfg index.Config, opt
 	if err != nil {
 		return nil, err
 	}
-	g.SetPlanner(inner.planner)
 	out.Planner = inner.planner
 	out.Index = g
 	out.Group = g

@@ -362,12 +362,10 @@ type RunConfig struct {
 	E16K        int
 	// E16Dir roots the file-backend experiment's page files; empty uses a
 	// temp directory removed afterwards.
-	E16Dir       string
-	E17N         int
-	E17Queries   int
-	E17K         int
-	E17Repeats   int
-	E17PlanCache int
+	E16Dir     string
+	E17N       int
+	E17Queries int
+	E17K       int
 }
 
 // DefaultRunConfig returns the laptop-scale defaults used by
@@ -417,9 +415,5 @@ func DefaultRunConfig() RunConfig {
 		E17N:       10000,
 		E17Queries: 32,
 		E17K:       5,
-		// 4 repeats put the ideal plan-cache hit rate at 75%; 64 entries
-		// hold the whole 32-query set.
-		E17Repeats:   4,
-		E17PlanCache: 64,
 	}
 }

@@ -9,33 +9,26 @@ import (
 
 // E17Planner measures the statistics-driven query planner end to end: exact
 // k-NN queries against a non-materialized CTree with the planner on versus
-// off (BuildOptions.DisablePlanner), on two workloads.
+// off (BuildOptions.DisablePlanner), on a skewed workload: queries are small
+// perturbations of indexed series, so the collector's pruning bound
+// tightens almost immediately and the planner's envelope bounds disqualify
+// most leaf ranges before their pages are read.
 //
-//   - skewed: queries are small perturbations of indexed series, so the
-//     collector's pruning bound tightens almost immediately and the
-//     planner's envelope bounds disqualify most leaf ranges before their
-//     pages are read;
-//   - repeated ×R: the same skewed query set issued R times against an
-//     index with a plan cache, so every round after the first reuses the
-//     filled pruning tables (hit rate approaches (R-1)/R).
-//
-// Three properties are asserted rather than merely reported, failing the
+// Two properties are asserted rather than merely reported, failing the
 // experiment instead of publishing a wrong table:
 //
-//   - results with the planner on — cold cache, warm cache, every round —
-//     are byte-identical to the planner-off run's;
-//   - the skewed workload records envelope skips and a strictly lower
-//     io-cost/query than the planner-off run (the tentpole claim);
-//   - the repeated workload records plan-cache hits.
-func E17Planner(sc Scale, n, numQueries, k, repeats, planCache int) (*Table, error) {
+//   - results with the planner on are byte-identical to the planner-off
+//     run's;
+//   - the workload records envelope skips and a strictly lower
+//     io-cost/query than the planner-off run (the tentpole claim).
+func E17Planner(sc Scale, n, numQueries, k int) (*Table, error) {
 	sc = sc.defaults()
 	t := &Table{
 		ID:    "E17",
 		Title: fmt.Sprintf("query planner over N=%d series, %d exact %d-NN skewed queries (CTree, raw file on disk)", n, numQueries, k),
-		Note: fmt.Sprintf("skewed = perturbed indexed series; repeated = same set x%d with a %d-entry plan cache; "+
-			"answers byte-identical to planner-off on every row (verified); skewed io-cost strictly below planner-off (verified)",
-			repeats, planCache),
-		Columns: []string{"workload", "planner", "io/q", "skips/q", "plan hit%"},
+		Note: "skewed = perturbed indexed series; answers byte-identical to planner-off (verified); " +
+			"planned io-cost strictly below planner-off (verified)",
+		Columns: []string{"workload", "planner", "io/q", "skips/q"},
 	}
 	ds := sc.dataset(n)
 	queries, _ := gen.Queries(ds, numQueries, 0.02, sc.Seed+17)
@@ -46,16 +39,13 @@ func E17Planner(sc Scale, n, numQueries, k, repeats, planCache int) (*Table, err
 
 	// A modest construction budget yields a multi-level tree with many leaf
 	// ranges — the unit the planner orders and skips.
-	build := func(disable bool, cacheSize int) (*Built, error) {
-		return BuildVariant("CTree", ds, sc.config(), BuildOptions{
-			MemBudget: 64 << 10, DisablePlanner: disable, PlanCacheSize: cacheSize,
-		})
+	build := func(disable bool) (*Built, error) {
+		return BuildVariant("CTree", ds, sc.config(), BuildOptions{MemBudget: 64 << 10, DisablePlanner: disable})
 	}
 	runPass := func(b *Built) ([][]index.Result, QueryStats, error) {
 		out := make([][]index.Result, len(iqs))
 		before := b.IOStats()
 		skipsBefore := b.Planner.Skips()
-		hitsBefore, missesBefore := b.Planner.CacheStats()
 		for i, q := range iqs {
 			rs, err := b.Index.ExactSearch(q, k)
 			if err != nil {
@@ -63,18 +53,14 @@ func E17Planner(sc Scale, n, numQueries, k, repeats, planCache int) (*Table, err
 			}
 			out[i] = rs
 		}
-		hits, misses := b.Planner.CacheStats()
 		return out, QueryStats{
-			Queries:         len(iqs),
-			Stats:           b.IOStats().Sub(before),
-			PlannedSkips:    b.Planner.Skips() - skipsBefore,
-			PlanCacheHits:   hits - hitsBefore,
-			PlanCacheMisses: misses - missesBefore,
+			Queries:      len(iqs),
+			Stats:        b.IOStats().Sub(before),
+			PlannedSkips: b.Planner.Skips() - skipsBefore,
 		}, nil
 	}
-	perQ := func(v int64) string { return fmt.Sprintf("%.1f", float64(v)/float64(len(iqs))) }
 
-	off, err := build(true, 0)
+	off, err := build(true)
 	if err != nil {
 		return nil, fmt.Errorf("E17 planner-off: %w", err)
 	}
@@ -82,13 +68,13 @@ func E17Planner(sc Scale, n, numQueries, k, repeats, planCache int) (*Table, err
 	if err != nil {
 		return nil, fmt.Errorf("E17 planner-off: %w", err)
 	}
-	if offStats.PlannedSkips != 0 || offStats.PlanCacheHits != 0 || offStats.PlanCacheMisses != 0 {
+	if offStats.PlannedSkips != 0 {
 		return nil, fmt.Errorf("E17: planner-off run reports planner activity (%+v)", offStats)
 	}
 	offCost := offStats.Cost(sc.Cost)
-	t.AddRow("skewed", "off", fmt.Sprintf("%.0f", offCost), "0", "-")
+	t.AddRow("skewed", "off", fmt.Sprintf("%.0f", offCost), "0")
 
-	on, err := build(false, 0)
+	on, err := build(false)
 	if err != nil {
 		return nil, fmt.Errorf("E17 planner-on: %w", err)
 	}
@@ -106,34 +92,6 @@ func E17Planner(sc Scale, n, numQueries, k, repeats, planCache int) (*Table, err
 	if !(onCost < offCost) {
 		return nil, fmt.Errorf("E17: planned io-cost/query %.1f not below planner-off %.1f", onCost, offCost)
 	}
-	t.AddRow("skewed", "on", fmt.Sprintf("%.0f", onCost), perQ(onStats.PlannedSkips), "-")
-
-	cached, err := build(false, planCache)
-	if err != nil {
-		return nil, fmt.Errorf("E17 plan cache: %w", err)
-	}
-	var repStats QueryStats
-	for round := 0; round < repeats; round++ {
-		got, rs, err := runPass(cached)
-		if err != nil {
-			return nil, fmt.Errorf("E17 repeated round %d: %w", round, err)
-		}
-		if err := sameResults(reference, got); err != nil {
-			return nil, fmt.Errorf("E17: repeated round %d diverged from planner-off: %w", round, err)
-		}
-		repStats.Stats = repStats.Stats.Add(rs.Stats)
-		repStats.Queries += rs.Queries
-		repStats.PlannedSkips += rs.PlannedSkips
-		repStats.PlanCacheHits += rs.PlanCacheHits
-		repStats.PlanCacheMisses += rs.PlanCacheMisses
-	}
-	if repStats.PlanCacheHits == 0 {
-		return nil, fmt.Errorf("E17: repeated workload recorded no plan-cache hits")
-	}
-	hitPct := 100 * float64(repStats.PlanCacheHits) / float64(repStats.PlanCacheHits+repStats.PlanCacheMisses)
-	t.AddRow(fmt.Sprintf("repeated x%d", repeats), "on+cache",
-		fmt.Sprintf("%.0f", repStats.Cost(sc.Cost)),
-		fmt.Sprintf("%.1f", float64(repStats.PlannedSkips)/float64(max(1, repStats.Queries))),
-		fmt.Sprintf("%.0f", hitPct))
+	t.AddRow("skewed", "on", fmt.Sprintf("%.0f", onCost), fmt.Sprintf("%.1f", float64(onStats.PlannedSkips)/float64(len(iqs))))
 	return t, nil
 }

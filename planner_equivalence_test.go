@@ -7,24 +7,21 @@ import (
 )
 
 // These tests pin the query planner's core contract at the facade level:
-// ordering probes by synopsis bound, skipping bound-dominated units, and
-// reusing plan-cache tables may change I/O cost and wall-clock time, but
-// never answers. Every query below runs against a planner-off reference
-// (Options.DisablePlanner — the escape hatch these tests exist to exercise)
-// and a planned index with a plan cache, twice per query so both the
-// cache-miss and cache-hit plan paths answer, and must match byte for byte
-// on exact, range, windowed, and batch searches, for Tree, LSM, and Sharded
-// at shard counts 1, 2, 4, and 7.
+// ordering probes by synopsis bound and skipping bound-dominated units may
+// change I/O cost and wall-clock time, but never answers. Every query below
+// runs against a planner-off reference (Options.DisablePlanner — the escape
+// hatch these tests exist to exercise) and a planned index, and must match
+// byte for byte on exact, range, windowed, and batch searches, for Tree,
+// LSM, and Sharded at shard counts 1, 2, 4, and 7.
 
 func plannedOpts(base Options) (off, on Options) {
 	off, on = base, base
 	off.DisablePlanner = true
-	on.PlanCacheSize = 64
 	return off, on
 }
 
-// checkPlannedEquiv runs the query matrix twice (cold plan cache, then
-// warm) against the planner-off reference.
+// checkPlannedEquiv runs the query matrix against the planner-off
+// reference.
 func checkPlannedEquiv(t *testing.T, label string, queries [][]float64, off, on equivSearcher) {
 	t.Helper()
 	for _, q := range queries {
@@ -40,18 +37,16 @@ func checkPlannedEquiv(t *testing.T, label string, queries [][]float64, off, on 
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, pass := range []string{"cold", "warm"} {
-			gotK, err := on.Search(q, 5)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameMatches(t, label+"/exact/"+pass, wantK, gotK)
-			gotR, err := on.SearchRange(q, eps)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameMatches(t, label+"/range/"+pass, wantR, gotR)
+		gotK, err := on.Search(q, 5)
+		if err != nil {
+			t.Fatal(err)
 		}
+		sameMatches(t, label+"/exact", wantK, gotK)
+		gotR, err := on.SearchRange(q, eps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameMatches(t, label+"/range", wantR, gotR)
 	}
 }
 
@@ -81,10 +76,7 @@ func TestPlannedTreeEquivalence(t *testing.T) {
 		for i := range wantB {
 			sameMatches(t, fmt.Sprintf("%s/batch/%d", label, i), wantB[i], gotB[i])
 		}
-		if st := planned.Stats(); st.PlanCacheHits == 0 {
-			t.Fatalf("%s: warm passes recorded no plan-cache hits (%+v)", label, st)
-		}
-		if st := ref.Stats(); st.PlannedSkips != 0 || st.PlanCacheHits != 0 {
+		if st := ref.Stats(); st.PlannedSkips != 0 {
 			t.Fatalf("planner-off %s reports planner activity (%+v)", label, st)
 		}
 	}
@@ -118,13 +110,11 @@ func TestPlannedLSMEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, pass := range []string{"cold", "warm"} {
-			got, err := planned.SearchWindow(q, 5, 500, 2200)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameMatches(t, "lsm/window/"+pass, want, got)
+		got, err := planned.SearchWindow(q, 5, 500, 2200)
+		if err != nil {
+			t.Fatal(err)
 		}
+		sameMatches(t, "lsm/window", want, got)
 	}
 	wantB, err := ref.SearchBatch(queries, 3)
 	if err != nil {
@@ -136,9 +126,6 @@ func TestPlannedLSMEquivalence(t *testing.T) {
 	}
 	for i := range wantB {
 		sameMatches(t, fmt.Sprintf("lsm/batch/%d", i), wantB[i], gotB[i])
-	}
-	if st := planned.Stats(); st.PlanCacheHits == 0 {
-		t.Fatalf("warm passes recorded no plan-cache hits (%+v)", st)
 	}
 }
 
@@ -167,13 +154,11 @@ func TestPlannedShardedEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, pass := range []string{"cold", "warm"} {
-				got, err := planned.SearchWindow(q, 5, 100, 2500)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sameMatches(t, label+"/window/"+pass, want, got)
+			got, err := planned.SearchWindow(q, 5, 100, 2500)
+			if err != nil {
+				t.Fatal(err)
 			}
+			sameMatches(t, label+"/window", want, got)
 		}
 		wantB, err := refSharded.SearchBatch(queries, 5)
 		if err != nil {
@@ -185,9 +170,6 @@ func TestPlannedShardedEquivalence(t *testing.T) {
 		}
 		for i := range wantB {
 			sameMatches(t, fmt.Sprintf("%s/batch/%d", label, i), wantB[i], gotB[i])
-		}
-		if st := planned.Stats(); st.PlanCacheHits == 0 {
-			t.Fatalf("%s: warm passes recorded no plan-cache hits (%+v)", label, st)
 		}
 		if st := refSharded.Stats(); st.PlannedSkips != 0 {
 			t.Fatalf("planner-off %s reports %d skips", label, st.PlannedSkips)
@@ -224,15 +206,13 @@ func TestPlannedShardedLSMEquivalence(t *testing.T) {
 	}
 }
 
-// TestPlanCacheConcurrentBatches hammers one shared plan cache from
-// concurrent SearchBatch calls over a duplicated query set (maximum
-// contention on the same cache buckets) and checks every answer against the
-// planner-off reference. Run under -race this also pins the cache and the
+// TestPlannedConcurrentBatches hammers one shared planner from concurrent
+// SearchBatch calls over a duplicated query set and checks every answer
+// against the planner-off reference. Run under -race this also pins the
 // planner counters race-clean across batch worker slots.
-func TestPlanCacheConcurrentBatches(t *testing.T) {
+func TestPlannedConcurrentBatches(t *testing.T) {
 	data, queries := cacheEquivData(2000, 64, 15)
 	off, on := plannedOpts(Options{SeriesLen: 64, Segments: 8, Bits: 6, Materialized: true})
-	on.PlanCacheSize = 8 // smaller than the query set: eviction under contention
 	ref, err := BuildShardedTree(data, 4, off)
 	if err != nil {
 		t.Fatal(err)
@@ -278,8 +258,5 @@ func TestPlanCacheConcurrentBatches(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if st := planned.Stats(); st.PlanCacheHits == 0 {
-		t.Fatalf("duplicated concurrent batches recorded no plan-cache hits (%+v)", st)
 	}
 }

@@ -39,7 +39,7 @@ type Sharded struct {
 	trees   []*Tree
 	lsms    []*LSM
 	cache   *bufpool.Cache // shared across every shard's disk; nil uncached
-	planner *index.Planner // ONE planner (and plan cache) shared by every shard
+	planner *index.Planner // ONE planner shared by every shard
 	cfg     index.Config
 	hostFS  fsx.FS // filesystem for the snapshot manifest; nil means the OS
 
@@ -68,10 +68,6 @@ func innerOptions(opts Options) Options {
 	opts.WALDir = ""
 	opts.StorageDir = ""
 	opts.CompactionWorkers = 0
-	// The plan cache is likewise owned at the sharded level: one cache for
-	// the whole index, passed alongside the shared buffer cache, so shards
-	// never allocate private ones that would immediately be replaced.
-	opts.PlanCacheSize = 0
 	return opts
 }
 
@@ -140,7 +136,7 @@ func BuildShardedTree(data [][]float64, n int, opts Options) (*Sharded, error) {
 
 // assembleShardedTrees wires built (or reopened) per-shard trees into one
 // sharded index, re-pointing every shard at the single shared planner so
-// plan-cache entries and counters aggregate across the whole index.
+// skip counters aggregate across the whole index.
 func assembleShardedTrees(trees []*Tree, part [][]int64, cfg index.Config, parallelism int, cache *bufpool.Cache, planner *index.Planner) (*Sharded, error) {
 	shards := make([]shard.Shard, len(trees))
 	for i, t := range trees {
@@ -446,7 +442,7 @@ func (s *Sharded) prepareBatch(qs [][]float64) ([]index.Query, error) {
 // Stats returns the I/O accounting aggregated across every shard's disk,
 // including the shared buffer pool's hit/miss counters when one is
 // configured (CacheBytes > 0 — one pool serves every shard), plus the
-// shared query planner's skip and plan-cache counters.
+// shared query planner's skip counter.
 func (s *Sharded) Stats() Stats {
 	return toStats(s.sh.IOStats(), s.sh.TotalPages()).withPlanner(s.planner)
 }

@@ -10,6 +10,8 @@ import (
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/index"
+	"repro/internal/series"
 )
 
 // Equivalence contract of the sharding + batching layer: at every shard
@@ -221,6 +223,74 @@ func TestShardedLSMEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 				checkApproxContract(t, data, q, approx, k)
+			}
+		})
+	}
+}
+
+// TestShardedWindowSkipsEmptyShards pins the executor's rule that a +Inf
+// bound means "skip" at the shard level too, not only for LSM runs: a shard
+// none of whose series falls in the query window is never probed — neither
+// its approximate phase nor its scan reads a page — even while the k-NN
+// collector is still short of k results and so prunes nothing by distance.
+func TestShardedWindowSkipsEmptyShards(t *testing.T) {
+	const n, length, k = 2000, 64, 5
+	data := genData(t, n, length, 41)
+	q := genQueries(t, 1, length, 42)[0]
+	opts := Options{SeriesLen: length, Materialized: true, Parallelism: 1}
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			base, err := BuildTree(data, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sh, err := BuildShardedTree(data, shards, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Bulk-built series all carry timestamp 0: the window is empty,
+			// so every shard's bound is +Inf.
+			before := sh.Stats()
+			got, err := sh.SearchWindow(q, k, 1000, 2000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			after := sh.Stats()
+			if len(got) != 0 {
+				t.Fatalf("empty window answered %+v", got)
+			}
+			if reads := (after.SeqReads + after.RandReads) - (before.SeqReads + before.RandReads); reads != 0 {
+				t.Fatalf("empty window read %d pages, want 0", reads)
+			}
+			if skips := after.PlannedSkips - before.PlannedSkips; skips != int64(shards) {
+				t.Fatalf("empty window skipped %d shards, want %d", skips, shards)
+			}
+			// A window holding fewer than k series: the collector never
+			// fills, the shards holding none of them are still skipped, and
+			// the answer is the unsharded tree's.
+			for i := 0; i < k-2; i++ {
+				if err := base.Insert(data[i], 1500); err != nil {
+					t.Fatal(err)
+				}
+				if err := sh.Insert(data[i], 1500); err != nil {
+					t.Fatal(err)
+				}
+			}
+			pq := index.NewQuery(series.Series(q), base.cfg).WithWindow(1000, 2000)
+			rs, err := base.tree.ExactSearch(pq, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := convert(rs)
+			if len(want) != k-2 {
+				t.Fatalf("unsharded tree found %d series in the window, want %d", len(want), k-2)
+			}
+			got, err = sh.SearchWindow(q, k, 1000, 2000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("short window: sharded results diverge\n got %+v\nwant %+v", got, want)
 			}
 		})
 	}

@@ -138,7 +138,7 @@ func (s *Stream) Name() string { return s.scheme.Name() }
 
 // Stats returns the I/O accounting of the stream's disk since creation,
 // cache counters included when a buffer pool is configured, plus the query
-// planner's skip and plan-cache counters.
+// planner's skip counter.
 func (s *Stream) Stats() Stats { return statsWith(s.disk, s.pool).withPlanner(s.planner) }
 
 // Close seals buffered arrivals into the scheme's on-disk structures,

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -21,6 +22,7 @@ import (
 	"repro/internal/sortable"
 	"repro/internal/storage"
 	"repro/internal/workload"
+	"repro/internal/zonestat"
 )
 
 func benchScale() workload.Scale {
@@ -58,8 +60,11 @@ func BenchmarkInterleave(b *testing.B) {
 // BenchmarkMinDist contrasts the two lower-bound computations on identical
 // inputs: the legacy region-derivation path (Deinterleave + Region + sqrt)
 // and the squared-space table probe of the pruning pipeline. The table
-// variant is the one every index probe pays per candidate; "prepare"
-// measures the once-per-query cost of building the tables.
+// variant is the one every index probe pays per candidate — the key
+// transpose (sortable.Symbols) plus the table-sum kernel — swept over
+// summarization shapes, since the transpose works a round at a time and its
+// cost follows the shape; "prepare" measures the once-per-query cost of
+// building the tables.
 func BenchmarkMinDist(b *testing.B) {
 	cfg := index.Config{SeriesLen: 256, Segments: 16, Bits: 8}
 	rng := rand.New(rand.NewSource(2))
@@ -74,16 +79,24 @@ func BenchmarkMinDist(b *testing.B) {
 			_ = cfg.MinDistKey(q.PAA, keys[i%len(keys)])
 		}
 	})
-	b.Run("table", func(b *testing.B) {
-		ctx := index.AcquireCtx(q, cfg)
-		defer ctx.Release()
-		sc := ctx.Scratch0()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			_ = sc.P.MinDistSqKey(keys[i%len(keys)])
+	for _, shape := range [][2]int{{16, 8}, {8, 8}, {16, 4}, {10, 6}} {
+		cfg := index.Config{SeriesLen: 240, Segments: shape[0], Bits: shape[1]}
+		raw := gen.RandomWalk(rng, cfg.SeriesLen)
+		keys := make([]sortable.Key, 256)
+		for i := range keys {
+			keys[i], _ = cfg.Summarize(gen.RandomWalk(rng, cfg.SeriesLen))
 		}
-	})
+		b.Run(fmt.Sprintf("table/%dx%d", shape[0], shape[1]), func(b *testing.B) {
+			ctx := index.AcquireCtx(index.NewQuery(raw, cfg), cfg)
+			defer ctx.Release()
+			sc := ctx.Scratch0()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchSink += sc.P.MinDistSqKey(keys[i%len(keys)])
+			}
+		})
+	}
 	b.Run("prepare", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -91,6 +104,54 @@ func BenchmarkMinDist(b *testing.B) {
 			ctx.Release()
 		}
 	})
+}
+
+// benchSink keeps a benchmarked call's result alive.
+var benchSink float64
+
+// BenchmarkEnvelope measures the per-leaf zone-map test of the CTree scans
+// over the leaf envelopes of a sorted run of random-walk keys, 32 to a leaf:
+// "full" sums every segment (the value SynopsisBoundSq orders plans by),
+// "tight" is what an exact scan pays once its collector has tightened — the
+// limit sits at the tenth-best leaf's bound, so nearly every leaf's sum
+// passes it within a few segments and returns early. 2048 leaves, because a
+// branch predictor learns a few hundred and then hides what a clamp written
+// with branches costs on a real tree.
+func BenchmarkEnvelope(b *testing.B) {
+	cfg := index.Config{SeriesLen: 256, Segments: 16, Bits: 8}
+	rng := rand.New(rand.NewSource(4))
+	keys := make([]sortable.Key, 1<<16)
+	for i := range keys {
+		keys[i], _ = cfg.Summarize(gen.RandomWalk(rng, cfg.SeriesLen))
+	}
+	slices.SortFunc(keys, sortable.Key.Compare)
+	const perLeaf = 32
+	leaves := make([]*zonestat.Synopsis, len(keys)/perLeaf)
+	for li := range leaves {
+		leaves[li] = zonestat.New(cfg.Segments, cfg.Bits)
+		for _, k := range keys[li*perLeaf : (li+1)*perLeaf] {
+			leaves[li].Add(k, 0)
+		}
+	}
+	ctx := index.AcquireCtx(index.NewQuery(gen.RandomWalk(rng, cfg.SeriesLen), cfg), cfg)
+	defer ctx.Release()
+	bounds := make([]float64, len(leaves))
+	for li, syn := range leaves {
+		bounds[li] = ctx.P.EnvelopeSq(syn.MinSym, syn.MaxSym)
+	}
+	slices.Sort(bounds)
+	for _, mode := range []struct {
+		name  string
+		limit float64
+	}{{"full", math.Inf(1)}, {"tight", bounds[9]}} {
+		b.Run(mode.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				syn := leaves[i%len(leaves)]
+				benchSink += ctx.P.EnvelopeSqUpTo(syn.MinSym, syn.MaxSym, mode.limit)
+			}
+		})
+	}
 }
 
 // BenchmarkVerify measures candidate verification: the early-abandoning

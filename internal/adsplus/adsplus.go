@@ -175,7 +175,8 @@ func (t *Tree) InsertEntry(e record.Entry) error {
 	if e.ID >= t.nextID {
 		t.nextID = e.ID + 1
 	}
-	w := sortable.Deinterleave(e.Key, t.opts.Config.Segments, t.opts.Config.Bits)
+	var syms [sortable.MaxSegments]uint8
+	w := t.entryWord(e.Key, &syms)
 
 	rk := t.rootKey(w)
 	n, ok := t.roots[rk]
@@ -191,7 +192,7 @@ func (t *Tree) InsertEntry(e record.Entry) error {
 	t.inBuf++
 	t.count++
 	if len(n.buffered)+int(n.onDisk) > t.opts.LeafCapacity {
-		if err := t.split(n, w); err != nil {
+		if err := t.split(n); err != nil {
 			return err
 		}
 	}
@@ -201,6 +202,14 @@ func (t *Tree) InsertEntry(e record.Entry) error {
 		}
 	}
 	return nil
+}
+
+// entryWord decodes an entry's key into its full-resolution word, backed by
+// the caller's array so that routing an entry allocates nothing.
+func (t *Tree) entryWord(k sortable.Key, syms *[sortable.MaxSegments]uint8) sax.Word {
+	cfg := t.opts.Config
+	*syms = sortable.Symbols(k, cfg.Segments, cfg.Bits)
+	return sax.Word{Symbols: syms[:cfg.Segments], Bits: cfg.Bits}
 }
 
 // newLeafNode creates a leaf whose word prefix is w truncated to `prefixBits`
@@ -227,7 +236,7 @@ func segBit(w sax.Word, seg, consumed int) int {
 // leaves, redistributing its entries by the promoted bit. On-disk entries
 // are read back (random I/O) and rewritten into the children's extents —
 // the split cost that dominates top-down construction.
-func (t *Tree) split(n *node, w sax.Word) error {
+func (t *Tree) split(n *node) error {
 	seg := t.chooseSplitSegment(n)
 	if seg < 0 {
 		return nil // all segments at max cardinality: tolerate the oversized leaf
@@ -254,9 +263,9 @@ func (t *Tree) split(n *node, w sax.Word) error {
 		kids[b] = &node{syms: syms, bits: bits, leaf: true}
 	}
 	consumed := int(n.bits[seg])
+	var syms [sortable.MaxSegments]uint8
 	for _, e := range entries {
-		ew := sortable.Deinterleave(e.Key, t.opts.Config.Segments, t.opts.Config.Bits)
-		b := segBit(ew, seg, consumed)
+		b := segBit(t.entryWord(e.Key, &syms), seg, consumed)
 		kids[b].buffered = append(kids[b].buffered, e)
 		t.inBuf++
 	}
@@ -270,7 +279,7 @@ func (t *Tree) split(n *node, w sax.Word) error {
 	// A pathological split can leave one child still over capacity; recurse.
 	for b := 0; b < 2; b++ {
 		if len(kids[b].buffered) > t.opts.LeafCapacity {
-			if err := t.split(kids[b], w); err != nil {
+			if err := t.split(kids[b]); err != nil {
 				return err
 			}
 		}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/index"
 	"repro/internal/series"
+	"repro/internal/sortable"
 	"repro/internal/storage"
 )
 
@@ -345,5 +346,29 @@ func TestRangeSearchMatchesBruteForce(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestEntryRoutingDoesNotAllocate pins the per-entry decode of the insert
+// and split paths: recovering an entry's word from its key and reading the
+// routing bits off it costs no heap allocation (it used to allocate a word
+// per entry).
+func TestEntryRoutingDoesNotAllocate(t *testing.T) {
+	tr, _ := buildADS(t, makeDataset(10, 30), false)
+	cfg := testConfig(false)
+	key, _ := cfg.Summarize(gen.RandomWalk(rand.New(rand.NewSource(31)), 64))
+	var sink uint64
+	allocs := testing.AllocsPerRun(1000, func() {
+		var syms [sortable.MaxSegments]uint8
+		w := tr.entryWord(key, &syms)
+		sink += tr.rootKey(w) + uint64(segBit(w, 3, 2))
+	})
+	if allocs != 0 {
+		t.Fatalf("routing an entry allocated %v times per run, want 0", allocs)
+	}
+	var syms [sortable.MaxSegments]uint8
+	got, want := tr.entryWord(key, &syms), sortable.Deinterleave(key, cfg.Segments, cfg.Bits)
+	if string(got.Symbols) != string(want.Symbols) || got.Bits != want.Bits {
+		t.Fatalf("entryWord %v, Deinterleave %v", got, want)
 	}
 }

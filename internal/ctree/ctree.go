@@ -143,23 +143,26 @@ func (t *Tree) leafEnv(li int) (minSym, maxSym []uint8) {
 // envelope slots must already exist.
 func (t *Tree) setLeafEnv(li int, entries []record.Entry) {
 	w, bits := t.opts.Config.Segments, t.opts.Config.Bits
-	mn := t.synMin[li*w : (li+1)*w]
-	mx := t.synMax[li*w : (li+1)*w]
-	var syms [sortable.MaxSegments]uint8
+	mn, mx := t.leafEnv(li)
 	for ei, e := range entries {
-		zonestat.DecodeSyms(e.Key, w, bits, syms[:w])
+		syms := sortable.Symbols(e.Key, w, bits)
 		if ei == 0 {
-			copy(mn, syms[:w])
-			copy(mx, syms[:w])
+			copy(mn, syms[:])
+			copy(mx, syms[:])
 			continue
 		}
-		for s := 0; s < w; s++ {
-			if syms[s] < mn[s] {
-				mn[s] = syms[s]
-			}
-			if syms[s] > mx[s] {
-				mx[s] = syms[s]
-			}
+		widenEnv(mn, mx, syms[:])
+	}
+}
+
+// widenEnv widens the symbol envelope [mn, mx] to cover syms.
+func widenEnv(mn, mx, syms []uint8) {
+	for s := range mn {
+		if syms[s] < mn[s] {
+			mn[s] = syms[s]
+		}
+		if syms[s] > mx[s] {
+			mx[s] = syms[s]
 		}
 	}
 }
@@ -368,7 +371,7 @@ func (t *Tree) packLeaves(sorted string, n int64) error {
 	w, bits := t.opts.Config.Segments, t.opts.Config.Bits
 	t.syn = zonestat.New(w, bits)
 	t.envOK = true
-	var envMin, envMax, syms [sortable.MaxSegments]uint8
+	var envMin, envMax [sortable.MaxSegments]uint8
 	// Leaf pages are assembled in a write-behind chunk and appended in
 	// batches, keeping the leaf file write stream sequential even though it
 	// interleaves with reads of the sorted input.
@@ -436,8 +439,8 @@ func (t *Tree) packLeaves(sorted string, n int64) error {
 			return err
 		}
 		key := record.DecodeKeyOnly(rec)
-		t.syn.Add(key, record.DecodeTS(rec))
-		zonestat.DecodeSyms(key, w, bits, syms[:w])
+		syms := sortable.Symbols(key, w, bits)
+		t.syn.AddSyms(key, syms[:w], record.DecodeTS(rec))
 		if t.packed {
 			// Add before touching the envelope: a rejected entry belongs to
 			// the next leaf, whose statistics it must seed, not widen ours.
@@ -461,17 +464,9 @@ func (t *Tree) packLeaves(sorted string, n int64) error {
 			}
 			if pb.Count() == 1 {
 				first = key
-				copy(envMin[:w], syms[:w])
-				copy(envMax[:w], syms[:w])
+				envMin, envMax = syms, syms
 			} else {
-				for s := 0; s < w; s++ {
-					if syms[s] < envMin[s] {
-						envMin[s] = syms[s]
-					}
-					if syms[s] > envMax[s] {
-						envMax[s] = syms[s]
-					}
-				}
+				widenEnv(envMin[:w], envMax[:w], syms[:])
 			}
 			t.count++
 			if pb.EncodedBytes() >= packTarget {
@@ -483,17 +478,9 @@ func (t *Tree) packLeaves(sorted string, n int64) error {
 		}
 		if inPage == 0 {
 			first = key
-			copy(envMin[:w], syms[:w])
-			copy(envMax[:w], syms[:w])
+			envMin, envMax = syms, syms
 		} else {
-			for s := 0; s < w; s++ {
-				if syms[s] < envMin[s] {
-					envMin[s] = syms[s]
-				}
-				if syms[s] > envMax[s] {
-					envMax[s] = syms[s]
-				}
-			}
+			widenEnv(envMin[:w], envMax[:w], syms[:])
 		}
 		copy(page[inPage*recSize:], rec)
 		inPage++
@@ -580,8 +567,9 @@ func (t *Tree) InsertEntry(e record.Entry) error {
 	}
 	// Widening the statistics before the write can only leave them too wide
 	// on a failed insert — safe; too narrow would be a wrong bound.
+	syms := sortable.Symbols(e.Key, t.opts.Config.Segments, t.opts.Config.Bits)
 	if t.syn != nil {
-		t.syn.Add(e.Key, e.TS)
+		t.syn.AddSyms(e.Key, syms[:t.opts.Config.Segments], e.TS)
 	}
 	if len(t.leaves) == 0 {
 		return t.insertEntryIntoEmpty(e)
@@ -605,7 +593,10 @@ func (t *Tree) InsertEntry(e record.Entry) error {
 			return err
 		}
 		if t.envOK {
-			t.setLeafEnv(li, entries)
+			// The leaf's envelope is exact, so widening it by the one new
+			// entry is what recomputing it from all of them would give.
+			mn, mx := t.leafEnv(li)
+			widenEnv(mn, mx, syms[:])
 		}
 		t.count++
 		return nil

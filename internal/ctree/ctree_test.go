@@ -9,6 +9,7 @@ import (
 	"repro/internal/index"
 	"repro/internal/series"
 	"repro/internal/storage"
+	"repro/internal/zonestat"
 )
 
 func testConfig(materialized bool) index.Config {
@@ -330,6 +331,55 @@ func TestInsertSplits(t *testing.T) {
 	for li := 1; li < len(tr.leaves); li++ {
 		if tr.leaves[li].minKey.Less(tr.leaves[li-1].minKey) {
 			t.Fatal("directory out of order after splits")
+		}
+	}
+}
+
+// TestStatisticsStayExactUnderInserts holds the planner statistics to a
+// rebuild from the leaves after bulk load, in-place inserts and splits, in
+// both layouts: every leaf's symbol envelope and the tree synopsis equal
+// what folding the leaf's entries one by one gives. An insert that fits
+// widens its leaf's envelope by the new entry alone; this is the check that
+// doing so loses nothing.
+func TestStatisticsStayExactUnderInserts(t *testing.T) {
+	for _, compress := range []bool{false, true} {
+		ds := buildDataset(t, 500, 12)
+		cfg := testConfig(true)
+		tr, err := Build(Options{Disk: storage.NewDisk(0), Config: cfg, FillFactor: 0.7, Compress: compress}, ds, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := tr.Leaves()
+		rng := rand.New(rand.NewSource(120))
+		for i := 0; i < 300; i++ {
+			if err := tr.Insert(gen.RandomWalk(rng, 64), int64(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if tr.Leaves() <= before {
+			t.Fatalf("compress=%v: no split in %d inserts", compress, 300)
+		}
+		whole := zonestat.New(cfg.Segments, cfg.Bits)
+		for li := range tr.leaves {
+			entries, err := tr.readLeaf(li)
+			if err != nil {
+				t.Fatal(err)
+			}
+			leaf := zonestat.New(cfg.Segments, cfg.Bits)
+			for _, e := range entries {
+				leaf.Add(e.Key, e.TS)
+				whole.Add(e.Key, e.TS)
+			}
+			mn, mx := tr.leafEnv(li)
+			if string(mn) != string(leaf.MinSym) || string(mx) != string(leaf.MaxSym) {
+				t.Fatalf("compress=%v leaf %d: envelope [%v,%v], rebuilt [%v,%v]", compress, li, mn, mx, leaf.MinSym, leaf.MaxSym)
+			}
+		}
+		got := tr.syn
+		if got.Count != whole.Count || got.MinTS != whole.MinTS || got.MaxTS != whole.MaxTS ||
+			got.MinKey != whole.MinKey || got.MaxKey != whole.MaxKey ||
+			string(got.MinSym) != string(whole.MinSym) || string(got.MaxSym) != string(whole.MaxSym) {
+			t.Fatalf("compress=%v: tree synopsis %+v, rebuilt %+v", compress, got, whole)
 		}
 	}
 }

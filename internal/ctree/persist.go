@@ -243,6 +243,11 @@ func decodeMeta(disk storage.Backend, name string, buf []byte, raw series.RawSto
 			if n != synLen {
 				return nil, fmt.Errorf("ctree: synopsis length mismatch: %d != %d", n, synLen)
 			}
+			// Inserts fold symbols decoded at the tree's shape into it.
+			if syn.Segments != segments || syn.Bits != bits {
+				return nil, fmt.Errorf("ctree: persisted synopsis is %dx%d bits, the tree %dx%d",
+					syn.Segments, syn.Bits, segments, bits)
+			}
 			t.syn = syn
 			rest = rest[synLen:]
 		}

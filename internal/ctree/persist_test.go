@@ -136,6 +136,25 @@ func TestOpenErrors(t *testing.T) {
 	}
 }
 
+// TestOpenRejectsForeignSynopsisShape: inserts widen the tree synopsis with
+// symbols decoded at the tree's own shape, so metadata whose synopsis claims
+// another shape must not open.
+func TestOpenRejectsForeignSynopsisShape(t *testing.T) {
+	ds := buildDataset(t, 100, 35)
+	tr, disk := buildTree(t, ds, false, 1.0)
+	meta := tr.encodeMeta()
+	if _, err := decodeMeta(disk, "ctree", meta, normStore{ds}, metaVersion); err != nil {
+		t.Fatal(err)
+	}
+	// The synopsis is the last field before the packed flag; its bits byte
+	// sits at offset 56 (a changed segments byte already fails the length
+	// check).
+	meta[len(meta)-1-tr.syn.EncodedSize()+56]--
+	if _, err := decodeMeta(disk, "ctree", meta, normStore{ds}, metaVersion); err == nil {
+		t.Fatal("synopsis bits changed: metadata still opens")
+	}
+}
+
 func TestOpenDetectsMissingLeafFile(t *testing.T) {
 	ds := buildDataset(t, 100, 34)
 	tr, disk := buildTree(t, ds, false, 1.0)

@@ -211,7 +211,7 @@ func (t *Tree) exactScanRange(lo, hi int, q index.Query, col *index.Collector, s
 	}
 	return t.skipRuns(lo, hi, sc.Trace, read, func(li int) bool {
 		mn, mx := t.leafEnv(li)
-		return col.SkipSq(sc.P.EnvelopeSq(mn, mx))
+		return col.SkipSq(sc.P.EnvelopeSqUpTo(mn, mx, col.WorstSq()))
 	})
 }
 
@@ -320,9 +320,10 @@ func (t *Tree) rangeScanRange(lo, hi int, q index.Query, col *index.RangeCollect
 		sc.Trace.NoteProbes("leaf", int64(hi-lo))
 		return nil
 	}
+	limit := col.SkipBeyondSq()
 	return t.skipRuns(lo, hi, sc.Trace, read, func(li int) bool {
 		mn, mx := t.leafEnv(li)
-		return col.SkipSq(sc.P.EnvelopeSq(mn, mx))
+		return col.SkipSq(sc.P.EnvelopeSqUpTo(mn, mx, limit))
 	})
 }
 

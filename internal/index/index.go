@@ -416,6 +416,17 @@ func (c *RangeCollector) SkipSq(lbSq float64) bool {
 	return math.Sqrt(lbSq) > c.eps
 }
 
+// SkipBeyondSq returns a squared bound above which SkipSq always holds:
+// lbSq > SkipBeyondSq() implies SkipSq(lbSq). BoundSq is not such a bound —
+// SkipSq compares square roots, and a value an ulp above fl(eps*eps) can
+// have a root that rounds back to eps. With e the next double above eps,
+// anything above fl(e*e) rounded up exceeds e*e exactly, so its root, and
+// the rounded root, is at least e.
+func (c *RangeCollector) SkipBeyondSq() float64 {
+	e := math.Nextafter(c.eps, math.Inf(1))
+	return math.Nextafter(e*e, math.Inf(1))
+}
+
 func (c *RangeCollector) tightens() bool { return false }
 
 // Add offers a candidate carrying a true distance; it is kept when within

@@ -3,6 +3,7 @@ package index
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 
@@ -27,10 +28,25 @@ import (
 //   - A Pruner materializes, once per query, a lookup table
 //     tab[segment<<bits|symbol] -> pre-scaled squared per-segment MINDIST
 //     contribution, for each cardinality in use. A candidate's squared
-//     lower bound is then Segments array lookups summed — no Region calls,
-//     no Word allocation (symbols decode straight out of the interleaved
-//     key bits on the stack), and no sqrt (collectors compare squared
-//     bounds; true distances materialize only in Results()).
+//     lower bound (MinDistSqKey) is then Segments array lookups summed —
+//     no Region calls, no Word allocation, and no sqrt (collectors compare
+//     squared bounds; true distances materialize only in Results()). The
+//     table fill is the preprocessing; it pays off only if what stands
+//     between a key and its lookups is cheap, so the key's symbols come
+//     from sortable.Symbols, the tree's one key <-> symbols transpose,
+//     which moves a whole interleaving round per step. The lookups are
+//     summed by simd.TableSum in the kernels' blocked order, so the bound
+//     is the same float64, bit for bit, on every kernel set and equal to
+//     what a bit-at-a-time decode gives (prune_test.go holds it to one).
+//
+//   - A unit's symbol envelope (a zone map: zonestat) bounds every series
+//     in the unit at once, one clamped lookup per segment. The bound is
+//     used two ways. Ordering a probe plan needs it as a value:
+//     SynopsisBoundSq and EnvelopeSq return the full sum. The CTree scans
+//     only ask whether a leaf's bound is beyond the collector's worst: a
+//     decision, which EnvelopeSqUpTo answers from the first few segments
+//     for most leaves, identically to the full sum because the terms are
+//     non-negative and summed in one order.
 //
 //   - A SearchCtx bundles the Pruner with per-worker Scratch states
 //     (raw-series decode buffer, candidate-ordering scratch) and is
@@ -160,34 +176,21 @@ func (p *Pruner) Bits() int { return p.bits }
 
 // MinDistSqKey returns the squared iSAX lower bound between the query and
 // any series summarized by the interleaved key k: no series with this key
-// can be closer than the square root of the returned value. Symbols are
-// decoded from the key's bit rounds into a stack array of table indexes
-// (row s starts at s<<bits), then summed by the simd table kernel — no
-// allocation, no trigonometric or square-root work, and data-level
-// parallelism on the lookups when an accelerated kernel set is active.
+// can be closer than the square root of the returned value. The key's
+// symbols come from the one key transpose (sortable.Symbols) into a stack
+// array of table indexes (row s starts at s<<bits), which the simd table
+// kernel sums in its blocked order — no allocation, no trigonometric or
+// square-root work, and data-level parallelism on the lookups when an
+// accelerated kernel set is active.
 func (p *Pruner) MinDistSqKey(k sortable.Key) float64 {
+	syms := sortable.Symbols(k, p.segments, p.bits)
 	var idx [sortable.MaxSegments]int32
-	w := p.segments
-	// Seeding idx[s] with the segment number makes the bit rounds deposit
-	// the symbol below it: after p.bits shifts each entry is exactly
-	// s<<bits | symbol, the flattened table index, with no fix-up pass.
-	for s := 0; s < w; s++ {
-		idx[s] = int32(s)
+	row, rowLen := int32(0), int32(1)<<uint(p.bits)
+	for s, sym := range syms {
+		idx[s] = row | int32(sym)
+		row += rowLen
 	}
-	pos := 0
-	for r := 0; r < p.bits; r++ {
-		for s := 0; s < w; s++ {
-			var bit int32
-			if pos < 64 {
-				bit = int32(k.Hi >> uint(63-pos) & 1)
-			} else {
-				bit = int32(k.Lo >> uint(127-pos) & 1)
-			}
-			idx[s] = idx[s]<<1 | bit
-			pos++
-		}
-	}
-	return simd.TableSum(p.tab[p.bits], idx[:w])
+	return simd.TableSum(p.tab[p.bits], idx[:p.segments])
 }
 
 // EnvelopeSq returns the squared iSAX lower bound between the query and
@@ -198,20 +201,42 @@ func (p *Pruner) MinDistSqKey(k sortable.Key) float64 {
 // interval of symbols is attained at the query symbol clamped into the
 // interval — a single lookup per segment. A shape mismatch returns 0 (no
 // bound), so a stale or foreign envelope can only cost work, never answers.
+// This is the bound as a value, which ordering a probe plan needs
+// (SynopsisBoundSq); a caller that only asks whether the bound is beyond
+// some limit uses EnvelopeSqUpTo.
 func (p *Pruner) EnvelopeSq(minSym, maxSym []uint8) float64 {
+	return p.EnvelopeSqUpTo(minSym, maxSym, math.Inf(1))
+}
+
+// EnvelopeSqUpTo is EnvelopeSq for a caller that only compares the bound
+// against limit: it returns EnvelopeSq's value when that is at most limit,
+// and otherwise some value above limit and at most EnvelopeSq's — the sum
+// of the first segments' terms, returned as soon as it passes limit. The
+// terms are non-negative and added in segment order either way, so the
+// running sum never decreases and "x > limit" decides identically on the
+// partial sum and on the full one; so does any test that is monotone in x
+// and holds everywhere above limit, which is how the CTree zone-map scans
+// use it (Collector.SkipSq with WorstSq, RangeCollector.SkipSq with
+// SkipBeyondSq). Most leaves of an exact scan are skipped, most of those
+// within the first few segments.
+func (p *Pruner) EnvelopeSqUpTo(minSym, maxSym []uint8, limit float64) float64 {
 	if len(minSym) != p.segments || len(maxSym) != p.segments {
 		return 0
 	}
-	t := p.tab[p.bits]
+	t, rowBits := p.tab[p.bits], uint(p.bits)
+	qsyms := p.qsyms[:len(minSym)]
 	acc := 0.0
-	for s := 0; s < p.segments; s++ {
-		q := p.qsyms[s]
-		if q < minSym[s] {
-			q = minSym[s]
-		} else if q > maxSym[s] {
-			q = maxSym[s]
-		}
-		acc += t[s<<uint(p.bits)|int(q)]
+	for s := 0; s < len(qsyms) && acc <= limit; s++ {
+		// Clamp q into [mn, mx] with sign-mask selects instead of branches:
+		// which side of a leaf's envelope the query symbol falls on is as
+		// good as random, and a mispredicted branch costs more than the
+		// lookup it guards.
+		q, mn, mx := int(qsyms[s]), int(minSym[s]), int(maxSym[s])
+		over := (mx - q) >> 63  // all ones when q > mx
+		under := (q - mn) >> 63 // all ones when q < mn
+		c := q ^ (q^mx)&over
+		c ^= (c ^ mn) & under
+		acc += t[s<<rowBits|c]
 	}
 	return acc
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/record"
 	"repro/internal/sax"
 	"repro/internal/series"
+	"repro/internal/simd"
 	"repro/internal/sortable"
 )
 
@@ -51,6 +52,179 @@ func TestPrunerMatchesMinDistPAA(t *testing.T) {
 		want *= want
 		if math.Abs(got-want) > 1e-9*(1+want) {
 			t.Fatalf("trial %d (w=%d bits=%d n=%d): MinDistSqKey=%v, MinDistPAA^2=%v", trial, w, bits, n, got, want)
+		}
+	}
+}
+
+// minDistSqKeySerial is MinDistSqKey as it stood before the key transpose
+// moved into package sortable: the key decoded one bit per step, the table
+// entries summed in the kernels' blocked order (four lanes over quads of
+// segments, lanes combined (a0+a2)+(a1+a3), the rest added in sequence).
+func minDistSqKeySerial(p *Pruner, k sortable.Key) float64 {
+	var idx [sortable.MaxSegments]int
+	for s := 0; s < p.segments; s++ {
+		idx[s] = s
+	}
+	pos := 0
+	for r := 0; r < p.bits; r++ {
+		for s := 0; s < p.segments; s++ {
+			word, at := k.Hi, uint(63-pos)
+			if pos >= 64 {
+				word, at = k.Lo, uint(127-pos)
+			}
+			idx[s] = idx[s]<<1 | int(word>>at&1)
+			pos++
+		}
+	}
+	tab := p.tab[p.bits]
+	var acc [4]float64
+	nq := p.segments / 4
+	for q := 0; q < nq; q++ {
+		for j := range acc {
+			acc[j] += tab[idx[4*q+j]]
+		}
+	}
+	tot := (acc[0] + acc[2]) + (acc[1] + acc[3])
+	for s := 4 * nq; s < p.segments; s++ {
+		tot += tab[idx[s]]
+	}
+	return tot
+}
+
+// TestMinDistSqKeyBitIdentical: on every kernel set, for every shape, the
+// bound is the same float64, bit for bit, as the bit-serial decode summed
+// in the blocked order — so no prune, skip or page read can differ.
+func TestMinDistSqKeyBitIdentical(t *testing.T) {
+	defer simd.Select("auto")
+	for _, kernels := range simd.Available() {
+		if err := simd.Select(kernels); err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(17))
+		var p Pruner
+		for w := 1; w <= sortable.MaxSegments; w++ {
+			for bits := 1; bits <= sax.MaxBits; bits++ {
+				p.Fill(randPAA(rng, w), Config{SeriesLen: w * (1 + rng.Intn(16)), Segments: w, Bits: bits})
+				for trial := 0; trial < 50; trial++ {
+					k := sortable.Key{Hi: rng.Uint64(), Lo: rng.Uint64()}
+					got, want := p.MinDistSqKey(k), minDistSqKeySerial(&p, k)
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%s %dx%d key %v: MinDistSqKey %x, bit-serial %x", kernels, w, bits, k, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// envelopeSqPlain is the envelope bound stated plainly: each segment's query
+// symbol clamped into the envelope by comparison, every term summed.
+func envelopeSqPlain(p *Pruner, minSym, maxSym []uint8) float64 {
+	acc := 0.0
+	for s := 0; s < p.segments; s++ {
+		q := p.qsyms[s]
+		if q < minSym[s] {
+			q = minSym[s]
+		} else if q > maxSym[s] {
+			q = maxSym[s]
+		}
+		acc += p.tab[p.bits][s<<uint(p.bits)|int(q)]
+	}
+	return acc
+}
+
+// TestEnvelopeDecisionIdentity: the early-exiting envelope sum decides every
+// skip the way the full sum does. For random envelopes (narrow ones skip,
+// wide ones do not) and collectors in every state the zone-map scans meet —
+// a k-NN collector still filling, full ones with bounds from far below to
+// far above the envelope bounds, range collectors — SkipSq of
+// EnvelopeSqUpTo at the collector's limit equals SkipSq of EnvelopeSq; the
+// +Inf limit returns EnvelopeSq itself, and a foreign shape returns 0.
+func TestEnvelopeDecisionIdentity(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	var p Pruner
+	skips := 0
+	for trial := 0; trial < 4000; trial++ {
+		w := 1 + rng.Intn(sortable.MaxSegments)
+		bits := 1 + rng.Intn(sax.MaxBits)
+		p.Fill(randPAA(rng, w), Config{SeriesLen: 4 * w, Segments: w, Bits: bits})
+		mn, mx := make([]uint8, w), make([]uint8, w)
+		for s := range mn {
+			a, b := rng.Intn(1<<bits), rng.Intn(1<<bits)
+			if trial%2 == 0 {
+				b = a + rng.Intn(3) // a narrow envelope, a leaf's
+			}
+			mn[s], mx[s] = uint8(min(a, b)), uint8(min(max(a, b), 1<<bits-1))
+		}
+		full := p.EnvelopeSq(mn, mx)
+		if want := envelopeSqPlain(&p, mn, mx); math.Float64bits(full) != math.Float64bits(want) {
+			t.Fatalf("trial %d: EnvelopeSq %v, plain clamp and sum %v", trial, full, want)
+		}
+		// An inverted envelope, which only corrupt metadata could hold,
+		// clamps the way the comparison chain does.
+		if got, want := p.EnvelopeSq(mx, mn), envelopeSqPlain(&p, mx, mn); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("trial %d: inverted envelope: EnvelopeSq %v, plain %v", trial, got, want)
+		}
+		if got := p.EnvelopeSqUpTo(mn, mx, math.Inf(1)); math.Float64bits(got) != math.Float64bits(full) {
+			t.Fatalf("trial %d: limit +Inf gives %v, EnvelopeSq %v", trial, got, full)
+		}
+		if got := p.EnvelopeSqUpTo(mn[:w-1], mx[:w-1], 0); got != 0 {
+			t.Fatalf("trial %d: foreign shape gives %v, want 0", trial, got)
+		}
+		// Collector bounds around, at, and an ulp either side of the full
+		// bound, where a partial sum and the full sum are closest to
+		// disagreeing.
+		bounds := []float64{0, full / 3, math.Nextafter(full, 0), full, math.Nextafter(full, math.Inf(1)), full * 2, rng.ExpFloat64()}
+		for _, b := range bounds {
+			col := NewCollector(2)
+			col.AddSq(1, 0, b/2)
+			if early := p.EnvelopeSqUpTo(mn, mx, col.WorstSq()); col.SkipSq(early) || early != full {
+				t.Fatalf("trial %d: collector not yet full: early %v, full %v", trial, early, full)
+			}
+			col.AddSq(2, 0, b)
+			early := p.EnvelopeSqUpTo(mn, mx, col.WorstSq())
+			if col.SkipSq(early) != col.SkipSq(full) || early > full {
+				t.Fatalf("trial %d bound %v: k-NN skip on early sum %v = %v, on full sum %v = %v",
+					trial, b, early, col.SkipSq(early), full, col.SkipSq(full))
+			}
+			if col.SkipSq(full) {
+				skips++
+			}
+			rc := NewRangeCollector(math.Sqrt(b))
+			early = p.EnvelopeSqUpTo(mn, mx, rc.SkipBeyondSq())
+			if rc.SkipSq(early) != rc.SkipSq(full) || early > full {
+				t.Fatalf("trial %d eps² %v: range skip on early sum %v = %v, on full sum %v = %v",
+					trial, b, early, rc.SkipSq(early), full, rc.SkipSq(full))
+			}
+		}
+	}
+	if skips == 0 {
+		t.Fatal("no envelope was ever skippable: the test exercised one side only")
+	}
+}
+
+// TestRangeSkipBeyondSqImpliesSkip pins the property EnvelopeSqUpTo needs of
+// a range collector's limit: everything above it is pruned, down to the
+// first double above it, for eps from denormal to huge.
+func TestRangeSkipBeyondSqImpliesSkip(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for trial := 0; trial < 20000; trial++ {
+		eps := math.Ldexp(rng.Float64(), rng.Intn(80)-40)
+		switch trial {
+		case 0:
+			eps = 0
+		case 1:
+			eps = math.SmallestNonzeroFloat64
+		case 2:
+			eps = math.Inf(1)
+		}
+		rc := NewRangeCollector(eps)
+		limit := rc.SkipBeyondSq()
+		if above := math.Nextafter(limit, math.Inf(1)); above > limit && !rc.SkipSq(above) {
+			t.Fatalf("eps %v: %v is above SkipBeyondSq %v but not skipped", eps, above, limit)
+		}
+		if limit < rc.BoundSq() {
+			t.Fatalf("eps %v: SkipBeyondSq %v below BoundSq %v", eps, limit, rc.BoundSq())
 		}
 	}
 }

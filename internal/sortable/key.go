@@ -30,29 +30,94 @@ const KeyBytes = 16
 // word still fits into 128 bits.
 const MaxSegments = 16
 
-// Interleave encodes an iSAX word into a sortable key. The total bit count
-// w.Bits*len(w.Symbols) must not exceed 128. Bits are laid out round-robin:
-// round r (r=0 is each symbol's MSB) contributes len(Symbols) bits, ordered
-// by segment.
+// The key <-> symbols conversion is a bit-matrix transpose: the key holds
+// bitsPer rows (interleaving rounds) of nseg bits, the word holds nseg
+// symbols of bitsPer bits. Both directions below move one whole round per
+// step, word-parallel, with the symbols held as byte lanes of two uint64s
+// (lane j of the first is segment j, of the second segment 8+j) and the
+// round held as bytes whose bit 7-j belongs to lane j. One multiply by
+// laneSpread converts between the two forms without a carry: every partial
+// product lands on a distinct bit.
+const (
+	laneSpread = 0x8040201008040201
+	laneMSB    = 0x8080808080808080
+	laneLSB    = 0x0101010101010101
+)
+
+// checkShape panics unless the shape is one a key can hold: 1..MaxSegments
+// segments of 1..sax.MaxBits bits. The shift counts below are masked to
+// the ranges it establishes, which keeps them single instructions.
+func checkShape(nseg, bitsPer int) {
+	if uint(nseg-1) >= MaxSegments || uint(bitsPer-1) >= sax.MaxBits {
+		panicShape(nseg, bitsPer)
+	}
+}
+
+func panicShape(nseg, bitsPer int) {
+	panic(fmt.Sprintf("sortable: %d segments x %d bits is outside 1..%d x 1..%d (128 bits)",
+		nseg, bitsPer, MaxSegments, sax.MaxBits))
+}
+
+// Interleave encodes an iSAX word into a sortable key. The word has 1 to
+// MaxSegments symbols of 1 to sax.MaxBits bits (at most 128 bits in all).
+// Bits are laid out round-robin: round r (r=0 is each symbol's MSB)
+// contributes len(Symbols) bits, ordered by segment.
 func Interleave(w sax.Word) Key {
-	nseg := len(w.Symbols)
-	total := nseg * w.Bits
-	if total > 128 {
-		panic(fmt.Sprintf("sortable: %d segments x %d bits = %d > 128 bits", nseg, w.Bits, total))
+	nseg, bitsPer := len(w.Symbols), w.Bits
+	checkShape(nseg, bitsPer)
+	var syms [MaxSegments]uint8
+	copy(syms[:], w.Symbols)
+	a := binary.LittleEndian.Uint64(syms[:8])
+	b := binary.LittleEndian.Uint64(syms[8:])
+	n := uint(nseg) & 31
+	var hi, lo uint64
+	for r := bitsPer - 1; r >= 0; r-- {
+		// Bit r of every lane, gathered into the top byte: the round's
+		// nseg bits, left-aligned in 16. They enter the key from below.
+		sh := uint(r) & 7
+		round := ((a>>sh&laneLSB)*laneSpread>>56)<<8 | (b>>sh&laneLSB)*laneSpread>>56
+		hi, lo = hi<<n|lo>>((64-n)&63), lo<<n|round>>((16-n)&15)
 	}
-	var k Key
-	pos := 0 // next bit position from the top (0 = MSB of Hi)
-	for r := 0; r < w.Bits; r++ {
-		srcBit := uint(w.Bits - 1 - r)
-		for s := 0; s < nseg; s++ {
-			b := (w.Symbols[s] >> srcBit) & 1
-			if b != 0 {
-				k.setBit(pos)
-			}
-			pos++
+	return Key{Hi: hi, Lo: lo}.shiftLeft(uint(128 - nseg*bitsPer))
+}
+
+// Symbols inverts Interleave without allocating: it returns the nseg
+// symbols of bitsPer bits each that k interleaves, one per array slot;
+// slots at and beyond nseg are zero.
+func Symbols(k Key, nseg, bitsPer int) (syms [MaxSegments]uint8) {
+	checkShape(nseg, bitsPer)
+	n := uint(nseg) & 31
+	hi, lo := k.Hi, k.Lo
+	var a, b uint64
+	for r := 0; r < bitsPer; r++ {
+		// The round is the key's top nseg bits. Each of its bytes spreads
+		// to the MSB of its lanes and enters the symbols from below. Lanes
+		// at and beyond nseg pick up the next round's bits; they are
+		// masked off after the loop.
+		a = a<<1 | ((hi>>56)*laneSpread&laneMSB)>>7
+		if nseg > 8 {
+			b = b<<1 | ((hi>>48&0xFF)*laneSpread&laneMSB)>>7
 		}
+		hi, lo = hi<<n|lo>>((64-n)&63), lo<<n
 	}
-	return k
+	// Keep lanes 0..nseg-1. A shift by 64 gives 0, so at nseg = 16 the
+	// second mask is all ones, and at nseg = 8 it is empty.
+	if nseg < 8 {
+		a &= 1<<(8*n) - 1
+	} else {
+		b &= 1<<(8*n-64) - 1
+	}
+	binary.LittleEndian.PutUint64(syms[:8], a)
+	binary.LittleEndian.PutUint64(syms[8:], b)
+	return syms
+}
+
+// shiftLeft returns k shifted left by n bits, 0 <= n < 128.
+func (k Key) shiftLeft(n uint) Key {
+	if n >= 64 {
+		return Key{Hi: k.Lo << (n - 64)}
+	}
+	return Key{Hi: k.Hi<<n | k.Lo>>(64-n), Lo: k.Lo << n}
 }
 
 // Concat encodes an iSAX word segment-major: all bits of segment 0, then
@@ -100,24 +165,13 @@ func Deconcat(k Key, nseg, bitsPer int) sax.Word {
 }
 
 // Deinterleave inverts Interleave, recovering the iSAX word given the
-// segment count and cardinality bits it was encoded with.
+// segment count and cardinality bits it was encoded with. It allocates the
+// word; hot paths use Symbols.
 func Deinterleave(k Key, nseg, bitsPer int) sax.Word {
-	total := nseg * bitsPer
-	if total > 128 {
-		panic(fmt.Sprintf("sortable: %d segments x %d bits = %d > 128 bits", nseg, bitsPer, total))
-	}
-	syms := make([]uint8, nseg)
-	pos := 0
-	for r := 0; r < bitsPer; r++ {
-		dstBit := uint(bitsPer - 1 - r)
-		for s := 0; s < nseg; s++ {
-			if k.bit(pos) {
-				syms[s] |= 1 << dstBit
-			}
-			pos++
-		}
-	}
-	return sax.Word{Symbols: syms, Bits: bitsPer}
+	syms := Symbols(k, nseg, bitsPer)
+	w := sax.Word{Symbols: make([]uint8, nseg), Bits: bitsPer}
+	copy(w.Symbols, syms[:])
+	return w
 }
 
 // FromSeries is a convenience: summarize a (z-normalized) series with w

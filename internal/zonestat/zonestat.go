@@ -53,38 +53,20 @@ func New(segments, bits int) *Synopsis {
 	}
 }
 
-// DecodeSyms recovers the per-segment symbols of an interleaved key into
-// out (an allocation-free sortable.Deinterleave). Indexes that keep flat
-// per-unit envelopes instead of full Synopsis values (the CTree leaf
-// directory) use it to widen their envelopes entry by entry.
-func DecodeSyms(k sortable.Key, nseg, bits int, out []uint8) {
-	for s := 0; s < nseg; s++ {
-		out[s] = 0
-	}
-	pos := 0
-	for r := 0; r < bits; r++ {
-		dst := uint(bits - 1 - r)
-		for s := 0; s < nseg; s++ {
-			var b uint64
-			if pos < 64 {
-				b = k.Hi >> uint(63-pos) & 1
-			} else {
-				b = k.Lo >> uint(127-pos) & 1
-			}
-			out[s] |= uint8(b) << dst
-			pos++
-		}
-	}
-}
-
 // Add folds one entry (its sortable key and timestamp) into the synopsis.
 func (s *Synopsis) Add(k sortable.Key, ts int64) {
-	var syms [sortable.MaxSegments]uint8
-	DecodeSyms(k, s.Segments, s.Bits, syms[:s.Segments])
+	syms := sortable.Symbols(k, s.Segments, s.Bits)
+	s.AddSyms(k, syms[:s.Segments], ts)
+}
+
+// AddSyms is Add for a caller that has already decoded k's per-segment
+// symbols (sortable.Symbols) — the CTree build also widens a per-leaf
+// envelope with them, and decodes each key once for both.
+func (s *Synopsis) AddSyms(k sortable.Key, syms []uint8, ts int64) {
 	if s.Count == 0 {
 		s.MinKey, s.MaxKey = k, k
-		copy(s.MinSym, syms[:s.Segments])
-		copy(s.MaxSym, syms[:s.Segments])
+		copy(s.MinSym, syms)
+		copy(s.MaxSym, syms)
 	} else {
 		if k.Less(s.MinKey) {
 			s.MinKey = k
@@ -92,7 +74,7 @@ func (s *Synopsis) Add(k sortable.Key, ts int64) {
 		if s.MaxKey.Less(k) {
 			s.MaxKey = k
 		}
-		for i := 0; i < s.Segments; i++ {
+		for i := range s.MinSym {
 			if syms[i] < s.MinSym[i] {
 				s.MinSym[i] = syms[i]
 			}

@@ -109,14 +109,17 @@ func BenchmarkMinDist(b *testing.B) {
 // benchSink keeps a benchmarked call's result alive.
 var benchSink float64
 
-// BenchmarkEnvelope measures the per-leaf zone-map test of the CTree scans
-// over the leaf envelopes of a sorted run of random-walk keys, 32 to a leaf:
-// "full" sums every segment (the value SynopsisBoundSq orders plans by),
-// "tight" is what an exact scan pays once its collector has tightened — the
-// limit sits at the tenth-best leaf's bound, so nearly every leaf's sum
-// passes it within a few segments and returns early. 2048 leaves, because a
-// branch predictor learns a few hundred and then hides what a clamp written
-// with branches costs on a real tree.
+// BenchmarkEnvelope measures the zone-map tests of the CTree scans over the
+// leaf envelopes of a sorted run of random-walk keys, 32 to a leaf: "full"
+// sums every segment (the value SynopsisBoundSq orders plans by), "tight"
+// is what an exact scan pays once its collector has tightened — the limit
+// sits at the tenth-best leaf's bound, so nearly every leaf's sum passes it
+// within a few segments and returns early — and "group" is the same tight
+// test one level up, on the envelope of 16 consecutive leaves (one starting
+// at every leaf): wider, so its sum passes the limit later or not at all,
+// which is what one group test costs against the 16 leaf tests it can
+// spare. 2048 leaves, because a branch predictor learns a few hundred and
+// then hides what a clamp written with branches costs on a real tree.
 func BenchmarkEnvelope(b *testing.B) {
 	cfg := index.Config{SeriesLen: 256, Segments: 16, Bits: 8}
 	rng := rand.New(rand.NewSource(4))
@@ -125,13 +128,21 @@ func BenchmarkEnvelope(b *testing.B) {
 		keys[i], _ = cfg.Summarize(gen.RandomWalk(rng, cfg.SeriesLen))
 	}
 	slices.SortFunc(keys, sortable.Key.Compare)
-	const perLeaf = 32
+	const perLeaf, perGroup = 32, 16
+	union := func(lo, hi int) *zonestat.Synopsis {
+		syn := zonestat.New(cfg.Segments, cfg.Bits)
+		for _, k := range keys[lo:hi] {
+			syn.Add(k, 0)
+		}
+		return syn
+	}
 	leaves := make([]*zonestat.Synopsis, len(keys)/perLeaf)
 	for li := range leaves {
-		leaves[li] = zonestat.New(cfg.Segments, cfg.Bits)
-		for _, k := range keys[li*perLeaf : (li+1)*perLeaf] {
-			leaves[li].Add(k, 0)
-		}
+		leaves[li] = union(li*perLeaf, (li+1)*perLeaf)
+	}
+	groups := make([]*zonestat.Synopsis, len(leaves)-perGroup+1)
+	for g := range groups {
+		groups[g] = union(g*perLeaf, (g+perGroup)*perLeaf)
 	}
 	ctx := index.AcquireCtx(index.NewQuery(gen.RandomWalk(rng, cfg.SeriesLen), cfg), cfg)
 	defer ctx.Release()
@@ -142,13 +153,99 @@ func BenchmarkEnvelope(b *testing.B) {
 	slices.Sort(bounds)
 	for _, mode := range []struct {
 		name  string
+		envs  []*zonestat.Synopsis
 		limit float64
-	}{{"full", math.Inf(1)}, {"tight", bounds[9]}} {
+	}{{"full", leaves, math.Inf(1)}, {"tight", leaves, bounds[9]}, {"group", groups, bounds[9]}} {
 		b.Run(mode.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				syn := leaves[i%len(leaves)]
+				syn := mode.envs[i%len(mode.envs)]
 				benchSink += ctx.P.EnvelopeSqUpTo(syn.MinSym, syn.MaxSym, mode.limit)
+			}
+		})
+	}
+}
+
+// BenchmarkColumnBound measures what bounding the entries of one leaf costs
+// an exact scan, by where their symbols come from: the resident SAX column
+// (MinDistSqSyms over the leaf's slice), or the keys on the leaf's page —
+// fixed-width records, or a packed page's key column behind its header —
+// transposed per entry (MinDistSqKey). One op is one leaf of three
+// materialized entries, a 4 KB page like the static benchmark's; the scan
+// is over 2048 such leaves in order, 8 MB of pages against 96 KB of column,
+// so the page-borne keys arrive as cold as a real scan finds them and
+// neither the predictor nor L1 flatters either side.
+func BenchmarkColumnBound(b *testing.B) {
+	const leaves, perLeaf, pageSize = 2048, 3, 4096
+	cfg := index.Config{SeriesLen: 128, Segments: 16, Bits: 8, Materialized: true}
+	codec := cfg.Codec()
+	rng := rand.New(rand.NewSource(6))
+	entries := make([]record.Entry, leaves*perLeaf)
+	for i := range entries {
+		key, z := cfg.Summarize(gen.RandomWalk(rng, cfg.SeriesLen))
+		entries[i] = record.Entry{Key: key, ID: int64(i), Payload: z}
+	}
+	slices.SortFunc(entries, func(a, b record.Entry) int { return a.Key.Compare(b.Key) })
+	column := make([]uint8, 0, len(entries)*cfg.Segments)
+	fixed := make([][]byte, leaves)
+	packed := make([][]byte, leaves)
+	pb, err := record.NewPageBuilder(codec, pageSize)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for li := range fixed {
+		fixed[li] = make([]byte, 0, pageSize)
+		packed[li] = make([]byte, pageSize)
+		for _, e := range entries[li*perLeaf : (li+1)*perLeaf] {
+			syms := sortable.Symbols(e.Key, cfg.Segments, cfg.Bits)
+			column = append(column, syms[:cfg.Segments]...)
+			if fixed[li], err = codec.Append(fixed[li], e); err != nil {
+				b.Fatal(err)
+			}
+			if ok, err := pb.TryAdd(e); err != nil || !ok {
+				b.Fatalf("packing leaf %d: fits=%v err=%v", li, ok, err)
+			}
+		}
+		if _, err := pb.Encode(packed[li]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	ctx := index.AcquireCtx(index.NewQuery(gen.RandomWalk(rng, cfg.SeriesLen), cfg), cfg)
+	defer ctx.Release()
+	p := &ctx.P
+	leafBytes := perLeaf * cfg.Segments
+	for _, src := range []struct {
+		name  string
+		bound func(li int) float64
+	}{
+		{"column", func(li int) (sum float64) {
+			syms := column[li*leafBytes : (li+1)*leafBytes]
+			for off := 0; off < len(syms); off += cfg.Segments {
+				sum += p.MinDistSqSyms(syms[off : off+cfg.Segments])
+			}
+			return sum
+		}},
+		{"fixed-page", func(li int) (sum float64) {
+			for i := 0; i < perLeaf; i++ {
+				sum += p.MinDistSqKey(record.DecodeKeyOnly(fixed[li][i*codec.Size():]))
+			}
+			return sum
+		}},
+		{"packed-page", func(li int) (sum float64) {
+			view, err := codec.ViewPacked(packed[li])
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i := 0; i < view.Count(); i++ {
+				sum += p.MinDistSqKey(view.Key(i))
+			}
+			return sum
+		}},
+	} {
+		b.Run(src.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchSink += src.bound(i % leaves)
 			}
 		})
 	}

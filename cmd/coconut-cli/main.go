@@ -301,8 +301,9 @@ func query(base string, args []string) error {
 }
 
 // explainCmd runs one traced query and renders the execution trace — plan
-// cache outcome, per-kind probe/skip counts, candidate verification,
-// phase timings, per-query I/O — followed by the build's access heat map.
+// cache outcome, per-kind probe/skip counts, candidate verification, pages
+// released undecoded, phase timings, per-query I/O — followed by the
+// build's access heat map.
 func explainCmd(base string, args []string) error {
 	fs := flag.NewFlagSet("explain", flag.ExitOnError)
 	buildID := fs.String("build", "", "build id (required)")
@@ -346,6 +347,9 @@ func explainCmd(base string, args []string) error {
 	c := tr.Candidates
 	fmt.Printf("candidates: seen=%d verified=%d abandoned=%d pruned=%d\n",
 		c.Seen, c.Verified, c.Abandoned, c.Pruned)
+	// Probed pages a tree's resident symbols pruned whole: read (they are
+	// in io below) but released without a byte of them decoded.
+	fmt.Printf("pages released undecoded: %d\n", tr.UndecodedPages)
 	for _, ph := range tr.Phases {
 		fmt.Printf("  phase %-8s %dus\n", ph.Name, ph.Micros)
 	}

@@ -1,0 +1,271 @@
+package ctree_test
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	coconut "repro"
+	"repro/internal/ctree"
+	"repro/internal/gen"
+	"repro/internal/index"
+	"repro/internal/obs"
+	"repro/internal/series"
+	"repro/internal/storage"
+)
+
+// The column scan — group envelope, leaf envelope, resident symbols, page —
+// is held here to the scan it replaced, which bounded every entry from the
+// key bytes on its page and tested every leaf envelope on its own
+// (ctree.SetPageKeyBounds, a test hook). Each scenario builds its index
+// twice from the same data, once per scan, and runs the same operations;
+// the two must agree on every answer and, for a serial scan, on the whole
+// Stats record: sequential and random reads and writes, cache hits and
+// misses, planned skips. That is the claim "which pages a query reads, and
+// in what order, did not change", made through every surface a CTree sits
+// behind: the facade tree (fixed, packed, cached, file-backed, after
+// splits), the sharded tree, and the stream's TP partitions.
+//
+// With several workers only the answers are compared. The pool hands leaf
+// ranges to workers as they come free and a worker's collector carries its
+// bound from one range into the next, so how many leaves a parallel scan
+// skips — on either side of this comparison — depends on the schedule, as
+// does the seq/rand split of what it reads (see equivParallelisms in the
+// root package).
+
+const equivLen = 64
+
+func equivWalks(seed int64, n int) [][]float64 {
+	rng := rand.New(rand.NewSource(seed))
+	out := make([][]float64, n)
+	for i := range out {
+		out[i] = gen.RandomWalk(rng, equivLen)
+	}
+	return out
+}
+
+// searcher is what the scenarios' indexes share.
+type searcher interface {
+	Search(q []float64, k int) ([]coconut.Match, error)
+	SearchRange(q []float64, eps float64) ([]coconut.Match, error)
+	Stats() coconut.Stats
+}
+
+// matrix runs exact and range queries (the range around the exact answer's
+// third neighbour, so it is never empty), then whatever else the scenario
+// adds, and returns every answer in order.
+func matrix(t *testing.T, idx searcher, queries [][]float64, more func(q []float64) [][]coconut.Match) [][]coconut.Match {
+	t.Helper()
+	var out [][]coconut.Match
+	for _, q := range queries {
+		exact, err := idx.Search(q, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng, err := idx.SearchRange(q, exact[2].Dist)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, exact, rng)
+		if more != nil {
+			out = append(out, more(q)...)
+		}
+	}
+	return out
+}
+
+func must[T any](t *testing.T) func(v T, err error) T {
+	return func(v T, err error) T {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+}
+
+// scenario builds an index under opts, runs its operations, and returns
+// every answer in order with the index's final accounting.
+type scenario func(t *testing.T, opts coconut.Options) ([][]coconut.Match, coconut.Stats)
+
+func TestColumnScanEquivalence(t *testing.T) {
+	data := equivWalks(81, 3000)
+	late := equivWalks(82, 600)
+	queries := append(equivWalks(83, 6), data[17], data[2024]) // far ones and members
+	base := coconut.Options{SeriesLen: equivLen, Segments: 8, Bits: 6}
+	full := base
+	full.Materialized = true
+
+	tree := func(inserts int) scenario {
+		return func(t *testing.T, opts coconut.Options) ([][]coconut.Match, coconut.Stats) {
+			tr := must[*coconut.Tree](t)(coconut.BuildTree(data, opts))
+			defer tr.Close()
+			for i, s := range late[:inserts] {
+				if err := tr.Insert(s, int64(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ans := matrix(t, tr, queries, func(q []float64) [][]coconut.Match {
+				return [][]coconut.Match{must[[]coconut.Match](t)(tr.SearchApprox(q, 5))}
+			})
+			ans = append(ans, must[[][]coconut.Match](t)(tr.SearchBatch(queries, 3))...)
+			return ans, tr.Stats()
+		}
+	}
+	sharded := func(shards int) scenario {
+		return func(t *testing.T, opts coconut.Options) ([][]coconut.Match, coconut.Stats) {
+			sh := must[*coconut.Sharded](t)(coconut.BuildShardedTree(data, shards, opts))
+			defer sh.Close()
+			for i, s := range late[:200] {
+				if err := sh.Insert(s, int64(10+i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ans := matrix(t, sh, queries, func(q []float64) [][]coconut.Match {
+				return [][]coconut.Match{must[[]coconut.Match](t)(sh.SearchWindow(q, 5, 20, 150))}
+			})
+			ans = append(ans, must[[][]coconut.Match](t)(sh.SearchBatch(queries, 3))...)
+			return ans, sh.Stats()
+		}
+	}
+	tp := func(t *testing.T, opts coconut.Options) ([][]coconut.Match, coconut.Stats) {
+		opts.BufferEntries = 400
+		st := must[*coconut.Stream](t)(coconut.NewStream(coconut.TP, opts))
+		for i, s := range data[:2200] {
+			must[int](t)(st.Ingest(s, int64(i)))
+		}
+		if err := st.Seal(); err != nil {
+			t.Fatal(err)
+		}
+		var ans [][]coconut.Match
+		for _, q := range queries {
+			ans = append(ans,
+				must[[]coconut.Match](t)(st.Search(q, 5)),
+				must[[]coconut.Match](t)(st.SearchWindow(q, 5, 300, 1500)),
+				must[[]coconut.Match](t)(st.SearchWindow(q, 5, 900, 950)),
+				must[[]coconut.Match](t)(st.SearchApprox(q, 5, 300, 1500)))
+		}
+		return ans, st.Stats()
+	}
+	with := func(o coconut.Options, mod func(o *coconut.Options)) coconut.Options {
+		mod(&o)
+		return o
+	}
+
+	scenarios := []struct {
+		name  string
+		skips bool            // the facade's planner must have counted skipped leaves
+		opts  coconut.Options // Parallelism is set per run below
+		run   scenario
+	}{
+		{"tree", true, base, tree(0)},
+		{"tree-full", true, full, tree(0)},
+		{"tree-packed", true, with(full, func(o *coconut.Options) { o.CompressRuns = true }), tree(0)},
+		{"tree-splits", true, with(full, func(o *coconut.Options) { o.FillFactor = 0.8 }), tree(600)},
+		{"tree-packed-splits", true, with(base, func(o *coconut.Options) { o.CompressRuns, o.PageSize = true, 512 }), tree(600)},
+		{"tree-cached", true, with(full, func(o *coconut.Options) { o.CacheBytes = 96 << 10 }), tree(100)},
+		{"tree-file", true, with(full, func(o *coconut.Options) { o.StorageDir = "per run" }), tree(100)},
+		{"tree-unplanned", false, with(base, func(o *coconut.Options) { o.DisablePlanner = true }), tree(0)},
+		{"sharded1", true, full, sharded(1)},
+		{"sharded2-cached", true, with(base, func(o *coconut.Options) { o.CacheBytes = 64 << 10 }), sharded(2)},
+		{"sharded4", true, full, sharded(4)},
+		{"stream-tp", false, base, tp},
+		{"stream-tp-cached", false, with(base, func(o *coconut.Options) { o.CacheBytes = 64 << 10 }), tp},
+	}
+	defer ctree.SetPageKeyBounds(false)
+	for _, sc := range scenarios {
+		for _, par := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/workers=%d", sc.name, par), func(t *testing.T) {
+				opts := sc.opts
+				opts.Parallelism = par
+				run := func(reference bool) ([][]coconut.Match, coconut.Stats) {
+					ctree.SetPageKeyBounds(reference)
+					if opts.StorageDir != "" {
+						opts.StorageDir = t.TempDir()
+					}
+					return sc.run(t, opts)
+				}
+				wantAns, want := run(true)
+				gotAns, got := run(false)
+				for i := range wantAns {
+					if !reflect.DeepEqual(wantAns[i], gotAns[i]) {
+						t.Fatalf("answer %d diverged:\nreference: %+v\ncolumn:    %+v", i, wantAns[i], gotAns[i])
+					}
+				}
+				if want.SeqReads+want.RandReads == 0 || (sc.skips && want.PlannedSkips == 0) {
+					t.Fatalf("scenario exercises nothing: %+v", want)
+				}
+				if par == 1 && want != got {
+					t.Fatalf("accounting diverged:\nreference: %+v\ncolumn:    %+v", want, got)
+				}
+			})
+		}
+	}
+}
+
+// TestColumnScanTraceMatchesReference: for unwindowed queries a traced
+// column scan reports the candidates (seen, verified, abandoned, pruned)
+// and the leaves probed and skipped that the reference scan reports — the
+// entries of a page released undecoded count as seen and pruned — and,
+// beside them, how many probed leaves it released without decoding; the
+// reference scan decodes every page it reads.
+func TestColumnScanTraceMatchesReference(t *testing.T) {
+	defer ctree.SetPageKeyBounds(false)
+	ds := series.NewDataset(equivLen)
+	for _, s := range equivWalks(84, 4000) {
+		ds.Append(series.Series(s).ZNormalize())
+	}
+	for _, compress := range []bool{false, true} {
+		cfg := index.Config{SeriesLen: equivLen, Segments: 8, Bits: 6, Materialized: true}
+		tr, err := ctree.Build(ctree.Options{Disk: storage.NewDisk(2048), Config: cfg, Compress: compress, Parallelism: 1}, ds, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, s := range equivWalks(85, 8) {
+			trace := func(reference bool, run func(q index.Query) error) *obs.TraceSnapshot {
+				ctree.SetPageKeyBounds(reference)
+				q := index.NewQuery(s, cfg)
+				q.Trace = obs.NewQueryTrace()
+				if err := run(q); err != nil {
+					t.Fatal(err)
+				}
+				snap := q.Trace.Snapshot()
+				snap.Phases = nil // wall times
+				return snap
+			}
+			eps := 0.0
+			for _, mode := range []struct {
+				name string
+				run  func(q index.Query) error
+			}{
+				{"exact", func(q index.Query) error {
+					res, err := tr.ExactSearch(q, 5)
+					if err == nil {
+						eps = res[2].Dist
+					}
+					return err
+				}},
+				{"range", func(q index.Query) error { _, err := tr.RangeSearch(q, eps); return err }},
+			} {
+				want, got := trace(true, mode.run), trace(false, mode.run)
+				if want.UndecodedPages != 0 {
+					t.Fatalf("compress=%v query %d %s: the reference scan left %d pages undecoded", compress, i, mode.name, want.UndecodedPages)
+				}
+				var probed int64
+				for _, k := range got.Kinds {
+					if k.Kind == "leaf" {
+						probed = k.Probed
+					}
+				}
+				if got.UndecodedPages == 0 || got.UndecodedPages > probed {
+					t.Fatalf("compress=%v query %d %s: %d of %d probed leaves undecoded", compress, i, mode.name, got.UndecodedPages, probed)
+				}
+				got.UndecodedPages = 0
+				if !reflect.DeepEqual(want, got) {
+					t.Fatalf("compress=%v query %d %s: traces diverged:\nreference: %+v\ncolumn:    %+v", compress, i, mode.name, want, got)
+				}
+			}
+		}
+	}
+}

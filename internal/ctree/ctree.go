@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/extsort"
@@ -111,47 +112,136 @@ type Tree struct {
 	// It is nil while the bulk-loaded identity mapping holds and is
 	// materialized by the first split, whose appended page breaks it.
 	pageOf   []int64
-	packed   bool   // leaf pages use the packed codec
-	capacity int    // max entries per leaf page (fixed-size layout)
-	target   int    // entries per leaf at build time (fill factor applied)
-	count    int64  // total entries
-	nextID64 int64  // next auto-assigned insert ID
-	pageBuf  []byte // insert-path scratch; searches allocate their own
-	pool     *parallel.Pool
-	// Planner statistics. synMin/synMax are flat per-leaf symbol envelopes:
-	// leaf li's envelope occupies [li*Segments, (li+1)*Segments). They are
-	// built during packLeaves, maintained by inserts and splits, and
-	// persisted with the directory; nil (a tree opened from pre-statistics
-	// metadata) disables zone-map skipping until the tree is rebuilt. syn is
-	// the whole-tree synopsis the sharded fan-out plans with.
-	synMin []uint8
-	synMax []uint8
-	syn    *zonestat.Synopsis
-	envOK  bool // per-leaf envelopes are maintained (false after a v1 Open)
+	packed   bool  // leaf pages use the packed codec
+	capacity int   // max entries per leaf page (fixed-size layout)
+	target   int   // entries per leaf at build time (fill factor applied)
+	count    int64 // total entries
+	nextID64 int64 // next auto-assigned insert ID
+	// Insert-path scratch, one of each per tree because inserts are
+	// externally serialized: the page a leaf is read into and re-encoded
+	// into (both backends copy what they are handed to write), and, for a
+	// packed tree, the builder whose trial fit is also the encoding.
+	pageBuf []byte
+	pb      *record.PageBuilder
+	pool    *parallel.Pool
+	// Resident summaries: what a scan consults before it decodes a page.
+	// All are built during packLeaves and maintained by inserts and splits.
+	//
+	// grpStart tiles the directory into groups of consecutive leaves: group
+	// g is leaves [grpStart[g], grpStart[g+1]); the last element is
+	// len(leaves). A group is the unit the summaries below are stored by,
+	// so that a leaf split moves a group's worth of slots, not a tree's.
+	//
+	// col is the SAX column, the paper's in-memory summary array:
+	// col[g][j] holds the symbols of the entries of group g's j-th leaf in
+	// page order, Segments bytes each, as sortable.Symbols gives them — the
+	// transposed form the per-entry lower bound takes, so a scan bounds
+	// every entry of a leaf without a byte of its page. Persisted from meta
+	// v4 on; rebuilt from the leaf pages when an older tree is opened.
+	//
+	// synMin/synMax are flat per-leaf symbol envelopes (zone maps): leaf li's
+	// occupies [li*Segments, (li+1)*Segments). They are persisted with the
+	// directory; envOK is false for a tree opened from pre-statistics (v1)
+	// metadata, which disables zone-map skipping until the tree is rebuilt.
+	//
+	// grpMin/grpMax are the second zone-map level: group g's envelope, at
+	// g*Segments of the flat arrays, is the union of its leaves' envelopes.
+	// They are derived from the leaf envelopes and exist when those do.
+	grpStart       []int
+	col            [][][]uint8
+	synMin, synMax []uint8
+	envOK          bool
+	grpMin, grpMax []uint8
+	// syn is the whole-tree synopsis the sharded fan-out plans with.
+	syn *zonestat.Synopsis
 }
+
+// groupLeaves is how many consecutive leaves a group holds when the groups
+// are built. A leaf split adds its new leaf to the group of the old one, so
+// membership elsewhere never shifts and a split touches one group; a group
+// that has grown to twice this is halved.
+const groupLeaves = 16
 
 // hasEnv reports whether per-leaf envelopes are available for planning.
 func (t *Tree) hasEnv() bool { return t.envOK }
 
-// leafEnv returns leaf li's symbol envelope (valid only when hasEnv).
-func (t *Tree) leafEnv(li int) (minSym, maxSym []uint8) {
+// envAt returns envelope i of the flat arrays mins/maxs.
+func (t *Tree) envAt(mins, maxs []uint8, i int) (minSym, maxSym []uint8) {
 	w := t.opts.Config.Segments
-	return t.synMin[li*w : (li+1)*w], t.synMax[li*w : (li+1)*w]
+	return mins[i*w : (i+1)*w], maxs[i*w : (i+1)*w]
 }
 
-// setLeafEnv recomputes leaf li's envelope from its (decoded) entries; the
+// leafEnv returns leaf li's symbol envelope (valid only when hasEnv).
+func (t *Tree) leafEnv(li int) (minSym, maxSym []uint8) { return t.envAt(t.synMin, t.synMax, li) }
+
+// groupEnv returns group g's symbol envelope (valid only when hasEnv).
+func (t *Tree) groupEnv(g int) (minSym, maxSym []uint8) { return t.envAt(t.grpMin, t.grpMax, g) }
+
+// groupOf returns the group holding leaf li.
+func (t *Tree) groupOf(li int) int {
+	return sort.Search(len(t.grpStart)-1, func(g int) bool { return t.grpStart[g+1] > li })
+}
+
+// leafSyms returns leaf li's slice of the column; g is the leaf's group.
+func (t *Tree) leafSyms(g, li int) []uint8 { return t.col[g][li-t.grpStart[g]] }
+
+// setLeafEnv recomputes leaf li's envelope from its entries' symbols; the
 // envelope slots must already exist.
-func (t *Tree) setLeafEnv(li int, entries []record.Entry) {
-	w, bits := t.opts.Config.Segments, t.opts.Config.Bits
+func (t *Tree) setLeafEnv(li int, syms []uint8) {
+	w := t.opts.Config.Segments
 	mn, mx := t.leafEnv(li)
-	for ei, e := range entries {
-		syms := sortable.Symbols(e.Key, w, bits)
-		if ei == 0 {
-			copy(mn, syms[:])
-			copy(mx, syms[:])
-			continue
+	copy(mn, syms[:w])
+	copy(mx, syms[:w])
+	for off := w; off < len(syms); off += w {
+		widenEnv(mn, mx, syms[off:off+w])
+	}
+}
+
+// setGroupEnv recomputes group g's envelope as the union of its leaves'.
+func (t *Tree) setGroupEnv(g int) {
+	mn, mx := t.groupEnv(g)
+	lo, hi := t.grpStart[g], t.grpStart[g+1]
+	lmn, lmx := t.leafEnv(lo)
+	copy(mn, lmn)
+	copy(mx, lmx)
+	for li := lo + 1; li < hi; li++ {
+		lmn, lmx = t.leafEnv(li)
+		widenEnv(mn, mx, lmn)
+		widenEnv(mn, mx, lmx)
+	}
+}
+
+// buildGroups tiles the directory into groups of groupLeaves leaves and
+// installs column — every entry's symbols in directory order — as the SAX
+// column, one slice per leaf, and, when the tree has leaf envelopes, derives
+// the group envelopes from them. A leaf's slice ends at its capacity, so the
+// first insert into a leaf moves that leaf's symbols to storage of their own
+// instead of growing into the next leaf's.
+func (t *Tree) buildGroups(column []uint8) {
+	w := t.opts.Config.Segments
+	n := (len(t.leaves) + groupLeaves - 1) / groupLeaves
+	t.grpStart = make([]int, n+1)
+	t.col = make([][][]uint8, n)
+	off := 0
+	for g := range t.col {
+		lo := g * groupLeaves
+		hi := min(lo+groupLeaves, len(t.leaves))
+		t.grpStart[g] = lo
+		t.col[g] = make([][]uint8, hi-lo)
+		for j, l := range t.leaves[lo:hi] {
+			end := off + l.count*w
+			t.col[g][j] = column[off:end:end]
+			off = end
 		}
-		widenEnv(mn, mx, syms[:])
+	}
+	t.grpStart[n] = len(t.leaves)
+	if !t.envOK {
+		return
+	}
+	t.grpMin = make([]uint8, n*w)
+	t.grpMax = make([]uint8, n*w)
+	for g := 0; g < n; g++ {
+		t.setGroupEnv(g)
 	}
 }
 
@@ -167,14 +257,46 @@ func widenEnv(mn, mx, syms []uint8) {
 	}
 }
 
-// insertEnvSlot makes room for a new leaf's envelope at directory position
-// li (the split path inserts mid-directory; appends pass li == len-1).
-func (t *Tree) insertEnvSlot(li int) {
+// insertEnvSlot makes room for envelope i in the flat arrays mins/maxs (the
+// split paths insert mid-array; appends pass i == the old count).
+func (t *Tree) insertEnvSlot(mins, maxs *[]uint8, i int) {
 	w := t.opts.Config.Segments
-	t.synMin = append(t.synMin, make([]uint8, w)...)
-	t.synMax = append(t.synMax, make([]uint8, w)...)
-	copy(t.synMin[(li+1)*w:], t.synMin[li*w:])
-	copy(t.synMax[(li+1)*w:], t.synMax[li*w:])
+	*mins = slices.Insert(*mins, i*w, make([]uint8, w)...)
+	*maxs = slices.Insert(*maxs, i*w, make([]uint8, w)...)
+}
+
+// splitSummaries follows a leaf split in the resident summaries: the
+// entries of leaf li (of group g) now end at entry mid, and the rest are a
+// new leaf at li+1. The new leaf joins g, so every other group keeps its
+// members, its column and its envelope, and g's own envelope already covers
+// every entry involved (the caller widened it by the insert); a group that
+// has reached twice its built size is then halved.
+func (t *Tree) splitSummaries(g, li, mid int) {
+	w := t.opts.Config.Segments
+	j := li - t.grpStart[g]
+	syms := t.col[g][j]
+	t.col[g] = slices.Insert(t.col[g], j+1, slices.Clone(syms[mid*w:]))
+	t.col[g][j] = syms[:mid*w]
+	for k := g + 1; k < len(t.grpStart); k++ {
+		t.grpStart[k]++
+	}
+	if t.envOK {
+		t.insertEnvSlot(&t.synMin, &t.synMax, li+1)
+		t.setLeafEnv(li, t.col[g][j])
+		t.setLeafEnv(li+1, t.col[g][j+1])
+	}
+	size := len(t.col[g])
+	if size < 2*groupLeaves {
+		return
+	}
+	t.grpStart = slices.Insert(t.grpStart, g+1, t.grpStart[g]+size/2)
+	t.col = slices.Insert(t.col, g+1, slices.Clone(t.col[g][size/2:]))
+	t.col[g] = t.col[g][:size/2]
+	if t.envOK {
+		t.insertEnvSlot(&t.grpMin, &t.grpMax, g+1)
+		t.setGroupEnv(g)
+		t.setGroupEnv(g + 1)
+	}
 }
 
 // PlanSynopses implements zonestat.Provider for shard-level planning: the
@@ -347,6 +469,10 @@ func (t *Tree) initLayout() error {
 			return fmt.Errorf("ctree: packed entry shape exceeds page size %d", pageSize)
 		}
 		t.packed = true
+		var err error
+		if t.pb, err = record.NewPageBuilder(t.codec, pageSize); err != nil {
+			return err
+		}
 	}
 	perPage := pageSize / t.codec.Size()
 	if perPage < 1 && !t.packed {
@@ -372,6 +498,9 @@ func (t *Tree) packLeaves(sorted string, n int64) error {
 	t.syn = zonestat.New(w, bits)
 	t.envOK = true
 	var envMin, envMax [sortable.MaxSegments]uint8
+	// Every record's symbols are computed here anyway, for the synopsis and
+	// the envelopes; kept, in file order, they are the SAX column.
+	column := make([]uint8, 0, int(n)*w)
 	// Leaf pages are assembled in a write-behind chunk and appended in
 	// batches, keeping the leaf file write stream sequential even though it
 	// interleaves with reads of the sorted input.
@@ -380,13 +509,9 @@ func (t *Tree) packLeaves(sorted string, n int64) error {
 	page := make([]byte, pageSize)
 	inPage := 0
 	var first sortable.Key
-	var pb *record.PageBuilder
+	pb := t.pb
 	packTarget := 0
 	if t.packed {
-		var err error
-		if pb, err = record.NewPageBuilder(t.codec, pageSize); err != nil {
-			return err
-		}
 		// The fill factor governs bytes, not entries: a packed leaf closes
 		// once its encoded size crosses the fraction, leaving the remaining
 		// bytes as insert slack. At factor 1.0 the threshold is unreachable
@@ -441,6 +566,7 @@ func (t *Tree) packLeaves(sorted string, n int64) error {
 		key := record.DecodeKeyOnly(rec)
 		syms := sortable.Symbols(key, w, bits)
 		t.syn.AddSyms(key, syms[:w], record.DecodeTS(rec))
+		column = append(column, syms[:w]...)
 		if t.packed {
 			// Add before touching the envelope: a rejected entry belongs to
 			// the next leaf, whose statistics it must seed, not widen ours.
@@ -494,7 +620,11 @@ func (t *Tree) packLeaves(sorted string, n int64) error {
 	if err := closeLeaf(); err != nil {
 		return err
 	}
-	return flushChunk()
+	if err := flushChunk(); err != nil {
+		return err
+	}
+	t.buildGroups(column)
+	return nil
 }
 
 // findLeaf returns the index of the leaf whose key range contains k: the
@@ -567,12 +697,13 @@ func (t *Tree) InsertEntry(e record.Entry) error {
 	}
 	// Widening the statistics before the write can only leave them too wide
 	// on a failed insert — safe; too narrow would be a wrong bound.
-	syms := sortable.Symbols(e.Key, t.opts.Config.Segments, t.opts.Config.Bits)
+	w := t.opts.Config.Segments
+	syms := sortable.Symbols(e.Key, w, t.opts.Config.Bits)
 	if t.syn != nil {
-		t.syn.AddSyms(e.Key, syms[:t.opts.Config.Segments], e.TS)
+		t.syn.AddSyms(e.Key, syms[:w], e.TS)
 	}
 	if len(t.leaves) == 0 {
-		return t.insertEntryIntoEmpty(e)
+		return t.insertEntryIntoEmpty(e, syms[:w])
 	}
 	li := t.findLeaf(e.Key)
 	entries, err := t.readLeaf(li)
@@ -580,61 +711,59 @@ func (t *Tree) InsertEntry(e record.Entry) error {
 		return err
 	}
 	pos := sort.Search(len(entries), func(i int) bool { return e.Less(entries[i]) })
-	entries = append(entries, record.Entry{})
-	copy(entries[pos+1:], entries[pos:])
-	entries[pos] = e
+	entries = slices.Insert(entries, pos, e)
 
-	fits, err := t.fitsLeaf(entries)
+	page, fits, err := t.encodePage(entries)
 	if err != nil {
 		return err
 	}
-	if fits {
-		if err := t.writeLeaf(li, entries); err != nil {
+	lo := entries
+	if !fits {
+		// Split: the low half stays in place; the high half becomes a new
+		// leaf appended at the end of the file. The directory stays in key
+		// order, so the page map diverges from the identity mapping here.
+		t.ensurePageMap()
+		lo = entries[:len(entries)/2]
+		if page, err = t.encodeFitting(lo); err != nil {
 			return err
 		}
-		if t.envOK {
-			// The leaf's envelope is exact, so widening it by the one new
-			// entry is what recomputing it from all of them would give.
-			mn, mx := t.leafEnv(li)
-			widenEnv(mn, mx, syms[:])
+	}
+	if err := t.opts.Disk.WritePage(t.leafFile, t.pageNum(li), page); err != nil {
+		return err
+	}
+	t.leaves[li] = leaf{minKey: lo[0].Key, count: len(lo)}
+	if !fits {
+		hi := entries[len(lo):]
+		if page, err = t.encodeFitting(hi); err != nil {
+			return err
 		}
-		t.count++
-		return nil
-	}
-	// Split: the low half stays in place; the high half becomes a new leaf
-	// appended at the end of the file. The directory stays in key order,
-	// so the page map diverges from the identity mapping here.
-	t.ensurePageMap()
-	mid := len(entries) / 2
-	if err := t.writeLeaf(li, entries[:mid]); err != nil {
-		return err
-	}
-	hi := entries[mid:]
-	page, n, err := t.encodePage(hi)
-	if err != nil {
-		return err
-	}
-	newPage, err := t.opts.Disk.AppendPage(t.leafFile, page[:n])
-	if err != nil {
-		return err
-	}
-	t.leaves = append(t.leaves, leaf{})
-	copy(t.leaves[li+2:], t.leaves[li+1:])
-	t.leaves[li+1] = leaf{minKey: hi[0].Key, count: len(hi)}
-	t.pageOf = append(t.pageOf, 0)
-	copy(t.pageOf[li+2:], t.pageOf[li+1:])
-	t.pageOf[li+1] = newPage
-	if t.envOK {
-		t.insertEnvSlot(li + 1)
-		t.setLeafEnv(li, entries[:mid])
-		t.setLeafEnv(li+1, hi)
+		newPage, err := t.opts.Disk.AppendPage(t.leafFile, page)
+		if err != nil {
+			return err
+		}
+		t.leaves = slices.Insert(t.leaves, li+1, leaf{minKey: hi[0].Key, count: len(hi)})
+		t.pageOf = slices.Insert(t.pageOf, li+1, newPage)
 	}
 	t.count++
+
+	// The resident summaries follow the pages. Each is exact, so widening an
+	// envelope by the one new entry is what recomputing it would give.
+	g := t.groupOf(li)
+	t.col[g][li-t.grpStart[g]] = slices.Insert(t.leafSyms(g, li), pos*w, syms[:w]...)
+	if t.envOK {
+		mn, mx := t.leafEnv(li)
+		widenEnv(mn, mx, syms[:w])
+		mn, mx = t.groupEnv(g)
+		widenEnv(mn, mx, syms[:w])
+	}
+	if !fits {
+		t.splitSummaries(g, li, len(lo))
+	}
 	return nil
 }
 
-func (t *Tree) insertEntryIntoEmpty(e record.Entry) error {
-	page, n, err := t.encodePage([]record.Entry{e})
+func (t *Tree) insertEntryIntoEmpty(e record.Entry, syms []uint8) error {
+	page, err := t.encodeFitting([]record.Entry{e})
 	if err != nil {
 		return err
 	}
@@ -644,83 +773,59 @@ func (t *Tree) insertEntryIntoEmpty(e record.Entry) error {
 			return err
 		}
 	}
-	if _, err := t.opts.Disk.AppendPage(t.leafFile, page[:n]); err != nil {
+	if _, err := t.opts.Disk.AppendPage(t.leafFile, page); err != nil {
 		return err
 	}
 	t.leaves = append(t.leaves, leaf{minKey: e.Key, count: 1})
 	if t.envOK {
-		w := t.opts.Config.Segments
-		t.synMin = append(t.synMin, make([]uint8, w)...)
-		t.synMax = append(t.synMax, make([]uint8, w)...)
-		t.setLeafEnv(len(t.leaves)-1, []record.Entry{e})
+		t.synMin = append(t.synMin, syms...)
+		t.synMax = append(t.synMax, syms...)
 	}
+	t.buildGroups(slices.Clone(syms))
 	t.count++
 	return nil
 }
 
-// fitsLeaf reports whether entries fit in one leaf page under the tree's
-// encoding: a record count against capacity for the fixed layout, a trial
-// encode for the packed one (compressed size is data-dependent).
-func (t *Tree) fitsLeaf(entries []record.Entry) (bool, error) {
+// encodePage renders entries as one leaf page in the insert-path page
+// buffer, or reports that they do not fit one: a record count against the
+// capacity for the fixed layout, a trial fit for the packed one (compressed
+// size is data-dependent) — and the builder that has taken every entry is
+// the one that encodes them. The returned page aliases the buffer and is
+// valid until the next call.
+func (t *Tree) encodePage(entries []record.Entry) (page []byte, fits bool, err error) {
 	if !t.packed {
-		return len(entries) <= t.capacity, nil
-	}
-	pb, err := record.NewPageBuilder(t.codec, t.opts.Disk.PageSize())
-	if err != nil {
-		return false, err
-	}
-	for _, e := range entries {
-		ok, err := pb.TryAdd(e)
-		if err != nil || !ok {
-			return false, err
+		if len(entries) > t.capacity {
+			return nil, false, nil
 		}
-	}
-	return true, nil
-}
-
-func (t *Tree) encodePage(entries []record.Entry) ([]byte, int, error) {
-	page := make([]byte, t.opts.Disk.PageSize())
-	if t.packed {
-		pb, err := record.NewPageBuilder(t.codec, t.opts.Disk.PageSize())
-		if err != nil {
-			return nil, 0, err
-		}
+		page = t.pageBuf[:0]
 		for _, e := range entries {
-			ok, err := pb.TryAdd(e)
-			if err != nil {
-				return nil, 0, err
-			}
-			if !ok {
-				return nil, 0, fmt.Errorf("ctree: %d entries overflow a packed leaf page", len(entries))
+			if page, err = t.codec.Append(page, e); err != nil {
+				return nil, false, err
 			}
 		}
-		if _, err := pb.Encode(page); err != nil {
-			return nil, 0, err
-		}
-		return page, len(page), nil
+		return page, true, nil
 	}
-	recSize := t.codec.Size()
-	for i, e := range entries {
-		buf, err := t.codec.Encode(e)
-		if err != nil {
-			return nil, 0, err
+	t.pb.Reset()
+	for _, e := range entries {
+		ok, err := t.pb.TryAdd(e)
+		if err != nil || !ok {
+			return nil, false, err
 		}
-		copy(page[i*recSize:], buf)
 	}
-	return page, len(entries) * recSize, nil
+	if _, err := t.pb.Encode(t.pageBuf); err != nil {
+		return nil, false, err
+	}
+	return t.pageBuf, true, nil
 }
 
-func (t *Tree) writeLeaf(li int, entries []record.Entry) error {
-	page, n, err := t.encodePage(entries)
-	if err != nil {
-		return err
+// encodeFitting is encodePage for entries that must fit: half of a leaf
+// that overflowed by one entry, or a single entry.
+func (t *Tree) encodeFitting(entries []record.Entry) ([]byte, error) {
+	page, fits, err := t.encodePage(entries)
+	if err == nil && !fits {
+		err = fmt.Errorf("ctree: %d entries overflow a leaf page", len(entries))
 	}
-	if err := t.opts.Disk.WritePage(t.leafFile, t.pageNum(li), page[:n]); err != nil {
-		return err
-	}
-	t.leaves[li].count = len(entries)
-	t.leaves[li].minKey = entries[0].Key
-	return nil
+	return page, err
 }
 
 func (t *Tree) pageNum(li int) int64 {

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/index"
 	"repro/internal/parallel"
+	"repro/internal/record"
 	"repro/internal/series"
 	"repro/internal/sortable"
 	"repro/internal/storage"
@@ -30,9 +31,23 @@ import (
 // Version 3 appends a packed flag byte: 1 when the leaf file uses the
 // packed page encoding (record.IsPacked), 0 for fixed-size records.
 // Version-1/2 files decode with packed=false, which is what they contain.
+//
+// Version 4 appends the SAX column: count*segments symbol bytes, every
+// entry's symbols in directory order (leaf by leaf, page order within a
+// leaf), so a reopened tree scans from resident symbols without first
+// reading its leaves. Version-1..3 files still open: Open rebuilds their
+// column with one pass over the leaf pages. The groups and their envelopes
+// are not stored at any version; they are derived from the directory and
+// the leaf envelopes.
+//
+//	[v3: packed u8]
+//	[v4: column count*segments B]
+//
+// Every stored symbol — envelopes and column — is checked against the
+// cardinality on decode: the lower-bound kernels index tables with them.
 const (
 	metaMagic   = "CTREEMTA"
-	metaVersion = 3
+	metaVersion = 4
 )
 
 // Save persists the tree's directory metadata to "<name>.meta" on its
@@ -59,7 +74,8 @@ func (t *Tree) Save() error {
 }
 
 func (t *Tree) encodeMeta() []byte {
-	buf := make([]byte, 0, 64+len(t.leaves)*28)
+	w := t.opts.Config.Segments
+	buf := make([]byte, 0, 128+len(t.leaves)*(28+2*w)+int(t.count)*w)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(t.count))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(t.nextID64))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(t.capacity))
@@ -96,6 +112,11 @@ func (t *Tree) encodeMeta() []byte {
 		buf = append(buf, 1)
 	} else {
 		buf = append(buf, 0)
+	}
+	for _, group := range t.col {
+		for _, syms := range group {
+			buf = append(buf, syms...)
+		}
 	}
 	return buf
 }
@@ -257,7 +278,65 @@ func decodeMeta(disk storage.Backend, name string, buf []byte, raw series.RawSto
 			}
 			t.packed = rest[0] == 1
 			t.opts.Compress = t.packed
+			rest = rest[1:]
 		}
 	}
+	if t.packed {
+		var err error
+		if t.pb, err = record.NewPageBuilder(t.codec, disk.PageSize()); err != nil {
+			return nil, fmt.Errorf("ctree: persisted packed tree: %w", err)
+		}
+	}
+	if !symbolsBelow(t.synMin, bits) || !symbolsBelow(t.synMax, bits) {
+		return nil, fmt.Errorf("ctree: persisted leaf envelope holds a symbol beyond %d bits", bits)
+	}
+	if version >= 4 {
+		if int64(len(rest)) != t.count*int64(segments) {
+			return nil, fmt.Errorf("ctree: persisted column is %d bytes, %d entries of %d segments need %d",
+				len(rest), t.count, segments, t.count*int64(segments))
+		}
+		if !symbolsBelow(rest, bits) {
+			return nil, fmt.Errorf("ctree: persisted column holds a symbol beyond %d bits", bits)
+		}
+		t.buildGroups(append([]uint8(nil), rest...))
+	} else if err := t.rebuildColumn(); err != nil {
+		return nil, err
+	}
 	return t, nil
+}
+
+// symbolsBelow reports whether every symbol fits the cardinality.
+func symbolsBelow(syms []uint8, bits int) bool {
+	for _, s := range syms {
+		if int(s)>>uint(bits) != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// rebuildColumn reads the SAX column back out of the leaf pages, in
+// directory order: what Open does for metadata older than the column.
+func (t *Tree) rebuildColumn() error {
+	w, bits := t.opts.Config.Segments, t.opts.Config.Bits
+	perPage := len(t.pageBuf) / t.codec.Size()
+	var column []uint8 // grown leaf by leaf: the directory's counts are unverified until each page is read
+	for li, l := range t.leaves {
+		if !t.packed && l.count > perPage {
+			return fmt.Errorf("ctree: leaf %d claims %d entries, a page holds %d", li, l.count, perPage)
+		}
+		entries, err := t.readLeaf(li)
+		if err != nil {
+			return fmt.Errorf("ctree: rebuilding the column from leaf %d: %w", li, err)
+		}
+		if len(entries) != l.count {
+			return fmt.Errorf("ctree: leaf %d holds %d entries, the directory says %d", li, len(entries), l.count)
+		}
+		for _, e := range entries {
+			syms := sortable.Symbols(e.Key, w, bits)
+			column = append(column, syms[:w]...)
+		}
+	}
+	t.buildGroups(column)
+	return nil
 }

@@ -146,10 +146,11 @@ func TestOpenRejectsForeignSynopsisShape(t *testing.T) {
 	if _, err := decodeMeta(disk, "ctree", meta, normStore{ds}, metaVersion); err != nil {
 		t.Fatal(err)
 	}
-	// The synopsis is the last field before the packed flag; its bits byte
-	// sits at offset 56 (a changed segments byte already fails the length
-	// check).
-	meta[len(meta)-1-tr.syn.EncodedSize()+56]--
+	// The synopsis is the last field before the packed flag and the column;
+	// its bits byte sits at offset 56 (a changed segments byte already fails
+	// the length check).
+	column := int(tr.count) * tr.opts.Config.Segments
+	meta[len(meta)-column-1-tr.syn.EncodedSize()+56]--
 	if _, err := decodeMeta(disk, "ctree", meta, normStore{ds}, metaVersion); err == nil {
 		t.Fatal("synopsis bits changed: metadata still opens")
 	}

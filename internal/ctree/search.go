@@ -13,8 +13,9 @@ import (
 // per-worker results are identical to the serial scan's (see
 // index.Collector). Every probe runs through the squared-space pruning
 // pipeline (index.SearchCtx): per-query MINDIST tables, no per-candidate
-// allocation, early-abandoning squared verification straight from the page
-// bytes. Searches draw their contexts from a shared pool, so any number of
+// allocation, lower bounds from the tree's resident summaries (scanRange),
+// early-abandoning squared verification straight from the page bytes.
+// Searches draw their contexts from a shared pool, so any number of
 // searches may run concurrently against one tree; only inserts require
 // external serialization against searches.
 
@@ -78,18 +79,32 @@ func (t *Tree) scanLeafInto(li int, q index.Query, col *index.Collector, sc *ind
 	if err != nil {
 		return 0, err
 	}
-	n, err := index.EvalPage(q, t.leafPage(li, h.Data()), t.opts.Raw, col, sc)
+	n, err := index.EvalPage(q, t.leafPage(t.groupOf(li), li, h.Data()), t.opts.Raw, col, sc)
 	h.Release()
 	sc.Trace.NoteProbes("leaf", 1)
 	return n, err
 }
 
-// leafPage describes leaf li, pinned as data, to the page evaluator.
-func (t *Tree) leafPage(li int, data []byte) index.Page {
+// pageKeyBounds is a test hook, not an option: when set, scans run as they
+// did before the resident column and the group envelopes existed — every
+// entry bounded from the key bytes on its page, every leaf envelope tested
+// on its own. The equivalence suite holds the column scan to this one:
+// same answers, same page accesses in the same order.
+var pageKeyBounds bool
+
+// leafPage describes leaf li (of group g), pinned as data, to the page
+// evaluator, which takes the entries' symbols from the column and so reads
+// data only for an entry that survives its bound.
+func (t *Tree) leafPage(g, li int, data []byte) (pg index.Page) {
 	if t.packed {
-		return index.PackedPage(data, t.codec)
+		pg = index.PackedPage(data, t.codec)
+	} else {
+		pg = index.FixedPage(data, t.leaves[li].count, t.codec)
 	}
-	return index.FixedPage(data, t.leaves[li].count, t.codec)
+	if !pageKeyBounds {
+		pg.UseSymbols(t.leafSyms(g, li), t.opts.Config.Segments)
+	}
+	return pg
 }
 
 // leafChunks splits the leaf directory into one contiguous range per
@@ -183,35 +198,93 @@ func (t *Tree) exactColl(q index.Query, k int, ctx *index.SearchCtx, pool *paral
 }
 
 // exactScanRange scans leaves [lo, hi) with squared lower-bound pruning
-// into col, evaluating candidates straight from the pinned page bytes —
-// zero copies whether the pin lands in a buffer pool or on the bare disk.
-// With planning enabled it applies zone-map skipping: a leaf whose symbol
-// envelope's MINDIST bound already exceeds the collector's worst cannot
-// contribute (the envelope bound is never larger than any member entry's
-// bound, which EvalPage would prune anyway), so skipping it drops only
-// work, never answers. Skips are committed run-length-aware — see skipRuns.
+// into col; see scanRange.
 func (t *Tree) exactScanRange(lo, hi int, q index.Query, col *index.Collector, sc *index.Scratch) error {
-	read := func(li int) error {
-		h, err := t.opts.Reader.PinPage(t.leafFile, t.pageNum(li))
-		if err != nil {
+	return t.scanRange(lo, hi, sc,
+		func(g, li int, pruned bool) error {
+			h, err := t.opts.Reader.PinPage(t.leafFile, t.pageNum(li))
+			if err != nil {
+				return err
+			}
+			if pruned && !q.Windowed {
+				t.notePruned(li, sc)
+			} else {
+				_, err = index.EvalPage(q, t.leafPage(g, li, h.Data()), t.opts.Raw, col, sc)
+			}
+			h.Release()
 			return err
+		},
+		func(mn, mx []uint8) bool { return col.SkipSq(sc.P.EnvelopeSqUpTo(mn, mx, col.WorstSq())) })
+}
+
+// notePruned accounts for a leaf that is read — its page pinned and
+// released — although its envelope has already ruled out every entry: to
+// the trace they are candidates seen and pruned, which is what evaluating
+// the page would have found, one bound at a time. (Only an unwindowed scan
+// takes this path; a window's seen count needs the page's timestamps.)
+func (t *Tree) notePruned(li int, sc *index.Scratch) {
+	n := int64(t.leaves[li].count)
+	sc.Trace.NoteCands(n, 0, 0, n)
+	sc.Trace.NoteUndecoded(1)
+}
+
+// scanRange drives leaves [lo, hi) through read, which pins a leaf's page
+// for one evaluation — zero copies whether the pin lands in a buffer pool
+// or on the bare disk. A scan descends three resident levels before it
+// reads a byte of a page: the group envelope, the leaf envelope, and
+// (inside the evaluation, through leafPage) the leaf's slice of the SAX
+// column.
+//
+// With planning enabled the envelopes are zone maps: dead reports whether
+// an envelope's MINDIST bound already rules out every series inside it. A
+// dead leaf cannot contribute (the envelope bound is never larger than any
+// member entry's bound, which the evaluation would prune anyway), so
+// skipping it drops only work, never answers; skips are committed
+// run-length-aware — see skipRuns. A dead group is a short cut and nothing
+// else: a leaf's envelope lies inside its group's, so its bound is at least
+// the group's, term by term in the same order, and the collector's bound
+// only tightens — every leaf of a dead group is dead when its own turn
+// comes. Which leaves are read is therefore what the leaf envelopes alone
+// decide.
+//
+// A leaf that is read is pinned and released whether or not an entry of it
+// can survive: the page is part of the sequential run the cost model
+// charges for, and of the cache's contents. What a survivor-free page is
+// spared is every touch of its bytes — and, when it is a dead leaf whose
+// skip was declined (read's pruned argument), its entries' bounds too.
+func (t *Tree) scanRange(lo, hi int, sc *index.Scratch, read func(g, li int, pruned bool) error, dead func(minSym, maxSym []uint8) bool) error {
+	// Leaves are read in ascending order, so the group of the one being
+	// read is a cursor that only moves forward.
+	rg := t.groupOf(lo)
+	readLeaf := func(li int, pruned bool) error {
+		for li >= t.grpStart[rg+1] {
+			rg++
 		}
-		_, err = index.EvalPage(q, t.leafPage(li, h.Data()), t.opts.Raw, col, sc)
-		h.Release()
-		return err
+		return read(rg, li, pruned)
 	}
 	if !t.opts.Planner.Enabled() || !t.hasEnv() {
 		for li := lo; li < hi; li++ {
-			if err := read(li); err != nil {
+			if err := readLeaf(li, false); err != nil {
 				return err
 			}
 		}
 		sc.Trace.NoteProbes("leaf", int64(hi-lo))
 		return nil
 	}
-	return t.skipRuns(lo, hi, sc.Trace, read, func(li int) bool {
-		mn, mx := t.leafEnv(li)
-		return col.SkipSq(sc.P.EnvelopeSqUpTo(mn, mx, col.WorstSq()))
+	// skipRuns asks about each leaf of the range once, in order. The leaf at
+	// next is the first of group g inside the range (the range may begin
+	// mid-group); the group's verdict stands until the next group begins.
+	g, next, groupDead := rg, lo, false
+	return t.skipRuns(lo, hi, sc.Trace, readLeaf, func(li int) bool {
+		if li == next {
+			groupDead = !pageKeyBounds && dead(t.groupEnv(g))
+			g++
+			next = t.grpStart[g]
+		}
+		if groupDead {
+			return true
+		}
+		return dead(t.leafEnv(li))
 	})
 }
 
@@ -232,8 +305,9 @@ const interiorSkipRun = 12
 // declined skip is identical to no planner at all. Deferral never changes
 // answers: a leaf marked skippable stays answer-free forever (the
 // collector's bound only tightens), and reading it anyway is the unplanned
-// behaviour.
-func (t *Tree) skipRuns(lo, hi int, tr *obs.QueryTrace, read func(li int) error, skippable func(li int) bool) error {
+// behaviour — which is also why read is told so (pruned): it owes such a
+// leaf the page access and nothing more.
+func (t *Tree) skipRuns(lo, hi int, tr *obs.QueryTrace, read func(li int, pruned bool) error, skippable func(li int) bool) error {
 	pl := t.opts.Planner
 	pendStart, pending := 0, 0
 	started := false // a leaf in [lo,hi) has actually been read
@@ -257,7 +331,7 @@ func (t *Tree) skipRuns(lo, hi int, tr *obs.QueryTrace, read func(li int) error,
 				skipped += int64(pending)
 			} else {
 				for p := pendStart; p < pendStart+pending; p++ {
-					if err := read(p); err != nil {
+					if err := read(p, !pageKeyBounds); err != nil {
 						return err
 					}
 					probed++
@@ -265,7 +339,7 @@ func (t *Tree) skipRuns(lo, hi int, tr *obs.QueryTrace, read func(li int) error,
 			}
 			pending = 0
 		}
-		if err := read(li); err != nil {
+		if err := read(li, false); err != nil {
 			return err
 		}
 		probed++
@@ -299,32 +373,24 @@ func (t *Tree) RangeSearch(q index.Query, eps float64) ([]index.Result, error) {
 }
 
 // rangeScanRange scans leaves [lo, hi) with squared epsilon pruning into
-// col, zone-map skipping leaves whose envelope bound the epsilon prunes
-// (run-length-aware, like exactScanRange).
+// col; see scanRange.
 func (t *Tree) rangeScanRange(lo, hi int, q index.Query, col *index.RangeCollector, sc *index.Scratch) error {
-	read := func(li int) error {
-		h, err := t.opts.Reader.PinPage(t.leafFile, t.pageNum(li))
-		if err != nil {
-			return err
-		}
-		err = index.EvalPageRange(q, t.leafPage(li, h.Data()), t.opts.Raw, col, sc)
-		h.Release()
-		return err
-	}
-	if !t.opts.Planner.Enabled() || !t.hasEnv() {
-		for li := lo; li < hi; li++ {
-			if err := read(li); err != nil {
+	limit := col.SkipBeyondSq()
+	return t.scanRange(lo, hi, sc,
+		func(g, li int, pruned bool) error {
+			h, err := t.opts.Reader.PinPage(t.leafFile, t.pageNum(li))
+			if err != nil {
 				return err
 			}
-		}
-		sc.Trace.NoteProbes("leaf", int64(hi-lo))
-		return nil
-	}
-	limit := col.SkipBeyondSq()
-	return t.skipRuns(lo, hi, sc.Trace, read, func(li int) bool {
-		mn, mx := t.leafEnv(li)
-		return col.SkipSq(sc.P.EnvelopeSqUpTo(mn, mx, limit))
-	})
+			if pruned && !q.Windowed {
+				t.notePruned(li, sc)
+			} else {
+				err = index.EvalPageRange(q, t.leafPage(g, li, h.Data()), t.opts.Raw, col, sc)
+			}
+			h.Release()
+			return err
+		},
+		func(mn, mx []uint8) bool { return col.SkipSq(sc.P.EnvelopeSqUpTo(mn, mx, limit)) })
 }
 
 var (

@@ -1,12 +1,15 @@
 package index
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/record"
 	"repro/internal/series"
+	"repro/internal/sortable"
 )
 
 // buildEvalFixture summarizes n random series into key-sorted entries plus
@@ -66,13 +69,26 @@ func buildEvalFixture(t *testing.T, rng *rand.Rand, cfg Config, n, pageSize int)
 	return ds, entries, fixed, packed
 }
 
-// evalLayouts names the three layouts of one entry sequence the page
-// evaluator reads through its cursor.
-func evalLayouts(entries []record.Entry, fixed, packed []byte, codec record.Codec) map[string]Page {
+// evalLayouts names the layouts of one entry sequence the page evaluator
+// reads through its cursor: three encodings, and the two on-page ones again
+// with the entries' symbols resident beside the page (UseSymbols), where the
+// bounds come from the symbols and the page is read only for survivors.
+func evalLayouts(entries []record.Entry, fixed, packed []byte, cfg Config) map[string]Page {
+	codec := cfg.Codec()
+	var column []uint8
+	for _, e := range entries {
+		syms := sortable.Symbols(e.Key, cfg.Segments, cfg.Bits)
+		column = append(column, syms[:cfg.Segments]...)
+	}
+	fixedSyms, packedSyms := FixedPage(fixed, len(entries), codec), PackedPage(packed, codec)
+	fixedSyms.UseSymbols(column, cfg.Segments)
+	packedSyms.UseSymbols(column, cfg.Segments)
 	return map[string]Page{
-		"fixed":   FixedPage(fixed, len(entries), codec),
-		"packed":  PackedPage(packed, codec),
-		"entries": EntryPage(entries),
+		"fixed":          FixedPage(fixed, len(entries), codec),
+		"packed":         PackedPage(packed, codec),
+		"entries":        EntryPage(entries),
+		"fixed+symbols":  fixedSyms,
+		"packed+symbols": packedSyms,
 	}
 }
 
@@ -97,7 +113,7 @@ func TestEvalPageLayoutsMatch(t *testing.T) {
 	for _, materialized := range []bool{false, true} {
 		cfg := Config{SeriesLen: 32, Segments: 8, Bits: 4, Materialized: materialized}
 		ds, entries, fixed, packed := buildEvalFixture(t, rng, cfg, 48, 32768)
-		layouts := evalLayouts(entries, fixed, packed, cfg.Codec())
+		layouts := evalLayouts(entries, fixed, packed, cfg)
 
 		for trial := 0; trial < 20; trial++ {
 			qs := make(series.Series, cfg.SeriesLen)
@@ -119,8 +135,8 @@ func TestEvalPageLayoutsMatch(t *testing.T) {
 				return n, col.Results()
 			}
 			wantN, want := eval(layouts["fixed"])
-			for _, name := range []string{"packed", "entries"} {
-				gotN, got := eval(layouts[name])
+			for name, pg := range layouts {
+				gotN, got := eval(pg)
 				if gotN != wantN {
 					t.Fatalf("materialized=%v trial %d %s: %d vs %d window survivors", materialized, trial, name, gotN, wantN)
 				}
@@ -137,7 +153,7 @@ func TestEvalPageRangeLayoutsMatch(t *testing.T) {
 	for _, materialized := range []bool{false, true} {
 		cfg := Config{SeriesLen: 32, Segments: 8, Bits: 4, Materialized: materialized}
 		ds, entries, fixed, packed := buildEvalFixture(t, rng, cfg, 48, 32768)
-		layouts := evalLayouts(entries, fixed, packed, cfg.Codec())
+		layouts := evalLayouts(entries, fixed, packed, cfg)
 
 		qs := make(series.Series, cfg.SeriesLen)
 		for j := range qs {
@@ -155,8 +171,8 @@ func TestEvalPageRangeLayoutsMatch(t *testing.T) {
 				return col.Results()
 			}
 			want := eval(layouts["fixed"])
-			for _, name := range []string{"packed", "entries"} {
-				sameResults(t, name, want, eval(layouts[name]))
+			for name, pg := range layouts {
+				sameResults(t, name, want, eval(pg))
 			}
 		}
 	}
@@ -181,7 +197,7 @@ func TestEvalPageDoesNotAllocate(t *testing.T) {
 	ctx := AcquireCtx(q, cfg)
 	defer ctx.Release()
 	sc := ctx.Scratch0()
-	for name, pg := range evalLayouts(entries, fixed, packed, cfg.Codec()) {
+	for name, pg := range evalLayouts(entries, fixed, packed, cfg) {
 		col := NewCollector(3)
 		// Warm the scratch candidate buffer to its high-water mark.
 		if _, err := EvalPage(q, pg, ds, col, sc); err != nil {
@@ -212,5 +228,69 @@ func TestEvalPageDoesNotAllocate(t *testing.T) {
 		if allocs != 0 {
 			t.Fatalf("%s range probe allocated %v times per run, want 0", name, allocs)
 		}
+	}
+}
+
+// TestEvalPageSymbolsSpareThePage: with the entries' symbols resident, a
+// page none of whose entries survives its bound is never read — the
+// evaluators return without opening it, so bytes that do not even decode
+// go unnoticed and the trace counts the page as released undecoded — while
+// a page with a survivor is opened and must agree with its symbols.
+func TestEvalPageSymbolsSpareThePage(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	cfg := Config{SeriesLen: 32, Segments: 8, Bits: 4, Materialized: true}
+	ds, entries, fixed, packed := buildEvalFixture(t, rng, cfg, 24, 16384)
+	layouts := evalLayouts(entries, fixed, packed, cfg)
+	qs := make(series.Series, cfg.SeriesLen)
+	for j := range qs {
+		qs[j] = 10 * rng.NormFloat64()
+	}
+	q := NewQuery(qs, cfg)
+	q.Trace = obs.NewQueryTrace()
+	ctx := AcquireCtx(q, cfg)
+	defer ctx.Release()
+	sc := ctx.Scratch0()
+	least := math.Inf(1)
+	for _, e := range entries {
+		least = math.Min(least, sc.P.MinDistSqKey(e.Key))
+	}
+	if least == 0 {
+		t.Fatal("fixture: an entry shares the query's cell, nothing bounds it away")
+	}
+	full := func() *Collector { // holds one result nearer than any entry can be
+		col := NewCollector(1)
+		col.AddSq(-1, 0, least/2)
+		return col
+	}
+	garbage := make([]byte, len(packed))
+	for _, name := range []string{"fixed+symbols", "packed+symbols"} {
+		pg := layouts[name]
+		pg.data = garbage
+		n, err := EvalPage(q, pg, ds, full(), sc)
+		if err != nil || n != len(entries) {
+			t.Fatalf("%s k-NN over an undecodable page: n=%d err=%v, want %d entries pruned unread", name, n, err, len(entries))
+		}
+		if err := EvalPageRange(q, pg, ds, NewRangeCollector(math.Sqrt(least)/2), sc); err != nil {
+			t.Fatalf("%s range over an undecodable page: %v", name, err)
+		}
+	}
+	snap := q.Trace.Snapshot()
+	if c := snap.Candidates; snap.UndecodedPages != 4 || c.Seen != int64(4*len(entries)) || c.Pruned != c.Seen || c.Verified != 0 {
+		t.Fatalf("trace after four spared pages: undecoded=%d candidates=%+v", snap.UndecodedPages, c)
+	}
+	// The same bytes without resident symbols have to be read.
+	pg := layouts["packed"]
+	pg.data = garbage
+	if _, err := EvalPage(q, pg, ds, full(), sc); err == nil {
+		t.Fatal("undecodable packed page evaluated without its symbols: no error")
+	}
+	// A survivor opens the page, whose header must agree with the symbols.
+	short := layouts["packed+symbols"]
+	short.UseSymbols(short.syms[:len(short.syms)-cfg.Segments], cfg.Segments)
+	if _, err := EvalPage(q, short, ds, NewCollector(1), sc); err == nil {
+		t.Fatal("packed page with one entry more than its symbols: no error")
+	}
+	if err := EvalPageRange(q, short, ds, NewRangeCollector(1e6), sc); err == nil {
+		t.Fatal("packed page with one entry more than its symbols: no error from the range evaluator")
 	}
 }

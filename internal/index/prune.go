@@ -38,6 +38,9 @@ import (
 //     summed by simd.TableSum in the kernels' blocked order, so the bound
 //     is the same float64, bit for bit, on every kernel set and equal to
 //     what a bit-at-a-time decode gives (prune_test.go holds it to one).
+//     An index that keeps its entries' symbols resident (the CTree's SAX
+//     column) skips the transpose as well: MinDistSqSyms is the same sum
+//     from the symbols, and the Page cursor takes them in place of keys.
 //
 //   - A unit's symbol envelope (a zone map: zonestat) bounds every series
 //     in the unit at once, one clamped lookup per segment. The bound is
@@ -193,6 +196,26 @@ func (p *Pruner) MinDistSqKey(k sortable.Key) float64 {
 	return simd.TableSum(p.tab[p.bits], idx[:p.segments])
 }
 
+// MinDistSqSyms is MinDistSqKey for a key whose transpose is already at
+// hand: syms holds the key's symbols, one per segment, as sortable.Symbols
+// returns them (the CTree keeps them resident for every entry, so its scans
+// bound an entry without its key). The sum is the same table indexes through
+// the same kernel, so it is the same float64 as MinDistSqKey's, bit for bit
+// (the index build is written out in both: each is the per-entry cost of a
+// scan, and one calling the other is a call per entry that neither inlines).
+// Every symbol must be below 1<<Bits, which the callers' sources guarantee:
+// Symbols by construction, a persisted column by validation on decode.
+func (p *Pruner) MinDistSqSyms(syms []uint8) float64 {
+	var idx [sortable.MaxSegments]int32
+	syms = syms[:p.segments]
+	row, rowLen := int32(0), int32(1)<<uint(p.bits)
+	for s, sym := range syms {
+		idx[s] = row | int32(sym)
+		row += rowLen
+	}
+	return simd.TableSum(p.tab[p.bits], idx[:len(syms)])
+}
+
 // EnvelopeSq returns the squared iSAX lower bound between the query and
 // every series whose per-segment symbols lie inside the envelope
 // [minSym[s], maxSym[s]]: no series in the envelope can be closer than the
@@ -274,6 +297,7 @@ type Scratch struct {
 	P     *Pruner
 	ser   series.Series
 	cands []pageCand
+	view  record.PackedView // the packed page under evaluation, see Page.openView
 	// Trace aliases the query's trace recorder (nil untraced); workers
 	// report candidate tallies through it. Refreshed by Scratches.
 	Trace *obs.QueryTrace
@@ -378,13 +402,21 @@ func TrueDistSq(q Query, e record.Entry, raw series.RawStore, limitSq float64, s
 // It is a small stack value — building one allocates nothing, and no
 // record is ever decoded into an Entry. A Page aliases the pin (or the
 // caller's entry slice) and is valid only as long as it is.
+//
+// A page's lower bounds need only its entries' symbols, and an index that
+// keeps those resident hands them to the cursor (UseSymbols): the bounds
+// then read no page bytes at all, and an unwindowed evaluation that prunes
+// every entry returns without having touched — for a packed page, without
+// having opened — the page.
 type Page struct {
 	n       int
 	recSize int                // > 0: fixed-width records in data
 	ents    []record.Entry     // non-nil: decoded entries
-	view    *record.PackedView // otherwise: packed columns of data, see packed
+	view    *record.PackedView // otherwise: packed columns of data, see openView
 	data    []byte
 	codec   record.Codec
+	syms    []uint8 // non-nil: the entries' symbols, segs to an entry
+	segs    int
 }
 
 // FixedPage describes n records encoded back-to-back (codec.Size() bytes
@@ -403,10 +435,41 @@ func PackedPage(data []byte, codec record.Codec) Page {
 // write buffers.
 func EntryPage(entries []record.Entry) Page { return Page{n: len(entries), ents: entries} }
 
+// UseSymbols makes the cursor bound its entries from syms instead of from
+// their keys: segs symbols per entry in page order, each entry's as
+// sortable.Symbols gives them for its key. The entry count is then the
+// column's, which a packed page's header must agree with once it is opened.
+func (pg *Page) UseSymbols(syms []uint8, segs int) {
+	pg.syms, pg.segs, pg.n = syms, segs, len(syms)/segs
+}
+
 // packed reports whether the page is in the packed layout. The evaluation
-// loops then open its column view in their own frame and point pg.view at
-// it: the view is too large to carry in every Page the probes pass around.
+// loops then open its column view (openView) and point pg.view at it: the
+// view is too large to carry in every Page the probes pass around.
 func (pg *Page) packed() bool { return pg.recSize == 0 && pg.data != nil }
+
+// openView opens a packed page's column view, unless it is open already;
+// other layouts have nothing to open. A loop calls it before its first read
+// of page bytes: at once when the bounds or the window filter need them,
+// otherwise only when an entry has survived its bound. The view lives in
+// the worker's scratch, which one evaluation uses at a time.
+func (pg *Page) openView(sc *Scratch) error {
+	if !pg.packed() || pg.view != nil {
+		return nil
+	}
+	v, err := pg.codec.ViewPacked(pg.data)
+	if err != nil {
+		return err
+	}
+	if pg.syms == nil {
+		pg.n = v.Count()
+	} else if v.Count() != pg.n {
+		return fmt.Errorf("index: packed page holds %d entries, its resident symbols %d", v.Count(), pg.n)
+	}
+	sc.view = v
+	pg.view = &sc.view
+	return nil
+}
 
 func (pg *Page) rec(i int) []byte { return pg.data[i*pg.recSize : (i+1)*pg.recSize] }
 
@@ -499,21 +562,25 @@ func (pg *Page) distSq(q Query, i int, raw series.RawStore, limitSq float64, sc 
 // slots reuse the scratch slice, so a warm probe allocates nothing. It
 // returns the number of in-window entries seen.
 func EvalPage(q Query, pg Page, raw series.RawStore, col *Collector, sc *Scratch) (int, error) {
-	n := pg.n
-	if pg.packed() {
-		view, err := pg.codec.ViewPacked(pg.data)
-		if err != nil {
+	resident := pg.syms != nil && !q.Windowed // nothing before a survivor reads the page
+	if !resident {
+		if err := pg.openView(sc); err != nil {
 			return 0, err
 		}
-		n, pg.view = view.Count(), &view
 	}
+	n := pg.n
 	cands := sc.cands[:0]
 	count := 0
 	traced := sc.Trace != nil
 	var ver, ab, pr int64
 	for i := pg.nextInWindow(&q, 0, n); i < n; i = pg.nextInWindow(&q, i+1, n) {
 		count++
-		lbSq := sc.P.MinDistSqKey(pg.key(i))
+		var lbSq float64
+		if pg.syms != nil {
+			lbSq = sc.P.MinDistSqSyms(pg.syms[i*pg.segs : (i+1)*pg.segs])
+		} else {
+			lbSq = sc.P.MinDistSqKey(pg.key(i))
+		}
 		if col.SkipSq(lbSq) {
 			if traced {
 				pr++
@@ -521,6 +588,18 @@ func EvalPage(q Query, pg Page, raw series.RawStore, col *Collector, sc *Scratch
 			continue // cheap reject before even locating the payload
 		}
 		cands = append(cands, pageCand{lbSq: lbSq, i: int32(i)})
+	}
+	if len(cands) == 0 {
+		if traced {
+			sc.Trace.NoteCands(int64(count), 0, 0, pr)
+			if resident {
+				sc.Trace.NoteUndecoded(1)
+			}
+		}
+		return count, nil
+	}
+	if err := pg.openView(sc); err != nil {
+		return count, err
 	}
 	slices.SortFunc(cands, func(a, b pageCand) int { return cmp.Compare(a.lbSq, b.lbSq) })
 	sc.cands = cands
@@ -555,25 +634,33 @@ func EvalPage(q Query, pg Page, raw series.RawStore, col *Collector, sc *Scratch
 // static, so candidates need no ordering and every in-window, unpruned
 // entry verifies directly.
 func EvalPageRange(q Query, pg Page, raw series.RawStore, col *RangeCollector, sc *Scratch) error {
-	n := pg.n
-	if pg.packed() {
-		view, err := pg.codec.ViewPacked(pg.data)
-		if err != nil {
+	resident := pg.syms != nil && !q.Windowed // nothing before a survivor reads the page
+	if !resident {
+		if err := pg.openView(sc); err != nil {
 			return err
 		}
-		n, pg.view = view.Count(), &view
 	}
+	n := pg.n
 	traced := sc.Trace != nil
 	var seen, ver, ab, pr int64
 	for i := pg.nextInWindow(&q, 0, n); i < n; i = pg.nextInWindow(&q, i+1, n) {
 		if traced {
 			seen++
 		}
-		if col.SkipSq(sc.P.MinDistSqKey(pg.key(i))) {
+		var lbSq float64
+		if pg.syms != nil {
+			lbSq = sc.P.MinDistSqSyms(pg.syms[i*pg.segs : (i+1)*pg.segs])
+		} else {
+			lbSq = sc.P.MinDistSqKey(pg.key(i))
+		}
+		if col.SkipSq(lbSq) {
 			if traced {
 				pr++
 			}
 			continue
+		}
+		if err := pg.openView(sc); err != nil {
+			return err
 		}
 		dSq, err := pg.distSq(q, i, raw, col.BoundSq(), sc)
 		if err != nil {
@@ -589,6 +676,9 @@ func EvalPageRange(q Query, pg Page, raw series.RawStore, col *RangeCollector, s
 	}
 	if traced {
 		sc.Trace.NoteCands(seen, ver, ab, pr)
+		if resident && ver == 0 {
+			sc.Trace.NoteUndecoded(1)
+		}
 	}
 	return nil
 }

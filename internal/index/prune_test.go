@@ -93,7 +93,9 @@ func minDistSqKeySerial(p *Pruner, k sortable.Key) float64 {
 
 // TestMinDistSqKeyBitIdentical: on every kernel set, for every shape, the
 // bound is the same float64, bit for bit, as the bit-serial decode summed
-// in the blocked order — so no prune, skip or page read can differ.
+// in the blocked order — so no prune, skip or page read can differ — and so
+// is the bound taken from the key's symbols (MinDistSqSyms), which is what a
+// scan over resident symbols computes in place of MinDistSqKey.
 func TestMinDistSqKeyBitIdentical(t *testing.T) {
 	defer simd.Select("auto")
 	for _, kernels := range simd.Available() {
@@ -110,6 +112,10 @@ func TestMinDistSqKeyBitIdentical(t *testing.T) {
 					got, want := p.MinDistSqKey(k), minDistSqKeySerial(&p, k)
 					if math.Float64bits(got) != math.Float64bits(want) {
 						t.Fatalf("%s %dx%d key %v: MinDistSqKey %x, bit-serial %x", kernels, w, bits, k, got, want)
+					}
+					syms := sortable.Symbols(k, w, bits)
+					if got := p.MinDistSqSyms(syms[:w]); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%s %dx%d key %v: MinDistSqSyms %x, bit-serial %x", kernels, w, bits, k, got, want)
 					}
 				}
 			}

@@ -27,6 +27,7 @@ type QueryTrace struct {
 	phases    []PhaseSnapshot
 
 	seen, verified, abandoned, pruned atomic.Int64
+	undecoded                         atomic.Int64
 }
 
 // NewQueryTrace returns an empty trace.
@@ -91,6 +92,10 @@ type TraceSnapshot struct {
 	Units          []UnitSnapshot  `json:"units,omitempty"`
 	UnitsTruncated int             `json:"units_truncated,omitempty"`
 	Candidates     CandidateCounts `json:"candidates"`
+	// UndecodedPages is how many of the probed pages (they are counted as
+	// probed units of their kind, and as page reads in IO) were released
+	// without a byte of them read: resident symbols had pruned every entry.
+	UndecodedPages int64           `json:"undecoded_pages,omitempty"`
 	Phases         []PhaseSnapshot `json:"phases,omitempty"`
 	IO             IOSnapshot      `json:"io"`
 	WallMicros     int64           `json:"wall_micros,omitempty"`
@@ -168,6 +173,15 @@ func (t *QueryTrace) NoteCands(seen, verified, abandoned, pruned int64) {
 	t.pruned.Add(pruned)
 }
 
+// NoteUndecoded adds n probed pages released without being decoded (safe
+// from concurrent search workers).
+func (t *QueryTrace) NoteUndecoded(n int64) {
+	if t == nil {
+		return
+	}
+	t.undecoded.Add(n)
+}
+
 // Span measures one phase; obtained from Start, closed with End. The
 // zero Span (from a nil trace) is a no-op.
 type Span struct {
@@ -222,6 +236,7 @@ func (t *QueryTrace) Snapshot() *TraceSnapshot {
 			Abandoned: t.abandoned.Load(),
 			Pruned:    t.pruned.Load(),
 		},
+		UndecodedPages: t.undecoded.Load(),
 	}
 	for _, k := range s.Kinds {
 		s.PlannedSkips += k.Skipped

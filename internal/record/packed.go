@@ -284,13 +284,18 @@ func (b *PageBuilder) Encode(page []byte) (int, error) {
 		putBits(page[tsOff:], i*int(w.tsW), uint64(ts)-uint64(b.minTS), uint(w.tsW))
 	}
 	copy(page[payOff:], b.pay)
+	b.Reset()
+	return used, nil
+}
 
+// Reset discards the staged entries, as Encode does once it has rendered
+// them: a trial fit that ends in a rejection leaves the builder reusable.
+func (b *PageBuilder) Reset() {
 	b.keys = b.keys[:0]
 	b.ids = b.ids[:0]
 	b.tss = b.tss[:0]
 	b.pay = b.pay[:0]
 	b.orHi, b.orLo = 0, 0
-	return used, nil
 }
 
 // PackedView is a decoded packed-page header with O(1) column accessors. It

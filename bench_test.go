@@ -12,6 +12,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/bufpool"
 	"repro/internal/extsort"
 	"repro/internal/gen"
 	"repro/internal/index"
@@ -882,5 +883,79 @@ func BenchmarkCompressedSearch(b *testing.B) {
 				b.ReportMetric(diff.Cost(storage.DefaultCostModel)/float64(b.N), "io-cost/query")
 			})
 		}
+	}
+}
+
+// --- Sequential-scan benchmark: the page cursor against one pin per page. ---
+
+// BenchmarkScan reads one 2 341-page file front to back per iteration — the
+// largest run of the durable_lsm benchmark workload, behind that workload's
+// 2 048-frame cache — the way a scan used to (one PinPage per page:
+// "file-pinpage", and through the pool "pool-flooded", where every page is
+// a miss that evicts a page the next pass wants) and the way it does now
+// (PageReader.Scan: "file-cursor" reads ahead a chunk per pread, "pool-bypass"
+// keeps the scan's misses out of the cache, "sim" is the simulated disk's
+// zero-copy pin). ns/page is the figure to compare.
+func BenchmarkScan(b *testing.B) {
+	const pages = 2341
+	fill := func(d storage.Backend) {
+		if err := d.Create("run"); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := d.AppendPages("run", make([]byte, pages*d.PageSize())); err != nil {
+			b.Fatal(err)
+		}
+	}
+	sim := storage.NewDisk(0)
+	file, err := storage.NewFileDisk(storage.FileDiskOptions{Dir: b.TempDir()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer file.Close()
+	fill(sim)
+	fill(file)
+	pinEach := func(r storage.PageReader) func() error {
+		return func() error {
+			for p := int64(0); p < pages; p++ {
+				h, err := r.PinPage("run", p)
+				if err != nil {
+					return err
+				}
+				h.Release()
+			}
+			return nil
+		}
+	}
+	cursor := func(r storage.PageReader) func() error {
+		return func() error {
+			cur := r.Scan("run", 0, pages)
+			defer cur.Close()
+			for p := int64(0); p < pages; p++ {
+				if _, err := cur.Pin(p); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+	}
+	for _, bc := range []struct {
+		name string
+		scan func() error
+	}{
+		{"file-pinpage", pinEach(file)},
+		{"file-cursor", cursor(file)},
+		{"pool-flooded", pinEach(bufpool.New(file, 2048*storage.DefaultPageSize))},
+		{"pool-bypass", cursor(bufpool.New(file, 2048*storage.DefaultPageSize))},
+		{"sim", cursor(sim)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := bc.scan(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/pages, "ns/page")
+		})
 	}
 }

@@ -3,6 +3,9 @@ package coconut
 import (
 	"math/rand"
 	"testing"
+
+	"repro/internal/bufpool"
+	"repro/internal/storage"
 )
 
 // These tests pin the buffer-pool layer's core contract: a cache between
@@ -46,6 +49,32 @@ func sameMatches(t *testing.T, label string, want, got []Match) {
 		if want[i] != got[i] {
 			t.Fatalf("%s result %d: %+v vs %+v", label, i, want[i], got[i])
 		}
+	}
+}
+
+// checkSmallCacheWarmPass closes a small-cache scenario: the cache must be
+// smaller than the index's largest file (so that file's scans bypass it),
+// and a replay over the warmed cache must hit — the shorter files and the
+// probe pages stayed resident — and evict nothing, because a scan the cache
+// cannot hold no longer flows through it.
+func checkSmallCacheWarmPass(t *testing.T, label string, disk storage.Backend, pool *bufpool.Pool, replay func()) {
+	t.Helper()
+	var largest int64
+	for _, f := range disk.Files() {
+		if n, _ := disk.NumPages(f); n > largest {
+			largest = n
+		}
+	}
+	if frames := pool.Cache().CapacityFrames(); largest <= frames {
+		t.Fatalf("%s: largest file has %d pages, the cache %d frames: nothing bypasses", label, largest, frames)
+	}
+	hits, evictions := pool.Hits(), pool.Cache().Evictions()
+	replay()
+	if pool.Hits() == hits {
+		t.Fatalf("%s: warm pass over a small cache recorded no hits", label)
+	}
+	if ev := pool.Cache().Evictions() - evictions; ev != 0 {
+		t.Fatalf("%s: warm pass evicted %d pages", label, ev)
 	}
 }
 
@@ -113,9 +142,9 @@ func TestCachedTreeEquivalence(t *testing.T) {
 
 func TestCachedLSMEquivalence(t *testing.T) {
 	data, queries := cacheEquivData(3000, 64, 2)
-	build := func(cacheBytes int64) *LSM {
+	build := func(materialized bool, cacheBytes int64) *LSM {
 		l, err := NewLSM(Options{
-			SeriesLen: 64, Segments: 8, Bits: 6,
+			SeriesLen: 64, Segments: 8, Bits: 6, Materialized: materialized,
 			BufferEntries: 256, GrowthFactor: 3, CacheBytes: cacheBytes,
 		})
 		if err != nil {
@@ -131,26 +160,35 @@ func TestCachedLSMEquivalence(t *testing.T) {
 		}
 		return l
 	}
-	plain := build(0)
-	cached := build(cacheEquivBytes)
-	checkCachedEquiv(t, "lsm", queries, plain, cached)
-	// Windowed queries through the cache.
-	for _, q := range queries[:4] {
-		want, err := plain.SearchWindow(q, 5, 500, 2200)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, pass := range []string{"cold", "warm"} {
-			got, err := cached.SearchWindow(q, 5, 500, 2200)
+	check := func(label string, plain, cached *LSM) {
+		checkCachedEquiv(t, label, queries, plain, cached)
+		// Windowed queries through the cache.
+		for _, q := range queries[:4] {
+			want, err := plain.SearchWindow(q, 5, 500, 2200)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameMatches(t, "lsm/window/"+pass, want, got)
+			for _, pass := range []string{"cold", "warm"} {
+				got, err := cached.SearchWindow(q, 5, 500, 2200)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameMatches(t, label+"/window/"+pass, want, got)
+			}
 		}
 	}
+	plain := build(false, 0)
+	cached := build(false, cacheEquivBytes)
+	check("lsm", plain, cached)
 	if st := cached.Stats(); st.CacheHits == 0 {
 		t.Fatalf("cached LSM recorded no hits (%+v)", st)
 	}
+
+	// A cache smaller than the largest run (330 pages of materialized
+	// entries, beside one of 100).
+	plain, small := build(true, 0), build(true, 224*storage.DefaultPageSize)
+	check("lsm/small", plain, small)
+	checkSmallCacheWarmPass(t, "lsm/small", small.disk, small.pool, func() { check("lsm/small/replay", plain, small) })
 }
 
 func TestCachedShardedEquivalence(t *testing.T) {
@@ -212,11 +250,10 @@ func TestCachedShardedEquivalence(t *testing.T) {
 func TestCachedStreamEquivalence(t *testing.T) {
 	data, queries := cacheEquivData(1500, 64, 4)
 	for _, kind := range []SchemeKind{PP, TP, BTP} {
+		opts := Options{SeriesLen: 64, Segments: 8, Bits: 6, BufferEntries: 200}
 		build := func(cacheBytes int64) *Stream {
-			s, err := NewStream(kind, Options{
-				SeriesLen: 64, Segments: 8, Bits: 6,
-				BufferEntries: 200, CacheBytes: cacheBytes,
-			})
+			opts.CacheBytes = cacheBytes
+			s, err := NewStream(kind, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -230,23 +267,35 @@ func TestCachedStreamEquivalence(t *testing.T) {
 			}
 			return s
 		}
-		plain := build(0)
-		cached := build(cacheEquivBytes)
-		for _, q := range queries[:6] {
-			want, err := plain.SearchWindow(q, 3, 100, 1300)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, pass := range []string{"cold", "warm"} {
-				got, err := cached.SearchWindow(q, 3, 100, 1300)
+		check := func(label string, plain, cached *Stream) {
+			for _, q := range queries[:6] {
+				want, err := plain.SearchWindow(q, 3, 100, 1300)
 				if err != nil {
 					t.Fatal(err)
 				}
-				sameMatches(t, string(kind)+"/window/"+pass, want, got)
+				for _, pass := range []string{"cold", "warm"} {
+					got, err := cached.SearchWindow(q, 3, 100, 1300)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameMatches(t, label+"/window/"+pass, want, got)
+				}
 			}
 		}
+		plain := build(0)
+		cached := build(cacheEquivBytes)
+		check(string(kind), plain, cached)
 		if st := cached.Stats(); st.CacheHits == 0 {
 			t.Fatalf("%s: cached stream recorded no hits (%+v)", kind, st)
 		}
+
+		// A cache smaller than a full partition (86 pages of 600
+		// materialized entries; BTP merges two into 172) that holds the
+		// half-full last one (43) and the probe pages.
+		opts.Materialized, opts.BufferEntries = true, 600
+		label := string(kind) + "/small"
+		plain, small := build(0), build(80*storage.DefaultPageSize)
+		check(label, plain, small)
+		checkSmallCacheWarmPass(t, label, small.disk, small.pool, func() { check(label+"/replay", plain, small) })
 	}
 }

@@ -23,6 +23,13 @@
 //   - When every frame is pinned and the budget is exhausted, a miss is
 //     served through a transient overflow frame that is never cached —
 //     progress is never blocked on eviction.
+//   - A sequential scan goes through Scan, not one PinPage per page: hits
+//     come from the frames as above, misses from the backing disk's own
+//     cursor (read-ahead, on the file backend), and a miss is cached only
+//     when the range the scan declared fits the cache. A longer scan would
+//     evict its own first pages before it could re-read them — and every
+//     other resident page with them — so its misses are counted, charged,
+//     and not kept.
 //
 // Concurrency: any number of goroutines may pin, read, and unpin
 // concurrently with each other and with invalidation. As everywhere else
@@ -113,32 +120,42 @@ func (c *Cache) Evictions() int64 { return c.evictions.Load() }
 // PageSize returns the page size every attached disk must share.
 func (c *Cache) PageSize() int { return c.pageSize }
 
+// FNV-1a parameters of the stripe hash.
+const (
+	fnvOffset64 = 0xcbf29ce484222325
+	fnvPrime64  = 0x100000001b3
+)
+
+// hashName is the file-name part of the stripe hash, which a scan computes
+// once for all its pages.
+func hashName(name string) uint64 {
+	h := uint64(fnvOffset64)
+	for i := 0; i < len(name); i++ {
+		h ^= uint64(name[i])
+		h *= fnvPrime64
+	}
+	return h
+}
+
 // shardFor maps a key to its lock stripe with an inline FNV-1a over the
 // file name mixed with the disk id and page number — allocation-free, so
 // the pin hot path stays zero-alloc.
-func (c *Cache) shardFor(k pageKey) *cacheShard {
-	const (
-		offset64 = 0xcbf29ce484222325
-		prime64  = 0x100000001b3
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(k.name); i++ {
-		h ^= uint64(k.name[i])
-		h *= prime64
-	}
+func (c *Cache) shardFor(k pageKey) *cacheShard { return c.shardAt(hashName(k.name), k) }
+
+// shardAt is shardFor given hashName(k.name).
+func (c *Cache) shardAt(h uint64, k pageKey) *cacheShard {
 	h ^= uint64(k.disk)
-	h *= prime64
+	h *= fnvPrime64
 	h ^= uint64(k.page)
-	h *= prime64
+	h *= fnvPrime64
 	h ^= h >> 32
 	return &c.shards[h%numShards]
 }
 
-// claim returns a frame ready to be filled, pinned once. tracked reports
-// whether the frame belongs to the shard's ring (and so may be inserted
-// into the map); an untracked overflow frame serves exactly one pinned
-// read-through and is garbage once unpinned. Callers must hold sh.mu.
-func (c *Cache) claim(sh *cacheShard) (fr *frame, tracked bool) {
+// claim returns a frame of the shard's ring ready to be filled and inserted
+// into the map, pinned once, or nil when every frame is pinned and the
+// budget is spent. Callers must hold sh.mu.
+func (c *Cache) claim(sh *cacheShard) *frame {
 	// An empty ring always allocates its first frame, even past the global
 	// budget (overshooting by at most numShards-1 frames): otherwise a
 	// stripe whose first miss arrives after other stripes consumed the
@@ -146,18 +163,12 @@ func (c *Cache) claim(sh *cacheShard) (fr *frame, tracked bool) {
 	// victims — and every key hashing there would miss forever.
 	if len(sh.ring) == 0 {
 		c.allocated.Add(1)
-		fr = &frame{data: make([]byte, c.pageSize)}
-		fr.pins.Store(1)
-		sh.ring = append(sh.ring, fr)
-		return fr, true
+		return sh.grow(c.pageSize)
 	}
 	// Allocate a new frame while the global budget allows.
 	if c.allocated.Load() < c.capFrames {
 		if c.allocated.Add(1) <= c.capFrames {
-			fr = &frame{data: make([]byte, c.pageSize)}
-			fr.pins.Store(1)
-			sh.ring = append(sh.ring, fr)
-			return fr, true
+			return sh.grow(c.pageSize)
 		}
 		c.allocated.Add(-1) // raced past the budget; evict instead
 	}
@@ -176,7 +187,7 @@ func (c *Cache) claim(sh *cacheShard) (fr *frame, tracked bool) {
 		if fr.dead {
 			fr.dead = false
 			fr.pins.Store(1)
-			return fr, true
+			return fr
 		}
 		if fr.ref {
 			fr.ref = false
@@ -185,13 +196,17 @@ func (c *Cache) claim(sh *cacheShard) (fr *frame, tracked bool) {
 		delete(sh.frames, fr.key)
 		c.evictions.Add(1)
 		fr.pins.Store(1)
-		return fr, true
+		return fr
 	}
-	// Everything pinned (or the ring is empty because other shards hold the
-	// whole budget): overflow with a transient, uncached frame.
-	fr = &frame{data: make([]byte, c.pageSize)}
+	return nil
+}
+
+// grow adds a frame to the shard's ring and returns it pinned once.
+func (sh *cacheShard) grow(pageSize int) *frame {
+	fr := &frame{data: make([]byte, pageSize)}
 	fr.pins.Store(1)
-	return fr, false
+	sh.ring = append(sh.ring, fr)
+	return fr
 }
 
 // Pool is one disk's cached view of a Cache: it implements
@@ -204,6 +219,10 @@ type Pool struct {
 	d            storage.Backend
 	id           uint32
 	hits, misses atomic.Int64
+	// epoch counts invalidations. A scan fills frames outside the stripe
+	// lock (see scanCursor.Pin), so it caches a page only while no
+	// invalidation has arrived since the scan opened.
+	epoch atomic.Uint64
 }
 
 // Attach registers a disk with the cache and returns its cached reader.
@@ -256,10 +275,12 @@ func (p *Pool) Exists(name string) bool { return p.d.Exists(name) }
 func (p *Pool) NumPages(name string) (int64, error) { return p.d.NumPages(name) }
 
 // PinPage implements storage.PageReader: the hot path of every cached
-// probe. A hit is a map probe, a pin, and a borrowed slice — no copy, no
-// allocation. A miss claims a frame and fills it from the disk while
-// holding only this shard's lock (the simulated read is memory-speed, and
-// holding the lock deduplicates concurrent misses on the same page).
+// point probe. A hit is a map probe, a pin, and a borrowed slice — no copy,
+// no allocation. A miss claims a frame and fills it from the disk while
+// holding this shard's lock, which deduplicates concurrent misses on the
+// same page. On the file backend that read is a pread, and every pin on
+// the stripe waits behind it: acceptable for one page of a point probe,
+// not for a scan, whose misses go through Scan and read unlocked.
 func (p *Pool) PinPage(name string, page int64) (storage.PageHandle, error) {
 	k := pageKey{disk: p.id, page: page, name: name}
 	sh := p.c.shardFor(k)
@@ -271,7 +292,14 @@ func (p *Pool) PinPage(name string, page int64) (storage.PageHandle, error) {
 		p.hits.Add(1)
 		return storage.NewPageHandle(fr.data, fr), nil
 	}
-	fr, tracked := p.c.claim(sh)
+	fr := p.c.claim(sh)
+	tracked := fr != nil
+	if !tracked {
+		// Everything pinned: a transient frame serves this one pin and is
+		// garbage once released.
+		fr = &frame{data: make([]byte, p.c.pageSize)}
+		fr.pins.Store(1)
+	}
 	if _, err := p.d.ReadPage(name, page, fr.data); err != nil {
 		// Leave the frame reclaimable: dead, unpinned, out of the map.
 		fr.dead = true
@@ -287,6 +315,101 @@ func (p *Pool) PinPage(name string, page int64) (storage.PageHandle, error) {
 	sh.mu.Unlock()
 	p.misses.Add(1)
 	return storage.NewPageHandle(fr.data, fr), nil
+}
+
+// scanCursor is the pool's storage.Cursor. A hit pins the cached frame
+// until the next Pin. A miss is served by the backing disk's cursor, opened
+// at the first one, and — when the declared range fits the cache — copied
+// into a frame for the next scan to hit.
+type scanCursor struct {
+	p        *Pool
+	name     string
+	nameHash uint64
+	from, to int64
+	keep     bool           // the declared range fits the cache: misses are cached
+	epoch    uint64         // p.epoch when the scan opened
+	disk     storage.Cursor // nil until the first miss
+	fr       *frame         // the hit pinned for the caller, if any
+}
+
+var scanCursors = sync.Pool{New: func() any { return new(scanCursor) }}
+
+// Scan implements storage.PageReader. Whether the scan's misses are cached is
+// decided here, from two numbers the pool already has: a range of more
+// pages than the cache has frames cannot be resident when the scan comes
+// round again, so caching it only evicts what could have been.
+func (p *Pool) Scan(name string, from, to int64) storage.Cursor {
+	c := scanCursors.Get().(*scanCursor)
+	*c = scanCursor{
+		p: p, name: name, nameHash: hashName(name), from: from, to: to,
+		keep: to-from <= p.c.capFrames, epoch: p.epoch.Load(),
+	}
+	return c
+}
+
+// Pin never holds the stripe lock across the disk read: look up, unlock,
+// read, and lock again to insert — so the hits of other goroutines on this
+// stripe do not queue behind a pread.
+func (c *scanCursor) Pin(page int64) ([]byte, error) {
+	c.unpin()
+	if page < c.from || page >= c.to {
+		return nil, fmt.Errorf("%w: %q page %d outside scan [%d,%d)", storage.ErrOutOfRange, c.name, page, c.from, c.to)
+	}
+	p := c.p
+	k := pageKey{disk: p.id, page: page, name: c.name}
+	sh := p.c.shardAt(c.nameHash, k)
+	sh.mu.Lock()
+	if fr := sh.frames[k]; fr != nil {
+		fr.pins.Add(1)
+		fr.ref = true
+		sh.mu.Unlock()
+		p.hits.Add(1)
+		c.fr = fr
+		return fr.data, nil
+	}
+	sh.mu.Unlock()
+	if c.disk == nil {
+		c.disk = p.d.Scan(c.name, c.from, c.to)
+	}
+	data, err := c.disk.Pin(page)
+	if err != nil {
+		return nil, err
+	}
+	p.misses.Add(1)
+	if c.keep {
+		sh.mu.Lock()
+		// Another scan may have cached the page meanwhile; an invalidation
+		// may have made these bytes stale (it bumps the epoch before it
+		// takes this lock, so one that has not shown yet will find the
+		// frame and kill it).
+		if sh.frames[k] == nil && p.epoch.Load() == c.epoch {
+			if fr := p.c.claim(sh); fr != nil {
+				copy(fr.data, data)
+				fr.key = k
+				fr.ref = true
+				sh.frames[k] = fr
+				fr.pins.Store(0)
+			}
+		}
+		sh.mu.Unlock()
+	}
+	return data, nil
+}
+
+func (c *scanCursor) unpin() {
+	if c.fr != nil {
+		c.fr.Unpin()
+		c.fr = nil
+	}
+}
+
+func (c *scanCursor) Close() {
+	c.unpin()
+	if c.disk != nil {
+		c.disk.Close()
+	}
+	*c = scanCursor{}
+	scanCursors.Put(c)
 }
 
 // ReadPage implements storage.PageReader with copy semantics identical to
@@ -327,6 +450,7 @@ func (p *Pool) ReadPages(name string, page int64, n int, buf []byte) (int, error
 
 // InvalidatePage implements storage.Invalidator.
 func (p *Pool) InvalidatePage(name string, page int64) {
+	p.epoch.Add(1)
 	k := pageKey{disk: p.id, page: page, name: name}
 	sh := p.c.shardFor(k)
 	sh.mu.Lock()
@@ -340,6 +464,7 @@ func (p *Pool) InvalidatePage(name string, page int64) {
 // InvalidateFile implements storage.Invalidator: drops every cached page
 // of the named file on this pool's disk.
 func (p *Pool) InvalidateFile(name string) {
+	p.epoch.Add(1)
 	for i := range p.c.shards {
 		sh := &p.c.shards[i]
 		sh.mu.Lock()

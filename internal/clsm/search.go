@@ -236,11 +236,11 @@ func (l *LSM) pageOf(r run, p int, data []byte) index.Page {
 	return index.FixedPage(data, n, l.codec)
 }
 
-// evalPage evaluates all entries on one page of a run straight from the
-// pinned page bytes. The page was just examined by firstKey when called
-// from probeRun; it re-pins to keep the logic self-contained (an uncached
-// repeat pin of the same page is accounted as buffered/sequential, and a
-// cached one is a hit).
+// evalPage evaluates all entries on the page probeRun settled on, straight
+// from the pinned page bytes. The page was just examined by firstKey; it
+// re-pins to keep the logic self-contained (an uncached repeat pin of the
+// same page is accounted as buffered/sequential, and a cached one is a
+// hit).
 func (l *LSM) evalPage(r run, page int, q index.Query, col *index.Collector, sc *index.Scratch) error {
 	h, err := l.opts.Reader.PinPage(r.file, int64(page))
 	if err != nil {
@@ -251,20 +251,35 @@ func (l *LSM) evalPage(r run, page int, q index.Query, col *index.Collector, sc 
 	return err
 }
 
-// scanRun scans one run sequentially with squared lower-bound pruning,
-// verifying each page's surviving candidates in ascending lower-bound
-// order.
-func (l *LSM) scanRun(r run, q index.Query, col *index.Collector, sc *index.Scratch) error {
+// scanPages is the one sequential page loop of a run: every page, in
+// order, through one storage cursor, handed to eval.
+func (l *LSM) scanPages(r run, eval func(pg index.Page) error) error {
 	pages, err := l.runPages(r)
 	if err != nil {
 		return err
 	}
+	cur := l.opts.Reader.Scan(r.file, 0, int64(pages))
+	defer cur.Close()
 	for p := 0; p < pages; p++ {
-		if err := l.evalPage(r, p, q, col, sc); err != nil {
+		data, err := cur.Pin(int64(p))
+		if err != nil {
+			return err
+		}
+		if err := eval(l.pageOf(r, p, data)); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// scanRun scans one run sequentially with squared lower-bound pruning,
+// verifying each page's surviving candidates in ascending lower-bound
+// order.
+func (l *LSM) scanRun(r run, q index.Query, col *index.Collector, sc *index.Scratch) error {
+	return l.scanPages(r, func(pg index.Page) error {
+		_, err := index.EvalPage(q, pg, l.opts.Raw, col, sc)
+		return err
+	})
 }
 
 // RangeSearch returns every indexed series within Euclidean distance eps
@@ -294,22 +309,9 @@ func (l *LSM) RangeSearch(q index.Query, eps float64) ([]index.Result, error) {
 }
 
 func (l *LSM) rangeScanRun(r run, q index.Query, col *index.RangeCollector, sc *index.Scratch) error {
-	pages, err := l.runPages(r)
-	if err != nil {
-		return err
-	}
-	for p := 0; p < pages; p++ {
-		h, err := l.opts.Reader.PinPage(r.file, int64(p))
-		if err != nil {
-			return err
-		}
-		err = index.EvalPageRange(q, l.pageOf(r, p, h.Data()), l.opts.Raw, col, sc)
-		h.Release()
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return l.scanPages(r, func(pg index.Page) error {
+		return index.EvalPageRange(q, pg, l.opts.Raw, col, sc)
+	})
 }
 
 var (

@@ -200,18 +200,9 @@ func (t *Tree) exactColl(q index.Query, k int, ctx *index.SearchCtx, pool *paral
 // exactScanRange scans leaves [lo, hi) with squared lower-bound pruning
 // into col; see scanRange.
 func (t *Tree) exactScanRange(lo, hi int, q index.Query, col *index.Collector, sc *index.Scratch) error {
-	return t.scanRange(lo, hi, sc,
-		func(g, li int, pruned bool) error {
-			h, err := t.opts.Reader.PinPage(t.leafFile, t.pageNum(li))
-			if err != nil {
-				return err
-			}
-			if pruned && !q.Windowed {
-				t.notePruned(li, sc)
-			} else {
-				_, err = index.EvalPage(q, t.leafPage(g, li, h.Data()), t.opts.Raw, col, sc)
-			}
-			h.Release()
+	return t.scanRange(lo, hi, q, sc,
+		func(pg index.Page) error {
+			_, err := index.EvalPage(q, pg, t.opts.Raw, col, sc)
 			return err
 		},
 		func(mn, mx []uint8) bool { return col.SkipSq(sc.P.EnvelopeSqUpTo(mn, mx, col.WorstSq())) })
@@ -228,12 +219,11 @@ func (t *Tree) notePruned(li int, sc *index.Scratch) {
 	sc.Trace.NoteUndecoded(1)
 }
 
-// scanRange drives leaves [lo, hi) through read, which pins a leaf's page
-// for one evaluation — zero copies whether the pin lands in a buffer pool
-// or on the bare disk. A scan descends three resident levels before it
-// reads a byte of a page: the group envelope, the leaf envelope, and
-// (inside the evaluation, through leafPage) the leaf's slice of the SAX
-// column.
+// scanRange is the one sequential page loop of the tree: it pins the pages
+// of leaves [lo, hi) through one storage cursor and hands each to eval. A
+// scan descends three resident levels before it reads a byte of a page: the
+// group envelope, the leaf envelope, and (inside the evaluation, through
+// leafPage) the leaf's slice of the SAX column.
 //
 // With planning enabled the envelopes are zone maps: dead reports whether
 // an envelope's MINDIST bound already rules out every series inside it. A
@@ -251,8 +241,11 @@ func (t *Tree) notePruned(li int, sc *index.Scratch) {
 // can survive: the page is part of the sequential run the cost model
 // charges for, and of the cache's contents. What a survivor-free page is
 // spared is every touch of its bytes — and, when it is a dead leaf whose
-// skip was declined (read's pruned argument), its entries' bounds too.
-func (t *Tree) scanRange(lo, hi int, sc *index.Scratch, read func(g, li int, pruned bool) error, dead func(minSym, maxSym []uint8) bool) error {
+// skip was declined (pruned), its entries' bounds too.
+func (t *Tree) scanRange(lo, hi int, q index.Query, sc *index.Scratch, eval func(pg index.Page) error, dead func(minSym, maxSym []uint8) bool) error {
+	from, to := t.pageSpan(lo, hi)
+	cur := t.opts.Reader.Scan(t.leafFile, from, to)
+	defer cur.Close()
 	// Leaves are read in ascending order, so the group of the one being
 	// read is a cursor that only moves forward.
 	rg := t.groupOf(lo)
@@ -260,7 +253,15 @@ func (t *Tree) scanRange(lo, hi int, sc *index.Scratch, read func(g, li int, pru
 		for li >= t.grpStart[rg+1] {
 			rg++
 		}
-		return read(rg, li, pruned)
+		data, err := cur.Pin(t.pageNum(li))
+		if err != nil {
+			return err
+		}
+		if pruned && !q.Windowed {
+			t.notePruned(li, sc)
+			return nil
+		}
+		return eval(t.leafPage(rg, li, data))
 	}
 	if !t.opts.Planner.Enabled() || !t.hasEnv() {
 		for li := lo; li < hi; li++ {
@@ -286,6 +287,19 @@ func (t *Tree) scanRange(lo, hi int, sc *index.Scratch, read func(g, li int, pru
 		}
 		return dead(t.leafEnv(li))
 	})
+}
+
+// pageSpan returns the page range [from, to) that holds leaves [lo, hi):
+// the leaves' own numbers until a split has appended a page out of order.
+func (t *Tree) pageSpan(lo, hi int) (from, to int64) {
+	if t.pageOf == nil {
+		return int64(lo), int64(hi)
+	}
+	from, to = t.pageOf[lo], t.pageOf[lo]+1
+	for _, p := range t.pageOf[lo+1 : hi] {
+		from, to = min(from, p), max(to, p+1)
+	}
+	return from, to
 }
 
 // interiorSkipRun is the minimum length of an interior run of skippable
@@ -376,20 +390,8 @@ func (t *Tree) RangeSearch(q index.Query, eps float64) ([]index.Result, error) {
 // col; see scanRange.
 func (t *Tree) rangeScanRange(lo, hi int, q index.Query, col *index.RangeCollector, sc *index.Scratch) error {
 	limit := col.SkipBeyondSq()
-	return t.scanRange(lo, hi, sc,
-		func(g, li int, pruned bool) error {
-			h, err := t.opts.Reader.PinPage(t.leafFile, t.pageNum(li))
-			if err != nil {
-				return err
-			}
-			if pruned && !q.Windowed {
-				t.notePruned(li, sc)
-			} else {
-				err = index.EvalPageRange(q, t.leafPage(g, li, h.Data()), t.opts.Raw, col, sc)
-			}
-			h.Release()
-			return err
-		},
+	return t.scanRange(lo, hi, q, sc,
+		func(pg index.Page) error { return index.EvalPageRange(q, pg, t.opts.Raw, col, sc) },
 		func(mn, mx []uint8) bool { return col.SkipSq(sc.P.EnvelopeSqUpTo(mn, mx, limit)) })
 }
 

@@ -488,11 +488,12 @@ func (s *Sorter) MergeSortedPacked(inputs []string, counts []int64, packed []boo
 	for i := range inputs {
 		var es entrySource
 		if packed[i] {
-			rd, err := record.NewPackedReader(s.Disk, inputs[i], s.Codec, counts[i])
+			npages, err := s.Disk.NumPages(inputs[i])
 			if err != nil {
 				return 0, err
 			}
-			es = rd
+			pages := storage.ScanChunks(s.Disk, inputs[i], 0, npages, storage.DefaultBufferPages)
+			es = record.NewPackedReader(pages, npages, inputs[i], s.Codec, counts[i])
 		} else {
 			rd, err := storage.NewRecordReaderBuffered(s.Disk, inputs[i], s.Codec.Size(), counts[i], bufPages)
 			if err != nil {

@@ -372,10 +372,11 @@ func writePacked(t *testing.T, d *storage.Disk, name string, c record.Codec, ent
 // readAllPacked decodes a packed run file back into entries.
 func readAllPacked(t *testing.T, d *storage.Disk, name string, c record.Codec, n int64) []record.Entry {
 	t.Helper()
-	r, err := record.NewPackedReader(d, name, c, n)
+	npages, err := d.NumPages(name)
 	if err != nil {
 		t.Fatal(err)
 	}
+	r := record.NewPackedReader(storage.ScanChunks(d, name, 0, npages, storage.DefaultBufferPages), npages, name, c, n)
 	var out []record.Entry
 	for {
 		e, err := r.NextEntry()

@@ -58,9 +58,11 @@ func NewMemFS() *MemFS {
 
 // SetFaultHook installs a hook consulted before every mutating operation
 // (ops: "create", "write", "sync", "truncate", "remove", "rename",
-// "syncdir"). A non-nil return fails the operation with that error;
-// returning ErrShortWrite from a "write" applies half the buffer first.
-// Pass nil to clear.
+// "syncdir") and before every positioned read (op "read", which Ops and
+// FailAfter do not count). A non-nil return fails the operation with that
+// error; returning ErrShortWrite from a "write" applies half the buffer
+// first, and returning io.EOF from a "read" fills half the buffer first — a
+// short read. Pass nil to clear.
 func (m *MemFS) SetFaultHook(h func(op, path string) error) {
 	m.mu.Lock()
 	m.hook = h
@@ -77,6 +79,9 @@ func (m *MemFS) FailAfter(n int64, err error) {
 	var count int64
 	var mu sync.Mutex
 	m.SetFaultHook(func(op, path string) error {
+		if op == "read" {
+			return nil
+		}
 		mu.Lock()
 		defer mu.Unlock()
 		count++
@@ -370,6 +375,17 @@ func (h *memHandle) writeLocked(p []byte, off int64) {
 func (h *memHandle) ReadAt(p []byte, off int64) (int, error) {
 	h.m.mu.Lock()
 	defer h.m.mu.Unlock()
+	if hook := h.m.hook; hook != nil {
+		h.m.mu.Unlock()
+		err := hook("read", h.path)
+		h.m.mu.Lock()
+		if err == io.EOF && off < int64(len(h.f.data)) {
+			return copy(p[:len(p)/2], h.f.data[off:]), io.EOF
+		}
+		if err != nil {
+			return 0, err
+		}
+	}
 	if off >= int64(len(h.f.data)) {
 		return 0, io.EOF
 	}

@@ -229,10 +229,7 @@ func TestPackedWriterReaderStream(t *testing.T) {
 				t.Fatalf("writer count %d, want %d", w.Count(), n)
 			}
 
-			r, err := NewPackedReader(d, "runfile", c, int64(n))
-			if err != nil {
-				t.Fatal(err)
-			}
+			r := NewPackedReader(d.cursor("runfile"), d.numPages("runfile"), "runfile", c, int64(n))
 			for i, want := range entries {
 				got, err := r.NextEntry()
 				if err != nil {
@@ -264,7 +261,8 @@ func TestPackedFits(t *testing.T) {
 	}
 }
 
-// testPageStore is a minimal in-memory PageAppender/PageSource.
+// testPageStore is a minimal in-memory PageAppender whose files can be
+// read back through a PageCursor.
 type testPageStore struct {
 	pageSize int
 	files    map[string][]byte
@@ -287,11 +285,20 @@ func (s *testPageStore) AppendPages(name string, data []byte) (int64, error) {
 	return first, nil
 }
 
-func (s *testPageStore) NumPages(name string) (int64, error) {
-	return int64(len(s.files[name]) / s.pageSize), nil
+func (s *testPageStore) numPages(name string) int64 {
+	return int64(len(s.files[name]) / s.pageSize)
 }
 
-func (s *testPageStore) ReadPages(name string, page int64, n int, buf []byte) (int, error) {
-	copy(buf, s.files[name][page*int64(s.pageSize):(page+int64(n))*int64(s.pageSize)])
-	return n, nil
+// testCursor serves the pages of one file of a testPageStore.
+type testCursor struct {
+	data     []byte
+	pageSize int
+}
+
+func (s *testPageStore) cursor(name string) testCursor {
+	return testCursor{data: s.files[name], pageSize: s.pageSize}
+}
+
+func (c testCursor) Pin(page int64) ([]byte, error) {
+	return c.data[page*int64(c.pageSize) : (page+1)*int64(c.pageSize)], nil
 }

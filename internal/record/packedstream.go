@@ -7,9 +7,9 @@ import (
 
 // The packed stream types mirror storage.RecordWriter / RecordReader for the
 // packed page encoding: sequential entry appends assembled into packed pages
-// with a write-behind chunk, and sequential entry scans with read-ahead.
+// with a write-behind chunk, and sequential entry scans over a page cursor.
 // They depend only on the narrow page-device interfaces below, which
-// storage.Backend and storage.PageReader satisfy structurally, so the codec
+// storage.Backend and storage.Cursor satisfy structurally, so the codec
 // layer stays free of a storage dependency.
 
 // PageAppender is the write surface a packed writer needs.
@@ -19,14 +19,14 @@ type PageAppender interface {
 	AppendPages(name string, data []byte) (int64, error)
 }
 
-// PageSource is the read surface a packed reader needs.
-type PageSource interface {
-	PageSize() int
-	NumPages(name string) (int64, error)
-	ReadPages(name string, page int64, n int, buf []byte) (int, error)
+// PageCursor is the read surface a packed reader needs: one page at a
+// time, read ahead however the cursor sees fit. storage.Cursor satisfies
+// it.
+type PageCursor interface {
+	Pin(page int64) ([]byte, error)
 }
 
-// packedBufferPages is the write-behind / read-ahead chunk size, matching
+// packedBufferPages is the write-behind chunk size, matching
 // storage.DefaultBufferPages so packed and fixed-size streams have the same
 // sequential I/O profile.
 const packedBufferPages = 16
@@ -135,17 +135,14 @@ func (w *PackedWriter) Close() error {
 	return w.flushChunk()
 }
 
-// PackedReader scans entries from a packed-page file sequentially with
-// read-ahead. Unlike fixed-size files, packed files are self-describing (the
-// per-page counts add up to the total), but callers still pass the expected
-// count as a cross-check against truncated or mismatched files.
+// PackedReader scans entries from a packed-page file sequentially. Unlike
+// fixed-size files, packed files are self-describing (the per-page counts
+// add up to the total), but callers still pass the expected count as a
+// cross-check against truncated or mismatched files.
 type PackedReader struct {
-	reader   PageSource
+	pages    PageCursor
 	name     string
 	codec    Codec
-	chunk    []byte
-	chunkN   int
-	pageIdx  int
 	view     PackedView
 	viewOK   bool
 	idx      int
@@ -155,21 +152,11 @@ type PackedReader struct {
 	count    int64
 }
 
-// NewPackedReader opens a sequential entry reader over the named packed
-// file, expecting count entries in total.
-func NewPackedReader(r PageSource, name string, c Codec, count int64) (*PackedReader, error) {
-	npages, err := r.NumPages(name)
-	if err != nil {
-		return nil, err
-	}
-	return &PackedReader{
-		reader: r,
-		name:   name,
-		codec:  c,
-		chunk:  make([]byte, packedBufferPages*r.PageSize()),
-		npages: npages,
-		count:  count,
-	}, nil
+// NewPackedReader returns a sequential entry reader over the npages packed
+// pages of the named file, which it takes from pages in ascending order,
+// expecting count entries in total.
+func NewPackedReader(pages PageCursor, npages int64, name string, c Codec, count int64) *PackedReader {
+	return &PackedReader{pages: pages, name: name, codec: c, npages: npages, count: count}
 }
 
 // NextEntry returns the next entry, or io.EOF when exhausted. Payloads are
@@ -192,28 +179,16 @@ func (r *PackedReader) NextEntry() (Entry, error) {
 	return e, nil
 }
 
-// nextView advances to the next page in the chunk, refilling it as needed.
+// nextView advances to the next page.
 func (r *PackedReader) nextView() error {
-	if r.viewOK && r.pageIdx+1 < r.chunkN {
-		r.pageIdx++
-	} else {
-		if r.nextPage >= r.npages {
-			return fmt.Errorf("record: packed file %q exhausted after %d of %d entries", r.name, r.read, r.count)
-		}
-		want := packedBufferPages
-		if rem := r.npages - r.nextPage; rem < int64(want) {
-			want = int(rem)
-		}
-		got, err := r.reader.ReadPages(r.name, r.nextPage, want, r.chunk)
-		if err != nil {
-			return err
-		}
-		r.nextPage += int64(got)
-		r.chunkN = got
-		r.pageIdx = 0
+	if r.nextPage >= r.npages {
+		return fmt.Errorf("record: packed file %q exhausted after %d of %d entries", r.name, r.read, r.count)
 	}
-	pageSize := r.reader.PageSize()
-	page := r.chunk[r.pageIdx*pageSize : (r.pageIdx+1)*pageSize]
+	page, err := r.pages.Pin(r.nextPage)
+	if err != nil {
+		return err
+	}
+	r.nextPage++
 	v, err := r.codec.ViewPacked(page)
 	if err != nil {
 		return err

@@ -149,6 +149,12 @@ type PageReader interface {
 	// copying. The caller must Release the handle when done with the bytes;
 	// the view is a stable snapshot of the page at pin time.
 	PinPage(name string, page int64) (PageHandle, error)
+	// Scan opens a cursor over pages [from, to) of the named file: what a
+	// sequential page loop reads through, where a point probe calls
+	// PinPage. Each reader has its own (see Cursor): the simulated disk
+	// lends its pages, the file backend reads ahead, a buffer pool keeps a
+	// scan it cannot hold out of its frames.
+	Scan(name string, from, to int64) Cursor
 }
 
 // Unpinner releases one pinned page back to its cache. Cached readers hand
@@ -224,6 +230,7 @@ type file struct {
 	id    uint32 // immutable identity for head tracking; never reused
 	name  string
 	pages [][]byte
+	gone  bool // removed from the namespace; a cursor holding f looks the name up again
 }
 
 // NewDisk creates an empty disk with the given page size (0 means
@@ -306,10 +313,12 @@ func (d *Disk) Create(name string) error {
 // registered caches drop the file's pages.
 func (d *Disk) Remove(name string) error {
 	d.mu.Lock()
-	if _, ok := d.files[name]; !ok {
+	f, ok := d.files[name]
+	if !ok {
 		d.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
+	f.gone = true
 	delete(d.files, name)
 	invs := d.invs
 	d.mu.Unlock()

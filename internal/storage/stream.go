@@ -109,23 +109,18 @@ func (w *RecordWriter) Close() error {
 	return w.flushChunk()
 }
 
-// RecordReader scans fixed-size records from a file sequentially with
-// read-ahead. The caller supplies the total record count (files carry no
-// header).
+// RecordReader scans fixed-size records from a file sequentially, its pages
+// read ahead by a chunk cursor (ScanChunks). The caller supplies the total
+// record count (files carry no header).
 type RecordReader struct {
-	reader   PageReader
-	name     string
+	pages    Cursor
 	recSize  int
 	perPage  int
-	bufPages int
-	chunk    []byte // read-ahead buffer
-	chunkN   int    // pages currently in chunk
-	pageIdx  int    // page within chunk holding the next record
-	idx      int    // record within current page
-	nextPage int64  // next file page to fetch
-	npages   int64
-	read     int64 // records returned so far
-	count    int64 // total records in file
+	page     []byte // page holding the next record; nil before the first
+	idx      int    // record within page
+	nextPage int64  // next file page to pin
+	read     int64  // records returned so far
+	count    int64  // total records in file
 }
 
 // NewRecordReader opens a sequential reader over count records of recSize
@@ -143,9 +138,6 @@ func NewRecordReaderBuffered(r PageReader, name string, recSize int, count int64
 	if perPage < 1 {
 		return nil, fmt.Errorf("storage: record size %d exceeds page size %d", recSize, r.PageSize())
 	}
-	if bufPages < 1 {
-		bufPages = 1
-	}
 	npages, err := r.NumPages(name)
 	if err != nil {
 		return nil, err
@@ -155,14 +147,10 @@ func NewRecordReaderBuffered(r PageReader, name string, recSize int, count int64
 		return nil, fmt.Errorf("storage: file %q has %d pages, need %d for %d records", name, npages, need, count)
 	}
 	return &RecordReader{
-		reader:   r,
-		name:     name,
-		recSize:  recSize,
-		perPage:  perPage,
-		bufPages: bufPages,
-		chunk:    make([]byte, bufPages*r.PageSize()),
-		npages:   npages,
-		count:    count,
+		pages:   ScanChunks(r, name, 0, npages, bufPages),
+		recSize: recSize,
+		perPage: perPage,
+		count:   count,
 	}, nil
 }
 
@@ -172,43 +160,18 @@ func (r *RecordReader) Next() ([]byte, error) {
 	if r.read >= r.count {
 		return nil, io.EOF
 	}
-	if r.idx >= r.perPage {
-		// Current page exhausted: move within the chunk or refill.
-		if r.pageIdx+1 < r.chunkN {
-			r.pageIdx++
-			r.idx = 0
-		} else if err := r.fill(); err != nil {
+	if r.page == nil || r.idx >= r.perPage {
+		page, err := r.pages.Pin(r.nextPage)
+		if err != nil {
 			return nil, err
 		}
-	} else if r.chunkN == 0 {
-		if err := r.fill(); err != nil {
-			return nil, err
-		}
+		r.page, r.idx = page, 0
+		r.nextPage++
 	}
-	pageOff := r.pageIdx * r.reader.PageSize()
-	rec := r.chunk[pageOff+r.idx*r.recSize : pageOff+(r.idx+1)*r.recSize]
+	rec := r.page[r.idx*r.recSize : (r.idx+1)*r.recSize]
 	r.idx++
 	r.read++
 	return rec, nil
-}
-
-func (r *RecordReader) fill() error {
-	if r.nextPage >= r.npages {
-		return io.EOF
-	}
-	want := r.bufPages
-	if rem := r.npages - r.nextPage; rem < int64(want) {
-		want = int(rem)
-	}
-	got, err := r.reader.ReadPages(r.name, r.nextPage, want, r.chunk)
-	if err != nil {
-		return err
-	}
-	r.nextPage += int64(got)
-	r.chunkN = got
-	r.pageIdx = 0
-	r.idx = 0
-	return nil
 }
 
 // Remaining returns how many records are left to read.

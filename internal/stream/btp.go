@@ -363,33 +363,45 @@ func (b *BTP) probePart(p btpPart, q index.Query, col *index.Collector, sc *inde
 	return b.evalPage(p, lo, q, col, sc)
 }
 
-// scanPart scans a partition sequentially with squared lower-bound pruning.
+// scanPart scans a partition sequentially with squared lower-bound pruning:
+// every page, in order, through one storage cursor.
 func (b *BTP) scanPart(p btpPart, q index.Query, col *index.Collector, sc *index.Scratch) error {
 	perPage := b.perPage()
 	pages := int((p.count + int64(perPage) - 1) / int64(perPage))
+	cur := b.reader.Scan(p.file, 0, int64(pages))
+	defer cur.Close()
 	for pg := 0; pg < pages; pg++ {
-		if err := b.evalPage(p, pg, q, col, sc); err != nil {
+		data, err := cur.Pin(int64(pg))
+		if err != nil {
+			return err
+		}
+		if _, err := index.EvalPage(q, b.pageOf(p, pg, data), b.raw, col, sc); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// evalPage evaluates one partition page straight from the page bytes
-// through the squared-space pipeline: window filter and lower bound on the
-// encoded header, early-abandoning squared verification on survivors.
+// pageOf describes page pg of partition p, pinned as data, to the page
+// evaluator.
+func (b *BTP) pageOf(p btpPart, pg int, data []byte) index.Page {
+	perPage := b.perPage()
+	n := perPage
+	if rem := p.count - int64(pg)*int64(perPage); rem < int64(n) {
+		n = int(rem)
+	}
+	return index.FixedPage(data, n, b.codec)
+}
+
+// evalPage evaluates the page probePart settled on straight from the page
+// bytes through the squared-space pipeline: window filter and lower bound on
+// the encoded header, early-abandoning squared verification on survivors.
 func (b *BTP) evalPage(p btpPart, page int, q index.Query, col *index.Collector, sc *index.Scratch) error {
 	h, err := b.reader.PinPage(p.file, int64(page))
 	if err != nil {
 		return err
 	}
-	perPage := b.perPage()
-	start := int64(page) * int64(perPage)
-	n := perPage
-	if rem := p.count - start; rem < int64(n) {
-		n = int(rem)
-	}
-	_, err = index.EvalPage(q, index.FixedPage(h.Data(), n, b.codec), b.raw, col, sc)
+	_, err = index.EvalPage(q, b.pageOf(p, page, h.Data()), b.raw, col, sc)
 	h.Release()
 	return err
 }

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/assemble"
 	"repro/internal/bufpool"
 	"repro/internal/extsort"
 	"repro/internal/gen"
@@ -325,22 +326,22 @@ func BenchmarkExternalSortPerEntry(b *testing.B) {
 
 type builtSet struct {
 	once sync.Once
-	m    map[string]*workload.Built
+	m    map[string]*assemble.Built
 	ds   *series.Dataset
 }
 
 var benchBuilt builtSet
 
-func builds(b *testing.B) (map[string]*workload.Built, *series.Dataset) {
+func builds(b *testing.B) (map[string]*assemble.Built, *series.Dataset) {
 	b.Helper()
 	benchBuilt.once.Do(func() {
 		sc := benchScale()
 		ds, _ := gen.Astronomy(gen.AstronomyConfig{N: 10000, Len: sc.SeriesLen, FracEvent: 0.05, Seed: sc.Seed})
 		benchBuilt.ds = ds
-		benchBuilt.m = map[string]*workload.Built{}
+		benchBuilt.m = map[string]*assemble.Built{}
 		cfg := index.Config{SeriesLen: sc.SeriesLen, Segments: sc.Segments, Bits: sc.Bits}
 		for _, v := range workload.Variants {
-			built, err := workload.BuildVariant(v, ds, cfg, workload.BuildOptions{})
+			built, err := assemble.Build(specFor(v, cfg, assemble.Spec{}), ds)
 			if err != nil {
 				panic(err)
 			}
@@ -358,7 +359,7 @@ func BenchmarkBuild(b *testing.B) {
 		b.Run(v, func(b *testing.B) {
 			var cost float64
 			for i := 0; i < b.N; i++ {
-				built, err := workload.BuildVariant(v, ds, cfg, workload.BuildOptions{})
+				built, err := assemble.Build(specFor(v, cfg, assemble.Spec{}), ds)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -652,7 +653,7 @@ func BenchmarkCachedSearch(b *testing.B) {
 	sc := benchScale()
 	ds, _ := gen.Astronomy(gen.AstronomyConfig{N: 10000, Len: sc.SeriesLen, FracEvent: 0.05, Seed: sc.Seed})
 	cfg := index.Config{SeriesLen: sc.SeriesLen, Segments: sc.Segments, Bits: sc.Bits}
-	built, err := workload.BuildVariant("CTree", ds, cfg, workload.BuildOptions{CacheBytes: 64 << 20})
+	built, err := assemble.Build(specFor("CTree", cfg, assemble.Spec{CacheBytes: 64 << 20}), ds)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -687,7 +688,7 @@ func BenchmarkCachedSearch(b *testing.B) {
 	b.Run("warm-pin", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			h, err := built.Pool.PinPage("idx.leaves", int64(i%8))
+			h, err := built.Pool.PinPage("ctree.leaves", int64(i%8))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -712,12 +713,12 @@ func BenchmarkFileBackendSearch(b *testing.B) {
 	}
 	for _, bk := range []struct {
 		name string
-		opts workload.BuildOptions
+		opts assemble.Spec
 	}{
-		{"sim", workload.BuildOptions{}},
-		{"file", workload.BuildOptions{StorageDir: b.TempDir()}},
+		{"sim", assemble.Spec{}},
+		{"file", assemble.Spec{StorageDir: b.TempDir()}},
 	} {
-		built, err := workload.BuildVariant("CTree", ds, cfg, bk.opts)
+		built, err := assemble.Build(specFor("CTree", cfg, bk.opts), ds)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -762,7 +763,7 @@ func BenchmarkPlannedSearch(b *testing.B) {
 	for i, q := range raw {
 		queries[i] = index.NewQuery(q, cfg)
 	}
-	run := func(b *testing.B, built *workload.Built) {
+	run := func(b *testing.B, built *assemble.Built) {
 		b.ReportAllocs()
 		before := built.IOStats()
 		skipsBefore := built.Planner.Skips()
@@ -779,12 +780,12 @@ func BenchmarkPlannedSearch(b *testing.B) {
 	// orders and skips.
 	for _, mode := range []struct {
 		name string
-		opts workload.BuildOptions
+		opts assemble.Spec
 	}{
-		{"off", workload.BuildOptions{MemBudget: 64 << 10, DisablePlanner: true}},
-		{"cold", workload.BuildOptions{MemBudget: 64 << 10}},
+		{"off", assemble.Spec{MemBudget: 64 << 10, DisablePlanner: true}},
+		{"cold", assemble.Spec{MemBudget: 64 << 10}},
 	} {
-		built, err := workload.BuildVariant("CTree", ds, cfg, mode.opts)
+		built, err := assemble.Build(specFor("CTree", cfg, mode.opts), ds)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -867,7 +868,7 @@ func BenchmarkCompressedSearch(b *testing.B) {
 			{"fixed", false},
 			{"packed", true},
 		} {
-			built, err := workload.BuildVariant(variant, ds, cfg, workload.BuildOptions{Compress: enc.compress})
+			built, err := assemble.Build(specFor(variant, cfg, assemble.Spec{Compress: enc.compress}), ds)
 			if err != nil {
 				b.Fatal(err)
 			}

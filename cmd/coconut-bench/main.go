@@ -46,11 +46,11 @@ func main() {
 		}
 	}
 	fmt.Printf("distance kernels: %s; compressed runs: %v\n", simd.Active(), *compress)
-	if *compress {
-		workload.CompressDefault(true)
-	}
 
 	cfg := workload.DefaultRunConfig()
+	for _, sc := range []*workload.Scale{&cfg.Scale, &cfg.E3Scale, &cfg.E5Scale} {
+		sc.DisablePlanner, sc.Compress = *noPlanner, *compress
+	}
 	if *quick {
 		cfg.E1Sizes = []int{1000, 2000}
 		cfg.E2N, cfg.E2Queries = 2000, 10
@@ -107,8 +107,6 @@ func main() {
 		}
 		cfg.E15Workers = counts
 	}
-
-	workload.PlannerDefaults(*noPlanner)
 
 	known := map[string]bool{}
 	for _, id := range knownExperiments {

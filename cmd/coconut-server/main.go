@@ -28,6 +28,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/assemble"
 	"repro/internal/obs"
 	"repro/internal/server"
 )
@@ -47,26 +48,20 @@ func main() {
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this private address (e.g. localhost:6060; empty = disabled)")
 	slowQuery := flag.Duration("slow-query", 0, "record queries and inserts slower than this in the slow-query log at GET /api/slowlog (0 = disabled)")
 	flag.Parse()
+	s := server.New()
+	s.SetWALRoot(*walRoot)
+	s.SetStorageRoot(*storageRoot)
 	// Reject bad defaults at startup: otherwise every build request that
 	// leaves the field unset would fail with a 400 blaming the client.
-	if *shards < 0 || *shards > 256 {
-		log.Fatalf("coconut-server: -shards must be in [0, 256] (0 or 1 = unsharded), got %d", *shards)
+	if err := s.SetDefaults(assemble.Spec{
+		Parallelism:       *par,
+		Shards:            *shards,
+		CacheBytes:        *cache,
+		CompactionWorkers: *compactWorkers,
+		DisablePlanner:    *noPlanner,
+	}); err != nil {
+		log.Fatalf("coconut-server: bad default (-parallelism, -shards, -cache, -compact-workers): %v", err)
 	}
-	if *cache < 0 || *cache > 1<<32 {
-		log.Fatalf("coconut-server: -cache must be in [0, %d] bytes (0 = uncached), got %d", int64(1)<<32, *cache)
-	}
-	if *compactWorkers < 0 || *compactWorkers > 64 {
-		log.Fatalf("coconut-server: -compact-workers must be in [0, 64], got %d", *compactWorkers)
-	}
-
-	s := server.New()
-	s.SetDefaultParallelism(*par)
-	s.SetDefaultShards(*shards)
-	s.SetDefaultCacheBytes(*cache)
-	s.SetWALRoot(*walRoot)
-	s.SetDefaultCompactionWorkers(*compactWorkers)
-	s.SetStorageRoot(*storageRoot)
-	s.SetDefaultPlannerDisabled(*noPlanner)
 	s.SetSlowQuery(*slowQuery)
 	if *pprofAddr != "" {
 		psrv, err := obs.StartPprof(*pprofAddr)

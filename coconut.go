@@ -57,13 +57,10 @@ package coconut
 
 import (
 	"fmt"
-	"path/filepath"
-	"sync"
-	"sync/atomic"
 
+	"repro/internal/assemble"
 	"repro/internal/bufpool"
 	"repro/internal/clsm"
-	"repro/internal/compact"
 	"repro/internal/ctree"
 	"repro/internal/fsx"
 	"repro/internal/index"
@@ -187,61 +184,41 @@ const (
 	DurabilitySync Durability = "sync"
 )
 
-// walOptions maps the facade durability knobs onto the log's sync policy.
-func walOptions(dir string, d Durability, fsys fsx.FS) (wal.Options, error) {
-	var out wal.Options
-	switch d {
-	case DurabilityBatched, "":
-		out = wal.BatchedOptions(dir)
-	case DurabilitySync:
-		out = wal.SyncOptions(dir)
-	default:
-		return wal.Options{}, fmt.Errorf("coconut: unknown durability %q (want %q or %q)", d, DurabilityBatched, DurabilitySync)
+// spec is the one mapping of the facade's Options onto the assembly
+// package's build description. fam is the index family ("CTree", "CLSM").
+// The facade's own defaults live here: it keeps raw series in memory, its
+// searches use one worker per CPU unless told otherwise, and its LSM write
+// buffer is sized in entries, not bytes.
+func (o Options) spec(fam string) assemble.Spec {
+	s := assemble.Spec{
+		Variant:   assemble.VariantOf(fam, o.Materialized),
+		SeriesLen: o.SeriesLen, Segments: o.Segments, Bits: o.Bits,
+		FillFactor: o.FillFactor, GrowthFactor: o.GrowthFactor,
+		BufferEntries: o.BufferEntries, MemBudget: o.MemBudget, PageSize: o.PageSize,
+		CacheBytes: o.CacheBytes, Parallelism: o.Parallelism,
+		RawInMemory: true,
+		WALDir:      o.WALDir, Durability: string(o.Durability), CompactionWorkers: o.CompactionWorkers,
+		StorageDir: o.StorageDir, FS: o.FS,
+		DisablePlanner: o.DisablePlanner, Compress: o.CompressRuns, Kernels: o.Kernels,
 	}
-	out.FS = fsys
-	return out, nil
+	if s.Parallelism == 0 {
+		s.Parallelism = -1
+	}
+	if s.BufferEntries == 0 {
+		s.BufferEntries = 1024
+	}
+	return s
 }
 
-// newBackend selects the storage backend per Options: the simulated disk
-// by default, or a file-backed store under StorageDir (plus an optional
-// subdirectory, used by sharded indexes) when set.
-func (o Options) newBackend(sub string) (storage.Backend, error) {
-	if o.StorageDir == "" {
-		return storage.NewDisk(o.PageSize), nil
-	}
-	dir := o.StorageDir
-	if sub != "" {
-		dir = filepath.Join(dir, sub)
-	}
-	return storage.NewFileDisk(storage.FileDiskOptions{Dir: dir, PageSize: o.PageSize, FS: o.FS})
-}
-
-// newPlanner builds the facade's query planner from the planning knob.
-// Every facade handle owns exactly one (shared across shards and batch
-// slots), so the skip counter aggregates per index.
-func (o Options) newPlanner() *index.Planner {
-	return &index.Planner{Disabled: o.DisablePlanner}
-}
-
-func (o Options) config() (index.Config, error) {
-	if o.Kernels != "" {
-		if err := simd.Select(o.Kernels); err != nil {
-			return index.Config{}, fmt.Errorf("coconut: %w", err)
+// dataset copies the caller's series into a dataset, checking their length.
+func dataset(data [][]float64, seriesLen int) (*series.Dataset, error) {
+	ds := series.NewDataset(seriesLen)
+	for i, s := range data {
+		if _, err := ds.Append(series.Series(s)); err != nil {
+			return nil, fmt.Errorf("coconut: series %d: %w", i, err)
 		}
 	}
-	cfg := index.Config{
-		SeriesLen:    o.SeriesLen,
-		Segments:     o.Segments,
-		Bits:         o.Bits,
-		Materialized: o.Materialized,
-	}
-	if cfg.Segments == 0 {
-		cfg.Segments = 16
-	}
-	if cfg.Bits == 0 {
-		cfg.Bits = 8
-	}
-	return cfg, cfg.Validate()
+	return ds, nil
 }
 
 // Match is one similarity-search answer.
@@ -288,56 +265,6 @@ func (s Stats) HitRatio() float64 {
 	return float64(s.CacheHits) / float64(total)
 }
 
-// memStore is the facade's raw store: ingested series are z-normalized and
-// kept in memory, so the accounted I/O isolates index behaviour. Reads are
-// a single atomic snapshot load — zero overhead on the verification hot
-// path — while appends serialize on a mutex and publish a new slice header
-// (the backing array is shared; an append never touches an index a
-// published snapshot can see, so readers and the writer never race).
-type memStore struct {
-	mu sync.Mutex
-	v  atomic.Pointer[[]series.Series]
-}
-
-func (m *memStore) snapshot() []series.Series {
-	p := m.v.Load()
-	if p == nil {
-		return nil
-	}
-	return *p
-}
-
-func (m *memStore) Get(id int) (series.Series, error) {
-	ss := m.snapshot()
-	if id < 0 || id >= len(ss) {
-		return nil, fmt.Errorf("coconut: series %d out of range", id)
-	}
-	return ss[id], nil
-}
-func (m *memStore) Count() int { return len(m.snapshot()) }
-
-// append adds one series, returning its ID.
-func (m *memStore) append(s series.Series) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	ss := append(m.snapshot(), s)
-	m.v.Store(&ss)
-	return len(ss) - 1
-}
-
-// setAt places a series at a specific ID, growing as needed — the WAL
-// replay path, where IDs arrive with the entries.
-func (m *memStore) setAt(id int64, s series.Series) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	ss := m.snapshot()
-	for int64(len(ss)) <= id {
-		ss = append(ss, nil)
-	}
-	ss[id] = s
-	m.v.Store(&ss)
-}
-
 func convert(rs []index.Result) []Match {
 	out := make([]Match, len(rs))
 	for i, r := range rs {
@@ -346,19 +273,12 @@ func convert(rs []index.Result) []Match {
 	return out
 }
 
-// statsWith renders a disk's accounting, folding in the buffer-pool
-// counters when a pool fronts the disk.
-func statsWith(d storage.Backend, pool *bufpool.Pool) Stats {
-	if pool != nil {
-		return toStats(pool.Stats(), d.TotalPages())
-	}
-	return toStats(d.Stats(), d.TotalPages())
-}
-
-// withPlanner folds a planner's skip counter into the stats; a nil planner
-// contributes zero.
-func (s Stats) withPlanner(pl *index.Planner) Stats {
-	s.PlannedSkips = pl.Skips()
+// statsOf renders an assembled build's accounting: the I/O of every disk
+// behind it, the buffer-pool counters when it is cached, and the planner's
+// skip counter.
+func statsOf(b *assemble.Built) Stats {
+	s := toStats(b.IOStats(), b.TotalPages())
+	s.PlannedSkips = b.Planner.Skips()
 	return s
 }
 
@@ -375,145 +295,144 @@ func toStats(st storage.Stats, pages int64) Stats {
 	}
 }
 
+// handle is the part of Tree, LSM and Sharded that is the same for all
+// three: one assembled build, queried through the index interface. Its
+// methods are promoted into each of them.
+type handle struct {
+	b   *assemble.Built
+	cfg index.Config
+}
+
+// Count returns the number of indexed series (an LSM's buffered entries and
+// every shard of a sharded index included).
+func (h *handle) Count() int { return int(h.b.Index.Count()) }
+
+// Insert adds one series with a timestamp. A Tree uses the leaf slack left
+// by FillFactor (a full leaf splits); an LSM's writes are log-structured,
+// acknowledged under the durability policy when a WAL is configured, and
+// safe for concurrent use with searches and flushes; a Sharded index routes
+// the series to its hash-assigned shard, assigning IDs in insertion order
+// exactly as the unsharded index would. The raw series mirror stays in
+// sync, so non-materialized indexes keep answering searches.
+func (h *handle) Insert(s []float64, ts int64) error { return h.b.Ingest(series.Series(s), ts) }
+
+// Search returns the exact k nearest neighbors of q. A Sharded index scans
+// its shards concurrently and merges their exact per-shard top-k answers
+// deterministically: the result is byte-identical to the unsharded index's.
+func (h *handle) Search(q []float64, k int) ([]Match, error) {
+	rs, err := h.b.Index.ExactSearch(index.NewQuery(series.Series(q), h.cfg), k)
+	return convert(rs), err
+}
+
+// SearchApprox returns up to k likely neighbors with one or two page reads
+// (per run of an LSM, per shard of a Sharded index) and no exactness
+// guarantee: deduplicated matches with true distances, ordered by
+// (distance, ID).
+func (h *handle) SearchApprox(q []float64, k int) ([]Match, error) {
+	rs, err := h.b.Index.ApproxSearch(index.NewQuery(series.Series(q), h.cfg), k)
+	return convert(rs), err
+}
+
+// SearchRange returns every indexed series within Euclidean distance eps
+// of q, sorted by distance — on a Sharded index byte-identical to the
+// unsharded answer.
+func (h *handle) SearchRange(q []float64, eps float64) ([]Match, error) {
+	rs, err := h.b.Index.(index.RangeSearcher).RangeSearch(index.NewQuery(series.Series(q), h.cfg), eps)
+	return convert(rs), err
+}
+
+// searchWindow returns the exact k nearest neighbors among entries whose
+// timestamp lies in [minTS, maxTS].
+func (h *handle) searchWindow(q []float64, k int, minTS, maxTS int64) ([]Match, error) {
+	pq := index.NewQuery(series.Series(q), h.cfg).WithWindow(minTS, maxTS)
+	rs, err := h.b.Index.ExactSearch(pq, k)
+	return convert(rs), err
+}
+
+// SearchBatch answers one exact k-NN query per element of qs, pipelined
+// over the index's worker pool: parallelism moves from within one scan to
+// across queries, and each worker slot reuses one pooled search context
+// (tables refilled per query, scratch persistent) for the whole batch — on
+// a Sharded index each query probes all shards with that single context.
+// out[i] is byte-identical to Search(qs[i], k); batching changes
+// throughput, never answers.
+func (h *handle) SearchBatch(qs [][]float64, k int) ([][]Match, error) {
+	iqs := make([]index.Query, len(qs))
+	for i, q := range qs {
+		if len(q) != h.cfg.SeriesLen {
+			return nil, fmt.Errorf("coconut: query %d length %d, want %d", i, len(q), h.cfg.SeriesLen)
+		}
+		iqs[i] = index.NewQuery(series.Series(q), h.cfg)
+	}
+	rss, err := h.b.Index.(index.BatchSearcher).ExactSearchBatch(iqs, k)
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]Match, len(rss))
+	for i, rs := range rss {
+		out[i] = convert(rs)
+	}
+	return out, nil
+}
+
+// SetParallelism re-sizes the search worker pool — the cross-shard pool of
+// a Sharded index — (n <= 0 selects GOMAXPROCS; 1 is serial). Answers are
+// identical at every setting. Call only while no search is in flight.
+func (h *handle) SetParallelism(n int) { h.b.SetParallelism(n) }
+
+// Stats returns the I/O accounting of the index's disk(s) since creation,
+// cache counters included when a buffer pool is configured (one pool serves
+// every shard of a Sharded index), plus the query planner's skip counter.
+func (h *handle) Stats() Stats { return statsOf(h.b) }
+
+// SaveFile persists the index — pages, structure metadata, and the raw
+// series store — into a single snapshot file on the host filesystem
+// (Options.FS when one was injected); reopen it with OpenTree or OpenLSM. An
+// LSM's write buffer is flushed first, and with a WAL configured a
+// successful save is a checkpoint: everything the snapshot holds leaves the
+// log, which so stays bounded by the insert traffic since the last save. A
+// Sharded index saves as one file set — a JSON manifest at path plus one
+// such snapshot per shard at path.shardNNN — reopened with OpenSharded.
+func (h *handle) SaveFile(path string) error { return h.b.SaveFile(path) }
+
+// Close releases the index's resources: it waits out in-flight background
+// merges, stops the compaction workers, syncs and closes the write-ahead
+// log(s), drops the buffer pool's pages and closes the storage backend(s)
+// (which, on the file-backed backend, fsyncs and closes the page files).
+// Idempotent; defer it like any other handle, with no insert in flight.
+func (h *handle) Close() error { return h.b.Close() }
+
 // Tree is a CoconutTree index.
 type Tree struct {
-	tree    *ctree.Tree
-	cfg     index.Config
-	disk    storage.Backend
-	pool    *bufpool.Pool // buffer pool fronting disk; nil when uncached
-	planner *index.Planner
-	raw     *memStore
-	hostFS  fsx.FS // filesystem for snapshot saves; nil means the real one
+	handle
+	tree *ctree.Tree
+}
+
+func newTree(b *assemble.Built) *Tree {
+	return &Tree{handle: handle{b: b, cfg: b.Config}, tree: b.Index.(*ctree.Tree)}
 }
 
 // BuildTree bulk-loads a CoconutTree over the given series (IDs are their
 // positions). Construction summarizes, external-sorts, and packs leaves
 // contiguously — sequential I/O end to end.
 func BuildTree(data [][]float64, opts Options) (*Tree, error) {
-	return buildTreeCache(data, opts, nil, nil)
-}
-
-// attachPool wires a disk into the caching layer (bufpool.AttachOrNew):
-// shared cache, private pool, or uncached. The returned reader is nil when
-// uncached (index options then default to the disk) — a plain *Pool return
-// cannot serve as the reader directly because a typed-nil interface would
-// not compare equal to nil.
-func attachPool(disk storage.Backend, opts Options, cache *bufpool.Cache) (*bufpool.Pool, storage.PageReader, error) {
-	pool, err := bufpool.AttachOrNew(disk, cache, opts.CacheBytes)
-	if err != nil || pool == nil {
-		return nil, nil, err
-	}
-	return pool, pool, nil
-}
-
-// buildTreeCache is BuildTree with an optional shared cache and planner
-// (the sharded facade passes both so every shard's disk draws frames from a
-// single budget and every shard's searches count into one planner).
-func buildTreeCache(data [][]float64, opts Options, cache *bufpool.Cache, pl *index.Planner) (*Tree, error) {
-	cfg, err := opts.config()
+	ds, err := dataset(data, opts.SeriesLen)
 	if err != nil {
 		return nil, err
 	}
-	raw := &memStore{}
-	ds := series.NewDataset(cfg.SeriesLen)
-	for i, s := range data {
-		if _, err := ds.Append(series.Series(s)); err != nil {
-			return nil, fmt.Errorf("coconut: series %d: %w", i, err)
-		}
-		raw.append(series.Series(s).ZNormalize())
-	}
-	disk, err := opts.newBackend("")
+	b, err := assemble.Build(opts.spec("CTree"), ds)
 	if err != nil {
 		return nil, err
 	}
-	pool, reader, err := attachPool(disk, opts, cache)
-	if err != nil {
-		return nil, err
-	}
-	if pl == nil {
-		pl = opts.newPlanner()
-	}
-	tr, err := ctree.Build(ctree.Options{
-		Disk:        disk,
-		Reader:      reader,
-		Name:        "ctree",
-		Config:      cfg,
-		FillFactor:  opts.FillFactor,
-		MemBudget:   opts.MemBudget,
-		Raw:         raw,
-		Parallelism: opts.Parallelism,
-		Planner:     pl,
-		Compress:    opts.CompressRuns,
-	}, ds, 0)
-	if err != nil {
-		return nil, err
-	}
-	return &Tree{tree: tr, cfg: cfg, disk: disk, pool: pool, planner: pl, raw: raw, hostFS: opts.FS}, nil
+	return newTree(b), nil
 }
-
-// Count returns the number of indexed series.
-func (t *Tree) Count() int { return int(t.tree.Count()) }
-
-// Insert adds one series with a timestamp, using the leaf slack left by
-// FillFactor (splits happen when a leaf is full).
-func (t *Tree) Insert(s []float64, ts int64) error {
-	if len(s) != t.cfg.SeriesLen {
-		return fmt.Errorf("coconut: series length %d, want %d", len(s), t.cfg.SeriesLen)
-	}
-	t.raw.append(series.Series(s).ZNormalize())
-	return t.tree.Insert(series.Series(s), ts)
-}
-
-// Search returns the exact k nearest neighbors of q.
-func (t *Tree) Search(q []float64, k int) ([]Match, error) {
-	rs, err := t.tree.ExactSearch(index.NewQuery(series.Series(q), t.cfg), k)
-	return convert(rs), err
-}
-
-// SearchApprox returns up to k likely neighbors with one or two page reads
-// and no exactness guarantee.
-func (t *Tree) SearchApprox(q []float64, k int) ([]Match, error) {
-	rs, err := t.tree.ApproxSearch(index.NewQuery(series.Series(q), t.cfg), k)
-	return convert(rs), err
-}
-
-// SearchRange returns every indexed series within Euclidean distance eps
-// of q, sorted by distance.
-func (t *Tree) SearchRange(q []float64, eps float64) ([]Match, error) {
-	rs, err := t.tree.RangeSearch(index.NewQuery(series.Series(q), t.cfg), eps)
-	return convert(rs), err
-}
-
-// SetParallelism re-sizes the tree's search worker pool (n <= 0 selects
-// GOMAXPROCS; 1 is serial). Answers are identical at every setting. Call
-// only while no search is in flight.
-func (t *Tree) SetParallelism(n int) { t.tree.SetParallelism(n) }
-
-// Stats returns the I/O accounting of the tree's disk since creation,
-// cache counters included when a buffer pool is configured, plus the query
-// planner's skip counter.
-func (t *Tree) Stats() Stats { return statsWith(t.disk, t.pool).withPlanner(t.planner) }
 
 // EnableCache installs a buffer pool of cacheBytes between the tree and
 // its disk (useful after OpenTree, which reopens uncached). A no-op if a
 // pool is already attached. Call only while no search is in flight.
 func (t *Tree) EnableCache(cacheBytes int64) {
-	if t.pool != nil || cacheBytes <= 0 {
-		return
-	}
-	t.pool = bufpool.New(t.disk, cacheBytes)
-	t.tree.UseReader(t.pool)
-}
-
-// Close releases the tree's resources: its buffer pool's cached pages and
-// the storage backend (which, on the file-backed backend, fsyncs and
-// closes the page files). Idempotent; defer it like any other index
-// handle.
-func (t *Tree) Close() error {
-	if t.pool != nil {
-		t.pool.Purge()
-	}
-	return t.disk.Close()
+	// Cannot fail on one disk: the new cache adopts its page size.
+	_ = t.b.EnableCache(cacheBytes)
 }
 
 // LSM is a CoconutLSM index. With Options.WALDir set every insert is
@@ -523,19 +442,14 @@ func (t *Tree) Close() error {
 // of goroutines. Defer Close to stop the background machinery and sync the
 // log.
 type LSM struct {
-	lsm     *clsm.LSM
-	cfg     index.Config
-	disk    storage.Backend
-	pool    *bufpool.Pool // buffer pool fronting disk; nil when uncached
-	planner *index.Planner
-	raw     *memStore
-	hostFS  fsx.FS // filesystem for snapshot saves; nil means the real one
+	handle
+	lsm  *clsm.LSM
+	disk storage.Backend
+	pool *bufpool.Pool // buffer pool fronting disk; nil when uncached
+}
 
-	insertMu  sync.Mutex         // keeps the raw mirror and ID assignment in step
-	wal       *wal.Log           // nil when WALDir unset
-	sched     *compact.Scheduler // nil when CompactionWorkers == 0
-	ownsSched bool               // sharded facades share one scheduler
-	closed    atomic.Bool
+func newLSM(b *assemble.Built) *LSM {
+	return &LSM{handle: handle{b: b, cfg: b.Config}, lsm: b.Index.(*clsm.LSM), disk: b.Disk, pool: b.Pool}
 }
 
 // NewLSM creates an empty CoconutLSM ready for continuous insertion. When
@@ -543,190 +457,32 @@ type LSM struct {
 // aftermath of a crash — the log replays first, so the returned index
 // contains every previously acknowledged insert.
 func NewLSM(opts Options) (*LSM, error) {
-	return newLSMFull(opts, nil, nil, nil, opts.WALDir)
-}
-
-// newLSMCache is NewLSM with an optional shared cache (sharded facade).
-func newLSMCache(opts Options, cache *bufpool.Cache) (*LSM, error) {
-	return newLSMFull(opts, cache, nil, nil, opts.WALDir)
-}
-
-// newLSMFull is the full constructor: shared cache, shared compaction
-// scheduler, shared query planner, and an explicit WAL directory (the
-// sharded facade passes a per-shard subdirectory and one scheduler and
-// planner for all shards).
-func newLSMFull(opts Options, cache *bufpool.Cache, sched *compact.Scheduler, pl *index.Planner, walDir string) (*LSM, error) {
-	cfg, err := opts.config()
+	b, err := assemble.Build(opts.spec("CLSM"), nil)
 	if err != nil {
 		return nil, err
 	}
-	raw := &memStore{}
-	disk, err := opts.newBackend("")
-	if err != nil {
-		return nil, err
-	}
-	pool, reader, err := attachPool(disk, opts, cache)
-	if err != nil {
-		return nil, err
-	}
-	if pl == nil {
-		pl = opts.newPlanner()
-	}
-	out := &LSM{cfg: cfg, disk: disk, pool: pool, planner: pl, raw: raw, hostFS: opts.FS}
-	if sched != nil {
-		out.sched = sched
-	} else if opts.CompactionWorkers > 0 {
-		out.sched = compact.NewScheduler(opts.CompactionWorkers)
-		out.ownsSched = true
-	}
-	copts := clsm.Options{
-		Disk:          disk,
-		Reader:        reader,
-		Name:          "clsm",
-		Config:        cfg,
-		GrowthFactor:  opts.GrowthFactor,
-		BufferEntries: opts.BufferEntries,
-		Raw:           raw,
-		Parallelism:   opts.Parallelism,
-		Scheduler:     out.sched,
-		Planner:       pl,
-		Compress:      opts.CompressRuns,
-	}
-	if walDir != "" {
-		wopts, werr := walOptions(walDir, opts.Durability, opts.FS)
-		if werr != nil {
-			out.closeOwned()
-			return nil, werr
-		}
-		w, werr := wal.Open(wopts)
-		if werr != nil {
-			out.closeOwned()
-			return nil, werr
-		}
-		out.wal = w
-		copts.WAL = w
-		if w.NextLSN() > 0 {
-			// Crash recovery from the log alone: the disk is fresh, so the
-			// whole retained log must still start at LSN 0 — a log truncated
-			// by a SaveFile checkpoint can only be reopened together with
-			// its snapshot (OpenLSM).
-			if w.FirstLSN() > 0 {
-				out.closeAll()
-				return nil, fmt.Errorf("coconut: WAL in %s was truncated by a snapshot checkpoint; reopen the snapshot with OpenLSM", walDir)
-			}
-			lsm, rerr := clsm.Recover(copts, func(e clsm.ReplayedEntry, z series.Series) error {
-				raw.setAt(e.ID, z)
-				return nil
-			})
-			if rerr != nil {
-				out.closeAll()
-				return nil, rerr
-			}
-			out.lsm = lsm
-			return out, nil
-		}
-	}
-	l, err := clsm.New(copts)
-	if err != nil {
-		out.closeAll()
-		return nil, err
-	}
-	out.lsm = l
-	return out, nil
-}
-
-// closeOwned shuts down the machinery this handle owns (not shared ones).
-func (l *LSM) closeOwned() {
-	if l.ownsSched && l.sched != nil {
-		l.sched.Close()
-	}
-}
-
-// closeAll is closeOwned plus the WAL (always owned by its facade handle).
-func (l *LSM) closeAll() {
-	l.closeOwned()
-	if l.wal != nil {
-		l.wal.Close()
-	}
-}
-
-// Insert adds one series with a timestamp; writes are log-structured. With
-// a WAL configured the insert is acknowledged under the configured
-// durability policy. Safe for concurrent use with searches and flushes.
-func (l *LSM) Insert(s []float64, ts int64) error {
-	if len(s) != l.cfg.SeriesLen {
-		return fmt.Errorf("coconut: series length %d, want %d", len(s), l.cfg.SeriesLen)
-	}
-	l.insertMu.Lock()
-	defer l.insertMu.Unlock()
-	// Mirror first: by the time the entry becomes visible to a search, its
-	// raw series is resolvable.
-	id := l.raw.append(series.Series(s).ZNormalize())
-	gotID, err := l.lsm.InsertID(series.Series(s), ts)
-	if err != nil {
-		return err
-	}
-	if gotID != int64(id) {
-		return fmt.Errorf("coconut: internal ID drift: index assigned %d, mirror %d", gotID, id)
-	}
-	return nil
+	return newLSM(b), nil
 }
 
 // Flush forces the in-memory buffer into a sorted on-disk run.
 func (l *LSM) Flush() error { return l.lsm.Flush() }
 
-// Count returns the number of indexed series (buffered included).
-func (l *LSM) Count() int { return int(l.lsm.Count()) }
-
 // Runs returns the number of on-disk sorted runs.
 func (l *LSM) Runs() int { return l.lsm.Runs() }
-
-// Search returns the exact k nearest neighbors of q.
-func (l *LSM) Search(q []float64, k int) ([]Match, error) {
-	rs, err := l.lsm.ExactSearch(index.NewQuery(series.Series(q), l.cfg), k)
-	return convert(rs), err
-}
-
-// SearchApprox probes each run near q's key without exactness guarantees.
-func (l *LSM) SearchApprox(q []float64, k int) ([]Match, error) {
-	rs, err := l.lsm.ApproxSearch(index.NewQuery(series.Series(q), l.cfg), k)
-	return convert(rs), err
-}
 
 // SearchWindow returns the exact k nearest neighbors among entries whose
 // timestamp lies in [minTS, maxTS].
 func (l *LSM) SearchWindow(q []float64, k int, minTS, maxTS int64) ([]Match, error) {
-	pq := index.NewQuery(series.Series(q), l.cfg).WithWindow(minTS, maxTS)
-	rs, err := l.lsm.ExactSearch(pq, k)
-	return convert(rs), err
+	return l.searchWindow(q, k, minTS, maxTS)
 }
-
-// SearchRange returns every indexed series within Euclidean distance eps
-// of q, sorted by distance.
-func (l *LSM) SearchRange(q []float64, eps float64) ([]Match, error) {
-	rs, err := l.lsm.RangeSearch(index.NewQuery(series.Series(q), l.cfg), eps)
-	return convert(rs), err
-}
-
-// SetParallelism re-sizes the LSM's search worker pool (n <= 0 selects
-// GOMAXPROCS; 1 is serial). Answers are identical at every setting. Call
-// only while no search is in flight.
-func (l *LSM) SetParallelism(n int) { l.lsm.SetParallelism(n) }
-
-// Stats returns the I/O accounting of the LSM's disk since creation, cache
-// counters included when a buffer pool is configured, plus the query
-// planner's skip counter.
-func (l *LSM) Stats() Stats { return statsWith(l.disk, l.pool).withPlanner(l.planner) }
 
 // EnableCache installs a buffer pool of cacheBytes between the LSM and its
 // disk (useful after OpenLSM, which reopens uncached). A no-op if a pool
 // is already attached. Call only while no search is in flight.
 func (l *LSM) EnableCache(cacheBytes int64) {
-	if l.pool != nil || cacheBytes <= 0 {
-		return
-	}
-	l.pool = bufpool.New(l.disk, cacheBytes)
-	l.lsm.UseReader(l.pool)
+	// Cannot fail on one disk: the new cache adopts its page size.
+	_ = l.b.EnableCache(cacheBytes)
+	l.pool = l.b.Pool
 }
 
 // CompactionStats reports the state of the LSM's ingest machinery: flush
@@ -736,45 +492,12 @@ func (l *LSM) CompactionStats() clsm.CompactionStats { return l.lsm.CompactionSt
 
 // WALStats reports the write-ahead log's accounting; ok is false when no
 // WAL is configured.
-func (l *LSM) WALStats() (st wal.Stats, ok bool) {
-	if l.wal == nil {
-		return wal.Stats{}, false
-	}
-	return l.wal.Stats(), true
-}
+func (l *LSM) WALStats() (st wal.Stats, ok bool) { return l.b.WALStats() }
 
 // Quiesce waits until no background merge is pending or in flight (a no-op
 // without CompactionWorkers), surfacing any background-merge error. Useful
 // before comparing against a reference index or measuring steady state.
 func (l *LSM) Quiesce() error { return l.lsm.Quiesce() }
-
-// Close shuts the LSM down cleanly: waits out in-flight background merges,
-// stops an owned compaction worker pool, syncs and closes the write-ahead
-// log, and releases the buffer pool's pages. Idempotent; call with no
-// insert in flight.
-func (l *LSM) Close() error {
-	if !l.closed.CompareAndSwap(false, true) {
-		return nil
-	}
-	err := l.lsm.Close()
-	if l.ownsSched && l.sched != nil {
-		if cerr := l.sched.Close(); err == nil {
-			err = cerr
-		}
-	}
-	if l.wal != nil {
-		if werr := l.wal.Close(); err == nil {
-			err = werr
-		}
-	}
-	if l.pool != nil {
-		l.pool.Purge()
-	}
-	if derr := l.disk.Close(); err == nil {
-		err = derr
-	}
-	return err
-}
 
 // Scenario describes an application for the recommender; see the field
 // documentation in the recommender package.

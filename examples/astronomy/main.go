@@ -10,6 +10,7 @@ import (
 	"log"
 
 	coconut "repro"
+	"repro/internal/assemble"
 	"repro/internal/gen"
 	"repro/internal/index"
 	"repro/internal/storage"
@@ -40,7 +41,7 @@ func main() {
 	cfg := index.Config{SeriesLen: length, Segments: 16, Bits: 8}
 	queries := gen.TemplateQueries(gen.TemplateSupernova, length, 10, 0.1, 7)
 	for _, variant := range []string{"ADS+", string(rec.Index)} {
-		b, err := workload.BuildVariant(variant, ds, cfg, workload.BuildOptions{})
+		b, err := assemble.Build(assemble.Spec{Variant: variant, SeriesLen: length, Segments: 16, Bits: 8}, ds)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -55,7 +56,7 @@ func main() {
 
 	// Step 3: verify the exploration finds the planted supernovae: query
 	// with a clean template and check the top answers are injected events.
-	b, err := workload.BuildVariant("CTreeFull", ds, cfg, workload.BuildOptions{})
+	b, err := assemble.Build(assemble.Spec{Variant: "CTreeFull", SeriesLen: length, Segments: 16, Bits: 8}, ds)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,11 +5,18 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/assemble"
 	"repro/internal/gen"
 	"repro/internal/index"
 	"repro/internal/series"
 	"repro/internal/workload"
 )
+
+// specFor describes a build of variant under cfg for assemble.Build.
+func specFor(variant string, cfg index.Config, s assemble.Spec) assemble.Spec {
+	s.Variant, s.SeriesLen, s.Segments, s.Bits = variant, cfg.SeriesLen, cfg.Segments, cfg.Bits
+	return s
+}
 
 // TestAllVariantsAgreeOnExactSearch is the repository's strongest
 // integration invariant: every index variant — two layout families, a
@@ -32,7 +39,7 @@ func TestAllVariantsAgreeOnExactSearch(t *testing.T) {
 	type answerSet [][]index.Result
 	answers := map[string]answerSet{}
 	for _, v := range workload.Variants {
-		b, err := workload.BuildVariant(v, ds, cfg, workload.BuildOptions{})
+		b, err := assemble.Build(specFor(v, cfg, assemble.Spec{}), ds)
 		if err != nil {
 			t.Fatalf("%s: %v", v, err)
 		}
@@ -70,7 +77,7 @@ func TestAllVariantsAgreeOnExactSearch(t *testing.T) {
 func TestRawOnDiskPipeline(t *testing.T) {
 	cfg := index.Config{SeriesLen: 64, Segments: 8, Bits: 8}
 	ds, _ := gen.Astronomy(gen.AstronomyConfig{N: 500, Len: 64, Seed: 7})
-	b, err := workload.BuildVariant("CTree", ds, cfg, workload.BuildOptions{})
+	b, err := assemble.Build(specFor("CTree", cfg, assemble.Spec{}), ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +124,7 @@ func TestScenario1Recall(t *testing.T) {
 	if len(isInjected) < 10 {
 		t.Skip("too few supernovae injected for a recall check")
 	}
-	b, err := workload.BuildVariant("CTreeFull", ds, cfg, workload.BuildOptions{})
+	b, err := assemble.Build(specFor("CTreeFull", cfg, assemble.Spec{}), ds)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,0 +1,273 @@
+package assemble
+
+import (
+	"fmt"
+	"sort"
+
+	"repro/internal/bufpool"
+	"repro/internal/clsm"
+	"repro/internal/index"
+	"repro/internal/series"
+	"repro/internal/storage"
+	"repro/internal/wal"
+)
+
+// Ingest appends one series after construction. The raw store must stay
+// resolvable: in-memory stores accept appends and materialized variants
+// carry series inline, but a non-materialized build over a sealed on-disk
+// raw file refuses. On a partitioned build the series takes the next dense
+// global ID and routes to its hash-assigned shard; a cluster build refuses,
+// its IDs being the router's to assign (ClusterInsert). Safe for concurrent
+// use with searches; concurrent inserts serialize.
+func (b *Built) Ingest(s series.Series, ts int64) error {
+	if b.Group == nil {
+		return b.insert(s, ts)
+	}
+	if b.Spec.ClusterShards > 0 {
+		return fmt.Errorf("assemble: %s is a cluster build; inserts carry router-assigned IDs (ClusterInsert)", b.Index.Name())
+	}
+	b.insertMu.Lock()
+	defer b.insertMu.Unlock()
+	return b.insertAt(b.Group.Count(), s, ts)
+}
+
+// ClusterInsert appends one series under a router-assigned global ID — the
+// node-side replica write path. The ID must be exactly the next one expected
+// by a shard this node owns (shard.Group.PrepareInsert); the series lands in
+// that shard through its normal ingest path, so raw stores stay in sync.
+func (b *Built) ClusterInsert(id int64, s series.Series, ts int64) error {
+	if b.Spec.ClusterShards == 0 {
+		return fmt.Errorf("assemble: %s is not a cluster build", b.Index.Name())
+	}
+	b.insertMu.Lock()
+	defer b.insertMu.Unlock()
+	return b.insertAt(id, s, ts)
+}
+
+// insertAt is the one partitioned insert: validate the ID against the
+// group, insert into the owning part, record the ID. Callers hold insertMu.
+func (b *Built) insertAt(id int64, s series.Series, ts int64) error {
+	si, err := b.Group.PrepareInsert(id)
+	if err != nil {
+		return err
+	}
+	// PrepareInsert vouched the shard is owned; Parts follow Owned's order.
+	if err := b.Parts[sort.SearchInts(b.Group.Owned(), si)].insert(s, ts); err != nil {
+		return err
+	}
+	b.Group.NoteInsert(si, id)
+	return nil
+}
+
+// insert appends one series to an unpartitioned build.
+func (b *Built) insert(s series.Series, ts int64) error {
+	if len(s) != b.Config.SeriesLen {
+		return fmt.Errorf("assemble: series length %d, want %d", len(s), b.Config.SeriesLen)
+	}
+	if b.mem == nil && !b.Config.Materialized {
+		return fmt.Errorf("assemble: %s keeps raw series in a sealed on-disk file; ingest needs a materialized variant or RawInMemory", b.Index.Name())
+	}
+	b.insertMu.Lock()
+	defer b.insertMu.Unlock()
+	// Mirror first: by the time the entry becomes visible to a search, its
+	// raw series is resolvable.
+	id := -1
+	if b.mem != nil {
+		id = b.mem.Append(s.ZNormalize())
+	}
+	switch ins := b.Index.(type) {
+	case interface {
+		InsertID(series.Series, int64) (int64, error)
+	}:
+		got, err := ins.InsertID(s, ts)
+		if err != nil {
+			return err
+		}
+		if id >= 0 && got != int64(id) {
+			return fmt.Errorf("assemble: internal ID drift: index assigned %d, raw store %d", got, id)
+		}
+		return nil
+	case index.Inserter:
+		return ins.Insert(s, ts)
+	}
+	return fmt.Errorf("assemble: %s does not support inserts", b.Index.Name())
+}
+
+// eachLSM applies fn to every CLSM behind the build, part by part.
+func (b *Built) eachLSM(fn func(*clsm.LSM) error) error {
+	for _, p := range b.Parts {
+		if err := p.eachLSM(fn); err != nil {
+			return err
+		}
+	}
+	if l, ok := b.Index.(*clsm.LSM); ok {
+		return fn(l)
+	}
+	return nil
+}
+
+// Quiesce waits until no background merge is pending or in flight (a no-op
+// for inline builds), surfacing any background-merge error.
+func (b *Built) Quiesce() error { return b.eachLSM((*clsm.LSM).Quiesce) }
+
+// Flush forces every CLSM write buffer into a sorted on-disk run; a no-op on
+// other variants.
+func (b *Built) Flush() error { return b.eachLSM((*clsm.LSM).Flush) }
+
+// CompactionStats reports the ingest/compaction state of a CLSM build; ok
+// is false for other variants and for partitioned builds (ask the Parts).
+func (b *Built) CompactionStats() (clsm.CompactionStats, bool) {
+	if l, ok := b.Index.(*clsm.LSM); ok {
+		return l.CompactionStats(), true
+	}
+	return clsm.CompactionStats{}, false
+}
+
+// WALStats reports the write-ahead log's accounting; ok is false when the
+// build has no WAL of its own (partitioned builds: ask the Parts).
+func (b *Built) WALStats() (wal.Stats, bool) {
+	if b.WAL == nil {
+		return wal.Stats{}, false
+	}
+	return b.WAL.Stats(), true
+}
+
+// SetParallelism re-sizes the pool searches fan out on — cross-shard on a
+// partitioned build, the index's own otherwise (n <= 0 selects GOMAXPROCS; 1
+// is serial). Call only while no search is in flight.
+func (b *Built) SetParallelism(n int) {
+	if p, ok := b.Index.(interface{ SetParallelism(int) }); ok {
+		p.SetParallelism(n)
+	}
+}
+
+// EnableCache installs one buffer pool of cacheBytes between the build's
+// index(es) and disk(s) (Open reopens uncached). A no-op if a cache is
+// already attached. Call only while no search is in flight.
+func (b *Built) EnableCache(cacheBytes int64) error {
+	if b.Cache != nil || cacheBytes <= 0 {
+		return nil
+	}
+	cache := bufpool.NewCache(cacheBytes, b.Disk.PageSize())
+	if b.Group == nil {
+		return b.useCache(cache)
+	}
+	for i, si := range b.Group.Owned() {
+		if err := b.Parts[i].useCache(cache); err != nil {
+			return err
+		}
+		b.Group.Shard(si).Reader = b.Parts[i].Pool
+	}
+	b.Cache, b.Pool = cache, b.Parts[0].Pool
+	return nil
+}
+
+// useCache attaches the disk to cache and re-points the index at the pool.
+func (b *Built) useCache(cache *bufpool.Cache) error {
+	if err := b.attach(cache); err != nil {
+		return err
+	}
+	if u, ok := b.Index.(interface{ UseReader(storage.PageReader) }); ok {
+		u.UseReader(b.Pool)
+	}
+	return nil
+}
+
+// Close shuts the build down: waits out in-flight background merges, stops
+// the compaction workers, syncs and closes every write-ahead log, drops the
+// pools' pages and closes every backend (the file backend fsyncs and
+// releases its page files). It is also the cleanup of a build that failed
+// part-way, so it tolerates any prefix of the assembly steps. Idempotent;
+// call with no insert in flight.
+func (b *Built) Close() error {
+	if !b.closed.CompareAndSwap(false, true) {
+		return nil
+	}
+	var err error
+	keep := func(e error) {
+		if err == nil {
+			err = e
+		}
+	}
+	for _, p := range b.Parts {
+		if p != nil {
+			keep(p.Close())
+		}
+	}
+	if l, ok := b.Index.(*clsm.LSM); ok {
+		keep(l.Close())
+	}
+	if b.ownsSched && b.Compactor != nil {
+		keep(b.Compactor.Close())
+	}
+	if b.WAL != nil {
+		keep(b.WAL.Close())
+	}
+	if b.Parts == nil {
+		if b.Pool != nil {
+			b.Pool.Purge()
+		}
+		if b.Disk != nil {
+			keep(b.Disk.Close())
+		}
+	}
+	return err
+}
+
+// BuildCost returns the I/O cost of construction under the model.
+func (b *Built) BuildCost(m storage.CostModel) float64 { return b.BuildStats.Cost(m) }
+
+// IOStats returns the statistics aggregated over every disk backing the
+// build, buffer-pool hit/miss counters included. Query-cost accounting must
+// diff this, not Disk.Stats, to charge every shard and see cache hits.
+func (b *Built) IOStats() storage.Stats {
+	switch {
+	case b.Group != nil:
+		return b.Group.IOStats()
+	case b.Pool != nil:
+		return b.Pool.Stats()
+	}
+	return b.Disk.Stats()
+}
+
+// TotalPages returns the page count summed over every disk backing the
+// build.
+func (b *Built) TotalPages() int64 {
+	if b.Group != nil {
+		return b.Group.TotalPages()
+	}
+	return b.Disk.TotalPages()
+}
+
+// Shards returns how many shards the build holds (1 when unpartitioned).
+func (b *Built) Shards() int { return max(1, len(b.Parts)) }
+
+// prefixTracer namespaces one shard's page accesses before forwarding them:
+// every shard's disk reuses the same file names, and a shared recorder would
+// otherwise overlay unrelated files into one meaningless heat map.
+type prefixTracer struct {
+	prefix string
+	t      storage.Tracer
+}
+
+func (p prefixTracer) Access(file string, page int64, write bool) {
+	p.t.Access(p.prefix+file, page, write)
+}
+
+// shardTracer is t as the i-th part of a partitioned build sees it.
+func shardTracer(i int, t storage.Tracer) storage.Tracer {
+	return prefixTracer{prefix: fmt.Sprintf("shard%02d/", i), t: t}
+}
+
+// SetTracer installs a page-access tracer on every disk backing the build.
+// Partitioned builds wrap the tracer per shard so file names stay distinct
+// ("shard03/ctree.leaves"); the tracer must tolerate concurrent calls.
+func (b *Built) SetTracer(t storage.Tracer) {
+	if b.Parts == nil {
+		b.Disk.SetTracer(t)
+		return
+	}
+	for i, p := range b.Parts {
+		p.Disk.SetTracer(shardTracer(i, t))
+	}
+}

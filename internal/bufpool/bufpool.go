@@ -245,20 +245,6 @@ func New(d storage.Backend, cacheBytes int64) *Pool {
 	return p
 }
 
-// AttachOrNew is the one attach decision both facades use: attach to the
-// shared cache when one is provided (sharded builds — one budget for the
-// whole index), build a private pool of cacheBytes when asked, and return
-// nil (uncached) otherwise.
-func AttachOrNew(d storage.Backend, cache *Cache, cacheBytes int64) (*Pool, error) {
-	switch {
-	case cache != nil:
-		return cache.Attach(d)
-	case cacheBytes > 0:
-		return New(d, cacheBytes), nil
-	}
-	return nil, nil
-}
-
 // Cache returns the shared frame store behind this pool.
 func (p *Pool) Cache() *Cache { return p.c }
 

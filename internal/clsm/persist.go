@@ -435,6 +435,7 @@ func Recover(opts Options, onReplay func(record.Entry, series.Series) error) (*L
 // Saved describes the persisted state of an LSM on a disk, read from the
 // crash-consistent manifest (preferred) or the meta file of the last Save.
 type Saved struct {
+	Config        index.Config
 	Count         int64 // entries held by the persisted runs
 	GrowthFactor  int
 	BufferEntries int
@@ -465,7 +466,7 @@ func SavedState(disk storage.Backend, name string) (Saved, bool, error) {
 	if err != nil {
 		return Saved{}, false, err
 	}
-	return Saved{Count: st.count, GrowthFactor: st.growth, BufferEntries: st.bufferEntries}, true, nil
+	return Saved{Config: st.cfg, Count: st.count, GrowthFactor: st.growth, BufferEntries: st.bufferEntries}, true, nil
 }
 
 // sameShape verifies a persisted configuration matches the caller's — the

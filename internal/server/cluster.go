@@ -61,7 +61,7 @@ func (s *Server) clusterBuild(w http.ResponseWriter, id string) (*build, bool) {
 		writeError(w, http.StatusNotFound, "build %q not found", id)
 		return nil, false
 	}
-	if b.built.Group == nil {
+	if b.built.Spec.ClusterShards == 0 {
 		writeError(w, http.StatusBadRequest, "build %q is not a cluster build (no cluster_shards)", id)
 		return nil, false
 	}
@@ -88,14 +88,14 @@ func (s *Server) handleClusterSearch(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	if len(req.Series) != b.cfg.SeriesLen {
-		writeError(w, http.StatusBadRequest, "query length %d, want %d", len(req.Series), b.cfg.SeriesLen)
+	if len(req.Series) != b.built.Config.SeriesLen {
+		writeError(w, http.StatusBadRequest, "query length %d, want %d", len(req.Series), b.built.Config.SeriesLen)
 		return
 	}
 	if req.K <= 0 {
 		req.K = 1
 	}
-	q := index.NewQuery(series.Series(req.Series), b.cfg)
+	q := index.NewQuery(series.Series(req.Series), b.built.Config)
 	if req.MinTS != nil && req.MaxTS != nil {
 		q = q.WithWindow(*req.MinTS, *req.MaxTS)
 	}
@@ -206,8 +206,8 @@ func (s *Server) handleClusterInsert(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	for i, e := range req.Entries {
-		if len(e.Series) != b.cfg.SeriesLen {
-			writeError(w, http.StatusBadRequest, "entry %d length %d, want %d", i, len(e.Series), b.cfg.SeriesLen)
+		if len(e.Series) != b.built.Config.SeriesLen {
+			writeError(w, http.StatusBadRequest, "entry %d length %d, want %d", i, len(e.Series), b.built.Config.SeriesLen)
 			return
 		}
 	}
@@ -267,7 +267,7 @@ func (s *Server) handleClusterInfo(w http.ResponseWriter, r *http.Request) {
 		Variant:       b.built.Index.Name(),
 		ClusterShards: g.NShards(),
 		NodeShards:    g.Owned(),
-		SeriesLen:     b.cfg.SeriesLen,
+		SeriesLen:     b.built.Config.SeriesLen,
 		Count:         g.Count(),
 		MaxID:         g.MaxID(),
 	})

@@ -7,6 +7,8 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
+
+	"repro/internal/assemble"
 )
 
 // newDurableTestServer runs a server with a WAL root and background
@@ -15,7 +17,7 @@ func newDurableTestServer(t *testing.T, workers int) *httptest.Server {
 	t.Helper()
 	s := New()
 	s.SetWALRoot(t.TempDir())
-	s.SetDefaultCompactionWorkers(workers)
+	s.SetDefaults(assemble.Spec{CompactionWorkers: workers})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	return ts

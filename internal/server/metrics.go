@@ -83,7 +83,7 @@ func (s *Server) collectBuilds(e *obs.Emit) {
 		id := b.id
 		st := b.built.IOStats()
 		e.Gauge("coconut_build_series", "Series indexed in the build.",
-			float64(b.built.Index.Count()), "build", id, "variant", b.variant)
+			float64(b.built.Index.Count()), "build", id, "variant", b.built.Spec.Variant)
 		e.Counter("coconut_build_io_cost", "Modelled I/O cost accrued since construction.",
 			st.Cost(s.cost), "build", id)
 		e.Counter("coconut_build_seq_io", "Sequential page accesses since construction.",
@@ -100,7 +100,7 @@ func (s *Server) collectBuilds(e *obs.Emit) {
 			e.Counter("coconut_build_cache_evictions", "Buffer-pool evictions.",
 				float64(c.Evictions()), "build", id)
 		}
-		if pl := b.built.Planner; pl != nil && pl.Enabled() {
+		if pl := b.built.Planner; pl.Enabled() {
 			e.Counter("coconut_build_planner_skips", "Probe units skipped by the planner.",
 				float64(pl.Skips()), "build", id)
 		}

@@ -15,6 +15,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/assemble"
 	"repro/internal/gen"
 	"repro/internal/heatmap"
 	"repro/internal/index"
@@ -23,7 +24,6 @@ import (
 	"repro/internal/series"
 	"repro/internal/simd"
 	"repro/internal/storage"
-	"repro/internal/workload"
 )
 
 // Server is the algorithms server. Create with New and mount via Handler.
@@ -40,30 +40,18 @@ type Server struct {
 	builds   map[string]*build
 	seq      int
 	cost     storage.CostModel
-	// defaultParallelism applies to builds whose request leaves the
-	// parallelism field unset; 0 keeps the workload default (serial).
-	defaultParallelism int
-	// defaultShards applies to builds whose request leaves the shards field
-	// unset; 0 or 1 keeps builds unsharded.
-	defaultShards int
-	// defaultCacheBytes applies to builds whose request leaves the
-	// cache_bytes field unset; 0 keeps builds uncached.
-	defaultCacheBytes int64
+	// defaults holds the value every build-request field falls back to when
+	// the request leaves it unset (SetDefaults).
+	defaults assemble.Spec
 	// walRoot, when set, gives every CLSM build a write-ahead log in its
 	// own subdirectory; durability comes from the build request (default
 	// batched group commit).
 	walRoot string
-	// defaultCompactionWorkers applies to CLSM builds whose request leaves
-	// the compaction_workers field unset; 0 keeps merges inline.
-	defaultCompactionWorkers int
 	// storageRoot, when set, lets builds use the file-backed storage
 	// backend: each build's pages live in its own subdirectory. Builds
 	// default to the file backend when a root is set; requests may force
 	// either backend per build.
 	storageRoot string
-	// defaultDisablePlanner turns statistics-driven probe ordering and
-	// skipping off for builds whose request does not ask for it.
-	defaultDisablePlanner bool
 	// metrics is the node's /metrics surface; slow is the slow-query ring
 	// (inert until SetSlowQuery arms a threshold).
 	metrics *serverMetrics
@@ -77,11 +65,9 @@ type dataset struct {
 }
 
 type build struct {
-	id      string
-	variant string
-	cfg     index.Config
-	built   *workload.Built
-	rec     *heatmap.Recorder
+	id    string
+	built *assemble.Built
+	rec   *heatmap.Recorder
 	// mu serializes live inserts (exclusive) against queries and stats
 	// (shared): the CLSM write path is internally concurrent-safe, but
 	// tree and ADS+ inserts are not, and the lock keeps the contract
@@ -101,38 +87,28 @@ func New() *Server {
 	return s
 }
 
-// SetDefaultParallelism sets the worker-pool bound applied to builds whose
-// request does not specify one: n > 1 lets every query fan its run and
-// partition probes out over n workers, n < 0 selects GOMAXPROCS, and 0 or 1
-// keeps queries serial (the paper-faithful default). Call before serving;
-// the setting is not synchronized with in-flight requests.
-func (s *Server) SetDefaultParallelism(n int) { s.defaultParallelism = n }
-
-// SetDefaultShards sets the shard count applied to builds whose request
-// does not specify one: n > 1 hash-partitions every new build across n
-// independent shards queried through the sharding layer; 0 or 1 keeps
-// builds unsharded. Call before serving; the setting is not synchronized
-// with in-flight requests.
-func (s *Server) SetDefaultShards(n int) { s.defaultShards = n }
-
-// SetDefaultCacheBytes sets the buffer-pool size applied to builds whose
-// request does not specify one: n > 0 puts a shared page cache of n bytes
-// between each new build's indexes and its disk(s); 0 keeps builds
-// uncached (the paper-faithful accounting). Call before serving; the
-// setting is not synchronized with in-flight requests.
-func (s *Server) SetDefaultCacheBytes(n int64) { s.defaultCacheBytes = n }
+// SetDefaults installs the values build requests fall back to for the
+// fields they leave unset: Parallelism (0 or 1 keeps queries serial, the
+// paper-faithful default; negative selects GOMAXPROCS), Shards (N > 1
+// hash-partitions every new build), CacheBytes, CompactionWorkers (CLSM
+// builds) and DisablePlanner. The defaults are checked exactly as a
+// request relying on them would be, so a bad flag fails at startup instead
+// of turning every build request into a 400. Call before serving.
+func (s *Server) SetDefaults(d assemble.Spec) error {
+	prev := s.defaults
+	s.defaults = d
+	if _, err := s.specFor(BuildRequest{Variant: "CTree"}, 16); err != nil {
+		s.defaults = prev
+		return err
+	}
+	return nil
+}
 
 // SetWALRoot makes CLSM builds durable: each one keeps a segmented
 // write-ahead log in its own subdirectory of dir, so inserts are logged
 // before acknowledgement. Empty (the default) disables build WALs. Call
 // before serving.
 func (s *Server) SetWALRoot(dir string) { s.walRoot = dir }
-
-// SetDefaultCompactionWorkers sets the background-merge pool size applied
-// to CLSM builds whose request does not specify one: n > 0 runs level
-// merges on n background workers while inserts and queries keep running;
-// 0 keeps merges inline. Call before serving.
-func (s *Server) SetDefaultCompactionWorkers(n int) { s.defaultCompactionWorkers = n }
 
 // SetStorageRoot enables the file-backed storage backend: each build's
 // index and raw pages live as page-aligned files in its own subdirectory
@@ -141,12 +117,6 @@ func (s *Server) SetDefaultCompactionWorkers(n int) { s.defaultCompactionWorkers
 // simulated disk and requests asking for "file" are rejected. Query
 // results are byte-identical on either backend. Call before serving.
 func (s *Server) SetStorageRoot(dir string) { s.storageRoot = dir }
-
-// SetDefaultPlannerDisabled turns statistics-driven probe ordering and
-// envelope skipping off for builds whose request does not ask for it.
-// Answers are byte-identical either way — only I/O cost changes. Call
-// before serving.
-func (s *Server) SetDefaultPlannerDisabled(v bool) { s.defaultDisablePlanner = v }
 
 // SetSlowQuery arms the slow-query log: queries slower than d are
 // recorded in a bounded ring served at GET /api/slowlog (and mirrored to
@@ -251,7 +221,7 @@ func (s *Server) handleVariants(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"variants": workload.Variants})
+	writeJSON(w, http.StatusOK, map[string]any{"variants": assemble.Variants})
 }
 
 // DatasetRequest asks for a synthetic dataset.
@@ -409,6 +379,76 @@ type BuildResponse struct {
 	NodeShards    []int `json:"node_shards,omitempty"`
 }
 
+// specFor maps a build request over a dataset of series length seriesLen
+// onto the one build description: unset fields take the server defaults,
+// the wire's explicit opt-outs (-1, "off", shards 1) are resolved, the
+// server's caps on outside input are enforced, and the result is validated.
+// WALDir and StorageDir come back as the server's roots (or empty); the
+// caller allots the build's own subdirectories.
+func (s *Server) specFor(req BuildRequest, seriesLen int) (assemble.Spec, error) {
+	spec := s.defaults
+	spec.WALDir, spec.StorageDir = s.walRoot, s.storageRoot
+	spec.Variant, spec.SeriesLen = req.Variant, seriesLen
+	spec.Segments, spec.Bits = req.Segments, req.Bits
+	spec.FillFactor, spec.GrowthFactor, spec.MemBudget = req.FillFactor, req.GrowthFactor, req.MemBudget
+	spec.ClusterShards, spec.NodeShards = req.ClusterShards, req.NodeShards
+	spec.Compress = req.Compress
+	spec.DisablePlanner = spec.DisablePlanner || req.DisablePlanner
+	if req.Parallelism != 0 {
+		spec.Parallelism = req.Parallelism
+	}
+	if req.Shards != 0 {
+		spec.Shards = req.Shards
+	}
+	if spec.Shards < 0 || spec.Shards > 256 {
+		return spec, fmt.Errorf("shards must be in [0, 256], got %d", spec.Shards)
+	}
+	if spec.Shards == 1 {
+		spec.Shards = 0 // the wire's "1 forces unsharded"
+	}
+	if spec.ClusterShards < 0 || spec.ClusterShards > 1024 {
+		return spec, fmt.Errorf("cluster_shards must be in [0, 1024], got %d", spec.ClusterShards)
+	}
+	if req.CacheBytes != 0 {
+		spec.CacheBytes = max(0, req.CacheBytes) // negative: explicit opt-out of the server default
+	}
+	if spec.CacheBytes < 0 || spec.CacheBytes > 1<<32 {
+		return spec, fmt.Errorf("cache_bytes must be in [0, %d], got %d", int64(1)<<32, spec.CacheBytes)
+	}
+	if req.CompactionWorkers != 0 {
+		spec.CompactionWorkers = max(0, req.CompactionWorkers)
+	}
+	if spec.CompactionWorkers < 0 || spec.CompactionWorkers > 64 {
+		return spec, fmt.Errorf("compaction_workers must be in [0, 64], got %d", spec.CompactionWorkers)
+	}
+	switch req.Storage {
+	case "":
+	case "sim":
+		spec.StorageDir = ""
+	case "file":
+		if spec.StorageDir == "" {
+			return spec, fmt.Errorf("storage %q needs the server to run with a storage root (-storage)", req.Storage)
+		}
+	default:
+		return spec, fmt.Errorf("unknown storage %q (want sim or file)", req.Storage)
+	}
+	// Durable ingest and background merges are requested for unsharded CLSM
+	// builds only.
+	if (req.Variant == "CLSM" || req.Variant == "CLSMFull") && !spec.Partitioned() {
+		switch {
+		case req.Durability == "off":
+			spec.WALDir = ""
+		case spec.WALDir != "":
+			spec.Durability = req.Durability
+		case req.Durability != "":
+			return spec, fmt.Errorf("durability %q needs the server to run with a WAL root (-wal)", req.Durability)
+		}
+	} else {
+		spec.WALDir, spec.CompactionWorkers = "", 0
+	}
+	return spec, spec.Validate()
+}
+
 func (s *Server) handleBuild(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "POST only")
@@ -426,138 +466,20 @@ func (s *Server) handleBuild(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "dataset %q not found", req.Dataset)
 		return
 	}
-	if req.Segments == 0 {
-		req.Segments = 16
-	}
-	if req.Bits == 0 {
-		req.Bits = 8
-	}
-	cfg := index.Config{SeriesLen: d.ds.Len, Segments: req.Segments, Bits: req.Bits}
-	if err := cfg.Validate(); err != nil {
+	spec, err := s.specFor(req, d.ds.Len)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if req.Parallelism == 0 {
-		req.Parallelism = s.defaultParallelism
+	s.mu.Lock()
+	if spec.StorageDir != "" {
+		spec.StorageDir = filepath.Join(spec.StorageDir, s.nextID("store"))
 	}
-	if req.Shards == 0 {
-		req.Shards = s.defaultShards
+	if spec.WALDir != "" {
+		spec.WALDir = filepath.Join(spec.WALDir, s.nextID("wal"))
 	}
-	if req.Shards < 0 || req.Shards > 256 {
-		writeError(w, http.StatusBadRequest, "shards must be in [0, 256], got %d", req.Shards)
-		return
-	}
-	if req.ClusterShards < 0 || req.ClusterShards > 1024 {
-		writeError(w, http.StatusBadRequest, "cluster_shards must be in [0, 1024], got %d", req.ClusterShards)
-		return
-	}
-	if req.ClusterShards > 0 || len(req.NodeShards) > 0 {
-		if req.ClusterShards == 0 {
-			writeError(w, http.StatusBadRequest, "node_shards needs cluster_shards")
-			return
-		}
-		if len(req.NodeShards) == 0 {
-			writeError(w, http.StatusBadRequest, "cluster_shards %d needs node_shards (which shards this node holds)", req.ClusterShards)
-			return
-		}
-		if req.Shards > 1 {
-			writeError(w, http.StatusBadRequest, "cluster builds partition by cluster_shards; shards must stay unset")
-			return
-		}
-		seen := make(map[int]bool, len(req.NodeShards))
-		for _, si := range req.NodeShards {
-			if si < 0 || si >= req.ClusterShards {
-				writeError(w, http.StatusBadRequest, "node shard %d outside [0, %d)", si, req.ClusterShards)
-				return
-			}
-			if seen[si] {
-				writeError(w, http.StatusBadRequest, "node shard %d listed twice", si)
-				return
-			}
-			seen[si] = true
-		}
-	}
-	if req.CacheBytes == 0 {
-		req.CacheBytes = s.defaultCacheBytes
-	}
-	if req.CacheBytes < 0 {
-		req.CacheBytes = 0 // explicit opt-out of the server default
-	}
-	if req.CacheBytes > 1<<32 {
-		writeError(w, http.StatusBadRequest, "cache_bytes must be at most %d, got %d", int64(1)<<32, req.CacheBytes)
-		return
-	}
-	if req.CompactionWorkers == 0 {
-		req.CompactionWorkers = s.defaultCompactionWorkers
-	}
-	if req.CompactionWorkers < 0 {
-		req.CompactionWorkers = 0 // explicit opt-out of the server default
-	}
-	if req.CompactionWorkers > 64 {
-		writeError(w, http.StatusBadRequest, "compaction_workers must be at most 64, got %d", req.CompactionWorkers)
-		return
-	}
-	if s.defaultDisablePlanner {
-		req.DisablePlanner = true
-	}
-	if req.Storage == "" {
-		if s.storageRoot != "" {
-			req.Storage = "file"
-		} else {
-			req.Storage = "sim"
-		}
-	}
-	switch req.Storage {
-	case "sim":
-	case "file":
-		if s.storageRoot == "" {
-			writeError(w, http.StatusBadRequest, "storage %q needs the server to run with a storage root (-storage)", req.Storage)
-			return
-		}
-	default:
-		writeError(w, http.StatusBadRequest, "unknown storage %q (want sim or file)", req.Storage)
-		return
-	}
-	isCLSM := (req.Variant == "CLSM" || req.Variant == "CLSMFull") && req.ClusterShards == 0
-	opts := workload.BuildOptions{
-		FillFactor:     req.FillFactor,
-		GrowthFactor:   req.GrowthFactor,
-		MemBudget:      req.MemBudget,
-		Parallelism:    req.Parallelism,
-		Shards:         req.Shards,
-		CacheBytes:     req.CacheBytes,
-		DisablePlanner: req.DisablePlanner,
-		ClusterShards:  req.ClusterShards,
-		NodeShards:     req.NodeShards,
-		Compress:       req.Compress,
-	}
-	if req.Storage == "file" {
-		s.mu.Lock()
-		storeID := s.nextID("store")
-		s.mu.Unlock()
-		opts.StorageDir = filepath.Join(s.storageRoot, storeID)
-	}
-	if isCLSM && req.Shards <= 1 {
-		opts.CompactionWorkers = req.CompactionWorkers
-		switch req.Durability {
-		case "off":
-		case "", "batched", "sync":
-			if s.walRoot != "" {
-				s.mu.Lock()
-				walID := s.nextID("wal")
-				s.mu.Unlock()
-				opts.WALDir = filepath.Join(s.walRoot, walID)
-				opts.Durability = req.Durability
-			} else if req.Durability != "" {
-				writeError(w, http.StatusBadRequest, "durability %q needs the server to run with a WAL root (-wal)", req.Durability)
-				return
-			}
-		default:
-			writeError(w, http.StatusBadRequest, "unknown durability %q (want batched, sync, or off)", req.Durability)
-			return
-		}
-	}
-	b, err := workload.BuildVariant(req.Variant, d.ds, cfg, opts)
+	s.mu.Unlock()
+	b, err := assemble.Build(spec, d.ds)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "build failed: %v", err)
 		return
@@ -566,33 +488,29 @@ func (s *Server) handleBuild(w http.ResponseWriter, r *http.Request) {
 	b.SetTracer(rec)
 	s.mu.Lock()
 	id := s.nextID("build")
-	s.builds[id] = &build{id: id, variant: req.Variant, cfg: cfg, built: b, rec: rec}
+	s.builds[id] = &build{id: id, built: b, rec: rec}
 	s.mu.Unlock()
 	st := b.BuildStats
-	var clusterShards int
-	var nodeShards []int
-	if b.Group != nil {
-		clusterShards = b.Group.NShards()
-		nodeShards = b.Group.Owned()
+	resp := BuildResponse{
+		ID:         id,
+		Variant:    b.Index.Name(),
+		Count:      b.Index.Count(),
+		BuildCost:  b.BuildCost(s.cost),
+		SeqIO:      st.SeqReads + st.SeqWrites,
+		RandIO:     st.RandReads + st.RandWrites,
+		IndexPages: b.IndexPages,
+		RawPages:   b.RawPages,
+		BuildMilli: b.BuildTime.Milliseconds(),
+		Shards:     b.Shards(),
+		Backend:    b.Disk.Kind(),
+		Planner:    b.Planner.Enabled(),
+		Compress:   req.Compress,
+		Kernel:     simd.Active(),
 	}
-	writeJSON(w, http.StatusCreated, BuildResponse{
-		ID:            id,
-		Variant:       b.Index.Name(),
-		Count:         b.Index.Count(),
-		BuildCost:     b.BuildCost(s.cost),
-		SeqIO:         st.SeqReads + st.SeqWrites,
-		RandIO:        st.RandReads + st.RandWrites,
-		IndexPages:    b.IndexPages,
-		RawPages:      b.RawPages,
-		BuildMilli:    b.BuildTime.Milliseconds(),
-		Shards:        b.Shards(),
-		Backend:       b.Disk.Kind(),
-		Planner:       b.Planner != nil && b.Planner.Enabled(),
-		Compress:      req.Compress,
-		Kernel:        simd.Active(),
-		ClusterShards: clusterShards,
-		NodeShards:    nodeShards,
-	})
+	if spec.ClusterShards > 0 {
+		resp.ClusterShards, resp.NodeShards = b.Group.NShards(), b.Group.Owned()
+	}
+	writeJSON(w, http.StatusCreated, resp)
 }
 
 // QueryRequest issues a similarity query against a build. Series is the
@@ -653,8 +571,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "build %q not found", req.Build)
 		return
 	}
-	if len(req.Series) != b.cfg.SeriesLen {
-		writeError(w, http.StatusBadRequest, "query length %d, want %d", len(req.Series), b.cfg.SeriesLen)
+	if len(req.Series) != b.built.Config.SeriesLen {
+		writeError(w, http.StatusBadRequest, "query length %d, want %d", len(req.Series), b.built.Config.SeriesLen)
 		return
 	}
 	if req.K <= 0 {
@@ -667,7 +585,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	case req.Exact:
 		mode = modeExact
 	}
-	q := index.NewQuery(series.Series(req.Series), b.cfg)
+	q := index.NewQuery(series.Series(req.Series), b.built.Config)
 	if req.MinTS != nil && req.MaxTS != nil {
 		q = q.WithWindow(*req.MinTS, *req.MaxTS)
 	}
@@ -798,11 +716,11 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	qs := make([]index.Query, len(req.Queries))
 	for i, raw := range req.Queries {
-		if len(raw) != b.cfg.SeriesLen {
-			writeError(w, http.StatusBadRequest, "query %d length %d, want %d", i, len(raw), b.cfg.SeriesLen)
+		if len(raw) != b.built.Config.SeriesLen {
+			writeError(w, http.StatusBadRequest, "query %d length %d, want %d", i, len(raw), b.built.Config.SeriesLen)
 			return
 		}
-		qs[i] = index.NewQuery(series.Series(raw), b.cfg)
+		qs[i] = index.NewQuery(series.Series(raw), b.built.Config)
 	}
 	start := time.Now()
 	b.mu.RLock()
@@ -904,8 +822,8 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	for i, ser := range req.Series {
-		if len(ser) != b.cfg.SeriesLen {
-			writeError(w, http.StatusBadRequest, "series %d length %d, want %d", i, len(ser), b.cfg.SeriesLen)
+		if len(ser) != b.built.Config.SeriesLen {
+			writeError(w, http.StatusBadRequest, "series %d length %d, want %d", i, len(ser), b.built.Config.SeriesLen)
 			return
 		}
 	}
@@ -1107,7 +1025,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			DurableLSN:        cst.DurableLSN,
 		}
 	}
-	if pl := b.built.Planner; pl != nil && pl.Enabled() {
+	if pl := b.built.Planner; pl.Enabled() {
 		resp.Planner = PlannerStats{Enabled: true, PlannedSkips: pl.Skips()}
 	}
 	if c := b.built.Cache; c != nil {
@@ -1121,16 +1039,11 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			Evictions:      c.Evictions(),
 		}
 	}
-	switch {
-	case len(b.built.ShardPools) > 0:
-		for _, p := range b.built.ShardPools {
-			resp.PerShard = append(resp.PerShard, s.diskStats(p.Stats()))
+	if g := b.built.Group; g != nil {
+		for _, st := range g.ShardStats() {
+			resp.PerShard = append(resp.PerShard, s.diskStats(st))
 		}
-	case len(b.built.ShardDisks) > 0:
-		for _, d := range b.built.ShardDisks {
-			resp.PerShard = append(resp.PerShard, s.diskStats(d.Stats()))
-		}
-	default:
+	} else {
 		resp.PerShard = []DiskStats{resp.Aggregate}
 	}
 	writeJSON(w, http.StatusOK, resp)

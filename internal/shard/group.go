@@ -6,47 +6,59 @@ import (
 	"sync"
 
 	"repro/internal/index"
+	"repro/internal/parallel"
 	"repro/internal/storage"
 )
 
-// Group is the node-local portion of a cluster-sharded index: of a logical
-// index hash-partitioned into NShards shards (the same Of placement the
-// in-process Sharded uses), a Group holds the subset of shards assigned to
-// this node. It is the server-side building block of the distributed
-// scatter-gather tier: the router asks each node for exact per-shard
-// answers over a requested shard list, and a Group answers them with the
-// collectors' exact accumulated squared sums under global IDs — so the
-// router-side merge reproduces the single-node collector selection
-// bit-for-bit, exactly as Sharded's in-process merge does.
+// Group is the set of shards one process holds of a logical index
+// hash-partitioned into NShards shards (placement Of). Owning every shard it
+// is the in-process sharded index; owning a subset it is a cluster node's
+// share, the server-side building block of the distributed scatter-gather
+// tier: the router asks each node for exact per-shard answers over a
+// requested shard list, and the Group answers with the collectors' exact
+// accumulated squared sums under global IDs — so the router-side merge
+// reproduces the single-node collector selection bit-for-bit, exactly as the
+// in-process merge over all shards does.
 //
-// A Group also implements index.Index (and index.RangeSearcher) over its
-// whole owned subset, so a node's ordinary query endpoints keep working on
-// cluster builds; on a fully replicated node (owning every shard) those
+// Probes fan across the requested shards through index.ProbeUnits on the
+// group's worker pool, ordered and skipped by the group's planner (typically
+// the planner every shard's sub-index also carries, so shard-, run- and
+// leaf-level planning share one set of counters). A cluster node built at
+// parallelism 1 is the serial case of the same executor.
+//
+// A Group implements index.Index, index.RangeSearcher and the batch
+// interfaces over its whole owned subset; on a fully replicated node those
 // answers equal the cluster-wide ones.
 //
-// Concurrency matches Sharded: searches may run concurrently with each
-// other and with inserts (the ID mappings are RWMutex-guarded and readers
-// snapshot slice headers); the sub-indexes' own insert paths require the
-// caller to serialize inserts against each other, which the server's
-// per-build write lock provides.
+// Searches may run concurrently with each other and with inserts (the ID
+// mappings are RWMutex-guarded and readers snapshot slice headers); the
+// sub-indexes' own insert paths require the caller to serialize inserts
+// against each other.
 type Group struct {
 	cfg     index.Config
 	nshards int
 	owned   []int // ascending shard indices
 	shards  map[int]*Shard
+	pool    *parallel.Pool
+	planner *index.Planner
 
-	// idsMu guards every owned shard's IDs slice and lastID so inserts can
-	// run concurrently with searches, mirroring Sharded.idsMu.
+	// idsMu guards every owned shard's IDs slice, lastID and count so
+	// inserts may run concurrently with searches: readers snapshot a slice
+	// header under the read lock (appends never touch an index a snapshot
+	// can see), writers append under the write lock.
 	idsMu  sync.RWMutex
 	lastID map[int]int64 // last appended global ID per owned shard, -1 when empty
 	count  int64         // series held locally (sum over owned shards)
 }
 
-// NewGroup assembles a node-local shard group. nshards is the cluster-wide
-// logical shard count; owned maps shard index -> shard. Every owned shard's
-// IDs must be ascending and hash-placed into that shard (Of(id, nshards)),
-// and its index must hold exactly len(IDs) series.
-func NewGroup(cfg index.Config, nshards int, owned map[int]*Shard) (*Group, error) {
+// NewGroup assembles a shard group. nshards is the logical shard count;
+// owned maps shard index -> shard. Every owned shard's IDs must be ascending
+// and hash-placed into that shard (Of(id, nshards)), and its index must hold
+// exactly len(IDs) series. Sub-indexes should search serially: the group
+// owns the fan-out (parallelism <= 0 selects GOMAXPROCS), and nesting pools
+// only adds scheduling overhead. A nil planner plans with default settings;
+// one with Disabled set restores the unplanned fan-out.
+func NewGroup(cfg index.Config, nshards int, owned map[int]*Shard, parallelism int, planner *index.Planner) (*Group, error) {
 	if nshards < 1 {
 		return nil, fmt.Errorf("shard: cluster needs at least one shard, got %d", nshards)
 	}
@@ -57,6 +69,8 @@ func NewGroup(cfg index.Config, nshards int, owned map[int]*Shard) (*Group, erro
 		cfg:     cfg,
 		nshards: nshards,
 		shards:  make(map[int]*Shard, len(owned)),
+		pool:    parallel.New(parallelism),
+		planner: planner,
 		lastID:  make(map[int]int64, len(owned)),
 	}
 	for si, sh := range owned {
@@ -88,8 +102,13 @@ func NewGroup(cfg index.Config, nshards int, owned map[int]*Shard) (*Group, erro
 	return g, nil
 }
 
-// NShards returns the cluster-wide logical shard count.
+// NShards returns the logical shard count.
 func (g *Group) NShards() int { return g.nshards }
+
+// SetParallelism re-sizes the cross-shard worker pool (n <= 0 selects
+// GOMAXPROCS; 1 probes shards serially). Answers are identical at every
+// setting. Call only while no search is in flight.
+func (g *Group) SetParallelism(n int) { g.pool = parallel.New(n) }
 
 // Owned returns the shard indices this group holds, ascending. The slice is
 // owned by the group; callers must not mutate it.
@@ -101,9 +120,14 @@ func (g *Group) Owns(si int) bool { _, ok := g.shards[si]; return ok }
 // Shard returns the owned shard si, or nil.
 func (g *Group) Shard(si int) *Shard { return g.shards[si] }
 
-// Name identifies the group, e.g. "Group2of4xCTreeFull".
+// Name identifies the group: "Sharded4xCTreeFull" when it owns every shard,
+// "Group2of4xCTreeFull" when it owns a subset.
 func (g *Group) Name() string {
-	return fmt.Sprintf("Group%dof%dx%s", len(g.owned), g.nshards, g.shards[g.owned[0]].Index.Name())
+	inner := g.shards[g.owned[0]].Index.Name()
+	if len(g.owned) == g.nshards {
+		return fmt.Sprintf("Sharded%dx%s", g.nshards, inner)
+	}
+	return fmt.Sprintf("Group%dof%dx%s", len(g.owned), g.nshards, inner)
 }
 
 // Count returns the number of series held locally (owned shards only — not
@@ -146,46 +170,71 @@ func (g *Group) resolve(reqs []int) ([]int, error) {
 	return reqs, nil
 }
 
+// exactInto probes the listed shards through the planned-probe executor,
+// worker slot w of pool searching with ctxs[w]. The plan lives in ctxs[0]'s
+// outer buffer: each shard's inner index plans its own runs or leaves in the
+// primary buffer of the same context.
+func (g *Group) exactInto(q index.Query, k int, shards []int, pool *parallel.Pool, ctxs []*index.SearchCtx) (*index.Collector, error) {
+	col := index.NewCollector(k)
+	err := index.ProbeUnits(index.ProbePlan{
+		Planner: g.planner, Pool: pool, Trace: q.Trace, Kind: "shard", Units: ctxs[0].OuterPlanUnits(len(shards)),
+	}, col, func(i int) float64 {
+		return g.shards[shards[i]].boundSq(q, ctxs[0])
+	}, func(i, w int, col *index.Collector) error {
+		return g.shards[shards[i]].exactInto(&g.idsMu, q, k, ctxs[w], col)
+	})
+	return col, err
+}
+
 // ExactSearchShards answers an exact k-NN over the requested shard subset
 // (nil = all owned), returning the collector itself: its contents are the k
 // best (squared distance, global ID) pairs over the union of the requested
 // shards' series, with the exact accumulated squared sums intact for a
-// higher-level merge. Probes run serially with one pooled context — node
-// throughput comes from concurrent requests, and serial probing keeps the
-// distributed answer trivially byte-identical to the in-process one.
+// higher-level merge. Every shard answers an exact top-k over its subset
+// (concurrently on the group's pool, each worker with its own pooled search
+// context) and the per-shard collectors merge on their exact squared sums,
+// so the answer is byte-identical to the unsharded index's at every
+// parallelism.
 func (g *Group) ExactSearchShards(q index.Query, k int, reqs []int) (*index.Collector, error) {
+	shards, err := g.resolve(reqs)
+	if err != nil {
+		return nil, err
+	}
+	ctxs := make([]*index.SearchCtx, g.pool.WorkersFor(len(shards)))
+	for i := range ctxs {
+		ctxs[i] = index.AcquireCtx(q, g.cfg)
+	}
+	defer func() {
+		for _, c := range ctxs {
+			c.Release()
+		}
+	}()
+	return g.exactInto(q, k, shards, g.pool, ctxs)
+}
+
+// RangeSearchShards answers a range (epsilon) query over the requested
+// shard subset (nil = all owned), returning the collector with every
+// qualifying series under its global ID. The epsilon bound is static, so a
+// shard whose envelope bound exceeds it is dropped before the fan-out.
+// Re-squaring reported distances is exact on the range path (see
+// Shard.rangeInto), so merging range collectors across nodes preserves every
+// distance bit-for-bit.
+func (g *Group) RangeSearchShards(q index.Query, eps float64, reqs []int) (*index.RangeCollector, error) {
 	shards, err := g.resolve(reqs)
 	if err != nil {
 		return nil, err
 	}
 	ctx := index.AcquireCtx(q, g.cfg)
 	defer ctx.Release()
-	col := index.NewCollector(k)
-	for _, si := range shards {
-		if err := g.shards[si].exactInto(&g.idsMu, q, k, ctx, col); err != nil {
-			return nil, err
-		}
-	}
-	return col, nil
-}
-
-// RangeSearchShards answers a range (epsilon) query over the requested
-// shard subset (nil = all owned), returning the collector with every
-// qualifying series under its global ID. Re-squaring reported distances is
-// exact on the range path (see Shard.rangeInto), so merging range
-// collectors across nodes preserves every distance bit-for-bit.
-func (g *Group) RangeSearchShards(q index.Query, eps float64, reqs []int) (*index.RangeCollector, error) {
-	shards, err := g.resolve(reqs)
-	if err != nil {
-		return nil, err
-	}
 	col := index.NewRangeCollector(eps)
-	for _, si := range shards {
-		if err := g.shards[si].rangeInto(&g.idsMu, q, eps, col); err != nil {
-			return nil, err
-		}
-	}
-	return col, nil
+	err = index.ProbeUnits(index.ProbePlan{
+		Planner: g.planner, Pool: g.pool, Trace: q.Trace, Kind: "shard", Units: ctx.OuterPlanUnits(len(shards)),
+	}, col, func(i int) float64 {
+		return g.shards[shards[i]].boundSq(q, ctx)
+	}, func(i, _ int, col *index.RangeCollector) error {
+		return g.shards[shards[i]].rangeInto(&g.idsMu, q, eps, col)
+	})
+	return col, err
 }
 
 // ApproxSearchShards answers an approximate k-NN over the requested shard
@@ -200,41 +249,54 @@ func (g *Group) ApproxSearchShards(q index.Query, k int, reqs []int) (*index.Col
 		return nil, err
 	}
 	col := index.NewCollector(k)
-	for _, si := range shards {
-		if err := g.shards[si].approxInto(&g.idsMu, q, k, col); err != nil {
-			return nil, err
-		}
-	}
-	return col, nil
+	err = index.FanOut(g.pool, len(shards), col, func(i, _ int, col *index.Collector) error {
+		return g.shards[shards[i]].approxInto(&g.idsMu, q, k, col)
+	})
+	return col, err
 }
 
-// ExactSearch answers an exact k-NN over every owned shard — the node-local
-// view of the cluster index (index.Index).
+// ExactSearch answers an exact k-NN over every owned shard (index.Index).
 func (g *Group) ExactSearch(q index.Query, k int) ([]index.Result, error) {
-	col, err := g.ExactSearchShards(q, k, nil)
+	return results(g.ExactSearchShards(q, k, nil))
+}
+
+// results renders a search's collector, passing its error through.
+func results[C interface{ Results() []index.Result }](col C, err error) ([]index.Result, error) {
 	if err != nil {
 		return nil, err
 	}
 	return col.Results(), nil
+}
+
+// ExactSearchCtx answers an exact k-NN query probing every owned shard
+// serially with a caller-managed context (already filled for q). One table
+// fill serves every shard — the shards share a summarization configuration —
+// which is what makes batched sharded search cheap: the batch executor
+// parallelizes across queries while each query pays a single context.
+func (g *Group) ExactSearchCtx(q index.Query, k int, ctx *index.SearchCtx) ([]index.Result, error) {
+	return results(g.exactInto(q, k, g.owned, index.SerialPool, []*index.SearchCtx{ctx}))
+}
+
+// ExactSearchBatch answers one exact k-NN query per element of qs,
+// pipelined over the cross-shard pool: each worker slot reuses one search
+// context across every query it executes, and each query probes all owned
+// shards with that single context. out[i] is byte-identical to
+// ExactSearch(qs[i], k).
+func (g *Group) ExactSearchBatch(qs []index.Query, k int) ([][]index.Result, error) {
+	return index.Batch(g.pool, g.cfg, qs, func(q index.Query, ctx *index.SearchCtx) ([]index.Result, error) {
+		return g.ExactSearchCtx(q, k, ctx)
+	})
 }
 
 // ApproxSearch answers an approximate k-NN over every owned shard.
 func (g *Group) ApproxSearch(q index.Query, k int) ([]index.Result, error) {
-	col, err := g.ApproxSearchShards(q, k, nil)
-	if err != nil {
-		return nil, err
-	}
-	return col.Results(), nil
+	return results(g.ApproxSearchShards(q, k, nil))
 }
 
 // RangeSearch answers a range query over every owned shard
 // (index.RangeSearcher).
 func (g *Group) RangeSearch(q index.Query, eps float64) ([]index.Result, error) {
-	col, err := g.RangeSearchShards(q, eps, nil)
-	if err != nil {
-		return nil, err
-	}
-	return col.Results(), nil
+	return results(g.RangeSearchShards(q, eps, nil))
 }
 
 // PrepareInsert validates that global ID id may be appended next: the node
@@ -286,7 +348,8 @@ func nextIDFor(si int, last int64, nshards int) int64 {
 // NoteInsert records that the caller appended the series with global ID id
 // to shard si through the shard's own build (which keeps raw mirrors in
 // sync before the sub-index sees the series). Callers must have validated
-// the append with PrepareInsert under the same external insert lock.
+// the append with PrepareInsert under the same external insert lock. On a
+// group that owns every shard the next dense ID is Count().
 func (g *Group) NoteInsert(si int, id int64) {
 	g.idsMu.Lock()
 	defer g.idsMu.Unlock()
@@ -315,11 +378,22 @@ func (g *Group) ShardStats() []storage.Stats {
 	return out
 }
 
-// index.Inserter is deliberately not implemented: cluster inserts carry
-// explicit router-assigned global IDs (PrepareInsert/NoteInsert around the
-// sub-build's own ingest), and a plain Insert assigning the local count as
-// the ID would corrupt the global ID space.
+// TotalPages returns the page count summed over every owned shard's disk.
+func (g *Group) TotalPages() int64 {
+	var n int64
+	for _, si := range g.owned {
+		n += g.shards[si].Disk.TotalPages()
+	}
+	return n
+}
+
+// index.Inserter is deliberately not implemented: inserts carry explicit
+// global IDs (PrepareInsert/NoteInsert around the owning shard's own
+// ingest), and on a group owning a subset a plain Insert assigning the
+// local count as the ID would corrupt the global ID space.
 var (
 	_ index.Index         = (*Group)(nil)
 	_ index.RangeSearcher = (*Group)(nil)
+	_ index.CtxSearcher   = (*Group)(nil)
+	_ index.BatchSearcher = (*Group)(nil)
 )

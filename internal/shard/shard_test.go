@@ -6,10 +6,10 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/assemble"
 	"repro/internal/gen"
 	"repro/internal/index"
 	"repro/internal/shard"
-	"repro/internal/workload"
 )
 
 func TestOfIsStableAndInRange(t *testing.T) {
@@ -65,43 +65,41 @@ func TestPartitionIsPlacementInverse(t *testing.T) {
 }
 
 // TestWorkloadShardedEquivalence drives the sharding layer exactly as the
-// server does — through workload.BuildVariant — and requires exact and
+// server does — through assemble.Build — and requires exact and
 // range results byte-identical to the unsharded build for tree and LSM
 // variants at several shard counts.
 func TestWorkloadShardedEquivalence(t *testing.T) {
-	sc := workload.Scale{SeriesLen: 64, Segments: 8, Bits: 6, Seed: 21}
 	cfg := index.Config{SeriesLen: 64, Segments: 8, Bits: 6}
-	ds, _ := gen.Astronomy(gen.AstronomyConfig{N: 2500, Len: 64, FracEvent: 0.05, Seed: sc.Seed})
+	ds, _ := gen.Astronomy(gen.AstronomyConfig{N: 2500, Len: 64, FracEvent: 0.05, Seed: 21})
 	rng := rand.New(rand.NewSource(22))
 	queries := make([]index.Query, 8)
 	for i := range queries {
 		queries[i] = index.NewQuery(gen.RandomWalk(rng, 64), cfg)
 	}
 	for _, variant := range []string{"CTreeFull", "CLSM"} {
-		base, err := workload.BuildVariant(variant, ds, cfg, workload.BuildOptions{RawInMemory: true})
+		base, err := assemble.Build(assemble.Spec{Variant: variant, SeriesLen: 64, Segments: 8, Bits: 6, RawInMemory: true}, ds)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, shards := range []int{1, 2, 4, 7} {
 			t.Run(fmt.Sprintf("%s/shards=%d", variant, shards), func(t *testing.T) {
-				b, err := workload.BuildVariant(variant, ds, cfg, workload.BuildOptions{
+				b, err := assemble.Build(assemble.Spec{
+					Variant: variant, SeriesLen: 64, Segments: 8, Bits: 6,
 					Shards: shards, Parallelism: 2, RawInMemory: true,
-				})
+				}, ds)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if shards > 1 {
-					// Shards <= 1 deliberately builds the plain index;
-					// the wrapper only appears at real shard counts.
-					sh, ok := b.Index.(*shard.Sharded)
+					sh, ok := b.Index.(*shard.Group)
 					if !ok {
 						t.Fatalf("sharded build produced %T", b.Index)
 					}
-					if sh.NumShards() != shards {
-						t.Fatalf("built %d shards, want %d", sh.NumShards(), shards)
+					if sh.NShards() != shards {
+						t.Fatalf("built %d shards, want %d", sh.NShards(), shards)
 					}
-					if len(b.ShardDisks) != shards {
-						t.Fatalf("Built.ShardDisks has %d entries, want %d", len(b.ShardDisks), shards)
+					if len(b.Parts) != shards {
+						t.Fatalf("Built.Parts has %d entries, want %d", len(b.Parts), shards)
 					}
 				}
 				if b.Index.Count() != base.Index.Count() {
@@ -132,8 +130,8 @@ func TestWorkloadShardedEquivalence(t *testing.T) {
 						t.Fatalf("query %d: range diverges\n got %+v\nwant %+v", qi, gotR, wantR)
 					}
 				}
-				// The batch path through the workload-built index (sharded
-				// wrapper at shards > 1, the plain tree/LSM batch at 1).
+				// The batch path through the assembled index (the group's at
+				// every shard count, the one-shard group included).
 				batch, err := b.Index.(index.BatchSearcher).ExactSearchBatch(queries, 5)
 				if err != nil {
 					t.Fatal(err)
@@ -153,19 +151,19 @@ func TestWorkloadShardedEquivalence(t *testing.T) {
 }
 
 func TestNewValidates(t *testing.T) {
-	if _, err := shard.New(index.Config{}, nil, 1); err == nil {
-		t.Fatal("New accepted zero shards")
+	if _, err := shard.NewGroup(index.Config{}, 1, nil, 1, nil); err == nil {
+		t.Fatal("NewGroup accepted zero shards")
 	}
 	cfg := index.Config{SeriesLen: 64, Segments: 8, Bits: 6}
 	ds, _ := gen.Astronomy(gen.AstronomyConfig{N: 100, Len: 64, FracEvent: 0.05, Seed: 1})
-	b, err := workload.BuildVariant("CTreeFull", ds, cfg, workload.BuildOptions{RawInMemory: true})
+	b, err := assemble.Build(assemble.Spec{Variant: "CTreeFull", SeriesLen: 64, Segments: 8, Bits: 6, RawInMemory: true}, ds)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A mapping whose length disagrees with the sub-index count must be
 	// rejected: it would silently mistranslate IDs.
-	_, err = shard.New(cfg, []shard.Shard{{Index: b.Index, Disk: b.Disk, IDs: make([]int64, 7)}}, 1)
+	_, err = shard.NewGroup(cfg, 1, map[int]*shard.Shard{0: {Index: b.Index, Disk: b.Disk, IDs: make([]int64, 7)}}, 1, nil)
 	if err == nil {
-		t.Fatal("New accepted a shard whose ID map disagrees with its index count")
+		t.Fatal("NewGroup accepted a shard whose ID map disagrees with its index count")
 	}
 }

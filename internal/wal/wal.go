@@ -552,17 +552,19 @@ func (l *Log) Stats() Stats {
 // Dir returns the log's directory.
 func (l *Log) Dir() string { return l.opts.Dir }
 
-// Close syncs and closes the active segment. The log stays readable via a
-// fresh Open; appends after Close fail. Idempotent.
+// Close syncs and closes the active segment; the segment's handle is
+// released even when the sync fails (the error is reported). The log stays
+// readable via a fresh Open; appends after Close fail. Idempotent.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return nil
 	}
-	if err := l.syncLocked(); err != nil {
-		return err
-	}
+	err := l.syncLocked()
 	l.closed = true
-	return l.active.Close()
+	if cerr := l.active.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sort"
 
+	"repro/internal/assemble"
 	"repro/internal/gen"
 	"repro/internal/index"
 	"repro/internal/sax"
@@ -149,7 +150,9 @@ func E11Cardinality(sc Scale, n, numQueries int, bitsList []int) (*Table, error)
 			pairs++
 		}
 		// Exact query cost on a CTree at this cardinality.
-		b, err := BuildVariant("CTree", ds, cfg, BuildOptions{})
+		atBits := sc
+		atBits.Bits = bits
+		b, err := assemble.Build(atBits.spec("CTree", assemble.Spec{}), ds)
 		if err != nil {
 			return nil, err
 		}
@@ -184,7 +187,7 @@ func E12Recall(sc Scale, n, numQueries int) (*Table, error) {
 	queries, _ := gen.Queries(ds, numQueries, 0.2, sc.Seed+11)
 	cfg := sc.config()
 	for _, v := range Variants {
-		b, err := BuildVariant(v, ds, cfg, BuildOptions{})
+		b, err := assemble.Build(sc.spec(v, assemble.Spec{}), ds)
 		if err != nil {
 			return nil, fmt.Errorf("E12 %s: %w", v, err)
 		}

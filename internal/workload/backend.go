@@ -2,13 +2,10 @@ package workload
 
 import (
 	"fmt"
-	"math/rand"
 	"os"
 	"path/filepath"
-	"time"
 
-	"repro/internal/gen"
-	"repro/internal/index"
+	"repro/internal/assemble"
 )
 
 // E16Backend compares the two storage backends: every variant builds twice
@@ -44,47 +41,28 @@ func E16Backend(sc Scale, n, numQueries, k int, dir string) (*Table, error) {
 		Columns: []string{"variant", "io/q", "sim build ms", "file build ms", "sim q/s", "file q/s"},
 	}
 	ds := sc.dataset(n)
-	rng := rand.New(rand.NewSource(sc.Seed + 16))
-	iqs := make([]index.Query, numQueries)
-	for i := range iqs {
-		iqs[i] = index.NewQuery(gen.RandomWalk(rng, sc.SeriesLen), sc.config())
-	}
-
-	runPass := func(b *Built) ([][]index.Result, float64, time.Duration, error) {
-		before := b.IOStats()
-		start := time.Now()
-		out := make([][]index.Result, len(iqs))
-		for i, q := range iqs {
-			rs, err := b.Index.ExactSearch(q, k)
-			if err != nil {
-				return nil, 0, 0, err
-			}
-			out[i] = rs
-		}
-		elapsed := time.Since(start)
-		stats := b.IOStats().Sub(before)
-		return out, stats.Cost(sc.Cost) / float64(len(iqs)), elapsed, nil
-	}
+	iqs := sc.walkQueries(sc.Seed+16, numQueries)
 
 	for vi, v := range Variants {
-		sim, err := BuildVariant(v, ds, sc.config(), BuildOptions{})
+		sim, err := assemble.Build(sc.spec(v, assemble.Spec{}), ds)
 		if err != nil {
 			return nil, fmt.Errorf("E16 %s sim: %w", v, err)
 		}
-		file, err := BuildVariant(v, ds, sc.config(), BuildOptions{
+		file, err := assemble.Build(sc.spec(v, assemble.Spec{
 			StorageDir: filepath.Join(dir, fmt.Sprintf("e16-%02d", vi)),
-		})
+		}), ds)
 		if err != nil {
 			return nil, fmt.Errorf("E16 %s file: %w", v, err)
 		}
-		simRes, simCost, simTime, err := runPass(sim)
+		simRes, simQS, err := exactPass(sim, iqs, k)
 		if err != nil {
 			return nil, fmt.Errorf("E16 %s sim queries: %w", v, err)
 		}
-		fileRes, fileCost, fileTime, err := runPass(file)
+		fileRes, fileQS, err := exactPass(file, iqs, k)
 		if err != nil {
 			return nil, fmt.Errorf("E16 %s file queries: %w", v, err)
 		}
+		simCost, fileCost := simQS.Cost(sc.Cost), fileQS.Cost(sc.Cost)
 		if err := sameResults(simRes, fileRes); err != nil {
 			return nil, fmt.Errorf("E16 %s: file backend diverged from simulated disk: %w", v, err)
 		}
@@ -99,8 +77,8 @@ func E16Backend(sc Scale, n, numQueries, k int, dir string) (*Table, error) {
 			fmt.Sprintf("%.0f", simCost),
 			fmt.Sprintf("%d", sim.BuildTime.Milliseconds()),
 			fmt.Sprintf("%d", file.BuildTime.Milliseconds()),
-			fmt.Sprintf("%.0f", float64(len(iqs))/simTime.Seconds()),
-			fmt.Sprintf("%.0f", float64(len(iqs))/fileTime.Seconds()),
+			fmt.Sprintf("%.0f", float64(len(iqs))/simQS.WallTime.Seconds()),
+			fmt.Sprintf("%.0f", float64(len(iqs))/fileQS.WallTime.Seconds()),
 		)
 		if err := file.Close(); err != nil {
 			return nil, fmt.Errorf("E16 %s: closing file backend: %w", v, err)

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/assemble"
 	"repro/internal/gen"
 	"repro/internal/series"
 )
@@ -34,21 +35,21 @@ func TestBuildVariantFileBackendSharded(t *testing.T) {
 	sc := Scale{SeriesLen: 64, Segments: 8, Bits: 8, Seed: 8}
 	ds := sc.dataset(900)
 	dir := filepath.Join(t.TempDir(), "store")
-	sim, err := BuildVariant("CTree", ds, sc.config(), BuildOptions{Shards: 3})
+	sim, err := assemble.Build(sc.spec("CTree", assemble.Spec{Shards: 3}), ds)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sim.Close()
-	file, err := BuildVariant("CTree", ds, sc.config(), BuildOptions{Shards: 3, StorageDir: dir})
+	file, err := assemble.Build(sc.spec("CTree", assemble.Spec{Shards: 3, StorageDir: dir}), ds)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer file.Close()
-	if got := len(file.ShardDisks); got != 3 {
+	if got := len(file.Parts); got != 3 {
 		t.Fatalf("expected 3 shard disks, got %d", got)
 	}
-	for i, d := range file.ShardDisks {
-		if d.Kind() != "file" {
+	for i, p := range file.Parts {
+		if d := p.Disk; d.Kind() != "file" {
 			t.Fatalf("shard %d backend %q, want file", i, d.Kind())
 		}
 	}

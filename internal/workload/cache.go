@@ -2,12 +2,8 @@ package workload
 
 import (
 	"fmt"
-	"math/rand"
-	"time"
 
-	"repro/internal/gen"
-	"repro/internal/index"
-	"repro/internal/series"
+	"repro/internal/assemble"
 )
 
 // E14CacheSweep measures the buffer-pool layer: exact k-NN queries against
@@ -38,60 +34,32 @@ func E14CacheSweep(sc Scale, n, numQueries, k int, cacheKB []int) (*Table, error
 		Columns: []string{"cache", "hit%", "cold io/q", "warm io/q", "warm q/s", "evictions"},
 	}
 	ds := sc.dataset(n)
-	rng := rand.New(rand.NewSource(sc.Seed + 14))
-	queries := make([]series.Series, numQueries)
-	for i := range queries {
-		queries[i] = gen.RandomWalk(rng, sc.SeriesLen)
-	}
-	iqs := make([]index.Query, len(queries))
-	for i, q := range queries {
-		iqs[i] = index.NewQuery(q, sc.config())
-	}
+	iqs := sc.walkQueries(sc.Seed+14, numQueries)
 
-	runPass := func(b *Built) ([][]index.Result, float64, time.Duration, error) {
-		before := b.IOStats()
-		start := time.Now()
-		out := make([][]index.Result, len(iqs))
-		for i, q := range iqs {
-			rs, err := b.Index.ExactSearch(q, k)
-			if err != nil {
-				return nil, 0, 0, err
-			}
-			out[i] = rs
-		}
-		elapsed := time.Since(start)
-		cost := b.IOStats().Sub(before).Cost(sc.Cost) / float64(len(iqs))
-		return out, cost, elapsed, nil
-	}
-
-	// The byte-identity reference is always a dedicated uncached run, so
-	// the "identical to uncached" guarantee holds even when the caller's
-	// sweep omits the 0 (uncached) row.
-	refBuilt, err := BuildVariant("CTree", ds, sc.config(), BuildOptions{})
+	refBuilt, err := assemble.Build(sc.spec("CTree", assemble.Spec{}), ds)
 	if err != nil {
 		return nil, fmt.Errorf("E14 uncached reference: %w", err)
 	}
-	reference, _, _, err := runPass(refBuilt)
+	reference, _, err := exactPass(refBuilt, iqs, k)
 	if err != nil {
 		return nil, fmt.Errorf("E14 uncached reference: %w", err)
 	}
 	for _, kb := range cacheKB {
-		b, err := BuildVariant("CTree", ds, sc.config(), BuildOptions{
+		b, err := assemble.Build(sc.spec("CTree", assemble.Spec{
 			CacheBytes: int64(kb) * 1024,
-		})
+		}), ds)
 		if err != nil {
 			return nil, fmt.Errorf("E14 cache=%dKB: %w", kb, err)
 		}
-		cold, coldCost, _, err := runPass(b)
+		cold, coldQS, err := exactPass(b, iqs, k)
 		if err != nil {
 			return nil, fmt.Errorf("E14 cache=%dKB cold: %w", kb, err)
 		}
-		warmBefore := b.IOStats()
-		warm, warmCost, warmTime, err := runPass(b)
+		warm, warmQS, err := exactPass(b, iqs, k)
 		if err != nil {
 			return nil, fmt.Errorf("E14 cache=%dKB warm: %w", kb, err)
 		}
-		warmStats := b.IOStats().Sub(warmBefore)
+		coldCost, warmCost, warmStats := coldQS.Cost(sc.Cost), warmQS.Cost(sc.Cost), warmQS.Stats
 
 		if err := sameResults(reference, cold); err != nil {
 			return nil, fmt.Errorf("E14 cache=%dKB: cold diverged from uncached: %w", kb, err)
@@ -118,7 +86,7 @@ func E14CacheSweep(sc Scale, n, numQueries, k int, cacheKB []int) (*Table, error
 			fmt.Sprintf("%.1f", 100*warmStats.HitRatio()),
 			fmt.Sprintf("%.0f", coldCost),
 			fmt.Sprintf("%.0f", warmCost),
-			fmt.Sprintf("%.0f", float64(len(iqs))/warmTime.Seconds()),
+			fmt.Sprintf("%.0f", float64(len(iqs))/warmQS.WallTime.Seconds()),
 			fmt.Sprintf("%d", evictions),
 		)
 	}

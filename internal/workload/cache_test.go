@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/assemble"
 	"repro/internal/gen"
 	"repro/internal/index"
 )
@@ -41,11 +42,11 @@ func TestBuildVariantCachedEquivalence(t *testing.T) {
 		queries[i] = index.NewQuery(gen.RandomWalk(rng, sc.SeriesLen), sc.config())
 	}
 	for _, v := range []string{"CTree", "CLSMFull", "ADS+"} {
-		plain, err := BuildVariant(v, ds, sc.config(), BuildOptions{})
+		plain, err := assemble.Build(sc.spec(v, assemble.Spec{}), ds)
 		if err != nil {
 			t.Fatalf("%s uncached: %v", v, err)
 		}
-		cached, err := BuildVariant(v, ds, sc.config(), BuildOptions{CacheBytes: 8 << 20})
+		cached, err := assemble.Build(sc.spec(v, assemble.Spec{CacheBytes: 8 << 20}), ds)
 		if err != nil {
 			t.Fatalf("%s cached: %v", v, err)
 		}
@@ -97,20 +98,20 @@ func TestShardedBuildSharesCache(t *testing.T) {
 	sc := Scale{SeriesLen: 64, Segments: 8, Bits: 8, Seed: 5}
 	sc = sc.defaults()
 	ds := sc.dataset(1200)
-	b, err := BuildVariant("CTreeFull", ds, sc.config(), BuildOptions{
+	b, err := assemble.Build(sc.spec("CTreeFull", assemble.Spec{
 		Shards: 3, CacheBytes: 4 << 20, RawInMemory: true,
-	})
+	}), ds)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if b.Cache == nil {
 		t.Fatal("sharded cached build has no shared cache")
 	}
-	if got := len(b.ShardPools); got != 3 {
+	if got := len(b.Parts); got != 3 {
 		t.Fatalf("%d shard pools, want 3", got)
 	}
-	for i, p := range b.ShardPools {
-		if p.Cache() != b.Cache {
+	for i, part := range b.Parts {
+		if p := part.Pool; p.Cache() != b.Cache {
 			t.Fatalf("shard %d pool uses a different cache", i)
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/assemble"
 	"repro/internal/gen"
 	"repro/internal/index"
 	"repro/internal/series"
@@ -50,7 +51,7 @@ func sameResultLists(t *testing.T, label string, got, want []index.Result) {
 func TestClusterGroupSingleNodeEquivalence(t *testing.T) {
 	sc := testScale()
 	ds := sc.dataset(300)
-	base, err := BuildVariant("CTreeFull", ds, sc.config(), BuildOptions{})
+	base, err := assemble.Build(sc.spec("CTreeFull", assemble.Spec{}), ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,9 +61,9 @@ func TestClusterGroupSingleNodeEquivalence(t *testing.T) {
 		for i := range all {
 			all[i] = i
 		}
-		cb, err := BuildVariant("CTreeFull", ds, sc.config(), BuildOptions{
+		cb, err := assemble.Build(sc.spec("CTreeFull", assemble.Spec{
 			ClusterShards: nsh, NodeShards: all,
-		})
+		}), ds)
 		if err != nil {
 			t.Fatalf("cluster build %d shards: %v", nsh, err)
 		}
@@ -103,7 +104,7 @@ func TestClusterGroupSingleNodeEquivalence(t *testing.T) {
 func TestClusterGroupMergeEquivalence(t *testing.T) {
 	sc := testScale()
 	ds := sc.dataset(300)
-	base, err := BuildVariant("CTreeFull", ds, sc.config(), BuildOptions{})
+	base, err := assemble.Build(sc.spec("CTreeFull", assemble.Spec{}), ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,11 +115,11 @@ func TestClusterGroupMergeEquivalence(t *testing.T) {
 		{{0}, {1}, {2}, {3}},
 		{{0, 2}, {1, 3}},
 	} {
-		nodes := make([]*Built, len(split))
+		nodes := make([]*assemble.Built, len(split))
 		for i, owned := range split {
-			b, err := BuildVariant("CTreeFull", ds, sc.config(), BuildOptions{
+			b, err := assemble.Build(sc.spec("CTreeFull", assemble.Spec{
 				ClusterShards: nsh, NodeShards: owned,
-			})
+			}), ds)
 			if err != nil {
 				t.Fatalf("node %d: %v", i, err)
 			}
@@ -147,9 +148,9 @@ func TestClusterGroupMergeEquivalence(t *testing.T) {
 func TestClusterGroupShardSubsetProbes(t *testing.T) {
 	sc := testScale()
 	ds := sc.dataset(200)
-	b, err := BuildVariant("CTreeFull", ds, sc.config(), BuildOptions{
+	b, err := assemble.Build(sc.spec("CTreeFull", assemble.Spec{
 		ClusterShards: 4, NodeShards: []int{0, 2},
-	})
+	}), ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,9 +182,9 @@ func TestClusterInsertContiguity(t *testing.T) {
 	sc := testScale()
 	ds := sc.dataset(200)
 	const nsh = 4
-	b, err := BuildVariant("CTreeFull", ds, sc.config(), BuildOptions{
+	b, err := assemble.Build(sc.spec("CTreeFull", assemble.Spec{
 		ClusterShards: nsh, NodeShards: []int{0, 1, 2, 3},
-	})
+	}), ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,9 +220,9 @@ func TestClusterInsertContiguity(t *testing.T) {
 	}
 
 	// A node owning a subset rejects IDs placed elsewhere.
-	sub, err := BuildVariant("CTreeFull", ds, sc.config(), BuildOptions{
+	sub, err := assemble.Build(sc.spec("CTreeFull", assemble.Spec{
 		ClusterShards: nsh, NodeShards: []int{0},
-	})
+	}), ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,13 +241,13 @@ func TestClusterInsertContiguity(t *testing.T) {
 func TestClusterInsertSearchable(t *testing.T) {
 	sc := testScale()
 	ds := sc.dataset(200)
-	base, err := BuildVariant("CTreeFull", ds, sc.config(), BuildOptions{})
+	base, err := assemble.Build(sc.spec("CTreeFull", assemble.Spec{}), ds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cb, err := BuildVariant("CTreeFull", ds, sc.config(), BuildOptions{
+	cb, err := assemble.Build(sc.spec("CTreeFull", assemble.Spec{
 		ClusterShards: 4, NodeShards: []int{0, 1, 2, 3},
-	})
+	}), ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,16 +299,16 @@ func TestClusterBuildValidation(t *testing.T) {
 	ds := sc.dataset(50)
 	for _, tc := range []struct {
 		name string
-		opts BuildOptions
+		opts assemble.Spec
 		want string
 	}{
-		{"no node shards", BuildOptions{ClusterShards: 4}, "node_shards"},
-		{"shard out of range", BuildOptions{ClusterShards: 2, NodeShards: []int{2}}, "outside"},
-		{"duplicate shard", BuildOptions{ClusterShards: 2, NodeShards: []int{1, 1}}, "twice"},
-		{"conflict with shards", BuildOptions{ClusterShards: 2, NodeShards: []int{0}, Shards: 2}, "shards must stay unset"},
-		{"missing cluster shards", BuildOptions{NodeShards: []int{0}}, "cluster_shards"},
+		{"no node shards", assemble.Spec{ClusterShards: 4}, "node_shards"},
+		{"shard out of range", assemble.Spec{ClusterShards: 2, NodeShards: []int{2}}, "outside"},
+		{"duplicate shard", assemble.Spec{ClusterShards: 2, NodeShards: []int{1, 1}}, "twice"},
+		{"conflict with shards", assemble.Spec{ClusterShards: 2, NodeShards: []int{0}, Shards: 2}, "shards must stay unset"},
+		{"missing cluster shards", assemble.Spec{NodeShards: []int{0}}, "cluster_shards"},
 	} {
-		if _, err := BuildVariant("CTreeFull", ds, sc.config(), tc.opts); err == nil ||
+		if _, err := assemble.Build(sc.spec("CTreeFull", tc.opts), ds); err == nil ||
 			!strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want substring %q", tc.name, err, tc.want)
 		}

@@ -2,8 +2,8 @@ package workload
 
 import (
 	"fmt"
-	"math/rand"
 
+	"repro/internal/assemble"
 	"repro/internal/gen"
 	"repro/internal/index"
 	"repro/internal/series"
@@ -19,6 +19,10 @@ type Scale struct {
 	Bits      int
 	Seed      int64
 	Cost      storage.CostModel
+	// DisablePlanner and Compress apply to every build of a sweep: they
+	// carry cmd/coconut-bench's -no-planner and -compress flags.
+	DisablePlanner bool
+	Compress       bool
 }
 
 func (s Scale) defaults() Scale {
@@ -44,6 +48,16 @@ func (s Scale) config() index.Config {
 	return index.Config{SeriesLen: s.SeriesLen, Segments: s.Segments, Bits: s.Bits}
 }
 
+// spec describes a build of variant at this scale: tune carries the
+// experiment's own settings, the scale fills in the summarization shape and
+// the sweep-wide switches.
+func (s Scale) spec(variant string, tune assemble.Spec) assemble.Spec {
+	tune.Variant, tune.SeriesLen, tune.Segments, tune.Bits = variant, s.SeriesLen, s.Segments, s.Bits
+	tune.DisablePlanner = tune.DisablePlanner || s.DisablePlanner
+	tune.Compress = tune.Compress || s.Compress
+	return tune
+}
+
 func (s Scale) dataset(n int) *series.Dataset {
 	ds, _ := gen.Astronomy(gen.AstronomyConfig{N: n, Len: s.SeriesLen, FracEvent: 0.05, Seed: s.Seed})
 	return ds
@@ -66,7 +80,7 @@ func E1Construction(sc Scale, sizes []int) (*Table, error) {
 		ds := sc.dataset(n)
 		row := []string{fmt.Sprintf("%d", n)}
 		for _, v := range Variants {
-			b, err := BuildVariant(v, ds, sc.config(), BuildOptions{})
+			b, err := assemble.Build(sc.spec(v, assemble.Spec{}), ds)
 			if err != nil {
 				return nil, fmt.Errorf("E1 %s n=%d: %w", v, n, err)
 			}
@@ -93,13 +107,9 @@ func E2Query(sc Scale, n, numQueries int) (*Table, error) {
 		Columns: []string{"variant", "approx", "exact", "mean 1-NN dist"},
 	}
 	ds := sc.dataset(n)
-	rng := rand.New(rand.NewSource(sc.Seed + 1))
-	queries := make([]series.Series, numQueries)
-	for i := range queries {
-		queries[i] = gen.RandomWalk(rng, sc.SeriesLen)
-	}
+	queries := sc.walks(sc.Seed+1, numQueries)
 	for _, v := range Variants {
-		b, err := BuildVariant(v, ds, sc.config(), BuildOptions{})
+		b, err := assemble.Build(sc.spec(v, assemble.Spec{}), ds)
 		if err != nil {
 			return nil, fmt.Errorf("E2 %s: %w", v, err)
 		}
@@ -141,16 +151,12 @@ func E3Materialization(sc Scale, n int, queryCounts []int) (*Table, error) {
 	// Hard exploratory queries: non-materialized search pays raw-file
 	// fetches for every surviving candidate, which is what materialization
 	// buys back.
-	rng := rand.New(rand.NewSource(sc.Seed + 2))
-	queries := make([]series.Series, min(maxQ, 100))
-	for i := range queries {
-		queries[i] = gen.RandomWalk(rng, sc.SeriesLen)
-	}
+	queries := sc.walks(sc.Seed+2, min(maxQ, 100))
 
 	type variantCost struct{ build, perQuery float64 }
 	costs := map[string]variantCost{}
 	for _, v := range []string{"CTree", "CTreeFull"} {
-		b, err := BuildVariant(v, ds, sc.config(), BuildOptions{})
+		b, err := assemble.Build(sc.spec(v, assemble.Spec{}), ds)
 		if err != nil {
 			return nil, fmt.Errorf("E3 %s: %w", v, err)
 		}
@@ -192,11 +198,11 @@ func E4Memory(sc Scale, n int, fracs []float64) (*Table, error) {
 		if budget < 4096 {
 			budget = 4096
 		}
-		ct, err := BuildVariant("CTree", ds, sc.config(), BuildOptions{MemBudget: budget})
+		ct, err := assemble.Build(sc.spec("CTree", assemble.Spec{MemBudget: budget}), ds)
 		if err != nil {
 			return nil, fmt.Errorf("E4 CTree f=%v: %w", f, err)
 		}
-		ads, err := BuildVariant("ADS+", ds, sc.config(), BuildOptions{MemBudget: budget})
+		ads, err := assemble.Build(sc.spec("ADS+", assemble.Spec{MemBudget: budget}), ds)
 		if err != nil {
 			return nil, fmt.Errorf("E4 ADS+ f=%v: %w", f, err)
 		}
@@ -220,14 +226,10 @@ func E5FillFactor(sc Scale, n, inserts, queries int, fills []float64) (*Table, e
 		Columns: []string{"fill", "build", "insert cost", "query cost", "leaves"},
 	}
 	ds := sc.dataset(n)
-	rng := rand.New(rand.NewSource(sc.Seed + 3))
-	extra := make([]series.Series, inserts)
-	for i := range extra {
-		extra[i] = gen.RandomWalk(rng, sc.SeriesLen)
-	}
+	extra := sc.walks(sc.Seed+3, inserts)
 	qs, _ := gen.Queries(ds, queries, 0.05, sc.Seed+4)
 	for _, fill := range fills {
-		b, err := BuildVariant("CTreeFull", ds, sc.config(), BuildOptions{FillFactor: fill})
+		b, err := assemble.Build(sc.spec("CTreeFull", assemble.Spec{FillFactor: fill}), ds)
 		if err != nil {
 			return nil, fmt.Errorf("E5a fill=%v: %w", fill, err)
 		}
@@ -269,7 +271,7 @@ func E5GrowthFactor(sc Scale, n, queries int, growths []int) (*Table, error) {
 	ds := sc.dataset(n)
 	qs, _ := gen.Queries(ds, queries, 0.05, sc.Seed+5)
 	for _, g := range growths {
-		b, err := BuildVariant("CLSMFull", ds, sc.config(), BuildOptions{GrowthFactor: g, MemBudget: 64 * 1024})
+		b, err := assemble.Build(sc.spec("CLSMFull", assemble.Spec{GrowthFactor: g, MemBudget: 64 * 1024}), ds)
 		if err != nil {
 			return nil, fmt.Errorf("E5b T=%d: %w", g, err)
 		}

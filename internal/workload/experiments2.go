@@ -5,8 +5,8 @@ import (
 	"sort"
 
 	"repro/internal/adsplus"
+	"repro/internal/assemble"
 	"repro/internal/clsm"
-	"repro/internal/ctree"
 	"repro/internal/gen"
 	"repro/internal/heatmap"
 	"repro/internal/index"
@@ -170,22 +170,13 @@ func E7Heatmap(sc Scale, n, numQueries int) (*Table, []string, error) {
 	queries, _ := gen.Queries(ds, numQueries, 0.05, sc.Seed+8)
 	var art []string
 	for _, v := range []string{"CTree", "ADS+"} {
-		rec := heatmap.NewRecorder()
-		disk := storage.NewDisk(0)
-		disk.SetTracer(rec)
 		// Build under trace.
-		raw := NormStore(ds)
-		var idx index.Index
-		var err error
-		switch v {
-		case "CTree":
-			idx, err = buildCTreeOn(disk, ds, sc, raw)
-		default:
-			idx, err = buildADSOn(disk, ds, sc, raw)
-		}
+		rec := heatmap.NewRecorder()
+		built, err := assemble.Build(sc.spec(v, assemble.Spec{RawInMemory: true, Tracer: rec}), ds)
 		if err != nil {
 			return nil, nil, fmt.Errorf("E7 %s: %w", v, err)
 		}
+		idx := built.Index
 		js := rec.Jumps()
 		t.AddRow(v, "build", fmt.Sprintf("%d", js.Accesses),
 			fmt.Sprintf("%.2f", js.SeqFrac), fmt.Sprintf("%.1f", js.AvgJump), fmt.Sprintf("%d", js.FileSwaps))
@@ -229,30 +220,6 @@ func total(m heatmap.Map) int {
 		n += c
 	}
 	return n
-}
-
-func buildCTreeOn(disk storage.Backend, ds *series.Dataset, sc Scale, raw series.RawStore) (index.Index, error) {
-	return ctree.Build(ctree.Options{Disk: disk, Name: "idx", Config: sc.config(), Raw: raw}, ds, 0)
-}
-
-func buildADSOn(disk storage.Backend, ds *series.Dataset, sc Scale, raw series.RawStore) (index.Index, error) {
-	t, err := adsplus.New(adsplus.Options{Disk: disk, Name: "idx", Config: sc.config(), Raw: raw})
-	if err != nil {
-		return nil, err
-	}
-	for id := 0; id < ds.Count(); id++ {
-		s, err := ds.Get(id)
-		if err != nil {
-			return nil, err
-		}
-		if err := t.Insert(s, 0); err != nil {
-			return nil, err
-		}
-	}
-	if err := t.FlushBuffers(); err != nil {
-		return nil, err
-	}
-	return t, nil
 }
 
 // E8Recommender regenerates the recommender decision table over the
@@ -305,7 +272,7 @@ func E9Storage(sc Scale, sizes []int) (*Table, error) {
 		ds := sc.dataset(n)
 		row := []string{fmt.Sprintf("%d", n)}
 		for _, v := range Variants {
-			b, err := BuildVariant(v, ds, sc.config(), BuildOptions{})
+			b, err := assemble.Build(sc.spec(v, assemble.Spec{}), ds)
 			if err != nil {
 				return nil, fmt.Errorf("E9 %s n=%d: %w", v, n, err)
 			}

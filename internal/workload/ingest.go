@@ -2,13 +2,11 @@ package workload
 
 import (
 	"fmt"
-	"math/rand"
 	"os"
 	"time"
 
-	"repro/internal/gen"
+	"repro/internal/assemble"
 	"repro/internal/index"
-	"repro/internal/series"
 )
 
 // E15Ingest measures the durable ingest subsystem end to end, in two
@@ -38,31 +36,10 @@ func E15Ingest(sc Scale, n, numQueries, k int, workers []int) (*Table, error) {
 		Columns: []string{"mode", "ingest ms", "series/s", "wal syncs", "mid q/s", "quiesced q/s"},
 	}
 	ds := sc.dataset(n)
-	rng := rand.New(rand.NewSource(sc.Seed + 15))
-	queries := make([]series.Series, numQueries)
-	for i := range queries {
-		queries[i] = gen.RandomWalk(rng, sc.SeriesLen)
-	}
-	iqs := make([]index.Query, len(queries))
-	for i, q := range queries {
-		iqs[i] = index.NewQuery(q, sc.config())
-	}
+	iqs := sc.walkQueries(sc.Seed+15, numQueries)
 	// A small memory budget keeps the buffer tiny, so ingest produces many
 	// runs and real merge cascades — the regime the subsystem exists for.
-	base := BuildOptions{MemBudget: 16 << 10, RawInMemory: true}
-
-	runQueries := func(b *Built) ([][]index.Result, time.Duration, error) {
-		start := time.Now()
-		out := make([][]index.Result, len(iqs))
-		for i, q := range iqs {
-			rs, err := b.Index.ExactSearch(q, k)
-			if err != nil {
-				return nil, 0, err
-			}
-			out[i] = rs
-		}
-		return out, time.Since(start), nil
-	}
+	base := assemble.Spec{MemBudget: 16 << 10, RawInMemory: true}
 
 	// --- Durability section ---
 	for _, mode := range []string{"wal=off", "wal=batched", "wal=sync"} {
@@ -76,7 +53,7 @@ func E15Ingest(sc Scale, n, numQueries, k int, workers []int) (*Table, error) {
 			opts.WALDir = dir
 			opts.Durability = mode[len("wal="):]
 		}
-		b, err := BuildVariant("CLSM", ds, sc.config(), opts)
+		b, err := assemble.Build(sc.spec("CLSM", opts), ds)
 		if err != nil {
 			return nil, fmt.Errorf("E15 %s: %w", mode, err)
 		}
@@ -103,20 +80,20 @@ func E15Ingest(sc Scale, n, numQueries, k int, workers []int) (*Table, error) {
 	for _, w := range workers {
 		opts := base
 		opts.CompactionWorkers = w
-		b, err := BuildVariant("CLSM", ds, sc.config(), opts)
+		b, err := assemble.Build(sc.spec("CLSM", opts), ds)
 		if err != nil {
 			return nil, fmt.Errorf("E15 workers=%d: %w", w, err)
 		}
 		// Mid-compaction pass: with workers > 0 this overlaps whatever
 		// merges the tail of the ingest left in flight.
-		mid, midTime, err := runQueries(b)
+		mid, midQS, err := exactPass(b, iqs, k)
 		if err != nil {
 			return nil, fmt.Errorf("E15 workers=%d mid: %w", w, err)
 		}
 		if err := b.Quiesce(); err != nil {
 			return nil, fmt.Errorf("E15 workers=%d quiesce: %w", w, err)
 		}
-		quiesced, quiescedTime, err := runQueries(b)
+		quiesced, quiescedQS, err := exactPass(b, iqs, k)
 		if err != nil {
 			return nil, fmt.Errorf("E15 workers=%d quiesced: %w", w, err)
 		}
@@ -134,8 +111,8 @@ func E15Ingest(sc Scale, n, numQueries, k int, workers []int) (*Table, error) {
 			fmt.Sprintf("%d", b.BuildTime.Milliseconds()),
 			fmt.Sprintf("%.0f", float64(n)/b.BuildTime.Seconds()),
 			"-",
-			fmt.Sprintf("%.0f", qps(midTime)),
-			fmt.Sprintf("%.0f", qps(quiescedTime)),
+			fmt.Sprintf("%.0f", qps(midQS.WallTime)),
+			fmt.Sprintf("%.0f", qps(quiescedQS.WallTime)),
 		)
 		if err := b.Close(); err != nil {
 			return nil, fmt.Errorf("E15 workers=%d close: %w", w, err)

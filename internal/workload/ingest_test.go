@@ -3,6 +3,7 @@ package workload
 import (
 	"testing"
 
+	"repro/internal/assemble"
 	"repro/internal/series"
 )
 
@@ -19,10 +20,10 @@ func TestE15IngestSmoke(t *testing.T) {
 func TestBuiltDurableIngestLifecycle(t *testing.T) {
 	sc := Scale{}.defaults()
 	ds := sc.dataset(800)
-	b, err := BuildVariant("CLSM", ds, sc.config(), BuildOptions{
+	b, err := assemble.Build(sc.spec("CLSM", assemble.Spec{
 		MemBudget: 16 << 10, RawInMemory: true,
 		WALDir: t.TempDir(), Durability: "sync", CompactionWorkers: 2,
-	})
+	}), ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +55,7 @@ func TestBuiltIngestGuards(t *testing.T) {
 	ds := sc.dataset(300)
 	// Non-materialized with the raw series in a sealed on-disk file: ingest
 	// must refuse rather than corrupt searches.
-	b, err := BuildVariant("CLSM", ds, sc.config(), BuildOptions{})
+	b, err := assemble.Build(sc.spec("CLSM", assemble.Spec{}), ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,12 +65,12 @@ func TestBuiltIngestGuards(t *testing.T) {
 	}
 	// A WAL directory that already holds a log must be refused.
 	dir := t.TempDir()
-	b2, err := BuildVariant("CLSM", ds, sc.config(), BuildOptions{RawInMemory: true, WALDir: dir})
+	b2, err := assemble.Build(sc.spec("CLSM", assemble.Spec{RawInMemory: true, WALDir: dir}), ds)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer b2.Close()
-	if _, err := BuildVariant("CLSM", ds, sc.config(), BuildOptions{RawInMemory: true, WALDir: dir}); err == nil {
+	if _, err := assemble.Build(sc.spec("CLSM", assemble.Spec{RawInMemory: true, WALDir: dir}), ds); err == nil {
 		t.Fatal("reusing a WAL dir should fail the build")
 	}
 }

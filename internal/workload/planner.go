@@ -3,13 +3,14 @@ package workload
 import (
 	"fmt"
 
+	"repro/internal/assemble"
 	"repro/internal/gen"
 	"repro/internal/index"
 )
 
 // E17Planner measures the statistics-driven query planner end to end: exact
 // k-NN queries against a non-materialized CTree with the planner on versus
-// off (BuildOptions.DisablePlanner), on a skewed workload: queries are small
+// off (Spec.DisablePlanner), on a skewed workload: queries are small
 // perturbations of indexed series, so the collector's pruning bound
 // tightens almost immediately and the planner's envelope bounds disqualify
 // most leaf ranges before their pages are read.
@@ -39,32 +40,14 @@ func E17Planner(sc Scale, n, numQueries, k int) (*Table, error) {
 
 	// A modest construction budget yields a multi-level tree with many leaf
 	// ranges — the unit the planner orders and skips.
-	build := func(disable bool) (*Built, error) {
-		return BuildVariant("CTree", ds, sc.config(), BuildOptions{MemBudget: 64 << 10, DisablePlanner: disable})
+	build := func(disable bool) (*assemble.Built, error) {
+		return assemble.Build(sc.spec("CTree", assemble.Spec{MemBudget: 64 << 10, DisablePlanner: disable}), ds)
 	}
-	runPass := func(b *Built) ([][]index.Result, QueryStats, error) {
-		out := make([][]index.Result, len(iqs))
-		before := b.IOStats()
-		skipsBefore := b.Planner.Skips()
-		for i, q := range iqs {
-			rs, err := b.Index.ExactSearch(q, k)
-			if err != nil {
-				return nil, QueryStats{}, err
-			}
-			out[i] = rs
-		}
-		return out, QueryStats{
-			Queries:      len(iqs),
-			Stats:        b.IOStats().Sub(before),
-			PlannedSkips: b.Planner.Skips() - skipsBefore,
-		}, nil
-	}
-
 	off, err := build(true)
 	if err != nil {
 		return nil, fmt.Errorf("E17 planner-off: %w", err)
 	}
-	reference, offStats, err := runPass(off)
+	reference, offStats, err := exactPass(off, iqs, k)
 	if err != nil {
 		return nil, fmt.Errorf("E17 planner-off: %w", err)
 	}
@@ -78,7 +61,7 @@ func E17Planner(sc Scale, n, numQueries, k int) (*Table, error) {
 	if err != nil {
 		return nil, fmt.Errorf("E17 planner-on: %w", err)
 	}
-	got, onStats, err := runPass(on)
+	got, onStats, err := exactPass(on, iqs, k)
 	if err != nil {
 		return nil, fmt.Errorf("E17 planner-on: %w", err)
 	}

@@ -3,6 +3,7 @@ package workload
 import (
 	"testing"
 
+	"repro/internal/assemble"
 	"repro/internal/gen"
 )
 
@@ -21,7 +22,7 @@ func TestE17Planner(t *testing.T) {
 	}
 }
 
-// TestBuildVariantPlannerKnobs pins the BuildOptions plumbing: planner-off
+// TestBuildVariantPlannerKnobs pins the Spec plumbing: planner-off
 // builds report no planner activity, sharded builds share one planner
 // across shards, and RunQueries surfaces the counter deltas.
 func TestBuildVariantPlannerKnobs(t *testing.T) {
@@ -30,7 +31,7 @@ func TestBuildVariantPlannerKnobs(t *testing.T) {
 	ds := sc.dataset(1500)
 	queries, _ := gen.Queries(ds, 6, 0.05, sc.Seed+18)
 
-	off, err := BuildVariant("CTree", ds, sc.config(), BuildOptions{DisablePlanner: true})
+	off, err := assemble.Build(sc.spec("CTree", assemble.Spec{DisablePlanner: true}), ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +43,7 @@ func TestBuildVariantPlannerKnobs(t *testing.T) {
 		t.Fatalf("planner-off build reports planner activity: %+v", st)
 	}
 
-	sh, err := BuildVariant("CTree", ds, sc.config(), BuildOptions{Shards: 3})
+	sh, err := assemble.Build(sc.spec("CTree", assemble.Spec{Shards: 3}), ds)
 	if err != nil {
 		t.Fatal(err)
 	}

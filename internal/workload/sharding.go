@@ -2,12 +2,10 @@ package workload
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
-	"repro/internal/gen"
+	"repro/internal/assemble"
 	"repro/internal/index"
-	"repro/internal/series"
 )
 
 // E13Sharding measures the sharding + batching layer: exact k-NN queries
@@ -29,34 +27,22 @@ func E13Sharding(sc Scale, n, numQueries, k int, shardCounts []int) (*Table, err
 		Columns: []string{"shards", "build ms", "loop q/s", "batch q/s", "batch speedup", "io-cost/query"},
 	}
 	ds := sc.dataset(n)
-	rng := rand.New(rand.NewSource(sc.Seed + 13))
-	queries := make([]series.Series, numQueries)
-	for i := range queries {
-		queries[i] = gen.RandomWalk(rng, sc.SeriesLen)
-	}
-	iqs := make([]index.Query, len(queries))
-	for i, q := range queries {
-		iqs[i] = index.NewQuery(q, sc.config())
-	}
+	iqs := sc.walkQueries(sc.Seed+13, numQueries)
 
 	var reference [][]index.Result
 	for _, shards := range shardCounts {
-		b, err := BuildVariant("CTreeFull", ds, sc.config(), BuildOptions{
+		b, err := assemble.Build(sc.spec("CTreeFull", assemble.Spec{
 			Shards: shards, Parallelism: -1, RawInMemory: true,
-		})
+		}), ds)
 		if err != nil {
 			return nil, fmt.Errorf("E13 shards=%d: %w", shards, err)
 		}
 
-		loopStart := time.Now()
-		looped := make([][]index.Result, len(iqs))
-		for i, q := range iqs {
-			looped[i], err = b.Index.ExactSearch(q, k)
-			if err != nil {
-				return nil, fmt.Errorf("E13 shards=%d query %d: %w", shards, i, err)
-			}
+		looped, loopQS, err := exactPass(b, iqs, k)
+		if err != nil {
+			return nil, fmt.Errorf("E13 shards=%d loop: %w", shards, err)
 		}
-		loopTime := time.Since(loopStart)
+		loopTime := loopQS.WallTime
 
 		before := b.IOStats()
 		batchStart := time.Now()

@@ -30,19 +30,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.Rows = append(t.Rows, row)
 }
 
-// AddRowf appends a row of formatted values.
-func (t *Table) AddRowf(format []string, vals ...any) {
-	cells := make([]string, len(vals))
-	for i, v := range vals {
-		f := "%v"
-		if i < len(format) && format[i] != "" {
-			f = format[i]
-		}
-		cells[i] = fmt.Sprintf(f, v)
-	}
-	t.AddRow(cells...)
-}
-
 // String renders the table with aligned columns.
 func (t *Table) String() string {
 	var b strings.Builder

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/assemble"
 	"repro/internal/series"
 )
 
@@ -56,7 +57,7 @@ func TestBuildVariantAllVariants(t *testing.T) {
 	sc := testScale()
 	ds := sc.dataset(300)
 	for _, v := range Variants {
-		b, err := BuildVariant(v, ds, sc.config(), BuildOptions{})
+		b, err := assemble.Build(sc.spec(v, assemble.Spec{}), ds)
 		if err != nil {
 			t.Fatalf("%s: %v", v, err)
 		}
@@ -73,7 +74,7 @@ func TestBuildVariantAllVariants(t *testing.T) {
 			t.Fatalf("%s raw pages = %d", v, b.RawPages)
 		}
 	}
-	if _, err := BuildVariant("nope", ds, sc.config(), BuildOptions{}); err == nil {
+	if _, err := assemble.Build(sc.spec("nope", assemble.Spec{}), ds); err == nil {
 		t.Fatal("unknown variant should fail")
 	}
 }
@@ -81,7 +82,7 @@ func TestBuildVariantAllVariants(t *testing.T) {
 func TestRunQueriesProducesAnswers(t *testing.T) {
 	sc := testScale()
 	ds := sc.dataset(300)
-	b, err := BuildVariant("CTree", ds, sc.config(), BuildOptions{})
+	b, err := assemble.Build(sc.spec("CTree", assemble.Spec{}), ds)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,99 +1,36 @@
 package coconut
 
-import (
-	"encoding/json"
-	"fmt"
-	"io"
-	"os"
+import "repro/internal/assemble"
 
-	"repro/internal/clsm"
-	"repro/internal/compact"
-	"repro/internal/ctree"
-	"repro/internal/fsx"
-	"repro/internal/series"
-	"repro/internal/shard"
-	"repro/internal/simd"
-	"repro/internal/storage"
-	"repro/internal/wal"
-)
-
-// facadeRawFile is the on-disk mirror of the facade's raw store inside a
-// saved tree snapshot, so non-materialized trees reopen self-contained.
-const facadeRawFile = "coconut.raw"
-
-// SaveFile persists the tree — leaves, directory metadata, and the raw
-// series store — into a single snapshot file on the host filesystem. The
-// tree can be reopened with OpenTree.
-func (t *Tree) SaveFile(path string) error {
-	if err := t.tree.Save(); err != nil {
-		return err
+// openSpec maps the optional Options of the Open functions onto the build
+// description the snapshot is reopened under.
+func openSpec(fam string, opts []Options) assemble.Spec {
+	var o Options
+	if len(opts) > 0 {
+		o = opts[0]
 	}
-	if t.disk.Exists(facadeRawFile) {
-		if err := t.disk.Remove(facadeRawFile); err != nil {
-			return err
-		}
-	}
-	rf, err := storage.CreateRawFile(t.disk, facadeRawFile, t.cfg.SeriesLen)
-	if err != nil {
-		return err
-	}
-	for _, s := range t.raw.snapshot() {
-		if _, err := rf.Append(s); err != nil {
-			return err
-		}
-	}
-	if err := rf.Seal(); err != nil {
-		return err
-	}
-	return t.disk.SaveFileFS(fsx.OrOS(t.hostFS), path)
+	spec := o.spec(fam)
+	// The snapshot defines the index shape: the persisted LSM buffer size
+	// stands unless the caller explicitly overrides it.
+	spec.BufferEntries = o.BufferEntries
+	return spec
 }
 
-// SaveFile persists the LSM — its runs, structure metadata, and the raw
-// series store — into a single snapshot file on the host filesystem. The
-// write buffer is flushed first; reopen with OpenLSM. With a WAL
-// configured, a successful save is a checkpoint: everything the snapshot
-// holds leaves the log, so the log stays bounded by the insert traffic
-// since the last save.
-func (l *LSM) SaveFile(path string) error {
-	if err := l.lsm.Save(); err != nil {
-		return err
-	}
-	if l.disk.Exists(facadeRawFile) {
-		if err := l.disk.Remove(facadeRawFile); err != nil {
-			return err
-		}
-	}
-	rf, err := storage.CreateRawFile(l.disk, facadeRawFile, l.cfg.SeriesLen)
+// OpenTree reopens a tree saved with SaveFile. Searches, inserts, and
+// statistics work exactly as on the original. Parallelism is not part of
+// the snapshot: reopened trees use the default (GOMAXPROCS) worker pool;
+// call SetParallelism to change it.
+//
+// An optional Options value says where and how to reopen: FS names the
+// filesystem the snapshot was saved on, and DisablePlanner and Kernels apply
+// as in BuildTree. Other Options fields are ignored; the snapshot defines
+// the index shape.
+func OpenTree(path string, opts ...Options) (*Tree, error) {
+	b, err := assemble.Open(path, openSpec("CTree", opts))
 	if err != nil {
-		return err
+		return nil, err
 	}
-	for _, s := range l.raw.snapshot() {
-		if _, err := rf.Append(s); err != nil {
-			return err
-		}
-	}
-	if err := rf.Seal(); err != nil {
-		return err
-	}
-	// The snapshot write is atomic-and-durable (temp file, fsync, rename,
-	// parent-dir fsync) before the log is touched; only then may the
-	// checkpoint truncate. Reversing the order — or truncating after a
-	// non-durable write — loses acknowledged inserts if the machine dies
-	// between the truncation reaching disk and the snapshot doing so.
-	if err := l.disk.SaveFileFS(fsx.OrOS(l.hostFS), path); err != nil {
-		return err
-	}
-	if l.wal != nil {
-		// Checkpoint: every logged entry is in the snapshot (Save flushed
-		// the buffer); the whole retained log is obsolete.
-		if err := l.wal.Sync(); err != nil {
-			return err
-		}
-		if err := l.wal.Checkpoint(l.wal.NextLSN() - 1); err != nil {
-			return err
-		}
-	}
-	return nil
+	return newTree(b), nil
 }
 
 // OpenLSM reopens an LSM saved with SaveFile. Parallelism is not part of
@@ -109,184 +46,11 @@ func (l *LSM) SaveFile(path string) error {
 // reopened setting. Other Options fields are ignored; the snapshot defines
 // the index shape.
 func OpenLSM(path string, opts ...Options) (*LSM, error) {
-	var o Options
-	if len(opts) > 0 {
-		o = opts[0]
-	}
-	if o.Kernels != "" {
-		if err := simd.Select(o.Kernels); err != nil {
-			return nil, fmt.Errorf("coconut: %w", err)
-		}
-	}
-	disk, err := storage.LoadDiskFileFS(fsx.OrOS(o.FS), path)
+	b, err := assemble.Open(path, openSpec("CLSM", opts))
 	if err != nil {
 		return nil, err
 	}
-	raw := &memStore{}
-	// Planning state is not persisted (like parallelism); the optional
-	// Options value carries the planner knobs for the reopened index.
-	out := &LSM{disk: disk, planner: o.newPlanner(), raw: raw, hostFS: o.FS}
-
-	// The raw mirror covers exactly the snapshot-resident entries; WAL
-	// replay appends past it.
-	saved, _, err := clsm.SavedState(disk, "clsm")
-	if err != nil {
-		return nil, err
-	}
-	snapCount := saved.Count
-	if o.CompactionWorkers > 0 {
-		out.sched = compact.NewScheduler(o.CompactionWorkers)
-		out.ownsSched = true
-	}
-	if o.WALDir == "" {
-		lsm, err := clsm.Open(disk, "clsm", raw)
-		if err != nil {
-			out.closeOwned()
-			return nil, err
-		}
-		if out.sched != nil {
-			// Opened without a WAL there is nothing background to attach the
-			// scheduler to; drop it rather than leak workers.
-			out.sched.Close()
-			out.sched, out.ownsSched = nil, false
-		}
-		lsm.SetPlanner(out.planner)
-		if err := lsm.SetCompress(o.CompressRuns); err != nil {
-			out.closeOwned()
-			return nil, err
-		}
-		out.lsm = lsm
-		out.cfg = lsm.Config()
-		if err := loadFacadeRaw(disk, raw, out.cfg.SeriesLen, snapCount); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-
-	// Durable reopen: probe the snapshot's shape, load the mirror, then
-	// recover through manifest + WAL tail.
-	probe, err := clsm.Open(disk, "clsm", raw)
-	if err != nil {
-		out.closeOwned()
-		return nil, err
-	}
-	out.cfg = probe.Config()
-	if err := loadFacadeRaw(disk, raw, out.cfg.SeriesLen, snapCount); err != nil {
-		out.closeOwned()
-		return nil, err
-	}
-	wopts, err := walOptions(o.WALDir, o.Durability, o.FS)
-	if err != nil {
-		out.closeOwned()
-		return nil, err
-	}
-	w, err := wal.Open(wopts)
-	if err != nil {
-		out.closeOwned()
-		return nil, err
-	}
-	out.wal = w
-	// The snapshot defines the index shape: reopen with its persisted
-	// growth factor and buffer size unless the caller explicitly overrides.
-	growth, bufEntries := o.GrowthFactor, o.BufferEntries
-	if growth == 0 {
-		growth = saved.GrowthFactor
-	}
-	if bufEntries == 0 {
-		bufEntries = saved.BufferEntries
-	}
-	lsm, err := clsm.Recover(clsm.Options{
-		Disk:          disk,
-		Name:          "clsm",
-		Config:        out.cfg,
-		GrowthFactor:  growth,
-		BufferEntries: bufEntries,
-		Raw:           raw,
-		WAL:           w,
-		Scheduler:     out.sched,
-		Planner:       out.planner,
-		Compress:      o.CompressRuns,
-	}, func(e clsm.ReplayedEntry, z series.Series) error {
-		raw.setAt(e.ID, z)
-		return nil
-	})
-	if err != nil {
-		out.closeAll()
-		return nil, err
-	}
-	out.lsm = lsm
-	return out, nil
-}
-
-// loadFacadeRaw reads the snapshot's raw series mirror back into memory.
-func loadFacadeRaw(disk storage.Backend, raw *memStore, seriesLen int, count int64) error {
-	if !disk.Exists(facadeRawFile) {
-		return fmt.Errorf("coconut: snapshot missing raw store %q", facadeRawFile)
-	}
-	rf, err := storage.OpenRecordFile(disk, facadeRawFile, series.Size(seriesLen))
-	if err != nil {
-		return err
-	}
-	for i := int64(0); i < count; i++ {
-		rec, err := rf.Get(i)
-		if err != nil {
-			return fmt.Errorf("coconut: reading raw series %d: %w", i, err)
-		}
-		s, err := series.DecodeBinary(rec, seriesLen)
-		if err != nil {
-			return err
-		}
-		raw.append(s)
-	}
-	return nil
-}
-
-// shardedManifest is the JSON header of a sharded snapshot: everything
-// needed to reopen the shard files and rebuild the global ID space (the
-// hash placement is a pure function of count and shard count, so the
-// local-to-global mappings are not stored).
-type shardedManifest struct {
-	Format string `json:"format"` // "coconut-sharded"
-	Kind   string `json:"kind"`   // "tree" or "lsm"
-	Shards int    `json:"shards"`
-	Count  int64  `json:"count"`
-}
-
-const shardedFormat = "coconut-sharded"
-
-// shardFilePath names shard i's snapshot file within a sharded file set.
-func shardFilePath(path string, i int) string { return fmt.Sprintf("%s.shard%03d", path, i) }
-
-// SaveFile persists the sharded index as one file set: a JSON manifest at
-// path plus one self-contained shard snapshot per shard at path.shardNNN
-// (each saved exactly as an unsharded Tree/LSM snapshot, raw mirror
-// included). Reopen with OpenSharded. LSM shards are flushed first.
-func (s *Sharded) SaveFile(path string) error {
-	for i := 0; i < s.NumShards(); i++ {
-		var err error
-		switch s.kind {
-		case shardKindTree:
-			err = s.trees[i].SaveFile(shardFilePath(path, i))
-		default:
-			err = s.lsms[i].SaveFile(shardFilePath(path, i))
-		}
-		if err != nil {
-			return fmt.Errorf("coconut: saving shard %d: %w", i, err)
-		}
-	}
-	m := shardedManifest{Format: shardedFormat, Kind: s.kind, Shards: s.NumShards(), Count: int64(s.Count())}
-	buf, err := json.Marshal(m)
-	if err != nil {
-		return err
-	}
-	// The manifest commits the shard file set: write it atomically and
-	// durably (temp, fsync, rename, dir fsync) so a crash leaves either
-	// the previous complete snapshot or the new one, never a torn header
-	// over freshly truncated shard logs.
-	return fsx.WriteFileAtomic(fsx.OrOS(s.hostFS), path, func(w io.Writer) error {
-		_, werr := w.Write(buf)
-		return werr
-	})
+	return newLSM(b), nil
 }
 
 // OpenSharded reopens a sharded index saved with SaveFile: the manifest
@@ -294,70 +58,13 @@ func (s *Sharded) SaveFile(path string) error {
 // the global ID space is rebuilt from the deterministic hash placement.
 // Parallelism is not part of the snapshot: reopened sharded indexes probe
 // shards on the default (GOMAXPROCS) pool with serial per-shard scans; call
-// SetParallelism to change the cross-shard pool.
-func OpenSharded(path string) (*Sharded, error) {
-	buf, err := os.ReadFile(path)
+// SetParallelism to change the cross-shard pool. An optional Options value
+// applies to every shard as in OpenTree / OpenLSM (WALDir is the root of
+// the per-shard logs).
+func OpenSharded(path string, opts ...Options) (*Sharded, error) {
+	b, err := assemble.OpenSharded(path, openSpec("", opts))
 	if err != nil {
 		return nil, err
 	}
-	var m shardedManifest
-	if err := json.Unmarshal(buf, &m); err != nil {
-		return nil, fmt.Errorf("coconut: %s is not a sharded snapshot manifest: %w", path, err)
-	}
-	if m.Format != shardedFormat {
-		return nil, fmt.Errorf("coconut: %s has format %q, want %q", path, m.Format, shardedFormat)
-	}
-	if m.Shards < 1 {
-		return nil, fmt.Errorf("coconut: manifest %s names %d shards", path, m.Shards)
-	}
-	part := shard.Partition(m.Count, m.Shards)
-	switch m.Kind {
-	case shardKindTree:
-		trees := make([]*Tree, m.Shards)
-		for i := range trees {
-			t, oerr := OpenTree(shardFilePath(path, i))
-			if oerr != nil {
-				return nil, fmt.Errorf("coconut: opening shard %d: %w", i, oerr)
-			}
-			t.SetParallelism(1)
-			trees[i] = t
-		}
-		return assembleShardedTrees(trees, part, trees[0].cfg, 0, nil, (Options{}).newPlanner())
-	case shardKindLSM:
-		lsms := make([]*LSM, m.Shards)
-		for i := range lsms {
-			l, oerr := OpenLSM(shardFilePath(path, i))
-			if oerr != nil {
-				return nil, fmt.Errorf("coconut: opening shard %d: %w", i, oerr)
-			}
-			l.SetParallelism(1)
-			lsms[i] = l
-		}
-		return assembleShardedLSMs(lsms, part, lsms[0].cfg, 0, nil, (Options{}).newPlanner())
-	default:
-		return nil, fmt.Errorf("coconut: manifest %s has unknown kind %q", path, m.Kind)
-	}
-}
-
-// OpenTree reopens a tree saved with SaveFile. Searches, inserts, and
-// statistics work exactly as on the original. Parallelism is not part of
-// the snapshot: reopened trees use the default (GOMAXPROCS) worker pool;
-// call SetParallelism to change it.
-func OpenTree(path string) (*Tree, error) {
-	disk, err := storage.LoadDiskFile(path)
-	if err != nil {
-		return nil, err
-	}
-	raw := &memStore{}
-	tr, err := ctree.Open(disk, "ctree", raw)
-	if err != nil {
-		return nil, err
-	}
-	out := &Tree{tree: tr, disk: disk, planner: (Options{}).newPlanner(), raw: raw}
-	tr.SetPlanner(out.planner)
-	out.cfg = tr.Config() // restored from the persisted metadata
-	if err := loadFacadeRaw(disk, raw, out.cfg.SeriesLen, tr.Count()); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return &Sharded{handle{b: b, cfg: b.Config}}, nil
 }

@@ -3,6 +3,7 @@ package coconut
 import (
 	"fmt"
 
+	"repro/internal/assemble"
 	"repro/internal/bufpool"
 	"repro/internal/clsm"
 	"repro/internal/index"
@@ -30,63 +31,61 @@ const (
 // Stream explores continuously arriving data series within temporal
 // windows.
 type Stream struct {
-	scheme  stream.Scheme
-	cfg     index.Config
-	disk    storage.Backend
-	pool    *bufpool.Pool // buffer pool fronting disk; nil when uncached
-	planner *index.Planner
-	raw     *memStore
+	b      *assemble.Built // backend, pool, planner and raw store; the scheme is the index
+	scheme stream.Scheme
+	cfg    index.Config
+	disk   storage.Backend
+	pool   *bufpool.Pool // buffer pool fronting disk; nil when uncached
+	raw    *assemble.MemStore
 }
 
 // NewStream creates a streaming index using the given scheme. BufferEntries
 // (default 1024) sets the partition/flush granularity for TP and BTP and
 // the write buffer for PP.
 func NewStream(kind SchemeKind, opts Options) (*Stream, error) {
-	cfg, err := opts.config()
+	if kind != PP && kind != TP && kind != BTP {
+		return nil, fmt.Errorf("coconut: unknown scheme %q (want PP, TP, or BTP)", kind)
+	}
+	// PP is one CLSM index over everything — an ordinary build; TP and BTP
+	// manage their own partitions over the storage half of one.
+	spec := opts.spec("CLSM")
+	spec.WALDir, spec.CompactionWorkers = "", 0
+	var b *assemble.Built
+	var err error
+	if kind == PP {
+		b, err = assemble.Build(spec, nil)
+	} else {
+		b, err = assemble.Base(spec)
+	}
 	if err != nil {
 		return nil, err
 	}
-	buf := opts.BufferEntries
-	if buf == 0 {
-		buf = 1024
-	}
-	raw := &memStore{}
-	disk, err := opts.newBackend("")
-	if err != nil {
-		return nil, err
-	}
-	st := &Stream{cfg: cfg, disk: disk, planner: opts.newPlanner(), raw: raw}
-	var reader storage.PageReader
-	if opts.CacheBytes > 0 {
-		st.pool = bufpool.New(disk, opts.CacheBytes)
-		reader = st.pool
-	}
+	st := &Stream{b: b, cfg: b.Config, disk: b.Disk, pool: b.Pool, raw: b.Raw.(*assemble.MemStore)}
+	buf, par := spec.BufferEntries, spec.Parallelism
 	switch kind {
 	case PP:
-		base, err := newPPBase(disk, reader, cfg, buf, raw, opts.Parallelism, st.planner)
-		if err != nil {
-			return nil, err
-		}
-		st.scheme = stream.NewPP(base, cfg)
+		st.scheme = stream.NewPP(b.Index.(*clsm.LSM), st.cfg)
 	case TP:
-		tp, err := stream.NewTP("stream", cfg, stream.CTreeFactory(disk, reader, cfg, raw), buf, raw)
-		if err != nil {
-			return nil, err
+		var tp *stream.TP
+		tp, err = stream.NewTP("stream", st.cfg, stream.CTreeFactory(b.Disk, b.Reader(), st.cfg, st.raw), buf, st.raw)
+		if err == nil {
+			tp.SetParallelism(par)
+			tp.SetPlanner(b.Planner)
+			st.scheme = tp
 		}
-		tp.SetParallelism(opts.Parallelism)
-		tp.SetPlanner(st.planner)
-		st.scheme = tp
 	case BTP:
-		btp, err := stream.NewBTP(disk, "stream", cfg, buf, 2, raw)
-		if err != nil {
-			return nil, err
+		var btp *stream.BTP
+		btp, err = stream.NewBTP(b.Disk, "stream", st.cfg, buf, 2, st.raw)
+		if err == nil {
+			btp.SetParallelism(par)
+			btp.UseReader(b.Reader())
+			btp.SetPlanner(b.Planner)
+			st.scheme = btp
 		}
-		btp.SetParallelism(opts.Parallelism)
-		btp.UseReader(reader)
-		btp.SetPlanner(st.planner)
-		st.scheme = btp
-	default:
-		return nil, fmt.Errorf("coconut: unknown scheme %q (want PP, TP, or BTP)", kind)
+	}
+	if err != nil {
+		b.Close()
+		return nil, err
 	}
 	return st, nil
 }
@@ -96,7 +95,7 @@ func (s *Stream) Ingest(ser []float64, ts int64) (int, error) {
 	if len(ser) != s.cfg.SeriesLen {
 		return 0, fmt.Errorf("coconut: series length %d, want %d", len(ser), s.cfg.SeriesLen)
 	}
-	s.raw.append(series.Series(ser).ZNormalize())
+	s.raw.Append(series.Series(ser).ZNormalize())
 	id, err := s.scheme.Ingest(series.Series(ser), ts)
 	return int(id), err
 }
@@ -139,7 +138,7 @@ func (s *Stream) Name() string { return s.scheme.Name() }
 // Stats returns the I/O accounting of the stream's disk since creation,
 // cache counters included when a buffer pool is configured, plus the query
 // planner's skip counter.
-func (s *Stream) Stats() Stats { return statsWith(s.disk, s.pool).withPlanner(s.planner) }
+func (s *Stream) Stats() Stats { return statsOf(s.b) }
 
 // Close seals buffered arrivals into the scheme's on-disk structures,
 // releases the buffer pool's pages, and closes the storage backend (which,
@@ -147,25 +146,8 @@ func (s *Stream) Stats() Stats { return statsWith(s.disk, s.pool).withPlanner(s.
 // Idempotent; defer it like any other index handle.
 func (s *Stream) Close() error {
 	err := s.scheme.Seal()
-	if s.pool != nil {
-		s.pool.Purge()
-	}
-	if derr := s.disk.Close(); err == nil {
-		err = derr
+	if cerr := s.b.Close(); err == nil {
+		err = cerr
 	}
 	return err
-}
-
-// newPPBase builds the CLSM index PP wraps.
-func newPPBase(disk storage.Backend, reader storage.PageReader, cfg index.Config, buf int, raw series.RawStore, par int, pl *index.Planner) (stream.EntryIndex, error) {
-	return clsm.New(clsm.Options{
-		Disk:          disk,
-		Reader:        reader,
-		Name:          "stream",
-		Config:        cfg,
-		BufferEntries: buf,
-		Raw:           raw,
-		Parallelism:   par,
-		Planner:       pl,
-	})
 }

@@ -59,10 +59,8 @@ func BenchmarkInterleave(b *testing.B) {
 	}
 }
 
-// BenchmarkMinDist contrasts the two lower-bound computations on identical
-// inputs: the legacy region-derivation path (Deinterleave + Region + sqrt)
-// and the squared-space table probe of the pruning pipeline. The table
-// variant is the one every index probe pays per candidate — the key
+// BenchmarkMinDist measures the squared-space table probe of the pruning
+// pipeline, the lower bound every index probe pays per candidate — the key
 // transpose (sortable.Symbols) plus the table-sum kernel — swept over
 // summarization shapes, since the transpose works a round at a time and its
 // cost follows the shape; "prepare" measures the once-per-query cost of
@@ -71,16 +69,6 @@ func BenchmarkMinDist(b *testing.B) {
 	cfg := index.Config{SeriesLen: 256, Segments: 16, Bits: 8}
 	rng := rand.New(rand.NewSource(2))
 	q := index.NewQuery(gen.RandomWalk(rng, 256), cfg)
-	keys := make([]sortable.Key, 256)
-	for i := range keys {
-		keys[i] = sortable.FromSeries(gen.RandomWalk(rng, 256).ZNormalize(), 16, 8)
-	}
-	b.Run("legacy", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = cfg.MinDistKey(q.PAA, keys[i%len(keys)])
-		}
-	})
 	for _, shape := range [][2]int{{16, 8}, {8, 8}, {16, 4}, {10, 6}} {
 		cfg := index.Config{SeriesLen: 240, Segments: shape[0], Bits: shape[1]}
 		raw := gen.RandomWalk(rng, cfg.SeriesLen)

@@ -52,7 +52,7 @@ func (b *Built) SaveFile(path string) error {
 	// checkpoint truncate. Reversing the order — or truncating after a
 	// non-durable write — loses acknowledged inserts if the machine dies
 	// between the truncation reaching disk and the snapshot doing so.
-	if err := b.Disk.SaveFileFS(fsx.OrOS(b.Spec.FS), path); err != nil {
+	if err := b.Disk.SaveFile(b.Spec.FS, path); err != nil {
 		return err
 	}
 	if b.WAL != nil {
@@ -159,7 +159,7 @@ func openOne(path string, spec Spec, sh shared) (b *Built, err error) {
 			return nil, fmt.Errorf("assemble: %w", err)
 		}
 	}
-	disk, err := storage.LoadDiskFileFS(fsx.OrOS(spec.FS), path)
+	disk, err := storage.LoadDiskFile(spec.FS, path)
 	if err != nil {
 		return nil, err
 	}

@@ -179,10 +179,10 @@ func TestDiskSnapshotRoundTripWithTree(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "tree.ccnut")
-	if err := disk.SaveFile(path); err != nil {
+	if err := disk.SaveFile(nil, path); err != nil {
 		t.Fatal(err)
 	}
-	disk2, err := storage.LoadDiskFile(path)
+	disk2, err := storage.LoadDiskFile(nil, path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -209,7 +209,7 @@ func TestOpenOlderMetaRebuildsSummaries(t *testing.T) {
 		{"meta_v3_packed.ccnut", 3, true},
 	} {
 		t.Run(fx.file, func(t *testing.T) {
-			disk, err := storage.LoadDiskFile(filepath.Join("testdata", fx.file))
+			disk, err := storage.LoadDiskFile(nil, filepath.Join("testdata", fx.file))
 			if err != nil {
 				t.Fatal(err)
 			}

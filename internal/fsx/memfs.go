@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"syscall"
 	"time"
 )
 
@@ -159,6 +160,8 @@ func (m *MemFS) OpenFile(name string, flag int, perm fs.FileMode) (File, error) 
 	defer m.mu.Unlock()
 	f, ok := m.files[name]
 	switch {
+	case m.dirs[name]:
+		return nil, &fs.PathError{Op: "open", Path: name, Err: syscall.EISDIR}
 	case ok && flag&os.O_CREATE != 0 && flag&os.O_EXCL != 0:
 		return nil, &fs.PathError{Op: "open", Path: name, Err: fs.ErrExist}
 	case !ok && flag&os.O_CREATE == 0:
@@ -333,12 +336,24 @@ func (m *MemFS) SyncDir(name string) error {
 	return nil
 }
 
-// memHandle is one open descriptor; the write offset is per-handle.
+// memHandle is one open descriptor; the write offset is per-handle. Like an
+// *os.File, it fails every call after Close with os.ErrClosed — Close
+// itself included — so a use-after-close that the real filesystem would
+// refuse does not pass here.
 type memHandle struct {
-	m    *MemFS
-	f    *memFile
-	path string
-	off  int64
+	m      *MemFS
+	f      *memFile
+	path   string
+	off    int64
+	closed bool
+}
+
+// use must be called with h.m.mu held, first thing in every operation.
+func (h *memHandle) use(op string) error {
+	if h.closed {
+		return &fs.PathError{Op: op, Path: h.path, Err: os.ErrClosed}
+	}
+	return nil
 }
 
 func (h *memHandle) Write(p []byte) (int, error) {
@@ -350,6 +365,9 @@ func (h *memHandle) Write(p []byte) (int, error) {
 func (h *memHandle) WriteAt(p []byte, off int64) (int, error) {
 	h.m.mu.Lock()
 	defer h.m.mu.Unlock()
+	if err := h.use("write"); err != nil {
+		return 0, err
+	}
 	if err := h.m.fault("write", h.path); err != nil {
 		if err == ErrShortWrite && len(p) > 0 {
 			half := p[:len(p)/2]
@@ -375,6 +393,9 @@ func (h *memHandle) writeLocked(p []byte, off int64) {
 func (h *memHandle) ReadAt(p []byte, off int64) (int, error) {
 	h.m.mu.Lock()
 	defer h.m.mu.Unlock()
+	if err := h.use("read"); err != nil {
+		return 0, err
+	}
 	if hook := h.m.hook; hook != nil {
 		h.m.mu.Unlock()
 		err := hook("read", h.path)
@@ -399,6 +420,9 @@ func (h *memHandle) ReadAt(p []byte, off int64) (int, error) {
 func (h *memHandle) Seek(offset int64, whence int) (int64, error) {
 	h.m.mu.Lock()
 	defer h.m.mu.Unlock()
+	if err := h.use("seek"); err != nil {
+		return 0, err
+	}
 	switch whence {
 	case io.SeekStart:
 		h.off = offset
@@ -415,6 +439,9 @@ func (h *memHandle) Seek(offset int64, whence int) (int64, error) {
 func (h *memHandle) Truncate(size int64) error {
 	h.m.mu.Lock()
 	defer h.m.mu.Unlock()
+	if err := h.use("truncate"); err != nil {
+		return err
+	}
 	if err := h.m.fault("truncate", h.path); err != nil {
 		return err
 	}
@@ -434,6 +461,9 @@ func (h *memHandle) Truncate(size int64) error {
 func (h *memHandle) Sync() error {
 	h.m.mu.Lock()
 	defer h.m.mu.Unlock()
+	if err := h.use("sync"); err != nil {
+		return err
+	}
 	if err := h.m.fault("sync", h.path); err != nil {
 		return err
 	}
@@ -441,7 +471,13 @@ func (h *memHandle) Sync() error {
 	return nil
 }
 
-func (h *memHandle) Close() error { return nil }
+func (h *memHandle) Close() error {
+	h.m.mu.Lock()
+	defer h.m.mu.Unlock()
+	err := h.use("close")
+	h.closed = true
+	return err
+}
 
 type memDirEntry struct {
 	name string

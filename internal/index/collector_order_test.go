@@ -112,14 +112,14 @@ func TestCollectorSeededCloneMergeMatchesSerial(t *testing.T) {
 func TestCollectorSkipIsStrict(t *testing.T) {
 	col := NewCollector(2)
 	col.Add(Result{ID: 1, Dist: 1})
-	if col.Skip(5) {
-		t.Fatal("Skip before full")
+	if col.SkipSq(25) {
+		t.Fatal("SkipSq before full")
 	}
 	col.Add(Result{ID: 2, Dist: 3})
-	if col.Skip(3) {
+	if col.SkipSq(9) {
 		t.Fatal("lb == worst must not be skipped: an ID tie-break can still enter")
 	}
-	if !col.Skip(3.0000001) {
+	if !col.SkipSq(9.0000001) {
 		t.Fatal("lb > worst must be skipped")
 	}
 	// A same-distance, lower-ID candidate must actually displace.

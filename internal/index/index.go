@@ -73,13 +73,6 @@ func (c Config) Summarize(s series.Series) (sortable.Key, series.Series) {
 	return sortable.FromSeries(z, c.Segments, c.Bits), z
 }
 
-// MinDistKey returns the iSAX lower bound between a prepared query's PAA and
-// the series summarized by key k: no series with this key can be closer.
-func (c Config) MinDistKey(paa []float64, k sortable.Key) float64 {
-	w := sortable.Deinterleave(k, c.Segments, c.Bits)
-	return sax.MinDistPAA(paa, w, c.SeriesLen)
-}
-
 // Query is a prepared similarity-search target.
 type Query struct {
 	Norm series.Series // z-normalized query series
@@ -237,16 +230,11 @@ func (c *Collector) siftDown(i int) {
 	}
 }
 
-// Skip reports whether a candidate whose iSAX lower bound is lb cannot
-// change the collected results and may be skipped.
-func (c *Collector) Skip(lb float64) bool {
-	return c.SkipSq(lb * lb)
-}
-
-// SkipSq is Skip in squared space. The comparison is strict: a candidate
-// whose true distance exactly equals the current k-th distance can still
-// enter on an ID tie-break, so only bounds strictly beyond the k-th
-// distance are prunable. Using SkipSq (rather than comparing against
+// SkipSq reports whether a candidate whose squared iSAX lower bound is lbSq
+// cannot change the collected results and may be skipped. The comparison is
+// strict: a candidate whose true distance exactly equals the current k-th
+// distance can still enter on an ID tie-break, so only bounds strictly
+// beyond the k-th distance are prunable. Using SkipSq (rather than comparing against
 // WorstSq directly) is what keeps pruning consistent with the collector's
 // total order, and therefore keeps parallel and serial search identical.
 func (c *Collector) SkipSq(lbSq float64) bool {
@@ -311,14 +299,10 @@ func (c *Collector) MergeRelease(o *Collector) {
 	collectorPool.Put(o)
 }
 
-// Worst returns the current pruning bound as a true distance: the distance
-// of the k-th best result, or +Inf while fewer than k results are held.
-func (c *Collector) Worst() float64 {
-	return math.Sqrt(c.WorstSq())
-}
-
-// WorstSq returns the squared pruning bound — the hot-path form: verifiers
-// pass it straight to the early-abandoning squared distance accumulators.
+// WorstSq returns the squared pruning bound — the squared distance of the
+// k-th best result, or +Inf while fewer than k results are held — which
+// verifiers pass straight to the early-abandoning squared distance
+// accumulators.
 func (c *Collector) WorstSq() float64 {
 	if len(c.items) < c.k {
 		return math.Inf(1)
@@ -516,16 +500,4 @@ func (c *RangeCollector) Results() []Result {
 		return out[i].ID < out[j].ID
 	})
 	return out
-}
-
-// TrueDist computes the true distance between a prepared query and a
-// candidate entry, early-abandoning beyond bound. It is the legacy
-// convenience form of TrueDistSq (see prune.go), kept for callers off the
-// hot path; it performs no scratch reuse.
-func TrueDist(q Query, e record.Entry, raw series.RawStore, bound float64) (float64, error) {
-	sq, err := TrueDistSq(q, e, raw, bound*bound, nil)
-	if err != nil {
-		return 0, err
-	}
-	return math.Sqrt(sq), nil
 }

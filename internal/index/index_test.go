@@ -79,7 +79,9 @@ func TestMinDistKeyLowerBounds(t *testing.T) {
 		q := NewQuery(a, cfg)
 		kb, zb := cfg.Summarize(b)
 		trueDist := math.Sqrt(q.Norm.SqDist(zb))
-		lb := cfg.MinDistKey(q.PAA, kb)
+		ctx := AcquireCtx(q, cfg)
+		lb := math.Sqrt(ctx.P.MinDistSqKey(kb))
+		ctx.Release()
 		if lb > trueDist+1e-9 {
 			t.Fatalf("trial %d: lower bound %v > true %v", trial, lb, trueDist)
 		}
@@ -105,8 +107,8 @@ func TestCollectorBasics(t *testing.T) {
 	if c.Full() {
 		t.Fatal("empty collector reported full")
 	}
-	if !math.IsInf(c.Worst(), 1) {
-		t.Fatal("unfilled collector Worst must be +Inf")
+	if !math.IsInf(c.WorstSq(), 1) {
+		t.Fatal("unfilled collector WorstSq must be +Inf")
 	}
 	for i, d := range []float64{5, 3, 8, 1, 9, 2} {
 		c.Add(Result{ID: int64(i), Dist: d})
@@ -121,8 +123,8 @@ func TestCollectorBasics(t *testing.T) {
 			t.Fatalf("results = %v", res)
 		}
 	}
-	if c.Worst() != 3 {
-		t.Fatalf("Worst = %v, want 3", c.Worst())
+	if c.WorstSq() != 9 {
+		t.Fatalf("WorstSq = %v, want 9", c.WorstSq())
 	}
 }
 
@@ -196,7 +198,7 @@ func TestTrueDistMaterialized(t *testing.T) {
 	q := NewQuery(s, cfg)
 	_, z := cfg.Summarize(s)
 	e := record.Entry{ID: 0, Payload: z}
-	d, err := TrueDist(q, e, nil, math.Inf(1))
+	d, err := TrueDistSq(q, e, nil, math.Inf(1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,14 +210,14 @@ func TestTrueDistMaterialized(t *testing.T) {
 func TestTrueDistNonMaterializedNeedsRaw(t *testing.T) {
 	cfg := Config{SeriesLen: 8, Segments: 4, Bits: 2}
 	q := NewQuery(series.Series{1, 2, 3, 4, 5, 6, 7, 8}, cfg)
-	if _, err := TrueDist(q, record.Entry{ID: 0}, nil, math.Inf(1)); err == nil {
+	if _, err := TrueDistSq(q, record.Entry{ID: 0}, nil, math.Inf(1), nil); err == nil {
 		t.Fatal("expected error without raw store")
 	}
 	// With a raw store holding z-normalized series.
 	ds := series.NewDataset(8)
 	_, z := cfg.Summarize(series.Series{1, 2, 3, 4, 5, 6, 7, 8})
 	ds.Append(z)
-	d, err := TrueDist(q, record.Entry{ID: 0}, ds, math.Inf(1))
+	d, err := TrueDistSq(q, record.Entry{ID: 0}, ds, math.Inf(1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

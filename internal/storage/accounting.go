@@ -22,11 +22,10 @@ func packHead(fileID uint32, page int64) uint64 {
 	return fid<<headPageBits | uint64(page)&headPageMask
 }
 
-// ioAccounting is the accounting core shared by every storage backend: the
-// atomic sequential/random counters plus the packed head word. Both the
-// simulated Disk and the file-backed FileDisk embed one, so the two
-// backends classify identical access sequences identically — which is what
-// makes their Stats comparable in the equivalence suite.
+// ioAccounting is the Disk's accounting core: the atomic sequential/random
+// counters plus the packed head word. It sits above the medium, so a disk
+// classifies an access sequence the same way whatever its pages are kept on
+// — which is what makes Stats comparable in the equivalence suite.
 type ioAccounting struct {
 	seqReads, randReads   atomic.Int64
 	seqWrites, randWrites atomic.Int64

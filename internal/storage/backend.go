@@ -8,17 +8,25 @@ import (
 
 // Backend is the full storage surface an index builds on: the PageReader
 // read side plus the write API, file namespace operations, accounting
-// hooks, and snapshot/durability entry points. Two implementations exist:
+// hooks, and snapshot/durability entry points. One type implements it,
+// *Disk — one disk, two media:
 //
-//   - *Disk — the simulated in-memory page disk, the paper-faithful
-//     cost-accounting mode. Durability calls are no-ops; persistence goes
-//     through explicit snapshots (SaveFile).
-//   - *FileDisk — real page-aligned files on the host filesystem via
-//     positioned reads and writes, with fsync discipline (Sync flushes
-//     file data and the directory entries).
-//
-// Both run the same accounting core (accounting.go), so an identical
-// access sequence produces identical Stats on either backend.
+//   - the namespace and file identities, the lock, every argument, bounds
+//     and page-size check, the accounting core and the tracer call
+//     (accounting.go), the invalidation hooks, the snapshot writer and the
+//     scan cursor's bookkeeping are the Disk's, written once — so an
+//     identical access sequence produces identical Stats, and an identical
+//     snapshot, whatever the pages are kept on;
+//   - where the pages are kept is a medium (storage.go), chosen by the
+//     constructor and by nothing else. NewDisk keeps them on the heap: the
+//     paper-faithful cost-accounting mode, where a read borrows the page
+//     (published by replacement, never mutated, so there is nothing to
+//     copy) and durability calls do nothing. NewFileDisk keeps them in
+//     page-aligned host files through an fsx.FS (fsdisk.go): a read copies
+//     (the file is overwritten in place, so there is nothing stable to
+//     borrow), and the medium owns the O_EXCL create, the directory fsync
+//     after create/remove/rename, the file fsync behind Sync, Close and
+//     Rename, and the adoption of a directory found at start-up.
 type Backend interface {
 	PageReader
 	StatsProvider
@@ -44,33 +52,20 @@ type Backend interface {
 	ResetStats()
 
 	// Snapshot: serialize every file into the portable snapshot format
-	// (see snapshot.go) / write it durably to a host path. SaveFileFS is
-	// SaveFile against an injectable filesystem (crash tests).
+	// (see snapshot.go) / write it durably to a path on a filesystem (nil
+	// means the host's; crash tests inject one).
 	WriteTo(w io.Writer) (int64, error)
-	SaveFile(path string) error
-	SaveFileFS(fsys fsx.FS, path string) error
+	SaveFile(fsys fsx.FS, path string) error
 
-	// Durability. Sync flushes everything to stable storage (a no-op on
-	// the simulated disk); Close syncs and releases host resources. After
-	// Close only Close may be called again.
+	// Durability. Sync flushes everything to stable storage (nothing, on
+	// the heap medium); Close syncs and releases host resources. After
+	// Close every call that returns an error returns ErrClosed, except
+	// Close itself, which may be called again.
 	Sync() error
 	Close() error
 
-	// Kind names the backend ("sim" or "file") for stats and logs.
+	// Kind names the medium ("sim" or "file") for stats and logs.
 	Kind() string
 }
 
-// Compile-time interface checks.
-var (
-	_ Backend = (*Disk)(nil)
-	_ Backend = (*FileDisk)(nil)
-)
-
-// Sync is a no-op: the simulated disk has no host state to flush.
-func (d *Disk) Sync() error { return nil }
-
-// Close is a no-op: the simulated disk holds no host resources.
-func (d *Disk) Close() error { return nil }
-
-// Kind identifies the simulated backend.
-func (d *Disk) Kind() string { return "sim" }
+var _ Backend = (*Disk)(nil)

@@ -6,22 +6,20 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/fsx"
 )
 
-// fileDiskSuffix marks the host files a FileDisk owns inside its directory;
+// fileDiskSuffix marks the host files a disk owns inside its directory;
 // the base name is the URL-path-escaped logical file name, so any logical
 // name round-trips through one flat host directory.
 const fileDiskSuffix = ".cpg"
 
-// FileDiskOptions configures a file-backed page store.
+// FileDiskOptions configures a disk on the host medium.
 type FileDiskOptions struct {
 	// Dir is the host directory holding the page files (created if
-	// missing). One FileDisk owns one directory.
+	// missing). One disk owns one directory.
 	Dir string
 	// PageSize is the page size in bytes (0 means DefaultPageSize). When
 	// the directory already holds page files, it must match the size they
@@ -32,519 +30,188 @@ type FileDiskOptions struct {
 	FS fsx.FS
 }
 
-// FileDisk is the file-backed storage backend: every logical file is one
-// page-aligned host file, reads are positioned reads (pread), writes are
-// positioned writes (pwrite) of whole pages. It implements the same
-// Backend surface as the simulated Disk — same accounting core, same
-// invalidation hooks, same snapshot format — so the two are swappable
-// under every index.
+// hostMedium keeps every logical file as one page-aligned host file in one
+// directory, reached through an fsx.FS: reads are positioned reads (pread,
+// position-independent, so concurrent probes under the disk's shared lock
+// don't interfere), writes are positioned writes (pwrite) of whole pages.
+// A host file is overwritten in place, so there are no stable bytes to
+// lend: pin copies into a fresh page and scan into the cursor's window.
 //
-// Durability discipline: namespace operations (Create, Remove, Rename)
-// fsync the parent directory before returning, so dirents are never lost;
-// page writes land in the kernel page cache and reach stable storage on
-// Sync (which fsyncs every dirty file) or Close. Rename additionally
-// fsyncs the source file first, so a renamed file is never incomplete.
-//
-// Concurrency matches Disk: reads share a read-lock (pread is
-// position-independent, so concurrent probes don't interfere), mutations
-// are exclusive. PinPage copies — a real file has no stable in-memory
-// bytes to borrow — and returns a handle with a no-op release.
-type FileDisk struct {
+// Durability discipline: create, remove and rename fsync the directory
+// before returning, so dirents are never lost; page writes land in the
+// kernel page cache and reach stable storage when the Disk syncs the file.
+type hostMedium struct {
+	fs       fsx.FS
 	dir      string
 	pageSize int
-	fs       fsx.FS
-
-	mu         sync.RWMutex
-	files      map[string]*hostFile
-	nextFileID uint32
-	tracer     Tracer
-	invs       []Invalidator
-	closed     bool
-
-	acct ioAccounting
 }
 
-// hostFile is one logical file backed by one host file.
-type hostFile struct {
-	id    uint32 // immutable identity for head tracking; never reused
-	name  string
-	f     fsx.File
-	pages int64
-	dirty bool // has writes not yet fsynced
-}
-
-// NewFileDisk opens (or creates) a file-backed page store rooted at
+// NewFileDisk opens (or creates) a disk on the host medium, rooted at
 // opts.Dir. Page files already present in the directory are adopted, which
 // is how the store recovers after a crash or restart; a torn trailing
 // partial page (from a crash mid-append) is discarded.
-func NewFileDisk(opts FileDiskOptions) (*FileDisk, error) {
+func NewFileDisk(opts FileDiskOptions) (*Disk, error) {
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("storage: FileDisk requires a directory")
 	}
-	pageSize := opts.PageSize
-	if pageSize <= 0 {
-		pageSize = DefaultPageSize
+	m := &hostMedium{fs: fsx.OrOS(opts.FS), dir: opts.Dir, pageSize: opts.PageSize}
+	if m.pageSize <= 0 {
+		m.pageSize = DefaultPageSize
 	}
-	fsys := fsx.OrOS(opts.FS)
-	if err := fsys.MkdirAll(opts.Dir, 0o755); err != nil {
+	d := newDisk(m.pageSize, m)
+	if err := m.adopt(d.addFile); err != nil {
+		for _, f := range d.files {
+			f.m.close()
+		}
 		return nil, err
 	}
-	d := &FileDisk{
-		dir:      opts.Dir,
-		pageSize: pageSize,
-		fs:       fsys,
-		files:    make(map[string]*hostFile),
+	return d, nil
+}
+
+// adopt opens every page file in the directory and hands it to add with
+// the logical name it decodes to and its count of whole pages.
+func (m *hostMedium) adopt(add func(name string, pf pageFile, pages int64)) error {
+	if err := m.fs.MkdirAll(m.dir, 0o755); err != nil {
+		return err
 	}
-	entries, err := fsys.ReadDir(opts.Dir)
+	entries, err := m.fs.ReadDir(m.dir)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	for _, e := range entries {
 		if e.IsDir() || !strings.HasSuffix(e.Name(), fileDiskSuffix) {
 			continue
 		}
-		name, uerr := url.PathUnescape(strings.TrimSuffix(e.Name(), fileDiskSuffix))
-		if uerr != nil {
-			return nil, fmt.Errorf("storage: undecodable page file %q: %w", e.Name(), uerr)
+		name, err := url.PathUnescape(strings.TrimSuffix(e.Name(), fileDiskSuffix))
+		if err != nil {
+			return fmt.Errorf("storage: undecodable page file %q: %w", e.Name(), err)
 		}
-		path := filepath.Join(opts.Dir, e.Name())
-		info, serr := fsys.Stat(path)
-		if serr != nil {
-			return nil, serr
+		path := filepath.Join(m.dir, e.Name())
+		info, err := m.fs.Stat(path)
+		if err != nil {
+			return err
 		}
-		h, oerr := fsys.OpenFile(path, os.O_RDWR, 0o644)
-		if oerr != nil {
-			return nil, oerr
+		h, err := m.fs.OpenFile(path, os.O_RDWR, 0o644)
+		if err != nil {
+			return err
 		}
-		pages := info.Size() / int64(pageSize)
-		if info.Size()%int64(pageSize) != 0 {
+		pages := info.Size() / int64(m.pageSize)
+		if info.Size()%int64(m.pageSize) != 0 {
 			// Crash mid-append: drop the torn partial page.
-			if terr := h.Truncate(pages * int64(pageSize)); terr != nil {
+			if err := h.Truncate(pages * int64(m.pageSize)); err != nil {
 				h.Close()
-				return nil, terr
+				return err
 			}
 		}
-		d.files[name] = &hostFile{id: d.nextFileID, name: name, f: h, pages: pages}
-		d.nextFileID++
+		add(name, &hostFile{f: h, pageSize: m.pageSize}, pages)
 	}
-	return d, nil
+	return nil
 }
 
-// hostPath returns the host path backing a logical file name.
-func (d *FileDisk) hostPath(name string) string {
-	return filepath.Join(d.dir, url.PathEscape(name)+fileDiskSuffix)
+// path returns the host path backing a logical file name.
+func (m *hostMedium) path(name string) string {
+	return filepath.Join(m.dir, url.PathEscape(name)+fileDiskSuffix)
 }
 
-// Dir returns the host directory the store lives in.
-func (d *FileDisk) Dir() string { return d.dir }
+func (m *hostMedium) kind() string   { return "file" }
+func (m *hostMedium) syncDir() error { return m.fs.SyncDir(m.dir) }
 
-// Kind identifies the file-backed backend.
-func (d *FileDisk) Kind() string { return "file" }
-
-// PageSize returns the page size in bytes.
-func (d *FileDisk) PageSize() int { return d.pageSize }
-
-// SetTracer installs (or removes, if nil) an access tracer.
-func (d *FileDisk) SetTracer(t Tracer) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.tracer = t
-}
-
-// Stats returns a snapshot of the accumulated I/O statistics.
-func (d *FileDisk) Stats() Stats { return d.acct.snapshot() }
-
-// ResetStats zeroes the I/O statistics and parks the head (see
-// Disk.ResetStats for why the head must reset with the counters).
-func (d *FileDisk) ResetStats() { d.acct.reset() }
-
-// AddInvalidator registers a cache invalidation hook, as on Disk.
-func (d *FileDisk) AddInvalidator(inv Invalidator) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.invs = append(d.invs, inv)
-}
-
-// account classifies one page access; call with d.mu held.
-func (d *FileDisk) account(f *hostFile, page int64, write bool) {
-	d.acct.account(f.id, page, write)
-	if d.tracer != nil {
-		d.tracer.Access(f.name, page, write)
-	}
-}
-
-// Create creates an empty file and makes its directory entry durable. It
-// fails if the name already exists.
-func (d *FileDisk) Create(name string) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if _, ok := d.files[name]; ok {
-		return fmt.Errorf("%w: %q", ErrExists, name)
-	}
-	h, err := d.fs.OpenFile(d.hostPath(name), os.O_CREATE|os.O_EXCL|os.O_RDWR, 0o644)
+func (m *hostMedium) create(name string) (pageFile, error) {
+	path := m.path(name)
+	h, err := m.fs.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_RDWR, 0o644)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if err := d.fs.SyncDir(d.dir); err != nil {
+	if err := m.syncDir(); err != nil {
 		h.Close()
-		d.fs.Remove(d.hostPath(name))
+		m.fs.Remove(path)
+		return nil, err
+	}
+	return &hostFile{f: h, pageSize: m.pageSize}, nil
+}
+
+// remove keeps the handle open until the host file is gone: a failed host
+// removal leaves a file that reads, writes and closes as before. Once the
+// dirent is gone the file is gone, whatever the directory sync says — its
+// error tells the caller that a crash may still bring the file back.
+func (m *hostMedium) remove(name string, pf pageFile) (bool, error) {
+	if err := m.fs.Remove(m.path(name)); err != nil {
+		return false, err
+	}
+	err := m.syncDir()
+	pf.close()
+	return true, err
+}
+
+func (m *hostMedium) rename(oldName, newName string) error {
+	if err := m.fs.Rename(m.path(oldName), m.path(newName)); err != nil {
 		return err
 	}
-	d.files[name] = &hostFile{id: d.nextFileID, name: name, f: h}
-	d.nextFileID++
-	return nil
+	return m.syncDir()
 }
 
-// Remove deletes a file, host file included, and makes the removal
-// durable. Registered caches drop the file's pages.
-func (d *FileDisk) Remove(name string) error {
-	d.mu.Lock()
-	f, ok := d.files[name]
-	if !ok {
-		d.mu.Unlock()
-		return fmt.Errorf("%w: %q", ErrNotFound, name)
-	}
-	f.f.Close()
-	if err := d.fs.Remove(d.hostPath(name)); err != nil {
-		d.mu.Unlock()
-		return err
-	}
-	if err := d.fs.SyncDir(d.dir); err != nil {
-		d.mu.Unlock()
-		return err
-	}
-	delete(d.files, name)
-	invs := d.invs
-	d.mu.Unlock()
-	notifyFile(invs, name)
-	return nil
+// hostFile is one logical file's host file.
+type hostFile struct {
+	f        fsx.File
+	pageSize int
 }
 
-// Rename renames a file, failing if the target exists. The source file's
-// data is fsynced first and the rename is made durable, so the new name
-// never refers to an incomplete file. Registered caches drop the pages
-// keyed under the old name.
-func (d *FileDisk) Rename(oldName, newName string) error {
-	d.mu.Lock()
-	f, ok := d.files[oldName]
-	if !ok {
-		d.mu.Unlock()
-		return fmt.Errorf("%w: %q", ErrNotFound, oldName)
-	}
-	if _, ok := d.files[newName]; ok {
-		d.mu.Unlock()
-		return fmt.Errorf("%w: %q", ErrExists, newName)
-	}
-	if f.dirty {
-		if err := f.f.Sync(); err != nil {
-			d.mu.Unlock()
-			return err
-		}
-		f.dirty = false
-	}
-	if err := d.fs.Rename(d.hostPath(oldName), d.hostPath(newName)); err != nil {
-		d.mu.Unlock()
-		return err
-	}
-	if err := d.fs.SyncDir(d.dir); err != nil {
-		d.mu.Unlock()
-		return err
-	}
-	delete(d.files, oldName)
-	f.name = newName
-	d.files[newName] = f
-	invs := d.invs
-	d.mu.Unlock()
-	notifyFile(invs, oldName)
-	return nil
-}
+func (h *hostFile) sync() error  { return h.f.Sync() }
+func (h *hostFile) close() error { return h.f.Close() }
 
-// Exists reports whether a file exists.
-func (d *FileDisk) Exists(name string) bool {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	_, ok := d.files[name]
-	return ok
-}
-
-// Files returns the names of all files, sorted.
-func (d *FileDisk) Files() []string {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	out := make([]string, 0, len(d.files))
-	for name := range d.files {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// NumPages returns the number of pages in a file.
-func (d *FileDisk) NumPages(name string) (int64, error) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	f, ok := d.files[name]
-	if !ok {
-		return 0, fmt.Errorf("%w: %q", ErrNotFound, name)
-	}
-	return f.pages, nil
-}
-
-// TotalPages returns the number of pages across all files.
-func (d *FileDisk) TotalPages() int64 {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	var n int64
-	for _, f := range d.files {
-		n += f.pages
-	}
-	return n
-}
-
-// readPageAt preads one full page into dst; call with d.mu held (shared
-// or exclusive).
-func (d *FileDisk) readPageAt(f *hostFile, page int64, dst []byte) (int, error) {
-	n, err := f.f.ReadAt(dst, page*int64(d.pageSize))
-	if err == io.EOF && n == len(dst) {
-		err = nil
-	}
-	if err != nil {
-		return n, fmt.Errorf("storage: reading %q page %d: %w", f.name, page, err)
-	}
-	return n, nil
-}
-
-// ReadPage reads one page into buf (at least PageSize bytes; shorter
-// buffers read a prefix, as on Disk), returning the bytes copied.
-func (d *FileDisk) ReadPage(name string, page int64, buf []byte) (int, error) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	f, ok := d.files[name]
-	if !ok {
-		return 0, fmt.Errorf("%w: %q", ErrNotFound, name)
-	}
-	if page < 0 || page >= f.pages {
-		return 0, fmt.Errorf("%w: %q page %d of %d", ErrOutOfRange, name, page, f.pages)
-	}
-	d.account(f, page, false)
-	dst := buf
-	if len(dst) > d.pageSize {
-		dst = dst[:d.pageSize]
-	}
-	return d.readPageAt(f, page, dst)
-}
-
-// PinPage reads one page into a freshly allocated buffer and hands it out
-// as a handle with a no-op release. Unlike the simulated disk there are no
-// stable in-memory page bytes to borrow — the host file is overwritten in
-// place — so pinning on the file backend always copies; front the disk
-// with a buffer pool to get true pinned frames.
-func (d *FileDisk) PinPage(name string, page int64) (PageHandle, error) {
-	buf := make([]byte, d.pageSize)
-	if _, err := d.ReadPage(name, page, buf); err != nil {
-		return PageHandle{}, err
-	}
-	return PageHandle{data: buf}, nil
-}
-
-// WritePage overwrites one page in place (pwrite of a full zero-padded
-// page). Writing exactly one page past the end appends. Registered caches
-// drop their copy of the page.
-func (d *FileDisk) WritePage(name string, page int64, data []byte) error {
-	d.mu.Lock()
-	f, ok := d.files[name]
-	if !ok {
-		d.mu.Unlock()
-		return fmt.Errorf("%w: %q", ErrNotFound, name)
-	}
-	if page < 0 || page > f.pages {
-		d.mu.Unlock()
-		return fmt.Errorf("%w: %q page %d of %d", ErrOutOfRange, name, page, f.pages)
-	}
-	if len(data) > d.pageSize {
-		d.mu.Unlock()
-		return fmt.Errorf("storage: write of %d bytes exceeds page size %d", len(data), d.pageSize)
-	}
-	p := make([]byte, d.pageSize)
-	copy(p, data)
-	if _, err := f.f.WriteAt(p, page*int64(d.pageSize)); err != nil {
-		d.mu.Unlock()
-		return err
-	}
-	d.account(f, page, true)
-	f.dirty = true
-	var invs []Invalidator
-	if page == f.pages {
-		f.pages++ // append: the page cannot be cached yet
-	} else {
-		invs = d.invs
-	}
-	d.mu.Unlock()
-	notifyPage(invs, name, page)
-	return nil
-}
-
-// AppendPage appends one page, returning its page number.
-func (d *FileDisk) AppendPage(name string, data []byte) (int64, error) {
-	d.mu.Lock()
-	f, ok := d.files[name]
-	if !ok {
-		d.mu.Unlock()
-		return 0, fmt.Errorf("%w: %q", ErrNotFound, name)
-	}
-	if len(data) > d.pageSize {
-		d.mu.Unlock()
-		return 0, fmt.Errorf("storage: write of %d bytes exceeds page size %d", len(data), d.pageSize)
-	}
-	page := f.pages
-	p := make([]byte, d.pageSize)
-	copy(p, data)
-	if _, err := f.f.WriteAt(p, page*int64(d.pageSize)); err != nil {
-		d.mu.Unlock()
-		return 0, err
-	}
-	d.account(f, page, true)
-	f.pages++
-	f.dirty = true
-	d.mu.Unlock()
-	return page, nil
-}
-
-// AppendPages appends len(data)/PageSize full pages plus any trailing
-// partial page in one positioned write, returning the first new page
-// number. One head movement plus sequential transfers, exactly as on Disk.
-func (d *FileDisk) AppendPages(name string, data []byte) (int64, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	f, ok := d.files[name]
-	if !ok {
-		return 0, fmt.Errorf("%w: %q", ErrNotFound, name)
-	}
-	first := f.pages
-	if len(data) == 0 {
-		return first, nil
-	}
-	n := int64((len(data) + d.pageSize - 1) / d.pageSize)
-	padded := make([]byte, n*int64(d.pageSize))
-	copy(padded, data)
-	if _, err := f.f.WriteAt(padded, first*int64(d.pageSize)); err != nil {
-		return 0, err
-	}
-	for i := int64(0); i < n; i++ {
-		d.account(f, first+i, true)
-	}
-	f.pages += n
-	f.dirty = true
-	// No invalidation: appended page numbers cannot be cached.
-	return first, nil
-}
-
-// ReadPages reads up to n consecutive pages starting at page into buf
-// (which must hold n*PageSize bytes), returning how many pages were read
-// (clamped at end of file). One pread; accounted as one head movement plus
-// sequential transfers.
-func (d *FileDisk) ReadPages(name string, page int64, n int, buf []byte) (int, error) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	f, ok := d.files[name]
-	if !ok {
-		return 0, fmt.Errorf("%w: %q", ErrNotFound, name)
-	}
-	if page < 0 || page >= f.pages {
-		return 0, fmt.Errorf("%w: %q page %d of %d", ErrOutOfRange, name, page, f.pages)
-	}
-	if len(buf) < n*d.pageSize {
-		return 0, fmt.Errorf("storage: buffer %d bytes for %d pages of %d", len(buf), n, d.pageSize)
-	}
-	got := n
-	if max := f.pages - page; int64(got) > max {
-		got = int(max)
-	}
-	if got == 0 {
-		return 0, nil
-	}
-	if _, err := f.f.ReadAt(buf[:got*d.pageSize], page*int64(d.pageSize)); err != nil && err != io.EOF {
-		return 0, fmt.Errorf("storage: reading %q pages [%d,%d): %w", name, page, page+int64(got), err)
-	}
-	for i := 0; i < got; i++ {
-		d.account(f, page+int64(i), false)
-	}
-	return got, nil
-}
-
-// Sync fsyncs every file with unflushed writes and then the directory.
-// After Sync returns, all pages written so far survive a crash.
-func (d *FileDisk) Sync() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.syncLocked()
-}
-
-func (d *FileDisk) syncLocked() error {
-	names := make([]string, 0, len(d.files))
-	for name, f := range d.files {
-		if f.dirty {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		f := d.files[name]
-		if err := f.f.Sync(); err != nil {
-			return err
-		}
-		f.dirty = false
-	}
-	return d.fs.SyncDir(d.dir)
-}
-
-// Close syncs everything and closes the host files. Idempotent; after
-// Close every other method fails.
-func (d *FileDisk) Close() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
+// read preads len(dst) bytes; anything less is an error.
+func (h *hostFile) read(dst []byte, page int64) error {
+	n, err := h.f.ReadAt(dst, page*int64(h.pageSize))
+	if n == len(dst) {
 		return nil
 	}
-	err := d.syncLocked()
-	for _, f := range d.files {
-		if cerr := f.f.Close(); err == nil {
-			err = cerr
-		}
+	if err == nil || err == io.EOF {
+		err = io.ErrUnexpectedEOF
 	}
-	d.closed = true
 	return err
 }
 
-// WriteTo serializes the store's full contents in the snapshot format
-// (identical to Disk.WriteTo output for identical contents). Snapshot
-// reads bypass the I/O accounting.
-func (d *FileDisk) WriteTo(w io.Writer) (int64, error) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	names := make([]string, 0, len(d.files))
-	for name := range d.files {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	files := make([]snapshotFile, 0, len(names))
-	for _, name := range names {
-		f := d.files[name]
-		files = append(files, snapshotFile{
-			name:  name,
-			pages: f.pages,
-			read: func(page int64, buf []byte) error {
-				_, err := d.readPageAt(f, page, buf[:d.pageSize])
-				return err
-			},
-		})
-	}
-	return writeSnapshot(w, d.pageSize, files)
+func (h *hostFile) pin(page int64) ([]byte, error) {
+	buf := make([]byte, h.pageSize)
+	return buf, h.read(buf, page)
 }
 
-// SaveFile writes a durable snapshot of the store (see Disk.SaveFile for
-// the crash guarantees) through the store's own filesystem.
-func (d *FileDisk) SaveFile(path string) error { return saveSnapshot(d.fs, path, d) }
+func (h *hostFile) write(data []byte, page int64) error {
+	_, err := h.f.WriteAt(data, page*int64(h.pageSize))
+	return err
+}
 
-// SaveFileFS is SaveFile against an explicit filesystem.
-func (d *FileDisk) SaveFileFS(fsys fsx.FS, path string) error { return saveSnapshot(fsys, path, d) }
+// scanWindowPages caps a cursor's read-ahead: 16 pages, the chunk the merge
+// path's streams have always read.
+const scanWindowPages = DefaultBufferPages
+
+// scan serves pages from the window, filled one pread per chunk. A chunk is
+// as many pages as the scan has just consumed consecutively (1, 2, 4, ... up
+// to scanWindowPages), so the width doubles while the scan is sequential and
+// falls back to one page after a gap: every chunk but the first of a streak
+// follows chunks consumed in full, so a scan never preads twice the pages
+// it consumes, however it skips. A failed or short pread leaves nothing of
+// its chunk to serve.
+func (h *hostFile) scan(w *window, page, limit int64) ([]byte, error) {
+	switch {
+	case page == w.last+1:
+		w.streak++
+	case page != w.last:
+		w.streak = 1
+	}
+	w.last = page
+	ps := int64(h.pageSize)
+	if page < w.start || page >= w.start+int64(w.n) {
+		w.n = 0
+		if w.buf == nil {
+			w.buf = make([]byte, scanWindowPages*ps)
+		}
+		width := min(int64(w.streak), scanWindowPages, limit-page)
+		if err := h.read(w.buf[:width*ps], page); err != nil {
+			return nil, fmt.Errorf("in pages [%d,%d): %w", page, page+width, err)
+		}
+		w.start, w.n = page, int(width)
+	}
+	off := (page - w.start) * ps
+	return w.buf[off : off+ps : off+ps], nil
+}

@@ -283,7 +283,7 @@ func TestSnapshotAtomicSave(t *testing.T) {
 	}
 	readTag := func() byte {
 		t.Helper()
-		d, err := LoadDiskFileFS(mem, "snaps/idx")
+		d, err := LoadDiskFile(mem, "snaps/idx")
 		if err != nil {
 			t.Fatalf("snapshot unreadable: %v", err)
 		}
@@ -294,7 +294,7 @@ func TestSnapshotAtomicSave(t *testing.T) {
 		return buf[0]
 	}
 
-	if err := mk(1).SaveFileFS(mem, "snaps/idx"); err != nil {
+	if err := mk(1).SaveFile(mem, "snaps/idx"); err != nil {
 		t.Fatal(err)
 	}
 	mem.Crash()
@@ -306,7 +306,7 @@ func TestSnapshotAtomicSave(t *testing.T) {
 	// snapshot must always be the complete v1 or the complete v2.
 	for fail := int64(0); ; fail++ {
 		mem.FailAfter(fail, nil)
-		err := mk(2).SaveFileFS(mem, "snaps/idx")
+		err := mk(2).SaveFile(mem, "snaps/idx")
 		mem.SetFaultHook(nil)
 		mem.Crash()
 		if got := readTag(); got != 1 && got != 2 {

@@ -1,10 +1,6 @@
 package storage
 
-import (
-	"fmt"
-	"io"
-	"sync"
-)
+import "fmt"
 
 // Cursor reads the pages of one declared range [from, to) of one file — the
 // read side of every sequential page loop, opened with PageReader.Scan. Pin
@@ -30,27 +26,40 @@ func errOutsideScan(name string, page, from, to int64) error {
 	return fmt.Errorf("%w: %q page %d outside scan [%d,%d)", ErrOutOfRange, name, page, from, to)
 }
 
-// diskCursor is the simulated Disk's cursor: the zero-copy borrowed pages
-// PinPage hands out, accounted the same, without a lookup of the file by
-// name for every page — the cursor keeps the file it found and looks again
-// only once that file has been removed or renamed.
-type diskCursor struct {
+// window is the read-ahead state a cursor carries for a medium that copies
+// (see hostFile.scan); the heap medium lends its pages and leaves it alone.
+type window struct {
+	buf    []byte // scanWindowPages pages; kept across uses of the cursor
+	start  int64  // first buffered page
+	n      int    // buffered pages
+	last   int64  // page consumed last
+	streak int    // consecutive pages consumed, ending at last
+}
+
+// cursor is the Disk's cursor: PinPage's checks and accounting without a
+// lookup of the file by name for every page — the cursor keeps the file it
+// found and looks again only once that file has been removed or renamed,
+// when whatever it had read ahead goes too: a name removed and created
+// again is another file.
+type cursor struct {
 	d        *Disk
 	name     string
 	from, to int64
 	f        *file
+	win      window
 }
-
-var diskCursors = sync.Pool{New: func() any { return new(diskCursor) }}
 
 // Scan implements PageReader.
 func (d *Disk) Scan(name string, from, to int64) Cursor {
-	c := diskCursors.Get().(*diskCursor)
-	*c = diskCursor{d: d, name: name, from: from, to: to}
+	c, _ := d.cursors.Get().(*cursor)
+	if c == nil {
+		c = new(cursor)
+	}
+	*c = cursor{d: d, name: name, from: from, to: to, win: window{buf: c.win.buf, last: -1}}
 	return c
 }
 
-func (c *diskCursor) Pin(page int64) ([]byte, error) {
+func (c *cursor) Pin(page int64) ([]byte, error) {
 	if page < c.from || page >= c.to {
 		return nil, errOutsideScan(c.name, page, c.from, c.to)
 	}
@@ -58,108 +67,28 @@ func (c *diskCursor) Pin(page int64) ([]byte, error) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	f := c.f
-	if f == nil || f.gone || f.name != c.name {
-		var ok bool
-		if f, ok = d.files[c.name]; !ok {
-			return nil, fmt.Errorf("%w: %q", ErrNotFound, c.name)
+	if d.closed || f == nil || f.gone || f.name != c.name {
+		var err error
+		if f, err = d.lookup(c.name); err != nil {
+			return nil, err
 		}
-		c.f = f
-	}
-	if page >= int64(len(f.pages)) {
-		return nil, fmt.Errorf("%w: %q page %d of %d", ErrOutOfRange, c.name, page, len(f.pages))
-	}
-	d.account(f, page, false)
-	return f.pages[page], nil
-}
-
-func (c *diskCursor) Close() {
-	*c = diskCursor{}
-	diskCursors.Put(c)
-}
-
-// scanWindowPages caps a file cursor's read-ahead: 16 pages, the chunk the
-// merge path's streams have always read.
-const scanWindowPages = DefaultBufferPages
-
-// fileCursor is FileDisk's cursor: pages are served from a buffer the
-// cursor owns, filled one pread per chunk. A chunk is as many pages as the
-// scan has just consumed consecutively (1, 2, 4, ... up to
-// scanWindowPages), so the width doubles while the scan is sequential and
-// falls back to one page after a gap: every chunk but the first of a
-// streak follows chunks consumed in full, so a scan never preads twice the
-// pages it consumes, however it skips.
-type fileCursor struct {
-	d        *FileDisk
-	name     string
-	from, to int64
-	buf      []byte // scanWindowPages pages; kept across uses of the cursor
-	fileID   uint32 // identity of the file the buffered pages were read from
-	start    int64  // first buffered page
-	n        int    // buffered pages
-	last     int64  // page consumed last
-	streak   int    // consecutive pages consumed, ending at last
-}
-
-var fileCursors = sync.Pool{New: func() any { return new(fileCursor) }}
-
-// Scan implements PageReader.
-func (d *FileDisk) Scan(name string, from, to int64) Cursor {
-	c := fileCursors.Get().(*fileCursor)
-	buf := c.buf
-	if need := scanWindowPages * d.pageSize; cap(buf) < need {
-		buf = make([]byte, need)
-	}
-	*c = fileCursor{d: d, name: name, from: from, to: to, buf: buf, last: -1}
-	return c
-}
-
-// Pin checks and accounts the page exactly as ReadPage does — the file
-// looked up by name under the read lock, so a file removed mid-scan is
-// ErrNotFound at the next Pin — and refills the buffer only when the page
-// is not in it. A failed or short pread fails this Pin and leaves nothing
-// of its chunk to serve.
-func (c *fileCursor) Pin(page int64) ([]byte, error) {
-	if page < c.from || page >= c.to {
-		return nil, errOutsideScan(c.name, page, c.from, c.to)
-	}
-	d := c.d
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	f, ok := d.files[c.name]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNotFound, c.name)
+		c.f, c.win.n = f, 0
 	}
 	if page >= f.pages {
-		return nil, fmt.Errorf("%w: %q page %d of %d", ErrOutOfRange, c.name, page, f.pages)
+		return nil, errPageRange(f, page)
 	}
-	switch {
-	case page == c.last+1:
-		c.streak++
-	case page != c.last:
-		c.streak = 1
+	data, err := f.m.scan(&c.win, page, min(c.to, f.pages))
+	if err != nil {
+		return nil, readErr(c.name, page, err)
 	}
-	c.last = page
 	d.account(f, page, false)
-	ps := int64(d.pageSize)
-	if f.id != c.fileID || page < c.start || page >= c.start+int64(c.n) {
-		c.n = 0
-		w := min(int64(c.streak), scanWindowPages, c.to-page, f.pages-page)
-		got, err := f.f.ReadAt(c.buf[:w*ps], page*ps)
-		if int64(got) < w*ps {
-			if err == nil || err == io.EOF {
-				err = io.ErrUnexpectedEOF
-			}
-			return nil, fmt.Errorf("storage: reading %q pages [%d,%d): %w", c.name, page, page+w, err)
-		}
-		c.fileID, c.start, c.n = f.id, page, int(w)
-	}
-	off := (page - c.start) * ps
-	return c.buf[off : off+ps : off+ps], nil
+	return data, nil
 }
 
-func (c *fileCursor) Close() {
-	*c = fileCursor{buf: c.buf}
-	fileCursors.Put(c)
+func (c *cursor) Close() {
+	d := c.d
+	*c = cursor{win: window{buf: c.win.buf}}
+	d.cursors.Put(c)
 }
 
 // chunkCursor is the merge path's cursor: fixed-width chunks fetched with

@@ -14,8 +14,8 @@ import (
 )
 
 // The cursor conformance suite: PageReader.Scan on every reader a search can
-// be handed — the simulated disk, the file backend on the real filesystem
-// and on MemFS, and a buffer pool over either — must return the bytes
+// be handed — a disk on the heap medium, one on the host medium over the real
+// filesystem and over MemFS, and a buffer pool over either — must return the bytes
 // PinPage returns and, as long as the pool's bypass does not engage, leave
 // the Stats that one PinPage per Pin leaves.
 
@@ -139,96 +139,102 @@ func TestScanCursorErrors(t *testing.T) {
 	cur, pin := scanBackends(t, 4*scanPages), scanBackends(t, 4*scanPages)
 	for kind, c := range cur {
 		p := pin[kind]
-		t.Run(kind, func(t *testing.T) {
-			// A range declared past the end of the file: the pages that exist
-			// are served, the first that does not is PinPage's error.
-			sc := c.r.Scan(scanFile, 0, scanPages+10)
-			if _, err := sc.Pin(scanPages - 1); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := sc.Pin(scanPages); !errors.Is(err, storage.ErrOutOfRange) {
-				t.Fatalf("Pin past EOF: %v, want ErrOutOfRange", err)
-			}
-			sc.Close()
-			for _, page := range []int64{scanPages - 1, scanPages} {
-				if h, err := p.r.PinPage(scanFile, page); err == nil {
-					h.Release()
-				}
-			}
-			if cs, ps := c.stats(), p.stats(); cs != ps {
-				t.Fatalf("past EOF: cursor stats %v, per-page stats %v", cs, ps)
-			}
-
-			// A page outside the declared range is refused, not read.
-			sc = c.r.Scan(scanFile, 5, 10)
-			before := c.stats()
-			for _, page := range []int64{4, 10, -1} {
-				if _, err := sc.Pin(page); !errors.Is(err, storage.ErrOutOfRange) {
-					t.Fatalf("Pin(%d) outside [5,10): %v, want ErrOutOfRange", page, err)
-				}
-			}
-			if after := c.stats(); after != before {
-				t.Fatalf("refused pins were accounted: %v -> %v", before, after)
-			}
-			sc.Close()
-
-			// A file removed mid-scan: the next Pin fails as PinPage does,
-			// even for a page the cursor has already read ahead.
-			sc = c.r.Scan(scanFile, 0, scanPages)
-			for _, page := range []int64{0, 1} {
-				if _, err := sc.Pin(page); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := c.b.Remove(scanFile); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := sc.Pin(2); !errors.Is(err, storage.ErrNotFound) {
-				t.Fatalf("Pin after Remove: %v, want ErrNotFound", err)
-			}
-			sc.Close()
-
-			// A missing file fails at the first Pin.
-			sc = c.r.Scan("no such file", 0, 4)
-			if _, err := sc.Pin(0); !errors.Is(err, storage.ErrNotFound) {
-				t.Fatalf("Pin on a missing file: %v, want ErrNotFound", err)
-			}
-			sc.Close()
-		})
+		t.Run(kind, func(t *testing.T) { cursorErrors(t, c, p) })
 	}
+}
+
+// cursorErrors drives a cursor on c into each of its errors; p is c's twin,
+// where PinPage is asked for the same pages. Conformance runs it too.
+func cursorErrors(t *testing.T, c, p scanReader) {
+	// A range declared past the end of the file: the pages that exist
+	// are served, the first that does not is PinPage's error.
+	sc := c.r.Scan(scanFile, 0, scanPages+10)
+	if _, err := sc.Pin(scanPages - 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sc.Pin(scanPages); !errors.Is(err, storage.ErrOutOfRange) {
+		t.Fatalf("Pin past EOF: %v, want ErrOutOfRange", err)
+	}
+	sc.Close()
+	for _, page := range []int64{scanPages - 1, scanPages} {
+		if h, err := p.r.PinPage(scanFile, page); err == nil {
+			h.Release()
+		}
+	}
+	if cs, ps := c.stats(), p.stats(); cs != ps {
+		t.Fatalf("past EOF: cursor stats %v, per-page stats %v", cs, ps)
+	}
+
+	// A page outside the declared range is refused, not read.
+	sc = c.r.Scan(scanFile, 5, 10)
+	before := c.stats()
+	for _, page := range []int64{4, 10, -1} {
+		if _, err := sc.Pin(page); !errors.Is(err, storage.ErrOutOfRange) {
+			t.Fatalf("Pin(%d) outside [5,10): %v, want ErrOutOfRange", page, err)
+		}
+	}
+	if after := c.stats(); after != before {
+		t.Fatalf("refused pins were accounted: %v -> %v", before, after)
+	}
+	sc.Close()
+
+	// A file removed mid-scan: the next Pin fails as PinPage does,
+	// even for a page the cursor has already read ahead.
+	sc = c.r.Scan(scanFile, 0, scanPages)
+	for _, page := range []int64{0, 1} {
+		if _, err := sc.Pin(page); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.b.Remove(scanFile); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sc.Pin(2); !errors.Is(err, storage.ErrNotFound) {
+		t.Fatalf("Pin after Remove: %v, want ErrNotFound", err)
+	}
+	sc.Close()
+
+	// A missing file fails at the first Pin.
+	sc = c.r.Scan("no such file", 0, 4)
+	if _, err := sc.Pin(0); !errors.Is(err, storage.ErrNotFound) {
+		t.Fatalf("Pin on a missing file: %v, want ErrNotFound", err)
+	}
+	sc.Close()
 }
 
 // TestScanCursorRecreatedFile: a name removed and created again mid-scan is
 // another file; pages read ahead from the old one are not served for it.
 func TestScanCursorRecreatedFile(t *testing.T) {
 	for kind, c := range scanBackends(t, 4*scanPages) {
-		t.Run(kind, func(t *testing.T) {
-			sc := c.r.Scan(scanFile, 0, scanPages)
-			defer sc.Close()
-			for _, page := range []int64{0, 1} {
-				if _, err := sc.Pin(page); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := c.b.Remove(scanFile); err != nil {
-				t.Fatal(err)
-			}
-			if err := c.b.Create(scanFile); err != nil {
-				t.Fatal(err)
-			}
-			for p := int64(0); p < 4; p++ {
-				if _, err := c.b.AppendPage(scanFile, scanStamp(100+p)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			got, err := sc.Pin(2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if string(got) != string(scanStamp(102)) {
-				t.Fatal("cursor served a page of the removed file")
-			}
-		})
+		t.Run(kind, func(t *testing.T) { cursorRecreated(t, c) })
+	}
+}
+
+func cursorRecreated(t *testing.T, c scanReader) {
+	sc := c.r.Scan(scanFile, 0, scanPages)
+	defer sc.Close()
+	for _, page := range []int64{0, 1} {
+		if _, err := sc.Pin(page); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.b.Remove(scanFile); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.b.Create(scanFile); err != nil {
+		t.Fatal(err)
+	}
+	for p := int64(0); p < 4; p++ {
+		if _, err := c.b.AppendPage(scanFile, scanStamp(100+p)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := sc.Pin(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(scanStamp(102)) {
+		t.Fatal("cursor served a page of the removed file")
 	}
 }
 

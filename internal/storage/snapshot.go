@@ -2,20 +2,18 @@ package storage
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
-	"sort"
 
 	"repro/internal/fsx"
 )
 
 // Snapshot format: the whole page store serialized to a real file, so built
-// indexes survive process restarts and can be shipped around. Both backends
-// write the same format, so a snapshot taken on the file-backed store opens
-// on the simulated disk and vice versa.
+// indexes survive process restarts and can be shipped around. The format is
+// the medium's business nowhere, so a snapshot taken on the host medium
+// opens on the heap medium.
 //
 //	magic "CCNUTDSK" | version u32 | pageSize u32 | fileCount u32
 //	per file: nameLen u32 | name | pageCount u64 | pages (pageSize each)
@@ -24,17 +22,15 @@ const (
 	snapshotVersion = 1
 )
 
-// snapshotFile is one file's contribution to a snapshot: its name, page
-// count, and a page reader that must not touch the I/O accounting.
-type snapshotFile struct {
-	name  string
-	pages int64
-	read  func(page int64, buf []byte) error
-}
-
-// writeSnapshot serializes files (already sorted by name) in the snapshot
-// format.
-func writeSnapshot(w io.Writer, pageSize int, files []snapshotFile) (int64, error) {
+// WriteTo serializes the disk's full contents (all files and pages, in
+// name order) to w — the same bytes for the same contents on either medium.
+// Serialization does not touch the I/O accounting.
+func (d *Disk) WriteTo(w io.Writer) (int64, error) {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	if d.closed {
+		return 0, ErrClosed
+	}
 	bw := bufio.NewWriter(w)
 	var n int64
 	write := func(p []byte) error {
@@ -42,34 +38,27 @@ func writeSnapshot(w io.Writer, pageSize int, files []snapshotFile) (int64, erro
 		n += int64(m)
 		return err
 	}
-	if err := write([]byte(snapshotMagic)); err != nil {
+	names := d.names(false)
+	hdr := make([]byte, 0, len(snapshotMagic)+12)
+	hdr = append(hdr, snapshotMagic...)
+	hdr = binary.LittleEndian.AppendUint32(hdr, snapshotVersion)
+	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(d.pageSize))
+	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(names)))
+	if err := write(hdr); err != nil {
 		return n, err
 	}
-	var hdr [12]byte
-	binary.LittleEndian.PutUint32(hdr[0:], snapshotVersion)
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(pageSize))
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(len(files)))
-	if err := write(hdr[:]); err != nil {
-		return n, err
-	}
-	buf := make([]byte, pageSize)
-	for _, f := range files {
-		var fh [4]byte
-		binary.LittleEndian.PutUint32(fh[:], uint32(len(f.name)))
-		if err := write(fh[:]); err != nil {
-			return n, err
-		}
-		if err := write([]byte(f.name)); err != nil {
-			return n, err
-		}
-		var pc [8]byte
-		binary.LittleEndian.PutUint64(pc[:], uint64(f.pages))
-		if err := write(pc[:]); err != nil {
+	buf := make([]byte, d.pageSize)
+	for _, name := range names {
+		f := d.files[name]
+		fh := binary.LittleEndian.AppendUint32(nil, uint32(len(name)))
+		fh = append(fh, name...)
+		fh = binary.LittleEndian.AppendUint64(fh, uint64(f.pages))
+		if err := write(fh); err != nil {
 			return n, err
 		}
 		for p := int64(0); p < f.pages; p++ {
-			if err := f.read(p, buf); err != nil {
-				return n, err
+			if err := f.m.read(buf, p); err != nil {
+				return n, readErr(name, p, err)
 			}
 			if err := write(buf); err != nil {
 				return n, err
@@ -77,31 +66,6 @@ func writeSnapshot(w io.Writer, pageSize int, files []snapshotFile) (int64, erro
 		}
 	}
 	return n, bw.Flush()
-}
-
-// WriteTo serializes the disk's full contents (all files and pages) to w.
-// Serialization does not touch the I/O accounting.
-func (d *Disk) WriteTo(w io.Writer) (int64, error) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	names := make([]string, 0, len(d.files))
-	for name := range d.files {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	files := make([]snapshotFile, 0, len(names))
-	for _, name := range names {
-		f := d.files[name]
-		files = append(files, snapshotFile{
-			name:  name,
-			pages: int64(len(f.pages)),
-			read: func(page int64, buf []byte) error {
-				copy(buf, f.pages[page])
-				return nil
-			},
-		})
-	}
-	return writeSnapshot(w, d.pageSize, files)
 }
 
 // ReadDisk deserializes a disk snapshot produced by WriteTo. The returned
@@ -128,6 +92,7 @@ func ReadDisk(r io.Reader) (*Disk, error) {
 		return nil, fmt.Errorf("storage: implausible page size %d", pageSize)
 	}
 	d := NewDisk(pageSize)
+	page := make([]byte, pageSize)
 	for i := 0; i < fileCount; i++ {
 		var fh [4]byte
 		if _, err := io.ReadFull(br, fh[:]); err != nil {
@@ -145,64 +110,48 @@ func ReadDisk(r io.Reader) (*Disk, error) {
 		if _, err := io.ReadFull(br, pc[:]); err != nil {
 			return nil, err
 		}
-		pages := binary.LittleEndian.Uint64(pc[:])
-		f := d.newFile(string(nameBuf))
-		f.pages = make([][]byte, pages)
-		for p := range f.pages {
-			f.pages[p] = make([]byte, pageSize)
-			if _, err := io.ReadFull(br, f.pages[p]); err != nil {
-				return nil, fmt.Errorf("storage: truncated snapshot (file %q page %d): %w", f.name, p, err)
+		name := string(nameBuf)
+		if err := d.Create(name); err != nil {
+			return nil, fmt.Errorf("storage: snapshot: %w", err)
+		}
+		for p, pages := uint64(0), binary.LittleEndian.Uint64(pc[:]); p < pages; p++ {
+			if _, err := io.ReadFull(br, page); err != nil {
+				return nil, fmt.Errorf("storage: truncated snapshot (file %q page %d): %w", name, p, err)
+			}
+			if _, err := d.AppendPage(name, page); err != nil {
+				return nil, err
 			}
 		}
-		if _, ok := d.files[f.name]; ok {
-			return nil, fmt.Errorf("storage: duplicate file %q in snapshot", f.name)
-		}
-		d.files[f.name] = f
 	}
+	d.ResetStats()
 	return d, nil
 }
 
-// SaveFile writes the disk snapshot durably to the host filesystem: the
-// bytes go to a temp file, are fsynced, renamed over path, and the parent
-// directory is fsynced. A crash mid-save leaves any previous snapshot at
-// path intact; once SaveFile returns, the new snapshot survives a crash —
-// the precondition for checkpointing (WAL truncation must not happen
-// before the snapshot it relies on is durable).
-func (d *Disk) SaveFile(path string) error { return saveSnapshot(fsx.OS, path, d) }
-
-// SaveFileFS is SaveFile against an injectable filesystem (crash tests).
-func (d *Disk) SaveFileFS(fsys fsx.FS, path string) error { return saveSnapshot(fsys, path, d) }
-
-// saveSnapshot durably writes any backend's snapshot via the
-// write-temp → fsync → rename → fsync-dir protocol.
-func saveSnapshot(fsys fsx.FS, path string, b interface {
-	WriteTo(io.Writer) (int64, error)
-}) error {
+// SaveFile writes the disk snapshot durably to a filesystem (nil means the
+// host's): the bytes go to a temp file, are fsynced, renamed over path, and
+// the parent directory is fsynced. A crash mid-save leaves any previous
+// snapshot at path intact; once SaveFile returns, the new snapshot survives
+// a crash — the precondition for checkpointing (WAL truncation must not
+// happen before the snapshot it relies on is durable).
+func (d *Disk) SaveFile(fsys fsx.FS, path string) error {
 	return fsx.WriteFileAtomic(fsys, path, func(w io.Writer) error {
-		_, err := b.WriteTo(w)
+		_, err := d.WriteTo(w)
 		return err
 	})
 }
 
-// LoadDiskFile reads a disk snapshot from the host filesystem.
-func LoadDiskFile(path string) (*Disk, error) {
-	f, err := os.Open(path)
+// LoadDiskFile reads a disk snapshot from a filesystem (nil means the
+// host's) onto a disk on the heap medium.
+func LoadDiskFile(fsys fsx.FS, path string) (*Disk, error) {
+	fsys = fsx.OrOS(fsys)
+	info, err := fsys.Stat(path)
+	if err != nil {
+		return nil, err
+	}
+	f, err := fsys.OpenFile(path, os.O_RDONLY, 0)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return ReadDisk(f)
-}
-
-// LoadDiskFileFS is LoadDiskFile against an injectable filesystem.
-func LoadDiskFileFS(fsys fsx.FS, path string) (*Disk, error) {
-	fsys = fsx.OrOS(fsys)
-	if fsys == fsx.OS {
-		return LoadDiskFile(path)
-	}
-	buf, err := fsys.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return ReadDisk(bytes.NewReader(buf))
+	return ReadDisk(io.NewSectionReader(f, 0, info.Size()))
 }

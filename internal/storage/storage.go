@@ -22,6 +22,9 @@ var (
 	ErrNotFound   = errors.New("storage: file not found")
 	ErrExists     = errors.New("storage: file already exists")
 	ErrOutOfRange = errors.New("storage: page out of range")
+	// ErrClosed is what every call that can fail returns once the disk has
+	// been closed.
+	ErrClosed = errors.New("storage: disk is closed")
 )
 
 // Stats accumulates I/O accounting. The disk models a single head: an
@@ -151,9 +154,9 @@ type PageReader interface {
 	PinPage(name string, page int64) (PageHandle, error)
 	// Scan opens a cursor over pages [from, to) of the named file: what a
 	// sequential page loop reads through, where a point probe calls
-	// PinPage. Each reader has its own (see Cursor): the simulated disk
-	// lends its pages, the file backend reads ahead, a buffer pool keeps a
-	// scan it cannot hold out of its frames.
+	// PinPage. Each reader has its own (see Cursor): a disk on the heap
+	// medium lends its pages, one on the host medium reads ahead, a buffer
+	// pool keeps a scan it cannot hold out of its frames.
 	Scan(name string, from, to int64) Cursor
 }
 
@@ -201,10 +204,10 @@ type Invalidator interface {
 	InvalidateFile(name string)
 }
 
-// Disk is a simulated page-addressed disk holding named files. It is safe
-// for concurrent use: reads proceed concurrently under a shared lock, while
-// mutations (create/remove/rename/write) are exclusive. Pages are PageSize
-// bytes; files grow by appending pages.
+// Disk is the page store: named files of PageSize-byte pages that grow by
+// appending, kept on the medium its constructor chose (see medium). It is
+// safe for concurrent use: reads proceed concurrently under a shared lock,
+// while mutations (create/remove/rename/write) are exclusive.
 //
 // Access accounting is atomic, not lock-protected: the head position is a
 // single packed atomic word and the counters are atomic integers, so
@@ -212,45 +215,135 @@ type Invalidator interface {
 // the read lock. Under concurrency the single simulated head is shared by
 // all workers, so interleaved streams classify more accesses as random —
 // the same penalty a real spinning disk would charge for interleaved I/O.
+// An access is accounted, and traced, once it has happened: one the medium
+// fails leaves the counters alone.
 type Disk struct {
 	pageSize int
+	media    medium
 
 	mu         sync.RWMutex
 	files      map[string]*file
 	nextFileID uint32
 	tracer     Tracer
 	invs       []Invalidator
+	closed     bool
 
-	// acct holds the atomic counters and the packed head word shared with
-	// the file-backed backend (see accounting.go for the packing).
-	acct ioAccounting
+	// cursors pools the disk's scan cursors. One pool per disk, so a cursor
+	// drawn from it carries the read-ahead buffer its medium needs, or none.
+	cursors sync.Pool
+	acct    ioAccounting
 }
 
 type file struct {
 	id    uint32 // immutable identity for head tracking; never reused
 	name  string
-	pages [][]byte
+	pages int64
+	dirty bool // written since its last sync
 	gone  bool // removed from the namespace; a cursor holding f looks the name up again
+	m     pageFile
 }
 
-// NewDisk creates an empty disk with the given page size (0 means
-// DefaultPageSize).
+// medium is where a Disk keeps the pages of its files, the one thing about
+// it that has two implementations (see Backend): how a file comes to exist,
+// how bytes are moved, what it takes to make them durable. The Disk calls a
+// medium under its lock, with arguments it has already checked.
+type medium interface {
+	kind() string
+	// create makes the empty page file of a new name; the file survives a
+	// crash once create returns.
+	create(name string) (pageFile, error)
+	// remove deletes a name's page file and releases pf. When gone is
+	// false the file is as it was, still usable through pf.
+	remove(name string, pf pageFile) (gone bool, err error)
+	// rename moves a page file, already synced, to a new name.
+	rename(oldName, newName string) error
+	// syncDir makes every create, remove and rename so far durable.
+	syncDir() error
+}
+
+// pageFile is the pages of one file on a medium.
+type pageFile interface {
+	// pin returns one page for the caller to keep: the bytes stay as they
+	// are whatever is written to the page afterwards.
+	pin(page int64) ([]byte, error)
+	// read fills dst from the file's bytes starting at page.
+	read(dst []byte, page int64) error
+	// write stores data, whole pages, starting at page; pages past the end
+	// of the file extend it.
+	write(data []byte, page int64) error
+	// scan returns one page to a cursor, valid until the cursor's next
+	// Pin. w is the cursor's read-ahead state, for a medium that has to
+	// copy: it may fetch pages up to, not including, limit.
+	scan(w *window, page, limit int64) ([]byte, error)
+	sync() error
+	close() error
+}
+
+// heapMedium keeps pages on the heap. A published page slice is never
+// mutated — a write installs a freshly allocated one — so pin and scan lend
+// the slice itself, a stable snapshot with no copy and no allocation.
+type heapMedium struct{ pageSize int }
+
+func (heapMedium) kind() string                          { return "sim" }
+func (m heapMedium) create(string) (pageFile, error)     { return &heapFile{pageSize: m.pageSize}, nil }
+func (heapMedium) remove(string, pageFile) (bool, error) { return true, nil }
+func (heapMedium) rename(string, string) error           { return nil }
+func (heapMedium) syncDir() error                        { return nil }
+
+type heapFile struct {
+	pageSize int
+	pages    [][]byte
+}
+
+func (f *heapFile) pin(page int64) ([]byte, error)                { return f.pages[page], nil }
+func (f *heapFile) scan(_ *window, page, _ int64) ([]byte, error) { return f.pages[page], nil }
+func (f *heapFile) sync() error                                   { return nil }
+func (f *heapFile) close() error                                  { return nil }
+
+func (f *heapFile) read(dst []byte, page int64) error {
+	for ; len(dst) > 0; page++ {
+		dst = dst[copy(dst, f.pages[page]):]
+	}
+	return nil
+}
+
+func (f *heapFile) write(data []byte, page int64) error {
+	for ; len(data) > 0; data, page = data[f.pageSize:], page+1 {
+		p := append([]byte(nil), data[:f.pageSize]...)
+		if page < int64(len(f.pages)) {
+			f.pages[page] = p
+		} else {
+			f.pages = append(f.pages, p)
+		}
+	}
+	return nil
+}
+
+// NewDisk creates an empty disk on the heap medium with the given page size
+// (0 means DefaultPageSize).
 func NewDisk(pageSize int) *Disk {
 	if pageSize <= 0 {
 		pageSize = DefaultPageSize
 	}
-	return &Disk{pageSize: pageSize, files: make(map[string]*file)}
+	return newDisk(pageSize, heapMedium{pageSize})
 }
 
-// newFile allocates a file with a fresh identity; callers must hold d.mu.
-func (d *Disk) newFile(name string) *file {
-	f := &file{id: d.nextFileID, name: name}
+func newDisk(pageSize int, m medium) *Disk {
+	return &Disk{pageSize: pageSize, media: m, files: make(map[string]*file)}
+}
+
+// addFile enters a file with a fresh identity into the namespace; callers
+// must hold d.mu.
+func (d *Disk) addFile(name string, m pageFile, pages int64) {
+	d.files[name] = &file{id: d.nextFileID, name: name, pages: pages, m: m}
 	d.nextFileID++
-	return f
 }
 
 // PageSize returns the disk's page size in bytes.
 func (d *Disk) PageSize() int { return d.pageSize }
+
+// Kind names the medium ("sim" or "file") for stats and logs.
+func (d *Disk) Kind() string { return d.media.kind() }
 
 // SetTracer installs (or removes, if nil) an access tracer.
 func (d *Disk) SetTracer(t Tracer) {
@@ -296,48 +389,99 @@ func notifyFile(invs []Invalidator, name string) {
 	}
 }
 
-// Create creates an empty file. It fails if the name already exists.
+// lookup finds a file by name on an open disk; callers must hold d.mu.
+func (d *Disk) lookup(name string) (*file, error) {
+	if d.closed {
+		return nil, ErrClosed
+	}
+	f, ok := d.files[name]
+	if !ok {
+		return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
+	}
+	return f, nil
+}
+
+// pageOf is lookup for a read of one page, which must be one of the file's.
+func (d *Disk) pageOf(name string, page int64) (*file, error) {
+	f, err := d.lookup(name)
+	if err == nil && (page < 0 || page >= f.pages) {
+		return nil, errPageRange(f, page)
+	}
+	return f, err
+}
+
+func errPageRange(f *file, page int64) error {
+	return fmt.Errorf("%w: %q page %d of %d", ErrOutOfRange, f.name, page, f.pages)
+}
+
+// readErr names the page a medium failed to read.
+func readErr(name string, page int64, err error) error {
+	return fmt.Errorf("storage: reading %q page %d: %w", name, page, err)
+}
+
+// Create creates an empty file, durably where the medium is. It fails if
+// the name already exists.
 func (d *Disk) Create(name string) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	if d.closed {
+		return ErrClosed
+	}
 	if _, ok := d.files[name]; ok {
 		return fmt.Errorf("%w: %q", ErrExists, name)
 	}
-	d.files[name] = d.newFile(name)
+	m, err := d.media.create(name)
+	if err != nil {
+		return err
+	}
+	d.addFile(name, m, 0)
 	return nil
 }
 
 // Remove deletes a file and reclaims its pages. File identities are never
 // reused, so a head position pointing at a removed file simply never
 // matches again (the next access counts as random, as it should). Any
-// registered caches drop the file's pages.
+// registered caches drop the file's pages. When the medium fails, the file
+// is either still there and whole or — the deletion done but not known to
+// be durable — gone; Exists tells which.
 func (d *Disk) Remove(name string) error {
 	d.mu.Lock()
-	f, ok := d.files[name]
-	if !ok {
+	f, err := d.lookup(name)
+	if err != nil {
 		d.mu.Unlock()
-		return fmt.Errorf("%w: %q", ErrNotFound, name)
+		return err
 	}
-	f.gone = true
-	delete(d.files, name)
-	invs := d.invs
+	gone, err := d.media.remove(name, f.m)
+	var invs []Invalidator
+	if gone {
+		f.gone = true
+		delete(d.files, name)
+		invs = d.invs
+	}
 	d.mu.Unlock()
 	notifyFile(invs, name)
-	return nil
+	return err
 }
 
-// Rename renames a file, failing if the target exists. Any registered
-// caches drop the pages keyed under the old name.
+// Rename renames a file, failing if the target exists. The file's pages are
+// synced first and the rename made durable, so the new name never refers to
+// an incomplete file. Any registered caches drop the pages keyed under the
+// old name.
 func (d *Disk) Rename(oldName, newName string) error {
 	d.mu.Lock()
-	f, ok := d.files[oldName]
-	if !ok {
-		d.mu.Unlock()
-		return fmt.Errorf("%w: %q", ErrNotFound, oldName)
+	f, err := d.lookup(oldName)
+	if _, ok := d.files[newName]; ok && err == nil {
+		err = fmt.Errorf("%w: %q", ErrExists, newName)
 	}
-	if _, ok := d.files[newName]; ok {
+	if err == nil {
+		err = d.syncFile(f)
+	}
+	if err == nil {
+		err = d.media.rename(oldName, newName)
+	}
+	if err != nil {
 		d.mu.Unlock()
-		return fmt.Errorf("%w: %q", ErrExists, newName)
+		return err
 	}
 	delete(d.files, oldName)
 	f.name = newName
@@ -360,9 +504,17 @@ func (d *Disk) Exists(name string) bool {
 func (d *Disk) Files() []string {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
+	return d.names(false)
+}
+
+// names returns the sorted names of all files, or of those written since
+// their last sync; callers must hold d.mu.
+func (d *Disk) names(dirtyOnly bool) []string {
 	out := make([]string, 0, len(d.files))
-	for name := range d.files {
-		out = append(out, name)
+	for name, f := range d.files {
+		if f.dirty || !dirtyOnly {
+			out = append(out, name)
+		}
 	}
 	sort.Strings(out)
 	return out
@@ -372,11 +524,11 @@ func (d *Disk) Files() []string {
 func (d *Disk) NumPages(name string) (int64, error) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	f, ok := d.files[name]
-	if !ok {
-		return 0, fmt.Errorf("%w: %q", ErrNotFound, name)
+	f, err := d.lookup(name)
+	if err != nil {
+		return 0, err
 	}
-	return int64(len(f.pages)), nil
+	return f.pages, nil
 }
 
 // TotalPages returns the number of pages across all files (the storage
@@ -386,162 +538,189 @@ func (d *Disk) TotalPages() int64 {
 	defer d.mu.RUnlock()
 	var n int64
 	for _, f := range d.files {
-		n += int64(len(f.pages))
+		n += f.pages
 	}
 	return n
 }
 
 // ReadPage reads page number page of the named file into buf, which must be
-// at least PageSize bytes. It returns the number of bytes copied. Reads
-// take the shared lock, so any number of workers can probe pages
-// concurrently.
+// at least PageSize bytes (a shorter one gets a prefix). It returns the
+// number of bytes copied. Reads take the shared lock, so any number of
+// workers can probe pages concurrently.
 func (d *Disk) ReadPage(name string, page int64, buf []byte) (int, error) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	f, ok := d.files[name]
-	if !ok {
-		return 0, fmt.Errorf("%w: %q", ErrNotFound, name)
+	dst := buf[:min(len(buf), d.pageSize)]
+	if _, err := d.read(name, page, 1, dst); err != nil {
+		return 0, err
 	}
-	if page < 0 || page >= int64(len(f.pages)) {
-		return 0, fmt.Errorf("%w: %q page %d of %d", ErrOutOfRange, name, page, len(f.pages))
-	}
-	d.account(f, page, false)
-	return copy(buf, f.pages[page]), nil
-}
-
-// PinPage returns a zero-copy, read-only view of one page, accounted
-// exactly like a ReadPage of it. Safe to borrow: the disk never mutates a
-// published page slice in place — WritePage and the append paths install
-// freshly allocated pages — so the view is a stable snapshot even if the
-// page is overwritten after the pin. The handle needs no release (its
-// Release is a no-op), but callers should Release anyway so the same code
-// path works against a pinning cache.
-func (d *Disk) PinPage(name string, page int64) (PageHandle, error) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	f, ok := d.files[name]
-	if !ok {
-		return PageHandle{}, fmt.Errorf("%w: %q", ErrNotFound, name)
-	}
-	if page < 0 || page >= int64(len(f.pages)) {
-		return PageHandle{}, fmt.Errorf("%w: %q page %d of %d", ErrOutOfRange, name, page, len(f.pages))
-	}
-	d.account(f, page, false)
-	return PageHandle{data: f.pages[page]}, nil
-}
-
-// WritePage overwrites page number page of the named file. Writing exactly
-// one page past the end appends a new page. Registered caches drop their
-// copy of the page. The page slice is replaced, never mutated, so pinned
-// views of the old contents stay valid snapshots.
-func (d *Disk) WritePage(name string, page int64, data []byte) error {
-	d.mu.Lock()
-	f, ok := d.files[name]
-	if !ok {
-		d.mu.Unlock()
-		return fmt.Errorf("%w: %q", ErrNotFound, name)
-	}
-	if page < 0 || page > int64(len(f.pages)) {
-		d.mu.Unlock()
-		return fmt.Errorf("%w: %q page %d of %d", ErrOutOfRange, name, page, len(f.pages))
-	}
-	if len(data) > d.pageSize {
-		d.mu.Unlock()
-		return fmt.Errorf("storage: write of %d bytes exceeds page size %d", len(data), d.pageSize)
-	}
-	d.account(f, page, true)
-	p := make([]byte, d.pageSize)
-	copy(p, data)
-	var invs []Invalidator
-	if page == int64(len(f.pages)) {
-		f.pages = append(f.pages, p) // append: the page cannot be cached yet
-	} else {
-		f.pages[page] = p
-		invs = d.invs
-	}
-	d.mu.Unlock()
-	notifyPage(invs, name, page)
-	return nil
-}
-
-// AppendPage appends a page to the named file, returning its page number.
-func (d *Disk) AppendPage(name string, data []byte) (int64, error) {
-	d.mu.Lock()
-	f, ok := d.files[name]
-	if !ok {
-		d.mu.Unlock()
-		return 0, fmt.Errorf("%w: %q", ErrNotFound, name)
-	}
-	if len(data) > d.pageSize {
-		d.mu.Unlock()
-		return 0, fmt.Errorf("storage: write of %d bytes exceeds page size %d", len(data), d.pageSize)
-	}
-	page := int64(len(f.pages))
-	d.account(f, page, true)
-	p := make([]byte, d.pageSize)
-	copy(p, data)
-	f.pages = append(f.pages, p)
-	// No invalidation: a freshly appended page number cannot be cached —
-	// pins are bounds-checked, the disk never truncates, and Remove/Rename
-	// already flush a name before it can shrink or be reused.
-	d.mu.Unlock()
-	return page, nil
+	return len(dst), nil
 }
 
 // ReadPages reads up to n consecutive pages starting at page into buf
 // (which must hold n*PageSize bytes), returning how many pages were read
 // (clamped at end of file). One head movement plus sequential transfers.
 func (d *Disk) ReadPages(name string, page int64, n int, buf []byte) (int, error) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	f, ok := d.files[name]
-	if !ok {
-		return 0, fmt.Errorf("%w: %q", ErrNotFound, name)
-	}
-	if page < 0 || page >= int64(len(f.pages)) {
-		return 0, fmt.Errorf("%w: %q page %d of %d", ErrOutOfRange, name, page, len(f.pages))
-	}
 	if len(buf) < n*d.pageSize {
 		return 0, fmt.Errorf("storage: buffer %d bytes for %d pages of %d", len(buf), n, d.pageSize)
 	}
-	got := 0
-	for i := 0; i < n && page+int64(i) < int64(len(f.pages)); i++ {
+	return d.read(name, page, n, buf)
+}
+
+// read copies up to n pages from page on, as many as the file has, into dst
+// and accounts them.
+func (d *Disk) read(name string, page int64, n int, dst []byte) (int, error) {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	f, err := d.pageOf(name, page)
+	if err != nil {
+		return 0, err
+	}
+	got := int(min(int64(max(n, 0)), f.pages-page))
+	if err := f.m.read(dst[:min(len(dst), got*d.pageSize)], page); err != nil {
+		return 0, readErr(name, page, err)
+	}
+	for i := 0; i < got; i++ {
 		d.account(f, page+int64(i), false)
-		copy(buf[i*d.pageSize:(i+1)*d.pageSize], f.pages[page+int64(i)])
-		got++
 	}
 	return got, nil
+}
+
+// PinPage returns a read-only view of one page, accounted exactly like a
+// ReadPage of it, that stays a stable snapshot even if the page is
+// overwritten after the pin: borrowed on the heap medium, a fresh copy on
+// the host medium (front the disk with a buffer pool to get pinned frames
+// there). The handle needs no release (its Release is a no-op), but callers
+// should Release anyway so the same code path works against a pinning cache.
+func (d *Disk) PinPage(name string, page int64) (PageHandle, error) {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	f, err := d.pageOf(name, page)
+	if err != nil {
+		return PageHandle{}, err
+	}
+	data, err := f.m.pin(page)
+	if err != nil {
+		return PageHandle{}, readErr(name, page, err)
+	}
+	d.account(f, page, false)
+	return PageHandle{data: data}, nil
+}
+
+// WritePage overwrites page number page of the named file. Writing exactly
+// one page past the end appends a new page. Registered caches drop their
+// copy of the page.
+func (d *Disk) WritePage(name string, page int64, data []byte) error {
+	_, err := d.write(name, page, false, data, 1)
+	return err
+}
+
+// AppendPage appends a page to the named file, returning its page number.
+func (d *Disk) AppendPage(name string, data []byte) (int64, error) {
+	return d.write(name, 0, true, data, 1)
 }
 
 // AppendPages appends len(data)/PageSize full pages plus any trailing
 // partial page to the named file, returning the first new page number. One
 // head movement plus sequential transfers.
 func (d *Disk) AppendPages(name string, data []byte) (int64, error) {
-	d.mu.Lock()
-	f, ok := d.files[name]
-	if !ok {
-		d.mu.Unlock()
-		return 0, fmt.Errorf("%w: %q", ErrNotFound, name)
-	}
-	first := int64(len(f.pages))
-	for off := 0; off < len(data); off += d.pageSize {
-		end := off + d.pageSize
-		if end > len(data) {
-			end = len(data)
-		}
-		p := make([]byte, d.pageSize)
-		copy(p, data[off:end])
-		d.account(f, int64(len(f.pages)), true)
-		f.pages = append(f.pages, p)
-	}
-	// No invalidation: appended page numbers cannot be cached (see
-	// AppendPage).
-	d.mu.Unlock()
-	return first, nil
+	return d.write(name, 0, true, data, (len(data)+d.pageSize-1)/d.pageSize)
 }
 
-var _ PageReader = (*Disk)(nil)
-var _ StatsProvider = (*Disk)(nil)
+// write is the one write path: data becomes n whole pages of the named
+// file, the last padded with zeroes, at page — one of the file's or the one
+// after them — or, appending, at the end. It returns the first page written.
+func (d *Disk) write(name string, page int64, appending bool, data []byte, n int) (int64, error) {
+	d.mu.Lock()
+	f, err := d.lookup(name)
+	if err == nil && appending {
+		page = f.pages
+	}
+	switch {
+	case err != nil:
+	case page < 0 || page > f.pages:
+		err = errPageRange(f, page)
+	case len(data) > n*d.pageSize:
+		err = fmt.Errorf("storage: write of %d bytes exceeds page size %d", len(data), d.pageSize)
+	case n > 0:
+		if size := n * d.pageSize; len(data) < size {
+			data = append(make([]byte, 0, size), data...)[:size]
+		}
+		if err = f.m.write(data, page); err == nil {
+			f.dirty = true
+		}
+	}
+	if err != nil {
+		d.mu.Unlock()
+		return 0, err
+	}
+	for i := int64(0); i < int64(n); i++ {
+		d.account(f, page+i, true)
+	}
+	// Only an overwrite invalidates. An appended page number cannot be
+	// cached: pins are bounds-checked, the disk never truncates, and
+	// Remove/Rename already flush a name before it can shrink or be reused.
+	var invs []Invalidator
+	if page < f.pages {
+		invs = d.invs
+	}
+	f.pages = max(f.pages, page+int64(n))
+	d.mu.Unlock()
+	notifyPage(invs, name, page)
+	return page, nil
+}
+
+// syncFile flushes one file's pages if any were written since its last
+// sync; callers must hold d.mu exclusively.
+func (d *Disk) syncFile(f *file) error {
+	if !f.dirty {
+		return nil
+	}
+	if err := f.m.sync(); err != nil {
+		return err
+	}
+	f.dirty = false
+	return nil
+}
+
+// Sync flushes every file with unflushed writes and then the namespace.
+// After Sync returns, all pages written so far survive a crash — on the
+// host medium; the heap medium has nothing to flush to.
+func (d *Disk) Sync() error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.closed {
+		return ErrClosed
+	}
+	return d.syncLocked()
+}
+
+func (d *Disk) syncLocked() error {
+	for _, name := range d.names(true) {
+		if err := d.syncFile(d.files[name]); err != nil {
+			return err
+		}
+	}
+	return d.media.syncDir()
+}
+
+// Close syncs everything and releases the medium's resources. Idempotent.
+// After Close, on either medium, every call that returns an error returns
+// ErrClosed; Stats, PageSize, Kind, Exists, Files and TotalPages still
+// answer from memory.
+func (d *Disk) Close() error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.closed {
+		return nil
+	}
+	err := d.syncLocked()
+	for _, f := range d.files {
+		if cerr := f.m.close(); err == nil {
+			err = cerr
+		}
+	}
+	d.closed = true
+	return err
+}
 
 // account classifies one page access as sequential or random and advances
 // the head. It must be called with d.mu held (shared or exclusive): the

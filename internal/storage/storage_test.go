@@ -11,94 +11,6 @@ import (
 	"repro/internal/series"
 )
 
-func TestCreateRemoveRename(t *testing.T) {
-	d := NewDisk(0)
-	if d.PageSize() != DefaultPageSize {
-		t.Fatalf("page size = %d, want %d", d.PageSize(), DefaultPageSize)
-	}
-	if err := d.Create("a"); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Create("a"); err == nil {
-		t.Fatal("duplicate create should fail")
-	}
-	if !d.Exists("a") || d.Exists("b") {
-		t.Fatal("Exists wrong")
-	}
-	if err := d.Rename("a", "b"); err != nil {
-		t.Fatal(err)
-	}
-	if d.Exists("a") || !d.Exists("b") {
-		t.Fatal("rename did not move file")
-	}
-	if err := d.Rename("missing", "c"); err == nil {
-		t.Fatal("rename of missing file should fail")
-	}
-	if err := d.Create("c"); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Rename("b", "c"); err == nil {
-		t.Fatal("rename onto existing file should fail")
-	}
-	if err := d.Remove("b"); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Remove("b"); err == nil {
-		t.Fatal("double remove should fail")
-	}
-	files := d.Files()
-	if len(files) != 1 || files[0] != "c" {
-		t.Fatalf("Files = %v, want [c]", files)
-	}
-}
-
-func TestReadWritePages(t *testing.T) {
-	d := NewDisk(64)
-	if err := d.Create("f"); err != nil {
-		t.Fatal(err)
-	}
-	data := []byte("hello")
-	page, err := d.AppendPage("f", data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if page != 0 {
-		t.Fatalf("first page = %d, want 0", page)
-	}
-	buf := make([]byte, 64)
-	if _, err := d.ReadPage("f", 0, buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf[:5], data) {
-		t.Fatalf("read back %q, want %q", buf[:5], data)
-	}
-	// Overwrite in place.
-	if err := d.WritePage("f", 0, []byte("world")); err != nil {
-		t.Fatal(err)
-	}
-	d.ReadPage("f", 0, buf)
-	if !bytes.Equal(buf[:5], []byte("world")) {
-		t.Fatal("overwrite failed")
-	}
-	// Write one past end appends.
-	if err := d.WritePage("f", 1, []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	if n, _ := d.NumPages("f"); n != 2 {
-		t.Fatalf("pages = %d, want 2", n)
-	}
-	// Out of range.
-	if err := d.WritePage("f", 5, []byte("x")); err == nil {
-		t.Fatal("gap write should fail")
-	}
-	if _, err := d.ReadPage("f", 9, buf); err == nil {
-		t.Fatal("out-of-range read should fail")
-	}
-	if _, err := d.AppendPage("f", make([]byte, 65)); err == nil {
-		t.Fatal("oversized append should fail")
-	}
-}
-
 func TestSequentialVsRandomAccounting(t *testing.T) {
 	d := NewDisk(64)
 	d.Create("f")
@@ -476,10 +388,10 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 	d.Create("f")
 	d.AppendPage("f", []byte("persisted"))
 	path := t.TempDir() + "/disk.snap"
-	if err := d.SaveFile(path); err != nil {
+	if err := d.SaveFile(nil, path); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadDiskFile(path)
+	got, err := LoadDiskFile(nil, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -488,56 +400,8 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 	if !bytes.Equal(page[:9], []byte("persisted")) {
 		t.Fatal("file snapshot content lost")
 	}
-	if _, err := LoadDiskFile(t.TempDir() + "/missing"); err == nil {
+	if _, err := LoadDiskFile(nil, t.TempDir()+"/missing"); err == nil {
 		t.Fatal("missing snapshot file should fail")
-	}
-}
-
-func TestReadPagesAndAppendPages(t *testing.T) {
-	d := NewDisk(64)
-	d.Create("f")
-	data := make([]byte, 64*3+10) // 3 full pages + partial
-	for i := range data {
-		data[i] = byte(i)
-	}
-	first, err := d.AppendPages("f", data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first != 0 {
-		t.Fatalf("first page = %d", first)
-	}
-	if n, _ := d.NumPages("f"); n != 4 {
-		t.Fatalf("pages = %d, want 4 (partial tail page)", n)
-	}
-	buf := make([]byte, 64*4)
-	got, err := d.ReadPages("f", 0, 4, buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 4 {
-		t.Fatalf("read %d pages", got)
-	}
-	if !bytes.Equal(buf[:64*3], data[:64*3]) {
-		t.Fatal("multi-page content mismatch")
-	}
-	// Clamp at EOF.
-	got, err = d.ReadPages("f", 2, 10, make([]byte, 64*10))
-	if err != nil || got != 2 {
-		t.Fatalf("clamped read = %d, %v", got, err)
-	}
-	// Errors.
-	if _, err := d.ReadPages("missing", 0, 1, buf); err == nil {
-		t.Fatal("missing file should fail")
-	}
-	if _, err := d.ReadPages("f", 99, 1, buf); err == nil {
-		t.Fatal("out-of-range start should fail")
-	}
-	if _, err := d.ReadPages("f", 0, 4, make([]byte, 10)); err == nil {
-		t.Fatal("short buffer should fail")
-	}
-	if _, err := d.AppendPages("missing", data); err == nil {
-		t.Fatal("append to missing file should fail")
 	}
 }
 

@@ -146,7 +146,9 @@ func E11Cardinality(sc Scale, n, numQueries int, bitsList []int) (*Table, error)
 			if trueD < 1e-9 {
 				continue
 			}
-			tight += cfg.MinDistKey(q.PAA, kb) / trueD
+			ctx := index.AcquireCtx(q, cfg)
+			tight += math.Sqrt(ctx.P.MinDistSqKey(kb)) / trueD
+			ctx.Release()
 			pairs++
 		}
 		// Exact query cost on a CTree at this cardinality.

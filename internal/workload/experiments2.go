@@ -11,72 +11,58 @@ import (
 	"repro/internal/heatmap"
 	"repro/internal/index"
 	"repro/internal/recommender"
-	"repro/internal/series"
 	"repro/internal/storage"
 	"repro/internal/stream"
 )
 
-// memRaw accumulates ingested z-normalized series in memory, serving as the
-// shared raw store of the streaming schemes (all schemes get the identical
-// treatment, so relative index I/O is what the experiment isolates).
-type memRaw struct{ ss []series.Series }
-
-// Get implements series.RawStore.
-func (m *memRaw) Get(id int) (series.Series, error) {
-	if id < 0 || id >= len(m.ss) {
-		return nil, fmt.Errorf("workload: raw id %d out of range", id)
-	}
-	return m.ss[id], nil
+// streamScheme is one Scenario 2 contender with the disk it writes and its
+// raw store: every scheme gets an in-memory one, the identical treatment, so
+// relative index I/O is what the experiment isolates.
+type streamScheme struct {
+	name string
+	stream.Scheme
+	disk storage.Backend
+	raw  *assemble.MemStore
 }
 
-// Count implements series.RawStore.
-func (m *memRaw) Count() int { return len(m.ss) }
-
-// StreamSchemes builds the Scenario 2 contenders on fresh disks: the ADS+
-// baselines with PP and TP, the CTree variants, and the recommender's
-// choice CLSM+BTP.
-func StreamSchemes(sc Scale, bufferEntries int) (map[string]stream.Scheme, map[string]storage.Backend, *memRaw, error) {
-	sc = sc.defaults()
-	cfg := sc.config()
-	raw := &memRaw{}
-	schemes := map[string]stream.Scheme{}
-	disks := map[string]storage.Backend{}
-
-	dPP := storage.NewDisk(0)
-	adsPP, err := adsplus.New(adsplus.Options{Disk: dPP, Name: "adspp", Config: cfg, Raw: raw, BufferEntries: bufferEntries})
-	if err != nil {
-		return nil, nil, nil, err
+// StreamSchemes builds the Scenario 2 contenders on fresh disks, in table
+// order: the ADS+ baselines with PP and TP, the CTree variants, and the
+// recommender's choice CLSM+BTP.
+func StreamSchemes(sc Scale, bufferEntries int) ([]streamScheme, error) {
+	cfg := sc.defaults().config()
+	type rawStore = *assemble.MemStore
+	builds := []struct {
+		name  string
+		build func(d storage.Backend, raw rawStore) (stream.Scheme, error)
+	}{
+		{"ADS+PP", func(d storage.Backend, raw rawStore) (stream.Scheme, error) {
+			ads, err := adsplus.New(adsplus.Options{Disk: d, Name: "adspp", Config: cfg, Raw: raw, BufferEntries: bufferEntries})
+			return stream.NewPP(ads, cfg), err
+		}},
+		{"ADS+TP", func(d storage.Backend, raw rawStore) (stream.Scheme, error) {
+			return stream.NewTP("adstp", cfg, stream.ADSFactory(d, nil, cfg, raw), bufferEntries, raw)
+		}},
+		{"CLSM+PP", func(d storage.Backend, raw rawStore) (stream.Scheme, error) {
+			lsm, err := clsm.New(clsm.Options{Disk: d, Name: "clsmpp", Config: cfg, Raw: raw, BufferEntries: bufferEntries})
+			return stream.NewPP(lsm, cfg), err
+		}},
+		{"CTree+TP", func(d storage.Backend, raw rawStore) (stream.Scheme, error) {
+			return stream.NewTP("ctreetp", cfg, stream.CTreeFactory(d, nil, cfg, raw), bufferEntries, raw)
+		}},
+		{"CLSM+BTP", func(d storage.Backend, raw rawStore) (stream.Scheme, error) {
+			return stream.NewBTP(d, "btp", cfg, bufferEntries, 2, raw)
+		}},
 	}
-	schemes["ADS+PP"], disks["ADS+PP"] = stream.NewPP(adsPP, cfg), dPP
-
-	dTP := storage.NewDisk(0)
-	adsTP, err := stream.NewTP("adstp", cfg, stream.ADSFactory(dTP, nil, cfg, raw), bufferEntries, raw)
-	if err != nil {
-		return nil, nil, nil, err
+	var out []streamScheme
+	for _, b := range builds {
+		s := streamScheme{name: b.name, disk: storage.NewDisk(0), raw: assemble.NewMemStore(nil)}
+		var err error
+		if s.Scheme, err = b.build(s.disk, s.raw); err != nil {
+			return nil, err
+		}
+		out = append(out, s)
 	}
-	schemes["ADS+TP"], disks["ADS+TP"] = adsTP, dTP
-
-	dCPP := storage.NewDisk(0)
-	clsmPP, err := clsm.New(clsm.Options{Disk: dCPP, Name: "clsmpp", Config: cfg, Raw: raw, BufferEntries: bufferEntries})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	schemes["CLSM+PP"], disks["CLSM+PP"] = stream.NewPP(clsmPP, cfg), dCPP
-
-	dCTP := storage.NewDisk(0)
-	ctreeTP, err := stream.NewTP("ctreetp", cfg, stream.CTreeFactory(dCTP, nil, cfg, raw), bufferEntries, raw)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	schemes["CTree+TP"], disks["CTree+TP"] = ctreeTP, dCTP
-
-	dBTP := storage.NewDisk(0)
-	btp, err := stream.NewBTP(dBTP, "btp", cfg, bufferEntries, 2, raw)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	schemes["CLSM+BTP"], disks["CLSM+BTP"] = btp, dBTP
-	return schemes, disks, raw, nil
+	return out, nil
 }
 
 // E6Streaming regenerates Scenario 2: a seismic stream is ingested by each
@@ -100,22 +86,17 @@ func E6Streaming(sc Scale, batches, batchSize, bufferEntries, numQueries int) (*
 	maxTS := data[len(data)-1].TS
 	queries := gen.TemplateQueries(gen.TemplateEarthquake, sc.SeriesLen, numQueries, 0.2, sc.Seed+7)
 
-	schemes, disks, raw, err := StreamSchemes(sc, bufferEntries)
+	schemes, err := StreamSchemes(sc, bufferEntries)
 	if err != nil {
 		return nil, err
 	}
-	order := []string{"ADS+PP", "ADS+TP", "CLSM+PP", "CTree+TP", "CLSM+BTP"}
 	cfg := sc.config()
-	for _, name := range order {
-		s := schemes[name]
-		disk := disks[name]
-		// The raw mirror is rebuilt per scheme so IDs stay aligned with
-		// each scheme's own ingestion order.
-		raw.ss = nil
+	for _, s := range schemes {
+		name, disk := s.name, s.disk
 		disk.ResetStats()
 		for _, b := range data {
 			for _, ser := range b.Series {
-				raw.ss = append(raw.ss, ser.ZNormalize())
+				s.raw.Append(ser.ZNormalize())
 				if _, err := s.Ingest(ser, b.TS); err != nil {
 					return nil, fmt.Errorf("E6 %s ingest: %w", name, err)
 				}

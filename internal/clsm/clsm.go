@@ -43,10 +43,10 @@ import (
 	"sync/atomic"
 
 	"repro/internal/compact"
-	"repro/internal/extsort"
 	"repro/internal/index"
 	"repro/internal/parallel"
 	"repro/internal/record"
+	"repro/internal/run"
 	"repro/internal/series"
 	"repro/internal/storage"
 	"repro/internal/wal"
@@ -134,27 +134,12 @@ func (o *Options) setDefaults() error {
 	if o.BufferEntries < 1 {
 		return fmt.Errorf("clsm: BufferEntries must be positive, got %d", o.BufferEntries)
 	}
-	if o.Reader == nil {
-		o.Reader = o.Disk
-	}
 	return nil
 }
 
 // ReplayedEntry is the entry type Recover's callback observes — an alias
 // so facade layers need not import the record package for the one type.
 type ReplayedEntry = record.Entry
-
-// run is one sorted run on disk. syn summarizes the run's entries for the
-// query planner: built incrementally at flush, unioned (exactly, with no
-// re-scan) at merge, persisted with the manifest. nil — a run recovered
-// from pre-synopsis metadata — means unknown: the planner never skips or
-// bounds such a run; new flushes and merges repopulate the statistics.
-type run struct {
-	file   string
-	count  int64
-	syn    *zonestat.Synopsis
-	packed bool // pages use the packed (compressed) encoding
-}
 
 // manifest is one immutable version of the on-disk run set. Searches pin
 // the manifest they run against; writers never mutate a published manifest,
@@ -163,7 +148,7 @@ type run struct {
 // once every earlier pin is gone.
 type manifest struct {
 	version int64
-	levels  [][]run // levels[l] = runs at level l, oldest first; never mutated
+	levels  [][]run.Run // levels[l] = runs at level l, oldest first; never mutated
 	// durableLSN is the WAL LSN of the last entry contained in these runs
 	// (-1 when none, or when no WAL is configured). Recovery replays the
 	// log strictly after it.
@@ -188,7 +173,7 @@ func (m *manifest) entriesIn() int64 {
 	var n int64
 	for _, lvl := range m.levels {
 		for _, r := range lvl {
-			n += r.count
+			n += r.Count
 		}
 	}
 	return n
@@ -208,7 +193,7 @@ type view struct {
 // require that no insert is concurrently in flight.)
 type LSM struct {
 	opts  Options
-	codec record.Codec
+	store run.Store // writes, merges, probes and scans the run files
 
 	// mu guards buffer growth, WAL append ordering, and every publication
 	// of cur. Searches never take it.
@@ -253,13 +238,13 @@ func New(opts Options) (*LSM, error) {
 	}
 	l := &LSM{
 		opts:  opts,
-		codec: opts.Config.Codec(),
+		store: run.NewStore(opts.Disk, opts.Reader, opts.Config, opts.Raw),
 		pool:  parallel.New(opts.Parallelism),
 	}
-	if l.codec.Size() > opts.Disk.PageSize() {
-		return nil, fmt.Errorf("clsm: entry size %d exceeds page size %d", l.codec.Size(), opts.Disk.PageSize())
+	if size := l.store.Codec().Size(); size > opts.Disk.PageSize() {
+		return nil, fmt.Errorf("clsm: entry size %d exceeds page size %d", size, opts.Disk.PageSize())
 	}
-	if opts.Compress && !record.PackedFits(l.codec, opts.Disk.PageSize()) {
+	if opts.Compress && !record.PackedFits(l.store.Codec(), opts.Disk.PageSize()) {
 		return nil, fmt.Errorf("clsm: packed entry size exceeds page size %d", opts.Disk.PageSize())
 	}
 	man := &manifest{durableLSN: -1}
@@ -294,12 +279,7 @@ func (l *LSM) SetPlanner(pl *index.Planner) { l.opts.Planner = pl }
 // pool over the LSM's disk (nil restores the uncached disk). Like
 // SetParallelism it is not persisted; call after Open to re-attach a
 // cache. Call only while no search is in flight.
-func (l *LSM) UseReader(r storage.PageReader) {
-	if r == nil {
-		r = l.opts.Disk
-	}
-	l.opts.Reader = r
-}
+func (l *LSM) UseReader(r storage.PageReader) { l.store.UseReader(r) }
 
 // Config returns the summarization configuration the LSM was created with.
 func (l *LSM) Config() index.Config { return l.opts.Config }
@@ -469,12 +449,8 @@ func (l *LSM) Flush() error {
 	sorted := make([]record.Entry, n)
 	copy(sorted, snap)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Less(sorted[j]) })
-	syn := zonestat.New(l.opts.Config.Segments, l.opts.Config.Bits)
-	for _, e := range sorted {
-		syn.Add(e.Key, e.TS)
-	}
-	name := l.runName()
-	if err := l.writeRun(name, sorted); err != nil {
+	flushed, err := l.store.Write(l.runName(), sorted, l.opts.Compress)
+	if err != nil {
 		return err
 	}
 
@@ -483,7 +459,7 @@ func (l *LSM) Flush() error {
 	l.writeMu.Lock()
 	l.mu.Lock()
 	v := l.cur.Load()
-	man := addRun(v.man, 0, run{file: name, count: int64(n), syn: syn, packed: l.opts.Compress})
+	man := addRun(v.man, 0, flushed)
 	if l.opts.WAL != nil {
 		man.durableLSN = flushedLSN
 	}
@@ -509,51 +485,19 @@ func (l *LSM) Flush() error {
 	return l.afterStructureChange()
 }
 
-// writeRun streams sorted entries into a new run file, packed when the
-// index compresses its runs.
-func (l *LSM) writeRun(name string, entries []record.Entry) error {
-	if l.opts.Compress {
-		w, err := record.NewPackedWriter(l.opts.Disk, name, l.codec)
-		if err != nil {
-			return err
-		}
-		for _, e := range entries {
-			if err := w.WriteEntry(e); err != nil {
-				return err
-			}
-		}
-		return w.Close()
-	}
-	w, err := storage.NewRecordWriter(l.opts.Disk, name, l.codec.Size())
-	if err != nil {
-		return err
-	}
-	buf := make([]byte, 0, l.codec.Size())
-	for _, e := range entries {
-		buf = buf[:0]
-		if buf, err = l.codec.Append(buf, e); err != nil {
-			return err
-		}
-		if err := w.Write(buf); err != nil {
-			return err
-		}
-	}
-	return w.Close()
-}
-
 func (l *LSM) runName() string {
 	return fmt.Sprintf("%s.run.%06d", l.opts.Name, l.seq.Add(1))
 }
 
 // addRun returns a clone of m with r appended at the given level.
-func addRun(m *manifest, level int, r run) *manifest {
+func addRun(m *manifest, level int, r run.Run) *manifest {
 	depth := len(m.levels)
 	if level >= depth {
 		depth = level + 1
 	}
-	levels := make([][]run, depth)
+	levels := make([][]run.Run, depth)
 	copy(levels, m.levels)
-	lvl := make([]run, len(levels[level])+1)
+	lvl := make([]run.Run, len(levels[level])+1)
 	copy(lvl, levels[level])
 	lvl[len(lvl)-1] = r
 	levels[level] = lvl
@@ -632,7 +576,6 @@ func (l *LSM) CompactionErr() error {
 // manifest swap per merge. Single-flighted: inline mode calls it from
 // Flush, background mode from the one outstanding job.
 func (l *LSM) compactNow() error {
-	sorter := &extsort.Sorter{Disk: l.opts.Disk, Codec: l.codec, MemBudget: 1 << 20, TmpPrefix: l.opts.Name + ".merge"}
 	for {
 		man := l.cur.Load().man
 		level := -1
@@ -646,32 +589,13 @@ func (l *LSM) compactNow() error {
 			return nil
 		}
 		victims := man.levels[level]
-		names := make([]string, len(victims))
-		counts := make([]int64, len(victims))
-		packed := make([]bool, len(victims))
 		files := make([]string, len(victims))
 		for i, r := range victims {
-			names[i] = r.file
-			counts[i] = r.count
-			packed[i] = r.packed
-			files[i] = r.file
+			files[i] = r.File
 		}
-		merged := l.runName()
-		total, err := sorter.MergeSortedPacked(names, counts, packed, merged, l.opts.Compress)
+		merged, err := l.store.Merge(victims, l.runName(), l.opts.Compress)
 		if err != nil {
 			return err
-		}
-		// The merged run's synopsis is the exact union of its victims' —
-		// every statistic is a monotone envelope, so no re-scan is needed.
-		// Any victim with unknown statistics poisons the union: unknown, not
-		// empty.
-		msyn := zonestat.New(l.opts.Config.Segments, l.opts.Config.Bits)
-		for _, r := range victims {
-			if r.syn == nil {
-				msyn = nil
-				break
-			}
-			msyn.Union(r.syn)
 		}
 
 		// Commit: drop the victims (still the prefix of the level — only
@@ -680,7 +604,7 @@ func (l *LSM) compactNow() error {
 		l.writeMu.Lock()
 		l.mu.Lock()
 		v := l.cur.Load()
-		newMan, err := afterMerge(v.man, level, victims, run{file: merged, count: total, syn: msyn, packed: l.opts.Compress})
+		newMan, err := afterMerge(v.man, level, victims, merged)
 		if err != nil {
 			l.mu.Unlock()
 			l.writeMu.Unlock()
@@ -701,12 +625,12 @@ func (l *LSM) compactNow() error {
 
 // afterMerge clones m, replacing the victim prefix of level with nothing
 // and appending mergedRun at level+1.
-func afterMerge(m *manifest, level int, victims []run, mergedRun run) (*manifest, error) {
+func afterMerge(m *manifest, level int, victims []run.Run, mergedRun run.Run) (*manifest, error) {
 	if len(m.levels) <= level || len(m.levels[level]) < len(victims) {
 		return nil, fmt.Errorf("clsm: merge commit lost level %d", level)
 	}
 	for i, r := range victims {
-		if m.levels[level][i].file != r.file {
+		if m.levels[level][i].File != r.File {
 			return nil, fmt.Errorf("clsm: merge victims no longer prefix level %d", level)
 		}
 	}
@@ -714,10 +638,10 @@ func afterMerge(m *manifest, level int, victims []run, mergedRun run) (*manifest
 	if level+1 >= depth {
 		depth = level + 2
 	}
-	levels := make([][]run, depth)
+	levels := make([][]run.Run, depth)
 	copy(levels, m.levels)
 	levels[level] = m.levels[level][len(victims):]
-	up := make([]run, len(levels[level+1])+1)
+	up := make([]run.Run, len(levels[level+1])+1)
 	copy(up, levels[level+1])
 	up[len(up)-1] = mergedRun
 	levels[level+1] = up
@@ -800,8 +724,8 @@ func (l *LSM) CompactionStats() CompactionStats {
 
 // allRuns returns every on-disk run of a manifest, newest level first
 // (level 0 holds the freshest data).
-func allRuns(m *manifest) []run {
-	var out []run
+func allRuns(m *manifest) []run.Run {
+	var out []run.Run
 	for _, lvl := range m.levels {
 		out = append(out, lvl...)
 	}
@@ -819,11 +743,11 @@ func (l *LSM) PlanSynopses() ([]*zonestat.Synopsis, bool) {
 	syns := make([]*zonestat.Synopsis, 0, len(runs))
 	complete := len(v.buf) == 0
 	for _, r := range runs {
-		if r.syn == nil {
+		if r.Syn == nil {
 			complete = false
 			continue
 		}
-		syns = append(syns, r.syn)
+		syns = append(syns, r.Syn)
 	}
 	return syns, complete
 }

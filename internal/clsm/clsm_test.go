@@ -119,7 +119,7 @@ func TestFlushAndMergeCascade(t *testing.T) {
 	// Total entries across runs + buffer must equal count.
 	var total int64
 	for _, r := range allRuns(l.cur.Load().man) {
-		total += r.count
+		total += r.Count
 	}
 	total += int64(len(l.buffer))
 	if total != 1000 {

@@ -237,8 +237,8 @@ func TestObsoleteRunsReclaimedAfterUnpin(t *testing.T) {
 	// Victim files of every transition since v must still exist: v's runs
 	// are all readable.
 	for _, r := range allRuns(v.man) {
-		if !disk.Exists(r.file) {
-			t.Fatalf("run %q reclaimed while pinned", r.file)
+		if !disk.Exists(r.File) {
+			t.Fatalf("run %q reclaimed while pinned", r.File)
 		}
 	}
 	if runsBefore == 0 || before == 0 {
@@ -258,8 +258,8 @@ func TestObsoleteRunsReclaimedAfterUnpin(t *testing.T) {
 	}
 	// Everything the current manifest references exists; nothing dangling.
 	for _, r := range allRuns(l.cur.Load().man) {
-		if !disk.Exists(r.file) {
-			t.Fatalf("live run %q missing", r.file)
+		if !disk.Exists(r.File) {
+			t.Fatalf("live run %q missing", r.File)
 		}
 	}
 }

@@ -207,6 +207,64 @@ func TestCrashRecoveryTornTailSegment(t *testing.T) {
 	}
 }
 
+func TestCrashRecoveryOrphanRunFile(t *testing.T) {
+	// A crash after a flush (or merge) wrote its run file but before the
+	// manifest naming it was persisted leaves the file behind, under the
+	// very name the recovered index hands out next. Recovery must remove
+	// it — and nothing that merely resembles a run name — or every flush
+	// from then on fails in Create.
+	ds := makeDataset(300, 47)
+	disk := storage.NewDisk(0)
+	dir := t.TempDir()
+	l, w := durableLSM(t, disk, dir, ds, 64)
+	insert := func(l *LSM, from, to int) {
+		t.Helper()
+		for id := from; id < to; id++ {
+			s, _ := ds.Get(id)
+			if err := l.Insert(s, int64(id)); err != nil {
+				t.Fatalf("insert %d: %v", id, err)
+			}
+		}
+	}
+	insert(l, 0, 100) // one flush (run 000001, manifest persisted), 36 in the log's tail
+	if err := w.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	orphan := fmt.Sprintf("clsm.run.%06d", l.seq.Load()+1)
+	bystanders := []string{orphan + ".bak", "clsm.run.", "other.run.000002"}
+	for _, name := range append(bystanders, orphan) {
+		if err := disk.Create(name); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := disk.AppendPages(name, make([]byte, 3*disk.PageSize())); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	rec, w2 := recoverLSM(t, disk, dir, ds, 64)
+	defer w2.Close()
+	if disk.Exists(orphan) {
+		t.Errorf("recovery left the unreferenced run %q on the disk", orphan)
+	}
+	for _, name := range bystanders {
+		if !disk.Exists(name) {
+			t.Errorf("recovery removed %q, which is not a run name of this index", name)
+		}
+	}
+	if got := rec.CompactionStats().ReclaimedRuns; got != 1 {
+		t.Errorf("ReclaimedRuns = %d after recovery, want 1", got)
+	}
+	flushes := rec.Flushes()
+	insert(rec, 100, 300) // through three more flushes
+	if got := rec.Flushes() - flushes; got < 3 {
+		t.Fatalf("%d flushes after recovery, want at least 3", got)
+	}
+	if err := w2.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	assertAllSearchable(t, rec, ds, 300, 6, 47)
+}
+
 func TestRecoverFreshDirIsEmpty(t *testing.T) {
 	disk := storage.NewDisk(0)
 	ds := makeDataset(1, 44)

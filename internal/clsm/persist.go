@@ -3,10 +3,12 @@ package clsm
 import (
 	"encoding/binary"
 	"fmt"
+	"strings"
 
 	"repro/internal/index"
 	"repro/internal/parallel"
 	"repro/internal/record"
+	"repro/internal/run"
 	"repro/internal/series"
 	"repro/internal/sortable"
 	"repro/internal/storage"
@@ -59,7 +61,7 @@ type metaState struct {
 	count, nextID, seq, flushes, merges int64
 	growth, bufferEntries               int
 	cfg                                 index.Config
-	levels                              [][]run
+	levels                              [][]run.Run
 }
 
 // Save flushes the write buffer, waits out any background compaction, and
@@ -133,16 +135,16 @@ func (l *LSM) encodePayload(m *manifest) []byte {
 	for _, lvl := range m.levels {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(lvl)))
 		for _, r := range lvl {
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.file)))
-			buf = append(buf, r.file...)
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(r.count))
-			if r.syn == nil {
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.File)))
+			buf = append(buf, r.File...)
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(r.Count))
+			if r.Syn == nil {
 				buf = binary.LittleEndian.AppendUint32(buf, 0)
 			} else {
-				buf = binary.LittleEndian.AppendUint32(buf, uint32(r.syn.EncodedSize()))
-				buf = r.syn.AppendBinary(buf)
+				buf = binary.LittleEndian.AppendUint32(buf, uint32(r.Syn.EncodedSize()))
+				buf = r.Syn.AppendBinary(buf)
 			}
-			if r.packed {
+			if r.Packed {
 				buf = append(buf, 1)
 			} else {
 				buf = append(buf, 0)
@@ -219,7 +221,7 @@ func decodePayload(disk storage.Backend, buf []byte, version uint32) (*metaState
 		}
 		runCount := int(binary.LittleEndian.Uint32(buf[off:]))
 		off += 4
-		var runs []run
+		var runs []run.Run
 		for ri := 0; ri < runCount; ri++ {
 			if off+4 > len(buf) {
 				return nil, fmt.Errorf("clsm: meta truncated at level %d run %d", lv, ri)
@@ -229,9 +231,9 @@ func decodePayload(disk storage.Backend, buf []byte, version uint32) (*metaState
 			if off+nameLen+8 > len(buf) {
 				return nil, fmt.Errorf("clsm: meta truncated in run name")
 			}
-			r := run{
-				file:  string(buf[off : off+nameLen]),
-				count: int64(binary.LittleEndian.Uint64(buf[off+nameLen:])),
+			r := run.Run{
+				File:  string(buf[off : off+nameLen]),
+				Count: int64(binary.LittleEndian.Uint64(buf[off+nameLen:])),
 			}
 			off += nameLen + 8
 			if version >= 2 {
@@ -251,7 +253,7 @@ func decodePayload(disk storage.Backend, buf []byte, version uint32) (*metaState
 					if n != synLen {
 						return nil, fmt.Errorf("clsm: synopsis length mismatch: %d != %d", n, synLen)
 					}
-					r.syn = syn
+					r.Syn = syn
 					off += synLen
 				}
 			}
@@ -259,13 +261,13 @@ func decodePayload(disk storage.Backend, buf []byte, version uint32) (*metaState
 				if off+1 > len(buf) {
 					return nil, fmt.Errorf("clsm: meta truncated at packed flag")
 				}
-				r.packed = buf[off] == 1
+				r.Packed = buf[off] == 1
 				off++
 			}
-			if !disk.Exists(r.file) {
-				return nil, fmt.Errorf("clsm: run file %q missing", r.file)
+			if !disk.Exists(r.File) {
+				return nil, fmt.Errorf("clsm: run file %q missing", r.File)
 			}
-			total += r.count
+			total += r.Count
 			runs = append(runs, r)
 		}
 		st.levels = append(st.levels, runs)
@@ -276,8 +278,13 @@ func decodePayload(disk storage.Backend, buf []byte, version uint32) (*metaState
 	return st, nil
 }
 
-// install applies a decoded state to a freshly constructed LSM.
-func (l *LSM) install(st *metaState, durableLSN int64) {
+// install applies a decoded state to a freshly constructed LSM, then
+// removes the run files the installed run set does not name: the output of
+// a flush or merge that crashed before its manifest was persisted, whose
+// name the next flush would otherwise collide with (run names continue from
+// the installed seq), and merge victims whose reclaim the crash pre-empted.
+// Only names of exactly the form runName produces are candidates.
+func (l *LSM) install(st *metaState, durableLSN int64) error {
 	l.count.Store(st.count)
 	l.nextID.Store(st.nextID)
 	l.seq.Store(st.seq)
@@ -287,6 +294,23 @@ func (l *LSM) install(st *metaState, durableLSN int64) {
 	l.cur.Store(&view{man: man})
 	l.oldest = man
 	l.bufBase = durableLSN + 1
+
+	live := make(map[string]bool)
+	for _, r := range allRuns(man) {
+		live[r.File] = true
+	}
+	prefix := l.opts.Name + ".run."
+	for _, f := range l.opts.Disk.Files() {
+		digits, ok := strings.CutPrefix(f, prefix)
+		if !ok || digits == "" || strings.Trim(digits, "0123456789") != "" || live[f] {
+			continue
+		}
+		if err := l.opts.Disk.Remove(f); err != nil {
+			return fmt.Errorf("clsm: removing unreferenced run %q: %w", f, err)
+		}
+		l.reclaimed.Add(1)
+	}
+	return nil
 }
 
 // Open reconstructs a saved LSM from a disk holding its runs and
@@ -315,10 +339,11 @@ func Open(disk storage.Backend, name string, raw series.RawStore) (*LSM, error) 
 		GrowthFactor:  st.growth,
 		BufferEntries: st.bufferEntries,
 		Raw:           raw,
-		Reader:        disk,
 	}
-	l.codec = l.opts.Config.Codec()
-	l.install(st, -1)
+	l.store = run.NewStore(disk, nil, st.cfg, raw)
+	if err := l.install(st, -1); err != nil {
+		return nil, err
+	}
 	return l, nil
 }
 
@@ -330,7 +355,7 @@ func Open(disk storage.Backend, name string, raw series.RawStore) (*LSM, error) 
 // encoding is a property of each run, not of the index. Call before any
 // flush or merge runs.
 func (l *LSM) SetCompress(on bool) error {
-	if on && !record.PackedFits(l.codec, l.opts.Disk.PageSize()) {
+	if on && !record.PackedFits(l.store.Codec(), l.opts.Disk.PageSize()) {
 		return fmt.Errorf("clsm: packed entry shape exceeds page size %d", l.opts.Disk.PageSize())
 	}
 	l.opts.Compress = on
@@ -373,7 +398,9 @@ func Recover(opts Options, onReplay func(record.Entry, series.Series) error) (*L
 		if err := sameShape(st.cfg, l.opts.Config); err != nil {
 			return nil, err
 		}
-		l.install(st, durable)
+		if err := l.install(st, durable); err != nil {
+			return nil, err
+		}
 		from = durable + 1
 		startID = st.nextID
 	case disk.Exists(name + lsmMetaFileSfx):
@@ -391,7 +418,9 @@ func Recover(opts Options, onReplay func(record.Entry, series.Series) error) (*L
 		if err := sameShape(st.cfg, l.opts.Config); err != nil {
 			return nil, err
 		}
-		l.install(st, -1)
+		if err := l.install(st, -1); err != nil {
+			return nil, err
+		}
 		startID = st.nextID
 	}
 

@@ -6,8 +6,8 @@ import (
 	"repro/internal/index"
 	"repro/internal/parallel"
 	"repro/internal/record"
+	"repro/internal/run"
 	"repro/internal/series"
-	"repro/internal/sortable"
 )
 
 // Search in a CLSM fans out over the on-disk runs: every run is an
@@ -52,13 +52,13 @@ func (l *LSM) ApproxSearch(q index.Query, k int) ([]index.Result, error) {
 // context, so ExactSearch shares one context (and one table fill) across
 // both phases.
 func (l *LSM) approxInto(v *view, q index.Query, col *index.Collector, ctx *index.SearchCtx, pool *parallel.Pool) error {
-	if err := scanBuffer(v.buf, q, col, false, ctx.Scratch0(), l.opts.Raw); err != nil {
+	if err := scanBuffer(v.buf, q, col, ctx.Scratch0(), l.opts.Raw); err != nil {
 		return err
 	}
 	runs := allRuns(v.man)
 	scs := ctx.Scratches(pool.WorkersFor(len(runs)))
 	return forEachRun(l, runs, q, ctx, col, pool, func(i, w int, col *index.Collector) error {
-		return l.probeRun(runs[i], q, col, scs[w])
+		return l.store.Probe(runs[i], q, col, scs[w])
 	})
 }
 
@@ -122,7 +122,7 @@ func (l *LSM) exactColl(q index.Query, k int, ctx *index.SearchCtx, pool *parall
 	runs := allRuns(v.man)
 	scs := ctx.Scratches(pool.WorkersFor(len(runs)))
 	err := forEachRun(l, runs, q, ctx, col, pool, func(i, w int, col *index.Collector) error {
-		return l.scanRun(runs[i], q, col, scs[w])
+		return l.store.ScanKNN(runs[i], q, col, scs[w])
 	})
 	sp.End()
 	if err != nil {
@@ -135,11 +135,11 @@ func (l *LSM) exactColl(q index.Query, k int, ctx *index.SearchCtx, pool *parall
 // (index.ProbeUnits). A run is bounded by its synopsis's envelope MINDIST,
 // or by +Inf when its time range misses the query window; probe(i, worker,
 // col) searches runs[i] as worker slot worker of pool.
-func forEachRun[C index.FanCollector[C]](l *LSM, runs []run, q index.Query, ctx *index.SearchCtx, col C, pool *parallel.Pool, probe func(i, worker int, col C) error) error {
+func forEachRun[C index.FanCollector[C]](l *LSM, runs []run.Run, q index.Query, ctx *index.SearchCtx, col C, pool *parallel.Pool, probe func(i, worker int, col C) error) error {
 	return index.ProbeUnits(index.ProbePlan{
 		Planner: l.opts.Planner, Pool: pool, Trace: ctx.Trace, Kind: "run", Units: ctx.PlanUnits(len(runs)),
 	}, col, func(i int) float64 {
-		syn := runs[i].syn
+		syn := runs[i].Syn
 		if q.Windowed && syn != nil && !syn.IntersectsWindow(q.MinTS, q.MaxTS) {
 			return math.Inf(1)
 		}
@@ -147,14 +147,10 @@ func forEachRun[C index.FanCollector[C]](l *LSM, runs []run, q index.Query, ctx 
 	}, probe)
 }
 
-// scanBuffer evaluates a buffer snapshot's entries; with prune set, entries
-// are filtered through the squared iSAX lower bound first.
-func scanBuffer(buf []record.Entry, q index.Query, col *index.Collector, prune bool, sc *index.Scratch, raw series.RawStore) error {
+// scanBuffer evaluates every in-window entry of a buffer snapshot.
+func scanBuffer(buf []record.Entry, q index.Query, col *index.Collector, sc *index.Scratch, raw series.RawStore) error {
 	for _, e := range buf {
 		if !q.InWindow(e.TS) {
-			continue
-		}
-		if prune && col.SkipSq(sc.P.MinDistSqKey(e.Key)) {
 			continue
 		}
 		dSq, err := index.TrueDistSq(q, e, raw, col.WorstSq(), sc)
@@ -164,122 +160,6 @@ func scanBuffer(buf []record.Entry, q index.Query, col *index.Collector, prune b
 		col.AddSq(e.ID, e.TS, dSq)
 	}
 	return nil
-}
-
-// runPages returns the number of pages a run occupies. Fixed-size runs
-// derive it from the entry count; packed runs hold a data-dependent number
-// of entries per page, so the file length is authoritative.
-func (l *LSM) runPages(r run) (int, error) {
-	if !r.packed {
-		perPage := l.opts.Disk.PageSize() / l.codec.Size()
-		return int((r.count + int64(perPage) - 1) / int64(perPage)), nil
-	}
-	if r.count == 0 {
-		return 0, nil
-	}
-	n, err := l.opts.Reader.NumPages(r.file)
-	return int(n), err
-}
-
-// probeRun binary-searches the run's pages for the query key and evaluates
-// the covering page.
-func (l *LSM) probeRun(r run, q index.Query, col *index.Collector, sc *index.Scratch) error {
-	pages, err := l.runPages(r)
-	if err != nil {
-		return err
-	}
-	if pages == 0 {
-		return nil
-	}
-	// Binary search over pages by first key.
-	lo, hi := 0, pages-1
-	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		first, err := l.firstKey(r, mid)
-		if err != nil {
-			return err
-		}
-		if q.Key.Less(first) {
-			hi = mid - 1
-		} else {
-			lo = mid
-		}
-	}
-	return l.evalPage(r, lo, q, col, sc)
-}
-
-func (l *LSM) firstKey(r run, page int) (sortable.Key, error) {
-	h, err := l.opts.Reader.PinPage(r.file, int64(page))
-	if err != nil {
-		return sortable.Key{}, err
-	}
-	var k sortable.Key
-	if r.packed {
-		k = record.PackedFirstKey(h.Data())
-	} else {
-		k = record.DecodeKeyOnly(h.Data())
-	}
-	h.Release()
-	return k, nil
-}
-
-// pageOf describes page p of run r, pinned as data, to the page evaluator.
-func (l *LSM) pageOf(r run, p int, data []byte) index.Page {
-	if r.packed {
-		return index.PackedPage(data, l.codec)
-	}
-	perPage := l.opts.Disk.PageSize() / l.codec.Size()
-	n := perPage
-	if rem := r.count - int64(p)*int64(perPage); rem < int64(n) {
-		n = int(rem)
-	}
-	return index.FixedPage(data, n, l.codec)
-}
-
-// evalPage evaluates all entries on the page probeRun settled on, straight
-// from the pinned page bytes. The page was just examined by firstKey; it
-// re-pins to keep the logic self-contained (an uncached repeat pin of the
-// same page is accounted as buffered/sequential, and a cached one is a
-// hit).
-func (l *LSM) evalPage(r run, page int, q index.Query, col *index.Collector, sc *index.Scratch) error {
-	h, err := l.opts.Reader.PinPage(r.file, int64(page))
-	if err != nil {
-		return err
-	}
-	_, err = index.EvalPage(q, l.pageOf(r, page, h.Data()), l.opts.Raw, col, sc)
-	h.Release()
-	return err
-}
-
-// scanPages is the one sequential page loop of a run: every page, in
-// order, through one storage cursor, handed to eval.
-func (l *LSM) scanPages(r run, eval func(pg index.Page) error) error {
-	pages, err := l.runPages(r)
-	if err != nil {
-		return err
-	}
-	cur := l.opts.Reader.Scan(r.file, 0, int64(pages))
-	defer cur.Close()
-	for p := 0; p < pages; p++ {
-		data, err := cur.Pin(int64(p))
-		if err != nil {
-			return err
-		}
-		if err := eval(l.pageOf(r, p, data)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// scanRun scans one run sequentially with squared lower-bound pruning,
-// verifying each page's surviving candidates in ascending lower-bound
-// order.
-func (l *LSM) scanRun(r run, q index.Query, col *index.Collector, sc *index.Scratch) error {
-	return l.scanPages(r, func(pg index.Page) error {
-		_, err := index.EvalPage(q, pg, l.opts.Raw, col, sc)
-		return err
-	})
 }
 
 // RangeSearch returns every indexed series within Euclidean distance eps
@@ -299,19 +179,15 @@ func (l *LSM) RangeSearch(q index.Query, eps float64) ([]index.Result, error) {
 	scs := ctx.Scratches(l.pool.WorkersFor(len(runs)))
 	sp := ctx.Trace.Start("scan")
 	err := forEachRun(l, runs, q, ctx, col, l.pool, func(i, w int, col *index.RangeCollector) error {
-		return l.rangeScanRun(runs[i], q, col, scs[w])
+		return l.store.Scan(runs[i], func(pg index.Page) error {
+			return index.EvalPageRange(q, pg, l.opts.Raw, col, scs[w])
+		})
 	})
 	sp.End()
 	if err != nil {
 		return nil, err
 	}
 	return col.Results(), nil
-}
-
-func (l *LSM) rangeScanRun(r run, q index.Query, col *index.RangeCollector, sc *index.Scratch) error {
-	return l.scanPages(r, func(pg index.Page) error {
-		return index.EvalPageRange(q, pg, l.opts.Raw, col, sc)
-	})
 }
 
 var (

@@ -61,16 +61,12 @@ func (s *Sorter) tmpName(pass, i int) string {
 // (0 = input fit in memory, 1 = classic two-pass, >1 = constrained memory).
 func (s *Sorter) Sort(input string, count int64, output string) (passes int, err error) {
 	if count == 0 {
-		w, err := storage.NewRecordWriter(s.Disk, output, s.Codec.Size())
-		if err != nil {
-			return 0, err
-		}
-		return 0, w.Close()
+		return 0, s.WriteRun(output, nil, false)
 	}
 
 	// Phase 1: produce sorted runs.
 	workers := s.workers()
-	var runs []runInfo
+	var runs []Input
 	if workers == 1 {
 		var err error
 		if runs, err = s.sortRunsSerial(input, count); err != nil {
@@ -85,7 +81,7 @@ func (s *Sorter) Sort(input string, count int64, output string) (passes int, err
 
 	// Single run: it is already the answer.
 	if len(runs) == 1 {
-		return 0, s.Disk.Rename(runs[0].name, output)
+		return 0, s.Disk.Rename(runs[0].Name, output)
 	}
 
 	// Phase 2: k-way merge passes. Fan-in is bounded by how many run pages
@@ -99,11 +95,11 @@ func (s *Sorter) Sort(input string, count int64, output string) (passes int, err
 	pool := parallel.New(workers)
 	pass := 1
 	for len(runs) > 1 {
-		var groups [][]runInfo
+		var groups [][]Input
 		for i := 0; i < len(runs); i += fanIn {
 			groups = append(groups, runs[i:min(i+fanIn, len(runs))])
 		}
-		next := make([]runInfo, len(groups))
+		next := make([]Input, len(groups))
 		concurrent := pool.WorkersFor(len(groups))
 		budget := s.MemBudget / concurrent
 		err := pool.ForEach(len(groups), func(_, g int) error {
@@ -111,18 +107,15 @@ func (s *Sorter) Sort(input string, count int64, output string) (passes int, err
 			if len(groups) == 1 {
 				name = output // final merge writes the output directly
 			}
-			merged, err := s.mergeBudget(groups[g], name, budget)
-			if err != nil {
-				return err
-			}
-			next[g] = merged
-			return nil
+			total, err := s.merge(groups[g], name, false, budget)
+			next[g] = Input{Name: name, Count: total}
+			return err
 		})
 		if err != nil {
 			return passes, err
 		}
 		for _, r := range runs {
-			if err := s.Disk.Remove(r.name); err != nil {
+			if err := s.Disk.Remove(r.Name); err != nil {
 				return passes, err
 			}
 		}
@@ -143,13 +136,13 @@ func (s *Sorter) workers() int {
 
 // sortRunsSerial is the classic phase 1: fill one bounded buffer, sort it,
 // write it out, repeat.
-func (s *Sorter) sortRunsSerial(input string, count int64) ([]runInfo, error) {
+func (s *Sorter) sortRunsSerial(input string, count int64) ([]Input, error) {
 	bufEntries := s.minEntries()
 	reader, err := storage.NewRecordReader(s.Disk, input, s.Codec.Size(), count)
 	if err != nil {
 		return nil, err
 	}
-	var runs []runInfo
+	var runs []Input
 	entries := make([]record.Entry, 0, bufEntries)
 	flush := func() error {
 		if len(entries) == 0 {
@@ -157,10 +150,10 @@ func (s *Sorter) sortRunsSerial(input string, count int64) ([]runInfo, error) {
 		}
 		sort.Slice(entries, func(i, j int) bool { return entries[i].Less(entries[j]) })
 		name := s.tmpName(0, len(runs))
-		if err := s.writeRun(name, entries); err != nil {
+		if err := s.WriteRun(name, entries, false); err != nil {
 			return err
 		}
-		runs = append(runs, runInfo{name: name, count: int64(len(entries))})
+		runs = append(runs, Input{Name: name, Count: int64(len(entries))})
 		entries = entries[:0]
 		return nil
 	}
@@ -197,7 +190,7 @@ func (s *Sorter) sortRunsSerial(input string, count int64) ([]runInfo, error) {
 // intermediate runs are smaller and more numerous than the serial pass's —
 // only the final merged output is byte-identical (entries are totally
 // ordered by (Key, ID)), not the intermediate run files.
-func (s *Sorter) sortRunsParallel(input string, count int64, workers int) ([]runInfo, error) {
+func (s *Sorter) sortRunsParallel(input string, count int64, workers int) ([]Input, error) {
 	type batch struct {
 		idx     int
 		entries []record.Entry
@@ -224,7 +217,7 @@ func (s *Sorter) sortRunsParallel(input string, count int64, workers int) ([]run
 		}()
 	}
 	var (
-		runs      []runInfo
+		runs      []Input
 		writerErr error
 		writerDn  = make(chan struct{})
 	)
@@ -238,10 +231,10 @@ func (s *Sorter) sortRunsParallel(input string, count int64, workers int) ([]run
 				delete(pending, next)
 				if writerErr == nil {
 					name := s.tmpName(0, next)
-					if err := s.writeRun(name, entries); err != nil {
+					if err := s.WriteRun(name, entries, false); err != nil {
 						writerErr = err
 					} else {
-						runs = append(runs, runInfo{name: name, count: int64(len(entries))})
+						runs = append(runs, Input{Name: name, Count: int64(len(entries))})
 					}
 				}
 				next++
@@ -287,74 +280,133 @@ func (s *Sorter) sortRunsParallel(input string, count int64, workers int) ([]run
 	return runs, nil
 }
 
-type runInfo struct {
-	name  string
-	count int64
+// Input names one sorted entry file: a phase-1 run of Sort, a CLSM run, a
+// BTP partition. Count is its entry count (files carry no header); Packed
+// says its pages use the packed encoding rather than fixed-size records.
+type Input struct {
+	Name   string
+	Count  int64
+	Packed bool
 }
 
-func (s *Sorter) writeRun(name string, entries []record.Entry) error {
-	w, err := storage.NewRecordWriter(s.Disk, name, s.Codec.Size())
+// entryWriter appends entries to a new file in either page encoding. A
+// failed append or close removes the partial file: nothing references it,
+// and it would otherwise sit on the disk, counted in TotalPages.
+type entryWriter struct {
+	s      *Sorter
+	name   string
+	fixed  *storage.RecordWriter // nil when packed
+	packed *record.PackedWriter
+	buf    []byte
+}
+
+// create makes the file (which must not exist) with a write-behind buffer
+// of bufPages pages for fixed-size output.
+func (s *Sorter) create(name string, packed bool, bufPages int) (*entryWriter, error) {
+	w := &entryWriter{s: s, name: name}
+	var err error
+	if packed {
+		w.packed, err = record.NewPackedWriter(s.Disk, name, s.Codec)
+	} else {
+		w.buf = make([]byte, 0, s.Codec.Size())
+		w.fixed, err = storage.NewRecordWriterBuffered(s.Disk, name, s.Codec.Size(), bufPages)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return w, nil
+}
+
+func (w *entryWriter) write(e record.Entry) error {
+	if w.packed != nil {
+		return w.packed.WriteEntry(e)
+	}
+	var err error
+	if w.buf, err = w.s.Codec.Append(w.buf[:0], e); err != nil {
+		return err
+	}
+	return w.fixed.Write(w.buf)
+}
+
+// finish closes the file when err is nil; on any failure — the caller's err
+// or the close's own — it removes the partial file and returns the error.
+func (w *entryWriter) finish(err error) error {
+	if err == nil {
+		if w.packed != nil {
+			err = w.packed.Close()
+		} else {
+			err = w.fixed.Close()
+		}
+	}
+	if err != nil {
+		_ = w.s.Disk.Remove(w.name) // best effort: err is what the caller must see
+	}
+	return err
+}
+
+// WriteRun writes entries, already in (Key, ID) order, to a new file in the
+// given encoding.
+func (s *Sorter) WriteRun(name string, entries []record.Entry, packed bool) error {
+	w, err := s.create(name, packed, storage.DefaultBufferPages)
 	if err != nil {
 		return err
 	}
-	buf := make([]byte, 0, s.Codec.Size())
 	for _, e := range entries {
-		buf = buf[:0]
-		buf, err = s.Codec.Append(buf, e)
-		if err != nil {
-			return err
-		}
-		if err := w.Write(buf); err != nil {
-			return err
+		if err = w.write(e); err != nil {
+			break
 		}
 	}
-	return w.Close()
+	return w.finish(err)
 }
 
-// merge performs a single k-way merge of the given runs into a new file
-// under the sorter's full memory budget.
-func (s *Sorter) merge(runs []runInfo, outName string) (runInfo, error) {
-	return s.mergeBudget(runs, outName, s.MemBudget)
+// Merge k-way merges already-sorted entry files, in any mix of encodings,
+// into one new sorted file in the given encoding, under the sorter's full
+// memory budget. Inputs are left intact. Returns the merged entry count.
+func (s *Sorter) Merge(inputs []Input, output string, packed bool) (int64, error) {
+	return s.merge(inputs, output, packed, s.MemBudget)
 }
 
-// mergeBudget performs a single k-way merge of the given runs into a new
-// file. The memory budget (a share of MemBudget when merges run
-// concurrently) is split into per-run read-ahead buffers plus a
-// write-behind buffer, so each stream moves the head once per chunk — the
-// I/O discipline that makes external merging sequential.
-func (s *Sorter) mergeBudget(runs []runInfo, outName string, budget int) (runInfo, error) {
-	bufPages := budget / s.Disk.PageSize() / (len(runs) + 1)
+// merge is the one k-way merge body. The memory budget (a share of
+// MemBudget when Sort's merge groups run concurrently) is split into
+// per-input read-ahead buffers plus a write-behind buffer, so each stream
+// moves the head once per chunk — the I/O discipline that makes external
+// merging sequential. Packed streams keep their own fixed chunk.
+func (s *Sorter) merge(inputs []Input, output string, packed bool, budget int) (int64, error) {
+	bufPages := budget / s.Disk.PageSize() / (len(inputs) + 1)
 	if bufPages < 1 {
 		bufPages = 1
 	}
-	w, err := storage.NewRecordWriterBuffered(s.Disk, outName, s.Codec.Size(), bufPages)
+	w, err := s.create(output, packed, bufPages)
 	if err != nil {
-		return runInfo{}, err
+		return 0, err
 	}
-	srcs := make([]*mergeSource, len(runs))
-	for i, r := range runs {
-		rd, err := storage.NewRecordReaderBuffered(s.Disk, r.name, s.Codec.Size(), r.count, bufPages)
+	srcs := make([]*mergeSource, len(inputs))
+	for i, in := range inputs {
+		src, err := s.open(in, bufPages)
 		if err != nil {
-			return runInfo{}, err
+			return 0, w.finish(err)
 		}
-		srcs[i] = &mergeSource{src: &recordEntryReader{reader: rd, codec: s.Codec}, idx: i}
+		srcs[i] = &mergeSource{src: src, idx: i}
 	}
-	buf := make([]byte, 0, s.Codec.Size())
-	total, err := mergeLoop(srcs, func(e record.Entry) error {
-		buf = buf[:0]
-		var aerr error
-		if buf, aerr = s.Codec.Append(buf, e); aerr != nil {
-			return aerr
+	total, err := mergeLoop(srcs, w.write)
+	return total, w.finish(err)
+}
+
+// open returns a sequential entry reader over one merge input.
+func (s *Sorter) open(in Input, bufPages int) (entrySource, error) {
+	if in.Packed {
+		npages, err := s.Disk.NumPages(in.Name)
+		if err != nil {
+			return nil, err
 		}
-		return w.Write(buf)
-	})
+		pages := storage.ScanChunks(s.Disk, in.Name, 0, npages, storage.DefaultBufferPages)
+		return record.NewPackedReader(pages, npages, in.Name, s.Codec, in.Count), nil
+	}
+	rd, err := storage.NewRecordReaderBuffered(s.Disk, in.Name, s.Codec.Size(), in.Count, bufPages)
 	if err != nil {
-		return runInfo{}, err
+		return nil, err
 	}
-	if err := w.Close(); err != nil {
-		return runInfo{}, err
-	}
-	return runInfo{name: outName, count: total}, nil
+	return &recordEntryReader{reader: rd, codec: s.Codec}, nil
 }
 
 // mergeLoop drains the sources through the tournament heap in (Key, ID)
@@ -453,84 +505,6 @@ func (h *mergeHeap) Pop() any {
 	x := old[n-1]
 	h.items = old[:n-1]
 	return x
-}
-
-// MergeSorted merges already-sorted entry files (for example CLSM runs or
-// BTP partitions) into a single sorted output file. Inputs are left intact.
-func (s *Sorter) MergeSorted(inputs []string, counts []int64, output string) (int64, error) {
-	if len(inputs) != len(counts) {
-		return 0, fmt.Errorf("extsort: %d inputs but %d counts", len(inputs), len(counts))
-	}
-	runs := make([]runInfo, len(inputs))
-	for i := range inputs {
-		runs[i] = runInfo{name: inputs[i], count: counts[i]}
-	}
-	merged, err := s.merge(runs, output)
-	if err != nil {
-		return 0, err
-	}
-	return merged.count, nil
-}
-
-// MergeSortedPacked is MergeSorted over any mix of fixed-size and packed
-// input encodings: packed[i] names input i's encoding, and packOutput
-// selects the output's. Inputs are left intact. A CLSM that toggles run
-// compression between sessions merges its legacy runs through this path.
-func (s *Sorter) MergeSortedPacked(inputs []string, counts []int64, packed []bool, output string, packOutput bool) (int64, error) {
-	if len(inputs) != len(counts) || len(inputs) != len(packed) {
-		return 0, fmt.Errorf("extsort: %d inputs but %d counts, %d packed flags", len(inputs), len(counts), len(packed))
-	}
-	bufPages := s.MemBudget / s.Disk.PageSize() / (len(inputs) + 1)
-	if bufPages < 1 {
-		bufPages = 1
-	}
-	srcs := make([]*mergeSource, len(inputs))
-	for i := range inputs {
-		var es entrySource
-		if packed[i] {
-			npages, err := s.Disk.NumPages(inputs[i])
-			if err != nil {
-				return 0, err
-			}
-			pages := storage.ScanChunks(s.Disk, inputs[i], 0, npages, storage.DefaultBufferPages)
-			es = record.NewPackedReader(pages, npages, inputs[i], s.Codec, counts[i])
-		} else {
-			rd, err := storage.NewRecordReaderBuffered(s.Disk, inputs[i], s.Codec.Size(), counts[i], bufPages)
-			if err != nil {
-				return 0, err
-			}
-			es = &recordEntryReader{reader: rd, codec: s.Codec}
-		}
-		srcs[i] = &mergeSource{src: es, idx: i}
-	}
-	if packOutput {
-		w, err := record.NewPackedWriter(s.Disk, output, s.Codec)
-		if err != nil {
-			return 0, err
-		}
-		total, err := mergeLoop(srcs, w.WriteEntry)
-		if err != nil {
-			return total, err
-		}
-		return total, w.Close()
-	}
-	w, err := storage.NewRecordWriterBuffered(s.Disk, output, s.Codec.Size(), bufPages)
-	if err != nil {
-		return 0, err
-	}
-	buf := make([]byte, 0, s.Codec.Size())
-	total, err := mergeLoop(srcs, func(e record.Entry) error {
-		buf = buf[:0]
-		var aerr error
-		if buf, aerr = s.Codec.Append(buf, e); aerr != nil {
-			return aerr
-		}
-		return w.Write(buf)
-	})
-	if err != nil {
-		return total, err
-	}
-	return total, w.Close()
 }
 
 func min(a, b int) int {

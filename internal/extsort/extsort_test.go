@@ -239,49 +239,6 @@ func TestSortSequentialIODominates(t *testing.T) {
 	}
 }
 
-func TestMergeSorted(t *testing.T) {
-	d := storage.NewDisk(512)
-	c := record.Codec{}
-	s := &Sorter{Disk: d, Codec: c, MemBudget: 1 << 16}
-	// Build three sorted inputs via Sort.
-	var names []string
-	var counts []int64
-	total := 0
-	for i := 0; i < 3; i++ {
-		in := "u" + string(rune('0'+i))
-		out := "s" + string(rune('0'+i))
-		n := 100 * (i + 1)
-		writeUnsorted(t, d, in, c, n, int64(10+i))
-		if _, err := s.Sort(in, int64(n), out); err != nil {
-			t.Fatal(err)
-		}
-		names = append(names, out)
-		counts = append(counts, int64(n))
-		total += n
-	}
-	got, err := s.MergeSorted(names, counts, "merged")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != int64(total) {
-		t.Fatalf("merged %d entries, want %d", got, total)
-	}
-	checkSorted(t, readAll(t, d, "merged", c, int64(total)))
-	// Inputs intact.
-	for i, name := range names {
-		if got := readAll(t, d, name, c, counts[i]); len(got) != int(counts[i]) {
-			t.Fatalf("input %s damaged", name)
-		}
-	}
-}
-
-func TestMergeSortedArgMismatch(t *testing.T) {
-	s := &Sorter{Disk: storage.NewDisk(0), Codec: record.Codec{}}
-	if _, err := s.MergeSorted([]string{"a"}, nil, "out"); err == nil {
-		t.Fatal("expected mismatch error")
-	}
-}
-
 func TestPropertySortAnyBudget(t *testing.T) {
 	// External sort must produce identical output for any memory budget.
 	f := func(seed int64, budgetRaw uint16, nRaw uint16) bool {
@@ -352,23 +309,6 @@ func readAllQuick(d *storage.Disk, c record.Codec, n int64) []record.Entry {
 	}
 }
 
-// writePacked writes entries (already sorted) as a packed run file.
-func writePacked(t *testing.T, d *storage.Disk, name string, c record.Codec, entries []record.Entry) {
-	t.Helper()
-	w, err := record.NewPackedWriter(d, name, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if err := w.WriteEntry(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // readAllPacked decodes a packed run file back into entries.
 func readAllPacked(t *testing.T, d *storage.Disk, name string, c record.Codec, n int64) []record.Entry {
 	t.Helper()
@@ -391,57 +331,75 @@ func readAllPacked(t *testing.T, d *storage.Disk, name string, c record.Codec, n
 	return out
 }
 
-// TestMergeSortedPackedMixed merges a mix of packed and fixed-size inputs
-// into both output encodings and checks the merged sequence is identical to
-// MergeSorted over all-fixed inputs — encoding must never change answers.
-func TestMergeSortedPackedMixed(t *testing.T) {
-	d := storage.NewDisk(512)
-	c := record.Codec{}
-	s := &Sorter{Disk: d, Codec: c, MemBudget: 1 << 16}
-	var names []string
-	var counts []int64
-	packed := []bool{false, true, true, false}
-	var all []record.Entry
-	for i := 0; i < 4; i++ {
-		in := "u" + string(rune('0'+i))
-		n := 60 * (i + 1)
-		entries := writeUnsorted(t, d, in, c, n, int64(40+i))
-		sortEntries(entries)
-		out := "s" + string(rune('0'+i))
-		if packed[i] {
-			writePacked(t, d, out, c, entries)
-		} else {
-			if _, err := s.Sort(in, int64(n), out); err != nil {
+// TestMergeSorted is the one table over Sorter.Merge: inputs in any mix of
+// encodings, both output encodings. The merged sequence must be the sorted
+// union whatever the encodings — encoding never changes answers — and the
+// inputs stay intact.
+func TestMergeSorted(t *testing.T) {
+	cases := []struct {
+		name       string
+		packed     []bool // one input per element
+		packOutput bool
+	}{
+		{"fixed", []bool{false, false, false}, false},
+		{"mixed-encodings", []bool{false, true, true, false}, false},
+		{"mixed-encodings-packed-output", []bool{false, true, true, false}, true},
+		{"packed", []bool{true, true}, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			d := storage.NewDisk(512)
+			c := record.Codec{}
+			s := &Sorter{Disk: d, Codec: c, MemBudget: 1 << 16}
+			var inputs []Input
+			var parts [][]record.Entry
+			var all []record.Entry
+			for i, packed := range tc.packed {
+				n := 60 * (i + 1)
+				entries := writeUnsorted(t, d, "u"+string(rune('0'+i)), c, n, int64(40+i))
+				sortEntries(entries)
+				in := Input{Name: "s" + string(rune('0'+i)), Count: int64(n), Packed: packed}
+				if err := s.WriteRun(in.Name, entries, packed); err != nil {
+					t.Fatal(err)
+				}
+				inputs = append(inputs, in)
+				parts = append(parts, entries)
+				all = append(all, entries...)
+			}
+			sortEntries(all)
+
+			got, err := s.Merge(inputs, "merged", tc.packOutput)
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		names = append(names, out)
-		counts = append(counts, int64(n))
-		all = append(all, entries...)
-	}
-	sortEntries(all)
-
-	for _, packOutput := range []bool{false, true} {
-		got, err := s.MergeSortedPacked(names, counts, packed, "merged", packOutput)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != int64(len(all)) {
-			t.Fatalf("merged %d entries, want %d", got, len(all))
-		}
-		var merged []record.Entry
-		if packOutput {
-			merged = readAllPacked(t, d, "merged", c, got)
-		} else {
-			merged = readAll(t, d, "merged", c, got)
-		}
-		for i := range all {
-			if merged[i].Key != all[i].Key || merged[i].ID != all[i].ID || merged[i].TS != all[i].TS {
-				t.Fatalf("packOutput=%v: entry %d = %+v, want %+v", packOutput, i, merged[i], all[i])
+			if got != int64(len(all)) {
+				t.Fatalf("merged %d entries, want %d", got, len(all))
 			}
-		}
-		if err := d.Remove("merged"); err != nil {
-			t.Fatal(err)
+			assertEntries(t, "merged", readRun(t, d, Input{Name: "merged", Count: got, Packed: tc.packOutput}, c), all)
+			for i, in := range inputs {
+				assertEntries(t, in.Name, readRun(t, d, in, c), parts[i])
+			}
+		})
+	}
+}
+
+// readRun decodes a sorted file in either encoding.
+func readRun(t *testing.T, d *storage.Disk, in Input, c record.Codec) []record.Entry {
+	t.Helper()
+	if in.Packed {
+		return readAllPacked(t, d, in.Name, c, in.Count)
+	}
+	return readAll(t, d, in.Name, c, in.Count)
+}
+
+func assertEntries(t *testing.T, what string, got, want []record.Entry) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d entries, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if got[i].Key != want[i].Key || got[i].ID != want[i].ID || got[i].TS != want[i].TS {
+			t.Fatalf("%s: entry %d = %+v, want %+v", what, i, got[i], want[i])
 		}
 	}
 }

@@ -1,0 +1,428 @@
+package run
+
+import (
+	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"sort"
+	"strings"
+	"testing"
+
+	"repro/internal/bufpool"
+	"repro/internal/fsx"
+	"repro/internal/gen"
+	"repro/internal/index"
+	"repro/internal/record"
+	"repro/internal/series"
+	"repro/internal/storage"
+	"repro/internal/zonestat"
+)
+
+const testPageSize = 512 // 16 fixed-size entries to a page
+
+var testCfg = index.Config{SeriesLen: 64, Segments: 8, Bits: 8}
+
+// normStore serves the z-normalized series the entries summarize.
+type normStore []series.Series
+
+func (n normStore) Get(id int) (series.Series, error) { return n[id], nil }
+func (n normStore) Count() int                        { return len(n) }
+
+// testEntries summarizes n random walks (ID = TS = position) and returns
+// them in (Key, ID) order with the raw store that resolves them.
+func testEntries(n int, seed int64) ([]record.Entry, normStore) {
+	rng := rand.New(rand.NewSource(seed))
+	raw := make(normStore, n)
+	entries := make([]record.Entry, n)
+	for i := range entries {
+		key, z := testCfg.Summarize(gen.RandomWalk(rng, testCfg.SeriesLen))
+		raw[i] = z
+		entries[i] = record.Entry{Key: key, ID: int64(i), TS: int64(i)}
+	}
+	sort.Slice(entries, func(i, j int) bool { return entries[i].Less(entries[j]) })
+	return entries, raw
+}
+
+func testQueries(n int, seed int64) []index.Query {
+	rng := rand.New(rand.NewSource(seed))
+	qs := make([]index.Query, n)
+	for i := range qs {
+		qs[i] = index.NewQuery(gen.RandomWalk(rng, testCfg.SeriesLen), testCfg)
+	}
+	return qs
+}
+
+// The three page sources a run is read through.
+var readerKinds = []string{"heap", "memfs", "pool"}
+
+// meter is the accounting of a page source: the disk's, or a pool's (the
+// disk's plus the cache counters).
+type meter interface {
+	Stats() storage.Stats
+	ResetStats()
+}
+
+// newStore builds a store of the given kind: the heap disk, host files on
+// MemFS, or a buffer pool (large enough to hold a test run) over the heap
+// disk.
+func newStore(t *testing.T, kind string, raw series.RawStore) (s Store, disk *storage.Disk, stats meter) {
+	t.Helper()
+	disk = storage.NewDisk(testPageSize)
+	if kind == "memfs" {
+		var err error
+		disk, err = storage.NewFileDisk(storage.FileDiskOptions{Dir: "d", FS: fsx.NewMemFS(), PageSize: testPageSize})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, stats = NewStore(disk, nil, testCfg, raw), disk
+	if kind == "pool" {
+		pool := bufpool.New(disk, 64*testPageSize)
+		s.UseReader(pool)
+		stats = pool
+	}
+	return s, disk, stats
+}
+
+// readPages decodes a run file page by page with the record package's own
+// decoders — independent of the run package's page arithmetic.
+func readPages(t *testing.T, disk *storage.Disk, r Run) [][]record.Entry {
+	t.Helper()
+	codec := testCfg.Codec()
+	npages, err := disk.NumPages(r.File)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pages [][]record.Entry
+	left := r.Count
+	buf := make([]byte, disk.PageSize())
+	for p := int64(0); p < npages; p++ {
+		if _, err := disk.ReadPage(r.File, p, buf); err != nil {
+			t.Fatal(err)
+		}
+		var page []record.Entry
+		if r.Packed {
+			v, err := codec.ViewPacked(buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < v.Count(); i++ {
+				e, err := v.Entry(i, codec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				page = append(page, e)
+			}
+		} else {
+			for off := 0; off+codec.Size() <= len(buf) && int64(len(page)) < left; off += codec.Size() {
+				e, err := codec.Decode(buf[off : off+codec.Size()])
+				if err != nil {
+					t.Fatal(err)
+				}
+				page = append(page, e)
+			}
+		}
+		left -= int64(len(page))
+		pages = append(pages, page)
+	}
+	return pages
+}
+
+func flatten(pages [][]record.Entry) []record.Entry {
+	var out []record.Entry
+	for _, p := range pages {
+		out = append(out, p...)
+	}
+	return out
+}
+
+func sameEntries(t *testing.T, what string, got, want []record.Entry) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d entries, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if got[i].Key != want[i].Key || got[i].ID != want[i].ID || got[i].TS != want[i].TS {
+			t.Fatalf("%s: entry %d = %+v, want %+v", what, i, got[i], want[i])
+		}
+	}
+}
+
+// bruteKNN is the reference answer over a set of entries: true distance to
+// every in-window entry.
+func bruteKNN(q index.Query, entries []record.Entry, raw normStore, k int) []index.Result {
+	col := index.NewCollector(k)
+	for _, e := range entries {
+		if q.InWindow(e.TS) {
+			col.Add(index.Result{ID: e.ID, TS: e.TS, Dist: math.Sqrt(q.Norm.SqDist(raw[e.ID]))})
+		}
+	}
+	return col.Results()
+}
+
+func sameResults(t *testing.T, what string, got, want []index.Result) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d results, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if got[i].ID != want[i].ID || math.Abs(got[i].Dist-want[i].Dist) > 1e-9 {
+			t.Fatalf("%s: result %d = %+v, want %+v", what, i, got[i], want[i])
+		}
+	}
+}
+
+// search runs one store operation (Probe or ScanKNN) into a fresh collector.
+func search(t *testing.T, s *Store, r Run, q index.Query, k int, op func(*Store, Run, index.Query, *index.Collector, *index.Scratch) error) []index.Result {
+	t.Helper()
+	ctx := index.AcquireCtx(q, testCfg)
+	defer ctx.Release()
+	col := index.NewCollector(k)
+	if err := op(s, r, q, col, ctx.Scratch0()); err != nil {
+		t.Fatal(err)
+	}
+	return col.Results()
+}
+
+// parentStats are the Stats the parent commit's clsm.LSM (and, for the
+// fixed encoding, stream.BTP — the same numbers) produced on the script
+// TestRunTable replays: 300 entries of testEntries(300, 7) in one run,
+// planner off, one worker; write = the flush; approx = three ApproxSearch
+// (a probe each: ⌈log₂P⌉ or one fewer first-key pins, then the covering
+// pin); exact = the running total after three more ExactSearch (a probe and
+// a P-page scan each). Measured on the parent, not derived from this package.
+var parentStats = map[string]struct {
+	pages                int64
+	write, approx, exact storage.Stats
+}{
+	"fixed/disk": {19, storage.Stats{SeqWrites: 18, RandWrites: 1},
+		storage.Stats{SeqReads: 5, RandReads: 11}, storage.Stats{SeqReads: 64, RandReads: 25}},
+	"fixed/pool": {19, storage.Stats{SeqWrites: 18, RandWrites: 1},
+		storage.Stats{SeqReads: 3, RandReads: 7, CacheHits: 6, CacheMisses: 10},
+		storage.Stats{SeqReads: 8, RandReads: 11, CacheHits: 70, CacheMisses: 19}},
+	"packed/disk": {7, storage.Stats{SeqWrites: 6, RandWrites: 1},
+		storage.Stats{SeqReads: 5, RandReads: 7}, storage.Stats{SeqReads: 26, RandReads: 19}},
+	"packed/pool": {7, storage.Stats{SeqWrites: 6, RandWrites: 1},
+		storage.Stats{SeqReads: 1, RandReads: 4, CacheHits: 7, CacheMisses: 5},
+		storage.Stats{SeqReads: 1, RandReads: 6, CacheHits: 38, CacheMisses: 7}},
+}
+
+// TestRunTable checks one written run on every encoding and page source:
+// the file holds exactly its entries, the synopsis is the one a rescan
+// builds, Probe and ScanKNN answer as brute force does, and the access
+// script costs exactly what it cost at the parent commit.
+func TestRunTable(t *testing.T) {
+	entries, raw := testEntries(300, 7)
+	queries := testQueries(3, 99)
+	for _, packed := range []bool{false, true} {
+		for _, kind := range readerKinds {
+			enc, src := "fixed", "disk"
+			if packed {
+				enc = "packed"
+			}
+			if kind == "pool" {
+				src = "pool"
+			}
+			t.Run(enc+"/"+kind, func(t *testing.T) {
+				want := parentStats[enc+"/"+src]
+				s, disk, stats := newStore(t, kind, raw)
+				r, err := s.Write("r", entries, packed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if r.File != "r" || r.Count != 300 || r.Packed != packed {
+					t.Fatalf("descriptor %+v", r)
+				}
+				if got := disk.Stats(); got != want.write {
+					t.Errorf("write stats %+v, parent %+v", got, want.write)
+				}
+				if n, err := s.Pages(r); err != nil || int64(n) != want.pages {
+					t.Fatalf("Pages = %d, %v; parent wrote %d", n, err, want.pages)
+				}
+				pages := readPages(t, disk, r)
+				sameEntries(t, "written run", flatten(pages), entries)
+				if rebuilt := rescan(entries); !reflect.DeepEqual(r.Syn, rebuilt) {
+					t.Errorf("synopsis %+v, rescan gives %+v", r.Syn, rebuilt)
+				}
+
+				for i, q := range append(queries, queries[0].WithWindow(50, 220)) {
+					// The probe settles on the last page whose first key
+					// is not above the query key (page 0 when none is).
+					cover := 0
+					for p := range pages {
+						if !q.Key.Less(pages[p][0].Key) {
+							cover = p
+						}
+					}
+					sameResults(t, fmt.Sprintf("probe %d", i), search(t, &s, r, q, 5, (*Store).Probe), bruteKNN(q, pages[cover], raw, 5))
+					sameResults(t, fmt.Sprintf("scan %d", i), search(t, &s, r, q, 5, (*Store).ScanKNN), bruteKNN(q, entries, raw, 5))
+				}
+
+				if p, ok := s.Reader.(*bufpool.Pool); ok {
+					p.Purge() // the parent's script started cold
+				}
+				stats.ResetStats()
+				for _, q := range queries {
+					search(t, &s, r, q, 5, (*Store).Probe)
+				}
+				if got := stats.Stats(); got != want.approx {
+					t.Errorf("3 probes: stats %+v, parent %+v", got, want.approx)
+				}
+				for _, q := range queries {
+					search(t, &s, r, q, 5, (*Store).Probe)
+					search(t, &s, r, q, 5, (*Store).ScanKNN)
+				}
+				if got := stats.Stats(); got != want.exact {
+					t.Errorf("+3 probe+scan: stats %+v, parent %+v", got, want.exact)
+				}
+			})
+		}
+	}
+}
+
+func rescan(entries []record.Entry) *zonestat.Synopsis {
+	syn := zonestat.New(testCfg.Segments, testCfg.Bits)
+	for _, e := range entries {
+		syn.Add(e.Key, e.TS)
+	}
+	return syn
+}
+
+// TestRunMerge merges runs of mixed encodings into both output encodings: the
+// merged run holds the sorted union, its synopsis is the one a rescan of
+// the merged file builds, one unknown input makes it unknown, and the
+// inputs stay intact.
+func TestRunMerge(t *testing.T) {
+	a, _ := testEntries(130, 1)
+	b, _ := testEntries(70, 2)
+	c, _ := testEntries(45, 3)
+	for i := range b { // IDs and timestamps disjoint across inputs
+		b[i].ID, b[i].TS = b[i].ID+1000, b[i].TS+1000
+	}
+	for i := range c {
+		c[i].ID, c[i].TS = c[i].ID+2000, c[i].TS-500
+	}
+	all := append(append(append([]record.Entry{}, a...), b...), c...)
+	sort.Slice(all, func(i, j int) bool { return all[i].Less(all[j]) })
+
+	for _, kind := range []string{"heap", "memfs"} {
+		for _, packOutput := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/packed-output=%v", kind, packOutput), func(t *testing.T) {
+				s, disk, _ := newStore(t, kind, nil)
+				var inputs []Run
+				for i, in := range []struct {
+					entries []record.Entry
+					packed  bool
+				}{{a, false}, {b, true}, {c, false}} {
+					r, err := s.Write(fmt.Sprintf("in%d", i), in.entries, in.packed)
+					if err != nil {
+						t.Fatal(err)
+					}
+					inputs = append(inputs, r)
+				}
+				m, err := s.Merge(inputs, "merged", packOutput)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if m.File != "merged" || m.Count != int64(len(all)) || m.Packed != packOutput {
+					t.Fatalf("descriptor %+v", m)
+				}
+				merged := flatten(readPages(t, disk, m))
+				sameEntries(t, "merged run", merged, all)
+				if rebuilt := rescan(merged); !reflect.DeepEqual(m.Syn, rebuilt) {
+					t.Errorf("merged synopsis %+v, rescan gives %+v", m.Syn, rebuilt)
+				}
+				for i, in := range inputs {
+					sameEntries(t, in.File, flatten(readPages(t, disk, in)), [][]record.Entry{a, b, c}[i])
+				}
+
+				inputs[1].Syn = nil
+				u, err := s.Merge(inputs, "unknown", packOutput)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if u.Syn != nil {
+					t.Errorf("an unknown input gave synopsis %+v, want unknown", u.Syn)
+				}
+			})
+		}
+	}
+}
+
+// TestFaultInjectionLeavesNoFile injects a write fault into Write and into
+// Merge, in both encodings: the error surfaces, and the partial output is
+// gone from the disk and from the filesystem beneath it.
+func TestFaultInjectionLeavesNoFile(t *testing.T) {
+	entries, _ := testEntries(300, 7)
+	for _, packed := range []bool{false, true} {
+		t.Run(fmt.Sprintf("packed=%v", packed), func(t *testing.T) {
+			fsys := fsx.NewMemFS()
+			disk, err := storage.NewFileDisk(storage.FileDiskOptions{Dir: "d", FS: fsys, PageSize: testPageSize})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := NewStore(disk, nil, testCfg, nil)
+			in, err := s.Write("in", entries, packed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := disk.TotalPages()
+			fsys.SetFaultHook(func(op, path string) error {
+				if op == "write" && strings.Contains(path, "out") {
+					return fsx.ErrInjected
+				}
+				return nil
+			})
+			if _, err := s.Write("out", entries, packed); !errors.Is(err, fsx.ErrInjected) {
+				t.Fatalf("Write: %v, want the injected fault", err)
+			}
+			if _, err := s.Merge([]Run{in, in}, "out", packed); !errors.Is(err, fsx.ErrInjected) {
+				t.Fatalf("Merge: %v, want the injected fault", err)
+			}
+			fsys.SetFaultHook(nil)
+			if disk.Exists("out") || disk.TotalPages() != before {
+				t.Errorf("partial output left behind: exists=%v, pages %d -> %d", disk.Exists("out"), before, disk.TotalPages())
+			}
+			if _, err := fsys.Stat("d/out.cpg"); err == nil {
+				t.Error("partial output file still on the filesystem")
+			}
+			// The name is free again.
+			if _, err := s.Write("out", entries, packed); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestWarmScanDoesNotAllocate pins the scan loop's cost: one cursor, pages
+// handed to the evaluator by value, no per-page or per-run garbage.
+func TestWarmScanDoesNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	entries, raw := testEntries(300, 7)
+	q := testQueries(1, 99)[0]
+	for _, packed := range []bool{false, true} {
+		for _, kind := range readerKinds {
+			s, _, _ := newStore(t, kind, raw)
+			r, err := s.Write("r", entries, packed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := index.AcquireCtx(q, testCfg)
+			col := index.NewCollector(5)
+			scan := func() {
+				if err := s.ScanKNN(r, q, col, ctx.Scratch0()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			scan()
+			if n := testing.AllocsPerRun(50, scan); n >= 1 {
+				t.Errorf("packed=%v %s: %.1f allocs per warm scan, want 0", packed, kind, n)
+			}
+			ctx.Release()
+		}
+	}
+}

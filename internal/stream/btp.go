@@ -4,23 +4,21 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/extsort"
 	"repro/internal/index"
 	"repro/internal/parallel"
 	"repro/internal/record"
+	"repro/internal/run"
 	"repro/internal/series"
 	"repro/internal/storage"
-	"repro/internal/zonestat"
 )
 
-// btpPart is one temporal partition: a key-sorted run on disk covering a
-// contiguous time range. Parts are kept in time order (oldest first).
+// btpPart is one temporal partition: a key-sorted run on disk covering the
+// contiguous time range its synopsis records (every partition is written
+// here, so the synopsis is never unknown). Parts are kept in time order
+// (oldest first).
 type btpPart struct {
-	file         string
-	count        int64
-	minTS, maxTS int64
-	class        int // size class; merging K class-c parts yields class c+1
-	syn          *zonestat.Synopsis
+	run.Run
+	class int // size class; merging K class-c parts yields class c+1
 }
 
 // BTP implements Bounded Temporal Partitioning — the scheme the sortable
@@ -31,12 +29,8 @@ type btpPart struct {
 // queries, as TP) while older data consolidates into large contiguous runs
 // (effective pruning and bounded partition counts for large windows, as PP).
 type BTP struct {
-	disk        storage.Backend
-	reader      storage.PageReader
+	store       run.Store // writes, merges, probes and scans the partition files
 	name        string
-	cfg         index.Config
-	codec       record.Codec
-	raw         series.RawStore
 	sum         summarizer
 	bufferCap   int
 	mergeFactor int
@@ -68,17 +62,12 @@ func NewBTP(disk storage.Backend, name string, cfg index.Config, bufferCap, merg
 	if mergeFactor < 2 {
 		return nil, fmt.Errorf("stream: mergeFactor must be >= 2, got %d", mergeFactor)
 	}
-	codec := cfg.Codec()
-	if codec.Size() > disk.PageSize() {
-		return nil, fmt.Errorf("stream: entry size %d exceeds page size %d", codec.Size(), disk.PageSize())
+	if size := cfg.Codec().Size(); size > disk.PageSize() {
+		return nil, fmt.Errorf("stream: entry size %d exceeds page size %d", size, disk.PageSize())
 	}
 	return &BTP{
-		disk:        disk,
-		reader:      disk,
+		store:       run.NewStore(disk, nil, cfg, raw),
 		name:        name,
-		cfg:         cfg,
-		codec:       codec,
-		raw:         raw,
 		sum:         summarizer{cfg: cfg},
 		bufferCap:   bufferCap,
 		mergeFactor: mergeFactor,
@@ -103,16 +92,11 @@ func (b *BTP) SetPlanner(pl *index.Planner) { b.planner = pl }
 // UseReader routes partition page reads through r (typically a buffer pool
 // over the scheme's disk); nil restores the uncached disk. Call before
 // querying; the setting is not synchronized with in-flight searches.
-func (b *BTP) UseReader(r storage.PageReader) {
-	if r == nil {
-		r = b.disk
-	}
-	b.reader = r
-}
+func (b *BTP) UseReader(r storage.PageReader) { b.store.UseReader(r) }
 
 // Name implements Scheme.
 func (b *BTP) Name() string {
-	if b.cfg.Materialized {
+	if b.store.Config.Materialized {
 		return "CLSMFull+BTP"
 	}
 	return "CLSM+BTP"
@@ -138,33 +122,19 @@ func (b *BTP) Seal() error {
 	if len(b.buffer) == 0 {
 		return nil
 	}
-	syn := zonestat.New(b.cfg.Segments, b.cfg.Bits)
-	for _, e := range b.buffer {
-		syn.Add(e.Key, e.TS)
-	}
 	sort.Slice(b.buffer, func(i, j int) bool { return b.buffer[i].Less(b.buffer[j]) })
-	b.seq++
-	file := fmt.Sprintf("%s.btp.%06d", b.name, b.seq)
-	w, err := storage.NewRecordWriter(b.disk, file, b.codec.Size())
+	sealed, err := b.store.Write(b.nextFile(), b.buffer, false)
 	if err != nil {
 		return err
 	}
-	buf := make([]byte, 0, b.codec.Size())
-	for _, e := range b.buffer {
-		buf = buf[:0]
-		if buf, err = b.codec.Append(buf, e); err != nil {
-			return err
-		}
-		if err := w.Write(buf); err != nil {
-			return err
-		}
-	}
-	if err := w.Close(); err != nil {
-		return err
-	}
-	b.parts = append(b.parts, btpPart{file: file, count: int64(len(b.buffer)), minTS: syn.MinTS, maxTS: syn.MaxTS, class: 0, syn: syn})
+	b.parts = append(b.parts, btpPart{Run: sealed, class: 0})
 	b.buffer = nil
 	return b.bound()
+}
+
+func (b *BTP) nextFile() string {
+	b.seq++
+	return fmt.Sprintf("%s.btp.%06d", b.name, b.seq)
 }
 
 // bound sort-merges any run of mergeFactor time-adjacent same-class
@@ -172,55 +142,32 @@ func (b *BTP) Seal() error {
 // Because partitions are created in time order and merges preserve
 // adjacency, time ranges across partitions stay disjoint and ordered.
 func (b *BTP) bound() error {
-	sorter := &extsort.Sorter{Disk: b.disk, Codec: b.codec, MemBudget: 1 << 20, TmpPrefix: b.name + ".btpmerge"}
 	for {
 		i := b.findMergeRun()
 		if i < 0 {
 			return nil
 		}
 		group := b.parts[i : i+b.mergeFactor]
-		names := make([]string, len(group))
-		counts := make([]int64, len(group))
-		minTS, maxTS := group[0].minTS, group[0].maxTS
-		// The merged partition's synopsis is the exact union of its inputs'
-		// — every recorded statistic is a monotone envelope, so no re-scan
-		// of the merged run is needed. An unknown input poisons the union:
-		// treating it as empty would produce a too-tight (wrong) bound.
-		msyn := zonestat.New(b.cfg.Segments, b.cfg.Bits)
+		inputs := make([]run.Run, len(group))
 		for j, p := range group {
-			names[j] = p.file
-			counts[j] = p.count
-			if p.minTS < minTS {
-				minTS = p.minTS
-			}
-			if p.maxTS > maxTS {
-				maxTS = p.maxTS
-			}
-			if msyn != nil {
-				if p.syn == nil {
-					msyn = nil
-				} else {
-					msyn.Union(p.syn)
-				}
-			}
+			inputs[j] = p.Run
 		}
-		b.seq++
-		merged := fmt.Sprintf("%s.btp.%06d", b.name, b.seq)
-		total, err := sorter.MergeSorted(names, counts, merged)
+		merged, err := b.store.Merge(inputs, b.nextFile(), false)
 		if err != nil {
 			return err
 		}
-		for _, p := range group {
-			if err := b.disk.Remove(p.file); err != nil {
+		// Publish the new list before removing the inputs: a failed Remove
+		// then leaks a file, where the other order would leave b.parts
+		// naming a deleted one.
+		rest := append([]btpPart{}, b.parts[:i]...)
+		rest = append(rest, btpPart{Run: merged, class: group[0].class + 1})
+		b.parts = append(rest, b.parts[i+b.mergeFactor:]...)
+		b.merges++
+		for _, in := range inputs {
+			if err := b.store.Disk.Remove(in.File); err != nil {
 				return err
 			}
 		}
-		newPart := btpPart{file: merged, count: total, minTS: minTS, maxTS: maxTS, class: group[0].class + 1, syn: msyn}
-		rest := append([]btpPart{}, b.parts[:i]...)
-		rest = append(rest, newPart)
-		rest = append(rest, b.parts[i+b.mergeFactor:]...)
-		b.parts = rest
-		b.merges++
 	}
 }
 
@@ -257,7 +204,7 @@ func (b *BTP) Merges() int64 { return b.merges }
 // independent sorted runs, so probes execute concurrently on the worker
 // pool.
 func (b *BTP) ApproxSearch(q index.Query, k int) ([]index.Result, error) {
-	ctx := index.AcquireCtx(q, b.cfg)
+	ctx := index.AcquireCtx(q, b.store.Config)
 	defer ctx.Release()
 	col := index.NewCollector(k)
 	if err := b.approxInto(q, col, ctx); err != nil {
@@ -273,7 +220,7 @@ func (b *BTP) approxInto(q index.Query, col *index.Collector, ctx *index.SearchC
 	if err := b.scanBuffer(q, col, ctx.Scratch0()); err != nil {
 		return err
 	}
-	return b.forEachPart(q, ctx, col, (*BTP).probePart)
+	return b.forEachPart(q, ctx, col, (*run.Store).Probe)
 }
 
 // ExactSearch implements Scheme: the approximate phase seeds the bound,
@@ -284,37 +231,38 @@ func (b *BTP) approxInto(q index.Query, col *index.Collector, ctx *index.SearchC
 // window are skipped wholesale — the bandwidth saving TP pioneered, here
 // with a bounded partition count.
 func (b *BTP) ExactSearch(q index.Query, k int) ([]index.Result, error) {
-	ctx := index.AcquireCtx(q, b.cfg)
+	ctx := index.AcquireCtx(q, b.store.Config)
 	defer ctx.Release()
 	col := index.NewCollector(k)
 	if err := b.approxInto(q, col, ctx); err != nil {
 		return nil, err
 	}
-	if err := b.forEachPart(q, ctx, col, (*BTP).scanPart); err != nil {
+	if err := b.forEachPart(q, ctx, col, (*run.Store).ScanKNN); err != nil {
 		return nil, err
 	}
 	return col.Results(), nil
 }
 
-// forEachPart applies scan (probePart or scanPart, as a method expression)
-// to every partition intersecting the query window through the planned-probe executor (index.ProbeUnits) — the same
+// forEachPart applies scan (the run store's Probe or ScanKNN, as a method
+// expression) to every partition intersecting the query window through the
+// planned-probe executor (index.ProbeUnits) — the same
 // discipline as CLSM runs, with the same determinism guarantee. A partition
 // is bounded by its synopsis's envelope MINDIST; window filtering happens
 // here, outside the planner's skip count.
-func (b *BTP) forEachPart(q index.Query, ctx *index.SearchCtx, col *index.Collector, scan func(*BTP, btpPart, index.Query, *index.Collector, *index.Scratch) error) error {
-	var active []btpPart
+func (b *BTP) forEachPart(q index.Query, ctx *index.SearchCtx, col *index.Collector, scan func(*run.Store, run.Run, index.Query, *index.Collector, *index.Scratch) error) error {
+	var active []run.Run
 	for _, p := range b.parts {
-		if intersects(q, p.minTS, p.maxTS) {
-			active = append(active, p)
+		if intersects(q, p.Syn) {
+			active = append(active, p.Run)
 		}
 	}
 	scs := ctx.Scratches(b.pool.WorkersFor(len(active)))
 	return index.ProbeUnits(index.ProbePlan{
 		Planner: b.planner, Pool: b.pool, Trace: ctx.Trace, Kind: "partition", Units: ctx.PlanUnits(len(active)),
 	}, col, func(i int) float64 {
-		return ctx.P.SynopsisBoundSq(active[i].syn)
+		return ctx.P.SynopsisBoundSq(active[i].Syn)
 	}, func(i, w int, col *index.Collector) error {
-		return scan(b, active[i], q, col, scs[w])
+		return scan(&b.store, active[i], q, col, scs[w])
 	})
 }
 
@@ -326,84 +274,13 @@ func (b *BTP) scanBuffer(q index.Query, col *index.Collector, sc *index.Scratch)
 		if col.SkipSq(sc.P.MinDistSqKey(e.Key)) {
 			continue
 		}
-		dSq, err := index.TrueDistSq(q, e, b.raw, col.WorstSq(), sc)
+		dSq, err := index.TrueDistSq(q, e, b.store.Raw, col.WorstSq(), sc)
 		if err != nil {
 			return err
 		}
 		col.AddSq(e.ID, e.TS, dSq)
 	}
 	return nil
-}
-
-func (b *BTP) perPage() int { return b.disk.PageSize() / b.codec.Size() }
-
-// probePart binary-searches a partition's pages for the query key and
-// evaluates the covering page.
-func (b *BTP) probePart(p btpPart, q index.Query, col *index.Collector, sc *index.Scratch) error {
-	perPage := b.perPage()
-	pages := int((p.count + int64(perPage) - 1) / int64(perPage))
-	if pages == 0 {
-		return nil
-	}
-	lo, hi := 0, pages-1
-	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		h, err := b.reader.PinPage(p.file, int64(mid))
-		if err != nil {
-			return err
-		}
-		less := q.Key.Less(record.DecodeKeyOnly(h.Data()))
-		h.Release()
-		if less {
-			hi = mid - 1
-		} else {
-			lo = mid
-		}
-	}
-	return b.evalPage(p, lo, q, col, sc)
-}
-
-// scanPart scans a partition sequentially with squared lower-bound pruning:
-// every page, in order, through one storage cursor.
-func (b *BTP) scanPart(p btpPart, q index.Query, col *index.Collector, sc *index.Scratch) error {
-	perPage := b.perPage()
-	pages := int((p.count + int64(perPage) - 1) / int64(perPage))
-	cur := b.reader.Scan(p.file, 0, int64(pages))
-	defer cur.Close()
-	for pg := 0; pg < pages; pg++ {
-		data, err := cur.Pin(int64(pg))
-		if err != nil {
-			return err
-		}
-		if _, err := index.EvalPage(q, b.pageOf(p, pg, data), b.raw, col, sc); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// pageOf describes page pg of partition p, pinned as data, to the page
-// evaluator.
-func (b *BTP) pageOf(p btpPart, pg int, data []byte) index.Page {
-	perPage := b.perPage()
-	n := perPage
-	if rem := p.count - int64(pg)*int64(perPage); rem < int64(n) {
-		n = int(rem)
-	}
-	return index.FixedPage(data, n, b.codec)
-}
-
-// evalPage evaluates the page probePart settled on straight from the page
-// bytes through the squared-space pipeline: window filter and lower bound on
-// the encoded header, early-abandoning squared verification on survivors.
-func (b *BTP) evalPage(p btpPart, page int, q index.Query, col *index.Collector, sc *index.Scratch) error {
-	h, err := b.reader.PinPage(p.file, int64(page))
-	if err != nil {
-		return err
-	}
-	_, err = index.EvalPage(q, b.pageOf(p, page, h.Data()), b.raw, col, sc)
-	h.Release()
-	return err
 }
 
 var _ Scheme = (*BTP)(nil)

@@ -215,9 +215,9 @@ func TestBTPTimeRangesDisjointOrdered(t *testing.T) {
 	ss, ts := streamData(1000, 5)
 	ingestAll(t, btp, raw, ss, ts)
 	for i := 1; i < len(btp.parts); i++ {
-		if btp.parts[i].minTS <= btp.parts[i-1].maxTS {
+		if btp.parts[i].Syn.MinTS <= btp.parts[i-1].Syn.MaxTS {
 			t.Fatalf("partitions %d,%d time-overlap: [%d,%d] then [%d,%d]",
-				i-1, i, btp.parts[i-1].minTS, btp.parts[i-1].maxTS, btp.parts[i].minTS, btp.parts[i].maxTS)
+				i-1, i, btp.parts[i-1].Syn.MinTS, btp.parts[i-1].Syn.MaxTS, btp.parts[i].Syn.MinTS, btp.parts[i].Syn.MaxTS)
 		}
 	}
 	// Newer partitions have smaller class (newest data in small parts).
@@ -229,7 +229,7 @@ func TestBTPTimeRangesDisjointOrdered(t *testing.T) {
 	// Entry conservation.
 	var total int64
 	for _, p := range btp.parts {
-		total += p.count
+		total += p.Count
 	}
 	total += int64(len(btp.buffer))
 	if total != 1000 {
@@ -397,8 +397,8 @@ func TestBTPClassSizes(t *testing.T) {
 	}
 	for _, p := range btp.parts {
 		want := int64(buf) << uint(p.class)
-		if p.count != want {
-			t.Errorf("class-%d partition holds %d entries, want %d", p.class, p.count, want)
+		if p.Count != want {
+			t.Errorf("class-%d partition holds %d entries, want %d", p.class, p.Count, want)
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/adsplus"
 	"repro/internal/ctree"
+	"repro/internal/extsort"
 	"repro/internal/index"
 	"repro/internal/parallel"
 	"repro/internal/record"
@@ -23,27 +24,15 @@ type PartitionFactory func(name string, entries []record.Entry) (index.Index, er
 // (the paper's CTreeTP / CTreeFullTP). reader serves the partitions' page
 // reads; nil selects the disk itself (uncached).
 func CTreeFactory(disk storage.Backend, reader storage.PageReader, cfg index.Config, raw series.RawStore) PartitionFactory {
-	codec := cfg.Codec()
+	sorter := &extsort.Sorter{Disk: disk, Codec: cfg.Codec()}
 	return func(name string, entries []record.Entry) (index.Index, error) {
 		sorted := make([]record.Entry, len(entries))
 		copy(sorted, entries)
 		sort.Slice(sorted, func(i, j int) bool { return sorted[i].Less(sorted[j]) })
 		file := name + ".sorted"
-		w, err := storage.NewRecordWriter(disk, file, codec.Size())
-		if err != nil {
-			return nil, err
-		}
-		buf := make([]byte, 0, codec.Size())
-		for _, e := range sorted {
-			buf = buf[:0]
-			if buf, err = codec.Append(buf, e); err != nil {
-				return nil, err
-			}
-			if err := w.Write(buf); err != nil {
-				return nil, err
-			}
-		}
-		if err := w.Close(); err != nil {
+		// A temporary sorted file the bulk load consumes, not a run the
+		// scheme keeps: the run writer's pages without its synopsis.
+		if err := sorter.WriteRun(file, sorted, false); err != nil {
 			return nil, err
 		}
 		// Partitions stay serial internally (Parallelism 1): the scheme's
@@ -75,9 +64,8 @@ func ADSFactory(disk storage.Backend, reader storage.PageReader, cfg index.Confi
 }
 
 type tpPart struct {
-	idx          index.Index
-	minTS, maxTS int64
-	syn          *zonestat.Synopsis
+	idx index.Index
+	syn *zonestat.Synopsis // never nil: Seal builds it
 }
 
 // TP implements Temporal Partitioning: every buffer fill seals a new
@@ -171,7 +159,7 @@ func (t *TP) Seal() error {
 	if err != nil {
 		return err
 	}
-	t.parts = append(t.parts, tpPart{idx: idx, minTS: syn.MinTS, maxTS: syn.MaxTS, syn: syn})
+	t.parts = append(t.parts, tpPart{idx: idx, syn: syn})
 	t.buffer = nil
 	return nil
 }
@@ -182,9 +170,10 @@ func (t *TP) Count() int64 { return t.count }
 // Partitions implements Scheme.
 func (t *TP) Partitions() int { return len(t.parts) }
 
-// intersects reports whether a partition's range meets the query window.
-func intersects(q index.Query, minTS, maxTS int64) bool {
-	return !q.Windowed || (maxTS >= q.MinTS && minTS <= q.MaxTS)
+// intersects reports whether a partition's time range, read from its
+// synopsis, meets the query window.
+func intersects(q index.Query, syn *zonestat.Synopsis) bool {
+	return !q.Windowed || syn.IntersectsWindow(q.MinTS, q.MaxTS)
 }
 
 // ApproxSearch implements Scheme: probe each intersecting partition and the
@@ -231,7 +220,7 @@ func (t *TP) search(q index.Query, k int, f func(index.Index) ([]index.Result, e
 	}
 	var active []tpPart
 	for _, p := range t.parts {
-		if intersects(q, p.minTS, p.maxTS) {
+		if intersects(q, p.syn) {
 			active = append(active, p)
 		}
 	}

@@ -5,6 +5,7 @@
 package coconut
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -18,6 +19,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/index"
 	"repro/internal/record"
+	"repro/internal/run"
 	"repro/internal/sax"
 	"repro/internal/series"
 	"repro/internal/simd"
@@ -945,6 +947,109 @@ func BenchmarkScan(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/pages, "ns/page")
+		})
+	}
+}
+
+// runBench writes one run of materialized length-64 entries with timestamps
+// 0..n-1 — seven to a page, like the durable_lsm and stream_window workloads'
+// — and returns it twice: as the writer returned it, with its resident
+// summary, and as a descriptor assembled by hand, which has none and is
+// searched from its pages' own bytes.
+func runBench(b *testing.B, n int) (s run.Store, resident, bare run.Run, q index.Query) {
+	cfg := index.Config{SeriesLen: 64, Segments: 16, Bits: 8, Materialized: true}
+	rng := rand.New(rand.NewSource(7))
+	entries := make([]record.Entry, n)
+	for i := range entries {
+		key, z := cfg.Summarize(gen.RandomWalk(rng, cfg.SeriesLen))
+		entries[i] = record.Entry{Key: key, ID: int64(i), TS: int64(i), Payload: z}
+	}
+	slices.SortFunc(entries, func(a, b record.Entry) int {
+		if c := a.Key.Compare(b.Key); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.ID, b.ID)
+	})
+	s = run.NewStore(storage.NewDisk(0), nil, cfg, nil)
+	resident, err := s.Write("run", entries, false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	bare = run.Run{File: resident.File, Count: resident.Count, Syn: resident.Syn}
+	return s, resident, bare, index.NewQuery(gen.RandomWalk(rng, cfg.SeriesLen), cfg)
+}
+
+// neverDead is a collector that rules out no page by its envelope.
+type neverDead struct{}
+
+func (neverDead) DeadEnvelope(*index.Pruner, []uint8, []uint8) bool { return false }
+
+// BenchmarkRunScan is one exact window scan of a 16 384-entry run (2 341
+// pages), the newest eighth of its timestamps in the window, into a
+// collector a probe has seeded: bounding and window-filtering every entry
+// from its page's bytes ("page-key"), from the resident SAX and timestamp
+// columns ("column"), and with each page's envelope tested first
+// ("column+envelope", what a search does). ns/page is the figure to compare.
+func BenchmarkRunScan(b *testing.B) {
+	const n = 16384
+	s, resident, bare, q := runBench(b, n)
+	q = q.WithWindow(n-n/8, n)
+	ctx := index.AcquireCtx(q, s.Config)
+	defer ctx.Release()
+	sc := ctx.Scratch0()
+	pages, err := s.Pages(resident)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name string
+		scan func(col *index.Collector) error
+	}{
+		{"page-key", func(col *index.Collector) error { return s.ScanKNN(bare, q, col, sc) }},
+		{"column", func(col *index.Collector) error {
+			return s.Scan(resident, q, sc, neverDead{}, func(pg index.Page) error {
+				_, err := index.EvalPage(q, pg, nil, col, sc)
+				return err
+			})
+		}},
+		{"column+envelope", func(col *index.Collector) error { return s.ScanKNN(resident, q, col, sc) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				col := index.NewCollector(10)
+				if err := s.Probe(resident, q, col, sc); err != nil {
+					b.Fatal(err)
+				}
+				if err := bc.scan(col); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(pages), "ns/page")
+		})
+	}
+}
+
+// BenchmarkRunProbe is one approximate probe of the same run: finding the
+// covering page by pinning first keys off log₂(pages) pages ("pinned", what a
+// run without a summary does) against searching the fence keys the resident
+// column holds ("fence"); either then pins and evaluates the covering page.
+func BenchmarkRunProbe(b *testing.B) {
+	s, resident, bare, q := runBench(b, 16384)
+	ctx := index.AcquireCtx(q, s.Config)
+	defer ctx.Release()
+	sc := ctx.Scratch0()
+	for _, bc := range []struct {
+		name string
+		r    run.Run
+	}{{"pinned", bare}, {"fence", resident}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := s.Probe(bc.r, q, index.NewCollector(10), sc); err != nil {
+					b.Fatal(err)
+				}
+			}
 		})
 	}
 }

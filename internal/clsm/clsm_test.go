@@ -3,6 +3,7 @@ package clsm
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/gen"
@@ -313,6 +314,11 @@ func TestSaveOpenRoundTrip(t *testing.T) {
 		if got.Count() != l.Count() || got.Runs() != l.Runs() || got.Depth() != l.Depth() {
 			t.Fatalf("mat=%v: reopened count=%d runs=%d depth=%d, want %d/%d/%d",
 				mat, got.Count(), got.Runs(), got.Depth(), l.Count(), l.Runs(), l.Depth())
+		}
+		// The resident summaries Open rebuilt from the run files are the
+		// ones the flushes and merges built as they wrote them.
+		if !reflect.DeepEqual(allRuns(got.cur.Load().man), allRuns(l.cur.Load().man)) {
+			t.Fatalf("mat=%v: reopened runs differ from the saved ones", mat)
 		}
 		rng := rand.New(rand.NewSource(700))
 		for trial := 0; trial < 8; trial++ {

@@ -175,6 +175,7 @@ func TestConcurrentInsertSearchMerge(t *testing.T) {
 	if err := live.Quiesce(); err != nil {
 		t.Fatal(err)
 	}
+	checkSummaries(t, live)
 }
 
 func TestQuiesceAfterSchedulerClose(t *testing.T) {

@@ -6,11 +6,13 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"testing"
 
 	"repro/internal/gen"
 	"repro/internal/index"
+	"repro/internal/run"
 	"repro/internal/series"
 	"repro/internal/storage"
 	"repro/internal/wal"
@@ -63,11 +65,30 @@ func recoverLSM(t *testing.T, disk *storage.Disk, dir string, ds *series.Dataset
 	return l, w
 }
 
+// checkSummaries holds every run of the current manifest to the invariant of
+// its resident summary: it is the one a pass over the run's file rebuilds
+// (internal/run checks that pass against the pages themselves). A recovered
+// run got its summary from such a pass; one flushed or merged since got it
+// from the writer.
+func checkSummaries(t *testing.T, l *LSM) {
+	t.Helper()
+	for _, r := range allRuns(l.cur.Load().man) {
+		rebuilt, err := l.store.Load(run.Run{File: r.File, Count: r.Count, Syn: r.Syn, Packed: r.Packed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(rebuilt, r) {
+			t.Fatalf("run %s: its resident summary is not the one its file rebuilds", r.File)
+		}
+	}
+}
+
 func assertAllSearchable(t *testing.T, l *LSM, ds *series.Dataset, n int, trials int, seed int64) {
 	t.Helper()
 	if got := l.Count(); got != int64(n) {
 		t.Fatalf("recovered count = %d, want %d", got, n)
 	}
+	checkSummaries(t, l)
 	// Exact searches must agree with brute force over the acknowledged set
 	// — i.e. every acknowledged entry is reachable with its right distance.
 	rng := rand.New(rand.NewSource(seed))

@@ -278,13 +278,24 @@ func decodePayload(disk storage.Backend, buf []byte, version uint32) (*metaState
 	return st, nil
 }
 
-// install applies a decoded state to a freshly constructed LSM, then
-// removes the run files the installed run set does not name: the output of
-// a flush or merge that crashed before its manifest was persisted, whose
-// name the next flush would otherwise collide with (run names continue from
-// the installed seq), and merge victims whose reclaim the crash pre-empted.
-// Only names of exactly the form runName produces are candidates.
+// install applies a decoded state to a freshly constructed LSM — each run
+// gets its resident summary back from one sequential pass over its file
+// (run.Store.Load) — then removes the run files the installed run set does
+// not name: the output of a flush or merge that crashed before its manifest
+// was persisted, whose name the next flush would otherwise collide with (run
+// names continue from the installed seq), and merge victims whose reclaim
+// the crash pre-empted. Only names of exactly the form runName produces are
+// candidates.
 func (l *LSM) install(st *metaState, durableLSN int64) error {
+	for _, lvl := range st.levels {
+		for i, r := range lvl {
+			loaded, err := l.store.Load(r)
+			if err != nil {
+				return fmt.Errorf("clsm: loading run %q: %w", r.File, err)
+			}
+			lvl[i] = loaded
+		}
+	}
 	l.count.Store(st.count)
 	l.nextID.Store(st.nextID)
 	l.seq.Store(st.seq)

@@ -5,9 +5,7 @@ import (
 
 	"repro/internal/index"
 	"repro/internal/parallel"
-	"repro/internal/record"
 	"repro/internal/run"
-	"repro/internal/series"
 )
 
 // Search in a CLSM fans out over the on-disk runs: every run is an
@@ -30,8 +28,8 @@ import (
 
 // ApproxSearch answers an approximate k-NN query by probing each component:
 // the in-memory buffer is scanned outright, and in every on-disk run a
-// binary search over pages locates the query key's neighborhood, of which
-// one page is examined. Cost grows with the number of runs — the read side
+// binary search over the run's resident page-first keys locates the query
+// key's neighborhood, of which one page is read and examined. Cost grows with the number of runs — the read side
 // of the LSM trade-off; concurrency over runs is what claws the latency
 // back.
 func (l *LSM) ApproxSearch(q index.Query, k int) ([]index.Result, error) {
@@ -52,7 +50,7 @@ func (l *LSM) ApproxSearch(q index.Query, k int) ([]index.Result, error) {
 // context, so ExactSearch shares one context (and one table fill) across
 // both phases.
 func (l *LSM) approxInto(v *view, q index.Query, col *index.Collector, ctx *index.SearchCtx, pool *parallel.Pool) error {
-	if err := scanBuffer(v.buf, q, col, ctx.Scratch0(), l.opts.Raw); err != nil {
+	if err := l.store.ScanBuffer(v.buf, q, col, ctx.Scratch0()); err != nil {
 		return err
 	}
 	runs := allRuns(v.man)
@@ -147,21 +145,6 @@ func forEachRun[C index.FanCollector[C]](l *LSM, runs []run.Run, q index.Query, 
 	}, probe)
 }
 
-// scanBuffer evaluates every in-window entry of a buffer snapshot.
-func scanBuffer(buf []record.Entry, q index.Query, col *index.Collector, sc *index.Scratch, raw series.RawStore) error {
-	for _, e := range buf {
-		if !q.InWindow(e.TS) {
-			continue
-		}
-		dSq, err := index.TrueDistSq(q, e, raw, col.WorstSq(), sc)
-		if err != nil {
-			return err
-		}
-		col.AddSq(e.ID, e.TS, dSq)
-	}
-	return nil
-}
-
 // RangeSearch returns every indexed series within Euclidean distance eps
 // of the query, scanning the buffer and every run with squared epsilon
 // pruning. Runs scan concurrently; the epsilon bound is static, so
@@ -179,9 +162,7 @@ func (l *LSM) RangeSearch(q index.Query, eps float64) ([]index.Result, error) {
 	scs := ctx.Scratches(l.pool.WorkersFor(len(runs)))
 	sp := ctx.Trace.Start("scan")
 	err := forEachRun(l, runs, q, ctx, col, l.pool, func(i, w int, col *index.RangeCollector) error {
-		return l.store.Scan(runs[i], func(pg index.Page) error {
-			return index.EvalPageRange(q, pg, l.opts.Raw, col, scs[w])
-		})
+		return l.store.ScanRange(runs[i], q, col, scs[w])
 	})
 	sp.End()
 	if err != nil {

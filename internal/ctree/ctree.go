@@ -188,13 +188,8 @@ func (t *Tree) leafSyms(g, li int) []uint8 { return t.col[g][li-t.grpStart[g]] }
 // setLeafEnv recomputes leaf li's envelope from its entries' symbols; the
 // envelope slots must already exist.
 func (t *Tree) setLeafEnv(li int, syms []uint8) {
-	w := t.opts.Config.Segments
 	mn, mx := t.leafEnv(li)
-	copy(mn, syms[:w])
-	copy(mx, syms[:w])
-	for off := w; off < len(syms); off += w {
-		widenEnv(mn, mx, syms[off:off+w])
-	}
+	index.SetEnvelope(mn, mx, syms)
 }
 
 // setGroupEnv recomputes group g's envelope as the union of its leaves'.
@@ -206,8 +201,8 @@ func (t *Tree) setGroupEnv(g int) {
 	copy(mx, lmx)
 	for li := lo + 1; li < hi; li++ {
 		lmn, lmx = t.leafEnv(li)
-		widenEnv(mn, mx, lmn)
-		widenEnv(mn, mx, lmx)
+		index.WidenEnvelope(mn, mx, lmn)
+		index.WidenEnvelope(mn, mx, lmx)
 	}
 }
 
@@ -242,18 +237,6 @@ func (t *Tree) buildGroups(column []uint8) {
 	t.grpMax = make([]uint8, n*w)
 	for g := 0; g < n; g++ {
 		t.setGroupEnv(g)
-	}
-}
-
-// widenEnv widens the symbol envelope [mn, mx] to cover syms.
-func widenEnv(mn, mx, syms []uint8) {
-	for s := range mn {
-		if syms[s] < mn[s] {
-			mn[s] = syms[s]
-		}
-		if syms[s] > mx[s] {
-			mx[s] = syms[s]
-		}
 	}
 }
 
@@ -592,7 +575,7 @@ func (t *Tree) packLeaves(sorted string, n int64) error {
 				first = key
 				envMin, envMax = syms, syms
 			} else {
-				widenEnv(envMin[:w], envMax[:w], syms[:])
+				index.WidenEnvelope(envMin[:w], envMax[:w], syms[:])
 			}
 			t.count++
 			if pb.EncodedBytes() >= packTarget {
@@ -606,7 +589,7 @@ func (t *Tree) packLeaves(sorted string, n int64) error {
 			first = key
 			envMin, envMax = syms, syms
 		} else {
-			widenEnv(envMin[:w], envMax[:w], syms[:])
+			index.WidenEnvelope(envMin[:w], envMax[:w], syms[:])
 		}
 		copy(page[inPage*recSize:], rec)
 		inPage++
@@ -752,9 +735,9 @@ func (t *Tree) InsertEntry(e record.Entry) error {
 	t.col[g][li-t.grpStart[g]] = slices.Insert(t.leafSyms(g, li), pos*w, syms[:w]...)
 	if t.envOK {
 		mn, mx := t.leafEnv(li)
-		widenEnv(mn, mx, syms[:w])
+		index.WidenEnvelope(mn, mx, syms[:w])
 		mn, mx = t.groupEnv(g)
-		widenEnv(mn, mx, syms[:w])
+		index.WidenEnvelope(mn, mx, syms[:w])
 	}
 	if !fits {
 		t.splitSummaries(g, li, len(lo))

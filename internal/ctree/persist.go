@@ -287,7 +287,7 @@ func decodeMeta(disk storage.Backend, name string, buf []byte, raw series.RawSto
 			return nil, fmt.Errorf("ctree: persisted packed tree: %w", err)
 		}
 	}
-	if !symbolsBelow(t.synMin, bits) || !symbolsBelow(t.synMax, bits) {
+	if !index.SymbolsBelow(t.synMin, bits) || !index.SymbolsBelow(t.synMax, bits) {
 		return nil, fmt.Errorf("ctree: persisted leaf envelope holds a symbol beyond %d bits", bits)
 	}
 	if version >= 4 {
@@ -295,7 +295,7 @@ func decodeMeta(disk storage.Backend, name string, buf []byte, raw series.RawSto
 			return nil, fmt.Errorf("ctree: persisted column is %d bytes, %d entries of %d segments need %d",
 				len(rest), t.count, segments, t.count*int64(segments))
 		}
-		if !symbolsBelow(rest, bits) {
+		if !index.SymbolsBelow(rest, bits) {
 			return nil, fmt.Errorf("ctree: persisted column holds a symbol beyond %d bits", bits)
 		}
 		t.buildGroups(append([]uint8(nil), rest...))
@@ -303,16 +303,6 @@ func decodeMeta(disk storage.Backend, name string, buf []byte, raw series.RawSto
 		return nil, err
 	}
 	return t, nil
-}
-
-// symbolsBelow reports whether every symbol fits the cardinality.
-func symbolsBelow(syms []uint8, bits int) bool {
-	for _, s := range syms {
-		if int(s)>>uint(bits) != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // rebuildColumn reads the SAX column back out of the leaf pages, in

@@ -200,23 +200,10 @@ func (t *Tree) exactColl(q index.Query, k int, ctx *index.SearchCtx, pool *paral
 // exactScanRange scans leaves [lo, hi) with squared lower-bound pruning
 // into col; see scanRange.
 func (t *Tree) exactScanRange(lo, hi int, q index.Query, col *index.Collector, sc *index.Scratch) error {
-	return t.scanRange(lo, hi, q, sc,
-		func(pg index.Page) error {
-			_, err := index.EvalPage(q, pg, t.opts.Raw, col, sc)
-			return err
-		},
-		func(mn, mx []uint8) bool { return col.SkipSq(sc.P.EnvelopeSqUpTo(mn, mx, col.WorstSq())) })
-}
-
-// notePruned accounts for a leaf that is read — its page pinned and
-// released — although its envelope has already ruled out every entry: to
-// the trace they are candidates seen and pruned, which is what evaluating
-// the page would have found, one bound at a time. (Only an unwindowed scan
-// takes this path; a window's seen count needs the page's timestamps.)
-func (t *Tree) notePruned(li int, sc *index.Scratch) {
-	n := int64(t.leaves[li].count)
-	sc.Trace.NoteCands(n, 0, 0, n)
-	sc.Trace.NoteUndecoded(1)
+	return t.scanRange(lo, hi, q, sc, col, func(pg index.Page) error {
+		_, err := index.EvalPage(q, pg, t.opts.Raw, col, sc)
+		return err
+	})
 }
 
 // scanRange is the one sequential page loop of the tree: it pins the pages
@@ -225,8 +212,8 @@ func (t *Tree) notePruned(li int, sc *index.Scratch) {
 // group envelope, the leaf envelope, and (inside the evaluation, through
 // leafPage) the leaf's slice of the SAX column.
 //
-// With planning enabled the envelopes are zone maps: dead reports whether
-// an envelope's MINDIST bound already rules out every series inside it. A
+// With planning enabled the envelopes are zone maps: col reports whether an
+// envelope's MINDIST bound already rules out every series inside it (dead). A
 // dead leaf cannot contribute (the envelope bound is never larger than any
 // member entry's bound, which the evaluation would prune anyway), so
 // skipping it drops only work, never answers; skips are committed
@@ -242,7 +229,7 @@ func (t *Tree) notePruned(li int, sc *index.Scratch) {
 // charges for, and of the cache's contents. What a survivor-free page is
 // spared is every touch of its bytes — and, when it is a dead leaf whose
 // skip was declined (pruned), its entries' bounds too.
-func (t *Tree) scanRange(lo, hi int, q index.Query, sc *index.Scratch, eval func(pg index.Page) error, dead func(minSym, maxSym []uint8) bool) error {
+func (t *Tree) scanRange(lo, hi int, q index.Query, sc *index.Scratch, col index.EnvelopeTester, eval func(pg index.Page) error) error {
 	from, to := t.pageSpan(lo, hi)
 	cur := t.opts.Reader.Scan(t.leafFile, from, to)
 	defer cur.Close()
@@ -258,7 +245,9 @@ func (t *Tree) scanRange(lo, hi int, q index.Query, sc *index.Scratch, eval func
 			return err
 		}
 		if pruned && !q.Windowed {
-			t.notePruned(li, sc)
+			// A window's seen count needs the page's timestamps, which the
+			// tree does not keep: a windowed scan evaluates the page.
+			sc.NoteDeadPage(int64(t.leaves[li].count))
 			return nil
 		}
 		return eval(t.leafPage(rg, li, data))
@@ -278,14 +267,16 @@ func (t *Tree) scanRange(lo, hi int, q index.Query, sc *index.Scratch, eval func
 	g, next, groupDead := rg, lo, false
 	return t.skipRuns(lo, hi, sc.Trace, readLeaf, func(li int) bool {
 		if li == next {
-			groupDead = !pageKeyBounds && dead(t.groupEnv(g))
+			mn, mx := t.groupEnv(g)
+			groupDead = !pageKeyBounds && col.DeadEnvelope(sc.P, mn, mx)
 			g++
 			next = t.grpStart[g]
 		}
 		if groupDead {
 			return true
 		}
-		return dead(t.leafEnv(li))
+		mn, mx := t.leafEnv(li)
+		return col.DeadEnvelope(sc.P, mn, mx)
 	})
 }
 
@@ -389,10 +380,9 @@ func (t *Tree) RangeSearch(q index.Query, eps float64) ([]index.Result, error) {
 // rangeScanRange scans leaves [lo, hi) with squared epsilon pruning into
 // col; see scanRange.
 func (t *Tree) rangeScanRange(lo, hi int, q index.Query, col *index.RangeCollector, sc *index.Scratch) error {
-	limit := col.SkipBeyondSq()
-	return t.scanRange(lo, hi, q, sc,
-		func(pg index.Page) error { return index.EvalPageRange(q, pg, t.opts.Raw, col, sc) },
-		func(mn, mx []uint8) bool { return col.SkipSq(sc.P.EnvelopeSqUpTo(mn, mx, limit)) })
+	return t.scanRange(lo, hi, q, sc, col, func(pg index.Page) error {
+		return index.EvalPageRange(q, pg, t.opts.Raw, col, sc)
+	})
 }
 
 var (

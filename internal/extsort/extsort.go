@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/parallel"
 	"repro/internal/record"
+	"repro/internal/series"
 	"repro/internal/storage"
 )
 
@@ -61,7 +62,7 @@ func (s *Sorter) tmpName(pass, i int) string {
 // (0 = input fit in memory, 1 = classic two-pass, >1 = constrained memory).
 func (s *Sorter) Sort(input string, count int64, output string) (passes int, err error) {
 	if count == 0 {
-		return 0, s.WriteRun(output, nil, false)
+		return 0, s.WriteRun(output, nil, false, nil)
 	}
 
 	// Phase 1: produce sorted runs.
@@ -107,7 +108,7 @@ func (s *Sorter) Sort(input string, count int64, output string) (passes int, err
 			if len(groups) == 1 {
 				name = output // final merge writes the output directly
 			}
-			total, err := s.merge(groups[g], name, false, budget)
+			total, err := s.merge(groups[g], name, false, budget, nil)
 			next[g] = Input{Name: name, Count: total}
 			return err
 		})
@@ -150,7 +151,7 @@ func (s *Sorter) sortRunsSerial(input string, count int64) ([]Input, error) {
 		}
 		sort.Slice(entries, func(i, j int) bool { return entries[i].Less(entries[j]) })
 		name := s.tmpName(0, len(runs))
-		if err := s.WriteRun(name, entries, false); err != nil {
+		if err := s.WriteRun(name, entries, false, nil); err != nil {
 			return err
 		}
 		runs = append(runs, Input{Name: name, Count: int64(len(entries))})
@@ -231,7 +232,7 @@ func (s *Sorter) sortRunsParallel(input string, count int64, workers int) ([]Inp
 				delete(pending, next)
 				if writerErr == nil {
 					name := s.tmpName(0, next)
-					if err := s.WriteRun(name, entries, false); err != nil {
+					if err := s.WriteRun(name, entries, false, nil); err != nil {
 						writerErr = err
 					} else {
 						runs = append(runs, Input{Name: name, Count: int64(len(entries))})
@@ -289,21 +290,31 @@ type Input struct {
 	Packed bool
 }
 
+// Observer sees every entry WriteRun or Merge appends to its output, in
+// file order and after the append has succeeded, with whether the entry is
+// the first of a page. It is how the owner of a sorted run derives what it
+// keeps about the run — statistics, resident summaries — from the one pass
+// that writes it. The entry's payload is only valid during the call.
+type Observer func(e record.Entry, pageStart bool)
+
 // entryWriter appends entries to a new file in either page encoding. A
 // failed append or close removes the partial file: nothing references it,
 // and it would otherwise sit on the disk, counted in TotalPages.
 type entryWriter struct {
-	s      *Sorter
-	name   string
-	fixed  *storage.RecordWriter // nil when packed
-	packed *record.PackedWriter
-	buf    []byte
+	s       *Sorter
+	name    string
+	fixed   *storage.RecordWriter // nil when packed
+	packed  *record.PackedWriter
+	buf     []byte
+	obs     Observer // nil: nobody watches
+	inPage  int      // fixed-size entries in the page being filled
+	perPage int
 }
 
 // create makes the file (which must not exist) with a write-behind buffer
 // of bufPages pages for fixed-size output.
-func (s *Sorter) create(name string, packed bool, bufPages int) (*entryWriter, error) {
-	w := &entryWriter{s: s, name: name}
+func (s *Sorter) create(name string, packed bool, bufPages int, obs Observer) (*entryWriter, error) {
+	w := &entryWriter{s: s, name: name, obs: obs, perPage: s.Disk.PageSize() / s.Codec.Size()}
 	var err error
 	if packed {
 		w.packed, err = record.NewPackedWriter(s.Disk, name, s.Codec)
@@ -317,15 +328,34 @@ func (s *Sorter) create(name string, packed bool, bufPages int) (*entryWriter, e
 	return w, nil
 }
 
+// write appends one entry and tells the observer. A packed page closes when
+// the entry that no longer fits arrives, so that entry is a page's first
+// when the writer's page count moved (or nothing was written before it).
 func (w *entryWriter) write(e record.Entry) error {
+	var pageStart bool
 	if w.packed != nil {
-		return w.packed.WriteEntry(e)
+		pages, first := w.packed.Pages(), w.packed.Count() == 0
+		if err := w.packed.WriteEntry(e); err != nil {
+			return err
+		}
+		pageStart = first || w.packed.Pages() != pages
+	} else {
+		var err error
+		if w.buf, err = w.s.Codec.Append(w.buf[:0], e); err != nil {
+			return err
+		}
+		if err = w.fixed.Write(w.buf); err != nil {
+			return err
+		}
+		pageStart = w.inPage == 0
+		if w.inPage++; w.inPage == w.perPage {
+			w.inPage = 0
+		}
 	}
-	var err error
-	if w.buf, err = w.s.Codec.Append(w.buf[:0], e); err != nil {
-		return err
+	if w.obs != nil {
+		w.obs(e, pageStart)
 	}
-	return w.fixed.Write(w.buf)
+	return nil
 }
 
 // finish closes the file when err is nil; on any failure — the caller's err
@@ -345,9 +375,9 @@ func (w *entryWriter) finish(err error) error {
 }
 
 // WriteRun writes entries, already in (Key, ID) order, to a new file in the
-// given encoding.
-func (s *Sorter) WriteRun(name string, entries []record.Entry, packed bool) error {
-	w, err := s.create(name, packed, storage.DefaultBufferPages)
+// given encoding, reporting each to obs (nil for none).
+func (s *Sorter) WriteRun(name string, entries []record.Entry, packed bool, obs Observer) error {
+	w, err := s.create(name, packed, storage.DefaultBufferPages, obs)
 	if err != nil {
 		return err
 	}
@@ -361,22 +391,26 @@ func (s *Sorter) WriteRun(name string, entries []record.Entry, packed bool) erro
 
 // Merge k-way merges already-sorted entry files, in any mix of encodings,
 // into one new sorted file in the given encoding, under the sorter's full
-// memory budget. Inputs are left intact. Returns the merged entry count.
-func (s *Sorter) Merge(inputs []Input, output string, packed bool) (int64, error) {
-	return s.merge(inputs, output, packed, s.MemBudget)
+// memory budget, reporting each merged entry to obs (nil for none). Inputs
+// are left intact. Returns the merged entry count.
+func (s *Sorter) Merge(inputs []Input, output string, packed bool, obs Observer) (int64, error) {
+	return s.merge(inputs, output, packed, s.MemBudget, obs)
 }
 
 // merge is the one k-way merge body. The memory budget (a share of
 // MemBudget when Sort's merge groups run concurrently) is split into
 // per-input read-ahead buffers plus a write-behind buffer, so each stream
 // moves the head once per chunk — the I/O discipline that makes external
-// merging sequential. Packed streams keep their own fixed chunk.
-func (s *Sorter) merge(inputs []Input, output string, packed bool, budget int) (int64, error) {
+// merging sequential. Packed streams keep their own fixed chunk. A source
+// holds one entry at a time, written before the source advances, so each
+// decodes every payload into one buffer of its own: the loop allocates
+// nothing per entry.
+func (s *Sorter) merge(inputs []Input, output string, packed bool, budget int, obs Observer) (int64, error) {
 	bufPages := budget / s.Disk.PageSize() / (len(inputs) + 1)
 	if bufPages < 1 {
 		bufPages = 1
 	}
-	w, err := s.create(output, packed, bufPages)
+	w, err := s.create(output, packed, bufPages, obs)
 	if err != nil {
 		return 0, err
 	}
@@ -443,17 +477,19 @@ func mergeLoop(srcs []*mergeSource, write func(record.Entry) error) (int64, erro
 	return total, nil
 }
 
-// entrySource yields entries in sorted order; io.EOF ends the stream. Both
-// the fixed-size RecordReader (via recordEntryReader) and the packed
-// record.PackedReader satisfy it.
+// entrySource yields entries in sorted order; io.EOF ends the stream. An
+// entry's payload is valid until the next call. Both the fixed-size
+// RecordReader (via recordEntryReader) and the packed record.PackedReader
+// satisfy it.
 type entrySource interface {
 	NextEntry() (record.Entry, error)
 }
 
 // recordEntryReader adapts a fixed-size record stream to entrySource.
 type recordEntryReader struct {
-	reader *storage.RecordReader
-	codec  record.Codec
+	reader  *storage.RecordReader
+	codec   record.Codec
+	payload series.Series // the current entry's, reused for the next
 }
 
 func (r *recordEntryReader) NextEntry() (record.Entry, error) {
@@ -461,7 +497,9 @@ func (r *recordEntryReader) NextEntry() (record.Entry, error) {
 	if err != nil {
 		return record.Entry{}, err
 	}
-	return r.codec.Decode(rec)
+	e, err := r.codec.DecodeInto(rec, r.payload)
+	r.payload = e.Payload
+	return e, err
 }
 
 type mergeSource struct {

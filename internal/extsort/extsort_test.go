@@ -3,10 +3,12 @@ package extsort
 import (
 	"io"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/record"
+	"repro/internal/series"
 	"repro/internal/sortable"
 	"repro/internal/storage"
 )
@@ -326,6 +328,7 @@ func readAllPacked(t *testing.T, d *storage.Disk, name string, c record.Codec, n
 		if err != nil {
 			t.Fatal(err)
 		}
+		e.Payload = slices.Clone(e.Payload) // the reader decodes the next one into it
 		out = append(out, e)
 	}
 	return out
@@ -359,7 +362,7 @@ func TestMergeSorted(t *testing.T) {
 				entries := writeUnsorted(t, d, "u"+string(rune('0'+i)), c, n, int64(40+i))
 				sortEntries(entries)
 				in := Input{Name: "s" + string(rune('0'+i)), Count: int64(n), Packed: packed}
-				if err := s.WriteRun(in.Name, entries, packed); err != nil {
+				if err := s.WriteRun(in.Name, entries, packed, nil); err != nil {
 					t.Fatal(err)
 				}
 				inputs = append(inputs, in)
@@ -368,7 +371,7 @@ func TestMergeSorted(t *testing.T) {
 			}
 			sortEntries(all)
 
-			got, err := s.Merge(inputs, "merged", tc.packOutput)
+			got, err := s.Merge(inputs, "merged", tc.packOutput, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -408,6 +411,64 @@ func sortEntries(entries []record.Entry) {
 	for i := 1; i < len(entries); i++ {
 		for j := i; j > 0 && entries[j].Less(entries[j-1]); j-- {
 			entries[j], entries[j-1] = entries[j-1], entries[j]
+		}
+	}
+}
+
+// TestMergeDoesNotAllocatePerEntry pins the merge loop's cost: each source
+// decodes its entries' payloads into one buffer of its own, so a merge of
+// materialized entries allocates per file and per chunk of pages, never per
+// entry — and still writes every payload it read, in both encodings.
+func TestMergeDoesNotAllocatePerEntry(t *testing.T) {
+	c := record.Codec{SeriesLen: 16, Materialized: true}
+	d := storage.NewDisk(4096) // 25 entries to a page: a page's allocations are not an entry's
+	s := &Sorter{Disk: d, Codec: c, MemBudget: 1 << 16}
+	rng := rand.New(rand.NewSource(5))
+	var inputs []Input
+	var all []record.Entry
+	for i, packed := range []bool{false, true, false} {
+		entries := make([]record.Entry, 400)
+		for j := range entries {
+			p := make(series.Series, c.SeriesLen)
+			for k := range p {
+				p[k] = rng.NormFloat64()
+			}
+			entries[j] = record.Entry{Key: sortable.Key{Hi: rng.Uint64()}, ID: int64(i*1000 + j), TS: int64(j), Payload: p}
+		}
+		sortEntries(entries)
+		in := Input{Name: "in" + string(rune('0'+i)), Count: int64(len(entries)), Packed: packed}
+		if err := s.WriteRun(in.Name, entries, packed, nil); err != nil {
+			t.Fatal(err)
+		}
+		inputs = append(inputs, in)
+		all = append(all, entries...)
+	}
+	sortEntries(all)
+	for _, packOutput := range []bool{false, true} {
+		merge := func() {
+			if _, err := s.Merge(inputs, "merged", packOutput, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		merge()
+		got := readRun(t, d, Input{Name: "merged", Count: int64(len(all)), Packed: packOutput}, c)
+		assertEntries(t, "merged", got, all)
+		for i := range all {
+			if !slices.Equal(got[i].Payload, all[i].Payload) {
+				t.Fatalf("packed output=%v: entry %d's payload changed in the merge", packOutput, i)
+			}
+		}
+		allocs := testing.AllocsPerRun(3, func() {
+			if err := d.Remove("merged"); err != nil {
+				t.Fatal(err)
+			}
+			merge()
+		})
+		if allocs > float64(len(all))/4 {
+			t.Errorf("packed output=%v: %.0f allocations to merge %d entries, want none per entry", packOutput, allocs, len(all))
+		}
+		if err := d.Remove("merged"); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

@@ -369,15 +369,20 @@ type RangeSearcher interface {
 // Results(). Unlike Collector there is no k; the pruning bound is eps
 // itself, held squared so membership tests stay in squared space.
 type RangeCollector struct {
-	eps   float64
-	epsSq float64
-	items []sqItem
-	seen  map[int64]bool
+	eps          float64
+	epsSq        float64
+	skipBeyondSq float64 // see SkipBeyondSq; fixed with eps, asked for once a page
+	items        []sqItem
+	seen         map[int64]bool
 }
 
 // NewRangeCollector creates a collector for results within eps.
 func NewRangeCollector(eps float64) *RangeCollector {
-	return &RangeCollector{eps: eps, epsSq: eps * eps, seen: make(map[int64]bool)}
+	e := math.Nextafter(eps, math.Inf(1))
+	return &RangeCollector{
+		eps: eps, epsSq: eps * eps, skipBeyondSq: math.Nextafter(e*e, math.Inf(1)),
+		seen: make(map[int64]bool),
+	}
 }
 
 // Bound returns the pruning bound as a true distance: candidates with lower
@@ -406,10 +411,7 @@ func (c *RangeCollector) SkipSq(lbSq float64) bool {
 // have a root that rounds back to eps. With e the next double above eps,
 // anything above fl(e*e) rounded up exceeds e*e exactly, so its root, and
 // the rounded root, is at least e.
-func (c *RangeCollector) SkipBeyondSq() float64 {
-	e := math.Nextafter(c.eps, math.Inf(1))
-	return math.Nextafter(e*e, math.Inf(1))
-}
+func (c *RangeCollector) SkipBeyondSq() float64 { return c.skipBeyondSq }
 
 func (c *RangeCollector) tightens() bool { return false }
 
@@ -450,7 +452,7 @@ var rangeCollectorPool = sync.Pool{New: func() any { return new(RangeCollector) 
 // fan-out.
 func (c *RangeCollector) PooledClone() *RangeCollector {
 	n := rangeCollectorPool.Get().(*RangeCollector)
-	n.eps, n.epsSq = c.eps, c.epsSq
+	n.eps, n.epsSq, n.skipBeyondSq = c.eps, c.epsSq, c.skipBeyondSq
 	n.items = n.items[:0]
 	if n.seen == nil {
 		n.seen = make(map[int64]bool)

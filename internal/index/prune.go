@@ -239,9 +239,9 @@ func (p *Pruner) EnvelopeSq(minSym, maxSym []uint8) float64 {
 // running sum never decreases and "x > limit" decides identically on the
 // partial sum and on the full one; so does any test that is monotone in x
 // and holds everywhere above limit, which is how the CTree zone-map scans
-// use it (Collector.SkipSq with WorstSq, RangeCollector.SkipSq with
-// SkipBeyondSq). Most leaves of an exact scan are skipped, most of those
-// within the first few segments.
+// and the run page scans use it (DeadEnvelope: Collector.SkipSq with WorstSq,
+// RangeCollector.SkipSq with SkipBeyondSq). Most leaves of an exact scan are
+// skipped, most of those within the first few segments.
 func (p *Pruner) EnvelopeSqUpTo(minSym, maxSym []uint8, limit float64) float64 {
 	if len(minSym) != p.segments || len(maxSym) != p.segments {
 		return 0
@@ -262,6 +262,64 @@ func (p *Pruner) EnvelopeSqUpTo(minSym, maxSym []uint8, limit float64) float64 {
 		acc += t[s<<rowBits|c]
 	}
 	return acc
+}
+
+// WidenEnvelope widens the symbol envelope [mn, mx] to cover syms, one
+// symbol a segment. It runs once for every entry a run writer or a bulk
+// load writes, and which side of an envelope a symbol falls on is as good as
+// random, so min and max are sign-mask selects, as in EnvelopeSqUpTo: four
+// times faster than the compare-and-branch form on a page's worth of entries.
+func WidenEnvelope(mn, mx, syms []uint8) {
+	mx, syms = mx[:len(mn)], syms[:len(mn)]
+	for s := range mn {
+		v, lo, hi := int(syms[s]), int(mn[s]), int(mx[s])
+		mn[s] = uint8(lo + (v-lo)&((v-lo)>>63)) // v when v < lo
+		mx[s] = uint8(hi + (v-hi)&((hi-v)>>63)) // v when v > hi
+	}
+}
+
+// SetEnvelope makes [mn, mx] the exact envelope of column, which holds at
+// least one entry's symbols, len(mn) to an entry.
+func SetEnvelope(mn, mx, column []uint8) {
+	w := len(mn)
+	copy(mn, column[:w])
+	copy(mx, column[:w])
+	for off := w; off < len(column); off += w {
+		WidenEnvelope(mn, mx, column[off:off+w])
+	}
+}
+
+// SymbolsBelow reports whether every symbol fits the cardinality: the
+// lower-bound kernels index tables with them, so symbols from outside the
+// program are checked once, where they are decoded.
+func SymbolsBelow(syms []uint8, bits int) bool {
+	for _, s := range syms {
+		if int(s)>>uint(bits) != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// EnvelopeTester is the side of a collector a page loop consults before it
+// evaluates what an envelope covers — a run's page, a tree's leaf or group of
+// leaves. Both collectors implement it.
+type EnvelopeTester interface {
+	// DeadEnvelope reports whether the envelope's bound already rules out
+	// every series inside it: none could enter the collector, so evaluating
+	// them one bound at a time would prune them all. A collector's bound
+	// only tightens, so a dead envelope stays dead.
+	DeadEnvelope(p *Pruner, minSym, maxSym []uint8) bool
+}
+
+// DeadEnvelope implements EnvelopeTester against the collector's worst.
+func (c *Collector) DeadEnvelope(p *Pruner, minSym, maxSym []uint8) bool {
+	return c.SkipSq(p.EnvelopeSqUpTo(minSym, maxSym, c.WorstSq()))
+}
+
+// DeadEnvelope implements EnvelopeTester against the static epsilon.
+func (c *RangeCollector) DeadEnvelope(p *Pruner, minSym, maxSym []uint8) bool {
+	return c.SkipSq(p.EnvelopeSqUpTo(minSym, maxSym, c.skipBeyondSq))
 }
 
 // MinDistSqMixed returns the squared lower bound for a summarization with
@@ -301,6 +359,15 @@ type Scratch struct {
 	// Trace aliases the query's trace recorder (nil untraced); workers
 	// report candidate tallies through it. Refreshed by Scratches.
 	Trace *obs.QueryTrace
+}
+
+// NoteDeadPage accounts for a page that is read — pinned and released —
+// although its envelope has already ruled out every entry: to the trace its
+// n (in-window) entries are candidates seen and pruned, which is what
+// evaluating the page would have found, one bound at a time.
+func (s *Scratch) NoteDeadPage(n int64) {
+	s.Trace.NoteCands(n, 0, 0, n)
+	s.Trace.NoteUndecoded(1)
 }
 
 // SeriesBuf returns the scratch series buffer resized to n points.
@@ -407,7 +474,9 @@ func TrueDistSq(q Query, e record.Entry, raw series.RawStore, limitSq float64, s
 // keeps those resident hands them to the cursor (UseSymbols): the bounds
 // then read no page bytes at all, and an unwindowed evaluation that prunes
 // every entry returns without having touched — for a packed page, without
-// having opened — the page.
+// having opened — the page. The window filter needs only the timestamps, so
+// a cursor that has been handed those too (UseTimestamps, what a sorted run
+// keeps) evaluates a windowed query the same way.
 type Page struct {
 	n       int
 	recSize int                // > 0: fixed-width records in data
@@ -417,6 +486,7 @@ type Page struct {
 	codec   record.Codec
 	syms    []uint8 // non-nil: the entries' symbols, segs to an entry
 	segs    int
+	tss     []int64 // non-nil: the entries' timestamps
 }
 
 // FixedPage describes n records encoded back-to-back (codec.Size() bytes
@@ -441,6 +511,17 @@ func EntryPage(entries []record.Entry) Page { return Page{n: len(entries), ents:
 // column's, which a packed page's header must agree with once it is opened.
 func (pg *Page) UseSymbols(syms []uint8, segs int) {
 	pg.syms, pg.segs, pg.n = syms, segs, len(syms)/segs
+}
+
+// UseTimestamps makes the cursor read its entries' timestamps from tss, one
+// an entry in page order, instead of from the page.
+func (pg *Page) UseTimestamps(tss []int64) { pg.tss = tss }
+
+// resident reports whether nothing before a survivor's verification reads
+// the page under q: the bounds come from resident symbols, and the window
+// filter, if q has one, from resident timestamps.
+func (pg *Page) resident(q *Query) bool {
+	return pg.syms != nil && (!q.Windowed || pg.tss != nil)
 }
 
 // packed reports whether the page is in the packed layout. The evaluation
@@ -475,6 +556,8 @@ func (pg *Page) rec(i int) []byte { return pg.data[i*pg.recSize : (i+1)*pg.recSi
 
 func (pg *Page) ts(i int) int64 {
 	switch {
+	case pg.tss != nil:
+		return pg.tss[i]
 	case pg.recSize > 0:
 		return record.DecodeTS(pg.rec(i))
 	case pg.ents != nil:
@@ -500,6 +583,10 @@ func (pg *Page) nextInWindow(q *Query, i, n int) int {
 func (pg *Page) skipOutOfWindow(lo, hi int64, i, n int) int {
 	out := func(ts int64) bool { return ts < lo || ts > hi }
 	switch {
+	case pg.tss != nil:
+		for tss := pg.tss[:n]; i < n && out(tss[i]); {
+			i++
+		}
 	case pg.recSize > 0:
 		for data, size := pg.data, pg.recSize; i < n && out(record.DecodeTS(data[i*size:])); {
 			i++
@@ -562,7 +649,7 @@ func (pg *Page) distSq(q Query, i int, raw series.RawStore, limitSq float64, sc 
 // slots reuse the scratch slice, so a warm probe allocates nothing. It
 // returns the number of in-window entries seen.
 func EvalPage(q Query, pg Page, raw series.RawStore, col *Collector, sc *Scratch) (int, error) {
-	resident := pg.syms != nil && !q.Windowed // nothing before a survivor reads the page
+	resident := pg.resident(&q)
 	if !resident {
 		if err := pg.openView(sc); err != nil {
 			return 0, err
@@ -634,7 +721,7 @@ func EvalPage(q Query, pg Page, raw series.RawStore, col *Collector, sc *Scratch
 // static, so candidates need no ordering and every in-window, unpruned
 // entry verifies directly.
 func EvalPageRange(q Query, pg Page, raw series.RawStore, col *RangeCollector, sc *Scratch) error {
-	resident := pg.syms != nil && !q.Windowed // nothing before a survivor reads the page
+	resident := pg.resident(&q)
 	if !resident {
 		if err := pg.openView(sc); err != nil {
 			return err

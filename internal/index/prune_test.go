@@ -1,6 +1,7 @@
 package index
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -444,5 +445,40 @@ func TestProbeDoesNotAllocate(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("probe allocated %v times per run, want 0", allocs)
+	}
+}
+
+// TestEnvelopeHelpers holds WidenEnvelope and SetEnvelope to a plain
+// compare-and-assign over random symbols, extremes included.
+func TestEnvelopeHelpers(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	const w = 16
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(9)
+		column := make([]uint8, n*w)
+		for i := range column {
+			switch rng.Intn(8) {
+			case 0:
+				column[i] = 0
+			case 1:
+				column[i] = 255
+			default:
+				column[i] = uint8(rng.Intn(256))
+			}
+		}
+		wantMin, wantMax := bytes.Repeat([]byte{255}, w), make([]uint8, w)
+		for i, v := range column {
+			if v < wantMin[i%w] {
+				wantMin[i%w] = v
+			}
+			if v > wantMax[i%w] {
+				wantMax[i%w] = v
+			}
+		}
+		mn, mx := make([]uint8, w), make([]uint8, w)
+		SetEnvelope(mn, mx, column)
+		if !bytes.Equal(mn, wantMin) || !bytes.Equal(mx, wantMax) {
+			t.Fatalf("trial %d: envelope [%v, %v], want [%v, %v]", trial, mn, mx, wantMin, wantMax)
+		}
 	}
 }

@@ -408,9 +408,15 @@ func (v *PackedView) PayloadBytes(i int) []byte {
 // Entry decodes entry i in full. The payload (when materialized) is freshly
 // allocated and does not alias the page.
 func (v *PackedView) Entry(i int, c Codec) (Entry, error) {
+	return v.EntryInto(i, c, nil)
+}
+
+// EntryInto is Entry with the payload decoded into payload when that has the
+// capacity for it (see Codec.DecodeInto).
+func (v *PackedView) EntryInto(i int, c Codec, payload series.Series) (Entry, error) {
 	e := Entry{Key: v.Key(i), ID: v.ID(i), TS: v.TS(i)}
 	if v.paySize > 0 {
-		p, err := series.DecodeBinary(v.PayloadBytes(i), c.SeriesLen)
+		p, err := series.DecodeBinaryInto(v.PayloadBytes(i), c.payloadBuf(payload))
 		if err != nil {
 			return Entry{}, err
 		}

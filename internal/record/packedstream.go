@@ -3,6 +3,8 @@ package record
 import (
 	"fmt"
 	"io"
+
+	"repro/internal/series"
 )
 
 // The packed stream types mirror storage.RecordWriter / RecordReader for the
@@ -145,6 +147,7 @@ type PackedReader struct {
 	codec    Codec
 	view     PackedView
 	viewOK   bool
+	payload  series.Series // the current entry's, reused for the next
 	idx      int
 	nextPage int64
 	npages   int64
@@ -159,8 +162,9 @@ func NewPackedReader(pages PageCursor, npages int64, name string, c Codec, count
 	return &PackedReader{pages: pages, name: name, codec: c, npages: npages, count: count}
 }
 
-// NextEntry returns the next entry, or io.EOF when exhausted. Payloads are
-// freshly allocated and remain valid across calls.
+// NextEntry returns the next entry, or io.EOF when exhausted. Its payload
+// is valid until the next call, which decodes into the same buffer: the
+// reader serves merges, which write each entry before they ask for another.
 func (r *PackedReader) NextEntry() (Entry, error) {
 	if r.read >= r.count {
 		return Entry{}, io.EOF
@@ -170,10 +174,11 @@ func (r *PackedReader) NextEntry() (Entry, error) {
 			return Entry{}, err
 		}
 	}
-	e, err := r.view.Entry(r.idx, r.codec)
+	e, err := r.view.EntryInto(r.idx, r.codec, r.payload)
 	if err != nil {
 		return Entry{}, err
 	}
+	r.payload = e.Payload
 	r.idx++
 	r.read++
 	return e, nil

@@ -67,7 +67,15 @@ func (c Codec) Encode(e Entry) ([]byte, error) {
 }
 
 // Decode decodes an entry from buf, which must hold at least c.Size() bytes.
+// The payload, when materialized, is freshly allocated.
 func (c Codec) Decode(buf []byte) (Entry, error) {
+	return c.DecodeInto(buf, nil)
+}
+
+// DecodeInto is Decode with a materialized payload decoded into payload
+// when that has the capacity for it — a reader that hands out one entry at a
+// time reuses one buffer for all of them — and into a fresh slice otherwise.
+func (c Codec) DecodeInto(buf []byte, payload series.Series) (Entry, error) {
 	if len(buf) < c.Size() {
 		return Entry{}, fmt.Errorf("record: short buffer %d, want %d", len(buf), c.Size())
 	}
@@ -77,13 +85,22 @@ func (c Codec) Decode(buf []byte) (Entry, error) {
 		TS:  int64(binary.LittleEndian.Uint64(buf[sortable.KeyBytes+8:])),
 	}
 	if c.Materialized {
-		p, err := series.DecodeBinary(buf[HeaderBytes:], c.SeriesLen)
+		p, err := series.DecodeBinaryInto(buf[HeaderBytes:], c.payloadBuf(payload))
 		if err != nil {
 			return Entry{}, err
 		}
 		e.Payload = p
 	}
 	return e, nil
+}
+
+// payloadBuf returns buf resized to one payload, or a fresh slice when buf
+// cannot hold one.
+func (c Codec) payloadBuf(buf series.Series) series.Series {
+	if cap(buf) < c.SeriesLen {
+		return make(series.Series, c.SeriesLen)
+	}
+	return buf[:c.SeriesLen]
 }
 
 // DecodeKeyOnly extracts just the sortable key — used on scan paths that

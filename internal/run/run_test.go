@@ -1,11 +1,13 @@
 package run
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -14,8 +16,10 @@ import (
 	"repro/internal/fsx"
 	"repro/internal/gen"
 	"repro/internal/index"
+	"repro/internal/obs"
 	"repro/internal/record"
 	"repro/internal/series"
+	"repro/internal/sortable"
 	"repro/internal/storage"
 	"repro/internal/zonestat"
 )
@@ -138,6 +142,59 @@ func flatten(pages [][]record.Entry) []record.Entry {
 	return out
 }
 
+// checkSummary is the invariant of a run's resident summary, checked against
+// the file itself as readPages decodes it: the SAX and timestamp columns are
+// the entries' symbols and timestamps in file order, each page's envelope is
+// exactly its entries' symbol range, and the page spans tile the entries as
+// the pages hold them.
+func checkSummary(t *testing.T, disk *storage.Disk, r Run) {
+	t.Helper()
+	m := r.sum
+	if m == nil {
+		t.Fatalf("%s: no resident summary", r.File)
+	}
+	w, bits := testCfg.Segments, testCfg.Bits
+	pages := readPages(t, disk, r)
+	if m.pages() != len(pages) || (r.Packed && len(m.starts) != len(pages)) || (!r.Packed && m.starts != nil) {
+		t.Fatalf("%s: summary of %d pages (%d starts), file has %d", r.File, m.pages(), len(m.starts), len(pages))
+	}
+	var syms []uint8
+	var tss []int64
+	next := 0
+	for p, page := range pages {
+		if lo, hi := m.span(p); lo != next || hi != next+len(page) {
+			t.Fatalf("%s page %d: span [%d, %d), file holds entries [%d, %d)", r.File, p, lo, hi, next, next+len(page))
+		}
+		next += len(page)
+		mn, mx := bytes.Repeat([]byte{255}, w), make([]uint8, w)
+		for _, e := range page {
+			es := sortable.Symbols(e.Key, w, bits)
+			syms = append(syms, es[:w]...)
+			tss = append(tss, e.TS)
+			index.WidenEnvelope(mn, mx, es[:w])
+		}
+		if gmn, gmx := m.env(p); !bytes.Equal(gmn, mn) || !bytes.Equal(gmx, mx) {
+			t.Fatalf("%s page %d: envelope [%v, %v], entries span [%v, %v]", r.File, p, gmn, gmx, mn, mx)
+		}
+		if got := m.firstKey(p); got != page[0].Key {
+			t.Fatalf("%s page %d: fence key %v, first entry's %v", r.File, p, got, page[0].Key)
+		}
+	}
+	if int64(next) != r.Count || !bytes.Equal(m.syms, syms) || !slices.Equal(m.ts, tss) {
+		t.Fatalf("%s: columns of %d entries differ from the file's %d", r.File, len(m.ts), next)
+	}
+	// What a pass over the file rebuilds — the summary of a reopened index —
+	// is the same value.
+	s := NewStore(disk, nil, testCfg, nil)
+	loaded, err := s.Load(Run{File: r.File, Count: r.Count, Syn: r.Syn, Packed: r.Packed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(loaded, r) {
+		t.Fatalf("%s: Load rebuilds %+v, the writer built %+v", r.File, loaded.sum, r.sum)
+	}
+}
+
 func sameEntries(t *testing.T, what string, got, want []record.Entry) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -186,9 +243,9 @@ func search(t *testing.T, s *Store, r Run, q index.Query, k int, op func(*Store,
 	return col.Results()
 }
 
-// parentStats are the Stats the parent commit's clsm.LSM (and, for the
-// fixed encoding, stream.BTP — the same numbers) produced on the script
-// TestRunTable replays: 300 entries of testEntries(300, 7) in one run,
+// parentStats are the Stats clsm.LSM (and, for the fixed encoding,
+// stream.BTP — the same numbers) produced on the script TestRunTable replays
+// at the commit before runs had resident summaries: 300 entries of testEntries(300, 7) in one run,
 // planner off, one worker; write = the flush; approx = three ApproxSearch
 // (a probe each: ⌈log₂P⌉ or one fewer first-key pins, then the covering
 // pin); exact = the running total after three more ExactSearch (a probe and
@@ -210,9 +267,11 @@ var parentStats = map[string]struct {
 }
 
 // TestRunTable checks one written run on every encoding and page source:
-// the file holds exactly its entries, the synopsis is the one a rescan
-// builds, Probe and ScanKNN answer as brute force does, and the access
-// script costs exactly what it cost at the parent commit.
+// the file holds exactly its entries, the synopsis and the resident summary
+// are the ones a rescan builds, Probe and ScanKNN answer as brute force does,
+// and the access script costs exactly what it cost before the summaries —
+// the same Stats with the probe pinning its way to its page (a test hook),
+// and with the fence-key probe that many pins fewer.
 func TestRunTable(t *testing.T) {
 	entries, raw := testEntries(300, 7)
 	queries := testQueries(3, 99)
@@ -260,22 +319,45 @@ func TestRunTable(t *testing.T) {
 					sameResults(t, fmt.Sprintf("scan %d", i), search(t, &s, r, q, 5, (*Store).ScanKNN), bruteKNN(q, entries, raw, 5))
 				}
 
-				if p, ok := s.Reader.(*bufpool.Pool); ok {
-					p.Purge() // the parent's script started cold
+				script := func() (approx, exact storage.Stats) {
+					if p, ok := s.Reader.(*bufpool.Pool); ok {
+						p.Purge() // the parent's script started cold
+					}
+					stats.ResetStats()
+					for _, q := range queries {
+						search(t, &s, r, q, 5, (*Store).Probe)
+					}
+					approx = stats.Stats()
+					for _, q := range queries {
+						search(t, &s, r, q, 5, (*Store).Probe)
+						search(t, &s, r, q, 5, (*Store).ScanKNN)
+					}
+					return approx, stats.Stats()
 				}
-				stats.ResetStats()
-				for _, q := range queries {
-					search(t, &s, r, q, 5, (*Store).Probe)
+				pins := ProbePins()
+				SetPinnedProbe(true)
+				approx, exact := script()
+				SetPinnedProbe(false)
+				pins = ProbePins() - pins
+				if approx != want.approx || exact != want.exact {
+					t.Errorf("pinning probes: 3 probes %+v, +3 probe+scan %+v; parent %+v, %+v", approx, exact, want.approx, want.exact)
 				}
-				if got := stats.Stats(); got != want.approx {
-					t.Errorf("3 probes: stats %+v, parent %+v", got, want.approx)
+				// A page access is a read of the disk, or with a pool a hit
+				// or a miss. The fence-key probe makes one per run; what it
+				// no longer pins it also no longer leaves in the pool, so
+				// only the total is comparable.
+				accesses := func(st storage.Stats) int64 {
+					if src == "pool" {
+						return st.CacheHits + st.CacheMisses
+					}
+					return st.SeqReads + st.RandReads
 				}
-				for _, q := range queries {
-					search(t, &s, r, q, 5, (*Store).Probe)
-					search(t, &s, r, q, 5, (*Store).ScanKNN)
+				approx, exact = script()
+				if got := accesses(approx); got != 3 {
+					t.Errorf("3 fence-key probes made %d page accesses: %+v", got, approx)
 				}
-				if got := stats.Stats(); got != want.exact {
-					t.Errorf("+3 probe+scan: stats %+v, parent %+v", got, want.exact)
+				if got, want := accesses(exact), accesses(want.exact)-pins; pins == 0 || got != want {
+					t.Errorf("fence-key probes: %d page accesses (%+v), want the parent's less %d first-key pins = %d", got, exact, pins, want)
 				}
 			})
 		}
@@ -292,7 +374,8 @@ func rescan(entries []record.Entry) *zonestat.Synopsis {
 
 // TestRunMerge merges runs of mixed encodings into both output encodings: the
 // merged run holds the sorted union, its synopsis is the one a rescan of
-// the merged file builds, one unknown input makes it unknown, and the
+// the merged file builds — which is the union of the inputs', and no less
+// exact when an input's is unknown — its summary is the file's, and the
 // inputs stay intact.
 func TestRunMerge(t *testing.T) {
 	a, _ := testEntries(130, 1)
@@ -331,20 +414,31 @@ func TestRunMerge(t *testing.T) {
 				}
 				merged := flatten(readPages(t, disk, m))
 				sameEntries(t, "merged run", merged, all)
-				if rebuilt := rescan(merged); !reflect.DeepEqual(m.Syn, rebuilt) {
+				rebuilt := rescan(merged)
+				if !reflect.DeepEqual(m.Syn, rebuilt) {
 					t.Errorf("merged synopsis %+v, rescan gives %+v", m.Syn, rebuilt)
 				}
+				union := zonestat.New(testCfg.Segments, testCfg.Bits)
+				for _, in := range inputs {
+					union.Union(in.Syn)
+				}
+				if !reflect.DeepEqual(m.Syn, union) {
+					t.Errorf("merged synopsis %+v, the inputs' union %+v", m.Syn, union)
+				}
+				checkSummary(t, disk, m)
 				for i, in := range inputs {
 					sameEntries(t, in.File, flatten(readPages(t, disk, in)), [][]record.Entry{a, b, c}[i])
 				}
 
+				// An input recovered from pre-synopsis metadata: the merge
+				// reads its entries all the same.
 				inputs[1].Syn = nil
 				u, err := s.Merge(inputs, "unknown", packOutput)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if u.Syn != nil {
-					t.Errorf("an unknown input gave synopsis %+v, want unknown", u.Syn)
+				if !reflect.DeepEqual(u.Syn, rebuilt) {
+					t.Errorf("an unknown input gave synopsis %+v, rescan gives %+v", u.Syn, rebuilt)
 				}
 			})
 		}
@@ -352,8 +446,9 @@ func TestRunMerge(t *testing.T) {
 }
 
 // TestFaultInjectionLeavesNoFile injects a write fault into Write and into
-// Merge, in both encodings: the error surfaces, and the partial output is
-// gone from the disk and from the filesystem beneath it.
+// Merge, in both encodings: the error surfaces with no run — and so no
+// summary of the entries the writer had got through — and the partial output
+// is gone from the disk and from the filesystem beneath it.
 func TestFaultInjectionLeavesNoFile(t *testing.T) {
 	entries, _ := testEntries(300, 7)
 	for _, packed := range []bool{false, true} {
@@ -375,11 +470,11 @@ func TestFaultInjectionLeavesNoFile(t *testing.T) {
 				}
 				return nil
 			})
-			if _, err := s.Write("out", entries, packed); !errors.Is(err, fsx.ErrInjected) {
-				t.Fatalf("Write: %v, want the injected fault", err)
+			if r, err := s.Write("out", entries, packed); !errors.Is(err, fsx.ErrInjected) || !reflect.DeepEqual(r, Run{}) {
+				t.Fatalf("Write: %+v, %v, want no run and the injected fault", r, err)
 			}
-			if _, err := s.Merge([]Run{in, in}, "out", packed); !errors.Is(err, fsx.ErrInjected) {
-				t.Fatalf("Merge: %v, want the injected fault", err)
+			if r, err := s.Merge([]Run{in, in}, "out", packed); !errors.Is(err, fsx.ErrInjected) || !reflect.DeepEqual(r, Run{}) {
+				t.Fatalf("Merge: %+v, %v, want no run and the injected fault", r, err)
 			}
 			fsys.SetFaultHook(nil)
 			if disk.Exists("out") || disk.TotalPages() != before {
@@ -389,9 +484,11 @@ func TestFaultInjectionLeavesNoFile(t *testing.T) {
 				t.Error("partial output file still on the filesystem")
 			}
 			// The name is free again.
-			if _, err := s.Write("out", entries, packed); err != nil {
+			out, err := s.Write("out", entries, packed)
+			if err != nil {
 				t.Fatal(err)
 			}
+			checkSummary(t, disk, out)
 		})
 	}
 }
@@ -424,5 +521,94 @@ func TestWarmScanDoesNotAllocate(t *testing.T) {
 			}
 			ctx.Release()
 		}
+	}
+}
+
+// TestRunScanTraceMatchesReference: a traced resident scan reports the
+// candidates (seen, verified, abandoned, pruned) the reference scan reports —
+// the in-window entries of a page released undecoded, dead by its envelope or
+// pruned entry by entry, count as seen and pruned, a windowed scan reading
+// the count off the timestamp column — and, beside them, how many pages it
+// released without decoding; the reference scan decodes every page it reads.
+func TestRunScanTraceMatchesReference(t *testing.T) {
+	defer SetPageKeyBounds(false)
+	entries, raw := testEntries(1200, 7)
+	for _, packed := range []bool{false, true} {
+		s, _, _ := newStore(t, "heap", raw)
+		r, err := s.Write("r", entries, packed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pages, _ := s.Pages(r)
+		for i, q := range testQueries(6, 99) {
+			trace := func(reference bool, scan func(q index.Query, sc *index.Scratch) error) *obs.TraceSnapshot {
+				SetPageKeyBounds(reference)
+				q.Trace = obs.NewQueryTrace()
+				ctx := index.AcquireCtx(q, testCfg)
+				defer ctx.Release()
+				if err := scan(q, ctx.Scratch0()); err != nil {
+					t.Fatal(err)
+				}
+				return q.Trace.Snapshot()
+			}
+			eps := 0.0
+			knn := func(q index.Query, sc *index.Scratch) error {
+				col := index.NewCollector(5)
+				if err := s.Probe(r, q, col, sc); err != nil { // seeds the bound, as a search does
+					return err
+				}
+				err := s.ScanKNN(r, q, col, sc)
+				if res := col.Results(); len(res) > 2 {
+					eps = res[2].Dist
+				}
+				return err
+			}
+			windowed := func(scan func(index.Query, *index.Scratch) error) func(index.Query, *index.Scratch) error {
+				return func(q index.Query, sc *index.Scratch) error { return scan(q.WithWindow(200, 700), sc) }
+			}
+			rng := func(q index.Query, sc *index.Scratch) error {
+				return s.ScanRange(r, q, index.NewRangeCollector(eps), sc)
+			}
+			for _, mode := range []struct {
+				name string
+				scan func(index.Query, *index.Scratch) error
+			}{{"knn", knn}, {"range", rng}, {"windowed knn", windowed(knn)}, {"windowed range", windowed(rng)}} {
+				want, got := trace(true, mode.scan), trace(false, mode.scan)
+				if want.UndecodedPages != 0 || want.Candidates.Seen == 0 {
+					t.Fatalf("packed=%v query %d %s: the reference scan saw %d candidates and left %d pages undecoded", packed, i, mode.name, want.Candidates.Seen, want.UndecodedPages)
+				}
+				if got.UndecodedPages == 0 || got.UndecodedPages > int64(pages)+1 {
+					t.Fatalf("packed=%v query %d %s: %d of %d pages undecoded", packed, i, mode.name, got.UndecodedPages, pages)
+				}
+				got.UndecodedPages = 0
+				if !reflect.DeepEqual(want, got) {
+					t.Fatalf("packed=%v query %d %s: traces diverged:\nreference: %+v\nresident:  %+v", packed, i, mode.name, want, got)
+				}
+			}
+		}
+	}
+}
+
+// TestLoadChecksTheCount: a file that cannot hold the entries its metadata
+// claims — too few fixed-size pages, packed pages whose counts add up to
+// another number — is refused, not summarized.
+func TestLoadChecksTheCount(t *testing.T) {
+	entries, _ := testEntries(300, 7)
+	for _, packed := range []bool{false, true} {
+		s, disk, _ := newStore(t, "heap", nil)
+		r, err := s.Write("r", entries, packed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, off := range []int64{-1, 1, testPageSize} {
+			bad := Run{File: r.File, Count: r.Count + off, Packed: packed}
+			if !packed && off < testPageSize/int64(testCfg.Codec().Size()) {
+				continue // a fixed-size file carries no counts: only its length can disagree
+			}
+			if got, err := s.Load(bad); err == nil {
+				t.Errorf("packed=%v: Load accepted a count of %d for a file of %d entries: %+v", packed, bad.Count, r.Count, got)
+			}
+		}
+		checkSummary(t, disk, r)
 	}
 }

@@ -217,7 +217,7 @@ func (b *BTP) ApproxSearch(q index.Query, k int) ([]index.Result, error) {
 // context, so ExactSearch shares one context (and one table fill) across
 // both phases.
 func (b *BTP) approxInto(q index.Query, col *index.Collector, ctx *index.SearchCtx) error {
-	if err := b.scanBuffer(q, col, ctx.Scratch0()); err != nil {
+	if err := b.store.ScanBuffer(b.buffer, q, col, ctx.Scratch0()); err != nil {
 		return err
 	}
 	return b.forEachPart(q, ctx, col, (*run.Store).Probe)
@@ -264,23 +264,6 @@ func (b *BTP) forEachPart(q index.Query, ctx *index.SearchCtx, col *index.Collec
 	}, func(i, w int, col *index.Collector) error {
 		return scan(&b.store, active[i], q, col, scs[w])
 	})
-}
-
-func (b *BTP) scanBuffer(q index.Query, col *index.Collector, sc *index.Scratch) error {
-	for _, e := range b.buffer {
-		if !q.InWindow(e.TS) {
-			continue
-		}
-		if col.SkipSq(sc.P.MinDistSqKey(e.Key)) {
-			continue
-		}
-		dSq, err := index.TrueDistSq(q, e, b.store.Raw, col.WorstSq(), sc)
-		if err != nil {
-			return err
-		}
-		col.AddSq(e.ID, e.TS, dSq)
-	}
-	return nil
 }
 
 var _ Scheme = (*BTP)(nil)

@@ -13,6 +13,7 @@ import (
 	"repro/internal/fsx"
 	"repro/internal/gen"
 	"repro/internal/index"
+	"repro/internal/run"
 	"repro/internal/storage"
 )
 
@@ -123,6 +124,13 @@ func TestBTPFaultInjection(t *testing.T) {
 			for _, p := range btp.parts {
 				if !disk.Exists(p.File) {
 					t.Errorf("listed partition %q is not on the disk", p.File)
+					continue
+				}
+				// Sealed or merged, before the fault or around it, a listed
+				// partition's resident summary is its file's.
+				rebuilt, err := btp.store.Load(run.Run{File: p.File, Count: p.Count, Syn: p.Syn, Packed: p.Packed})
+				if err != nil || !reflect.DeepEqual(rebuilt, p.Run) {
+					t.Errorf("partition %q: its resident summary is not the one its file rebuilds (%v)", p.File, err)
 				}
 			}
 			rng := rand.New(rand.NewSource(17))

@@ -32,7 +32,7 @@ func CTreeFactory(disk storage.Backend, reader storage.PageReader, cfg index.Con
 		file := name + ".sorted"
 		// A temporary sorted file the bulk load consumes, not a run the
 		// scheme keeps: the run writer's pages without its synopsis.
-		if err := sorter.WriteRun(file, sorted, false); err != nil {
+		if err := sorter.WriteRun(file, sorted, false, nil); err != nil {
 			return nil, err
 		}
 		// Partitions stay serial internally (Parallelism 1): the scheme's

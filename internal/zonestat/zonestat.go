@@ -10,11 +10,12 @@
 // ever changing an answer, because the envelope bound is never larger than
 // the per-entry bound the collector would have pruned with anyway.
 //
-// Synopses are cheap to maintain incrementally: flushes and bulk builds
-// fold each entry's key into a builder as it streams past, and a merge's
-// synopsis is the exact Union of its inputs' synopses — no re-scan, no
-// extra I/O. They persist inside run manifests and index snapshots (a few
-// dozen bytes per unit) and reload on recovery.
+// Synopses are cheap to maintain incrementally: flushes, merges and bulk
+// builds fold each entry's key into a builder as it streams past — a merge
+// writes every entry anyway, so its synopsis needs no re-scan and no extra
+// I/O, and equals the Union of its inputs' synopses. They persist inside run
+// manifests and index snapshots (a few dozen bytes per unit) and reload on
+// recovery.
 package zonestat
 
 import (
@@ -92,9 +93,10 @@ func (s *Synopsis) AddSyms(k sortable.Key, syms []uint8, ts int64) {
 	s.Count++
 }
 
-// Union widens s to cover o as well. Merging runs or partitions unions
-// their synopses — the result is exact (identical to rebuilding from the
-// merged entries), because every recorded statistic is a monotone envelope.
+// Union widens s to cover o as well. The union of several units' synopses
+// is exact — identical to rebuilding from their entries together, which is
+// what a merge of runs does and what its tests hold it to — because every
+// recorded statistic is a monotone envelope.
 func (s *Synopsis) Union(o *Synopsis) {
 	if o == nil || o.Count == 0 {
 		return

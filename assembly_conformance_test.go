@@ -137,7 +137,7 @@ func TestAssemblyEquivalence(t *testing.T) {
 							exact := convert(rs)
 							checkAgainstScan(t, fmt.Sprintf("query %d exact", qi), exact, scanKNN(q, ds, k))
 							eps := exact[2].Dist
-							rs, err = h.Index.(index.RangeSearcher).RangeSearch(q, eps)
+							rs, err = h.Index.RangeSearch(q, eps)
 							if err != nil {
 								t.Fatal(err)
 							}

@@ -337,7 +337,7 @@ func (h *handle) SearchApprox(q []float64, k int) ([]Match, error) {
 // of q, sorted by distance — on a Sharded index byte-identical to the
 // unsharded answer.
 func (h *handle) SearchRange(q []float64, eps float64) ([]Match, error) {
-	rs, err := h.b.Index.(index.RangeSearcher).RangeSearch(index.NewQuery(series.Series(q), h.cfg), eps)
+	rs, err := h.b.Index.RangeSearch(index.NewQuery(series.Series(q), h.cfg), eps)
 	return convert(rs), err
 }
 
@@ -364,7 +364,7 @@ func (h *handle) SearchBatch(qs [][]float64, k int) ([][]Match, error) {
 		}
 		iqs[i] = index.NewQuery(series.Series(q), h.cfg)
 	}
-	rss, err := h.b.Index.(index.BatchSearcher).ExactSearchBatch(iqs, k)
+	rss, err := h.b.SearchBatch(iqs, k)
 	if err != nil {
 		return nil, err
 	}

@@ -30,25 +30,19 @@ func descend(n *node, w sax.Word) *node {
 // read). If that root subtree does not exist, the closest existing root by
 // lower bound is used.
 func (t *Tree) ApproxSearch(q index.Query, k int) ([]index.Result, error) {
-	ctx := index.AcquireCtx(q, t.opts.Config)
-	defer ctx.Release()
-	ctx.P.FillAll()
-	col := index.NewCollector(k)
-	sp := ctx.Trace.Start("approx")
-	if err := t.approxInto(q, k, col, ctx); err != nil {
-		return nil, err
-	}
-	sp.End()
-	return col.Results(), nil
+	return index.Search(q, t.opts.Config, index.NewCollector(k), t.ApproxInto)
 }
 
-// approxInto runs the approximate phase into col with an already-acquired
-// context (tables filled for every cardinality), so ExactSearch shares one
-// context across both phases.
-func (t *Tree) approxInto(q index.Query, k int, col *index.Collector, ctx *index.SearchCtx) error {
+// ApproxInto is the approximate search itself (index.Index). ADS+ searches
+// serially, so a public method and its core differ only in who brought the
+// context; node bounds need its tables at every cardinality, so a body
+// begins by extending them (FillAll is idempotent).
+func (t *Tree) ApproxInto(q index.Query, col *index.Collector, ctx *index.SearchCtx) error {
 	if len(t.roots) == 0 {
 		return nil
 	}
+	defer ctx.Trace.Start("approx").End()
+	ctx.P.FillAll()
 	sc := ctx.Scratch0()
 	w := sax.FromPAA(q.PAA, t.opts.Config.Bits)
 	root, ok := t.roots[t.rootKey(w)]
@@ -87,17 +81,15 @@ func (t *Tree) approxInto(q index.Query, k int, col *index.Collector, ctx *index
 // is a separate extent, so exact search pays one head movement per
 // surviving leaf.
 func (t *Tree) ExactSearch(q index.Query, k int) ([]index.Result, error) {
-	ctx := index.AcquireCtx(q, t.opts.Config)
-	defer ctx.Release()
-	ctx.P.FillAll()
-	col := index.NewCollector(k)
-	sp := ctx.Trace.Start("approx")
-	if err := t.approxInto(q, k, col, ctx); err != nil {
-		return nil, err
+	return index.Search(q, t.opts.Config, index.NewCollector(k), t.ExactInto)
+}
+
+// ExactInto is the exact search itself (index.Index).
+func (t *Tree) ExactInto(q index.Query, col *index.Collector, ctx *index.SearchCtx) error {
+	if err := t.ApproxInto(q, col, ctx); err != nil {
+		return err
 	}
-	sp.End()
-	sp = ctx.Trace.Start("scan")
-	defer sp.End()
+	defer ctx.Trace.Start("scan").End()
 	sc := ctx.Scratch0()
 	pq := &nodePQ{}
 	for _, n := range t.roots {
@@ -110,7 +102,7 @@ func (t *Tree) ExactSearch(q index.Query, k int) ([]index.Result, error) {
 		}
 		if nd.n.leaf {
 			if err := t.evalLeaf(nd.n, q, col, sc); err != nil {
-				return nil, err
+				return err
 			}
 			continue
 		}
@@ -123,7 +115,7 @@ func (t *Tree) ExactSearch(q index.Query, k int) ([]index.Result, error) {
 			}
 		}
 	}
-	return col.Results(), nil
+	return nil
 }
 
 // evalLeaf computes true distances for the in-window entries of a leaf
@@ -177,10 +169,12 @@ func (p *nodePQ) Pop() any {
 // the query by visiting all subtrees whose squared node bound is within the
 // squared epsilon.
 func (t *Tree) RangeSearch(q index.Query, eps float64) ([]index.Result, error) {
-	ctx := index.AcquireCtx(q, t.opts.Config)
-	defer ctx.Release()
+	return index.Search(q, t.opts.Config, index.NewRangeCollector(eps), t.RangeInto)
+}
+
+// RangeInto is the range search itself (index.Index).
+func (t *Tree) RangeInto(q index.Query, col *index.RangeCollector, ctx *index.SearchCtx) error {
 	ctx.P.FillAll()
-	col := index.NewRangeCollector(eps)
 	sc := ctx.Scratch0()
 	var visit func(n *node) error
 	visit = func(n *node) error {
@@ -205,15 +199,14 @@ func (t *Tree) RangeSearch(q index.Query, eps float64) ([]index.Result, error) {
 	}
 	for _, root := range t.roots {
 		if err := visit(root); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return col.Results(), nil
+	return nil
 }
 
 var (
-	_ index.Index         = (*Tree)(nil)
-	_ index.Inserter      = (*Tree)(nil)
-	_ index.RangeSearcher = (*Tree)(nil)
-	_ heap.Interface      = (*nodePQ)(nil)
+	_ index.Index    = (*Tree)(nil)
+	_ index.Inserter = (*Tree)(nil)
+	_ heap.Interface = (*nodePQ)(nil)
 )

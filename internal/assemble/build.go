@@ -451,6 +451,7 @@ func (b *Built) group(nsh int, owned []int, part [][]int64, parallelism int) err
 		return err
 	}
 	b.Group, b.Index = g, g
+	b.Spec.Parallelism = parallelism // the cross-shard pool's size, which SearchBatch follows
 	b.Disk, b.Pool, b.Raw = b.Parts[0].Disk, b.Parts[0].Pool, b.Parts[0].Raw
 	return nil
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/bufpool"
 	"repro/internal/clsm"
 	"repro/internal/index"
+	"repro/internal/parallel"
 	"repro/internal/series"
 	"repro/internal/storage"
 	"repro/internal/wal"
@@ -136,9 +137,17 @@ func (b *Built) WALStats() (wal.Stats, bool) {
 // partitioned build, the index's own otherwise (n <= 0 selects GOMAXPROCS; 1
 // is serial). Call only while no search is in flight.
 func (b *Built) SetParallelism(n int) {
+	b.Spec.Parallelism = parallel.Resolve(n)
 	if p, ok := b.Index.(interface{ SetParallelism(int) }); ok {
 		p.SetParallelism(n)
 	}
+}
+
+// SearchBatch answers one exact k-NN query per element of qs (index.Batch),
+// byte-identically to Index.ExactSearch: the parallelism a single search
+// spends within its scan moves to across queries, on a pool of the same size.
+func (b *Built) SearchBatch(qs []index.Query, k int) ([][]index.Result, error) {
+	return index.Batch(parallel.New(b.Spec.Parallelism), b.Config, b.Index, qs, k)
 }
 
 // EnableCache installs one buffer pool of cacheBytes between the build's

@@ -200,6 +200,7 @@ func openOne(path string, spec Spec, sh shared) (b *Built, err error) {
 	spec.Variant = VariantOf(fam, b.Config.Materialized)
 	spec.SeriesLen, spec.Segments, spec.Bits = b.Config.SeriesLen, b.Config.Segments, b.Config.Bits
 	spec.RawInMemory = true
+	spec.Parallelism = -1 // not part of a snapshot: a reopened index takes the default pool
 	b.Spec = spec
 	if err = spec.Validate(); err != nil {
 		return
@@ -313,7 +314,7 @@ func OpenSharded(path string, spec Spec) (*Built, error) {
 	}
 	b.Spec, b.Config = b.Parts[0].Spec, b.Parts[0].Config
 	b.Spec.Shards, b.Spec.WALDir = m.Shards, spec.WALDir
-	if err := b.group(m.Shards, owned, shard.Partition(total, m.Shards), 0); err != nil {
+	if err := b.group(m.Shards, owned, shard.Partition(total, m.Shards), -1); err != nil {
 		b.Close()
 		return nil, err
 	}

@@ -1,8 +1,6 @@
 package clsm
 
 import (
-	"math"
-
 	"repro/internal/index"
 	"repro/internal/parallel"
 	"repro/internal/run"
@@ -33,31 +31,29 @@ import (
 // of the LSM trade-off; concurrency over runs is what claws the latency
 // back.
 func (l *LSM) ApproxSearch(q index.Query, k int) ([]index.Result, error) {
-	ctx := index.AcquireCtx(q, l.opts.Config)
-	defer ctx.Release()
-	v := l.pinView()
-	defer l.unpinView(v)
-	col := index.NewCollector(k)
-	sp := ctx.Trace.Start("approx")
-	if err := l.approxInto(v, q, col, ctx, l.pool); err != nil {
-		return nil, err
-	}
-	sp.End()
-	return col.Results(), nil
+	return index.Search(q, l.opts.Config, index.NewCollector(k), func(q index.Query, col *index.Collector, ctx *index.SearchCtx) error {
+		return l.approx(nil, q, col, ctx, l.pool)
+	})
 }
 
-// approxInto runs the approximate phase into col with an already-acquired
-// context, so ExactSearch shares one context (and one table fill) across
-// both phases.
-func (l *LSM) approxInto(v *view, q index.Query, col *index.Collector, ctx *index.SearchCtx, pool *parallel.Pool) error {
-	if err := l.store.ScanBuffer(v.buf, q, col, ctx.Scratch0()); err != nil {
+// ApproxInto is ApproxSearch's core (index.Index).
+func (l *LSM) ApproxInto(q index.Query, col *index.Collector, ctx *index.SearchCtx) error {
+	return l.approx(nil, q, col, ctx, index.SerialPool)
+}
+
+// approx is the approximate search against view v — the exact search's,
+// which shares one view (and one context) across both phases — or, given
+// nil, against a view of its own. Run probes fan out on the given pool.
+func (l *LSM) approx(v *view, q index.Query, col *index.Collector, ctx *index.SearchCtx, pool *parallel.Pool) error {
+	if v == nil {
+		v = l.pinView()
+		defer l.unpinView(v)
+	}
+	defer ctx.Trace.Start("approx").End()
+	if err := index.ScanBuffer(v.buf, q, l.opts.Raw, col, ctx.Scratch0()); err != nil {
 		return err
 	}
-	runs := allRuns(v.man)
-	scs := ctx.Scratches(pool.WorkersFor(len(runs)))
-	return forEachRun(l, runs, q, ctx, col, pool, func(i, w int, col *index.Collector) error {
-		return l.store.Probe(runs[i], q, col, scs[w])
-	})
+	return forEachRun(l, v, q, ctx, col, pool, (*run.Store).Probe)
 }
 
 // ExactSearch returns the true k nearest neighbors: the approximate phase
@@ -66,83 +62,44 @@ func (l *LSM) approxInto(v *view, q index.Query, col *index.Collector, ctx *inde
 // fully evaluated by the approximate phase (deduplication by ID makes
 // re-offering it a no-op), so only the runs need the full pass.
 func (l *LSM) ExactSearch(q index.Query, k int) ([]index.Result, error) {
-	ctx := index.AcquireCtx(q, l.opts.Config)
-	defer ctx.Release()
-	return l.exactCtx(q, k, ctx, l.pool)
-}
-
-// ExactSearchCtx answers an exact k-NN query with a caller-managed context
-// (already filled for q — see index.SearchCtx.Refill) and a serial scan.
-// Batch executors and sharded probes use it to own the parallelism at a
-// coarser grain: across queries, or across shards, instead of within one
-// scan. Results are byte-identical to ExactSearch.
-func (l *LSM) ExactSearchCtx(q index.Query, k int, ctx *index.SearchCtx) ([]index.Result, error) {
-	return l.exactCtx(q, k, ctx, index.SerialPool)
-}
-
-// ExactSearchColl is ExactSearchCtx returning the collector itself, exact
-// squared sums intact, for the sharded merge (see index.CollSearcher).
-func (l *LSM) ExactSearchColl(q index.Query, k int, ctx *index.SearchCtx) (*index.Collector, error) {
-	return l.exactColl(q, k, ctx, index.SerialPool)
-}
-
-// ExactSearchBatch answers one exact k-NN query per element of qs, pipelined
-// over the LSM's worker pool: each worker slot reuses one search context
-// (tables refilled per query, scratch buffers persistent) for every query it
-// executes. out[i] is byte-identical to ExactSearch(qs[i], k).
-func (l *LSM) ExactSearchBatch(qs []index.Query, k int) ([][]index.Result, error) {
-	return index.Batch(l.pool, l.opts.Config, qs, func(q index.Query, ctx *index.SearchCtx) ([]index.Result, error) {
-		return l.ExactSearchCtx(q, k, ctx)
+	return index.Search(q, l.opts.Config, index.NewCollector(k), func(q index.Query, col *index.Collector, ctx *index.SearchCtx) error {
+		return l.exact(q, col, ctx, l.pool)
 	})
 }
 
-// exactCtx is the exact-search core: approximate phase to seed the bound,
-// then the full pruned run scans, both over the given pool.
-func (l *LSM) exactCtx(q index.Query, k int, ctx *index.SearchCtx, pool *parallel.Pool) ([]index.Result, error) {
-	col, err := l.exactColl(q, k, ctx, pool)
-	if err != nil {
-		return nil, err
-	}
-	return col.Results(), nil
+// ExactInto is ExactSearch's core (index.Index): serial, the caller owning
+// the parallelism at a coarser grain.
+func (l *LSM) ExactInto(q index.Query, col *index.Collector, ctx *index.SearchCtx) error {
+	return l.exact(q, col, ctx, index.SerialPool)
 }
 
-// exactColl runs the exact search and returns the filled collector.
-func (l *LSM) exactColl(q index.Query, k int, ctx *index.SearchCtx, pool *parallel.Pool) (*index.Collector, error) {
+// exact is the exact search: approximate phase to seed the bound, then the
+// full pruned run scans, both against one pinned view over the given pool.
+func (l *LSM) exact(q index.Query, col *index.Collector, ctx *index.SearchCtx, pool *parallel.Pool) error {
 	v := l.pinView()
 	defer l.unpinView(v)
-	col := index.NewCollector(k)
-	sp := ctx.Trace.Start("approx")
-	if err := l.approxInto(v, q, col, ctx, pool); err != nil {
-		return nil, err
+	if err := l.approx(v, q, col, ctx, pool); err != nil {
+		return err
 	}
-	sp.End()
-	sp = ctx.Trace.Start("scan")
-	runs := allRuns(v.man)
-	scs := ctx.Scratches(pool.WorkersFor(len(runs)))
-	err := forEachRun(l, runs, q, ctx, col, pool, func(i, w int, col *index.Collector) error {
-		return l.store.ScanKNN(runs[i], q, col, scs[w])
-	})
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-	return col, nil
+	defer ctx.Trace.Start("scan").End()
+	return forEachRun(l, v, q, ctx, col, pool, (*run.Store).ScanKNN)
 }
 
-// forEachRun probes every run through the planned-probe executor
-// (index.ProbeUnits). A run is bounded by its synopsis's envelope MINDIST,
-// or by +Inf when its time range misses the query window; probe(i, worker,
-// col) searches runs[i] as worker slot worker of pool.
-func forEachRun[C index.FanCollector[C]](l *LSM, runs []run.Run, q index.Query, ctx *index.SearchCtx, col C, pool *parallel.Pool, probe func(i, worker int, col C) error) error {
+// forEachRun applies scan (the run store's Probe, ScanKNN or ScanRange, as a
+// method expression) to every run of view v through the planned-probe
+// executor (index.ProbeUnits), each worker slot of pool with its own scratch
+// of ctx. A run is bounded by its synopsis's envelope MINDIST, or by +Inf
+// when its time range misses the query window.
+func forEachRun[C index.FanCollector[C]](l *LSM, v *view, q index.Query, ctx *index.SearchCtx, col C, pool *parallel.Pool, scan func(*run.Store, run.Run, index.Query, C, *index.Scratch) error) error {
+	runs := allRuns(v.man)
+	scs := ctx.Scratches(pool.WorkersFor(len(runs)))
 	return index.ProbeUnits(index.ProbePlan{
 		Planner: l.opts.Planner, Pool: pool, Trace: ctx.Trace, Kind: "run", Units: ctx.PlanUnits(len(runs)),
 	}, col, func(i int) float64 {
-		syn := runs[i].Syn
-		if q.Windowed && syn != nil && !syn.IntersectsWindow(q.MinTS, q.MaxTS) {
-			return math.Inf(1)
-		}
-		return ctx.P.SynopsisBoundSq(syn)
-	}, probe)
+		return ctx.P.UnitBoundSq(q, runs[i].Syn)
+	}, func(i, w int, col C) error {
+		return scan(&l.store, runs[i], q, col, scs[w])
+	})
 }
 
 // RangeSearch returns every indexed series within Euclidean distance eps
@@ -150,32 +107,29 @@ func forEachRun[C index.FanCollector[C]](l *LSM, runs []run.Run, q index.Query, 
 // pruning. Runs scan concurrently; the epsilon bound is static, so
 // per-worker range collectors merge into exactly the serial answer.
 func (l *LSM) RangeSearch(q index.Query, eps float64) ([]index.Result, error) {
-	ctx := index.AcquireCtx(q, l.opts.Config)
-	defer ctx.Release()
+	return index.Search(q, l.opts.Config, index.NewRangeCollector(eps), func(q index.Query, col *index.RangeCollector, ctx *index.SearchCtx) error {
+		return l.rangeScan(q, col, ctx, l.pool)
+	})
+}
+
+// RangeInto is RangeSearch's core (index.Index).
+func (l *LSM) RangeInto(q index.Query, col *index.RangeCollector, ctx *index.SearchCtx) error {
+	return l.rangeScan(q, col, ctx, index.SerialPool)
+}
+
+// rangeScan is the range search against one pinned view, runs fanned out on
+// the given pool.
+func (l *LSM) rangeScan(q index.Query, col *index.RangeCollector, ctx *index.SearchCtx, pool *parallel.Pool) error {
 	v := l.pinView()
 	defer l.unpinView(v)
-	col := index.NewRangeCollector(eps)
 	if err := index.EvalPageRange(q, index.EntryPage(v.buf), l.opts.Raw, col, ctx.Scratch0()); err != nil {
-		return nil, err
+		return err
 	}
-	runs := allRuns(v.man)
-	scs := ctx.Scratches(l.pool.WorkersFor(len(runs)))
-	sp := ctx.Trace.Start("scan")
-	err := forEachRun(l, runs, q, ctx, col, l.pool, func(i, w int, col *index.RangeCollector) error {
-		return l.store.ScanRange(runs[i], q, col, scs[w])
-	})
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-	return col.Results(), nil
+	defer ctx.Trace.Start("scan").End()
+	return forEachRun(l, v, q, ctx, col, pool, (*run.Store).ScanRange)
 }
 
 var (
-	_ index.Index         = (*LSM)(nil)
-	_ index.Inserter      = (*LSM)(nil)
-	_ index.RangeSearcher = (*LSM)(nil)
-	_ index.CtxSearcher   = (*LSM)(nil)
-	_ index.CollSearcher  = (*LSM)(nil)
-	_ index.BatchSearcher = (*LSM)(nil)
+	_ index.Index    = (*LSM)(nil)
+	_ index.Inserter = (*LSM)(nil)
 )

@@ -25,35 +25,25 @@ import (
 // search of the demo: one or two page reads, inherently navigational, so it
 // stays serial at every parallelism setting.
 func (t *Tree) ApproxSearch(q index.Query, k int) ([]index.Result, error) {
-	ctx := index.AcquireCtx(q, t.opts.Config)
-	defer ctx.Release()
-	col := index.NewCollector(k)
-	sp := ctx.Trace.Start("approx")
-	if err := t.approxInto(q, k, col, ctx); err != nil {
-		return nil, err
-	}
-	sp.End()
-	return col.Results(), nil
+	return index.Search(q, t.opts.Config, index.NewCollector(k), t.ApproxInto)
 }
 
-// approxInto runs the approximate phase into col with an already-acquired
-// context, so ExactSearch shares one context (and one table fill) across
-// both phases.
-func (t *Tree) approxInto(q index.Query, k int, col *index.Collector, ctx *index.SearchCtx) error {
+// ApproxInto is the approximate search itself (index.Index): the covering
+// leaf, then alternating outward until k candidates have been evaluated
+// (fill-factor slack or windows can leave leaves short).
+func (t *Tree) ApproxInto(q index.Query, col *index.Collector, ctx *index.SearchCtx) error {
 	if len(t.leaves) == 0 {
 		return nil
 	}
+	defer ctx.Trace.Start("approx").End()
 	sc := ctx.Scratch0()
 	center := t.findLeaf(q.Key)
-	// Scan the covering leaf, then alternate outward until k candidates
-	// have been evaluated (fill-factor slack or windows can leave leaves
-	// short).
 	seen, err := t.scanLeafInto(center, q, col, sc)
 	if err != nil {
 		return err
 	}
 	lo, hi := center, center
-	for seen < k && (lo > 0 || hi < len(t.leaves)-1) {
+	for k := col.K(); seen < k && (lo > 0 || hi < len(t.leaves)-1); {
 		if lo > 0 {
 			lo--
 			n, err := t.scanLeafInto(lo, q, col, sc)
@@ -133,76 +123,32 @@ func (t *Tree) leafChunks(pool *parallel.Pool) [][2]int {
 // one contiguous leaf range per worker — the sequential access pattern of
 // Coconut's sortable layout, striped across the pool.
 func (t *Tree) ExactSearch(q index.Query, k int) ([]index.Result, error) {
-	ctx := index.AcquireCtx(q, t.opts.Config)
-	defer ctx.Release()
-	return t.exactCtx(q, k, ctx, t.pool)
-}
-
-// ExactSearchCtx answers an exact k-NN query with a caller-managed context
-// (already filled for q — see index.SearchCtx.Refill) and a serial scan.
-// Batch executors and sharded probes use it to own the parallelism at a
-// coarser grain: across queries, or across shards, instead of within one
-// scan. Results are byte-identical to ExactSearch.
-func (t *Tree) ExactSearchCtx(q index.Query, k int, ctx *index.SearchCtx) ([]index.Result, error) {
-	return t.exactCtx(q, k, ctx, index.SerialPool)
-}
-
-// ExactSearchColl is ExactSearchCtx returning the collector itself, exact
-// squared sums intact, for the sharded merge (see index.CollSearcher).
-func (t *Tree) ExactSearchColl(q index.Query, k int, ctx *index.SearchCtx) (*index.Collector, error) {
-	return t.exactColl(q, k, ctx, index.SerialPool)
-}
-
-// ExactSearchBatch answers one exact k-NN query per element of qs, pipelined
-// over the tree's worker pool: each worker slot reuses one search context
-// (tables refilled per query, scratch buffers persistent) for every query it
-// executes. out[i] is byte-identical to ExactSearch(qs[i], k).
-func (t *Tree) ExactSearchBatch(qs []index.Query, k int) ([][]index.Result, error) {
-	return index.Batch(t.pool, t.opts.Config, qs, func(q index.Query, ctx *index.SearchCtx) ([]index.Result, error) {
-		return t.ExactSearchCtx(q, k, ctx)
+	return index.Search(q, t.opts.Config, index.NewCollector(k), func(q index.Query, col *index.Collector, ctx *index.SearchCtx) error {
+		return t.exact(q, col, ctx, t.pool)
 	})
 }
 
-// exactCtx is the exact-search core: approximate phase to seed the bound,
-// then the pruned scan of the leaf file striped across the given pool.
-func (t *Tree) exactCtx(q index.Query, k int, ctx *index.SearchCtx, pool *parallel.Pool) ([]index.Result, error) {
-	col, err := t.exactColl(q, k, ctx, pool)
-	if err != nil {
-		return nil, err
-	}
-	return col.Results(), nil
+// ExactInto is ExactSearch's core (index.Index): serial, the caller owning
+// the parallelism at a coarser grain.
+func (t *Tree) ExactInto(q index.Query, col *index.Collector, ctx *index.SearchCtx) error {
+	return t.exact(q, col, ctx, index.SerialPool)
 }
 
-// exactColl runs the exact search and returns the filled collector.
-func (t *Tree) exactColl(q index.Query, k int, ctx *index.SearchCtx, pool *parallel.Pool) (*index.Collector, error) {
-	col := index.NewCollector(k)
-	if len(t.leaves) == 0 {
-		return col, nil
+// exact is the exact search: approximate phase to seed the bound, then the
+// pruned scan of the leaf file striped across the given pool.
+func (t *Tree) exact(q index.Query, col *index.Collector, ctx *index.SearchCtx, pool *parallel.Pool) error {
+	if err := t.ApproxInto(q, col, ctx); err != nil {
+		return err
 	}
-	sp := ctx.Trace.Start("approx")
-	if err := t.approxInto(q, k, col, ctx); err != nil {
-		return nil, err
-	}
-	sp.End()
-	sp = ctx.Trace.Start("scan")
+	defer ctx.Trace.Start("scan").End()
 	chunks := t.leafChunks(pool)
 	scs := ctx.Scratches(len(chunks))
-	err := index.FanOut(pool, len(chunks), col, func(i, w int, col *index.Collector) error {
-		return t.exactScanRange(chunks[i][0], chunks[i][1], q, col, scs[w])
-	})
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-	return col, nil
-}
-
-// exactScanRange scans leaves [lo, hi) with squared lower-bound pruning
-// into col; see scanRange.
-func (t *Tree) exactScanRange(lo, hi int, q index.Query, col *index.Collector, sc *index.Scratch) error {
-	return t.scanRange(lo, hi, q, sc, col, func(pg index.Page) error {
-		_, err := index.EvalPage(q, pg, t.opts.Raw, col, sc)
-		return err
+	return index.FanOut(pool, len(chunks), col, func(i, w int, col *index.Collector) error {
+		sc := scs[w]
+		return t.scanRange(chunks[i][0], chunks[i][1], q, sc, col, func(pg index.Page) error {
+			_, err := index.EvalPage(q, pg, t.opts.Raw, col, sc)
+			return err
+		})
 	})
 }
 
@@ -358,38 +304,31 @@ func (t *Tree) skipRuns(lo, hi int, tr *obs.QueryTrace, read func(li int, pruned
 // of the query: one pruned scan of the leaf file, striped across the pool
 // in contiguous leaf ranges.
 func (t *Tree) RangeSearch(q index.Query, eps float64) ([]index.Result, error) {
-	ctx := index.AcquireCtx(q, t.opts.Config)
-	defer ctx.Release()
-	col := index.NewRangeCollector(eps)
-	if len(t.leaves) == 0 {
-		return col.Results(), nil
-	}
-	chunks := t.leafChunks(t.pool)
-	scs := ctx.Scratches(len(chunks))
-	sp := ctx.Trace.Start("scan")
-	err := index.FanOut(t.pool, len(chunks), col, func(i, w int, col *index.RangeCollector) error {
-		return t.rangeScanRange(chunks[i][0], chunks[i][1], q, col, scs[w])
+	return index.Search(q, t.opts.Config, index.NewRangeCollector(eps), func(q index.Query, col *index.RangeCollector, ctx *index.SearchCtx) error {
+		return t.rangeScan(q, col, ctx, t.pool)
 	})
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-	return col.Results(), nil
 }
 
-// rangeScanRange scans leaves [lo, hi) with squared epsilon pruning into
-// col; see scanRange.
-func (t *Tree) rangeScanRange(lo, hi int, q index.Query, col *index.RangeCollector, sc *index.Scratch) error {
-	return t.scanRange(lo, hi, q, sc, col, func(pg index.Page) error {
-		return index.EvalPageRange(q, pg, t.opts.Raw, col, sc)
+// RangeInto is RangeSearch's core (index.Index).
+func (t *Tree) RangeInto(q index.Query, col *index.RangeCollector, ctx *index.SearchCtx) error {
+	return t.rangeScan(q, col, ctx, index.SerialPool)
+}
+
+// rangeScan is the range search: the leaf file scanned with squared epsilon
+// pruning, striped across the given pool.
+func (t *Tree) rangeScan(q index.Query, col *index.RangeCollector, ctx *index.SearchCtx, pool *parallel.Pool) error {
+	defer ctx.Trace.Start("scan").End()
+	chunks := t.leafChunks(pool)
+	scs := ctx.Scratches(len(chunks))
+	return index.FanOut(pool, len(chunks), col, func(i, w int, col *index.RangeCollector) error {
+		sc := scs[w]
+		return t.scanRange(chunks[i][0], chunks[i][1], q, sc, col, func(pg index.Page) error {
+			return index.EvalPageRange(q, pg, t.opts.Raw, col, sc)
+		})
 	})
 }
 
 var (
-	_ index.Index         = (*Tree)(nil)
-	_ index.Inserter      = (*Tree)(nil)
-	_ index.RangeSearcher = (*Tree)(nil)
-	_ index.CtxSearcher   = (*Tree)(nil)
-	_ index.CollSearcher  = (*Tree)(nil)
-	_ index.BatchSearcher = (*Tree)(nil)
+	_ index.Index    = (*Tree)(nil)
+	_ index.Inserter = (*Tree)(nil)
 )

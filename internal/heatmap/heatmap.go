@@ -13,25 +13,29 @@ import (
 	"sync"
 )
 
-// Recorder accumulates per-page access counts by file. It is safe for
-// concurrent use and implements storage.Tracer.
+// Recorder accumulates per-page access counts by file and, online, the jump
+// statistics of the chronological trace, so what it retains is bounded by
+// the pages it has seen, not by how often. It is safe for concurrent use and
+// implements storage.Tracer.
 type Recorder struct {
-	mu     sync.Mutex
-	files  map[string]map[int64]int // file -> page -> count
-	order  []accessEvent            // chronological trace for jump analysis
-	record bool
+	mu    sync.Mutex
+	files map[string]map[int64]int // file -> page -> count
+	trace trace
 }
 
-type accessEvent struct {
-	file  string
-	page  int64
-	write bool
+// trace is the running summary of the chronological trace.
+type trace struct {
+	accesses, writes int
+	prevFile         string // the previous access, when accesses > 0
+	prevPage         int64
+	fileSwaps, seq   int
+	jumpSum          float64
+	jumpN            int
 }
 
-// NewRecorder creates an empty recorder that also keeps the chronological
-// trace (needed for seek/jump statistics).
+// NewRecorder creates an empty recorder.
 func NewRecorder() *Recorder {
-	return &Recorder{files: make(map[string]map[int64]int), record: true}
+	return &Recorder{files: make(map[string]map[int64]int)}
 }
 
 // Access implements storage.Tracer.
@@ -44,9 +48,27 @@ func (r *Recorder) Access(file string, page int64, write bool) {
 		r.files[file] = m
 	}
 	m[page]++
-	if r.record {
-		r.order = append(r.order, accessEvent{file, page, write})
+	t := &r.trace
+	if write {
+		t.writes++
 	}
+	switch {
+	case t.accesses == 0:
+	case t.prevFile != file:
+		t.fileSwaps++
+	default:
+		d := page - t.prevPage
+		if d == 0 || d == 1 {
+			t.seq++
+		}
+		if d < 0 {
+			d = -d
+		}
+		t.jumpSum += float64(d)
+		t.jumpN++
+	}
+	t.accesses++
+	t.prevFile, t.prevPage = file, page
 }
 
 // Reset discards all recorded accesses.
@@ -54,7 +76,7 @@ func (r *Recorder) Reset() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.files = make(map[string]map[int64]int)
-	r.order = nil
+	r.trace = trace{}
 }
 
 // Files returns the traced file names, sorted.
@@ -73,13 +95,7 @@ func (r *Recorder) Files() []string {
 func (r *Recorder) Total() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	n := 0
-	for _, m := range r.files {
-		for _, c := range m {
-			n += c
-		}
-	}
-	return n
+	return r.trace.accesses
 }
 
 // Map is a rendered heat map: access counts bucketed over the page space of
@@ -155,46 +171,20 @@ type JumpStats struct {
 	WriteShare float64 `json:"write_share"` // fraction of accesses that were writes
 }
 
-// Jumps computes JumpStats over the chronological trace.
+// Jumps returns the JumpStats of the chronological trace so far.
 func (r *Recorder) Jumps() JumpStats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var s JumpStats
-	s.Accesses = len(r.order)
+	t := r.trace
+	s := JumpStats{Accesses: t.accesses, FileSwaps: t.fileSwaps}
 	if s.Accesses == 0 {
 		return s
 	}
-	writes := 0
-	var jumpSum float64
-	jumpN := 0
-	seq := 0
-	for i, ev := range r.order {
-		if ev.write {
-			writes++
-		}
-		if i == 0 {
-			continue
-		}
-		prev := r.order[i-1]
-		if prev.file != ev.file {
-			s.FileSwaps++
-			continue
-		}
-		d := ev.page - prev.page
-		if d == 0 || d == 1 {
-			seq++
-		}
-		if d < 0 {
-			d = -d
-		}
-		jumpSum += float64(d)
-		jumpN++
+	if t.jumpN > 0 {
+		s.AvgJump = t.jumpSum / float64(t.jumpN)
 	}
-	if jumpN > 0 {
-		s.AvgJump = jumpSum / float64(jumpN)
-	}
-	s.SeqFrac = float64(seq) / float64(s.Accesses-1)
-	s.WriteShare = float64(writes) / float64(s.Accesses)
+	s.SeqFrac = float64(t.seq) / float64(s.Accesses-1)
+	s.WriteShare = float64(t.writes) / float64(s.Accesses)
 	return s
 }
 
@@ -206,11 +196,4 @@ func (r *Recorder) RenderAll(buckets int) []Map {
 		out = append(out, r.Render(f, buckets))
 	}
 	return out
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

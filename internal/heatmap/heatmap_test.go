@@ -1,6 +1,7 @@
 package heatmap
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -122,6 +123,33 @@ func TestJumpsFileSwapsAndWrites(t *testing.T) {
 	}
 	if NewRecorder().Jumps().Accesses != 0 {
 		t.Fatal("empty jumps should be zero")
+	}
+}
+
+// A recorder lives as long as the server's build it traces: what it retains
+// must be bounded by the pages it has seen, not by how often they were read.
+// (A per-access trace is 32 bytes an access: 32 MB over this loop.)
+func TestRecorderMemoryBoundedByPages(t *testing.T) {
+	const pages, accesses = 64, 1_000_000
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	r := NewRecorder()
+	for p := int64(0); p < pages; p++ {
+		r.Access("f", p, false)
+	}
+	before := heap()
+	for i := int64(0); i < accesses; i++ {
+		r.Access("f", i*7%pages, false)
+	}
+	if grown := int64(heap()) - int64(before); grown > 1<<20 {
+		t.Fatalf("recorder retained %d bytes across %d repeat accesses to %d pages", grown, accesses, pages)
+	}
+	if js := r.Jumps(); js.Accesses != pages+accesses || r.Total() != pages+accesses {
+		t.Fatalf("accesses = %d, total = %d, want %d", js.Accesses, r.Total(), pages+accesses)
 	}
 }
 

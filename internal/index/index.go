@@ -1,7 +1,9 @@
 // Package index defines the abstractions shared by every data series index
-// in the repository (CTree, CLSM, ADS+): the summarization configuration,
-// query preparation, nearest-neighbor result collection, and the Index
-// interface the exploration tools and benchmarks program against.
+// in the repository (CTree, CLSM, ADS+, and a shard group over any of
+// them): the summarization configuration, query preparation,
+// nearest-neighbor result collection, and the Index interface — the one
+// search contract the exploration tools, the compositions and the
+// benchmarks program against.
 //
 // Convention: indexes z-normalize series at ingestion and queries at
 // preparation, so all distances are Euclidean distances between
@@ -21,6 +23,21 @@
 // lower bound, so planned and unplanned searches return byte-identical
 // results; only I/O cost changes. A variant supplies how to bound a unit
 // and how to pin its pages.
+//
+// # The search contract
+//
+// Nothing about searching is optional: every Index answers approximate,
+// exact and range queries, each through a public method and a core, with one
+// body behind the two that takes the pool it fans out on. The public method
+// (ExactSearch) brings the index's own pool; Search is its prologue, written
+// once. The core (ExactInto) fills the caller's collector with the caller's
+// context, already filled for the query, and scans serially: its caller owns
+// the parallelism at a coarser grain, one context per worker slot
+// (AcquireCtxs) — Batch across queries, a shard group across shards, a
+// stream scheme across partitions. A core leaves the exact accumulated
+// squared sums in the collector, so every composition merges on the keys a
+// single index compares; and it may be handed a collector that already holds
+// results, which only tighten its pruning.
 package index
 
 import (
@@ -171,8 +188,13 @@ func NewCollector(k int) *Collector {
 	return &Collector{k: k, seen: make(map[int64]bool, k)}
 }
 
+// K returns the number of neighbors the collector keeps.
+func (c *Collector) K() int { return c.k }
+
 // Add offers a candidate carrying a true distance. It returns true if the
-// candidate entered the current top-k.
+// candidate entered the current top-k. It is the tests' brute-force
+// reference and nothing else: every merge a search makes is on the
+// accumulated squared sums (AddSq).
 func (c *Collector) Add(r Result) bool {
 	return c.AddSq(r.ID, r.TS, r.Dist*r.Dist)
 }
@@ -271,6 +293,14 @@ var collectorPool = sync.Pool{New: func() any { return new(Collector) }}
 // PooledClone is Clone drawing storage from the collector pool. Pair it
 // with MergeRelease so the storage returns to the pool after the fan-out.
 func (c *Collector) PooledClone() *Collector {
+	n := c.Sub()
+	n.copyFrom(c)
+	return n
+}
+
+// Sub returns an empty pooled collector with c's k: what a shard group hands
+// the index under it, whose IDs are not c's. Pair it with MergeMapped.
+func (c *Collector) Sub() *Collector {
 	n := collectorPool.Get().(*Collector)
 	n.k = c.k
 	n.items = n.items[:0]
@@ -279,8 +309,17 @@ func (c *Collector) PooledClone() *Collector {
 	} else {
 		clear(n.seen)
 	}
-	n.copyFrom(c)
 	return n
+}
+
+// MergeMapped is MergeRelease under the IDs ids[local]: still on the exact
+// accumulated sums, so a composition selects bit for bit what one index over
+// all the series would.
+func (c *Collector) MergeMapped(o *Collector, ids []int64) {
+	for _, it := range o.items {
+		c.AddSq(ids[it.id], it.ts, it.distSq)
+	}
+	collectorPool.Put(o)
 }
 
 // Merge folds another collector's results into c, deduplicating by ID.
@@ -314,21 +353,25 @@ func (c *Collector) WorstSq() float64 {
 func (c *Collector) Full() bool { return len(c.items) >= c.k }
 
 // Each visits every collected result with its exact squared distance, in
-// unspecified (heap) order. The sharded merge uses it to fold per-shard
-// collectors together on the original accumulated sums — the same ordering
-// keys the unsharded collector compares — so sharding preserves even
-// sub-ulp tie-breaks that re-squaring a reported distance could lose.
+// unspecified (heap) order. The distributed tier uses it to ship a node's
+// answer to the router on the original accumulated sums — the same ordering
+// keys the single-node collector compares — so the router-side merge
+// preserves even sub-ulp tie-breaks that re-squaring a reported distance
+// could lose.
 func (c *Collector) Each(fn func(id, ts int64, distSq float64)) {
 	for _, it := range c.items {
 		fn(it.id, it.ts, it.distSq)
 	}
 }
 
-// Results returns the collected results sorted by ascending distance. This
-// is the only place squared distances convert back to true distances.
-func (c *Collector) Results() []Result {
-	out := make([]Result, len(c.items))
-	for i, it := range c.items {
+// Results returns the collected results sorted by ascending distance.
+func (c *Collector) Results() []Result { return render(c.items) }
+
+// render is the only place squared distances convert back to true
+// distances: items as results, sorted by ascending (distance, ID).
+func render(items []sqItem) []Result {
+	out := make([]Result, len(items))
+	for i, it := range items {
 		out[i] = Result{ID: it.id, TS: it.ts, Dist: math.Sqrt(it.distSq)}
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -340,7 +383,8 @@ func (c *Collector) Results() []Result {
 	return out
 }
 
-// Index is the common interface of every data series index in the repo.
+// Index is the common interface of every data series index in the repo: the
+// search contract of the package comment.
 type Index interface {
 	// Name identifies the index variant (e.g. "CTree", "CLSMFull").
 	Name() string
@@ -351,18 +395,36 @@ type Index interface {
 	ApproxSearch(q Query, k int) ([]Result, error)
 	// ExactSearch returns the true k nearest neighbors.
 	ExactSearch(q Query, k int) ([]Result, error)
+	// RangeSearch returns every series within Euclidean distance eps of the
+	// query.
+	RangeSearch(q Query, eps float64) ([]Result, error)
+	// ApproxInto, ExactInto and RangeInto are the cores of the three: serial,
+	// into the caller's collector, with the caller's context filled for q.
+	ApproxInto(q Query, col *Collector, ctx *SearchCtx) error
+	ExactInto(q Query, col *Collector, ctx *SearchCtx) error
+	RangeInto(q Query, col *RangeCollector, ctx *SearchCtx) error
+}
+
+// Search is the prologue of every public search method, written once: a
+// pooled context filled for q, the search itself into col, and col rendered.
+func Search[C interface{ Results() []Result }](q Query, cfg Config, col C, search func(q Query, col C, ctx *SearchCtx) error) ([]Result, error) {
+	ctx := AcquireCtx(q, cfg)
+	defer ctx.Release()
+	return Rendered(col, search(q, col, ctx))
+}
+
+// Rendered renders a finished search's collector, passing its error through.
+func Rendered[C interface{ Results() []Result }](col C, err error) ([]Result, error) {
+	if err != nil {
+		return nil, err
+	}
+	return col.Results(), nil
 }
 
 // Inserter is implemented by indexes that accept incremental inserts
 // (CLSM natively; CTree via leaf slack; ADS+ top-down).
 type Inserter interface {
 	Insert(s series.Series, ts int64) error
-}
-
-// RangeSearcher is implemented by indexes that answer range (epsilon)
-// queries: every series within Euclidean distance eps of the query.
-type RangeSearcher interface {
-	RangeSearch(q Query, eps float64) ([]Result, error)
 }
 
 // RangeCollector accumulates all results within eps, sorted by distance on
@@ -416,7 +478,7 @@ func (c *RangeCollector) SkipBeyondSq() float64 { return c.skipBeyondSq }
 func (c *RangeCollector) tightens() bool { return false }
 
 // Add offers a candidate carrying a true distance; it is kept when within
-// eps and not a duplicate.
+// eps and not a duplicate. Like Collector.Add, the tests' reference only.
 func (c *RangeCollector) Add(r Result) bool {
 	return c.AddSq(r.ID, r.TS, r.Dist*r.Dist)
 }
@@ -469,6 +531,15 @@ func (c *RangeCollector) MergeRelease(o *RangeCollector) {
 	rangeCollectorPool.Put(o)
 }
 
+// MergeMapped is MergeRelease under the IDs ids[local], for a PooledClone
+// filled under local IDs; see Collector.MergeMapped.
+func (c *RangeCollector) MergeMapped(o *RangeCollector, ids []int64) {
+	for _, it := range o.items {
+		c.AddSq(ids[it.id], it.ts, it.distSq)
+	}
+	rangeCollectorPool.Put(o)
+}
+
 // Merge folds another range collector's results into c, deduplicating by
 // ID. The collected set — every candidate within eps — does not depend on
 // order, so per-worker range collectors merge deterministically.
@@ -480,9 +551,7 @@ func (c *RangeCollector) Merge(o *RangeCollector) {
 
 // Each visits every collected result with its exact squared distance, in
 // collection order. The distributed tier uses it to ship qualifying series
-// to the router as (global ID, TS, squared distance) triples; on the range
-// path re-squaring is exact, so the wire preserves every distance
-// bit-for-bit either way.
+// to the router as (global ID, TS, squared distance) triples.
 func (c *RangeCollector) Each(fn func(id, ts int64, distSq float64)) {
 	for _, it := range c.items {
 		fn(it.id, it.ts, it.distSq)
@@ -490,16 +559,4 @@ func (c *RangeCollector) Each(fn func(id, ts int64, distSq float64)) {
 }
 
 // Results returns all collected results sorted by ascending distance.
-func (c *RangeCollector) Results() []Result {
-	out := make([]Result, len(c.items))
-	for i, it := range c.items {
-		out[i] = Result{ID: it.id, TS: it.ts, Dist: math.Sqrt(it.distSq)}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Dist != out[j].Dist {
-			return out[i].Dist < out[j].Dist
-		}
-		return out[i].ID < out[j].ID
-	})
-	return out
-}
+func (c *RangeCollector) Results() []Result { return render(c.items) }

@@ -92,6 +92,15 @@ func (p *Pruner) SynopsisBoundSq(syn *zonestat.Synopsis) float64 {
 	return p.EnvelopeSq(syn.MinSym, syn.MaxSym)
 }
 
+// UnitBoundSq is SynopsisBoundSq under q's window too: a unit whose time
+// range misses the window holds nothing to find.
+func (p *Pruner) UnitBoundSq(q Query, syn *zonestat.Synopsis) float64 {
+	if q.Windowed && syn != nil && !syn.IntersectsWindow(q.MinTS, q.MaxTS) {
+		return math.Inf(1)
+	}
+	return p.SynopsisBoundSq(syn)
+}
+
 // Planner is the per-index planning handle: an enable switch and a skip
 // counter. A nil Planner behaves like an enabled planner that drops its
 // counter. One Planner may be shared by many indexes (every shard of a

@@ -410,6 +410,26 @@ func (c *SearchCtx) Release() {
 	ctxPool.Put(c)
 }
 
+// Ctxs is one context per worker slot of a fan-out whose tasks each search
+// an index through its cores.
+type Ctxs []*SearchCtx
+
+// AcquireCtxs returns n contexts filled for q; the caller must Release them.
+func AcquireCtxs(q Query, cfg Config, n int) Ctxs {
+	cs := make(Ctxs, n)
+	for i := range cs {
+		cs[i] = AcquireCtx(q, cfg)
+	}
+	return cs
+}
+
+// Release returns every context to the pool.
+func (cs Ctxs) Release() {
+	for _, c := range cs {
+		c.Release()
+	}
+}
+
 // Scratches returns scratch states for worker slots 0..n-1, growing the set
 // as needed. It must be called on the coordinating goroutine before workers
 // start; the returned scratches may then be used concurrently, one per
@@ -459,6 +479,24 @@ func TrueDistSq(q Query, e record.Entry, raw series.RawStore, limitSq float64, s
 		return q.Norm.SqDistEarlyAbandon(e.Payload, limitSq), nil
 	}
 	return rawDistSq(q, e.ID, raw, limitSq, sc)
+}
+
+// ScanBuffer evaluates an in-memory write buffer (a CLSM's, a stream
+// scheme's), in buffer order — which is the order of a non-materialized
+// index's raw fetches: every in-window entry whose lower bound survives is
+// verified into col.
+func ScanBuffer(buf []record.Entry, q Query, raw series.RawStore, col *Collector, sc *Scratch) error {
+	for _, e := range buf {
+		if !q.InWindow(e.TS) || col.SkipSq(sc.P.MinDistSqKey(e.Key)) {
+			continue
+		}
+		dSq, err := TrueDistSq(q, e, raw, col.WorstSq(), sc)
+		if err != nil {
+			return err
+		}
+		col.AddSq(e.ID, e.TS, dSq)
+	}
+	return nil
 }
 
 // Page is a cursor over the entries one probe evaluates, whatever their

@@ -323,20 +323,3 @@ func (s *Store) ScanRange(r Run, q index.Query, col *index.RangeCollector, sc *i
 		return index.EvalPageRange(q, pg, s.Raw, col, sc)
 	})
 }
-
-// ScanBuffer evaluates an index's in-memory write buffer, in buffer order
-// (which is the order of a non-materialized index's raw fetches): every
-// in-window entry whose lower bound survives is verified into col.
-func (s *Store) ScanBuffer(buf []record.Entry, q index.Query, col *index.Collector, sc *index.Scratch) error {
-	for _, e := range buf {
-		if !q.InWindow(e.TS) || col.SkipSq(sc.P.MinDistSqKey(e.Key)) {
-			continue
-		}
-		dSq, err := index.TrueDistSq(q, e, s.Raw, col.WorstSq(), sc)
-		if err != nil {
-			return err
-		}
-		col.AddSq(e.ID, e.TS, dSq)
-	}
-	return nil
-}

@@ -12,7 +12,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"time"
 
 	"repro/internal/index"
 	"repro/internal/series"
@@ -105,53 +104,40 @@ func (s *Server) handleClusterSearch(w http.ResponseWriter, r *http.Request) {
 		shards = g.Owned()
 	}
 	mode := req.Mode
-	if mode == "" {
-		mode = "exact"
-	}
-	start := time.Now()
-	b.mu.RLock()
-	before := b.built.IOStats()
-	resp := ClusterSearchResponse{Results: []ClusterResult{}, Shards: shards}
-	collect := func(id, ts int64, distSq float64) {
-		resp.Results = append(resp.Results, ClusterResult{ID: id, TS: ts, DistSq: distSq})
-	}
-	var err error
-	switch req.Mode {
-	case "", "exact":
-		var col *index.Collector
-		if col, err = g.ExactSearchShards(q, req.K, shards); err == nil {
-			col.Each(collect)
-		}
-	case "approx":
-		var col *index.Collector
-		if col, err = g.ApproxSearchShards(q, req.K, shards); err == nil {
-			col.Each(collect)
-		}
-	case "range":
-		if req.Eps <= 0 {
-			b.mu.RUnlock()
-			writeError(w, http.StatusBadRequest, "range mode needs eps > 0, got %g", req.Eps)
-			return
-		}
-		var col *index.RangeCollector
-		if col, err = g.RangeSearchShards(q, req.Eps, shards); err == nil {
-			col.Each(collect)
-		}
-	default:
-		b.mu.RUnlock()
-		writeError(w, http.StatusBadRequest, "unknown mode %q (want exact, approx, or range)", req.Mode)
+	switch {
+	case mode == "":
+		mode = modeExact
+	case mode == modeRange && req.Eps <= 0:
+		writeError(w, http.StatusBadRequest, "range mode needs eps > 0, got %g", req.Eps)
 		return
-	}
-	diff := b.built.IOStats().Sub(before)
-	b.mu.RUnlock()
-	if err != nil {
-		s.metrics.queryErrors.Inc()
-		writeError(w, http.StatusBadRequest, "cluster search failed: %v", err)
+	case mode != modeExact && mode != modeApprox && mode != modeRange:
+		writeError(w, http.StatusBadRequest, "unknown mode %q (want exact, approx, or range)", req.Mode)
 		return
 	}
 	// Router-driven probes count in the node's query metrics too: a scrape
 	// of a cluster node reflects the load it actually served.
-	s.observeQuery(mode, time.Since(start), diff, req.Build)
+	var col interface {
+		Each(func(id, ts int64, distSq float64))
+	}
+	diff, _, _, err := s.search(b, mode, func() (err error) {
+		switch mode {
+		case modeRange:
+			col, err = g.RangeSearchShards(q, req.Eps, shards)
+		case modeApprox:
+			col, err = g.ApproxSearchShards(q, req.K, shards)
+		default:
+			col, err = g.ExactSearchShards(q, req.K, shards)
+		}
+		return err
+	})
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "cluster search failed: %v", err)
+		return
+	}
+	resp := ClusterSearchResponse{Results: []ClusterResult{}, Shards: shards}
+	col.Each(func(id, ts int64, distSq float64) {
+		resp.Results = append(resp.Results, ClusterResult{ID: id, TS: ts, DistSq: distSq})
+	})
 	resp.Cost = diff.Cost(s.cost)
 	resp.SeqIO = diff.SeqReads + diff.SeqWrites
 	resp.RandIO = diff.RandReads + diff.RandWrites

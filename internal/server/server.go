@@ -595,34 +595,22 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		q.Trace = tr
 		s.metrics.traced.Inc()
 	}
-	start := time.Now()
-	b.mu.RLock()
-	before := b.built.IOStats()
-	skipsBefore := b.built.Planner.Skips()
 	var rs []index.Result
-	var err error
-	switch {
-	case req.Eps > 0:
-		if rsr, ok := b.built.Index.(index.RangeSearcher); ok {
-			rs, err = rsr.RangeSearch(q, req.Eps)
-		} else {
-			err = fmt.Errorf("%s does not support range search", b.built.Index.Name())
+	diff, skips, elapsed, err := s.search(b, mode, func() (err error) {
+		switch mode {
+		case modeRange:
+			rs, err = b.built.Index.RangeSearch(q, req.Eps)
+		case modeExact:
+			rs, err = b.built.Index.ExactSearch(q, req.K)
+		default:
+			rs, err = b.built.Index.ApproxSearch(q, req.K)
 		}
-	case req.Exact:
-		rs, err = b.built.Index.ExactSearch(q, req.K)
-	default:
-		rs, err = b.built.Index.ApproxSearch(q, req.K)
-	}
-	skips := b.built.Planner.Skips() - skipsBefore
-	b.mu.RUnlock()
-	elapsed := time.Since(start)
+		return err
+	})
 	if err != nil {
-		s.metrics.queryErrors.Inc()
 		writeError(w, http.StatusInternalServerError, "query failed: %v", err)
 		return
 	}
-	diff := b.built.IOStats().Sub(before)
-	s.observeQuery(mode, elapsed, diff, req.Build)
 	resp := QueryResponse{
 		Cost:         diff.Cost(s.cost),
 		SeqIO:        diff.SeqReads + diff.SeqWrites,
@@ -646,6 +634,28 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		resp.Results = append(resp.Results, QueryResult{ID: res.ID, TS: res.TS, Dist: res.Dist})
 	}
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// search is the one search step of the query endpoints: under the build's
+// read lock it times dispatch between two readings of the I/O and
+// planner-skip counters, and returns the deltas; a success is observed under
+// mode, a failure counted and left to the caller to report with the status
+// it maps to there.
+func (s *Server) search(b *build, mode string, dispatch func() error) (diff storage.Stats, skips int64, elapsed time.Duration, err error) {
+	start := time.Now()
+	b.mu.RLock()
+	before := b.built.IOStats()
+	skipsBefore := b.built.Planner.Skips()
+	err = dispatch()
+	diff, skips = b.built.IOStats().Sub(before), b.built.Planner.Skips()-skipsBefore
+	b.mu.RUnlock()
+	elapsed = time.Since(start)
+	if err != nil {
+		s.metrics.queryErrors.Inc()
+	} else {
+		s.observeQuery(mode, elapsed, diff, b.id)
+	}
+	return diff, skips, elapsed, err
 }
 
 // observeQuery feeds one finished query into the node's histograms and,
@@ -686,12 +696,11 @@ type BatchQueryResponse struct {
 	PlannedSkips int64           `json:"planned_skips"`
 }
 
-// handleQueryBatch answers POST /api/query/batch: many queries executed
-// through the index's pipelined batch path when it has one (exact mode on
-// Tree/LSM/sharded indexes — pooled per-worker search contexts, queries
-// spread across the worker pool), falling back to a per-query loop
-// otherwise. Each answer is byte-identical to the corresponding single
-// /api/query call.
+// handleQueryBatch answers POST /api/query/batch: in exact mode many
+// queries executed through the pipelined batch path (index.Batch — pooled
+// per-worker search contexts, queries spread across the worker pool), in
+// approximate mode a per-query loop. Each answer is byte-identical to the
+// corresponding single /api/query call.
 func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "POST only")
@@ -722,36 +731,24 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		qs[i] = index.NewQuery(series.Series(raw), b.built.Config)
 	}
-	start := time.Now()
-	b.mu.RLock()
-	before := b.built.IOStats()
-	skipsBefore := b.built.Planner.Skips()
 	var rss [][]index.Result
-	var err error
-	if bs, ok := b.built.Index.(index.BatchSearcher); ok && req.Exact {
-		rss, err = bs.ExactSearchBatch(qs, req.K)
-	} else {
+	diff, skips, _, err := s.search(b, modeBatch, func() (err error) {
+		if req.Exact {
+			rss, err = b.built.SearchBatch(qs, req.K)
+			return err
+		}
 		rss = make([][]index.Result, len(qs))
 		for i, q := range qs {
-			if req.Exact {
-				rss[i], err = b.built.Index.ExactSearch(q, req.K)
-			} else {
-				rss[i], err = b.built.Index.ApproxSearch(q, req.K)
-			}
-			if err != nil {
-				break
+			if rss[i], err = b.built.Index.ApproxSearch(q, req.K); err != nil {
+				return err
 			}
 		}
-	}
-	skips := b.built.Planner.Skips() - skipsBefore
-	b.mu.RUnlock()
+		return nil
+	})
 	if err != nil {
-		s.metrics.queryErrors.Inc()
 		writeError(w, http.StatusInternalServerError, "batch query failed: %v", err)
 		return
 	}
-	diff := b.built.IOStats().Sub(before)
-	s.observeQuery(modeBatch, time.Since(start), diff, req.Build)
 	resp := BatchQueryResponse{
 		Results:      make([][]QueryResult, len(rss)),
 		Queries:      len(rss),

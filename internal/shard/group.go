@@ -26,9 +26,8 @@ import (
 // leaf-level planning share one set of counters). A cluster node built at
 // parallelism 1 is the serial case of the same executor.
 //
-// A Group implements index.Index, index.RangeSearcher and the batch
-// interfaces over its whole owned subset; on a fully replicated node those
-// answers equal the cluster-wide ones.
+// A Group implements index.Index over its whole owned subset; on a fully
+// replicated node those answers equal the cluster-wide ones.
 //
 // Searches may run concurrently with each other and with inserts (the ID
 // mappings are RWMutex-guarded and readers snapshot slice headers); the
@@ -170,133 +169,115 @@ func (g *Group) resolve(reqs []int) ([]int, error) {
 	return reqs, nil
 }
 
-// exactInto probes the listed shards through the planned-probe executor,
-// worker slot w of pool searching with ctxs[w]. The plan lives in ctxs[0]'s
-// outer buffer: each shard's inner index plans its own runs or leaves in the
-// primary buffer of the same context.
-func (g *Group) exactInto(q index.Query, k int, shards []int, pool *parallel.Pool, ctxs []*index.SearchCtx) (*index.Collector, error) {
-	col := index.NewCollector(k)
-	err := index.ProbeUnits(index.ProbePlan{
+// fan runs search — one of exact, approx and rangeScan — over a requested
+// shard list into col, on the group's pool with one pooled context per
+// worker slot, and returns col.
+func fan[C any](g *Group, q index.Query, reqs []int, col C, search func(index.Query, C, []int, *parallel.Pool, index.Ctxs) error) (C, error) {
+	shards, err := g.resolve(reqs)
+	if err != nil {
+		return col, err
+	}
+	ctxs := index.AcquireCtxs(q, g.cfg, g.pool.WorkersFor(len(shards)))
+	defer ctxs.Release()
+	return col, search(q, col, shards, g.pool, ctxs)
+}
+
+// probe searches the listed shards into col through the planned-probe
+// executor, worker slot w of pool searching with ctxs[w]. The plan lives in
+// ctxs[0]'s outer buffer: each shard's inner index plans its own runs or
+// leaves in the primary buffer of the same context.
+func probe[C index.FanCollector[C]](g *Group, q index.Query, col C, shards []int, pool *parallel.Pool, ctxs index.Ctxs, search func(sh *Shard, ctx *index.SearchCtx, col C) error) error {
+	return index.ProbeUnits(index.ProbePlan{
 		Planner: g.planner, Pool: pool, Trace: q.Trace, Kind: "shard", Units: ctxs[0].OuterPlanUnits(len(shards)),
 	}, col, func(i int) float64 {
 		return g.shards[shards[i]].boundSq(q, ctxs[0])
-	}, func(i, w int, col *index.Collector) error {
-		return g.shards[shards[i]].exactInto(&g.idsMu, q, k, ctxs[w], col)
+	}, func(i, w int, col C) error {
+		return search(g.shards[shards[i]], ctxs[w], col)
 	})
-	return col, err
+}
+
+// exact is the exact search: every listed shard answers an exact top-k over
+// its subset, and the per-shard collectors merge on their exact squared
+// sums, so the answer is byte-identical to the unsharded index's at every
+// parallelism.
+func (g *Group) exact(q index.Query, col *index.Collector, shards []int, pool *parallel.Pool, ctxs index.Ctxs) error {
+	return probe(g, q, col, shards, pool, ctxs, func(sh *Shard, ctx *index.SearchCtx, col *index.Collector) error {
+		return into(sh, &g.idsMu, sh.Index.ExactInto, q, ctx, col, col.Sub())
+	})
+}
+
+// approx is the approximate search: per-shard approximate probes, merged
+// like exact answers. No shard is skipped — an approximate probe reads a
+// page or two wherever the query's key falls.
+func (g *Group) approx(q index.Query, col *index.Collector, shards []int, pool *parallel.Pool, ctxs index.Ctxs) error {
+	return index.FanOut(pool, len(shards), col, func(i, w int, col *index.Collector) error {
+		sh := g.shards[shards[i]]
+		return into(sh, &g.idsMu, sh.Index.ApproxInto, q, ctxs[w], col, col.Sub())
+	})
+}
+
+// rangeScan is the range search. The epsilon bound is static, so a shard
+// whose envelope bound exceeds it is dropped before the fan-out.
+func (g *Group) rangeScan(q index.Query, col *index.RangeCollector, shards []int, pool *parallel.Pool, ctxs index.Ctxs) error {
+	return probe(g, q, col, shards, pool, ctxs, func(sh *Shard, ctx *index.SearchCtx, col *index.RangeCollector) error {
+		return into(sh, &g.idsMu, sh.Index.RangeInto, q, ctx, col, col.PooledClone())
+	})
 }
 
 // ExactSearchShards answers an exact k-NN over the requested shard subset
 // (nil = all owned), returning the collector itself: its contents are the k
 // best (squared distance, global ID) pairs over the union of the requested
 // shards' series, with the exact accumulated squared sums intact for a
-// higher-level merge. Every shard answers an exact top-k over its subset
-// (concurrently on the group's pool, each worker with its own pooled search
-// context) and the per-shard collectors merge on their exact squared sums,
-// so the answer is byte-identical to the unsharded index's at every
-// parallelism.
+// higher-level merge.
 func (g *Group) ExactSearchShards(q index.Query, k int, reqs []int) (*index.Collector, error) {
-	shards, err := g.resolve(reqs)
-	if err != nil {
-		return nil, err
-	}
-	ctxs := make([]*index.SearchCtx, g.pool.WorkersFor(len(shards)))
-	for i := range ctxs {
-		ctxs[i] = index.AcquireCtx(q, g.cfg)
-	}
-	defer func() {
-		for _, c := range ctxs {
-			c.Release()
-		}
-	}()
-	return g.exactInto(q, k, shards, g.pool, ctxs)
+	return fan(g, q, reqs, index.NewCollector(k), g.exact)
 }
 
 // RangeSearchShards answers a range (epsilon) query over the requested
 // shard subset (nil = all owned), returning the collector with every
-// qualifying series under its global ID. The epsilon bound is static, so a
-// shard whose envelope bound exceeds it is dropped before the fan-out.
-// Re-squaring reported distances is exact on the range path (see
-// Shard.rangeInto), so merging range collectors across nodes preserves every
-// distance bit-for-bit.
+// qualifying series under its global ID and its exact squared sum.
 func (g *Group) RangeSearchShards(q index.Query, eps float64, reqs []int) (*index.RangeCollector, error) {
-	shards, err := g.resolve(reqs)
-	if err != nil {
-		return nil, err
-	}
-	ctx := index.AcquireCtx(q, g.cfg)
-	defer ctx.Release()
-	col := index.NewRangeCollector(eps)
-	err = index.ProbeUnits(index.ProbePlan{
-		Planner: g.planner, Pool: g.pool, Trace: q.Trace, Kind: "shard", Units: ctx.OuterPlanUnits(len(shards)),
-	}, col, func(i int) float64 {
-		return g.shards[shards[i]].boundSq(q, ctx)
-	}, func(i, _ int, col *index.RangeCollector) error {
-		return g.shards[shards[i]].rangeInto(&g.idsMu, q, eps, col)
-	})
-	return col, err
+	return fan(g, q, reqs, index.NewRangeCollector(eps), g.rangeScan)
 }
 
 // ApproxSearchShards answers an approximate k-NN over the requested shard
-// subset (nil = all owned): per-shard approximate probes merged on reported
-// distances. Like every approximate search it carries no distance
-// guarantee, so distributed approximate answers match the merge contract
-// (up to k deduplicated results ordered by (distance, ID)) rather than
-// being byte-identical across topologies.
+// subset (nil = all owned). Like every approximate search it carries no
+// distance guarantee, so distributed approximate answers match the merge
+// contract (up to k deduplicated results ordered by (distance, ID)) rather
+// than being byte-identical across topologies.
 func (g *Group) ApproxSearchShards(q index.Query, k int, reqs []int) (*index.Collector, error) {
-	shards, err := g.resolve(reqs)
-	if err != nil {
-		return nil, err
-	}
-	col := index.NewCollector(k)
-	err = index.FanOut(g.pool, len(shards), col, func(i, _ int, col *index.Collector) error {
-		return g.shards[shards[i]].approxInto(&g.idsMu, q, k, col)
-	})
-	return col, err
+	return fan(g, q, reqs, index.NewCollector(k), g.approx)
 }
 
 // ExactSearch answers an exact k-NN over every owned shard (index.Index).
 func (g *Group) ExactSearch(q index.Query, k int) ([]index.Result, error) {
-	return results(g.ExactSearchShards(q, k, nil))
-}
-
-// results renders a search's collector, passing its error through.
-func results[C interface{ Results() []index.Result }](col C, err error) ([]index.Result, error) {
-	if err != nil {
-		return nil, err
-	}
-	return col.Results(), nil
-}
-
-// ExactSearchCtx answers an exact k-NN query probing every owned shard
-// serially with a caller-managed context (already filled for q). One table
-// fill serves every shard — the shards share a summarization configuration —
-// which is what makes batched sharded search cheap: the batch executor
-// parallelizes across queries while each query pays a single context.
-func (g *Group) ExactSearchCtx(q index.Query, k int, ctx *index.SearchCtx) ([]index.Result, error) {
-	return results(g.exactInto(q, k, g.owned, index.SerialPool, []*index.SearchCtx{ctx}))
-}
-
-// ExactSearchBatch answers one exact k-NN query per element of qs,
-// pipelined over the cross-shard pool: each worker slot reuses one search
-// context across every query it executes, and each query probes all owned
-// shards with that single context. out[i] is byte-identical to
-// ExactSearch(qs[i], k).
-func (g *Group) ExactSearchBatch(qs []index.Query, k int) ([][]index.Result, error) {
-	return index.Batch(g.pool, g.cfg, qs, func(q index.Query, ctx *index.SearchCtx) ([]index.Result, error) {
-		return g.ExactSearchCtx(q, k, ctx)
-	})
+	return index.Rendered(g.ExactSearchShards(q, k, nil))
 }
 
 // ApproxSearch answers an approximate k-NN over every owned shard.
 func (g *Group) ApproxSearch(q index.Query, k int) ([]index.Result, error) {
-	return results(g.ApproxSearchShards(q, k, nil))
+	return index.Rendered(g.ApproxSearchShards(q, k, nil))
 }
 
-// RangeSearch answers a range query over every owned shard
-// (index.RangeSearcher).
+// RangeSearch answers a range query over every owned shard.
 func (g *Group) RangeSearch(q index.Query, eps float64) ([]index.Result, error) {
-	return results(g.RangeSearchShards(q, eps, nil))
+	return index.Rendered(g.RangeSearchShards(q, eps, nil))
+}
+
+// ExactInto, ApproxInto and RangeInto are the cores (index.Index): every
+// owned shard probed serially with the caller's one context. One table fill
+// serves every shard, which is what makes a batch over a sharded build
+// (index.Batch) cheap.
+func (g *Group) ExactInto(q index.Query, col *index.Collector, ctx *index.SearchCtx) error {
+	return g.exact(q, col, g.owned, index.SerialPool, index.Ctxs{ctx})
+}
+
+func (g *Group) ApproxInto(q index.Query, col *index.Collector, ctx *index.SearchCtx) error {
+	return g.approx(q, col, g.owned, index.SerialPool, index.Ctxs{ctx})
+}
+
+func (g *Group) RangeInto(q index.Query, col *index.RangeCollector, ctx *index.SearchCtx) error {
+	return g.rangeScan(q, col, g.owned, index.SerialPool, index.Ctxs{ctx})
 }
 
 // PrepareInsert validates that global ID id may be appended next: the node
@@ -391,9 +372,4 @@ func (g *Group) TotalPages() int64 {
 // global IDs (PrepareInsert/NoteInsert around the owning shard's own
 // ingest), and on a group owning a subset a plain Insert assigning the
 // local count as the ID would corrupt the global ID space.
-var (
-	_ index.Index         = (*Group)(nil)
-	_ index.RangeSearcher = (*Group)(nil)
-	_ index.CtxSearcher   = (*Group)(nil)
-	_ index.BatchSearcher = (*Group)(nil)
-)
+var _ index.Index = (*Group)(nil)

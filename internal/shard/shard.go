@@ -28,10 +28,11 @@
 //   - The merge collector's contents are a pure function of the offered
 //     candidate set ordered by (distance, global ID) — see index.Collector
 //     — so merging shard answers in any order, on any number of workers,
-//     selects exactly the global top-k. Exact merges fold the shards'
-//     collectors together on their original accumulated squared sums
-//     (index.CollSearcher), the very keys the unsharded collector compares,
-//     so even sub-ulp tie-breaks at the k boundary are preserved.
+//     selects exactly the global top-k. Every merge — exact, approximate
+//     and range, whatever the sub-index — folds the shards' collectors
+//     together on their original accumulated squared sums
+//     (index.Collector.MergeMapped), the very keys the unsharded collector
+//     compares, so even sub-ulp tie-breaks at the k boundary are preserved.
 //
 // Shard-local collectors tie-break on local IDs, but hash placement
 // preserves relative order (local IDs are assigned in ascending global-ID
@@ -39,7 +40,6 @@
 package shard
 
 import (
-	"fmt"
 	"math"
 	"sync"
 
@@ -115,15 +115,7 @@ func (sh *Shard) boundSq(q index.Query, ctx *index.SearchCtx) float64 {
 	}
 	bound := math.Inf(1)
 	for _, syn := range syns {
-		var b float64
-		if q.Windowed && syn != nil && !syn.IntersectsWindow(q.MinTS, q.MaxTS) {
-			b = math.Inf(1)
-		} else {
-			b = ctx.P.SynopsisBoundSq(syn)
-		}
-		if b < bound {
-			bound = b
-		}
+		bound = min(bound, ctx.P.UnitBoundSq(q, syn))
 	}
 	return bound
 }
@@ -138,71 +130,15 @@ func (sh *Shard) ids(mu *sync.RWMutex) []int64 {
 	return ids
 }
 
-// exactInto runs the shard's exact top-k and folds it into col under global
-// IDs. Sub-indexes exposing their collector (index.CollSearcher — CTree and
-// CLSM do) merge on the exact accumulated squared sums, making the sharded
-// selection bit-for-bit the unsharded one; others fall back to re-squared
-// reported distances, which preserves each distance exactly (IEEE-754 sqrt
-// is correctly rounded, so sqrt(fl(d*d)) == d) but not necessarily the last
-// ulp of the collector's squared ordering key. ctx must already be filled
-// for q and is used serially; callers own the cross-shard parallelism.
-func (sh *Shard) exactInto(mu *sync.RWMutex, q index.Query, k int, ctx *index.SearchCtx, col *index.Collector) error {
-	cs, ok := sh.Index.(index.CollSearcher)
-	if !ok {
-		rs, err := sh.Index.ExactSearch(q, k)
-		if err != nil {
-			return err
-		}
-		offer(sh, mu, col, rs)
-		return nil
-	}
-	sub, err := cs.ExactSearchColl(q, k, ctx)
-	if err != nil {
+// into searches the shard through one of its index's cores into sub — an
+// empty pooled collector of col's shape, filled under local IDs — and folds
+// sub into col under global IDs on the exact accumulated squared sums, which
+// makes the sharded selection bit-for-bit the unsharded one. The ID mapping
+// is snapshotted after the search: an insert the search saw is then in it.
+func into[C interface{ MergeMapped(C, []int64) }](sh *Shard, mu *sync.RWMutex, core func(index.Query, C, *index.SearchCtx) error, q index.Query, ctx *index.SearchCtx, col, sub C) error {
+	if err := core(q, sub, ctx); err != nil {
 		return err
 	}
-	ids := sh.ids(mu)
-	sub.Each(func(id, ts int64, distSq float64) {
-		col.AddSq(ids[id], ts, distSq)
-	})
+	col.MergeMapped(sub, sh.ids(mu))
 	return nil
-}
-
-// approxInto probes the shard's approximate path and folds the answer into
-// col under global IDs.
-func (sh *Shard) approxInto(mu *sync.RWMutex, q index.Query, k int, col *index.Collector) error {
-	rs, err := sh.Index.ApproxSearch(q, k)
-	if err != nil {
-		return err
-	}
-	offer(sh, mu, col, rs)
-	return nil
-}
-
-// rangeInto runs the shard's range search and folds every qualifying series
-// into col under its global ID. Unlike the k-NN heap, re-squaring reported
-// distances is exact here: a range collector performs no squared-key
-// selection — membership (sqrt(distSq) > eps) and the final ordering
-// (Results sorts on (Dist, ID)) are both decided in true-distance space.
-func (sh *Shard) rangeInto(mu *sync.RWMutex, q index.Query, eps float64, col *index.RangeCollector) error {
-	rs, ok := sh.Index.(index.RangeSearcher)
-	if !ok {
-		return fmt.Errorf("shard: %s does not support range search", sh.Index.Name())
-	}
-	found, err := rs.RangeSearch(q, eps)
-	if err != nil {
-		return err
-	}
-	offer(sh, mu, col, found)
-	return nil
-}
-
-// offer re-squares one shard's rendered results into a collector,
-// translating local IDs to global.
-func offer[C interface {
-	AddSq(id, ts int64, distSq float64) bool
-}](sh *Shard, mu *sync.RWMutex, col C, rs []index.Result) {
-	ids := sh.ids(mu)
-	for _, r := range rs {
-		col.AddSq(ids[r.ID], r.TS, r.Dist*r.Dist)
-	}
 }

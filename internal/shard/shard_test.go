@@ -65,8 +65,8 @@ func TestPartitionIsPlacementInverse(t *testing.T) {
 }
 
 // TestWorkloadShardedEquivalence drives the sharding layer exactly as the
-// server does — through assemble.Build — and requires exact and
-// range results byte-identical to the unsharded build for tree and LSM
+// server does — through assemble.Build — and requires exact, range and
+// batch results byte-identical to the unsharded build for tree, LSM and ADS+
 // variants at several shard counts.
 func TestWorkloadShardedEquivalence(t *testing.T) {
 	cfg := index.Config{SeriesLen: 64, Segments: 8, Bits: 6}
@@ -76,7 +76,7 @@ func TestWorkloadShardedEquivalence(t *testing.T) {
 	for i := range queries {
 		queries[i] = index.NewQuery(gen.RandomWalk(rng, 64), cfg)
 	}
-	for _, variant := range []string{"CTreeFull", "CLSM"} {
+	for _, variant := range []string{"CTreeFull", "CLSM", "ADS+"} {
 		base, err := assemble.Build(assemble.Spec{Variant: variant, SeriesLen: 64, Segments: 8, Bits: 6, RawInMemory: true}, ds)
 		if err != nil {
 			t.Fatal(err)
@@ -118,11 +118,11 @@ func TestWorkloadShardedEquivalence(t *testing.T) {
 						t.Fatalf("query %d: exact diverges\n got %+v\nwant %+v", qi, got, want)
 					}
 					eps := want[2].Dist
-					wantR, err := base.Index.(index.RangeSearcher).RangeSearch(q, eps)
+					wantR, err := base.Index.RangeSearch(q, eps)
 					if err != nil {
 						t.Fatal(err)
 					}
-					gotR, err := b.Index.(index.RangeSearcher).RangeSearch(q, eps)
+					gotR, err := b.Index.RangeSearch(q, eps)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -132,7 +132,7 @@ func TestWorkloadShardedEquivalence(t *testing.T) {
 				}
 				// The batch path through the assembled index (the group's at
 				// every shard count, the one-shard group included).
-				batch, err := b.Index.(index.BatchSearcher).ExactSearchBatch(queries, 5)
+				batch, err := b.SearchBatch(queries, 5)
 				if err != nil {
 					t.Fatal(err)
 				}

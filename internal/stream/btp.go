@@ -204,20 +204,13 @@ func (b *BTP) Merges() int64 { return b.merges }
 // independent sorted runs, so probes execute concurrently on the worker
 // pool.
 func (b *BTP) ApproxSearch(q index.Query, k int) ([]index.Result, error) {
-	ctx := index.AcquireCtx(q, b.store.Config)
-	defer ctx.Release()
-	col := index.NewCollector(k)
-	if err := b.approxInto(q, col, ctx); err != nil {
-		return nil, err
-	}
-	return col.Results(), nil
+	return index.Search(q, b.store.Config, index.NewCollector(k), b.approx)
 }
 
-// approxInto runs the approximate phase into col with an already-acquired
-// context, so ExactSearch shares one context (and one table fill) across
-// both phases.
-func (b *BTP) approxInto(q index.Query, col *index.Collector, ctx *index.SearchCtx) error {
-	if err := b.store.ScanBuffer(b.buffer, q, col, ctx.Scratch0()); err != nil {
+// approx is the approximate search, and the exact search's first phase on
+// the same context (one table fill across both).
+func (b *BTP) approx(q index.Query, col *index.Collector, ctx *index.SearchCtx) error {
+	if err := index.ScanBuffer(b.buffer, q, b.store.Raw, col, ctx.Scratch0()); err != nil {
 		return err
 	}
 	return b.forEachPart(q, ctx, col, (*run.Store).Probe)
@@ -231,16 +224,12 @@ func (b *BTP) approxInto(q index.Query, col *index.Collector, ctx *index.SearchC
 // window are skipped wholesale — the bandwidth saving TP pioneered, here
 // with a bounded partition count.
 func (b *BTP) ExactSearch(q index.Query, k int) ([]index.Result, error) {
-	ctx := index.AcquireCtx(q, b.store.Config)
-	defer ctx.Release()
-	col := index.NewCollector(k)
-	if err := b.approxInto(q, col, ctx); err != nil {
-		return nil, err
-	}
-	if err := b.forEachPart(q, ctx, col, (*run.Store).ScanKNN); err != nil {
-		return nil, err
-	}
-	return col.Results(), nil
+	return index.Search(q, b.store.Config, index.NewCollector(k), func(q index.Query, col *index.Collector, ctx *index.SearchCtx) error {
+		if err := b.approx(q, col, ctx); err != nil {
+			return err
+		}
+		return b.forEachPart(q, ctx, col, (*run.Store).ScanKNN)
+	})
 }
 
 // forEachPart applies scan (the run store's Probe or ScanKNN, as a method

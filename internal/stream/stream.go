@@ -21,7 +21,11 @@
 // pool (SetParallelism); PP inherits whatever parallelism its base index
 // was built with. Window-query answers are identical at every parallelism
 // setting — partitions are independent, and per-worker results merge
-// through the deterministic collector of package index.
+// through the deterministic collector of package index — and identical
+// across the three schemes over one stream: a TP partition is searched
+// through its index's cores (index.Index.ExactInto) and a BTP partition
+// scanned straight into the query's collector, so every merge is on the
+// accumulated squared sums PP's one index compares.
 package stream
 
 import (

@@ -3,6 +3,7 @@ package stream
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/adsplus"
@@ -110,37 +111,71 @@ func schemes(t *testing.T, raw *memRaw, mat bool) map[string]Scheme {
 	return out
 }
 
+// setWorkers sizes the pool a scheme's searches fan out on: its own, or —
+// for PP — its base index's, when it has one.
+func setWorkers(sc Scheme, n int) {
+	var target any = sc
+	if pp, ok := sc.(*PP); ok {
+		target = pp.base
+	}
+	if p, ok := target.(interface{ SetParallelism(int) }); ok {
+		p.SetParallelism(n)
+	}
+}
+
 func TestAllSchemesExactMatchesBruteForce(t *testing.T) {
 	ss, ts := streamData(600, 1)
+	names := []string{"PP-CLSM", "PP-ADS", "TP-CTree", "TP-ADS", "BTP"}
 	for _, mat := range []bool{false, true} {
-		for name, sc := range schemes(t, &memRaw{}, mat) {
+		// Every scheme over the same stream, each bound to a raw store of
+		// its own.
+		scs := map[string]Scheme{}
+		for _, name := range names {
 			raw := &memRaw{}
-			// Rebuild scheme bound to this raw store.
-			_ = sc
-			scs := schemes(t, raw, mat)
-			sc = scs[name]
-			ingestAll(t, sc, raw, ss, ts)
-			rng := rand.New(rand.NewSource(10))
-			for trial := 0; trial < 5; trial++ {
-				q := gen.RandomWalk(rng, 64)
-				// Full-range window and a narrow window.
-				for _, w := range [][2]int64{{0, 599}, {200, 350}} {
-					want := bruteWindowKNN(q, ss, ts, w[0], w[1], 3)
-					qq := index.NewQuery(q, testConfig(mat)).WithWindow(w[0], w[1])
-					got, err := sc.ExactSearch(qq, 3)
-					if err != nil {
-						t.Fatalf("%s mat=%v: %v", name, mat, err)
-					}
-					if len(got) != len(want) {
-						t.Fatalf("%s mat=%v window %v: %d results, want %d", name, mat, w, len(got), len(want))
-					}
-					for i := range want {
-						if math.Abs(got[i].Dist-want[i].Dist) > 1e-9 {
-							t.Fatalf("%s mat=%v window %v result %d: dist %v want %v",
-								name, mat, w, i, got[i].Dist, want[i].Dist)
+			scs[name] = schemes(t, raw, mat)[name]
+			ingestAll(t, scs[name], raw, ss, ts)
+		}
+		rng := rand.New(rand.NewSource(10))
+		for trial := 0; trial < 5; trial++ {
+			q := gen.RandomWalk(rng, 64)
+			// Full-range window, a narrow window, and no window at all.
+			for _, w := range []*[2]int64{{0, 599}, {200, 350}, nil} {
+				qq := index.NewQuery(q, testConfig(mat))
+				lo, hi := int64(0), int64(599)
+				if w != nil {
+					lo, hi = w[0], w[1]
+					qq = qq.WithWindow(lo, hi)
+				}
+				want := bruteWindowKNN(q, ss, ts, lo, hi, 3)
+				for _, workers := range []int{1, 4} {
+					var first []index.Result
+					for _, name := range names {
+						sc := scs[name]
+						setWorkers(sc, workers)
+						got, err := sc.ExactSearch(qq, 3)
+						if err != nil {
+							t.Fatalf("%s mat=%v: %v", name, mat, err)
 						}
-						if got[i].TS < w[0] || got[i].TS > w[1] {
-							t.Fatalf("%s: result outside window: %+v", name, got[i])
+						if len(got) != len(want) {
+							t.Fatalf("%s mat=%v window %v: %d results, want %d", name, mat, w, len(got), len(want))
+						}
+						for i := range want {
+							if math.Abs(got[i].Dist-want[i].Dist) > 1e-9 {
+								t.Fatalf("%s mat=%v window %v result %d: dist %v want %v",
+									name, mat, w, i, got[i].Dist, want[i].Dist)
+							}
+							if got[i].TS < lo || got[i].TS > hi {
+								t.Fatalf("%s: result outside window: %+v", name, got[i])
+							}
+						}
+						// PP ≡ TP ≡ BTP bit for bit: a partition's answer
+						// merges on the same accumulated squared sums one
+						// index over the whole stream compares.
+						if first == nil {
+							first = got
+						} else if !reflect.DeepEqual(got, first) {
+							t.Fatalf("%s mat=%v window %v workers=%d diverges from %s\n got %+v\nwant %+v",
+								name, mat, w, workers, names[0], got, first)
 						}
 					}
 				}

@@ -2,7 +2,6 @@ package stream
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"repro/internal/adsplus"
@@ -179,74 +178,44 @@ func intersects(q index.Query, syn *zonestat.Synopsis) bool {
 // ApproxSearch implements Scheme: probe each intersecting partition and the
 // buffer.
 func (t *TP) ApproxSearch(q index.Query, k int) ([]index.Result, error) {
-	return t.search(q, k, func(idx index.Index) ([]index.Result, error) { return idx.ApproxSearch(q, k) })
+	return index.Rendered(t.search(q, index.NewCollector(k), index.Index.ApproxInto))
 }
 
 // ExactSearch implements Scheme.
 func (t *TP) ExactSearch(q index.Query, k int) ([]index.Result, error) {
-	return t.search(q, k, func(idx index.Index) ([]index.Result, error) { return idx.ExactSearch(q, k) })
+	return index.Rendered(t.search(q, index.NewCollector(k), index.Index.ExactInto))
 }
 
-// search scans the in-memory buffer through the squared-space pruning
-// pipeline, then queries every partition whose time range intersects the
-// window. Partitions are independent indexes, so they are searched
-// concurrently on the worker pool (each acquiring its own pooled search
-// context internally); each partition's results fold into one deterministic
-// collector, giving the same answer as the serial partition-by-partition
-// loop.
-func (t *TP) search(q index.Query, k int, f func(index.Index) ([]index.Result, error)) ([]index.Result, error) {
-	ctx := index.AcquireCtx(q, t.sum.cfg)
-	defer ctx.Release()
-	sc := ctx.Scratch0()
-	col := index.NewCollector(k)
-	for _, e := range t.buffer {
-		if !q.InWindow(e.TS) {
-			continue
-		}
-		if col.SkipSq(sc.P.MinDistSqKey(e.Key)) {
-			continue
-		}
-		dSq, err := index.TrueDistSq(q, e, t.raw, col.WorstSq(), sc)
-		if err != nil {
-			return nil, err
-		}
-		// Partition results arrive below as true distances and are
-		// re-squared by Add; offering buffer candidates through the same
-		// sqrt->square round trip keeps a buffered copy and a partitioned
-		// copy of equal-distance series comparing exactly equal, so the ID
-		// tie-break decides — as it did when the whole merge ran in true
-		// distances.
-		col.Add(index.Result{ID: e.ID, TS: e.TS, Dist: math.Sqrt(dSq)})
-	}
+// search scans the in-memory buffer, then searches every partition whose
+// time range intersects the window (a filter outside the planner's count)
+// through core — index.Index's ApproxInto or ExactInto — straight into the
+// collector: partition IDs are already global, and the bound earlier
+// partitions left in col prunes later ones. Partitions go through the
+// planned-probe executor on the worker pool, bounded by their synopsis's
+// envelope MINDIST, with one pooled context per worker slot (the partition
+// plan in the first one's outer buffer, a partition's own in the primary);
+// per-worker collectors merge on their exact squared sums, giving the same
+// answer as the serial, unplanned loop — and as PP and BTP over the same
+// stream.
+func (t *TP) search(q index.Query, col *index.Collector, core func(index.Index, index.Query, *index.Collector, *index.SearchCtx) error) (*index.Collector, error) {
 	var active []tpPart
 	for _, p := range t.parts {
 		if intersects(q, p.syn) {
 			active = append(active, p)
 		}
 	}
-	// Partitions go through the planned-probe executor, bounded by their
-	// synopsis's envelope MINDIST. The envelope bound never exceeds any
-	// member's true distance, so a skipped partition could not have
-	// contributed a result — answers match the unplanned probe order byte
-	// for byte. Window filtering above stays outside the planner's count.
-	err := index.ProbeUnits(index.ProbePlan{
-		Planner: t.planner, Pool: t.pool, Trace: ctx.Trace, Kind: "partition", Units: ctx.PlanUnits(len(active)),
-	}, col, func(i int) float64 {
-		return ctx.P.SynopsisBoundSq(active[i].syn)
-	}, func(i, _ int, col *index.Collector) error {
-		rs, err := f(active[i].idx)
-		if err != nil {
-			return err
-		}
-		for _, r := range rs {
-			col.Add(r)
-		}
-		return nil
-	})
-	if err != nil {
+	ctxs := index.AcquireCtxs(q, t.sum.cfg, t.pool.WorkersFor(len(active)))
+	defer ctxs.Release()
+	if err := index.ScanBuffer(t.buffer, q, t.raw, col, ctxs[0].Scratch0()); err != nil {
 		return nil, err
 	}
-	return col.Results(), nil
+	return col, index.ProbeUnits(index.ProbePlan{
+		Planner: t.planner, Pool: t.pool, Trace: q.Trace, Kind: "partition", Units: ctxs[0].OuterPlanUnits(len(active)),
+	}, col, func(i int) float64 {
+		return ctxs[0].P.SynopsisBoundSq(active[i].syn)
+	}, func(i, w int, col *index.Collector) error {
+		return core(active[i].idx, q, col, ctxs[w])
+	})
 }
 
 var _ Scheme = (*TP)(nil)

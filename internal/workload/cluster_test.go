@@ -84,7 +84,7 @@ func TestClusterGroupSingleNodeEquivalence(t *testing.T) {
 			}
 			sameResultLists(t, "exact", got, want)
 			eps := want[len(want)-1].Dist * 1.1
-			wantR, err := base.Index.(index.RangeSearcher).RangeSearch(q, eps)
+			wantR, err := base.Index.RangeSearch(q, eps)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -4,65 +4,81 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/adsplus"
 	"repro/internal/assemble"
-	"repro/internal/clsm"
 	"repro/internal/gen"
 	"repro/internal/heatmap"
 	"repro/internal/index"
 	"repro/internal/recommender"
+	"repro/internal/series"
 	"repro/internal/storage"
 	"repro/internal/stream"
 )
 
-// streamScheme is one Scenario 2 contender with the disk it writes and its
-// raw store: every scheme gets an in-memory one, the identical treatment, so
-// relative index I/O is what the experiment isolates.
+// streamScheme is one Scenario 2 contender and the assembled build under it,
+// which the caller closes: every scheme gets the same storage half — a fresh
+// disk and an in-memory raw store — so relative index I/O is what the
+// experiment isolates.
 type streamScheme struct {
 	name string
 	stream.Scheme
-	disk storage.Backend
-	raw  *assemble.MemStore
+	b *assemble.Built
 }
 
-// StreamSchemes builds the Scenario 2 contenders on fresh disks, in table
-// order: the ADS+ baselines with PP and TP, the CTree variants, and the
-// recommender's choice CLSM+BTP.
+// StreamSchemes builds the Scenario 2 contenders, in table order: the ADS+
+// baselines with PP and TP, the CTree variants, and the recommender's choice
+// CLSM+BTP. PP wraps an ordinary (empty) build of its base index; TP and BTP
+// manage their own partitions over the storage half of one (assemble.Base),
+// as coconut.NewStream has them.
 func StreamSchemes(sc Scale, bufferEntries int) ([]streamScheme, error) {
-	cfg := sc.defaults().config()
-	type rawStore = *assemble.MemStore
+	sc = sc.defaults()
+	cfg := sc.config()
 	builds := []struct {
-		name  string
-		build func(d storage.Backend, raw rawStore) (stream.Scheme, error)
+		name string
+		pp   string // PP: its base index's variant
+		tp   func(storage.Backend, storage.PageReader, index.Config, series.RawStore) stream.PartitionFactory
 	}{
-		{"ADS+PP", func(d storage.Backend, raw rawStore) (stream.Scheme, error) {
-			ads, err := adsplus.New(adsplus.Options{Disk: d, Name: "adspp", Config: cfg, Raw: raw, BufferEntries: bufferEntries})
-			return stream.NewPP(ads, cfg), err
-		}},
-		{"ADS+TP", func(d storage.Backend, raw rawStore) (stream.Scheme, error) {
-			return stream.NewTP("adstp", cfg, stream.ADSFactory(d, nil, cfg, raw), bufferEntries, raw)
-		}},
-		{"CLSM+PP", func(d storage.Backend, raw rawStore) (stream.Scheme, error) {
-			lsm, err := clsm.New(clsm.Options{Disk: d, Name: "clsmpp", Config: cfg, Raw: raw, BufferEntries: bufferEntries})
-			return stream.NewPP(lsm, cfg), err
-		}},
-		{"CTree+TP", func(d storage.Backend, raw rawStore) (stream.Scheme, error) {
-			return stream.NewTP("ctreetp", cfg, stream.CTreeFactory(d, nil, cfg, raw), bufferEntries, raw)
-		}},
-		{"CLSM+BTP", func(d storage.Backend, raw rawStore) (stream.Scheme, error) {
-			return stream.NewBTP(d, "btp", cfg, bufferEntries, 2, raw)
-		}},
+		{name: "ADS+PP", pp: "ADS+"},
+		{name: "ADS+TP", tp: stream.ADSFactory},
+		{name: "CLSM+PP", pp: "CLSM"},
+		{name: "CTree+TP", tp: stream.CTreeFactory},
+		{name: "CLSM+BTP"},
 	}
 	var out []streamScheme
-	for _, b := range builds {
-		s := streamScheme{name: b.name, disk: storage.NewDisk(0), raw: assemble.NewMemStore(nil)}
+	for _, bld := range builds {
+		// Searches fan out on the default pool, as TP's and BTP's own do.
+		spec := sc.spec("CLSM", assemble.Spec{RawInMemory: true, BufferEntries: bufferEntries, Parallelism: -1})
+		s := streamScheme{name: bld.name}
 		var err error
-		if s.Scheme, err = b.build(s.disk, s.raw); err != nil {
+		if bld.pp != "" {
+			spec.Variant = bld.pp
+			if s.b, err = assemble.Build(spec, nil); err == nil {
+				s.Scheme = stream.NewPP(s.b.Index.(stream.EntryIndex), cfg)
+			}
+		} else if s.b, err = assemble.Base(spec); err == nil {
+			if raw := s.b.Raw; bld.tp != nil {
+				s.Scheme, err = stream.NewTP("tp", cfg, bld.tp(s.b.Disk, nil, cfg, raw), bufferEntries, raw)
+			} else {
+				s.Scheme, err = stream.NewBTP(s.b.Disk, "btp", cfg, bufferEntries, 2, raw)
+			}
+		}
+		if s.b != nil {
+			out = append(out, s)
+		}
+		if err != nil {
+			closeSchemes(out)
 			return nil, err
 		}
-		out = append(out, s)
+		if p, ok := s.Scheme.(interface{ SetPlanner(*index.Planner) }); ok {
+			p.SetPlanner(s.b.Planner)
+		}
 	}
 	return out, nil
+}
+
+func closeSchemes(schemes []streamScheme) {
+	for _, s := range schemes {
+		s.b.Close()
+	}
 }
 
 // E6Streaming regenerates Scenario 2: a seismic stream is ingested by each
@@ -90,13 +106,14 @@ func E6Streaming(sc Scale, batches, batchSize, bufferEntries, numQueries int) (*
 	if err != nil {
 		return nil, err
 	}
+	defer closeSchemes(schemes)
 	cfg := sc.config()
 	for _, s := range schemes {
-		name, disk := s.name, s.disk
+		name, disk, raw := s.name, s.b.Disk, s.b.Raw.(*assemble.MemStore)
 		disk.ResetStats()
 		for _, b := range data {
 			for _, ser := range b.Series {
-				s.raw.Append(ser.ZNormalize())
+				raw.Append(ser.ZNormalize())
 				if _, err := s.Ingest(ser, b.TS); err != nil {
 					return nil, fmt.Errorf("E6 %s ingest: %w", name, err)
 				}

@@ -46,11 +46,7 @@ func E13Sharding(sc Scale, n, numQueries, k int, shardCounts []int) (*Table, err
 
 		before := b.IOStats()
 		batchStart := time.Now()
-		bs, ok := b.Index.(index.BatchSearcher)
-		if !ok {
-			return nil, fmt.Errorf("E13: %s has no batch path", b.Index.Name())
-		}
-		batched, err := bs.ExactSearchBatch(iqs, k)
+		batched, err := b.SearchBatch(iqs, k)
 		if err != nil {
 			return nil, fmt.Errorf("E13 shards=%d batch: %w", shards, err)
 		}

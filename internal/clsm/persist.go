@@ -76,7 +76,7 @@ func (l *LSM) Save() error {
 		return err
 	}
 	payload := l.encodePayload(l.cur.Load().man)
-	return l.writeBlob(l.opts.Name+lsmMetaFileSfx, lsmMetaMagic, lsmMetaVersion, nil, payload)
+	return storage.WriteBlob(l.opts.Disk, l.opts.Name+lsmMetaFileSfx, lsmMetaMagic, lsmMetaVersion, nil, payload)
 }
 
 // persistManifest writes the crash-consistent manifest file after a swap.
@@ -89,27 +89,7 @@ func (l *LSM) persistManifest(m *manifest) error {
 	}
 	var head [8]byte
 	binary.LittleEndian.PutUint64(head[:], uint64(m.durableLSN))
-	return l.writeBlob(l.opts.Name+lsmManifestFileSfx, lsmManifestMagic, lsmManifestVersion, head[:], l.encodePayload(m))
-}
-
-// writeBlob replaces a small framed metadata file on the disk.
-func (l *LSM) writeBlob(name, magic string, version uint32, extra, payload []byte) error {
-	if l.opts.Disk.Exists(name) {
-		if err := l.opts.Disk.Remove(name); err != nil {
-			return err
-		}
-	}
-	head := make([]byte, 0, len(magic)+12+len(extra)+len(payload))
-	head = append(head, magic...)
-	head = binary.LittleEndian.AppendUint32(head, version)
-	head = binary.LittleEndian.AppendUint64(head, uint64(len(payload)))
-	head = append(head, extra...)
-	head = append(head, payload...)
-	if err := l.opts.Disk.Create(name); err != nil {
-		return err
-	}
-	_, err := l.opts.Disk.AppendPages(name, head)
-	return err
+	return storage.WriteBlob(l.opts.Disk, l.opts.Name+lsmManifestFileSfx, lsmManifestMagic, lsmManifestVersion, head[:], l.encodePayload(m))
 }
 
 // encodePayload renders the shared payload for a given manifest; the
@@ -154,37 +134,13 @@ func (l *LSM) encodePayload(m *manifest) []byte {
 	return buf
 }
 
-// readBlob reads and frames-checks a metadata file, returning the bytes
-// after the fixed header (extra bytes first, then the payload) plus the
-// file's format version. Every version from 1 through maxVersion is
-// accepted; the caller decodes the payload per version.
-func readBlob(disk storage.Backend, name, magic string, maxVersion uint32, extraLen int) ([]byte, uint32, error) {
-	npages, err := disk.NumPages(name)
+// readBlob reads a meta or manifest file through the shared frame check.
+func readBlob(disk storage.Backend, name, magic string, maxVersion uint32, prefixLen int) ([]byte, uint32, error) {
+	blob, version, err := storage.ReadBlob(disk, name, magic, maxVersion, prefixLen)
 	if err != nil {
-		return nil, 0, fmt.Errorf("clsm: opening %q: %w", name, err)
+		return nil, 0, fmt.Errorf("clsm: %w", err)
 	}
-	blob := make([]byte, int(npages)*disk.PageSize())
-	if _, err := disk.ReadPages(name, 0, int(npages), blob); err != nil {
-		return nil, 0, err
-	}
-	if len(blob) < len(magic)+12+extraLen {
-		return nil, 0, fmt.Errorf("clsm: %s file too short", name)
-	}
-	if string(blob[:len(magic)]) != magic {
-		return nil, 0, fmt.Errorf("clsm: bad magic %q in %s", blob[:len(magic)], name)
-	}
-	off := len(magic)
-	version := binary.LittleEndian.Uint32(blob[off:])
-	if version < 1 || version > maxVersion {
-		return nil, 0, fmt.Errorf("clsm: unsupported %s version %d", name, version)
-	}
-	off += 4
-	plen := int(binary.LittleEndian.Uint64(blob[off:]))
-	off += 8
-	if off+extraLen+plen > len(blob) {
-		return nil, 0, fmt.Errorf("clsm: truncated %s payload", name)
-	}
-	return blob[off : off+extraLen+plen], version, nil
+	return blob, version, nil
 }
 
 // decodePayload parses the shared payload (at the given format version),

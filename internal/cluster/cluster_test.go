@@ -10,6 +10,8 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -256,6 +258,79 @@ func TestRouterEquivalenceTopologies(t *testing.T) {
 				sameHTTPResults(t, "post-insert exact", got.Results, want.Results)
 			}
 		})
+	}
+}
+
+// TestOversizedK sends k = 2^36 — a number no index holds that many series
+// for — through every endpoint that takes k off the wire: a node's
+// /api/query and /api/query/batch, /api/cluster/search, and the router. Each
+// must answer exactly as it answers k = the series it holds (a k-NN over n
+// series returns n), and none may size an allocation by k: the whole
+// exchange stays under a fixed allocation bound. (Before the clamp the first
+// request asked the runtime for a 2^36-entry map: fatal, not an error.)
+func TestOversizedK(t *testing.T) {
+	huge := int(int64(1) << 36)
+	baseTS, baseBuild := startBaseline(t)
+	const nsh = 4
+	owned := [][]int{{0, 1}, {2, 3}}
+	nodes := []*testNode{startNode(t, nsh, owned[0], nil), startNode(t, nsh, owned[1], nil)}
+	r, err := New(topologyOf(nsh, nodes, owned), Options{Timeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	rts := httptest.NewServer(r.Handler())
+	defer rts.Close()
+	qs := testQueries(2)
+
+	// exchange runs every k-taking request with k and returns what came back.
+	exchange := func(k int) (out []any) {
+		for _, exact := range []bool{true, false} {
+			for _, ts := range []struct{ url, build string }{{baseTS.URL, baseBuild}, {rts.URL, ""}} {
+				resp := queryHTTP(t, ts.url, ts.build, qs[0], k, exact, 0)
+				var batch server.BatchQueryResponse
+				if code := postJSON(t, ts.url+"/api/query/batch",
+					server.BatchQueryRequest{Build: ts.build, Queries: qs, K: k, Exact: exact}, &batch); code != 200 {
+					t.Fatalf("batch k=%d status %d", k, code)
+				}
+				if exact && (len(resp.Results) != testN || len(batch.Results[1]) != testN) {
+					t.Fatalf("exact k=%d over %d series: %d results, %d in the batch", k, testN, len(resp.Results), len(batch.Results[1]))
+				}
+				out = append(out, resp.Results, batch.Results)
+			}
+			rs, _, err := r.Search(qs[1], k, exact, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, rs)
+		}
+		for _, mode := range []string{"exact", "approx"} {
+			total := 0
+			for _, n := range nodes {
+				var resp server.ClusterSearchResponse
+				if code := postJSON(t, n.ts.URL+"/api/cluster/search",
+					server.ClusterSearchRequest{Build: n.build, Series: qs[0], K: k, Mode: mode}, &resp); code != 200 {
+					t.Fatalf("cluster search k=%d status %d", k, code)
+				}
+				total += len(resp.Results)
+				out = append(out, resp.Results)
+			}
+			if mode == "exact" && total != testN {
+				t.Fatalf("cluster search k=%d: the nodes returned %d of %d series", k, total, testN)
+			}
+		}
+		return out
+	}
+	want := exchange(testN)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got := exchange(huge)
+	runtime.ReadMemStats(&after)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("k=%d answers differ from k=%d over %d series", huge, testN, testN)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<20 {
+		t.Fatalf("k=%d requests allocated %d MiB", huge, grew>>20)
 	}
 }
 

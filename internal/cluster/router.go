@@ -633,9 +633,9 @@ func (r *Router) Search(q []float64, k int, exact bool, minTS, maxTS *int64) ([]
 	if err := r.checkQuery(q); err != nil {
 		return nil, Stats{}, err
 	}
-	if k <= 0 {
-		k = 1
-	}
+	// A k-NN over n series returns at most n: no answer changes, and nothing
+	// downstream is sized by a number off the wire.
+	k = max(1, min(k, int(r.Count())))
 	mode := "approx"
 	if exact {
 		mode = "exact"

@@ -5,11 +5,16 @@
 // construction and exact-search scans are sequential I/O. A configurable
 // leaf fill factor leaves slack for later inserts, trading space and scan
 // length for cheaper updates — the read/write knob the demo exposes.
+//
+// The leaf file is the sort's output: the bulk load describes its pages to
+// internal/extsort (encoding, fill factor) and derives the directory and the
+// resident summaries from the observer of the pass that writes them. The
+// package assembles a page itself only where it rewrites one: the insert
+// path's encodePage.
 package ctree
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"slices"
 	"sort"
@@ -114,7 +119,7 @@ type Tree struct {
 	pageOf   []int64
 	packed   bool  // leaf pages use the packed codec
 	capacity int   // max entries per leaf page (fixed-size layout)
-	target   int   // entries per leaf at build time (fill factor applied)
+	target   int   // entries per fixed-size leaf at build time; kept for the metadata
 	count    int64 // total entries
 	nextID64 int64 // next auto-assigned insert ID
 	// Insert-path scratch, one of each per tree because inserts are
@@ -125,7 +130,8 @@ type Tree struct {
 	pb      *record.PageBuilder
 	pool    *parallel.Pool
 	// Resident summaries: what a scan consults before it decodes a page.
-	// All are built during packLeaves and maintained by inserts and splits.
+	// All are built by the bulk load's observer and maintained by inserts and
+	// splits.
 	//
 	// grpStart tiles the directory into groups of consecutive leaves: group
 	// g is leaves [grpStart[g], grpStart[g+1]); the last element is
@@ -341,104 +347,120 @@ func (t *Tree) UseReader(r storage.PageReader) {
 
 // Build constructs a CTree over all series in src, assigning IDs 0..n-1 in
 // source order and timestamp ts to every entry. Construction is bottom-up:
-// summarize sequentially, external-sort, then pack leaves contiguously.
+// summarize sequentially, then external-sort — and the sort's output is the
+// leaf level.
 func Build(opts Options, src series.RawStore, ts int64) (*Tree, error) {
 	return BuildTS(opts, src, func(int) int64 { return ts })
 }
 
 // BuildTS is Build with a per-ID timestamp function (used by the streaming
-// schemes to stamp entries with arrival time).
+// schemes to stamp entries with arrival time). A failed build leaves no file
+// behind (removed best effort; the first error is returned).
 func BuildTS(opts Options, src series.RawStore, tsOf func(id int) int64) (*Tree, error) {
+	n := src.Count()
+	return bulkLoad(opts, int64(n), func(t *Tree, sorter *extsort.Sorter) (err error) {
+		// Pass 0: summarize every series into an unsorted entry file
+		// (sequential read of the source, sequential write of entries).
+		disk, unsorted := t.opts.Disk, t.opts.Name+".unsorted"
+		w, err := storage.NewRecordWriter(disk, unsorted, t.codec.Size())
+		if err != nil {
+			return err
+		}
+		defer func() {
+			if err != nil {
+				_ = disk.Remove(unsorted) // best effort: err is what the caller must see
+				_ = disk.Remove(t.leafFile)
+			}
+		}()
+		buf := make([]byte, 0, t.codec.Size())
+		for id := 0; id < n; id++ {
+			s, err := src.Get(id)
+			if err != nil {
+				return err
+			}
+			key, z := t.opts.Config.Summarize(s)
+			e := record.Entry{Key: key, ID: int64(id), TS: tsOf(id)}
+			if t.opts.Config.Materialized {
+				e.Payload = z
+			}
+			if buf, err = t.codec.Append(buf[:0], e); err != nil {
+				return err
+			}
+			if err := w.Write(buf); err != nil {
+				return err
+			}
+		}
+		if err := w.Close(); err != nil {
+			return err
+		}
+		// Passes 1..2: two-pass external sort; in-memory runs sort on the
+		// worker pool while completed runs stream to disk, and the final
+		// merge writes the leaves at the fill factor.
+		if _, err := sorter.Sort(unsorted, int64(n), t.leafFile); err != nil {
+			return err
+		}
+		return disk.Remove(unsorted)
+	})
+}
+
+// BuildFromEntries bulk-loads a tree from entries already in (Key, ID) order
+// (used by the streaming partitions, whose flushes are sorted in memory): one
+// sequential write of the leaf file.
+func BuildFromEntries(opts Options, sorted []record.Entry) (*Tree, error) {
+	return bulkLoad(opts, int64(len(sorted)), func(t *Tree, sorter *extsort.Sorter) error {
+		return sorter.WriteRun(t.leafFile, sorted)
+	})
+}
+
+// bulkLoad returns the tree over the n entries write puts into the leaf file
+// through sorter, whose output is described as the tree's leaf level: its
+// encoding, its fill factor, and an observer that derives the directory, the
+// leaf envelopes, the SAX column and the synopsis from the pass that writes
+// the pages.
+func bulkLoad(opts Options, n int64, write func(t *Tree, sorter *extsort.Sorter) error) (*Tree, error) {
 	if err := opts.setDefaults(); err != nil {
 		return nil, err
 	}
 	t := &Tree{
-		opts:    opts,
-		codec:   opts.Config.Codec(),
-		pageBuf: make([]byte, opts.Disk.PageSize()),
-		pool:    parallel.New(opts.Parallelism),
+		opts:     opts,
+		codec:    opts.Config.Codec(),
+		leafFile: opts.Name + ".leaves",
+		pageBuf:  make([]byte, opts.Disk.PageSize()),
+		pool:     parallel.New(opts.Parallelism),
+		envOK:    true,
+		syn:      zonestat.New(opts.Config.Segments, opts.Config.Bits),
 	}
 	if err := t.initLayout(); err != nil {
 		return nil, err
 	}
-
-	// Pass 0: summarize every series into an unsorted entry file
-	// (sequential read of the source, sequential write of entries).
-	unsorted := opts.Name + ".unsorted"
-	w, err := storage.NewRecordWriter(opts.Disk, unsorted, t.codec.Size())
-	if err != nil {
-		return nil, err
-	}
-	buf := make([]byte, 0, t.codec.Size())
-	n := src.Count()
-	for id := 0; id < n; id++ {
-		s, err := src.Get(id)
-		if err != nil {
-			return nil, err
-		}
-		key, z := opts.Config.Summarize(s)
-		e := record.Entry{Key: key, ID: int64(id), TS: tsOf(id)}
-		if opts.Config.Materialized {
-			e.Payload = z
-		}
-		buf = buf[:0]
-		if buf, err = t.codec.Append(buf, e); err != nil {
-			return nil, err
-		}
-		if err := w.Write(buf); err != nil {
-			return nil, err
-		}
-	}
-	if err := w.Close(); err != nil {
-		return nil, err
-	}
-
-	// Passes 1..2: two-pass external sort; in-memory runs sort on the
-	// worker pool while completed runs stream to disk.
+	w, bits := opts.Config.Segments, opts.Config.Bits
+	column := make([]uint8, 0, int(n)*w)
 	sorter := &extsort.Sorter{
 		Disk: opts.Disk, Codec: t.codec, MemBudget: opts.MemBudget,
 		TmpPrefix: opts.Name + ".sort", Parallelism: opts.Parallelism,
+		Output: extsort.Output{Packed: t.packed, Fill: opts.FillFactor, Observer: func(e record.Entry, pageStart bool) {
+			arr := sortable.Symbols(e.Key, w, bits)
+			syms := arr[:w]
+			t.syn.AddSyms(e.Key, syms, e.TS)
+			column = append(column, syms...)
+			if pageStart {
+				t.leaves = append(t.leaves, leaf{minKey: e.Key})
+				t.synMin = append(t.synMin, syms...)
+				t.synMax = append(t.synMax, syms...)
+			} else {
+				mn, mx := t.leafEnv(len(t.leaves) - 1)
+				index.WidenEnvelope(mn, mx, syms)
+			}
+			t.leaves[len(t.leaves)-1].count++
+			t.count++
+		}},
 	}
-	sorted := opts.Name + ".sorted"
-	if _, err := sorter.Sort(unsorted, int64(n), sorted); err != nil {
+	if err := write(t, sorter); err != nil {
 		return nil, err
 	}
-	if err := opts.Disk.Remove(unsorted); err != nil {
-		return nil, err
-	}
-
-	// Final pass: pack leaves at the fill factor, sequential write.
-	if err := t.packLeaves(sorted, int64(n)); err != nil {
-		return nil, err
-	}
-	if err := opts.Disk.Remove(sorted); err != nil {
-		return nil, err
-	}
-	t.nextID64 = int64(n)
-	return t, nil
-}
-
-// BuildFromEntries bulk-loads a tree from an already-sorted entry file
-// (used by the streaming partitions, whose flushes are pre-sorted). The
-// input file is consumed (removed).
-func BuildFromEntries(opts Options, sortedFile string, n int64) (*Tree, error) {
-	if err := opts.setDefaults(); err != nil {
-		return nil, err
-	}
-	t := &Tree{
-		opts:    opts,
-		codec:   opts.Config.Codec(),
-		pageBuf: make([]byte, opts.Disk.PageSize()),
-		pool:    parallel.New(opts.Parallelism),
-	}
-	if err := t.initLayout(); err != nil {
-		return nil, err
-	}
-	if err := t.packLeaves(sortedFile, n); err != nil {
-		return nil, err
-	}
+	t.buildGroups(column)
 	t.nextID64 = n
-	return t, opts.Disk.Remove(sortedFile)
+	return t, nil
 }
 
 // initLayout derives the per-leaf capacities from the page size and the
@@ -463,150 +485,6 @@ func (t *Tree) initLayout() error {
 	}
 	t.capacity = perPage
 	t.target = int(math.Max(1, math.Floor(float64(perPage)*t.opts.FillFactor)))
-	return nil
-}
-
-func (t *Tree) packLeaves(sorted string, n int64) error {
-	t.leafFile = t.opts.Name + ".leaves"
-	if err := t.opts.Disk.Create(t.leafFile); err != nil {
-		return err
-	}
-	r, err := storage.NewRecordReader(t.opts.Disk, sorted, t.codec.Size(), n)
-	if err != nil {
-		return err
-	}
-	recSize := t.codec.Size()
-	pageSize := t.opts.Disk.PageSize()
-	w, bits := t.opts.Config.Segments, t.opts.Config.Bits
-	t.syn = zonestat.New(w, bits)
-	t.envOK = true
-	var envMin, envMax [sortable.MaxSegments]uint8
-	// Every record's symbols are computed here anyway, for the synopsis and
-	// the envelopes; kept, in file order, they are the SAX column.
-	column := make([]uint8, 0, int(n)*w)
-	// Leaf pages are assembled in a write-behind chunk and appended in
-	// batches, keeping the leaf file write stream sequential even though it
-	// interleaves with reads of the sorted input.
-	const chunkPages = 16
-	chunk := make([]byte, 0, chunkPages*pageSize)
-	page := make([]byte, pageSize)
-	inPage := 0
-	var first sortable.Key
-	pb := t.pb
-	packTarget := 0
-	if t.packed {
-		// The fill factor governs bytes, not entries: a packed leaf closes
-		// once its encoded size crosses the fraction, leaving the remaining
-		// bytes as insert slack. At factor 1.0 the threshold is unreachable
-		// (TryAdd caps below the page size), so leaves close only when full.
-		packTarget = int(math.Floor(float64(pageSize) * t.opts.FillFactor))
-	}
-	flushChunk := func() error {
-		if len(chunk) == 0 {
-			return nil
-		}
-		if _, err := t.opts.Disk.AppendPages(t.leafFile, chunk); err != nil {
-			return err
-		}
-		chunk = chunk[:0]
-		return nil
-	}
-	closeLeaf := func() error {
-		cnt := inPage
-		if t.packed {
-			cnt = pb.Count()
-		}
-		if cnt == 0 {
-			return nil
-		}
-		if t.packed {
-			if _, err := pb.Encode(page); err != nil {
-				return err
-			}
-		} else {
-			for i := inPage * recSize; i < pageSize; i++ {
-				page[i] = 0
-			}
-		}
-		chunk = append(chunk, page...)
-		t.leaves = append(t.leaves, leaf{minKey: first, count: cnt})
-		t.synMin = append(t.synMin, envMin[:w]...)
-		t.synMax = append(t.synMax, envMax[:w]...)
-		inPage = 0
-		if len(chunk) >= chunkPages*pageSize {
-			return flushChunk()
-		}
-		return nil
-	}
-	for {
-		rec, err := r.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		key := record.DecodeKeyOnly(rec)
-		syms := sortable.Symbols(key, w, bits)
-		t.syn.AddSyms(key, syms[:w], record.DecodeTS(rec))
-		column = append(column, syms[:w]...)
-		if t.packed {
-			// Add before touching the envelope: a rejected entry belongs to
-			// the next leaf, whose statistics it must seed, not widen ours.
-			e, err := t.codec.Decode(rec)
-			if err != nil {
-				return err
-			}
-			ok, err := pb.TryAdd(e)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				if err := closeLeaf(); err != nil {
-					return err
-				}
-				if ok, err = pb.TryAdd(e); err != nil {
-					return err
-				} else if !ok {
-					return fmt.Errorf("ctree: entry rejected by empty packed page")
-				}
-			}
-			if pb.Count() == 1 {
-				first = key
-				envMin, envMax = syms, syms
-			} else {
-				index.WidenEnvelope(envMin[:w], envMax[:w], syms[:])
-			}
-			t.count++
-			if pb.EncodedBytes() >= packTarget {
-				if err := closeLeaf(); err != nil {
-					return err
-				}
-			}
-			continue
-		}
-		if inPage == 0 {
-			first = key
-			envMin, envMax = syms, syms
-		} else {
-			index.WidenEnvelope(envMin[:w], envMax[:w], syms[:])
-		}
-		copy(page[inPage*recSize:], rec)
-		inPage++
-		t.count++
-		if inPage == t.target {
-			if err := closeLeaf(); err != nil {
-				return err
-			}
-		}
-	}
-	if err := closeLeaf(); err != nil {
-		return err
-	}
-	if err := flushChunk(); err != nil {
-		return err
-	}
-	t.buildGroups(column)
 	return nil
 }
 
@@ -749,12 +627,6 @@ func (t *Tree) insertEntryIntoEmpty(e record.Entry, syms []uint8) error {
 	page, err := t.encodeFitting([]record.Entry{e})
 	if err != nil {
 		return err
-	}
-	if t.leafFile == "" {
-		t.leafFile = t.opts.Name + ".leaves"
-		if err := t.opts.Disk.Create(t.leafFile); err != nil {
-			return err
-		}
 	}
 	if _, err := t.opts.Disk.AppendPage(t.leafFile, page); err != nil {
 		return err

@@ -54,23 +54,7 @@ const (
 // disk, so the tree can be reopened (together with the disk snapshot) via
 // Open. An existing meta file is replaced.
 func (t *Tree) Save() error {
-	name := t.opts.Name + ".meta"
-	if t.opts.Disk.Exists(name) {
-		if err := t.opts.Disk.Remove(name); err != nil {
-			return err
-		}
-	}
-	payload := t.encodeMeta()
-	head := make([]byte, 0, len(metaMagic)+12+len(payload))
-	head = append(head, metaMagic...)
-	head = binary.LittleEndian.AppendUint32(head, metaVersion)
-	head = binary.LittleEndian.AppendUint64(head, uint64(len(payload)))
-	head = append(head, payload...)
-	if err := t.opts.Disk.Create(name); err != nil {
-		return err
-	}
-	_, err := t.opts.Disk.AppendPages(name, head)
-	return err
+	return storage.WriteBlob(t.opts.Disk, t.opts.Name+".meta", metaMagic, metaVersion, nil, t.encodeMeta())
 }
 
 func (t *Tree) encodeMeta() []byte {
@@ -132,33 +116,11 @@ func Open(disk storage.Backend, name string, raw series.RawStore) (*Tree, error)
 	if name == "" {
 		name = "ctree"
 	}
-	metaName := name + ".meta"
-	npages, err := disk.NumPages(metaName)
+	payload, version, err := storage.ReadBlob(disk, name+".meta", metaMagic, metaVersion, 0)
 	if err != nil {
-		return nil, fmt.Errorf("ctree: opening %q: %w", metaName, err)
+		return nil, fmt.Errorf("ctree: %w", err)
 	}
-	raw2 := make([]byte, int(npages)*disk.PageSize())
-	if _, err := disk.ReadPages(metaName, 0, int(npages), raw2); err != nil {
-		return nil, err
-	}
-	if len(raw2) < len(metaMagic)+12 {
-		return nil, fmt.Errorf("ctree: meta file too short")
-	}
-	if string(raw2[:len(metaMagic)]) != metaMagic {
-		return nil, fmt.Errorf("ctree: bad meta magic %q", raw2[:len(metaMagic)])
-	}
-	off := len(metaMagic)
-	version := binary.LittleEndian.Uint32(raw2[off:])
-	if version < 1 || version > metaVersion {
-		return nil, fmt.Errorf("ctree: unsupported meta version %d", version)
-	}
-	off += 4
-	plen := int(binary.LittleEndian.Uint64(raw2[off:]))
-	off += 8
-	if off+plen > len(raw2) {
-		return nil, fmt.Errorf("ctree: truncated meta payload: want %d bytes", plen)
-	}
-	return decodeMeta(disk, name, raw2[off:off+plen], raw, version)
+	return decodeMeta(disk, name, payload, raw, version)
 }
 
 func decodeMeta(disk storage.Backend, name string, buf []byte, raw series.RawStore, version uint32) (*Tree, error) {

@@ -5,6 +5,12 @@
 // fan-in exceeds the memory budget) with sequential reads and writes. This
 // is what lets Coconut build a compact, contiguous index without the
 // random I/O of top-down insertion.
+//
+// It is also the one place entries are laid into the pages of a new file
+// (entryWriter): a CLSM run, a BTP partition, a merge of either and a CTree's
+// leaf level are all what Sort, Merge or WriteRun wrote, in the encoding and
+// at the page fill the Sorter's Output names, and each owner derives what it
+// keeps in memory about its file from the Observer of that one pass.
 package extsort
 
 import (
@@ -36,16 +42,25 @@ type Sorter struct {
 	// once, so resident memory can exceed MemBudget by a small constant
 	// factor.
 	Parallelism int
+	// Output describes the file Sort, Merge and WriteRun produce. The zero
+	// value is a plain sorted file: fixed-size records, full pages, nobody
+	// watching — which is also what Sort's temporary runs always are.
+	Output
 }
 
-// MinMemBudget is the smallest workable budget: room for a handful of
-// entries and two merge pages.
-func (s *Sorter) minEntries() int {
-	n := s.MemBudget / s.Codec.Size()
-	if n < 4 {
-		n = 4
-	}
-	return n
+// Output describes a sorted file to be written.
+type Output struct {
+	// Packed selects the packed page encoding over fixed-size records.
+	Packed bool
+	// Fill is the fraction of each page populated, the rest left as slack
+	// for later inserts (a CTree's fill factor): a fixed-size page closes at
+	// max(1, ⌊records per page · Fill⌋) records, a packed page once its
+	// encoded bytes reach ⌊page size · Fill⌋, or sooner when an entry no
+	// longer fits. Values outside (0,1) mean full pages, which is what every
+	// Input is read as: a file written with slack is not one.
+	Fill float64
+	// Observer, when non-nil, sees every entry written.
+	Observer Observer
 }
 
 func (s *Sorter) tmpName(pass, i int) string {
@@ -57,74 +72,93 @@ func (s *Sorter) tmpName(pass, i int) string {
 }
 
 // Sort reads count entries from the input file and writes them in (Key, ID)
-// order to the output file (created by the sort; it must not exist). The
-// input file is left intact. Returns the number of merge passes used
-// (0 = input fit in memory, 1 = classic two-pass, >1 = constrained memory).
+// order to the output file (created by the sort; it must not exist), as the
+// sorter's Output describes it. The input file is left intact. Returns the
+// number of merge passes used (0 = input fit in memory, 1 = classic two-pass,
+// >1 = constrained memory). A failed sort leaves neither output nor
+// temporary runs behind (removed best effort; the first error is returned).
 func (s *Sorter) Sort(input string, count int64, output string) (passes int, err error) {
 	if count == 0 {
-		return 0, s.WriteRun(output, nil, false, nil)
+		return 0, s.WriteRun(output, nil)
 	}
-
-	// Phase 1: produce sorted runs.
+	// Phase 1: produce sorted runs. The memory budget is split across the
+	// workers, so a parallel sort's runs are smaller and more numerous than
+	// a serial one's; only the final output is byte-identical. The smallest
+	// workable budget is room for a handful of entries.
 	workers := s.workers()
+	bufEntries := max(4, s.MemBudget/s.Codec.Size()/workers)
+	reader, err := storage.NewRecordReader(s.Disk, input, s.Codec.Size(), count)
+	if err != nil {
+		return 0, err
+	}
+	if count <= int64(bufEntries) {
+		// The input fits the budget: the one sorted buffer is the output.
+		entries, err := s.fill(reader, make([]record.Entry, 0, count))
+		if err != nil {
+			return 0, err
+		}
+		sortBuffer(entries)
+		return 0, s.WriteRun(output, entries)
+	}
 	var runs []Input
 	if workers == 1 {
-		var err error
-		if runs, err = s.sortRunsSerial(input, count); err != nil {
-			return 0, err
-		}
+		runs, err = s.sortRunsSerial(reader, bufEntries)
 	} else {
-		var err error
-		if runs, err = s.sortRunsParallel(input, count, workers); err != nil {
-			return 0, err
-		}
-	}
-
-	// Single run: it is already the answer.
-	if len(runs) == 1 {
-		return 0, s.Disk.Rename(runs[0].Name, output)
+		runs, err = s.sortRunsParallel(reader, bufEntries, workers)
 	}
 
 	// Phase 2: k-way merge passes. Fan-in is bounded by how many run pages
 	// fit in the memory budget (at least 2). Merge groups within a pass are
-	// independent and run on the worker pool; the final single-group merge
-	// writes the output directly.
-	fanIn := s.MemBudget / s.Disk.PageSize()
-	if fanIn < 2 {
-		fanIn = 2
-	}
+	// independent and run on the worker pool; intermediate passes write plain
+	// runs, and the final single-group merge writes the output itself.
+	fanIn := max(2, s.MemBudget/s.Disk.PageSize())
 	pool := parallel.New(workers)
-	pass := 1
-	for len(runs) > 1 {
+	for err == nil && len(runs) > 1 {
 		var groups [][]Input
 		for i := 0; i < len(runs); i += fanIn {
 			groups = append(groups, runs[i:min(i+fanIn, len(runs))])
 		}
 		next := make([]Input, len(groups))
-		concurrent := pool.WorkersFor(len(groups))
-		budget := s.MemBudget / concurrent
-		err := pool.ForEach(len(groups), func(_, g int) error {
-			name := s.tmpName(pass, g)
+		budget := s.MemBudget / pool.WorkersFor(len(groups))
+		err = pool.ForEach(len(groups), func(_, g int) error {
+			name, out := s.tmpName(passes+1, g), Output{}
 			if len(groups) == 1 {
-				name = output // final merge writes the output directly
+				name, out = output, s.Output
 			}
-			total, err := s.merge(groups[g], name, false, budget, nil)
-			next[g] = Input{Name: name, Count: total}
+			total, err := s.merge(groups[g], name, out, budget)
+			if err == nil {
+				next[g] = Input{Name: name, Count: total}
+			}
 			return err
 		})
-		if err != nil {
-			return passes, err
+		if err == nil {
+			err = s.remove(runs)
 		}
-		for _, r := range runs {
-			if err := s.Disk.Remove(r.Name); err != nil {
-				return passes, err
-			}
+		if err != nil {
+			runs = append(runs, next...)
+			break
 		}
 		runs = next
-		passes = pass
-		pass++
+		passes++
 	}
-	return passes, nil
+	if err != nil {
+		_ = s.remove(runs) // best effort: err is what the caller must see
+	}
+	return passes, err
+}
+
+// remove removes the named runs — every one it can, whatever fails — and
+// returns the first error.
+func (s *Sorter) remove(runs []Input) (first error) {
+	for _, r := range runs {
+		if r.Name == "" {
+			continue // a merge group that wrote nothing
+		}
+		if err := s.Disk.Remove(r.Name); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
 }
 
 // workers resolves the Parallelism knob: 0 or 1 means serial.
@@ -135,74 +169,57 @@ func (s *Sorter) workers() int {
 	return s.Parallelism
 }
 
-// sortRunsSerial is the classic phase 1: fill one bounded buffer, sort it,
-// write it out, repeat.
-func (s *Sorter) sortRunsSerial(input string, count int64) ([]Input, error) {
-	bufEntries := s.minEntries()
-	reader, err := storage.NewRecordReader(s.Disk, input, s.Codec.Size(), count)
-	if err != nil {
-		return nil, err
-	}
-	var runs []Input
-	entries := make([]record.Entry, 0, bufEntries)
-	flush := func() error {
-		if len(entries) == 0 {
-			return nil
-		}
-		sort.Slice(entries, func(i, j int) bool { return entries[i].Less(entries[j]) })
-		name := s.tmpName(0, len(runs))
-		if err := s.WriteRun(name, entries, false, nil); err != nil {
-			return err
-		}
-		runs = append(runs, Input{Name: name, Count: int64(len(entries))})
-		entries = entries[:0]
-		return nil
-	}
-	for {
-		rec, err := reader.Next()
+func sortBuffer(entries []record.Entry) {
+	sort.Slice(entries, func(i, j int) bool { return entries[i].Less(entries[j]) })
+}
+
+// fill appends decoded entries from r to buf up to its capacity; it stops
+// short only at the end of the input.
+func (s *Sorter) fill(r *storage.RecordReader, buf []record.Entry) ([]record.Entry, error) {
+	for len(buf) < cap(buf) {
+		rec, err := r.Next()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			return nil, err
+			return buf, err
 		}
 		e, err := s.Codec.Decode(rec)
 		if err != nil {
-			return nil, err
+			return buf, err
 		}
-		entries = append(entries, e)
-		if len(entries) == bufEntries {
-			if err := flush(); err != nil {
-				return nil, err
-			}
+		buf = append(buf, e)
+	}
+	return buf, nil
+}
+
+// sortRunsSerial is the classic phase 1: fill one bounded buffer, sort it,
+// write it out, repeat. Like sortRunsParallel it returns the runs it wrote
+// even when it fails, for Sort to remove.
+func (s *Sorter) sortRunsSerial(reader *storage.RecordReader, bufEntries int) (runs []Input, err error) {
+	entries := make([]record.Entry, 0, bufEntries)
+	for {
+		if entries, err = s.fill(reader, entries[:0]); err != nil || len(entries) == 0 {
+			return runs, err
 		}
+		sortBuffer(entries)
+		name := s.tmpName(0, len(runs))
+		if err := s.write(name, entries, Output{}); err != nil {
+			return runs, err
+		}
+		runs = append(runs, Input{Name: name, Count: int64(len(entries))})
 	}
-	if err := flush(); err != nil {
-		return nil, err
-	}
-	return runs, nil
 }
 
 // sortRunsParallel is phase 1 as a three-stage pipeline: this goroutine
 // streams the input and batches entries, workers sort batches, and a writer
 // goroutine streams completed runs to disk strictly in batch order, so
 // sorting CPU overlaps run-writing I/O and the write stream stays
-// single-headed. The memory budget is split across workers, so the
-// intermediate runs are smaller and more numerous than the serial pass's —
-// only the final merged output is byte-identical (entries are totally
-// ordered by (Key, ID)), not the intermediate run files.
-func (s *Sorter) sortRunsParallel(input string, count int64, workers int) ([]Input, error) {
+// single-headed.
+func (s *Sorter) sortRunsParallel(reader *storage.RecordReader, bufEntries, workers int) ([]Input, error) {
 	type batch struct {
 		idx     int
 		entries []record.Entry
-	}
-	bufEntries := s.minEntries() / workers
-	if bufEntries < 4 {
-		bufEntries = 4
-	}
-	reader, err := storage.NewRecordReader(s.Disk, input, s.Codec.Size(), count)
-	if err != nil {
-		return nil, err
 	}
 	sortCh := make(chan batch, workers)
 	writeCh := make(chan batch, workers)
@@ -212,7 +229,7 @@ func (s *Sorter) sortRunsParallel(input string, count int64, workers int) ([]Inp
 		go func() {
 			defer wg.Done()
 			for b := range sortCh {
-				sort.Slice(b.entries, func(x, y int) bool { return b.entries[x].Less(b.entries[y]) })
+				sortBuffer(b.entries)
 				writeCh <- b
 			}
 		}()
@@ -232,7 +249,7 @@ func (s *Sorter) sortRunsParallel(input string, count int64, workers int) ([]Inp
 				delete(pending, next)
 				if writerErr == nil {
 					name := s.tmpName(0, next)
-					if err := s.WriteRun(name, entries, false, nil); err != nil {
+					if err := s.write(name, entries, Output{}); err != nil {
 						writerErr = err
 					} else {
 						runs = append(runs, Input{Name: name, Count: int64(len(entries))})
@@ -243,29 +260,12 @@ func (s *Sorter) sortRunsParallel(input string, count int64, workers int) ([]Inp
 		}
 	}()
 	var readErr error
-	idx := 0
-	entries := make([]record.Entry, 0, bufEntries)
-	for readErr == nil {
-		rec, err := reader.Next()
-		if err == io.EOF {
+	for idx := 0; ; idx++ {
+		var entries []record.Entry
+		entries, readErr = s.fill(reader, make([]record.Entry, 0, bufEntries))
+		if readErr != nil || len(entries) == 0 {
 			break
 		}
-		if err != nil {
-			readErr = err
-			break
-		}
-		var e record.Entry
-		if e, readErr = s.Codec.Decode(rec); readErr != nil {
-			break
-		}
-		entries = append(entries, e)
-		if len(entries) == bufEntries {
-			sortCh <- batch{idx: idx, entries: entries}
-			idx++
-			entries = make([]record.Entry, 0, bufEntries)
-		}
-	}
-	if readErr == nil && len(entries) > 0 {
 		sortCh <- batch{idx: idx, entries: entries}
 	}
 	close(sortCh)
@@ -273,12 +273,9 @@ func (s *Sorter) sortRunsParallel(input string, count int64, workers int) ([]Inp
 	close(writeCh)
 	<-writerDn
 	if readErr != nil {
-		return nil, readErr
+		return runs, readErr
 	}
-	if writerErr != nil {
-		return nil, writerErr
-	}
-	return runs, nil
+	return runs, writerErr
 }
 
 // Input names one sorted entry file: a phase-1 run of Sort, a CLSM run, a
@@ -290,35 +287,47 @@ type Input struct {
 	Packed bool
 }
 
-// Observer sees every entry WriteRun or Merge appends to its output, in
+// Observer sees every entry Sort, WriteRun or Merge appends to its output, in
 // file order and after the append has succeeded, with whether the entry is
-// the first of a page. It is how the owner of a sorted run derives what it
-// keeps about the run — statistics, resident summaries — from the one pass
-// that writes it. The entry's payload is only valid during the call.
+// the first of a page. It is how the owner of a sorted file derives what it
+// keeps about the file — statistics, resident summaries, a leaf directory —
+// from the one pass that writes it. The entry's payload is only valid during
+// the call.
 type Observer func(e record.Entry, pageStart bool)
 
-// entryWriter appends entries to a new file in either page encoding. A
-// failed append or close removes the partial file: nothing references it,
-// and it would otherwise sit on the disk, counted in TotalPages.
+// entryWriter appends entries to a new file as an Output describes it, and
+// is the only code that decides where a page of such a file ends. A failed
+// append or close removes the partial file: nothing references it, and it
+// would otherwise sit on the disk, counted in TotalPages.
 type entryWriter struct {
-	s       *Sorter
-	name    string
-	fixed   *storage.RecordWriter // nil when packed
-	packed  *record.PackedWriter
-	buf     []byte
-	obs     Observer // nil: nobody watches
-	inPage  int      // fixed-size entries in the page being filled
-	perPage int
+	s         *Sorter
+	name      string
+	fixed     *storage.RecordWriter // nil when packed
+	packed    *record.PackedWriter
+	buf       []byte
+	obs       Observer // nil: nobody watches
+	inPage    int      // fixed-size entries in the page being filled
+	perPage   int      // fixed-size entries at which a page closes
+	fillBytes int      // encoded bytes at which a packed page closes; 0: when full
 }
 
 // create makes the file (which must not exist) with a write-behind buffer
 // of bufPages pages for fixed-size output.
-func (s *Sorter) create(name string, packed bool, bufPages int, obs Observer) (*entryWriter, error) {
-	w := &entryWriter{s: s, name: name, obs: obs, perPage: s.Disk.PageSize() / s.Codec.Size()}
+func (s *Sorter) create(name string, out Output, bufPages int) (*entryWriter, error) {
+	fill := out.Fill
+	if fill <= 0 || fill > 1 {
+		fill = 1
+	}
+	pageSize := s.Disk.PageSize()
+	w := &entryWriter{s: s, name: name, obs: out.Observer}
 	var err error
-	if packed {
+	if out.Packed {
+		if fill < 1 {
+			w.fillBytes = int(float64(pageSize) * fill)
+		}
 		w.packed, err = record.NewPackedWriter(s.Disk, name, s.Codec)
 	} else {
+		w.perPage = max(1, int(float64(pageSize/s.Codec.Size())*fill))
 		w.buf = make([]byte, 0, s.Codec.Size())
 		w.fixed, err = storage.NewRecordWriterBuffered(s.Disk, name, s.Codec.Size(), bufPages)
 	}
@@ -328,17 +337,20 @@ func (s *Sorter) create(name string, packed bool, bufPages int, obs Observer) (*
 	return w, nil
 }
 
-// write appends one entry and tells the observer. A packed page closes when
-// the entry that no longer fits arrives, so that entry is a page's first
-// when the writer's page count moved (or nothing was written before it).
+// write appends one entry, closes the page it completes at the output's
+// fill, and tells the observer.
 func (w *entryWriter) write(e record.Entry) error {
 	var pageStart bool
 	if w.packed != nil {
-		pages, first := w.packed.Pages(), w.packed.Count() == 0
 		if err := w.packed.WriteEntry(e); err != nil {
 			return err
 		}
-		pageStart = first || w.packed.Pages() != pages
+		pageStart = w.packed.InPage() == 1
+		if w.fillBytes > 0 && w.packed.PageBytes() >= w.fillBytes {
+			if err := w.packed.EndPage(); err != nil {
+				return err
+			}
+		}
 	} else {
 		var err error
 		if w.buf, err = w.s.Codec.Append(w.buf[:0], e); err != nil {
@@ -350,6 +362,9 @@ func (w *entryWriter) write(e record.Entry) error {
 		pageStart = w.inPage == 0
 		if w.inPage++; w.inPage == w.perPage {
 			w.inPage = 0
+			if err = w.fixed.EndPage(); err != nil {
+				return err
+			}
 		}
 	}
 	if w.obs != nil {
@@ -374,10 +389,14 @@ func (w *entryWriter) finish(err error) error {
 	return err
 }
 
-// WriteRun writes entries, already in (Key, ID) order, to a new file in the
-// given encoding, reporting each to obs (nil for none).
-func (s *Sorter) WriteRun(name string, entries []record.Entry, packed bool, obs Observer) error {
-	w, err := s.create(name, packed, storage.DefaultBufferPages, obs)
+// WriteRun writes entries, already in (Key, ID) order, to a new file as the
+// sorter's Output describes it.
+func (s *Sorter) WriteRun(name string, entries []record.Entry) error {
+	return s.write(name, entries, s.Output)
+}
+
+func (s *Sorter) write(name string, entries []record.Entry, out Output) error {
+	w, err := s.create(name, out, storage.DefaultBufferPages)
 	if err != nil {
 		return err
 	}
@@ -390,11 +409,11 @@ func (s *Sorter) WriteRun(name string, entries []record.Entry, packed bool, obs 
 }
 
 // Merge k-way merges already-sorted entry files, in any mix of encodings,
-// into one new sorted file in the given encoding, under the sorter's full
-// memory budget, reporting each merged entry to obs (nil for none). Inputs
-// are left intact. Returns the merged entry count.
-func (s *Sorter) Merge(inputs []Input, output string, packed bool, obs Observer) (int64, error) {
-	return s.merge(inputs, output, packed, s.MemBudget, obs)
+// into one new sorted file as the sorter's Output describes it, under the
+// sorter's full memory budget. Inputs are left intact. Returns the merged
+// entry count.
+func (s *Sorter) Merge(inputs []Input, output string) (int64, error) {
+	return s.merge(inputs, output, s.Output, s.MemBudget)
 }
 
 // merge is the one k-way merge body. The memory budget (a share of
@@ -405,12 +424,12 @@ func (s *Sorter) Merge(inputs []Input, output string, packed bool, obs Observer)
 // holds one entry at a time, written before the source advances, so each
 // decodes every payload into one buffer of its own: the loop allocates
 // nothing per entry.
-func (s *Sorter) merge(inputs []Input, output string, packed bool, budget int, obs Observer) (int64, error) {
+func (s *Sorter) merge(inputs []Input, output string, out Output, budget int) (int64, error) {
 	bufPages := budget / s.Disk.PageSize() / (len(inputs) + 1)
 	if bufPages < 1 {
 		bufPages = 1
 	}
-	w, err := s.create(output, packed, bufPages, obs)
+	w, err := s.create(output, out, bufPages)
 	if err != nil {
 		return 0, err
 	}
@@ -543,11 +562,4 @@ func (h *mergeHeap) Pop() any {
 	x := old[n-1]
 	h.items = old[:n-1]
 	return x
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -362,7 +362,8 @@ func TestMergeSorted(t *testing.T) {
 				entries := writeUnsorted(t, d, "u"+string(rune('0'+i)), c, n, int64(40+i))
 				sortEntries(entries)
 				in := Input{Name: "s" + string(rune('0'+i)), Count: int64(n), Packed: packed}
-				if err := s.WriteRun(in.Name, entries, packed, nil); err != nil {
+				s.Packed = packed
+				if err := s.WriteRun(in.Name, entries); err != nil {
 					t.Fatal(err)
 				}
 				inputs = append(inputs, in)
@@ -371,7 +372,8 @@ func TestMergeSorted(t *testing.T) {
 			}
 			sortEntries(all)
 
-			got, err := s.Merge(inputs, "merged", tc.packOutput, nil)
+			s.Packed = tc.packOutput
+			got, err := s.Merge(inputs, "merged")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -437,7 +439,8 @@ func TestMergeDoesNotAllocatePerEntry(t *testing.T) {
 		}
 		sortEntries(entries)
 		in := Input{Name: "in" + string(rune('0'+i)), Count: int64(len(entries)), Packed: packed}
-		if err := s.WriteRun(in.Name, entries, packed, nil); err != nil {
+		s.Packed = packed
+		if err := s.WriteRun(in.Name, entries); err != nil {
 			t.Fatal(err)
 		}
 		inputs = append(inputs, in)
@@ -445,8 +448,9 @@ func TestMergeDoesNotAllocatePerEntry(t *testing.T) {
 	}
 	sortEntries(all)
 	for _, packOutput := range []bool{false, true} {
+		s.Packed = packOutput
 		merge := func() {
-			if _, err := s.Merge(inputs, "merged", packOutput, nil); err != nil {
+			if _, err := s.Merge(inputs, "merged"); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -469,6 +473,95 @@ func TestMergeDoesNotAllocatePerEntry(t *testing.T) {
 		}
 		if err := d.Remove("merged"); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestSortOutputDescription: what Sort writes under an Output description is,
+// byte for byte, what WriteRun writes from the same entries sorted in memory
+// — whether the input fit one buffer (the sorted buffer is the output), made
+// a few runs, or needed a pass of temporaries, serial or on workers — with
+// nothing left beside it; and the observer sees every entry once, in file
+// order, first-of-page exactly where the file's pages begin: every
+// max(1, ⌊records per page · fill⌋) records of a fixed file, and at each
+// packed page's own decoded count.
+func TestSortOutputDescription(t *testing.T) {
+	const pageSize, bufEntries = 256, 32
+	c := record.Codec{}
+	fanIn := bufEntries * c.Size() / pageSize
+	sizes := map[string]int{
+		"empty": 0, "one": 1, "one-buffer": bufEntries - 5,
+		"runs": bufEntries * fanIn, "multi-pass": bufEntries*fanIn*2 + 7,
+	}
+	for size, n := range sizes {
+		for _, packed := range []bool{false, true} {
+			for _, fill := range []float64{0, 1, 0.7, 0.34} {
+				for _, par := range []int{0, 4} {
+					d := storage.NewDisk(pageSize)
+					entries := writeUnsorted(t, d, "in", c, n, int64(n))
+					sortEntries(entries)
+					type seen struct {
+						id        int64
+						pageStart bool
+					}
+					var got []seen
+					s := &Sorter{Disk: d, Codec: c, MemBudget: bufEntries * c.Size(), Parallelism: par,
+						Output: Output{Packed: packed, Fill: fill, Observer: func(e record.Entry, pageStart bool) {
+							got = append(got, seen{e.ID, pageStart})
+						}}}
+					passes, err := s.Sort("in", int64(n), "out")
+					if err != nil {
+						t.Fatal(err)
+					}
+					if files := d.Files(); !slices.Equal(files, []string{"in", "out"}) {
+						t.Fatalf("%s: files after the sort: %v", size, files)
+					}
+					if par == 0 && (passes > 0) != (n > bufEntries) || size == "multi-pass" && passes < 2 {
+						t.Fatalf("%s: %d entries sorted in %d passes", size, n, passes)
+					}
+					s.Observer = nil
+					if err := s.WriteRun("ref", entries); err != nil {
+						t.Fatal(err)
+					}
+					out := readAllPages(t, d, "out")
+					if !slices.Equal(out, readAllPages(t, d, "ref")) {
+						t.Fatalf("%s packed=%v fill=%v par=%d: Sort's output differs from WriteRun's", size, packed, fill, par)
+					}
+
+					var want []seen
+					perPage := pageSize / c.Size()
+					if fill > 0 && fill < 1 {
+						perPage = max(1, int(float64(perPage)*fill))
+					}
+					for p := 0; len(want) < n; p++ {
+						count := min(perPage, n-len(want))
+						if packed {
+							v, err := c.ViewPacked(out[p*pageSize : (p+1)*pageSize])
+							if err != nil {
+								t.Fatal(err)
+							}
+							count = v.Count()
+						}
+						for i := 0; i < count; i++ {
+							want = append(want, seen{entries[len(want)].ID, i == 0})
+						}
+					}
+					if !slices.Equal(got, want) {
+						t.Fatalf("%s packed=%v fill=%v par=%d: the observer saw %d entries, the file holds %d, or they differ",
+							size, packed, fill, par, len(got), len(want))
+					}
+					if packed && fill > 0 && fill < 1 && n > bufEntries {
+						// Slack in a packed page is more pages for the same entries.
+						s.Fill = 1
+						if err := s.WriteRun("full", entries); err != nil {
+							t.Fatal(err)
+						}
+						if full := len(readAllPages(t, d, "full")); len(out) <= full {
+							t.Fatalf("%s: fill %v made %d bytes of packed pages, full pages make %d", size, fill, len(out), full)
+						}
+					}
+				}
+			}
 		}
 	}
 }

@@ -180,12 +180,19 @@ type Collector struct {
 	seen  map[int64]bool
 }
 
+// collectorPresize caps what a collector allocates before it has seen a
+// candidate. k may be a number off the wire, and a collector holds
+// min(k, candidates offered) results however large k is: the heap and the
+// seen set start at min(k, this) and grow with what arrives.
+const collectorPresize = 64
+
 // NewCollector creates a collector for the k nearest neighbors.
 func NewCollector(k int) *Collector {
 	if k < 1 {
 		k = 1
 	}
-	return &Collector{k: k, seen: make(map[int64]bool, k)}
+	n := min(k, collectorPresize)
+	return &Collector{k: k, items: make([]sqItem, 0, n), seen: make(map[int64]bool, n)}
 }
 
 // K returns the number of neighbors the collector keeps.
@@ -305,7 +312,7 @@ func (c *Collector) Sub() *Collector {
 	n.k = c.k
 	n.items = n.items[:0]
 	if n.seen == nil {
-		n.seen = make(map[int64]bool, c.k)
+		n.seen = make(map[int64]bool, min(c.k, collectorPresize))
 	} else {
 		clear(n.seen)
 	}

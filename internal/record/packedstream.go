@@ -42,7 +42,6 @@ type PackedWriter struct {
 	builder *PageBuilder
 	chunk   []byte
 	total   int64
-	pages   int64
 	closed  bool
 }
 
@@ -77,7 +76,7 @@ func (w *PackedWriter) WriteEntry(e Entry) error {
 		w.total++
 		return nil
 	}
-	if err := w.closePage(); err != nil {
+	if err := w.EndPage(); err != nil {
 		return err
 	}
 	ok, err = w.builder.TryAdd(e)
@@ -91,8 +90,10 @@ func (w *PackedWriter) WriteEntry(e Entry) error {
 	return nil
 }
 
-// closePage encodes the staged entries as one page into the chunk.
-func (w *PackedWriter) closePage() error {
+// EndPage encodes the staged entries as one page into the chunk, so the next
+// entry starts a new page. WriteEntry does it when an entry no longer fits; a
+// caller does it sooner to leave slack in its pages (a CTree's fill factor).
+func (w *PackedWriter) EndPage() error {
 	if w.builder.Count() == 0 {
 		return nil
 	}
@@ -101,7 +102,6 @@ func (w *PackedWriter) closePage() error {
 	if _, err := w.builder.Encode(w.chunk[len(w.chunk)-pageSize:]); err != nil {
 		return err
 	}
-	w.pages++
 	if len(w.chunk) >= packedBufferPages*pageSize {
 		return w.flushChunk()
 	}
@@ -122,8 +122,12 @@ func (w *PackedWriter) flushChunk() error {
 // Count returns the number of entries written so far.
 func (w *PackedWriter) Count() int64 { return w.total }
 
-// Pages returns the number of pages written (Close completes the count).
-func (w *PackedWriter) Pages() int64 { return w.pages }
+// InPage returns the number of entries staged for the page being filled: 1
+// right after WriteEntry means that entry opened the page.
+func (w *PackedWriter) InPage() int { return w.builder.Count() }
+
+// PageBytes returns the encoded size of the page being filled.
+func (w *PackedWriter) PageBytes() int { return w.builder.EncodedBytes() }
 
 // Close encodes the final partial page and flushes buffered pages.
 func (w *PackedWriter) Close() error {
@@ -131,7 +135,7 @@ func (w *PackedWriter) Close() error {
 		return nil
 	}
 	w.closed = true
-	if err := w.closePage(); err != nil {
+	if err := w.EndPage(); err != nil {
 		return err
 	}
 	return w.flushChunk()

@@ -101,8 +101,10 @@ func (s *Store) UseReader(r storage.PageReader) {
 // Codec returns the entry codec of the store's runs.
 func (s *Store) Codec() record.Codec { return s.codec }
 
-func (s *Store) sorter() *extsort.Sorter {
-	return &extsort.Sorter{Disk: s.Disk, Codec: s.codec, MemBudget: mergeBudget}
+// sorter returns the writer of one run in the given encoding, watched by obs.
+func (s *Store) sorter(packed bool, obs extsort.Observer) *extsort.Sorter {
+	return &extsort.Sorter{Disk: s.Disk, Codec: s.codec, MemBudget: mergeBudget,
+		Output: extsort.Output{Packed: packed, Observer: obs}}
 }
 
 // Write streams sorted entries into a new run file — packed pages or
@@ -110,7 +112,7 @@ func (s *Store) sorter() *extsort.Sorter {
 // the way. A failed write leaves no file behind, and returns no run.
 func (s *Store) Write(name string, sorted []record.Entry, packed bool) (Run, error) {
 	b := s.summarizer(int64(len(sorted)), packed, zonestat.New(s.Config.Segments, s.Config.Bits))
-	if err := s.sorter().WriteRun(name, sorted, packed, b.observe); err != nil {
+	if err := s.sorter(packed, b.observe).WriteRun(name, sorted); err != nil {
 		return Run{}, err
 	}
 	return b.run(name, packed), nil
@@ -129,7 +131,7 @@ func (s *Store) Merge(inputs []Run, name string, packed bool) (Run, error) {
 		total += in.Count
 	}
 	b := s.summarizer(total, packed, zonestat.New(s.Config.Segments, s.Config.Bits))
-	if _, err := s.sorter().Merge(files, name, packed, b.observe); err != nil {
+	if _, err := s.sorter(packed, b.observe).Merge(files, name); err != nil {
 		return Run{}, err
 	}
 	return b.run(name, packed), nil

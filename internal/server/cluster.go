@@ -124,9 +124,9 @@ func (s *Server) handleClusterSearch(w http.ResponseWriter, r *http.Request) {
 		case modeRange:
 			col, err = g.RangeSearchShards(q, req.Eps, shards)
 		case modeApprox:
-			col, err = g.ApproxSearchShards(q, req.K, shards)
+			col, err = g.ApproxSearchShards(q, b.boundK(req.K), shards)
 		default:
-			col, err = g.ExactSearchShards(q, req.K, shards)
+			col, err = g.ExactSearchShards(q, b.boundK(req.K), shards)
 		}
 		return err
 	})

@@ -601,9 +601,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		case modeRange:
 			rs, err = b.built.Index.RangeSearch(q, req.Eps)
 		case modeExact:
-			rs, err = b.built.Index.ExactSearch(q, req.K)
+			rs, err = b.built.Index.ExactSearch(q, b.boundK(req.K))
 		default:
-			rs, err = b.built.Index.ApproxSearch(q, req.K)
+			rs, err = b.built.Index.ApproxSearch(q, b.boundK(req.K))
 		}
 		return err
 	})
@@ -635,6 +635,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
+
+// boundK clamps a requested k to the series the build holds: a k-NN over n
+// series returns at most n, so no answer changes, and no search is sized by
+// a number off the wire. Call under the build's read lock.
+func (b *build) boundK(k int) int { return min(k, max(1, int(b.built.Index.Count()))) }
 
 // search is the one search step of the query endpoints: under the build's
 // read lock it times dispatch between two readings of the I/O and
@@ -733,13 +738,14 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	var rss [][]index.Result
 	diff, skips, _, err := s.search(b, modeBatch, func() (err error) {
+		k := b.boundK(req.K)
 		if req.Exact {
-			rss, err = b.built.SearchBatch(qs, req.K)
+			rss, err = b.built.SearchBatch(qs, k)
 			return err
 		}
 		rss = make([][]index.Result, len(qs))
 		for i, q := range qs {
-			if rss[i], err = b.built.Index.ApproxSearch(q, req.K); err != nil {
+			if rss[i], err = b.built.Index.ApproxSearch(q, k); err != nil {
 				return err
 			}
 		}

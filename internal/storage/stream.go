@@ -72,11 +72,24 @@ func (w *RecordWriter) Write(rec []byte) error {
 	w.n++
 	w.total++
 	if w.n == w.perPage {
-		w.chunk = append(w.chunk, w.page...)
-		w.n = 0
-		if len(w.chunk) >= w.bufPages*w.disk.PageSize() {
-			return w.flushChunk()
-		}
+		return w.EndPage()
+	}
+	return nil
+}
+
+// EndPage closes the page being assembled, whatever it holds: the rest of it
+// is zeroes, and the next record starts a new page. It is how a writer leaves
+// slack in its pages (a CTree's fill factor). A page that holds nothing is
+// not written.
+func (w *RecordWriter) EndPage() error {
+	if w.n == 0 {
+		return nil
+	}
+	clear(w.page[w.n*w.recSize:])
+	w.chunk = append(w.chunk, w.page...)
+	w.n = 0
+	if len(w.chunk) >= w.bufPages*w.disk.PageSize() {
+		return w.flushChunk()
 	}
 	return nil
 }
@@ -102,9 +115,8 @@ func (w *RecordWriter) Close() error {
 		return nil
 	}
 	w.closed = true
-	if w.n > 0 {
-		w.chunk = append(w.chunk, w.page[:w.n*w.recSize]...)
-		w.n = 0
+	if err := w.EndPage(); err != nil {
+		return err
 	}
 	return w.flushChunk()
 }

@@ -2,11 +2,11 @@ package stream
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/adsplus"
 	"repro/internal/ctree"
-	"repro/internal/extsort"
 	"repro/internal/index"
 	"repro/internal/parallel"
 	"repro/internal/record"
@@ -23,21 +23,13 @@ type PartitionFactory func(name string, entries []record.Entry) (index.Index, er
 // (the paper's CTreeTP / CTreeFullTP). reader serves the partitions' page
 // reads; nil selects the disk itself (uncached).
 func CTreeFactory(disk storage.Backend, reader storage.PageReader, cfg index.Config, raw series.RawStore) PartitionFactory {
-	sorter := &extsort.Sorter{Disk: disk, Codec: cfg.Codec()}
 	return func(name string, entries []record.Entry) (index.Index, error) {
-		sorted := make([]record.Entry, len(entries))
-		copy(sorted, entries)
+		sorted := slices.Clone(entries)
 		sort.Slice(sorted, func(i, j int) bool { return sorted[i].Less(sorted[j]) })
-		file := name + ".sorted"
-		// A temporary sorted file the bulk load consumes, not a run the
-		// scheme keeps: the run writer's pages without its synopsis.
-		if err := sorter.WriteRun(file, sorted, false, nil); err != nil {
-			return nil, err
-		}
 		// Partitions stay serial internally (Parallelism 1): the scheme's
 		// pool fans out across partitions, and nesting another fan-out
 		// inside each small partition would only oversubscribe the pool.
-		return ctree.BuildFromEntries(ctree.Options{Disk: disk, Reader: reader, Name: name, Config: cfg, Raw: raw, Parallelism: 1}, file, int64(len(sorted)))
+		return ctree.BuildFromEntries(ctree.Options{Disk: disk, Reader: reader, Name: name, Config: cfg, Raw: raw, Parallelism: 1}, sorted)
 	}
 }
 

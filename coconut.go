@@ -150,7 +150,8 @@ type Options struct {
 	// (results stay byte-identical throughout — searches pin an immutable
 	// manifest). 0 (the default) keeps the synchronous cascade inside
 	// flushes, the paper-faithful accounting. A sharded LSM shares one
-	// worker pool across all shards.
+	// worker pool across all shards. It applies alike to NewLSM and OpenLSM,
+	// with or without a WAL.
 	CompactionWorkers int
 	// CompressRuns stores on-disk pages — LSM runs and tree leaves — in the
 	// packed encoding: delta/bit-packed sortable keys, frame-of-reference
@@ -453,9 +454,10 @@ func newLSM(b *assemble.Built) *LSM {
 }
 
 // NewLSM creates an empty CoconutLSM ready for continuous insertion. When
-// opts.WALDir names a directory that already holds log segments — the
-// aftermath of a crash — the log replays first, so the returned index
-// contains every previously acknowledged insert.
+// opts.StorageDir or opts.WALDir already holds an LSM — the aftermath of a
+// crash or a Close — the index adopts the runs the store holds and replays
+// the log past them first, so it contains every previously acknowledged
+// insert.
 func NewLSM(opts Options) (*LSM, error) {
 	b, err := assemble.Build(opts.spec("CLSM"), nil)
 	if err != nil {
@@ -494,9 +496,10 @@ func (l *LSM) CompactionStats() clsm.CompactionStats { return l.lsm.CompactionSt
 // WAL is configured.
 func (l *LSM) WALStats() (st wal.Stats, ok bool) { return l.b.WALStats() }
 
-// Quiesce waits until no background merge is pending or in flight (a no-op
-// without CompactionWorkers), surfacing any background-merge error. Useful
-// before comparing against a reference index or measuring steady state.
+// Quiesce waits until no merge is pending or in flight — without
+// CompactionWorkers it merges any over-full level inline — surfacing the
+// first merge error. Useful before comparing against a reference index or
+// measuring steady state.
 func (l *LSM) Quiesce() error { return l.lsm.Quiesce() }
 
 // Scenario describes an application for the recommender; see the field

@@ -298,6 +298,51 @@ func TestOpenLSMDurableKeepsPersistedShape(t *testing.T) {
 	}
 }
 
+func TestOpenLSMHonoursCompactionWorkers(t *testing.T) {
+	// A reopened LSM merges on the workers it is given, as one from NewLSM
+	// does — with or without a WAL.
+	data := makeData(400, 64, 78)
+	snap := filepath.Join(t.TempDir(), "workers.snapshot")
+	opts := lsmOpts("")
+	opts.CompactionWorkers = 2
+	l, err := NewLSM(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	for i, s := range data[:200] {
+		if err := l.Insert(s, int64(i%7)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.SaveFile(snap); err != nil {
+		t.Fatal(err)
+	}
+	saved := l.CompactionStats()
+	rec, err := OpenLSM(snap, Options{CompactionWorkers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Close()
+	for i, s := range data[200:] {
+		if err := l.Insert(s, int64((200+i)%7)); err != nil {
+			t.Fatal(err)
+		}
+		if err := rec.Insert(s, int64((200+i)%7)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := rec.Quiesce(); err != nil {
+		t.Fatal(err)
+	}
+	// Growth factor 3: a quiesced level holds at most two runs.
+	st := rec.CompactionStats()
+	if !st.Background || st.Pending || st.Merges <= saved.Merges || st.Runs > 2*st.Levels {
+		t.Fatalf("reopened with CompactionWorkers 2: %+v", st)
+	}
+	assertSameAnswers(t, "reopened with workers", l, rec, 780, 6)
+}
+
 func TestLSMCloseIdempotentAndStats(t *testing.T) {
 	dir := t.TempDir()
 	opts := lsmOpts(dir)

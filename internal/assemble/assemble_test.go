@@ -2,6 +2,9 @@ package assemble_test
 
 import (
 	"io/fs"
+	"math/rand"
+	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -12,6 +15,8 @@ import (
 	"repro/internal/assemble"
 	"repro/internal/fsx"
 	"repro/internal/gen"
+	"repro/internal/index"
+	"repro/internal/series"
 )
 
 // countingFS counts the file handles opened through it and not yet closed.
@@ -110,4 +115,74 @@ func TestBuildFaultInjectionCleansUp(t *testing.T) {
 		t.Fatalf("no build failed over %d fault points: the schedule injected nothing", ops)
 	}
 	t.Logf("%d fault points, %d failed builds, all cleaned up", ops+1, failed)
+}
+
+// TestCrashRecoveryRebuildOverDirs builds a durable CLSM, closes it and
+// builds again over the same directories with no dataset: the second build
+// recovers every series, answering exactly as the first did. The first row
+// keeps its raw series in a file on the store, so flushes truncate the log —
+// the 2 500 series fill more than one 4 MiB segment — and only the store's
+// manifest covers the log's missing head.
+func TestCrashRecoveryRebuildOverDirs(t *testing.T) {
+	const n, length = 2500, 256
+	rng := rand.New(rand.NewSource(9))
+	ds := series.NewDataset(length)
+	for i := 0; i < n; i++ {
+		ds.Append(gen.RandomWalk(rng, length))
+	}
+	queries := make([]series.Series, 8)
+	for i := range queries {
+		queries[i] = gen.RandomWalk(rng, length)
+	}
+	for _, row := range []struct {
+		name string
+		spec assemble.Spec
+	}{
+		{"file-raw-truncating-log", assemble.Spec{Variant: "CLSMFull", StorageDir: "store"}},
+		{"file-raw-in-memory", assemble.Spec{Variant: "CLSMFull", StorageDir: "store", RawInMemory: true}},
+		{"sim-raw-in-memory", assemble.Spec{Variant: "CLSM", RawInMemory: true}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			spec := row.spec
+			spec.SeriesLen, spec.Segments, spec.Bits, spec.BufferEntries, spec.GrowthFactor = length, 16, 8, 128, 3
+			dir := t.TempDir()
+			spec.WALDir = filepath.Join(dir, "wal")
+			if spec.StorageDir != "" {
+				spec.StorageDir = filepath.Join(dir, spec.StorageDir)
+			}
+			answers := func(b *assemble.Built) [][]index.Result {
+				out := make([][]index.Result, len(queries))
+				for i, q := range queries {
+					res, err := b.Index.ExactSearch(index.NewQuery(q, b.Config), 5)
+					if err != nil {
+						t.Fatal(err)
+					}
+					out[i] = res
+				}
+				return out
+			}
+			b, err := assemble.Build(spec, ds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := answers(b)
+			if st, _ := b.WALStats(); (st.FirstLSN > 0) != (spec.StorageDir != "" && !spec.RawInMemory) {
+				t.Fatalf("log starts at LSN %d; the row wants it truncated only when the raw series live on the store", st.FirstLSN)
+			}
+			if err := b.Close(); err != nil {
+				t.Fatal(err)
+			}
+			b, err = assemble.Build(spec, nil)
+			if err != nil {
+				t.Fatalf("rebuild over the same directories: %v", err)
+			}
+			defer b.Close()
+			if got := b.Index.Count(); got != int64(ds.Count()) {
+				t.Fatalf("rebuild holds %d series, want %d", got, ds.Count())
+			}
+			if got := answers(b); !reflect.DeepEqual(got, want) {
+				t.Fatalf("rebuild answers %v, want %v", got, want)
+			}
+		})
+	}
 }

@@ -297,24 +297,19 @@ func buildOne(spec Spec, cfg index.Config, ds *series.Dataset, sh shared) (b *Bu
 			opts.WAL, opts.TruncateWALOnFlush = b.WAL, !spec.RawInMemory
 		}
 		var l *clsm.LSM
-		switch {
-		case b.WAL == nil || b.WAL.NextLSN() == 0:
-			l, err = clsm.New(opts)
-		// The directory already holds acknowledged inserts: crash recovery.
-		// They can only continue an index that starts empty, and the retained
-		// log must still start at LSN 0 — a log truncated by a SaveFile
-		// checkpoint can only be reopened together with its snapshot (Open).
-		case ds.Count() > 0:
-			err = fmt.Errorf("assemble: WAL dir %s already holds a log; a build over a dataset needs a fresh directory", spec.WALDir)
-		case b.WAL.FirstLSN() > 0:
-			err = fmt.Errorf("assemble: WAL in %s was truncated by a snapshot checkpoint; reopen the snapshot with OpenLSM", spec.WALDir)
-		default:
-			l, err = clsm.Recover(opts, b.replayed)
-		}
-		if err != nil {
+		if l, err = clsm.Open(opts); err != nil {
 			return
 		}
 		b.Index = l
+		// Directories that already hold acknowledged inserts are recovery,
+		// which can only continue an index that starts empty.
+		if ds.Count() > 0 && (l.Count() > 0 || b.WAL != nil && b.WAL.NextLSN() > 0) {
+			err = fmt.Errorf("assemble: storage dir %q or WAL dir %q already holds an index; a build over a dataset needs fresh directories", spec.StorageDir, spec.WALDir)
+			return
+		}
+		if err = l.Replay(b.replayed); err != nil {
+			return
+		}
 		if ds.Count() > 0 {
 			// Construction ends with a durability flush, like the paper's
 			// builds.

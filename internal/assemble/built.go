@@ -107,8 +107,8 @@ func (b *Built) eachLSM(fn func(*clsm.LSM) error) error {
 	return nil
 }
 
-// Quiesce waits until no background merge is pending or in flight (a no-op
-// for inline builds), surfacing any background-merge error.
+// Quiesce waits until no merge is pending or in flight, surfacing the first
+// merge error.
 func (b *Built) Quiesce() error { return b.eachLSM((*clsm.LSM).Quiesce) }
 
 // Flush forces every CLSM write buffer into a sorted on-disk run; a no-op on

@@ -122,8 +122,8 @@ func (b *Built) saveParts(path string) error {
 // hold: FS (where the file lives), DisablePlanner and Kernels, and for CLSM
 // Compress (a property of each run: existing runs keep theirs, new flushes
 // and merges follow the setting), WALDir and Durability (the log tail past
-// the snapshot is replayed — the crash story), CompactionWorkers (with a
-// WAL), and GrowthFactor / BufferEntries to override the persisted shape.
+// the snapshot is replayed — the crash story), CompactionWorkers, and
+// GrowthFactor / BufferEntries to override the persisted shape.
 // Other fields are ignored: parallelism and caching are not part of a
 // snapshot (SetParallelism, EnableCache).
 func Open(path string, spec Spec) (*Built, error) {
@@ -139,12 +139,11 @@ func Open(path string, spec Spec) (*Built, error) {
 	return b, nil
 }
 
-// openShared returns the planner and — only with a log to recover through,
-// for without one nothing runs in the background — the scheduler a reopened
-// build's parts share.
+// openShared returns the planner and the scheduler a reopened build's parts
+// share.
 func openShared(spec Spec) shared {
 	sh := shared{planner: &index.Planner{Disabled: spec.DisablePlanner}}
-	if spec.WALDir != "" && spec.CompactionWorkers > 0 {
+	if spec.CompactionWorkers > 0 {
 		sh.sched = compact.NewScheduler(spec.CompactionWorkers)
 	}
 	return sh
@@ -171,11 +170,7 @@ func openOne(path string, spec Spec, sh shared) (b *Built, err error) {
 			b = nil
 		}
 	}()
-	var saved clsm.Saved
 	fam, _, _ := family(spec.Variant)
-	// The raw mirror covers exactly the snapshot-resident entries; WAL
-	// replay appends past it.
-	var resident int64
 	switch fam {
 	case familyCTree:
 		var tree *ctree.Tree
@@ -183,16 +178,21 @@ func openOne(path string, spec Spec, sh shared) (b *Built, err error) {
 			return
 		}
 		tree.SetPlanner(b.Planner)
-		b.Index, b.Config, resident = tree, tree.Config(), tree.Count()
+		b.Index, b.Config = tree, tree.Config()
 	case familyCLSM:
-		var found bool
-		if saved, found, err = clsm.SavedState(disk, lsmName); err == nil && !found {
-			err = fmt.Errorf("assemble: %s holds no saved CLSM", path)
+		if spec.WALDir != "" {
+			if b.WAL, err = openWAL(spec); err != nil {
+				return
+			}
 		}
-		if err != nil {
+		var lsm *clsm.LSM
+		if lsm, err = clsm.Open(clsm.Options{
+			Disk: disk, Name: lsmName, GrowthFactor: spec.GrowthFactor, BufferEntries: spec.BufferEntries,
+			Raw: b.mem, WAL: b.WAL, Scheduler: b.Compactor, Planner: b.Planner, Compress: spec.Compress,
+		}); err != nil {
 			return
 		}
-		b.Config, resident = saved.Config, saved.Count
+		b.Index, b.Config = lsm, lsm.Config()
 	default:
 		err = fmt.Errorf("assemble: no snapshot format for variant %q (want a CTree or CLSM variant)", spec.Variant)
 		return
@@ -205,37 +205,13 @@ func openOne(path string, spec Spec, sh shared) (b *Built, err error) {
 	if err = spec.Validate(); err != nil {
 		return
 	}
-	if err = loadMirror(disk, b.mem, b.Config.SeriesLen, resident); err != nil || fam == familyCTree {
+	// The raw mirror covers exactly the snapshot-resident entries; WAL
+	// replay appends past it.
+	if err = loadMirror(disk, b.mem, b.Config.SeriesLen, b.Index.Count()); err != nil {
 		return
 	}
-	var lsm *clsm.LSM
-	if spec.WALDir == "" {
-		if lsm, err = clsm.Open(disk, lsmName, b.mem); err != nil {
-			return
-		}
-		lsm.SetPlanner(b.Planner)
-		err = lsm.SetCompress(spec.Compress)
-	} else {
-		// Durable reopen: recover through manifest + WAL tail, with the
-		// persisted growth factor and buffer size unless the spec overrides.
-		if b.WAL, err = openWAL(spec); err != nil {
-			return
-		}
-		opts := clsm.Options{
-			Disk: disk, Name: lsmName, Config: b.Config,
-			GrowthFactor: spec.GrowthFactor, BufferEntries: spec.BufferEntries, Raw: b.mem,
-			WAL: b.WAL, Scheduler: b.Compactor, Planner: b.Planner, Compress: spec.Compress,
-		}
-		if opts.GrowthFactor == 0 {
-			opts.GrowthFactor = saved.GrowthFactor
-		}
-		if opts.BufferEntries == 0 {
-			opts.BufferEntries = saved.BufferEntries
-		}
-		lsm, err = clsm.Recover(opts, b.replayed)
-	}
-	if err == nil {
-		b.Index = lsm
+	if lsm, ok := b.Index.(*clsm.LSM); ok {
+		err = lsm.Replay(b.replayed)
 	}
 	return
 }

@@ -27,13 +27,19 @@
 //
 // # Durability and background compaction
 //
-// With Options.WAL set, every insert is appended to a write-ahead log
+// Open is the one constructor: it adopts whatever the disk holds under the
+// index's name — the crash-consistent manifest, else the meta file of the
+// last Save, else nothing — and Replay then re-inserts the write-ahead log's
+// tail past it. With Options.WAL set, every insert is appended to the log
 // before it is buffered, and every manifest swap persists the manifest to
-// the index's disk; Recover rebuilds the exact index from the persisted
-// manifest plus a replay of the WAL tail. With Options.Scheduler set, level
-// merges run as background jobs on the scheduler's worker pool instead of
-// cascading synchronously inside Flush — inserts and searches keep running
-// against the pre-merge manifest until the swap.
+// the index's disk, so Open + Replay rebuild the exact index after a crash.
+// Without a WAL nothing keeps a manifest current, so Save removes one.
+// Level merges always go to Options.Scheduler: on its workers they run as
+// background jobs while inserts and searches keep running against the
+// pre-merge manifest until the swap; a scheduler without workers (nil, zero
+// workers, or closed) runs them inline, cascading inside the Flush that
+// filled the level. Either way the first merge error is the index's one
+// sticky error, and compaction halts on it.
 package clsm
 
 import (
@@ -55,13 +61,16 @@ import (
 
 // Options configures a CLSM index.
 type Options struct {
-	Disk   storage.Backend
-	Name   string       // file name prefix
-	Config index.Config // summarization shape; Materialized selects CLSMFull
+	Disk storage.Backend
+	Name string // file name prefix
+	// Config is the summarization shape; Materialized selects CLSMFull. Zero
+	// takes the persisted shape; a given one must match it.
+	Config index.Config
 	// GrowthFactor T: runs per level tolerated before they are merged into
-	// the next level. Default 4.
+	// the next level. Zero takes the persisted value, else 4.
 	GrowthFactor int
-	// BufferEntries is the in-memory write buffer capacity. Default 1024.
+	// BufferEntries is the in-memory write buffer capacity. Zero takes the
+	// persisted value, else 1024.
 	BufferEntries int
 	// Raw is consulted by non-materialized searches. Series inserted into
 	// the index must appear in Raw at the same IDs (insertion order,
@@ -83,7 +92,7 @@ type Options struct {
 	// WAL, when set, makes ingest durable: Insert appends the encoded entry
 	// to the log before buffering it (acknowledgement follows the log's
 	// group-commit policy), and every flush or merge persists the run
-	// manifest to Disk so Recover can rebuild the index from manifest +
+	// manifest to Disk so Open + Replay can rebuild the index from manifest +
 	// WAL tail. The log is owned by the caller (it outlives this index and
 	// is closed by whoever opened it).
 	WAL *wal.Log
@@ -94,11 +103,12 @@ type Options struct {
 	// comes from snapshot checkpoints of the disk (the facade's SaveFile),
 	// which truncate at checkpoint time.
 	TruncateWALOnFlush bool
-	// Scheduler, when set, runs level merges as background jobs on its
-	// worker pool; flushes stay inline. nil keeps the legacy synchronous
-	// cascade inside Flush — the paper-faithful single-stream accounting.
-	// The scheduler is owned by the caller and may be shared across many
-	// indexes (one background-work budget for a whole sharded deployment).
+	// Scheduler runs level merges: as background jobs on its workers, or —
+	// nil, zero workers, or closed — inline, as the synchronous cascade
+	// inside Flush that is the paper-faithful single-stream accounting.
+	// Flushes always run inline. The scheduler is owned by the caller and may
+	// be shared across many indexes (one background-work budget for a whole
+	// sharded deployment).
 	Scheduler *compact.Scheduler
 	// Planner carries the query planner's switch and skip counter. nil
 	// plans with defaults (ordering and skipping on); it may be shared
@@ -112,12 +122,24 @@ type Options struct {
 	Compress bool
 }
 
-func (o *Options) setDefaults() error {
-	if o.Disk == nil {
-		return fmt.Errorf("clsm: Disk is required")
+// setDefaults fills what o leaves zero from the persisted state st (nil when
+// nothing is persisted), then from the defaults, and validates the result.
+func (o *Options) setDefaults(st *metaState) error {
+	if st != nil {
+		if o.Config == (index.Config{}) {
+			o.Config = st.cfg
+		} else if err := sameShape(st.cfg, o.Config); err != nil {
+			return err
+		}
+		if o.GrowthFactor == 0 {
+			o.GrowthFactor = st.growth
+		}
+		if o.BufferEntries == 0 {
+			o.BufferEntries = st.bufferEntries
+		}
 	}
-	if o.Name == "" {
-		o.Name = "clsm"
+	if o.Config == (index.Config{}) {
+		return fmt.Errorf("clsm: no LSM persisted as %q and no Config given", o.Name)
 	}
 	if err := o.Config.Validate(); err != nil {
 		return err
@@ -137,7 +159,7 @@ func (o *Options) setDefaults() error {
 	return nil
 }
 
-// ReplayedEntry is the entry type Recover's callback observes — an alias
+// ReplayedEntry is the entry type Replay's callback observes — an alias
 // so facade layers need not import the record package for the one type.
 type ReplayedEntry = record.Entry
 
@@ -189,7 +211,7 @@ type view struct {
 
 // LSM is a CoconutLSM index. Completed and in-construction indexes are safe
 // for fully concurrent use: any number of searches may overlap with
-// inserts, flushes, and background merges. (Save, Recover, and Close still
+// inserts, flushes, and background merges. (Save, Replay, and Close still
 // require that no insert is concurrently in flight.)
 type LSM struct {
 	opts  Options
@@ -222,35 +244,11 @@ type LSM struct {
 
 	pool *parallel.Pool
 
-	replaying  bool // set during Recover; suppresses WAL re-appends
+	adopted    source // the persisted file Open read; Replay's join check
+	replaying  bool   // set during Replay; suppresses WAL re-appends
 	compacting atomic.Bool
 	cerrMu     sync.Mutex
-	cerr       error // first background-compaction error, sticky
-}
-
-// New creates an empty CLSM index.
-func New(opts Options) (*LSM, error) {
-	if err := opts.setDefaults(); err != nil {
-		return nil, err
-	}
-	if opts.Parallelism <= 0 {
-		opts.Parallelism = parallel.Resolve(opts.Parallelism)
-	}
-	l := &LSM{
-		opts:  opts,
-		store: run.NewStore(opts.Disk, opts.Reader, opts.Config, opts.Raw),
-		pool:  parallel.New(opts.Parallelism),
-	}
-	if size := l.store.Codec().Size(); size > opts.Disk.PageSize() {
-		return nil, fmt.Errorf("clsm: entry size %d exceeds page size %d", size, opts.Disk.PageSize())
-	}
-	if opts.Compress && !record.PackedFits(l.store.Codec(), opts.Disk.PageSize()) {
-		return nil, fmt.Errorf("clsm: packed entry size exceeds page size %d", opts.Disk.PageSize())
-	}
-	man := &manifest{durableLSN: -1}
-	l.cur.Store(&view{man: man})
-	l.oldest = man
-	return l, nil
+	cerr       error // first merge error, sticky
 }
 
 // Name implements index.Index; "CLSM" or "CLSMFull" when materialized.
@@ -265,20 +263,12 @@ func (l *LSM) Name() string {
 func (l *LSM) Count() int64 { return l.count.Load() }
 
 // SetParallelism re-sizes the search worker pool (n <= 0 selects
-// GOMAXPROCS; 1 is serial). Parallelism is not persisted, so reopened
-// indexes default to GOMAXPROCS — call this after Open to restore a serial
-// configuration. Call only while no search is in flight.
+// GOMAXPROCS; 1 is serial). Call only while no search is in flight.
 func (l *LSM) SetParallelism(n int) { l.pool = parallel.New(n) }
 
-// SetPlanner attaches the query planner (switch, skip counter).
-// Like SetParallelism it is not persisted; call after Open. Call only while
-// no search is in flight.
-func (l *LSM) SetPlanner(pl *index.Planner) { l.opts.Planner = pl }
-
 // UseReader routes subsequent page reads through r — typically a buffer
-// pool over the LSM's disk (nil restores the uncached disk). Like
-// SetParallelism it is not persisted; call after Open to re-attach a
-// cache. Call only while no search is in flight.
+// pool over the LSM's disk (nil restores the uncached disk). Call only while
+// no search is in flight.
 func (l *LSM) UseReader(r storage.PageReader) { l.store.UseReader(r) }
 
 // Config returns the summarization configuration the LSM was created with.
@@ -418,9 +408,9 @@ func (l *LSM) insertEntry(e record.Entry, walSeries series.Series) error {
 }
 
 // Flush sorts the in-memory buffer into a level-0 run and triggers
-// compaction — synchronously cascading without a Scheduler, as background
-// jobs with one. Safe to call concurrently with inserts and searches; a
-// no-op on an empty buffer.
+// compaction — a background job on a scheduler with workers, else the
+// inline cascade, whose merge error Flush returns. Safe to call concurrently
+// with inserts and searches; a no-op on an empty buffer.
 func (l *LSM) Flush() error {
 	l.flushMu.Lock()
 	defer l.flushMu.Unlock()
@@ -482,7 +472,7 @@ func (l *LSM) Flush() error {
 			return err
 		}
 	}
-	return l.afterStructureChange()
+	return l.maybeSchedule()
 }
 
 func (l *LSM) runName() string {
@@ -514,45 +504,25 @@ func (l *LSM) needsCompact(m *manifest) bool {
 	return false
 }
 
-// afterStructureChange compacts inline without a scheduler, or arranges a
-// background job with one.
-func (l *LSM) afterStructureChange() error {
-	if l.opts.Scheduler == nil {
-		return l.compactNow()
-	}
-	l.maybeSchedule()
-	return nil
-}
-
 // maybeSchedule submits at most one outstanding compaction job for this
-// index. The job re-checks after clearing the flag, closing the race where
-// a flush observes the flag set just as the job is finishing.
-func (l *LSM) maybeSchedule() {
-	if l.CompactionErr() != nil {
-		return
+// index, returning the merge error of a job the scheduler ran inline. The
+// job re-checks after clearing the flag, closing the race where a flush
+// observes the flag set just as the job is finishing.
+func (l *LSM) maybeSchedule() error {
+	if l.CompactionErr() != nil || !l.needsCompact(l.cur.Load().man) || !l.compacting.CompareAndSwap(false, true) {
+		return nil
 	}
-	if !l.needsCompact(l.cur.Load().man) {
-		return
-	}
-	if !l.compacting.CompareAndSwap(false, true) {
-		return
-	}
-	err := l.opts.Scheduler.Submit(func() error {
+	return l.opts.Scheduler.Submit(func() error {
 		err := l.compactNow()
 		if err != nil {
 			l.setCompactionErr(err)
 		}
 		l.compacting.Store(false)
-		if err == nil {
-			l.maybeSchedule()
+		if err != nil {
+			return err
 		}
-		return err
+		return l.maybeSchedule()
 	})
-	if err != nil {
-		// Scheduler shut down: leave the level over-full; the next flush
-		// (or a quiesce) will deal with it.
-		l.compacting.Store(false)
-	}
 }
 
 func (l *LSM) setCompactionErr(err error) {
@@ -563,9 +533,8 @@ func (l *LSM) setCompactionErr(err error) {
 	l.cerrMu.Unlock()
 }
 
-// CompactionErr returns the first error a background merge hit, or nil.
-// Background compaction halts on error; the error also surfaces from
-// Quiesce, Save, and Close.
+// CompactionErr returns the first error a merge hit, or nil. Compaction
+// halts on it; it also surfaces from Quiesce, Save, and Close.
 func (l *LSM) CompactionErr() error {
 	l.cerrMu.Lock()
 	defer l.cerrMu.Unlock()
@@ -573,8 +542,8 @@ func (l *LSM) CompactionErr() error {
 }
 
 // compactNow merges over-full levels until none remain, committing one
-// manifest swap per merge. Single-flighted: inline mode calls it from
-// Flush, background mode from the one outstanding job.
+// manifest swap per merge. Single-flighted: only the one outstanding
+// compaction job calls it.
 func (l *LSM) compactNow() error {
 	for {
 		man := l.cur.Load().man
@@ -649,40 +618,35 @@ func afterMerge(m *manifest, level int, victims []run.Run, mergedRun run.Run) (*
 }
 
 // Quiesce waits until no compaction work is pending or in flight: every
-// over-full level has merged and the background job has drained. A no-op in
-// inline mode (Flush already cascades to completion). Returns the sticky
-// background-compaction error, if any.
+// over-full level has merged — inline, if the scheduler has no workers left
+// — and the outstanding job has drained. It checks under flushMu, which a
+// merge running inline in another goroutine's Flush holds, so it blocks on
+// that merge instead of spinning. Returns the sticky compaction error, if
+// any.
 func (l *LSM) Quiesce() error {
-	if l.opts.Scheduler == nil {
-		return nil
-	}
 	for {
 		l.opts.Scheduler.Drain()
 		if err := l.CompactionErr(); err != nil {
 			return err
 		}
-		if !l.compacting.Load() && !l.needsCompact(l.cur.Load().man) {
-			return nil
+		l.flushMu.Lock()
+		idle := !l.compacting.Load() && !l.needsCompact(l.cur.Load().man)
+		var err error
+		if !idle {
+			err = l.maybeSchedule()
 		}
-		if l.opts.Scheduler.Closed() {
-			// The worker pool is gone; finish the outstanding merges
-			// inline rather than spinning (or looping) forever.
-			if l.compacting.Load() {
-				continue // a worker is still finishing its last job
-			}
-			return l.compactNow()
+		l.flushMu.Unlock()
+		if idle || err != nil {
+			return err
 		}
-		l.maybeSchedule()
 	}
 }
 
-// Close waits out in-flight background merges and surfaces their first
-// error. It does not close the WAL or the scheduler — both are owned by
-// whoever created them. Idempotent; call with no insert in flight.
+// Close waits out in-flight merges and surfaces their first error. It does
+// not close the WAL or the scheduler — both are owned by whoever created
+// them. Idempotent; call with no insert in flight.
 func (l *LSM) Close() error {
-	if l.opts.Scheduler != nil {
-		l.opts.Scheduler.Drain()
-	}
+	l.opts.Scheduler.Drain()
 	return l.CompactionErr()
 }
 
@@ -695,7 +659,7 @@ type CompactionStats struct {
 	ManifestVersion   int64 // version of the current manifest
 	RetainedManifests int   // manifest versions not yet reclaimed (current included)
 	ReclaimedRuns     int64 // obsolete run files deleted so far
-	Background        bool  // merges run on a scheduler
+	Background        bool  // merges run on scheduler workers
 	Pending           bool  // a compaction job is queued or in flight
 	DurableLSN        int64 // WAL LSN safely in runs (-1 when none/no WAL)
 }
@@ -710,7 +674,7 @@ func (l *LSM) CompactionStats() CompactionStats {
 		Runs:            man.runsIn(),
 		ManifestVersion: man.version,
 		ReclaimedRuns:   l.reclaimed.Load(),
-		Background:      l.opts.Scheduler != nil,
+		Background:      l.opts.Scheduler.Workers() > 0,
 		Pending:         l.compacting.Load(),
 		DurableLSN:      man.durableLSN,
 	}

@@ -39,7 +39,7 @@ func makeDataset(n int, seed int64) *series.Dataset {
 func buildLSM(t *testing.T, ds *series.Dataset, materialized bool, growth, bufEntries int) (*LSM, *storage.Disk) {
 	t.Helper()
 	disk := storage.NewDisk(0)
-	l, err := New(Options{
+	l, err := Open(Options{
 		Disk:          disk,
 		Config:        testConfig(materialized),
 		GrowthFactor:  growth,
@@ -69,17 +69,17 @@ func bruteKNN(q series.Series, ds *series.Dataset, k int) []index.Result {
 }
 
 func TestOptionsValidation(t *testing.T) {
-	if _, err := New(Options{}); err == nil {
+	if _, err := Open(Options{}); err == nil {
 		t.Fatal("missing disk should fail")
 	}
 	d := storage.NewDisk(0)
-	if _, err := New(Options{Disk: d, Config: testConfig(false), GrowthFactor: 1}); err == nil {
+	if _, err := Open(Options{Disk: d, Config: testConfig(false), GrowthFactor: 1}); err == nil {
 		t.Fatal("growth factor 1 should fail")
 	}
-	if _, err := New(Options{Disk: d, Config: testConfig(false), BufferEntries: -1}); err == nil {
+	if _, err := Open(Options{Disk: d, Config: testConfig(false), BufferEntries: -1}); err == nil {
 		t.Fatal("negative buffer should fail")
 	}
-	if _, err := New(Options{Disk: d, Config: index.Config{}}); err == nil {
+	if _, err := Open(Options{Disk: d, Config: index.Config{}}); err == nil {
 		t.Fatal("invalid config should fail")
 	}
 }
@@ -230,7 +230,7 @@ func TestIngestIsSequentialIO(t *testing.T) {
 	disk := storage.NewDisk(0)
 	// A realistically sized write buffer (8 pages per run) keeps the flush
 	// and merge streams long relative to the seeks between them.
-	l, err := New(Options{Disk: disk, Config: testConfig(false), GrowthFactor: 4, BufferEntries: 1024, Raw: normStore{ds}})
+	l, err := Open(Options{Disk: disk, Config: testConfig(false), GrowthFactor: 4, BufferEntries: 1024, Raw: normStore{ds}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestIngestIsSequentialIO(t *testing.T) {
 
 func TestFlushIdempotentOnEmpty(t *testing.T) {
 	d := storage.NewDisk(0)
-	l, _ := New(Options{Disk: d, Config: testConfig(false)})
+	l, _ := Open(Options{Disk: d, Config: testConfig(false)})
 	if err := l.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +263,7 @@ func TestFlushIdempotentOnEmpty(t *testing.T) {
 
 func TestSearchEmptyLSM(t *testing.T) {
 	d := storage.NewDisk(0)
-	l, _ := New(Options{Disk: d, Config: testConfig(false)})
+	l, _ := Open(Options{Disk: d, Config: testConfig(false)})
 	q := index.NewQuery(make(series.Series, 64), testConfig(false))
 	got, err := l.ExactSearch(q, 3)
 	if err != nil || len(got) != 0 {
@@ -307,7 +307,7 @@ func TestSaveOpenRoundTrip(t *testing.T) {
 		if err := l.Save(); err != nil {
 			t.Fatal(err)
 		}
-		got, err := Open(disk, "clsm", normStore{ds})
+		got, err := Open(Options{Disk: disk, Raw: normStore{ds}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -350,15 +350,15 @@ func TestSaveOpenRoundTrip(t *testing.T) {
 
 func TestOpenErrors(t *testing.T) {
 	d := storage.NewDisk(0)
-	if _, err := Open(nil, "x", nil); err == nil {
+	if _, err := Open(Options{Name: "x"}); err == nil {
 		t.Fatal("nil disk should fail")
 	}
-	if _, err := Open(d, "missing", nil); err == nil {
+	if _, err := Open(Options{Disk: d, Name: "missing"}); err == nil {
 		t.Fatal("missing meta should fail")
 	}
 	d.Create("bad.meta")
 	d.AppendPage("bad.meta", []byte("WRONGMAG000000000000"))
-	if _, err := Open(d, "bad", nil); err == nil {
+	if _, err := Open(Options{Disk: d, Name: "bad"}); err == nil {
 		t.Fatal("bad magic should fail")
 	}
 }
@@ -376,7 +376,7 @@ func TestOpenDetectsMissingRun(t *testing.T) {
 			break
 		}
 	}
-	if _, err := Open(disk, "clsm", normStore{ds}); err == nil {
+	if _, err := Open(Options{Disk: disk, Raw: normStore{ds}}); err == nil {
 		t.Fatal("missing run should fail")
 	}
 }

@@ -15,7 +15,7 @@ import (
 // backgroundLSM builds an LSM whose merges run on a scheduler.
 func backgroundLSM(t *testing.T, ds *series.Dataset, sched *compact.Scheduler, growth, bufEntries int) *LSM {
 	t.Helper()
-	l, err := New(Options{
+	l, err := Open(Options{
 		Disk:          storage.NewDisk(0),
 		Config:        testConfig(false),
 		GrowthFactor:  growth,
@@ -96,7 +96,7 @@ func TestConcurrentInsertSearchMerge(t *testing.T) {
 	ds := makeDataset(800, 52)
 	extra := makeDataset(400, 53)
 
-	quiesced, err := New(Options{
+	quiesced, err := Open(Options{
 		Disk: storage.NewDisk(0), Config: testConfig(false),
 		GrowthFactor: 3, BufferEntries: 32, Raw: normStore{ds},
 	})

@@ -29,7 +29,7 @@ func durableLSM(t *testing.T, disk *storage.Disk, dir string, ds *series.Dataset
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := New(Options{
+	l, err := Open(Options{
 		Disk:               disk,
 		Config:             testConfig(false),
 		GrowthFactor:       3,
@@ -50,7 +50,7 @@ func recoverLSM(t *testing.T, disk *storage.Disk, dir string, ds *series.Dataset
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := Recover(Options{
+	l, err := Open(Options{
 		Disk:               disk,
 		Config:             testConfig(false),
 		GrowthFactor:       3,
@@ -58,7 +58,10 @@ func recoverLSM(t *testing.T, disk *storage.Disk, dir string, ds *series.Dataset
 		Raw:                normStore{ds},
 		WAL:                w,
 		TruncateWALOnFlush: true,
-	}, nil)
+	})
+	if err == nil {
+		err = l.Replay(nil)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,0 +1,350 @@
+package clsm
+
+import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"reflect"
+	"strings"
+	"testing"
+
+	"repro/internal/compact"
+	"repro/internal/fsx"
+	"repro/internal/storage"
+	"repro/internal/wal"
+)
+
+// TestLifecycleTable runs one ingest through every way an LSM comes to be
+// and every compaction mode: scheduler ∈ {nil, zero workers, two workers,
+// two workers closed mid-ingest} × origin ∈ {fresh, Save → Open, crash →
+// Open + Replay over a manifest, snapshot + log → Open + Replay over a meta
+// file, durable snapshot → Open without a log → Save → Open} × encoding ∈
+// {fixed, packed}. The first half of the series reaches
+// the origin, the second half the LSM under test; every row must answer as
+// brute force does, hold its tiering invariant once quiesced, report its
+// compaction mode, and keep each run's resident summary the one its file
+// rebuilds.
+func TestLifecycleTable(t *testing.T) {
+	const n, half, growth, buf = 480, 240, 3, 32
+	ds := makeDataset(n, 81)
+	insert := func(t *testing.T, l *LSM, from, to int) {
+		t.Helper()
+		for id := from; id < to; id++ {
+			s, _ := ds.Get(id)
+			if err := l.Insert(s, int64(id)); err != nil {
+				t.Fatalf("insert %d: %v", id, err)
+			}
+		}
+	}
+	openWAL := func(t *testing.T, dir string) *wal.Log {
+		t.Helper()
+		w, err := wal.Open(wal.Options{Dir: dir, SegmentBytes: 16 << 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { w.Close() })
+		return w
+	}
+	mustOpen := func(t *testing.T, opts Options) *LSM {
+		t.Helper()
+		l, err := Open(opts)
+		if err == nil {
+			err = l.Replay(nil)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return l
+	}
+	// snapshot copies a disk the way SaveFile and Open do.
+	snapshot := func(t *testing.T, d *storage.Disk) func() *storage.Disk {
+		t.Helper()
+		mem := fsx.NewMemFS()
+		if err := d.SaveFile(mem, "snap"); err != nil {
+			t.Fatal(err)
+		}
+		return func() *storage.Disk {
+			c, err := storage.LoadDiskFile(mem, "snap")
+			if err != nil {
+				t.Fatal(err)
+			}
+			return c
+		}
+	}
+	// Each origin returns the LSM under test over opts (Disk, WAL and shape
+	// filled in here) holding the first half of the series.
+	origins := []struct {
+		name string
+		open func(t *testing.T, opts Options) *LSM
+	}{
+		{"fresh", func(t *testing.T, opts Options) *LSM {
+			opts.Disk, opts.Config, opts.GrowthFactor, opts.BufferEntries = storage.NewDisk(0), testConfig(false), growth, buf
+			l := mustOpen(t, opts)
+			insert(t, l, 0, half)
+			return l
+		}},
+		{"save-open", func(t *testing.T, opts Options) *LSM {
+			disk := storage.NewDisk(0)
+			saved := mustOpen(t, Options{Disk: disk, Config: testConfig(false), GrowthFactor: growth, BufferEntries: buf, Raw: opts.Raw, Compress: opts.Compress})
+			insert(t, saved, 0, half)
+			if err := saved.Save(); err != nil {
+				t.Fatal(err)
+			}
+			opts.Disk = disk
+			return mustOpen(t, opts)
+		}},
+		{"crash-manifest", func(t *testing.T, opts Options) *LSM {
+			disk, dir := storage.NewDisk(0), t.TempDir()
+			w := openWAL(t, dir)
+			crashed := mustOpen(t, Options{Disk: disk, Config: testConfig(false), GrowthFactor: growth, BufferEntries: buf, Raw: opts.Raw,
+				Compress: opts.Compress, WAL: w, TruncateWALOnFlush: true})
+			insert(t, crashed, 0, half)
+			if err := w.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			if !disk.Exists("clsm" + lsmManifestFileSfx) {
+				t.Fatal("the crashed LSM persisted no manifest")
+			}
+			opts.Disk, opts.WAL, opts.TruncateWALOnFlush = disk, openWAL(t, dir), true
+			return mustOpen(t, opts)
+		}},
+		{"snapshot-meta", func(t *testing.T, opts Options) *LSM {
+			// A snapshot saved without a log holds a meta file only; reopened
+			// over a copy with a log, the LSM takes the rest of the half and
+			// crashes with the copy. The snapshot plus the log recover it.
+			disk := storage.NewDisk(0)
+			saved := mustOpen(t, Options{Disk: disk, Config: testConfig(false), GrowthFactor: growth, BufferEntries: buf, Raw: opts.Raw, Compress: opts.Compress})
+			insert(t, saved, 0, half/2)
+			if err := saved.Save(); err != nil {
+				t.Fatal(err)
+			}
+			load, dir := snapshot(t, disk), t.TempDir()
+			w := openWAL(t, dir)
+			crashed := mustOpen(t, Options{Disk: load(), Raw: opts.Raw, Compress: opts.Compress, WAL: w})
+			insert(t, crashed, half/2, half)
+			if err := w.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			opts.Disk, opts.WAL = load(), openWAL(t, dir)
+			if opts.Disk.Exists("clsm" + lsmManifestFileSfx) {
+				t.Fatal("the snapshot holds a manifest; the row wants a meta file only")
+			}
+			return mustOpen(t, opts)
+		}},
+		{"durable-save-open-save", func(t *testing.T, opts Options) *LSM {
+			// A durable LSM's snapshot holds a manifest beside its meta file.
+			// Reopened without a log, the LSM flushes and merges past both
+			// and saves again; that snapshot must reopen to its Save.
+			disk := storage.NewDisk(0)
+			durable := mustOpen(t, Options{Disk: disk, Config: testConfig(false), GrowthFactor: growth, BufferEntries: buf, Raw: opts.Raw,
+				Compress: opts.Compress, WAL: openWAL(t, t.TempDir())})
+			insert(t, durable, 0, half/2)
+			if err := durable.Save(); err != nil {
+				t.Fatal(err)
+			}
+			if !disk.Exists("clsm" + lsmManifestFileSfx) {
+				t.Fatal("the durable snapshot holds no manifest")
+			}
+			copied := snapshot(t, disk)()
+			reopened := mustOpen(t, Options{Disk: copied, Raw: opts.Raw, Compress: opts.Compress})
+			insert(t, reopened, half/2, half)
+			if err := reopened.Save(); err != nil {
+				t.Fatal(err)
+			}
+			if reopened.Merges() <= durable.Merges() {
+				t.Fatalf("the reopened LSM merged %d times, the durable one %d; the row wants a merge past the manifest", reopened.Merges(), durable.Merges())
+			}
+			opts.Disk = snapshot(t, copied)()
+			return mustOpen(t, opts)
+		}},
+	}
+	schedulers := []struct {
+		name       string
+		new        func() *compact.Scheduler
+		closeAfter bool // close the scheduler after the third quarter
+		background bool // CompactionStats.Background once quiesced
+	}{
+		{"nil", func() *compact.Scheduler { return nil }, false, false},
+		{"zero-workers", func() *compact.Scheduler { return compact.NewScheduler(0) }, false, false},
+		{"two-workers", func() *compact.Scheduler { return compact.NewScheduler(2) }, false, true},
+		{"closed-after-ingest", func() *compact.Scheduler { return compact.NewScheduler(2) }, true, false},
+	}
+	for _, sc := range schedulers {
+		for _, or := range origins {
+			for _, packed := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/%s/packed=%v", sc.name, or.name, packed), func(t *testing.T) {
+					sched := sc.new()
+					if sched != nil {
+						defer sched.Close()
+					}
+					l := or.open(t, Options{Raw: normStore{ds}, Scheduler: sched, Compress: packed, Parallelism: 1})
+					if l.Config() != testConfig(false) || l.opts.GrowthFactor != growth || l.opts.BufferEntries != buf {
+						t.Fatalf("shape %+v, growth %d, buffer %d; want the persisted ones", l.Config(), l.opts.GrowthFactor, l.opts.BufferEntries)
+					}
+					insert(t, l, half, 3*n/4)
+					if sc.closeAfter {
+						sched.Close()
+					}
+					insert(t, l, 3*n/4, n)
+					if err := l.Quiesce(); err != nil {
+						t.Fatal(err)
+					}
+					assertAllSearchable(t, l, ds, n, 4, 81)
+					st := l.CompactionStats()
+					if st.Background != sc.background || st.Pending || st.Flushes == 0 || st.Merges == 0 || st.Levels != l.Depth() {
+						t.Fatalf("compaction stats %+v", st)
+					}
+					for lvl, runs := range l.cur.Load().man.levels {
+						if len(runs) >= growth {
+							t.Fatalf("quiesced level %d holds %d runs, growth factor %d", lvl, len(runs), growth)
+						}
+						for _, r := range runs {
+							if r.Packed != packed {
+								t.Fatalf("run %s packed=%v, want %v", r.File, r.Packed, packed)
+							}
+						}
+					}
+					if err := l.Close(); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestFailedMerge fails the first merge's output writes on a file-backed
+// disk, once inline and once on two workers. The error surfaces — from the
+// Flush that ran the merge inline, from Quiesce in the background — and is
+// the LSM's sticky error, which Close returns; the merge leaves no partial
+// run file; every acknowledged insert still answers; and later flushes still
+// write level-0 runs while compaction stays halted.
+func TestFailedMerge(t *testing.T) {
+	const growth, buf = 3, 32
+	ds := makeDataset(4*buf, 82)
+	for _, workers := range []int{0, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			fsys := fsx.NewMemFS()
+			disk, err := storage.NewFileDisk(storage.FileDiskOptions{Dir: "store", FS: fsys})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer disk.Close()
+			var sched *compact.Scheduler
+			if workers > 0 {
+				sched = compact.NewScheduler(workers)
+				defer sched.Close()
+			}
+			l, err := Open(Options{Disk: disk, Config: testConfig(false), GrowthFactor: growth, BufferEntries: 1 << 10,
+				Raw: normStore{ds}, Scheduler: sched, Parallelism: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Flushes write runs 1 to 3; the merge they trigger writes run 4.
+			merged := fmt.Sprintf("clsm.run.%06d", growth+1)
+			fsys.SetFaultHook(func(op, path string) error {
+				if op == "write" && strings.Contains(path, merged) {
+					return fsx.ErrInjected
+				}
+				return nil
+			})
+			flushBatch := func(b int) error {
+				for id := b * buf; id < (b+1)*buf; id++ {
+					s, _ := ds.Get(id)
+					if err := l.Insert(s, int64(id)); err != nil {
+						t.Fatalf("insert %d: %v", id, err)
+					}
+				}
+				return l.Flush()
+			}
+			for b := 0; b < growth-1; b++ {
+				if err := flushBatch(b); err != nil {
+					t.Fatal(err)
+				}
+			}
+			err = flushBatch(growth - 1)
+			if workers == 0 {
+				if !errors.Is(err, fsx.ErrInjected) {
+					t.Fatalf("the Flush that ran the merge inline returned %v, want the injected fault", err)
+				}
+			} else if err != nil {
+				t.Fatalf("the Flush that scheduled the merge returned %v", err)
+			}
+			if err := l.Quiesce(); !errors.Is(err, fsx.ErrInjected) {
+				t.Fatalf("Quiesce returned %v, want the injected fault", err)
+			}
+			if err := l.Close(); !errors.Is(err, fsx.ErrInjected) {
+				t.Fatalf("Close returned %v, want the injected fault", err)
+			}
+			fsys.SetFaultHook(nil)
+			want := []string{"clsm.run.000001", "clsm.run.000002", "clsm.run.000003"}
+			if files := disk.Files(); !reflect.DeepEqual(files, want) {
+				t.Fatalf("files after the failed merge: %v, want %v", files, want)
+			}
+			assertAllSearchable(t, l, ds, growth*buf, 4, 82)
+
+			if err := flushBatch(growth); err != nil {
+				t.Fatalf("a flush after the failed merge returned %v", err)
+			}
+			if got := len(l.cur.Load().man.levels[0]); got != growth+1 || l.Merges() != 0 || !disk.Exists("clsm.run.000005") {
+				t.Fatalf("after the failed merge a flush left %d level-0 runs, %d merges, files %v", got, l.Merges(), disk.Files())
+			}
+			assertAllSearchable(t, l, ds, (growth+1)*buf, 4, 83)
+			if err := l.Close(); !errors.Is(err, fsx.ErrInjected) {
+				t.Fatalf("Close returned %v, want the sticky fault", err)
+			}
+		})
+	}
+}
+
+// TestOpenOldMetaVersions: Open adopts a meta file of every format version.
+// The older ones are the current payload without each run's packed flag
+// (version 2) and also without its synopsis (version 1); their runs come
+// back without statistics, answering the same.
+func TestOpenOldMetaVersions(t *testing.T) {
+	ds := makeDataset(300, 84)
+	l, disk := buildLSM(t, ds, false, 3, 64)
+	if err := l.Save(); err != nil {
+		t.Fatal(err)
+	}
+	current, _, err := readBlob(disk, "clsm"+lsmMetaFileSfx, lsmMetaMagic, lsmMetaVersion, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	le := binary.LittleEndian
+	for version := uint32(1); version <= lsmMetaVersion; version++ {
+		payload := append([]byte(nil), current[:65]...)
+		off := 65
+		for lv := le.Uint32(current[61:]); lv > 0; lv-- {
+			runs := le.Uint32(current[off:])
+			payload, off = append(payload, current[off:off+4]...), off+4
+			for ; runs > 0; runs-- {
+				named := 4 + int(le.Uint32(current[off:])) + 8
+				payload, off = append(payload, current[off:off+named]...), off+named
+				syn := 4 + int(le.Uint32(current[off:]))
+				if version >= 2 {
+					payload = append(payload, current[off:off+syn]...)
+				}
+				if off += syn; version >= 3 {
+					payload = append(payload, current[off])
+				}
+				off++
+			}
+		}
+		if err := storage.WriteBlob(disk, "clsm"+lsmMetaFileSfx, lsmMetaMagic, version, nil, payload); err != nil {
+			t.Fatal(err)
+		}
+		got, err := Open(Options{Disk: disk, Raw: normStore{ds}})
+		if err != nil {
+			t.Fatalf("version %d: %v", version, err)
+		}
+		if got.Count() != l.Count() || got.Runs() != l.Runs() {
+			t.Fatalf("version %d: count %d, runs %d; want %d, %d", version, got.Count(), got.Runs(), l.Count(), l.Runs())
+		}
+		syns, _ := got.PlanSynopses()
+		if (len(syns) > 0) != (version >= 2) {
+			t.Fatalf("version %d: %d runs with statistics", version, len(syns))
+		}
+		assertAllSearchable(t, got, ds, ds.Count(), 3, int64(version))
+	}
+}

@@ -17,12 +17,12 @@ import (
 
 // Two persisted structures share one payload encoding:
 //
-// "<name>.meta" (written by Save, read by Open) — the quiesced snapshot:
+// "<name>.meta" (written by Save) — the quiesced snapshot:
 //
 //	magic "CLSMMETA" | version u32 | payload length u64 | payload
 //
-// "<name>.manifest" (written on every manifest swap in WAL mode, read by
-// Recover) — the crash-consistent run set:
+// "<name>.manifest" (written on every manifest swap in WAL mode) — the
+// crash-consistent run set, which Open prefers to the meta file:
 //
 //	magic "CLSMMANI" | version u32 | payload length u64 |
 //	durableLSN u64 (two's complement; ^uint64(0) encodes -1) | payload
@@ -56,24 +56,43 @@ const (
 	lsmMetaFileSfx     = ".meta"
 )
 
-// metaState is the decoded payload shared by the meta and manifest files.
+// source names the persisted file Open adopted its run set from.
+type source int
+
+const (
+	fromNothing source = iota
+	fromMeta
+	fromManifest
+)
+
+// metaState is the decoded payload shared by the meta and manifest files,
+// with the file it came from and, for a manifest, its durable LSN.
 type metaState struct {
 	count, nextID, seq, flushes, merges int64
 	growth, bufferEntries               int
 	cfg                                 index.Config
 	levels                              [][]run.Run
+	src                                 source
+	durableLSN                          int64
 }
 
 // Save flushes the write buffer, waits out any background compaction, and
-// persists the LSM's structure metadata to "<name>.meta" on its disk, so it
-// can be reopened (together with the disk snapshot) via Open. An existing
-// meta file is replaced. Call with no insert in flight.
+// persists the LSM's structure metadata to "<name>.meta" on its disk, so
+// Open can adopt it (together with the disk snapshot). An existing
+// meta file is replaced. Without a WAL it also removes a manifest left by a
+// durable incarnation of the LSM: nothing has kept that one current, and
+// Open would prefer it to this Save. Call with no insert in flight.
 func (l *LSM) Save() error {
 	if err := l.Flush(); err != nil {
 		return err
 	}
 	if err := l.Quiesce(); err != nil {
 		return err
+	}
+	if manifest := l.opts.Name + lsmManifestFileSfx; l.opts.WAL == nil && l.opts.Disk.Exists(manifest) {
+		if err := l.opts.Disk.Remove(manifest); err != nil {
+			return fmt.Errorf("clsm: removing stale manifest: %w", err)
+		}
 	}
 	payload := l.encodePayload(l.cur.Load().man)
 	return storage.WriteBlob(l.opts.Disk, l.opts.Name+lsmMetaFileSfx, lsmMetaMagic, lsmMetaVersion, nil, payload)
@@ -234,20 +253,82 @@ func decodePayload(disk storage.Backend, buf []byte, version uint32) (*metaState
 	return st, nil
 }
 
-// install applies a decoded state to a freshly constructed LSM — each run
-// gets its resident summary back from one sequential pass over its file
-// (run.Store.Load) — then removes the run files the installed run set does
-// not name: the output of a flush or merge that crashed before its manifest
-// was persisted, whose name the next flush would otherwise collide with (run
-// names continue from the installed seq), and merge victims whose reclaim
-// the crash pre-empted. Only names of exactly the form runName produces are
-// candidates.
-func (l *LSM) install(st *metaState, durableLSN int64) error {
+// readPersisted decodes the run set persisted under name: the
+// crash-consistent manifest with its durable LSN when one exists, else the
+// meta file of the last Save (durable LSN -1), else nil.
+func readPersisted(disk storage.Backend, name string) (*metaState, error) {
+	file, magic, version, prefix, src := name+lsmManifestFileSfx, lsmManifestMagic, uint32(lsmManifestVersion), 8, fromManifest
+	if !disk.Exists(file) {
+		file, magic, version, prefix, src = name+lsmMetaFileSfx, lsmMetaMagic, lsmMetaVersion, 0, fromMeta
+		if !disk.Exists(file) {
+			return nil, nil
+		}
+	}
+	blob, ver, err := readBlob(disk, file, magic, version, prefix)
+	if err != nil {
+		return nil, err
+	}
+	st, err := decodePayload(disk, blob[prefix:], ver)
+	if err != nil {
+		return nil, err
+	}
+	st.src, st.durableLSN = src, -1
+	if src == fromManifest {
+		st.durableLSN = int64(binary.LittleEndian.Uint64(blob))
+	}
+	return st, nil
+}
+
+// Open returns the LSM opts describes over whatever opts.Disk holds under
+// opts.Name: the run set of the persisted manifest (preferred), else that of
+// the last Save's meta file, else none. A zero Config, GrowthFactor or
+// BufferEntries takes the persisted value — the default when nothing is
+// persisted, where a zero Config is an error — and a given Config must match
+// the persisted one. Each adopted run gets its resident summary back from
+// one sequential pass over its file (run.Store.Load). Open then removes the
+// run files the adopted set does not name: the output of a flush or merge
+// that crashed before its manifest was persisted, whose name the next flush
+// would otherwise collide with (run names continue from the persisted seq),
+// and merge victims whose reclaim the crash pre-empted. Only names of
+// exactly the form runName produces are candidates. Open replays no log;
+// Replay does.
+func Open(opts Options) (*LSM, error) {
+	if opts.Disk == nil {
+		return nil, fmt.Errorf("clsm: Disk is required")
+	}
+	if opts.Name == "" {
+		opts.Name = "clsm"
+	}
+	st, err := readPersisted(opts.Disk, opts.Name)
+	if err != nil {
+		return nil, err
+	}
+	if err := opts.setDefaults(st); err != nil {
+		return nil, err
+	}
+	if st == nil {
+		st = &metaState{src: fromNothing, durableLSN: -1}
+	}
+	if opts.Parallelism <= 0 {
+		opts.Parallelism = parallel.Resolve(opts.Parallelism)
+	}
+	l := &LSM{
+		opts:    opts,
+		store:   run.NewStore(opts.Disk, opts.Reader, opts.Config, opts.Raw),
+		pool:    parallel.New(opts.Parallelism),
+		adopted: st.src,
+	}
+	if size := l.store.Codec().Size(); size > opts.Disk.PageSize() {
+		return nil, fmt.Errorf("clsm: entry size %d exceeds page size %d", size, opts.Disk.PageSize())
+	}
+	if opts.Compress && !record.PackedFits(l.store.Codec(), opts.Disk.PageSize()) {
+		return nil, fmt.Errorf("clsm: packed entry size exceeds page size %d", opts.Disk.PageSize())
+	}
 	for _, lvl := range st.levels {
 		for i, r := range lvl {
 			loaded, err := l.store.Load(r)
 			if err != nil {
-				return fmt.Errorf("clsm: loading run %q: %w", r.File, err)
+				return nil, fmt.Errorf("clsm: loading run %q: %w", r.File, err)
 			}
 			lvl[i] = loaded
 		}
@@ -257,148 +338,72 @@ func (l *LSM) install(st *metaState, durableLSN int64) error {
 	l.seq.Store(st.seq)
 	l.flushes.Store(st.flushes)
 	l.merges.Store(st.merges)
-	man := &manifest{levels: st.levels, durableLSN: durableLSN}
+	man := &manifest{levels: st.levels, durableLSN: st.durableLSN}
 	l.cur.Store(&view{man: man})
 	l.oldest = man
-	l.bufBase = durableLSN + 1
+	l.bufBase = st.durableLSN + 1
 
 	live := make(map[string]bool)
 	for _, r := range allRuns(man) {
 		live[r.File] = true
 	}
-	prefix := l.opts.Name + ".run."
-	for _, f := range l.opts.Disk.Files() {
+	prefix := opts.Name + ".run."
+	for _, f := range opts.Disk.Files() {
 		digits, ok := strings.CutPrefix(f, prefix)
 		if !ok || digits == "" || strings.Trim(digits, "0123456789") != "" || live[f] {
 			continue
 		}
-		if err := l.opts.Disk.Remove(f); err != nil {
-			return fmt.Errorf("clsm: removing unreferenced run %q: %w", f, err)
+		if err := opts.Disk.Remove(f); err != nil {
+			return nil, fmt.Errorf("clsm: removing unreferenced run %q: %w", f, err)
 		}
 		l.reclaimed.Add(1)
-	}
-	return nil
-}
-
-// Open reconstructs a saved LSM from a disk holding its runs and
-// "<name>.meta". The caller supplies the Raw store for non-materialized
-// searches.
-func Open(disk storage.Backend, name string, raw series.RawStore) (*LSM, error) {
-	if disk == nil {
-		return nil, fmt.Errorf("clsm: Disk is required")
-	}
-	if name == "" {
-		name = "clsm"
-	}
-	payload, ver, err := readBlob(disk, name+lsmMetaFileSfx, lsmMetaMagic, lsmMetaVersion, 0)
-	if err != nil {
-		return nil, err
-	}
-	st, err := decodePayload(disk, payload, ver)
-	if err != nil {
-		return nil, err
-	}
-	l := &LSM{pool: parallel.New(0)}
-	l.opts = Options{
-		Disk:          disk,
-		Name:          name,
-		Config:        st.cfg,
-		GrowthFactor:  st.growth,
-		BufferEntries: st.bufferEntries,
-		Raw:           raw,
-	}
-	l.store = run.NewStore(disk, nil, st.cfg, raw)
-	if err := l.install(st, -1); err != nil {
-		return nil, err
 	}
 	return l, nil
 }
 
-// SetCompress switches the encoding used for runs written from here on:
-// future flushes and merges emit packed pages when on. Existing runs keep
-// their recorded encoding (the per-run manifest flag) and remain fully
-// searchable; background merges gradually re-encode them. Intended for use
-// right after Open, which cannot learn the setting from the meta file —
-// encoding is a property of each run, not of the index. Call before any
-// flush or merge runs.
-func (l *LSM) SetCompress(on bool) error {
-	if on && !record.PackedFits(l.store.Codec(), l.opts.Disk.PageSize()) {
-		return fmt.Errorf("clsm: packed entry shape exceeds page size %d", l.opts.Disk.PageSize())
-	}
-	l.opts.Compress = on
-	return nil
-}
-
-// Recover rebuilds an LSM from its disk plus its write-ahead log: the
-// persisted manifest (or, failing that, the meta file of the last Save)
-// provides the run set, and the log's tail — every frame past the
-// manifest's durable LSN — is replayed through the normal insert path, so
-// no acknowledged insert is lost even when the process died with a full
-// write buffer. A torn final frame (crash mid-append) ends replay cleanly.
+// Replay re-inserts the WAL tail past what Open adopted through the normal
+// insert path, so no acknowledged insert is lost even when the process died
+// with a full write buffer; a torn final frame (crash mid-append) ends
+// replay cleanly. It is the one check that the log joins the persisted
+// state: with a manifest it reads from the manifest's durable LSN + 1, where
+// the log must not start later; with a meta file, which stores no LSN, it
+// reads the whole retained log and skips the entries the snapshot holds by
+// ID; with nothing persisted the log must start at LSN 0. Without a WAL it
+// does nothing.
 //
-// opts must carry the WAL; onReplay, when non-nil, observes every replayed
-// entry together with the series logged alongside it (the facade uses it to
-// rebuild its raw-series mirror). Flushes triggered by replay behave
-// normally, so recovery itself makes progress durable.
-func Recover(opts Options, onReplay func(record.Entry, series.Series) error) (*LSM, error) {
-	if opts.WAL == nil {
-		return nil, fmt.Errorf("clsm: Recover requires a WAL")
+// onReplay, when non-nil, observes every replayed entry together with the
+// series logged alongside it (the facade uses it to rebuild its raw-series
+// mirror). Flushes triggered by replay behave normally, so recovery itself
+// makes progress durable. Call once, right after Open, with no insert in
+// flight.
+func (l *LSM) Replay(onReplay func(record.Entry, series.Series) error) error {
+	w := l.opts.WAL
+	if w == nil {
+		return nil
 	}
-	l, err := New(opts)
-	if err != nil {
-		return nil, err
+	from, startID := l.bufBase, l.nextID.Load() // from: durable LSN + 1, else 0
+	switch first := w.FirstLSN(); l.adopted {
+	case fromManifest:
+		if first > from {
+			return fmt.Errorf("clsm: WAL starts at LSN %d, past LSN %d, the first one the persisted manifest of %q lacks", first, from, l.opts.Name)
+		}
+	case fromMeta:
+		// The meta file stores no LSN: the whole retained log is read and
+		// joined by ID below.
+	case fromNothing:
+		if first > 0 {
+			return fmt.Errorf("clsm: WAL starts at LSN %d but nothing is persisted as %q, which needs LSN 0: a log truncated by a snapshot checkpoint reopens only with its snapshot (OpenLSM)", first, l.opts.Name)
+		}
 	}
-	disk, name := l.opts.Disk, l.opts.Name
-	from := int64(0)
-	startID := int64(0)
-	switch {
-	case disk.Exists(name + lsmManifestFileSfx):
-		blob, ver, err := readBlob(disk, name+lsmManifestFileSfx, lsmManifestMagic, lsmManifestVersion, 8)
-		if err != nil {
-			return nil, err
-		}
-		durable := int64(binary.LittleEndian.Uint64(blob))
-		st, err := decodePayload(disk, blob[8:], ver)
-		if err != nil {
-			return nil, err
-		}
-		if err := sameShape(st.cfg, l.opts.Config); err != nil {
-			return nil, err
-		}
-		if err := l.install(st, durable); err != nil {
-			return nil, err
-		}
-		from = durable + 1
-		startID = st.nextID
-	case disk.Exists(name + lsmMetaFileSfx):
-		// Snapshot-checkpoint recovery: the meta file stores no LSN, so the
-		// whole retained log replays and entries already in the snapshot are
-		// skipped by ID (the checkpoint truncated everything older).
-		payload, ver, err := readBlob(disk, name+lsmMetaFileSfx, lsmMetaMagic, lsmMetaVersion, 0)
-		if err != nil {
-			return nil, err
-		}
-		st, err := decodePayload(disk, payload, ver)
-		if err != nil {
-			return nil, err
-		}
-		if err := sameShape(st.cfg, l.opts.Config); err != nil {
-			return nil, err
-		}
-		if err := l.install(st, -1); err != nil {
-			return nil, err
-		}
-		startID = st.nextID
-	}
-
 	l.replaying = true
-	rerr := l.opts.WAL.Replay(from, func(lsn int64, payload []byte) error {
+	defer func() { l.replaying = false }()
+	err := w.Replay(from, func(lsn int64, payload []byte) error {
 		e, s, err := decodeWALFrame(payload, l.opts.Config.SeriesLen)
 		if err != nil {
 			return err
 		}
 		if e.ID < startID {
-			return nil // already durable in the recovered run set
+			return nil // already durable in the adopted run set
 		}
 		l.mu.Lock()
 		if len(l.buffer) == 0 {
@@ -421,48 +426,10 @@ func Recover(opts Options, onReplay func(record.Entry, series.Series) error) (*L
 		}
 		return nil
 	})
-	l.replaying = false
-	if rerr != nil {
-		return nil, fmt.Errorf("clsm: wal replay: %w", rerr)
-	}
-	return l, nil
-}
-
-// Saved describes the persisted state of an LSM on a disk, read from the
-// crash-consistent manifest (preferred) or the meta file of the last Save.
-type Saved struct {
-	Config        index.Config
-	Count         int64 // entries held by the persisted runs
-	GrowthFactor  int
-	BufferEntries int
-}
-
-// SavedState reads the persisted LSM parameters from a disk, or ok=false
-// when neither metadata file exists. The facade uses Count to size
-// snapshot-resident state (the raw-series mirror) before WAL replay grows
-// the index past it, and the tuning fields to reopen with the shape the
-// snapshot was built with.
-func SavedState(disk storage.Backend, name string) (Saved, bool, error) {
-	var blobName, magic string
-	var version uint32
-	extra := 0
-	switch {
-	case disk.Exists(name + lsmManifestFileSfx):
-		blobName, magic, version, extra = name+lsmManifestFileSfx, lsmManifestMagic, lsmManifestVersion, 8
-	case disk.Exists(name + lsmMetaFileSfx):
-		blobName, magic, version = name+lsmMetaFileSfx, lsmMetaMagic, lsmMetaVersion
-	default:
-		return Saved{}, false, nil
-	}
-	blob, ver, err := readBlob(disk, blobName, magic, version, extra)
 	if err != nil {
-		return Saved{}, false, err
+		return fmt.Errorf("clsm: wal replay: %w", err)
 	}
-	st, err := decodePayload(disk, blob[extra:], ver)
-	if err != nil {
-		return Saved{}, false, err
-	}
-	return Saved{Config: st.cfg, Count: st.count, GrowthFactor: st.growth, BufferEntries: st.bufferEntries}, true, nil
+	return nil
 }
 
 // sameShape verifies a persisted configuration matches the caller's — the

@@ -1,9 +1,15 @@
-// Package compact provides the background compaction scheduler that moves
-// LSM merge work off the foreground ingest path: a bounded worker pool
-// draining an unbounded job queue. Flushes stay inline (a cheap sort plus a
-// sequential run write), but level merges — the expensive, cascading part —
-// are submitted here and execute while inserts and searches keep running
+// Package compact provides the compaction scheduler that moves LSM merge
+// work off the foreground ingest path: a bounded worker pool draining an
+// unbounded job queue. Flushes stay inline (a cheap sort plus a sequential
+// run write), but level merges — the expensive, cascading part — are
+// submitted here and execute while inserts and searches keep running
 // against the manifest the merge has not yet replaced.
+//
+// A scheduler without workers — nil, built with zero workers, or closed —
+// runs a submitted job on the caller's goroutine and returns its error:
+// that is the inline cascade, the paper-faithful single-stream accounting.
+// The scheduler keeps no error and no statistics of its own; a job reports
+// its failure to whoever submitted it.
 //
 // One scheduler is shared wherever merges should share a budget: the
 // sharded facade runs every shard's merges on a single scheduler so the
@@ -18,45 +24,26 @@
 // sharing the scheduler.
 package compact
 
-import (
-	"fmt"
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
-// Stats is a snapshot of scheduler activity, surfaced by /api/stats.
-type Stats struct {
-	Workers   int   // pool size
-	Pending   int   // jobs queued but not yet started
-	Active    int   // jobs currently executing
-	Completed int64 // jobs finished (failed included)
-	Failed    int64 // jobs that returned an error
-}
-
-// Scheduler runs jobs on a fixed pool of workers.
+// Scheduler runs jobs on a fixed pool of workers, or inline without one.
 type Scheduler struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	queue  []func() error
 	closed bool
-	err    error // first job error, sticky
 
-	workers   int
-	wg        sync.WaitGroup // worker goroutines
-	inflight  sync.WaitGroup // submitted-but-unfinished jobs
-	active    atomic.Int64
-	completed atomic.Int64
-	failed    atomic.Int64
+	workers  int
+	wg       sync.WaitGroup // worker goroutines
+	inflight sync.WaitGroup // submitted-but-unfinished jobs
 }
 
-// NewScheduler starts a scheduler with n workers (n < 1 is clamped to 1).
+// NewScheduler starts a scheduler with n workers; n <= 0 runs every job
+// inline.
 func NewScheduler(n int) *Scheduler {
-	if n < 1 {
-		n = 1
-	}
-	s := &Scheduler{workers: n}
+	s := &Scheduler{workers: max(n, 0)}
 	s.cond = sync.NewCond(&s.mu)
-	for i := 0; i < n; i++ {
+	for i := 0; i < s.workers; i++ {
 		s.wg.Add(1)
 		go s.worker()
 	}
@@ -77,31 +64,22 @@ func (s *Scheduler) worker() {
 		job := s.queue[0]
 		s.queue = s.queue[1:]
 		s.mu.Unlock()
-
-		s.active.Add(1)
-		err := job()
-		s.active.Add(-1)
-		s.completed.Add(1)
-		if err != nil {
-			s.failed.Add(1)
-			s.mu.Lock()
-			if s.err == nil {
-				s.err = err
-			}
-			s.mu.Unlock()
-		}
+		job()
 		s.inflight.Done()
 	}
 }
 
-// Submit enqueues a job. Jobs may Submit follow-ups from inside a worker.
-// After Close, Submit fails (the work should run inline or be dropped by
-// the caller's shutdown path).
+// Submit runs job: on a worker, returning nil at once, or — nil, without
+// workers or closed — on the caller's goroutine, returning the job's error.
+// Jobs may Submit follow-ups from inside a worker.
 func (s *Scheduler) Submit(job func() error) error {
+	if s == nil {
+		return job()
+	}
 	s.mu.Lock()
-	if s.closed {
+	if s.workers == 0 || s.closed {
 		s.mu.Unlock()
-		return fmt.Errorf("compact: scheduler is closed")
+		return job()
 	}
 	s.inflight.Add(1)
 	s.queue = append(s.queue, job)
@@ -110,52 +88,37 @@ func (s *Scheduler) Submit(job func() error) error {
 	return nil
 }
 
-// Drain blocks until every job submitted so far (and every follow-up those
-// jobs submit before finishing) has completed. Safe to call concurrently
-// with Submit; it waits for the moving target to settle.
+// Drain blocks until every job submitted to a worker so far (and every
+// follow-up those jobs submit before finishing) has completed. Safe to call
+// concurrently with Submit; it waits for the moving target to settle.
 func (s *Scheduler) Drain() {
-	s.inflight.Wait()
-}
-
-// Closed reports whether the scheduler has been shut down (Submit fails).
-func (s *Scheduler) Closed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.closed
-}
-
-// Err returns the first error any job has returned, or nil.
-func (s *Scheduler) Err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.err
-}
-
-// Stats returns a snapshot of scheduler activity.
-func (s *Scheduler) Stats() Stats {
-	s.mu.Lock()
-	pending := len(s.queue)
-	s.mu.Unlock()
-	return Stats{
-		Workers:   s.workers,
-		Pending:   pending,
-		Active:    int(s.active.Load()),
-		Completed: s.completed.Load(),
-		Failed:    s.failed.Load(),
+	if s != nil {
+		s.inflight.Wait()
 	}
 }
 
-// Close drains the queue, stops the workers, and returns the first job
-// error. Idempotent; Submit fails afterwards.
+// Workers returns how many workers run submitted jobs: 0 when jobs run
+// inline (nil, built without workers, or closed).
+func (s *Scheduler) Workers() int {
+	if s == nil {
+		return 0
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return 0
+	}
+	return s.workers
+}
+
+// Close drains the queue and stops the workers; jobs submitted afterwards
+// run inline. Idempotent. It reports no error: a job's failure belongs to
+// whoever submitted it.
 func (s *Scheduler) Close() error {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return s.err
-	}
 	s.closed = true
 	s.mu.Unlock()
 	s.cond.Broadcast()
 	s.wg.Wait()
-	return s.Err()
+	return nil
 }

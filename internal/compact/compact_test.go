@@ -19,10 +19,6 @@ func TestRunsAllJobs(t *testing.T) {
 	if n.Load() != 100 {
 		t.Fatalf("ran %d jobs, want 100", n.Load())
 	}
-	st := s.Stats()
-	if st.Completed != 100 || st.Pending != 0 || st.Active != 0 {
-		t.Fatalf("stats after drain: %+v", st)
-	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -53,24 +49,50 @@ func TestFollowUpSubmissionFromWorker(t *testing.T) {
 	}
 }
 
-func TestErrIsSticky(t *testing.T) {
-	s := NewScheduler(2)
-	s.Submit(func() error { return fmt.Errorf("first failure") })
-	s.Drain()
-	s.Submit(func() error { return fmt.Errorf("second failure") })
-	s.Drain()
-	if err := s.Err(); err == nil || err.Error() != "first failure" {
-		t.Fatalf("Err = %v, want the first failure", err)
-	}
-	if st := s.Stats(); st.Failed != 2 {
-		t.Fatalf("failed = %d, want 2", st.Failed)
-	}
-	if err := s.Close(); err == nil {
-		t.Fatal("Close should surface the job error")
+// TestSubmitModes: a scheduler without workers — nil, built with none, or
+// closed — runs a job on the caller's goroutine and returns its error; one
+// with workers queues it and returns nil, the job's error being the job's to
+// report.
+func TestSubmitModes(t *testing.T) {
+	closed := NewScheduler(2)
+	closed.Close()
+	for _, row := range []struct {
+		name    string
+		s       *Scheduler
+		workers int
+	}{
+		{"nil", nil, 0},
+		{"zero-workers", NewScheduler(0), 0},
+		{"closed", closed, 0},
+		{"two-workers", NewScheduler(2), 2},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			if got := row.s.Workers(); got != row.workers {
+				t.Fatalf("Workers() = %d, want %d", got, row.workers)
+			}
+			var ran atomic.Int64
+			err := row.s.Submit(func() error { ran.Add(1); return fmt.Errorf("job failure") })
+			if row.workers == 0 {
+				if ran.Load() != 1 || err == nil || err.Error() != "job failure" {
+					t.Fatalf("inline Submit: ran %d, err %v; want the job run and its error", ran.Load(), err)
+				}
+			} else if err != nil {
+				t.Fatalf("Submit to workers returned %v", err)
+			}
+			row.s.Drain()
+			if ran.Load() != 1 {
+				t.Fatalf("ran %d times after Drain, want 1", ran.Load())
+			}
+			if row.s != nil {
+				if err := row.s.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
-func TestCloseDrainsQueueAndRejectsSubmit(t *testing.T) {
+func TestCloseDrainsQueueThenRunsInline(t *testing.T) {
 	s := NewScheduler(1)
 	var n atomic.Int64
 	block := make(chan struct{})
@@ -85,8 +107,8 @@ func TestCloseDrainsQueueAndRejectsSubmit(t *testing.T) {
 	if n.Load() != 11 {
 		t.Fatalf("Close drained %d jobs, want 11", n.Load())
 	}
-	if err := s.Submit(func() error { return nil }); err == nil {
-		t.Fatal("Submit after Close should fail")
+	if err := s.Submit(func() error { n.Add(1); return nil }); err != nil || n.Load() != 12 {
+		t.Fatalf("Submit after Close: err %v, %d jobs run; want the job run inline", err, n.Load())
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal("Close must be idempotent")

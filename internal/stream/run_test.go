@@ -26,7 +26,7 @@ func TestCLSMFlushAndBTPSealWriteTheSameRun(t *testing.T) {
 	ss, ts := streamData(n, 11)
 	raw := &memRaw{}
 	lsmDisk, btpDisk := storage.NewDisk(0), storage.NewDisk(0)
-	lsm, err := clsm.New(clsm.Options{Disk: lsmDisk, Config: testConfig(false), BufferEntries: n, Raw: raw})
+	lsm, err := clsm.Open(clsm.Options{Disk: lsmDisk, Config: testConfig(false), BufferEntries: n, Raw: raw})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,7 +68,7 @@ func bruteWindowKNN(q series.Series, ss []series.Series, ts []int64, minTS, maxT
 func newPPCLSM(t *testing.T, raw *memRaw, mat bool) *PP {
 	t.Helper()
 	disk := storage.NewDisk(0)
-	base, err := clsm.New(clsm.Options{Disk: disk, Config: testConfig(mat), BufferEntries: 128, Raw: raw})
+	base, err := clsm.Open(clsm.Options{Disk: disk, Config: testConfig(mat), BufferEntries: 128, Raw: raw})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,14 +37,15 @@ func OpenTree(path string, opts ...Options) (*Tree, error) {
 // the snapshot: reopened indexes use the default (GOMAXPROCS) worker pool;
 // call SetParallelism to change it.
 //
-// An optional Options value re-attaches the durable-ingest machinery:
-// WALDir replays the log tail past the snapshot (recovering acknowledged
-// inserts the snapshot missed — the crash story), and Durability /
-// CompactionWorkers apply as in NewLSM. CompressRuns and Kernels also
-// apply: run encoding is a property of each run, so existing runs keep the
-// encoding they were written with while new flushes and merges follow the
-// reopened setting. Other Options fields are ignored; the snapshot defines
-// the index shape.
+// An optional Options value re-attaches the ingest machinery: WALDir
+// replays the log tail past the snapshot (recovering acknowledged inserts
+// the snapshot missed — the crash story), Durability applies as in NewLSM,
+// and so does CompactionWorkers, with or without a WAL. CompressRuns and
+// Kernels also apply: run encoding is a property of each run, so existing
+// runs keep the encoding they were written with while new flushes and
+// merges follow the reopened setting. GrowthFactor and BufferEntries, when
+// set, override the persisted ones. Other Options fields are ignored; the
+// snapshot defines the index shape.
 func OpenLSM(path string, opts ...Options) (*LSM, error) {
 	b, err := assemble.Open(path, openSpec("CLSM", opts))
 	if err != nil {

@@ -122,7 +122,10 @@ func TestBuildFaultInjectionCleansUp(t *testing.T) {
 // recovers every series, answering exactly as the first did. The first row
 // keeps its raw series in a file on the store, so flushes truncate the log —
 // the 2 500 series fill more than one 4 MiB segment — and only the store's
-// manifest covers the log's missing head.
+// manifest covers the log's missing head. The last keeps them in memory
+// beside a non-materialized index on the store: its exact searches read that
+// mirror, which replay refills from the whole log, the head the store's
+// manifest covers included.
 func TestCrashRecoveryRebuildOverDirs(t *testing.T) {
 	const n, length = 2500, 256
 	rng := rand.New(rand.NewSource(9))
@@ -141,6 +144,7 @@ func TestCrashRecoveryRebuildOverDirs(t *testing.T) {
 		{"file-raw-truncating-log", assemble.Spec{Variant: "CLSMFull", StorageDir: "store"}},
 		{"file-raw-in-memory", assemble.Spec{Variant: "CLSMFull", StorageDir: "store", RawInMemory: true}},
 		{"sim-raw-in-memory", assemble.Spec{Variant: "CLSM", RawInMemory: true}},
+		{"file-raw-in-memory-nonmaterialized", assemble.Spec{Variant: "CLSM", StorageDir: "store", RawInMemory: true}},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			spec := row.spec

@@ -326,7 +326,7 @@ func Open(opts Options) (*LSM, error) {
 	}
 	for _, lvl := range st.levels {
 		for i, r := range lvl {
-			loaded, err := l.store.Load(r)
+			loaded, err := l.store.Load(r, nil, nil)
 			if err != nil {
 				return nil, fmt.Errorf("clsm: loading run %q: %w", r.File, err)
 			}
@@ -373,15 +373,17 @@ func Open(opts Options) (*LSM, error) {
 //
 // onReplay, when non-nil, observes every replayed entry together with the
 // series logged alongside it (the facade uses it to rebuild its raw-series
-// mirror). Flushes triggered by replay behave normally, so recovery itself
-// makes progress durable. Call once, right after Open, with no insert in
-// flight.
+// mirror) — for a non-materialized index, which reads that mirror, the
+// log's older entries too. Flushes triggered by replay behave normally, so
+// recovery itself makes progress durable. Call once, right after Open, with
+// no insert in flight.
 func (l *LSM) Replay(onReplay func(record.Entry, series.Series) error) error {
 	w := l.opts.WAL
 	if w == nil {
 		return nil
 	}
 	from, startID := l.bufBase, l.nextID.Load() // from: durable LSN + 1, else 0
+	head := onReplay != nil && !l.opts.Config.Materialized
 	switch first := w.FirstLSN(); l.adopted {
 	case fromManifest:
 		if first > from {
@@ -397,13 +399,19 @@ func (l *LSM) Replay(onReplay func(record.Entry, series.Series) error) error {
 	}
 	l.replaying = true
 	defer func() { l.replaying = false }()
+	if head {
+		from = min(from, w.FirstLSN())
+	}
 	err := w.Replay(from, func(lsn int64, payload []byte) error {
 		e, s, err := decodeWALFrame(payload, l.opts.Config.SeriesLen)
 		if err != nil {
 			return err
 		}
-		if e.ID < startID {
-			return nil // already durable in the adopted run set
+		if e.ID < startID { // already durable in the adopted run set
+			if head {
+				return onReplay(e, s)
+			}
+			return nil
 		}
 		l.mu.Lock()
 		if len(l.buffer) == 0 {

@@ -76,56 +76,58 @@ func filePages(t *testing.T, d storage.Backend, name string) []byte {
 
 // checkLeafLevel holds a bulk-loaded tree to the sorted entries it was built
 // from. The leaf file is, byte for byte, those entries encoded leaf by leaf
-// through the insert path's encodePage at the directory's counts; the counts
+// through the insert path's encodePage at the summary's counts; the counts
 // are where the fill rule ends a page (a fixed page at max(1, ⌊capacity·fill⌋)
 // records; a packed page once its bytes reach ⌊pageSize·fill⌋ or when the
 // next entry does not fit — checked with a page builder of the test's own);
-// the directory's first keys, the synopsis and (checkSummaries) the column,
-// leaf and group envelopes are what the pages hold.
+// the fence keys, the synopsis and (run.Store.Verify) the rest of the
+// summary are what the pages hold.
 func checkLeafLevel(t *testing.T, tr *Tree, sorted []record.Entry) {
 	t.Helper()
-	disk, cfg := tr.opts.Disk, tr.opts.Config
+	disk, cfg, m := tr.opts.Disk, tr.opts.Config, tr.leaves.Sum
 	pageSize := disk.PageSize()
-	if tr.count != int64(len(sorted)) {
-		t.Fatalf("tree holds %d entries, want %d", tr.count, len(sorted))
+	if tr.leaves.Count != int64(len(sorted)) {
+		t.Fatalf("tree holds %d entries, want %d", tr.leaves.Count, len(sorted))
 	}
-	file := filePages(t, disk, tr.leafFile)
-	if len(file) != len(tr.leaves)*pageSize {
-		t.Fatalf("leaf file is %d bytes, %d leaves need %d", len(file), len(tr.leaves), len(tr.leaves)*pageSize)
+	file := filePages(t, disk, tr.leaves.File)
+	if len(file) != m.Pages()*pageSize {
+		t.Fatalf("leaf file is %d bytes, %d leaves need %d", len(file), m.Pages(), m.Pages()*pageSize)
 	}
+	codec := tr.store.Codec()
 	var pb *record.PageBuilder
-	if tr.packed {
+	if tr.leaves.Packed {
 		var err error
-		if pb, err = record.NewPageBuilder(tr.codec, pageSize); err != nil {
+		if pb, err = record.NewPageBuilder(codec, pageSize); err != nil {
 			t.Fatal(err)
 		}
 	}
 	fillBytes := int(math.Floor(float64(pageSize) * tr.opts.FillFactor))
-	wantFixed := int(math.Max(1, math.Floor(float64(pageSize/tr.codec.Size())*tr.opts.FillFactor)))
+	wantFixed := int(math.Max(1, math.Floor(float64(pageSize/codec.Size())*tr.opts.FillFactor)))
 	syn := zonestat.New(cfg.Segments, cfg.Bits)
 	off := 0
-	for li, l := range tr.leaves {
-		if l.count < 1 || off+l.count > len(sorted) {
-			t.Fatalf("leaf %d claims %d entries at offset %d of %d", li, l.count, off, len(sorted))
+	for li := 0; li < m.Pages(); li++ {
+		count := m.Entries(li)
+		if count < 1 || off+count > len(sorted) {
+			t.Fatalf("leaf %d claims %d entries at offset %d of %d", li, count, off, len(sorted))
 		}
-		entries := sorted[off : off+l.count]
-		last := li == len(tr.leaves)-1
-		if l.minKey != entries[0].Key {
-			t.Fatalf("leaf %d: directory key %v, first entry %v", li, l.minKey, entries[0].Key)
+		entries := sorted[off : off+count]
+		last := li == m.Pages()-1
+		if got := m.FirstKey(li); got != entries[0].Key {
+			t.Fatalf("leaf %d: fence key %v, first entry %v", li, got, entries[0].Key)
 		}
 		page, fits, err := tr.encodePage(entries)
 		if err != nil || !fits {
-			t.Fatalf("leaf %d: %d entries do not re-encode: fits=%v err=%v", li, l.count, fits, err)
+			t.Fatalf("leaf %d: %d entries do not re-encode: fits=%v err=%v", li, count, fits, err)
 		}
 		want := make([]byte, pageSize)
 		copy(want, page)
 		if got := file[li*pageSize : (li+1)*pageSize]; !bytes.Equal(got, want) {
-			t.Fatalf("leaf %d: page bytes differ from encodePage of its %d entries", li, l.count)
+			t.Fatalf("leaf %d: page bytes differ from encodePage of its %d entries", li, count)
 		}
 		switch {
-		case !tr.packed:
-			if l.count != wantFixed && !(last && l.count < wantFixed) {
-				t.Fatalf("leaf %d holds %d records, the fill rule closes a page at %d", li, l.count, wantFixed)
+		case !tr.leaves.Packed:
+			if count != wantFixed && !(last && count < wantFixed) {
+				t.Fatalf("leaf %d holds %d records, the fill rule closes a page at %d", li, count, wantFixed)
 			}
 		default:
 			for i, e := range entries {
@@ -137,7 +139,7 @@ func checkLeafLevel(t *testing.T, tr *Tree, sorted []record.Entry) {
 				}
 			}
 			if !last && (tr.opts.FillFactor == 1 || pb.EncodedBytes() < fillBytes) {
-				if ok, _ := pb.TryAdd(sorted[off+l.count]); ok {
+				if ok, _ := pb.TryAdd(sorted[off+count]); ok {
 					t.Fatalf("leaf %d closed at %d bytes (fill closes at %d) though the next entry fits", li, pb.EncodedBytes(), fillBytes)
 				}
 			}
@@ -147,32 +149,24 @@ func checkLeafLevel(t *testing.T, tr *Tree, sorted []record.Entry) {
 			syms := sortable.Symbols(e.Key, cfg.Segments, cfg.Bits)
 			syn.AddSyms(e.Key, syms[:cfg.Segments], e.TS)
 		}
-		off += l.count
+		off += count
 	}
 	if off != len(sorted) {
 		t.Fatalf("leaves hold %d entries, want %d", off, len(sorted))
 	}
-	if !reflect.DeepEqual(tr.syn, syn) {
+	if !reflect.DeepEqual(tr.leaves.Syn, syn) {
 		t.Fatalf("synopsis differs from one built over the sorted entries")
 	}
-	if err := checkSummaries(tr); err != nil {
+	if err := tr.store.Verify(tr.leaves); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // resident is what a tree keeps in memory about its leaf level, for
-// reflect.DeepEqual: an empty slice is nil, whichever the tree holds.
+// reflect.DeepEqual: the summary by its persistent form and its group count.
 func resident(tr *Tree) []any {
-	return []any{nilIfEmpty(tr.leaves), tr.pageOf, tr.packed, tr.capacity, tr.target, tr.count, tr.nextID64,
-		tr.grpStart, nilIfEmpty(tr.col), nilIfEmpty(tr.synMin), nilIfEmpty(tr.synMax), tr.envOK,
-		nilIfEmpty(tr.grpMin), nilIfEmpty(tr.grpMax), tr.syn}
-}
-
-func nilIfEmpty[T any](s []T) []T {
-	if len(s) == 0 {
-		return nil
-	}
-	return s
+	l := tr.leaves
+	return []any{l.Count, l.Syn, l.Packed, l.Sum.AppendBinary(nil), l.Sum.Groups(), tr.capacity, tr.nextID64}
 }
 
 // TestBulkLoadTable is the bulk load's one table: the leaf level is what the

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	coconut "repro"
@@ -11,6 +12,8 @@ import (
 	"repro/internal/gen"
 	"repro/internal/index"
 	"repro/internal/obs"
+	"repro/internal/record"
+	"repro/internal/run"
 	"repro/internal/series"
 	"repro/internal/storage"
 )
@@ -18,7 +21,7 @@ import (
 // The column scan — group envelope, leaf envelope, resident symbols, page —
 // is held here to the scan it replaced, which bounded every entry from the
 // key bytes on its page and tested every leaf envelope on its own
-// (ctree.SetPageKeyBounds, a test hook). Each scenario builds its index
+// (run.SetPageKeyBounds, a test hook). Each scenario builds its index
 // twice from the same data, once per scan, and runs the same operations;
 // the two must agree on every answer and, for a serial scan, on the whole
 // Stats record: sequential and random reads and writes, cache hits and
@@ -173,14 +176,14 @@ func TestColumnScanEquivalence(t *testing.T) {
 		{"stream-tp", false, base, tp},
 		{"stream-tp-cached", false, with(base, func(o *coconut.Options) { o.CacheBytes = 64 << 10 }), tp},
 	}
-	defer ctree.SetPageKeyBounds(false)
+	defer run.SetPageKeyBounds(false)
 	for _, sc := range scenarios {
 		for _, par := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/workers=%d", sc.name, par), func(t *testing.T) {
 				opts := sc.opts
 				opts.Parallelism = par
 				run := func(reference bool) ([][]coconut.Match, coconut.Stats) {
-					ctree.SetPageKeyBounds(reference)
+					run.SetPageKeyBounds(reference)
 					if opts.StorageDir != "" {
 						opts.StorageDir = t.TempDir()
 					}
@@ -204,30 +207,55 @@ func TestColumnScanEquivalence(t *testing.T) {
 	}
 }
 
-// TestColumnScanTraceMatchesReference: for unwindowed queries a traced
-// column scan reports the candidates (seen, verified, abandoned, pruned)
-// and the leaves probed and skipped that the reference scan reports — the
-// entries of a page released undecoded count as seen and pruned — and,
-// beside them, how many probed leaves it released without decoding; the
-// reference scan decodes every page it reads.
+// TestColumnScanTraceMatchesReference: a traced column scan reports the
+// candidates (seen, verified, abandoned, pruned) and the leaves probed and
+// skipped that the reference scan reports — the in-window entries of a page
+// released undecoded count as seen and pruned — and, beside them, how many
+// probed leaves it released without decoding; the reference scan decodes
+// every page it reads. The windowed row is a TP partition (entries stamped
+// with their arrival, loaded from memory) queried over a window: the window
+// filter reads the timestamp column, so a leaf whose skip was declined is
+// released undecoded too.
 func TestColumnScanTraceMatchesReference(t *testing.T) {
-	defer ctree.SetPageKeyBounds(false)
+	defer run.SetPageKeyBounds(false)
 	ds := series.NewDataset(equivLen)
 	for _, s := range equivWalks(84, 4000) {
 		ds.Append(series.Series(s).ZNormalize())
 	}
-	for _, compress := range []bool{false, true} {
-		cfg := index.Config{SeriesLen: equivLen, Segments: 8, Bits: 6, Materialized: true}
+	cfg := index.Config{SeriesLen: equivLen, Segments: 8, Bits: 6, Materialized: true}
+	build := func(compress bool) *ctree.Tree {
 		tr, err := ctree.Build(ctree.Options{Disk: storage.NewDisk(2048), Config: cfg, Compress: compress, Parallelism: 1}, ds, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
+		return tr
+	}
+	arrivals := make([]record.Entry, ds.Count())
+	for id := range arrivals {
+		s, _ := ds.Get(id)
+		key, z := cfg.Summarize(s)
+		arrivals[id] = record.Entry{Key: key, ID: int64(id), TS: int64(id), Payload: z}
+	}
+	sort.Slice(arrivals, func(i, j int) bool { return arrivals[i].Less(arrivals[j]) })
+	partition, err := ctree.BuildFromEntries(ctree.Options{Disk: storage.NewDisk(2048), Config: cfg, Parallelism: 1}, arrivals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range []struct {
+		name     string
+		tr       *ctree.Tree
+		windowed bool
+	}{{"fixed", build(false), false}, {"packed", build(true), false}, {"tp-windowed", partition, true}} {
+		tr := row.tr
 		for i, s := range equivWalks(85, 8) {
-			trace := func(reference bool, run func(q index.Query) error) *obs.TraceSnapshot {
-				ctree.SetPageKeyBounds(reference)
+			trace := func(reference bool, search func(q index.Query) error) *obs.TraceSnapshot {
+				run.SetPageKeyBounds(reference)
 				q := index.NewQuery(s, cfg)
+				if row.windowed {
+					q = q.WithWindow(1000, 2999)
+				}
 				q.Trace = obs.NewQueryTrace()
-				if err := run(q); err != nil {
+				if err := search(q); err != nil {
 					t.Fatal(err)
 				}
 				snap := q.Trace.Snapshot()
@@ -236,8 +264,8 @@ func TestColumnScanTraceMatchesReference(t *testing.T) {
 			}
 			eps := 0.0
 			for _, mode := range []struct {
-				name string
-				run  func(q index.Query) error
+				name   string
+				search func(q index.Query) error
 			}{
 				{"exact", func(q index.Query) error {
 					res, err := tr.ExactSearch(q, 5)
@@ -248,9 +276,9 @@ func TestColumnScanTraceMatchesReference(t *testing.T) {
 				}},
 				{"range", func(q index.Query) error { _, err := tr.RangeSearch(q, eps); return err }},
 			} {
-				want, got := trace(true, mode.run), trace(false, mode.run)
+				want, got := trace(true, mode.search), trace(false, mode.search)
 				if want.UndecodedPages != 0 {
-					t.Fatalf("compress=%v query %d %s: the reference scan left %d pages undecoded", compress, i, mode.name, want.UndecodedPages)
+					t.Fatalf("%s query %d %s: the reference scan left %d pages undecoded", row.name, i, mode.name, want.UndecodedPages)
 				}
 				var probed int64
 				for _, k := range got.Kinds {
@@ -259,11 +287,11 @@ func TestColumnScanTraceMatchesReference(t *testing.T) {
 					}
 				}
 				if got.UndecodedPages == 0 || got.UndecodedPages > probed {
-					t.Fatalf("compress=%v query %d %s: %d of %d probed leaves undecoded", compress, i, mode.name, got.UndecodedPages, probed)
+					t.Fatalf("%s query %d %s: %d of %d probed leaves undecoded", row.name, i, mode.name, got.UndecodedPages, probed)
 				}
 				got.UndecodedPages = 0
 				if !reflect.DeepEqual(want, got) {
-					t.Fatalf("compress=%v query %d %s: traces diverged:\nreference: %+v\ncolumn:    %+v", compress, i, mode.name, want, got)
+					t.Fatalf("%s query %d %s: traces diverged:\nreference: %+v\ncolumn:    %+v", row.name, i, mode.name, want, got)
 				}
 			}
 		}

@@ -114,29 +114,27 @@ func TestBuildEmptyAndOptionValidation(t *testing.T) {
 func TestLeavesInKeyOrder(t *testing.T) {
 	ds := buildDataset(t, 2000, 2)
 	tr, _ := buildTree(t, ds, false, 1.0)
-	var prev *leaf
+	m := tr.leaves.Sum
 	total := 0
-	for li := range tr.leaves {
+	for li := 0; li < tr.Leaves(); li++ {
 		entries, err := tr.readLeaf(li)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(entries) != tr.leaves[li].count {
+		if len(entries) != m.Entries(li) {
 			t.Fatalf("leaf %d count mismatch", li)
 		}
-		if entries[0].Key != tr.leaves[li].minKey {
-			t.Fatalf("leaf %d minKey mismatch", li)
+		if entries[0].Key != m.FirstKey(li) {
+			t.Fatalf("leaf %d fence key mismatch", li)
 		}
 		for i := 1; i < len(entries); i++ {
 			if entries[i].Less(entries[i-1]) {
 				t.Fatalf("leaf %d not internally sorted", li)
 			}
 		}
-		if prev != nil && entries[0].Key.Less(prev.minKey) {
+		if li > 0 && entries[0].Key.Less(m.FirstKey(li-1)) {
 			t.Fatalf("leaf %d out of order with previous", li)
 		}
-		l := tr.leaves[li]
-		prev = &l
 		total += len(entries)
 	}
 	if total != 2000 {
@@ -328,19 +326,19 @@ func TestInsertSplits(t *testing.T) {
 	}
 	// Directory still in key order and searches still correct vs brute force
 	// over a reconstructed view: verify self-queries.
-	for li := 1; li < len(tr.leaves); li++ {
-		if tr.leaves[li].minKey.Less(tr.leaves[li-1].minKey) {
-			t.Fatal("directory out of order after splits")
+	for li := 1; li < tr.Leaves(); li++ {
+		if tr.leaves.Sum.FirstKey(li).Less(tr.leaves.Sum.FirstKey(li - 1)) {
+			t.Fatal("fence keys out of order after splits")
 		}
 	}
 }
 
 // TestStatisticsStayExactUnderInserts holds the planner statistics to a
 // rebuild from the leaves after bulk load, in-place inserts and splits, in
-// both layouts: every leaf's symbol envelope and the tree synopsis equal
-// what folding the leaf's entries one by one gives. An insert that fits
-// widens its leaf's envelope by the new entry alone; this is the check that
-// doing so loses nothing.
+// both layouts: every leaf's symbol envelope (run.Store.Verify) and the tree
+// synopsis equal what folding the leaf's entries one by one gives. An insert
+// that fits widens its leaf's envelope by the new entry alone; this is the
+// check that doing so loses nothing.
 func TestStatisticsStayExactUnderInserts(t *testing.T) {
 	for _, compress := range []bool{false, true} {
 		ds := buildDataset(t, 500, 12)
@@ -359,23 +357,20 @@ func TestStatisticsStayExactUnderInserts(t *testing.T) {
 		if tr.Leaves() <= before {
 			t.Fatalf("compress=%v: no split in %d inserts", compress, 300)
 		}
+		if err := tr.store.Verify(tr.leaves); err != nil {
+			t.Fatalf("compress=%v: %v", compress, err)
+		}
 		whole := zonestat.New(cfg.Segments, cfg.Bits)
-		for li := range tr.leaves {
+		for li := 0; li < tr.Leaves(); li++ {
 			entries, err := tr.readLeaf(li)
 			if err != nil {
 				t.Fatal(err)
 			}
-			leaf := zonestat.New(cfg.Segments, cfg.Bits)
 			for _, e := range entries {
-				leaf.Add(e.Key, e.TS)
 				whole.Add(e.Key, e.TS)
 			}
-			mn, mx := tr.leafEnv(li)
-			if string(mn) != string(leaf.MinSym) || string(mx) != string(leaf.MaxSym) {
-				t.Fatalf("compress=%v leaf %d: envelope [%v,%v], rebuilt [%v,%v]", compress, li, mn, mx, leaf.MinSym, leaf.MaxSym)
-			}
 		}
-		got := tr.syn
+		got := tr.leaves.Syn
 		if got.Count != whole.Count || got.MinTS != whole.MinTS || got.MaxTS != whole.MaxTS ||
 			got.MinKey != whole.MinKey || got.MaxKey != whole.MaxKey ||
 			string(got.MinSym) != string(whole.MinSym) || string(got.MaxSym) != string(whole.MaxSym) {

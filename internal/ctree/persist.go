@@ -6,8 +6,8 @@ import (
 	"math"
 
 	"repro/internal/index"
-	"repro/internal/parallel"
 	"repro/internal/record"
+	"repro/internal/run"
 	"repro/internal/series"
 	"repro/internal/sortable"
 	"repro/internal/storage"
@@ -15,42 +15,38 @@ import (
 )
 
 // Metadata format (stored on the same disk as the leaves, in
-// "<name>.meta"):
+// "<name>.meta"), at version 5:
 //
 //	magic "CTREEMTA" | version u32 | payload length u64
 //	count u64 | nextID u64 | capacity u32 | target u32 | fill f64-bits u64
 //	materialized u8 | seriesLen u32 | segments u32 | bits u32
+//	synLen u32 | whole-tree synopsis | packed u8
+//	| leaf summary (run.Summary.AppendBinary: per leaf its entry count and
+//	  page number, the leaf envelopes, the SAX and timestamp columns)
+//
+// A reopened tree scans from the decoded summary without reading its
+// leaves; the groups and their envelopes are derived on decode. Older
+// versions held, after bits, a directory instead of the summary:
+//
 //	leafCount u32 | per leaf: minKey 16B | count u32 | page u64
 //	[v2: envPresent u8 | synMin leafCount*segments B | synMax ... B
 //	     | synLen u32 | whole-tree synopsis]
-//
-// Version 2 appends the planner statistics: the flat per-leaf symbol
-// envelopes and the whole-tree synopsis. Version-1 files still open; their
-// trees simply plan nothing until rebuilt.
-//
-// Version 3 appends a packed flag byte: 1 when the leaf file uses the
-// packed page encoding (record.IsPacked), 0 for fixed-size records.
-// Version-1/2 files decode with packed=false, which is what they contain.
-//
-// Version 4 appends the SAX column: count*segments symbol bytes, every
-// entry's symbols in directory order (leaf by leaf, page order within a
-// leaf), so a reopened tree scans from resident symbols without first
-// reading its leaves. Version-1..3 files still open: Open rebuilds their
-// column with one pass over the leaf pages. The groups and their envelopes
-// are not stored at any version; they are derived from the directory and
-// the leaf envelopes.
-//
 //	[v3: packed u8]
-//	[v4: column count*segments B]
+//	[v4: SAX column count*segments B]
 //
-// Every stored symbol — envelopes and column — is checked against the
-// cardinality on decode: the lower-bound kernels index tables with them.
+// Version 2 added the leaf envelopes and the synopsis, 3 the packed flag
+// (record.IsPacked; earlier files hold fixed-size records), 4 the SAX
+// column. Files of versions 1–4 still open: Open takes each leaf's count
+// and page from the directory and rebuilds the whole summary with one pass
+// over the leaf pages (run.Store.Load); what else they hold of it is
+// ignored. Every stored symbol is checked against the cardinality on decode:
+// the lower-bound kernels index tables with them.
 const (
 	metaMagic   = "CTREEMTA"
-	metaVersion = 4
+	metaVersion = 5
 )
 
-// Save persists the tree's directory metadata to "<name>.meta" on its
+// Save persists the tree's metadata and leaf summary to "<name>.meta" on its
 // disk, so the tree can be reopened (together with the disk snapshot) via
 // Open. An existing meta file is replaced.
 func (t *Tree) Save() error {
@@ -58,57 +54,37 @@ func (t *Tree) Save() error {
 }
 
 func (t *Tree) encodeMeta() []byte {
-	w := t.opts.Config.Segments
-	buf := make([]byte, 0, 128+len(t.leaves)*(28+2*w)+int(t.count)*w)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(t.count))
+	cfg := t.opts.Config
+	buf := make([]byte, 0, 128+t.Leaves()*(12+2*cfg.Segments)+int(t.leaves.Count)*(cfg.Segments+8))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(t.leaves.Count))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(t.nextID64))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(t.capacity))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(t.target))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(t.target()))
 	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(t.opts.FillFactor))
-	if t.opts.Config.Materialized {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
-	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(t.opts.Config.SeriesLen))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(t.opts.Config.Segments))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(t.opts.Config.Bits))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(t.leaves)))
-	for i, l := range t.leaves {
-		buf = l.minKey.AppendBinary(buf)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(l.count))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(t.pageNum(i)))
-	}
-	if t.envOK {
-		buf = append(buf, 1)
-		buf = append(buf, t.synMin...)
-		buf = append(buf, t.synMax...)
-	} else {
-		buf = append(buf, 0)
-	}
-	if t.syn != nil {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(t.syn.EncodedSize()))
-		buf = t.syn.AppendBinary(buf)
+	buf = append(buf, flag(cfg.Materialized))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(cfg.SeriesLen))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(cfg.Segments))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(cfg.Bits))
+	if syn := t.leaves.Syn; syn != nil {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(syn.EncodedSize()))
+		buf = syn.AppendBinary(buf)
 	} else {
 		buf = binary.LittleEndian.AppendUint32(buf, 0)
 	}
-	if t.packed {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
+	return t.leaves.Sum.AppendBinary(append(buf, flag(t.leaves.Packed)))
+}
+
+func flag(b bool) byte {
+	if b {
+		return 1
 	}
-	for _, group := range t.col {
-		for _, syms := range group {
-			buf = append(buf, syms...)
-		}
-	}
-	return buf
+	return 0
 }
 
 // Open reconstructs a saved tree from a disk holding "<name>.leaves" and
 // "<name>.meta". The caller supplies the Disk and (for non-materialized
 // trees) the Raw store; all structural parameters are restored from the
-// metadata and validated against opts.Config when that is non-zero.
+// metadata.
 func Open(disk storage.Backend, name string, raw series.RawStore) (*Tree, error) {
 	if disk == nil {
 		return nil, fmt.Errorf("ctree: Disk is required")
@@ -124,171 +100,97 @@ func Open(disk storage.Backend, name string, raw series.RawStore) (*Tree, error)
 }
 
 func decodeMeta(disk storage.Backend, name string, buf []byte, raw series.RawStore, version uint32) (*Tree, error) {
-	const fixed = 8 + 8 + 4 + 4 + 8 + 1 + 4 + 4 + 4 + 4
+	const fixed = 8 + 8 + 4 + 4 + 8 + 1 + 4 + 4 + 4
 	if len(buf) < fixed {
 		return nil, fmt.Errorf("ctree: meta payload too short: %d", len(buf))
 	}
-	t := &Tree{pageBuf: make([]byte, disk.PageSize()), pool: parallel.New(0)}
-	t.count = int64(binary.LittleEndian.Uint64(buf))
-	t.nextID64 = int64(binary.LittleEndian.Uint64(buf[8:]))
-	t.capacity = int(binary.LittleEndian.Uint32(buf[16:]))
-	t.target = int(binary.LittleEndian.Uint32(buf[20:]))
-	fill := math.Float64frombits(binary.LittleEndian.Uint64(buf[24:]))
-	materialized := buf[32] == 1
-	seriesLen := int(binary.LittleEndian.Uint32(buf[33:]))
-	segments := int(binary.LittleEndian.Uint32(buf[37:]))
-	bits := int(binary.LittleEndian.Uint32(buf[41:]))
-	leafCount := int(binary.LittleEndian.Uint32(buf[45:]))
-
-	t.opts = Options{
-		Disk: disk,
-		Name: name,
-		Config: index.Config{
-			SeriesLen:    seriesLen,
-			Segments:     segments,
-			Bits:         bits,
-			Materialized: materialized,
-		},
-		FillFactor: fill,
-		Raw:        raw,
-		Reader:     disk,
+	cfg := index.Config{
+		SeriesLen:    int(binary.LittleEndian.Uint32(buf[33:])),
+		Segments:     int(binary.LittleEndian.Uint32(buf[37:])),
+		Bits:         int(binary.LittleEndian.Uint32(buf[41:])),
+		Materialized: buf[32] == 1,
 	}
-	if err := t.opts.Config.Validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("ctree: invalid persisted config: %w", err)
 	}
-	t.codec = t.opts.Config.Codec()
-	t.leafFile = name + ".leaves"
-	if !disk.Exists(t.leafFile) {
-		return nil, fmt.Errorf("ctree: leaf file %q missing", t.leafFile)
+	fill := math.Float64frombits(binary.LittleEndian.Uint64(buf[24:]))
+	t := newTree(Options{Disk: disk, Name: name, Config: cfg, FillFactor: fill, Raw: raw})
+	t.leaves.Count = int64(binary.LittleEndian.Uint64(buf))
+	t.nextID64 = int64(binary.LittleEndian.Uint64(buf[8:]))
+	t.capacity = int(binary.LittleEndian.Uint32(buf[16:]))
+	if !disk.Exists(t.leaves.File) {
+		return nil, fmt.Errorf("ctree: leaf file %q missing", t.leaves.File)
 	}
 
-	const perLeaf = sortable.KeyBytes + 4 + 8
-	rest := buf[49:]
-	if len(rest) < leafCount*perLeaf {
-		return nil, fmt.Errorf("ctree: meta truncated: %d leaves need %d bytes, have %d",
-			leafCount, leafCount*perLeaf, len(rest))
-	}
-	identity := true
-	t.leaves = make([]leaf, leafCount)
-	pages := make([]int64, leafCount)
-	var total int64
-	for i := 0; i < leafCount; i++ {
-		rec := rest[i*perLeaf:]
-		t.leaves[i] = leaf{
-			minKey: sortable.DecodeKey(rec),
-			count:  int(binary.LittleEndian.Uint32(rec[sortable.KeyBytes:])),
+	rest := buf[fixed:]
+	var counts []int
+	var pages []int64
+	if version < 5 {
+		const perLeaf = sortable.KeyBytes + 4 + 8
+		if len(rest) < 4 || (len(rest)-4)/perLeaf < int(binary.LittleEndian.Uint32(rest)) {
+			return nil, fmt.Errorf("ctree: meta truncated in the leaf directory")
 		}
-		pages[i] = int64(binary.LittleEndian.Uint64(rec[sortable.KeyBytes+4:]))
-		if pages[i] != int64(i) {
-			identity = false
+		leafCount := int(binary.LittleEndian.Uint32(rest))
+		rest = rest[4:]
+		counts, pages = make([]int, leafCount), make([]int64, leafCount)
+		for i := range counts {
+			rec := rest[i*perLeaf+sortable.KeyBytes:]
+			counts[i] = int(binary.LittleEndian.Uint32(rec))
+			pages[i] = int64(binary.LittleEndian.Uint64(rec[4:]))
 		}
-		total += int64(t.leaves[i].count)
-		if i > 0 && t.leaves[i].minKey.Less(t.leaves[i-1].minKey) {
-			return nil, fmt.Errorf("ctree: persisted directory out of order at leaf %d", i)
-		}
-	}
-	if total != t.count {
-		return nil, fmt.Errorf("ctree: persisted counts inconsistent: leaves hold %d, meta says %d", total, t.count)
-	}
-	if !identity {
-		t.pageOf = pages
-	}
-	if version >= 2 {
 		rest = rest[leafCount*perLeaf:]
-		if len(rest) < 1 {
-			return nil, fmt.Errorf("ctree: meta truncated at envelope flag")
-		}
-		envPresent := rest[0] == 1
-		rest = rest[1:]
-		if envPresent {
-			envBytes := leafCount * segments
-			if len(rest) < 2*envBytes {
+		if version >= 2 {
+			if len(rest) < 1 || rest[0] == 1 && len(rest)-1 < 2*leafCount*cfg.Segments {
 				return nil, fmt.Errorf("ctree: meta truncated in leaf envelopes")
 			}
-			t.synMin = append([]uint8(nil), rest[:envBytes]...)
-			t.synMax = append([]uint8(nil), rest[envBytes:2*envBytes]...)
-			rest = rest[2*envBytes:]
-			t.envOK = true
+			if rest[0] == 1 {
+				rest = rest[2*leafCount*cfg.Segments:]
+			}
+			rest = rest[1:]
 		}
+	}
+	if version >= 2 {
 		if len(rest) < 4 {
 			return nil, fmt.Errorf("ctree: meta truncated at synopsis length")
 		}
 		synLen := int(binary.LittleEndian.Uint32(rest))
-		rest = rest[4:]
+		if rest = rest[4:]; len(rest) < synLen {
+			return nil, fmt.Errorf("ctree: meta truncated in synopsis")
+		}
 		if synLen > 0 {
-			if len(rest) < synLen {
-				return nil, fmt.Errorf("ctree: meta truncated in synopsis")
-			}
 			syn, n, err := zonestat.Decode(rest[:synLen])
 			if err != nil {
 				return nil, err
 			}
-			if n != synLen {
-				return nil, fmt.Errorf("ctree: synopsis length mismatch: %d != %d", n, synLen)
-			}
 			// Inserts fold symbols decoded at the tree's shape into it.
-			if syn.Segments != segments || syn.Bits != bits {
-				return nil, fmt.Errorf("ctree: persisted synopsis is %dx%d bits, the tree %dx%d",
-					syn.Segments, syn.Bits, segments, bits)
+			if n != synLen || syn.Segments != cfg.Segments || syn.Bits != cfg.Bits {
+				return nil, fmt.Errorf("ctree: persisted synopsis is %dx%d bits in %d of %d bytes, the tree %dx%d",
+					syn.Segments, syn.Bits, n, synLen, cfg.Segments, cfg.Bits)
 			}
-			t.syn = syn
-			rest = rest[synLen:]
+			t.leaves.Syn = syn
 		}
-		if version >= 3 {
-			if len(rest) < 1 {
-				return nil, fmt.Errorf("ctree: meta truncated at packed flag")
-			}
-			t.packed = rest[0] == 1
-			t.opts.Compress = t.packed
-			rest = rest[1:]
-		}
+		rest = rest[synLen:]
 	}
-	if t.packed {
+	if version >= 3 {
+		if len(rest) < 1 {
+			return nil, fmt.Errorf("ctree: meta truncated at packed flag")
+		}
+		t.leaves.Packed, t.opts.Compress, rest = rest[0] == 1, rest[0] == 1, rest[1:]
+	}
+	if t.leaves.Packed {
 		var err error
-		if t.pb, err = record.NewPageBuilder(t.codec, disk.PageSize()); err != nil {
+		if t.pb, err = record.NewPageBuilder(t.store.Codec(), disk.PageSize()); err != nil {
 			return nil, fmt.Errorf("ctree: persisted packed tree: %w", err)
 		}
 	}
-	if !index.SymbolsBelow(t.synMin, bits) || !index.SymbolsBelow(t.synMax, bits) {
-		return nil, fmt.Errorf("ctree: persisted leaf envelope holds a symbol beyond %d bits", bits)
+	var err error
+	if version >= 5 {
+		t.leaves.Sum, err = run.DecodeSummary(rest, cfg, t.leaves.Count)
+	} else {
+		t.leaves, err = t.store.Load(t.leaves, counts, pages)
 	}
-	if version >= 4 {
-		if int64(len(rest)) != t.count*int64(segments) {
-			return nil, fmt.Errorf("ctree: persisted column is %d bytes, %d entries of %d segments need %d",
-				len(rest), t.count, segments, t.count*int64(segments))
-		}
-		if !index.SymbolsBelow(rest, bits) {
-			return nil, fmt.Errorf("ctree: persisted column holds a symbol beyond %d bits", bits)
-		}
-		t.buildGroups(append([]uint8(nil), rest...))
-	} else if err := t.rebuildColumn(); err != nil {
-		return nil, err
+	if err != nil {
+		return nil, fmt.Errorf("ctree: %w", err)
 	}
 	return t, nil
-}
-
-// rebuildColumn reads the SAX column back out of the leaf pages, in
-// directory order: what Open does for metadata older than the column.
-func (t *Tree) rebuildColumn() error {
-	w, bits := t.opts.Config.Segments, t.opts.Config.Bits
-	perPage := len(t.pageBuf) / t.codec.Size()
-	var column []uint8 // grown leaf by leaf: the directory's counts are unverified until each page is read
-	for li, l := range t.leaves {
-		if !t.packed && l.count > perPage {
-			return fmt.Errorf("ctree: leaf %d claims %d entries, a page holds %d", li, l.count, perPage)
-		}
-		entries, err := t.readLeaf(li)
-		if err != nil {
-			return fmt.Errorf("ctree: rebuilding the column from leaf %d: %w", li, err)
-		}
-		if len(entries) != l.count {
-			return fmt.Errorf("ctree: leaf %d holds %d entries, the directory says %d", li, len(entries), l.count)
-		}
-		for _, e := range entries {
-			syms := sortable.Symbols(e.Key, w, bits)
-			column = append(column, syms[:w]...)
-		}
-	}
-	t.buildGroups(column)
-	return nil
 }

@@ -69,7 +69,7 @@ func TestSaveOpenAfterSplits(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if tr.pageOf == nil {
+	if !splitMap(tr) {
 		t.Fatal("test needs splits to have occurred")
 	}
 	if err := tr.Save(); err != nil {
@@ -79,7 +79,7 @@ func TestSaveOpenAfterSplits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.pageOf == nil {
+	if !splitMap(got) {
 		t.Fatal("page map not restored")
 	}
 	s, _ := ds.Get(100)
@@ -97,6 +97,17 @@ func TestSaveOpenAfterSplits(t *testing.T) {
 	if got.nextID64 != tr.nextID64+1 {
 		t.Fatalf("nextID = %d, want %d", got.nextID64, tr.nextID64+1)
 	}
+}
+
+// splitMap reports whether a split has moved a leaf off the page its place
+// in key order names.
+func splitMap(tr *Tree) bool {
+	for li := 0; li < tr.Leaves(); li++ {
+		if tr.leaves.Sum.Phys(li) != int64(li) {
+			return true
+		}
+	}
+	return false
 }
 
 func TestSaveReplacesExistingMeta(t *testing.T) {
@@ -146,11 +157,11 @@ func TestOpenRejectsForeignSynopsisShape(t *testing.T) {
 	if _, err := decodeMeta(disk, "ctree", meta, normStore{ds}, metaVersion); err != nil {
 		t.Fatal(err)
 	}
-	// The synopsis is the last field before the packed flag and the column;
-	// its bits byte sits at offset 56 (a changed segments byte already fails
-	// the length check).
-	column := int(tr.count) * tr.opts.Config.Segments
-	meta[len(meta)-column-1-tr.syn.EncodedSize()+56]--
+	// The synopsis is the last field before the packed flag and the leaf
+	// summary; its bits byte sits at offset 56 (a changed segments byte
+	// already fails the length check).
+	summary := len(tr.leaves.Sum.AppendBinary(nil))
+	meta[len(meta)-summary-1-tr.leaves.Syn.EncodedSize()+56]--
 	if _, err := decodeMeta(disk, "ctree", meta, normStore{ds}, metaVersion); err == nil {
 		t.Fatal("synopsis bits changed: metadata still opens")
 	}

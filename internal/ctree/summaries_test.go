@@ -2,7 +2,7 @@ package ctree
 
 import (
 	"bytes"
-	"fmt"
+	"encoding/binary"
 	"math/rand"
 	"path/filepath"
 	"testing"
@@ -10,76 +10,22 @@ import (
 	"repro/internal/gen"
 	"repro/internal/index"
 	"repro/internal/series"
-	"repro/internal/sortable"
 	"repro/internal/storage"
 )
 
-// checkSummaries is the invariant of the resident summaries, checked
-// against the leaf pages themselves: the groups tile the directory, each
-// holding fewer than 2*groupLeaves leaves; the SAX column equals the
-// symbols of the entries decoded from the pages in directory order; each
-// leaf's envelope is exactly its entries' symbol range; and each group's
-// envelope is exactly the union of its leaves' envelopes.
-func checkSummaries(t *Tree) error {
-	w, bits := t.opts.Config.Segments, t.opts.Config.Bits
-	groups := len(t.grpStart) - 1
-	if groups < 0 || t.grpStart[0] != 0 || t.grpStart[groups] != len(t.leaves) || len(t.col) != groups {
-		return fmt.Errorf("groups %v (%d column groups) do not tile %d leaves", t.grpStart, len(t.col), len(t.leaves))
+// checkSummaries holds the tree's leaf summary to its leaf pages: the
+// invariant every summary keeps (run.Store.Verify) — columns, leaf and group
+// envelopes and page map are what the pages hold, the fence keys ascend, the
+// groups tile the leaves.
+func checkSummaries(t *Tree) error { return t.store.Verify(t.leaves) }
+
+// leafReads is a storage.Tracer counting the reads of a tree's leaf file.
+type leafReads struct{ n int }
+
+func (l *leafReads) Access(file string, _ int64, write bool) {
+	if file == "ctree.leaves" && !write {
+		l.n++
 	}
-	if t.envOK && (len(t.grpMin) != groups*w || len(t.grpMax) != groups*w || len(t.synMin) != len(t.leaves)*w || len(t.synMax) != len(t.leaves)*w) {
-		return fmt.Errorf("%d/%d group and %d/%d leaf envelope bytes for %d groups of %d leaves",
-			len(t.grpMin), len(t.grpMax), len(t.synMin), len(t.synMax), groups, len(t.leaves))
-	}
-	buf := make([]byte, t.opts.Disk.PageSize())
-	var total int64
-	for g := 0; g < groups; g++ {
-		lo, hi := t.grpStart[g], t.grpStart[g+1]
-		if hi <= lo || hi-lo >= 2*groupLeaves || len(t.col[g]) != hi-lo {
-			return fmt.Errorf("group %d holds leaves [%d, %d) and %d column slices", g, lo, hi, len(t.col[g]))
-		}
-		gmn, gmx := bytes.Repeat([]byte{255}, w), make([]uint8, w)
-		for li := lo; li < hi; li++ {
-			if got := t.groupOf(li); got != g {
-				return fmt.Errorf("groupOf(%d) = %d, want %d", li, got, g)
-			}
-			entries, err := t.readLeafBuf(li, buf)
-			if err != nil {
-				return err
-			}
-			if len(entries) != t.leaves[li].count {
-				return fmt.Errorf("leaf %d: page holds %d entries, directory says %d", li, len(entries), t.leaves[li].count)
-			}
-			total += int64(len(entries))
-			var want []uint8
-			mn, mx := bytes.Repeat([]byte{255}, w), make([]uint8, w)
-			for _, e := range entries {
-				syms := sortable.Symbols(e.Key, w, bits)
-				want = append(want, syms[:w]...)
-				widenEnv(mn, mx, syms[:w])
-			}
-			if got := t.leafSyms(g, li); !bytes.Equal(got, want) {
-				return fmt.Errorf("leaf %d: column %v, page symbols %v", li, got, want)
-			}
-			if !t.envOK {
-				continue
-			}
-			if lmn, lmx := t.leafEnv(li); !bytes.Equal(lmn, mn) || !bytes.Equal(lmx, mx) {
-				return fmt.Errorf("leaf %d: envelope [%v, %v], entries span [%v, %v]", li, lmn, lmx, mn, mx)
-			}
-			widenEnv(gmn, gmx, mn)
-			widenEnv(gmn, gmx, mx)
-		}
-		if !t.envOK {
-			continue
-		}
-		if mn, mx := t.groupEnv(g); !bytes.Equal(mn, gmn) || !bytes.Equal(mx, gmx) {
-			return fmt.Errorf("group %d: envelope [%v, %v], leaves span [%v, %v]", g, mn, mx, gmn, gmx)
-		}
-	}
-	if total != t.count {
-		return fmt.Errorf("leaves hold %d entries, tree says %d", total, t.count)
-	}
-	return nil
 }
 
 // summaryShapes are the builds the invariant is held on: both layouts,
@@ -114,8 +60,8 @@ func buildShape(t *testing.T, ds *series.Dataset, materialized, compress bool, f
 
 // TestSummariesFollowTheTree holds checkSummaries after a bulk load, while a
 // few thousand random inserts split leaves and groups, and across a
-// Save/Open round trip of the grown tree (meta v4: the column is decoded,
-// not rebuilt) — and the reopened tree keeps maintaining them.
+// Save/Open round trip of the grown tree (meta v5: the summary is decoded,
+// not rebuilt) — and the reopened tree keeps maintaining it.
 func TestSummariesFollowTheTree(t *testing.T) {
 	for _, sh := range summaryShapes {
 		t.Run(sh.name, func(t *testing.T) {
@@ -124,7 +70,7 @@ func TestSummariesFollowTheTree(t *testing.T) {
 			if err := checkSummaries(tr); err != nil {
 				t.Fatalf("after build: %v", err)
 			}
-			leaves, groups := tr.Leaves(), len(tr.grpStart)-1
+			leaves, groups := tr.Leaves(), tr.leaves.Sum.Groups()
 			rng := rand.New(rand.NewSource(72))
 			raw := tr.opts.Raw.(normStore)
 			insert := func(tr *Tree, n int) {
@@ -145,21 +91,22 @@ func TestSummariesFollowTheTree(t *testing.T) {
 			if err := checkSummaries(tr); err != nil {
 				t.Fatalf("after inserts: %v", err)
 			}
-			if tr.Leaves() <= leaves || len(tr.grpStart)-1 <= groups {
+			if tr.Leaves() <= leaves || tr.leaves.Sum.Groups() <= groups {
 				t.Fatalf("test needs leaf and group splits: leaves %d -> %d, groups %d -> %d",
-					leaves, tr.Leaves(), groups, len(tr.grpStart)-1)
+					leaves, tr.Leaves(), groups, tr.leaves.Sum.Groups())
 			}
 			if err := tr.Save(); err != nil {
 				t.Fatal(err)
 			}
-			before := tr.opts.Disk.Stats()
+			reads := &leafReads{}
+			tr.opts.Disk.(*storage.Disk).SetTracer(reads)
 			got, err := Open(tr.opts.Disk, "ctree", raw)
 			if err != nil {
 				t.Fatal(err)
 			}
-			after := tr.opts.Disk.Stats()
-			if reads := after.SeqReads + after.RandReads - before.SeqReads - before.RandReads; reads >= int64(tr.Leaves()) {
-				t.Fatalf("opening v%d metadata read %d pages of a %d-leaf tree: the column was rebuilt, not decoded", metaVersion, reads, tr.Leaves())
+			tr.opts.Disk.(*storage.Disk).SetTracer(nil)
+			if reads.n != 0 {
+				t.Fatalf("opening v%d metadata read %d leaf pages: the summary was rebuilt, not decoded", metaVersion, reads.n)
 			}
 			if err := checkSummaries(got); err != nil {
 				t.Fatalf("after Save/Open: %v", err)
@@ -173,7 +120,7 @@ func TestSummariesFollowTheTree(t *testing.T) {
 }
 
 // TestSummariesOfATreeGrownFromNothing: the first insert into an empty tree
-// creates leaf, column slice and group together.
+// creates leaf, columns and group together.
 func TestSummariesOfATreeGrownFromNothing(t *testing.T) {
 	for _, compress := range []bool{false, true} {
 		ds := series.NewDataset(64)
@@ -192,12 +139,13 @@ func TestSummariesOfATreeGrownFromNothing(t *testing.T) {
 
 // The committed fixtures under testdata/ are whole disk snapshots (512-byte
 // pages: leaf file and metadata) written by the code as it stood at meta v3,
-// before the column existed — the v2 one is a v3 file with its version
-// lowered and its packed flag dropped, which is all v3 added: 300
-// non-materialized series (buildDataset seed 701) bulk-loaded, then 40
-// inserted (seed 702), enough to split leaves, so the page map is not the
-// identity. Open must rebuild the column from the leaf pages and derive the
-// groups.
+// before the column existed, and at meta v4, before the summary was one
+// type — the v2 one is a v3 file with its version lowered and its packed
+// flag dropped, which is all v3 added: 300 non-materialized series
+// (buildDataset seed 701) bulk-loaded at timestamp 0, then 40 inserted
+// (seed 702) at timestamp 5, enough to split leaves, so the page map is not
+// the identity. Open must rebuild the whole summary — timestamp column
+// included, which no version before 5 stored — from the leaf pages.
 func TestOpenOlderMetaRebuildsSummaries(t *testing.T) {
 	for _, fx := range []struct {
 		file    string
@@ -229,8 +177,8 @@ func TestOpenOlderMetaRebuildsSummaries(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if tr.packed != fx.packed || tr.Count() != 340 || !tr.envOK || tr.pageOf == nil {
-				t.Fatalf("opened packed=%v count=%d envOK=%v pageOf=%v", tr.packed, tr.Count(), tr.envOK, tr.pageOf)
+			if tr.leaves.Packed != fx.packed || tr.Count() != 340 || !splitMap(tr) {
+				t.Fatalf("opened packed=%v count=%d split page map=%v", tr.leaves.Packed, tr.Count(), splitMap(tr))
 			}
 			if err := checkSummaries(tr); err != nil {
 				t.Fatal(err)
@@ -274,35 +222,65 @@ func TestOpenOlderMetaRebuildsSummaries(t *testing.T) {
 	}
 }
 
-// FuzzDecodeMetaV4 feeds arbitrary bytes to the v4 metadata decoder over a
-// disk that holds a leaf file: it must fail cleanly or yield a tree whose
-// resident summaries are shaped for its directory — never panic, never size
-// an allocation from a count the payload does not back. The committed
-// corpus (testdata/fuzz/FuzzDecodeMetaV4) holds the payloads of a fixed and
-// a packed tree (40 series, 8 segments of 6 bits) and, of each, truncations
-// at the column and in the directory, a symbol beyond the cardinality in the
-// column and in a leaf envelope, and an inflated leaf count.
+// FuzzDecodeMetaV4 feeds arbitrary bytes to the metadata decoder, as version
+// 4 or 5, over a disk that holds an empty leaf file: it must fail cleanly or
+// yield a tree whose leaf summary is shaped for its count — never panic,
+// never size an allocation from a count the payload does not back, never
+// keep a symbol beyond the cardinality. (It keeps the name of the version it
+// was written for.) A v4 payload cannot yield a tree here: its summary is
+// rebuilt from leaf pages the disk does not have. A v5 one yields a summary
+// whose encoding (run.Summary.AppendBinary, parsed here by its documented
+// layout) has at least one entry a page, the tree's count in all and no
+// symbol beyond the cardinality, and which decodes to the same encoding
+// again. The committed corpus (testdata/fuzz/FuzzDecodeMetaV4) holds the v4
+// payloads of a fixed and a packed tree (40 series, 8 segments of 6 bits)
+// and, of each, truncations at the column and in the directory, a symbol
+// beyond the cardinality in the column and in a leaf envelope, and an
+// inflated leaf count; and (v5-*) the v5 payloads of such trees and, of
+// each, truncations inside the SAX column and inside the timestamp column, a
+// timestamp column one entry short, a symbol beyond the cardinality in the
+// column and in a leaf envelope, and an inflated page count.
 func FuzzDecodeMetaV4(f *testing.F) {
 	disk := storage.NewDisk(1024)
 	if err := disk.Create("ctree.leaves"); err != nil {
 		f.Fatal(err)
 	}
-	f.Fuzz(func(t *testing.T, payload []byte) {
-		tr, err := decodeMeta(disk, "ctree", payload, nil, 4)
+	f.Fuzz(func(t *testing.T, v5 bool, payload []byte) {
+		version := uint32(4)
+		if v5 {
+			version = 5
+		}
+		tr, err := decodeMeta(disk, "ctree", payload, nil, version)
 		if err != nil {
 			return
 		}
-		w, bits := tr.opts.Config.Segments, tr.opts.Config.Bits
-		if tr.grpStart[len(tr.grpStart)-1] != len(tr.leaves) || len(tr.col) != len(tr.grpStart)-1 {
-			t.Fatalf("groups %v (%d column groups) over %d leaves", tr.grpStart, len(tr.col), len(tr.leaves))
+		if !v5 {
+			t.Fatalf("a v4 payload opened without its leaf pages")
 		}
-		for li, l := range tr.leaves {
-			if syms := tr.leafSyms(tr.groupOf(li), li); len(syms) != l.count*w || !symbolsBelow(syms, bits) {
-				t.Fatalf("leaf %d: column %v for %d entries of %d segments, %d bits", li, syms, l.count, w, bits)
+		meta := tr.encodeMeta()
+		synLen := int(binary.LittleEndian.Uint32(meta[45:]))
+		sum := meta[45+4+synLen+1:]
+		w, bits, count := tr.opts.Config.Segments, tr.opts.Config.Bits, tr.Count()
+		pages := int(binary.LittleEndian.Uint32(sum))
+		if pages != tr.Leaves() {
+			t.Fatalf("summary of %d pages encodes %d", tr.Leaves(), pages)
+		}
+		var total int64
+		for p := 0; p < pages; p++ {
+			n := int(binary.LittleEndian.Uint32(sum[4+12*p:]))
+			if n < 1 || n != tr.leaves.Sum.Entries(p) {
+				t.Fatalf("page %d encodes %d entries, the summary holds %d", p, n, tr.leaves.Sum.Entries(p))
 			}
+			total += int64(n)
+			tr.leaves.Sum.FirstKey(p)
 		}
-		if !symbolsBelow(tr.synMin, bits) || !symbolsBelow(tr.synMax, bits) {
-			t.Fatalf("decoded a leaf envelope symbol beyond %d bits", bits)
+		syms := sum[4+12*pages:]
+		if total != count || int64(len(syms)) != int64(2*pages*w)+count*int64(w+8) || !index.SymbolsBelow(syms[:2*pages*w+int(count)*w], bits) {
+			t.Fatalf("summary of %d entries in %d pages is %d bytes of envelopes and columns, or holds a symbol beyond %d bits", total, pages, len(syms), bits)
+		}
+		again, err := decodeMeta(disk, "ctree", meta, nil, metaVersion)
+		if err != nil || !bytes.Equal(again.encodeMeta(), meta) {
+			t.Fatalf("re-encoded metadata does not decode to itself: %v", err)
 		}
 	})
 }

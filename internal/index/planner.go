@@ -30,7 +30,7 @@ import (
 // skips equal to the planner's counter delta. What an index variant
 // contributes is how to bound a unit and how to probe it. (CTree's leaf
 // skipping is a different, run-length-aware algorithm — see
-// ctree.skipRuns.)
+// run.Store.Scan.)
 
 // PlanUnit pairs a probe unit's index in the caller's unit list with its
 // squared envelope lower bound, for sorting into probe order.

@@ -2,11 +2,6 @@ package run
 
 import "sync/atomic"
 
-// SetPageKeyBounds switches the reference-search hook (pageKeyBounds) for
-// the external equivalence tests, which reach runs through the facade's LSM
-// and streams. Set it only while no search is in flight.
-func SetPageKeyBounds(on bool) { pageKeyBounds = on }
-
 var probePins atomic.Int64
 
 // SetPinnedProbe switches the page-pinning probe (onProbePin), whose pins

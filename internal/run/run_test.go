@@ -1,13 +1,11 @@
 package run
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
-	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -19,7 +17,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/record"
 	"repro/internal/series"
-	"repro/internal/sortable"
 	"repro/internal/storage"
 	"repro/internal/zonestat"
 )
@@ -142,59 +139,6 @@ func flatten(pages [][]record.Entry) []record.Entry {
 	return out
 }
 
-// checkSummary is the invariant of a run's resident summary, checked against
-// the file itself as readPages decodes it: the SAX and timestamp columns are
-// the entries' symbols and timestamps in file order, each page's envelope is
-// exactly its entries' symbol range, and the page spans tile the entries as
-// the pages hold them.
-func checkSummary(t *testing.T, disk *storage.Disk, r Run) {
-	t.Helper()
-	m := r.sum
-	if m == nil {
-		t.Fatalf("%s: no resident summary", r.File)
-	}
-	w, bits := testCfg.Segments, testCfg.Bits
-	pages := readPages(t, disk, r)
-	if m.pages() != len(pages) || (r.Packed && len(m.starts) != len(pages)) || (!r.Packed && m.starts != nil) {
-		t.Fatalf("%s: summary of %d pages (%d starts), file has %d", r.File, m.pages(), len(m.starts), len(pages))
-	}
-	var syms []uint8
-	var tss []int64
-	next := 0
-	for p, page := range pages {
-		if lo, hi := m.span(p); lo != next || hi != next+len(page) {
-			t.Fatalf("%s page %d: span [%d, %d), file holds entries [%d, %d)", r.File, p, lo, hi, next, next+len(page))
-		}
-		next += len(page)
-		mn, mx := bytes.Repeat([]byte{255}, w), make([]uint8, w)
-		for _, e := range page {
-			es := sortable.Symbols(e.Key, w, bits)
-			syms = append(syms, es[:w]...)
-			tss = append(tss, e.TS)
-			index.WidenEnvelope(mn, mx, es[:w])
-		}
-		if gmn, gmx := m.env(p); !bytes.Equal(gmn, mn) || !bytes.Equal(gmx, mx) {
-			t.Fatalf("%s page %d: envelope [%v, %v], entries span [%v, %v]", r.File, p, gmn, gmx, mn, mx)
-		}
-		if got := m.firstKey(p); got != page[0].Key {
-			t.Fatalf("%s page %d: fence key %v, first entry's %v", r.File, p, got, page[0].Key)
-		}
-	}
-	if int64(next) != r.Count || !bytes.Equal(m.syms, syms) || !slices.Equal(m.ts, tss) {
-		t.Fatalf("%s: columns of %d entries differ from the file's %d", r.File, len(m.ts), next)
-	}
-	// What a pass over the file rebuilds — the summary of a reopened index —
-	// is the same value.
-	s := NewStore(disk, nil, testCfg, nil)
-	loaded, err := s.Load(Run{File: r.File, Count: r.Count, Syn: r.Syn, Packed: r.Packed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(loaded, r) {
-		t.Fatalf("%s: Load rebuilds %+v, the writer built %+v", r.File, loaded.sum, r.sum)
-	}
-}
-
 func sameEntries(t *testing.T, what string, got, want []record.Entry) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -297,8 +241,16 @@ func TestRunTable(t *testing.T) {
 				if got := disk.Stats(); got != want.write {
 					t.Errorf("write stats %+v, parent %+v", got, want.write)
 				}
-				if n, err := s.Pages(r); err != nil || int64(n) != want.pages {
-					t.Fatalf("Pages = %d, %v; parent wrote %d", n, err, want.pages)
+				if n := r.Sum.Pages(); int64(n) != want.pages {
+					t.Fatalf("Pages = %d; parent wrote %d", n, want.pages)
+				}
+				if err := s.Verify(r); err != nil {
+					t.Fatal(err)
+				}
+				// What a pass over the file rebuilds — the summary of a
+				// reopened index — is the value the writer built.
+				if loaded, err := s.Load(Run{File: r.File, Count: r.Count, Syn: r.Syn, Packed: r.Packed}, nil, nil); err != nil || !reflect.DeepEqual(loaded, r) {
+					t.Fatalf("Load rebuilds %+v (%v), the writer built %+v", loaded.Sum, err, r.Sum)
 				}
 				pages := readPages(t, disk, r)
 				sameEntries(t, "written run", flatten(pages), entries)
@@ -425,7 +377,9 @@ func TestRunMerge(t *testing.T) {
 				if !reflect.DeepEqual(m.Syn, union) {
 					t.Errorf("merged synopsis %+v, the inputs' union %+v", m.Syn, union)
 				}
-				checkSummary(t, disk, m)
+				if err := s.Verify(m); err != nil {
+					t.Fatal(err)
+				}
 				for i, in := range inputs {
 					sameEntries(t, in.File, flatten(readPages(t, disk, in)), [][]record.Entry{a, b, c}[i])
 				}
@@ -488,7 +442,9 @@ func TestFaultInjectionLeavesNoFile(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkSummary(t, disk, out)
+			if err := s.Verify(out); err != nil {
+				t.Fatal(err)
+			}
 		})
 	}
 }
@@ -539,7 +495,7 @@ func TestRunScanTraceMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pages, _ := s.Pages(r)
+		pages := r.Sum.Pages()
 		for i, q := range testQueries(6, 99) {
 			trace := func(reference bool, scan func(q index.Query, sc *index.Scratch) error) *obs.TraceSnapshot {
 				SetPageKeyBounds(reference)
@@ -595,7 +551,7 @@ func TestRunScanTraceMatchesReference(t *testing.T) {
 func TestLoadChecksTheCount(t *testing.T) {
 	entries, _ := testEntries(300, 7)
 	for _, packed := range []bool{false, true} {
-		s, disk, _ := newStore(t, "heap", nil)
+		s, _, _ := newStore(t, "heap", nil)
 		r, err := s.Write("r", entries, packed)
 		if err != nil {
 			t.Fatal(err)
@@ -605,10 +561,12 @@ func TestLoadChecksTheCount(t *testing.T) {
 			if !packed && off < testPageSize/int64(testCfg.Codec().Size()) {
 				continue // a fixed-size file carries no counts: only its length can disagree
 			}
-			if got, err := s.Load(bad); err == nil {
+			if got, err := s.Load(bad, nil, nil); err == nil {
 				t.Errorf("packed=%v: Load accepted a count of %d for a file of %d entries: %+v", packed, bad.Count, r.Count, got)
 			}
 		}
-		checkSummary(t, disk, r)
+		if err := s.Verify(r); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -1,6 +1,12 @@
 package run
 
 import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"slices"
+	"sort"
+
 	"repro/internal/index"
 	"repro/internal/record"
 	"repro/internal/sax"
@@ -8,134 +14,521 @@ import (
 	"repro/internal/zonestat"
 )
 
-// summary is the resident image of one sorted run: the paper's in-memory
-// summarization array (SIMS), which lets a scan prune over small summaries
-// while the file beneath is read sequentially. A scan descends its levels
-// before it reads a byte of a page: the page's symbol envelope rules out the
-// whole page, then the SAX and timestamp columns filter and bound each entry,
-// and the page itself is touched only to verify a survivor.
+// Summary is the resident image of one page-ordered file — a sorted run or
+// a CTree's leaf level: the paper's in-memory summarization array (SIMS). A
+// scan consults it before it reads a byte of a page: a group's envelope rules
+// out its pages at once, a page's envelope the page, the SAX and timestamp
+// columns each entry, and the page is touched only to verify a survivor.
 //
-// A summary is built by the pass that writes the run (summarizer), is
-// immutable from then on, is shared by every copy of its Run value and goes
-// with the last of them. Nothing of it is stored: a run described by
-// metadata gets its summary back from one sequential pass over the file
-// (Store.Load).
-type summary struct {
+// It is built by the pass that writes its file (Builder), by one pass over
+// the file (Store.Load), or decoded (DecodeSummary). A run's is immutable
+// from then on and shared by every copy of its Run; a CTree's insert path
+// changes its own through Insert and Split.
+type Summary struct {
 	segs, bits int
-	// syms is the SAX column: every entry's symbols in file order, segs
-	// bytes each, as sortable.Symbols gives them for its key — the form the
-	// per-entry lower bound takes. An entry's key is the interleaving of its
-	// symbols, so the column also holds every page's first key (firstKey):
-	// the fence keys a probe searches.
-	syms []uint8
-	// ts is the timestamp column, one an entry in file order.
-	ts []int64
+	// cnt is each page's entry count, pages in key order.
+	cnt []int
 	// envMin/envMax are flat per-page symbol envelopes (zone maps): page p's
 	// occupies [p*segs, (p+1)*segs).
 	envMin, envMax []uint8
-	// perPage is the fixed-size entries to a page, which locates page p's
-	// entries; a packed run (perPage 0) holds a data-dependent number, so
-	// starts records the index of each page's first entry.
-	perPage int
-	starts  []int
+	// pageOf maps a page to its page number in the file: nil, the identity,
+	// until a CTree split appends a page at the file's end.
+	pageOf []int64
+	// grp tiles the pages into groups, the unit the columns are stored by, so
+	// that an insert moves one group's bytes and a split one group's slots.
+	// grpMin/grpMax are their envelopes (their pages' union), at g*segs.
+	grp            []group
+	grpMin, grpMax []uint8
 }
 
-func (m *summary) pages() int { return len(m.envMin) / m.segs }
+// group is groupPages consecutive pages when built. A split adds its new
+// page to the old one's group, so no other group's membership shifts; a
+// group grown to twice that is halved.
+type group struct {
+	first int // its first page; the next group's (or the page count) ends it
+	// syms is the SAX column: the entries' symbols in page order, segs bytes
+	// each, as sortable.Symbols gives them. A key is the interleaving of its
+	// symbols, so the column also holds the fence keys (FirstKey).
+	syms []uint8
+	ts   []int64 // the timestamp column, one an entry
+}
 
-// span returns the file-order positions [lo, hi) of page p's entries.
-func (m *summary) span(p int) (lo, hi int) {
-	if m.perPage > 0 {
-		lo = p * m.perPage
-		return lo, min(lo+m.perPage, len(m.ts))
+const groupPages = 16
+
+// interiorSkipRun is the shortest interior run of dead pages worth leaving
+// unread: skipping m pages mid-range saves m sequential reads but turns the
+// next read into a random one (10x under the default cost model). Runs at
+// the start or end of a scanned range are free to skip.
+const interiorSkipRun = 12
+
+// pageKeyBounds is a test hook, not an option: scans run as they did before
+// the summaries — every entry bounded and window-filtered from its page's
+// bytes, and an envelope tested only where it decides a skip. The
+// equivalence suites hold every index's resident scans to it: same answers,
+// same page accesses in the same order.
+var pageKeyBounds bool
+
+// SetPageKeyBounds switches the reference hook. Set it only while no search
+// is in flight.
+func SetPageKeyBounds(on bool) { pageKeyBounds = on }
+
+// Pages returns the number of pages summarized.
+func (m *Summary) Pages() int { return len(m.cnt) }
+
+// Groups returns the number of page groups.
+func (m *Summary) Groups() int { return len(m.grp) }
+
+// Entries returns page p's entry count.
+func (m *Summary) Entries(p int) int { return m.cnt[p] }
+
+// Phys returns page p's page number in the file.
+func (m *Summary) Phys(p int) int64 {
+	if m.pageOf == nil {
+		return int64(p)
 	}
-	if p+1 < len(m.starts) {
-		return m.starts[p], m.starts[p+1]
+	return m.pageOf[p]
+}
+
+// FirstKey returns the key of page p's first entry: its fence key.
+func (m *Summary) FirstKey(p int) sortable.Key {
+	g, off := m.locate(p)
+	return m.key(m.grp[g].syms[off*m.segs:])
+}
+
+func (m *Summary) key(syms []uint8) sortable.Key {
+	return sortable.Interleave(sax.Word{Symbols: syms[:m.segs], Bits: m.bits})
+}
+
+// end returns the page that ends group g.
+func (m *Summary) end(g int) int {
+	if g+1 < len(m.grp) {
+		return m.grp[g+1].first
 	}
-	return m.starts[p], len(m.ts)
+	return len(m.cnt)
 }
 
-// env returns page p's symbol envelope.
-func (m *summary) env(p int) (minSym, maxSym []uint8) {
-	return m.envMin[p*m.segs : (p+1)*m.segs], m.envMax[p*m.segs : (p+1)*m.segs]
-}
-
-// firstKey returns the key of page p's first entry.
-func (m *summary) firstKey(p int) sortable.Key {
-	lo, _ := m.span(p)
-	return sortable.Interleave(sax.Word{Symbols: m.syms[lo*m.segs : (lo+1)*m.segs], Bits: m.bits})
-}
-
-// inWindow counts page p's entries inside q's window.
-func (m *summary) inWindow(q *index.Query, p int) int64 {
-	lo, hi := m.span(p)
-	if !q.Windowed {
-		return int64(hi - lo)
+// locate returns page p's group and the offset of its first entry in the
+// group's columns.
+func (m *Summary) locate(p int) (g, off int) {
+	g = sort.Search(len(m.grp), func(g int) bool { return m.grp[g].first > p }) - 1
+	for _, n := range m.cnt[m.grp[g].first:p] {
+		off += n
 	}
-	var n int64
-	for _, ts := range m.ts[lo:hi] {
-		if ts >= q.MinTS && ts <= q.MaxTS {
-			n++
-		}
+	return g, off
+}
+
+// env returns envelope i of the flat arrays mins/maxs.
+func (m *Summary) env(mins, maxs []uint8, i int) (minSym, maxSym []uint8) {
+	return mins[i*m.segs : (i+1)*m.segs], maxs[i*m.segs : (i+1)*m.segs]
+}
+
+// span returns the page range of the file that holds pages [lo, hi).
+func (m *Summary) span(lo, hi int) (from, to int64) {
+	if m.pageOf == nil {
+		return int64(lo), int64(hi)
 	}
-	return n
-}
-
-// attach hands page p's slices of the columns to the page cursor, which then
-// reads the page's bytes only to verify a survivor.
-func (m *summary) attach(pg *index.Page, p int) {
-	lo, hi := m.span(p)
-	pg.UseSymbols(m.syms[lo*m.segs:hi*m.segs], m.segs)
-	pg.UseTimestamps(m.ts[lo:hi])
-}
-
-// summarizer builds a run's summary, and its synopsis when it has one to
-// build, from the entries in file order: observe is the one per-entry hook of
-// the run writer (extsort.Observer), so each key is transposed once, for both.
-type summarizer struct {
-	sum *summary
-	syn *zonestat.Synopsis // nil: the caller keeps the synopsis it has
-}
-
-// summarizer returns a builder for a run of count entries in the given
-// encoding.
-func (s *Store) summarizer(count int64, packed bool, syn *zonestat.Synopsis) *summarizer {
-	w := s.Config.Segments
-	m := &summary{
-		segs: w, bits: s.Config.Bits,
-		syms: make([]uint8, 0, int(count)*w),
-		ts:   make([]int64, 0, count),
+	from, to = m.pageOf[lo], m.pageOf[lo]+1
+	for _, p := range m.pageOf[lo+1 : hi] {
+		from, to = min(from, p), max(to, p+1)
 	}
-	if !packed {
-		m.perPage = s.perPage
-		pages := (int(count) + s.perPage - 1) / s.perPage
-		m.envMin, m.envMax = make([]uint8, 0, pages*w), make([]uint8, 0, pages*w)
-	}
-	return &summarizer{sum: m, syn: syn}
+	return from, to
 }
 
-func (b *summarizer) observe(e record.Entry, pageStart bool) {
-	m := b.sum
+// Builder builds a summary, and a synopsis when handed one, from a file's
+// entries in file order: Observe is the file writer's per-entry hook
+// (extsort.Observer), so each key is transposed once, for both.
+type Builder struct {
+	m    Summary
+	syms []uint8
+	ts   []int64
+	syn  *zonestat.Synopsis
+}
+
+// NewBuilder returns a builder for a file of count entries of cfg's shape,
+// about perPage to a page: what it is sized for, one allocation per kind of
+// array, the four envelope arrays sharing one.
+func NewBuilder(cfg index.Config, count int64, perPage int, syn *zonestat.Synopsis) *Builder {
+	perPage = max(perPage, 1) // a packed page may hold what no fixed-size one can
+	pages := int((count + int64(perPage) - 1) / int64(perPage))
+	w, groups := cfg.Segments, (pages+groupPages-1)/groupPages
+	env, p, g := make([]uint8, 0, 2*(pages+groups)*w), pages*w, groups*w
+	return &Builder{m: Summary{segs: w, bits: cfg.Bits, cnt: make([]int, 0, pages), grp: make([]group, 0, groups),
+		envMin: env[:0:p], envMax: env[p : p : 2*p], grpMin: env[2*p : 2*p : 2*p+g], grpMax: env[2*p+g : 2*p+g : 2*p+2*g]},
+		syms: make([]uint8, 0, int(count)*w), ts: make([]int64, 0, count), syn: syn}
+}
+
+// Observe takes the next entry of the file, which opens a page if pageStart.
+func (b *Builder) Observe(e record.Entry, pageStart bool) {
+	m := &b.m
 	arr := sortable.Symbols(e.Key, m.segs, m.bits)
 	syms := arr[:m.segs]
 	if b.syn != nil {
 		b.syn.AddSyms(e.Key, syms, e.TS)
 	}
 	if pageStart {
-		if m.perPage == 0 {
-			m.starts = append(m.starts, len(m.ts))
-		}
+		m.cnt = append(m.cnt, 0)
 		m.envMin = append(m.envMin, syms...)
 		m.envMax = append(m.envMax, syms...)
 	} else {
-		last := len(m.envMin) - m.segs
-		index.WidenEnvelope(m.envMin[last:], m.envMax[last:], syms)
+		mn, mx := m.env(m.envMin, m.envMax, len(m.cnt)-1)
+		index.WidenEnvelope(mn, mx, syms)
 	}
-	m.syms = append(m.syms, syms...)
-	m.ts = append(m.ts, e.TS)
+	m.cnt[len(m.cnt)-1]++
+	b.syms = append(b.syms, syms...)
+	b.ts = append(b.ts, e.TS)
 }
 
-// run returns the descriptor of the run the builder has watched being
-// written.
-func (b *summarizer) run(file string, packed bool) Run {
-	return Run{File: file, Count: int64(len(b.sum.ts)), Syn: b.syn, Packed: packed, sum: b.sum}
+// Run returns the descriptor of the file the builder has watched being
+// written, with its summary.
+func (b *Builder) Run(file string, packed bool) Run {
+	b.m.groupBy(b.syms, b.ts)
+	return Run{File: file, Count: int64(len(b.ts)), Syn: b.syn, Packed: packed, Sum: &b.m}
+}
+
+// groupBy tiles the pages into groups of groupPages, each given its slice of
+// syms and ts (every entry's symbols and timestamp, in page order) capped at
+// its end, so that growing one group never writes into the next.
+func (m *Summary) groupBy(syms []uint8, ts []int64) {
+	w, off := m.segs, 0
+	m.grp = m.grp[:0]
+	for p := 0; p < len(m.cnt); p += groupPages {
+		end := off
+		for _, n := range m.cnt[p:min(p+groupPages, len(m.cnt))] {
+			end += n
+		}
+		m.grp = append(m.grp, group{first: p, syms: syms[off*w : end*w : end*w], ts: ts[off:end:end]})
+		off = end
+	}
+	m.grpMin, m.grpMax = append(m.grpMin[:0], make([]uint8, len(m.grp)*w)...), append(m.grpMax[:0], make([]uint8, len(m.grp)*w)...)
+	for g := range m.grp {
+		m.setGroupEnv(g)
+	}
+}
+
+// setGroupEnv makes group g's envelope the union of its pages'.
+func (m *Summary) setGroupEnv(g int) {
+	mn, mx := m.env(m.grpMin, m.grpMax, g)
+	lo, hi := m.grp[g].first*m.segs, m.end(g)*m.segs
+	index.SetEnvelope(mn, mx, m.envMin[lo:hi])
+	for off := lo; off < hi; off += m.segs {
+		index.WidenEnvelope(mn, mx, m.envMax[off:off+m.segs])
+	}
+}
+
+// setEnv makes page p's envelope exactly its entries' symbol range.
+func (m *Summary) setEnv(p int) {
+	g, off := m.locate(p)
+	mn, mx := m.env(m.envMin, m.envMax, p)
+	index.SetEnvelope(mn, mx, m.grp[g].syms[off*m.segs:(off+m.cnt[p])*m.segs])
+}
+
+// Find returns the page whose key range holds k — the last whose first key
+// is not above it, or page 0 — by binary search over the fence keys: the
+// groups', then one group's pages'. It reads no page.
+func (m *Summary) Find(k sortable.Key) int {
+	g := sort.Search(len(m.grp), func(g int) bool { return k.Less(m.key(m.grp[g].syms)) }) - 1
+	if g < 0 {
+		return 0
+	}
+	gr := &m.grp[g]
+	pages := m.cnt[gr.first:m.end(g)]
+	var at [2 * groupPages]int // each page's offset in the group's columns
+	for i := 1; i < len(pages); i++ {
+		at[i] = at[i-1] + pages[i-1]
+	}
+	return gr.first + sort.Search(len(pages)-1, func(i int) bool { return k.Less(m.key(gr.syms[at[i+1]*m.segs:])) })
+}
+
+// Insert follows entry e's insertion into page p of a CTree's leaf level at
+// position i: the columns take its symbols and timestamp, and the page's and
+// group's envelopes widen by it, which is what recomputing them would give.
+func (m *Summary) Insert(p, i int, e record.Entry) {
+	arr := sortable.Symbols(e.Key, m.segs, m.bits)
+	syms := arr[:m.segs]
+	if len(m.cnt) == 0 { // an empty leaf level's first entry opens its first page
+		m.cnt, m.grp = []int{0}, []group{{}}
+		m.envMin, m.envMax, m.grpMin, m.grpMax = slices.Clone(syms), slices.Clone(syms), slices.Clone(syms), slices.Clone(syms)
+	}
+	g, off := m.locate(p)
+	gr := &m.grp[g]
+	gr.syms = slices.Insert(gr.syms, (off+i)*m.segs, syms...)
+	gr.ts = slices.Insert(gr.ts, off+i, e.TS)
+	m.cnt[p]++
+	mn, mx := m.env(m.envMin, m.envMax, p)
+	index.WidenEnvelope(mn, mx, syms)
+	mn, mx = m.env(m.grpMin, m.grpMax, g)
+	index.WidenEnvelope(mn, mx, syms)
+}
+
+// Split follows the split of page p of a CTree's leaf level: its entries end
+// at mid, the rest are a new page p+1, appended to the file as page phys.
+// The new page joins p's group, whose envelope already covers every entry
+// involved; a group that has reached twice its built size is then halved.
+func (m *Summary) Split(p, mid int, phys int64) {
+	w := m.segs
+	for len(m.pageOf) < len(m.cnt) { // the identity, nil until now
+		m.pageOf = append(m.pageOf, int64(len(m.pageOf)))
+	}
+	m.pageOf = slices.Insert(m.pageOf, p+1, phys)
+	m.cnt = slices.Insert(m.cnt, p+1, m.cnt[p]-mid)
+	m.cnt[p] = mid
+	m.envMin = slices.Insert(m.envMin, (p+1)*w, make([]uint8, w)...)
+	m.envMax = slices.Insert(m.envMax, (p+1)*w, make([]uint8, w)...)
+	g, _ := m.locate(p)
+	for k := g + 1; k < len(m.grp); k++ {
+		m.grp[k].first++
+	}
+	m.setEnv(p)
+	m.setEnv(p + 1)
+	first, end := m.grp[g].first, m.end(g)
+	if end-first < 2*groupPages {
+		return
+	}
+	_, off := m.locate(first + (end-first)/2)
+	gr := &m.grp[g]
+	upper := group{first: first + (end-first)/2, syms: slices.Clone(gr.syms[off*w:]), ts: slices.Clone(gr.ts[off:])}
+	gr.syms, gr.ts = gr.syms[:off*w], gr.ts[:off]
+	m.grp = slices.Insert(m.grp, g+1, upper)
+	m.grpMin = slices.Insert(m.grpMin, (g+1)*w, make([]uint8, w)...)
+	m.grpMax = slices.Insert(m.grpMax, (g+1)*w, make([]uint8, w)...)
+	m.setGroupEnv(g)
+	m.setGroupEnv(g + 1)
+}
+
+// AppendBinary appends the summary's persistent form:
+//
+//	pages u32 | per page: entries u32 | page number u64
+//	| envelope minima pages*segs B | maxima pages*segs B
+//	| SAX column entries*segs B | timestamp column entries*8 B
+//
+// The groups are not stored: DecodeSummary derives them.
+func (m *Summary) AppendBinary(buf []byte) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(m.cnt)))
+	for p, n := range m.cnt {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(n))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(m.Phys(p)))
+	}
+	buf = append(append(buf, m.envMin...), m.envMax...)
+	for _, gr := range m.grp {
+		buf = append(buf, gr.syms...)
+	}
+	for _, gr := range m.grp {
+		for _, t := range gr.ts {
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(t))
+		}
+	}
+	return buf
+}
+
+// DecodeSummary decodes the summary AppendBinary wrote (all of buf) of a
+// file of count entries of cfg's shape. Every count is checked against the
+// bytes before anything is sized by it, every symbol against the
+// cardinality: the lower-bound kernels index tables with them.
+func DecodeSummary(buf []byte, cfg index.Config, count int64) (*Summary, error) {
+	w := cfg.Segments
+	if len(buf) < 4 || (len(buf)-4)/12 < int(binary.LittleEndian.Uint32(buf)) {
+		return nil, fmt.Errorf("run: summary truncated in its page directory")
+	}
+	pages := int(binary.LittleEndian.Uint32(buf))
+	buf = buf[4:]
+	m := &Summary{segs: w, bits: cfg.Bits, cnt: make([]int, pages), pageOf: make([]int64, pages)}
+	var total int64
+	for p := range m.cnt {
+		m.cnt[p] = int(binary.LittleEndian.Uint32(buf[p*12:]))
+		m.pageOf[p] = int64(binary.LittleEndian.Uint64(buf[p*12+4:]))
+		if m.cnt[p] < 1 {
+			return nil, fmt.Errorf("run: summary page %d holds no entries", p)
+		}
+		total += int64(m.cnt[p])
+	}
+	m.pageOf = mapOrNil(m.pageOf)
+	buf = buf[pages*12:]
+	envs := 2 * pages * w
+	if want := int64(envs) + count*int64(w+8); total != count || int64(len(buf)) != want {
+		return nil, fmt.Errorf("run: summary of %d entries (the file: %d) in %d pages has %d bytes of envelopes and columns, want %d", total, count, pages, len(buf), want)
+	}
+	if !index.SymbolsBelow(buf[:envs+int(count)*w], cfg.Bits) {
+		return nil, fmt.Errorf("run: summary holds a symbol beyond %d bits", cfg.Bits)
+	}
+	m.envMin, m.envMax = slices.Clone(buf[:envs/2]), slices.Clone(buf[envs/2:envs])
+	ts := make([]int64, count)
+	for i := range ts {
+		ts[i] = int64(binary.LittleEndian.Uint64(buf[envs+int(count)*w+8*i:]))
+	}
+	m.groupBy(slices.Clone(buf[envs:envs+int(count)*w]), ts)
+	return m, m.ascending()
+}
+
+// mapOrNil returns pageOf, or nil, which means the same, when it is the
+// identity.
+func mapOrNil(pageOf []int64) []int64 {
+	for i, p := range pageOf {
+		if p != int64(i) {
+			return pageOf
+		}
+	}
+	return nil
+}
+
+// ascending checks what Find relies on, of a summary read from outside the
+// program: the fence keys ascend.
+func (m *Summary) ascending() error {
+	var prev sortable.Key
+	for g, gr := range m.grp {
+		for p, off := gr.first, 0; p < m.end(g); p, off = p+1, off+m.cnt[p] {
+			k := m.key(gr.syms[off*m.segs:])
+			if p > 0 && k.Less(prev) {
+				return fmt.Errorf("run: fence key of page %d below page %d's", p, p-1)
+			}
+			prev = k
+		}
+	}
+	return nil
+}
+
+// Verify holds r's summary to r's file — the invariant a summary keeps
+// through builds, inserts, splits, encodings and loads: a pass over the
+// pages by its page map (Store.Load, which checks the fence keys ascend)
+// gives the same persistent form, and the groups tile the pages, each under
+// twice groupPages, with its pages' entries and envelopes' union.
+func (s *Store) Verify(r Run) error {
+	m := r.Sum
+	fresh, err := s.Load(Run{File: r.File, Count: r.Count, Packed: r.Packed}, m.cnt, m.pageOf)
+	if err != nil {
+		return err
+	}
+	if !bytes.Equal(m.AppendBinary(nil), fresh.Sum.AppendBinary(nil)) {
+		return fmt.Errorf("run: %s: the summary's counts, envelopes or columns are not its pages'", r.File)
+	}
+	want := *m
+	want.grpMin, want.grpMax = make([]uint8, len(m.grp)*m.segs), make([]uint8, len(m.grp)*m.segs)
+	next := 0
+	for g, gr := range m.grp {
+		entries := 0
+		for _, n := range m.cnt[gr.first:m.end(g)] {
+			entries += n
+		}
+		if gr.first != next || m.end(g) <= next || m.end(g)-next >= 2*groupPages || len(gr.syms) != entries*m.segs || len(gr.ts) != entries {
+			return fmt.Errorf("run: %s: group %d of pages [%d, %d) holds %d entries' columns", r.File, g, gr.first, m.end(g), len(gr.ts))
+		}
+		want.setGroupEnv(g)
+		next = m.end(g)
+	}
+	if next != m.Pages() || !bytes.Equal(want.grpMin, m.grpMin) || !bytes.Equal(want.grpMax, m.grpMax) {
+		return fmt.Errorf("run: %s: groups end at page %d of %d, or their envelopes are not their pages' union", r.File, next, m.Pages())
+	}
+	return nil
+}
+
+// page describes page p of r (of group g, at offset off of its columns),
+// pinned as data, to the page evaluator, which takes the entries' symbols
+// and timestamps from the columns and reads data only to verify a survivor.
+func (s *Store) page(r Run, p, g, off int, data []byte) (pg index.Page) {
+	m, n := r.Sum, r.Sum.cnt[p]
+	if r.Packed {
+		pg = index.PackedPage(data, s.codec)
+	} else {
+		pg = index.FixedPage(data, n, s.codec)
+	}
+	if !pageKeyBounds {
+		pg.UseSymbols(m.grp[g].syms[off*m.segs:(off+n)*m.segs], m.segs)
+		pg.UseTimestamps(m.grp[g].ts[off : off+n])
+	}
+	return pg
+}
+
+// ProbePage pins page p of r and evaluates all its entries into col: a
+// run's covering page (Probe), a CTree's covering leaf and the neighbours
+// its approximate search widens to. It returns the in-window entries seen.
+func (s *Store) ProbePage(r Run, p int, q index.Query, col *index.Collector, sc *index.Scratch) (int, error) {
+	h, err := s.Reader.PinPage(r.File, r.Sum.Phys(p))
+	if err != nil {
+		return 0, err
+	}
+	g, off := r.Sum.locate(p)
+	n, err := index.EvalPage(q, s.page(r, p, g, off, h.Data()), s.Raw, col, sc)
+	h.Release()
+	return n, err
+}
+
+// Scan is the one sequential page loop, of runs and CTree leaf levels alike:
+// it pins pages [lo, hi) of r in ascending order through one storage cursor
+// and hands each to eval (index.EvalPage or EvalPageRange) with its slices
+// of the columns attached, after asking col whether the group's envelope,
+// then the page's, already rules out every series inside (dead). A dead
+// group is only a short cut: a page's envelope lies inside its group's, so
+// its bound is at least the group's, term by term in the same order, and the
+// collector's bound only tightens.
+//
+// A dead page is spared every touch of its bytes and every bound of its
+// entries; the trace counts its in-window entries, off the timestamp column,
+// as seen and pruned. It is still pinned — part of the sequential run the
+// cost model charges for, and of the cache's contents — unless skip is set:
+// then a run of dead pages goes unread when it leads or trails the range or
+// is at least interiorSkipRun long, and is read after all otherwise, so a
+// declined skip's I/O is that of no skip. Scan returns the pages skipped.
+func (s *Store) Scan(r Run, lo, hi int, skip bool, q index.Query, sc *index.Scratch, col index.EnvelopeTester, eval func(pg index.Page) error) (skipped int64, err error) {
+	m := r.Sum
+	if lo >= hi {
+		return 0, nil
+	}
+	from, to := m.span(lo, hi)
+	cur := s.Reader.Scan(r.File, from, to)
+	defer cur.Close()
+	// Pages are read in ascending order, so the read position — page rp, in
+	// group rg at offset off of its columns — only moves forward.
+	rg, off := m.locate(lo)
+	rp, next := lo, m.end(rg)
+	resident := !pageKeyBounds
+	pending, started := 0, false // the dead pages [p-pending, p) are neither skipped nor read yet
+	for g := rg; g < len(m.grp) && m.grp[g].first < hi; g++ {
+		groupDead, asked := false, !resident
+		for p := max(lo, m.grp[g].first); p < min(hi, m.end(g)); p++ {
+			dead := groupDead
+			if !dead && (resident || skip) {
+				mn, mx := m.env(m.envMin, m.envMax, p)
+				dead = col.DeadEnvelope(sc.P, mn, mx)
+			}
+			if dead && !asked { // only a group with a dead page can be dead
+				mn, mx := m.env(m.grpMin, m.grpMax, g)
+				groupDead, asked = col.DeadEnvelope(sc.P, mn, mx), true
+			}
+			if dead && skip {
+				pending++
+				continue
+			}
+			from := p // read pages [from, p]: a declined run of dead pages, then p
+			if started && pending < interiorSkipRun {
+				from -= pending
+			} else {
+				skipped += int64(pending)
+			}
+			pending, started = 0, true
+			for d := from; d <= p; d++ {
+				for ; rp < d; rp++ {
+					if off += m.cnt[rp]; rp+1 == next {
+						rg, off, next = rg+1, 0, m.end(rg+1)
+					}
+				}
+				data, err := cur.Pin(m.Phys(d))
+				if err != nil {
+					return skipped, err
+				}
+				if d == p && !dead || d < p && !resident {
+					if err := eval(s.page(r, d, rg, off, data)); err != nil {
+						return skipped, err
+					}
+				} else if sc.Trace != nil {
+					n := int64(0)
+					for _, ts := range m.grp[rg].ts[off : off+m.cnt[d]] {
+						if q.InWindow(ts) {
+							n++
+						}
+					}
+					sc.NoteDeadPage(n)
+				}
+			}
+		}
+	}
+	return skipped + int64(pending), nil // a trailing run: nothing re-enters, free
 }

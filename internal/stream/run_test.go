@@ -13,7 +13,6 @@ import (
 	"repro/internal/fsx"
 	"repro/internal/gen"
 	"repro/internal/index"
-	"repro/internal/run"
 	"repro/internal/storage"
 )
 
@@ -128,9 +127,8 @@ func TestBTPFaultInjection(t *testing.T) {
 				}
 				// Sealed or merged, before the fault or around it, a listed
 				// partition's resident summary is its file's.
-				rebuilt, err := btp.store.Load(run.Run{File: p.File, Count: p.Count, Syn: p.Syn, Packed: p.Packed})
-				if err != nil || !reflect.DeepEqual(rebuilt, p.Run) {
-					t.Errorf("partition %q: its resident summary is not the one its file rebuilds (%v)", p.File, err)
+				if err := btp.store.Verify(p.Run); err != nil {
+					t.Errorf("partition %q: %v", p.File, err)
 				}
 			}
 			rng := rand.New(rand.NewSource(17))

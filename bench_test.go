@@ -971,7 +971,7 @@ func runBench(b *testing.B, n int) (s run.Store, r run.Run, q index.Query) {
 		}
 		return cmp.Compare(a.ID, b.ID)
 	})
-	s = run.NewStore(storage.NewDisk(0), nil, cfg, nil)
+	s = run.NewStore(storage.NewDisk(0), nil, nil, cfg, nil)
 	r, err := s.Write("run", entries, false)
 	if err != nil {
 		b.Fatal(err)
@@ -988,8 +988,9 @@ func (neverDead) DeadEnvelope(*index.Pruner, []uint8, []uint8) bool { return fal
 // pages), the newest eighth of its timestamps in the window, into a
 // collector a probe has seeded: bounding and window-filtering every entry
 // from the resident SAX and timestamp columns ("column"), and with each
-// group's and page's envelope tested first ("column+envelope", what a search
-// does). ns/page is the figure to compare. (The page-key scan the columns
+// group's and page's envelope tested first and dead stretches left unread
+// ("column+envelope", what a search does). ns/page, over every page of the
+// run, is the figure to compare. (The page-key scan the columns
 // replaced is the equivalence suites' reference, not a benchmark.)
 func BenchmarkRunScan(b *testing.B) {
 	const n = 16384
@@ -1004,11 +1005,10 @@ func BenchmarkRunScan(b *testing.B) {
 		scan func(col *index.Collector) error
 	}{
 		{"column", func(col *index.Collector) error {
-			_, err := s.Scan(r, 0, pages, false, q, sc, neverDead{}, func(pg index.Page) error {
+			return s.Scan(r, 0, pages, "page", q, sc, neverDead{}, func(pg index.Page) error {
 				_, err := index.EvalPage(q, pg, nil, col, sc)
 				return err
 			})
-			return err
 		}},
 		{"column+envelope", func(col *index.Collector) error { return s.ScanKNN(r, q, col, sc) }},
 	} {

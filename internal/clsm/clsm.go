@@ -111,8 +111,8 @@ type Options struct {
 	// sharded deployment).
 	Scheduler *compact.Scheduler
 	// Planner carries the query planner's switch and skip counter. nil
-	// plans with defaults (ordering and skipping on); it may be shared
-	// across many indexes, like the Scheduler.
+	// plans with defaults (ordering, and skipping runs and dead pages, on);
+	// it may be shared across many indexes, like the Scheduler.
 	Planner *index.Planner
 	// Compress writes new runs in the packed page encoding (record.PageBuilder):
 	// frame-of-reference bit-packed keys, IDs, and timestamps with verbatim

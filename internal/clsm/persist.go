@@ -314,7 +314,7 @@ func Open(opts Options) (*LSM, error) {
 	}
 	l := &LSM{
 		opts:    opts,
-		store:   run.NewStore(opts.Disk, opts.Reader, opts.Config, opts.Raw),
+		store:   run.NewStore(opts.Disk, opts.Reader, opts.Planner, opts.Config, opts.Raw),
 		pool:    parallel.New(opts.Parallelism),
 		adopted: st.src,
 	}

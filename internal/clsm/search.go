@@ -58,9 +58,10 @@ func (l *LSM) approx(v *view, q index.Query, col *index.Collector, ctx *index.Se
 
 // ExactSearch returns the true k nearest neighbors: the approximate phase
 // seeds the best-so-far bound, then every run is scanned with per-entry
-// squared lower-bound pruning, runs concurrently. The buffer was already
-// fully evaluated by the approximate phase (deduplication by ID makes
-// re-offering it a no-op), so only the runs need the full pass.
+// squared lower-bound pruning, runs concurrently, each leaving the stretches
+// of pages its envelopes rule out unread (run.Store.Scan). The buffer was
+// already fully evaluated by the approximate phase (deduplication by ID
+// makes re-offering it a no-op), so only the runs need the full pass.
 func (l *LSM) ExactSearch(q index.Query, k int) ([]index.Result, error) {
 	return index.Search(q, l.opts.Config, index.NewCollector(k), func(q index.Query, col *index.Collector, ctx *index.SearchCtx) error {
 		return l.exact(q, col, ctx, l.pool)
@@ -89,12 +90,14 @@ func (l *LSM) exact(q index.Query, col *index.Collector, ctx *index.SearchCtx, p
 // method expression) to every run of view v through the planned-probe
 // executor (index.ProbeUnits), each worker slot of pool with its own scratch
 // of ctx. A run is bounded by its synopsis's envelope MINDIST, or by +Inf
-// when its time range misses the query window.
+// when its time range misses the query window. The planner that skips runs
+// here is the one the store's scans skip pages by: skipped runs are counted
+// as "run" units, skipped pages inside a scanned run as "page" units.
 func forEachRun[C index.FanCollector[C]](l *LSM, v *view, q index.Query, ctx *index.SearchCtx, col C, pool *parallel.Pool, scan func(*run.Store, run.Run, index.Query, C, *index.Scratch) error) error {
 	runs := allRuns(v.man)
 	scs := ctx.Scratches(pool.WorkersFor(len(runs)))
 	return index.ProbeUnits(index.ProbePlan{
-		Planner: l.opts.Planner, Pool: pool, Trace: ctx.Trace, Kind: "run", Units: ctx.PlanUnits(len(runs)),
+		Planner: l.store.Planner, Pool: pool, Trace: ctx.Trace, Kind: "run", Units: ctx.PlanUnits(len(runs)),
 	}, col, func(i int) float64 {
 		return ctx.P.UnitBoundSq(q, runs[i].Syn)
 	}, func(i, w int, col C) error {

@@ -99,7 +99,7 @@ func (o *Options) setDefaults() error {
 // levels: it always fits in memory, as in the paper's implementation.
 type Tree struct {
 	opts     Options
-	store    run.Store // the leaf file's reader, entry codec and raw store
+	store    run.Store // the leaf file's reader, planner, entry codec and raw store
 	leaves   run.Run   // the leaf file: count, synopsis, encoding and summary
 	capacity int       // max entries per leaf page (fixed-size layout)
 	nextID64 int64     // next auto-assigned insert ID
@@ -150,7 +150,7 @@ func (t *Tree) SetParallelism(n int) { t.pool = parallel.New(n) }
 // SetPlanner attaches the query planner (switch, skip counter).
 // Like SetParallelism it is not persisted; call after Open. Call only while
 // no search is in flight.
-func (t *Tree) SetPlanner(pl *index.Planner) { t.opts.Planner = pl }
+func (t *Tree) SetPlanner(pl *index.Planner) { t.store.Planner = pl }
 
 // UseReader routes subsequent page reads through r — typically a buffer
 // pool over the tree's disk (nil restores the uncached disk). Like
@@ -256,7 +256,7 @@ func bulkLoad(opts Options, n int64, write func(t *Tree, sorter *extsort.Sorter)
 func newTree(opts Options) *Tree {
 	return &Tree{
 		opts:    opts,
-		store:   run.NewStore(opts.Disk, opts.Reader, opts.Config, opts.Raw),
+		store:   run.NewStore(opts.Disk, opts.Reader, opts.Planner, opts.Config, opts.Raw),
 		leaves:  run.Run{File: opts.Name + ".leaves"},
 		pageBuf: make([]byte, opts.Disk.PageSize()),
 		pool:    parallel.New(opts.Parallelism),

@@ -100,7 +100,9 @@ func (t *Tree) RangeInto(q index.Query, col *index.RangeCollector, ctx *index.Se
 // contiguous leaf range per available worker of pool, so each worker keeps
 // the sequential access pattern the compact layout buys within its own
 // range; eval evaluates a page into the worker's collector, which is all the
-// exact and the range search differ in.
+// exact and the range search differ in. Each range is the summary's page loop
+// (run.Store.Scan), which leaves dead leaves unread as the tree's planner
+// allows — dropping work, never answers — and counts them as "leaf" units.
 func scanAll[C interface {
 	index.FanCollector[C]
 	index.EnvelopeTester
@@ -117,21 +119,8 @@ func scanAll[C interface {
 	scs := ctx.Scratches(len(chunks))
 	return index.FanOut(pool, len(chunks), col, func(i, w int, col C) error {
 		sc := scs[w]
-		return t.scan(chunks[i], q, sc, col, func(pg index.Page) error { return eval(q, pg, t.store.Raw, col, sc) })
+		return t.store.Scan(t.leaves, chunks[i][0], chunks[i][1], "leaf", q, sc, col, func(pg index.Page) error { return eval(q, pg, t.store.Raw, col, sc) })
 	})
-}
-
-// scan runs the summary's page loop (run.Store.Scan) over leaves [c[0],
-// c[1]); with planning enabled it skips dead leaves, which drops only work,
-// never answers. Skipped and probed leaves are counted into the planner and
-// the query's trace.
-func (t *Tree) scan(c [2]int, q index.Query, sc *index.Scratch, col index.EnvelopeTester, eval func(pg index.Page) error) error {
-	pl := t.opts.Planner
-	skipped, err := t.store.Scan(t.leaves, c[0], c[1], pl.Enabled(), q, sc, col, eval)
-	pl.NoteSkips(skipped)
-	sc.Trace.NoteSkips("leaf", skipped)
-	sc.Trace.NoteProbes("leaf", int64(c[1]-c[0])-skipped)
-	return err
 }
 
 var (

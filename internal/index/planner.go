@@ -25,12 +25,13 @@ import (
 // (distance, id) ordering), so planned and unplanned searches return
 // byte-identical results. Tests assert this exactly.
 //
-// ProbeUnits is the only place that sorts a plan, counts a planner skip or
-// records a probe unit into a trace, which is what keeps a trace's planned
-// skips equal to the planner's counter delta. What an index variant
-// contributes is how to bound a unit and how to probe it. (CTree's leaf
-// skipping is a different, run-length-aware algorithm — see
-// run.Store.Scan.)
+// ProbeUnits is the only place that sorts a plan, counts a unit skip into
+// the planner or records a probe unit into a trace, which is what keeps a
+// trace's planned skips equal to the planner's counter delta. What an index
+// variant contributes is how to bound a unit and how to probe it.
+// (Page-level skipping — a CTree's leaves, a run's or partition's pages — is
+// a different, run-length-aware algorithm with the same accounting, in the
+// one page loop: run.Store.Scan.)
 
 // PlanUnit pairs a probe unit's index in the caller's unit list with its
 // squared envelope lower bound, for sorting into probe order.

@@ -44,13 +44,16 @@ var onProbePin func()
 
 // Store is one index's access to its runs: writes and merges go to Disk,
 // every search-time page read goes through Reader (the disk itself, or a
-// buffer pool over it; see UseReader), and Raw resolves non-materialized
-// candidates.
+// buffer pool over it; see UseReader), Raw resolves non-materialized
+// candidates, and Planner decides whether a scan leaves dead pages unread
+// and counts the pages it does (see Scan). A nil Planner plans with
+// defaults, as everywhere: scans skip.
 type Store struct {
-	Disk   storage.Backend
-	Reader storage.PageReader
-	Config index.Config
-	Raw    series.RawStore
+	Disk    storage.Backend
+	Reader  storage.PageReader
+	Planner *index.Planner
+	Config  index.Config
+	Raw     series.RawStore
 
 	codec record.Codec
 }
@@ -58,8 +61,8 @@ type Store struct {
 // NewStore returns the run store of an index of the given shape, whose
 // entries must fit a page of the disk (the index validates that). A nil
 // reader selects the disk itself (uncached).
-func NewStore(disk storage.Backend, reader storage.PageReader, cfg index.Config, raw series.RawStore) Store {
-	s := Store{Disk: disk, Config: cfg, Raw: raw, codec: cfg.Codec()}
+func NewStore(disk storage.Backend, reader storage.PageReader, pl *index.Planner, cfg index.Config, raw series.RawStore) Store {
+	s := Store{Disk: disk, Planner: pl, Config: cfg, Raw: raw, codec: cfg.Codec()}
 	s.UseReader(reader)
 	return s
 }
@@ -220,19 +223,21 @@ func (s *Store) Probe(r Run, q index.Query, col *index.Collector, sc *index.Scra
 
 // ScanKNN scans the whole run with squared lower-bound pruning into col,
 // verifying each page's surviving candidates in ascending lower-bound order.
-// A run pins every page it scans (see Scan).
+// Dead pages go unread under Scan's one skip rule — at the run's ends, and
+// mid-run in stretches long enough that the saved sequential reads outweigh
+// the random read after the gap — and are reported as skipped "page" units;
+// with the planner disabled every page is pinned.
 func (s *Store) ScanKNN(r Run, q index.Query, col *index.Collector, sc *index.Scratch) error {
-	_, err := s.Scan(r, 0, r.Sum.Pages(), false, q, sc, col, func(pg index.Page) error {
+	return s.Scan(r, 0, r.Sum.Pages(), "page", q, sc, col, func(pg index.Page) error {
 		_, err := index.EvalPage(q, pg, s.Raw, col, sc)
 		return err
 	})
-	return err
 }
 
-// ScanRange scans the whole run with squared epsilon pruning into col.
+// ScanRange scans the whole run with squared epsilon pruning into col, under
+// the same skip rule.
 func (s *Store) ScanRange(r Run, q index.Query, col *index.RangeCollector, sc *index.Scratch) error {
-	_, err := s.Scan(r, 0, r.Sum.Pages(), false, q, sc, col, func(pg index.Page) error {
+	return s.Scan(r, 0, r.Sum.Pages(), "page", q, sc, col, func(pg index.Page) error {
 		return index.EvalPageRange(q, pg, s.Raw, col, sc)
 	})
-	return err
 }

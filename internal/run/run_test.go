@@ -69,18 +69,23 @@ type meter interface {
 // MemFS, or a buffer pool (large enough to hold a test run) over the heap
 // disk.
 func newStore(t *testing.T, kind string, raw series.RawStore) (s Store, disk *storage.Disk, stats meter) {
+	return newStoreOf(t, kind, testPageSize, testCfg, raw)
+}
+
+// newStoreOf is newStore for entries of cfg's shape on pages of pageSize.
+func newStoreOf(t *testing.T, kind string, pageSize int, cfg index.Config, raw series.RawStore) (s Store, disk *storage.Disk, stats meter) {
 	t.Helper()
-	disk = storage.NewDisk(testPageSize)
+	disk = storage.NewDisk(pageSize)
 	if kind == "memfs" {
 		var err error
-		disk, err = storage.NewFileDisk(storage.FileDiskOptions{Dir: "d", FS: fsx.NewMemFS(), PageSize: testPageSize})
+		disk, err = storage.NewFileDisk(storage.FileDiskOptions{Dir: "d", FS: fsx.NewMemFS(), PageSize: pageSize})
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
-	s, stats = NewStore(disk, nil, testCfg, raw), disk
+	s, stats = NewStore(disk, nil, nil, cfg, raw), disk
 	if kind == "pool" {
-		pool := bufpool.New(disk, 64*testPageSize)
+		pool := bufpool.New(disk, int64(64*pageSize))
 		s.UseReader(pool)
 		stats = pool
 	}
@@ -187,35 +192,43 @@ func search(t *testing.T, s *Store, r Run, q index.Query, k int, op func(*Store,
 	return col.Results()
 }
 
-// parentStats are the Stats clsm.LSM (and, for the fixed encoding,
-// stream.BTP — the same numbers) produced on the script TestRunTable replays
-// at the commit before runs had resident summaries: 300 entries of testEntries(300, 7) in one run,
-// planner off, one worker; write = the flush; approx = three ApproxSearch
-// (a probe each: ⌈log₂P⌉ or one fewer first-key pins, then the covering
-// pin); exact = the running total after three more ExactSearch (a probe and
-// a P-page scan each). Measured on the parent, not derived from this package.
-var parentStats = map[string]struct {
-	pages                int64
-	write, approx, exact storage.Stats
+// scriptStats are the Stats of the access script TestRunTable replays: 300
+// entries of testEntries(300, 7) in one run, one worker; write = the write;
+// approx = three probes, each pinning its way to its page (⌈log₂P⌉ or one
+// fewer first-key pins, then the covering pin: the pinned-probe hook); then
+// the running total after three more probes and a whole-run scan each. The
+// write, approx and unplanned figures are the parent's: what clsm.LSM (and,
+// for the fixed encoding, stream.BTP — the same numbers) produced at the
+// commit before runs had resident summaries, planner off, every page a scan
+// reached pinned — measured there, not derived from this package. The
+// planned figures are the same script under Scan's skip rule: the scans make
+// fewer sequential reads (on a pool, fewer hits) and the same random ones.
+var scriptStats = map[string]struct {
+	pages                             int64
+	write, approx, unplanned, planned storage.Stats
 }{
 	"fixed/disk": {19, storage.Stats{SeqWrites: 18, RandWrites: 1},
-		storage.Stats{SeqReads: 5, RandReads: 11}, storage.Stats{SeqReads: 64, RandReads: 25}},
+		storage.Stats{SeqReads: 5, RandReads: 11}, storage.Stats{SeqReads: 64, RandReads: 25}, storage.Stats{SeqReads: 54, RandReads: 25}},
 	"fixed/pool": {19, storage.Stats{SeqWrites: 18, RandWrites: 1},
 		storage.Stats{SeqReads: 3, RandReads: 7, CacheHits: 6, CacheMisses: 10},
-		storage.Stats{SeqReads: 8, RandReads: 11, CacheHits: 70, CacheMisses: 19}},
+		storage.Stats{SeqReads: 8, RandReads: 11, CacheHits: 70, CacheMisses: 19},
+		storage.Stats{SeqReads: 8, RandReads: 11, CacheHits: 60, CacheMisses: 19}},
 	"packed/disk": {7, storage.Stats{SeqWrites: 6, RandWrites: 1},
-		storage.Stats{SeqReads: 5, RandReads: 7}, storage.Stats{SeqReads: 26, RandReads: 19}},
+		storage.Stats{SeqReads: 5, RandReads: 7}, storage.Stats{SeqReads: 26, RandReads: 19}, storage.Stats{SeqReads: 22, RandReads: 19}},
 	"packed/pool": {7, storage.Stats{SeqWrites: 6, RandWrites: 1},
 		storage.Stats{SeqReads: 1, RandReads: 4, CacheHits: 7, CacheMisses: 5},
-		storage.Stats{SeqReads: 1, RandReads: 6, CacheHits: 38, CacheMisses: 7}},
+		storage.Stats{SeqReads: 1, RandReads: 6, CacheHits: 38, CacheMisses: 7},
+		storage.Stats{SeqReads: 1, RandReads: 6, CacheHits: 34, CacheMisses: 7}},
 }
 
 // TestRunTable checks one written run on every encoding and page source:
 // the file holds exactly its entries, the synopsis and the resident summary
 // are the ones a rescan builds, Probe and ScanKNN answer as brute force does,
-// and the access script costs exactly what it cost before the summaries —
-// the same Stats with the probe pinning its way to its page (a test hook),
-// and with the fence-key probe that many pins fewer.
+// and the access script costs exactly its scriptStats row — with the planner
+// disabled what it cost before the summaries, with it enabled that less the
+// pages the scans skipped — with the probe pinning its way to its page (a
+// test hook), and with the fence-key probe that many pins fewer. Its
+// dead-run rows hold the skip rule to its prediction on runs laid out for it.
 func TestRunTable(t *testing.T) {
 	entries, raw := testEntries(300, 7)
 	queries := testQueries(3, 99)
@@ -229,7 +242,7 @@ func TestRunTable(t *testing.T) {
 				src = "pool"
 			}
 			t.Run(enc+"/"+kind, func(t *testing.T) {
-				want := parentStats[enc+"/"+src]
+				row := scriptStats[enc+"/"+src]
 				s, disk, stats := newStore(t, kind, raw)
 				r, err := s.Write("r", entries, packed)
 				if err != nil {
@@ -238,11 +251,11 @@ func TestRunTable(t *testing.T) {
 				if r.File != "r" || r.Count != 300 || r.Packed != packed {
 					t.Fatalf("descriptor %+v", r)
 				}
-				if got := disk.Stats(); got != want.write {
-					t.Errorf("write stats %+v, parent %+v", got, want.write)
+				if got := disk.Stats(); got != row.write {
+					t.Errorf("write stats %+v, parent %+v", got, row.write)
 				}
-				if n := r.Sum.Pages(); int64(n) != want.pages {
-					t.Fatalf("Pages = %d; parent wrote %d", n, want.pages)
+				if n := r.Sum.Pages(); int64(n) != row.pages {
+					t.Fatalf("Pages = %d; parent wrote %d", n, row.pages)
 				}
 				if err := s.Verify(r); err != nil {
 					t.Fatal(err)
@@ -257,43 +270,6 @@ func TestRunTable(t *testing.T) {
 				if rebuilt := rescan(entries); !reflect.DeepEqual(r.Syn, rebuilt) {
 					t.Errorf("synopsis %+v, rescan gives %+v", r.Syn, rebuilt)
 				}
-
-				for i, q := range append(queries, queries[0].WithWindow(50, 220)) {
-					// The probe settles on the last page whose first key
-					// is not above the query key (page 0 when none is).
-					cover := 0
-					for p := range pages {
-						if !q.Key.Less(pages[p][0].Key) {
-							cover = p
-						}
-					}
-					sameResults(t, fmt.Sprintf("probe %d", i), search(t, &s, r, q, 5, (*Store).Probe), bruteKNN(q, pages[cover], raw, 5))
-					sameResults(t, fmt.Sprintf("scan %d", i), search(t, &s, r, q, 5, (*Store).ScanKNN), bruteKNN(q, entries, raw, 5))
-				}
-
-				script := func() (approx, exact storage.Stats) {
-					if p, ok := s.Reader.(*bufpool.Pool); ok {
-						p.Purge() // the parent's script started cold
-					}
-					stats.ResetStats()
-					for _, q := range queries {
-						search(t, &s, r, q, 5, (*Store).Probe)
-					}
-					approx = stats.Stats()
-					for _, q := range queries {
-						search(t, &s, r, q, 5, (*Store).Probe)
-						search(t, &s, r, q, 5, (*Store).ScanKNN)
-					}
-					return approx, stats.Stats()
-				}
-				pins := ProbePins()
-				SetPinnedProbe(true)
-				approx, exact := script()
-				SetPinnedProbe(false)
-				pins = ProbePins() - pins
-				if approx != want.approx || exact != want.exact {
-					t.Errorf("pinning probes: 3 probes %+v, +3 probe+scan %+v; parent %+v, %+v", approx, exact, want.approx, want.exact)
-				}
 				// A page access is a read of the disk, or with a pool a hit
 				// or a miss. The fence-key probe makes one per run; what it
 				// no longer pins it also no longer leaves in the pool, so
@@ -304,15 +280,256 @@ func TestRunTable(t *testing.T) {
 					}
 					return st.SeqReads + st.RandReads
 				}
-				approx, exact = script()
-				if got := accesses(approx); got != 3 {
-					t.Errorf("3 fence-key probes made %d page accesses: %+v", got, approx)
-				}
-				if got, want := accesses(exact), accesses(want.exact)-pins; pins == 0 || got != want {
-					t.Errorf("fence-key probes: %d page accesses (%+v), want the parent's less %d first-key pins = %d", got, exact, pins, want)
+
+				for _, planned := range []bool{false, true} {
+					name, want := "unplanned", row.unplanned
+					if planned {
+						name, want = "planned", row.planned
+					}
+					t.Run(name, func(t *testing.T) {
+						pl := &index.Planner{Disabled: !planned}
+						s.Planner = pl
+						for i, q := range append(queries, queries[0].WithWindow(50, 220)) {
+							// The probe settles on the last page whose first
+							// key is not above the query key (page 0 when none
+							// is).
+							cover := 0
+							for p := range pages {
+								if !q.Key.Less(pages[p][0].Key) {
+									cover = p
+								}
+							}
+							sameResults(t, fmt.Sprintf("probe %d", i), search(t, &s, r, q, 5, (*Store).Probe), bruteKNN(q, pages[cover], raw, 5))
+							sameResults(t, fmt.Sprintf("scan %d", i), search(t, &s, r, q, 5, (*Store).ScanKNN), bruteKNN(q, entries, raw, 5))
+						}
+
+						script := func() (approx, exact storage.Stats, skips int64) {
+							if p, ok := s.Reader.(*bufpool.Pool); ok {
+								p.Purge() // the parent's script started cold
+							}
+							stats.ResetStats()
+							skips = pl.Skips()
+							for _, q := range queries {
+								search(t, &s, r, q, 5, (*Store).Probe)
+							}
+							approx = stats.Stats()
+							for _, q := range queries {
+								search(t, &s, r, q, 5, (*Store).Probe)
+								search(t, &s, r, q, 5, (*Store).ScanKNN)
+							}
+							return approx, stats.Stats(), pl.Skips() - skips
+						}
+						pins := ProbePins()
+						SetPinnedProbe(true)
+						approx, exact, skips := script()
+						SetPinnedProbe(false)
+						pins = ProbePins() - pins
+						if approx != row.approx || exact != want {
+							t.Errorf("pinning probes: 3 probes %+v, +3 probe+scan %+v; want %+v, %+v", approx, exact, row.approx, want)
+						}
+						// Every page a scan skipped is one access fewer than
+						// the parent's, and the planner counted it.
+						if saved := accesses(row.unplanned) - accesses(exact); skips != saved || planned != (skips > 0) {
+							t.Errorf("the planner counted %d skipped pages; the scans made %d accesses fewer than the parent's", skips, saved)
+						}
+						approx, exact, _ = script()
+						if got := accesses(approx); got != 3 {
+							t.Errorf("3 fence-key probes made %d page accesses: %+v", got, approx)
+						}
+						if got, want := accesses(exact), accesses(want)-pins; pins == 0 || got != want {
+							t.Errorf("fence-key probes: %d page accesses (%+v), want the pinning script's less %d first-key pins = %d", got, exact, pins, want)
+						}
+					})
 				}
 			})
 		}
+	}
+	for _, shape := range deadShapes {
+		for _, packed := range []bool{false, true} {
+			for _, kind := range readerKinds {
+				enc := "fixed"
+				if packed {
+					enc = "packed"
+				}
+				t.Run("dead/"+shape.name+"/"+enc+"/"+kind, func(t *testing.T) { deadRunRow(t, shape.blocks, packed, kind) })
+			}
+		}
+	}
+}
+
+// deadCfg is a materialized shape whose entry fills a page alone in either
+// encoding on deadPageSize pages (544 bytes fixed-size, 564 packed): a run
+// of it has a page an entry, so its dead runs are exactly as long as the
+// entries that make them.
+var deadCfg = index.Config{SeriesLen: 64, Segments: 8, Bits: 8, Materialized: true}
+
+const deadPageSize = 1024
+
+// blockSeries is the z-normalized, piecewise-constant series of deadCfg's
+// shape whose first two segments sit at a0 and a1 and whose last six even out
+// its mean and variance, three above zero and three below. The signs of a0
+// and a1 are the first two bits of its key, so series sort by them.
+func blockSeries(a0, a1 float64) series.Series {
+	c := -(a0 + a1) / 6
+	d := math.Sqrt((8-a0*a0-a1*a1)/6 - c*c)
+	s := make(series.Series, 0, deadCfg.SeriesLen)
+	for _, v := range []float64{a0, a1, c + d, c + d, c + d, c - d, c - d, c - d} {
+		for i := 0; i < deadCfg.SeriesLen/deadCfg.Segments; i++ {
+			s = append(s, v)
+		}
+	}
+	return s
+}
+
+// deadBlocks are the four series a dead-run row lays its run out from, in
+// key order, and deadQuery the series they are dead or live to within
+// deadEps: it sits 0.3 from the live blocks' first segment and on their
+// second, and 3 from the dead blocks' second segment — a distance of about
+// 0.9 against a lower bound of about 8.
+var (
+	deadBlocks = [4]struct {
+		a0, a1 float64
+		dead   bool
+	}{{-0.3, -1.5, false}, {-0.3, 1.5, true}, {0.3, -1.5, false}, {0.3, 1.5, true}}
+	deadQuery = blockSeries(0, -1.5)
+)
+
+const deadEps = 3
+
+// deadShapes are the dead-run rows: how many entries, so pages, of each of
+// deadBlocks a run holds, in order.
+var deadShapes = []struct {
+	name   string
+	blocks [4]int
+}{
+	{"leading", [4]int{0, 5, 4, 0}},
+	{"trailing", [4]int{4, 0, 0, 5}},
+	{"interior-short", [4]int{3, interiorSkipRun - 1, 3, 0}},
+	{"interior-long", [4]int{3, interiorSkipRun, 3, 0}},
+	{"all", [4]int{0, 4, 0, 4}},
+	{"none", [4]int{4, 0, 4, 0}},
+}
+
+// readsByRule is Scan's skip rule written out over pages' deadness: the
+// pages a planned scan reads are all but its leading and trailing dead runs
+// and its interior ones of at least interiorSkipRun pages.
+func readsByRule(dead []bool) int {
+	reads := 0
+	for i, j := 0, 0; i < len(dead); i = j {
+		for j = i; j < len(dead) && dead[j] == dead[i]; j++ {
+		}
+		if !dead[i] || i > 0 && j < len(dead) && j-i < interiorSkipRun {
+			reads += j - i
+		}
+	}
+	return reads
+}
+
+// deadRunRow is one dead-run row: a run of the given block counts, scanned
+// whole by a range query (whose dead pages are fixed: those of dead blocks)
+// and a k-NN query, each with the planner disabled and enabled, from a parked
+// head and a cold pool. Answers match brute force; the range scan reads every
+// page unplanned and readsByRule's count planned, reports the others as
+// skipped "page" units to the trace and the planner and every dead page it
+// reads as undecoded; and no planned scan costs more than the unplanned one.
+func deadRunRow(t *testing.T, blocks [4]int, packed bool, kind string) {
+	var entries []record.Entry
+	var dead []bool
+	raw := normStore{}
+	for b, n := range blocks {
+		key, z := deadCfg.Summarize(blockSeries(deadBlocks[b].a0, deadBlocks[b].a1))
+		for i := 0; i < n; i++ {
+			id := int64(len(entries))
+			entries = append(entries, record.Entry{Key: key, ID: id, TS: id, Payload: z})
+			dead = append(dead, deadBlocks[b].dead)
+			raw = append(raw, z)
+		}
+	}
+	if !sort.SliceIsSorted(entries, func(i, j int) bool { return entries[i].Less(entries[j]) }) {
+		t.Fatal("the blocks are not in key order")
+	}
+	s, _, stats := newStoreOf(t, kind, deadPageSize, deadCfg, nil)
+	r, err := s.Write("r", entries, packed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := r.Sum.Pages(); n != len(entries) {
+		t.Fatalf("%d entries on %d pages, want one a page", len(entries), n)
+	}
+	accesses := func(st storage.Stats) int64 {
+		if kind == "pool" {
+			return st.CacheHits + st.CacheMisses
+		}
+		return st.SeqReads + st.RandReads
+	}
+	q := index.NewQuery(deadQuery, deadCfg)
+	scan := func(planned bool, op func(q index.Query, sc *index.Scratch) error) (storage.Stats, *obs.TraceSnapshot, int64) {
+		pl := &index.Planner{Disabled: !planned}
+		s.Planner = pl
+		if p, ok := s.Reader.(*bufpool.Pool); ok {
+			p.Purge()
+		}
+		stats.ResetStats()
+		q := q
+		q.Trace = obs.NewQueryTrace()
+		ctx := index.AcquireCtx(q, deadCfg)
+		defer ctx.Release()
+		if err := op(q, ctx.Scratch0()); err != nil {
+			t.Fatal(err)
+		}
+		return stats.Stats(), q.Trace.Snapshot(), pl.Skips()
+	}
+	want := index.NewRangeCollector(deadEps)
+	for _, e := range entries {
+		want.Add(index.Result{ID: e.ID, TS: e.TS, Dist: math.Sqrt(q.Norm.SqDist(raw[e.ID]))})
+	}
+	var cost [2]float64
+	for i, planned := range []bool{false, true} {
+		var got []index.Result
+		st, tr, skips := scan(planned, func(q index.Query, sc *index.Scratch) error {
+			col := index.NewRangeCollector(deadEps)
+			err := s.ScanRange(r, q, col, sc)
+			got = col.Results()
+			return err
+		})
+		sameResults(t, fmt.Sprintf("planned=%v range", planned), got, want.Results())
+		reads, live := len(dead), 0
+		if planned {
+			reads = readsByRule(dead)
+		}
+		for _, d := range dead {
+			if !d {
+				live++
+			}
+		}
+		kinds := map[string]obs.KindCount{}
+		for _, k := range tr.Kinds {
+			kinds[k.Kind] = k
+		}
+		if got := accesses(st); got != int64(reads) || skips != int64(len(dead)-reads) {
+			t.Errorf("planned=%v: %d page accesses (%+v) and %d skips counted, want %d and %d", planned, got, st, skips, reads, len(dead)-reads)
+		}
+		if k := kinds["page"]; k.Probed != int64(reads) || k.Skipped != skips || tr.PlannedSkips != skips || tr.UndecodedPages != int64(reads-live) {
+			t.Errorf("planned=%v: trace %+v with %d undecoded, want %d pages read, %d skipped, %d undecoded", planned, tr.Kinds, tr.UndecodedPages, reads, skips, reads-live)
+		}
+		cost[i] = st.Cost(storage.DefaultCostModel)
+	}
+	if cost[1] > cost[0] {
+		t.Errorf("range: the planned scan costs %v, the unplanned %v", cost[1], cost[0])
+	}
+	for i, planned := range []bool{false, true} {
+		var got []index.Result
+		st, _, _ := scan(planned, func(q index.Query, sc *index.Scratch) error {
+			col := index.NewCollector(3)
+			err := s.ScanKNN(r, q, col, sc)
+			got = col.Results()
+			return err
+		})
+		sameResults(t, fmt.Sprintf("planned=%v k-NN", planned), got, bruteKNN(q, entries, raw, 3))
+		cost[i] = st.Cost(storage.DefaultCostModel)
+	}
+	if cost[1] > cost[0] {
+		t.Errorf("k-NN: the planned scan costs %v, the unplanned %v", cost[1], cost[0])
 	}
 }
 
@@ -412,7 +629,7 @@ func TestFaultInjectionLeavesNoFile(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			s := NewStore(disk, nil, testCfg, nil)
+			s := NewStore(disk, nil, nil, testCfg, nil)
 			in, err := s.Write("in", entries, packed)
 			if err != nil {
 				t.Fatal(err)
@@ -486,16 +703,22 @@ func TestWarmScanDoesNotAllocate(t *testing.T) {
 // pruned entry by entry, count as seen and pruned, a windowed scan reading
 // the count off the timestamp column — and, beside them, how many pages it
 // released without decoding; the reference scan decodes every page it reads.
+// Planned, both leave the same dead pages unread and report them as skipped
+// "page" units; unplanned, every dead page is read, so some go undecoded.
 func TestRunScanTraceMatchesReference(t *testing.T) {
 	defer SetPageKeyBounds(false)
 	entries, raw := testEntries(1200, 7)
-	for _, packed := range []bool{false, true} {
+	for _, c := range []struct {
+		packed, planned bool
+	}{{false, false}, {true, false}, {false, true}, {true, true}} {
+		packed := c.packed
 		s, _, _ := newStore(t, "heap", raw)
+		s.Planner = &index.Planner{Disabled: !c.planned}
 		r, err := s.Write("r", entries, packed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pages := r.Sum.Pages()
+		pages, skipped := r.Sum.Pages(), int64(0)
 		for i, q := range testQueries(6, 99) {
 			trace := func(reference bool, scan func(q index.Query, sc *index.Scratch) error) *obs.TraceSnapshot {
 				SetPageKeyBounds(reference)
@@ -533,14 +756,20 @@ func TestRunScanTraceMatchesReference(t *testing.T) {
 				if want.UndecodedPages != 0 || want.Candidates.Seen == 0 {
 					t.Fatalf("packed=%v query %d %s: the reference scan saw %d candidates and left %d pages undecoded", packed, i, mode.name, want.Candidates.Seen, want.UndecodedPages)
 				}
-				if got.UndecodedPages == 0 || got.UndecodedPages > int64(pages)+1 {
+				if got.UndecodedPages == 0 && !c.planned || got.UndecodedPages > int64(pages)+1 {
 					t.Fatalf("packed=%v query %d %s: %d of %d pages undecoded", packed, i, mode.name, got.UndecodedPages, pages)
+				}
+				if skipped += got.PlannedSkips; !c.planned && skipped != 0 {
+					t.Fatalf("packed=%v query %d %s: the unplanned scan skipped %d pages", packed, i, mode.name, skipped)
 				}
 				got.UndecodedPages = 0
 				if !reflect.DeepEqual(want, got) {
 					t.Fatalf("packed=%v query %d %s: traces diverged:\nreference: %+v\nresident:  %+v", packed, i, mode.name, want, got)
 				}
 			}
+		}
+		if c.planned && skipped == 0 {
+			t.Errorf("packed=%v: the planned scans skipped no page", packed)
 		}
 	}
 }

@@ -40,7 +40,6 @@ type BTP struct {
 	count       int64
 	merges      int64
 	pool        *parallel.Pool
-	planner     *index.Planner
 }
 
 // NewBTP builds a bounded-temporal-partitioning scheme over sorted runs.
@@ -66,7 +65,7 @@ func NewBTP(disk storage.Backend, name string, cfg index.Config, bufferCap, merg
 		return nil, fmt.Errorf("stream: entry size %d exceeds page size %d", size, disk.PageSize())
 	}
 	return &BTP{
-		store:       run.NewStore(disk, nil, cfg, raw),
+		store:       run.NewStore(disk, nil, nil, cfg, raw),
 		name:        name,
 		sum:         summarizer{cfg: cfg},
 		bufferCap:   bufferCap,
@@ -82,12 +81,12 @@ func NewBTP(disk storage.Backend, name string, cfg index.Config, bufferCap, merg
 func (b *BTP) SetParallelism(n int) { b.pool = parallel.New(n) }
 
 // SetPlanner installs the query planner that orders partition probes by
-// their synopsis envelope bound and skips partitions that cannot improve
-// the current answer. nil (the default) plans with default settings; a
-// planner with Disabled set restores the unplanned probe order. Call
-// before querying; the setting is not synchronized with in-flight
-// searches.
-func (b *BTP) SetPlanner(pl *index.Planner) { b.planner = pl }
+// their synopsis envelope bound, skips partitions that cannot improve the
+// current answer, and leaves a partition's dead pages unread. nil (the
+// default) plans with default settings; a planner with Disabled set restores
+// the unplanned probe order and pins every page a scan reaches. Call before
+// querying; the setting is not synchronized with in-flight searches.
+func (b *BTP) SetPlanner(pl *index.Planner) { b.store.Planner = pl }
 
 // UseReader routes partition page reads through r (typically a buffer pool
 // over the scheme's disk); nil restores the uncached disk. Call before
@@ -247,7 +246,7 @@ func (b *BTP) forEachPart(q index.Query, ctx *index.SearchCtx, col *index.Collec
 	}
 	scs := ctx.Scratches(b.pool.WorkersFor(len(active)))
 	return index.ProbeUnits(index.ProbePlan{
-		Planner: b.planner, Pool: b.pool, Trace: ctx.Trace, Kind: "partition", Units: ctx.PlanUnits(len(active)),
+		Planner: b.store.Planner, Pool: b.pool, Trace: ctx.Trace, Kind: "partition", Units: ctx.PlanUnits(len(active)),
 	}, col, func(i int) float64 {
 		return ctx.P.SynopsisBoundSq(active[i].Syn)
 	}, func(i, w int, col *index.Collector) error {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/adsplus"
@@ -272,6 +273,25 @@ func TestBTPTimeRangesDisjointOrdered(t *testing.T) {
 	}
 }
 
+// fileReads is a storage.Tracer counting page reads by file (safe for the
+// concurrent reads of a parallel search).
+type fileReads struct {
+	mu sync.Mutex
+	n  map[string]int
+}
+
+func (f *fileReads) Access(file string, _ int64, write bool) {
+	if !write {
+		f.mu.Lock()
+		f.n[file]++
+		f.mu.Unlock()
+	}
+}
+
+// TestBTPSmallWindowSkipsLargePartitions: a window over the recent stream
+// reads no page of a partition whose time range it misses — the big old
+// partition the merges leave among them — where a window over the whole
+// stream reads them.
 func TestBTPSmallWindowSkipsLargePartitions(t *testing.T) {
 	raw := &memRaw{}
 	disk := storage.NewDisk(0)
@@ -288,21 +308,37 @@ func TestBTPSmallWindowSkipsLargePartitions(t *testing.T) {
 	if err := btp.Seal(); err != nil {
 		t.Fatal(err)
 	}
+	const recent = 2500
+	var old []string // the partitions wholly before the recent window
+	for _, p := range btp.parts {
+		if p.Syn.MaxTS < recent {
+			old = append(old, p.File)
+		}
+	}
+	if len(old) == 0 || len(old) == len(btp.parts) {
+		t.Fatalf("%d of %d partitions end before %d: the stream does not exercise the window", len(old), len(btp.parts), recent)
+	}
 	q := index.NewQuery(gen.RandomWalk(rand.New(rand.NewSource(66)), 64), testConfig(true))
-
-	// Recent small window: should cost far less I/O than the full range.
-	disk.ResetStats()
-	if _, err := btp.ExactSearch(q.WithWindow(2500, 2647), 1); err != nil {
-		t.Fatal(err)
+	reads := func(minTS, maxTS int64) (ofOld, all int) {
+		tr := &fileReads{n: map[string]int{}}
+		disk.SetTracer(tr)
+		defer disk.SetTracer(nil)
+		if _, err := btp.ExactSearch(q.WithWindow(minTS, maxTS), 1); err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range old {
+			ofOld += tr.n[f]
+		}
+		for _, n := range tr.n {
+			all += n
+		}
+		return ofOld, all
 	}
-	smallIO := disk.Stats().Reads()
-	disk.ResetStats()
-	if _, err := btp.ExactSearch(q.WithWindow(0, 2647), 1); err != nil {
-		t.Fatal(err)
+	if ofOld, all := reads(recent, 2647); ofOld != 0 || all == 0 {
+		t.Errorf("the recent window read %d pages of the old partitions and %d in all, want none and some", ofOld, all)
 	}
-	fullIO := disk.Stats().Reads()
-	if smallIO*3 > fullIO {
-		t.Errorf("small-window I/O %d not well below full-window %d", smallIO, fullIO)
+	if ofOld, _ := reads(0, 2647); ofOld == 0 {
+		t.Error("the whole-stream window read no page of the old partitions")
 	}
 }
 

@@ -287,6 +287,62 @@ func BenchmarkVerify(b *testing.B) {
 	})
 }
 
+// sliceRaw serves raw series straight out of a slice of z-normalized ones:
+// the reference BenchmarkRawFetch holds the raw series files to.
+type sliceRaw []series.Series
+
+func (s sliceRaw) Get(id int) (series.Series, error) { return s[id], nil }
+func (s sliceRaw) Count() int                        { return len(s) }
+
+// BenchmarkRawFetch measures what verifying one candidate of a
+// non-materialized index costs by where its raw series lives, through the
+// verifier a search runs (index.TrueDistSq): a slice of series in memory (the
+// reference); a raw series file on a heap disk of its own, a series a page,
+// borrowing its page slices, as a RawInMemory build keeps one; and one on the
+// build's disk, read one page frame at a time, whose accounting the
+// experiments measure. Candidates come in a fixed random order over 10 000
+// series, under a late-search bound, as deep in an exact search.
+func BenchmarkRawFetch(b *testing.B) {
+	const n, length = 10000, 128
+	rng := rand.New(rand.NewSource(28))
+	ss := make(sliceRaw, n)
+	for i := range ss {
+		ss[i] = gen.RandomWalk(rng, length).ZNormalize()
+	}
+	cfg := index.Config{SeriesLen: length, Segments: 16, Bits: 8}
+	q := index.NewQuery(gen.RandomWalk(rng, length), cfg)
+	boundSq := math.Inf(1)
+	for _, s := range ss {
+		boundSq = min(boundSq, q.Norm.SqDist(s))
+	}
+	boundSq *= 1.1
+	order := rng.Perm(n)
+	heap, err := storage.CreateRawFile(storage.NewDisk(series.Size(length)), "raw", length, n, ss.Get)
+	if err != nil {
+		b.Fatal(err)
+	}
+	heap.UseReader(nil)
+	build, err := storage.CreateRawFile(storage.NewDisk(0), "raw", length, n, ss.Get)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, row := range []struct {
+		name string
+		raw  series.RawStore
+	}{{"slice", ss}, {"heap-rawfile", heap}, {"build-disk-rawfile", build}} {
+		b.Run(row.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				d, err := index.TrueDistSq(q, record.Entry{ID: int64(order[i%n])}, row.raw, boundSq)
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchSink += d
+			}
+		})
+	}
+}
+
 func BenchmarkExternalSortPerEntry(b *testing.B) {
 	// Sort cost amortized per entry at a fixed run shape.
 	const n = 20000

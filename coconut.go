@@ -80,8 +80,10 @@ type Options struct {
 	// Bits is the per-segment cardinality in bits (default 8).
 	Bits int
 	// Materialized stores full series inside the index (faster queries,
-	// larger and slower to build). Non-materialized indexes keep series in
-	// a raw store and fetch them during search.
+	// larger and slower to build) and keeps no other copy of them.
+	// Non-materialized indexes keep the z-normalized series in a raw series
+	// file on a heap disk of their own, outside Stats, the cache and Pages,
+	// and fetch them during search.
 	Materialized bool
 	// FillFactor (Tree only): fraction of each leaf filled at build time,
 	// in (0,1]. Lower values absorb later inserts without splits.
@@ -121,7 +123,10 @@ type Options struct {
 	// Durability selects the WAL group-commit policy: DurabilityBatched
 	// (the default) syncs every few inserts or milliseconds, trading a
 	// bounded window of recent acknowledgements for ingest throughput;
-	// DurabilitySync syncs every insert before acknowledging it.
+	// DurabilitySync syncs every insert before acknowledging it. A
+	// materialized LSM with StorageDir set drops flushed inserts from the log:
+	// its store then covers them across a process crash, and across a power
+	// cut once Close or SaveFile has synced it.
 	Durability Durability
 	// StorageDir selects the file-backed storage backend: index pages live
 	// in real page-aligned files under this host directory (pread/pwrite,
@@ -187,9 +192,10 @@ const (
 
 // spec is the one mapping of the facade's Options onto the assembly
 // package's build description. fam is the index family ("CTree", "CLSM").
-// The facade's own defaults live here: it keeps raw series in memory, its
-// searches use one worker per CPU unless told otherwise, and its LSM write
-// buffer is sized in entries, not bytes.
+// The facade's own defaults live here: a non-materialized index keeps its
+// raw series on a heap disk of its own, its searches use one worker per CPU
+// unless told otherwise, and its LSM write buffer is sized in entries, not
+// bytes.
 func (o Options) spec(fam string) assemble.Spec {
 	s := assemble.Spec{
 		Variant:   assemble.VariantOf(fam, o.Materialized),
@@ -313,8 +319,9 @@ func (h *handle) Count() int { return int(h.b.Index.Count()) }
 // acknowledged under the durability policy when a WAL is configured, and
 // safe for concurrent use with searches and flushes; a Sharded index routes
 // the series to its hash-assigned shard, assigning IDs in insertion order
-// exactly as the unsharded index would. The raw series mirror stays in
-// sync, so non-materialized indexes keep answering searches.
+// exactly as the unsharded index would. A non-materialized index appends
+// the series to its raw series file before the index entry, so the insert
+// answers the next search.
 func (h *handle) Insert(s []float64, ts int64) error { return h.b.Ingest(series.Series(s), ts) }
 
 // Search returns the exact k nearest neighbors of q. A Sharded index scans
@@ -386,9 +393,10 @@ func (h *handle) SetParallelism(n int) { h.b.SetParallelism(n) }
 // every shard of a Sharded index), plus the query planner's skip counter.
 func (h *handle) Stats() Stats { return statsOf(h.b) }
 
-// SaveFile persists the index — pages, structure metadata, and the raw
-// series store — into a single snapshot file on the host filesystem
-// (Options.FS when one was injected); reopen it with OpenTree or OpenLSM. An
+// SaveFile persists the index — pages, structure metadata, and, when not
+// materialized, its raw series — into a single snapshot file on the host
+// filesystem (Options.FS when one was injected); reopen it with OpenTree or
+// OpenLSM. A materialized index's snapshot holds no raw series copy. An
 // LSM's write buffer is flushed first, and with a WAL configured a
 // successful save is a checkpoint: everything the snapshot holds leaves the
 // log, which so stays bounded by the insert traffic since the last save. A

@@ -21,7 +21,7 @@ import (
 	"repro/internal/wal"
 )
 
-// rawFile names the on-disk raw series file of builds without RawInMemory.
+// rawFile names the raw series file of a non-materialized build.
 const rawFile = "raw"
 
 // Built is an assembled index and everything opened for it. Close releases
@@ -41,11 +41,12 @@ type Built struct {
 	Group *shard.Group
 	Parts []*Built
 	// Disk is the storage backend, Pool the buffer pool fronting it (nil
-	// uncached) and Raw the raw series store; on a partitioned build they
-	// alias the first part's.
+	// uncached) and Raw the raw series file of a non-materialized build (nil
+	// when materialized): on Disk, or with RawInMemory on a heap disk of its
+	// own. On a partitioned build they alias the first part's.
 	Disk storage.Backend
 	Pool *bufpool.Pool
-	Raw  series.RawStore
+	Raw  *storage.RawFile
 	// Cache is the frame store behind the pool(s); nil uncached.
 	Cache *bufpool.Cache
 	// Planner carries the build's query-planning switch and skip counter.
@@ -56,15 +57,15 @@ type Built struct {
 	WAL       *wal.Log
 	Compactor *compact.Scheduler
 	// Construction accounting: I/O and wall time of the build, and the pages
-	// the index structures and the raw series file occupy.
+	// the index structures and the raw series file occupy on Disk.
 	BuildStats storage.Stats
 	BuildTime  time.Duration
 	IndexPages int64
 	RawPages   int64
 
-	mem       *MemStore  // in-memory raw store; nil when raw series live in rawFile
-	insertMu  sync.Mutex // keeps raw store, ID assignment and index insert in step
-	ownsSched bool       // Compactor is closed by this handle (false on parts)
+	insertMu  sync.Mutex    // keeps raw file and index insert in step
+	z         series.Series // an insert's z-normalized series, under insertMu
+	ownsSched bool          // Compactor is closed by this handle (false on parts)
 	closed    atomic.Bool
 }
 
@@ -121,20 +122,20 @@ func Build(spec Spec, ds *series.Dataset) (*Built, error) {
 }
 
 // Base opens the storage half of a build — backend, buffer pool, planner
-// and the in-memory raw store — and leaves the index to the caller (the
-// streaming schemes, which are not index variants). spec.RawInMemory must be
-// set.
+// and raw series file — and leaves the index to the caller (the streaming
+// schemes, which are not index variants).
 func Base(spec Spec) (*Built, error) {
 	spec, cfg, err := spec.resolve()
 	if err != nil {
 		return nil, err
 	}
-	return base(spec, cfg, series.NewDataset(cfg.SeriesLen), newShared(spec))
+	return base(spec, cfg, series.NewDataset(cfg.SeriesLen), newShared(spec), false)
 }
 
 // base performs the steps every build starts with: backend → buffer pool →
-// planner → raw store. On error everything opened so far is closed.
-func base(spec Spec, cfg index.Config, ds *series.Dataset, sh shared) (*Built, error) {
+// planner → raw series file (openRaw, keeping one the store holds when
+// keepRaw). On error everything opened so far is closed.
+func base(spec Spec, cfg index.Config, ds *series.Dataset, sh shared, keepRaw bool) (*Built, error) {
 	b := &Built{Spec: spec, Config: cfg, Cache: sh.cache, Planner: sh.planner, Compactor: sh.sched}
 	if spec.StorageDir == "" {
 		b.Disk = storage.NewDisk(spec.PageSize)
@@ -152,25 +153,11 @@ func base(spec Spec, cfg index.Config, ds *series.Dataset, sh shared) (*Built, e
 		b.Close()
 		return nil, err
 	}
-	if spec.RawInMemory {
-		b.mem = NewMemStore(ds)
-		b.Raw = b.mem
-	} else {
-		// The raw series file is written before the index (shared by all
-		// variants, like the paper's raw data file), its pages are tracked
-		// separately, and query-time fetches go through the pool.
-		rf, err := writeRawFile(b.Disk, rawFile, ds.Len, ds.Count(), func(i int) series.Series {
-			return ds.Values[i].ZNormalize()
-		})
-		if err == nil && b.Pool != nil {
-			err = rf.UseReader(b.Pool)
-		}
-		if err != nil {
+	if !cfg.Materialized {
+		if err := b.openRaw(ds, keepRaw); err != nil {
 			b.Close()
 			return nil, err
 		}
-		b.Raw = rf
-		b.RawPages, _ = b.Disk.NumPages(rawFile)
 	}
 	if b.Pool != nil {
 		b.Pool.ResetStats()
@@ -203,27 +190,61 @@ func (b *Built) Reader() storage.PageReader {
 	return b.Pool
 }
 
-// writeRawFile writes the n z-normalized series get yields into a sealed raw
-// file on d, replacing any previous file of that name.
-func writeRawFile(d storage.Backend, name string, seriesLen, n int, get func(i int) series.Series) (*storage.RawFile, error) {
-	if d.Exists(name) {
-		if err := d.Remove(name); err != nil {
-			return nil, err
+// openRaw gives a non-materialized build its raw series file, holding the
+// z-normalized series of ds. Like the paper's raw data file it lives on the
+// build's disk, written before the index, its pages counted apart from the
+// index's and its fetches read through the pool; with RawInMemory it lives
+// on a heap disk of its own instead, which no Stats, cache or page count
+// sees. A disk that already holds the file holds an index, and the file is
+// never rewritten: a build that continues its store (keep) leaves it for
+// buildOne to reopen, and any other build is refused.
+func (b *Built) openRaw(ds *series.Dataset, keep bool) (err error) {
+	d := b.Disk
+	if b.Spec.RawInMemory {
+		d = heapRawDisk(ds.Len)
+	}
+	if d.Exists(rawFile) {
+		if !keep {
+			return fmt.Errorf("assemble: storage dir %q already holds an index; a build of new series needs fresh directories", b.Spec.StorageDir)
 		}
+		b.Raw = new(storage.RawFile)
+		return nil
 	}
-	rf, err := storage.CreateRawFile(d, name, seriesLen)
-	if err != nil {
-		return nil, err
+	if b.Raw, err = storage.CreateRawFile(d, rawFile, ds.Len, ds.Count(), func(i int) (series.Series, error) {
+		return ds.Values[i].ZNormalize(), nil
+	}); err != nil {
+		return err
 	}
-	for i := 0; i < n; i++ {
-		if _, err := rf.Append(get(i)); err != nil {
-			return nil, err
-		}
+	b.useRaw()
+	return nil
+}
+
+// heapRawDisk is the heap disk of its own a raw series file of a
+// RawInMemory build lives on. It holds one series a page, so that an append
+// writes a page of its own and rewrites none.
+func heapRawDisk(seriesLen int) *storage.Disk { return storage.NewDisk(series.Size(seriesLen)) }
+
+// useRaw sets how the raw series file fetches: through the pool, its pages
+// counted, when it lives on the build's disk; from borrowed page slices on a
+// heap disk of its own.
+func (b *Built) useRaw() {
+	if b.Raw.Disk() != b.Disk {
+		b.Raw.UseReader(nil)
+		return
 	}
-	if err := rf.Seal(); err != nil {
-		return nil, err
+	b.RawPages, _ = b.Disk.NumPages(rawFile)
+	if b.Pool != nil {
+		b.Raw.UseReader(b.Pool)
 	}
-	return rf, nil
+}
+
+// RawStore is Raw as an index takes it: no store at all, not a nil file,
+// when the build is materialized.
+func (b *Built) RawStore() series.RawStore {
+	if b.Raw == nil {
+		return nil
+	}
+	return b.Raw
 }
 
 // openWAL opens the log the spec names under its group-commit policy.
@@ -236,11 +257,30 @@ func openWAL(spec Spec) (*wal.Log, error) {
 	return wal.Open(opts)
 }
 
-// replayed is the clsm replay observer: it rebuilds the in-memory raw store
-// from the series logged beside each entry.
-func (b *Built) replayed(e clsm.ReplayedEntry, z series.Series) error {
-	if b.mem != nil {
-		b.mem.SetAt(e.ID, z)
+// replay re-inserts the log's tail into a CLSM build; the raw series file
+// takes every replayed series past those it holds.
+func (b *Built) replay(l *clsm.LSM) error {
+	if b.Raw == nil {
+		return l.Replay(nil)
+	}
+	return l.Replay(func(e clsm.ReplayedEntry, z series.Series) error {
+		switch n := int64(b.Raw.Count()); {
+		case e.ID < n:
+			return nil
+		case e.ID > n:
+			return fmt.Errorf("assemble: the log replays series %d, but the raw series file holds %d", e.ID, n)
+		}
+		_, err := b.Raw.Append(z)
+		return err
+	})
+}
+
+// inStep is the one ID-drift check: a raw series file holds exactly the
+// series its index holds, ID for ID, since both assign IDs in insertion
+// order.
+func (b *Built) inStep() error {
+	if b.Raw != nil && int64(b.Raw.Count()) != b.Index.Count() {
+		return fmt.Errorf("assemble: %s holds %d series, its raw series file %d", b.Index.Name(), b.Index.Count(), b.Raw.Count())
 	}
 	return nil
 }
@@ -251,7 +291,8 @@ func (b *Built) replayed(e clsm.ReplayedEntry, z series.Series) error {
 // beside the error, for the caller to Close — once nothing else is using
 // the shared scheduler any more.
 func buildOne(spec Spec, cfg index.Config, ds *series.Dataset, sh shared) (b *Built, err error) {
-	if b, err = base(spec, cfg, ds, sh); err != nil {
+	fam, _, _ := family(spec.Variant)
+	if b, err = base(spec, cfg, ds, sh, fam == familyCLSM && ds.Count() == 0); err != nil {
 		return nil, err
 	}
 	buffer := spec.BufferEntries
@@ -267,12 +308,12 @@ func buildOne(spec Spec, cfg index.Config, ds *series.Dataset, sh shared) (b *Bu
 		return nil
 	}
 	start := time.Now()
-	switch fam, _, _ := family(spec.Variant); fam {
+	switch fam {
 	case familyCTree:
 		var t *ctree.Tree
 		t, err = ctree.Build(ctree.Options{
 			Disk: b.Disk, Reader: b.Reader(), Name: treeName, Config: cfg,
-			FillFactor: spec.FillFactor, MemBudget: spec.MemBudget, Raw: b.Raw,
+			FillFactor: spec.FillFactor, MemBudget: spec.MemBudget, Raw: b.RawStore(),
 			Parallelism: spec.Parallelism, Planner: b.Planner, Compress: spec.Compress,
 		}, ds, 0)
 		if err != nil {
@@ -282,7 +323,7 @@ func buildOne(spec Spec, cfg index.Config, ds *series.Dataset, sh shared) (b *Bu
 	case familyCLSM:
 		opts := clsm.Options{
 			Disk: b.Disk, Reader: b.Reader(), Name: lsmName, Config: cfg,
-			GrowthFactor: spec.GrowthFactor, BufferEntries: buffer, Raw: b.Raw,
+			GrowthFactor: spec.GrowthFactor, BufferEntries: buffer, Raw: b.RawStore(),
 			Parallelism: spec.Parallelism, Scheduler: b.Compactor, Planner: b.Planner,
 			Compress: spec.Compress,
 		}
@@ -290,11 +331,7 @@ func buildOne(spec Spec, cfg index.Config, ds *series.Dataset, sh shared) (b *Bu
 			if b.WAL, err = openWAL(spec); err != nil {
 				return
 			}
-			// A flush may retire the log segments it made durable only when
-			// the disk then holds everything: an in-memory raw store comes
-			// back from replay (or a snapshot, whose checkpoint truncates),
-			// so its log must keep every entry.
-			opts.WAL, opts.TruncateWALOnFlush = b.WAL, !spec.RawInMemory
+			opts.WAL = b.WAL
 		}
 		var l *clsm.LSM
 		if l, err = clsm.Open(opts); err != nil {
@@ -307,7 +344,17 @@ func buildOne(spec Spec, cfg index.Config, ds *series.Dataset, sh shared) (b *Bu
 			err = fmt.Errorf("assemble: storage dir %q or WAL dir %q already holds an index; a build over a dataset needs fresh directories", spec.StorageDir, spec.WALDir)
 			return
 		}
-		if err = l.Replay(b.replayed); err != nil {
+		// A CLSM build of no series continues whatever store its directories
+		// hold: the raw series file there holds the series of the runs
+		// adopted (none on a fresh one); on a heap disk of its own it starts
+		// empty, and replay refills it from the log's head.
+		if b.Raw != nil && ds.Count() == 0 && !spec.RawInMemory {
+			if err = b.Raw.Open(b.Disk, rawFile, cfg.SeriesLen, l.Count()); err != nil {
+				return
+			}
+			b.useRaw()
+		}
+		if err = b.replay(l); err != nil {
 			return
 		}
 		if ds.Count() > 0 {
@@ -320,7 +367,7 @@ func buildOne(spec Spec, cfg index.Config, ds *series.Dataset, sh shared) (b *Bu
 	case familyADS:
 		var t *adsplus.Tree
 		t, err = adsplus.New(adsplus.Options{
-			Disk: b.Disk, Reader: b.Reader(), Config: cfg, BufferEntries: buffer, Raw: b.Raw,
+			Disk: b.Disk, Reader: b.Reader(), Config: cfg, BufferEntries: buffer, Raw: b.RawStore(),
 		})
 		if err != nil {
 			return
@@ -329,6 +376,9 @@ func buildOne(spec Spec, cfg index.Config, ds *series.Dataset, sh shared) (b *Bu
 		if err = load(t.Insert); err == nil {
 			err = t.FlushBuffers()
 		}
+	}
+	if err == nil {
+		err = b.inStep()
 	}
 	if err != nil {
 		return

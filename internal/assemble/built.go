@@ -13,10 +13,9 @@ import (
 	"repro/internal/wal"
 )
 
-// Ingest appends one series after construction. The raw store must stay
-// resolvable: in-memory stores accept appends and materialized variants
-// carry series inline, but a non-materialized build over a sealed on-disk
-// raw file refuses. On a partitioned build the series takes the next dense
+// Ingest appends one series after construction: a non-materialized build
+// appends it to its raw series file first, so the entry is resolvable once a
+// search can see it. On a partitioned build the series takes the next dense
 // global ID and routes to its hash-assigned shard; a cluster build refuses,
 // its IDs being the router's to assign (ClusterInsert). Safe for concurrent
 // use with searches; concurrent inserts serialize.
@@ -35,7 +34,7 @@ func (b *Built) Ingest(s series.Series, ts int64) error {
 // ClusterInsert appends one series under a router-assigned global ID — the
 // node-side replica write path. The ID must be exactly the next one expected
 // by a shard this node owns (shard.Group.PrepareInsert); the series lands in
-// that shard through its normal ingest path, so raw stores stay in sync.
+// that shard through its normal ingest path, raw series file included.
 func (b *Built) ClusterInsert(id int64, s series.Series, ts int64) error {
 	if b.Spec.ClusterShards == 0 {
 		return fmt.Errorf("assemble: %s is not a cluster build", b.Index.Name())
@@ -65,33 +64,26 @@ func (b *Built) insert(s series.Series, ts int64) error {
 	if len(s) != b.Config.SeriesLen {
 		return fmt.Errorf("assemble: series length %d, want %d", len(s), b.Config.SeriesLen)
 	}
-	if b.mem == nil && !b.Config.Materialized {
-		return fmt.Errorf("assemble: %s keeps raw series in a sealed on-disk file; ingest needs a materialized variant or RawInMemory", b.Index.Name())
+	ins, ok := b.Index.(interface {
+		Insert(series.Series, int64) error
+	})
+	if !ok {
+		return fmt.Errorf("assemble: %s does not support inserts", b.Index.Name())
 	}
 	b.insertMu.Lock()
 	defer b.insertMu.Unlock()
-	// Mirror first: by the time the entry becomes visible to a search, its
-	// raw series is resolvable.
-	id := -1
-	if b.mem != nil {
-		id = b.mem.Append(s.ZNormalize())
-	}
-	switch ins := b.Index.(type) {
-	case interface {
-		InsertID(series.Series, int64) (int64, error)
-	}:
-		got, err := ins.InsertID(s, ts)
-		if err != nil {
+	if b.Raw != nil {
+		if len(b.z) != len(s) {
+			b.z = make(series.Series, len(s))
+		}
+		if _, err := b.Raw.Append(s.ZNormalizeInto(b.z)); err != nil {
 			return err
 		}
-		if id >= 0 && got != int64(id) {
-			return fmt.Errorf("assemble: internal ID drift: index assigned %d, raw store %d", got, id)
-		}
-		return nil
-	case index.Inserter:
-		return ins.Insert(s, ts)
 	}
-	return fmt.Errorf("assemble: %s does not support inserts", b.Index.Name())
+	if err := ins.Insert(s, ts); err != nil {
+		return err
+	}
+	return b.inStep()
 }
 
 // eachLSM applies fn to every CLSM behind the build, part by part.

@@ -2,6 +2,7 @@ package assemble
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 
@@ -10,42 +11,47 @@ import (
 	"repro/internal/ctree"
 	"repro/internal/fsx"
 	"repro/internal/index"
-	"repro/internal/series"
 	"repro/internal/shard"
 	"repro/internal/simd"
 	"repro/internal/storage"
 )
 
 // File names inside a build's disk. Saved snapshots hold the index names,
-// so they cannot change; mirrorFile is the snapshot's copy of the in-memory
-// raw store, so non-materialized indexes reopen self-contained.
+// so they cannot change; mirrorFile is the snapshot's copy of the raw series
+// file of a non-materialized RawInMemory build, so such an index reopens
+// self-contained.
 const (
 	treeName   = "ctree"
 	lsmName    = "clsm"
 	mirrorFile = "coconut.raw"
 )
 
-// SaveFile persists the build — index pages, structure metadata and the raw
-// series store — into one snapshot file on the host filesystem (Spec.FS),
-// reopened with Open. CLSM write buffers are flushed first, and with a WAL a
-// successful save is a checkpoint: what the snapshot holds leaves the log. A
-// partitioned build owning every shard saves as a file set — a JSON manifest
-// at path plus one such snapshot per shard at path.shardNNN — reopened with
-// OpenSharded.
+// SaveFile persists the build — index pages, structure metadata and, when
+// not materialized, the raw series file — into one snapshot file on the host
+// filesystem (Spec.FS), reopened with Open. CLSM write buffers are flushed
+// first, and with a WAL a successful save is a checkpoint: what the snapshot
+// holds leaves the log. A partitioned build owning every shard saves as a
+// file set — a JSON manifest at path plus one such snapshot per shard at
+// path.shardNNN — reopened with OpenSharded.
 func (b *Built) SaveFile(path string) error {
 	if b.Group != nil {
 		return b.saveParts(path)
 	}
 	saver, ok := b.Index.(interface{ Save() error })
-	if !ok || b.mem == nil {
-		return fmt.Errorf("assemble: %s cannot be saved: snapshots hold a CTree or CLSM built with RawInMemory", b.Index.Name())
+	if !ok {
+		return fmt.Errorf("assemble: %s cannot be saved: snapshots hold a CTree or CLSM", b.Index.Name())
 	}
 	if err := saver.Save(); err != nil {
 		return err
 	}
-	ss := b.mem.Snapshot()
-	if _, err := writeRawFile(b.Disk, mirrorFile, b.Config.SeriesLen, len(ss), func(i int) series.Series { return ss[i] }); err != nil {
-		return err
+	if b.Raw != nil && b.Raw.Disk() != b.Disk {
+		// A raw series file on the build's disk is in the snapshot already.
+		if err := b.Disk.Remove(mirrorFile); err != nil && !errors.Is(err, storage.ErrNotFound) {
+			return err
+		}
+		if _, err := storage.CreateRawFile(b.Disk, mirrorFile, b.Config.SeriesLen, b.Raw.Count(), b.Raw.Get); err != nil {
+			return err
+		}
 	}
 	// The snapshot write is atomic-and-durable (temp file, fsync, rename,
 	// parent-dir fsync) before the log is touched; only then may the
@@ -162,19 +168,21 @@ func openOne(path string, spec Spec, sh shared) (b *Built, err error) {
 	if err != nil {
 		return nil, err
 	}
-	b = &Built{Disk: disk, Planner: sh.planner, Compactor: sh.sched, mem: &MemStore{}}
-	b.Raw = b.mem
+	b = &Built{Disk: disk, Planner: sh.planner, Compactor: sh.sched}
 	defer func() {
 		if err != nil {
 			b.Close()
 			b = nil
 		}
 	}()
+	// Only the index can say whether it reads a raw series file, and of how
+	// many series: it takes one that is opened once it has.
+	b.Raw = new(storage.RawFile)
 	fam, _, _ := family(spec.Variant)
 	switch fam {
 	case familyCTree:
 		var tree *ctree.Tree
-		if tree, err = ctree.Open(disk, treeName, b.mem); err != nil {
+		if tree, err = ctree.Open(disk, treeName, b.RawStore()); err != nil {
 			return
 		}
 		tree.SetPlanner(b.Planner)
@@ -188,7 +196,7 @@ func openOne(path string, spec Spec, sh shared) (b *Built, err error) {
 		var lsm *clsm.LSM
 		if lsm, err = clsm.Open(clsm.Options{
 			Disk: disk, Name: lsmName, GrowthFactor: spec.GrowthFactor, BufferEntries: spec.BufferEntries,
-			Raw: b.mem, WAL: b.WAL, Scheduler: b.Compactor, Planner: b.Planner, Compress: spec.Compress,
+			Raw: b.RawStore(), WAL: b.WAL, Scheduler: b.Compactor, Planner: b.Planner, Compress: spec.Compress,
 		}); err != nil {
 			return
 		}
@@ -199,43 +207,56 @@ func openOne(path string, spec Spec, sh shared) (b *Built, err error) {
 	}
 	spec.Variant = VariantOf(fam, b.Config.Materialized)
 	spec.SeriesLen, spec.Segments, spec.Bits = b.Config.SeriesLen, b.Config.Segments, b.Config.Bits
-	spec.RawInMemory = true
+	// The raw series file stays where the build kept it.
+	spec.RawInMemory = !disk.Exists(rawFile)
 	spec.Parallelism = -1 // not part of a snapshot: a reopened index takes the default pool
 	b.Spec = spec
 	if err = spec.Validate(); err != nil {
 		return
 	}
-	// The raw mirror covers exactly the snapshot-resident entries; WAL
-	// replay appends past it.
-	if err = loadMirror(disk, b.mem, b.Config.SeriesLen, b.Index.Count()); err != nil {
+	if b.Config.Materialized {
+		// A snapshot written while materialized builds kept raw series still
+		// holds them; they go, so that a new snapshot holds none.
+		b.Raw = nil
+		if disk.Exists(mirrorFile) {
+			if err = disk.Remove(mirrorFile); err != nil {
+				return
+			}
+		}
+	} else if err = b.loadRaw(); err != nil {
 		return
 	}
 	if lsm, ok := b.Index.(*clsm.LSM); ok {
-		err = lsm.Replay(b.replayed)
+		if err = b.replay(lsm); err != nil {
+			return
+		}
 	}
+	err = b.inStep()
 	return
 }
 
-// loadMirror reads the snapshot's raw series mirror back into memory.
-func loadMirror(disk storage.Backend, mem *MemStore, seriesLen int, count int64) error {
-	if !disk.Exists(mirrorFile) {
-		return fmt.Errorf("assemble: snapshot missing raw store %q", mirrorFile)
-	}
-	rf, err := storage.OpenRecordFile(disk, mirrorFile, series.Size(seriesLen))
-	if err != nil {
-		return err
-	}
-	for i := int64(0); i < count; i++ {
-		rec, err := rf.Get(i)
-		if err != nil {
-			return fmt.Errorf("assemble: reading raw series %d: %w", i, err)
+// loadRaw reopens the snapshot's raw series file where the build that saved
+// it kept it, holding what the index holds: on the disk, or, copied from the
+// mirror, on a heap disk of its own. A log's tail replays past it.
+func (b *Built) loadRaw() error {
+	n, count, d := b.Config.SeriesLen, b.Index.Count(), b.Disk
+	if b.Spec.RawInMemory {
+		if !b.Disk.Exists(mirrorFile) {
+			return fmt.Errorf("assemble: snapshot missing raw store %q", mirrorFile)
 		}
-		s, err := series.DecodeBinary(rec, seriesLen)
-		if err != nil {
+		var mirror storage.RawFile
+		if err := mirror.Open(b.Disk, mirrorFile, n, count); err != nil {
 			return err
 		}
-		mem.Append(s)
+		d = heapRawDisk(n)
+		if _, err := storage.CreateRawFile(d, rawFile, n, int(count), mirror.Get); err != nil {
+			return err
+		}
 	}
+	if err := b.Raw.Open(d, rawFile, n, count); err != nil {
+		return err
+	}
+	b.useRaw()
 	return nil
 }
 

@@ -8,12 +8,13 @@
 //
 // Build performs, in order: storage backend (simulated disk or file-backed
 // page store) → buffer pool on the build's shared cache → query planner →
-// raw series store (in-memory or on-disk raw file) → write-ahead log (opened,
-// and replayed when it already holds entries) → compaction scheduler → the
-// CTree / CLSM / ADS+ index → for partitioned builds, one such shard per
-// owned partition on the shared cache, planner and scheduler, wrapped in a
-// shard.Group. The returned Built owns everything it opened; a build that
-// fails part-way closes what it had opened before returning the error.
+// raw series file (non-materialized only: on the build's disk or a heap disk
+// of its own) → write-ahead log (opened, and replayed when it already holds
+// entries) → compaction scheduler → the CTree / CLSM / ADS+ index → for
+// partitioned builds, one such shard per owned partition on the shared
+// cache, planner and scheduler, wrapped in a shard.Group. The returned Built
+// owns everything it opened; a build that fails part-way closes what it had
+// opened before returning the error.
 package assemble
 
 import (
@@ -80,10 +81,11 @@ type Spec struct {
 	Shards        int   `json:"shards,omitempty"`
 	ClusterShards int   `json:"cluster_shards,omitempty"`
 	NodeShards    []int `json:"node_shards,omitempty"`
-	// RawInMemory keeps the z-normalized raw series in memory: raw fetches
-	// cost no I/O, every variant accepts inserts, and the build can be saved
-	// as a snapshot. The default writes them to a raw file on the build's
-	// disk and charges its page reads, as in the paper.
+	// RawInMemory puts a non-materialized build's raw series file on a heap
+	// disk of its own, whose fetches no Stats, cache or page count sees.
+	// The default puts it on the build's disk and charges its page reads, as
+	// the paper charges its raw data file. A materialized build keeps no raw
+	// series file, and ignores it.
 	RawInMemory bool `json:"raw_in_memory,omitempty"`
 	// WALDir (CLSM) logs every insert to a segmented write-ahead log in this
 	// directory before acknowledging it, under the Durability group-commit

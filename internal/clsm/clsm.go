@@ -75,7 +75,8 @@ type Options struct {
 	// Raw is consulted by non-materialized searches. Series inserted into
 	// the index must appear in Raw at the same IDs (insertion order,
 	// starting at 0). When Parallelism exceeds 1, Raw must be safe for
-	// concurrent Get calls.
+	// concurrent Get calls. A storage.RawFile on Disk keeps the series as
+	// durable as the runs are, which lets flushes truncate the log (WAL).
 	Raw series.RawStore
 	// Reader serves every page read of the run files during search. nil
 	// selects the Disk itself (uncached); pass a buffer pool over the same
@@ -93,16 +94,15 @@ type Options struct {
 	// to the log before buffering it (acknowledgement follows the log's
 	// group-commit policy), and every flush or merge persists the run
 	// manifest to Disk so Open + Replay can rebuild the index from manifest +
-	// WAL tail. The log is owned by the caller (it outlives this index and
-	// is closed by whoever opened it).
+	// WAL tail. A flush also retires the log segments it covered when Disk
+	// then holds everything the log would restore: Disk is file-backed, and
+	// the series are materialized or in a storage.RawFile on Disk. Disk's
+	// files then stand in for the retired segments across a process crash;
+	// they reach stable storage on Close (Disk.Sync), not at each flush.
+	// Otherwise the log keeps every entry until a snapshot checkpoint of the
+	// disk (the facade's SaveFile) truncates it. The log is owned by the
+	// caller (it outlives this index and is closed by whoever opened it).
 	WAL *wal.Log
-	// TruncateWALOnFlush, with WAL set, truncates log segments as soon as
-	// their entries are safely in an on-disk run behind a persisted
-	// manifest. Enable it when Disk is the durable store (it survives the
-	// crash being guarded against); leave it off when durability instead
-	// comes from snapshot checkpoints of the disk (the facade's SaveFile),
-	// which truncate at checkpoint time.
-	TruncateWALOnFlush bool
 	// Scheduler runs level merges: as background jobs on its workers, or —
 	// nil, zero workers, or closed — inline, as the synchronous cascade
 	// inside Flush that is the paper-faithful single-stream accounting.
@@ -344,20 +344,12 @@ func retire(old, new *manifest, dropped []string) {
 // Insert adds one series with the given ingestion timestamp. IDs are
 // assigned in insertion order starting at 0.
 func (l *LSM) Insert(s series.Series, ts int64) error {
-	_, err := l.InsertID(s, ts)
-	return err
-}
-
-// InsertID is Insert returning the assigned ID, for callers that keep
-// ID-addressed state (the facade's raw-series mirror) in sync.
-func (l *LSM) InsertID(s series.Series, ts int64) (int64, error) {
 	key, z := l.opts.Config.Summarize(s)
-	id := l.nextID.Add(1) - 1
-	e := record.Entry{Key: key, ID: id, TS: ts}
+	e := record.Entry{Key: key, ID: l.nextID.Add(1) - 1, TS: ts}
 	if l.opts.Config.Materialized {
 		e.Payload = z
 	}
-	return id, l.insertEntry(e, z)
+	return l.insertEntry(e, z)
 }
 
 // InsertEntry adds a pre-summarized entry with caller-controlled ID — used
@@ -382,7 +374,7 @@ func (l *LSM) raiseNextID(id int64) {
 // insertEntry logs, buffers, and publishes one entry. walSeries is the
 // series logged alongside the entry header (the z-normalized series for
 // Insert; the payload, possibly nil, for InsertEntry) so recovery can
-// rebuild raw-series mirrors as well as the entry itself.
+// refill a raw series file as well as the index.
 func (l *LSM) insertEntry(e record.Entry, walSeries series.Series) error {
 	l.mu.Lock()
 	if l.opts.WAL != nil && !l.replaying {
@@ -465,7 +457,7 @@ func (l *LSM) Flush() error {
 	if perr != nil {
 		return perr
 	}
-	if l.opts.WAL != nil && l.opts.TruncateWALOnFlush && !l.replaying {
+	if l.truncates() && !l.replaying {
 		// The flushed entries are in a run behind a persisted manifest; the
 		// segments that held them are obsolete.
 		if err := l.opts.WAL.TruncateThrough(flushedLSN); err != nil {
@@ -473,6 +465,18 @@ func (l *LSM) Flush() error {
 		}
 	}
 	return l.maybeSchedule()
+}
+
+// truncates reports whether a flush retires the log segments it covered:
+// only when the disk then holds everything the log would restore (see
+// Options.WAL).
+func (l *LSM) truncates() bool {
+	o := l.opts
+	if o.WAL == nil || o.Disk.Kind() != "file" {
+		return false
+	}
+	raw, ok := o.Raw.(*storage.RawFile)
+	return o.Config.Materialized || ok && raw.Disk() == o.Disk
 }
 
 func (l *LSM) runName() string {

@@ -9,6 +9,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/fsx"
 	"repro/internal/gen"
 	"repro/internal/index"
 	"repro/internal/series"
@@ -18,24 +19,44 @@ import (
 
 // The crash-recovery harness: build a durable LSM, acknowledge N inserts,
 // then "crash" — drop the in-memory LSM entirely, keeping only the disk
-// (runs + persisted manifest) and the WAL directory — and Recover. Every
-// acknowledged insert must be searchable afterwards.
+// (runs + persisted manifest + raw series file) and the WAL directory — and
+// Recover. Every acknowledged insert must be searchable afterwards.
 
-func durableLSM(t *testing.T, disk *storage.Disk, dir string, ds *series.Dataset, bufEntries int) (*LSM, *wal.Log) {
+// crashDisk is the store of a durable LSM whose flushes truncate its log: on
+// a file-backed disk (here over the fault-injection filesystem, which a
+// dropped LSM leaves as it is), beside the raw series file of ds, so the
+// series are as durable as the runs.
+func crashDisk(t *testing.T, ds *series.Dataset) *storage.Disk {
+	t.Helper()
+	disk, err := storage.NewFileDisk(storage.FileDiskOptions{Dir: "store", FS: fsx.NewMemFS()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { disk.Close() })
+	if _, err := storage.CreateRawFile(disk, "raw", ds.Len, ds.Count(), normStore{ds}.Get); err != nil {
+		t.Fatal(err)
+	}
+	return disk
+}
+
+// crashOpts describes a durable LSM over a crashDisk and the log in dir.
+func crashOpts(t *testing.T, disk *storage.Disk, dir string, ds *series.Dataset, bufEntries int) (Options, *wal.Log) {
 	t.Helper()
 	w, err := wal.Open(wal.Options{Dir: dir, SegmentBytes: 16 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := Open(Options{
-		Disk:               disk,
-		Config:             testConfig(false),
-		GrowthFactor:       3,
-		BufferEntries:      bufEntries,
-		Raw:                normStore{ds},
-		WAL:                w,
-		TruncateWALOnFlush: true,
-	})
+	raw := new(storage.RawFile)
+	if err := raw.Open(disk, "raw", ds.Len, int64(ds.Count())); err != nil {
+		t.Fatal(err)
+	}
+	return Options{Disk: disk, Config: testConfig(false), GrowthFactor: 3, BufferEntries: bufEntries, Raw: raw, WAL: w}, w
+}
+
+func durableLSM(t *testing.T, disk *storage.Disk, dir string, ds *series.Dataset, bufEntries int) (*LSM, *wal.Log) {
+	t.Helper()
+	opts, w := crashOpts(t, disk, dir, ds, bufEntries)
+	l, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,19 +65,8 @@ func durableLSM(t *testing.T, disk *storage.Disk, dir string, ds *series.Dataset
 
 func recoverLSM(t *testing.T, disk *storage.Disk, dir string, ds *series.Dataset, bufEntries int) (*LSM, *wal.Log) {
 	t.Helper()
-	w, err := wal.Open(wal.Options{Dir: dir, SegmentBytes: 16 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := Open(Options{
-		Disk:               disk,
-		Config:             testConfig(false),
-		GrowthFactor:       3,
-		BufferEntries:      bufEntries,
-		Raw:                normStore{ds},
-		WAL:                w,
-		TruncateWALOnFlush: true,
-	})
+	opts, w := crashOpts(t, disk, dir, ds, bufEntries)
+	l, err := Open(opts)
 	if err == nil {
 		err = l.Replay(nil)
 	}
@@ -121,7 +131,7 @@ func TestCrashRecoveryAfterNInserts(t *testing.T) {
 	ds := makeDataset(700, 41)
 	for _, n := range []int{1, 37, 260, 700} {
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
-			disk := storage.NewDisk(0)
+			disk := crashDisk(t, ds)
 			dir := t.TempDir()
 			l, w := durableLSM(t, disk, dir, ds, 64)
 			for id := 0; id < n; id++ {
@@ -146,10 +156,11 @@ func TestCrashRecoveryAfterNInserts(t *testing.T) {
 }
 
 func TestCrashRecoveryTruncatedWALOnlyReplaysTail(t *testing.T) {
-	// With TruncateWALOnFlush, flushed entries leave the log; recovery must
-	// come from the persisted manifest plus only the buffered tail.
+	// On a store that holds the series, flushed entries leave the log;
+	// recovery must come from the persisted manifest plus only the buffered
+	// tail.
 	ds := makeDataset(500, 42)
-	disk := storage.NewDisk(0)
+	disk := crashDisk(t, ds)
 	dir := t.TempDir()
 	l, w := durableLSM(t, disk, dir, ds, 64)
 	for id := 0; id < 500; id++ {
@@ -180,7 +191,7 @@ func TestCrashRecoveryTornTailSegment(t *testing.T) {
 	// A crash mid-append leaves a torn frame at the log's tail; replay must
 	// tolerate it and recover every entry before the tear.
 	ds := makeDataset(200, 43)
-	disk := storage.NewDisk(0)
+	disk := crashDisk(t, ds)
 	dir := t.TempDir()
 	l, w := durableLSM(t, disk, dir, ds, 1024) // no flush: all 200 in the WAL tail
 	for id := 0; id < 200; id++ {
@@ -231,7 +242,7 @@ func TestCrashRecoveryOrphanRunFile(t *testing.T) {
 	// it — and nothing that merely resembles a run name — or every flush
 	// from then on fails in Create.
 	ds := makeDataset(300, 47)
-	disk := storage.NewDisk(0)
+	disk := crashDisk(t, ds)
 	dir := t.TempDir()
 	l, w := durableLSM(t, disk, dir, ds, 64)
 	insert := func(l *LSM, from, to int) {
@@ -283,8 +294,8 @@ func TestCrashRecoveryOrphanRunFile(t *testing.T) {
 }
 
 func TestRecoverFreshDirIsEmpty(t *testing.T) {
-	disk := storage.NewDisk(0)
 	ds := makeDataset(1, 44)
+	disk := crashDisk(t, ds)
 	rec, w := recoverLSM(t, disk, t.TempDir(), ds, 64)
 	defer w.Close()
 	if rec.Count() != 0 {
@@ -296,7 +307,7 @@ func TestRecoveryIsRepeatable(t *testing.T) {
 	// Crashing again right after recovery must land in the same state:
 	// recovery's own flushes persist manifests and truncate the log.
 	ds := makeDataset(300, 45)
-	disk := storage.NewDisk(0)
+	disk := crashDisk(t, ds)
 	dir := t.TempDir()
 	l, w := durableLSM(t, disk, dir, ds, 32)
 	for id := 0; id < 300; id++ {
@@ -316,7 +327,7 @@ func TestDurableMatchesNonDurable(t *testing.T) {
 	// plain one fed the same inserts answer identically.
 	ds := makeDataset(400, 46)
 	plain, _ := buildLSM(t, ds, false, 3, 64)
-	disk := storage.NewDisk(0)
+	disk := crashDisk(t, ds)
 	durable, w := durableLSM(t, disk, t.TempDir(), ds, 64)
 	defer w.Close()
 	for id := 0; id < ds.Count(); id++ {

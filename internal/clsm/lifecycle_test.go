@@ -97,7 +97,7 @@ func TestLifecycleTable(t *testing.T) {
 			disk, dir := storage.NewDisk(0), t.TempDir()
 			w := openWAL(t, dir)
 			crashed := mustOpen(t, Options{Disk: disk, Config: testConfig(false), GrowthFactor: growth, BufferEntries: buf, Raw: opts.Raw,
-				Compress: opts.Compress, WAL: w, TruncateWALOnFlush: true})
+				Compress: opts.Compress, WAL: w})
 			insert(t, crashed, 0, half)
 			if err := w.Sync(); err != nil {
 				t.Fatal(err)
@@ -105,7 +105,7 @@ func TestLifecycleTable(t *testing.T) {
 			if !disk.Exists("clsm" + lsmManifestFileSfx) {
 				t.Fatal("the crashed LSM persisted no manifest")
 			}
-			opts.Disk, opts.WAL, opts.TruncateWALOnFlush = disk, openWAL(t, dir), true
+			opts.Disk, opts.WAL = disk, openWAL(t, dir)
 			return mustOpen(t, opts)
 		}},
 		{"snapshot-meta", func(t *testing.T, opts Options) *LSM {

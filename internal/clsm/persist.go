@@ -371,19 +371,19 @@ func Open(opts Options) (*LSM, error) {
 // ID; with nothing persisted the log must start at LSN 0. Without a WAL it
 // does nothing.
 //
-// onReplay, when non-nil, observes every replayed entry together with the
-// series logged alongside it (the facade uses it to rebuild its raw-series
-// mirror) — for a non-materialized index, which reads that mirror, the
-// log's older entries too. Flushes triggered by replay behave normally, so
-// recovery itself makes progress durable. Call once, right after Open, with
-// no insert in flight.
+// onReplay, when non-nil, observes every entry the log retains — those the
+// adopted run set already holds too — together with the series logged
+// alongside it: what a raw series file that is short of the index needs to
+// catch up (assemble refills one from it). Flushes triggered by replay
+// behave normally, so recovery itself makes progress durable. Call once,
+// right after Open, with no insert in flight.
 func (l *LSM) Replay(onReplay func(record.Entry, series.Series) error) error {
 	w := l.opts.WAL
 	if w == nil {
 		return nil
 	}
 	from, startID := l.bufBase, l.nextID.Load() // from: durable LSN + 1, else 0
-	head := onReplay != nil && !l.opts.Config.Materialized
+	head := onReplay != nil
 	switch first := w.FirstLSN(); l.adopted {
 	case fromManifest:
 		if first > from {
@@ -451,7 +451,7 @@ func sameShape(stored, given index.Config) error {
 
 // WAL frame: flag u8 (1 = series present) | key | id u64 | ts u64 |
 // [series]. The series rides along even for non-materialized indexes so
-// recovery can rebuild ID-addressed raw mirrors.
+// recovery can refill a raw series file.
 func encodeWALFrame(e record.Entry, s series.Series) []byte {
 	n := 1 + record.HeaderBytes
 	if s != nil {

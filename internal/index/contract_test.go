@@ -146,7 +146,7 @@ func TestSearchContractTPContexts(t *testing.T) {
 	}
 	const partitions, bufferCap = 32, 32
 	cfg := index.Config{SeriesLen: 64, Segments: 8, Bits: 8}
-	raw := assemble.NewMemStore(nil)
+	raw := series.NewDataset(64)
 	tp, err := stream.NewTP("tp", cfg, stream.CTreeFactory(storage.NewDisk(0), nil, cfg, raw), bufferCap, raw)
 	if err != nil {
 		t.Fatal(err)
@@ -156,7 +156,9 @@ func TestSearchContractTPContexts(t *testing.T) {
 	var q index.Query
 	for i := 0; i < partitions*bufferCap; i++ {
 		s := gen.RandomWalk(rng, 64)
-		raw.Append(s.ZNormalize())
+		if _, err := raw.Append(s.ZNormalize()); err != nil {
+			t.Fatal(err)
+		}
 		if _, err := tp.Ingest(s, int64(i)); err != nil {
 			t.Fatal(err)
 		}

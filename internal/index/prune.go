@@ -353,7 +353,6 @@ type pageCand struct {
 // none of it is locked. P points at the query's shared read-only Pruner.
 type Scratch struct {
 	P     *Pruner
-	ser   series.Series
 	cands []pageCand
 	view  record.PackedView // the packed page under evaluation, see Page.openView
 	// Trace aliases the query's trace recorder (nil untraced); workers
@@ -368,14 +367,6 @@ type Scratch struct {
 func (s *Scratch) NoteDeadPage(n int64) {
 	s.Trace.NoteCands(n, 0, 0, n)
 	s.Trace.NoteUndecoded(1)
-}
-
-// SeriesBuf returns the scratch series buffer resized to n points.
-func (s *Scratch) SeriesBuf(n int) series.Series {
-	if cap(s.ser) < n {
-		s.ser = make(series.Series, n)
-	}
-	return s.ser[:n]
 }
 
 // SearchCtx is the pooled per-query search context: the query's pruning
@@ -449,20 +440,22 @@ func (c *SearchCtx) Scratches(n int) []*Scratch {
 // Scratch0 returns the serial path's scratch (worker slot 0).
 func (c *SearchCtx) Scratch0() *Scratch { return c.Scratches(1)[0] }
 
+// encodedRaw is a raw store that verifies a candidate on its stored bytes,
+// decoding nothing (storage.RawFile).
+type encodedRaw interface {
+	SqDistEarlyAbandon(id int, q series.Series, limitSq float64) (float64, error)
+}
+
 // rawDistSq fetches series id from raw and returns its early-abandoning
-// squared distance to the query, decoding into the scratch buffer when the
-// store supports it so the fetch allocates nothing.
-func rawDistSq(q Query, id int64, raw series.RawStore, limitSq float64, sc *Scratch) (float64, error) {
+// squared distance to the query.
+func rawDistSq(q Query, id int64, raw series.RawStore, limitSq float64) (float64, error) {
 	if raw == nil {
 		return 0, fmt.Errorf("index: non-materialized entry %d but no raw store", id)
 	}
-	var s series.Series
-	var err error
-	if g, ok := raw.(series.IntoGetter); ok && sc != nil {
-		s, err = g.GetInto(int(id), sc.SeriesBuf(len(q.Norm)))
-	} else {
-		s, err = raw.Get(int(id))
+	if e, ok := raw.(encodedRaw); ok {
+		return e.SqDistEarlyAbandon(int(id), q.Norm, limitSq)
 	}
+	s, err := raw.Get(int(id))
 	if err != nil {
 		return 0, err
 	}
@@ -474,11 +467,11 @@ func rawDistSq(q Query, id int64, raw series.RawStore, limitSq float64, sc *Scra
 // from raw otherwise, abandoning accumulation beyond limitSq. The
 // payload/raw series must already be z-normalized. Raw stores must be safe
 // for concurrent fetches: workers verify candidates concurrently.
-func TrueDistSq(q Query, e record.Entry, raw series.RawStore, limitSq float64, sc *Scratch) (float64, error) {
+func TrueDistSq(q Query, e record.Entry, raw series.RawStore, limitSq float64) (float64, error) {
 	if e.Payload != nil {
 		return q.Norm.SqDistEarlyAbandon(e.Payload, limitSq), nil
 	}
-	return rawDistSq(q, e.ID, raw, limitSq, sc)
+	return rawDistSq(q, e.ID, raw, limitSq)
 }
 
 // ScanBuffer evaluates an in-memory write buffer (a CLSM's, a stream
@@ -490,7 +483,7 @@ func ScanBuffer(buf []record.Entry, q Query, raw series.RawStore, col *Collector
 		if !q.InWindow(e.TS) || col.SkipSq(sc.P.MinDistSqKey(e.Key)) {
 			continue
 		}
-		dSq, err := TrueDistSq(q, e, raw, col.WorstSq(), sc)
+		dSq, err := TrueDistSq(q, e, raw, col.WorstSq())
 		if err != nil {
 			return err
 		}
@@ -665,13 +658,13 @@ func (pg *Page) id(i int) int64 {
 
 // distSq verifies entry i: the early-abandoning squared distance to the
 // query, accumulated directly from the encoded payload when the page
-// carries one, from a scratch-buffer raw fetch otherwise.
-func (pg *Page) distSq(q Query, i int, raw series.RawStore, limitSq float64, sc *Scratch) (float64, error) {
+// carries one, from a raw fetch otherwise.
+func (pg *Page) distSq(q Query, i int, raw series.RawStore, limitSq float64) (float64, error) {
 	switch {
 	case pg.ents != nil:
-		return TrueDistSq(q, pg.ents[i], raw, limitSq, sc)
+		return TrueDistSq(q, pg.ents[i], raw, limitSq)
 	case !pg.codec.Materialized:
-		return rawDistSq(q, pg.id(i), raw, limitSq, sc)
+		return rawDistSq(q, pg.id(i), raw, limitSq)
 	case pg.recSize > 0:
 		return q.Norm.SqDistEncodedEarlyAbandon(pg.rec(i)[record.HeaderBytes:], limitSq), nil
 	default:
@@ -737,7 +730,7 @@ func EvalPage(q Query, pg Page, raw series.RawStore, col *Collector, sc *Scratch
 		}
 		i := int(c.i)
 		limitSq := col.WorstSq()
-		dSq, err := pg.distSq(q, i, raw, limitSq, sc)
+		dSq, err := pg.distSq(q, i, raw, limitSq)
 		if err != nil {
 			return count, err
 		}
@@ -787,7 +780,7 @@ func EvalPageRange(q Query, pg Page, raw series.RawStore, col *RangeCollector, s
 		if err := pg.openView(sc); err != nil {
 			return err
 		}
-		dSq, err := pg.distSq(q, i, raw, col.BoundSq(), sc)
+		dSq, err := pg.distSq(q, i, raw, col.BoundSq())
 		if err != nil {
 			return err
 		}

@@ -105,21 +105,4 @@ type RawStore interface {
 	Count() int
 }
 
-// IntoGetter is implemented by raw stores that can serve a fetch into a
-// caller-provided buffer of the series length, avoiding the per-fetch
-// allocation of Get. The returned series may be dst or an internal slice
-// (for in-memory stores); either way it is only valid until the next fetch
-// into the same buffer. The query verifier uses this with its per-worker
-// scratch so raw fetches allocate nothing per candidate.
-type IntoGetter interface {
-	GetInto(id int, dst Series) (Series, error)
-}
-
-// GetInto implements IntoGetter by returning the stored slice directly —
-// the dataset lives in memory, so no copy into dst is needed.
-func (d *Dataset) GetInto(id int, _ Series) (Series, error) { return d.Get(id) }
-
-var (
-	_ RawStore   = (*Dataset)(nil)
-	_ IntoGetter = (*Dataset)(nil)
-)
+var _ RawStore = (*Dataset)(nil)

@@ -91,10 +91,20 @@ func TestInsertValidation(t *testing.T) {
 	if code := postJSON(t, ts.URL+"/api/insert", InsertRequest{Build: b.ID, Series: [][]float64{q}, Timestamps: []int64{1, 2}}, nil); code != http.StatusBadRequest {
 		t.Fatalf("timestamps mismatch: %d", code)
 	}
-	// Non-materialized builds keep raw series in a sealed file: refuse.
+	// A non-materialized build appends the series to its raw series file
+	// first: the insert is searchable at once, at distance 0 from itself.
 	_, nb := buildOn(t, ts, "CLSM")
-	if code := postJSON(t, ts.URL+"/api/insert", InsertRequest{Build: nb.ID, Series: [][]float64{q}}, nil); code != http.StatusBadRequest {
+	ins := randRaw(rand.New(rand.NewSource(8)), 64)
+	var ir InsertResponse
+	if code := postJSON(t, ts.URL+"/api/insert", InsertRequest{Build: nb.ID, Series: [][]float64{ins}}, &ir); code != http.StatusOK {
 		t.Fatalf("non-materialized insert: %d", code)
+	}
+	var qr QueryResponse
+	if code := postJSON(t, ts.URL+"/api/query", QueryRequest{Build: nb.ID, Series: ins, K: 1, Exact: true}, &qr); code != http.StatusOK || len(qr.Results) != 1 {
+		t.Fatalf("query status %d results %v", code, qr.Results)
+	}
+	if got := qr.Results[0]; got.ID != ir.Count-1 || got.Dist > 1e-9 {
+		t.Fatalf("inserted series %d not found: %+v", ir.Count-1, got)
 	}
 	// Durability without a WAL root is a client error.
 	var d DatasetResponse

@@ -797,10 +797,9 @@ type InsertResponse struct {
 
 // handleInsert answers POST /api/insert: batch ingest into a built index.
 // Inserts take the build's write lock, so they serialize against queries;
-// materialized variants (CLSMFull, CTreeFull, ADSFull — and their sharded
-// forms) accept inserts, since their raw series travel inline. On durable
-// CLSM builds every insert is WAL-logged before the response acknowledges
-// the batch.
+// every variant accepts them, a non-materialized one appending each series
+// to its raw series file first. On durable CLSM builds every insert is
+// WAL-logged before the response acknowledges the batch.
 func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "POST only")

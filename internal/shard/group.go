@@ -327,8 +327,8 @@ func nextIDFor(si int, last int64, nshards int) int64 {
 }
 
 // NoteInsert records that the caller appended the series with global ID id
-// to shard si through the shard's own build (which keeps raw mirrors in
-// sync before the sub-index sees the series). Callers must have validated
+// to shard si through the shard's own build (which appends to its raw
+// series file before the sub-index sees the series). Callers must have validated
 // the append with PrepareInsert under the same external insert lock. On a
 // group that owns every shard the next dense ID is Count().
 func (g *Group) NoteInsert(si int, id int64) {

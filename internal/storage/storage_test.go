@@ -7,8 +7,6 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/series"
 )
 
 func TestSequentialVsRandomAccounting(t *testing.T) {
@@ -174,88 +172,6 @@ func TestRecordReaderCountValidation(t *testing.T) {
 	}
 	if _, err := NewRecordReader(d, "missing", 8, 0); err == nil {
 		t.Fatal("missing file should fail")
-	}
-}
-
-func TestRecordFileRandomAccess(t *testing.T) {
-	d := NewDisk(64) // 8 records of 8 bytes per page
-	w, _ := NewRecordWriter(d, "f", 8)
-	const n = 100
-	for i := 0; i < n; i++ {
-		rec := make([]byte, 8)
-		rec[0] = byte(i)
-		w.Write(rec)
-	}
-	w.Close()
-	rf, err := OpenRecordFile(d, "f", 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rf.RecordsPerPage() != 8 {
-		t.Fatalf("records per page = %d, want 8", rf.RecordsPerPage())
-	}
-	rng := rand.New(rand.NewSource(9))
-	for trial := 0; trial < 200; trial++ {
-		i := int64(rng.Intn(n))
-		rec, err := rf.Get(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rec[0] != byte(i) {
-			t.Fatalf("record %d holds %d", i, rec[0])
-		}
-	}
-	if _, err := rf.Get(-1); err == nil {
-		t.Fatal("negative index should fail")
-	}
-	// Same-page consecutive gets incur only one page read.
-	d.ResetStats()
-	rf.curPage = -1
-	rf.Get(0)
-	rf.Get(1)
-	if got := d.Stats().Reads(); got != 1 {
-		t.Fatalf("same-page gets cost %d reads, want 1", got)
-	}
-}
-
-func TestRawFile(t *testing.T) {
-	d := NewDisk(0)
-	rf, err := CreateRawFile(d, "raw", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	id0, err := rf.Append(series.Series{1, 2, 3, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	id1, _ := rf.Append(series.Series{5, 6, 7, 8})
-	if id0 != 0 || id1 != 1 {
-		t.Fatalf("ids = %d,%d", id0, id1)
-	}
-	if _, err := rf.Append(series.Series{1}); err == nil {
-		t.Fatal("wrong length should fail")
-	}
-	if _, err := rf.Get(0); err == nil {
-		t.Fatal("get before seal should fail")
-	}
-	if err := rf.Seal(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rf.Append(series.Series{1, 1, 1, 1}); err == nil {
-		t.Fatal("append after seal should fail")
-	}
-	s, err := rf.Get(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s[0] != 5 || s[3] != 8 {
-		t.Fatalf("got %v", s)
-	}
-	if _, err := rf.Get(2); err == nil {
-		t.Fatal("out-of-range get should fail")
-	}
-	if rf.Count() != 2 || rf.SeriesLen() != 4 {
-		t.Fatal("count/len wrong")
 	}
 }
 

@@ -3,7 +3,6 @@ package storage
 import (
 	"fmt"
 	"io"
-	"sync"
 )
 
 // DefaultBufferPages is the read-ahead / write-behind chunk size (in pages)
@@ -188,77 +187,3 @@ func (r *RecordReader) Next() ([]byte, error) {
 
 // Remaining returns how many records are left to read.
 func (r *RecordReader) Remaining() int64 { return r.count - r.read }
-
-// RecordFile provides random access to fixed-size records in a file. It is
-// safe for concurrent Get calls: the parallel query engine fetches raw
-// series from worker goroutines, all sharing this one-page cache (one
-// simulated buffer pool frame, as before — concurrency does not grow it).
-type RecordFile struct {
-	reader  PageReader
-	name    string
-	recSize int
-	perPage int
-
-	mu      sync.Mutex
-	buf     []byte
-	curPage int64 // page currently in buf, -1 if none
-}
-
-// OpenRecordFile opens the named file for random record access through r:
-// a *Disk gives the uncached single-frame behaviour of the paper's raw
-// file, a buffer pool serves repeat pages from the shared cache.
-func OpenRecordFile(r PageReader, name string, recSize int) (*RecordFile, error) {
-	perPage := r.PageSize() / recSize
-	if perPage < 1 {
-		return nil, fmt.Errorf("storage: record size %d exceeds page size %d", recSize, r.PageSize())
-	}
-	if !r.Exists(name) {
-		return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
-	}
-	return &RecordFile{
-		reader:  r,
-		name:    name,
-		recSize: recSize,
-		perPage: perPage,
-		buf:     make([]byte, r.PageSize()),
-		curPage: -1,
-	}, nil
-}
-
-// View invokes fn with the bytes of record number i while the one-page
-// cache is locked. The slice aliases the cache and is valid only inside fn
-// — the zero-copy hot path for callers that decode immediately. Page reads
-// hit the disk (and its accounting) unless i falls on the cached page.
-func (f *RecordFile) View(i int64, fn func(rec []byte) error) error {
-	if i < 0 {
-		return fmt.Errorf("%w: record %d", ErrOutOfRange, i)
-	}
-	page := i / int64(f.perPage)
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if page != f.curPage {
-		if _, err := f.reader.ReadPage(f.name, page, f.buf); err != nil {
-			return err
-		}
-		f.curPage = page
-	}
-	off := int(i%int64(f.perPage)) * f.recSize
-	return fn(f.buf[off : off+f.recSize])
-}
-
-// Get reads record number i. The returned slice is a copy and remains
-// valid across subsequent calls; use View to avoid the copy.
-func (f *RecordFile) Get(i int64) ([]byte, error) {
-	out := make([]byte, f.recSize)
-	err := f.View(i, func(rec []byte) error {
-		copy(out, rec)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// RecordsPerPage reports how many records fit on one page.
-func (f *RecordFile) RecordsPerPage() int { return f.perPage }

@@ -16,8 +16,8 @@ import (
 
 // streamScheme is one Scenario 2 contender and the assembled build under it,
 // which the caller closes: every scheme gets the same storage half — a fresh
-// disk and an in-memory raw store — so relative index I/O is what the
-// experiment isolates.
+// disk, and a raw series file on a heap disk of its own — so relative index
+// I/O is what the experiment isolates.
 type streamScheme struct {
 	name string
 	stream.Scheme
@@ -109,11 +109,13 @@ func E6Streaming(sc Scale, batches, batchSize, bufferEntries, numQueries int) (*
 	defer closeSchemes(schemes)
 	cfg := sc.config()
 	for _, s := range schemes {
-		name, disk, raw := s.name, s.b.Disk, s.b.Raw.(*assemble.MemStore)
+		name, disk := s.name, s.b.Disk
 		disk.ResetStats()
 		for _, b := range data {
 			for _, ser := range b.Series {
-				raw.Append(ser.ZNormalize())
+				if _, err := s.b.Raw.Append(ser.ZNormalize()); err != nil {
+					return nil, fmt.Errorf("E6 %s raw series: %w", name, err)
+				}
 				if _, err := s.Ingest(ser, b.TS); err != nil {
 					return nil, fmt.Errorf("E6 %s ingest: %w", name, err)
 				}

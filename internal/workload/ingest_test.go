@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/assemble"
+	"repro/internal/index"
 	"repro/internal/series"
 )
 
@@ -53,15 +54,23 @@ func TestBuiltDurableIngestLifecycle(t *testing.T) {
 func TestBuiltIngestGuards(t *testing.T) {
 	sc := Scale{}.defaults()
 	ds := sc.dataset(300)
-	// Non-materialized with the raw series in a sealed on-disk file: ingest
-	// must refuse rather than corrupt searches.
+	// Non-materialized with the raw series in a file on the build's disk:
+	// ingest appends to the file, and the series is searchable at once.
 	b, err := assemble.Build(sc.spec("CLSM", assemble.Spec{}), ds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, _ := ds.Get(0)
-	if err := b.Ingest(s, 0); err == nil {
-		t.Fatal("sealed-raw-file build should refuse ingest")
+	defer b.Close()
+	s := sc.walks(sc.Seed+28, 1)[0]
+	if err := b.Ingest(s, 0); err != nil {
+		t.Fatalf("ingest into a build with its raw series file on disk: %v", err)
+	}
+	res, err := b.Index.ExactSearch(index.NewQuery(s, b.Config), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res) != 1 || res[0].ID != int64(ds.Count()) || res[0].Dist > 1e-9 {
+		t.Fatalf("ingested series %d not found: %+v", ds.Count(), res)
 	}
 	// A WAL directory that already holds a log must be refused.
 	dir := t.TempDir()

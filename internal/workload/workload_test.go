@@ -70,8 +70,19 @@ func TestBuildVariantAllVariants(t *testing.T) {
 		if b.IndexPages <= 0 {
 			t.Fatalf("%s index pages = %d", v, b.IndexPages)
 		}
-		if b.RawPages <= 0 {
-			t.Fatalf("%s raw pages = %d", v, b.RawPages)
+		// A materialized build carries its series inline and keeps no raw
+		// series file at all.
+		if mat := b.Config.Materialized; (b.RawPages > 0) == mat || (b.Raw == nil) != mat || b.Disk.Exists("raw") == mat {
+			t.Fatalf("%s raw pages = %d, raw file %v on disk %v", v, b.RawPages, b.Raw != nil, b.Disk.Exists("raw"))
+		}
+		// With RawInMemory the same index, and the same pages on the build's
+		// disk; a raw series file, if any, on a disk of its own.
+		mem, err := assemble.Build(sc.spec(v, assemble.Spec{RawInMemory: true}), ds)
+		if err != nil {
+			t.Fatalf("%s RawInMemory: %v", v, err)
+		}
+		if mem.RawPages != 0 || mem.TotalPages() != b.IndexPages || mem.IOStats() != b.IOStats() || (mem.Raw == nil) != (b.Raw == nil) || mem.Raw != nil && mem.Raw.Disk() == mem.Disk {
+			t.Fatalf("%s RawInMemory: raw pages %d, pages %d, stats %v; want 0, %d, %v and a raw file of its own", v, mem.RawPages, mem.TotalPages(), mem.IOStats(), b.IndexPages, b.IOStats())
 		}
 	}
 	if _, err := assemble.Build(sc.spec("nope", assemble.Spec{}), ds); err == nil {

@@ -31,12 +31,11 @@ const (
 // Stream explores continuously arriving data series within temporal
 // windows.
 type Stream struct {
-	b      *assemble.Built // backend, pool, planner and raw store; the scheme is the index
+	b      *assemble.Built // backend, pool, planner and raw series file; the scheme is the index
 	scheme stream.Scheme
 	cfg    index.Config
 	disk   storage.Backend
 	pool   *bufpool.Pool // buffer pool fronting disk; nil when uncached
-	raw    *assemble.MemStore
 }
 
 // NewStream creates a streaming index using the given scheme. BufferEntries
@@ -60,14 +59,14 @@ func NewStream(kind SchemeKind, opts Options) (*Stream, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := &Stream{b: b, cfg: b.Config, disk: b.Disk, pool: b.Pool, raw: b.Raw.(*assemble.MemStore)}
-	buf, par := spec.BufferEntries, spec.Parallelism
+	st := &Stream{b: b, cfg: b.Config, disk: b.Disk, pool: b.Pool}
+	raw, buf, par := b.RawStore(), spec.BufferEntries, spec.Parallelism
 	switch kind {
 	case PP:
 		st.scheme = stream.NewPP(b.Index.(*clsm.LSM), st.cfg)
 	case TP:
 		var tp *stream.TP
-		tp, err = stream.NewTP("stream", st.cfg, stream.CTreeFactory(b.Disk, b.Reader(), st.cfg, st.raw), buf, st.raw)
+		tp, err = stream.NewTP("stream", st.cfg, stream.CTreeFactory(b.Disk, b.Reader(), st.cfg, raw), buf, raw)
 		if err == nil {
 			tp.SetParallelism(par)
 			tp.SetPlanner(b.Planner)
@@ -75,7 +74,7 @@ func NewStream(kind SchemeKind, opts Options) (*Stream, error) {
 		}
 	case BTP:
 		var btp *stream.BTP
-		btp, err = stream.NewBTP(b.Disk, "stream", st.cfg, buf, 2, st.raw)
+		btp, err = stream.NewBTP(b.Disk, "stream", st.cfg, buf, 2, raw)
 		if err == nil {
 			btp.SetParallelism(par)
 			btp.UseReader(b.Reader())
@@ -95,7 +94,11 @@ func (s *Stream) Ingest(ser []float64, ts int64) (int, error) {
 	if len(ser) != s.cfg.SeriesLen {
 		return 0, fmt.Errorf("coconut: series length %d, want %d", len(ser), s.cfg.SeriesLen)
 	}
-	s.raw.Append(series.Series(ser).ZNormalize())
+	if s.b.Raw != nil {
+		if _, err := s.b.Raw.Append(series.Series(ser).ZNormalize()); err != nil {
+			return 0, err
+		}
+	}
 	id, err := s.scheme.Ingest(series.Series(ser), ts)
 	return int(id), err
 }

@@ -829,15 +829,13 @@ func BenchmarkPlannedSearch(b *testing.B) {
 	// orders and skips.
 	for _, mode := range []struct {
 		name string
-		opts assemble.Spec
-	}{
-		{"off", assemble.Spec{MemBudget: 64 << 10, DisablePlanner: true}},
-		{"cold", assemble.Spec{MemBudget: 64 << 10}},
-	} {
-		built, err := assemble.Build(specFor("CTree", cfg, mode.opts), ds)
+		off  bool
+	}{{"off", true}, {"cold", false}} {
+		built, err := assemble.Build(specFor("CTree", cfg, assemble.Spec{MemBudget: 64 << 10}), ds)
 		if err != nil {
 			b.Fatal(err)
 		}
+		built.Planner.Disabled = mode.off
 		b.Run(mode.name, func(b *testing.B) { run(b, built) })
 	}
 }

@@ -2,6 +2,7 @@ package coconut
 
 import (
 	"math/rand"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/bufpool"
@@ -140,6 +141,65 @@ func TestCachedTreeEquivalence(t *testing.T) {
 	}
 }
 
+// TestCachedReopenEquivalence: a snapshot reopened with CacheBytes set reads
+// through a pool of that size — in frames of the snapshot's page size, which
+// the reopening options leave unset — and answers byte-identically to the
+// same snapshot reopened uncached; the warm pass over the same queries hits.
+func TestCachedReopenEquivalence(t *testing.T) {
+	data, queries := cacheEquivData(2000, 64, 5)
+	opts := Options{SeriesLen: 64, Segments: 8, Bits: 6, PageSize: 2048, BufferEntries: 256}
+	dir := t.TempDir()
+	save := func(name string, idx interface{ SaveFile(string) error }, err error) {
+		if err == nil {
+			err = idx.SaveFile(filepath.Join(dir, name))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	tree, err := BuildTree(data, opts)
+	save("tree", tree, err)
+	lsm, err := NewLSM(opts)
+	for i := 0; err == nil && i < len(data); i++ {
+		err = lsm.Insert(data[i], int64(i))
+	}
+	save("lsm", lsm, err)
+	sharded, err := BuildShardedTree(data, 3, opts)
+	save("sharded", sharded, err)
+
+	type reopened interface {
+		equivSearcher
+		Stats() Stats
+		Close() error
+	}
+	for _, tc := range []struct {
+		name string
+		open func(opts ...Options) (reopened, error)
+	}{
+		{"tree", func(o ...Options) (reopened, error) { return OpenTree(filepath.Join(dir, "tree"), o...) }},
+		{"lsm", func(o ...Options) (reopened, error) { return OpenLSM(filepath.Join(dir, "lsm"), o...) }},
+		{"sharded", func(o ...Options) (reopened, error) { return OpenSharded(filepath.Join(dir, "sharded"), o...) }},
+	} {
+		plain, err := tc.open()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer plain.Close()
+		cached, err := tc.open(Options{CacheBytes: cacheEquivBytes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cached.Close()
+		checkCachedEquiv(t, "reopened "+tc.name, queries, plain, cached)
+		if st := cached.Stats(); st.CacheHits == 0 {
+			t.Fatalf("reopened %s: cached run recorded no hits (%+v)", tc.name, st)
+		}
+		if st := plain.Stats(); st.CacheHits != 0 || st.CacheMisses != 0 {
+			t.Fatalf("reopened %s: uncached run reports cache traffic (%+v)", tc.name, st)
+		}
+	}
+}
+
 func TestCachedLSMEquivalence(t *testing.T) {
 	data, queries := cacheEquivData(3000, 64, 2)
 	build := func(materialized bool, cacheBytes int64) *LSM {
@@ -188,7 +248,7 @@ func TestCachedLSMEquivalence(t *testing.T) {
 	// entries, beside one of 100).
 	plain, small := build(true, 0), build(true, 224*storage.DefaultPageSize)
 	check("lsm/small", plain, small)
-	checkSmallCacheWarmPass(t, "lsm/small", small.disk, small.pool, func() { check("lsm/small/replay", plain, small) })
+	checkSmallCacheWarmPass(t, "lsm/small", small.b.Disk, small.b.Pool, func() { check("lsm/small/replay", plain, small) })
 }
 
 func TestCachedShardedEquivalence(t *testing.T) {
@@ -296,6 +356,6 @@ func TestCachedStreamEquivalence(t *testing.T) {
 		label := string(kind) + "/small"
 		plain, small := build(0), build(80*storage.DefaultPageSize)
 		check(label, plain, small)
-		checkSmallCacheWarmPass(t, label, small.disk, small.pool, func() { check(label+"/replay", plain, small) })
+		checkSmallCacheWarmPass(t, label, small.b.Disk, small.b.Pool, func() { check(label+"/replay", plain, small) })
 	}
 }

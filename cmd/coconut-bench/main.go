@@ -27,15 +27,14 @@ var knownExperiments = []string{
 
 func main() {
 	var (
-		expFlag   = flag.String("exp", "all", "comma-separated experiment ids or 'all'; known: "+strings.Join(knownExperiments, ","))
-		quick     = flag.Bool("quick", false, "reduced sizes for a fast smoke run")
-		shards    = flag.String("shards", "", "comma-separated shard counts for the E13 sharding experiment (default 1,2,4,8)")
-		cache     = flag.String("cache", "", "comma-separated cache sizes in KB for the E14 buffer-pool experiment, 0 = uncached (default 0,256,4096,65536)")
-		workers   = flag.String("compact-workers", "", "comma-separated background-merge worker counts for the E15 ingest experiment, 0 = inline (default 0,2)")
-		storage   = flag.String("storage", "", "directory for the E16 storage-backend experiment's page files (default: a temp directory, removed afterwards)")
-		noPlanner = flag.Bool("no-planner", false, "disable statistics-driven probe ordering and skipping in every experiment build (E17, which A/B-tests the planner, is then skipped)")
-		kernels   = flag.String("kernels", "", "force a distance-kernel implementation: avx2, neon, or scalar (default: auto-detect)")
-		compress  = flag.Bool("compress", false, "store on-disk pages (tree leaves, LSM runs) in the packed encoding in every experiment build; results are identical, I/O cost drops")
+		expFlag  = flag.String("exp", "all", "comma-separated experiment ids or 'all'; known: "+strings.Join(knownExperiments, ","))
+		quick    = flag.Bool("quick", false, "reduced sizes for a fast smoke run")
+		shards   = flag.String("shards", "", "comma-separated shard counts for the E13 sharding experiment (default 1,2,4,8)")
+		cache    = flag.String("cache", "", "comma-separated cache sizes in KB for the E14 buffer-pool experiment, 0 = uncached (default 0,256,4096,65536)")
+		workers  = flag.String("compact-workers", "", "comma-separated background-merge worker counts for the E15 ingest experiment, 0 = inline (default 0,2)")
+		storage  = flag.String("storage", "", "directory for the E16 storage-backend experiment's page files (default: a temp directory, removed afterwards)")
+		kernels  = flag.String("kernels", "", "force a distance-kernel implementation: avx2, neon, or scalar (default: auto-detect)")
+		compress = flag.Bool("compress", false, "store on-disk pages (tree leaves, LSM runs) in the packed encoding in every experiment build; results are identical, I/O cost drops")
 	)
 	flag.Parse()
 
@@ -49,7 +48,7 @@ func main() {
 
 	cfg := workload.DefaultRunConfig()
 	for _, sc := range []*workload.Scale{&cfg.Scale, &cfg.E3Scale, &cfg.E5Scale} {
-		sc.DisablePlanner, sc.Compress = *noPlanner, *compress
+		sc.Compress = *compress
 	}
 	if *quick {
 		cfg.E1Sizes = []int{1000, 2000}
@@ -117,12 +116,6 @@ func main() {
 		for _, id := range knownExperiments {
 			want[id] = true
 		}
-		if *noPlanner {
-			// E17 A/B-tests the planner; with planning globally off its
-			// planner-on arm would silently measure nothing.
-			delete(want, "E17")
-			fmt.Fprintln(os.Stderr, "coconut-bench: -no-planner set; skipping E17 (it A/B-tests the planner)")
-		}
 	} else {
 		for _, id := range strings.Split(*expFlag, ",") {
 			id = strings.ToUpper(strings.TrimSpace(id))
@@ -131,10 +124,6 @@ func main() {
 				os.Exit(2)
 			}
 			want[id] = true
-		}
-		if *noPlanner && want["E17"] {
-			fmt.Fprintln(os.Stderr, "coconut-bench: -no-planner conflicts with -exp E17 (the experiment A/B-tests the planner)")
-			os.Exit(2)
 		}
 	}
 

@@ -15,7 +15,7 @@
 //	dataset  -kind astronomy -n 10000 -len 256
 //	build    -dataset ds-1 -variant CTree [-fill 0.9] [-growth 4] [-shards 4] [-cache 4194304]
 //	         [-wal batched|sync|off] [-compact-workers 2] [-storage sim|file]
-//	         [-no-planner] [-compress]
+//	         [-compress]
 //	insert   -build build-1 -n 100 [-template supernova] [-ts 7]
 //	query    -build build-1 -template supernova [-k 5] [-exact] [-min 0 -max 99]
 //	recommend -streaming -queries 500 -memfrac 0.1 [-tight] [-smallwin]
@@ -181,7 +181,6 @@ func build(base string, args []string) error {
 	walMode := fs.String("wal", "", "CLSM durability: batched, sync, or off (needs the server's -wal root; empty = batched when the root is set)")
 	compactWorkers := fs.Int("compact-workers", 0, "CLSM background-merge workers (0 = server default, -1 = force inline)")
 	storage := fs.String("storage", "", "storage backend: sim (simulated disk) or file (real page files; needs the server's -storage root; empty = server default)")
-	noPlanner := fs.Bool("no-planner", false, "disable statistics-driven probe ordering and skipping for this build")
 	compress := fs.Bool("compress", false, "store on-disk pages (tree leaves, LSM runs) in the packed encoding; answers identical, I/O cost lower")
 	fs.Parse(args)
 	if *ds == "" {
@@ -214,8 +213,7 @@ func build(base string, args []string) error {
 		FillFactor: *fill, GrowthFactor: *growth, MemBudget: *mem,
 		Shards: *shards, Parallelism: *par, CacheBytes: *cache,
 		Durability: *walMode, CompactionWorkers: *compactWorkers,
-		Storage: *storage, DisablePlanner: *noPlanner,
-		Compress: *compress,
+		Storage: *storage, Compress: *compress,
 	}, &out)
 	if err != nil {
 		return err
@@ -289,8 +287,8 @@ func query(base string, args []string) error {
 		return fmt.Errorf("query: %v", err)
 	}
 	req := server.QueryRequest{Build: *buildID, Series: q, K: *k, Exact: *exact}
-	if *minTS >= 0 && *maxTS >= 0 {
-		req.MinTS, req.MaxTS = minTS, maxTS
+	if err := window(&req, minTS, maxTS); err != nil {
+		return fmt.Errorf("query: %v", err)
 	}
 	var out server.QueryResponse
 	if err := call("POST", base+"/api/query", req, &out); err != nil {
@@ -325,8 +323,8 @@ func explainCmd(base string, args []string) error {
 		return fmt.Errorf("explain: %v", err)
 	}
 	req := server.QueryRequest{Build: *buildID, Series: q, K: *k, Exact: *exact, Trace: true}
-	if *minTS >= 0 && *maxTS >= 0 {
-		req.MinTS, req.MaxTS = minTS, maxTS
+	if err := window(&req, minTS, maxTS); err != nil {
+		return fmt.Errorf("explain: %v", err)
 	}
 	var out server.QueryResponse
 	if err := call("POST", base+"/api/query", req, &out); err != nil {
@@ -373,6 +371,18 @@ func explainCmd(base string, args []string) error {
 		if err := heatmapCmd(base, []string{"-build", *buildID}); err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// window puts the -min/-max time window on req. The flags go together: a
+// negative value is unset, and one bound without the other is refused.
+func window(req *server.QueryRequest, minTS, maxTS *int64) error {
+	if (*minTS < 0) != (*maxTS < 0) {
+		return fmt.Errorf("-min and -max go together")
+	}
+	if *minTS >= 0 {
+		req.MinTS, req.MaxTS = minTS, maxTS
 	}
 	return nil
 }

@@ -44,7 +44,6 @@ func main() {
 	walRoot := flag.String("wal", "", "WAL root directory: each CLSM build keeps a write-ahead log in its own subdirectory, making POST /api/insert durable (empty = no WALs)")
 	compactWorkers := flag.Int("compact-workers", 0, "default background-merge workers for CLSM builds (0 = inline merges; N > 0 runs level merges off the insert path)")
 	storageRoot := flag.String("storage", "", "storage root directory: builds default to the file-backed page store, each in its own subdirectory; results are byte-identical to the simulated disk (empty = simulated disk only)")
-	noPlanner := flag.Bool("no-planner", false, "disable statistics-driven probe ordering and skipping for builds; answers are byte-identical either way, only I/O cost changes")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this private address (e.g. localhost:6060; empty = disabled)")
 	slowQuery := flag.Duration("slow-query", 0, "record queries and inserts slower than this in the slow-query log at GET /api/slowlog (0 = disabled)")
 	flag.Parse()
@@ -58,7 +57,6 @@ func main() {
 		Shards:            *shards,
 		CacheBytes:        *cache,
 		CompactionWorkers: *compactWorkers,
-		DisablePlanner:    *noPlanner,
 	}); err != nil {
 		log.Fatalf("coconut-server: bad default (-parallelism, -shards, -cache, -compact-workers): %v", err)
 	}

@@ -59,9 +59,7 @@ import (
 	"fmt"
 
 	"repro/internal/assemble"
-	"repro/internal/bufpool"
 	"repro/internal/clsm"
-	"repro/internal/ctree"
 	"repro/internal/fsx"
 	"repro/internal/index"
 	"repro/internal/recommender"
@@ -102,8 +100,9 @@ type Options struct {
 	// memory, and only cache misses reach the disk and its cost accounting.
 	// 0 (the default) disables caching — every read reaches the simulated
 	// head, the paper-faithful setting. Sharded indexes share one pool of
-	// this size across all shards. Results are byte-identical at every
-	// cache size; only I/O cost and wall-clock time change.
+	// this size across all shards, and the Open functions put one under a
+	// reopened snapshot as the builds do. Results are byte-identical at
+	// every cache size; only I/O cost and wall-clock time change.
 	CacheBytes int64
 	// Parallelism bounds the worker goroutines one search (and one
 	// external-sort pass during Tree construction) may use. The default (0)
@@ -141,14 +140,6 @@ type Options struct {
 	// means the real filesystem; crash and fault-injection tests inject
 	// fsx.MemFS here.
 	FS fsx.FS
-	// DisablePlanner turns off statistics-driven probe planning: with the
-	// planner on (the default), searches order LSM-run, stream-partition,
-	// tree-leaf-range, and shard probes by a per-unit synopsis envelope
-	// lower bound and skip units that provably cannot improve the current
-	// answer. Answers are byte-identical either way; only I/O cost
-	// changes. The escape hatch exists for A/B measurement (experiment
-	// E17) and as a safety valve.
-	DisablePlanner bool
 	// CompactionWorkers (LSM only) moves level merges off the insert path:
 	// n > 0 runs merges as background jobs on a pool of n workers while
 	// inserts and searches keep running against the pre-merge structure
@@ -168,12 +159,6 @@ type Options struct {
 	// re-encodes them as merges rewrite them. Streaming temporal schemes
 	// (TP/BTP) keep their fixed-size partitions regardless.
 	CompressRuns bool
-	// Kernels forces a distance-kernel implementation: "avx2", "neon", or
-	// "scalar". Empty (the default) auto-detects the best kernel for the
-	// CPU (also overridable via the COCONUT_KERNELS environment variable).
-	// All kernels return bit-identical distances; only speed differs. The
-	// selection is process-wide. See Stats.Kernel for the active one.
-	Kernels string
 }
 
 // Durability selects how eagerly the write-ahead log syncs; see
@@ -205,8 +190,7 @@ func (o Options) spec(fam string) assemble.Spec {
 		CacheBytes: o.CacheBytes, Parallelism: o.Parallelism,
 		RawInMemory: true,
 		WALDir:      o.WALDir, Durability: string(o.Durability), CompactionWorkers: o.CompactionWorkers,
-		StorageDir: o.StorageDir, FS: o.FS,
-		DisablePlanner: o.DisablePlanner, Compress: o.CompressRuns, Kernels: o.Kernels,
+		StorageDir: o.StorageDir, FS: o.FS, Compress: o.CompressRuns,
 	}
 	if s.Parallelism == 0 {
 		s.Parallelism = -1
@@ -251,7 +235,9 @@ type Stats struct {
 	// bound proved they could not improve the answer.
 	PlannedSkips int64
 	// Kernel names the active distance-kernel implementation ("avx2",
-	// "neon", or "scalar") — see Options.Kernels.
+	// "neon", or "scalar"): the best the CPU offers, unless the
+	// COCONUT_KERNELS environment variable names one for the process. All
+	// kernels return bit-identical distances; only speed differs.
 	Kernel string
 }
 
@@ -412,14 +398,9 @@ func (h *handle) SaveFile(path string) error { return h.b.SaveFile(path) }
 func (h *handle) Close() error { return h.b.Close() }
 
 // Tree is a CoconutTree index.
-type Tree struct {
-	handle
-	tree *ctree.Tree
-}
+type Tree struct{ handle }
 
-func newTree(b *assemble.Built) *Tree {
-	return &Tree{handle: handle{b: b, cfg: b.Config}, tree: b.Index.(*ctree.Tree)}
-}
+func newTree(b *assemble.Built) *Tree { return &Tree{handle{b: b, cfg: b.Config}} }
 
 // BuildTree bulk-loads a CoconutTree over the given series (IDs are their
 // positions). Construction summarizes, external-sorts, and packs leaves
@@ -436,14 +417,6 @@ func BuildTree(data [][]float64, opts Options) (*Tree, error) {
 	return newTree(b), nil
 }
 
-// EnableCache installs a buffer pool of cacheBytes between the tree and
-// its disk (useful after OpenTree, which reopens uncached). A no-op if a
-// pool is already attached. Call only while no search is in flight.
-func (t *Tree) EnableCache(cacheBytes int64) {
-	// Cannot fail on one disk: the new cache adopts its page size.
-	_ = t.b.EnableCache(cacheBytes)
-}
-
 // LSM is a CoconutLSM index. With Options.WALDir set every insert is
 // logged before acknowledgement (see Options.Durability) and with
 // Options.CompactionWorkers set merges run in the background; Insert,
@@ -452,13 +425,11 @@ func (t *Tree) EnableCache(cacheBytes int64) {
 // log.
 type LSM struct {
 	handle
-	lsm  *clsm.LSM
-	disk storage.Backend
-	pool *bufpool.Pool // buffer pool fronting disk; nil when uncached
+	lsm *clsm.LSM
 }
 
 func newLSM(b *assemble.Built) *LSM {
-	return &LSM{handle: handle{b: b, cfg: b.Config}, lsm: b.Index.(*clsm.LSM), disk: b.Disk, pool: b.Pool}
+	return &LSM{handle: handle{b: b, cfg: b.Config}, lsm: b.Index.(*clsm.LSM)}
 }
 
 // NewLSM creates an empty CoconutLSM ready for continuous insertion. When
@@ -484,15 +455,6 @@ func (l *LSM) Runs() int { return l.lsm.Runs() }
 // timestamp lies in [minTS, maxTS].
 func (l *LSM) SearchWindow(q []float64, k int, minTS, maxTS int64) ([]Match, error) {
 	return l.searchWindow(q, k, minTS, maxTS)
-}
-
-// EnableCache installs a buffer pool of cacheBytes between the LSM and its
-// disk (useful after OpenLSM, which reopens uncached). A no-op if a pool
-// is already attached. Call only while no search is in flight.
-func (l *LSM) EnableCache(cacheBytes int64) {
-	// Cannot fail on one disk: the new cache adopts its page size.
-	_ = l.b.EnableCache(cacheBytes)
-	l.pool = l.b.Pool
 }
 
 // CompactionStats reports the state of the LSM's ingest machinery: flush

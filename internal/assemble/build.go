@@ -69,18 +69,24 @@ type Built struct {
 	closed    atomic.Bool
 }
 
-// shared is what every part of one build has in common: one frame budget,
-// one planner, one background-merge pool.
+// shared is what every part of one build or reopened snapshot has in
+// common: one frame budget, one planner, one background-merge pool.
 type shared struct {
 	cache   *bufpool.Cache
 	planner *index.Planner
 	sched   *compact.Scheduler
 }
 
+// newShared opens what the parts share: a cache of spec.CacheBytes in pages
+// of spec.PageSize, a planner, and for CLSM with CompactionWorkers the
+// scheduler, which the caller closes if no build takes it.
 func newShared(spec Spec) shared {
-	sh := shared{planner: &index.Planner{Disabled: spec.DisablePlanner}}
+	sh := shared{planner: new(index.Planner)}
 	if spec.CacheBytes > 0 {
 		sh.cache = bufpool.NewCache(spec.CacheBytes, spec.PageSize)
+	}
+	if fam, _, _ := family(spec.Variant); fam == familyCLSM && spec.CompactionWorkers > 0 {
+		sh.sched = compact.NewScheduler(spec.CompactionWorkers)
 	}
 	return sh
 }
@@ -98,16 +104,20 @@ func Build(spec Spec, ds *series.Dataset) (*Built, error) {
 	if ds.Len != cfg.SeriesLen {
 		return nil, fmt.Errorf("assemble: dataset holds series of length %d, spec says %d", ds.Len, cfg.SeriesLen)
 	}
+	return owned(spec, func(sh shared) (*Built, error) {
+		if spec.Partitioned() {
+			return buildGroup(spec, cfg, ds, sh)
+		}
+		return buildOne(spec, cfg, ds, sh)
+	})
+}
+
+// owned assembles a build with open over the shared parts of spec and makes
+// the result their owner. If open fails, what it returned and what it did not
+// take are closed.
+func owned(spec Spec, open func(shared) (*Built, error)) (*Built, error) {
 	sh := newShared(spec)
-	if fam, _, _ := family(spec.Variant); fam == familyCLSM && spec.CompactionWorkers > 0 {
-		sh.sched = compact.NewScheduler(spec.CompactionWorkers)
-	}
-	var b *Built
-	if spec.Partitioned() {
-		b, err = buildGroup(spec, cfg, ds, sh)
-	} else {
-		b, err = buildOne(spec, cfg, ds, sh)
-	}
+	b, err := open(sh)
 	if err != nil {
 		if b != nil {
 			b.Close()
@@ -129,7 +139,9 @@ func Base(spec Spec) (*Built, error) {
 	if err != nil {
 		return nil, err
 	}
-	return base(spec, cfg, series.NewDataset(cfg.SeriesLen), newShared(spec), false)
+	return owned(spec, func(sh shared) (*Built, error) {
+		return base(spec, cfg, series.NewDataset(cfg.SeriesLen), sh, false)
+	})
 }
 
 // base performs the steps every build starts with: backend → buffer pool →

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/bufpool"
 	"repro/internal/clsm"
 	"repro/internal/index"
 	"repro/internal/parallel"
@@ -140,38 +139,6 @@ func (b *Built) SetParallelism(n int) {
 // spends within its scan moves to across queries, on a pool of the same size.
 func (b *Built) SearchBatch(qs []index.Query, k int) ([][]index.Result, error) {
 	return index.Batch(parallel.New(b.Spec.Parallelism), b.Config, b.Index, qs, k)
-}
-
-// EnableCache installs one buffer pool of cacheBytes between the build's
-// index(es) and disk(s) (Open reopens uncached). A no-op if a cache is
-// already attached. Call only while no search is in flight.
-func (b *Built) EnableCache(cacheBytes int64) error {
-	if b.Cache != nil || cacheBytes <= 0 {
-		return nil
-	}
-	cache := bufpool.NewCache(cacheBytes, b.Disk.PageSize())
-	if b.Group == nil {
-		return b.useCache(cache)
-	}
-	for i, si := range b.Group.Owned() {
-		if err := b.Parts[i].useCache(cache); err != nil {
-			return err
-		}
-		b.Group.Shard(si).Reader = b.Parts[i].Pool
-	}
-	b.Cache, b.Pool = cache, b.Parts[0].Pool
-	return nil
-}
-
-// useCache attaches the disk to cache and re-points the index at the pool.
-func (b *Built) useCache(cache *bufpool.Cache) error {
-	if err := b.attach(cache); err != nil {
-		return err
-	}
-	if u, ok := b.Index.(interface{ UseReader(storage.PageReader) }); ok {
-		u.UseReader(b.Pool)
-	}
-	return nil
 }
 
 // Close shuts the build down: waits out in-flight background merges, stops

@@ -7,12 +7,9 @@ import (
 	"io"
 
 	"repro/internal/clsm"
-	"repro/internal/compact"
 	"repro/internal/ctree"
 	"repro/internal/fsx"
-	"repro/internal/index"
 	"repro/internal/shard"
-	"repro/internal/simd"
 	"repro/internal/storage"
 )
 
@@ -125,49 +122,26 @@ func (b *Built) saveParts(path string) error {
 // Open reopens an unpartitioned snapshot written by SaveFile. The snapshot
 // defines the index shape; spec names the index family by its Variant
 // ("CTree" or "CLSM", either form) and carries what a snapshot does not
-// hold: FS (where the file lives), DisablePlanner and Kernels, and for CLSM
-// Compress (a property of each run: existing runs keep theirs, new flushes
-// and merges follow the setting), WALDir and Durability (the log tail past
-// the snapshot is replayed — the crash story), CompactionWorkers, and
-// GrowthFactor / BufferEntries to override the persisted shape.
-// Other fields are ignored: parallelism and caching are not part of a
-// snapshot (SetParallelism, EnableCache).
+// hold: FS (where the file lives), CacheBytes (a buffer pool over the
+// snapshot's pages, as Build puts one), and for CLSM Compress (a property of
+// each run: existing runs keep theirs, new flushes and merges follow the
+// setting), WALDir and Durability (the log tail past the snapshot is
+// replayed — the crash story), CompactionWorkers, and GrowthFactor /
+// BufferEntries to override the persisted shape. Other fields are ignored:
+// parallelism is not part of a snapshot (SetParallelism).
 func Open(path string, spec Spec) (*Built, error) {
-	sh := openShared(spec)
-	b, err := openOne(path, spec, sh)
-	if err != nil {
-		if sh.sched != nil {
-			sh.sched.Close()
-		}
-		return nil, err
-	}
-	b.ownsSched = true
-	return b, nil
-}
-
-// openShared returns the planner and the scheduler a reopened build's parts
-// share.
-func openShared(spec Spec) shared {
-	sh := shared{planner: &index.Planner{Disabled: spec.DisablePlanner}}
-	if spec.CompactionWorkers > 0 {
-		sh.sched = compact.NewScheduler(spec.CompactionWorkers)
-	}
-	return sh
-}
-
-// openOne loads one snapshot file into a simulated disk and reopens the
-// index on it, re-attaching the WAL when the spec names one. On error
-// everything it opened is closed.
-func openOne(path string, spec Spec, sh shared) (b *Built, err error) {
-	if spec.Kernels != "" {
-		if err := simd.Select(spec.Kernels); err != nil {
-			return nil, fmt.Errorf("assemble: %w", err)
-		}
-	}
 	disk, err := storage.LoadDiskFile(spec.FS, path)
 	if err != nil {
 		return nil, err
 	}
+	spec.PageSize = disk.PageSize() // the cache's frames hold the snapshot's pages
+	return owned(spec, func(sh shared) (*Built, error) { return openOne(disk, spec, sh) })
+}
+
+// openOne reopens the index on disk, a loaded snapshot, behind a pool on the
+// shared cache, re-attaching the WAL when the spec names one. On error
+// everything it opened, disk included, is closed.
+func openOne(disk storage.Backend, spec Spec, sh shared) (b *Built, err error) {
 	b = &Built{Disk: disk, Planner: sh.planner, Compactor: sh.sched}
 	defer func() {
 		if err != nil {
@@ -175,6 +149,9 @@ func openOne(path string, spec Spec, sh shared) (b *Built, err error) {
 			b = nil
 		}
 	}()
+	if err = b.attach(sh.cache); err != nil {
+		return
+	}
 	// Only the index can say whether it reads a raw series file, and of how
 	// many series: it takes one that is opened once it has.
 	b.Raw = new(storage.RawFile)
@@ -182,10 +159,11 @@ func openOne(path string, spec Spec, sh shared) (b *Built, err error) {
 	switch fam {
 	case familyCTree:
 		var tree *ctree.Tree
-		if tree, err = ctree.Open(disk, treeName, b.RawStore()); err != nil {
+		if tree, err = ctree.Open(ctree.Options{
+			Disk: disk, Reader: b.Reader(), Name: treeName, Raw: b.RawStore(), Planner: b.Planner,
+		}); err != nil {
 			return
 		}
-		tree.SetPlanner(b.Planner)
 		b.Index, b.Config = tree, tree.Config()
 	case familyCLSM:
 		if spec.WALDir != "" {
@@ -195,7 +173,7 @@ func openOne(path string, spec Spec, sh shared) (b *Built, err error) {
 		}
 		var lsm *clsm.LSM
 		if lsm, err = clsm.Open(clsm.Options{
-			Disk: disk, Name: lsmName, GrowthFactor: spec.GrowthFactor, BufferEntries: spec.BufferEntries,
+			Disk: disk, Reader: b.Reader(), Name: lsmName, GrowthFactor: spec.GrowthFactor, BufferEntries: spec.BufferEntries,
 			Raw: b.RawStore(), WAL: b.WAL, Scheduler: b.Compactor, Planner: b.Planner, Compress: spec.Compress,
 		}); err != nil {
 			return
@@ -290,30 +268,38 @@ func OpenSharded(path string, spec Spec) (*Built, error) {
 	if spec.Variant == "" {
 		return nil, fmt.Errorf("assemble: manifest %s has unknown kind %q", path, m.Kind)
 	}
-	inner := spec
-	sh := openShared(spec)
-	b := &Built{Planner: sh.planner, Compactor: sh.sched, ownsSched: true}
-	owned := make([]int, m.Shards)
-	var total int64
-	for i := range owned {
-		owned[i] = i
-		if spec.WALDir != "" {
-			inner.WALDir = shardDir(spec.WALDir, i)
-		}
-		p, err := openOne(shardFilePath(path, i), inner, sh)
-		if err != nil {
-			b.Close()
-			return nil, fmt.Errorf("assemble: opening shard %d: %w", i, err)
-		}
-		p.SetParallelism(1)
-		b.Parts = append(b.Parts, p)
-		total += p.Index.Count()
+	// Every shard's snapshot holds pages of one size, the cache's frames.
+	disk, err := storage.LoadDiskFile(spec.FS, shardFilePath(path, 0))
+	if err != nil {
+		return nil, fmt.Errorf("assemble: opening shard 0: %w", err)
 	}
-	b.Spec, b.Config = b.Parts[0].Spec, b.Parts[0].Config
-	b.Spec.Shards, b.Spec.WALDir = m.Shards, spec.WALDir
-	if err := b.group(m.Shards, owned, shard.Partition(total, m.Shards), -1); err != nil {
-		b.Close()
-		return nil, err
-	}
-	return b, nil
+	spec.PageSize = disk.PageSize()
+	return owned(spec, func(sh shared) (*Built, error) {
+		b := &Built{Cache: sh.cache, Planner: sh.planner, Compactor: sh.sched}
+		inner := spec
+		all := make([]int, m.Shards)
+		var total int64
+		for i := range all {
+			all[i] = i
+			if spec.WALDir != "" {
+				inner.WALDir = shardDir(spec.WALDir, i)
+			}
+			var p *Built
+			if i > 0 {
+				disk, err = storage.LoadDiskFile(spec.FS, shardFilePath(path, i))
+			}
+			if err == nil {
+				p, err = openOne(disk, inner, sh)
+			}
+			if err != nil {
+				return b, fmt.Errorf("assemble: opening shard %d: %w", i, err)
+			}
+			p.SetParallelism(1)
+			b.Parts = append(b.Parts, p)
+			total += p.Index.Count()
+		}
+		b.Spec, b.Config = b.Parts[0].Spec, b.Parts[0].Config
+		b.Spec.Shards, b.Spec.WALDir = m.Shards, spec.WALDir
+		return b, b.group(m.Shards, all, shard.Partition(total, m.Shards), -1)
+	})
 }

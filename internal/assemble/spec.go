@@ -23,7 +23,6 @@ import (
 
 	"repro/internal/fsx"
 	"repro/internal/index"
-	"repro/internal/simd"
 	"repro/internal/storage"
 )
 
@@ -42,7 +41,7 @@ const (
 // Spec describes one index build. The zero value of every field selects the
 // paper-faithful default: simulated disk, no cache, serial execution, inline
 // merges, no WAL, unsharded. Results are byte-identical whatever the cache,
-// parallelism, partitioning, backend, planner and page-encoding fields say;
+// parallelism, partitioning, backend and page-encoding fields say;
 // they move I/O cost and wall-clock time only.
 type Spec struct {
 	// Variant names the index, one of Variants; SeriesLen is the fixed
@@ -109,13 +108,8 @@ type Spec struct {
 	// from the first write of construction on (SetTracer installs one
 	// afterwards); partitioned builds prefix file names per shard.
 	Tracer storage.Tracer `json:"-"`
-	// DisablePlanner turns off statistics-driven probe ordering and envelope
-	// skipping; Compress stores CTree leaves and CLSM runs in the packed
-	// page encoding; Kernels forces a distance-kernel implementation
-	// ("avx2", "neon", "scalar") process-wide.
-	DisablePlanner bool   `json:"disable_planner,omitempty"`
-	Compress       bool   `json:"compress,omitempty"`
-	Kernels        string `json:"kernels,omitempty"`
+	// Compress stores CTree leaves and CLSM runs in the packed page encoding.
+	Compress bool `json:"compress,omitempty"`
 }
 
 // family splits a variant name into its index family and whether it is the
@@ -197,16 +191,10 @@ func (s Spec) Validate() error {
 	return nil
 }
 
-// resolve validates the spec, selects the distance kernels it names and
-// applies the defaults Build and Base share.
+// resolve validates the spec and applies the defaults Build and Base share.
 func (s Spec) resolve() (Spec, index.Config, error) {
 	if err := s.Validate(); err != nil {
 		return s, index.Config{}, err
-	}
-	if s.Kernels != "" {
-		if err := simd.Select(s.Kernels); err != nil {
-			return s, index.Config{}, fmt.Errorf("assemble: %w", err)
-		}
 	}
 	if s.MemBudget == 0 {
 		s.MemBudget = 1 << 20

@@ -266,11 +266,6 @@ func (l *LSM) Count() int64 { return l.count.Load() }
 // GOMAXPROCS; 1 is serial). Call only while no search is in flight.
 func (l *LSM) SetParallelism(n int) { l.pool = parallel.New(n) }
 
-// UseReader routes subsequent page reads through r — typically a buffer
-// pool over the LSM's disk (nil restores the uncached disk). Call only while
-// no search is in flight.
-func (l *LSM) UseReader(r storage.PageReader) { l.store.UseReader(r) }
-
 // Config returns the summarization configuration the LSM was created with.
 func (l *LSM) Config() index.Config { return l.opts.Config }
 

@@ -257,6 +257,14 @@ func TestRouterEquivalenceTopologies(t *testing.T) {
 				got = queryHTTP(t, rts.URL, "", q, 5, true, 0)
 				sameHTTPResults(t, "post-insert exact", got.Results, want.Results)
 			}
+			// One bound alone is refused, as a node refuses it, not answered
+			// unwindowed.
+			for _, half := range []server.QueryRequest{{MinTS: &minTS}, {MaxTS: &maxTS}} {
+				half.Series, half.K, half.Exact = qs[0], 5, true
+				if code := postJSON(t, rts.URL+"/api/query", half, nil); code != http.StatusBadRequest {
+					t.Fatalf("router half window %+v: status %d", half, code)
+				}
+			}
 		})
 	}
 }

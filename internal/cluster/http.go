@@ -85,6 +85,10 @@ func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad request: %v", err)
 		return
 	}
+	if (qr.MinTS == nil) != (qr.MaxTS == nil) {
+		writeError(w, http.StatusBadRequest, "min_ts and max_ts are required together")
+		return
+	}
 	mode := "approx"
 	switch {
 	case qr.Eps > 0:

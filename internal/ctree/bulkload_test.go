@@ -283,7 +283,7 @@ func TestBulkLoadTable(t *testing.T) {
 							if err := tr.Save(); err != nil {
 								t.Fatal(err)
 							}
-							re, err := Open(disk, "t", normStore{ds})
+							re, err := Open(Options{Disk: disk, Name: "t", Raw: normStore{ds}})
 							if err != nil {
 								t.Fatal(err)
 							}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	coconut "repro"
+	"repro/internal/assemble"
 	"repro/internal/ctree"
 	"repro/internal/gen"
 	"repro/internal/index"
@@ -92,6 +93,56 @@ func must[T any](t *testing.T) func(v T, err error) T {
 // every answer in order with the index's final accounting.
 type scenario func(t *testing.T, opts coconut.Options) ([][]coconut.Match, coconut.Stats)
 
+// built searches an assembled build as the facade searches its own. The
+// planner-off row builds through assemble.Build and turns the build's planner
+// to the reference path (Built.Planner.Disabled), which the facade has no
+// option for.
+type built struct{ *assemble.Built }
+
+func matches(rs []index.Result, err error) ([]coconut.Match, error) {
+	out := make([]coconut.Match, len(rs))
+	for i, r := range rs {
+		out[i] = coconut.Match{ID: int(r.ID), TS: r.TS, Dist: r.Dist}
+	}
+	return out, err
+}
+
+func (b built) query(q []float64) index.Query { return index.NewQuery(series.Series(q), b.Config) }
+
+func (b built) Search(q []float64, k int) ([]coconut.Match, error) {
+	return matches(b.Index.ExactSearch(b.query(q), k))
+}
+
+func (b built) SearchRange(q []float64, eps float64) ([]coconut.Match, error) {
+	return matches(b.Index.RangeSearch(b.query(q), eps))
+}
+
+func (b built) SearchApprox(q []float64, k int) ([]coconut.Match, error) {
+	return matches(b.Index.ApproxSearch(b.query(q), k))
+}
+
+func (b built) SearchBatch(qs [][]float64, k int) ([][]coconut.Match, error) {
+	iqs := make([]index.Query, len(qs))
+	for i, q := range qs {
+		iqs[i] = b.query(q)
+	}
+	rss, err := b.Built.SearchBatch(iqs, k)
+	out := make([][]coconut.Match, len(rss))
+	for i, rs := range rss {
+		out[i], _ = matches(rs, nil)
+	}
+	return out, err
+}
+
+func (b built) Stats() coconut.Stats {
+	st := b.IOStats()
+	return coconut.Stats{
+		SeqReads: st.SeqReads, RandReads: st.RandReads, SeqWrites: st.SeqWrites, RandWrites: st.RandWrites,
+		CacheHits: st.CacheHits, CacheMisses: st.CacheMisses,
+		Pages: b.TotalPages(), PlannedSkips: b.Planner.Skips(),
+	}
+}
+
 func TestColumnScanEquivalence(t *testing.T) {
 	data := equivWalks(81, 3000)
 	late := equivWalks(82, 600)
@@ -100,6 +151,16 @@ func TestColumnScanEquivalence(t *testing.T) {
 	full := base
 	full.Materialized = true
 
+	treeQueries := func(t *testing.T, tr interface {
+		searcher
+		SearchApprox(q []float64, k int) ([]coconut.Match, error)
+		SearchBatch(qs [][]float64, k int) ([][]coconut.Match, error)
+	}) [][]coconut.Match {
+		ans := matrix(t, tr, queries, func(q []float64) [][]coconut.Match {
+			return [][]coconut.Match{must[[]coconut.Match](t)(tr.SearchApprox(q, 5))}
+		})
+		return append(ans, must[[][]coconut.Match](t)(tr.SearchBatch(queries, 3))...)
+	}
 	tree := func(inserts int) scenario {
 		return func(t *testing.T, opts coconut.Options) ([][]coconut.Match, coconut.Stats) {
 			tr := must[*coconut.Tree](t)(coconut.BuildTree(data, opts))
@@ -109,12 +170,22 @@ func TestColumnScanEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			ans := matrix(t, tr, queries, func(q []float64) [][]coconut.Match {
-				return [][]coconut.Match{must[[]coconut.Match](t)(tr.SearchApprox(q, 5))}
-			})
-			ans = append(ans, must[[][]coconut.Match](t)(tr.SearchBatch(queries, 3))...)
-			return ans, tr.Stats()
+			return treeQueries(t, tr), tr.Stats()
 		}
+	}
+	// unplanned is tree(0) over base, assembled as BuildTree assembles it,
+	// with the build's planner off.
+	unplanned := func(t *testing.T, opts coconut.Options) ([][]coconut.Match, coconut.Stats) {
+		ds := series.NewDataset(equivLen)
+		for _, s := range data {
+			ds.Append(series.Series(s))
+		}
+		tr := built{must[*assemble.Built](t)(assemble.Build(assemble.Spec{
+			Variant: "CTree", SeriesLen: equivLen, Segments: 8, Bits: 6, Parallelism: opts.Parallelism, RawInMemory: true,
+		}, ds))}
+		defer tr.Close()
+		tr.Planner.Disabled = true
+		return treeQueries(t, tr), tr.Stats()
 	}
 	sharded := func(shards int) scenario {
 		return func(t *testing.T, opts coconut.Options) ([][]coconut.Match, coconut.Stats) {
@@ -169,7 +240,7 @@ func TestColumnScanEquivalence(t *testing.T) {
 		{"tree-packed-splits", true, with(base, func(o *coconut.Options) { o.CompressRuns, o.PageSize = true, 512 }), tree(600)},
 		{"tree-cached", true, with(full, func(o *coconut.Options) { o.CacheBytes = 96 << 10 }), tree(100)},
 		{"tree-file", true, with(full, func(o *coconut.Options) { o.StorageDir = "per run" }), tree(100)},
-		{"tree-unplanned", false, with(base, func(o *coconut.Options) { o.DisablePlanner = true }), tree(0)},
+		{"tree-unplanned", false, base, unplanned},
 		{"sharded1", true, full, sharded(1)},
 		{"sharded2-cached", true, with(base, func(o *coconut.Options) { o.CacheBytes = 64 << 10 }), sharded(2)},
 		{"sharded4", true, full, sharded(4)},

@@ -147,17 +147,6 @@ func (t *Tree) Leaves() int { return t.leaves.Sum.Pages() }
 // configuration. Call only while no search is in flight.
 func (t *Tree) SetParallelism(n int) { t.pool = parallel.New(n) }
 
-// SetPlanner attaches the query planner (switch, skip counter).
-// Like SetParallelism it is not persisted; call after Open. Call only while
-// no search is in flight.
-func (t *Tree) SetPlanner(pl *index.Planner) { t.store.Planner = pl }
-
-// UseReader routes subsequent page reads through r — typically a buffer
-// pool over the tree's disk (nil restores the uncached disk). Like
-// SetParallelism it is not persisted; call after Open to re-attach a
-// cache. Call only while no search is in flight.
-func (t *Tree) UseReader(r storage.PageReader) { t.store.UseReader(r) }
-
 // Build constructs a CTree over all series in src, assigning IDs 0..n-1 in
 // source order and timestamp ts to every entry. Construction is bottom-up:
 // summarize sequentially, then external-sort — and the sort's output is the

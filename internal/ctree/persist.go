@@ -8,7 +8,6 @@ import (
 	"repro/internal/index"
 	"repro/internal/record"
 	"repro/internal/run"
-	"repro/internal/series"
 	"repro/internal/sortable"
 	"repro/internal/storage"
 	"repro/internal/zonestat"
@@ -82,24 +81,24 @@ func flag(b bool) byte {
 }
 
 // Open reconstructs a saved tree from a disk holding "<name>.leaves" and
-// "<name>.meta". The caller supplies the Disk and (for non-materialized
-// trees) the Raw store; all structural parameters are restored from the
-// metadata.
-func Open(disk storage.Backend, name string, raw series.RawStore) (*Tree, error) {
-	if disk == nil {
+// "<name>.meta". Of opts it takes Disk, Name, Reader, Planner, Parallelism
+// and (for non-materialized trees) Raw as Build does; the structure — Config,
+// FillFactor, page encoding — is restored from the metadata.
+func Open(opts Options) (*Tree, error) {
+	if opts.Disk == nil {
 		return nil, fmt.Errorf("ctree: Disk is required")
 	}
-	if name == "" {
-		name = "ctree"
+	if opts.Name == "" {
+		opts.Name = "ctree"
 	}
-	payload, version, err := storage.ReadBlob(disk, name+".meta", metaMagic, metaVersion, 0)
+	payload, version, err := storage.ReadBlob(opts.Disk, opts.Name+".meta", metaMagic, metaVersion, 0)
 	if err != nil {
 		return nil, fmt.Errorf("ctree: %w", err)
 	}
-	return decodeMeta(disk, name, payload, raw, version)
+	return decodeMeta(opts, payload, version)
 }
 
-func decodeMeta(disk storage.Backend, name string, buf []byte, raw series.RawStore, version uint32) (*Tree, error) {
+func decodeMeta(opts Options, buf []byte, version uint32) (*Tree, error) {
 	const fixed = 8 + 8 + 4 + 4 + 8 + 1 + 4 + 4 + 4
 	if len(buf) < fixed {
 		return nil, fmt.Errorf("ctree: meta payload too short: %d", len(buf))
@@ -113,12 +112,12 @@ func decodeMeta(disk storage.Backend, name string, buf []byte, raw series.RawSto
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("ctree: invalid persisted config: %w", err)
 	}
-	fill := math.Float64frombits(binary.LittleEndian.Uint64(buf[24:]))
-	t := newTree(Options{Disk: disk, Name: name, Config: cfg, FillFactor: fill, Raw: raw})
+	opts.Config, opts.FillFactor = cfg, math.Float64frombits(binary.LittleEndian.Uint64(buf[24:]))
+	t := newTree(opts)
 	t.leaves.Count = int64(binary.LittleEndian.Uint64(buf))
 	t.nextID64 = int64(binary.LittleEndian.Uint64(buf[8:]))
 	t.capacity = int(binary.LittleEndian.Uint32(buf[16:]))
-	if !disk.Exists(t.leaves.File) {
+	if !opts.Disk.Exists(t.leaves.File) {
 		return nil, fmt.Errorf("ctree: leaf file %q missing", t.leaves.File)
 	}
 
@@ -179,7 +178,7 @@ func decodeMeta(disk storage.Backend, name string, buf []byte, raw series.RawSto
 	}
 	if t.leaves.Packed {
 		var err error
-		if t.pb, err = record.NewPageBuilder(t.store.Codec(), disk.PageSize()); err != nil {
+		if t.pb, err = record.NewPageBuilder(t.store.Codec(), opts.Disk.PageSize()); err != nil {
 			return nil, fmt.Errorf("ctree: persisted packed tree: %w", err)
 		}
 	}

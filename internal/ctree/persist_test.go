@@ -19,7 +19,7 @@ func TestSaveOpenRoundTrip(t *testing.T) {
 		if err := tr.Save(); err != nil {
 			t.Fatal(err)
 		}
-		got, err := Open(disk, "ctree", normStore{ds})
+		got, err := Open(Options{Disk: disk, Name: "ctree", Raw: normStore{ds}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,7 +75,7 @@ func TestSaveOpenAfterSplits(t *testing.T) {
 	if err := tr.Save(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Open(disk, "ctree", nil)
+	got, err := Open(Options{Disk: disk, Name: "ctree"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,30 +119,30 @@ func TestSaveReplacesExistingMeta(t *testing.T) {
 	if err := tr.Save(); err != nil {
 		t.Fatal(err) // second save must overwrite, not fail
 	}
-	if _, err := Open(disk, "ctree", normStore{ds}); err != nil {
+	if _, err := Open(Options{Disk: disk, Name: "ctree", Raw: normStore{ds}}); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestOpenErrors(t *testing.T) {
 	disk := storage.NewDisk(0)
-	if _, err := Open(nil, "x", nil); err == nil {
+	if _, err := Open(Options{Name: "x"}); err == nil {
 		t.Fatal("nil disk should fail")
 	}
-	if _, err := Open(disk, "missing", nil); err == nil {
+	if _, err := Open(Options{Disk: disk, Name: "missing"}); err == nil {
 		t.Fatal("missing meta should fail")
 	}
 	// Corrupt magic.
 	disk.Create("bad.meta")
 	disk.AppendPage("bad.meta", []byte("NOTMAGIC0000000000000000"))
-	if _, err := Open(disk, "bad", nil); err == nil {
+	if _, err := Open(Options{Disk: disk, Name: "bad"}); err == nil {
 		t.Fatal("bad magic should fail")
 	}
 	// Valid magic, truncated payload.
 	disk.Create("trunc.meta")
 	head := append([]byte(metaMagic), 1, 0, 0, 0 /*version*/, 255, 0, 0, 0, 0, 0, 0, 0 /*len 255*/)
 	disk.AppendPage("trunc.meta", head)
-	if _, err := Open(disk, "trunc", nil); err == nil {
+	if _, err := Open(Options{Disk: disk, Name: "trunc"}); err == nil {
 		t.Fatal("truncated payload should fail")
 	}
 }
@@ -154,7 +154,7 @@ func TestOpenRejectsForeignSynopsisShape(t *testing.T) {
 	ds := buildDataset(t, 100, 35)
 	tr, disk := buildTree(t, ds, false, 1.0)
 	meta := tr.encodeMeta()
-	if _, err := decodeMeta(disk, "ctree", meta, normStore{ds}, metaVersion); err != nil {
+	if _, err := decodeMeta(Options{Disk: disk, Name: "ctree", Raw: normStore{ds}}, meta, metaVersion); err != nil {
 		t.Fatal(err)
 	}
 	// The synopsis is the last field before the packed flag and the leaf
@@ -162,7 +162,7 @@ func TestOpenRejectsForeignSynopsisShape(t *testing.T) {
 	// already fails the length check).
 	summary := len(tr.leaves.Sum.AppendBinary(nil))
 	meta[len(meta)-summary-1-tr.leaves.Syn.EncodedSize()+56]--
-	if _, err := decodeMeta(disk, "ctree", meta, normStore{ds}, metaVersion); err == nil {
+	if _, err := decodeMeta(Options{Disk: disk, Name: "ctree", Raw: normStore{ds}}, meta, metaVersion); err == nil {
 		t.Fatal("synopsis bits changed: metadata still opens")
 	}
 }
@@ -176,7 +176,7 @@ func TestOpenDetectsMissingLeafFile(t *testing.T) {
 	if err := disk.Remove("ctree.leaves"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(disk, "ctree", normStore{ds}); err == nil {
+	if _, err := Open(Options{Disk: disk, Name: "ctree", Raw: normStore{ds}}); err == nil {
 		t.Fatal("missing leaf file should fail")
 	}
 }
@@ -197,7 +197,7 @@ func TestDiskSnapshotRoundTripWithTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Open(disk2, "ctree", nil)
+	got, err := Open(Options{Disk: disk2, Name: "ctree"})
 	if err != nil {
 		t.Fatal(err)
 	}

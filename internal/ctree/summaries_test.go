@@ -100,7 +100,7 @@ func TestSummariesFollowTheTree(t *testing.T) {
 			}
 			reads := &leafReads{}
 			tr.opts.Disk.(*storage.Disk).SetTracer(reads)
-			got, err := Open(tr.opts.Disk, "ctree", raw)
+			got, err := Open(Options{Disk: tr.opts.Disk, Name: "ctree", Raw: raw})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -173,7 +173,7 @@ func TestOpenOlderMetaRebuildsSummaries(t *testing.T) {
 			for i := 0; i < 40; i++ {
 				ds.Append(gen.RandomWalk(rng, 64))
 			}
-			tr, err := Open(disk, "ctree", normStore{ds})
+			tr, err := Open(Options{Disk: disk, Name: "ctree", Raw: normStore{ds}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -211,7 +211,7 @@ func TestOpenOlderMetaRebuildsSummaries(t *testing.T) {
 			if err := tr.Save(); err != nil {
 				t.Fatal(err)
 			}
-			again, err := Open(disk, "ctree", normStore{ds})
+			again, err := Open(Options{Disk: disk, Name: "ctree", Raw: normStore{ds}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -250,7 +250,7 @@ func FuzzDecodeMetaV4(f *testing.F) {
 		if v5 {
 			version = 5
 		}
-		tr, err := decodeMeta(disk, "ctree", payload, nil, version)
+		tr, err := decodeMeta(Options{Disk: disk, Name: "ctree"}, payload, version)
 		if err != nil {
 			return
 		}
@@ -278,7 +278,7 @@ func FuzzDecodeMetaV4(f *testing.F) {
 		if total != count || int64(len(syms)) != int64(2*pages*w)+count*int64(w+8) || !index.SymbolsBelow(syms[:2*pages*w+int(count)*w], bits) {
 			t.Fatalf("summary of %d entries in %d pages is %d bytes of envelopes and columns, or holds a symbol beyond %d bits", total, pages, len(syms), bits)
 		}
-		again, err := decodeMeta(disk, "ctree", meta, nil, metaVersion)
+		again, err := decodeMeta(Options{Disk: disk, Name: "ctree"}, meta, metaVersion)
 		if err != nil || !bytes.Equal(again.encodeMeta(), meta) {
 			t.Fatalf("re-encoded metadata does not decode to itself: %v", err)
 		}

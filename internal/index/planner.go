@@ -102,11 +102,15 @@ func (p *Pruner) UnitBoundSq(q Query, syn *zonestat.Synopsis) float64 {
 	return p.SynopsisBoundSq(syn)
 }
 
-// Planner is the per-index planning handle: an enable switch and a skip
-// counter. A nil Planner behaves like an enabled planner that drops its
-// counter. One Planner may be shared by many indexes (every shard of a
+// Planner is the per-index planning handle: a skip counter and the
+// reference switch. A nil Planner behaves like an enabled planner that drops
+// its counter. One Planner may be shared by many indexes (every shard of a
 // Sharded facade shares one, like the buffer-pool cache).
 type Planner struct {
+	// Disabled selects the reference path — unplanned probe order, no unit
+	// skipped, every page a scan reaches read — that the equivalence suites
+	// and experiment E17 hold planned answers to. No option sets it: they
+	// set it on a build's planner after the build, before searching.
 	Disabled bool
 	skips    atomic.Int64
 }

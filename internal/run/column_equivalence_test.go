@@ -7,9 +7,12 @@ import (
 	"testing"
 
 	coconut "repro"
+	"repro/internal/assemble"
 	"repro/internal/fsx"
 	"repro/internal/gen"
+	"repro/internal/index"
 	"repro/internal/run"
+	"repro/internal/series"
 )
 
 // The resident searches of a sorted run — page envelope, SAX and timestamp
@@ -64,6 +67,72 @@ func must[T any](t *testing.T) func(v T, err error) T {
 // every answer in order with the index's final accounting.
 type scenario func(t *testing.T, opts coconut.Options) ([][]coconut.Match, coconut.Stats)
 
+// lsmIndex is what the LSM scenarios insert into and search.
+type lsmIndex interface {
+	Insert(s []float64, ts int64) error
+	Search(q []float64, k int) ([]coconut.Match, error)
+	SearchWindow(q []float64, k int, minTS, maxTS int64) ([]coconut.Match, error)
+	SearchRange(q []float64, eps float64) ([]coconut.Match, error)
+	SearchApprox(q []float64, k int) ([]coconut.Match, error)
+	SearchBatch(qs [][]float64, k int) ([][]coconut.Match, error)
+}
+
+// built searches an assembled build as the facade searches its own. The
+// planner-off row builds through assemble.Build and turns the build's planner
+// to the reference path (Built.Planner.Disabled), which the facade has no
+// option for.
+type built struct{ *assemble.Built }
+
+func matches(rs []index.Result, err error) ([]coconut.Match, error) {
+	out := make([]coconut.Match, len(rs))
+	for i, r := range rs {
+		out[i] = coconut.Match{ID: int(r.ID), TS: r.TS, Dist: r.Dist}
+	}
+	return out, err
+}
+
+func (b built) query(q []float64) index.Query { return index.NewQuery(series.Series(q), b.Config) }
+
+func (b built) Insert(s []float64, ts int64) error { return b.Ingest(series.Series(s), ts) }
+
+func (b built) Search(q []float64, k int) ([]coconut.Match, error) {
+	return matches(b.Index.ExactSearch(b.query(q), k))
+}
+
+func (b built) SearchWindow(q []float64, k int, minTS, maxTS int64) ([]coconut.Match, error) {
+	return matches(b.Index.ExactSearch(b.query(q).WithWindow(minTS, maxTS), k))
+}
+
+func (b built) SearchRange(q []float64, eps float64) ([]coconut.Match, error) {
+	return matches(b.Index.RangeSearch(b.query(q), eps))
+}
+
+func (b built) SearchApprox(q []float64, k int) ([]coconut.Match, error) {
+	return matches(b.Index.ApproxSearch(b.query(q), k))
+}
+
+func (b built) SearchBatch(qs [][]float64, k int) ([][]coconut.Match, error) {
+	iqs := make([]index.Query, len(qs))
+	for i, q := range qs {
+		iqs[i] = b.query(q)
+	}
+	rss, err := b.Built.SearchBatch(iqs, k)
+	out := make([][]coconut.Match, len(rss))
+	for i, rs := range rss {
+		out[i], _ = matches(rs, nil)
+	}
+	return out, err
+}
+
+func (b built) Stats() coconut.Stats {
+	st := b.IOStats()
+	return coconut.Stats{
+		SeqReads: st.SeqReads, RandReads: st.RandReads, SeqWrites: st.SeqWrites, RandWrites: st.RandWrites,
+		CacheHits: st.CacheHits, CacheMisses: st.CacheMisses,
+		Pages: b.TotalPages(), PlannedSkips: b.Planner.Skips(),
+	}
+}
+
 func TestColumnScanEquivalence(t *testing.T) {
 	data := equivWalks(91, 2600)
 	queries := append(equivWalks(93, 5), data[17], data[2024]) // far ones and members
@@ -74,7 +143,7 @@ func TestColumnScanEquivalence(t *testing.T) {
 	// lsmQueries is every search an LSM answers from its runs: exact,
 	// windowed (a wide window and one inside a single flush), range around
 	// the exact answer's third neighbour, approximate, and a batch.
-	lsmQueries := func(t *testing.T, l *coconut.LSM) [][]coconut.Match {
+	lsmQueries := func(t *testing.T, l lsmIndex) [][]coconut.Match {
 		var ans [][]coconut.Match
 		ms := must[[]coconut.Match](t)
 		for _, q := range queries {
@@ -87,7 +156,7 @@ func TestColumnScanEquivalence(t *testing.T) {
 		}
 		return append(ans, must[[][]coconut.Match](t)(l.SearchBatch(queries, 3))...)
 	}
-	insert := func(t *testing.T, l *coconut.LSM, from, to int) {
+	insert := func(t *testing.T, l lsmIndex, from, to int) {
 		for i := from; i < to; i++ {
 			if err := l.Insert(data[i], int64(i)); err != nil {
 				t.Fatal(err)
@@ -99,6 +168,18 @@ func TestColumnScanEquivalence(t *testing.T) {
 	lsm := func(t *testing.T, opts coconut.Options) ([][]coconut.Match, coconut.Stats) {
 		l := must[*coconut.LSM](t)(coconut.NewLSM(opts))
 		defer l.Close()
+		insert(t, l, 0, 2500)
+		return lsmQueries(t, l), l.Stats()
+	}
+	// unplanned is lsm over base, assembled as NewLSM assembles it, with the
+	// build's planner off.
+	unplanned := func(t *testing.T, opts coconut.Options) ([][]coconut.Match, coconut.Stats) {
+		l := built{must[*assemble.Built](t)(assemble.Build(assemble.Spec{
+			Variant: "CLSM", SeriesLen: equivLen, Segments: 8, Bits: 6, BufferEntries: 200, GrowthFactor: 3,
+			Parallelism: opts.Parallelism, RawInMemory: true,
+		}, nil))}
+		defer l.Close()
+		l.Planner.Disabled = true
 		insert(t, l, 0, 2500)
 		return lsmQueries(t, l), l.Stats()
 	}
@@ -170,9 +251,7 @@ func TestColumnScanEquivalence(t *testing.T) {
 		{"lsm-file-pool-packed", true, true, func() coconut.Options {
 			return with(full, func(o *coconut.Options) { memfs(o); smallPool(o); o.CompressRuns = true })
 		}, lsm},
-		{"lsm-unplanned", true, false, func() coconut.Options {
-			return with(base, func(o *coconut.Options) { o.DisablePlanner = true })
-		}, lsm},
+		{"lsm-unplanned", true, false, func() coconut.Options { return base }, unplanned},
 		{"lsm-reopened", true, false, func() coconut.Options { return full }, reopened},
 		{"lsm-reopened-packed-pool", true, true, func() coconut.Options {
 			return with(full, func(o *coconut.Options) { smallPool(o); o.CompressRuns = true })

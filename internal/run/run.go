@@ -44,7 +44,7 @@ var onProbePin func()
 
 // Store is one index's access to its runs: writes and merges go to Disk,
 // every search-time page read goes through Reader (the disk itself, or a
-// buffer pool over it; see UseReader), Raw resolves non-materialized
+// buffer pool over it), Raw resolves non-materialized
 // candidates, and Planner decides whether a scan leaves dead pages unread
 // and counts the pages it does (see Scan). A nil Planner plans with
 // defaults, as everywhere: scans skip.
@@ -62,19 +62,10 @@ type Store struct {
 // entries must fit a page of the disk (the index validates that). A nil
 // reader selects the disk itself (uncached).
 func NewStore(disk storage.Backend, reader storage.PageReader, pl *index.Planner, cfg index.Config, raw series.RawStore) Store {
-	s := Store{Disk: disk, Planner: pl, Config: cfg, Raw: raw, codec: cfg.Codec()}
-	s.UseReader(reader)
-	return s
-}
-
-// UseReader routes subsequent page reads through r — typically a buffer
-// pool over the store's disk; nil restores the uncached disk. Not
-// synchronized with in-flight searches.
-func (s *Store) UseReader(r storage.PageReader) {
-	if r == nil {
-		r = s.Disk
+	if reader == nil {
+		reader = disk
 	}
-	s.Reader = r
+	return Store{Disk: disk, Reader: reader, Planner: pl, Config: cfg, Raw: raw, codec: cfg.Codec()}
 }
 
 // Codec returns the entry codec of the store's runs.

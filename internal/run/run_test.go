@@ -86,8 +86,7 @@ func newStoreOf(t *testing.T, kind string, pageSize int, cfg index.Config, raw s
 	s, stats = NewStore(disk, nil, nil, cfg, raw), disk
 	if kind == "pool" {
 		pool := bufpool.New(disk, int64(64*pageSize))
-		s.UseReader(pool)
-		stats = pool
+		s, stats = NewStore(disk, pool, nil, cfg, raw), pool
 	}
 	return s, disk, stats
 }
@@ -587,11 +586,8 @@ func TestRunMerge(t *testing.T) {
 				if !reflect.DeepEqual(m.Syn, rebuilt) {
 					t.Errorf("merged synopsis %+v, rescan gives %+v", m.Syn, rebuilt)
 				}
-				union := zonestat.New(testCfg.Segments, testCfg.Bits)
-				for _, in := range inputs {
-					union.Union(in.Syn)
-				}
-				if !reflect.DeepEqual(m.Syn, union) {
+				// The inputs' union: their entries, summarized together.
+				if union := rescan(all); !reflect.DeepEqual(m.Syn, union) {
 					t.Errorf("merged synopsis %+v, the inputs' union %+v", m.Syn, union)
 				}
 				if err := s.Verify(m); err != nil {

@@ -94,9 +94,10 @@ func (s *Server) handleClusterSearch(w http.ResponseWriter, r *http.Request) {
 	if req.K <= 0 {
 		req.K = 1
 	}
-	q := index.NewQuery(series.Series(req.Series), b.built.Config)
-	if req.MinTS != nil && req.MaxTS != nil {
-		q = q.WithWindow(*req.MinTS, *req.MaxTS)
+	q, err := window(index.NewQuery(series.Series(req.Series), b.built.Config), req.MinTS, req.MaxTS)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
 	}
 	g := b.built.Group
 	shards := req.Shards

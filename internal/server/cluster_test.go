@@ -151,6 +151,11 @@ func TestClusterSearchValidation(t *testing.T) {
 		ClusterSearchRequest{Build: id, Series: q[:10], K: 3}, &e); code != 400 {
 		t.Fatalf("short series status %d", code)
 	}
+	bound := int64(5)
+	if code := postJSON(t, ts.URL+"/api/cluster/search",
+		ClusterSearchRequest{Build: id, Series: q, K: 3, MinTS: &bound}, &e); code != 400 {
+		t.Fatalf("min_ts without max_ts status %d", code)
+	}
 }
 
 func TestClusterInsertEndpoint(t *testing.T) {

@@ -100,10 +100,8 @@ func (s *Server) collectBuilds(e *obs.Emit) {
 			e.Counter("coconut_build_cache_evictions", "Buffer-pool evictions.",
 				float64(c.Evictions()), "build", id)
 		}
-		if pl := b.built.Planner; pl.Enabled() {
-			e.Counter("coconut_build_planner_skips", "Probe units skipped by the planner.",
-				float64(pl.Skips()), "build", id)
-		}
+		e.Counter("coconut_build_planner_skips", "Probe units skipped by the planner.",
+			float64(b.built.Planner.Skips()), "build", id)
 		if wst, ok := b.built.WALStats(); ok {
 			e.Counter("coconut_build_wal_appends", "WAL records appended.",
 				float64(wst.Appends), "build", id)

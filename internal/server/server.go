@@ -90,8 +90,8 @@ func New() *Server {
 // SetDefaults installs the values build requests fall back to for the
 // fields they leave unset: Parallelism (0 or 1 keeps queries serial, the
 // paper-faithful default; negative selects GOMAXPROCS), Shards (N > 1
-// hash-partitions every new build), CacheBytes, CompactionWorkers (CLSM
-// builds) and DisablePlanner. The defaults are checked exactly as a
+// hash-partitions every new build), CacheBytes and CompactionWorkers (CLSM
+// builds). The defaults are checked exactly as a
 // request relying on them would be, so a bad flag fails at startup instead
 // of turning every build request into a 400. Call before serving.
 func (s *Server) SetDefaults(d assemble.Spec) error {
@@ -233,6 +233,10 @@ type DatasetRequest struct {
 	Seed      int64   `json:"seed"`
 }
 
+// maxDatasetValues caps what one dataset request generates: 2^26 float64
+// values, 512 MiB, however n and len share them.
+const maxDatasetValues = 1 << 26
+
 // DatasetResponse describes a generated dataset.
 type DatasetResponse struct {
 	ID    string `json:"id"`
@@ -263,6 +267,10 @@ func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 		}
 		if req.Len <= 0 || req.Len > 1<<14 {
 			writeError(w, http.StatusBadRequest, "len must be in (0, 16384], got %d", req.Len)
+			return
+		}
+		if req.N*req.Len > maxDatasetValues {
+			writeError(w, http.StatusBadRequest, "n x len must be at most 2^26 values (512 MiB), got %d x %d", req.N, req.Len)
 			return
 		}
 		var ds *series.Dataset
@@ -327,10 +335,6 @@ type BuildRequest struct {
 	// pool of that many workers; unset or 0 falls back to the server
 	// default, -1 forces inline merges. CLSM variants only, unsharded.
 	CompactionWorkers int `json:"compaction_workers"`
-	// DisablePlanner turns statistics-driven probe ordering and envelope
-	// skipping off for this build. Answers are byte-identical either way —
-	// only I/O cost changes.
-	DisablePlanner bool `json:"disable_planner"`
 	// Storage selects the storage backend for this build: "sim" is the
 	// simulated in-memory disk (the paper-faithful accounting), "file"
 	// stores pages in real files under the server's storage root (-storage;
@@ -368,7 +372,6 @@ type BuildResponse struct {
 	BuildMilli int64   `json:"build_ms"`
 	Shards     int     `json:"shards"`
 	Backend    string  `json:"backend"` // "sim" or "file"
-	Planner    bool    `json:"planner"`
 	Compress   bool    `json:"compress"`
 	// Kernel names the distance-kernel implementation the process selected
 	// at startup ("avx2", "neon", or "scalar").
@@ -393,7 +396,6 @@ func (s *Server) specFor(req BuildRequest, seriesLen int) (assemble.Spec, error)
 	spec.FillFactor, spec.GrowthFactor, spec.MemBudget = req.FillFactor, req.GrowthFactor, req.MemBudget
 	spec.ClusterShards, spec.NodeShards = req.ClusterShards, req.NodeShards
 	spec.Compress = req.Compress
-	spec.DisablePlanner = spec.DisablePlanner || req.DisablePlanner
 	if req.Parallelism != 0 {
 		spec.Parallelism = req.Parallelism
 	}
@@ -503,7 +505,6 @@ func (s *Server) handleBuild(w http.ResponseWriter, r *http.Request) {
 		BuildMilli: b.BuildTime.Milliseconds(),
 		Shards:     b.Shards(),
 		Backend:    b.Disk.Kind(),
-		Planner:    b.Planner.Enabled(),
 		Compress:   req.Compress,
 		Kernel:     simd.Active(),
 	}
@@ -543,7 +544,7 @@ type QueryResult struct {
 // QueryResponse reports answers plus the I/O cost the demo GUI charts.
 // PlannedSkips counts the probe units (runs, partitions, leaf ranges,
 // shards) whose synopsis envelope let the planner skip them outright for
-// this query; 0 on planner-disabled builds.
+// this query.
 type QueryResponse struct {
 	Results      []QueryResult `json:"results"`
 	Cost         float64       `json:"cost"`
@@ -585,9 +586,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	case req.Exact:
 		mode = modeExact
 	}
-	q := index.NewQuery(series.Series(req.Series), b.built.Config)
-	if req.MinTS != nil && req.MaxTS != nil {
-		q = q.WithWindow(*req.MinTS, *req.MaxTS)
+	q, err := window(index.NewQuery(series.Series(req.Series), b.built.Config), req.MinTS, req.MaxTS)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
 	}
 	var tr *obs.QueryTrace
 	if req.Trace || r.URL.Query().Get("trace") == "1" {
@@ -634,6 +636,18 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		resp.Results = append(resp.Results, QueryResult{ID: res.ID, TS: res.TS, Dist: res.Dist})
 	}
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// window restricts q to the time window [*minTS, *maxTS]. The two bounds
+// come together: one alone is refused, never read as no window.
+func window(q index.Query, minTS, maxTS *int64) (index.Query, error) {
+	if (minTS == nil) != (maxTS == nil) {
+		return q, fmt.Errorf("min_ts and max_ts are required together")
+	}
+	if minTS != nil {
+		q = q.WithWindow(*minTS, *maxTS)
+	}
+	return q, nil
 }
 
 // boundK clamps a requested k to the series the build holds: a k-NN over n
@@ -690,8 +704,7 @@ type BatchQueryRequest struct {
 }
 
 // BatchQueryResponse reports per-query answers plus the batch's aggregate
-// I/O cost and planner accounting (envelope skips across the whole batch;
-// zero on planner-disabled builds).
+// I/O cost and planner accounting (envelope skips across the whole batch).
 type BatchQueryResponse struct {
 	Results      [][]QueryResult `json:"results"`
 	Queries      int             `json:"queries"`
@@ -942,7 +955,6 @@ type CompactionStatsJSON struct {
 // PlannerStats is the /api/stats section describing a build's query
 // planner: envelope skips across every query so far.
 type PlannerStats struct {
-	Enabled      bool  `json:"enabled"`
 	PlannedSkips int64 `json:"planned_skips"`
 }
 
@@ -998,6 +1010,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Backend:   b.built.Disk.Kind(),
 		Kernel:    simd.Active(),
 		Aggregate: s.diskStats(agg),
+		Planner:   PlannerStats{PlannedSkips: b.built.Planner.Skips()},
 	}
 	if wst, ok := b.built.WALStats(); ok {
 		resp.WAL = WALStats{
@@ -1026,9 +1039,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			Pending:           cst.Pending,
 			DurableLSN:        cst.DurableLSN,
 		}
-	}
-	if pl := b.built.Planner; pl.Enabled() {
-		resp.Planner = PlannerStats{Enabled: true, PlannedSkips: pl.Skips()}
 	}
 	if c := b.built.Cache; c != nil {
 		resp.Cache = CacheStats{

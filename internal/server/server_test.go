@@ -6,9 +6,12 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/gen"
 )
 
 func newTestServer(t *testing.T) *httptest.Server {
@@ -103,6 +106,13 @@ func TestDatasetValidation(t *testing.T) {
 	if code := postJSON(t, ts.URL+"/api/datasets", DatasetRequest{Kind: "nope", N: 10, Len: 64}, &e); code != http.StatusBadRequest {
 		t.Fatalf("bad kind status %d", code)
 	}
+	// n and len each in range, but 2^34 values (128 GiB) together: refused
+	// before a single one is generated.
+	for _, req := range []DatasetRequest{{N: 1 << 20, Len: 1 << 14}, {Kind: "randomwalk", N: 1<<12 + 1, Len: 1 << 14}} {
+		if code := postJSON(t, ts.URL+"/api/datasets", req, &e); code != http.StatusBadRequest {
+			t.Fatalf("%d x %d dataset status %d", req.N, req.Len, code)
+		}
+	}
 }
 
 func buildOn(t *testing.T, ts *httptest.Server, variant string) (DatasetResponse, BuildResponse) {
@@ -194,6 +204,14 @@ func TestWindowedQuery(t *testing.T) {
 	}
 	if len(resp.Results) != 0 {
 		t.Fatalf("window should exclude everything, got %+v", resp.Results)
+	}
+	// One bound alone is no window: refused, not answered unwindowed.
+	var e errorResponse
+	for _, req := range []QueryRequest{{MinTS: &minTS}, {MaxTS: &maxTS}} {
+		req.Build, req.Series, req.K, req.Exact = b.ID, make([]float64, 64), 1, true
+		if code := postJSON(t, ts.URL+"/api/query", req, &e); code != http.StatusBadRequest {
+			t.Fatalf("half window %+v: status %d", req, code)
+		}
 	}
 }
 
@@ -547,13 +565,9 @@ func TestPlannerBuildAndStats(t *testing.T) {
 	if code != http.StatusCreated {
 		t.Fatalf("planned build status %d", code)
 	}
-	if !b.Planner {
-		t.Fatalf("build response planner=%v, want enabled", b.Planner)
-	}
-	q := make([]float64, 64)
-	for i := range q {
-		q[i] = float64(i % 5)
-	}
+	// A member of the dataset: its exact search rules out most leaves.
+	ds, _ := gen.Astronomy(gen.AstronomyConfig{N: 400, Len: 64, Seed: 7})
+	q := ds.Values[123]
 	var qr QueryResponse
 	if code := postJSON(t, ts.URL+"/api/query", QueryRequest{Build: b.ID, Series: q, K: 2, Exact: true}, &qr); code != http.StatusOK {
 		t.Fatalf("query status %d", code)
@@ -561,9 +575,6 @@ func TestPlannerBuildAndStats(t *testing.T) {
 	var st StatsResponse
 	if code := getJSON(t, ts.URL+"/api/stats?build="+b.ID, &st); code != http.StatusOK {
 		t.Fatalf("stats status %d", code)
-	}
-	if !st.Planner.Enabled {
-		t.Fatalf("planner section disabled: %+v", st.Planner)
 	}
 	if st.Planner.PlannedSkips != qr.PlannedSkips {
 		t.Fatalf("stats report %d planned skips, the one query reported %d", st.Planner.PlannedSkips, qr.PlannedSkips)
@@ -578,24 +589,24 @@ func TestPlannerBuildAndStats(t *testing.T) {
 	if br.PlannedSkips != 2*qr.PlannedSkips {
 		t.Fatalf("batch of the query twice reports %d planned skips, want 2x%d", br.PlannedSkips, qr.PlannedSkips)
 	}
-	// A planner-disabled build reports a disabled section and zero counters.
-	var off BuildResponse
-	postJSON(t, ts.URL+"/api/build", BuildRequest{
-		Dataset: d.ID, Variant: "CTree", Segments: 8, Bits: 8, MemBudget: 16 << 10, DisablePlanner: true,
-	}, &off)
-	if off.Planner {
-		t.Fatalf("disable_planner build reports an enabled planner: %+v", off)
+	// A disable_planner field is accepted and ignored, like any field the
+	// build request does not have: the build, and its first query's answers,
+	// skips and I/O, are those of the build without it.
+	var ignored BuildResponse
+	if code := postJSON(t, ts.URL+"/api/build", map[string]any{
+		"dataset": d.ID, "variant": "CTree", "segments": 8, "bits": 8, "mem_budget": 16 << 10, "disable_planner": true,
+	}, &ignored); code != http.StatusCreated {
+		t.Fatalf("disable_planner build status %d", code)
 	}
-	if code := postJSON(t, ts.URL+"/api/query", QueryRequest{Build: off.ID, Series: q, K: 2, Exact: true}, &qr); code != http.StatusOK {
-		t.Fatalf("planner-off query status %d", code)
+	var got QueryResponse
+	if code := postJSON(t, ts.URL+"/api/query", QueryRequest{Build: ignored.ID, Series: q, K: 2, Exact: true}, &got); code != http.StatusOK {
+		t.Fatalf("disable_planner query status %d", code)
 	}
-	if qr.PlannedSkips != 0 {
-		t.Fatalf("planner-off query reports %d skips", qr.PlannedSkips)
+	if !reflect.DeepEqual(qr, got) || got.PlannedSkips == 0 {
+		t.Fatalf("disable_planner build answered otherwise:\nwithout: %+v\nwith:    %+v", qr, got)
 	}
-	if code := getJSON(t, ts.URL+"/api/stats?build="+off.ID, &st); code != http.StatusOK {
-		t.Fatalf("planner-off stats status %d", code)
-	}
-	if st.Planner.Enabled || st.Planner.PlannedSkips != 0 {
-		t.Fatalf("planner-off build reports planner activity: %+v", st.Planner)
+	b.ID, b.BuildMilli, ignored.ID, ignored.BuildMilli = "", 0, "", 0
+	if !reflect.DeepEqual(b, ignored) {
+		t.Fatalf("disable_planner build differs:\nwithout: %+v\nwith:    %+v", b, ignored)
 	}
 }

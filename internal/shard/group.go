@@ -116,9 +116,6 @@ func (g *Group) Owned() []int { return g.owned }
 // Owns reports whether the group holds shard si.
 func (g *Group) Owns(si int) bool { _, ok := g.shards[si]; return ok }
 
-// Shard returns the owned shard si, or nil.
-func (g *Group) Shard(si int) *Shard { return g.shards[si] }
-
 // Name identifies the group: "Sharded4xCTreeFull" when it owns every shard,
 // "Group2of4xCTreeFull" when it owns a subset.
 func (g *Group) Name() string {

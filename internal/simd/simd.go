@@ -15,10 +15,11 @@
 //
 // Selection: init detects CPU support, runs a bit-exactness self-test of
 // the accelerated kernels against the scalar reference, and enables the
-// accelerated set only if both pass. The COCONUT_KERNELS environment
-// variable ("scalar", "avx2", "neon", or "auto") and Select force a choice;
-// facades expose the same knob as Options.Kernels. Active reports the set
-// in use so published numbers are attributable to a code path.
+// accelerated set only if both pass. The choice is process-wide, and made
+// there only: the COCONUT_KERNELS environment variable ("scalar", "avx2",
+// "neon", or "auto") forces one at init, as coconut-bench's -kernels flag
+// does through Select; no index option selects kernels. Active reports the
+// set in use so published numbers are attributable to a code path.
 package simd
 
 import (

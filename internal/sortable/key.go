@@ -120,50 +120,6 @@ func (k Key) shiftLeft(n uint) Key {
 	return Key{Hi: k.Hi<<n | k.Lo>>(64-n), Lo: k.Lo << n}
 }
 
-// Concat encodes an iSAX word segment-major: all bits of segment 0, then
-// all bits of segment 1, and so on. This is the *naive* sortable encoding
-// the paper argues against — sorting by it clusters series by their first
-// segment (the beginning of the series) and ignores the rest, so similar
-// series end up arbitrarily far apart. It exists for the ablation
-// experiment (E10) that quantifies why interleaving matters.
-func Concat(w sax.Word) Key {
-	nseg := len(w.Symbols)
-	total := nseg * w.Bits
-	if total > 128 {
-		panic(fmt.Sprintf("sortable: %d segments x %d bits = %d > 128 bits", nseg, w.Bits, total))
-	}
-	var k Key
-	pos := 0
-	for s := 0; s < nseg; s++ {
-		for b := w.Bits - 1; b >= 0; b-- {
-			if (w.Symbols[s]>>uint(b))&1 != 0 {
-				k.setBit(pos)
-			}
-			pos++
-		}
-	}
-	return k
-}
-
-// Deconcat inverts Concat given the segment count and cardinality bits.
-func Deconcat(k Key, nseg, bitsPer int) sax.Word {
-	total := nseg * bitsPer
-	if total > 128 {
-		panic(fmt.Sprintf("sortable: %d segments x %d bits = %d > 128 bits", nseg, bitsPer, total))
-	}
-	syms := make([]uint8, nseg)
-	pos := 0
-	for s := 0; s < nseg; s++ {
-		for b := bitsPer - 1; b >= 0; b-- {
-			if k.bit(pos) {
-				syms[s] |= 1 << uint(b)
-			}
-			pos++
-		}
-	}
-	return sax.Word{Symbols: syms, Bits: bitsPer}
-}
-
 // Deinterleave inverts Interleave, recovering the iSAX word given the
 // segment count and cardinality bits it was encoded with. It allocates the
 // word; hot paths use Symbols.
@@ -178,21 +134,6 @@ func Deinterleave(k Key, nseg, bitsPer int) sax.Word {
 // segments at bits cardinality bits and interleave in one step.
 func FromSeries(s series.Series, w, bitsPer int) Key {
 	return Interleave(sax.FromSeries(s, w, bitsPer))
-}
-
-func (k *Key) setBit(pos int) {
-	if pos < 64 {
-		k.Hi |= 1 << uint(63-pos)
-	} else {
-		k.Lo |= 1 << uint(127-pos)
-	}
-}
-
-func (k Key) bit(pos int) bool {
-	if pos < 64 {
-		return k.Hi&(1<<uint(63-pos)) != 0
-	}
-	return k.Lo&(1<<uint(127-pos)) != 0
 }
 
 // Compare returns -1, 0, or +1 comparing k and o as 128-bit big-endian

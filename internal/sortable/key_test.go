@@ -259,69 +259,3 @@ func randomWalk(rng *rand.Rand, n int) series.Series {
 	}
 	return s
 }
-
-func TestConcatRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	for trial := 0; trial < 300; trial++ {
-		nseg := 1 + rng.Intn(16)
-		bitsPer := 1 + rng.Intn(8)
-		w := randomWord(rng, nseg, bitsPer)
-		got := Deconcat(Concat(w), nseg, bitsPer)
-		for i := range w.Symbols {
-			if got.Symbols[i] != w.Symbols[i] {
-				t.Fatalf("trial %d: symbol %d = %d, want %d", trial, i, got.Symbols[i], w.Symbols[i])
-			}
-		}
-	}
-}
-
-func TestConcatOrderIsSegmentMajor(t *testing.T) {
-	// Sorting by Concat keys must order primarily by segment 0.
-	a := sax.Word{Symbols: []uint8{1, 255}, Bits: 8}
-	b := sax.Word{Symbols: []uint8{2, 0}, Bits: 8}
-	if !Concat(a).Less(Concat(b)) {
-		t.Fatal("concat order should be dominated by segment 0")
-	}
-	// Whereas interleaved order weighs all segments' MSBs first: a has
-	// seg1 MSB set (255) so it sorts after b (seg MSBs: a=01, b=00).
-	if !Interleave(b).Less(Interleave(a)) {
-		t.Fatal("interleaved order should weigh all MSBs first")
-	}
-}
-
-// The ablation's core claim in miniature: under the interleaved order,
-// z-order neighbors are closer in true distance than under the naive
-// segment-major order.
-func TestInterleavedNeighborsCloserThanConcat(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	const n, nseg, bitsPer = 256, 16, 8
-	type item struct {
-		z             series.Series
-		inter, concat Key
-	}
-	items := make([]item, 500)
-	for i := range items {
-		z := randomWalk(rng, n).ZNormalize()
-		w := sax.FromSeries(z, nseg, bitsPer)
-		items[i] = item{z: z, inter: Interleave(w), concat: Concat(w)}
-	}
-	idx := make([]int, len(items))
-	for i := range idx {
-		idx[i] = i
-	}
-	byInter := append([]int{}, idx...)
-	sort.Slice(byInter, func(a, b int) bool { return items[byInter[a]].inter.Less(items[byInter[b]].inter) })
-	byConcat := append([]int{}, idx...)
-	sort.Slice(byConcat, func(a, b int) bool { return items[byConcat[a]].concat.Less(items[byConcat[b]].concat) })
-	adj := func(order []int) float64 {
-		sum := 0.0
-		for i := 1; i < len(order); i++ {
-			sum += items[order[i-1]].z.SqDist(items[order[i]].z)
-		}
-		return sum / float64(len(order)-1)
-	}
-	di, dc := adj(byInter), adj(byConcat)
-	if di >= dc {
-		t.Errorf("interleaved adjacent distance %.2f not below concat %.2f", di, dc)
-	}
-}

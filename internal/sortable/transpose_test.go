@@ -12,6 +12,21 @@ import (
 // the key is bit bitsPer-1-r of segment s. They are the oracle the
 // word-parallel transpose in key.go is held to.
 
+func (k *Key) setBit(pos int) {
+	if pos < 64 {
+		k.Hi |= 1 << uint(63-pos)
+	} else {
+		k.Lo |= 1 << uint(127-pos)
+	}
+}
+
+func (k Key) bit(pos int) bool {
+	if pos < 64 {
+		return k.Hi&(1<<uint(63-pos)) != 0
+	}
+	return k.Lo&(1<<uint(127-pos)) != 0
+}
+
 func interleaveSerial(syms []uint8, bitsPer int) Key {
 	var k Key
 	pos := 0

@@ -43,9 +43,11 @@ type BTP struct {
 }
 
 // NewBTP builds a bounded-temporal-partitioning scheme over sorted runs.
-// mergeFactor is the number of same-class partitions that triggers a merge
-// (default 2, the most aggressive bounding).
-func NewBTP(disk storage.Backend, name string, cfg index.Config, bufferCap, mergeFactor int, raw series.RawStore) (*BTP, error) {
+// reader serves the partitions' page reads (typically a buffer pool over
+// disk); nil selects the disk itself (uncached). mergeFactor is the number
+// of same-class partitions that triggers a merge (default 2, the most
+// aggressive bounding).
+func NewBTP(disk storage.Backend, reader storage.PageReader, name string, cfg index.Config, bufferCap, mergeFactor int, raw series.RawStore) (*BTP, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -65,7 +67,7 @@ func NewBTP(disk storage.Backend, name string, cfg index.Config, bufferCap, merg
 		return nil, fmt.Errorf("stream: entry size %d exceeds page size %d", size, disk.PageSize())
 	}
 	return &BTP{
-		store:       run.NewStore(disk, nil, nil, cfg, raw),
+		store:       run.NewStore(disk, reader, nil, cfg, raw),
 		name:        name,
 		sum:         summarizer{cfg: cfg},
 		bufferCap:   bufferCap,
@@ -87,11 +89,6 @@ func (b *BTP) SetParallelism(n int) { b.pool = parallel.New(n) }
 // the unplanned probe order and pins every page a scan reaches. Call before
 // querying; the setting is not synchronized with in-flight searches.
 func (b *BTP) SetPlanner(pl *index.Planner) { b.store.Planner = pl }
-
-// UseReader routes partition page reads through r (typically a buffer pool
-// over the scheme's disk); nil restores the uncached disk. Call before
-// querying; the setting is not synchronized with in-flight searches.
-func (b *BTP) UseReader(r storage.PageReader) { b.store.UseReader(r) }
 
 // Name implements Scheme.
 func (b *BTP) Name() string {

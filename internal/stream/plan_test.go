@@ -27,7 +27,7 @@ func buildPlannedPair(t *testing.T, kind string, mat bool) (on, off Scheme) {
 			tp.SetPlanner(pl)
 			sc = tp
 		case "btp":
-			btp, err := NewBTP(storage.NewDisk(0), "btp", testConfig(mat), 128, 2, raw)
+			btp, err := NewBTP(storage.NewDisk(0), nil, "btp", testConfig(mat), 128, 2, raw)
 			if err != nil {
 				t.Fatal(err)
 			}

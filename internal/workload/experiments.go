@@ -19,10 +19,9 @@ type Scale struct {
 	Bits      int
 	Seed      int64
 	Cost      storage.CostModel
-	// DisablePlanner and Compress apply to every build of a sweep: they
-	// carry cmd/coconut-bench's -no-planner and -compress flags.
-	DisablePlanner bool
-	Compress       bool
+	// Compress applies to every build of a sweep: it carries
+	// cmd/coconut-bench's -compress flag.
+	Compress bool
 }
 
 func (s Scale) defaults() Scale {
@@ -50,10 +49,9 @@ func (s Scale) config() index.Config {
 
 // spec describes a build of variant at this scale: tune carries the
 // experiment's own settings, the scale fills in the summarization shape and
-// the sweep-wide switches.
+// the sweep-wide page encoding.
 func (s Scale) spec(variant string, tune assemble.Spec) assemble.Spec {
 	tune.Variant, tune.SeriesLen, tune.Segments, tune.Bits = variant, s.SeriesLen, s.Segments, s.Bits
-	tune.DisablePlanner = tune.DisablePlanner || s.DisablePlanner
 	tune.Compress = tune.Compress || s.Compress
 	return tune
 }

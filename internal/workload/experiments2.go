@@ -58,7 +58,7 @@ func StreamSchemes(sc Scale, bufferEntries int) ([]streamScheme, error) {
 			if raw := s.b.Raw; bld.tp != nil {
 				s.Scheme, err = stream.NewTP("tp", cfg, bld.tp(s.b.Disk, nil, cfg, raw), bufferEntries, raw)
 			} else {
-				s.Scheme, err = stream.NewBTP(s.b.Disk, "btp", cfg, bufferEntries, 2, raw)
+				s.Scheme, err = stream.NewBTP(s.b.Disk, nil, "btp", cfg, bufferEntries, 2, raw)
 			}
 		}
 		if s.b != nil {

@@ -10,8 +10,9 @@ import (
 
 // E17Planner measures the statistics-driven query planner end to end: exact
 // k-NN queries against a non-materialized CTree with the planner on versus
-// off (Spec.DisablePlanner), on a skewed workload: queries are small
-// perturbations of indexed series, so the collector's pruning bound
+// off (Disabled set on the build's planner, the reference path), on a skewed
+// workload: queries are small perturbations of indexed series, so the
+// collector's pruning bound
 // tightens almost immediately and the planner's envelope bounds disqualify
 // most leaf ranges before their pages are read.
 //
@@ -40,13 +41,14 @@ func E17Planner(sc Scale, n, numQueries, k int) (*Table, error) {
 
 	// A modest construction budget yields a multi-level tree with many leaf
 	// ranges — the unit the planner orders and skips.
-	build := func(disable bool) (*assemble.Built, error) {
-		return assemble.Build(sc.spec("CTree", assemble.Spec{MemBudget: 64 << 10, DisablePlanner: disable}), ds)
+	build := func() (*assemble.Built, error) {
+		return assemble.Build(sc.spec("CTree", assemble.Spec{MemBudget: 64 << 10}), ds)
 	}
-	off, err := build(true)
+	off, err := build()
 	if err != nil {
 		return nil, fmt.Errorf("E17 planner-off: %w", err)
 	}
+	off.Planner.Disabled = true
 	reference, offStats, err := exactPass(off, iqs, k)
 	if err != nil {
 		return nil, fmt.Errorf("E17 planner-off: %w", err)
@@ -57,7 +59,7 @@ func E17Planner(sc Scale, n, numQueries, k int) (*Table, error) {
 	offCost := offStats.Cost(sc.Cost)
 	t.AddRow("skewed", "off", fmt.Sprintf("%.0f", offCost), "0")
 
-	on, err := build(false)
+	on, err := build()
 	if err != nil {
 		return nil, fmt.Errorf("E17 planner-on: %w", err)
 	}

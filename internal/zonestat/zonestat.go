@@ -13,7 +13,7 @@
 // Synopses are cheap to maintain incrementally: flushes, merges and bulk
 // builds fold each entry's key into a builder as it streams past — a merge
 // writes every entry anyway, so its synopsis needs no re-scan and no extra
-// I/O, and equals the Union of its inputs' synopses. They persist inside run
+// I/O, and equals the union of its inputs' synopses. They persist inside run
 // manifests and index snapshots (a few dozen bytes per unit) and reload on
 // recovery.
 package zonestat
@@ -91,54 +91,6 @@ func (s *Synopsis) AddSyms(k sortable.Key, syms []uint8, ts int64) {
 		s.MaxTS = ts
 	}
 	s.Count++
-}
-
-// Union widens s to cover o as well. The union of several units' synopses
-// is exact — identical to rebuilding from their entries together, which is
-// what a merge of runs does and what its tests hold it to — because every
-// recorded statistic is a monotone envelope.
-func (s *Synopsis) Union(o *Synopsis) {
-	if o == nil || o.Count == 0 {
-		return
-	}
-	if s.Count == 0 {
-		s.MinKey, s.MaxKey = o.MinKey, o.MaxKey
-		copy(s.MinSym, o.MinSym)
-		copy(s.MaxSym, o.MaxSym)
-	} else {
-		if o.MinKey.Less(s.MinKey) {
-			s.MinKey = o.MinKey
-		}
-		if s.MaxKey.Less(o.MaxKey) {
-			s.MaxKey = o.MaxKey
-		}
-		for i := 0; i < s.Segments; i++ {
-			if o.MinSym[i] < s.MinSym[i] {
-				s.MinSym[i] = o.MinSym[i]
-			}
-			if o.MaxSym[i] > s.MaxSym[i] {
-				s.MaxSym[i] = o.MaxSym[i]
-			}
-		}
-	}
-	if o.MinTS < s.MinTS {
-		s.MinTS = o.MinTS
-	}
-	if o.MaxTS > s.MaxTS {
-		s.MaxTS = o.MaxTS
-	}
-	s.Count += o.Count
-}
-
-// Clone returns a deep copy.
-func (s *Synopsis) Clone() *Synopsis {
-	if s == nil {
-		return nil
-	}
-	out := *s
-	out.MinSym = append([]uint8(nil), s.MinSym...)
-	out.MaxSym = append([]uint8(nil), s.MaxSym...)
-	return &out
 }
 
 // IntersectsWindow reports whether the unit's time range can intersect the

@@ -61,6 +61,54 @@ func TestAddMatchesDeinterleave(t *testing.T) {
 	}
 }
 
+// Union widens s to cover o as well. The union of several units' synopses
+// is exact — identical to rebuilding from their entries together, which is
+// what a merge of runs does — because every recorded statistic is a
+// monotone envelope.
+func (s *Synopsis) Union(o *Synopsis) {
+	if o == nil || o.Count == 0 {
+		return
+	}
+	if s.Count == 0 {
+		s.MinKey, s.MaxKey = o.MinKey, o.MaxKey
+		copy(s.MinSym, o.MinSym)
+		copy(s.MaxSym, o.MaxSym)
+	} else {
+		if o.MinKey.Less(s.MinKey) {
+			s.MinKey = o.MinKey
+		}
+		if s.MaxKey.Less(o.MaxKey) {
+			s.MaxKey = o.MaxKey
+		}
+		for i := 0; i < s.Segments; i++ {
+			if o.MinSym[i] < s.MinSym[i] {
+				s.MinSym[i] = o.MinSym[i]
+			}
+			if o.MaxSym[i] > s.MaxSym[i] {
+				s.MaxSym[i] = o.MaxSym[i]
+			}
+		}
+	}
+	if o.MinTS < s.MinTS {
+		s.MinTS = o.MinTS
+	}
+	if o.MaxTS > s.MaxTS {
+		s.MaxTS = o.MaxTS
+	}
+	s.Count += o.Count
+}
+
+// Clone returns a deep copy.
+func (s *Synopsis) Clone() *Synopsis {
+	if s == nil {
+		return nil
+	}
+	out := *s
+	out.MinSym = append([]uint8(nil), s.MinSym...)
+	out.MaxSym = append([]uint8(nil), s.MaxSym...)
+	return &out
+}
+
 func TestUnionEqualsRebuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	const nseg, bits = 16, 8

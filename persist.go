@@ -22,9 +22,10 @@ func openSpec(fam string, opts []Options) assemble.Spec {
 // call SetParallelism to change it.
 //
 // An optional Options value says where and how to reopen: FS names the
-// filesystem the snapshot was saved on, and DisablePlanner and Kernels apply
-// as in BuildTree. Other Options fields are ignored; the snapshot defines
-// the index shape.
+// filesystem the snapshot was saved on, and CacheBytes puts a buffer pool of
+// that size between the tree and its pages, as in BuildTree (frames take the
+// snapshot's page size). Other Options fields are ignored; the snapshot
+// defines the index shape.
 func OpenTree(path string, opts ...Options) (*Tree, error) {
 	b, err := assemble.Open(path, openSpec("CTree", opts))
 	if err != nil {
@@ -40,12 +41,12 @@ func OpenTree(path string, opts ...Options) (*Tree, error) {
 // An optional Options value re-attaches the ingest machinery: WALDir
 // replays the log tail past the snapshot (recovering acknowledged inserts
 // the snapshot missed — the crash story), Durability applies as in NewLSM,
-// and so does CompactionWorkers, with or without a WAL. CompressRuns and
-// Kernels also apply: run encoding is a property of each run, so existing
-// runs keep the encoding they were written with while new flushes and
-// merges follow the reopened setting. GrowthFactor and BufferEntries, when
-// set, override the persisted ones. Other Options fields are ignored; the
-// snapshot defines the index shape.
+// and so do CompactionWorkers, with or without a WAL, and CacheBytes, as in
+// OpenTree. CompressRuns also applies: run encoding is a property of each
+// run, so existing runs keep the encoding they were written with while new
+// flushes and merges follow the reopened setting. GrowthFactor and
+// BufferEntries, when set, override the persisted ones. Other Options fields
+// are ignored; the snapshot defines the index shape.
 func OpenLSM(path string, opts ...Options) (*LSM, error) {
 	b, err := assemble.Open(path, openSpec("CLSM", opts))
 	if err != nil {
@@ -61,7 +62,7 @@ func OpenLSM(path string, opts ...Options) (*LSM, error) {
 // shards on the default (GOMAXPROCS) pool with serial per-shard scans; call
 // SetParallelism to change the cross-shard pool. An optional Options value
 // applies to every shard as in OpenTree / OpenLSM (WALDir is the root of
-// the per-shard logs).
+// the per-shard logs; CacheBytes sizes one pool all shards share).
 func OpenSharded(path string, opts ...Options) (*Sharded, error) {
 	b, err := assemble.OpenSharded(path, openSpec("", opts))
 	if err != nil {

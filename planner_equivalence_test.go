@@ -9,16 +9,10 @@ import (
 // These tests pin the query planner's core contract at the facade level:
 // ordering probes by synopsis bound and skipping bound-dominated units may
 // change I/O cost and wall-clock time, but never answers. Every query below
-// runs against a planner-off reference (Options.DisablePlanner — the escape
-// hatch these tests exist to exercise) and a planned index, and must match
-// byte for byte on exact, range, windowed, and batch searches, for Tree,
-// LSM, and Sharded at shard counts 1, 2, 4, and 7.
-
-func plannedOpts(base Options) (off, on Options) {
-	off, on = base, base
-	off.DisablePlanner = true
-	return off, on
-}
+// runs against a planner-off reference (the build's planner with Disabled
+// set — the reference path these tests exist to exercise) and a planned
+// index, and must match byte for byte on exact, range, windowed, and batch
+// searches, for Tree, LSM, and Sharded at shard counts 1, 2, 4, and 7.
 
 // checkPlannedEquiv runs the query matrix against the planner-off
 // reference.
@@ -53,12 +47,13 @@ func checkPlannedEquiv(t *testing.T, label string, queries [][]float64, off, on 
 func TestPlannedTreeEquivalence(t *testing.T) {
 	data, queries := cacheEquivData(3000, 64, 11)
 	for _, mat := range []bool{false, true} {
-		off, on := plannedOpts(Options{SeriesLen: 64, Segments: 8, Bits: 6, Materialized: mat})
-		ref, err := BuildTree(data, off)
+		opts := Options{SeriesLen: 64, Segments: 8, Bits: 6, Materialized: mat}
+		ref, err := BuildTree(data, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		planned, err := BuildTree(data, on)
+		ref.b.Planner.Disabled = true
+		planned, err := BuildTree(data, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,9 +96,10 @@ func TestPlannedLSMEquivalence(t *testing.T) {
 		}
 		return l
 	}
-	off, on := plannedOpts(Options{SeriesLen: 64, Segments: 8, Bits: 6})
-	ref := build(off)
-	planned := build(on)
+	opts := Options{SeriesLen: 64, Segments: 8, Bits: 6}
+	ref := build(opts)
+	ref.b.Planner.Disabled = true
+	planned := build(opts)
 	checkPlannedEquiv(t, "lsm", queries, ref, planned)
 	for _, q := range queries[:4] {
 		want, err := ref.SearchWindow(q, 5, 500, 2200)
@@ -131,19 +127,21 @@ func TestPlannedLSMEquivalence(t *testing.T) {
 
 func TestPlannedShardedEquivalence(t *testing.T) {
 	data, queries := cacheEquivData(3000, 64, 13)
-	off, on := plannedOpts(Options{SeriesLen: 64, Segments: 8, Bits: 6, Materialized: true})
+	opts := Options{SeriesLen: 64, Segments: 8, Bits: 6, Materialized: true}
 	// The strongest reference: a planner-off unsharded tree, which the
 	// sharded planned answers must match byte for byte at every count.
-	ref, err := BuildTree(data, off)
+	ref, err := BuildTree(data, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ref.b.Planner.Disabled = true
 	for _, shards := range []int{1, 2, 4, 7} {
-		refSharded, err := BuildShardedTree(data, shards, off)
+		refSharded, err := BuildShardedTree(data, shards, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		planned, err := BuildShardedTree(data, shards, on)
+		refSharded.b.Planner.Disabled = true
+		planned, err := BuildShardedTree(data, shards, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,10 +196,11 @@ func TestPlannedShardedLSMEquivalence(t *testing.T) {
 		}
 		return s
 	}
-	off, on := plannedOpts(Options{SeriesLen: 64, Segments: 8, Bits: 6})
+	opts := Options{SeriesLen: 64, Segments: 8, Bits: 6}
 	for _, shards := range []int{2, 7} {
-		ref := build(off, shards)
-		planned := build(on, shards)
+		ref := build(opts, shards)
+		ref.b.Planner.Disabled = true
+		planned := build(opts, shards)
 		checkPlannedEquiv(t, fmt.Sprintf("shardedlsm%d", shards), queries[:6], ref, planned)
 	}
 }
@@ -212,12 +211,13 @@ func TestPlannedShardedLSMEquivalence(t *testing.T) {
 // planner counters race-clean across batch worker slots.
 func TestPlannedConcurrentBatches(t *testing.T) {
 	data, queries := cacheEquivData(2000, 64, 15)
-	off, on := plannedOpts(Options{SeriesLen: 64, Segments: 8, Bits: 6, Materialized: true})
-	ref, err := BuildShardedTree(data, 4, off)
+	opts := Options{SeriesLen: 64, Segments: 8, Bits: 6, Materialized: true}
+	ref, err := BuildShardedTree(data, 4, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	planned, err := BuildShardedTree(data, 4, on)
+	ref.b.Planner.Disabled = true
+	planned, err := BuildShardedTree(data, 4, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -129,9 +129,3 @@ func (s *Sharded) ShardStats() []Stats {
 	}
 	return out
 }
-
-// EnableCache installs one shared buffer pool of cacheBytes across every
-// shard's disk (useful after OpenSharded, which reopens uncached). A
-// no-op if a cache is already attached. Call only while no search is in
-// flight.
-func (s *Sharded) EnableCache(cacheBytes int64) error { return s.b.EnableCache(cacheBytes) }

@@ -10,8 +10,6 @@ import (
 	"testing"
 
 	"repro/internal/gen"
-	"repro/internal/index"
-	"repro/internal/series"
 )
 
 // Equivalence contract of the sharding + batching layer: at every shard
@@ -276,12 +274,10 @@ func TestShardedWindowSkipsEmptyShards(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			pq := index.NewQuery(series.Series(q), base.cfg).WithWindow(1000, 2000)
-			rs, err := base.tree.ExactSearch(pq, k)
+			want, err := base.searchWindow(q, k, 1000, 2000)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := convert(rs)
 			if len(want) != k-2 {
 				t.Fatalf("unsharded tree found %d series in the window, want %d", len(want), k-2)
 			}

@@ -4,11 +4,9 @@ import (
 	"fmt"
 
 	"repro/internal/assemble"
-	"repro/internal/bufpool"
 	"repro/internal/clsm"
 	"repro/internal/index"
 	"repro/internal/series"
-	"repro/internal/storage"
 	"repro/internal/stream"
 )
 
@@ -34,8 +32,6 @@ type Stream struct {
 	b      *assemble.Built // backend, pool, planner and raw series file; the scheme is the index
 	scheme stream.Scheme
 	cfg    index.Config
-	disk   storage.Backend
-	pool   *bufpool.Pool // buffer pool fronting disk; nil when uncached
 }
 
 // NewStream creates a streaming index using the given scheme. BufferEntries
@@ -59,7 +55,7 @@ func NewStream(kind SchemeKind, opts Options) (*Stream, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := &Stream{b: b, cfg: b.Config, disk: b.Disk, pool: b.Pool}
+	st := &Stream{b: b, cfg: b.Config}
 	raw, buf, par := b.RawStore(), spec.BufferEntries, spec.Parallelism
 	switch kind {
 	case PP:
@@ -74,10 +70,9 @@ func NewStream(kind SchemeKind, opts Options) (*Stream, error) {
 		}
 	case BTP:
 		var btp *stream.BTP
-		btp, err = stream.NewBTP(b.Disk, "stream", st.cfg, buf, 2, raw)
+		btp, err = stream.NewBTP(b.Disk, b.Reader(), "stream", st.cfg, buf, 2, raw)
 		if err == nil {
 			btp.SetParallelism(par)
-			btp.UseReader(b.Reader())
 			btp.SetPlanner(b.Planner)
 			st.scheme = btp
 		}

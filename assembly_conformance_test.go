@@ -130,14 +130,14 @@ func TestAssemblyEquivalence(t *testing.T) {
 						answers := make([][2][]Match, len(queries))
 						for qi, raw := range queries {
 							q := index.NewQuery(series.Series(raw), cfg)
-							rs, err := h.Index.ExactSearch(q, k)
+							rs, err := h.ExactSearch(q, k)
 							if err != nil {
 								t.Fatal(err)
 							}
 							exact := convert(rs)
 							checkAgainstScan(t, fmt.Sprintf("query %d exact", qi), exact, scanKNN(q, ds, k))
 							eps := exact[2].Dist
-							rs, err = h.Index.RangeSearch(q, eps)
+							rs, err = h.RangeSearch(q, eps)
 							if err != nil {
 								t.Fatal(err)
 							}

@@ -439,9 +439,9 @@ func BenchmarkQuery(b *testing.B) {
 					q := index.NewQuery(queries[i%len(queries)], cfg)
 					var err error
 					if mode == "exact" {
-						_, err = built.Index.ExactSearch(q, 1)
+						_, err = built.ExactSearch(q, 1)
 					} else {
-						_, err = built.Index.ApproxSearch(q, 1)
+						_, err = built.ApproxSearch(q, 1)
 					}
 					if err != nil {
 						b.Fatal(err)
@@ -718,7 +718,7 @@ func BenchmarkCachedSearch(b *testing.B) {
 			if purge {
 				built.Pool.Purge()
 			}
-			if _, err := built.Index.ExactSearch(queries[i%len(queries)], 5); err != nil {
+			if _, err := built.ExactSearch(queries[i%len(queries)], 5); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -729,7 +729,7 @@ func BenchmarkCachedSearch(b *testing.B) {
 	b.Run("cold", func(b *testing.B) { run(b, true) })
 	// Warming pass: one sweep of the query set fills the pool.
 	for _, q := range queries {
-		if _, err := built.Index.ExactSearch(q, 5); err != nil {
+		if _, err := built.ExactSearch(q, 5); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -775,7 +775,7 @@ func BenchmarkFileBackendSearch(b *testing.B) {
 			b.ReportAllocs()
 			before := built.IOStats()
 			for i := 0; i < b.N; i++ {
-				if _, err := built.Index.ExactSearch(queries[i%len(queries)], 5); err != nil {
+				if _, err := built.ExactSearch(queries[i%len(queries)], 5); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -817,7 +817,7 @@ func BenchmarkPlannedSearch(b *testing.B) {
 		before := built.IOStats()
 		skipsBefore := built.Planner.Skips()
 		for i := 0; i < b.N; i++ {
-			if _, err := built.Index.ExactSearch(queries[i%len(queries)], 5); err != nil {
+			if _, err := built.ExactSearch(queries[i%len(queries)], 5); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -923,7 +923,7 @@ func BenchmarkCompressedSearch(b *testing.B) {
 				b.ReportAllocs()
 				before := built.IOStats()
 				for i := 0; i < b.N; i++ {
-					if _, err := built.Index.ExactSearch(queries[i%len(queries)], 5); err != nil {
+					if _, err := built.ExactSearch(queries[i%len(queries)], 5); err != nil {
 						b.Fatal(err)
 					}
 				}

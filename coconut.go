@@ -314,7 +314,7 @@ func (h *handle) Insert(s []float64, ts int64) error { return h.b.Ingest(series.
 // its shards concurrently and merges their exact per-shard top-k answers
 // deterministically: the result is byte-identical to the unsharded index's.
 func (h *handle) Search(q []float64, k int) ([]Match, error) {
-	rs, err := h.b.Index.ExactSearch(index.NewQuery(series.Series(q), h.cfg), k)
+	rs, err := h.b.ExactSearch(index.NewQuery(series.Series(q), h.cfg), k)
 	return convert(rs), err
 }
 
@@ -323,7 +323,7 @@ func (h *handle) Search(q []float64, k int) ([]Match, error) {
 // guarantee: deduplicated matches with true distances, ordered by
 // (distance, ID).
 func (h *handle) SearchApprox(q []float64, k int) ([]Match, error) {
-	rs, err := h.b.Index.ApproxSearch(index.NewQuery(series.Series(q), h.cfg), k)
+	rs, err := h.b.ApproxSearch(index.NewQuery(series.Series(q), h.cfg), k)
 	return convert(rs), err
 }
 
@@ -331,7 +331,7 @@ func (h *handle) SearchApprox(q []float64, k int) ([]Match, error) {
 // of q, sorted by distance — on a Sharded index byte-identical to the
 // unsharded answer.
 func (h *handle) SearchRange(q []float64, eps float64) ([]Match, error) {
-	rs, err := h.b.Index.RangeSearch(index.NewQuery(series.Series(q), h.cfg), eps)
+	rs, err := h.b.RangeSearch(index.NewQuery(series.Series(q), h.cfg), eps)
 	return convert(rs), err
 }
 
@@ -339,7 +339,7 @@ func (h *handle) SearchRange(q []float64, eps float64) ([]Match, error) {
 // timestamp lies in [minTS, maxTS].
 func (h *handle) searchWindow(q []float64, k int, minTS, maxTS int64) ([]Match, error) {
 	pq := index.NewQuery(series.Series(q), h.cfg).WithWindow(minTS, maxTS)
-	rs, err := h.b.Index.ExactSearch(pq, k)
+	rs, err := h.b.ExactSearch(pq, k)
 	return convert(rs), err
 }
 
@@ -369,9 +369,10 @@ func (h *handle) SearchBatch(qs [][]float64, k int) ([][]Match, error) {
 	return out, nil
 }
 
-// SetParallelism re-sizes the search worker pool — the cross-shard pool of
-// a Sharded index — (n <= 0 selects GOMAXPROCS; 1 is serial). Answers are
-// identical at every setting. Call only while no search is in flight.
+// SetParallelism re-sizes the search worker pool — the one every search of
+// the index fans out on, across the shards of a Sharded index — (n <= 0
+// selects GOMAXPROCS; 1 is serial). Answers are identical at every setting.
+// Call only while no search is in flight.
 func (h *handle) SetParallelism(n int) { h.b.SetParallelism(n) }
 
 // Stats returns the I/O accounting of the index's disk(s) since creation,

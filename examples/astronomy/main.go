@@ -65,7 +65,7 @@ func main() {
 		isInjected[int64(in.ID)] = in.Template.String()
 	}
 	q := index.NewQuery(gen.TemplateSupernova.Shape(length, 0.3), cfg)
-	rs, err := b.Index.ExactSearch(q, 10)
+	rs, err := b.ExactSearch(q, 10)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -45,7 +45,7 @@ func TestAllVariantsAgreeOnExactSearch(t *testing.T) {
 		}
 		var as answerSet
 		for _, q := range queries {
-			rs, err := b.Index.ExactSearch(index.NewQuery(q, cfg), 5)
+			rs, err := b.ExactSearch(index.NewQuery(q, cfg), 5)
 			if err != nil {
 				t.Fatalf("%s: %v", v, err)
 			}
@@ -85,7 +85,7 @@ func TestRawOnDiskPipeline(t *testing.T) {
 	// random reads appear.
 	before := b.Disk.Stats()
 	q := index.NewQuery(gen.RandomWalk(rand.New(rand.NewSource(70)), 64), cfg)
-	rs, err := b.Index.ExactSearch(q, 1)
+	rs, err := b.ExactSearch(q, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestScenario1Recall(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := index.NewQuery(gen.TemplateSupernova.Shape(128, 0.3), cfg)
-	rs, err := b.Index.ExactSearch(q, 10)
+	rs, err := b.ExactSearch(q, 10)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,7 @@ package adsplus
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/index"
 	"repro/internal/record"
@@ -95,16 +96,20 @@ type node struct {
 
 // Tree is an ADS+ index.
 type Tree struct {
-	opts    Options
-	codec   record.Codec
-	roots   map[uint64]*node // keyed by the w-bit first-bit pattern
-	count   int64
-	nextID  int64
-	inBuf   int   // total buffered entries across leaves
-	leafSeq int   // leaf file name counter
-	splits  int64 // accounting: leaf splits performed
-	flushes int64 // accounting: leaf-buffer flushes to disk
-	pageBuf []byte
+	opts  Options
+	codec record.Codec
+	roots map[uint64]*node // keyed by the w-bit first-bit pattern
+	// rootKeys are roots' keys in ascending order, the order every visit of
+	// the roots takes: a map's order changes run to run, and with it the
+	// order leaves are written and read in.
+	rootKeys []uint64
+	count    int64
+	nextID   int64
+	inBuf    int   // total buffered entries across leaves
+	leafSeq  int   // leaf file name counter
+	splits   int64 // accounting: leaf splits performed
+	flushes  int64 // accounting: leaf-buffer flushes to disk
+	pageBuf  []byte
 }
 
 // New creates an empty ADS+ index.
@@ -183,6 +188,8 @@ func (t *Tree) InsertEntry(e record.Entry) error {
 	if !ok {
 		n = t.newLeafNode(w, 1)
 		t.roots[rk] = n
+		i, _ := slices.BinarySearch(t.rootKeys, rk)
+		t.rootKeys = slices.Insert(t.rootKeys, i, rk)
 	}
 	for !n.leaf {
 		bit := segBit(w, n.splitSeg, int(n.bits[n.splitSeg]))
@@ -413,8 +420,8 @@ func (t *Tree) walk(visit func(*node)) {
 			rec(n.children[1])
 		}
 	}
-	for _, n := range t.roots {
-		rec(n)
+	for _, rk := range t.rootKeys {
+		rec(t.roots[rk])
 	}
 }
 

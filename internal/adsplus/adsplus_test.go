@@ -1,8 +1,10 @@
 package adsplus
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/gen"
@@ -14,6 +16,19 @@ import (
 
 func testConfig(materialized bool) index.Config {
 	return index.Config{SeriesLen: 64, Segments: 8, Bits: 8, Materialized: materialized}
+}
+
+// exactSearch, approxSearch and rangeSearch search tr through the entries.
+func exactSearch(tr *Tree, q index.Query, k int) ([]index.Result, error) {
+	return index.Exact(tr, q, tr.opts.Config, nil, k)
+}
+
+func approxSearch(tr *Tree, q index.Query, k int) ([]index.Result, error) {
+	return index.Approx(tr, q, tr.opts.Config, nil, k)
+}
+
+func rangeSearch(tr *Tree, q index.Query, eps float64) ([]index.Result, error) {
+	return index.Range(tr, q, tr.opts.Config, nil, eps)
 }
 
 type normStore struct{ d *series.Dataset }
@@ -141,7 +156,7 @@ func TestExactSearchMatchesBruteForce(t *testing.T) {
 		for trial := 0; trial < 15; trial++ {
 			q := gen.RandomWalk(rng, 64)
 			want := bruteKNN(q, ds, 5)
-			got, err := tr.ExactSearch(index.NewQuery(q, testConfig(mat)), 5)
+			got, err := exactSearch(tr, index.NewQuery(q, testConfig(mat)), 5)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -172,7 +187,7 @@ func TestExactSearchSeesBufferedEntries(t *testing.T) {
 		t.Fatal("expected everything buffered")
 	}
 	s, _ := ds.Get(30)
-	got, err := tr.ExactSearch(index.NewQuery(s, testConfig(false)), 1)
+	got, err := exactSearch(tr, index.NewQuery(s, testConfig(false)), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +206,7 @@ func TestApproxSearchFindsNearDuplicates(t *testing.T) {
 		id := rng.Intn(ds.Count())
 		base, _ := ds.Get(id)
 		q := gen.Add(base, gen.Noise(rng, 64, 0.001))
-		got, err := tr.ApproxSearch(index.NewQuery(q, testConfig(true)), 1)
+		got, err := approxSearch(tr, index.NewQuery(q, testConfig(true)), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,7 +236,7 @@ func TestApproxSearchOnMissingRegion(t *testing.T) {
 	for j := range q {
 		q[j] = float64(64 - j)
 	}
-	got, err := tr.ApproxSearch(index.NewQuery(q, testConfig(true)), 3)
+	got, err := approxSearch(tr, index.NewQuery(q, testConfig(true)), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,8 +251,8 @@ func TestSearchEmptyTree(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := index.NewQuery(make(series.Series, 64), testConfig(false))
-	for _, f := range []func(index.Query, int) ([]index.Result, error){tr.ApproxSearch, tr.ExactSearch} {
-		got, err := f(q, 3)
+	for _, f := range []func(*Tree, index.Query, int) ([]index.Result, error){approxSearch, exactSearch} {
+		got, err := f(tr, q, 3)
 		if err != nil || len(got) != 0 {
 			t.Fatalf("empty search: %v %v", got, err)
 		}
@@ -249,14 +264,14 @@ func TestWindowedSearch(t *testing.T) {
 	tr, _ := buildADS(t, ds, false) // TS = insertion id
 	s, _ := ds.Get(100)
 	q := index.NewQuery(s, testConfig(false))
-	got, err := tr.ExactSearch(q, 1)
+	got, err := exactSearch(tr, q, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got[0].ID != 100 {
 		t.Fatalf("unwindowed best = %+v", got[0])
 	}
-	got, err = tr.ExactSearch(q.WithWindow(200, 299), 1)
+	got, err = exactSearch(tr, q.WithWindow(200, 299), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +326,7 @@ func TestFlushBuffersPersistsEverything(t *testing.T) {
 	}
 	// Searches still exact after full flush.
 	s, _ := ds.Get(250)
-	got, err := tr.ExactSearch(index.NewQuery(s, testConfig(false)), 1)
+	got, err := exactSearch(tr, index.NewQuery(s, testConfig(false)), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +348,7 @@ func TestRangeSearchMatchesBruteForce(t *testing.T) {
 				col.Add(index.Result{ID: int64(id), Dist: math.Sqrt(q.Norm.SqDist(s.ZNormalize()))})
 			}
 			want := col.Results()
-			got, err := tr.RangeSearch(q, eps)
+			got, err := rangeSearch(tr, q, eps)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -370,5 +385,62 @@ func TestEntryRoutingDoesNotAllocate(t *testing.T) {
 	got, want := tr.entryWord(key, &syms), sortable.Deinterleave(key, cfg.Segments, cfg.Bits)
 	if string(got.Symbols) != string(want.Symbols) || got.Bits != want.Bits {
 		t.Fatalf("entryWord %v, Deinterleave %v", got, want)
+	}
+}
+
+// pageTrace records every page access a disk serves, in order.
+type pageTrace []string
+
+func (p *pageTrace) Access(file string, page int64, write bool) {
+	*p = append(*p, fmt.Sprintf("%s:%d:%v", file, page, write))
+}
+
+// TestPageTracesAreDeterministic: every visit of the roots takes them in
+// key order, so two builds of the same series write the same pages in the
+// same order, and two runs of one query read the same pages in the same
+// order — the I/O accounting is a function of the data alone.
+func TestPageTracesAreDeterministic(t *testing.T) {
+	ds := makeDataset(1200, 7)
+	build := func() (*Tree, *pageTrace) {
+		disk := storage.NewDisk(0)
+		rec := new(pageTrace)
+		disk.SetTracer(rec)
+		tr, err := New(Options{Disk: disk, Config: testConfig(false), Raw: normStore{ds}, LeafCapacity: 64, BufferEntries: 256})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range ds.Values {
+			if err := tr.Insert(s, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tr.FlushBuffers(); err != nil {
+			t.Fatal(err)
+		}
+		return tr, rec
+	}
+	tr, first := build()
+	if _, second := build(); !reflect.DeepEqual(*first, *second) {
+		t.Fatalf("two builds of the same series wrote %d and %d pages in different orders", len(*first), len(*second))
+	}
+	q := index.NewQuery(gen.RandomWalk(rand.New(rand.NewSource(8)), 64), testConfig(false))
+	for _, search := range []struct {
+		name string
+		run  func() error
+	}{
+		{"exact", func() error { _, err := exactSearch(tr, q, 5); return err }},
+		{"range", func() error { _, err := rangeSearch(tr, q, 4); return err }},
+	} {
+		var reads [2]pageTrace
+		for i := range reads {
+			*first = (*first)[:0]
+			if err := search.run(); err != nil {
+				t.Fatal(err)
+			}
+			reads[i] = append(pageTrace(nil), *first...)
+		}
+		if !reflect.DeepEqual(reads[0], reads[1]) {
+			t.Fatalf("two runs of one %s query read %d and %d pages in different orders", search.name, len(reads[0]), len(reads[1]))
+		}
 	}
 }

@@ -25,17 +25,11 @@ func descend(n *node, w sax.Word) *node {
 	return n
 }
 
-// ApproxSearch answers an approximate k-NN query by descending to the leaf
-// that covers the query's iSAX word and evaluating it (one scattered leaf
+// ApproxInto is the approximate search (index.Index): descend to the leaf
+// that covers the query's iSAX word and evaluate it (one scattered leaf
 // read). If that root subtree does not exist, the closest existing root by
-// lower bound is used.
-func (t *Tree) ApproxSearch(q index.Query, k int) ([]index.Result, error) {
-	return index.Search(q, t.opts.Config, index.NewCollector(k), t.ApproxInto)
-}
-
-// ApproxInto is the approximate search itself (index.Index). ADS+ searches
-// serially, so a public method and its core differ only in who brought the
-// context; node bounds need its tables at every cardinality, so a body
+// lower bound is used. ADS+ searches serially, whatever pool the context
+// carries; node bounds need its tables at every cardinality, so a body
 // begins by extending them (FillAll is idempotent).
 func (t *Tree) ApproxInto(q index.Query, col *index.Collector, ctx *index.SearchCtx) error {
 	if len(t.roots) == 0 {
@@ -48,9 +42,9 @@ func (t *Tree) ApproxInto(q index.Query, col *index.Collector, ctx *index.Search
 	root, ok := t.roots[t.rootKey(w)]
 	if !ok {
 		best := math.Inf(1)
-		for _, n := range t.roots {
-			if d := nodeMinDistSq(sc.P, n); d < best {
-				best, root = d, n
+		for _, rk := range t.rootKeys {
+			if d := nodeMinDistSq(sc.P, t.roots[rk]); d < best {
+				best, root = d, t.roots[rk]
 			}
 		}
 	}
@@ -75,16 +69,11 @@ func (t *Tree) ApproxInto(q index.Query, col *index.Collector, ctx *index.Search
 	return nil
 }
 
-// ExactSearch returns the true k nearest neighbors via best-first traversal:
+// ExactInto is the exact search (index.Index), a best-first traversal:
 // nodes are visited in squared lower-bound order and leaves whose bound
 // reaches the current squared k-th distance are pruned. Every visited leaf
-// is a separate extent, so exact search pays one head movement per
-// surviving leaf.
-func (t *Tree) ExactSearch(q index.Query, k int) ([]index.Result, error) {
-	return index.Search(q, t.opts.Config, index.NewCollector(k), t.ExactInto)
-}
-
-// ExactInto is the exact search itself (index.Index).
+// is a separate extent, so exact search pays one head movement per surviving
+// leaf.
 func (t *Tree) ExactInto(q index.Query, col *index.Collector, ctx *index.SearchCtx) error {
 	if err := t.ApproxInto(q, col, ctx); err != nil {
 		return err
@@ -92,7 +81,8 @@ func (t *Tree) ExactInto(q index.Query, col *index.Collector, ctx *index.SearchC
 	defer ctx.Trace.Start("scan").End()
 	sc := ctx.Scratch0()
 	pq := &nodePQ{}
-	for _, n := range t.roots {
+	for _, rk := range t.rootKeys {
+		n := t.roots[rk]
 		heap.Push(pq, &nodeDist{n: n, d: nodeMinDistSq(sc.P, n)})
 	}
 	for pq.Len() > 0 {
@@ -165,14 +155,8 @@ func (p *nodePQ) Pop() any {
 	return x
 }
 
-// RangeSearch returns every indexed series within Euclidean distance eps of
-// the query by visiting all subtrees whose squared node bound is within the
-// squared epsilon.
-func (t *Tree) RangeSearch(q index.Query, eps float64) ([]index.Result, error) {
-	return index.Search(q, t.opts.Config, index.NewRangeCollector(eps), t.RangeInto)
-}
-
-// RangeInto is the range search itself (index.Index).
+// RangeInto is the range search (index.Index): every subtree whose squared
+// node bound is within the squared epsilon is visited.
 func (t *Tree) RangeInto(q index.Query, col *index.RangeCollector, ctx *index.SearchCtx) error {
 	ctx.P.FillAll()
 	sc := ctx.Scratch0()
@@ -197,8 +181,8 @@ func (t *Tree) RangeInto(q index.Query, col *index.RangeCollector, ctx *index.Se
 		sc.Trace.NoteProbes("leaf", 1)
 		return index.EvalPageRange(q, index.EntryPage(entries), t.opts.Raw, col, sc)
 	}
-	for _, root := range t.roots {
-		if err := visit(root); err != nil {
+	for _, rk := range t.rootKeys {
+		if err := visit(t.roots[rk]); err != nil {
 			return err
 		}
 	}

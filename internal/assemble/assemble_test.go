@@ -164,7 +164,7 @@ func TestCrashRecoveryRebuildOverDirs(t *testing.T) {
 			answers := func(b *assemble.Built) [][]index.Result {
 				out := make([][]index.Result, len(queries))
 				for i, q := range queries {
-					res, err := b.Index.ExactSearch(index.NewQuery(q, b.Config), 5)
+					res, err := b.ExactSearch(index.NewQuery(q, b.Config), 5)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -243,7 +243,7 @@ func TestSnapshotRawOnBuildDisk(t *testing.T) {
 			answers := func(b *assemble.Built) [][]index.Result {
 				out := make([][]index.Result, len(queries))
 				for i, q := range queries {
-					res, err := b.Index.ExactSearch(index.NewQuery(q, b.Config), 5)
+					res, err := b.ExactSearch(index.NewQuery(q, b.Config), 5)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -56,6 +56,9 @@ type Built struct {
 	// background-merge scheduler (nil inline).
 	WAL       *wal.Log
 	Compactor *compact.Scheduler
+	// workers is the build's search pool, sized by Spec.Parallelism: the
+	// only pool any search of the build fans out on.
+	workers *parallel.Pool
 	// Construction accounting: I/O and wall time of the build, and the pages
 	// the index structures and the raw series file occupy on Disk.
 	BuildStats storage.Stats
@@ -128,6 +131,7 @@ func owned(spec Spec, open func(shared) (*Built, error)) (*Built, error) {
 		return nil, err
 	}
 	b.ownsSched = true
+	b.workers = parallel.New(b.Spec.Parallelism)
 	return b, nil
 }
 
@@ -336,8 +340,7 @@ func buildOne(spec Spec, cfg index.Config, ds *series.Dataset, sh shared) (b *Bu
 		opts := clsm.Options{
 			Disk: b.Disk, Reader: b.Reader(), Name: lsmName, Config: cfg,
 			GrowthFactor: spec.GrowthFactor, BufferEntries: buffer, Raw: b.RawStore(),
-			Parallelism: spec.Parallelism, Scheduler: b.Compactor, Planner: b.Planner,
-			Compress: spec.Compress,
+			Scheduler: b.Compactor, Planner: b.Planner, Compress: spec.Compress,
 		}
 		if spec.WALDir != "" {
 			if b.WAL, err = openWAL(spec); err != nil {
@@ -410,10 +413,10 @@ func shardDir(root string, i int) string {
 }
 
 // buildGroup assembles a partitioned build: the series are hash-partitioned
-// into the logical shards, every owned shard is built as its own serial
+// into the logical shards, every owned shard is built as its own
 // unpartitioned index (own disk, log and directory; shared cache, planner
-// and scheduler), concurrently on a pool bounded by spec.Parallelism, and
-// wrapped in a shard.Group whose probes fan out on a pool of the same size.
+// and scheduler), concurrently on a pool bounded by spec.Parallelism — so
+// each shard sorts serially — and wrapped in a shard.Group.
 // On error it returns the shards assembled so far for the caller to Close.
 func buildGroup(spec Spec, cfg index.Config, ds *series.Dataset, sh shared) (*Built, error) {
 	nsh := spec.Shards
@@ -469,7 +472,7 @@ func buildGroup(spec Spec, cfg index.Config, ds *series.Dataset, sh shared) (*Bu
 			}
 			part = shard.Partition(total, nsh)
 		}
-		err = b.group(nsh, owned, part, spec.Parallelism)
+		err = b.group(nsh, owned, part)
 	}
 	if err != nil {
 		return b, err
@@ -493,7 +496,7 @@ func buildGroup(spec Spec, cfg index.Config, ds *series.Dataset, sh shared) (*Bu
 // placement would silently mislabel every ID after the gap. Use sync
 // durability (or Close, which syncs every shard) when sharded recovery must
 // be exact to the last acknowledged insert.
-func (b *Built) group(nsh int, owned []int, part [][]int64, parallelism int) error {
+func (b *Built) group(nsh int, owned []int, part [][]int64) error {
 	shards := make(map[int]*shard.Shard, len(owned))
 	for i, si := range owned {
 		p := b.Parts[i]
@@ -503,12 +506,11 @@ func (b *Built) group(nsh int, owned []int, part [][]int64, parallelism int) err
 		}
 		shards[si] = &shard.Shard{Index: p.Index, Disk: p.Disk, Reader: p.Reader(), IDs: part[si]}
 	}
-	g, err := shard.NewGroup(b.Config, nsh, shards, parallelism, b.Planner)
+	g, err := shard.NewGroup(b.Config, nsh, shards, b.Planner)
 	if err != nil {
 		return err
 	}
 	b.Group, b.Index = g, g
-	b.Spec.Parallelism = parallelism // the cross-shard pool's size, which SearchBatch follows
 	b.Disk, b.Pool, b.Raw = b.Parts[0].Disk, b.Parts[0].Pool, b.Parts[0].Raw
 	return nil
 }

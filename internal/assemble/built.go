@@ -124,21 +124,42 @@ func (b *Built) WALStats() (wal.Stats, bool) {
 	return b.WAL.Stats(), true
 }
 
-// SetParallelism re-sizes the pool searches fan out on — cross-shard on a
-// partitioned build, the index's own otherwise (n <= 0 selects GOMAXPROCS; 1
-// is serial). Call only while no search is in flight.
+// SetParallelism replaces the build's search pool — the one every search
+// of the build fans out on, cross-shard on a partitioned build, across runs,
+// leaf ranges or partitions otherwise — with one of n workers (n <= 0 selects
+// GOMAXPROCS; 1 is serial). Call only while no search is in flight.
 func (b *Built) SetParallelism(n int) {
 	b.Spec.Parallelism = parallel.Resolve(n)
-	if p, ok := b.Index.(interface{ SetParallelism(int) }); ok {
-		p.SetParallelism(n)
-	}
+	b.workers = parallel.New(n)
+}
+
+// Workers returns the build's search pool, for a search the build has no
+// entry for (a stream scheme's, a node's shard subset).
+func (b *Built) Workers() *parallel.Pool { return b.workers }
+
+// ApproxSearch returns up to k likely near neighbors of q (index.Approx on
+// the build's pool).
+func (b *Built) ApproxSearch(q index.Query, k int) ([]index.Result, error) {
+	return index.Approx(b.Index, q, b.Config, b.workers, k)
+}
+
+// ExactSearch returns the true k nearest neighbors of q (index.Exact on the
+// build's pool).
+func (b *Built) ExactSearch(q index.Query, k int) ([]index.Result, error) {
+	return index.Exact(b.Index, q, b.Config, b.workers, k)
+}
+
+// RangeSearch returns every series within distance eps of q (index.Range on
+// the build's pool).
+func (b *Built) RangeSearch(q index.Query, eps float64) ([]index.Result, error) {
+	return index.Range(b.Index, q, b.Config, b.workers, eps)
 }
 
 // SearchBatch answers one exact k-NN query per element of qs (index.Batch),
-// byte-identically to Index.ExactSearch: the parallelism a single search
-// spends within its scan moves to across queries, on a pool of the same size.
+// byte-identically to ExactSearch: the build's pool moves from within one
+// search to across queries.
 func (b *Built) SearchBatch(qs []index.Query, k int) ([][]index.Result, error) {
-	return index.Batch(parallel.New(b.Spec.Parallelism), b.Config, b.Index, qs, k)
+	return index.Batch(b.workers, b.Config, b.Index, qs, k)
 }
 
 // Close shuts the build down: waits out in-flight background merges, stops

@@ -128,7 +128,8 @@ func (b *Built) saveParts(path string) error {
 // setting), WALDir and Durability (the log tail past the snapshot is
 // replayed — the crash story), CompactionWorkers, and GrowthFactor /
 // BufferEntries to override the persisted shape. Other fields are ignored:
-// parallelism is not part of a snapshot (SetParallelism).
+// parallelism is not part of a snapshot, and a reopened build searches on a
+// pool of GOMAXPROCS workers (SetParallelism).
 func Open(path string, spec Spec) (*Built, error) {
 	disk, err := storage.LoadDiskFile(spec.FS, path)
 	if err != nil {
@@ -187,7 +188,7 @@ func openOne(disk storage.Backend, spec Spec, sh shared) (b *Built, err error) {
 	spec.SeriesLen, spec.Segments, spec.Bits = b.Config.SeriesLen, b.Config.Segments, b.Config.Bits
 	// The raw series file stays where the build kept it.
 	spec.RawInMemory = !disk.Exists(rawFile)
-	spec.Parallelism = -1 // not part of a snapshot: a reopened index takes the default pool
+	spec.Parallelism = -1 // not part of a snapshot: a reopened build takes the default pool
 	b.Spec = spec
 	if err = spec.Validate(); err != nil {
 		return
@@ -242,8 +243,8 @@ func (b *Built) loadRaw() error {
 // manifest names the shard files, each shard reopens as an unpartitioned
 // snapshot under spec (see Open; a WALDir is the root of the per-shard
 // logs), and the global ID space is rebuilt from the deterministic hash
-// placement. Shards scan serially and the cross-shard pool takes the
-// default size (GOMAXPROCS); SetParallelism changes it.
+// placement. The build's search pool takes the default size (GOMAXPROCS);
+// SetParallelism changes it.
 func OpenSharded(path string, spec Spec) (*Built, error) {
 	buf, err := fsx.OrOS(spec.FS).ReadFile(path)
 	if err != nil {
@@ -294,12 +295,11 @@ func OpenSharded(path string, spec Spec) (*Built, error) {
 			if err != nil {
 				return b, fmt.Errorf("assemble: opening shard %d: %w", i, err)
 			}
-			p.SetParallelism(1)
 			b.Parts = append(b.Parts, p)
 			total += p.Index.Count()
 		}
 		b.Spec, b.Config = b.Parts[0].Spec, b.Parts[0].Config
 		b.Spec.Shards, b.Spec.WALDir = m.Shards, spec.WALDir
-		return b, b.group(m.Shards, all, shard.Partition(total, m.Shards), -1)
+		return b, b.group(m.Shards, all, shard.Partition(total, m.Shards))
 	})
 }

@@ -50,7 +50,6 @@ import (
 
 	"repro/internal/compact"
 	"repro/internal/index"
-	"repro/internal/parallel"
 	"repro/internal/record"
 	"repro/internal/run"
 	"repro/internal/series"
@@ -74,22 +73,15 @@ type Options struct {
 	BufferEntries int
 	// Raw is consulted by non-materialized searches. Series inserted into
 	// the index must appear in Raw at the same IDs (insertion order,
-	// starting at 0). When Parallelism exceeds 1, Raw must be safe for
-	// concurrent Get calls. A storage.RawFile on Disk keeps the series as
-	// durable as the runs are, which lets flushes truncate the log (WAL).
+	// starting at 0). A search that fans out calls Get concurrently. A
+	// storage.RawFile on Disk keeps the series as durable as the runs are,
+	// which lets flushes truncate the log (WAL).
 	Raw series.RawStore
 	// Reader serves every page read of the run files during search. nil
 	// selects the Disk itself (uncached); pass a buffer pool over the same
 	// disk to serve hot run pages from memory. Writes (flushes, merges)
 	// always go to Disk, which invalidates through any attached pool.
 	Reader storage.PageReader
-	// Parallelism bounds the worker goroutines a single search uses to
-	// probe on-disk runs concurrently. 1 keeps the serial path; values <= 0
-	// select GOMAXPROCS. Results are identical at every setting: each
-	// worker collects into its own deterministic top-k collector and the
-	// per-worker results merge into the same answer the serial scan
-	// produces.
-	Parallelism int
 	// WAL, when set, makes ingest durable: Insert appends the encoded entry
 	// to the log before buffering it (acknowledgement follows the log's
 	// group-commit policy), and every flush or merge persists the run
@@ -242,8 +234,6 @@ type LSM struct {
 	flushes atomic.Int64
 	merges  atomic.Int64
 
-	pool *parallel.Pool
-
 	adopted    source // the persisted file Open read; Replay's join check
 	replaying  bool   // set during Replay; suppresses WAL re-appends
 	compacting atomic.Bool
@@ -261,10 +251,6 @@ func (l *LSM) Name() string {
 
 // Count returns the number of indexed series (buffered included).
 func (l *LSM) Count() int64 { return l.count.Load() }
-
-// SetParallelism re-sizes the search worker pool (n <= 0 selects
-// GOMAXPROCS; 1 is serial). Call only while no search is in flight.
-func (l *LSM) SetParallelism(n int) { l.pool = parallel.New(n) }
 
 // Config returns the summarization configuration the LSM was created with.
 func (l *LSM) Config() index.Config { return l.opts.Config }

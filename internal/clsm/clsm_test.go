@@ -8,12 +8,31 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/index"
+	"repro/internal/parallel"
 	"repro/internal/series"
 	"repro/internal/storage"
 )
 
 func testConfig(materialized bool) index.Config {
 	return index.Config{SeriesLen: 64, Segments: 8, Bits: 8, Materialized: materialized}
+}
+
+// testPool fans the tests' searches out on GOMAXPROCS workers, so the run
+// fan-out runs whenever the test binary has several procs.
+var testPool = parallel.New(0)
+
+// exactSearch, approxSearch and rangeSearch search l through the entries on
+// testPool.
+func exactSearch(l *LSM, q index.Query, k int) ([]index.Result, error) {
+	return index.Exact(l, q, l.Config(), testPool, k)
+}
+
+func approxSearch(l *LSM, q index.Query, k int) ([]index.Result, error) {
+	return index.Approx(l, q, l.Config(), testPool, k)
+}
+
+func rangeSearch(l *LSM, q index.Query, eps float64) ([]index.Result, error) {
+	return index.Range(l, q, l.Config(), testPool, eps)
 }
 
 type normStore struct{ d *series.Dataset }
@@ -148,7 +167,7 @@ func TestExactSearchMatchesBruteForce(t *testing.T) {
 		for trial := 0; trial < 15; trial++ {
 			q := gen.RandomWalk(rng, 64)
 			want := bruteKNN(q, ds, 5)
-			got, err := l.ExactSearch(index.NewQuery(q, testConfig(mat)), 5)
+			got, err := exactSearch(l, index.NewQuery(q, testConfig(mat)), 5)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -172,7 +191,7 @@ func TestExactSearchSeesBufferedEntries(t *testing.T) {
 		t.Fatal("expected no flushes")
 	}
 	s, _ := ds.Get(7)
-	got, err := l.ExactSearch(index.NewQuery(s, testConfig(false)), 1)
+	got, err := exactSearch(l, index.NewQuery(s, testConfig(false)), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +210,7 @@ func TestApproxSearchFindsNearDuplicates(t *testing.T) {
 		id := rng.Intn(ds.Count())
 		base, _ := ds.Get(id)
 		q := gen.Add(base, gen.Noise(rng, 64, 0.001))
-		got, err := l.ApproxSearch(index.NewQuery(q, testConfig(true)), 1)
+		got, err := approxSearch(l, index.NewQuery(q, testConfig(true)), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,14 +228,14 @@ func TestWindowedSearch(t *testing.T) {
 	l, _ := buildLSM(t, ds, false, 4, 32) // TS = insertion id
 	s, _ := ds.Get(100)
 	q := index.NewQuery(s, testConfig(false))
-	got, err := l.ExactSearch(q, 1)
+	got, err := exactSearch(l, q, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got[0].ID != 100 {
 		t.Fatalf("unwindowed best = %+v", got[0])
 	}
-	got, err = l.ExactSearch(q.WithWindow(200, 299), 1)
+	got, err = exactSearch(l, q.WithWindow(200, 299), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +284,7 @@ func TestSearchEmptyLSM(t *testing.T) {
 	d := storage.NewDisk(0)
 	l, _ := Open(Options{Disk: d, Config: testConfig(false)})
 	q := index.NewQuery(make(series.Series, 64), testConfig(false))
-	got, err := l.ExactSearch(q, 3)
+	got, err := exactSearch(l, q, 3)
 	if err != nil || len(got) != 0 {
 		t.Fatalf("empty search: %v %v", got, err)
 	}
@@ -284,7 +303,7 @@ func TestRangeSearchMatchesBruteForce(t *testing.T) {
 				col.Add(index.Result{ID: int64(id), Dist: math.Sqrt(q.Norm.SqDist(s.ZNormalize()))})
 			}
 			want := col.Results()
-			got, err := l.RangeSearch(q, eps)
+			got, err := rangeSearch(l, q, eps)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -323,11 +342,11 @@ func TestSaveOpenRoundTrip(t *testing.T) {
 		rng := rand.New(rand.NewSource(700))
 		for trial := 0; trial < 8; trial++ {
 			q := index.NewQuery(gen.RandomWalk(rng, 64), testConfig(mat))
-			want, err := l.ExactSearch(q, 3)
+			want, err := exactSearch(l, q, 3)
 			if err != nil {
 				t.Fatal(err)
 			}
-			have, err := got.ExactSearch(q, 3)
+			have, err := exactSearch(got, q, 3)
 			if err != nil {
 				t.Fatal(err)
 			}

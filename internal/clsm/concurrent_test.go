@@ -60,11 +60,11 @@ func TestBackgroundCompactionMatchesInline(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	for trial := 0; trial < 6; trial++ {
 		q := index.NewQuery(gen.RandomWalk(rng, 64), testConfig(false))
-		want, err := inline.ExactSearch(q, 5)
+		want, err := exactSearch(inline, q, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := bg.ExactSearch(q, 5)
+		got, err := exactSearch(bg, q, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +123,7 @@ func TestConcurrentInsertSearchMerge(t *testing.T) {
 	for i := range qs {
 		qs[i] = index.NewQuery(gen.RandomWalk(rng, 64), testConfig(false)).WithWindow(0, 0)
 		var err error
-		want[i], err = quiesced.ExactSearch(qs[i].WithWindow(0, 0), 5)
+		want[i], err = exactSearch(quiesced, qs[i].WithWindow(0, 0), 5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,7 +153,7 @@ func TestConcurrentInsertSearchMerge(t *testing.T) {
 			defer wg.Done()
 			for round := 0; round < 15; round++ {
 				i := (w*7 + round) % queries
-				got, err := live.ExactSearch(qs[i], 5)
+				got, err := exactSearch(live, qs[i], 5)
 				if err != nil {
 					t.Error(err)
 					return

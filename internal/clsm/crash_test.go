@@ -101,7 +101,7 @@ func assertAllSearchable(t *testing.T, l *LSM, ds *series.Dataset, n int, trials
 	for trial := 0; trial < trials; trial++ {
 		q := index.NewQuery(gen.RandomWalk(rng, 64), testConfig(false))
 		want := bruteKNNFirst(q, ds, n, 5)
-		got, err := l.ExactSearch(q, 5)
+		got, err := exactSearch(l, q, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -339,11 +339,11 @@ func TestDurableMatchesNonDurable(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
 	for trial := 0; trial < 8; trial++ {
 		q := index.NewQuery(gen.RandomWalk(rng, 64), testConfig(false))
-		want, err := plain.ExactSearch(q, 5)
+		want, err := exactSearch(plain, q, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := durable.ExactSearch(q, 5)
+		got, err := exactSearch(durable, q, 5)
 		if err != nil {
 			t.Fatal(err)
 		}

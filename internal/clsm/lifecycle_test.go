@@ -177,7 +177,7 @@ func TestLifecycleTable(t *testing.T) {
 					if sched != nil {
 						defer sched.Close()
 					}
-					l := or.open(t, Options{Raw: normStore{ds}, Scheduler: sched, Compress: packed, Parallelism: 1})
+					l := or.open(t, Options{Raw: normStore{ds}, Scheduler: sched, Compress: packed})
 					if l.Config() != testConfig(false) || l.opts.GrowthFactor != growth || l.opts.BufferEntries != buf {
 						t.Fatalf("shape %+v, growth %d, buffer %d; want the persisted ones", l.Config(), l.opts.GrowthFactor, l.opts.BufferEntries)
 					}
@@ -236,7 +236,7 @@ func TestFailedMerge(t *testing.T) {
 				defer sched.Close()
 			}
 			l, err := Open(Options{Disk: disk, Config: testConfig(false), GrowthFactor: growth, BufferEntries: 1 << 10,
-				Raw: normStore{ds}, Scheduler: sched, Parallelism: 1})
+				Raw: normStore{ds}, Scheduler: sched})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"repro/internal/index"
-	"repro/internal/parallel"
 	"repro/internal/record"
 	"repro/internal/run"
 	"repro/internal/series"
@@ -309,13 +308,9 @@ func Open(opts Options) (*LSM, error) {
 	if st == nil {
 		st = &metaState{src: fromNothing, durableLSN: -1}
 	}
-	if opts.Parallelism <= 0 {
-		opts.Parallelism = parallel.Resolve(opts.Parallelism)
-	}
 	l := &LSM{
 		opts:    opts,
 		store:   run.NewStore(opts.Disk, opts.Reader, opts.Planner, opts.Config, opts.Raw),
-		pool:    parallel.New(opts.Parallelism),
 		adopted: st.src,
 	}
 	if size := l.store.Codec().Size(); size > opts.Disk.PageSize() {

@@ -296,7 +296,7 @@ func TestBulkLoadTable(t *testing.T) {
 								q := index.NewQuery(s, cfg)
 								want := bruteKNN(s, ds, 5)
 								for _, x := range []*Tree{tr, re} {
-									got, err := x.ExactSearch(q, 5)
+									got, err := exactSearch(x, q, 5)
 									if err != nil {
 										t.Fatal(err)
 									}
@@ -309,7 +309,7 @@ func TestBulkLoadTable(t *testing.T) {
 										}
 									}
 								}
-								approx, err := tr.ApproxSearch(q, 5)
+								approx, err := approxSearch(tr, q, 5)
 								if err != nil {
 									t.Fatal(err)
 								}
@@ -323,7 +323,7 @@ func TestBulkLoadTable(t *testing.T) {
 										t.Fatalf("approximate result %+v is not series %d's distance", r, r.ID)
 									}
 								}
-								reApprox, err := re.ApproxSearch(q, 5)
+								reApprox, err := approxSearch(re, q, 5)
 								if err != nil || !reflect.DeepEqual(reApprox, approx) {
 									t.Fatalf("approximate on the reopened tree: %v, %v; built: %v", reApprox, err, approx)
 								}

@@ -110,15 +110,15 @@ func matches(rs []index.Result, err error) ([]coconut.Match, error) {
 func (b built) query(q []float64) index.Query { return index.NewQuery(series.Series(q), b.Config) }
 
 func (b built) Search(q []float64, k int) ([]coconut.Match, error) {
-	return matches(b.Index.ExactSearch(b.query(q), k))
+	return matches(b.ExactSearch(b.query(q), k))
 }
 
 func (b built) SearchRange(q []float64, eps float64) ([]coconut.Match, error) {
-	return matches(b.Index.RangeSearch(b.query(q), eps))
+	return matches(b.RangeSearch(b.query(q), eps))
 }
 
 func (b built) SearchApprox(q []float64, k int) ([]coconut.Match, error) {
-	return matches(b.Index.ApproxSearch(b.query(q), k))
+	return matches(b.ApproxSearch(b.query(q), k))
 }
 
 func (b built) SearchBatch(qs [][]float64, k int) ([][]coconut.Match, error) {
@@ -339,13 +339,13 @@ func TestColumnScanTraceMatchesReference(t *testing.T) {
 				search func(q index.Query) error
 			}{
 				{"exact", func(q index.Query) error {
-					res, err := tr.ExactSearch(q, 5)
+					res, err := index.Exact(tr, q, cfg, nil, 5)
 					if err == nil {
 						eps = res[2].Dist
 					}
 					return err
 				}},
-				{"range", func(q index.Query) error { _, err := tr.RangeSearch(q, eps); return err }},
+				{"range", func(q index.Query) error { _, err := index.Range(tr, q, cfg, nil, eps); return err }},
 			} {
 				want, got := trace(true, mode.search), trace(false, mode.search)
 				if want.UndecodedPages != 0 {

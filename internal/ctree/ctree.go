@@ -41,8 +41,8 @@ type Options struct {
 	// Default 1 MiB.
 	MemBudget int
 	// Raw is consulted by non-materialized searches to fetch original
-	// (z-normalized) series. Required unless Config.Materialized. When
-	// Parallelism exceeds 1, Raw must be safe for concurrent Get calls.
+	// (z-normalized) series. Required unless Config.Materialized. A search
+	// that fans out calls Get concurrently.
 	Raw series.RawStore
 	// Reader serves every page read of the tree (leaf scans, probes, and
 	// the insert path's read-modify-write). nil selects the Disk itself —
@@ -50,11 +50,10 @@ type Options struct {
 	// serve hot leaf pages from memory. Writes always go to Disk, which
 	// invalidates through any attached pool.
 	Reader storage.PageReader
-	// Parallelism bounds the worker goroutines used per operation: exact
-	// and range searches scan leaf ranges concurrently, and construction's
-	// external sort sorts in-memory runs on workers. 1 keeps the serial
-	// paths; values <= 0 select GOMAXPROCS. Search results and the built
-	// index are identical at every setting.
+	// Parallelism bounds the worker goroutines of construction's external
+	// sort, which sorts in-memory runs on workers. 1 keeps the serial path;
+	// values <= 0 select GOMAXPROCS. The built index is identical at every
+	// setting. (A search fans out on the pool its context carries.)
 	Parallelism int
 	// Planner carries the query planner's switch and skip counter. nil
 	// plans with defaults (zone-map leaf skipping on); it may be shared
@@ -88,9 +87,6 @@ func (o *Options) setDefaults() error {
 	if o.MemBudget <= 0 {
 		o.MemBudget = 1 << 20
 	}
-	if o.Parallelism <= 0 {
-		o.Parallelism = parallel.Resolve(o.Parallelism)
-	}
 	return nil
 }
 
@@ -109,7 +105,6 @@ type Tree struct {
 	// packed tree, the builder whose trial fit is also the encoding.
 	pageBuf []byte
 	pb      *record.PageBuilder
-	pool    *parallel.Pool
 }
 
 // PlanSynopses implements zonestat.Provider for shard-level planning: the
@@ -140,12 +135,6 @@ func (t *Tree) Config() index.Config { return t.opts.Config }
 
 // Leaves returns the number of leaf pages (the index footprint in pages).
 func (t *Tree) Leaves() int { return t.leaves.Sum.Pages() }
-
-// SetParallelism re-sizes the search worker pool (n <= 0 selects
-// GOMAXPROCS; 1 is serial). Parallelism is not persisted, so reopened
-// trees default to GOMAXPROCS — call this after Open to restore a serial
-// configuration. Call only while no search is in flight.
-func (t *Tree) SetParallelism(n int) { t.pool = parallel.New(n) }
 
 // Build constructs a CTree over all series in src, assigning IDs 0..n-1 in
 // source order and timestamp ts to every entry. Construction is bottom-up:
@@ -230,7 +219,7 @@ func bulkLoad(opts Options, n int64, write func(t *Tree, sorter *extsort.Sorter)
 	b := run.NewBuilder(opts.Config, n, t.target(), zonestat.New(opts.Config.Segments, opts.Config.Bits))
 	sorter := &extsort.Sorter{
 		Disk: opts.Disk, Codec: t.store.Codec(), MemBudget: opts.MemBudget,
-		TmpPrefix: opts.Name + ".sort", Parallelism: opts.Parallelism,
+		TmpPrefix: opts.Name + ".sort", Parallelism: parallel.Resolve(opts.Parallelism),
 		Output: extsort.Output{Packed: t.leaves.Packed, Fill: opts.FillFactor, Observer: b.Observe},
 	}
 	if err := write(t, sorter); err != nil {
@@ -248,7 +237,6 @@ func newTree(opts Options) *Tree {
 		store:   run.NewStore(opts.Disk, opts.Reader, opts.Planner, opts.Config, opts.Raw),
 		leaves:  run.Run{File: opts.Name + ".leaves"},
 		pageBuf: make([]byte, opts.Disk.PageSize()),
-		pool:    parallel.New(opts.Parallelism),
 	}
 }
 

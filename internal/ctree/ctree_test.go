@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/index"
+	"repro/internal/parallel"
 	"repro/internal/series"
 	"repro/internal/storage"
 	"repro/internal/zonestat"
@@ -14,6 +15,24 @@ import (
 
 func testConfig(materialized bool) index.Config {
 	return index.Config{SeriesLen: 64, Segments: 8, Bits: 8, Materialized: materialized}
+}
+
+// testPool fans the tests' searches out on GOMAXPROCS workers, so the
+// parallel scan runs whenever the test binary has several procs.
+var testPool = parallel.New(0)
+
+// exactSearch, approxSearch and rangeSearch search tr through the entries
+// on testPool.
+func exactSearch(tr *Tree, q index.Query, k int) ([]index.Result, error) {
+	return index.Exact(tr, q, tr.Config(), testPool, k)
+}
+
+func approxSearch(tr *Tree, q index.Query, k int) ([]index.Result, error) {
+	return index.Approx(tr, q, tr.Config(), testPool, k)
+}
+
+func rangeSearch(tr *Tree, q index.Query, eps float64) ([]index.Result, error) {
+	return index.Range(tr, q, tr.Config(), testPool, eps)
 }
 
 // normStore wraps a dataset, z-normalizing on access, matching the
@@ -96,7 +115,7 @@ func TestBuildEmptyAndOptionValidation(t *testing.T) {
 	if tr.Count() != 0 {
 		t.Fatal("empty build should have 0 entries")
 	}
-	res, err := tr.ExactSearch(index.NewQuery(make(series.Series, 64), testConfig(false)), 5)
+	res, err := exactSearch(tr, index.NewQuery(make(series.Series, 64), testConfig(false)), 5)
 	if err != nil || len(res) != 0 {
 		t.Fatalf("search on empty tree: %v %v", res, err)
 	}
@@ -164,7 +183,7 @@ func TestExactSearchMatchesBruteForce(t *testing.T) {
 		for trial := 0; trial < 20; trial++ {
 			q := gen.RandomWalk(rng, 64)
 			want := bruteKNN(q, ds, 5)
-			got, err := tr.ExactSearch(index.NewQuery(q, testConfig(mat)), 5)
+			got, err := exactSearch(tr, index.NewQuery(q, testConfig(mat)), 5)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -186,7 +205,7 @@ func TestExactSearchSelfQuery(t *testing.T) {
 	tr, _ := buildTree(t, ds, false, 1.0)
 	// Querying with a stored series must return it at distance ~0.
 	s, _ := ds.Get(123)
-	got, err := tr.ExactSearch(index.NewQuery(s, testConfig(false)), 1)
+	got, err := exactSearch(tr, index.NewQuery(s, testConfig(false)), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +226,7 @@ func TestApproxSearchQuality(t *testing.T) {
 		id := rng.Intn(ds.Count())
 		base, _ := ds.Get(id)
 		q := gen.Add(base, gen.Noise(rng, 64, 0.001))
-		got, err := tr.ApproxSearch(index.NewQuery(q, testConfig(true)), 1)
+		got, err := approxSearch(tr, index.NewQuery(q, testConfig(true)), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -224,7 +243,7 @@ func TestApproxSearchReturnsK(t *testing.T) {
 	ds := buildDataset(t, 500, 7)
 	tr, _ := buildTree(t, ds, false, 1.0)
 	q := index.NewQuery(gen.RandomWalk(rand.New(rand.NewSource(70)), 64), testConfig(false))
-	got, err := tr.ApproxSearch(q, 10)
+	got, err := approxSearch(tr, q, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +261,7 @@ func TestApproxSearchFewerThanK(t *testing.T) {
 	ds := buildDataset(t, 3, 8)
 	tr, _ := buildTree(t, ds, false, 1.0)
 	q := index.NewQuery(gen.RandomWalk(rand.New(rand.NewSource(80)), 64), testConfig(false))
-	got, err := tr.ApproxSearch(q, 10)
+	got, err := approxSearch(tr, q, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,11 +276,11 @@ func TestExactBeatsOrEqualsApprox(t *testing.T) {
 	rng := rand.New(rand.NewSource(90))
 	for trial := 0; trial < 20; trial++ {
 		q := index.NewQuery(gen.RandomWalk(rng, 64), testConfig(true))
-		ap, err := tr.ApproxSearch(q, 3)
+		ap, err := approxSearch(tr, q, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ex, err := tr.ExactSearch(q, 3)
+		ex, err := exactSearch(tr, q, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -293,7 +312,7 @@ func TestInsertThenSearch(t *testing.T) {
 	}
 	// Each inserted series must now be findable exactly.
 	for i, s := range extra {
-		got, err := tr.ExactSearch(index.NewQuery(s, cfg), 1)
+		got, err := exactSearch(tr, index.NewQuery(s, cfg), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -390,7 +409,7 @@ func TestInsertIntoEmptyTree(t *testing.T) {
 	if err := tr.Insert(s, 5); err != nil {
 		t.Fatal(err)
 	}
-	got, err := tr.ExactSearch(index.NewQuery(s, cfg), 1)
+	got, err := exactSearch(tr, index.NewQuery(s, cfg), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,12 +430,12 @@ func TestWindowedSearch(t *testing.T) {
 	s, _ := ds.Get(50)
 	q := index.NewQuery(s, cfg)
 	// Unwindowed: finds ID 50 at distance 0.
-	got, _ := tr.ExactSearch(q, 1)
+	got, _ := exactSearch(tr, q, 1)
 	if got[0].ID != 50 {
 		t.Fatalf("unwindowed best = %d", got[0].ID)
 	}
 	// Window excluding TS 50: must not return it.
-	got, err = tr.ExactSearch(q.WithWindow(100, 199), 1)
+	got, err = exactSearch(tr, q.WithWindow(100, 199), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,7 +443,7 @@ func TestWindowedSearch(t *testing.T) {
 		t.Fatalf("windowed search returned %+v", got)
 	}
 	// Approximate honors windows too.
-	ap, err := tr.ApproxSearch(q.WithWindow(100, 199), 3)
+	ap, err := approxSearch(tr, q.WithWindow(100, 199), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -460,7 +479,7 @@ func TestExactSearchPrunes(t *testing.T) {
 	tr, disk := buildTree(t, ds, true, 1.0)
 	q := index.NewQuery(gen.RandomWalk(rand.New(rand.NewSource(140)), 64), testConfig(true))
 	disk.ResetStats()
-	if _, err := tr.ExactSearch(q, 1); err != nil {
+	if _, err := exactSearch(tr, q, 1); err != nil {
 		t.Fatal(err)
 	}
 	st := disk.Stats()

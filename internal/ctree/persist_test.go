@@ -34,11 +34,11 @@ func TestSaveOpenRoundTrip(t *testing.T) {
 		rng := rand.New(rand.NewSource(310))
 		for trial := 0; trial < 10; trial++ {
 			q := index.NewQuery(gen.RandomWalk(rng, 64), testConfig(mat))
-			want, err := tr.ExactSearch(q, 3)
+			want, err := exactSearch(tr, q, 3)
 			if err != nil {
 				t.Fatal(err)
 			}
-			have, err := got.ExactSearch(q, 3)
+			have, err := exactSearch(got, q, 3)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -83,7 +83,7 @@ func TestSaveOpenAfterSplits(t *testing.T) {
 		t.Fatal("page map not restored")
 	}
 	s, _ := ds.Get(100)
-	res, err := got.ExactSearch(index.NewQuery(s, cfg), 1)
+	res, err := exactSearch(got, index.NewQuery(s, cfg), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestDiskSnapshotRoundTripWithTree(t *testing.T) {
 		t.Fatal(err)
 	}
 	s, _ := ds.Get(42)
-	res, err := got.ExactSearch(index.NewQuery(s, testConfig(true)), 1)
+	res, err := exactSearch(got, index.NewQuery(s, testConfig(true)), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

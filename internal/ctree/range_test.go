@@ -32,7 +32,7 @@ func TestRangeSearchMatchesBruteForce(t *testing.T) {
 			// non-trivial but not the whole dataset.
 			for _, eps := range []float64{5, 8, 11} {
 				want := bruteRange(q, ds, eps)
-				got, err := tr.RangeSearch(q, eps)
+				got, err := rangeSearch(tr, q, eps)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -53,7 +53,7 @@ func TestRangeSearchEmptyResult(t *testing.T) {
 	ds := buildDataset(t, 100, 52)
 	tr, _ := buildTree(t, ds, true, 1.0)
 	q := index.NewQuery(gen.RandomWalk(rand.New(rand.NewSource(520)), 64), testConfig(true))
-	got, err := tr.RangeSearch(q, 0.0001)
+	got, err := rangeSearch(tr, q, 0.0001)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestRangeSearchWindowed(t *testing.T) {
 	}
 	s, _ := ds.Get(50)
 	q := index.NewQuery(s, cfg)
-	got, err := tr.RangeSearch(q.WithWindow(100, 199), 100)
+	got, err := rangeSearch(tr, q.WithWindow(100, 199), 100)
 	if err != nil {
 		t.Fatal(err)
 	}

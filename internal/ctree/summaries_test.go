@@ -187,7 +187,7 @@ func TestOpenOlderMetaRebuildsSummaries(t *testing.T) {
 			// the current version.
 			for i := 0; i < 5; i++ {
 				s := gen.RandomWalk(rng, 64)
-				got, err := tr.ExactSearch(index.NewQuery(s, tr.Config()), 5)
+				got, err := exactSearch(tr, index.NewQuery(s, tr.Config()), 5)
 				if err != nil {
 					t.Fatal(err)
 				}

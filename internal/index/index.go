@@ -27,17 +27,21 @@
 // # The search contract
 //
 // Nothing about searching is optional: every Index answers approximate,
-// exact and range queries, each through a public method and a core, with one
-// body behind the two that takes the pool it fans out on. The public method
-// (ExactSearch) brings the index's own pool; Search is its prologue, written
-// once. The core (ExactInto) fills the caller's collector with the caller's
-// context, already filled for the query, and scans serially: its caller owns
-// the parallelism at a coarser grain, one context per worker slot
-// (AcquireCtxs) — Batch across queries, a shard group across shards, a
-// stream scheme across partitions. A core leaves the exact accumulated
-// squared sums in the collector, so every composition merges on the keys a
-// single index compares; and it may be handed a collector that already holds
-// results, which only tighten its pruning.
+// exact and range queries, each through one core (ApproxInto, ExactInto,
+// RangeInto) that fills the caller's collector with the caller's context,
+// already filled for the query. The context carries the worker pool the
+// search may fan out on, and whoever holds the pool owns the parallelism: an
+// index that scans its own pages (a CTree's leaf ranges, a CLSM's runs, a
+// BTP's partitions) fans them out on it; a composition (a shard group, a TP
+// stream) spends it across its parts and hands each part a serial context
+// (SearchCtx.Parts); Batch spends it across queries and hands every query a
+// serial context. Only an entry (Into, and Approx, Exact and Range over an
+// Index) sets a pool — it acquires the context, runs the core into a new
+// collector and renders the result — and assemble.Built holds the one pool a
+// build's searches use. A core leaves the exact accumulated squared sums in
+// the collector, so every composition merges on the keys a single index
+// compares; and it may be handed a collector that already holds results,
+// which only tighten its pruning.
 package index
 
 import (
@@ -47,6 +51,7 @@ import (
 	"sync"
 
 	"repro/internal/obs"
+	"repro/internal/parallel"
 	"repro/internal/record"
 	"repro/internal/sax"
 	"repro/internal/series"
@@ -397,27 +402,46 @@ type Index interface {
 	Name() string
 	// Count returns the number of indexed series.
 	Count() int64
-	// ApproxSearch returns up to k likely near neighbors by navigating
-	// directly to the query's summarization region. No distance guarantee.
-	ApproxSearch(q Query, k int) ([]Result, error)
-	// ExactSearch returns the true k nearest neighbors.
-	ExactSearch(q Query, k int) ([]Result, error)
-	// RangeSearch returns every series within Euclidean distance eps of the
-	// query.
-	RangeSearch(q Query, eps float64) ([]Result, error)
-	// ApproxInto, ExactInto and RangeInto are the cores of the three: serial,
-	// into the caller's collector, with the caller's context filled for q.
+	// ApproxInto collects likely near neighbors by navigating directly to
+	// the query's summarization region. No distance guarantee.
 	ApproxInto(q Query, col *Collector, ctx *SearchCtx) error
+	// ExactInto collects the true nearest neighbors.
 	ExactInto(q Query, col *Collector, ctx *SearchCtx) error
+	// RangeInto collects every series within the collector's epsilon of the
+	// query.
 	RangeInto(q Query, col *RangeCollector, ctx *SearchCtx) error
 }
 
-// Search is the prologue of every public search method, written once: a
-// pooled context filled for q, the search itself into col, and col rendered.
-func Search[C interface{ Results() []Result }](q Query, cfg Config, col C, search func(q Query, col C, ctx *SearchCtx) error) ([]Result, error) {
+// Into is the one search entry: a pooled context filled for q under cfg,
+// fanning out on pool (nil or one worker: serial), core run into col on it,
+// and col returned filled. Approx, Exact and Range are it over an Index's
+// cores; a caller holding a core of another shape (a stream scheme, a shard
+// subset) calls it directly.
+func Into[C any](q Query, cfg Config, pool *parallel.Pool, col C, core func(Query, C, *SearchCtx) error) (C, error) {
 	ctx := AcquireCtx(q, cfg)
 	defer ctx.Release()
-	return Rendered(col, search(q, col, ctx))
+	if pool.Workers() > 1 {
+		ctx.Pool = pool
+	}
+	return col, core(q, col, ctx)
+}
+
+// Approx returns up to k likely near neighbors of q in idx, fanning out on
+// pool.
+func Approx(idx Index, q Query, cfg Config, pool *parallel.Pool, k int) ([]Result, error) {
+	return Rendered(Into(q, cfg, pool, NewCollector(k), idx.ApproxInto))
+}
+
+// Exact returns the true k nearest neighbors of q in idx, fanning out on
+// pool.
+func Exact(idx Index, q Query, cfg Config, pool *parallel.Pool, k int) ([]Result, error) {
+	return Rendered(Into(q, cfg, pool, NewCollector(k), idx.ExactInto))
+}
+
+// Range returns every series in idx within Euclidean distance eps of q,
+// fanning out on pool.
+func Range(idx Index, q Query, cfg Config, pool *parallel.Pool, eps float64) ([]Result, error) {
+	return Rendered(Into(q, cfg, pool, NewRangeCollector(eps), idx.RangeInto))
 }
 
 // Rendered renders a finished search's collector, passing its error through.

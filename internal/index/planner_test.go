@@ -329,7 +329,7 @@ func TestProbeUnitsSerialDoesNotAllocate(t *testing.T) {
 	units := randExecUnits(rand.New(rand.NewSource(103)), 8)
 	ctx := new(SearchCtx)
 	pl := &Planner{}
-	plan := ProbePlan{Planner: pl, Pool: SerialPool, Kind: "unit", Units: ctx.PlanUnits(len(units))}
+	plan := ProbePlan{Planner: pl, Kind: "unit", Units: ctx.PlanUnits(len(units))}
 	bound := func(i int) float64 { return units[i].boundSq }
 	col := NewCollector(5)
 	probe := func(i, _ int, col *Collector) error {

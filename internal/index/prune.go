@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"repro/internal/obs"
+	"repro/internal/parallel"
 	"repro/internal/record"
 	"repro/internal/sax"
 	"repro/internal/series"
@@ -59,11 +60,12 @@ import (
 //
 // # Query-context lifecycle
 //
-// A search entry point acquires one context per query and releases it when
-// the query completes:
+// A search entry point (Into) acquires one context per query, hands it the
+// pool the query may fan out on, and releases it when the query completes:
 //
 //	ctx := index.AcquireCtx(q, cfg)
 //	defer ctx.Release()
+//	ctx.Pool = pool
 //
 // The context's Pruner is read-only after AcquireCtx (FillAll may extend it
 // with coarser cardinalities before fan-out; ADS+ needs those for its
@@ -370,8 +372,9 @@ func (s *Scratch) NoteDeadPage(n int64) {
 }
 
 // SearchCtx is the pooled per-query search context: the query's pruning
-// tables plus one Scratch per worker slot. Acquire with AcquireCtx, release
-// with Release. See the lifecycle notes at the top of this file.
+// tables, the worker pool the search fans out on, and one Scratch per worker
+// slot. Acquire with AcquireCtx, release with Release. See the lifecycle
+// notes at the top of this file.
 type SearchCtx struct {
 	P         Pruner
 	scratches []*Scratch
@@ -381,6 +384,11 @@ type SearchCtx struct {
 	// acquisition (nil untraced) and cleared on Release so pooled
 	// contexts never leak a trace across queries.
 	Trace *obs.QueryTrace
+	// Pool is the worker pool the search fans out on; nil is serial. Only
+	// an entry (Into) sets it, and Release clears it, so every other context
+	// — AcquireCtx's, Batch's, the ones a composition hands its parts
+	// (Parts) — is serial.
+	Pool *parallel.Pool
 }
 
 var ctxPool = sync.Pool{New: func() any { return new(SearchCtx) }}
@@ -397,7 +405,7 @@ func AcquireCtx(q Query, cfg Config) *SearchCtx {
 // Release returns the context and all its scratch buffers to the pool. The
 // context must not be used afterwards.
 func (c *SearchCtx) Release() {
-	c.Trace = nil
+	c.Trace, c.Pool = nil, nil
 	ctxPool.Put(c)
 }
 
@@ -405,20 +413,28 @@ func (c *SearchCtx) Release() {
 // an index through its cores.
 type Ctxs []*SearchCtx
 
-// AcquireCtxs returns n contexts filled for q; the caller must Release them.
-func AcquireCtxs(q Query, cfg Config, n int) Ctxs {
-	cs := make(Ctxs, n)
-	for i := range cs {
-		cs[i] = AcquireCtx(q, cfg)
-	}
-	return cs
-}
-
 // Release returns every context to the pool.
 func (cs Ctxs) Release() {
 	for _, c := range cs {
 		c.Release()
 	}
+}
+
+// Parts runs fan with the contexts a composition hands its n parts (shards,
+// partitions), one per worker slot of c's pool, every one of them serial:
+// whoever holds the pool owns the parallelism, and the composition spends it
+// across its parts. Without a pool that is c itself; with one, contexts
+// filled for q, released when fan returns.
+func (c *SearchCtx) Parts(q Query, cfg Config, n int, fan func(Ctxs) error) error {
+	if c.Pool == nil {
+		return fan(Ctxs{c})
+	}
+	cs := make(Ctxs, c.Pool.WorkersFor(n))
+	for i := range cs {
+		cs[i] = AcquireCtx(q, cfg)
+	}
+	defer cs.Release()
+	return fan(cs)
 }
 
 // Scratches returns scratch states for worker slots 0..n-1, growing the set

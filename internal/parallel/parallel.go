@@ -43,8 +43,9 @@ func Resolve(workers int) int {
 }
 
 // Pool is a bounded worker pool. The zero value is not ready for use;
-// create pools with New. A Pool is immutable and safe for concurrent use by
-// any number of goroutines; it holds no goroutines of its own between calls.
+// create pools with New. A nil *Pool is the serial pool: one worker, every
+// task inline. A Pool is immutable and safe for concurrent use by any number
+// of goroutines; it holds no goroutines of its own between calls.
 type Pool struct {
 	workers int
 }
@@ -55,12 +56,17 @@ func New(workers int) *Pool {
 }
 
 // Workers returns the pool's worker bound.
-func (p *Pool) Workers() int { return p.workers }
+func (p *Pool) Workers() int {
+	if p == nil {
+		return 1
+	}
+	return p.workers
+}
 
 // WorkersFor returns how many workers a batch of n tasks will actually use:
 // min(Workers, n), and never less than 1.
 func (p *Pool) WorkersFor(n int) int {
-	w := p.workers
+	w := p.Workers()
 	if w > n {
 		w = n
 	}

@@ -96,19 +96,19 @@ func (b built) query(q []float64) index.Query { return index.NewQuery(series.Ser
 func (b built) Insert(s []float64, ts int64) error { return b.Ingest(series.Series(s), ts) }
 
 func (b built) Search(q []float64, k int) ([]coconut.Match, error) {
-	return matches(b.Index.ExactSearch(b.query(q), k))
+	return matches(b.ExactSearch(b.query(q), k))
 }
 
 func (b built) SearchWindow(q []float64, k int, minTS, maxTS int64) ([]coconut.Match, error) {
-	return matches(b.Index.ExactSearch(b.query(q).WithWindow(minTS, maxTS), k))
+	return matches(b.ExactSearch(b.query(q).WithWindow(minTS, maxTS), k))
 }
 
 func (b built) SearchRange(q []float64, eps float64) ([]coconut.Match, error) {
-	return matches(b.Index.RangeSearch(b.query(q), eps))
+	return matches(b.RangeSearch(b.query(q), eps))
 }
 
 func (b built) SearchApprox(q []float64, k int) ([]coconut.Match, error) {
-	return matches(b.Index.ApproxSearch(b.query(q), k))
+	return matches(b.ApproxSearch(b.query(q), k))
 }
 
 func (b built) SearchBatch(qs [][]float64, k int) ([][]coconut.Match, error) {

@@ -121,13 +121,13 @@ func (s *Server) handleClusterSearch(w http.ResponseWriter, r *http.Request) {
 		Each(func(id, ts int64, distSq float64))
 	}
 	diff, _, _, err := s.search(b, mode, func() (err error) {
-		switch mode {
+		switch pool := b.built.Workers(); mode {
 		case modeRange:
-			col, err = g.RangeSearchShards(q, req.Eps, shards)
+			col, err = g.RangeSearchShards(q, req.Eps, shards, pool)
 		case modeApprox:
-			col, err = g.ApproxSearchShards(q, b.boundK(req.K), shards)
+			col, err = g.ApproxSearchShards(q, b.boundK(req.K), shards, pool)
 		default:
-			col, err = g.ExactSearchShards(q, b.boundK(req.K), shards)
+			col, err = g.ExactSearchShards(q, b.boundK(req.K), shards, pool)
 		}
 		return err
 	})

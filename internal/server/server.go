@@ -601,11 +601,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	diff, skips, elapsed, err := s.search(b, mode, func() (err error) {
 		switch mode {
 		case modeRange:
-			rs, err = b.built.Index.RangeSearch(q, req.Eps)
+			rs, err = b.built.RangeSearch(q, req.Eps)
 		case modeExact:
-			rs, err = b.built.Index.ExactSearch(q, b.boundK(req.K))
+			rs, err = b.built.ExactSearch(q, b.boundK(req.K))
 		default:
-			rs, err = b.built.Index.ApproxSearch(q, b.boundK(req.K))
+			rs, err = b.built.ApproxSearch(q, b.boundK(req.K))
 		}
 		return err
 	})
@@ -758,7 +758,7 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		rss = make([][]index.Result, len(qs))
 		for i, q := range qs {
-			if rss[i], err = b.built.Index.ApproxSearch(q, k); err != nil {
+			if rss[i], err = b.built.ApproxSearch(q, k); err != nil {
 				return err
 			}
 		}

@@ -21,10 +21,12 @@ import (
 // in-process merge over all shards does.
 //
 // Probes fan across the requested shards through index.ProbeUnits on the
-// group's worker pool, ordered and skipped by the group's planner (typically
-// the planner every shard's sub-index also carries, so shard-, run- and
-// leaf-level planning share one set of counters). A cluster node built at
-// parallelism 1 is the serial case of the same executor.
+// worker pool the search context carries, ordered and skipped by the group's
+// planner (typically the planner every shard's sub-index also carries, so
+// shard-, run- and leaf-level planning share one set of counters); every
+// shard searches serially, with a context of its own per worker slot
+// (index.SearchCtx.Parts). A search without a pool is the serial case of the
+// same executor.
 //
 // A Group implements index.Index over its whole owned subset; on a fully
 // replicated node those answers equal the cluster-wide ones.
@@ -38,7 +40,6 @@ type Group struct {
 	nshards int
 	owned   []int // ascending shard indices
 	shards  map[int]*Shard
-	pool    *parallel.Pool
 	planner *index.Planner
 
 	// idsMu guards every owned shard's IDs slice, lastID and count so
@@ -53,11 +54,9 @@ type Group struct {
 // NewGroup assembles a shard group. nshards is the logical shard count;
 // owned maps shard index -> shard. Every owned shard's IDs must be ascending
 // and hash-placed into that shard (Of(id, nshards)), and its index must hold
-// exactly len(IDs) series. Sub-indexes should search serially: the group
-// owns the fan-out (parallelism <= 0 selects GOMAXPROCS), and nesting pools
-// only adds scheduling overhead. A nil planner plans with default settings;
-// one with Disabled set restores the unplanned fan-out.
-func NewGroup(cfg index.Config, nshards int, owned map[int]*Shard, parallelism int, planner *index.Planner) (*Group, error) {
+// exactly len(IDs) series. A nil planner plans with default settings; one
+// with Disabled set restores the unplanned fan-out.
+func NewGroup(cfg index.Config, nshards int, owned map[int]*Shard, planner *index.Planner) (*Group, error) {
 	if nshards < 1 {
 		return nil, fmt.Errorf("shard: cluster needs at least one shard, got %d", nshards)
 	}
@@ -68,7 +67,6 @@ func NewGroup(cfg index.Config, nshards int, owned map[int]*Shard, parallelism i
 		cfg:     cfg,
 		nshards: nshards,
 		shards:  make(map[int]*Shard, len(owned)),
-		pool:    parallel.New(parallelism),
 		planner: planner,
 		lastID:  make(map[int]int64, len(owned)),
 	}
@@ -103,11 +101,6 @@ func NewGroup(cfg index.Config, nshards int, owned map[int]*Shard, parallelism i
 
 // NShards returns the logical shard count.
 func (g *Group) NShards() int { return g.nshards }
-
-// SetParallelism re-sizes the cross-shard worker pool (n <= 0 selects
-// GOMAXPROCS; 1 probes shards serially). Answers are identical at every
-// setting. Call only while no search is in flight.
-func (g *Group) SetParallelism(n int) { g.pool = parallel.New(n) }
 
 // Owned returns the shard indices this group holds, ascending. The slice is
 // owned by the group; callers must not mutate it.
@@ -166,30 +159,33 @@ func (g *Group) resolve(reqs []int) ([]int, error) {
 	return reqs, nil
 }
 
-// fan runs search — one of exact, approx and rangeScan — over a requested
-// shard list into col, on the group's pool with one pooled context per
-// worker slot, and returns col.
-func fan[C any](g *Group, q index.Query, reqs []int, col C, search func(index.Query, C, []int, *parallel.Pool, index.Ctxs) error) (C, error) {
+// shardsInto runs search — one of exact, approx and rangeScan — over a
+// requested shard list into col through the one search entry (index.Into),
+// fanning out on pool, and returns col.
+func shardsInto[C any](g *Group, q index.Query, reqs []int, pool *parallel.Pool, col C, search func(index.Query, C, []int, *index.SearchCtx) error) (C, error) {
 	shards, err := g.resolve(reqs)
 	if err != nil {
 		return col, err
 	}
-	ctxs := index.AcquireCtxs(q, g.cfg, g.pool.WorkersFor(len(shards)))
-	defer ctxs.Release()
-	return col, search(q, col, shards, g.pool, ctxs)
+	return index.Into(q, g.cfg, pool, col, func(q index.Query, col C, ctx *index.SearchCtx) error {
+		return search(q, col, shards, ctx)
+	})
 }
 
 // probe searches the listed shards into col through the planned-probe
-// executor, worker slot w of pool searching with ctxs[w]. The plan lives in
-// ctxs[0]'s outer buffer: each shard's inner index plans its own runs or
-// leaves in the primary buffer of the same context.
-func probe[C index.FanCollector[C]](g *Group, q index.Query, col C, shards []int, pool *parallel.Pool, ctxs index.Ctxs, search func(sh *Shard, ctx *index.SearchCtx, col C) error) error {
-	return index.ProbeUnits(index.ProbePlan{
-		Planner: g.planner, Pool: pool, Trace: q.Trace, Kind: "shard", Units: ctxs[0].OuterPlanUnits(len(shards)),
-	}, col, func(i int) float64 {
-		return g.shards[shards[i]].boundSq(q, ctxs[0])
-	}, func(i, w int, col C) error {
-		return search(g.shards[shards[i]], ctxs[w], col)
+// executor on ctx's pool, worker slot w searching with the serial context
+// ctxs[w]. The plan lives in ctx's outer buffer: each shard's inner index
+// plans its own runs or leaves in the primary buffer of its context, which
+// without a pool is ctx itself.
+func probe[C index.FanCollector[C]](g *Group, q index.Query, col C, shards []int, ctx *index.SearchCtx, search func(sh *Shard, ctx *index.SearchCtx, col C) error) error {
+	return ctx.Parts(q, g.cfg, len(shards), func(ctxs index.Ctxs) error {
+		return index.ProbeUnits(index.ProbePlan{
+			Planner: g.planner, Pool: ctx.Pool, Trace: ctx.Trace, Kind: "shard", Units: ctx.OuterPlanUnits(len(shards)),
+		}, col, func(i int) float64 {
+			return g.shards[shards[i]].boundSq(q, ctx)
+		}, func(i, w int, col C) error {
+			return search(g.shards[shards[i]], ctxs[w], col)
+		})
 	})
 }
 
@@ -197,8 +193,8 @@ func probe[C index.FanCollector[C]](g *Group, q index.Query, col C, shards []int
 // its subset, and the per-shard collectors merge on their exact squared
 // sums, so the answer is byte-identical to the unsharded index's at every
 // parallelism.
-func (g *Group) exact(q index.Query, col *index.Collector, shards []int, pool *parallel.Pool, ctxs index.Ctxs) error {
-	return probe(g, q, col, shards, pool, ctxs, func(sh *Shard, ctx *index.SearchCtx, col *index.Collector) error {
+func (g *Group) exact(q index.Query, col *index.Collector, shards []int, ctx *index.SearchCtx) error {
+	return probe(g, q, col, shards, ctx, func(sh *Shard, ctx *index.SearchCtx, col *index.Collector) error {
 		return into(sh, &g.idsMu, sh.Index.ExactInto, q, ctx, col, col.Sub())
 	})
 }
@@ -206,75 +202,63 @@ func (g *Group) exact(q index.Query, col *index.Collector, shards []int, pool *p
 // approx is the approximate search: per-shard approximate probes, merged
 // like exact answers. No shard is skipped — an approximate probe reads a
 // page or two wherever the query's key falls.
-func (g *Group) approx(q index.Query, col *index.Collector, shards []int, pool *parallel.Pool, ctxs index.Ctxs) error {
-	return index.FanOut(pool, len(shards), col, func(i, w int, col *index.Collector) error {
-		sh := g.shards[shards[i]]
-		return into(sh, &g.idsMu, sh.Index.ApproxInto, q, ctxs[w], col, col.Sub())
+func (g *Group) approx(q index.Query, col *index.Collector, shards []int, ctx *index.SearchCtx) error {
+	return ctx.Parts(q, g.cfg, len(shards), func(ctxs index.Ctxs) error {
+		return index.FanOut(ctx.Pool, len(shards), col, func(i, w int, col *index.Collector) error {
+			sh := g.shards[shards[i]]
+			return into(sh, &g.idsMu, sh.Index.ApproxInto, q, ctxs[w], col, col.Sub())
+		})
 	})
 }
 
 // rangeScan is the range search. The epsilon bound is static, so a shard
 // whose envelope bound exceeds it is dropped before the fan-out.
-func (g *Group) rangeScan(q index.Query, col *index.RangeCollector, shards []int, pool *parallel.Pool, ctxs index.Ctxs) error {
-	return probe(g, q, col, shards, pool, ctxs, func(sh *Shard, ctx *index.SearchCtx, col *index.RangeCollector) error {
+func (g *Group) rangeScan(q index.Query, col *index.RangeCollector, shards []int, ctx *index.SearchCtx) error {
+	return probe(g, q, col, shards, ctx, func(sh *Shard, ctx *index.SearchCtx, col *index.RangeCollector) error {
 		return into(sh, &g.idsMu, sh.Index.RangeInto, q, ctx, col, col.PooledClone())
 	})
 }
 
 // ExactSearchShards answers an exact k-NN over the requested shard subset
-// (nil = all owned), returning the collector itself: its contents are the k
-// best (squared distance, global ID) pairs over the union of the requested
-// shards' series, with the exact accumulated squared sums intact for a
-// higher-level merge.
-func (g *Group) ExactSearchShards(q index.Query, k int, reqs []int) (*index.Collector, error) {
-	return fan(g, q, reqs, index.NewCollector(k), g.exact)
+// (nil = all owned), fanning out on pool, and returns the collector itself:
+// its contents are the k best (squared distance, global ID) pairs over the
+// union of the requested shards' series, with the exact accumulated squared
+// sums intact for a higher-level merge.
+func (g *Group) ExactSearchShards(q index.Query, k int, reqs []int, pool *parallel.Pool) (*index.Collector, error) {
+	return shardsInto(g, q, reqs, pool, index.NewCollector(k), g.exact)
 }
 
 // RangeSearchShards answers a range (epsilon) query over the requested
-// shard subset (nil = all owned), returning the collector with every
-// qualifying series under its global ID and its exact squared sum.
-func (g *Group) RangeSearchShards(q index.Query, eps float64, reqs []int) (*index.RangeCollector, error) {
-	return fan(g, q, reqs, index.NewRangeCollector(eps), g.rangeScan)
+// shard subset (nil = all owned), fanning out on pool, and returns the
+// collector with every qualifying series under its global ID and its exact
+// squared sum.
+func (g *Group) RangeSearchShards(q index.Query, eps float64, reqs []int, pool *parallel.Pool) (*index.RangeCollector, error) {
+	return shardsInto(g, q, reqs, pool, index.NewRangeCollector(eps), g.rangeScan)
 }
 
 // ApproxSearchShards answers an approximate k-NN over the requested shard
-// subset (nil = all owned). Like every approximate search it carries no
-// distance guarantee, so distributed approximate answers match the merge
-// contract (up to k deduplicated results ordered by (distance, ID)) rather
-// than being byte-identical across topologies.
-func (g *Group) ApproxSearchShards(q index.Query, k int, reqs []int) (*index.Collector, error) {
-	return fan(g, q, reqs, index.NewCollector(k), g.approx)
-}
-
-// ExactSearch answers an exact k-NN over every owned shard (index.Index).
-func (g *Group) ExactSearch(q index.Query, k int) ([]index.Result, error) {
-	return index.Rendered(g.ExactSearchShards(q, k, nil))
-}
-
-// ApproxSearch answers an approximate k-NN over every owned shard.
-func (g *Group) ApproxSearch(q index.Query, k int) ([]index.Result, error) {
-	return index.Rendered(g.ApproxSearchShards(q, k, nil))
-}
-
-// RangeSearch answers a range query over every owned shard.
-func (g *Group) RangeSearch(q index.Query, eps float64) ([]index.Result, error) {
-	return index.Rendered(g.RangeSearchShards(q, eps, nil))
+// subset (nil = all owned), fanning out on pool. Like every approximate
+// search it carries no distance guarantee, so distributed approximate
+// answers match the merge contract (up to k deduplicated results ordered by
+// (distance, ID)) rather than being byte-identical across topologies.
+func (g *Group) ApproxSearchShards(q index.Query, k int, reqs []int, pool *parallel.Pool) (*index.Collector, error) {
+	return shardsInto(g, q, reqs, pool, index.NewCollector(k), g.approx)
 }
 
 // ExactInto, ApproxInto and RangeInto are the cores (index.Index): every
-// owned shard probed serially with the caller's one context. One table fill
-// serves every shard, which is what makes a batch over a sharded build
-// (index.Batch) cheap.
+// owned shard probed on the context's pool, or, without one, serially with
+// the context itself. One table fill then serves every shard, which is what
+// makes a batch over a sharded build (index.Batch) cheap.
 func (g *Group) ExactInto(q index.Query, col *index.Collector, ctx *index.SearchCtx) error {
-	return g.exact(q, col, g.owned, index.SerialPool, index.Ctxs{ctx})
+	return g.exact(q, col, g.owned, ctx)
 }
 
 func (g *Group) ApproxInto(q index.Query, col *index.Collector, ctx *index.SearchCtx) error {
-	return g.approx(q, col, g.owned, index.SerialPool, index.Ctxs{ctx})
+	return g.approx(q, col, g.owned, ctx)
 }
 
 func (g *Group) RangeInto(q index.Query, col *index.RangeCollector, ctx *index.SearchCtx) error {
-	return g.rangeScan(q, col, g.owned, index.SerialPool, index.Ctxs{ctx})
+	return g.rangeScan(q, col, g.owned, ctx)
 }
 
 // PrepareInsert validates that global ID id may be appended next: the node

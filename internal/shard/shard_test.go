@@ -106,11 +106,11 @@ func TestWorkloadShardedEquivalence(t *testing.T) {
 					t.Fatalf("sharded count %d, unsharded %d", b.Index.Count(), base.Index.Count())
 				}
 				for qi, q := range queries {
-					want, err := base.Index.ExactSearch(q, 5)
+					want, err := base.ExactSearch(q, 5)
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, err := b.Index.ExactSearch(q, 5)
+					got, err := b.ExactSearch(q, 5)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -118,11 +118,11 @@ func TestWorkloadShardedEquivalence(t *testing.T) {
 						t.Fatalf("query %d: exact diverges\n got %+v\nwant %+v", qi, got, want)
 					}
 					eps := want[2].Dist
-					wantR, err := base.Index.RangeSearch(q, eps)
+					wantR, err := base.RangeSearch(q, eps)
 					if err != nil {
 						t.Fatal(err)
 					}
-					gotR, err := b.Index.RangeSearch(q, eps)
+					gotR, err := b.RangeSearch(q, eps)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -137,7 +137,7 @@ func TestWorkloadShardedEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 				for qi, q := range queries {
-					want, err := b.Index.ExactSearch(q, 5)
+					want, err := b.ExactSearch(q, 5)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -151,7 +151,7 @@ func TestWorkloadShardedEquivalence(t *testing.T) {
 }
 
 func TestNewValidates(t *testing.T) {
-	if _, err := shard.NewGroup(index.Config{}, 1, nil, 1, nil); err == nil {
+	if _, err := shard.NewGroup(index.Config{}, 1, nil, nil); err == nil {
 		t.Fatal("NewGroup accepted zero shards")
 	}
 	cfg := index.Config{SeriesLen: 64, Segments: 8, Bits: 6}
@@ -162,7 +162,7 @@ func TestNewValidates(t *testing.T) {
 	}
 	// A mapping whose length disagrees with the sub-index count must be
 	// rejected: it would silently mistranslate IDs.
-	_, err = shard.NewGroup(cfg, 1, map[int]*shard.Shard{0: {Index: b.Index, Disk: b.Disk, IDs: make([]int64, 7)}}, 1, nil)
+	_, err = shard.NewGroup(cfg, 1, map[int]*shard.Shard{0: {Index: b.Index, Disk: b.Disk, IDs: make([]int64, 7)}}, nil)
 	if err == nil {
 		t.Fatal("NewGroup accepted a shard whose ID map disagrees with its index count")
 	}

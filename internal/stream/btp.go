@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/index"
-	"repro/internal/parallel"
 	"repro/internal/record"
 	"repro/internal/run"
 	"repro/internal/series"
@@ -39,15 +38,18 @@ type BTP struct {
 	seq         int
 	count       int64
 	merges      int64
-	pool        *parallel.Pool
 }
 
 // NewBTP builds a bounded-temporal-partitioning scheme over sorted runs.
 // reader serves the partitions' page reads (typically a buffer pool over
 // disk); nil selects the disk itself (uncached). mergeFactor is the number
 // of same-class partitions that triggers a merge (default 2, the most
-// aggressive bounding).
-func NewBTP(disk storage.Backend, reader storage.PageReader, name string, cfg index.Config, bufferCap, mergeFactor int, raw series.RawStore) (*BTP, error) {
+// aggressive bounding). planner orders partition probes by their synopsis
+// envelope bound, skips partitions that cannot improve the current answer,
+// and leaves a partition's dead pages unread; nil plans with default
+// settings, and one with Disabled set restores the unplanned probe order and
+// pins every page a scan reaches.
+func NewBTP(disk storage.Backend, reader storage.PageReader, name string, cfg index.Config, bufferCap, mergeFactor int, raw series.RawStore, planner *index.Planner) (*BTP, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -67,28 +69,13 @@ func NewBTP(disk storage.Backend, reader storage.PageReader, name string, cfg in
 		return nil, fmt.Errorf("stream: entry size %d exceeds page size %d", size, disk.PageSize())
 	}
 	return &BTP{
-		store:       run.NewStore(disk, reader, nil, cfg, raw),
+		store:       run.NewStore(disk, reader, planner, cfg, raw),
 		name:        name,
 		sum:         summarizer{cfg: cfg},
 		bufferCap:   bufferCap,
 		mergeFactor: mergeFactor,
-		pool:        parallel.New(0),
 	}, nil
 }
-
-// SetParallelism bounds the worker goroutines one query uses to probe
-// intersecting partitions concurrently (n <= 0 selects GOMAXPROCS). Results
-// are identical at every setting. Call before querying; the setting is not
-// synchronized with in-flight searches.
-func (b *BTP) SetParallelism(n int) { b.pool = parallel.New(n) }
-
-// SetPlanner installs the query planner that orders partition probes by
-// their synopsis envelope bound, skips partitions that cannot improve the
-// current answer, and leaves a partition's dead pages unread. nil (the
-// default) plans with default settings; a planner with Disabled set restores
-// the unplanned probe order and pins every page a scan reaches. Call before
-// querying; the setting is not synchronized with in-flight searches.
-func (b *BTP) SetPlanner(pl *index.Planner) { b.store.Planner = pl }
 
 // Name implements Scheme.
 func (b *BTP) Name() string {
@@ -195,37 +182,30 @@ func (b *BTP) Partitions() int { return len(b.parts) }
 // Merges returns the number of partition merges performed.
 func (b *BTP) Merges() int64 { return b.merges }
 
-// ApproxSearch implements Scheme: the buffer is scanned and each
-// intersecting partition is probed at the query key's page. Partitions are
-// independent sorted runs, so probes execute concurrently on the worker
-// pool.
-func (b *BTP) ApproxSearch(q index.Query, k int) ([]index.Result, error) {
-	return index.Search(q, b.store.Config, index.NewCollector(k), b.approx)
-}
-
-// approx is the approximate search, and the exact search's first phase on
-// the same context (one table fill across both).
-func (b *BTP) approx(q index.Query, col *index.Collector, ctx *index.SearchCtx) error {
+// ApproxInto implements Scheme: the buffer is scanned and each intersecting
+// partition is probed at the query key's page. Partitions are independent
+// sorted runs, so probes execute concurrently on ctx's pool. It is also the
+// exact search's first phase on the same context (one table fill across
+// both).
+func (b *BTP) ApproxInto(q index.Query, col *index.Collector, ctx *index.SearchCtx) error {
 	if err := index.ScanBuffer(b.buffer, q, b.store.Raw, col, ctx.Scratch0()); err != nil {
 		return err
 	}
 	return b.forEachPart(q, ctx, col, (*run.Store).Probe)
 }
 
-// ExactSearch implements Scheme: the approximate phase seeds the bound,
-// then a pruned scan of every intersecting partition, partitions scanning
+// ExactInto implements Scheme: the approximate phase seeds the bound, then
+// a pruned scan of every intersecting partition, partitions scanning
 // concurrently. The buffer was already fully evaluated by the approximate
 // phase (deduplication by ID makes re-offering it a no-op), so only the
 // partitions need the full pass. Partitions whose range falls outside the
 // window are skipped wholesale — the bandwidth saving TP pioneered, here
 // with a bounded partition count.
-func (b *BTP) ExactSearch(q index.Query, k int) ([]index.Result, error) {
-	return index.Search(q, b.store.Config, index.NewCollector(k), func(q index.Query, col *index.Collector, ctx *index.SearchCtx) error {
-		if err := b.approx(q, col, ctx); err != nil {
-			return err
-		}
-		return b.forEachPart(q, ctx, col, (*run.Store).ScanKNN)
-	})
+func (b *BTP) ExactInto(q index.Query, col *index.Collector, ctx *index.SearchCtx) error {
+	if err := b.ApproxInto(q, col, ctx); err != nil {
+		return err
+	}
+	return b.forEachPart(q, ctx, col, (*run.Store).ScanKNN)
 }
 
 // forEachPart applies scan (the run store's Probe or ScanKNN, as a method
@@ -241,9 +221,9 @@ func (b *BTP) forEachPart(q index.Query, ctx *index.SearchCtx, col *index.Collec
 			active = append(active, p.Run)
 		}
 	}
-	scs := ctx.Scratches(b.pool.WorkersFor(len(active)))
+	scs := ctx.Scratches(ctx.Pool.WorkersFor(len(active)))
 	return index.ProbeUnits(index.ProbePlan{
-		Planner: b.store.Planner, Pool: b.pool, Trace: ctx.Trace, Kind: "partition", Units: ctx.PlanUnits(len(active)),
+		Planner: b.store.Planner, Pool: ctx.Pool, Trace: ctx.Trace, Kind: "partition", Units: ctx.PlanUnits(len(active)),
 	}, col, func(i int) float64 {
 		return ctx.P.SynopsisBoundSq(active[i].Syn)
 	}, func(i, w int, col *index.Collector) error {

@@ -20,18 +20,16 @@ func buildPlannedPair(t *testing.T, kind string, mat bool) (on, off Scheme) {
 		var sc Scheme
 		switch kind {
 		case "tp":
-			tp, err := NewTP("tp", testConfig(mat), CTreeFactory(storage.NewDisk(0), nil, testConfig(mat), raw), 128, raw)
+			tp, err := NewTP("tp", testConfig(mat), CTreeFactory(storage.NewDisk(0), nil, testConfig(mat), raw), 128, raw, pl)
 			if err != nil {
 				t.Fatal(err)
 			}
-			tp.SetPlanner(pl)
 			sc = tp
 		case "btp":
-			btp, err := NewBTP(storage.NewDisk(0), nil, "btp", testConfig(mat), 128, 2, raw)
+			btp, err := NewBTP(storage.NewDisk(0), nil, "btp", testConfig(mat), 128, 2, raw, pl)
 			if err != nil {
 				t.Fatal(err)
 			}
-			btp.SetPlanner(pl)
 			sc = btp
 		}
 		ingestAll(t, sc, raw, ss, ts)
@@ -57,22 +55,22 @@ func TestPlannedSearchMatchesUnplanned(t *testing.T) {
 					pq = pq.WithWindow(lo, lo+int64(rng.Intn(200)))
 				}
 				k := 1 + rng.Intn(5)
-				a, err := on.ExactSearch(pq, k)
+				a, err := exactSearch(on, pq, k)
 				if err != nil {
 					t.Fatal(err)
 				}
-				b, err := off.ExactSearch(pq, k)
+				b, err := exactSearch(off, pq, k)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !reflect.DeepEqual(a, b) {
 					t.Fatalf("%s mat=%v trial %d: exact planned %v != unplanned %v", kind, mat, trial, a, b)
 				}
-				a, err = on.ApproxSearch(pq, k)
+				a, err = approxSearch(on, pq, k)
 				if err != nil {
 					t.Fatal(err)
 				}
-				b, err = off.ApproxSearch(pq, k)
+				b, err = approxSearch(off, pq, k)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -29,7 +29,7 @@ func TestCLSMFlushAndBTPSealWriteTheSameRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	btp, err := NewBTP(btpDisk, nil, "btp", testConfig(false), n, 2, raw)
+	btp, err := NewBTP(btpDisk, nil, "btp", testConfig(false), n, 2, raw, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestBTPFaultInjection(t *testing.T) {
 				t.Fatal(err)
 			}
 			raw := &memRaw{}
-			btp, err := NewBTP(disk, nil, "btp", testConfig(false), bufferCap, 2, raw)
+			btp, err := NewBTP(disk, nil, "btp", testConfig(false), bufferCap, 2, raw, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -135,7 +135,7 @@ func TestBTPFaultInjection(t *testing.T) {
 			for trial := 0; trial < 4; trial++ {
 				qs := gen.RandomWalk(rng, 64)
 				want := bruteWindowKNN(qs, ss, ts, math.MinInt64, math.MaxInt64, 5)
-				got, err := btp.ExactSearch(index.NewQuery(qs, testConfig(false)), 5)
+				got, err := exactSearch(btp, index.NewQuery(qs, testConfig(false)), 5)
 				if err != nil {
 					t.Fatalf("search after the fault: %v", err)
 				}

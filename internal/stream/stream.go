@@ -17,15 +17,17 @@
 // All schemes share a Ingestor front end that z-normalizes, summarizes,
 // assigns global IDs, and timestamps each arriving series.
 //
-// TP and BTP search their time-partitions concurrently on a bounded worker
-// pool (SetParallelism); PP inherits whatever parallelism its base index
-// was built with. Window-query answers are identical at every parallelism
-// setting — partitions are independent, and per-worker results merge
-// through the deterministic collector of package index — and identical
-// across the three schemes over one stream: a TP partition is searched
-// through its index's cores (index.Index.ExactInto) and a BTP partition
-// scanned straight into the query's collector, so every merge is on the
-// accumulated squared sums PP's one index compares.
+// A scheme answers through cores, as an index does (index.Index): they take
+// the caller's collector and context, and fan out on the worker pool the
+// context carries. TP and BTP spend it across their time-partitions — a TP
+// partition, an index of its own, searching serially on a context of its own
+// per worker slot — and PP hands it to its one index. Window-query answers
+// are identical at every parallelism — partitions are independent, and
+// per-worker results merge through the deterministic collector of package
+// index — and identical across the three schemes over one stream: a TP
+// partition is searched through its index's cores (index.Index.ExactInto)
+// and a BTP partition scanned straight into the query's collector, so every
+// merge is on the accumulated squared sums PP's one index compares.
 package stream
 
 import (
@@ -46,10 +48,11 @@ type Scheme interface {
 	Ingest(s series.Series, ts int64) (int64, error)
 	// Seal flushes any buffered state to the underlying structures.
 	Seal() error
-	// ApproxSearch and ExactSearch answer k-NN queries; a windowed query
-	// restricts matches to entries whose timestamp lies in the window.
-	ApproxSearch(q index.Query, k int) ([]index.Result, error)
-	ExactSearch(q index.Query, k int) ([]index.Result, error)
+	// ApproxInto and ExactInto are the k-NN cores, as on an index.Index; a
+	// windowed query restricts matches to entries whose timestamp lies in
+	// the window.
+	ApproxInto(q index.Query, col *index.Collector, ctx *index.SearchCtx) error
+	ExactInto(q index.Query, col *index.Collector, ctx *index.SearchCtx) error
 	// Count returns the number of ingested series.
 	Count() int64
 	// Partitions returns how many separately-searchable pieces exist (1 for
@@ -114,14 +117,14 @@ func (p *PP) Ingest(s series.Series, ts int64) (int64, error) {
 // needs forcing.
 func (p *PP) Seal() error { return nil }
 
-// ApproxSearch implements Scheme.
-func (p *PP) ApproxSearch(q index.Query, k int) ([]index.Result, error) {
-	return p.base.ApproxSearch(q, k)
+// ApproxInto implements Scheme.
+func (p *PP) ApproxInto(q index.Query, col *index.Collector, ctx *index.SearchCtx) error {
+	return p.base.ApproxInto(q, col, ctx)
 }
 
-// ExactSearch implements Scheme.
-func (p *PP) ExactSearch(q index.Query, k int) ([]index.Result, error) {
-	return p.base.ExactSearch(q, k)
+// ExactInto implements Scheme.
+func (p *PP) ExactInto(q index.Query, col *index.Collector, ctx *index.SearchCtx) error {
+	return p.base.ExactInto(q, col, ctx)
 }
 
 // Count implements Scheme.

@@ -11,12 +11,31 @@ import (
 	"repro/internal/clsm"
 	"repro/internal/gen"
 	"repro/internal/index"
+	"repro/internal/parallel"
 	"repro/internal/series"
 	"repro/internal/storage"
 )
 
 func testConfig(materialized bool) index.Config {
 	return index.Config{SeriesLen: 64, Segments: 8, Bits: 8, Materialized: materialized}
+}
+
+// testPool fans the tests' searches out on GOMAXPROCS workers, so the
+// partition fan-out runs whenever the test binary has several procs.
+var testPool = parallel.New(0)
+
+// search runs a scheme's core through the search entry on pool.
+func search(core func(index.Query, *index.Collector, *index.SearchCtx) error, q index.Query, k int, pool *parallel.Pool) ([]index.Result, error) {
+	return index.Rendered(index.Into(q, testConfig(false), pool, index.NewCollector(k), core))
+}
+
+// exactSearch and approxSearch search sc on testPool.
+func exactSearch(sc Scheme, q index.Query, k int) ([]index.Result, error) {
+	return search(sc.ExactInto, q, k, testPool)
+}
+
+func approxSearch(sc Scheme, q index.Query, k int) ([]index.Result, error) {
+	return search(sc.ApproxInto, q, k, testPool)
 }
 
 // memRaw collects ingested z-normalized series as the schemes' raw store.
@@ -93,35 +112,23 @@ func schemes(t *testing.T, raw *memRaw, mat bool) map[string]Scheme {
 		"PP-ADS":  newPPADS(t, raw, mat),
 	}
 	diskTP := storage.NewDisk(0)
-	tp, err := NewTP("tp", testConfig(mat), CTreeFactory(diskTP, nil, testConfig(mat), raw), 128, raw)
+	tp, err := NewTP("tp", testConfig(mat), CTreeFactory(diskTP, nil, testConfig(mat), raw), 128, raw, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	out["TP-CTree"] = tp
 	diskTPA := storage.NewDisk(0)
-	tpa, err := NewTP("tpa", testConfig(mat), ADSFactory(diskTPA, nil, testConfig(mat), raw), 128, raw)
+	tpa, err := NewTP("tpa", testConfig(mat), ADSFactory(diskTPA, nil, testConfig(mat), raw), 128, raw, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	out["TP-ADS"] = tpa
-	btp, err := NewBTP(storage.NewDisk(0), nil, "btp", testConfig(mat), 128, 2, raw)
+	btp, err := NewBTP(storage.NewDisk(0), nil, "btp", testConfig(mat), 128, 2, raw, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	out["BTP"] = btp
 	return out
-}
-
-// setWorkers sizes the pool a scheme's searches fan out on: its own, or —
-// for PP — its base index's, when it has one.
-func setWorkers(sc Scheme, n int) {
-	var target any = sc
-	if pp, ok := sc.(*PP); ok {
-		target = pp.base
-	}
-	if p, ok := target.(interface{ SetParallelism(int) }); ok {
-		p.SetParallelism(n)
-	}
 }
 
 func TestAllSchemesExactMatchesBruteForce(t *testing.T) {
@@ -151,9 +158,7 @@ func TestAllSchemesExactMatchesBruteForce(t *testing.T) {
 				for _, workers := range []int{1, 4} {
 					var first []index.Result
 					for _, name := range names {
-						sc := scs[name]
-						setWorkers(sc, workers)
-						got, err := sc.ExactSearch(qq, 3)
+						got, err := search(scs[name].ExactInto, qq, 3, parallel.New(workers))
 						if err != nil {
 							t.Fatalf("%s mat=%v: %v", name, mat, err)
 						}
@@ -207,7 +212,7 @@ func TestPPNameAndPartitions(t *testing.T) {
 func TestTPPartitionsGrowLinearly(t *testing.T) {
 	raw := &memRaw{}
 	disk := storage.NewDisk(0)
-	tp, err := NewTP("tp", testConfig(false), CTreeFactory(disk, nil, testConfig(false), raw), 100, raw)
+	tp, err := NewTP("tp", testConfig(false), CTreeFactory(disk, nil, testConfig(false), raw), 100, raw, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +228,7 @@ func TestTPPartitionsGrowLinearly(t *testing.T) {
 
 func TestBTPBoundsPartitions(t *testing.T) {
 	raw := &memRaw{}
-	btp, err := NewBTP(storage.NewDisk(0), nil, "btp", testConfig(false), 100, 2, raw)
+	btp, err := NewBTP(storage.NewDisk(0), nil, "btp", testConfig(false), 100, 2, raw, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +249,7 @@ func TestBTPBoundsPartitions(t *testing.T) {
 
 func TestBTPTimeRangesDisjointOrdered(t *testing.T) {
 	raw := &memRaw{}
-	btp, err := NewBTP(storage.NewDisk(0), nil, "btp", testConfig(false), 64, 2, raw)
+	btp, err := NewBTP(storage.NewDisk(0), nil, "btp", testConfig(false), 64, 2, raw, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +300,7 @@ func (f *fileReads) Access(file string, _ int64, write bool) {
 func TestBTPSmallWindowSkipsLargePartitions(t *testing.T) {
 	raw := &memRaw{}
 	disk := storage.NewDisk(0)
-	btp, err := NewBTP(disk, nil, "btp", testConfig(true), 128, 2, raw)
+	btp, err := NewBTP(disk, nil, "btp", testConfig(true), 128, 2, raw, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +328,7 @@ func TestBTPSmallWindowSkipsLargePartitions(t *testing.T) {
 		tr := &fileReads{n: map[string]int{}}
 		disk.SetTracer(tr)
 		defer disk.SetTracer(nil)
-		if _, err := btp.ExactSearch(q.WithWindow(minTS, maxTS), 1); err != nil {
+		if _, err := exactSearch(btp, q.WithWindow(minTS, maxTS), 1); err != nil {
 			t.Fatal(err)
 		}
 		for _, f := range old {
@@ -345,7 +350,7 @@ func TestBTPSmallWindowSkipsLargePartitions(t *testing.T) {
 func TestTPWindowSkipsPartitions(t *testing.T) {
 	raw := &memRaw{}
 	disk := storage.NewDisk(0)
-	tp, err := NewTP("tp", testConfig(true), CTreeFactory(disk, nil, testConfig(true), raw), 128, raw)
+	tp, err := NewTP("tp", testConfig(true), CTreeFactory(disk, nil, testConfig(true), raw), 128, raw, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,12 +361,12 @@ func TestTPWindowSkipsPartitions(t *testing.T) {
 	}
 	q := index.NewQuery(gen.RandomWalk(rand.New(rand.NewSource(77)), 64), testConfig(true))
 	disk.ResetStats()
-	if _, err := tp.ExactSearch(q.WithWindow(900, 1023), 1); err != nil {
+	if _, err := exactSearch(tp, q.WithWindow(900, 1023), 1); err != nil {
 		t.Fatal(err)
 	}
 	smallIO := disk.Stats().Reads()
 	disk.ResetStats()
-	if _, err := tp.ExactSearch(q.WithWindow(0, 1023), 1); err != nil {
+	if _, err := exactSearch(tp, q.WithWindow(0, 1023), 1); err != nil {
 		t.Fatal(err)
 	}
 	fullIO := disk.Stats().Reads()
@@ -376,16 +381,16 @@ func TestIngestValidation(t *testing.T) {
 	if _, err := pp.Ingest(make(series.Series, 5), 0); err == nil {
 		t.Fatal("wrong-length ingest should fail")
 	}
-	if _, err := NewTP("x", index.Config{}, nil, 10, raw); err == nil {
+	if _, err := NewTP("x", index.Config{}, nil, 10, raw, nil); err == nil {
 		t.Fatal("invalid config should fail")
 	}
-	if _, err := NewTP("x", testConfig(false), nil, 0, raw); err == nil {
+	if _, err := NewTP("x", testConfig(false), nil, 0, raw, nil); err == nil {
 		t.Fatal("zero buffer should fail")
 	}
-	if _, err := NewBTP(nil, nil, "x", testConfig(false), 10, 2, raw); err == nil {
+	if _, err := NewBTP(nil, nil, "x", testConfig(false), 10, 2, raw, nil); err == nil {
 		t.Fatal("nil disk should fail")
 	}
-	if _, err := NewBTP(storage.NewDisk(0), nil, "x", testConfig(false), 10, 1, raw); err == nil {
+	if _, err := NewBTP(storage.NewDisk(0), nil, "x", testConfig(false), 10, 1, raw, nil); err == nil {
 		t.Fatal("merge factor 1 should fail")
 	}
 }
@@ -404,7 +409,7 @@ func TestApproxSearchAcrossSchemes(t *testing.T) {
 		for trial := 0; trial < 20; trial++ {
 			id := rng.Intn(len(ss))
 			q := gen.Add(ss[id], gen.Noise(rng, 64, 0.001))
-			got, err := sc.ApproxSearch(index.NewQuery(q, testConfig(true)), 1)
+			got, err := approxSearch(sc, index.NewQuery(q, testConfig(true)), 1)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -423,7 +428,7 @@ func TestApproxSearchAcrossSchemes(t *testing.T) {
 // the flush count, not linearly as TP.
 func TestBTPPartitionCountLogarithmic(t *testing.T) {
 	raw := &memRaw{}
-	btp, err := NewBTP(storage.NewDisk(0), nil, "btp", testConfig(false), 50, 2, raw)
+	btp, err := NewBTP(storage.NewDisk(0), nil, "btp", testConfig(false), 50, 2, raw, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -454,7 +459,7 @@ func TestBTPPartitionCountLogarithmic(t *testing.T) {
 func TestBTPClassSizes(t *testing.T) {
 	raw := &memRaw{}
 	const buf = 40
-	btp, err := NewBTP(storage.NewDisk(0), nil, "btp", testConfig(false), buf, 2, raw)
+	btp, err := NewBTP(storage.NewDisk(0), nil, "btp", testConfig(false), buf, 2, raw, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

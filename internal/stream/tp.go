@@ -8,7 +8,6 @@ import (
 	"repro/internal/adsplus"
 	"repro/internal/ctree"
 	"repro/internal/index"
-	"repro/internal/parallel"
 	"repro/internal/record"
 	"repro/internal/series"
 	"repro/internal/storage"
@@ -26,9 +25,8 @@ func CTreeFactory(disk storage.Backend, reader storage.PageReader, cfg index.Con
 	return func(name string, entries []record.Entry) (index.Index, error) {
 		sorted := slices.Clone(entries)
 		sort.Slice(sorted, func(i, j int) bool { return sorted[i].Less(sorted[j]) })
-		// Partitions stay serial internally (Parallelism 1): the scheme's
-		// pool fans out across partitions, and nesting another fan-out
-		// inside each small partition would only oversubscribe the pool.
+		// A partition's bulk load is one sorted write (Parallelism 1 sorts
+		// nothing on workers).
 		return ctree.BuildFromEntries(ctree.Options{Disk: disk, Reader: reader, Name: name, Config: cfg, Raw: raw, Parallelism: 1}, sorted)
 	}
 }
@@ -73,15 +71,17 @@ type TP struct {
 	parts     []tpPart
 	seq       int
 	count     int64
-	pool      *parallel.Pool
 	planner   *index.Planner
 }
 
 // NewTP builds a temporal-partitioning scheme. baseName names partition
 // files ("<baseName>.part.N..."); bufferCap is the partition size in
 // entries; raw serves non-materialized distance evaluation of buffered
-// entries.
-func NewTP(baseName string, cfg index.Config, factory PartitionFactory, bufferCap int, raw series.RawStore) (*TP, error) {
+// entries. planner orders partition probes by their synopsis envelope bound
+// and skips partitions that cannot improve the current answer; nil plans
+// with default settings, and one with Disabled set restores the unplanned
+// probe order.
+func NewTP(baseName string, cfg index.Config, factory PartitionFactory, bufferCap int, raw series.RawStore, planner *index.Planner) (*TP, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -94,23 +94,9 @@ func NewTP(baseName string, cfg index.Config, factory PartitionFactory, bufferCa
 		raw:       raw,
 		factory:   factory,
 		bufferCap: bufferCap,
-		pool:      parallel.New(0),
+		planner:   planner,
 	}, nil
 }
-
-// SetParallelism bounds the worker goroutines one query uses to search
-// intersecting partitions concurrently (n <= 0 selects GOMAXPROCS). Results
-// are identical at every setting. Call before querying; the setting is not
-// synchronized with in-flight searches.
-func (t *TP) SetParallelism(n int) { t.pool = parallel.New(n) }
-
-// SetPlanner installs the query planner that orders partition probes by
-// their synopsis envelope bound and skips partitions that cannot improve
-// the current answer. nil (the default) plans with default settings; a
-// planner with Disabled set restores the unplanned probe order. Call
-// before querying; the setting is not synchronized with in-flight
-// searches.
-func (t *TP) SetPlanner(pl *index.Planner) { t.planner = pl }
 
 // Name implements Scheme: "<base>+TP" after the first partition exists, or
 // the generic "TP" before.
@@ -167,15 +153,15 @@ func intersects(q index.Query, syn *zonestat.Synopsis) bool {
 	return !q.Windowed || syn.IntersectsWindow(q.MinTS, q.MaxTS)
 }
 
-// ApproxSearch implements Scheme: probe each intersecting partition and the
+// ApproxInto implements Scheme: probe each intersecting partition and the
 // buffer.
-func (t *TP) ApproxSearch(q index.Query, k int) ([]index.Result, error) {
-	return index.Rendered(t.search(q, index.NewCollector(k), index.Index.ApproxInto))
+func (t *TP) ApproxInto(q index.Query, col *index.Collector, ctx *index.SearchCtx) error {
+	return t.search(q, col, ctx, index.Index.ApproxInto)
 }
 
-// ExactSearch implements Scheme.
-func (t *TP) ExactSearch(q index.Query, k int) ([]index.Result, error) {
-	return index.Rendered(t.search(q, index.NewCollector(k), index.Index.ExactInto))
+// ExactInto implements Scheme.
+func (t *TP) ExactInto(q index.Query, col *index.Collector, ctx *index.SearchCtx) error {
+	return t.search(q, col, ctx, index.Index.ExactInto)
 }
 
 // search scans the in-memory buffer, then searches every partition whose
@@ -183,30 +169,30 @@ func (t *TP) ExactSearch(q index.Query, k int) ([]index.Result, error) {
 // through core — index.Index's ApproxInto or ExactInto — straight into the
 // collector: partition IDs are already global, and the bound earlier
 // partitions left in col prunes later ones. Partitions go through the
-// planned-probe executor on the worker pool, bounded by their synopsis's
-// envelope MINDIST, with one pooled context per worker slot (the partition
-// plan in the first one's outer buffer, a partition's own in the primary);
+// planned-probe executor on ctx's pool, bounded by their synopsis's envelope
+// MINDIST, each worker slot with a serial context of its own (the partition
+// plan in ctx's outer buffer, a partition's own in its context's primary);
 // per-worker collectors merge on their exact squared sums, giving the same
 // answer as the serial, unplanned loop — and as PP and BTP over the same
 // stream.
-func (t *TP) search(q index.Query, col *index.Collector, core func(index.Index, index.Query, *index.Collector, *index.SearchCtx) error) (*index.Collector, error) {
+func (t *TP) search(q index.Query, col *index.Collector, ctx *index.SearchCtx, core func(index.Index, index.Query, *index.Collector, *index.SearchCtx) error) error {
 	var active []tpPart
 	for _, p := range t.parts {
 		if intersects(q, p.syn) {
 			active = append(active, p)
 		}
 	}
-	ctxs := index.AcquireCtxs(q, t.sum.cfg, t.pool.WorkersFor(len(active)))
-	defer ctxs.Release()
-	if err := index.ScanBuffer(t.buffer, q, t.raw, col, ctxs[0].Scratch0()); err != nil {
-		return nil, err
+	if err := index.ScanBuffer(t.buffer, q, t.raw, col, ctx.Scratch0()); err != nil {
+		return err
 	}
-	return col, index.ProbeUnits(index.ProbePlan{
-		Planner: t.planner, Pool: t.pool, Trace: q.Trace, Kind: "partition", Units: ctxs[0].OuterPlanUnits(len(active)),
-	}, col, func(i int) float64 {
-		return ctxs[0].P.SynopsisBoundSq(active[i].syn)
-	}, func(i, w int, col *index.Collector) error {
-		return core(active[i].idx, q, col, ctxs[w])
+	return ctx.Parts(q, t.sum.cfg, len(active), func(ctxs index.Ctxs) error {
+		return index.ProbeUnits(index.ProbePlan{
+			Planner: t.planner, Pool: ctx.Pool, Trace: ctx.Trace, Kind: "partition", Units: ctx.OuterPlanUnits(len(active)),
+		}, col, func(i int) float64 {
+			return ctx.P.SynopsisBoundSq(active[i].syn)
+		}, func(i, w int, col *index.Collector) error {
+			return core(active[i].idx, q, col, ctxs[w])
+		})
 	})
 }
 

@@ -231,7 +231,7 @@ func E12Recall(sc Scale, n, numQueries int) (*Table, error) {
 		approxAns := make([]answer, len(queries))
 		for i, q := range queries {
 			pq := index.NewQuery(q, cfg)
-			rs, err := b.Index.ApproxSearch(pq, 1)
+			rs, err := b.ApproxSearch(pq, 1)
 			if err != nil {
 				return nil, err
 			}
@@ -243,7 +243,7 @@ func E12Recall(sc Scale, n, numQueries int) (*Table, error) {
 		exactBefore := b.Disk.Stats()
 		for i, q := range queries {
 			pq := index.NewQuery(q, cfg)
-			rs, err := b.Index.ExactSearch(pq, 1)
+			rs, err := b.ExactSearch(pq, 1)
 			if err != nil {
 				return nil, err
 			}

@@ -51,12 +51,12 @@ func TestBuildVariantCachedEquivalence(t *testing.T) {
 			t.Fatalf("%s cached: %v", v, err)
 		}
 		for qi, q := range queries {
-			want, err := plain.Index.ExactSearch(q, 3)
+			want, err := plain.ExactSearch(q, 3)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for pass := 0; pass < 2; pass++ { // cold then warm
-				got, err := cached.Index.ExactSearch(q, 3)
+				got, err := cached.ExactSearch(q, 3)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -77,7 +77,7 @@ func TestBuildVariantCachedEquivalence(t *testing.T) {
 		// reads at all with a full-fit cache.
 		before := cached.IOStats()
 		for _, q := range queries {
-			if _, err := cached.Index.ExactSearch(q, 3); err != nil {
+			if _, err := cached.ExactSearch(q, 3); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -117,11 +117,11 @@ func TestShardedBuildSharesCache(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(17))
 	q := index.NewQuery(gen.RandomWalk(rng, sc.SeriesLen), sc.config())
-	if _, err := b.Index.ExactSearch(q, 3); err != nil {
+	if _, err := b.ExactSearch(q, 3); err != nil {
 		t.Fatal(err)
 	}
 	before := b.IOStats()
-	if _, err := b.Index.ExactSearch(q, 3); err != nil {
+	if _, err := b.ExactSearch(q, 3); err != nil {
 		t.Fatal(err)
 	}
 	diff := b.IOStats().Sub(before)

@@ -74,21 +74,21 @@ func TestClusterGroupSingleNodeEquivalence(t *testing.T) {
 			t.Fatalf("cluster build %d shards holds %d series, want %d", nsh, got, ds.Count())
 		}
 		for _, q := range qs {
-			want, err := base.Index.ExactSearch(q, 5)
+			want, err := base.ExactSearch(q, 5)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := cb.Group.ExactSearch(q, 5)
+			got, err := cb.ExactSearch(q, 5)
 			if err != nil {
 				t.Fatal(err)
 			}
 			sameResultLists(t, "exact", got, want)
 			eps := want[len(want)-1].Dist * 1.1
-			wantR, err := base.Index.RangeSearch(q, eps)
+			wantR, err := base.RangeSearch(q, eps)
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotR, err := cb.Group.RangeSearch(q, eps)
+			gotR, err := cb.RangeSearch(q, eps)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -126,13 +126,13 @@ func TestClusterGroupMergeEquivalence(t *testing.T) {
 			nodes[i] = b
 		}
 		for _, q := range qs {
-			want, err := base.Index.ExactSearch(q, 5)
+			want, err := base.ExactSearch(q, 5)
 			if err != nil {
 				t.Fatal(err)
 			}
 			merged := index.NewCollector(5)
 			for _, nb := range nodes {
-				col, err := nb.Group.ExactSearchShards(q, 5, nil)
+				col, err := nb.Group.ExactSearchShards(q, 5, nil, nb.Workers())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -155,19 +155,19 @@ func TestClusterGroupShardSubsetProbes(t *testing.T) {
 		t.Fatal(err)
 	}
 	qs := clusterQueries(sc, ds, 1)
-	if _, err := b.Group.ExactSearchShards(qs[0], 3, []int{1}); err == nil ||
+	if _, err := b.Group.ExactSearchShards(qs[0], 3, []int{1}, b.Workers()); err == nil ||
 		!strings.Contains(err.Error(), "does not own") {
 		t.Fatalf("unowned shard probe: err = %v", err)
 	}
-	colBoth, err := b.Group.ExactSearchShards(qs[0], 3, nil)
+	colBoth, err := b.Group.ExactSearchShards(qs[0], 3, nil, b.Workers())
 	if err != nil {
 		t.Fatal(err)
 	}
-	col0, err := b.Group.ExactSearchShards(qs[0], 3, []int{0})
+	col0, err := b.Group.ExactSearchShards(qs[0], 3, []int{0}, b.Workers())
 	if err != nil {
 		t.Fatal(err)
 	}
-	col2, err := b.Group.ExactSearchShards(qs[0], 3, []int{2})
+	col2, err := b.Group.ExactSearchShards(qs[0], 3, []int{2}, b.Workers())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,22 +265,22 @@ func TestClusterInsertSearchable(t *testing.T) {
 	}
 	qs := clusterQueries(sc, ds, 4)
 	for _, q := range qs {
-		want, err := base.Index.ExactSearch(q, 8)
+		want, err := base.ExactSearch(q, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := cb.Group.ExactSearch(q, 8)
+		got, err := cb.ExactSearch(q, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sameResultLists(t, "post-insert exact", got, want)
 		// Windowed to the inserted range: only the new series qualify.
 		wq := q.WithWindow(500, 600)
-		want, err = base.Index.ExactSearch(wq, 8)
+		want, err = base.ExactSearch(wq, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err = cb.Group.ExactSearch(wq, 8)
+		got, err = cb.ExactSearch(wq, 8)
 		if err != nil {
 			t.Fatal(err)
 		}

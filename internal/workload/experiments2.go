@@ -45,7 +45,7 @@ func StreamSchemes(sc Scale, bufferEntries int) ([]streamScheme, error) {
 	}
 	var out []streamScheme
 	for _, bld := range builds {
-		// Searches fan out on the default pool, as TP's and BTP's own do.
+		// Searches fan out on the default pool.
 		spec := sc.spec("CLSM", assemble.Spec{RawInMemory: true, BufferEntries: bufferEntries, Parallelism: -1})
 		s := streamScheme{name: bld.name}
 		var err error
@@ -56,9 +56,9 @@ func StreamSchemes(sc Scale, bufferEntries int) ([]streamScheme, error) {
 			}
 		} else if s.b, err = assemble.Base(spec); err == nil {
 			if raw := s.b.Raw; bld.tp != nil {
-				s.Scheme, err = stream.NewTP("tp", cfg, bld.tp(s.b.Disk, nil, cfg, raw), bufferEntries, raw)
+				s.Scheme, err = stream.NewTP("tp", cfg, bld.tp(s.b.Disk, nil, cfg, raw), bufferEntries, raw, s.b.Planner)
 			} else {
-				s.Scheme, err = stream.NewBTP(s.b.Disk, nil, "btp", cfg, bufferEntries, 2, raw)
+				s.Scheme, err = stream.NewBTP(s.b.Disk, nil, "btp", cfg, bufferEntries, 2, raw, s.b.Planner)
 			}
 		}
 		if s.b != nil {
@@ -67,9 +67,6 @@ func StreamSchemes(sc Scale, bufferEntries int) ([]streamScheme, error) {
 		if err != nil {
 			closeSchemes(out)
 			return nil, err
-		}
-		if p, ok := s.Scheme.(interface{ SetPlanner(*index.Planner) }); ok {
-			p.SetPlanner(s.b.Planner)
 		}
 	}
 	return out, nil
@@ -128,7 +125,7 @@ func E6Streaming(sc Scale, batches, batchSize, bufferEntries, numQueries int) (*
 			disk.ResetStats()
 			for _, q := range queries {
 				pq := index.NewQuery(q, cfg).WithWindow(minTS, maxTS)
-				if _, err := s.ExactSearch(pq, 1); err != nil {
+				if _, err := index.Into(pq, cfg, s.b.Workers(), index.NewCollector(1), s.ExactInto); err != nil {
 					return 0, err
 				}
 			}
@@ -176,7 +173,6 @@ func E7Heatmap(sc Scale, n, numQueries int) (*Table, []string, error) {
 		if err != nil {
 			return nil, nil, fmt.Errorf("E7 %s: %w", v, err)
 		}
-		idx := built.Index
 		js := rec.Jumps()
 		t.AddRow(v, "build", fmt.Sprintf("%d", js.Accesses),
 			fmt.Sprintf("%.2f", js.SeqFrac), fmt.Sprintf("%.1f", js.AvgJump), fmt.Sprintf("%d", js.FileSwaps))
@@ -185,7 +181,7 @@ func E7Heatmap(sc Scale, n, numQueries int) (*Table, []string, error) {
 		rec.Reset()
 		for _, q := range queries {
 			pq := index.NewQuery(q, sc.config())
-			if _, err := idx.ExactSearch(pq, 1); err != nil {
+			if _, err := built.ExactSearch(pq, 1); err != nil {
 				return nil, nil, err
 			}
 		}

@@ -65,7 +65,7 @@ func TestBuiltIngestGuards(t *testing.T) {
 	if err := b.Ingest(s, 0); err != nil {
 		t.Fatalf("ingest into a build with its raw series file on disk: %v", err)
 	}
-	res, err := b.Index.ExactSearch(index.NewQuery(s, b.Config), 1)
+	res, err := b.ExactSearch(index.NewQuery(s, b.Config), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,9 +40,9 @@ func (q QueryStats) Cost(m storage.CostModel) float64 {
 // exact (vs. approximate) search.
 func RunQueries(b *assemble.Built, queries []series.Series, cfg index.Config, k int, exact bool) (QueryStats, error) {
 	cfg.Materialized = false // query preparation does not depend on it
-	search := b.Index.ExactSearch
+	search := b.ExactSearch
 	if !exact {
-		search = b.Index.ApproxSearch
+		search = b.ApproxSearch
 	}
 	answers, qs, err := pass(b, len(queries), func(i int) ([]index.Result, error) {
 		return search(index.NewQuery(queries[i], cfg), k)
@@ -60,7 +60,7 @@ func RunQueries(b *assemble.Built, queries []series.Series, cfg index.Config, k 
 // exactPass answers every prepared query exactly against b, returning the
 // answers with the pass's accounting.
 func exactPass(b *assemble.Built, iqs []index.Query, k int) ([][]index.Result, QueryStats, error) {
-	return pass(b, len(iqs), func(i int) ([]index.Result, error) { return b.Index.ExactSearch(iqs[i], k) })
+	return pass(b, len(iqs), func(i int) ([]index.Result, error) { return b.ExactSearch(iqs[i], k) })
 }
 
 // pass runs n searches against b, returning their answers with the pass's

@@ -21,9 +21,9 @@ import (
 // compared only between handles built at 1: with several workers the
 // backend's one shared head word sees the workers' accesses interleaved, so
 // the sequential/random split depends on the schedule (Options.Parallelism
-// says as much). That pins the comparison, it does not fix the meter:
-// ROADMAP open item 1 — a schedule-independent accounting model — stays
-// open.
+// says as much). That pins the comparison, it does not fix the meter: the
+// ROADMAP item that makes the I/O meter a function of the plan — a
+// schedule-independent accounting model — stays open.
 var equivParallelisms = []int{0, 1}
 
 // withStorageDir returns opts pointed at a fresh file-backend directory.

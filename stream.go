@@ -56,26 +56,14 @@ func NewStream(kind SchemeKind, opts Options) (*Stream, error) {
 		return nil, err
 	}
 	st := &Stream{b: b, cfg: b.Config}
-	raw, buf, par := b.RawStore(), spec.BufferEntries, spec.Parallelism
+	raw, buf := b.RawStore(), spec.BufferEntries
 	switch kind {
 	case PP:
 		st.scheme = stream.NewPP(b.Index.(*clsm.LSM), st.cfg)
 	case TP:
-		var tp *stream.TP
-		tp, err = stream.NewTP("stream", st.cfg, stream.CTreeFactory(b.Disk, b.Reader(), st.cfg, raw), buf, raw)
-		if err == nil {
-			tp.SetParallelism(par)
-			tp.SetPlanner(b.Planner)
-			st.scheme = tp
-		}
+		st.scheme, err = stream.NewTP("stream", st.cfg, stream.CTreeFactory(b.Disk, b.Reader(), st.cfg, raw), buf, raw, b.Planner)
 	case BTP:
-		var btp *stream.BTP
-		btp, err = stream.NewBTP(b.Disk, b.Reader(), "stream", st.cfg, buf, 2, raw)
-		if err == nil {
-			btp.SetParallelism(par)
-			btp.SetPlanner(b.Planner)
-			st.scheme = btp
-		}
+		st.scheme, err = stream.NewBTP(b.Disk, b.Reader(), "stream", st.cfg, buf, 2, raw, b.Planner)
 	}
 	if err != nil {
 		b.Close()
@@ -104,22 +92,24 @@ func (s *Stream) Seal() error { return s.scheme.Seal() }
 // SearchWindow returns the exact k nearest neighbors among entries whose
 // timestamp lies in [minTS, maxTS].
 func (s *Stream) SearchWindow(q []float64, k int, minTS, maxTS int64) ([]Match, error) {
-	pq := index.NewQuery(series.Series(q), s.cfg).WithWindow(minTS, maxTS)
-	rs, err := s.scheme.ExactSearch(pq, k)
-	return convert(rs), err
+	return s.search(index.NewQuery(series.Series(q), s.cfg).WithWindow(minTS, maxTS), k, s.scheme.ExactInto)
 }
 
 // Search returns the exact k nearest neighbors over the whole history.
 func (s *Stream) Search(q []float64, k int) ([]Match, error) {
-	rs, err := s.scheme.ExactSearch(index.NewQuery(series.Series(q), s.cfg), k)
-	return convert(rs), err
+	return s.search(index.NewQuery(series.Series(q), s.cfg), k, s.scheme.ExactInto)
 }
 
 // SearchApprox probes the scheme near q's key without exactness
 // guarantees, restricted to [minTS, maxTS].
 func (s *Stream) SearchApprox(q []float64, k int, minTS, maxTS int64) ([]Match, error) {
-	pq := index.NewQuery(series.Series(q), s.cfg).WithWindow(minTS, maxTS)
-	rs, err := s.scheme.ApproxSearch(pq, k)
+	return s.search(index.NewQuery(series.Series(q), s.cfg).WithWindow(minTS, maxTS), k, s.scheme.ApproxInto)
+}
+
+// search runs one of the scheme's cores through the search entry on the
+// build's pool.
+func (s *Stream) search(q index.Query, k int, core func(index.Query, *index.Collector, *index.SearchCtx) error) ([]Match, error) {
+	rs, err := index.Rendered(index.Into(q, s.cfg, s.b.Workers(), index.NewCollector(k), core))
 	return convert(rs), err
 }
 

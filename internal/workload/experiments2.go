@@ -45,8 +45,7 @@ func StreamSchemes(sc Scale, bufferEntries int) ([]streamScheme, error) {
 	}
 	var out []streamScheme
 	for _, bld := range builds {
-		// Searches fan out on the default pool.
-		spec := sc.spec("CLSM", assemble.Spec{RawInMemory: true, BufferEntries: bufferEntries, Parallelism: -1})
+		spec := sc.spec("CLSM", assemble.Spec{RawInMemory: true, BufferEntries: bufferEntries})
 		s := streamScheme{name: bld.name}
 		var err error
 		if bld.pp != "" {

@@ -1,5 +1,5 @@
-// Benchmarks regenerating every experiment table/figure of the
-// reproduction (E1..E9, see DESIGN.md §5 and EXPERIMENTS.md) plus
+// Benchmarks regenerating the experiment tables of the reproduction
+// (E1..E9 of internal/workload; README.md cites the paper) plus
 // micro-benchmarks of the core primitives. Experiment benchmarks run at a
 // reduced, laptop-friendly scale; cmd/coconut-bench runs the full tables.
 package coconut

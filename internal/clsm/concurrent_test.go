@@ -56,24 +56,33 @@ func TestBackgroundCompactionMatchesInline(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Mid-compaction searches already answer identically...
 	rng := rand.New(rand.NewSource(51))
-	for trial := 0; trial < 6; trial++ {
-		q := index.NewQuery(gen.RandomWalk(rng, 64), testConfig(false))
-		want, err := exactSearch(inline, q, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := exactSearch(bg, q, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameExact(t, "mid-compaction", want, got)
+	qs := make([]index.Query, 6)
+	for i := range qs {
+		qs[i] = index.NewQuery(gen.RandomWalk(rng, 64), testConfig(false))
 	}
-	// ...and after quiescing, the structure converges to the invariant.
+	matchInline := func(tag string) {
+		t.Helper()
+		for _, q := range qs {
+			want, err := exactSearch(inline, q, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := exactSearch(bg, q, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameExact(t, tag, want, got)
+		}
+	}
+	// Mid-compaction searches already answer identically...
+	matchInline("mid-compaction")
+	// ...and after quiescing, so do they, and the structure converges to
+	// the invariant.
 	if err := bg.Quiesce(); err != nil {
 		t.Fatal(err)
 	}
+	matchInline("quiesced")
 	for lvl, runs := range bg.cur.Load().man.levels {
 		if len(runs) >= 3 {
 			t.Fatalf("quiesced level %d holds %d runs, growth factor 3", lvl, len(runs))

@@ -1,7 +1,7 @@
 // Package gen produces the synthetic workloads used across the experiments,
 // substituting for the paper's real datasets (astronomy sky-survey series
-// and the IRIS seismic stream, see DESIGN.md). All generators are
-// deterministic given a seed.
+// and the IRIS seismic stream of the Coconut Palm demo, which README.md
+// cites). All generators are deterministic given a seed.
 package gen
 
 import (

@@ -12,22 +12,6 @@ import (
 	"repro/internal/series"
 )
 
-// TestE16BackendEquivalence runs the storage-backend experiment at test
-// scale: it asserts internally that every variant — ADS+ included, the one
-// index the facade-level equivalence suite cannot reach — returns
-// byte-identical answers with identical I/O accounting on the simulated
-// disk and the file-backed page store.
-func TestE16BackendEquivalence(t *testing.T) {
-	sc := Scale{SeriesLen: 64, Segments: 8, Bits: 8, Seed: 7}
-	tbl, err := E16Backend(sc, 1200, 6, 5, t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Rows) != len(Variants) {
-		t.Fatalf("expected %d rows, got %d", len(Variants), len(tbl.Rows))
-	}
-}
-
 // TestBuildVariantFileBackendSharded pins the per-shard directory layout:
 // a sharded file-backed build keeps each shard's pages in its own
 // shard-NNN subdirectory, and answers match the simulated sharded build.

@@ -2,7 +2,6 @@ package workload
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 
 	"repro/internal/assemble"
@@ -10,28 +9,10 @@ import (
 	"repro/internal/index"
 )
 
-// TestE14CacheSweep runs the cache sweep at test scale: the experiment
-// itself asserts byte-identity against the uncached run and the strict
-// warm-below-cold property at full-fit sizes, so a pass here is the
-// regression guarantee.
-func TestE14CacheSweep(t *testing.T) {
-	sc := Scale{SeriesLen: 64, Segments: 8, Bits: 8, Seed: 7}
-	tbl, err := E14CacheSweep(sc, 2000, 8, 3, []int{0, 16, 4096})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := len(tbl.Rows); got != 3 {
-		t.Fatalf("E14 produced %d rows, want 3", got)
-	}
-	if !strings.Contains(tbl.Rows[0][0], "off") {
-		t.Fatalf("first row should be the uncached baseline, got %q", tbl.Rows[0][0])
-	}
-}
-
 // TestBuildVariantCachedEquivalence pins the core cached-vs-uncached
 // contract at the workload layer across index families: identical exact
 // answers cold and warm, and a warm full-fit cache serving repeat queries
-// without any disk reads.
+// without any disk reads — so below the cold pass's io-cost, which reads.
 func TestBuildVariantCachedEquivalence(t *testing.T) {
 	sc := Scale{SeriesLen: 64, Segments: 8, Bits: 8, Seed: 3}
 	sc = sc.defaults()
@@ -50,6 +31,7 @@ func TestBuildVariantCachedEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s cached: %v", v, err)
 		}
+		coldBefore := cached.IOStats()
 		for qi, q := range queries {
 			want, err := plain.ExactSearch(q, 3)
 			if err != nil {
@@ -69,6 +51,9 @@ func TestBuildVariantCachedEquivalence(t *testing.T) {
 					}
 				}
 			}
+		}
+		if cold := cached.IOStats().Sub(coldBefore); cold.Reads() == 0 {
+			t.Fatalf("%s: cold pass performed no disk reads (%s)", v, cold)
 		}
 		if cached.Pool == nil {
 			t.Fatalf("%s: cached build has no pool", v)

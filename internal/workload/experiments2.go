@@ -278,14 +278,14 @@ func E9Storage(sc Scale, sizes []int) (*Table, error) {
 	return t, nil
 }
 
-// RunAll executes every experiment at the given scale factors and returns
-// the tables in order. Used by cmd/coconut-bench.
+// RunConfig holds the sizes cmd/coconut-bench runs E1–E12 at; Scale is the
+// summarization shape shared by all but E3 and E5a.
 type RunConfig struct {
 	Scale Scale
 	// E3Scale and E5Scale default to shorter series (64 points) so that
 	// several materialized entries pack per page: the materialization
 	// crossover (E3) and the leaf fill factor (E5a) only have room to act
-	// when a leaf holds more than one entry. See EXPERIMENTS.md.
+	// when a leaf holds more than one entry.
 	E3Scale     Scale
 	E5Scale     Scale
 	E1Sizes     []int
@@ -307,27 +307,6 @@ type RunConfig struct {
 	E7N         int
 	E7Queries   int
 	E9Sizes     []int
-	E13N        int
-	E13Queries  int
-	E13K        int
-	E13Shards   []int
-	E14N        int
-	E14Queries  int
-	E14K        int
-	E14CacheKB  []int
-	E15N        int
-	E15Queries  int
-	E15K        int
-	E15Workers  []int
-	E16N        int
-	E16Queries  int
-	E16K        int
-	// E16Dir roots the file-backend experiment's page files; empty uses a
-	// temp directory removed afterwards.
-	E16Dir     string
-	E17N       int
-	E17Queries int
-	E17K       int
 }
 
 // DefaultRunConfig returns the laptop-scale defaults used by
@@ -355,27 +334,5 @@ func DefaultRunConfig() RunConfig {
 		E7N:         5000,
 		E7Queries:   10,
 		E9Sizes:     []int{2000, 10000},
-		E13N:        10000,
-		E13Queries:  64,
-		E13K:        5,
-		E13Shards:   []int{1, 2, 4, 8},
-		E14N:        10000,
-		E14Queries:  32,
-		// 0 = uncached baseline; 256KB exercises eviction under pressure;
-		// 64MB comfortably holds the whole working set (raw file included),
-		// demonstrating the zero-miss warm pass.
-		E14CacheKB: []int{0, 256, 4096, 65536},
-		E14K:       5,
-		E15N:       8000,
-		E15Queries: 16,
-		E15K:       5,
-		// 0 = inline merges (the reference); 2 = background workers.
-		E15Workers: []int{0, 2},
-		E16N:       5000,
-		E16Queries: 16,
-		E16K:       5,
-		E17N:       10000,
-		E17Queries: 32,
-		E17K:       5,
 	}
 }

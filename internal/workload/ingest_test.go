@@ -8,16 +8,6 @@ import (
 	"repro/internal/series"
 )
 
-func TestE15IngestSmoke(t *testing.T) {
-	tbl, err := E15Ingest(Scale{}, 1500, 4, 3, []int{0, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Rows) != 5 {
-		t.Fatalf("rows = %d, want 5 (3 wal modes + 2 worker modes)", len(tbl.Rows))
-	}
-}
-
 func TestBuiltDurableIngestLifecycle(t *testing.T) {
 	sc := Scale{}.defaults()
 	ds := sc.dataset(800)

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/assemble"
@@ -8,25 +9,13 @@ import (
 	"repro/internal/index"
 )
 
-// TestE17Planner runs the planner experiment at test scale: the experiment
-// itself asserts byte-identity against the planner-off path, non-zero
-// envelope skips with a strictly lower io-cost/query on the skewed
-// workload — so a clean return is the property.
-func TestE17Planner(t *testing.T) {
-	sc := Scale{SeriesLen: 64, Segments: 8, Bits: 6}
-	tbl, err := E17Planner(sc, 3000, 8, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := len(tbl.Rows); got != 2 {
-		t.Fatalf("E17 produced %d rows, want 2", got)
-	}
-}
-
 // TestBuildVariantPlannerKnobs pins the planner plumbing: every build gets a
 // planner, the parts of a sharded build share it with the group, and turning
 // it off after the build (Disabled, the reference path) leaves the answers
-// alone and the counter still — which RunQueries surfaces as deltas.
+// alone and the counter still — which RunQueries surfaces as deltas. On this
+// skewed workload (queries are perturbed indexed series, so the pruning bound
+// tightens at once) the planned path skips units and costs strictly less
+// io per query than the reference path.
 func TestBuildVariantPlannerKnobs(t *testing.T) {
 	sc := Scale{SeriesLen: 64, Segments: 8, Bits: 6}
 	sc = sc.defaults()
@@ -62,13 +51,40 @@ func TestBuildVariantPlannerKnobs(t *testing.T) {
 		if st.PlannedSkips != 0 {
 			t.Fatalf("shards=%d: planner-off build reports planner activity: %+v", shards, st)
 		}
-		reference, _, err := exactPass(b, iqs, 3)
+		reference, off, err := exactPass(b, iqs, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := sameResults(reference, planned); err != nil {
 			t.Fatalf("shards=%d: planned answers diverged from the reference path: %v", shards, err)
 		}
+		if onCost, offCost := on.Cost(sc.Cost), off.Cost(sc.Cost); !(onCost < offCost) {
+			t.Fatalf("shards=%d: planned io-cost/query %.1f not below the reference path's %.1f", shards, onCost, offCost)
+		}
 		b.Close()
 	}
+}
+
+// exactPass answers every prepared query exactly against b, returning the
+// answers with the pass's accounting.
+func exactPass(b *assemble.Built, iqs []index.Query, k int) ([][]index.Result, QueryStats, error) {
+	return pass(b, len(iqs), func(i int) ([]index.Result, error) { return b.ExactSearch(iqs[i], k) })
+}
+
+// sameResults reports the first divergence between two result batches.
+func sameResults(a, b [][]index.Result) error {
+	if len(a) != len(b) {
+		return fmt.Errorf("%d vs %d result sets", len(a), len(b))
+	}
+	for i := range a {
+		if len(a[i]) != len(b[i]) {
+			return fmt.Errorf("query %d: %d vs %d results", i, len(a[i]), len(b[i]))
+		}
+		for j := range a[i] {
+			if a[i][j] != b[i][j] {
+				return fmt.Errorf("query %d result %d: %+v vs %+v", i, j, a[i][j], b[i][j])
+			}
+		}
+	}
+	return nil
 }

@@ -57,12 +57,6 @@ func RunQueries(b *assemble.Built, queries []series.Series, cfg index.Config, k 
 	return qs, err
 }
 
-// exactPass answers every prepared query exactly against b, returning the
-// answers with the pass's accounting.
-func exactPass(b *assemble.Built, iqs []index.Query, k int) ([][]index.Result, QueryStats, error) {
-	return pass(b, len(iqs), func(i int) ([]index.Result, error) { return b.ExactSearch(iqs[i], k) })
-}
-
 // pass runs n searches against b, returning their answers with the pass's
 // accounting (I/O, wall time, planner skips).
 func pass(b *assemble.Built, n int, search func(i int) ([]index.Result, error)) ([][]index.Result, QueryStats, error) {
@@ -92,13 +86,4 @@ func (s Scale) walks(seed int64, n int) []series.Series {
 		out[i] = gen.RandomWalk(rng, s.SeriesLen)
 	}
 	return out
-}
-
-// walkQueries prepares n random-walk queries from the given seed.
-func (s Scale) walkQueries(seed int64, n int) []index.Query {
-	iqs := make([]index.Query, n)
-	for i, w := range s.walks(seed, n) {
-		iqs[i] = index.NewQuery(w, s.config())
-	}
-	return iqs
 }

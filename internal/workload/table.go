@@ -1,7 +1,9 @@
 // Package workload is the experiment harness shared by cmd/coconut-bench
-// and the repository benchmarks: index-variant builders, query drivers,
-// metric collection, and the table formatter that regenerates each
-// experiment of EXPERIMENTS.md (see DESIGN.md for the experiment index).
+// and the repository benchmarks: query drivers, metric collection, and the
+// table formatter behind experiments E1–E12 — the paper's static and
+// streaming scenarios, their ablations and the recommender table (README.md
+// cites the paper). Each experiment's doc comment says what it
+// reproduces and the shape the paper expects.
 package workload
 
 import (

@@ -6,6 +6,11 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"repro/internal/assemble"
+	"repro/internal/gen"
+	"repro/internal/index"
+	"repro/internal/storage"
 )
 
 // Storage-backend equivalence contract: every facade must return results
@@ -381,6 +386,54 @@ func TestFileBackendShardedEquivalence(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestFileBackendVariantsEquivalence builds every assembled variant twice —
+// on the simulated disk and on the file-backed page store — and holds the
+// file build to the simulated one: the same exact answers, the same
+// io-cost per query and the same whole-disk Stats. It is the one suite
+// that reaches ADS+ and ADSFull, which have no facade.
+func TestFileBackendVariantsEquivalence(t *testing.T) {
+	const n, length, k = 1200, 64, 5
+	ds, _ := gen.Astronomy(gen.AstronomyConfig{N: n, Len: length, FracEvent: 0.05, Seed: 7})
+	queries := genQueries(t, 6, length, 23)
+	for _, v := range assemble.Variants {
+		t.Run(v, func(t *testing.T) {
+			spec := assemble.Spec{Variant: v, SeriesLen: length, Segments: 8, Bits: 8}
+			sim, err := assemble.Build(spec, ds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sim.Close()
+			spec.StorageDir = filepath.Join(t.TempDir(), "store")
+			file, err := assemble.Build(spec, ds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer file.Close()
+			exact := func(b *assemble.Built) ([][]index.Result, float64) {
+				before := b.IOStats()
+				out := make([][]index.Result, len(queries))
+				for i, q := range queries {
+					if out[i], err = b.ExactSearch(index.NewQuery(q, b.Config), k); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return out, b.IOStats().Sub(before).Cost(storage.DefaultCostModel) / float64(len(queries))
+			}
+			want, simCost := exact(sim)
+			got, fileCost := exact(file)
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("exact results diverged:\nsim:  %+v\nfile: %+v", want, got)
+			}
+			if simCost != fileCost {
+				t.Fatalf("io-cost/query diverged: sim %.1f, file %.1f", simCost, fileCost)
+			}
+			if ss, fs := sim.Disk.Stats(), file.Disk.Stats(); ss != fs {
+				t.Fatalf("disk accounting diverged:\nsim:  %+v\nfile: %+v", ss, fs)
+			}
+		})
+	}
 }
 
 // TestFileBackendPersistence proves the snapshot format is shared: a

@@ -109,9 +109,8 @@ func (p *Pruner) UnitBoundSq(q Query, syn *zonestat.Synopsis) float64 {
 type Planner struct {
 	// Disabled selects the reference path — unplanned probe order, no unit
 	// skipped, every page a scan reaches read — that the equivalence suites
-	// hold planned answers (and, in internal/workload, planned io-cost) to.
-	// No option sets it: they set it on a build's planner after the build,
-	// before searching.
+	// hold planned answers and io-cost to. No option sets it: they set it on
+	// a build's planner after the build, before searching.
 	Disabled bool
 	skips    atomic.Int64
 }

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -8,6 +9,60 @@ import (
 	"repro/internal/gen"
 	"repro/internal/index"
 )
+
+// TestE14CacheSweep sweeps the buffer-pool size on a non-materialized CTree
+// (raw series file on disk, so every verified candidate pays a page fetch):
+// at every size, the cold pass and the warm repeat answer byte-identically
+// to the uncached build, and at the full-fit size the warm pass's
+// io-cost/query is strictly below the cold pass's.
+func TestE14CacheSweep(t *testing.T) {
+	sc := Scale{SeriesLen: 64, Segments: 8, Bits: 8, Seed: 7}
+	sc = sc.defaults()
+	ds := sc.dataset(2000)
+	iqs := make([]index.Query, 8)
+	for i, w := range sc.walks(sc.Seed+14, len(iqs)) {
+		iqs[i] = index.NewQuery(w, sc.config())
+	}
+	ref, err := assemble.Build(sc.spec("CTree", assemble.Spec{}), ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	reference, _, err := exactPass(ref, iqs, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kb := range []int{0, 16, 4096} {
+		t.Run(fmt.Sprintf("%dKB", kb), func(t *testing.T) {
+			b, err := assemble.Build(sc.spec("CTree", assemble.Spec{CacheBytes: int64(kb) << 10}), ds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer b.Close()
+			cold, coldQS, err := exactPass(b, iqs, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			warm, warmQS, err := exactPass(b, iqs, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sameResults(reference, cold); err != nil {
+				t.Fatalf("cold pass diverged from uncached: %v", err)
+			}
+			if err := sameResults(reference, warm); err != nil {
+				t.Fatalf("warm pass diverged from uncached: %v", err)
+			}
+			fullFit := b.Cache != nil && b.Cache.CapacityFrames() >= b.Disk.TotalPages()
+			if kb == 4096 && !fullFit {
+				t.Fatalf("a %dKB cache does not hold the build's %d pages", kb, b.Disk.TotalPages())
+			}
+			if coldCost, warmCost := coldQS.Cost(sc.Cost), warmQS.Cost(sc.Cost); fullFit && !(warmCost < coldCost) {
+				t.Fatalf("warm io-cost/query %.1f not below cold %.1f despite a full-fit cache", warmCost, coldCost)
+			}
+		})
+	}
+}
 
 // TestBuildVariantCachedEquivalence pins the core cached-vs-uncached
 // contract at the workload layer across index families: identical exact

@@ -8,6 +8,68 @@ import (
 	"repro/internal/series"
 )
 
+// TestE15IngestSmoke ingests into a CLSM with a small memory budget, so the
+// build produces many runs and real merge cascades. Every WAL mode builds
+// and logs each insert; with background compaction workers, exact searches
+// issued while merges may still be in flight answer byte-identically to the
+// quiesced index, and to the inline build.
+func TestE15IngestSmoke(t *testing.T) {
+	sc := Scale{}.defaults()
+	ds := sc.dataset(1500)
+	iqs := make([]index.Query, 4)
+	for i, w := range sc.walks(sc.Seed+15, len(iqs)) {
+		iqs[i] = index.NewQuery(w, sc.config())
+	}
+	base := assemble.Spec{MemBudget: 16 << 10, RawInMemory: true}
+	for _, durability := range []string{"", "batched", "sync"} {
+		opts := base
+		if durability != "" {
+			opts.WALDir, opts.Durability = t.TempDir(), durability
+		}
+		b, err := assemble.Build(sc.spec("CLSM", opts), ds)
+		if err != nil {
+			t.Fatalf("wal=%q: %v", durability, err)
+		}
+		if st, ok := b.WALStats(); durability != "" && (!ok || st.Appends != int64(ds.Count())) {
+			t.Fatalf("wal=%s: stats %+v ok=%v after %d inserts", durability, st, ok, ds.Count())
+		}
+		if err := b.Close(); err != nil {
+			t.Fatalf("wal=%q close: %v", durability, err)
+		}
+	}
+	var reference [][]index.Result
+	for _, workers := range []int{0, 2} {
+		opts := base
+		opts.CompactionWorkers = workers
+		b, err := assemble.Build(sc.spec("CLSM", opts), ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mid, _, err := exactPass(b, iqs, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Quiesce(); err != nil {
+			t.Fatal(err)
+		}
+		quiesced, _, err := exactPass(b, iqs, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sameResults(mid, quiesced); err != nil {
+			t.Fatalf("workers=%d: mid-compaction diverged from quiesced: %v", workers, err)
+		}
+		if reference == nil {
+			reference = quiesced
+		} else if err := sameResults(reference, quiesced); err != nil {
+			t.Fatalf("workers=%d: diverged from the inline build: %v", workers, err)
+		}
+		if err := b.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestBuiltDurableIngestLifecycle(t *testing.T) {
 	sc := Scale{}.defaults()
 	ds := sc.dataset(800)

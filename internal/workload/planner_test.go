@@ -9,6 +9,54 @@ import (
 	"repro/internal/index"
 )
 
+// TestE17Planner compares a planned and a reference-path (Disabled) build of
+// a non-materialized CTree on a skewed workload — queries are perturbations
+// of indexed series, so the pruning bound tightens at once: the answers are
+// byte-identical, and the planned path records envelope skips and a strictly
+// lower io-cost/query.
+func TestE17Planner(t *testing.T) {
+	sc := Scale{SeriesLen: 64, Segments: 8, Bits: 6}
+	sc = sc.defaults()
+	ds := sc.dataset(3000)
+	queries, _ := gen.Queries(ds, 8, 0.02, sc.Seed+17)
+	iqs := make([]index.Query, len(queries))
+	for i, q := range queries {
+		iqs[i] = index.NewQuery(q, sc.config())
+	}
+	// A modest construction budget yields a multi-level tree with many leaf
+	// ranges — the unit the planner orders and skips.
+	build := func() *assemble.Built {
+		b, err := assemble.Build(sc.spec("CTree", assemble.Spec{MemBudget: 64 << 10}), ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { b.Close() })
+		return b
+	}
+	off := build()
+	off.Planner.Disabled = true
+	reference, offStats, err := exactPass(off, iqs, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if offStats.PlannedSkips != 0 {
+		t.Fatalf("reference path reports planner activity: %+v", offStats)
+	}
+	got, onStats, err := exactPass(build(), iqs, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sameResults(reference, got); err != nil {
+		t.Fatalf("planned answers diverged from the reference path: %v", err)
+	}
+	if onStats.PlannedSkips == 0 {
+		t.Fatal("skewed workload recorded no envelope skips")
+	}
+	if onCost, offCost := onStats.Cost(sc.Cost), offStats.Cost(sc.Cost); !(onCost < offCost) {
+		t.Fatalf("planned io-cost/query %.1f not below the reference path's %.1f", onCost, offCost)
+	}
+}
+
 // TestBuildVariantPlannerKnobs pins the planner plumbing: every build gets a
 // planner, the parts of a sharded build share it with the group, and turning
 // it off after the build (Disabled, the reference path) leaves the answers

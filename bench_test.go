@@ -1025,7 +1025,7 @@ func runBench(b *testing.B, n int) (s run.Store, r run.Run, q index.Query) {
 		}
 		return cmp.Compare(a.ID, b.ID)
 	})
-	s = run.NewStore(storage.NewDisk(0), nil, nil, cfg, nil)
+	s = run.NewStore(storage.NewDisk(0), nil, cfg, nil)
 	r, err := s.Write("run", entries, false)
 	if err != nil {
 		b.Fatal(err)

@@ -20,15 +20,15 @@ func testConfig(materialized bool) index.Config {
 
 // exactSearch, approxSearch and rangeSearch search tr through the entries.
 func exactSearch(tr *Tree, q index.Query, k int) ([]index.Result, error) {
-	return index.Exact(tr, q, tr.opts.Config, nil, k)
+	return index.Exact(tr, q, tr.opts.Config, nil, nil, k)
 }
 
 func approxSearch(tr *Tree, q index.Query, k int) ([]index.Result, error) {
-	return index.Approx(tr, q, tr.opts.Config, nil, k)
+	return index.Approx(tr, q, tr.opts.Config, nil, nil, k)
 }
 
 func rangeSearch(tr *Tree, q index.Query, eps float64) ([]index.Result, error) {
-	return index.Range(tr, q, tr.opts.Config, nil, eps)
+	return index.Range(tr, q, tr.opts.Config, nil, nil, eps)
 }
 
 type normStore struct{ d *series.Dataset }

@@ -36,8 +36,8 @@ type Built struct {
 	Index index.Index
 	// Group is the hash-partitioned composition of a partitioned build (nil
 	// otherwise) and Parts its owned shards' sub-builds, in ascending shard
-	// order (matching Group.Owned). Every part shares the build's Cache,
-	// Planner and Compactor.
+	// order (matching Group.Owned). Every part shares the build's Cache and
+	// Compactor.
 	Group *shard.Group
 	Parts []*Built
 	// Disk is the storage backend, Pool the buffer pool fronting it (nil
@@ -49,7 +49,8 @@ type Built struct {
 	Raw  *storage.RawFile
 	// Cache is the frame store behind the pool(s); nil uncached.
 	Cache *bufpool.Cache
-	// Planner carries the build's query-planning switch and skip counter.
+	// Planner is the build's one query planner (reference switch, skip
+	// counter): every search of the build plans under it; parts hold none.
 	Planner *index.Planner
 	// WAL is the write-ahead log of a durable CLSM build (nil without
 	// WALDir; partitioned builds keep one per part) and Compactor the
@@ -73,18 +74,17 @@ type Built struct {
 }
 
 // shared is what every part of one build or reopened snapshot has in
-// common: one frame budget, one planner, one background-merge pool.
+// common: one frame budget, one background-merge pool.
 type shared struct {
-	cache   *bufpool.Cache
-	planner *index.Planner
-	sched   *compact.Scheduler
+	cache *bufpool.Cache
+	sched *compact.Scheduler
 }
 
 // newShared opens what the parts share: a cache of spec.CacheBytes in pages
-// of spec.PageSize, a planner, and for CLSM with CompactionWorkers the
-// scheduler, which the caller closes if no build takes it.
+// of spec.PageSize, and for CLSM with CompactionWorkers the scheduler, which
+// the caller closes if no build takes it.
 func newShared(spec Spec) shared {
-	sh := shared{planner: new(index.Planner)}
+	var sh shared
 	if spec.CacheBytes > 0 {
 		sh.cache = bufpool.NewCache(spec.CacheBytes, spec.PageSize)
 	}
@@ -131,13 +131,13 @@ func owned(spec Spec, open func(shared) (*Built, error)) (*Built, error) {
 		return nil, err
 	}
 	b.ownsSched = true
-	b.workers = parallel.New(b.Spec.Parallelism)
+	b.workers, b.Planner = parallel.New(b.Spec.Parallelism), new(index.Planner)
 	return b, nil
 }
 
-// Base opens the storage half of a build — backend, buffer pool, planner
-// and raw series file — and leaves the index to the caller (the streaming
-// schemes, which are not index variants).
+// Base opens the storage half of a build — backend, buffer pool, raw series
+// file, search pool and planner — and leaves the index to the caller (the
+// streaming schemes, which are not index variants).
 func Base(spec Spec) (*Built, error) {
 	spec, cfg, err := spec.resolve()
 	if err != nil {
@@ -149,10 +149,10 @@ func Base(spec Spec) (*Built, error) {
 }
 
 // base performs the steps every build starts with: backend → buffer pool →
-// planner → raw series file (openRaw, keeping one the store holds when
+// raw series file (openRaw, keeping one the store holds when
 // keepRaw). On error everything opened so far is closed.
 func base(spec Spec, cfg index.Config, ds *series.Dataset, sh shared, keepRaw bool) (*Built, error) {
-	b := &Built{Spec: spec, Config: cfg, Cache: sh.cache, Planner: sh.planner, Compactor: sh.sched}
+	b := &Built{Spec: spec, Config: cfg, Cache: sh.cache, Compactor: sh.sched}
 	if spec.StorageDir == "" {
 		b.Disk = storage.NewDisk(spec.PageSize)
 	} else {
@@ -330,7 +330,7 @@ func buildOne(spec Spec, cfg index.Config, ds *series.Dataset, sh shared) (b *Bu
 		t, err = ctree.Build(ctree.Options{
 			Disk: b.Disk, Reader: b.Reader(), Name: treeName, Config: cfg,
 			FillFactor: spec.FillFactor, MemBudget: spec.MemBudget, Raw: b.RawStore(),
-			Parallelism: spec.Parallelism, Planner: b.Planner, Compress: spec.Compress,
+			Parallelism: spec.Parallelism, Compress: spec.Compress,
 		}, ds, 0)
 		if err != nil {
 			return
@@ -340,7 +340,7 @@ func buildOne(spec Spec, cfg index.Config, ds *series.Dataset, sh shared) (b *Bu
 		opts := clsm.Options{
 			Disk: b.Disk, Reader: b.Reader(), Name: lsmName, Config: cfg,
 			GrowthFactor: spec.GrowthFactor, BufferEntries: buffer, Raw: b.RawStore(),
-			Scheduler: b.Compactor, Planner: b.Planner, Compress: spec.Compress,
+			Scheduler: b.Compactor, Compress: spec.Compress,
 		}
 		if spec.WALDir != "" {
 			if b.WAL, err = openWAL(spec); err != nil {
@@ -414,8 +414,8 @@ func shardDir(root string, i int) string {
 
 // buildGroup assembles a partitioned build: the series are hash-partitioned
 // into the logical shards, every owned shard is built as its own
-// unpartitioned index (own disk, log and directory; shared cache, planner
-// and scheduler), concurrently on a pool bounded by spec.Parallelism — so
+// unpartitioned index (own disk, log and directory; shared cache and
+// scheduler), concurrently on a pool bounded by spec.Parallelism — so
 // each shard sorts serially — and wrapped in a shard.Group.
 // On error it returns the shards assembled so far for the caller to Close.
 func buildGroup(spec Spec, cfg index.Config, ds *series.Dataset, sh shared) (*Built, error) {
@@ -434,7 +434,7 @@ func buildGroup(spec Spec, cfg index.Config, ds *series.Dataset, sh shared) (*Bu
 	inner.Shards, inner.ClusterShards, inner.NodeShards = 0, 0, nil
 	inner.Parallelism = 1
 
-	b := &Built{Spec: spec, Config: cfg, Cache: sh.cache, Planner: sh.planner, Compactor: sh.sched}
+	b := &Built{Spec: spec, Config: cfg, Cache: sh.cache, Compactor: sh.sched}
 	b.Parts = make([]*Built, len(owned))
 	start := time.Now()
 	err := parallel.New(spec.Parallelism).ForEach(len(owned), func(_, i int) error {
@@ -506,7 +506,7 @@ func (b *Built) group(nsh int, owned []int, part [][]int64) error {
 		}
 		shards[si] = &shard.Shard{Index: p.Index, Disk: p.Disk, Reader: p.Reader(), IDs: part[si]}
 	}
-	g, err := shard.NewGroup(b.Config, nsh, shards, b.Planner)
+	g, err := shard.NewGroup(b.Config, nsh, shards)
 	if err != nil {
 		return err
 	}

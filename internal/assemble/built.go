@@ -138,28 +138,28 @@ func (b *Built) SetParallelism(n int) {
 func (b *Built) Workers() *parallel.Pool { return b.workers }
 
 // ApproxSearch returns up to k likely near neighbors of q (index.Approx on
-// the build's pool).
+// the build's pool and planner).
 func (b *Built) ApproxSearch(q index.Query, k int) ([]index.Result, error) {
-	return index.Approx(b.Index, q, b.Config, b.workers, k)
+	return index.Approx(b.Index, q, b.Config, b.workers, b.Planner, k)
 }
 
 // ExactSearch returns the true k nearest neighbors of q (index.Exact on the
-// build's pool).
+// build's pool and planner).
 func (b *Built) ExactSearch(q index.Query, k int) ([]index.Result, error) {
-	return index.Exact(b.Index, q, b.Config, b.workers, k)
+	return index.Exact(b.Index, q, b.Config, b.workers, b.Planner, k)
 }
 
 // RangeSearch returns every series within distance eps of q (index.Range on
-// the build's pool).
+// the build's pool and planner).
 func (b *Built) RangeSearch(q index.Query, eps float64) ([]index.Result, error) {
-	return index.Range(b.Index, q, b.Config, b.workers, eps)
+	return index.Range(b.Index, q, b.Config, b.workers, b.Planner, eps)
 }
 
 // SearchBatch answers one exact k-NN query per element of qs (index.Batch),
 // byte-identically to ExactSearch: the build's pool moves from within one
 // search to across queries.
 func (b *Built) SearchBatch(qs []index.Query, k int) ([][]index.Result, error) {
-	return index.Batch(b.workers, b.Config, b.Index, qs, k)
+	return index.Batch(b.workers, b.Planner, b.Config, b.Index, qs, k)
 }
 
 // Close shuts the build down: waits out in-flight background merges, stops

@@ -143,7 +143,7 @@ func Open(path string, spec Spec) (*Built, error) {
 // shared cache, re-attaching the WAL when the spec names one. On error
 // everything it opened, disk included, is closed.
 func openOne(disk storage.Backend, spec Spec, sh shared) (b *Built, err error) {
-	b = &Built{Disk: disk, Planner: sh.planner, Compactor: sh.sched}
+	b = &Built{Disk: disk, Compactor: sh.sched}
 	defer func() {
 		if err != nil {
 			b.Close()
@@ -161,7 +161,7 @@ func openOne(disk storage.Backend, spec Spec, sh shared) (b *Built, err error) {
 	case familyCTree:
 		var tree *ctree.Tree
 		if tree, err = ctree.Open(ctree.Options{
-			Disk: disk, Reader: b.Reader(), Name: treeName, Raw: b.RawStore(), Planner: b.Planner,
+			Disk: disk, Reader: b.Reader(), Name: treeName, Raw: b.RawStore(),
 		}); err != nil {
 			return
 		}
@@ -175,7 +175,7 @@ func openOne(disk storage.Backend, spec Spec, sh shared) (b *Built, err error) {
 		var lsm *clsm.LSM
 		if lsm, err = clsm.Open(clsm.Options{
 			Disk: disk, Reader: b.Reader(), Name: lsmName, GrowthFactor: spec.GrowthFactor, BufferEntries: spec.BufferEntries,
-			Raw: b.RawStore(), WAL: b.WAL, Scheduler: b.Compactor, Planner: b.Planner, Compress: spec.Compress,
+			Raw: b.RawStore(), WAL: b.WAL, Scheduler: b.Compactor, Compress: spec.Compress,
 		}); err != nil {
 			return
 		}
@@ -276,7 +276,7 @@ func OpenSharded(path string, spec Spec) (*Built, error) {
 	}
 	spec.PageSize = disk.PageSize()
 	return owned(spec, func(sh shared) (*Built, error) {
-		b := &Built{Cache: sh.cache, Planner: sh.planner, Compactor: sh.sched}
+		b := &Built{Cache: sh.cache, Compactor: sh.sched}
 		inner := spec
 		all := make([]int, m.Shards)
 		var total int64

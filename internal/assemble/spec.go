@@ -7,14 +7,15 @@
 // shards — is declared, validated, wired and torn down in one place.
 //
 // Build performs, in order: storage backend (simulated disk or file-backed
-// page store) → buffer pool on the build's shared cache → query planner →
-// raw series file (non-materialized only: on the build's disk or a heap disk
-// of its own) → write-ahead log (opened, and replayed when it already holds
-// entries) → compaction scheduler → the CTree / CLSM / ADS+ index → for
-// partitioned builds, one such shard per owned partition on the shared
-// cache, planner and scheduler, wrapped in a shard.Group. The returned Built
-// owns everything it opened; a build that fails part-way closes what it had
-// opened before returning the error.
+// page store) → buffer pool on the build's shared cache → raw series file
+// (non-materialized only: on the build's disk or a heap disk of its own) →
+// write-ahead log (opened, and replayed when it already holds entries) →
+// compaction scheduler → the CTree / CLSM / ADS+ index → for partitioned
+// builds, one such shard per owned partition on the shared cache and
+// scheduler, wrapped in a shard.Group. The build's search pool and query
+// planner are made once, for the whole build; parts hold neither. The
+// returned Built owns everything it opened; a build that fails part-way
+// closes what it had opened before returning the error.
 package assemble
 
 import (

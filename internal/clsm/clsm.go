@@ -102,10 +102,6 @@ type Options struct {
 	// be shared across many indexes (one background-work budget for a whole
 	// sharded deployment).
 	Scheduler *compact.Scheduler
-	// Planner carries the query planner's switch and skip counter. nil
-	// plans with defaults (ordering, and skipping runs and dead pages, on);
-	// it may be shared across many indexes, like the Scheduler.
-	Planner *index.Planner
 	// Compress writes new runs in the packed page encoding (record.PageBuilder):
 	// frame-of-reference bit-packed keys, IDs, and timestamps with verbatim
 	// payloads, so each run page carries more candidates per I/O. Existing

@@ -24,15 +24,15 @@ var testPool = parallel.New(0)
 // exactSearch, approxSearch and rangeSearch search l through the entries on
 // testPool.
 func exactSearch(l *LSM, q index.Query, k int) ([]index.Result, error) {
-	return index.Exact(l, q, l.Config(), testPool, k)
+	return index.Exact(l, q, l.Config(), testPool, nil, k)
 }
 
 func approxSearch(l *LSM, q index.Query, k int) ([]index.Result, error) {
-	return index.Approx(l, q, l.Config(), testPool, k)
+	return index.Approx(l, q, l.Config(), testPool, nil, k)
 }
 
 func rangeSearch(l *LSM, q index.Query, eps float64) ([]index.Result, error) {
-	return index.Range(l, q, l.Config(), testPool, eps)
+	return index.Range(l, q, l.Config(), testPool, nil, eps)
 }
 
 type normStore struct{ d *series.Dataset }

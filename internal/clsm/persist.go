@@ -310,7 +310,7 @@ func Open(opts Options) (*LSM, error) {
 	}
 	l := &LSM{
 		opts:    opts,
-		store:   run.NewStore(opts.Disk, opts.Reader, opts.Planner, opts.Config, opts.Raw),
+		store:   run.NewStore(opts.Disk, opts.Reader, opts.Config, opts.Raw),
 		adopted: st.src,
 	}
 	if size := l.store.Codec().Size(); size > opts.Disk.PageSize() {

@@ -67,15 +67,13 @@ func (l *LSM) ExactInto(q index.Query, col *index.Collector, ctx *index.SearchCt
 // method expression) to every run of view v through the planned-probe
 // executor (index.ProbeUnits), each worker slot of ctx's pool with its own
 // scratch. A run is bounded by its synopsis's envelope MINDIST, or by +Inf
-// when its time range misses the query window. The planner that skips runs
-// here is the one the store's scans skip pages by: skipped runs are counted
-// as "run" units, skipped pages inside a scanned run as "page" units.
+// when its time range misses the query window. The context's planner skips
+// runs here and pages in the store's scans: skipped runs are counted as
+// "run" units, skipped pages inside a scanned run as "page" units.
 func forEachRun[C index.FanCollector[C]](l *LSM, v *view, q index.Query, ctx *index.SearchCtx, col C, scan func(*run.Store, run.Run, index.Query, C, *index.Scratch) error) error {
 	runs := allRuns(v.man)
 	scs := ctx.Scratches(ctx.Pool.WorkersFor(len(runs)))
-	return index.ProbeUnits(index.ProbePlan{
-		Planner: l.store.Planner, Pool: ctx.Pool, Trace: ctx.Trace, Kind: "run", Units: ctx.PlanUnits(len(runs)),
-	}, col, func(i int) float64 {
+	return index.ProbeUnits(ctx, "run", ctx.PlanUnits(len(runs)), col, func(i int) float64 {
 		return ctx.P.UnitBoundSq(q, runs[i].Syn)
 	}, func(i, w int, col C) error {
 		return scan(&l.store, runs[i], q, col, scs[w])

@@ -244,8 +244,8 @@ func TestColumnScanEquivalence(t *testing.T) {
 		{"sharded1", true, full, sharded(1)},
 		{"sharded2-cached", true, with(base, func(o *coconut.Options) { o.CacheBytes = 64 << 10 }), sharded(2)},
 		{"sharded4", true, full, sharded(4)},
-		{"stream-tp", false, base, tp},
-		{"stream-tp-cached", false, with(base, func(o *coconut.Options) { o.CacheBytes = 64 << 10 }), tp},
+		{"stream-tp", true, base, tp},
+		{"stream-tp-cached", true, with(base, func(o *coconut.Options) { o.CacheBytes = 64 << 10 }), tp},
 	}
 	defer run.SetPageKeyBounds(false)
 	for _, sc := range scenarios {
@@ -339,13 +339,13 @@ func TestColumnScanTraceMatchesReference(t *testing.T) {
 				search func(q index.Query) error
 			}{
 				{"exact", func(q index.Query) error {
-					res, err := index.Exact(tr, q, cfg, nil, 5)
+					res, err := index.Exact(tr, q, cfg, nil, nil, 5)
 					if err == nil {
 						eps = res[2].Dist
 					}
 					return err
 				}},
-				{"range", func(q index.Query) error { _, err := index.Range(tr, q, cfg, nil, eps); return err }},
+				{"range", func(q index.Query) error { _, err := index.Range(tr, q, cfg, nil, nil, eps); return err }},
 			} {
 				want, got := trace(true, mode.search), trace(false, mode.search)
 				if want.UndecodedPages != 0 {

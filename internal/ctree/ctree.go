@@ -55,10 +55,6 @@ type Options struct {
 	// values <= 0 select GOMAXPROCS. The built index is identical at every
 	// setting. (A search fans out on the pool its context carries.)
 	Parallelism int
-	// Planner carries the query planner's switch and skip counter. nil
-	// plans with defaults (zone-map leaf skipping on); it may be shared
-	// across many indexes.
-	Planner *index.Planner
 	// Compress selects the packed page encoding for leaf pages
 	// (delta/bit-packed keys, frame-of-reference IDs and timestamps): each
 	// leaf holds as many entries as its compressed bytes allow instead of a
@@ -95,7 +91,7 @@ func (o *Options) setDefaults() error {
 // levels: it always fits in memory, as in the paper's implementation.
 type Tree struct {
 	opts     Options
-	store    run.Store // the leaf file's reader, planner, entry codec and raw store
+	store    run.Store // the leaf file's reader, entry codec and raw store
 	leaves   run.Run   // the leaf file: count, synopsis, encoding and summary
 	capacity int       // max entries per leaf page (fixed-size layout)
 	nextID64 int64     // next auto-assigned insert ID
@@ -234,7 +230,7 @@ func bulkLoad(opts Options, n int64, write func(t *Tree, sorter *extsort.Sorter)
 func newTree(opts Options) *Tree {
 	return &Tree{
 		opts:    opts,
-		store:   run.NewStore(opts.Disk, opts.Reader, opts.Planner, opts.Config, opts.Raw),
+		store:   run.NewStore(opts.Disk, opts.Reader, opts.Config, opts.Raw),
 		leaves:  run.Run{File: opts.Name + ".leaves"},
 		pageBuf: make([]byte, opts.Disk.PageSize()),
 	}

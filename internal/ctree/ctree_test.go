@@ -24,15 +24,15 @@ var testPool = parallel.New(0)
 // exactSearch, approxSearch and rangeSearch search tr through the entries
 // on testPool.
 func exactSearch(tr *Tree, q index.Query, k int) ([]index.Result, error) {
-	return index.Exact(tr, q, tr.Config(), testPool, k)
+	return index.Exact(tr, q, tr.Config(), testPool, nil, k)
 }
 
 func approxSearch(tr *Tree, q index.Query, k int) ([]index.Result, error) {
-	return index.Approx(tr, q, tr.Config(), testPool, k)
+	return index.Approx(tr, q, tr.Config(), testPool, nil, k)
 }
 
 func rangeSearch(tr *Tree, q index.Query, eps float64) ([]index.Result, error) {
-	return index.Range(tr, q, tr.Config(), testPool, eps)
+	return index.Range(tr, q, tr.Config(), testPool, nil, eps)
 }
 
 // normStore wraps a dataset, z-normalizing on access, matching the

@@ -81,7 +81,7 @@ func flag(b bool) byte {
 }
 
 // Open reconstructs a saved tree from a disk holding "<name>.leaves" and
-// "<name>.meta". Of opts it takes Disk, Name, Reader, Planner and (for
+// "<name>.meta". Of opts it takes Disk, Name, Reader and (for
 // non-materialized trees) Raw as Build does; the structure — Config,
 // FillFactor, page encoding — is restored from the metadata.
 func Open(opts Options) (*Tree, error) {

@@ -71,7 +71,7 @@ func (t *Tree) RangeInto(q index.Query, col *index.RangeCollector, ctx *index.Se
 // worker keeps the sequential access pattern the compact layout buys within
 // its own range; eval evaluates a page into the worker's collector, which is
 // all the exact and the range search differ in. Each range is the summary's
-// page loop (run.Store.Scan), which leaves dead leaves unread as the tree's
+// page loop (run.Store.Scan), which leaves dead leaves unread as the search's
 // planner allows — dropping work, never answers — and counts them as "leaf"
 // units.
 func scanAll[C interface {

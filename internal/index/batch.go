@@ -17,11 +17,12 @@ func (c *SearchCtx) Refill(q Query, cfg Config) {
 // query (the only per-query cost) while its page buffers, decode scratch and
 // candidate slices persist, and it is handed to idx.ExactInto without a pool
 // — on a shard group each query probes every shard with that single context.
-// Each query scans serially, so out[i] is byte-identical to Exact(idx,
-// qs[i], cfg, pool, k): batching changes throughput, never answers. On error
-// the lowest-indexed query's error is reported (parallel.Pool's
-// deterministic error contract) and the partial outputs are discarded.
-func Batch(pool *parallel.Pool, cfg Config, idx Index, qs []Query, k int) ([][]Result, error) {
+// Each query scans serially under pl, so out[i] is byte-identical to
+// Exact(idx, qs[i], cfg, pool, pl, k): batching changes throughput, never
+// answers. On error the lowest-indexed query's error is reported
+// (parallel.Pool's deterministic error contract) and the partial outputs are
+// discarded.
+func Batch(pool *parallel.Pool, pl *Planner, cfg Config, idx Index, qs []Query, k int) ([][]Result, error) {
 	if len(qs) == 0 {
 		return nil, nil
 	}
@@ -30,6 +31,7 @@ func Batch(pool *parallel.Pool, cfg Config, idx Index, qs []Query, k int) ([][]R
 	ctxs := make(Ctxs, w)
 	for i := range ctxs {
 		ctxs[i] = ctxPool.Get().(*SearchCtx)
+		ctxs[i].Planner = pl
 	}
 	defer ctxs.Release()
 	err := pool.ForEach(len(qs), func(worker, i int) error {

@@ -70,9 +70,9 @@ func contractRows(t *testing.T, ds *series.Dataset) map[string]contractRow {
 		case "stream.PP":
 			sc = stream.NewPP(b.Index.(stream.EntryIndex), b.Config)
 		case "stream.TP":
-			sc, err = stream.NewTP("tp", b.Config, stream.CTreeFactory(b.Disk, b.Reader(), b.Config, nil), 200, nil, b.Planner)
+			sc, err = stream.NewTP("tp", b.Config, stream.CTreeFactory(b.Disk, b.Reader(), b.Config, nil), 200, nil)
 		case "stream.BTP":
-			sc, err = stream.NewBTP(b.Disk, b.Reader(), "btp", b.Config, 200, 2, nil, b.Planner)
+			sc, err = stream.NewBTP(b.Disk, b.Reader(), "btp", b.Config, 200, 2, nil)
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -87,8 +87,8 @@ func contractRows(t *testing.T, ds *series.Dataset) map[string]contractRow {
 	return rows
 }
 
-// contractKind is one search kind of a row: the entry, which sets the pool,
-// and the core on the caller's context.
+// contractKind is one search kind of a row: the entry, which sets the pool
+// and the build's planner, and the core on the caller's context.
 type contractKind struct {
 	name  string
 	entry func(q index.Query, pool *parallel.Pool) ([]index.Result, error)
@@ -99,12 +99,13 @@ type contractKind struct {
 // range within eps where the row has a range core. An index's entries are
 // index.Exact, Approx and Range; a scheme's are index.Into over its cores.
 func (row contractRow) kinds(cfg index.Config, k int, eps float64) []contractKind {
-	knn := func(name string, core knnCore, entry func(index.Index, index.Query, index.Config, *parallel.Pool, int) ([]index.Result, error)) contractKind {
+	pl := row.b.Planner
+	knn := func(name string, core knnCore, entry func(index.Index, index.Query, index.Config, *parallel.Pool, *index.Planner, int) ([]index.Result, error)) contractKind {
 		return contractKind{name, func(q index.Query, pool *parallel.Pool) ([]index.Result, error) {
 			if row.idx != nil {
-				return entry(row.idx, q, cfg, pool, k)
+				return entry(row.idx, q, cfg, pool, pl, k)
 			}
-			return index.Rendered(index.Into(q, cfg, pool, index.NewCollector(k), core))
+			return index.Rendered(index.Into(q, cfg, pool, pl, index.NewCollector(k), core))
 		}, func(q index.Query, ctx *index.SearchCtx) ([]index.Result, error) {
 			col := index.NewCollector(k)
 			return index.Rendered(col, core(q, col, ctx))
@@ -113,7 +114,7 @@ func (row contractRow) kinds(cfg index.Config, k int, eps float64) []contractKin
 	kinds := []contractKind{knn("exact", row.exact, index.Exact), knn("approx", row.approx, index.Approx)}
 	if row.rng != nil {
 		kinds = append(kinds, contractKind{"range", func(q index.Query, pool *parallel.Pool) ([]index.Result, error) {
-			return index.Range(row.idx, q, cfg, pool, eps)
+			return index.Range(row.idx, q, cfg, pool, pl, eps)
 		}, func(q index.Query, ctx *index.SearchCtx) ([]index.Result, error) {
 			col := index.NewRangeCollector(eps)
 			return index.Rendered(col, row.rng(q, col, ctx))
@@ -145,7 +146,7 @@ func TestSearchContract(t *testing.T) {
 			var batch [][]index.Result
 			if row.idx != nil {
 				var err error
-				if batch, err = index.Batch(parallel.New(2), cfg, row.idx, queries, k); err != nil {
+				if batch, err = index.Batch(parallel.New(2), b.Planner, cfg, row.idx, queries, k); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -160,14 +161,16 @@ func TestSearchContract(t *testing.T) {
 					bruteRange.Add(index.Result{ID: int64(id), TS: int64(id), Dist: math.Sqrt(q.Norm.SqDist(s.ZNormalize()))})
 				}
 				for _, kind := range row.kinds(cfg, k, eps) {
-					// The core on a serial context, traced; then what it reads
-					// once it has read it, the head where it leaves it (the
-					// meter prices an access by the one before it).
+					// The core on a serial context under the build's planner,
+					// traced; then what it reads once it has read it, the head
+					// where it leaves it (the meter prices an access by the one
+					// before it).
 					cq := q
 					cq.Trace = obs.NewQueryTrace()
 					core := func(q index.Query) ([]index.Result, error) {
 						ctx := index.AcquireCtx(q, cfg)
 						defer ctx.Release()
+						ctx.Planner = b.Planner
 						return kind.core(q, ctx)
 					}
 					want, err := core(cq)
@@ -256,7 +259,7 @@ func TestSearchContractTPContexts(t *testing.T) {
 	const partitions, bufferCap = 32, 32
 	cfg := index.Config{SeriesLen: 64, Segments: 8, Bits: 8}
 	raw := series.NewDataset(64)
-	tp, err := stream.NewTP("tp", cfg, stream.CTreeFactory(storage.NewDisk(0), nil, cfg, raw), bufferCap, raw, nil)
+	tp, err := stream.NewTP("tp", cfg, stream.CTreeFactory(storage.NewDisk(0), nil, cfg, raw), bufferCap, raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +281,7 @@ func TestSearchContractTPContexts(t *testing.T) {
 		t.Fatalf("%d partitions, want %d", tp.Partitions(), partitions)
 	}
 	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := index.Into(q, cfg, nil, index.NewCollector(1), tp.ExactInto); err != nil {
+		if _, err := index.Into(q, cfg, nil, nil, index.NewCollector(1), tp.ExactInto); err != nil {
 			t.Fatal(err)
 		}
 	})

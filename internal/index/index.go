@@ -35,13 +35,15 @@
 // BTP's partitions) fans them out on it; a composition (a shard group, a TP
 // stream) spends it across its parts and hands each part a serial context
 // (SearchCtx.Parts); Batch spends it across queries and hands every query a
-// serial context. Only an entry (Into, and Approx, Exact and Range over an
-// Index) sets a pool — it acquires the context, runs the core into a new
-// collector and renders the result — and assemble.Built holds the one pool a
-// build's searches use. A core leaves the exact accumulated squared sums in
-// the collector, so every composition merges on the keys a single index
-// compares; and it may be handed a collector that already holds results,
-// which only tighten its pruning.
+// serial context. Beside the pool the context carries the search's one
+// planner, which every level, parts included, plans under and counts into.
+// Only an entry (Into, and Approx, Exact and Range over an Index) sets the
+// pool and the planner — it acquires the context, runs the core into a new
+// collector and renders the result — and assemble.Built holds the one pool
+// and the one planner a build's searches use. A core leaves the exact
+// accumulated squared sums in the collector, so every composition merges on
+// the keys a single index compares; and it may be handed a collector that
+// already holds results, which only tighten its pruning.
 package index
 
 import (
@@ -413,35 +415,36 @@ type Index interface {
 }
 
 // Into is the one search entry: a pooled context filled for q under cfg,
-// fanning out on pool (nil or one worker: serial), core run into col on it,
-// and col returned filled. Approx, Exact and Range are it over an Index's
-// cores; a caller holding a core of another shape (a stream scheme, a shard
-// subset) calls it directly.
-func Into[C any](q Query, cfg Config, pool *parallel.Pool, col C, core func(Query, C, *SearchCtx) error) (C, error) {
+// fanning out on pool (nil or one worker: serial) and planning under pl (nil:
+// defaults, uncounted), core run into col on it, and col returned filled.
+// Approx, Exact and Range are it over an Index's cores; a caller holding a
+// core of another shape (a stream scheme, a shard subset) calls it directly.
+func Into[C any](q Query, cfg Config, pool *parallel.Pool, pl *Planner, col C, core func(Query, C, *SearchCtx) error) (C, error) {
 	ctx := AcquireCtx(q, cfg)
 	defer ctx.Release()
 	if pool.Workers() > 1 {
 		ctx.Pool = pool
 	}
+	ctx.Planner = pl
 	return col, core(q, col, ctx)
 }
 
 // Approx returns up to k likely near neighbors of q in idx, fanning out on
-// pool.
-func Approx(idx Index, q Query, cfg Config, pool *parallel.Pool, k int) ([]Result, error) {
-	return Rendered(Into(q, cfg, pool, NewCollector(k), idx.ApproxInto))
+// pool under pl.
+func Approx(idx Index, q Query, cfg Config, pool *parallel.Pool, pl *Planner, k int) ([]Result, error) {
+	return Rendered(Into(q, cfg, pool, pl, NewCollector(k), idx.ApproxInto))
 }
 
 // Exact returns the true k nearest neighbors of q in idx, fanning out on
-// pool.
-func Exact(idx Index, q Query, cfg Config, pool *parallel.Pool, k int) ([]Result, error) {
-	return Rendered(Into(q, cfg, pool, NewCollector(k), idx.ExactInto))
+// pool under pl.
+func Exact(idx Index, q Query, cfg Config, pool *parallel.Pool, pl *Planner, k int) ([]Result, error) {
+	return Rendered(Into(q, cfg, pool, pl, NewCollector(k), idx.ExactInto))
 }
 
 // Range returns every series in idx within Euclidean distance eps of q,
-// fanning out on pool.
-func Range(idx Index, q Query, cfg Config, pool *parallel.Pool, eps float64) ([]Result, error) {
-	return Rendered(Into(q, cfg, pool, NewRangeCollector(eps), idx.RangeInto))
+// fanning out on pool under pl.
+func Range(idx Index, q Query, cfg Config, pool *parallel.Pool, pl *Planner, eps float64) ([]Result, error) {
+	return Rendered(Into(q, cfg, pool, pl, NewRangeCollector(eps), idx.RangeInto))
 }
 
 // Rendered renders a finished search's collector, passing its error through.

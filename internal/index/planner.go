@@ -4,8 +4,6 @@ import (
 	"math"
 	"sync/atomic"
 
-	"repro/internal/obs"
-	"repro/internal/parallel"
 	"repro/internal/zonestat"
 )
 
@@ -25,13 +23,14 @@ import (
 // (distance, id) ordering), so planned and unplanned searches return
 // byte-identical results. Tests assert this exactly.
 //
-// ProbeUnits is the only place that sorts a plan, counts a unit skip into
-// the planner or records a probe unit into a trace, which is what keeps a
-// trace's planned skips equal to the planner's counter delta. What an index
-// variant contributes is how to bound a unit and how to probe it.
-// (Page-level skipping — a CTree's leaves, a run's or partition's pages — is
-// a different, run-length-aware algorithm with the same accounting, in the
-// one page loop: run.Store.Scan.)
+// A search has one planner, on its context (SearchCtx.Planner). ProbeUnits
+// is the only place that sorts a plan, counts a unit skip into it or records
+// a probe unit into a trace; page-level skipping — a CTree's leaves, a run's
+// or partition's pages — is a run-length-aware algorithm with the same
+// accounting under the same planner, in the one page loop (run.Store.Scan).
+// That keeps a trace's planned skips equal to the planner's counter delta in
+// every composition. What an index variant contributes is how to bound a
+// unit and how to probe it.
 
 // PlanUnit pairs a probe unit's index in the caller's unit list with its
 // squared envelope lower bound, for sorting into probe order.
@@ -102,10 +101,11 @@ func (p *Pruner) UnitBoundSq(q Query, syn *zonestat.Synopsis) float64 {
 	return p.SynopsisBoundSq(syn)
 }
 
-// Planner is the per-index planning handle: a skip counter and the
-// reference switch. A nil Planner behaves like an enabled planner that drops
-// its counter. One Planner may be shared by many indexes (every shard of a
-// Sharded facade shares one, like the buffer-pool cache).
+// Planner is a search's planning handle: a skip counter and the reference
+// switch. No index holds one; a search reaches it through its context, so
+// one planner counts every level of a composition. A nil Planner behaves
+// like an enabled planner that drops its counter. One Planner may serve any
+// number of searches at once (assemble.Built holds one per build).
 type Planner struct {
 	// Disabled selects the reference path — unplanned probe order, no unit
 	// skipped, every page a scan reaches read — that the equivalence suites
@@ -133,25 +133,13 @@ func (pl *Planner) Skips() int64 {
 	return pl.skips.Load()
 }
 
-// ProbePlan says where one planned fan-out runs: the planner that enables
-// it and counts its skips, the pool it fans out on, the trace and unit kind
-// ("run", "partition", "shard") it reports under, and the plan buffer — one
-// slot per probe unit, from SearchCtx.PlanUnits or OuterPlanUnits.
-type ProbePlan struct {
-	Planner *Planner
-	Pool    *parallel.Pool
-	Trace   *obs.QueryTrace
-	Kind    string
-	Units   []PlanUnit
-}
-
 // note records one unit as probed or skipped in the trace, counting a skip
 // into the planner.
-func (p ProbePlan) note(u PlanUnit, skipped bool) {
+func (c *SearchCtx) note(kind string, u PlanUnit, skipped bool) {
 	if skipped {
-		p.Planner.NoteSkips(1)
+		c.Planner.NoteSkips(1)
 	}
-	p.Trace.NoteUnit(p.Kind, u.Idx, u.BoundSq, skipped)
+	c.Trace.NoteUnit(kind, u.Idx, u.BoundSq, skipped)
 }
 
 // skippable reports whether a unit lower-bounded by boundSq cannot change
@@ -161,10 +149,12 @@ func skippable[C FanCollector[C]](col C, boundSq float64) bool {
 	return math.IsInf(boundSq, 1) || col.SkipSq(boundSq)
 }
 
-// ProbeUnits probes len(p.Units) units into col. bound(i) is unit i's
-// squared envelope lower bound (0 = unknown, +Inf = nothing to find);
-// probe(i, worker, col) searches unit i into the collector it is handed, as
-// worker slot worker of p.Pool.
+// ProbeUnits probes the units of one kind ("run", "partition", "shard") into
+// col on ctx's pool, planner and trace; units is the plan buffer, one slot a
+// unit (ctx.PlanUnits or OuterPlanUnits). bound(i) is unit i's squared
+// envelope lower bound (0 = unknown, +Inf = nothing to find); probe(i,
+// worker, col) searches unit i into the collector it is handed, as worker
+// slot worker of ctx's pool.
 //
 // With one usable worker, units are probed straight into col in ascending
 // (bound, index) order, each checked against col right before its probe:
@@ -178,11 +168,10 @@ func skippable[C FanCollector[C]](col C, boundSq float64) bool {
 //
 // With the planner disabled every unit is probed through the plain FanOut:
 // the reference path the equivalence suites compare against.
-func ProbeUnits[C FanCollector[C]](p ProbePlan, col C, bound func(i int) float64, probe func(i, worker int, col C) error) error {
-	units := p.Units
-	if !p.Planner.Enabled() {
-		p.Trace.NoteProbes(p.Kind, int64(len(units)))
-		return FanOut(p.Pool, len(units), col, probe)
+func ProbeUnits[C FanCollector[C]](ctx *SearchCtx, kind string, units []PlanUnit, col C, bound func(i int) float64, probe func(i, worker int, col C) error) error {
+	if !ctx.Planner.Enabled() {
+		ctx.Trace.NoteProbes(kind, int64(len(units)))
+		return FanOut(ctx.Pool, len(units), col, probe)
 	}
 	for i := range units {
 		units[i] = PlanUnit{BoundSq: bound(i), Idx: i}
@@ -190,9 +179,9 @@ func ProbeUnits[C FanCollector[C]](p ProbePlan, col C, bound func(i int) float64
 	if col.tightens() {
 		SortPlan(units)
 	}
-	if p.Pool.WorkersFor(len(units)) <= 1 {
+	if ctx.Pool.WorkersFor(len(units)) <= 1 {
 		for _, u := range units {
-			if err := probeUnit(p, u, 0, col, probe); err != nil {
+			if err := probeUnit(ctx, kind, u, 0, col, probe); err != nil {
 				return err
 			}
 		}
@@ -201,21 +190,21 @@ func ProbeUnits[C FanCollector[C]](p ProbePlan, col C, bound func(i int) float64
 	live := units[:0]
 	for _, u := range units {
 		if skippable(col, u.BoundSq) {
-			p.note(u, true)
+			ctx.note(kind, u, true)
 			continue
 		}
 		live = append(live, u)
 	}
-	return FanOut(p.Pool, len(live), col, func(i, worker int, col C) error {
-		return probeUnit(p, live[i], worker, col, probe)
+	return FanOut(ctx.Pool, len(live), col, func(i, worker int, col C) error {
+		return probeUnit(ctx, kind, live[i], worker, col, probe)
 	})
 }
 
 // probeUnit checks u against col right before probing it, and records
 // which of the two happened.
-func probeUnit[C FanCollector[C]](p ProbePlan, u PlanUnit, worker int, col C, probe func(i, worker int, col C) error) error {
+func probeUnit[C FanCollector[C]](ctx *SearchCtx, kind string, u PlanUnit, worker int, col C, probe func(i, worker int, col C) error) error {
 	skip := skippable(col, u.BoundSq)
-	p.note(u, skip)
+	ctx.note(kind, u, skip)
 	if skip {
 		return nil
 	}

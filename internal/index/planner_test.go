@@ -189,10 +189,10 @@ func randExecUnits(rng *rand.Rand, n int) []execUnit {
 	return units
 }
 
-// execRun drives ProbeUnits (or, with plan == nil, the plain FanOut
-// reference) over units into col and reports which units were probed, in
-// what order, and the answer.
-func execRun[C FanCollector[C]](t *testing.T, plan *ProbePlan, pool *parallel.Pool, units []execUnit, col C,
+// execRun drives ProbeUnits through ctx (or, with ctx == nil, the plain
+// FanOut reference on pool) over units into col and reports which units were
+// probed, in what order, and the answer.
+func execRun[C FanCollector[C]](t *testing.T, ctx *SearchCtx, pool *parallel.Pool, units []execUnit, col C,
 	add func(C, sqItem), results func(C) []Result) (probes []int, order []int, out []Result) {
 	t.Helper()
 	var mu sync.Mutex
@@ -208,10 +208,10 @@ func execRun[C FanCollector[C]](t *testing.T, plan *ProbePlan, pool *parallel.Po
 		return nil
 	}
 	var err error
-	if plan == nil {
+	if ctx == nil {
 		err = FanOut(pool, len(units), col, probe)
 	} else {
-		err = ProbeUnits(*plan, col, func(i int) float64 { return units[i].boundSq }, probe)
+		err = ProbeUnits(ctx, "unit", ctx.PlanUnits(len(units)), col, func(i int) float64 { return units[i].boundSq }, probe)
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -230,11 +230,10 @@ func checkExec[C FanCollector[C]](t *testing.T, label string, rng *rand.Rand, ne
 			_, _, want := execRun(t, nil, pool, units, newCol(), add, results)
 			for name, pl := range map[string]*Planner{"on": {}, "off": {Disabled: true}, "nil": nil} {
 				where := fmt.Sprintf("%s trial %d workers=%d planner=%s", label, trial, workers, name)
-				ctx := new(SearchCtx)
 				tr := obs.NewQueryTrace()
+				ctx := &SearchCtx{Pool: pool, Trace: tr, Planner: pl}
 				col := newCol()
-				plan := &ProbePlan{Planner: pl, Pool: pool, Trace: tr, Kind: "unit", Units: ctx.PlanUnits(len(units))}
-				probes, order, got := execRun(t, plan, pool, units, col, add, results)
+				probes, order, got := execRun(t, ctx, pool, units, col, add, results)
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("%s: answer %v, unplanned fan-out %v", where, got, want)
 				}
@@ -327,9 +326,8 @@ func TestProbeUnitsSerialDoesNotAllocate(t *testing.T) {
 		t.Skip("allocation counts are not stable under -race")
 	}
 	units := randExecUnits(rand.New(rand.NewSource(103)), 8)
-	ctx := new(SearchCtx)
 	pl := &Planner{}
-	plan := ProbePlan{Planner: pl, Kind: "unit", Units: ctx.PlanUnits(len(units))}
+	ctx := &SearchCtx{Planner: pl}
 	bound := func(i int) float64 { return units[i].boundSq }
 	col := NewCollector(5)
 	probe := func(i, _ int, col *Collector) error {
@@ -346,10 +344,10 @@ func TestProbeUnitsSerialDoesNotAllocate(t *testing.T) {
 		return nil
 	}
 	run := func() {
-		if err := ProbeUnits(plan, col, bound, probe); err != nil {
+		if err := ProbeUnits(ctx, "unit", ctx.PlanUnits(len(units)), col, bound, probe); err != nil {
 			t.Fatal(err)
 		}
-		if err := ProbeUnits(plan, rcol, bound, rprobe); err != nil {
+		if err := ProbeUnits(ctx, "unit", ctx.PlanUnits(len(units)), rcol, bound, rprobe); err != nil {
 			t.Fatal(err)
 		}
 	}

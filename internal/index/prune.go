@@ -61,11 +61,12 @@ import (
 // # Query-context lifecycle
 //
 // A search entry point (Into) acquires one context per query, hands it the
-// pool the query may fan out on, and releases it when the query completes:
+// pool the query may fan out on and the planner it plans under, and
+// releases it when the query completes:
 //
 //	ctx := index.AcquireCtx(q, cfg)
 //	defer ctx.Release()
-//	ctx.Pool = pool
+//	ctx.Pool, ctx.Planner = pool, pl
 //
 // The context's Pruner is read-only after AcquireCtx (FillAll may extend it
 // with coarser cardinalities before fan-out; ADS+ needs those for its
@@ -357,9 +358,11 @@ type Scratch struct {
 	P     *Pruner
 	cands []pageCand
 	view  record.PackedView // the packed page under evaluation, see Page.openView
-	// Trace aliases the query's trace recorder (nil untraced); workers
-	// report candidate tallies through it. Refreshed by Scratches.
-	Trace *obs.QueryTrace
+	// Trace and Planner alias the query's trace recorder (nil untraced) and
+	// planner, refreshed by Scratches: workers report candidate tallies to
+	// the one, and a page scan asks the other whether to skip dead pages.
+	Trace   *obs.QueryTrace
+	Planner *Planner
 }
 
 // NoteDeadPage accounts for a page that is read — pinned and released —
@@ -372,9 +375,9 @@ func (s *Scratch) NoteDeadPage(n int64) {
 }
 
 // SearchCtx is the pooled per-query search context: the query's pruning
-// tables, the worker pool the search fans out on, and one Scratch per worker
-// slot. Acquire with AcquireCtx, release with Release. See the lifecycle
-// notes at the top of this file.
+// tables, the worker pool the search fans out on, the planner it plans
+// under, and one Scratch per worker slot. Acquire with AcquireCtx, release
+// with Release. See the lifecycle notes at the top of this file.
 type SearchCtx struct {
 	P         Pruner
 	scratches []*Scratch
@@ -389,6 +392,11 @@ type SearchCtx struct {
 	// — AcquireCtx's, Batch's, the ones a composition hands its parts
 	// (Parts) — is serial.
 	Pool *parallel.Pool
+	// Planner is the search's one planner (planner.go), which orders and
+	// skips at every level — shard, run, partition, leaf, page — and counts
+	// every skip; nil plans with defaults, uncounted. An entry (Into, Batch)
+	// sets it, Release clears it and Parts hands it to every part.
+	Planner *Planner
 }
 
 var ctxPool = sync.Pool{New: func() any { return new(SearchCtx) }}
@@ -405,7 +413,7 @@ func AcquireCtx(q Query, cfg Config) *SearchCtx {
 // Release returns the context and all its scratch buffers to the pool. The
 // context must not be used afterwards.
 func (c *SearchCtx) Release() {
-	c.Trace, c.Pool = nil, nil
+	c.Trace, c.Pool, c.Planner = nil, nil, nil
 	ctxPool.Put(c)
 }
 
@@ -421,10 +429,10 @@ func (cs Ctxs) Release() {
 }
 
 // Parts runs fan with the contexts a composition hands its n parts (shards,
-// partitions), one per worker slot of c's pool, every one of them serial:
-// whoever holds the pool owns the parallelism, and the composition spends it
-// across its parts. Without a pool that is c itself; with one, contexts
-// filled for q, released when fan returns.
+// partitions), one per worker slot of c's pool, every one of them serial and
+// under c's planner: whoever holds the pool owns the parallelism, and the
+// composition spends it across its parts. Without a pool that is c itself;
+// with one, contexts filled for q, released when fan returns.
 func (c *SearchCtx) Parts(q Query, cfg Config, n int, fan func(Ctxs) error) error {
 	if c.Pool == nil {
 		return fan(Ctxs{c})
@@ -432,6 +440,7 @@ func (c *SearchCtx) Parts(q Query, cfg Config, n int, fan func(Ctxs) error) erro
 	cs := make(Ctxs, c.Pool.WorkersFor(n))
 	for i := range cs {
 		cs[i] = AcquireCtx(q, cfg)
+		cs[i].Planner = c.Planner
 	}
 	defer cs.Release()
 	return fan(cs)
@@ -440,15 +449,15 @@ func (c *SearchCtx) Parts(q Query, cfg Config, n int, fan func(Ctxs) error) erro
 // Scratches returns scratch states for worker slots 0..n-1, growing the set
 // as needed. It must be called on the coordinating goroutine before workers
 // start; the returned scratches may then be used concurrently, one per
-// slot. Each call refreshes the scratches' trace alias from the context,
-// so pooled scratches follow the current query's tracing state.
+// slot. Each call refreshes the scratches' trace and planner aliases from
+// the context, so pooled scratches follow the current query's.
 func (c *SearchCtx) Scratches(n int) []*Scratch {
 	for len(c.scratches) < n {
 		c.scratches = append(c.scratches, &Scratch{P: &c.P})
 	}
 	out := c.scratches[:n]
 	for _, sc := range out {
-		sc.Trace = c.Trace
+		sc.Trace, sc.Planner = c.Trace, c.Planner
 	}
 	return out
 }

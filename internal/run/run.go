@@ -44,16 +44,14 @@ var onProbePin func()
 
 // Store is one index's access to its runs: writes and merges go to Disk,
 // every search-time page read goes through Reader (the disk itself, or a
-// buffer pool over it), Raw resolves non-materialized
-// candidates, and Planner decides whether a scan leaves dead pages unread
-// and counts the pages it does (see Scan). A nil Planner plans with
-// defaults, as everywhere: scans skip.
+// buffer pool over it), and Raw resolves non-materialized candidates.
+// Whether a scan leaves dead pages unread is the search's planner's
+// decision, which the scratch carries (see Scan).
 type Store struct {
-	Disk    storage.Backend
-	Reader  storage.PageReader
-	Planner *index.Planner
-	Config  index.Config
-	Raw     series.RawStore
+	Disk   storage.Backend
+	Reader storage.PageReader
+	Config index.Config
+	Raw    series.RawStore
 
 	codec record.Codec
 }
@@ -61,11 +59,11 @@ type Store struct {
 // NewStore returns the run store of an index of the given shape, whose
 // entries must fit a page of the disk (the index validates that). A nil
 // reader selects the disk itself (uncached).
-func NewStore(disk storage.Backend, reader storage.PageReader, pl *index.Planner, cfg index.Config, raw series.RawStore) Store {
+func NewStore(disk storage.Backend, reader storage.PageReader, cfg index.Config, raw series.RawStore) Store {
 	if reader == nil {
 		reader = disk
 	}
-	return Store{Disk: disk, Reader: reader, Planner: pl, Config: cfg, Raw: raw, codec: cfg.Codec()}
+	return Store{Disk: disk, Reader: reader, Config: cfg, Raw: raw, codec: cfg.Codec()}
 }
 
 // Codec returns the entry codec of the store's runs.

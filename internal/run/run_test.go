@@ -83,10 +83,10 @@ func newStoreOf(t *testing.T, kind string, pageSize int, cfg index.Config, raw s
 			t.Fatal(err)
 		}
 	}
-	s, stats = NewStore(disk, nil, nil, cfg, raw), disk
+	s, stats = NewStore(disk, nil, cfg, raw), disk
 	if kind == "pool" {
 		pool := bufpool.New(disk, int64(64*pageSize))
-		s, stats = NewStore(disk, pool, nil, cfg, raw), pool
+		s, stats = NewStore(disk, pool, cfg, raw), pool
 	}
 	return s, disk, stats
 }
@@ -180,10 +180,11 @@ func sameResults(t *testing.T, what string, got, want []index.Result) {
 }
 
 // search runs one store operation (Probe or ScanKNN) into a fresh collector.
-func search(t *testing.T, s *Store, r Run, q index.Query, k int, op func(*Store, Run, index.Query, *index.Collector, *index.Scratch) error) []index.Result {
+func search(t *testing.T, s *Store, r Run, q index.Query, pl *index.Planner, k int, op func(*Store, Run, index.Query, *index.Collector, *index.Scratch) error) []index.Result {
 	t.Helper()
 	ctx := index.AcquireCtx(q, testCfg)
 	defer ctx.Release()
+	ctx.Planner = pl
 	col := index.NewCollector(k)
 	if err := op(s, r, q, col, ctx.Scratch0()); err != nil {
 		t.Fatal(err)
@@ -287,7 +288,6 @@ func TestRunTable(t *testing.T) {
 					}
 					t.Run(name, func(t *testing.T) {
 						pl := &index.Planner{Disabled: !planned}
-						s.Planner = pl
 						for i, q := range append(queries, queries[0].WithWindow(50, 220)) {
 							// The probe settles on the last page whose first
 							// key is not above the query key (page 0 when none
@@ -298,8 +298,8 @@ func TestRunTable(t *testing.T) {
 									cover = p
 								}
 							}
-							sameResults(t, fmt.Sprintf("probe %d", i), search(t, &s, r, q, 5, (*Store).Probe), bruteKNN(q, pages[cover], raw, 5))
-							sameResults(t, fmt.Sprintf("scan %d", i), search(t, &s, r, q, 5, (*Store).ScanKNN), bruteKNN(q, entries, raw, 5))
+							sameResults(t, fmt.Sprintf("probe %d", i), search(t, &s, r, q, pl, 5, (*Store).Probe), bruteKNN(q, pages[cover], raw, 5))
+							sameResults(t, fmt.Sprintf("scan %d", i), search(t, &s, r, q, pl, 5, (*Store).ScanKNN), bruteKNN(q, entries, raw, 5))
 						}
 
 						script := func() (approx, exact storage.Stats, skips int64) {
@@ -309,12 +309,12 @@ func TestRunTable(t *testing.T) {
 							stats.ResetStats()
 							skips = pl.Skips()
 							for _, q := range queries {
-								search(t, &s, r, q, 5, (*Store).Probe)
+								search(t, &s, r, q, pl, 5, (*Store).Probe)
 							}
 							approx = stats.Stats()
 							for _, q := range queries {
-								search(t, &s, r, q, 5, (*Store).Probe)
-								search(t, &s, r, q, 5, (*Store).ScanKNN)
+								search(t, &s, r, q, pl, 5, (*Store).Probe)
+								search(t, &s, r, q, pl, 5, (*Store).ScanKNN)
 							}
 							return approx, stats.Stats(), pl.Skips() - skips
 						}
@@ -464,7 +464,6 @@ func deadRunRow(t *testing.T, blocks [4]int, packed bool, kind string) {
 	q := index.NewQuery(deadQuery, deadCfg)
 	scan := func(planned bool, op func(q index.Query, sc *index.Scratch) error) (storage.Stats, *obs.TraceSnapshot, int64) {
 		pl := &index.Planner{Disabled: !planned}
-		s.Planner = pl
 		if p, ok := s.Reader.(*bufpool.Pool); ok {
 			p.Purge()
 		}
@@ -473,6 +472,7 @@ func deadRunRow(t *testing.T, blocks [4]int, packed bool, kind string) {
 		q.Trace = obs.NewQueryTrace()
 		ctx := index.AcquireCtx(q, deadCfg)
 		defer ctx.Release()
+		ctx.Planner = pl
 		if err := op(q, ctx.Scratch0()); err != nil {
 			t.Fatal(err)
 		}
@@ -625,7 +625,7 @@ func TestFaultInjectionLeavesNoFile(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			s := NewStore(disk, nil, nil, testCfg, nil)
+			s := NewStore(disk, nil, testCfg, nil)
 			in, err := s.Write("in", entries, packed)
 			if err != nil {
 				t.Fatal(err)
@@ -709,7 +709,7 @@ func TestRunScanTraceMatchesReference(t *testing.T) {
 	}{{false, false}, {true, false}, {false, true}, {true, true}} {
 		packed := c.packed
 		s, _, _ := newStore(t, "heap", raw)
-		s.Planner = &index.Planner{Disabled: !c.planned}
+		pl := &index.Planner{Disabled: !c.planned}
 		r, err := s.Write("r", entries, packed)
 		if err != nil {
 			t.Fatal(err)
@@ -721,6 +721,7 @@ func TestRunScanTraceMatchesReference(t *testing.T) {
 				q.Trace = obs.NewQueryTrace()
 				ctx := index.AcquireCtx(q, testCfg)
 				defer ctx.Release()
+				ctx.Planner = pl
 				if err := scan(q, ctx.Scratch0()); err != nil {
 					t.Fatal(err)
 				}

@@ -461,8 +461,8 @@ func (s *Store) ProbePage(r Run, p int, q index.Query, col *index.Collector, sc 
 // collector's bound only tightens.
 //
 // A dead page is spared every touch of its bytes and every bound of its
-// entries. Whether it is also left unread is the store's planner's decision
-// (Store.Planner), under one rule: a run of dead pages goes unread when it
+// entries. Whether it is also left unread is the search's planner's decision
+// (Scratch.Planner), under one rule: a run of dead pages goes unread when it
 // leads or trails the range, or when it is at least interiorSkipRun long; a
 // shorter interior run is read after all, so a declined skip's I/O is that
 // of no skip. The rule is what makes a skip safe under the cost model: at
@@ -480,7 +480,7 @@ func (s *Store) Scan(r Run, lo, hi int, kind string, q index.Query, sc *index.Sc
 		return nil
 	}
 	skipped, err := s.scanPages(r, lo, hi, q, sc, col, eval)
-	s.Planner.NoteSkips(skipped)
+	sc.Planner.NoteSkips(skipped)
 	sc.Trace.NoteSkips(kind, skipped)
 	sc.Trace.NoteProbes(kind, int64(hi-lo)-skipped)
 	return err
@@ -491,7 +491,7 @@ func (s *Store) Scan(r Run, lo, hi int, kind string, q index.Query, sc *index.Sc
 // count here costs the loop a tenth of a CTree scan's time.)
 func (s *Store) scanPages(r Run, lo, hi int, q index.Query, sc *index.Scratch, col index.EnvelopeTester, eval func(pg index.Page) error) (skipped int64, err error) {
 	m := r.Sum
-	skip := s.Planner.Enabled()
+	skip := sc.Planner.Enabled()
 	from, to := m.span(lo, hi)
 	cur := s.Reader.Scan(r.File, from, to)
 	defer cur.Close()

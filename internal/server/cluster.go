@@ -123,11 +123,11 @@ func (s *Server) handleClusterSearch(w http.ResponseWriter, r *http.Request) {
 	diff, _, _, err := s.search(b, mode, func() (err error) {
 		switch pool := b.built.Workers(); mode {
 		case modeRange:
-			col, err = g.RangeSearchShards(q, req.Eps, shards, pool)
+			col, err = g.RangeSearchShards(q, req.Eps, shards, pool, b.built.Planner)
 		case modeApprox:
-			col, err = g.ApproxSearchShards(q, b.boundK(req.K), shards, pool)
+			col, err = g.ApproxSearchShards(q, b.boundK(req.K), shards, pool, b.built.Planner)
 		default:
-			col, err = g.ExactSearchShards(q, b.boundK(req.K), shards, pool)
+			col, err = g.ExactSearchShards(q, b.boundK(req.K), shards, pool, b.built.Planner)
 		}
 		return err
 	})

@@ -21,12 +21,11 @@ import (
 // in-process merge over all shards does.
 //
 // Probes fan across the requested shards through index.ProbeUnits on the
-// worker pool the search context carries, ordered and skipped by the group's
-// planner (typically the planner every shard's sub-index also carries, so
-// shard-, run- and leaf-level planning share one set of counters); every
-// shard searches serially, with a context of its own per worker slot
-// (index.SearchCtx.Parts). A search without a pool is the serial case of the
-// same executor.
+// worker pool the search context carries, ordered and skipped by its planner;
+// every shard searches serially, with a context of its own per worker slot
+// under the same planner (index.SearchCtx.Parts), so shard-, run-, leaf- and
+// page-level planning count into one planner. A search without a pool is the
+// serial case of the same executor.
 //
 // A Group implements index.Index over its whole owned subset; on a fully
 // replicated node those answers equal the cluster-wide ones.
@@ -40,7 +39,6 @@ type Group struct {
 	nshards int
 	owned   []int // ascending shard indices
 	shards  map[int]*Shard
-	planner *index.Planner
 
 	// idsMu guards every owned shard's IDs slice, lastID and count so
 	// inserts may run concurrently with searches: readers snapshot a slice
@@ -54,9 +52,8 @@ type Group struct {
 // NewGroup assembles a shard group. nshards is the logical shard count;
 // owned maps shard index -> shard. Every owned shard's IDs must be ascending
 // and hash-placed into that shard (Of(id, nshards)), and its index must hold
-// exactly len(IDs) series. A nil planner plans with default settings; one
-// with Disabled set restores the unplanned fan-out.
-func NewGroup(cfg index.Config, nshards int, owned map[int]*Shard, planner *index.Planner) (*Group, error) {
+// exactly len(IDs) series.
+func NewGroup(cfg index.Config, nshards int, owned map[int]*Shard) (*Group, error) {
 	if nshards < 1 {
 		return nil, fmt.Errorf("shard: cluster needs at least one shard, got %d", nshards)
 	}
@@ -67,7 +64,6 @@ func NewGroup(cfg index.Config, nshards int, owned map[int]*Shard, planner *inde
 		cfg:     cfg,
 		nshards: nshards,
 		shards:  make(map[int]*Shard, len(owned)),
-		planner: planner,
 		lastID:  make(map[int]int64, len(owned)),
 	}
 	for si, sh := range owned {
@@ -161,13 +157,13 @@ func (g *Group) resolve(reqs []int) ([]int, error) {
 
 // shardsInto runs search — one of exact, approx and rangeScan — over a
 // requested shard list into col through the one search entry (index.Into),
-// fanning out on pool, and returns col.
-func shardsInto[C any](g *Group, q index.Query, reqs []int, pool *parallel.Pool, col C, search func(index.Query, C, []int, *index.SearchCtx) error) (C, error) {
+// fanning out on pool under pl, and returns col.
+func shardsInto[C any](g *Group, q index.Query, reqs []int, pool *parallel.Pool, pl *index.Planner, col C, search func(index.Query, C, []int, *index.SearchCtx) error) (C, error) {
 	shards, err := g.resolve(reqs)
 	if err != nil {
 		return col, err
 	}
-	return index.Into(q, g.cfg, pool, col, func(q index.Query, col C, ctx *index.SearchCtx) error {
+	return index.Into(q, g.cfg, pool, pl, col, func(q index.Query, col C, ctx *index.SearchCtx) error {
 		return search(q, col, shards, ctx)
 	})
 }
@@ -179,9 +175,7 @@ func shardsInto[C any](g *Group, q index.Query, reqs []int, pool *parallel.Pool,
 // without a pool is ctx itself.
 func probe[C index.FanCollector[C]](g *Group, q index.Query, col C, shards []int, ctx *index.SearchCtx, search func(sh *Shard, ctx *index.SearchCtx, col C) error) error {
 	return ctx.Parts(q, g.cfg, len(shards), func(ctxs index.Ctxs) error {
-		return index.ProbeUnits(index.ProbePlan{
-			Planner: g.planner, Pool: ctx.Pool, Trace: ctx.Trace, Kind: "shard", Units: ctx.OuterPlanUnits(len(shards)),
-		}, col, func(i int) float64 {
+		return index.ProbeUnits(ctx, "shard", ctx.OuterPlanUnits(len(shards)), col, func(i int) float64 {
 			return g.shards[shards[i]].boundSq(q, ctx)
 		}, func(i, w int, col C) error {
 			return search(g.shards[shards[i]], ctxs[w], col)
@@ -220,29 +214,30 @@ func (g *Group) rangeScan(q index.Query, col *index.RangeCollector, shards []int
 }
 
 // ExactSearchShards answers an exact k-NN over the requested shard subset
-// (nil = all owned), fanning out on pool, and returns the collector itself:
-// its contents are the k best (squared distance, global ID) pairs over the
-// union of the requested shards' series, with the exact accumulated squared
-// sums intact for a higher-level merge.
-func (g *Group) ExactSearchShards(q index.Query, k int, reqs []int, pool *parallel.Pool) (*index.Collector, error) {
-	return shardsInto(g, q, reqs, pool, index.NewCollector(k), g.exact)
+// (nil = all owned), fanning out on pool under pl, and returns the collector
+// itself: its contents are the k best (squared distance, global ID) pairs
+// over the union of the requested shards' series, with the exact accumulated
+// squared sums intact for a higher-level merge.
+func (g *Group) ExactSearchShards(q index.Query, k int, reqs []int, pool *parallel.Pool, pl *index.Planner) (*index.Collector, error) {
+	return shardsInto(g, q, reqs, pool, pl, index.NewCollector(k), g.exact)
 }
 
 // RangeSearchShards answers a range (epsilon) query over the requested
-// shard subset (nil = all owned), fanning out on pool, and returns the
-// collector with every qualifying series under its global ID and its exact
-// squared sum.
-func (g *Group) RangeSearchShards(q index.Query, eps float64, reqs []int, pool *parallel.Pool) (*index.RangeCollector, error) {
-	return shardsInto(g, q, reqs, pool, index.NewRangeCollector(eps), g.rangeScan)
+// shard subset (nil = all owned), fanning out on pool under pl, and returns
+// the collector with every qualifying series under its global ID and its
+// exact squared sum.
+func (g *Group) RangeSearchShards(q index.Query, eps float64, reqs []int, pool *parallel.Pool, pl *index.Planner) (*index.RangeCollector, error) {
+	return shardsInto(g, q, reqs, pool, pl, index.NewRangeCollector(eps), g.rangeScan)
 }
 
 // ApproxSearchShards answers an approximate k-NN over the requested shard
-// subset (nil = all owned), fanning out on pool. Like every approximate
-// search it carries no distance guarantee, so distributed approximate
-// answers match the merge contract (up to k deduplicated results ordered by
-// (distance, ID)) rather than being byte-identical across topologies.
-func (g *Group) ApproxSearchShards(q index.Query, k int, reqs []int, pool *parallel.Pool) (*index.Collector, error) {
-	return shardsInto(g, q, reqs, pool, index.NewCollector(k), g.approx)
+// subset (nil = all owned), fanning out on pool under pl. Like every
+// approximate search it carries no distance guarantee, so distributed
+// approximate answers match the merge contract (up to k deduplicated results
+// ordered by (distance, ID)) rather than being byte-identical across
+// topologies.
+func (g *Group) ApproxSearchShards(q index.Query, k int, reqs []int, pool *parallel.Pool, pl *index.Planner) (*index.Collector, error) {
+	return shardsInto(g, q, reqs, pool, pl, index.NewCollector(k), g.approx)
 }
 
 // ExactInto, ApproxInto and RangeInto are the cores (index.Index): every

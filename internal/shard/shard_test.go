@@ -151,7 +151,7 @@ func TestWorkloadShardedEquivalence(t *testing.T) {
 }
 
 func TestNewValidates(t *testing.T) {
-	if _, err := shard.NewGroup(index.Config{}, 1, nil, nil); err == nil {
+	if _, err := shard.NewGroup(index.Config{}, 1, nil); err == nil {
 		t.Fatal("NewGroup accepted zero shards")
 	}
 	cfg := index.Config{SeriesLen: 64, Segments: 8, Bits: 6}
@@ -162,7 +162,7 @@ func TestNewValidates(t *testing.T) {
 	}
 	// A mapping whose length disagrees with the sub-index count must be
 	// rejected: it would silently mistranslate IDs.
-	_, err = shard.NewGroup(cfg, 1, map[int]*shard.Shard{0: {Index: b.Index, Disk: b.Disk, IDs: make([]int64, 7)}}, nil)
+	_, err = shard.NewGroup(cfg, 1, map[int]*shard.Shard{0: {Index: b.Index, Disk: b.Disk, IDs: make([]int64, 7)}})
 	if err == nil {
 		t.Fatal("NewGroup accepted a shard whose ID map disagrees with its index count")
 	}

@@ -44,12 +44,8 @@ type BTP struct {
 // reader serves the partitions' page reads (typically a buffer pool over
 // disk); nil selects the disk itself (uncached). mergeFactor is the number
 // of same-class partitions that triggers a merge (default 2, the most
-// aggressive bounding). planner orders partition probes by their synopsis
-// envelope bound, skips partitions that cannot improve the current answer,
-// and leaves a partition's dead pages unread; nil plans with default
-// settings, and one with Disabled set restores the unplanned probe order and
-// pins every page a scan reaches.
-func NewBTP(disk storage.Backend, reader storage.PageReader, name string, cfg index.Config, bufferCap, mergeFactor int, raw series.RawStore, planner *index.Planner) (*BTP, error) {
+// aggressive bounding).
+func NewBTP(disk storage.Backend, reader storage.PageReader, name string, cfg index.Config, bufferCap, mergeFactor int, raw series.RawStore) (*BTP, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -69,7 +65,7 @@ func NewBTP(disk storage.Backend, reader storage.PageReader, name string, cfg in
 		return nil, fmt.Errorf("stream: entry size %d exceeds page size %d", size, disk.PageSize())
 	}
 	return &BTP{
-		store:       run.NewStore(disk, reader, planner, cfg, raw),
+		store:       run.NewStore(disk, reader, cfg, raw),
 		name:        name,
 		sum:         summarizer{cfg: cfg},
 		bufferCap:   bufferCap,
@@ -222,9 +218,7 @@ func (b *BTP) forEachPart(q index.Query, ctx *index.SearchCtx, col *index.Collec
 		}
 	}
 	scs := ctx.Scratches(ctx.Pool.WorkersFor(len(active)))
-	return index.ProbeUnits(index.ProbePlan{
-		Planner: b.store.Planner, Pool: ctx.Pool, Trace: ctx.Trace, Kind: "partition", Units: ctx.PlanUnits(len(active)),
-	}, col, func(i int) float64 {
+	return index.ProbeUnits(ctx, "partition", ctx.PlanUnits(len(active)), col, func(i int) float64 {
 		return ctx.P.SynopsisBoundSq(active[i].Syn)
 	}, func(i, w int, col *index.Collector) error {
 		return scan(&b.store, active[i], q, col, scs[w])

@@ -24,18 +24,19 @@ func testConfig(materialized bool) index.Config {
 // partition fan-out runs whenever the test binary has several procs.
 var testPool = parallel.New(0)
 
-// search runs a scheme's core through the search entry on pool.
-func search(core func(index.Query, *index.Collector, *index.SearchCtx) error, q index.Query, k int, pool *parallel.Pool) ([]index.Result, error) {
-	return index.Rendered(index.Into(q, testConfig(false), pool, index.NewCollector(k), core))
+// search runs a scheme's core through the search entry on pool under pl.
+func search(core func(index.Query, *index.Collector, *index.SearchCtx) error, q index.Query, k int, pool *parallel.Pool, pl *index.Planner) ([]index.Result, error) {
+	return index.Rendered(index.Into(q, testConfig(false), pool, pl, index.NewCollector(k), core))
 }
 
-// exactSearch and approxSearch search sc on testPool.
+// exactSearch and approxSearch search sc on testPool under the default
+// planner.
 func exactSearch(sc Scheme, q index.Query, k int) ([]index.Result, error) {
-	return search(sc.ExactInto, q, k, testPool)
+	return search(sc.ExactInto, q, k, testPool, nil)
 }
 
 func approxSearch(sc Scheme, q index.Query, k int) ([]index.Result, error) {
-	return search(sc.ApproxInto, q, k, testPool)
+	return search(sc.ApproxInto, q, k, testPool, nil)
 }
 
 // memRaw collects ingested z-normalized series as the schemes' raw store.
@@ -112,18 +113,18 @@ func schemes(t *testing.T, raw *memRaw, mat bool) map[string]Scheme {
 		"PP-ADS":  newPPADS(t, raw, mat),
 	}
 	diskTP := storage.NewDisk(0)
-	tp, err := NewTP("tp", testConfig(mat), CTreeFactory(diskTP, nil, testConfig(mat), raw), 128, raw, nil)
+	tp, err := NewTP("tp", testConfig(mat), CTreeFactory(diskTP, nil, testConfig(mat), raw), 128, raw)
 	if err != nil {
 		t.Fatal(err)
 	}
 	out["TP-CTree"] = tp
 	diskTPA := storage.NewDisk(0)
-	tpa, err := NewTP("tpa", testConfig(mat), ADSFactory(diskTPA, nil, testConfig(mat), raw), 128, raw, nil)
+	tpa, err := NewTP("tpa", testConfig(mat), ADSFactory(diskTPA, nil, testConfig(mat), raw), 128, raw)
 	if err != nil {
 		t.Fatal(err)
 	}
 	out["TP-ADS"] = tpa
-	btp, err := NewBTP(storage.NewDisk(0), nil, "btp", testConfig(mat), 128, 2, raw, nil)
+	btp, err := NewBTP(storage.NewDisk(0), nil, "btp", testConfig(mat), 128, 2, raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +159,7 @@ func TestAllSchemesExactMatchesBruteForce(t *testing.T) {
 				for _, workers := range []int{1, 4} {
 					var first []index.Result
 					for _, name := range names {
-						got, err := search(scs[name].ExactInto, qq, 3, parallel.New(workers))
+						got, err := search(scs[name].ExactInto, qq, 3, parallel.New(workers), nil)
 						if err != nil {
 							t.Fatalf("%s mat=%v: %v", name, mat, err)
 						}
@@ -212,7 +213,7 @@ func TestPPNameAndPartitions(t *testing.T) {
 func TestTPPartitionsGrowLinearly(t *testing.T) {
 	raw := &memRaw{}
 	disk := storage.NewDisk(0)
-	tp, err := NewTP("tp", testConfig(false), CTreeFactory(disk, nil, testConfig(false), raw), 100, raw, nil)
+	tp, err := NewTP("tp", testConfig(false), CTreeFactory(disk, nil, testConfig(false), raw), 100, raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +229,7 @@ func TestTPPartitionsGrowLinearly(t *testing.T) {
 
 func TestBTPBoundsPartitions(t *testing.T) {
 	raw := &memRaw{}
-	btp, err := NewBTP(storage.NewDisk(0), nil, "btp", testConfig(false), 100, 2, raw, nil)
+	btp, err := NewBTP(storage.NewDisk(0), nil, "btp", testConfig(false), 100, 2, raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +250,7 @@ func TestBTPBoundsPartitions(t *testing.T) {
 
 func TestBTPTimeRangesDisjointOrdered(t *testing.T) {
 	raw := &memRaw{}
-	btp, err := NewBTP(storage.NewDisk(0), nil, "btp", testConfig(false), 64, 2, raw, nil)
+	btp, err := NewBTP(storage.NewDisk(0), nil, "btp", testConfig(false), 64, 2, raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +301,7 @@ func (f *fileReads) Access(file string, _ int64, write bool) {
 func TestBTPSmallWindowSkipsLargePartitions(t *testing.T) {
 	raw := &memRaw{}
 	disk := storage.NewDisk(0)
-	btp, err := NewBTP(disk, nil, "btp", testConfig(true), 128, 2, raw, nil)
+	btp, err := NewBTP(disk, nil, "btp", testConfig(true), 128, 2, raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +351,7 @@ func TestBTPSmallWindowSkipsLargePartitions(t *testing.T) {
 func TestTPWindowSkipsPartitions(t *testing.T) {
 	raw := &memRaw{}
 	disk := storage.NewDisk(0)
-	tp, err := NewTP("tp", testConfig(true), CTreeFactory(disk, nil, testConfig(true), raw), 128, raw, nil)
+	tp, err := NewTP("tp", testConfig(true), CTreeFactory(disk, nil, testConfig(true), raw), 128, raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,16 +382,16 @@ func TestIngestValidation(t *testing.T) {
 	if _, err := pp.Ingest(make(series.Series, 5), 0); err == nil {
 		t.Fatal("wrong-length ingest should fail")
 	}
-	if _, err := NewTP("x", index.Config{}, nil, 10, raw, nil); err == nil {
+	if _, err := NewTP("x", index.Config{}, nil, 10, raw); err == nil {
 		t.Fatal("invalid config should fail")
 	}
-	if _, err := NewTP("x", testConfig(false), nil, 0, raw, nil); err == nil {
+	if _, err := NewTP("x", testConfig(false), nil, 0, raw); err == nil {
 		t.Fatal("zero buffer should fail")
 	}
-	if _, err := NewBTP(nil, nil, "x", testConfig(false), 10, 2, raw, nil); err == nil {
+	if _, err := NewBTP(nil, nil, "x", testConfig(false), 10, 2, raw); err == nil {
 		t.Fatal("nil disk should fail")
 	}
-	if _, err := NewBTP(storage.NewDisk(0), nil, "x", testConfig(false), 10, 1, raw, nil); err == nil {
+	if _, err := NewBTP(storage.NewDisk(0), nil, "x", testConfig(false), 10, 1, raw); err == nil {
 		t.Fatal("merge factor 1 should fail")
 	}
 }
@@ -428,7 +429,7 @@ func TestApproxSearchAcrossSchemes(t *testing.T) {
 // the flush count, not linearly as TP.
 func TestBTPPartitionCountLogarithmic(t *testing.T) {
 	raw := &memRaw{}
-	btp, err := NewBTP(storage.NewDisk(0), nil, "btp", testConfig(false), 50, 2, raw, nil)
+	btp, err := NewBTP(storage.NewDisk(0), nil, "btp", testConfig(false), 50, 2, raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -459,7 +460,7 @@ func TestBTPPartitionCountLogarithmic(t *testing.T) {
 func TestBTPClassSizes(t *testing.T) {
 	raw := &memRaw{}
 	const buf = 40
-	btp, err := NewBTP(storage.NewDisk(0), nil, "btp", testConfig(false), buf, 2, raw, nil)
+	btp, err := NewBTP(storage.NewDisk(0), nil, "btp", testConfig(false), buf, 2, raw)
 	if err != nil {
 		t.Fatal(err)
 	}

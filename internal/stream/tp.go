@@ -71,17 +71,13 @@ type TP struct {
 	parts     []tpPart
 	seq       int
 	count     int64
-	planner   *index.Planner
 }
 
 // NewTP builds a temporal-partitioning scheme. baseName names partition
 // files ("<baseName>.part.N..."); bufferCap is the partition size in
 // entries; raw serves non-materialized distance evaluation of buffered
-// entries. planner orders partition probes by their synopsis envelope bound
-// and skips partitions that cannot improve the current answer; nil plans
-// with default settings, and one with Disabled set restores the unplanned
-// probe order.
-func NewTP(baseName string, cfg index.Config, factory PartitionFactory, bufferCap int, raw series.RawStore, planner *index.Planner) (*TP, error) {
+// entries.
+func NewTP(baseName string, cfg index.Config, factory PartitionFactory, bufferCap int, raw series.RawStore) (*TP, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -94,7 +90,6 @@ func NewTP(baseName string, cfg index.Config, factory PartitionFactory, bufferCa
 		raw:       raw,
 		factory:   factory,
 		bufferCap: bufferCap,
-		planner:   planner,
 	}, nil
 }
 
@@ -169,9 +164,10 @@ func (t *TP) ExactInto(q index.Query, col *index.Collector, ctx *index.SearchCtx
 // through core — index.Index's ApproxInto or ExactInto — straight into the
 // collector: partition IDs are already global, and the bound earlier
 // partitions left in col prunes later ones. Partitions go through the
-// planned-probe executor on ctx's pool, bounded by their synopsis's envelope
-// MINDIST, each worker slot with a serial context of its own (the partition
-// plan in ctx's outer buffer, a partition's own in its context's primary);
+// planned-probe executor on ctx's pool under ctx's planner, bounded by their
+// synopsis's envelope MINDIST, each worker slot with a serial context of its
+// own under the same planner (the partition plan in ctx's outer buffer, a
+// partition's own in its context's primary);
 // per-worker collectors merge on their exact squared sums, giving the same
 // answer as the serial, unplanned loop — and as PP and BTP over the same
 // stream.
@@ -186,9 +182,7 @@ func (t *TP) search(q index.Query, col *index.Collector, ctx *index.SearchCtx, c
 		return err
 	}
 	return ctx.Parts(q, t.sum.cfg, len(active), func(ctxs index.Ctxs) error {
-		return index.ProbeUnits(index.ProbePlan{
-			Planner: t.planner, Pool: ctx.Pool, Trace: ctx.Trace, Kind: "partition", Units: ctx.OuterPlanUnits(len(active)),
-		}, col, func(i int) float64 {
+		return index.ProbeUnits(ctx, "partition", ctx.OuterPlanUnits(len(active)), col, func(i int) float64 {
 			return ctx.P.SynopsisBoundSq(active[i].syn)
 		}, func(i, w int, col *index.Collector) error {
 			return core(active[i].idx, q, col, ctxs[w])

@@ -132,7 +132,7 @@ func TestClusterGroupMergeEquivalence(t *testing.T) {
 			}
 			merged := index.NewCollector(5)
 			for _, nb := range nodes {
-				col, err := nb.Group.ExactSearchShards(q, 5, nil, nb.Workers())
+				col, err := nb.Group.ExactSearchShards(q, 5, nil, nb.Workers(), nb.Planner)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -155,19 +155,19 @@ func TestClusterGroupShardSubsetProbes(t *testing.T) {
 		t.Fatal(err)
 	}
 	qs := clusterQueries(sc, ds, 1)
-	if _, err := b.Group.ExactSearchShards(qs[0], 3, []int{1}, b.Workers()); err == nil ||
+	if _, err := b.Group.ExactSearchShards(qs[0], 3, []int{1}, b.Workers(), b.Planner); err == nil ||
 		!strings.Contains(err.Error(), "does not own") {
 		t.Fatalf("unowned shard probe: err = %v", err)
 	}
-	colBoth, err := b.Group.ExactSearchShards(qs[0], 3, nil, b.Workers())
+	colBoth, err := b.Group.ExactSearchShards(qs[0], 3, nil, b.Workers(), b.Planner)
 	if err != nil {
 		t.Fatal(err)
 	}
-	col0, err := b.Group.ExactSearchShards(qs[0], 3, []int{0}, b.Workers())
+	col0, err := b.Group.ExactSearchShards(qs[0], 3, []int{0}, b.Workers(), b.Planner)
 	if err != nil {
 		t.Fatal(err)
 	}
-	col2, err := b.Group.ExactSearchShards(qs[0], 3, []int{2}, b.Workers())
+	col2, err := b.Group.ExactSearchShards(qs[0], 3, []int{2}, b.Workers(), b.Planner)
 	if err != nil {
 		t.Fatal(err)
 	}

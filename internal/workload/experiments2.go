@@ -55,9 +55,9 @@ func StreamSchemes(sc Scale, bufferEntries int) ([]streamScheme, error) {
 			}
 		} else if s.b, err = assemble.Base(spec); err == nil {
 			if raw := s.b.Raw; bld.tp != nil {
-				s.Scheme, err = stream.NewTP("tp", cfg, bld.tp(s.b.Disk, nil, cfg, raw), bufferEntries, raw, s.b.Planner)
+				s.Scheme, err = stream.NewTP("tp", cfg, bld.tp(s.b.Disk, nil, cfg, raw), bufferEntries, raw)
 			} else {
-				s.Scheme, err = stream.NewBTP(s.b.Disk, nil, "btp", cfg, bufferEntries, 2, raw, s.b.Planner)
+				s.Scheme, err = stream.NewBTP(s.b.Disk, nil, "btp", cfg, bufferEntries, 2, raw)
 			}
 		}
 		if s.b != nil {
@@ -124,7 +124,7 @@ func E6Streaming(sc Scale, batches, batchSize, bufferEntries, numQueries int) (*
 			disk.ResetStats()
 			for _, q := range queries {
 				pq := index.NewQuery(q, cfg).WithWindow(minTS, maxTS)
-				if _, err := index.Into(pq, cfg, s.b.Workers(), index.NewCollector(1), s.ExactInto); err != nil {
+				if _, err := index.Into(pq, cfg, s.b.Workers(), s.b.Planner, index.NewCollector(1), s.ExactInto); err != nil {
 					return 0, err
 				}
 			}

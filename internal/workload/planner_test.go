@@ -7,6 +7,7 @@ import (
 	"repro/internal/assemble"
 	"repro/internal/gen"
 	"repro/internal/index"
+	"repro/internal/obs"
 )
 
 // TestE17Planner compares a planned and a reference-path (Disabled) build of
@@ -58,9 +59,11 @@ func TestE17Planner(t *testing.T) {
 }
 
 // TestBuildVariantPlannerKnobs pins the planner plumbing: every build gets a
-// planner, the parts of a sharded build share it with the group, and turning
-// it off after the build (Disabled, the reference path) leaves the answers
-// alone and the counter still — which RunQueries surfaces as deltas. On this
+// planner and the parts of a sharded build hold none, so one traced query's
+// planned skips — shard, leaf range and page alike — are the build planner's
+// counter delta; turning it off after the build (Disabled, the reference
+// path) leaves the answers alone and the counter still — which RunQueries
+// surfaces as deltas. On this
 // skewed workload (queries are perturbed indexed series, so the pruning bound
 // tightens at once) the planned path skips units and costs strictly less
 // io per query than the reference path.
@@ -80,9 +83,25 @@ func TestBuildVariantPlannerKnobs(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, p := range b.Parts {
-			if p.Planner != b.Planner {
-				t.Fatalf("shards=%d: part %d plans with a planner of its own", shards, i)
+			if p.Planner != nil {
+				t.Fatalf("shards=%d: part %d holds a planner of its own", shards, i)
 			}
+		}
+		var traced int64
+		for i, q := range iqs {
+			q.Trace = obs.NewQueryTrace()
+			skips := b.Planner.Skips()
+			if _, err := b.ExactSearch(q, 3); err != nil {
+				t.Fatal(err)
+			}
+			d := b.Planner.Skips() - skips
+			if snap := q.Trace.Snapshot(); snap.PlannedSkips != d {
+				t.Fatalf("shards=%d query %d: the trace planned %d skips, the build's planner counted %d", shards, i, snap.PlannedSkips, d)
+			}
+			traced += d
+		}
+		if traced == 0 {
+			t.Fatalf("shards=%d: no traced query skipped anything", shards)
 		}
 		planned, on, err := exactPass(b, iqs, 3)
 		if err != nil {

@@ -61,9 +61,9 @@ func NewStream(kind SchemeKind, opts Options) (*Stream, error) {
 	case PP:
 		st.scheme = stream.NewPP(b.Index.(*clsm.LSM), st.cfg)
 	case TP:
-		st.scheme, err = stream.NewTP("stream", st.cfg, stream.CTreeFactory(b.Disk, b.Reader(), st.cfg, raw), buf, raw, b.Planner)
+		st.scheme, err = stream.NewTP("stream", st.cfg, stream.CTreeFactory(b.Disk, b.Reader(), st.cfg, raw), buf, raw)
 	case BTP:
-		st.scheme, err = stream.NewBTP(b.Disk, b.Reader(), "stream", st.cfg, buf, 2, raw, b.Planner)
+		st.scheme, err = stream.NewBTP(b.Disk, b.Reader(), "stream", st.cfg, buf, 2, raw)
 	}
 	if err != nil {
 		b.Close()
@@ -107,9 +107,9 @@ func (s *Stream) SearchApprox(q []float64, k int, minTS, maxTS int64) ([]Match, 
 }
 
 // search runs one of the scheme's cores through the search entry on the
-// build's pool.
+// build's pool and planner.
 func (s *Stream) search(q index.Query, k int, core func(index.Query, *index.Collector, *index.SearchCtx) error) ([]Match, error) {
-	rs, err := index.Rendered(index.Into(q, s.cfg, s.b.Workers(), index.NewCollector(k), core))
+	rs, err := index.Rendered(index.Into(q, s.cfg, s.b.Workers(), s.b.Planner, index.NewCollector(k), core))
 	return convert(rs), err
 }
 

@@ -30,6 +30,16 @@
 //     evict its own first pages before it could re-read them — and every
 //     other resident page with them — so its misses are counted, charged,
 //     and not kept.
+//   - A frame is keyed by one integer, (file id, page). Each pool interns
+//     the names of its disk's files to ids drawn from the cache, so several
+//     disks never share one. A scan resolves its file's id once, when it
+//     opens; PinPage resolves it per call. Either way a hit probes an
+//     integer map and hashes no name. Invalidation looks a name up and
+//     never interns one. InvalidateFile (Remove, Rename) forgets the name,
+//     and ids are never reused, so a file created again under that name
+//     gets a fresh id and can never hit its predecessor's frames. The
+//     table therefore holds only the files being read. A page number that
+//     does not fit beside the id is an error, never an alias.
 //
 // Concurrency: any number of goroutines may pin, read, and unpin
 // concurrently with each other and with invalidation. As everywhere else
@@ -38,7 +48,10 @@
 package bufpool
 
 import (
+	"errors"
 	"fmt"
+	"maps"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -48,21 +61,32 @@ import (
 // numShards is the fixed lock-striping factor of a cache. Sixteen shards
 // keep pin/unpin contention negligible at the repo's worker-pool sizes
 // while keeping whole-file invalidation a cheap sweep.
-const numShards = 16
+const (
+	shardBits = 4
+	numShards = 1 << shardBits
+)
 
-// pageKey identifies one cached page: which attached disk, which file,
-// which page. Keys are plain comparable structs, so map probes allocate
-// nothing.
-type pageKey struct {
-	disk uint32
-	page int64
-	name string
+// A frame key packs a file id (the high 32 bits) and a page number (the
+// low 32) into one integer, so a map probe hashes eight bytes.
+const pageBits = 32
+
+// frameKey is the key of page of the file with the given id. A page the low
+// bits cannot hold has no key: it is an error, never another page's alias.
+func frameKey(name string, id uint32, page int64) (uint64, error) {
+	if uint64(page) >= 1<<pageBits {
+		return 0, fmt.Errorf("%w: %q page %d", storage.ErrOutOfRange, name, page)
+	}
+	return uint64(id)<<pageBits | uint64(page), nil
 }
+
+// errIDsSpent is returned once a cache has handed out every file id.
+var errIDsSpent = errors.New("bufpool: file ids exhausted")
 
 // frame is one cache slot. pins is atomic so Unpin takes no lock; all
 // other fields are guarded by the owning shard's mutex.
 type frame struct {
-	key  pageKey
+	key  uint64
+	disk uint32 // the attached disk whose page this is
 	data []byte
 	pins atomic.Int32
 	ref  bool // CLOCK reference bit
@@ -74,7 +98,7 @@ func (f *frame) Unpin() { f.pins.Add(-1) }
 
 type cacheShard struct {
 	mu     sync.Mutex
-	frames map[pageKey]*frame
+	frames map[uint64]*frame
 	ring   []*frame // every frame this shard owns, swept by the clock hand
 	hand   int
 }
@@ -87,6 +111,7 @@ type Cache struct {
 	capFrames int64
 	allocated atomic.Int64 // frames allocated across all shards, <= capFrames
 	nextDisk  atomic.Uint32
+	nextFile  atomic.Uint64 // the last file id handed out
 	evictions atomic.Int64
 	shards    [numShards]cacheShard
 }
@@ -103,7 +128,7 @@ func NewCache(cacheBytes int64, pageSize int) *Cache {
 	}
 	c := &Cache{pageSize: pageSize, capFrames: frames}
 	for i := range c.shards {
-		c.shards[i].frames = make(map[pageKey]*frame)
+		c.shards[i].frames = make(map[uint64]*frame)
 	}
 	return c
 }
@@ -120,36 +145,10 @@ func (c *Cache) Evictions() int64 { return c.evictions.Load() }
 // PageSize returns the page size every attached disk must share.
 func (c *Cache) PageSize() int { return c.pageSize }
 
-// FNV-1a parameters of the stripe hash.
-const (
-	fnvOffset64 = 0xcbf29ce484222325
-	fnvPrime64  = 0x100000001b3
-)
-
-// hashName is the file-name part of the stripe hash, which a scan computes
-// once for all its pages.
-func hashName(name string) uint64 {
-	h := uint64(fnvOffset64)
-	for i := 0; i < len(name); i++ {
-		h ^= uint64(name[i])
-		h *= fnvPrime64
-	}
-	return h
-}
-
-// shardFor maps a key to its lock stripe with an inline FNV-1a over the
-// file name mixed with the disk id and page number — allocation-free, so
-// the pin hot path stays zero-alloc.
-func (c *Cache) shardFor(k pageKey) *cacheShard { return c.shardAt(hashName(k.name), k) }
-
-// shardAt is shardFor given hashName(k.name).
-func (c *Cache) shardAt(h uint64, k pageKey) *cacheShard {
-	h ^= uint64(k.disk)
-	h *= fnvPrime64
-	h ^= uint64(k.page)
-	h *= fnvPrime64
-	h ^= h >> 32
-	return &c.shards[h%numShards]
+// shardFor maps a frame key to its lock stripe: a Fibonacci hash, whose top
+// bits spread consecutive pages of one file over every stripe.
+func (c *Cache) shardFor(k uint64) *cacheShard {
+	return &c.shards[(k*0x9e3779b97f4a7c15)>>(64-shardBits)]
 }
 
 // claim returns a frame of the shard's ring ready to be filled and inserted
@@ -223,6 +222,10 @@ type Pool struct {
 	// lock (see scanCursor.Pin), so it caches a page only while no
 	// invalidation has arrived since the scan opened.
 	epoch atomic.Uint64
+	// files maps the name of each file being read to its id. It is copied
+	// on write, so a lookup takes no lock; filesMu orders the writers.
+	files   atomic.Pointer[map[string]uint32]
+	filesMu sync.Mutex
 }
 
 // Attach registers a disk with the cache and returns its cached reader.
@@ -232,6 +235,7 @@ func (c *Cache) Attach(d storage.Backend) (*Pool, error) {
 		return nil, fmt.Errorf("bufpool: disk page size %d, cache %d", d.PageSize(), c.pageSize)
 	}
 	p := &Pool{c: c, d: d, id: c.nextDisk.Add(1)}
+	p.files.Store(&map[string]uint32{})
 	d.AddInvalidator(p)
 	return p, nil
 }
@@ -243,6 +247,48 @@ func New(d storage.Backend, cacheBytes int64) *Pool {
 		panic(err)
 	}
 	return p
+}
+
+// lookup returns the id of a file name, if it has one.
+func (p *Pool) lookup(name string) (uint32, bool) {
+	id, ok := (*p.files.Load())[name]
+	return id, ok
+}
+
+// intern returns the id of a file name, drawing a fresh one from the cache
+// for a name the pool has none for.
+func (p *Pool) intern(name string) (uint32, error) {
+	if id, ok := p.lookup(name); ok {
+		return id, nil
+	}
+	p.filesMu.Lock()
+	defer p.filesMu.Unlock()
+	files := *p.files.Load()
+	if id, ok := files[name]; ok {
+		return id, nil
+	}
+	id := p.c.nextFile.Add(1)
+	if id > math.MaxUint32 {
+		return 0, errIDsSpent
+	}
+	next := maps.Clone(files)
+	next[name] = uint32(id)
+	p.files.Store(&next)
+	return uint32(id), nil
+}
+
+// forget drops a file name from the table and returns the id it had.
+func (p *Pool) forget(name string) (uint32, bool) {
+	p.filesMu.Lock()
+	defer p.filesMu.Unlock()
+	files := *p.files.Load()
+	id, ok := files[name]
+	if ok {
+		next := maps.Clone(files)
+		delete(next, name)
+		p.files.Store(&next)
+	}
+	return id, ok
 }
 
 // Cache returns the shared frame store behind this pool.
@@ -261,14 +307,22 @@ func (p *Pool) Exists(name string) bool { return p.d.Exists(name) }
 func (p *Pool) NumPages(name string) (int64, error) { return p.d.NumPages(name) }
 
 // PinPage implements storage.PageReader: the hot path of every cached
-// point probe. A hit is a map probe, a pin, and a borrowed slice — no copy,
-// no allocation. A miss claims a frame and fills it from the disk while
-// holding this shard's lock, which deduplicates concurrent misses on the
-// same page. On the file backend that read is a pread, and every pin on
-// the stripe waits behind it: acceptable for one page of a point probe,
-// not for a scan, whose misses go through Scan and read unlocked.
+// point probe. A hit is a name lookup, an integer map probe, a pin, and a
+// borrowed slice — no copy, no allocation. A miss claims a frame and fills
+// it from the disk while holding this shard's lock, which deduplicates
+// concurrent misses on the same page. On the file backend that read is a
+// pread, and every pin on the stripe waits behind it: acceptable for one
+// page of a point probe, not for a scan, whose misses go through Scan and
+// read unlocked.
 func (p *Pool) PinPage(name string, page int64) (storage.PageHandle, error) {
-	k := pageKey{disk: p.id, page: page, name: name}
+	id, err := p.intern(name)
+	if err != nil {
+		return storage.PageHandle{}, err
+	}
+	k, err := frameKey(name, id, page)
+	if err != nil {
+		return storage.PageHandle{}, err
+	}
 	sh := p.c.shardFor(k)
 	sh.mu.Lock()
 	if fr := sh.frames[k]; fr != nil {
@@ -294,13 +348,18 @@ func (p *Pool) PinPage(name string, page int64) (storage.PageHandle, error) {
 		return storage.PageHandle{}, err
 	}
 	if tracked {
-		fr.key = k
-		fr.ref = true
-		sh.frames[k] = fr
+		p.insert(sh, fr, k)
 	}
 	sh.mu.Unlock()
 	p.misses.Add(1)
 	return storage.NewPageHandle(fr.data, fr), nil
+}
+
+// insert makes a filled frame the cached copy of key k; callers hold sh.mu.
+func (p *Pool) insert(sh *cacheShard, fr *frame, k uint64) {
+	fr.key, fr.disk = k, p.id
+	fr.ref = true
+	sh.frames[k] = fr
 }
 
 // scanCursor is the pool's storage.Cursor. A hit pins the cached frame
@@ -310,7 +369,8 @@ func (p *Pool) PinPage(name string, page int64) (storage.PageHandle, error) {
 type scanCursor struct {
 	p        *Pool
 	name     string
-	nameHash uint64
+	id       uint32 // the file's id, resolved when the scan opened
+	err      error  // why it could not be resolved
 	from, to int64
 	keep     bool           // the declared range fits the cache: misses are cached
 	epoch    uint64         // p.epoch when the scan opened
@@ -326,8 +386,9 @@ var scanCursors = sync.Pool{New: func() any { return new(scanCursor) }}
 // round again, so caching it only evicts what could have been.
 func (p *Pool) Scan(name string, from, to int64) storage.Cursor {
 	c := scanCursors.Get().(*scanCursor)
+	id, err := p.intern(name)
 	*c = scanCursor{
-		p: p, name: name, nameHash: hashName(name), from: from, to: to,
+		p: p, name: name, id: id, err: err, from: from, to: to,
 		keep: to-from <= p.c.capFrames, epoch: p.epoch.Load(),
 	}
 	return c
@@ -338,12 +399,18 @@ func (p *Pool) Scan(name string, from, to int64) storage.Cursor {
 // stripe do not queue behind a pread.
 func (c *scanCursor) Pin(page int64) ([]byte, error) {
 	c.unpin()
+	if c.err != nil {
+		return nil, c.err
+	}
 	if page < c.from || page >= c.to {
 		return nil, fmt.Errorf("%w: %q page %d outside scan [%d,%d)", storage.ErrOutOfRange, c.name, page, c.from, c.to)
 	}
+	k, err := frameKey(c.name, c.id, page)
+	if err != nil {
+		return nil, err
+	}
 	p := c.p
-	k := pageKey{disk: p.id, page: page, name: c.name}
-	sh := p.c.shardAt(c.nameHash, k)
+	sh := p.c.shardFor(k)
 	sh.mu.Lock()
 	if fr := sh.frames[k]; fr != nil {
 		fr.pins.Add(1)
@@ -371,9 +438,7 @@ func (c *scanCursor) Pin(page int64) ([]byte, error) {
 		if sh.frames[k] == nil && p.epoch.Load() == c.epoch {
 			if fr := p.c.claim(sh); fr != nil {
 				copy(fr.data, data)
-				fr.key = k
-				fr.ref = true
-				sh.frames[k] = fr
+				p.insert(sh, fr, k)
 				fr.pins.Store(0)
 			}
 		}
@@ -437,7 +502,14 @@ func (p *Pool) ReadPages(name string, page int64, n int, buf []byte) (int, error
 // InvalidatePage implements storage.Invalidator.
 func (p *Pool) InvalidatePage(name string, page int64) {
 	p.epoch.Add(1)
-	k := pageKey{disk: p.id, page: page, name: name}
+	id, ok := p.lookup(name)
+	if !ok {
+		return
+	}
+	k, err := frameKey(name, id, page)
+	if err != nil {
+		return
+	}
 	sh := p.c.shardFor(k)
 	sh.mu.Lock()
 	if fr := sh.frames[k]; fr != nil {
@@ -447,31 +519,28 @@ func (p *Pool) InvalidatePage(name string, page int64) {
 	sh.mu.Unlock()
 }
 
-// InvalidateFile implements storage.Invalidator: drops every cached page
-// of the named file on this pool's disk.
+// InvalidateFile implements storage.Invalidator: forgets the name and drops
+// every cached page of the file it named on this pool's disk.
 func (p *Pool) InvalidateFile(name string) {
 	p.epoch.Add(1)
-	for i := range p.c.shards {
-		sh := &p.c.shards[i]
-		sh.mu.Lock()
-		for k, fr := range sh.frames {
-			if k.disk == p.id && k.name == name {
-				delete(sh.frames, k)
-				fr.dead = true
-			}
-		}
-		sh.mu.Unlock()
+	if id, ok := p.forget(name); ok {
+		p.drop(func(fr *frame) bool { return uint32(fr.key>>pageBits) == id })
 	}
 }
 
 // Purge drops every cached page of this pool's disk (hit/miss counters are
 // kept). Benchmarks use it to measure cold-cache behaviour.
 func (p *Pool) Purge() {
+	p.drop(func(fr *frame) bool { return fr.disk == p.id })
+}
+
+// drop kills every cached frame that matches.
+func (p *Pool) drop(match func(*frame) bool) {
 	for i := range p.c.shards {
 		sh := &p.c.shards[i]
 		sh.mu.Lock()
 		for k, fr := range sh.frames {
-			if k.disk == p.id {
+			if match(fr) {
 				delete(sh.frames, k)
 				fr.dead = true
 			}

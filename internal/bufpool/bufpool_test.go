@@ -2,6 +2,7 @@ package bufpool
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -430,5 +431,90 @@ func TestPoolStats(t *testing.T) {
 	p.ResetStats()
 	if st := p.Stats(); st.CacheHits != 0 || st.CacheMisses != 0 || st.Reads() != 0 {
 		t.Fatalf("ResetStats left %v", st)
+	}
+}
+
+// TestScanPinZeroAllocs: a warm Scan cursor's Pin, the hit of every
+// sequential scan, allocates nothing.
+func TestScanPinZeroAllocs(t *testing.T) {
+	d := storage.NewDisk(512)
+	fill(t, d, "f", 4)
+	p := New(d, 16*512)
+	scanAll(t, p, "f", 0, 4) // warm
+	cur := p.Scan("f", 0, 4)
+	defer cur.Close()
+	pg := int64(0)
+	allocs := testing.AllocsPerRun(1000, func() {
+		if _, err := cur.Pin(pg % 4); err != nil {
+			t.Fatal(err)
+		}
+		pg++
+	})
+	if allocs != 0 {
+		t.Fatalf("warm cursor Pin allocates %.1f times per op, want 0", allocs)
+	}
+	if p.Misses() != 4 {
+		t.Fatalf("%d misses, want only the 4 of the warming scan", p.Misses())
+	}
+}
+
+// TestPageBeyondKeyIsAnError: a page number too large for a frame key is
+// refused, never served from the frame of the page its low bits name.
+func TestPageBeyondKeyIsAnError(t *testing.T) {
+	d := storage.NewDisk(256)
+	fill(t, d, "f", 4)
+	p := New(d, 16*256)
+	scanAll(t, p, "f", 0, 4) // page 1 is resident
+	const alias = 1<<32 | 1
+	if _, err := p.PinPage("f", alias); !errors.Is(err, storage.ErrOutOfRange) {
+		t.Fatalf("PinPage(%#x) = %v, want ErrOutOfRange", alias, err)
+	}
+	cur := p.Scan("f", 0, 1<<33)
+	defer cur.Close()
+	if _, err := cur.Pin(alias); !errors.Is(err, storage.ErrOutOfRange) {
+		t.Fatalf("cursor Pin(%#x) = %v, want ErrOutOfRange", alias, err)
+	}
+	if p.Hits() != 0 {
+		t.Fatalf("%d hits on pages the file does not have", p.Hits())
+	}
+}
+
+// benchPool is a pool holding every page of a 2 048-page file of 4 KB
+// pages, warmed by one scan.
+func benchPool(b *testing.B) *Pool {
+	const pages = 2048
+	d := storage.NewDisk(4096)
+	fill(b, d, "f", pages)
+	p := New(d, 2*pages*4096)
+	scanAll(b, p, "f", 0, pages)
+	return p
+}
+
+// BenchmarkPoolScanHit times one warm cursor pin: the hit of a scan.
+func BenchmarkPoolScanHit(b *testing.B) {
+	p := benchPool(b)
+	cur := p.Scan("f", 0, 2048)
+	defer cur.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := cur.Pin(int64(i % 2048)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPoolPinHit times one warm PinPage and its release: the hit of a
+// point probe.
+func BenchmarkPoolPinHit(b *testing.B) {
+	p := benchPool(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h, err := p.PinPage("f", int64(i%2048))
+		if err != nil {
+			b.Fatal(err)
+		}
+		h.Release()
 	}
 }

@@ -1,6 +1,7 @@
 package bufpool
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -115,11 +116,23 @@ func TestScanStopsCachingAfterInvalidation(t *testing.T) {
 
 // sameStripe returns n pages of name, from `from` up, that share a lock
 // stripe with (name, anchor).
-func sameStripe(p *Pool, name string, anchor, from int64, n int) []int64 {
-	sh := p.c.shardFor(pageKey{disk: p.id, page: anchor, name: name})
+func sameStripe(t testing.TB, p *Pool, name string, anchor, from int64, n int) []int64 {
+	t.Helper()
+	id, err := p.intern(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stripe := func(page int64) *cacheShard {
+		k, err := frameKey(name, id, page)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p.c.shardFor(k)
+	}
+	sh := stripe(anchor)
 	var out []int64
 	for pg := from; len(out) < n; pg++ {
-		if p.c.shardFor(pageKey{disk: p.id, page: pg, name: name}) == sh {
+		if stripe(pg) == sh {
 			out = append(out, pg)
 		}
 	}
@@ -154,7 +167,7 @@ func TestScanMissDoesNotBlockStripe(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.Release()
-	cold := sameStripe(p, "f", hot, 100, 8)
+	cold := sameStripe(t, p, "f", hot, 100, 8)
 
 	entered, release := make(chan struct{}), make(chan struct{})
 	var once sync.Once
@@ -260,4 +273,120 @@ func TestConcurrentScans(t *testing.T) {
 		}
 	}()
 	wg.Wait()
+}
+
+// fillStamped creates a file of n pages on d stamped as if they were the
+// pages of file label, so a reader can tell two files of one name apart.
+func fillStamped(t testing.TB, d *storage.Disk, name, label string, n int) {
+	t.Helper()
+	if err := d.Create(name); err != nil {
+		t.Fatal(err)
+	}
+	page := make([]byte, d.PageSize())
+	for p := 0; p < n; p++ {
+		stamp(page, label, p)
+		if _, err := d.AppendPage(name, page); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestRecreatedFileMissesOldFrames: a name that comes back — created again
+// after a remove, or renamed onto after one — names a new file, which
+// misses every page and reads its own bytes, also through a cursor opened
+// on the old file. And a pool under CLSM's run churn interns only the files
+// that are live.
+func TestRecreatedFileMissesOldFrames(t *testing.T) {
+	const pages = 8
+	for _, tc := range []struct {
+		name       string
+		rename     bool // the new file arrives by a rename onto the freed name
+		openBefore bool // a cursor is opened on the old file before the remove
+	}{
+		{"recreate", false, false},
+		{"rename onto", true, false},
+		{"recreate, cursor open", false, true},
+		{"rename onto, cursor open", true, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := storage.NewDisk(128)
+			fill(t, d, "f", pages)
+			p := New(d, 64*128)
+			scanAll(t, p, "f", 0, pages) // every page of the old file resident
+			var old storage.Cursor
+			if tc.openBefore {
+				old = p.Scan("f", 0, pages)
+				defer old.Close()
+				data, err := old.Pin(0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkPage(t, data, "f", 0)
+			}
+			if err := d.Remove("f"); err != nil {
+				t.Fatal(err)
+			}
+			if tc.rename {
+				fillStamped(t, d, "g", "new", pages)
+				if err := d.Rename("g", "f"); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				fillStamped(t, d, "f", "new", pages)
+			}
+			p.ResetStats()
+			if old != nil {
+				for pg := 0; pg < pages; pg++ {
+					data, err := old.Pin(int64(pg))
+					if err != nil {
+						t.Fatal(err)
+					}
+					checkPage(t, data, "new", pg)
+				}
+				if p.Hits() != 0 || p.Misses() != pages {
+					t.Fatalf("old cursor on the new file: %d hits, %d misses", p.Hits(), p.Misses())
+				}
+				p.ResetStats()
+			}
+			cur := p.Scan("f", 0, pages)
+			for pg := 0; pg < pages; pg++ {
+				data, err := cur.Pin(int64(pg))
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkPage(t, data, "new", pg)
+			}
+			cur.Close()
+			h, err := p.PinPage("f", pages-1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkPage(t, h.Data(), "new", pages-1)
+			h.Release()
+			if p.Hits() != 1 || p.Misses() != pages {
+				t.Fatalf("new file: %d hits, %d misses; want a miss a page, then a hit", p.Hits(), p.Misses())
+			}
+		})
+	}
+
+	t.Run("churn", func(t *testing.T) {
+		d := storage.NewDisk(128)
+		fill(t, d, "base", pages)
+		p := New(d, 64*128)
+		scanAll(t, p, "base", 0, pages)
+		for i := 0; i < 1000; i++ {
+			name := fmt.Sprintf("run-%d", i%3) // names come back, as run slots do
+			fill(t, d, name, 2)
+			scanAll(t, p, name, 0, 2)
+			if err := d.Remove(name); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if files := *p.files.Load(); len(files) != 1 || files["base"] == 0 {
+			t.Fatalf("intern table after the churn: %v, want only the live file", files)
+		}
+		if p.Misses() != pages+2*1000 {
+			t.Fatalf("%d misses, want one per page of every file", p.Misses())
+		}
+	})
 }

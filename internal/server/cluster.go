@@ -10,11 +10,13 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 
 	"repro/internal/index"
 	"repro/internal/series"
+	"repro/internal/shard"
 )
 
 // ClusterResult is one candidate on the router-node wire: a global series
@@ -72,7 +74,8 @@ func (s *Server) clusterBuild(w http.ResponseWriter, id string) (*build, bool) {
 // IDs with exact squared sums — for the router to merge. Requests naming a
 // shard this node does not own fail loudly (400) rather than answering
 // incompletely, so a router/topology mismatch can never silently drop
-// candidates.
+// candidates. Any other failed search — a page the node could not read —
+// is the node's (500), as on /api/query.
 func (s *Server) handleClusterSearch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "POST only")
@@ -132,7 +135,11 @@ func (s *Server) handleClusterSearch(w http.ResponseWriter, r *http.Request) {
 		return err
 	})
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "cluster search failed: %v", err)
+		status := http.StatusInternalServerError
+		if errors.Is(err, shard.ErrNotOwned) {
+			status = http.StatusBadRequest
+		}
+		writeError(w, status, "cluster search failed: %v", err)
 		return
 	}
 	resp := ClusterSearchResponse{Results: []ClusterResult{}, Shards: shards}

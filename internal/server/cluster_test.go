@@ -127,7 +127,9 @@ func TestClusterSearchMatchesQuery(t *testing.T) {
 }
 
 func TestClusterSearchValidation(t *testing.T) {
-	ts := newTestServer(t)
+	s := New()
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
 	id := clusterNode(t, ts, 4, []int{0, 1})
 	q := probeSeries(32)
 	var e errorResponse
@@ -155,6 +157,23 @@ func TestClusterSearchValidation(t *testing.T) {
 	if code := postJSON(t, ts.URL+"/api/cluster/search",
 		ClusterSearchRequest{Build: id, Series: q, K: 3, MinTS: &bound}, &e); code != 400 {
 		t.Fatalf("min_ts without max_ts status %d", code)
+	}
+	// A page of an owned shard that cannot be read is the node's failure,
+	// not the request's.
+	b, _ := s.lookupBuild(id)
+	disk := b.built.Parts[0].Disk
+	for _, name := range disk.Files() {
+		if err := disk.Remove(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if code := postJSON(t, ts.URL+"/api/cluster/search",
+		ClusterSearchRequest{Build: id, Series: q, K: 3, Shards: []int{0}}, &e); code != 500 {
+		t.Fatalf("failed page read status %d (%s)", code, e.Error)
+	}
+	if code := postJSON(t, ts.URL+"/api/cluster/search",
+		ClusterSearchRequest{Build: id, Series: q, K: 3, Shards: []int{2}}, &e); code != 400 {
+		t.Fatalf("unowned shard status %d after the failed read", code)
 	}
 }
 

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -139,6 +140,10 @@ func (g *Group) MaxID() int64 {
 	return m
 }
 
+// ErrNotOwned is the error of a search that names a shard the node does not
+// hold: a router/topology mismatch, not a failure of the node.
+var ErrNotOwned = errors.New("shard: not owned")
+
 // resolve maps a requested shard list to owned shards, rejecting requests
 // for shards this node does not hold (a router/topology mismatch the node
 // must surface, not silently answer incompletely). nil requests every owned
@@ -149,7 +154,7 @@ func (g *Group) resolve(reqs []int) ([]int, error) {
 	}
 	for _, si := range reqs {
 		if !g.Owns(si) {
-			return nil, fmt.Errorf("shard: node does not own shard %d (owned %v of %d)", si, g.owned, g.nshards)
+			return nil, fmt.Errorf("%w: node does not own shard %d (owned %v of %d)", ErrNotOwned, si, g.owned, g.nshards)
 		}
 	}
 	return reqs, nil

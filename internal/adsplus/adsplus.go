@@ -312,16 +312,20 @@ func (t *Tree) chooseSplitSegment(n *node) int {
 func (t *Tree) loadLeaf(n *node) ([]record.Entry, error) {
 	out := make([]record.Entry, 0, int(n.onDisk)+len(n.buffered))
 	if n.file != "" && n.onDisk > 0 {
-		r, err := storage.NewRecordReaderBuffered(t.opts.Reader, n.file, t.codec.Size(), n.onDisk, 1)
+		l, err := record.NewLayout(t.codec, t.opts.Reader.PageSize(), false)
+		if err != nil {
+			return nil, err
+		}
+		npages, err := t.opts.Reader.NumPages(n.file)
+		if err != nil {
+			return nil, err
+		}
+		r, err := l.NewReader(storage.ScanChunks(t.opts.Reader, n.file, 0, npages, 1), npages, n.file, n.onDisk)
 		if err != nil {
 			return nil, err
 		}
 		for i := int64(0); i < n.onDisk; i++ {
-			rec, err := r.Next()
-			if err != nil {
-				return nil, err
-			}
-			e, err := t.codec.Decode(rec)
+			e, err := r.Next(nil)
 			if err != nil {
 				return nil, err
 			}

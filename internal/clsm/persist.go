@@ -40,7 +40,7 @@ import (
 // flushes and merges repopulate the synopses.
 //
 // Version 3 appends a per-run packed flag byte (after the synopsis): 1 when
-// the run's pages use the packed codec (record.IsPacked), 0 for the
+// the run's pages use the packed encoding (record.Layout), 0 for the
 // fixed-size record layout. Version-1/2 files decode with packed=false,
 // which is exactly what they contain.
 //
@@ -313,11 +313,8 @@ func Open(opts Options) (*LSM, error) {
 		store:   run.NewStore(opts.Disk, opts.Reader, opts.Config, opts.Raw),
 		adopted: st.src,
 	}
-	if size := l.store.Codec().Size(); size > opts.Disk.PageSize() {
-		return nil, fmt.Errorf("clsm: entry size %d exceeds page size %d", size, opts.Disk.PageSize())
-	}
-	if opts.Compress && !record.PackedFits(l.store.Codec(), opts.Disk.PageSize()) {
-		return nil, fmt.Errorf("clsm: packed entry size exceeds page size %d", opts.Disk.PageSize())
+	if _, err := l.store.Layout(opts.Compress); err != nil {
+		return nil, fmt.Errorf("clsm: %w", err)
 	}
 	for _, lvl := range st.levels {
 		for i, r := range lvl {

@@ -9,8 +9,9 @@
 // The leaf file is the sort's output: the bulk load describes its pages to
 // internal/extsort (encoding, fill factor) and takes their resident summary
 // — internal/run's, the one every sorted run keeps — from the observer of
-// the pass that writes them. The package assembles a page itself only where
-// it rewrites one: the insert path's encodePage.
+// the pass that writes them. An insert rewrites one leaf in place: it reads
+// the page through the leaf layout's page decode and renders it again with
+// the layout's encoder (internal/record), whichever the encoding.
 package ctree
 
 import (
@@ -91,14 +92,15 @@ func (o *Options) setDefaults() error {
 // levels: it always fits in memory, as in the paper's implementation.
 type Tree struct {
 	opts     Options
-	store    run.Store // the leaf file's reader, entry codec and raw store
-	leaves   run.Run   // the leaf file: count, synopsis, encoding and summary
-	capacity int       // max entries per leaf page (fixed-size layout)
-	nextID64 int64     // next auto-assigned insert ID
+	store    run.Store     // the leaf file's reader, entry codec and raw store
+	leaves   run.Run       // the leaf file: count, synopsis, encoding and summary
+	layout   record.Layout // the leaf pages': fixed-size or packed
+	capacity int           // max entries per fixed-size leaf page
+	nextID64 int64         // next auto-assigned insert ID
 	// Insert-path scratch, one of each per tree because inserts are
 	// externally serialized: the page a leaf is read into and re-encoded
-	// into (both backends copy what they are handed to write), and, for a
-	// packed tree, the builder whose trial fit is also the encoding.
+	// into (both backends copy what they are handed to write), and the
+	// layout's page builder, whose trial fit is also the encoding.
 	pageBuf []byte
 	pb      *record.PageBuilder
 }
@@ -209,9 +211,10 @@ func bulkLoad(opts Options, n int64, write func(t *Tree, sorter *extsort.Sorter)
 		return nil, err
 	}
 	t := newTree(opts)
-	if err := t.initLayout(); err != nil {
+	if err := t.initLayout(opts.Compress); err != nil {
 		return nil, err
 	}
+	t.capacity = opts.Disk.PageSize() / t.store.Codec().Size()
 	b := run.NewBuilder(opts.Config, n, t.target(), zonestat.New(opts.Config.Segments, opts.Config.Bits))
 	sorter := &extsort.Sorter{
 		Disk: opts.Disk, Codec: t.store.Codec(), MemBudget: opts.MemBudget,
@@ -236,27 +239,13 @@ func newTree(opts Options) *Tree {
 	}
 }
 
-// initLayout derives the per-leaf capacities from the page size and the
-// selected encoding. Fixed-size leaves hold a fixed record count; packed
-// leaves hold whatever their compressed bytes allow, so only the worst-case
-// single-entry shape is validated up front.
-func (t *Tree) initLayout() error {
-	pageSize, codec := t.opts.Disk.PageSize(), t.store.Codec()
-	if t.opts.Compress {
-		if !record.PackedFits(codec, pageSize) {
-			return fmt.Errorf("ctree: packed entry shape exceeds page size %d", pageSize)
-		}
-		t.leaves.Packed = true
-		var err error
-		if t.pb, err = record.NewPageBuilder(codec, pageSize); err != nil {
-			return err
-		}
+// initLayout sets the leaf pages' layout, packed or fixed-size, which
+// checks that an entry fits a page.
+func (t *Tree) initLayout(packed bool) (err error) {
+	if t.layout, err = t.store.Layout(packed); err != nil {
+		return fmt.Errorf("ctree: %w", err)
 	}
-	perPage := pageSize / codec.Size()
-	if perPage < 1 && !t.leaves.Packed {
-		return fmt.Errorf("ctree: entry size %d exceeds page size %d", codec.Size(), pageSize)
-	}
-	t.capacity = perPage
+	t.leaves.Packed, t.pb = packed, t.layout.Builder()
 	return nil
 }
 
@@ -264,29 +253,19 @@ func (t *Tree) initLayout() error {
 // factor's share of a page, and at least one.
 func (t *Tree) target() int { return max(1, int(float64(t.capacity)*t.opts.FillFactor)) }
 
-// readLeaf decodes all live entries of leaf li into the insert-path page
-// buffer. The returned entries share no storage with the page buffer.
+// readLeaf decodes all live entries of leaf li, read into the insert-path
+// page buffer; a page that does not hold the entries its summary counts is
+// an error. The returned entries share no storage with the page buffer.
 func (t *Tree) readLeaf(li int) ([]record.Entry, error) {
-	buf, codec := t.pageBuf, t.store.Codec()
-	if _, err := t.store.Reader.ReadPage(t.leaves.File, t.leaves.Sum.Phys(li), buf); err != nil {
+	phys := t.leaves.Sum.Phys(li)
+	if _, err := t.store.Reader.ReadPage(t.leaves.File, phys, t.pageBuf); err != nil {
 		return nil, err
 	}
-	entry := func(i int) (record.Entry, error) { return codec.Decode(buf[i*codec.Size() : (i+1)*codec.Size()]) }
-	if t.leaves.Packed {
-		v, err := codec.ViewPacked(buf)
-		if err != nil {
-			return nil, err
-		}
-		entry = func(i int) (record.Entry, error) { return v.Entry(i, codec) }
+	pg, err := t.layout.Page(t.pageBuf, t.leaves.Sum.Entries(li))
+	if err != nil {
+		return nil, fmt.Errorf("ctree: %s page %d: %w", t.leaves.File, phys, err)
 	}
-	out := make([]record.Entry, t.leaves.Sum.Entries(li))
-	for i := range out {
-		var err error
-		if out[i], err = entry(i); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	return pg.Entries()
 }
 
 // Insert adds one series top-down: locate the target leaf by key, insert in
@@ -362,35 +341,20 @@ func (t *Tree) InsertEntry(e record.Entry) error {
 }
 
 // encodePage renders entries as one leaf page in the insert-path page
-// buffer, or reports that they do not fit one: a record count against the
-// capacity for the fixed layout, a trial fit for the packed one (compressed
-// size is data-dependent) — and the builder that has taken every entry is
-// the one that encodes them. The returned page aliases the buffer and is
-// valid until the next call.
+// buffer, or reports that they do not fit one — a record count for
+// fixed-size pages, a trial fit for packed ones (compressed size is
+// data-dependent) — and the builder that has taken every entry is the one
+// that encodes them. The returned page aliases the buffer and is valid until
+// the next call.
 func (t *Tree) encodePage(entries []record.Entry) (page []byte, fits bool, err error) {
-	if !t.leaves.Packed {
-		if len(entries) > t.capacity {
-			return nil, false, nil
-		}
-		page = t.pageBuf[:0]
-		for _, e := range entries {
-			if page, err = t.store.Codec().Append(page, e); err != nil {
-				return nil, false, err
-			}
-		}
-		return page, true, nil
-	}
 	t.pb.Reset()
 	for _, e := range entries {
-		ok, err := t.pb.TryAdd(e)
-		if err != nil || !ok {
+		if ok, err := t.pb.TryAdd(e); err != nil || !ok {
 			return nil, false, err
 		}
 	}
-	if _, err := t.pb.Encode(t.pageBuf); err != nil {
-		return nil, false, err
-	}
-	return t.pageBuf, true, nil
+	_, err = t.pb.Encode(t.pageBuf)
+	return t.pageBuf, err == nil, err
 }
 
 // encodeFitting is encodePage for entries that must fit: half of a leaf

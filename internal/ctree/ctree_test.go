@@ -1,8 +1,10 @@
 package ctree
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/gen"
@@ -348,6 +350,41 @@ func TestInsertSplits(t *testing.T) {
 	for li := 1; li < tr.Leaves(); li++ {
 		if tr.leaves.Sum.FirstKey(li).Less(tr.leaves.Sum.FirstKey(li - 1)) {
 			t.Fatal("fence keys out of order after splits")
+		}
+	}
+}
+
+// TestInsertRejectsMisreadLeaf: an insert reads its leaf back through the
+// page decode, which holds a packed page's header count to the count the
+// summary keeps. A leaf whose header says one entry fewer is an error naming
+// the file and the page, never a misdecoded leaf written back.
+func TestInsertRejectsMisreadLeaf(t *testing.T) {
+	ds := buildDataset(t, 300, 12)
+	for _, mat := range []bool{false, true} {
+		disk := storage.NewDisk(0)
+		opts := Options{Disk: disk, Config: testConfig(mat), FillFactor: 0.7, Raw: normStore{ds}, Compress: true}
+		tr, err := Build(opts, ds, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		page := make([]byte, disk.PageSize())
+		for li := 0; li < tr.Leaves(); li++ {
+			phys := tr.leaves.Sum.Phys(li)
+			if _, err := disk.ReadPage(tr.leaves.File, phys, page); err != nil {
+				t.Fatal(err)
+			}
+			binary.LittleEndian.PutUint16(page[4:], binary.LittleEndian.Uint16(page[4:])-1)
+			if err := disk.WritePage(tr.leaves.File, phys, page); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before := disk.Stats().Writes()
+		err = tr.Insert(gen.RandomWalk(rand.New(rand.NewSource(13)), 64), 0)
+		if err == nil || !strings.Contains(err.Error(), tr.leaves.File+" page ") {
+			t.Fatalf("mat=%v: insert into a leaf whose header lost an entry: err %v, want one naming %s and the page", mat, err, tr.leaves.File)
+		}
+		if w := disk.Stats().Writes() - before; w != 0 {
+			t.Fatalf("mat=%v: the failed insert wrote %d pages", mat, w)
 		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"repro/internal/index"
-	"repro/internal/record"
 	"repro/internal/run"
 	"repro/internal/sortable"
 	"repro/internal/storage"
@@ -34,7 +33,7 @@ import (
 //	[v4: SAX column count*segments B]
 //
 // Version 2 added the leaf envelopes and the synopsis, 3 the packed flag
-// (record.IsPacked; earlier files hold fixed-size records), 4 the SAX
+// (record.Layout; earlier files hold fixed-size records), 4 the SAX
 // column. Files of versions 1–4 still open: Open takes each leaf's count
 // and page from the directory and rebuilds the whole summary with one pass
 // over the leaf pages (run.Store.Load); what else they hold of it is
@@ -176,11 +175,8 @@ func decodeMeta(opts Options, buf []byte, version uint32) (*Tree, error) {
 		}
 		t.leaves.Packed, t.opts.Compress, rest = rest[0] == 1, rest[0] == 1, rest[1:]
 	}
-	if t.leaves.Packed {
-		var err error
-		if t.pb, err = record.NewPageBuilder(t.store.Codec(), opts.Disk.PageSize()); err != nil {
-			return nil, fmt.Errorf("ctree: persisted packed tree: %w", err)
-		}
+	if err := t.initLayout(t.leaves.Packed); err != nil {
+		return nil, err
 	}
 	var err error
 	if version >= 5 {

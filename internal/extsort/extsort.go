@@ -6,11 +6,13 @@
 // is what lets Coconut build a compact, contiguous index without the
 // random I/O of top-down insertion.
 //
-// It is also the one place entries are laid into the pages of a new file
-// (entryWriter): a CLSM run, a BTP partition, a merge of either and a CTree's
-// leaf level are all what Sort, Merge or WriteRun wrote, in the encoding and
-// at the page fill the Sorter's Output names, and each owner derives what it
-// keeps in memory about its file from the Observer of that one pass.
+// It is also the one place a new sorted file is written: a CLSM run, a BTP
+// partition, a merge of either and a CTree's leaf level are all what Sort,
+// Merge or WriteRun wrote, in the encoding and at the page fill the Sorter's
+// Output names, and each owner derives what it keeps in memory about its
+// file from the Observer of that one pass. How entries are laid into pages,
+// and read back, is internal/record's: a record.Layout's Writer and Reader,
+// whichever the encoding.
 package extsort
 
 import (
@@ -22,7 +24,6 @@ import (
 
 	"repro/internal/parallel"
 	"repro/internal/record"
-	"repro/internal/series"
 	"repro/internal/storage"
 )
 
@@ -53,11 +54,9 @@ type Output struct {
 	// Packed selects the packed page encoding over fixed-size records.
 	Packed bool
 	// Fill is the fraction of each page populated, the rest left as slack
-	// for later inserts (a CTree's fill factor): a fixed-size page closes at
-	// max(1, ⌊records per page · Fill⌋) records, a packed page once its
-	// encoded bytes reach ⌊page size · Fill⌋, or sooner when an entry no
-	// longer fits. Values outside (0,1) mean full pages, which is what every
-	// Input is read as: a file written with slack is not one.
+	// for later inserts (a CTree's fill factor; see record.Layout.Create).
+	// Values outside (0,1) mean full pages, which is what every Input is
+	// read as: a file written with slack is not one.
 	Fill float64
 	// Observer, when non-nil, sees every entry written.
 	Observer Observer
@@ -87,7 +86,7 @@ func (s *Sorter) Sort(input string, count int64, output string) (passes int, err
 	// workable budget is room for a handful of entries.
 	workers := s.workers()
 	bufEntries := max(4, s.MemBudget/s.Codec.Size()/workers)
-	reader, err := storage.NewRecordReader(s.Disk, input, s.Codec.Size(), count)
+	reader, err := s.open(Input{Name: input, Count: count}, storage.DefaultBufferPages)
 	if err != nil {
 		return 0, err
 	}
@@ -173,18 +172,14 @@ func sortBuffer(entries []record.Entry) {
 	sort.Slice(entries, func(i, j int) bool { return entries[i].Less(entries[j]) })
 }
 
-// fill appends decoded entries from r to buf up to its capacity; it stops
-// short only at the end of the input.
-func (s *Sorter) fill(r *storage.RecordReader, buf []record.Entry) ([]record.Entry, error) {
+// fill appends decoded entries from r to buf up to its capacity, each with
+// a payload of its own; it stops short only at the end of the input.
+func (s *Sorter) fill(r *record.Reader, buf []record.Entry) ([]record.Entry, error) {
 	for len(buf) < cap(buf) {
-		rec, err := r.Next()
+		e, err := r.Next(nil)
 		if err == io.EOF {
 			break
 		}
-		if err != nil {
-			return buf, err
-		}
-		e, err := s.Codec.Decode(rec)
 		if err != nil {
 			return buf, err
 		}
@@ -196,7 +191,7 @@ func (s *Sorter) fill(r *storage.RecordReader, buf []record.Entry) ([]record.Ent
 // sortRunsSerial is the classic phase 1: fill one bounded buffer, sort it,
 // write it out, repeat. Like sortRunsParallel it returns the runs it wrote
 // even when it fails, for Sort to remove.
-func (s *Sorter) sortRunsSerial(reader *storage.RecordReader, bufEntries int) (runs []Input, err error) {
+func (s *Sorter) sortRunsSerial(reader *record.Reader, bufEntries int) (runs []Input, err error) {
 	entries := make([]record.Entry, 0, bufEntries)
 	for {
 		if entries, err = s.fill(reader, entries[:0]); err != nil || len(entries) == 0 {
@@ -216,7 +211,7 @@ func (s *Sorter) sortRunsSerial(reader *storage.RecordReader, bufEntries int) (r
 // goroutine streams completed runs to disk strictly in batch order, so
 // sorting CPU overlaps run-writing I/O and the write stream stays
 // single-headed.
-func (s *Sorter) sortRunsParallel(reader *storage.RecordReader, bufEntries, workers int) ([]Input, error) {
+func (s *Sorter) sortRunsParallel(reader *record.Reader, bufEntries, workers int) ([]Input, error) {
 	type batch struct {
 		idx     int
 		entries []record.Entry
@@ -295,93 +290,45 @@ type Input struct {
 // the call.
 type Observer func(e record.Entry, pageStart bool)
 
-// entryWriter appends entries to a new file as an Output describes it, and
-// is the only code that decides where a page of such a file ends. A failed
-// append or close removes the partial file: nothing references it, and it
-// would otherwise sit on the disk, counted in TotalPages.
+// entryWriter is a record.Writer into a new file as an Output describes it,
+// which tells the Output's observer of every entry. A failed append or
+// close removes the partial file: nothing references it, and it would
+// otherwise sit on the disk, counted in TotalPages.
 type entryWriter struct {
-	s         *Sorter
-	name      string
-	fixed     *storage.RecordWriter // nil when packed
-	packed    *record.PackedWriter
-	buf       []byte
-	obs       Observer // nil: nobody watches
-	inPage    int      // fixed-size entries in the page being filled
-	perPage   int      // fixed-size entries at which a page closes
-	fillBytes int      // encoded bytes at which a packed page closes; 0: when full
+	*record.Writer
+	s    *Sorter
+	name string
+	obs  Observer // nil: nobody watches
 }
 
 // create makes the file (which must not exist) with a write-behind buffer
-// of bufPages pages for fixed-size output.
-func (s *Sorter) create(name string, out Output, bufPages int) (*entryWriter, error) {
-	fill := out.Fill
-	if fill <= 0 || fill > 1 {
-		fill = 1
-	}
-	pageSize := s.Disk.PageSize()
-	w := &entryWriter{s: s, name: name, obs: out.Observer}
-	var err error
-	if out.Packed {
-		if fill < 1 {
-			w.fillBytes = int(float64(pageSize) * fill)
-		}
-		w.packed, err = record.NewPackedWriter(s.Disk, name, s.Codec)
-	} else {
-		w.perPage = max(1, int(float64(pageSize/s.Codec.Size())*fill))
-		w.buf = make([]byte, 0, s.Codec.Size())
-		w.fixed, err = storage.NewRecordWriterBuffered(s.Disk, name, s.Codec.Size(), bufPages)
-	}
+// of chunkPages pages (record.Layout.StreamPages).
+func (s *Sorter) create(name string, out Output, chunkPages int) (*entryWriter, error) {
+	l, err := record.NewLayout(s.Codec, s.Disk.PageSize(), out.Packed)
 	if err != nil {
 		return nil, err
 	}
-	return w, nil
+	w, err := l.Create(s.Disk, name, out.Fill, chunkPages)
+	if err != nil {
+		return nil, err
+	}
+	return &entryWriter{Writer: w, s: s, name: name, obs: out.Observer}, nil
 }
 
-// write appends one entry, closes the page it completes at the output's
-// fill, and tells the observer.
+// write appends one entry and tells the observer.
 func (w *entryWriter) write(e record.Entry) error {
-	var pageStart bool
-	if w.packed != nil {
-		if err := w.packed.WriteEntry(e); err != nil {
-			return err
-		}
-		pageStart = w.packed.InPage() == 1
-		if w.fillBytes > 0 && w.packed.PageBytes() >= w.fillBytes {
-			if err := w.packed.EndPage(); err != nil {
-				return err
-			}
-		}
-	} else {
-		var err error
-		if w.buf, err = w.s.Codec.Append(w.buf[:0], e); err != nil {
-			return err
-		}
-		if err = w.fixed.Write(w.buf); err != nil {
-			return err
-		}
-		pageStart = w.inPage == 0
-		if w.inPage++; w.inPage == w.perPage {
-			w.inPage = 0
-			if err = w.fixed.EndPage(); err != nil {
-				return err
-			}
-		}
-	}
-	if w.obs != nil {
+	pageStart, err := w.Write(e)
+	if err == nil && w.obs != nil {
 		w.obs(e, pageStart)
 	}
-	return nil
+	return err
 }
 
 // finish closes the file when err is nil; on any failure — the caller's err
 // or the close's own — it removes the partial file and returns the error.
 func (w *entryWriter) finish(err error) error {
 	if err == nil {
-		if w.packed != nil {
-			err = w.packed.Close()
-		} else {
-			err = w.fixed.Close()
-		}
+		err = w.Close()
 	}
 	if err != nil {
 		_ = w.s.Disk.Remove(w.name) // best effort: err is what the caller must see
@@ -420,15 +367,12 @@ func (s *Sorter) Merge(inputs []Input, output string) (int64, error) {
 // MemBudget when Sort's merge groups run concurrently) is split into
 // per-input read-ahead buffers plus a write-behind buffer, so each stream
 // moves the head once per chunk — the I/O discipline that makes external
-// merging sequential. Packed streams keep their own fixed chunk. A source
-// holds one entry at a time, written before the source advances, so each
-// decodes every payload into one buffer of its own: the loop allocates
-// nothing per entry.
+// merging sequential (packed streams keep their own fixed chunk, see
+// record.Layout.StreamPages). A source holds one entry at a time, written
+// before the source advances, so each decodes every payload into the
+// buffer of the entry before: the loop allocates nothing per entry.
 func (s *Sorter) merge(inputs []Input, output string, out Output, budget int) (int64, error) {
-	bufPages := budget / s.Disk.PageSize() / (len(inputs) + 1)
-	if bufPages < 1 {
-		bufPages = 1
-	}
+	bufPages := max(1, budget/s.Disk.PageSize()/(len(inputs)+1))
 	w, err := s.create(output, out, bufPages)
 	if err != nil {
 		return 0, err
@@ -445,21 +389,18 @@ func (s *Sorter) merge(inputs []Input, output string, out Output, budget int) (i
 	return total, w.finish(err)
 }
 
-// open returns a sequential entry reader over one merge input.
-func (s *Sorter) open(in Input, bufPages int) (entrySource, error) {
-	if in.Packed {
-		npages, err := s.Disk.NumPages(in.Name)
-		if err != nil {
-			return nil, err
-		}
-		pages := storage.ScanChunks(s.Disk, in.Name, 0, npages, storage.DefaultBufferPages)
-		return record.NewPackedReader(pages, npages, in.Name, s.Codec, in.Count), nil
-	}
-	rd, err := storage.NewRecordReaderBuffered(s.Disk, in.Name, s.Codec.Size(), in.Count, bufPages)
+// open returns a sequential entry reader over one sorted input file, read
+// ahead width pages at a time (record.Layout.StreamPages).
+func (s *Sorter) open(in Input, width int) (*record.Reader, error) {
+	l, err := record.NewLayout(s.Codec, s.Disk.PageSize(), in.Packed)
 	if err != nil {
 		return nil, err
 	}
-	return &recordEntryReader{reader: rd, codec: s.Codec}, nil
+	npages, err := s.Disk.NumPages(in.Name)
+	if err != nil {
+		return nil, err
+	}
+	return l.NewReader(storage.ScanChunks(s.Disk, in.Name, 0, npages, l.StreamPages(width)), npages, in.Name, in.Count)
 }
 
 // mergeLoop drains the sources through the tournament heap in (Key, ID)
@@ -496,39 +437,14 @@ func mergeLoop(srcs []*mergeSource, write func(record.Entry) error) (int64, erro
 	return total, nil
 }
 
-// entrySource yields entries in sorted order; io.EOF ends the stream. An
-// entry's payload is valid until the next call. Both the fixed-size
-// RecordReader (via recordEntryReader) and the packed record.PackedReader
-// satisfy it.
-type entrySource interface {
-	NextEntry() (record.Entry, error)
-}
-
-// recordEntryReader adapts a fixed-size record stream to entrySource.
-type recordEntryReader struct {
-	reader  *storage.RecordReader
-	codec   record.Codec
-	payload series.Series // the current entry's, reused for the next
-}
-
-func (r *recordEntryReader) NextEntry() (record.Entry, error) {
-	rec, err := r.reader.Next()
-	if err != nil {
-		return record.Entry{}, err
-	}
-	e, err := r.codec.DecodeInto(rec, r.payload)
-	r.payload = e.Payload
-	return e, err
-}
-
 type mergeSource struct {
-	src entrySource
+	src *record.Reader
 	cur record.Entry
 	idx int
 }
 
 func (m *mergeSource) advance() (bool, error) {
-	e, err := m.src.NextEntry()
+	e, err := m.src.Next(m.cur.Payload)
 	if err == io.EOF {
 		return false, nil
 	}

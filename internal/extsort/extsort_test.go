@@ -43,26 +43,7 @@ func writeUnsorted(t *testing.T, d *storage.Disk, name string, c record.Codec, n
 
 func readAll(t *testing.T, d *storage.Disk, name string, c record.Codec, n int64) []record.Entry {
 	t.Helper()
-	r, err := storage.NewRecordReader(d, name, c.Size(), n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out []record.Entry
-	for {
-		rec, err := r.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		e, err := c.Decode(rec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, e)
-	}
-	return out
+	return readRun(t, d, Input{Name: name, Count: n}, c)
 }
 
 func checkSorted(t *testing.T, entries []record.Entry) {
@@ -268,8 +249,8 @@ func TestPropertySortAnyBudget(t *testing.T) {
 		if _, err := s.Sort("in", int64(n), "out"); err != nil {
 			return false
 		}
-		got := readAllQuick(d, c, int64(n))
-		if len(got) != n {
+		got, err := readFile(d, Input{Name: "out", Count: int64(n)}, c)
+		if err != nil || len(got) != n {
 			return false
 		}
 		for i := 1; i < len(got); i++ {
@@ -292,46 +273,24 @@ func TestPropertySortAnyBudget(t *testing.T) {
 	}
 }
 
-func readAllQuick(d *storage.Disk, c record.Codec, n int64) []record.Entry {
-	r, err := storage.NewRecordReader(d, "out", c.Size(), n)
+// readFile reads a sorted file in either encoding back through the
+// sorter's reader, each entry with a payload of its own.
+func readFile(d *storage.Disk, in Input, c record.Codec) ([]record.Entry, error) {
+	r, err := (&Sorter{Disk: d, Codec: c}).open(in, storage.DefaultBufferPages)
 	if err != nil {
-		return nil
+		return nil, err
 	}
 	var out []record.Entry
 	for {
-		rec, err := r.Next()
-		if err != nil {
-			return out
-		}
-		e, err := c.Decode(rec)
-		if err != nil {
-			return nil
-		}
-		out = append(out, e)
-	}
-}
-
-// readAllPacked decodes a packed run file back into entries.
-func readAllPacked(t *testing.T, d *storage.Disk, name string, c record.Codec, n int64) []record.Entry {
-	t.Helper()
-	npages, err := d.NumPages(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := record.NewPackedReader(storage.ScanChunks(d, name, 0, npages, storage.DefaultBufferPages), npages, name, c, n)
-	var out []record.Entry
-	for {
-		e, err := r.NextEntry()
+		e, err := r.Next(nil)
 		if err == io.EOF {
-			break
+			return out, nil
 		}
 		if err != nil {
-			t.Fatal(err)
+			return out, err
 		}
-		e.Payload = slices.Clone(e.Payload) // the reader decodes the next one into it
 		out = append(out, e)
 	}
-	return out
 }
 
 // TestMergeSorted is the one table over Sorter.Merge: inputs in any mix of
@@ -391,10 +350,11 @@ func TestMergeSorted(t *testing.T) {
 // readRun decodes a sorted file in either encoding.
 func readRun(t *testing.T, d *storage.Disk, in Input, c record.Codec) []record.Entry {
 	t.Helper()
-	if in.Packed {
-		return readAllPacked(t, d, in.Name, c, in.Count)
+	out, err := readFile(d, in, c)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return readAll(t, d, in.Name, c, in.Count)
+	return out
 }
 
 func assertEntries(t *testing.T, what string, got, want []record.Entry) {

@@ -68,21 +68,10 @@ func TestParallelSortSortedOrder(t *testing.T) {
 	if _, err := s.Sort("in", n, "out"); err != nil {
 		t.Fatal(err)
 	}
-	r, err := storage.NewRecordReader(d, "out", c.Size(), n)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := readAll(t, d, "out", c, n)
 	var prev record.Entry
 	ids := make(map[int64]bool, n)
-	for i := 0; i < n; i++ {
-		rec, err := r.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		e, err := c.Decode(rec)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for i, e := range got {
 		if i > 0 && e.Less(prev) {
 			t.Fatalf("entry %d out of order", i)
 		}

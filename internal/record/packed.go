@@ -69,30 +69,9 @@ const (
 	flagMaterialized = 1 << 0
 )
 
-// IsPacked reports whether page holds a packed-page header. Fixed-size pages
-// start with a big-endian sortable key; its first two bytes are the top of
-// Key.Hi, which carries interleaved symbol bits, so collisions with the magic
-// are possible in principle — callers always know the encoding from run or
-// tree metadata and use this only as a cross-check.
-func IsPacked(page []byte) bool {
-	return len(page) >= PackedHeaderBytes &&
-		binary.LittleEndian.Uint16(page) == packedMagic && page[2] == packedVersion
-}
-
-// PackedFirstKey returns the smallest key on a packed page straight from the
-// header — the probe path's binary search reads nothing else.
-func PackedFirstKey(page []byte) sortable.Key {
-	return sortable.DecodeKey(page[12:])
-}
-
-// PackedCount returns the number of entries on a packed page.
-func PackedCount(page []byte) int {
-	return int(binary.LittleEndian.Uint16(page[4:]))
-}
-
-// PackedFits reports whether a packed page of the codec's shape fits in
+// packedFits reports whether a packed page of the codec's shape fits in
 // pageSize at all (header, one worst-case entry, and the reader slack).
-func PackedFits(c Codec, pageSize int) bool {
+func packedFits(c Codec, pageSize int) bool {
 	worst := PackedHeaderBytes + sortable.KeyBytes + 8 + 8 + PackedSlack
 	if c.Materialized {
 		worst += 8 * c.SeriesLen
@@ -100,14 +79,15 @@ func PackedFits(c Codec, pageSize int) bool {
 	return worst <= pageSize
 }
 
-// PageBuilder assembles one packed page at a time. Add entries in (Key, ID)
-// order with TryAdd until it reports the page full, then Encode and continue
-// with the rejected entry on the next page. Payload bytes are copied in at
-// TryAdd time, so callers may reuse entry buffers immediately.
+// PageBuilder assembles one page of a layout at a time. Add entries in
+// (Key, ID) order with TryAdd until it reports the page full, then Encode
+// and continue with the rejected entry on the next page. Payload bytes are
+// copied in at TryAdd time, so callers may reuse entry buffers immediately.
 type PageBuilder struct {
 	codec    Codec
 	pageSize int
 	paySize  int
+	perPage  int // fixed-size layout: the entries a page holds; 0: packed
 
 	keys []sortable.Key
 	ids  []int64
@@ -119,45 +99,53 @@ type PageBuilder struct {
 	minTS, maxTS int64
 }
 
-// NewPageBuilder returns a builder for pages of the given size. It errors
-// when even a single worst-case entry cannot fit, so misconfiguration fails
-// at construction instead of mid-write.
+// NewPageBuilder returns a builder for packed pages of the given size. It
+// errors when even a single worst-case entry cannot fit, so
+// misconfiguration fails at construction instead of mid-write.
 func NewPageBuilder(c Codec, pageSize int) (*PageBuilder, error) {
-	if !PackedFits(c, pageSize) {
-		return nil, fmt.Errorf("record: packed entry of series length %d cannot fit page size %d", c.SeriesLen, pageSize)
+	l, err := NewLayout(c, pageSize, true)
+	if err != nil {
+		return nil, err
 	}
-	b := &PageBuilder{codec: c, pageSize: pageSize}
-	if c.Materialized {
-		b.paySize = 8 * c.SeriesLen
+	return l.Builder(), nil
+}
+
+// Builder returns a page builder of the layout.
+func (l Layout) Builder() *PageBuilder {
+	b := &PageBuilder{codec: l.codec, pageSize: l.pageSize, paySize: l.codec.Size() - HeaderBytes}
+	if !l.packed {
+		b.perPage = l.perPage
 	}
-	return b, nil
+	return b
 }
 
 // Count returns the number of entries currently staged.
 func (b *PageBuilder) Count() int { return len(b.keys) }
 
 // EncodedBytes returns the page bytes the staged entries would occupy
-// (header and bitstreams, excluding the tail slack).
+// (for a packed page: header and bitstreams, excluding the tail slack).
 func (b *PageBuilder) EncodedBytes() int {
-	return b.sizeWith(len(b.keys), b.widths())
+	if b.perPage > 0 {
+		return len(b.keys) * b.codec.Size()
+	}
+	return b.sizeWith(len(b.keys), packedWidthsOf(b.orHi, b.orLo, b.minID, b.maxID, b.minTS, b.maxTS))
 }
 
 type packedWidths struct {
 	keyW, keyShift, idW, tsW uint8
 }
 
-// widths derives the per-column bit widths from the staged statistics.
-func (b *PageBuilder) widths() packedWidths {
+// packedWidthsOf derives the per-column bit widths of a packed page from
+// its statistics.
+func packedWidthsOf(orHi, orLo uint64, minID, maxID, minTS, maxTS int64) packedWidths {
 	var w packedWidths
-	if n := bitLen128(b.orHi, b.orLo); n > 0 {
-		shift := trailingZeros128(b.orHi, b.orLo)
+	if n := bitLen128(orHi, orLo); n > 0 {
+		shift := trailingZeros128(orHi, orLo)
 		w.keyShift = uint8(shift)
 		w.keyW = uint8(n - shift)
 	}
-	if len(b.keys) > 0 {
-		w.idW = uint8(bits.Len64(uint64(b.maxID) - uint64(b.minID)))
-		w.tsW = uint8(bits.Len64(uint64(b.maxTS) - uint64(b.minTS)))
-	}
+	w.idW = uint8(bits.Len64(uint64(maxID) - uint64(minID)))
+	w.tsW = uint8(bits.Len64(uint64(maxTS) - uint64(minTS)))
 	return w
 }
 
@@ -170,12 +158,20 @@ func (b *PageBuilder) sizeWith(count int, w packedWidths) int {
 }
 
 // TryAdd stages one entry. It returns false — leaving the builder unchanged
-// — when the entry does not fit on the current page: not in key order with
-// the staged entries, or over the size budget. A false return on an empty
-// builder cannot happen (NewPageBuilder verified the worst case fits).
+// — when the entry does not fit on the current page: a fixed-size page
+// holds its record count; a packed page rejects an entry not in key order
+// with the staged ones, or over the size budget. A false return on an empty
+// builder cannot happen (the layout verified the worst case fits).
 func (b *PageBuilder) TryAdd(e Entry) (bool, error) {
 	if b.codec.Materialized && len(e.Payload) != b.codec.SeriesLen {
 		return false, fmt.Errorf("record: payload length %d, want %d", len(e.Payload), b.codec.SeriesLen)
+	}
+	if b.perPage > 0 {
+		if len(b.keys) == b.perPage {
+			return false, nil
+		}
+		b.stage(e)
+		return true, nil
 	}
 	if len(b.keys) >= maxPackedCount {
 		return false, nil
@@ -190,28 +186,10 @@ func (b *PageBuilder) TryAdd(e Entry) (bool, error) {
 		dHi, dLo := sub128(e.Key.Hi, e.Key.Lo, first.Hi, first.Lo)
 		orHi |= dHi
 		orLo |= dLo
-		minID, maxID, minTS, maxTS = b.minID, b.maxID, b.minTS, b.maxTS
-		if e.ID < minID {
-			minID = e.ID
-		}
-		if e.ID > maxID {
-			maxID = e.ID
-		}
-		if e.TS < minTS {
-			minTS = e.TS
-		}
-		if e.TS > maxTS {
-			maxTS = e.TS
-		}
+		minID, maxID = min(b.minID, e.ID), max(b.maxID, e.ID)
+		minTS, maxTS = min(b.minTS, e.TS), max(b.maxTS, e.TS)
 	}
-	var w packedWidths
-	if n := bitLen128(orHi, orLo); n > 0 {
-		shift := trailingZeros128(orHi, orLo)
-		w.keyShift = uint8(shift)
-		w.keyW = uint8(n - shift)
-	}
-	w.idW = uint8(bits.Len64(uint64(maxID) - uint64(minID)))
-	w.tsW = uint8(bits.Len64(uint64(maxTS) - uint64(minTS)))
+	w := packedWidthsOf(orHi, orLo, minID, maxID, minTS, maxTS)
 	if b.sizeWith(len(b.keys)+1, w)+PackedSlack > b.pageSize {
 		if len(b.keys) == 0 {
 			return false, fmt.Errorf("record: single packed entry exceeds page size %d", b.pageSize)
@@ -220,13 +198,18 @@ func (b *PageBuilder) TryAdd(e Entry) (bool, error) {
 	}
 	b.orHi, b.orLo = orHi, orLo
 	b.minID, b.maxID, b.minTS, b.maxTS = minID, maxID, minTS, maxTS
+	b.stage(e)
+	return true, nil
+}
+
+// stage appends e to the staged columns.
+func (b *PageBuilder) stage(e Entry) {
 	b.keys = append(b.keys, e.Key)
 	b.ids = append(b.ids, e.ID)
 	b.tss = append(b.tss, e.TS)
 	if b.paySize > 0 {
 		b.pay = e.Payload.AppendBinary(b.pay)
 	}
-	return true, nil
 }
 
 // Encode renders the staged entries into page (which must be at least
@@ -235,16 +218,26 @@ func (b *PageBuilder) TryAdd(e Entry) (bool, error) {
 func (b *PageBuilder) Encode(page []byte) (int, error) {
 	count := len(b.keys)
 	if count == 0 {
-		return 0, fmt.Errorf("record: encoding empty packed page")
+		return 0, fmt.Errorf("record: encoding empty page")
 	}
 	if len(page) < b.pageSize {
 		return 0, fmt.Errorf("record: page buffer %d short of page size %d", len(page), b.pageSize)
 	}
-	w := b.widths()
-	used := b.sizeWith(count, w)
-	for i := range page[:b.pageSize] {
-		page[i] = 0
+	clear(page[:b.pageSize])
+	defer b.Reset()
+	if b.perPage > 0 {
+		size := b.codec.Size()
+		for i, k := range b.keys {
+			rec := page[i*size:]
+			k.AppendBinary(rec[:0])
+			binary.LittleEndian.PutUint64(rec[sortable.KeyBytes:], uint64(b.ids[i]))
+			binary.LittleEndian.PutUint64(rec[sortable.KeyBytes+8:], uint64(b.tss[i]))
+			copy(rec[HeaderBytes:], b.pay[i*b.paySize:(i+1)*b.paySize])
+		}
+		return count * size, nil
 	}
+	w := packedWidthsOf(b.orHi, b.orLo, b.minID, b.maxID, b.minTS, b.maxTS)
+	used := b.sizeWith(count, w)
 	binary.LittleEndian.PutUint16(page, packedMagic)
 	page[2] = packedVersion
 	if b.codec.Materialized {
@@ -284,7 +277,6 @@ func (b *PageBuilder) Encode(page []byte) (int, error) {
 		putBits(page[tsOff:], i*int(w.tsW), uint64(ts)-uint64(b.minTS), uint(w.tsW))
 	}
 	copy(page[payOff:], b.pay)
-	b.Reset()
 	return used, nil
 }
 
@@ -367,11 +359,6 @@ func (c Codec) ViewPacked(page []byte) (PackedView, error) {
 // Count returns the number of entries on the page.
 func (v *PackedView) Count() int { return v.count }
 
-// FirstKey returns the page's smallest key.
-func (v *PackedView) FirstKey() sortable.Key {
-	return sortable.Key{Hi: v.firstHi, Lo: v.firstLo}
-}
-
 // Key returns entry i's sortable key.
 func (v *PackedView) Key(i int) sortable.Key {
 	var dHi, dLo uint64
@@ -405,14 +392,9 @@ func (v *PackedView) PayloadBytes(i int) []byte {
 	return v.page[off : off+v.paySize]
 }
 
-// Entry decodes entry i in full. The payload (when materialized) is freshly
-// allocated and does not alias the page.
-func (v *PackedView) Entry(i int, c Codec) (Entry, error) {
-	return v.EntryInto(i, c, nil)
-}
-
-// EntryInto is Entry with the payload decoded into payload when that has the
-// capacity for it (see Codec.DecodeInto).
+// EntryInto decodes entry i in full, the payload (when materialized) into
+// payload when that has the capacity for it (see Codec.DecodeInto) and into
+// a fresh slice, aliasing nothing of the page, otherwise.
 func (v *PackedView) EntryInto(i int, c Codec, payload series.Series) (Entry, error) {
 	e := Entry{Key: v.Key(i), ID: v.ID(i), TS: v.TS(i)}
 	if v.paySize > 0 {

@@ -74,14 +74,11 @@ func checkPackedPage(t *testing.T, c Codec, page []byte, want []Entry) {
 	if v.Count() != len(want) {
 		t.Fatalf("count = %d, want %d", v.Count(), len(want))
 	}
-	if len(want) > 0 && v.FirstKey() != want[0].Key {
-		t.Fatalf("first key = %v, want %v", v.FirstKey(), want[0].Key)
-	}
-	if PackedFirstKey(page) != v.FirstKey() || PackedCount(page) != v.Count() {
-		t.Fatal("header accessors disagree with view")
+	if len(want) > 0 && v.Key(0) != want[0].Key {
+		t.Fatalf("first key = %v, want %v", v.Key(0), want[0].Key)
 	}
 	for i, e := range want {
-		got, err := v.Entry(i, c)
+		got, err := v.EntryInto(i, c, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,9 +100,6 @@ func TestPackedPageRoundTrip(t *testing.T) {
 				page, added := packEntries(t, c, 4096, entries)
 				if added == 0 {
 					t.Fatalf("%s/%d: nothing packed", shape, n)
-				}
-				if !IsPacked(page) {
-					t.Fatal("IsPacked = false on packed page")
 				}
 				checkPackedPage(t, c, page, entries[:added])
 			}
@@ -202,61 +196,30 @@ func TestPackedViewRejectsCorruptPages(t *testing.T) {
 			continue
 		}
 		for i := 0; i < v.Count(); i++ {
-			_, _ = v.Entry(i, c)
+			_, _ = v.EntryInto(i, c, nil)
 		}
 	}
 }
 
+// TestPackedWriterReaderStream streams entries through a packed layout's
+// Writer and back through its Reader (layout_test.go covers both layouts).
 func TestPackedWriterReaderStream(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for _, c := range []Codec{{SeriesLen: 12}, {SeriesLen: 12, Materialized: true}} {
 		for _, n := range []int{0, 1, 100, 5000} {
-			d := newTestPageStore(256)
-			entries := randomSortedEntries(rng, c, n, "clustered")
-			w, err := NewPackedWriter(d, "runfile", c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, e := range entries {
-				if err := w.WriteEntry(e); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := w.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if w.Count() != int64(n) {
-				t.Fatalf("writer count %d, want %d", w.Count(), n)
-			}
-
-			r := NewPackedReader(d.cursor("runfile"), d.numPages("runfile"), "runfile", c, int64(n))
-			for i, want := range entries {
-				got, err := r.NextEntry()
-				if err != nil {
-					t.Fatalf("entry %d: %v", i, err)
-				}
-				if got.Key != want.Key || got.ID != want.ID || got.TS != want.TS {
-					t.Fatalf("entry %d = %+v, want %+v", i, got, want)
-				}
-				if c.Materialized && !slices.Equal(got.Payload, want.Payload) {
-					t.Fatalf("entry %d payload mismatch", i)
-				}
-			}
-			if _, err := r.NextEntry(); err == nil {
-				t.Fatal("reader did not end after count entries")
-			}
+			streamRoundTrip(t, c, 256, true, 1, randomSortedEntries(rng, c, n, "clustered"))
 		}
 	}
 }
 
 func TestPackedFits(t *testing.T) {
-	if !PackedFits(Codec{SeriesLen: 64, Materialized: true}, 4096) {
+	if !packedFits(Codec{SeriesLen: 64, Materialized: true}, 4096) {
 		t.Fatal("materialized len-64 should fit a 4 KiB page")
 	}
-	if PackedFits(Codec{SeriesLen: 1024, Materialized: true}, 4096) {
+	if packedFits(Codec{SeriesLen: 1024, Materialized: true}, 4096) {
 		t.Fatal("an 8 KiB payload cannot fit a 4 KiB page")
 	}
-	if !PackedFits(Codec{SeriesLen: 1024}, 4096) {
+	if !packedFits(Codec{SeriesLen: 1024}, 4096) {
 		t.Fatal("non-materialized entries are payload-free and must fit")
 	}
 }

@@ -1,8 +1,21 @@
-// Package record defines the fixed-size index entry shared by every Coconut
-// index: a sortable summarization key, the series ID in the raw file, an
-// ingestion timestamp, and — in materialized indexes — the full series
-// payload inline. Entries sort by (Key, ID), the order produced by external
-// sorting and maintained by CTree and CLSM.
+// Package record defines the index entry shared by every Coconut index — a
+// sortable summarization key, the series ID in the raw file, an ingestion
+// timestamp, and, in materialized indexes, the full series payload inline —
+// and the pages entries are stored on. Entries sort by (Key, ID), the order
+// produced by external sorting and maintained by CTree and CLSM.
+//
+// An entry file is a run of pages, each holding whole entries in (Key, ID)
+// order, in one of two encodings: fixed-size records (as many as fit, the
+// rest of the page zeroes) or packed pages (packed.go). Files carry no
+// header, so whoever names a file keeps its entry count and its encoding.
+// A Layout is that encoding at one page size, and the package is the only
+// code that knows how either is written, streamed or decoded: a Layout's
+// Writer lays entries into the pages of a new file, its Reader streams them
+// back, its PageView decodes one page and its PageBuilder encodes one. The
+// query loop reads pages through index.Page instead, where a query's time
+// goes. The page-device surfaces a Writer and a Reader need (PageAppender,
+// PageCursor) are what storage.Backend and storage.Cursor provide, so the
+// package stays free of a storage dependency.
 package record
 
 import (
@@ -66,15 +79,10 @@ func (c Codec) Encode(e Entry) ([]byte, error) {
 	return c.Append(make([]byte, 0, c.Size()), e)
 }
 
-// Decode decodes an entry from buf, which must hold at least c.Size() bytes.
-// The payload, when materialized, is freshly allocated.
-func (c Codec) Decode(buf []byte) (Entry, error) {
-	return c.DecodeInto(buf, nil)
-}
-
-// DecodeInto is Decode with a materialized payload decoded into payload
-// when that has the capacity for it — a reader that hands out one entry at a
-// time reuses one buffer for all of them — and into a fresh slice otherwise.
+// DecodeInto decodes an entry from buf, which must hold at least c.Size()
+// bytes, a materialized payload into payload when that has the capacity for
+// it — a reader that hands out one entry at a time reuses one buffer for all
+// of them — and into a fresh slice otherwise.
 func (c Codec) DecodeInto(buf []byte, payload series.Series) (Entry, error) {
 	if len(buf) < c.Size() {
 		return Entry{}, fmt.Errorf("record: short buffer %d, want %d", len(buf), c.Size())
@@ -117,10 +125,4 @@ func DecodeID(buf []byte) int64 {
 // DecodeTS extracts just the timestamp from an encoded entry.
 func DecodeTS(buf []byte) int64 {
 	return int64(binary.LittleEndian.Uint64(buf[sortable.KeyBytes+8:]))
-}
-
-// PayloadBytes returns the encoded payload portion of an entry, valid only
-// for materialized codecs. The slice aliases buf.
-func (c Codec) PayloadBytes(buf []byte) []byte {
-	return buf[HeaderBytes:c.Size()]
 }

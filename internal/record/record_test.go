@@ -23,7 +23,7 @@ func TestCodecRoundTripNonMaterialized(t *testing.T) {
 	if len(buf) != c.Size() {
 		t.Fatalf("encoded %d bytes, want %d", len(buf), c.Size())
 	}
-	got, err := c.Decode(buf)
+	got, err := c.DecodeInto(buf, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestCodecRoundTripMaterialized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Decode(buf)
+	got, err := c.DecodeInto(buf, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestCodecPayloadValidation(t *testing.T) {
 	if _, err := c.Encode(Entry{}); err == nil {
 		t.Fatal("nil payload should fail when materialized")
 	}
-	if _, err := c.Decode(make([]byte, 10)); err == nil {
+	if _, err := c.DecodeInto(make([]byte, 10), nil); err == nil {
 		t.Fatal("short decode should fail")
 	}
 }
@@ -107,7 +107,7 @@ func TestPropertyCodecRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := c.Decode(buf)
+		got, err := c.DecodeInto(buf, nil)
 		if err != nil || got.Key != e.Key || got.ID != id || got.TS != ts {
 			return false
 		}

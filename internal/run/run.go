@@ -15,6 +15,7 @@ import (
 	"repro/internal/index"
 	"repro/internal/record"
 	"repro/internal/series"
+	"repro/internal/sortable"
 	"repro/internal/storage"
 	"repro/internal/zonestat"
 )
@@ -69,6 +70,12 @@ func NewStore(disk storage.Backend, reader storage.PageReader, cfg index.Config,
 // Codec returns the entry codec of the store's runs.
 func (s *Store) Codec() record.Codec { return s.codec }
 
+// Layout returns the page layout of the store's files in the given
+// encoding, or an error when its entries cannot fit a page of the disk.
+func (s *Store) Layout(packed bool) (record.Layout, error) {
+	return record.NewLayout(s.codec, s.Disk.PageSize(), packed)
+}
+
 // sorter returns the writer of one run in the given encoding, watched by b.
 func (s *Store) sorter(packed bool, b *Builder) *extsort.Sorter {
 	return &extsort.Sorter{Disk: s.Disk, Codec: s.codec, MemBudget: mergeBudget,
@@ -107,26 +114,26 @@ func (s *Store) Merge(inputs []Run, name string, packed bool) (Run, error) {
 
 // Load returns r — a file described by metadata — with its summary, built
 // by one sequential pass over the file, which must hold exactly r.Count
-// entries. A run passes no directory: a fixed-size page then holds as many
-// records as fit, but the last, and a packed page what its header says. A
-// CTree opening metadata older than the summary passes its directory: each
-// page's entry count (a packed page's header must agree) and page number
-// (nil: the identity). The pass reads the disk itself, not the reader:
-// reopening an index fills no cache with pages no query asked for.
+// entries. A run passes no directory: its pages are read as a file written
+// at full pages (record.Layout.NextPage). A CTree opening metadata older
+// than the summary passes its directory: each page's entry count (a packed
+// page's header must agree) and page number (nil: the identity). The pass
+// reads the disk itself, not the reader: reopening an index fills no cache
+// with pages no query asked for.
 func (s *Store) Load(r Run, counts []int, pageOf []int64) (Run, error) {
+	l, err := s.Layout(r.Packed)
+	if err != nil {
+		return Run{}, fmt.Errorf("run: %s: %w", r.File, err)
+	}
 	n, err := s.Disk.NumPages(r.File)
 	if err != nil {
 		return Run{}, err
 	}
-	size := s.codec.Size()
-	perPage := s.Disk.PageSize() / size
 	pages := int(n)
 	if counts != nil {
 		pages = len(counts)
-	} else if !r.Packed {
-		pages = int(min(n, (r.Count+int64(perPage)-1)/int64(perPage)))
 	}
-	b := NewBuilder(s.Config, min(r.Count, n*int64(s.Disk.PageSize())), perPage, nil) // a count the file cannot back sizes nothing
+	b := NewBuilder(s.Config, min(r.Count, n*int64(s.Disk.PageSize())), s.Disk.PageSize()/s.codec.Size(), nil) // a count the file cannot back sizes nothing
 	cur := storage.ScanChunks(s.Disk, r.File, 0, n, storage.DefaultBufferPages)
 	var seen int64
 	for p := 0; p < pages; p++ {
@@ -138,32 +145,19 @@ func (s *Store) Load(r Run, counts []int, pageOf []int64) (Run, error) {
 		if err != nil {
 			return Run{}, err
 		}
-		var v record.PackedView
-		k := int(min(int64(perPage), r.Count-seen))
-		switch {
-		case r.Packed:
-			if v, err = s.codec.ViewPacked(data); err != nil {
-				return Run{}, fmt.Errorf("run: %s page %d: %w", r.File, phys, err)
-			}
-			if k = v.Count(); counts != nil && k != counts[p] {
-				return Run{}, fmt.Errorf("run: %s page %d holds %d entries, its directory says %d", r.File, phys, k, counts[p])
-			}
-		case counts != nil:
-			if k = counts[p]; k > perPage {
-				return Run{}, fmt.Errorf("run: %s page %d claims %d entries, a page holds %d", r.File, phys, k, perPage)
-			}
+		var pg record.PageView
+		if counts != nil {
+			pg, err = l.Page(data, counts[p])
+		} else {
+			pg, err = l.NextPage(data, r.Count-seen)
 		}
-		if k < 1 {
-			return Run{}, fmt.Errorf("run: %s page %d holds no entries", r.File, phys)
+		if err != nil {
+			return Run{}, fmt.Errorf("run: %s page %d: %w", r.File, phys, err)
 		}
-		for i := 0; i < k; i++ {
-			if r.Packed {
-				b.Observe(record.Entry{Key: v.Key(i), TS: v.TS(i)}, i == 0)
-			} else {
-				b.Observe(record.Entry{Key: record.DecodeKeyOnly(data[i*size:]), TS: record.DecodeTS(data[i*size:])}, i == 0)
-			}
+		for i := 0; i < pg.Count(); i++ {
+			b.Observe(record.Entry{Key: pg.Key(i), TS: pg.TS(i)}, i == 0)
 		}
-		seen += int64(k)
+		seen += int64(pg.Count())
 	}
 	if seen != r.Count {
 		return Run{}, fmt.Errorf("run: %s holds %d entries, its metadata says %d", r.File, seen, r.Count)
@@ -195,11 +189,11 @@ func (s *Store) Probe(r Run, q index.Query, col *index.Collector, sc *index.Scra
 			return err
 		}
 		onProbePin()
-		first := record.DecodeKeyOnly(h.Data())
-		if r.Packed {
-			first = record.PackedFirstKey(h.Data())
-		}
+		first, err := s.firstKey(r, mid, h.Data())
 		h.Release()
+		if err != nil {
+			return err
+		}
 		if q.Key.Less(first) {
 			hi = mid - 1
 		} else {
@@ -208,6 +202,19 @@ func (s *Store) Probe(r Run, q index.Query, col *index.Collector, sc *index.Scra
 	}
 	_, err := s.ProbePage(r, p, q, col, sc)
 	return err
+}
+
+// firstKey decodes the first key of page p of r, pinned as data.
+func (s *Store) firstKey(r Run, p int, data []byte) (sortable.Key, error) {
+	l, err := s.Layout(r.Packed)
+	if err != nil {
+		return sortable.Key{}, err
+	}
+	pg, err := l.Page(data, r.Sum.Entries(p))
+	if err != nil {
+		return sortable.Key{}, fmt.Errorf("run: %s page %d: %w", r.File, p, err)
+	}
+	return pg.Key(0), nil
 }
 
 // ScanKNN scans the whole run with squared lower-bound pruning into col,

@@ -114,7 +114,7 @@ func readPages(t *testing.T, disk *storage.Disk, r Run) [][]record.Entry {
 				t.Fatal(err)
 			}
 			for i := 0; i < v.Count(); i++ {
-				e, err := v.Entry(i, codec)
+				e, err := v.EntryInto(i, codec, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -122,7 +122,7 @@ func readPages(t *testing.T, disk *storage.Disk, r Run) [][]record.Entry {
 			}
 		} else {
 			for off := 0; off+codec.Size() <= len(buf) && int64(len(page)) < left; off += codec.Size() {
-				e, err := codec.Decode(buf[off : off+codec.Size()])
+				e, err := codec.DecodeInto(buf[off:off+codec.Size()], nil)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/record"
 )
 
 func TestSequentialVsRandomAccounting(t *testing.T) {
@@ -102,49 +104,60 @@ func TestTracer(t *testing.T) {
 	}
 }
 
+// openEntries opens the one entry reader (record.Layout's) over a file of
+// count fixed-size entries of codec c.
+func openEntries(d *Disk, name string, c record.Codec, count int64) (*record.Reader, error) {
+	l, err := record.NewLayout(c, d.PageSize(), false)
+	if err != nil {
+		return nil, err
+	}
+	npages, err := d.NumPages(name)
+	if err != nil {
+		return nil, err
+	}
+	return l.NewReader(ScanChunks(d, name, 0, npages, DefaultBufferPages), npages, name, count)
+}
+
+// TestRecordWriterReader: plain records written through a RecordWriter read
+// back, as entries, through the entry reader.
 func TestRecordWriterReader(t *testing.T) {
-	d := NewDisk(100) // 100/12 = 8 records per page
-	const recSize = 12
-	w, err := NewRecordWriter(d, "recs", recSize)
+	d := NewDisk(100) // 100/32 = 3 records per page
+	c := record.Codec{}
+	w, err := NewRecordWriter(d, "recs", c.Size())
 	if err != nil {
 		t.Fatal(err)
 	}
 	const n = 1000
 	for i := 0; i < n; i++ {
-		rec := make([]byte, recSize)
-		rec[0] = byte(i)
-		rec[1] = byte(i >> 8)
+		rec, err := c.Encode(record.Entry{ID: int64(i), TS: int64(n - i)})
+		if err != nil {
+			t.Fatal(err)
+		}
 		if err := w.Write(rec); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if w.Count() != n {
-		t.Fatalf("count = %d, want %d", w.Count(), n)
-	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Write(make([]byte, recSize)); err == nil {
+	if err := w.Write(make([]byte, c.Size())); err == nil {
 		t.Fatal("write after close should fail")
 	}
-	r, err := NewRecordReader(d, "recs", recSize, n)
+	r, err := openEntries(d, "recs", c, n)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
-		rec, err := r.Next()
+		e, err := r.Next(nil)
 		if err != nil {
 			t.Fatalf("record %d: %v", i, err)
 		}
-		if got := int(rec[0]) | int(rec[1])<<8; got != i {
-			t.Fatalf("record %d holds %d", i, got)
+		if e.ID != int64(i) || e.TS != int64(n-i) {
+			t.Fatalf("record %d holds %+v", i, e)
 		}
 	}
-	if _, err := r.Next(); err != io.EOF {
+	if _, err := r.Next(nil); err != io.EOF {
 		t.Fatalf("expected EOF, got %v", err)
-	}
-	if r.Remaining() != 0 {
-		t.Fatal("Remaining should be 0")
 	}
 }
 
@@ -164,13 +177,14 @@ func TestRecordWriterWrongSize(t *testing.T) {
 
 func TestRecordReaderCountValidation(t *testing.T) {
 	d := NewDisk(64)
-	w, _ := NewRecordWriter(d, "f", 8)
-	w.Write(make([]byte, 8))
+	c := record.Codec{}
+	w, _ := NewRecordWriter(d, "f", c.Size())
+	w.Write(make([]byte, c.Size()))
 	w.Close()
-	if _, err := NewRecordReader(d, "f", 8, 100); err == nil {
+	if _, err := openEntries(d, "f", c, 100); err == nil {
 		t.Fatal("reader over-count should fail")
 	}
-	if _, err := NewRecordReader(d, "missing", 8, 0); err == nil {
+	if _, err := openEntries(d, "missing", c, 0); err == nil {
 		t.Fatal("missing file should fail")
 	}
 }
@@ -202,10 +216,14 @@ func TestConcurrentDiskAccess(t *testing.T) {
 	}
 }
 
+// TestPropertyRecordRoundTrip: any 32 bytes are an entry of the
+// non-materialized codec, so arbitrary records written through a
+// RecordWriter read back through the entry reader re-encode to themselves.
 func TestPropertyRecordRoundTrip(t *testing.T) {
-	f := func(recs [][16]byte) bool {
+	c := record.Codec{}
+	f := func(recs [][32]byte) bool {
 		d := NewDisk(128)
-		w, err := NewRecordWriter(d, "f", 16)
+		w, err := NewRecordWriter(d, "f", c.Size())
 		if err != nil {
 			return false
 		}
@@ -217,17 +235,20 @@ func TestPropertyRecordRoundTrip(t *testing.T) {
 		if err := w.Close(); err != nil {
 			return false
 		}
-		r, err := NewRecordReader(d, "f", 16, int64(len(recs)))
+		r, err := openEntries(d, "f", c, int64(len(recs)))
 		if err != nil {
 			return false
 		}
 		for _, want := range recs {
-			got, err := r.Next()
-			if err != nil || !bytes.Equal(got, want[:]) {
+			e, err := r.Next(nil)
+			if err != nil {
+				return false
+			}
+			if got, err := c.Encode(e); err != nil || !bytes.Equal(got, want[:]) {
 				return false
 			}
 		}
-		_, err = r.Next()
+		_, err = r.Next(nil)
 		return err == io.EOF
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {

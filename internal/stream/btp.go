@@ -61,11 +61,12 @@ func NewBTP(disk storage.Backend, reader storage.PageReader, name string, cfg in
 	if mergeFactor < 2 {
 		return nil, fmt.Errorf("stream: mergeFactor must be >= 2, got %d", mergeFactor)
 	}
-	if size := cfg.Codec().Size(); size > disk.PageSize() {
-		return nil, fmt.Errorf("stream: entry size %d exceeds page size %d", size, disk.PageSize())
+	store := run.NewStore(disk, reader, cfg, raw)
+	if _, err := store.Layout(false); err != nil {
+		return nil, fmt.Errorf("stream: %w", err)
 	}
 	return &BTP{
-		store:       run.NewStore(disk, reader, cfg, raw),
+		store:       store,
 		name:        name,
 		sum:         summarizer{cfg: cfg},
 		bufferCap:   bufferCap,

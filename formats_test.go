@@ -36,7 +36,7 @@ const formatsPageSize = 1024
 // `go test -run TestFormats -update .` rewrites it.
 func TestFormatsEntryFiles(t *testing.T) {
 	var out []string
-	pin := func(name string, d *storage.Disk, prefix string, stats storage.Stats, extra string) {
+	note := func(name string, d *storage.Disk, prefix string, stats storage.Stats, extra string) {
 		t.Helper()
 		files := 0
 		for _, f := range d.Files() {
@@ -66,7 +66,7 @@ func TestFormatsEntryFiles(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
-					pin(name, d, "out", d.Stats(), fmt.Sprintf(" passes=%d", passes))
+					note(name, d, "out", d.Stats(), fmt.Sprintf(" passes=%d", passes))
 				}
 			}
 		}
@@ -87,7 +87,7 @@ func TestFormatsEntryFiles(t *testing.T) {
 			if err := s.WriteRun(file, part); err != nil {
 				t.Fatal(err)
 			}
-			pin(fmt.Sprintf("writerun/mat=%v/packed=%v", mat, packed), d, file, d.Stats(), "")
+			note(fmt.Sprintf("writerun/mat=%v/packed=%v", mat, packed), d, file, d.Stats(), "")
 			inputs = append(inputs, extsort.Input{Name: file, Count: int64(len(part)), Packed: packed})
 		}
 		for _, packed := range []bool{false, true} {
@@ -98,7 +98,7 @@ func TestFormatsEntryFiles(t *testing.T) {
 			if err != nil || n != int64(len(sorted)) {
 				t.Fatalf("merge: %d entries, %v", n, err)
 			}
-			pin(fmt.Sprintf("merge/mat=%v/packed=%v", mat, packed), d, file, d.Stats(), "")
+			note(fmt.Sprintf("merge/mat=%v/packed=%v", mat, packed), d, file, d.Stats(), "")
 		}
 
 		// A CTree at fill 0.7, then inserts enough to split leaves.
@@ -110,7 +110,7 @@ func TestFormatsEntryFiles(t *testing.T) {
 				t.Fatal(err)
 			}
 			name := fmt.Sprintf("ctree/mat=%v/packed=%v", mat, packed)
-			pin(name+"/build", d, "tree.leaves", d.Stats(), fmt.Sprintf(" leaves=%d", tr.Leaves()))
+			note(name+"/build", d, "tree.leaves", d.Stats(), fmt.Sprintf(" leaves=%d", tr.Leaves()))
 			d.ResetStats()
 			leaves := tr.Leaves()
 			for _, e := range entries[400:] {
@@ -121,7 +121,7 @@ func TestFormatsEntryFiles(t *testing.T) {
 			if tr.Leaves() <= leaves {
 				t.Fatalf("%s: inserts split no leaf (%d leaves)", name, leaves)
 			}
-			pin(name+"/insert", d, "tree.leaves", d.Stats(), fmt.Sprintf(" leaves=%d", tr.Leaves()))
+			note(name+"/insert", d, "tree.leaves", d.Stats(), fmt.Sprintf(" leaves=%d", tr.Leaves()))
 		}
 
 		// A CLSM whose flushes cascade into merges, inline.
@@ -143,7 +143,7 @@ func TestFormatsEntryFiles(t *testing.T) {
 			if l.Merges() == 0 {
 				t.Fatalf("clsm packed=%v: no merge", packed)
 			}
-			pin(fmt.Sprintf("clsm/mat=%v/packed=%v", mat, packed), d, "lsm.run.", d.Stats(),
+			note(fmt.Sprintf("clsm/mat=%v/packed=%v", mat, packed), d, "lsm.run.", d.Stats(),
 				fmt.Sprintf(" flushes=%d merges=%d runs=%d", l.Flushes(), l.Merges(), l.Runs()))
 			if err := l.Close(); err != nil {
 				t.Fatal(err)

@@ -61,12 +61,16 @@ func (l Layout) StreamPages(pages int) int {
 	return max(1, pages)
 }
 
-// maxPerPage bounds the entries one page of the layout can hold.
+// maxPerPage bounds the entries one page of the layout can hold: a packed
+// entry may take no bits beside its payload.
 func (l Layout) maxPerPage() int {
-	if l.packed {
-		return min(maxPackedCount, (l.pageSize-PackedHeaderBytes-PackedSlack)/max(1, l.codec.Size()-HeaderBytes))
+	if !l.packed {
+		return l.perPage
 	}
-	return l.perPage
+	if pay := l.codec.Size() - HeaderBytes; pay > 0 {
+		return min(maxPackedCount, (l.pageSize-PackedHeaderBytes-PackedSlack)/pay)
+	}
+	return maxPackedCount
 }
 
 // PageView is one page of an entry file opened for decoding, in either

@@ -90,9 +90,9 @@ type PageBuilder struct {
 	perPage  int // fixed-size layout: the entries a page holds; 0: packed
 
 	keys []sortable.Key
-	ids  []int64
-	tss  []int64
-	pay  []byte
+	ids  []int64 // packed only
+	tss  []int64 // packed only
+	pay  []byte  // packed: the payloads; fixed-size: the whole records
 
 	orHi, orLo   uint64 // OR of key deltas from keys[0]
 	minID, maxID int64
@@ -126,7 +126,7 @@ func (b *PageBuilder) Count() int { return len(b.keys) }
 // (for a packed page: header and bitstreams, excluding the tail slack).
 func (b *PageBuilder) EncodedBytes() int {
 	if b.perPage > 0 {
-		return len(b.keys) * b.codec.Size()
+		return len(b.pay)
 	}
 	return b.sizeWith(len(b.keys), packedWidthsOf(b.orHi, b.orLo, b.minID, b.maxID, b.minTS, b.maxTS))
 }
@@ -170,7 +170,11 @@ func (b *PageBuilder) TryAdd(e Entry) (bool, error) {
 		if len(b.keys) == b.perPage {
 			return false, nil
 		}
-		b.stage(e)
+		pay, err := b.codec.Append(b.pay, e)
+		if err != nil {
+			return false, err
+		}
+		b.keys, b.pay = append(b.keys, e.Key), pay
 		return true, nil
 	}
 	if len(b.keys) >= maxPackedCount {
@@ -198,18 +202,13 @@ func (b *PageBuilder) TryAdd(e Entry) (bool, error) {
 	}
 	b.orHi, b.orLo = orHi, orLo
 	b.minID, b.maxID, b.minTS, b.maxTS = minID, maxID, minTS, maxTS
-	b.stage(e)
-	return true, nil
-}
-
-// stage appends e to the staged columns.
-func (b *PageBuilder) stage(e Entry) {
 	b.keys = append(b.keys, e.Key)
 	b.ids = append(b.ids, e.ID)
 	b.tss = append(b.tss, e.TS)
 	if b.paySize > 0 {
 		b.pay = e.Payload.AppendBinary(b.pay)
 	}
+	return true, nil
 }
 
 // Encode renders the staged entries into page (which must be at least
@@ -226,15 +225,7 @@ func (b *PageBuilder) Encode(page []byte) (int, error) {
 	clear(page[:b.pageSize])
 	defer b.Reset()
 	if b.perPage > 0 {
-		size := b.codec.Size()
-		for i, k := range b.keys {
-			rec := page[i*size:]
-			k.AppendBinary(rec[:0])
-			binary.LittleEndian.PutUint64(rec[sortable.KeyBytes:], uint64(b.ids[i]))
-			binary.LittleEndian.PutUint64(rec[sortable.KeyBytes+8:], uint64(b.tss[i]))
-			copy(rec[HeaderBytes:], b.pay[i*b.paySize:(i+1)*b.paySize])
-		}
-		return count * size, nil
+		return copy(page, b.pay), nil
 	}
 	w := packedWidthsOf(b.orHi, b.orLo, b.minID, b.maxID, b.minTS, b.maxTS)
 	used := b.sizeWith(count, w)

@@ -101,17 +101,13 @@ func BenchmarkMinDist(b *testing.B) {
 // benchSink keeps a benchmarked call's result alive.
 var benchSink float64
 
-// BenchmarkEnvelope measures the zone-map tests of the CTree scans over the
+// BenchmarkEnvelope measures the zone-map bounds of the CTree scans over the
 // leaf envelopes of a sorted run of random-walk keys, 32 to a leaf: "full"
-// sums every segment (the value SynopsisBoundSq orders plans by), "tight"
-// is what an exact scan pays once its collector has tightened — the limit
-// sits at the tenth-best leaf's bound, so nearly every leaf's sum passes it
-// within a few segments and returns early — and "group" is the same tight
-// test one level up, on the envelope of 16 consecutive leaves (one starting
-// at every leaf): wider, so its sum passes the limit later or not at all,
-// which is what one group test costs against the 16 leaf tests it can
-// spare. 2048 leaves, because a branch predictor learns a few hundred and
-// then hides what a clamp written with branches costs on a real tree.
+// is one envelope an op through EnvelopeSq (the value SynopsisBoundSq orders
+// plans by), "batch" is 16 consecutive leaves an op through EnvelopeSqs,
+// what the page loop pays for a page group's leaves, reported per envelope.
+// 2048 leaves, because a branch predictor learns a few hundred and then
+// hides what a clamp written with branches costs on a real tree.
 func BenchmarkEnvelope(b *testing.B) {
 	cfg := index.Config{SeriesLen: 256, Segments: 16, Bits: 8}
 	rng := rand.New(rand.NewSource(4))
@@ -121,41 +117,36 @@ func BenchmarkEnvelope(b *testing.B) {
 	}
 	slices.SortFunc(keys, sortable.Key.Compare)
 	const perLeaf, perGroup = 32, 16
-	union := func(lo, hi int) *zonestat.Synopsis {
+	leaves := make([]*zonestat.Synopsis, len(keys)/perLeaf)
+	var mins, maxs []uint8
+	for li := range leaves {
 		syn := zonestat.New(cfg.Segments, cfg.Bits)
-		for _, k := range keys[lo:hi] {
+		for _, k := range keys[li*perLeaf : (li+1)*perLeaf] {
 			syn.Add(k, 0)
 		}
-		return syn
-	}
-	leaves := make([]*zonestat.Synopsis, len(keys)/perLeaf)
-	for li := range leaves {
-		leaves[li] = union(li*perLeaf, (li+1)*perLeaf)
-	}
-	groups := make([]*zonestat.Synopsis, len(leaves)-perGroup+1)
-	for g := range groups {
-		groups[g] = union(g*perLeaf, (g+perGroup)*perLeaf)
+		leaves[li] = syn
+		mins, maxs = append(mins, syn.MinSym...), append(maxs, syn.MaxSym...)
 	}
 	ctx := index.AcquireCtx(index.NewQuery(gen.RandomWalk(rng, cfg.SeriesLen), cfg), cfg)
 	defer ctx.Release()
-	bounds := make([]float64, len(leaves))
-	for li, syn := range leaves {
-		bounds[li] = ctx.P.EnvelopeSq(syn.MinSym, syn.MaxSym)
-	}
-	slices.Sort(bounds)
-	for _, mode := range []struct {
-		name  string
-		envs  []*zonestat.Synopsis
-		limit float64
-	}{{"full", leaves, math.Inf(1)}, {"tight", leaves, bounds[9]}, {"group", groups, bounds[9]}} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				syn := mode.envs[i%len(mode.envs)]
-				benchSink += ctx.P.EnvelopeSqUpTo(syn.MinSym, syn.MaxSym, mode.limit)
-			}
-		})
-	}
+	b.Run("full", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			syn := leaves[i%len(leaves)]
+			benchSink += ctx.P.EnvelopeSq(syn.MinSym, syn.MaxSym)
+		}
+	})
+	b.Run("batch", func(b *testing.B) {
+		b.ReportAllocs()
+		var bounds [perGroup]float64
+		w, groups := cfg.Segments, len(leaves)/perGroup
+		for i := 0; i < b.N; i++ {
+			at := i % groups * perGroup * w
+			ctx.P.EnvelopeSqs(bounds[:], w, mins[at:], maxs[at:])
+			benchSink += bounds[0]
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/perGroup, "ns/envelope")
+	})
 }
 
 // BenchmarkColumnBound measures what bounding the entries of one leaf costs
@@ -333,7 +324,7 @@ func BenchmarkRawFetch(b *testing.B) {
 		b.Run(row.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				d, err := index.TrueDistSq(q, record.Entry{ID: int64(order[i%n])}, row.raw, boundSq)
+				d, err := index.TrueDistSq(&q, record.Entry{ID: int64(order[i%n])}, row.raw, boundSq)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -1036,7 +1027,7 @@ func runBench(b *testing.B, n int) (s run.Store, r run.Run, q index.Query) {
 // neverDead is a collector that rules out no page by its envelope.
 type neverDead struct{}
 
-func (neverDead) DeadEnvelope(*index.Pruner, []uint8, []uint8) bool { return false }
+func (neverDead) SkipSq(float64) bool { return false }
 
 // BenchmarkRunScan is one exact window scan of a 16 384-entry run (2 341
 // pages), the newest eighth of its timestamps in the window, into a
@@ -1059,7 +1050,7 @@ func BenchmarkRunScan(b *testing.B) {
 		scan func(col *index.Collector) error
 	}{
 		{"column", func(col *index.Collector) error {
-			return s.Scan(r, 0, pages, "page", q, sc, neverDead{}, func(pg index.Page) error {
+			return s.Scan(r, 0, pages, "page", q, sc, neverDead{}, func(q *index.Query, pg *index.Page) error {
 				_, err := index.EvalPage(q, pg, nil, col, sc)
 				return err
 			})

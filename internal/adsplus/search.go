@@ -117,7 +117,8 @@ func (t *Tree) evalLeaf(n *node, q index.Query, col *index.Collector, sc *index.
 		return err
 	}
 	sc.Trace.NoteProbes("leaf", 1)
-	_, err = index.EvalPage(q, index.EntryPage(entries), t.opts.Raw, col, sc)
+	pg := index.EntryPage(entries)
+	_, err = index.EvalPage(&q, &pg, t.opts.Raw, col, sc)
 	return err
 }
 
@@ -179,7 +180,8 @@ func (t *Tree) RangeInto(q index.Query, col *index.RangeCollector, ctx *index.Se
 			return err
 		}
 		sc.Trace.NoteProbes("leaf", 1)
-		return index.EvalPageRange(q, index.EntryPage(entries), t.opts.Raw, col, sc)
+		pg := index.EntryPage(entries)
+		return index.EvalPageRange(&q, &pg, t.opts.Raw, col, sc)
 	}
 	for _, rk := range t.rootKeys {
 		if err := visit(t.roots[rk]); err != nil {

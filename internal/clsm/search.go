@@ -87,7 +87,8 @@ func forEachRun[C index.FanCollector[C]](l *LSM, v *view, q index.Query, ctx *in
 func (l *LSM) RangeInto(q index.Query, col *index.RangeCollector, ctx *index.SearchCtx) error {
 	v := l.pinView()
 	defer l.unpinView(v)
-	if err := index.EvalPageRange(q, index.EntryPage(v.buf), l.opts.Raw, col, ctx.Scratch0()); err != nil {
+	pg := index.EntryPage(v.buf)
+	if err := index.EvalPageRange(&q, &pg, l.opts.Raw, col, ctx.Scratch0()); err != nil {
 		return err
 	}
 	defer ctx.Trace.Start("scan").End()

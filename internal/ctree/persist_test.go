@@ -2,9 +2,11 @@ package ctree
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/gen"
@@ -164,6 +166,33 @@ func TestOpenRejectsForeignSynopsisShape(t *testing.T) {
 	meta[len(meta)-summary-1-tr.leaves.Syn.EncodedSize()+56]--
 	if _, err := decodeMeta(Options{Disk: disk, Name: "ctree", Raw: normStore{ds}}, meta, metaVersion); err == nil {
 		t.Fatal("synopsis bits changed: metadata still opens")
+	}
+}
+
+// TestOpenRejectsTamperedEnvelope: Open derives each leaf's envelope from
+// its SAX column, so meta v5 whose stored envelope of one leaf differs by a
+// byte — narrowed, one an exact scan could skip the answer on — does not
+// open, and the error names the leaf.
+func TestOpenRejectsTamperedEnvelope(t *testing.T) {
+	ds := buildDataset(t, 400, 36)
+	tr, disk := buildTree(t, ds, false, 1.0)
+	open := func(meta []byte) error {
+		if err := storage.WriteBlob(disk, "ctree.meta", metaMagic, metaVersion, nil, meta); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Open(Options{Disk: disk, Name: "ctree", Raw: normStore{ds}})
+		return err
+	}
+	meta := tr.encodeMeta()
+	if err := open(meta); err != nil {
+		t.Fatal(err)
+	}
+	sum := tr.leaves.Sum
+	w, leaf := tr.Config().Segments, sum.Pages()/2
+	envelopes := len(meta) - len(sum.AppendBinary(nil)) + 4 + 12*sum.Pages()
+	meta[envelopes+leaf*w+w/2]++ // a minimum of the middle leaf
+	if err := open(meta); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("page %d's", leaf)) {
+		t.Fatalf("leaf %d's envelope tampered: Open error %v", leaf, err)
 	}
 }
 

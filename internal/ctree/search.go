@@ -54,7 +54,7 @@ func (t *Tree) ExactInto(q index.Query, col *index.Collector, ctx *index.SearchC
 	if err := t.ApproxInto(q, col, ctx); err != nil {
 		return err
 	}
-	return scanAll(t, q, col, ctx, func(q index.Query, pg index.Page, raw series.RawStore, col *index.Collector, sc *index.Scratch) error {
+	return scanAll(t, q, col, ctx, func(q *index.Query, pg *index.Page, raw series.RawStore, col *index.Collector, sc *index.Scratch) error {
 		_, err := index.EvalPage(q, pg, raw, col, sc)
 		return err
 	})
@@ -77,7 +77,7 @@ func (t *Tree) RangeInto(q index.Query, col *index.RangeCollector, ctx *index.Se
 func scanAll[C interface {
 	index.FanCollector[C]
 	index.EnvelopeTester
-}](t *Tree, q index.Query, col C, ctx *index.SearchCtx, eval func(q index.Query, pg index.Page, raw series.RawStore, col C, sc *index.Scratch) error) error {
+}](t *Tree, q index.Query, col C, ctx *index.SearchCtx, eval func(q *index.Query, pg *index.Page, raw series.RawStore, col C, sc *index.Scratch) error) error {
 	defer ctx.Trace.Start("scan").End()
 	n := t.Leaves()
 	w := ctx.Pool.WorkersFor(n)
@@ -90,7 +90,7 @@ func scanAll[C interface {
 	scs := ctx.Scratches(len(chunks))
 	return index.FanOut(ctx.Pool, len(chunks), col, func(i, w int, col C) error {
 		sc := scs[w]
-		return t.store.Scan(t.leaves, chunks[i][0], chunks[i][1], "leaf", q, sc, col, func(pg index.Page) error { return eval(q, pg, t.store.Raw, col, sc) })
+		return t.store.Scan(t.leaves, chunks[i][0], chunks[i][1], "leaf", q, sc, col, func(q *index.Query, pg *index.Page) error { return eval(q, pg, t.store.Raw, col, sc) })
 	})
 }
 

@@ -198,7 +198,7 @@ func TestTrueDistMaterialized(t *testing.T) {
 	q := NewQuery(s, cfg)
 	_, z := cfg.Summarize(s)
 	e := record.Entry{ID: 0, Payload: z}
-	d, err := TrueDistSq(q, e, nil, math.Inf(1))
+	d, err := TrueDistSq(&q, e, nil, math.Inf(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,14 +210,14 @@ func TestTrueDistMaterialized(t *testing.T) {
 func TestTrueDistNonMaterializedNeedsRaw(t *testing.T) {
 	cfg := Config{SeriesLen: 8, Segments: 4, Bits: 2}
 	q := NewQuery(series.Series{1, 2, 3, 4, 5, 6, 7, 8}, cfg)
-	if _, err := TrueDistSq(q, record.Entry{ID: 0}, nil, math.Inf(1)); err == nil {
+	if _, err := TrueDistSq(&q, record.Entry{ID: 0}, nil, math.Inf(1)); err == nil {
 		t.Fatal("expected error without raw store")
 	}
 	// With a raw store holding z-normalized series.
 	ds := series.NewDataset(8)
 	_, z := cfg.Summarize(series.Series{1, 2, 3, 4, 5, 6, 7, 8})
 	ds.Append(z)
-	d, err := TrueDistSq(q, record.Entry{ID: 0}, ds, math.Inf(1))
+	d, err := TrueDistSq(&q, record.Entry{ID: 0}, ds, math.Inf(1))
 	if err != nil {
 		t.Fatal(err)
 	}

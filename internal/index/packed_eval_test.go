@@ -128,7 +128,7 @@ func TestEvalPageLayoutsMatch(t *testing.T) {
 				ctx := AcquireCtx(q, cfg)
 				defer ctx.Release()
 				col := NewCollector(5)
-				n, err := EvalPage(q, pg, ds, col, ctx.Scratch0())
+				n, err := EvalPage(&q, &pg, ds, col, ctx.Scratch0())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -165,7 +165,7 @@ func TestEvalPageRangeLayoutsMatch(t *testing.T) {
 				ctx := AcquireCtx(q, cfg)
 				defer ctx.Release()
 				col := NewRangeCollector(eps)
-				if err := EvalPageRange(q, pg, ds, col, ctx.Scratch0()); err != nil {
+				if err := EvalPageRange(&q, &pg, ds, col, ctx.Scratch0()); err != nil {
 					t.Fatal(err)
 				}
 				return col.Results()
@@ -200,11 +200,11 @@ func TestEvalPageDoesNotAllocate(t *testing.T) {
 	for name, pg := range evalLayouts(entries, fixed, packed, cfg) {
 		col := NewCollector(3)
 		// Warm the scratch candidate buffer to its high-water mark.
-		if _, err := EvalPage(q, pg, ds, col, sc); err != nil {
+		if _, err := EvalPage(&q, &pg, ds, col, sc); err != nil {
 			t.Fatal(err)
 		}
 		allocs := testing.AllocsPerRun(500, func() {
-			if _, err := EvalPage(q, pg, ds, col, sc); err != nil {
+			if _, err := EvalPage(&q, &pg, ds, col, sc); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -214,14 +214,14 @@ func TestEvalPageDoesNotAllocate(t *testing.T) {
 		// Every entry lies within eps and is verified on each run; after the
 		// warming pass they are all duplicates, so the collector stops growing.
 		rcol := NewRangeCollector(50)
-		if err := EvalPageRange(q, pg, ds, rcol, sc); err != nil {
+		if err := EvalPageRange(&q, &pg, ds, rcol, sc); err != nil {
 			t.Fatal(err)
 		}
 		if len(rcol.Results()) != len(entries) {
 			t.Fatalf("%s: eps admits %d of %d entries", name, len(rcol.Results()), len(entries))
 		}
 		allocs = testing.AllocsPerRun(500, func() {
-			if err := EvalPageRange(q, pg, ds, rcol, sc); err != nil {
+			if err := EvalPageRange(&q, &pg, ds, rcol, sc); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -266,11 +266,11 @@ func TestEvalPageSymbolsSpareThePage(t *testing.T) {
 	for _, name := range []string{"fixed+symbols", "packed+symbols"} {
 		pg := layouts[name]
 		pg.data = garbage
-		n, err := EvalPage(q, pg, ds, full(), sc)
+		n, err := EvalPage(&q, &pg, ds, full(), sc)
 		if err != nil || n != len(entries) {
 			t.Fatalf("%s k-NN over an undecodable page: n=%d err=%v, want %d entries pruned unread", name, n, err, len(entries))
 		}
-		if err := EvalPageRange(q, pg, ds, NewRangeCollector(math.Sqrt(least)/2), sc); err != nil {
+		if err := EvalPageRange(&q, &pg, ds, NewRangeCollector(math.Sqrt(least)/2), sc); err != nil {
 			t.Fatalf("%s range over an undecodable page: %v", name, err)
 		}
 	}
@@ -281,16 +281,16 @@ func TestEvalPageSymbolsSpareThePage(t *testing.T) {
 	// The same bytes without resident symbols have to be read.
 	pg := layouts["packed"]
 	pg.data = garbage
-	if _, err := EvalPage(q, pg, ds, full(), sc); err == nil {
+	if _, err := EvalPage(&q, &pg, ds, full(), sc); err == nil {
 		t.Fatal("undecodable packed page evaluated without its symbols: no error")
 	}
 	// A survivor opens the page, whose header must agree with the symbols.
 	short := layouts["packed+symbols"]
 	short.UseSymbols(short.syms[:len(short.syms)-cfg.Segments], cfg.Segments)
-	if _, err := EvalPage(q, short, ds, NewCollector(1), sc); err == nil {
+	if _, err := EvalPage(&q, &short, ds, NewCollector(1), sc); err == nil {
 		t.Fatal("packed page with one entry more than its symbols: no error")
 	}
-	if err := EvalPageRange(q, short, ds, NewRangeCollector(1e6), sc); err == nil {
+	if err := EvalPageRange(&q, &short, ds, NewRangeCollector(1e6), sc); err == nil {
 		t.Fatal("packed page with one entry more than its symbols: no error from the range evaluator")
 	}
 }

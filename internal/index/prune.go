@@ -3,7 +3,6 @@ package index
 import (
 	"cmp"
 	"fmt"
-	"math"
 	"slices"
 	"sync"
 
@@ -44,13 +43,13 @@ import (
 //     from the symbols, and the Page cursor takes them in place of keys.
 //
 //   - A unit's symbol envelope (a zone map: zonestat) bounds every series
-//     in the unit at once, one clamped lookup per segment. The bound is
-//     used two ways. Ordering a probe plan needs it as a value:
-//     SynopsisBoundSq and EnvelopeSq return the full sum. The CTree scans
-//     only ask whether a leaf's bound is beyond the collector's worst: a
-//     decision, which EnvelopeSqUpTo answers from the first few segments
-//     for most leaves, identically to the full sum because the terms are
-//     non-negative and summed in one order.
+//     in the unit at once, one clamped lookup per segment. EnvelopeSqs
+//     bounds a batch of consecutive envelopes in one simd.EnvelopeSums
+//     call, four at a time under AVX2: the page loop (run.Store.Scan)
+//     bounds a range's page groups at once, then a live group's pages, and
+//     decides each page when it reaches it. EnvelopeSq, which ordering a
+//     probe plan needs (SynopsisBoundSq), is the batch of one, so every
+//     envelope bound is the same float64, bit for bit.
 //
 //   - A SearchCtx bundles the Pruner with per-worker Scratch states
 //     (raw-series decode buffer, candidate-ordering scratch) and is
@@ -95,7 +94,7 @@ type Pruner struct {
 	filled  [sax.MaxBits + 1]bool
 	backing []float64
 	// qsyms holds the query's own symbol per segment at the configured
-	// cardinality — the argmin of each table row — so EnvelopeSq can clamp
+	// cardinality — the argmin of each table row — so EnvelopeSqs can clamp
 	// into a symbol envelope without scanning the row.
 	qsyms []uint8
 }
@@ -130,7 +129,7 @@ func (p *Pruner) Fill(paa []float64, cfg Config) {
 	}
 	p.fillLevel(cfg.Bits)
 	// The query's own symbols at full cardinality index each table row's
-	// zero region; EnvelopeSq clamps them into a unit's symbol envelope.
+	// zero region; EnvelopeSqs clamps them into a unit's symbol envelope.
 	if cap(p.qsyms) < cfg.Segments {
 		p.qsyms = make([]uint8, cfg.Segments)
 	}
@@ -222,55 +221,38 @@ func (p *Pruner) MinDistSqSyms(syms []uint8) float64 {
 // EnvelopeSq returns the squared iSAX lower bound between the query and
 // every series whose per-segment symbols lie inside the envelope
 // [minSym[s], maxSym[s]]: no series in the envelope can be closer than the
-// square root of the returned value. Because each table row is unimodal
-// with its zero region at the query's own symbol, the row minimum over an
-// interval of symbols is attained at the query symbol clamped into the
-// interval — a single lookup per segment. A shape mismatch returns 0 (no
-// bound), so a stale or foreign envelope can only cost work, never answers.
-// This is the bound as a value, which ordering a probe plan needs
-// (SynopsisBoundSq); a caller that only asks whether the bound is beyond
-// some limit uses EnvelopeSqUpTo.
+// square root of the returned value. It is EnvelopeSqs' batch of one. A
+// shape mismatch returns 0 (no bound), so a stale or foreign envelope can
+// only cost work, never answers.
 func (p *Pruner) EnvelopeSq(minSym, maxSym []uint8) float64 {
-	return p.EnvelopeSqUpTo(minSym, maxSym, math.Inf(1))
-}
-
-// EnvelopeSqUpTo is EnvelopeSq for a caller that only compares the bound
-// against limit: it returns EnvelopeSq's value when that is at most limit,
-// and otherwise some value above limit and at most EnvelopeSq's — the sum
-// of the first segments' terms, returned as soon as it passes limit. The
-// terms are non-negative and added in segment order either way, so the
-// running sum never decreases and "x > limit" decides identically on the
-// partial sum and on the full one; so does any test that is monotone in x
-// and holds everywhere above limit, which is how the CTree zone-map scans
-// and the run page scans use it (DeadEnvelope: Collector.SkipSq with WorstSq,
-// RangeCollector.SkipSq with SkipBeyondSq). Most leaves of an exact scan are
-// skipped, most of those within the first few segments.
-func (p *Pruner) EnvelopeSqUpTo(minSym, maxSym []uint8, limit float64) float64 {
 	if len(minSym) != p.segments || len(maxSym) != p.segments {
 		return 0
 	}
-	t, rowBits := p.tab[p.bits], uint(p.bits)
-	qsyms := p.qsyms[:len(minSym)]
-	acc := 0.0
-	for s := 0; s < len(qsyms) && acc <= limit; s++ {
-		// Clamp q into [mn, mx] with sign-mask selects instead of branches:
-		// which side of a leaf's envelope the query symbol falls on is as
-		// good as random, and a mispredicted branch costs more than the
-		// lookup it guards.
-		q, mn, mx := int(qsyms[s]), int(minSym[s]), int(maxSym[s])
-		over := (mx - q) >> 63  // all ones when q > mx
-		under := (q - mn) >> 63 // all ones when q < mn
-		c := q ^ (q^mx)&over
-		c ^= (c ^ mn) & under
-		acc += t[s<<rowBits|c]
+	var b [1]float64
+	p.EnvelopeSqs(b[:], p.segments, minSym, maxSym)
+	return b[0]
+}
+
+// EnvelopeSqs sets dst[i] to the squared lower bound of envelope i of the
+// flat arrays mins and maxs, segs symbols to an envelope (envelope i at
+// [i*segs, (i+1)*segs)). Because each table row is unimodal with its zero
+// region at the query's own symbol, the row minimum over an interval of
+// symbols is attained at the query symbol clamped into the interval — a
+// single lookup per segment, summed in segment order by simd.EnvelopeSums.
+// Envelopes of another width than the query's bound to 0. mins and maxs may
+// run on past the batch: the kernel then bounds more of it in blocks.
+func (p *Pruner) EnvelopeSqs(dst []float64, segs int, mins, maxs []uint8) {
+	if segs != p.segments {
+		clear(dst)
+		return
 	}
-	return acc
+	simd.EnvelopeSums(dst, p.tab[p.bits], p.qsyms, p.bits, mins, maxs)
 }
 
 // WidenEnvelope widens the symbol envelope [mn, mx] to cover syms, one
 // symbol a segment. It runs once for every entry a run writer or a bulk
 // load writes, and which side of an envelope a symbol falls on is as good as
-// random, so min and max are sign-mask selects, as in EnvelopeSqUpTo: four
+// random, so min and max are sign-mask selects, as in simd.EnvelopeSums: four
 // times faster than the compare-and-branch form on a page's worth of entries.
 func WidenEnvelope(mn, mx, syms []uint8) {
 	mx, syms = mx[:len(mn)], syms[:len(mn)]
@@ -308,21 +290,10 @@ func SymbolsBelow(syms []uint8, bits int) bool {
 // evaluates what an envelope covers — a run's page, a tree's leaf or group of
 // leaves. Both collectors implement it.
 type EnvelopeTester interface {
-	// DeadEnvelope reports whether the envelope's bound already rules out
-	// every series inside it: none could enter the collector, so evaluating
-	// them one bound at a time would prune them all. A collector's bound
-	// only tightens, so a dead envelope stays dead.
-	DeadEnvelope(p *Pruner, minSym, maxSym []uint8) bool
-}
-
-// DeadEnvelope implements EnvelopeTester against the collector's worst.
-func (c *Collector) DeadEnvelope(p *Pruner, minSym, maxSym []uint8) bool {
-	return c.SkipSq(p.EnvelopeSqUpTo(minSym, maxSym, c.WorstSq()))
-}
-
-// DeadEnvelope implements EnvelopeTester against the static epsilon.
-func (c *RangeCollector) DeadEnvelope(p *Pruner, minSym, maxSym []uint8) bool {
-	return c.SkipSq(p.EnvelopeSqUpTo(minSym, maxSym, c.skipBeyondSq))
+	// SkipSq reports whether a bound of lbSq already rules out every series
+	// under it: none could enter the collector. A collector's bound only
+	// tightens, so a bound ruled out stays ruled out.
+	SkipSq(lbSq float64) bool
 }
 
 // MinDistSqMixed returns the squared lower bound for a summarization with
@@ -358,6 +329,13 @@ type Scratch struct {
 	P     *Pruner
 	cands []pageCand
 	view  record.PackedView // the packed page under evaluation, see Page.openView
+	// Query and Page are what a page loop (run.Store.Scan) hands the page
+	// evaluator: it copies the query in once a scan and describes each page
+	// in place, and the evaluator takes both by pointer, so nothing is
+	// copied or allocated a page. bounds holds the loop's envelope bounds.
+	Query  Query
+	Page   Page
+	bounds []float64
 	// Trace and Planner alias the query's trace recorder (nil untraced) and
 	// planner, refreshed by Scratches: workers report candidate tallies to
 	// the one, and a page scan asks the other whether to skip dead pages.
@@ -465,6 +443,15 @@ func (c *SearchCtx) Scratches(n int) []*Scratch {
 // Scratch0 returns the serial path's scratch (worker slot 0).
 func (c *SearchCtx) Scratch0() *Scratch { return c.Scratches(1)[0] }
 
+// Bounds returns n float64s of the scratch's own, for a page loop's
+// envelope bounds; their values are the caller's to set.
+func (s *Scratch) Bounds(n int) []float64 {
+	if cap(s.bounds) < n {
+		s.bounds = make([]float64, n)
+	}
+	return s.bounds[:n]
+}
+
 // encodedRaw is a raw store that verifies a candidate on its stored bytes,
 // decoding nothing (storage.RawFile).
 type encodedRaw interface {
@@ -473,7 +460,7 @@ type encodedRaw interface {
 
 // rawDistSq fetches series id from raw and returns its early-abandoning
 // squared distance to the query.
-func rawDistSq(q Query, id int64, raw series.RawStore, limitSq float64) (float64, error) {
+func rawDistSq(q *Query, id int64, raw series.RawStore, limitSq float64) (float64, error) {
 	if raw == nil {
 		return 0, fmt.Errorf("index: non-materialized entry %d but no raw store", id)
 	}
@@ -492,7 +479,7 @@ func rawDistSq(q Query, id int64, raw series.RawStore, limitSq float64) (float64
 // from raw otherwise, abandoning accumulation beyond limitSq. The
 // payload/raw series must already be z-normalized. Raw stores must be safe
 // for concurrent fetches: workers verify candidates concurrently.
-func TrueDistSq(q Query, e record.Entry, raw series.RawStore, limitSq float64) (float64, error) {
+func TrueDistSq(q *Query, e record.Entry, raw series.RawStore, limitSq float64) (float64, error) {
 	if e.Payload != nil {
 		return q.Norm.SqDistEarlyAbandon(e.Payload, limitSq), nil
 	}
@@ -508,7 +495,7 @@ func ScanBuffer(buf []record.Entry, q Query, raw series.RawStore, col *Collector
 		if !q.InWindow(e.TS) || col.SkipSq(sc.P.MinDistSqKey(e.Key)) {
 			continue
 		}
-		dSq, err := TrueDistSq(q, e, raw, col.WorstSq())
+		dSq, err := TrueDistSq(&q, e, raw, col.WorstSq())
 		if err != nil {
 			return err
 		}
@@ -684,7 +671,7 @@ func (pg *Page) id(i int) int64 {
 // distSq verifies entry i: the early-abandoning squared distance to the
 // query, accumulated directly from the encoded payload when the page
 // carries one, from a raw fetch otherwise.
-func (pg *Page) distSq(q Query, i int, raw series.RawStore, limitSq float64) (float64, error) {
+func (pg *Page) distSq(q *Query, i int, raw series.RawStore, limitSq float64) (float64, error) {
 	switch {
 	case pg.ents != nil:
 		return TrueDistSq(q, pg.ents[i], raw, limitSq)
@@ -703,9 +690,11 @@ func (pg *Page) distSq(q Query, i int, raw series.RawStore, limitSq float64) (fl
 // most promising first, collapsing the pruning bound so the rest are
 // skipped without paying their (possibly random) raw fetches. Candidate
 // slots reuse the scratch slice, so a warm probe allocates nothing. It
-// returns the number of in-window entries seen.
-func EvalPage(q Query, pg Page, raw series.RawStore, col *Collector, sc *Scratch) (int, error) {
-	resident := pg.resident(&q)
+// returns the number of in-window entries seen. Query and page are taken by
+// pointer, so a page loop copies neither once a page (Scratch.Query, .Page).
+func EvalPage(q *Query, pg *Page, raw series.RawStore, col *Collector, sc *Scratch) (int, error) {
+	pg.view = nil // what an earlier evaluation opened is sc's, and may be another page's by now
+	resident := pg.resident(q)
 	if !resident {
 		if err := pg.openView(sc); err != nil {
 			return 0, err
@@ -716,7 +705,7 @@ func EvalPage(q Query, pg Page, raw series.RawStore, col *Collector, sc *Scratch
 	count := 0
 	traced := sc.Trace != nil
 	var ver, ab, pr int64
-	for i := pg.nextInWindow(&q, 0, n); i < n; i = pg.nextInWindow(&q, i+1, n) {
+	for i := pg.nextInWindow(q, 0, n); i < n; i = pg.nextInWindow(q, i+1, n) {
 		count++
 		var lbSq float64
 		if pg.syms != nil {
@@ -776,8 +765,9 @@ func EvalPage(q Query, pg Page, raw series.RawStore, col *Collector, sc *Scratch
 // EvalPageRange is EvalPage against a range collector: the epsilon bound is
 // static, so candidates need no ordering and every in-window, unpruned
 // entry verifies directly.
-func EvalPageRange(q Query, pg Page, raw series.RawStore, col *RangeCollector, sc *Scratch) error {
-	resident := pg.resident(&q)
+func EvalPageRange(q *Query, pg *Page, raw series.RawStore, col *RangeCollector, sc *Scratch) error {
+	pg.view = nil
+	resident := pg.resident(q)
 	if !resident {
 		if err := pg.openView(sc); err != nil {
 			return err
@@ -786,7 +776,7 @@ func EvalPageRange(q Query, pg Page, raw series.RawStore, col *RangeCollector, s
 	n := pg.n
 	traced := sc.Trace != nil
 	var seen, ver, ab, pr int64
-	for i := pg.nextInWindow(&q, 0, n); i < n; i = pg.nextInWindow(&q, i+1, n) {
+	for i := pg.nextInWindow(q, 0, n); i < n; i = pg.nextInWindow(q, i+1, n) {
 		if traced {
 			seen++
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/record"
@@ -140,99 +141,97 @@ func envelopeSqPlain(p *Pruner, minSym, maxSym []uint8) float64 {
 	return acc
 }
 
-// TestEnvelopeDecisionIdentity: the early-exiting envelope sum decides every
-// skip the way the full sum does. For random envelopes (narrow ones skip,
-// wide ones do not) and collectors in every state the zone-map scans meet —
-// a k-NN collector still filling, full ones with bounds from far below to
-// far above the envelope bounds, range collectors — SkipSq of
-// EnvelopeSqUpTo at the collector's limit equals SkipSq of EnvelopeSq; the
-// +Inf limit returns EnvelopeSq itself, and a foreign shape returns 0.
+// TestEnvelopeDecisionIdentity: the batch bound decides every skip the way
+// the plain bound does, and a group's decision never contradicts its pages'.
+// For random batches of envelopes (narrow ones skip, wide ones do not),
+// EnvelopeSqs gives each envelope EnvelopeSq's and envelopeSqPlain's bits,
+// inverted envelopes included (they clamp the way the comparison chain
+// does), and a foreign shape bounds to 0. The envelope that unions the batch
+// — a page group's — bounds no higher than any of its pages, so for
+// collectors in every state the page loop meets (a k-NN collector still
+// filling, full ones with bounds at, and an ulp either side of, each bound,
+// range collectors at the same limits) a skipped group implies skipped pages.
 func TestEnvelopeDecisionIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	var p Pruner
 	skips := 0
-	for trial := 0; trial < 4000; trial++ {
+	for trial := 0; trial < 1000; trial++ {
 		w := 1 + rng.Intn(sortable.MaxSegments)
 		bits := 1 + rng.Intn(sax.MaxBits)
 		p.Fill(randPAA(rng, w), Config{SeriesLen: 4 * w, Segments: w, Bits: bits})
-		mn, mx := make([]uint8, w), make([]uint8, w)
-		for s := range mn {
+		n := 1 + rng.Intn(20)
+		mins, maxs := make([]uint8, n*w), make([]uint8, n*w)
+		for i := range mins {
 			a, b := rng.Intn(1<<bits), rng.Intn(1<<bits)
 			if trial%2 == 0 {
 				b = a + rng.Intn(3) // a narrow envelope, a leaf's
 			}
-			mn[s], mx[s] = uint8(min(a, b)), uint8(min(max(a, b), 1<<bits-1))
+			mins[i], maxs[i] = uint8(min(a, b)), uint8(min(max(a, b), 1<<bits-1))
 		}
-		full := p.EnvelopeSq(mn, mx)
-		if want := envelopeSqPlain(&p, mn, mx); math.Float64bits(full) != math.Float64bits(want) {
-			t.Fatalf("trial %d: EnvelopeSq %v, plain clamp and sum %v", trial, full, want)
-		}
-		// An inverted envelope, which only corrupt metadata could hold,
-		// clamps the way the comparison chain does.
-		if got, want := p.EnvelopeSq(mx, mn), envelopeSqPlain(&p, mx, mn); math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("trial %d: inverted envelope: EnvelopeSq %v, plain %v", trial, got, want)
-		}
-		if got := p.EnvelopeSqUpTo(mn, mx, math.Inf(1)); math.Float64bits(got) != math.Float64bits(full) {
-			t.Fatalf("trial %d: limit +Inf gives %v, EnvelopeSq %v", trial, got, full)
-		}
-		if got := p.EnvelopeSqUpTo(mn[:w-1], mx[:w-1], 0); got != 0 {
-			t.Fatalf("trial %d: foreign shape gives %v, want 0", trial, got)
-		}
-		// Collector bounds around, at, and an ulp either side of the full
-		// bound, where a partial sum and the full sum are closest to
-		// disagreeing.
-		bounds := []float64{0, full / 3, math.Nextafter(full, 0), full, math.Nextafter(full, math.Inf(1)), full * 2, rng.ExpFloat64()}
-		for _, b := range bounds {
-			col := NewCollector(2)
-			col.AddSq(1, 0, b/2)
-			if early := p.EnvelopeSqUpTo(mn, mx, col.WorstSq()); col.SkipSq(early) || early != full {
-				t.Fatalf("trial %d: collector not yet full: early %v, full %v", trial, early, full)
+		batch, inverted := make([]float64, n), make([]float64, n)
+		p.EnvelopeSqs(batch, w, mins, maxs)
+		p.EnvelopeSqs(inverted, w, maxs, mins)
+		gmn, gmx := slices.Clone(mins[:w]), slices.Clone(maxs[:w])
+		for i := 0; i < n; i++ {
+			mn, mx := mins[i*w:(i+1)*w], maxs[i*w:(i+1)*w]
+			WidenEnvelope(gmn, gmx, mn)
+			WidenEnvelope(gmn, gmx, mx)
+			want := envelopeSqPlain(&p, mn, mx)
+			if got := p.EnvelopeSq(mn, mx); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("trial %d envelope %d: EnvelopeSq %v, plain clamp and sum %v", trial, i, got, want)
 			}
-			col.AddSq(2, 0, b)
-			early := p.EnvelopeSqUpTo(mn, mx, col.WorstSq())
-			if col.SkipSq(early) != col.SkipSq(full) || early > full {
-				t.Fatalf("trial %d bound %v: k-NN skip on early sum %v = %v, on full sum %v = %v",
-					trial, b, early, col.SkipSq(early), full, col.SkipSq(full))
+			if math.Float64bits(batch[i]) != math.Float64bits(want) {
+				t.Fatalf("trial %d envelope %d of %d: EnvelopeSqs %v, plain clamp and sum %v", trial, i, n, batch[i], want)
 			}
-			if col.SkipSq(full) {
-				skips++
+			// An inverted envelope, which only corrupt metadata could hold,
+			// clamps the way the comparison chain does.
+			if want := envelopeSqPlain(&p, mx, mn); math.Float64bits(inverted[i]) != math.Float64bits(want) {
+				t.Fatalf("trial %d envelope %d: inverted envelope: EnvelopeSqs %v, plain %v", trial, i, inverted[i], want)
 			}
-			rc := NewRangeCollector(math.Sqrt(b))
-			early = p.EnvelopeSqUpTo(mn, mx, rc.SkipBeyondSq())
-			if rc.SkipSq(early) != rc.SkipSq(full) || early > full {
-				t.Fatalf("trial %d eps² %v: range skip on early sum %v = %v, on full sum %v = %v",
-					trial, b, early, rc.SkipSq(early), full, rc.SkipSq(full))
+		}
+		foreign := slices.Clone(batch)
+		if p.EnvelopeSqs(foreign, w+1, mins, maxs); slices.ContainsFunc(foreign, func(v float64) bool { return v != 0 }) {
+			t.Fatalf("trial %d: foreign shape gives %v, want 0s", trial, foreign)
+		}
+		if w > 1 {
+			if got := p.EnvelopeSq(mins[:w-1], maxs[:w-1]); got != 0 {
+				t.Fatalf("trial %d: foreign shape gives %v, want 0", trial, got)
+			}
+		}
+		group := p.EnvelopeSq(gmn, gmx)
+		for i, page := range batch {
+			if group > page {
+				t.Fatalf("trial %d: group bound %v above page %d's %v", trial, group, i, page)
+			}
+			// Collector bounds around, at, and an ulp either side of the
+			// page's and the group's bounds, where decisions are closest to
+			// disagreeing.
+			for _, b := range []float64{0, page / 3, math.Nextafter(page, 0), page, math.Nextafter(page, math.Inf(1)),
+				math.Nextafter(group, 0), group, math.Nextafter(group, math.Inf(1)), page * 2, rng.ExpFloat64()} {
+				col := NewCollector(2)
+				col.AddSq(1, 0, b/2)
+				if col.SkipSq(page) || col.SkipSq(group) {
+					t.Fatalf("trial %d: a collector not yet full skips", trial)
+				}
+				col.AddSq(2, 0, b)
+				if col.SkipSq(group) && !col.SkipSq(page) {
+					t.Fatalf("trial %d bound %v: k-NN skips group %v but not page %v", trial, b, group, page)
+				}
+				if col.SkipSq(page) != (page > col.WorstSq()) {
+					t.Fatalf("trial %d bound %v: k-NN skip of %v is %v against worst %v", trial, b, page, col.SkipSq(page), col.WorstSq())
+				}
+				if col.SkipSq(page) {
+					skips++
+				}
+				rc := NewRangeCollector(math.Sqrt(b))
+				if rc.SkipSq(group) && !rc.SkipSq(page) {
+					t.Fatalf("trial %d eps² %v: range skips group %v but not page %v", trial, b, group, page)
+				}
 			}
 		}
 	}
 	if skips == 0 {
 		t.Fatal("no envelope was ever skippable: the test exercised one side only")
-	}
-}
-
-// TestRangeSkipBeyondSqImpliesSkip pins the property EnvelopeSqUpTo needs of
-// a range collector's limit: everything above it is pruned, down to the
-// first double above it, for eps from denormal to huge.
-func TestRangeSkipBeyondSqImpliesSkip(t *testing.T) {
-	rng := rand.New(rand.NewSource(19))
-	for trial := 0; trial < 20000; trial++ {
-		eps := math.Ldexp(rng.Float64(), rng.Intn(80)-40)
-		switch trial {
-		case 0:
-			eps = 0
-		case 1:
-			eps = math.SmallestNonzeroFloat64
-		case 2:
-			eps = math.Inf(1)
-		}
-		rc := NewRangeCollector(eps)
-		limit := rc.SkipBeyondSq()
-		if above := math.Nextafter(limit, math.Inf(1)); above > limit && !rc.SkipSq(above) {
-			t.Fatalf("eps %v: %v is above SkipBeyondSq %v but not skipped", eps, above, limit)
-		}
-		if limit < rc.BoundSq() {
-			t.Fatalf("eps %v: SkipBeyondSq %v below BoundSq %v", eps, limit, rc.BoundSq())
-		}
 	}
 }
 
@@ -341,14 +340,16 @@ func TestEvalPageEncodedMatchesEntries(t *testing.T) {
 
 		ctx1 := AcquireCtx(q, cfg)
 		colA := NewCollector(5)
-		if _, err := EvalPage(q, EntryPage(entries), ds, colA, ctx1.Scratch0()); err != nil {
+		ents := EntryPage(entries)
+		if _, err := EvalPage(&q, &ents, ds, colA, ctx1.Scratch0()); err != nil {
 			t.Fatal(err)
 		}
 		ctx1.Release()
 
 		ctx2 := AcquireCtx(q, cfg)
 		colB := NewCollector(5)
-		if _, err := EvalPage(q, FixedPage(page, len(entries), codec), ds, colB, ctx2.Scratch0()); err != nil {
+		fixed := FixedPage(page, len(entries), codec)
+		if _, err := EvalPage(&q, &fixed, ds, colB, ctx2.Scratch0()); err != nil {
 			t.Fatal(err)
 		}
 		ctx2.Release()

@@ -224,7 +224,7 @@ func (s *Store) firstKey(r Run, p int, data []byte) (sortable.Key, error) {
 // the random read after the gap — and are reported as skipped "page" units;
 // with the planner disabled every page is pinned.
 func (s *Store) ScanKNN(r Run, q index.Query, col *index.Collector, sc *index.Scratch) error {
-	return s.Scan(r, 0, r.Sum.Pages(), "page", q, sc, col, func(pg index.Page) error {
+	return s.Scan(r, 0, r.Sum.Pages(), "page", q, sc, col, func(q *index.Query, pg *index.Page) error {
 		_, err := index.EvalPage(q, pg, s.Raw, col, sc)
 		return err
 	})
@@ -233,7 +233,7 @@ func (s *Store) ScanKNN(r Run, q index.Query, col *index.Collector, sc *index.Sc
 // ScanRange scans the whole run with squared epsilon pruning into col, under
 // the same skip rule.
 func (s *Store) ScanRange(r Run, q index.Query, col *index.RangeCollector, sc *index.Scratch) error {
-	return s.Scan(r, 0, r.Sum.Pages(), "page", q, sc, col, func(pg index.Page) error {
+	return s.Scan(r, 0, r.Sum.Pages(), "page", q, sc, col, func(q *index.Query, pg *index.Page) error {
 		return index.EvalPageRange(q, pg, s.Raw, col, sc)
 	})
 }

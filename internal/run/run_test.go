@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -17,6 +18,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/record"
 	"repro/internal/series"
+	"repro/internal/sortable"
 	"repro/internal/storage"
 	"repro/internal/zonestat"
 )
@@ -793,6 +795,73 @@ func TestLoadChecksTheCount(t *testing.T) {
 		}
 		if err := s.Verify(r); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestDecodeSummaryChecksEnvelopes: a scan skips a page on its envelope
+// alone, so a decoded summary whose stored envelope is not its page's
+// entries' symbol range must not be used. Narrowed to the symbols farthest
+// from a query, the envelope of the page that holds the query's nearest
+// neighbour makes an exact scan skip that page and answer wrong;
+// DecodeSummary names the page instead. So it does for one changed envelope
+// byte anywhere.
+func TestDecodeSummaryChecksEnvelopes(t *testing.T) {
+	entries, raw := testEntries(2000, 13)
+	s, _, _ := newStore(t, "heap", raw)
+	r, err := s.Write("r", entries, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := r.Sum.AppendBinary(nil)
+	if _, err := DecodeSummary(buf, testCfg, r.Count); err != nil {
+		t.Fatal(err)
+	}
+	q := testQueries(1, 17)[0]
+	ctx := index.AcquireCtx(q, testCfg)
+	defer ctx.Release()
+	scan := func(r Run) index.Result {
+		col := index.NewCollector(1)
+		if err := s.ScanKNN(r, q, col, ctx.Scratch0()); err != nil {
+			t.Fatal(err)
+		}
+		return col.Results()[0]
+	}
+	nn := scan(r)
+	p, first := 0, 0
+	for !slices.ContainsFunc(entries[first:first+r.Sum.Entries(p)], func(e record.Entry) bool { return e.ID == nn.ID }) {
+		first += r.Sum.Entries(p)
+		p++
+	}
+	w, pages := testCfg.Segments, r.Sum.Pages()
+	qsyms := sortable.Symbols(q.Key, w, testCfg.Bits)
+	narrowed := slices.Clone(buf)
+	mins, maxs := narrowed[4+12*pages:], narrowed[4+12*pages+pages*w:]
+	for seg := 0; seg < w; seg++ {
+		far := uint8(0)
+		if qsyms[seg] < 128 {
+			far = 255
+		}
+		mins[p*w+seg], maxs[p*w+seg] = far, far
+	}
+	// Trusted, the narrowed envelope hides the answer.
+	bad := *r.Sum
+	bad.envMin, bad.envMax = mins[:pages*w], maxs[:pages*w]
+	trusted := r
+	trusted.Sum = &bad
+	if got := scan(trusted); got.ID == nn.ID {
+		t.Fatalf("fixture: page %d's narrowed envelope still lets the scan find %d", p, nn.ID)
+	}
+	if _, err := DecodeSummary(narrowed, testCfg, r.Count); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("page %d's", p)) {
+		t.Fatalf("page %d's envelope narrowed away from the query: DecodeSummary error %v", p, err)
+	}
+	rng := rand.New(rand.NewSource(19))
+	for trial := 0; trial < 50; trial++ {
+		at := rng.Intn(2 * pages * w)
+		one := slices.Clone(buf)
+		one[4+12*pages+at] ^= 1 << rng.Intn(8)
+		if _, err := DecodeSummary(one, testCfg, r.Count); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("page %d's", at%(pages*w)/w)) {
+			t.Fatalf("envelope byte %d changed: DecodeSummary error %v", at, err)
 		}
 	}
 }

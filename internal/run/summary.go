@@ -323,7 +323,10 @@ func (m *Summary) AppendBinary(buf []byte) []byte {
 // DecodeSummary decodes the summary AppendBinary wrote (all of buf) of a
 // file of count entries of cfg's shape. Every count is checked against the
 // bytes before anything is sized by it, every symbol against the
-// cardinality: the lower-bound kernels index tables with them.
+// cardinality: the lower-bound kernels index tables with them. A page's
+// envelope is derived from its SAX column, and a stored one that differs
+// is an error: a scan skips a page on its envelope alone, so a narrowed one
+// would drop answers.
 func DecodeSummary(buf []byte, cfg index.Config, count int64) (*Summary, error) {
 	w := cfg.Segments
 	if len(buf) < 4 || (len(buf)-4)/12 < int(binary.LittleEndian.Uint32(buf)) {
@@ -350,12 +353,20 @@ func DecodeSummary(buf []byte, cfg index.Config, count int64) (*Summary, error) 
 	if !index.SymbolsBelow(buf[:envs+int(count)*w], cfg.Bits) {
 		return nil, fmt.Errorf("run: summary holds a symbol beyond %d bits", cfg.Bits)
 	}
-	m.envMin, m.envMax = slices.Clone(buf[:envs/2]), slices.Clone(buf[envs/2:envs])
+	m.envMin, m.envMax = make([]uint8, envs/2), make([]uint8, envs/2)
+	syms := slices.Clone(buf[envs : envs+int(count)*w])
+	for p, off := 0, 0; p < pages; p, off = p+1, off+m.cnt[p] {
+		mn, mx := m.env(m.envMin, m.envMax, p)
+		index.SetEnvelope(mn, mx, syms[off*w:(off+m.cnt[p])*w])
+		if smn, smx := m.env(buf, buf[envs/2:], p); !bytes.Equal(mn, smn) || !bytes.Equal(mx, smx) {
+			return nil, fmt.Errorf("run: summary page %d's stored envelope is not its entries' symbol range", p)
+		}
+	}
 	ts := make([]int64, count)
 	for i := range ts {
 		ts[i] = int64(binary.LittleEndian.Uint64(buf[envs+int(count)*w+8*i:]))
 	}
-	m.groupBy(slices.Clone(buf[envs:envs+int(count)*w]), ts)
+	m.groupBy(syms, ts)
 	return m, m.ascending()
 }
 
@@ -421,20 +432,20 @@ func (s *Store) Verify(r Run) error {
 }
 
 // page describes page p of r (of group g, at offset off of its columns),
-// pinned as data, to the page evaluator, which takes the entries' symbols
-// and timestamps from the columns and reads data only to verify a survivor.
-func (s *Store) page(r Run, p, g, off int, data []byte) (pg index.Page) {
+// pinned as data, in pg for the page evaluator, which takes the entries'
+// symbols and timestamps from the columns and reads data only to verify a
+// survivor.
+func (s *Store) page(pg *index.Page, r Run, p, g, off int, data []byte) {
 	m, n := r.Sum, r.Sum.cnt[p]
 	if r.Packed {
-		pg = index.PackedPage(data, s.codec)
+		*pg = index.PackedPage(data, s.codec)
 	} else {
-		pg = index.FixedPage(data, n, s.codec)
+		*pg = index.FixedPage(data, n, s.codec)
 	}
 	if !pageKeyBounds {
 		pg.UseSymbols(m.grp[g].syms[off*m.segs:(off+n)*m.segs], m.segs)
 		pg.UseTimestamps(m.grp[g].ts[off : off+n])
 	}
-	return pg
 }
 
 // ProbePage pins page p of r and evaluates all its entries into col: a
@@ -446,7 +457,8 @@ func (s *Store) ProbePage(r Run, p int, q index.Query, col *index.Collector, sc 
 		return 0, err
 	}
 	g, off := r.Sum.locate(p)
-	n, err := index.EvalPage(q, s.page(r, p, g, off, h.Data()), s.Raw, col, sc)
+	s.page(&sc.Page, r, p, g, off, h.Data())
+	n, err := index.EvalPage(&q, &sc.Page, s.Raw, col, sc)
 	h.Release()
 	return n, err
 }
@@ -454,11 +466,16 @@ func (s *Store) ProbePage(r Run, p int, q index.Query, col *index.Collector, sc 
 // Scan is the one sequential page loop, of runs and CTree leaf levels alike:
 // it pins pages [lo, hi) of r in ascending order through one storage cursor
 // and hands each to eval (index.EvalPage or EvalPageRange) with its slices
-// of the columns attached, after asking col whether the group's envelope,
-// then the page's, already rules out every series inside (dead). A dead
-// group is only a short cut: a page's envelope lies inside its group's, so
-// its bound is at least the group's, term by term in the same order, and the
-// collector's bound only tightens.
+// of the columns attached, unless col rules out every series inside it
+// (dead) by the page's envelope bound. The loop bounds envelopes in batches
+// (index.Pruner.EnvelopeSqs): the groups of the range at once, then, as it
+// reaches a group col has not ruled out, that group's pages; it decides each
+// page with col.SkipSq when it reaches it. A dead group is only a short cut,
+// which decides its pages the way their own bounds would: a page's envelope
+// lies inside its group's, so its bound is at least the group's, term by
+// term in the same order, and the collector's bound only tightens. The query
+// and each page reach eval through sc (Scratch.Query, Scratch.Page), by
+// pointer, so the loop copies neither once a page.
 //
 // A dead page is spared every touch of its bytes and every bound of its
 // entries. Whether it is also left unread is the search's planner's decision
@@ -475,11 +492,12 @@ func (s *Store) ProbePage(r Run, p int, q index.Query, col *index.Collector, sc 
 // entries, off the timestamp column, as seen and pruned. The pages skipped
 // are counted into the planner and, beside the pages read, into the query's
 // trace as units of the given kind.
-func (s *Store) Scan(r Run, lo, hi int, kind string, q index.Query, sc *index.Scratch, col index.EnvelopeTester, eval func(pg index.Page) error) error {
+func (s *Store) Scan(r Run, lo, hi int, kind string, q index.Query, sc *index.Scratch, col index.EnvelopeTester, eval func(q *index.Query, pg *index.Page) error) error {
 	if lo >= hi {
 		return nil
 	}
-	skipped, err := s.scanPages(r, lo, hi, q, sc, col, eval)
+	sc.Query = q
+	skipped, err := s.scanPages(r, lo, hi, sc, col, eval)
 	sc.Planner.NoteSkips(skipped)
 	sc.Trace.NoteSkips(kind, skipped)
 	sc.Trace.NoteProbes(kind, int64(hi-lo)-skipped)
@@ -489,8 +507,8 @@ func (s *Store) Scan(r Run, lo, hi int, kind string, q index.Query, sc *index.Sc
 // scanPages is Scan's loop over a non-empty range; it returns the pages it
 // left unread. (The accounting stays outside: a deferred closure over the
 // count here costs the loop a tenth of a CTree scan's time.)
-func (s *Store) scanPages(r Run, lo, hi int, q index.Query, sc *index.Scratch, col index.EnvelopeTester, eval func(pg index.Page) error) (skipped int64, err error) {
-	m := r.Sum
+func (s *Store) scanPages(r Run, lo, hi int, sc *index.Scratch, col index.EnvelopeTester, eval func(q *index.Query, pg *index.Page) error) (skipped int64, err error) {
+	m, w := r.Sum, r.Sum.segs
 	skip := sc.Planner.Enabled()
 	from, to := m.span(lo, hi)
 	cur := s.Reader.Scan(r.File, from, to)
@@ -498,21 +516,28 @@ func (s *Store) scanPages(r Run, lo, hi int, q index.Query, sc *index.Scratch, c
 	// Pages are read in ascending order, so the read position — page rp, in
 	// group rg at offset off of its columns — only moves forward.
 	rg, off := m.locate(lo)
-	rp, next := lo, m.end(rg)
+	rp, next, g0 := lo, m.end(rg), rg
 	resident := !pageKeyBounds
+	// Envelopes decide pages when a dead page is spared its evaluation
+	// (resident) or left unread (skip); the reference path without a planner
+	// evaluates every page.
+	bounded := resident || skip
+	var groups, pages []float64
+	var pageBuf [2 * groupPages]float64 // a group holds fewer pages (Verify)
+	if bounded {
+		groups = sc.Bounds(sort.Search(len(m.grp), func(g int) bool { return m.grp[g].first >= hi }) - g0)
+		sc.P.EnvelopeSqs(groups, w, m.grpMin[g0*w:], m.grpMax[g0*w:])
+	}
 	pending, started := 0, false // the dead pages [p-pending, p) are neither skipped nor read yet
-	for g := rg; g < len(m.grp) && m.grp[g].first < hi; g++ {
-		groupDead, asked := false, !resident
-		for p := max(lo, m.grp[g].first); p < min(hi, m.end(g)); p++ {
-			dead := groupDead
-			if !dead && (resident || skip) {
-				mn, mx := m.env(m.envMin, m.envMax, p)
-				dead = col.DeadEnvelope(sc.P, mn, mx)
-			}
-			if dead && !asked { // only a group with a dead page can be dead
-				mn, mx := m.env(m.grpMin, m.grpMax, g)
-				groupDead, asked = col.DeadEnvelope(sc.P, mn, mx), true
-			}
+	for g := g0; g < len(m.grp) && m.grp[g].first < hi; g++ {
+		first, end := max(lo, m.grp[g].first), min(hi, m.end(g))
+		groupDead := bounded && col.SkipSq(groups[g-g0])
+		if bounded && !groupDead {
+			pages = pageBuf[:end-first]
+			sc.P.EnvelopeSqs(pages, w, m.envMin[first*w:], m.envMax[first*w:])
+		}
+		for p := first; p < end; p++ {
+			dead := groupDead || bounded && col.SkipSq(pages[p-first])
 			if dead && skip {
 				pending++
 				continue
@@ -535,13 +560,14 @@ func (s *Store) scanPages(r Run, lo, hi int, q index.Query, sc *index.Scratch, c
 					return skipped, err
 				}
 				if d == p && !dead || d < p && !resident {
-					if err := eval(s.page(r, d, rg, off, data)); err != nil {
+					s.page(&sc.Page, r, d, rg, off, data)
+					if err := eval(&sc.Query, &sc.Page); err != nil {
 						return skipped, err
 					}
 				} else if sc.Trace != nil {
 					n := int64(0)
 					for _, ts := range m.grp[rg].ts[off : off+m.cnt[d]] {
-						if q.InWindow(ts) {
+						if sc.Query.InWindow(ts) {
 							n++
 						}
 					}

@@ -63,3 +63,35 @@ func BenchmarkKernelTableSum(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkKernelEnvelopeSums bounds 16 consecutive envelopes of 16
+// segments at 8 bits an op — one page group's leaves — and reports the cost
+// of one envelope.
+func BenchmarkKernelEnvelopeSums(b *testing.B) {
+	const n, w, bits = 16, 16, 8
+	rng := rand.New(rand.NewSource(9))
+	tab := make([]float64, w<<bits)
+	for i := range tab {
+		tab[i] = rng.ExpFloat64()
+	}
+	q := make([]uint8, w)
+	mins, maxs := make([]uint8, n*w), make([]uint8, n*w)
+	for i := range q {
+		q[i] = uint8(rng.Intn(1 << bits))
+	}
+	for i := range mins {
+		lo := rng.Intn(1<<bits - 8)
+		mins[i], maxs[i] = uint8(lo), uint8(lo+rng.Intn(8))
+	}
+	dst := make([]float64, n)
+	defer Select("auto")
+	for _, name := range Available() {
+		Select(name)
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				EnvelopeSums(dst, tab, q, bits, mins, maxs)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/envelope")
+		})
+	}
+}

@@ -45,6 +45,10 @@ func tableQuadsAccel(tab []float64, idx []int32, nq int, acc *[4]float64) {
 	tableQuadsAVX2(&tab[0], &idx[0], int64(nq), acc)
 }
 
+func envelopeBlocksAccel(dst, tab []float64, q *[EnvelopeSegments]uint8, bits int, mins, maxs []uint8, w, nb int) {
+	envelopeSumsAVX2(&tab[0], q, &mins[0], &maxs[0], int64(w), int64(bits), int64(nb), &dst[0])
+}
+
 // Implemented in kernels_amd64.s.
 
 //go:noescape
@@ -52,6 +56,9 @@ func sqBlocksBytesAVX2(q *float64, t unsafe.Pointer, nb int64, limit float64, ac
 
 //go:noescape
 func tableQuadsAVX2(tab *float64, idx *int32, nq int64, acc *[4]float64)
+
+//go:noescape
+func envelopeSumsAVX2(tab *float64, q *[EnvelopeSegments]uint8, mins, maxs *uint8, w, bits, nb int64, dst *float64)
 
 // Implemented in cpuid_amd64.s.
 

@@ -28,6 +28,12 @@ func tableQuadsAccel(tab []float64, idx []int32, nq int, acc *[4]float64) {
 	tableQuadsNEON(&tab[0], &idx[0], int64(nq), acc)
 }
 
+// envelopeBlocksAccel has no NEON body: the set's envelope blocks run the
+// scalar reference.
+func envelopeBlocksAccel(dst, tab []float64, q *[EnvelopeSegments]uint8, bits int, mins, maxs []uint8, w, nb int) {
+	envelopeSumsScalar(dst[:4*nb], tab, q[:w], bits, mins, maxs)
+}
+
 // Implemented in kernels_arm64.s.
 
 //go:noescape

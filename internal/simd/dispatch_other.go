@@ -23,3 +23,7 @@ func sqBlocksEncAccel(q []float64, buf []byte, nb int, limit float64, acc *[4]fl
 func tableQuadsAccel(tab []float64, idx []int32, nq int, acc *[4]float64) {
 	panic("simd: no accelerated kernels on this architecture")
 }
+
+func envelopeBlocksAccel(dst, tab []float64, q *[EnvelopeSegments]uint8, bits int, mins, maxs []uint8, w, nb int) {
+	panic("simd: no accelerated kernels on this architecture")
+}

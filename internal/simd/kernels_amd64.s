@@ -81,3 +81,109 @@ tdone:
 	VMOVUPD Y0, (DX)
 	VZEROUPPER
 	RET
+
+// func envelopeSumsAVX2(tab *float64, q *[16]uint8, mins, maxs *uint8, w, bits, nb int64, dst *float64)
+//
+// Bounds nb blocks of four consecutive envelopes of w segments; lane j of
+// Y0 is envelope j of the block, and it adds its segments' lookups in
+// segment order from zero, as envelopeSumsScalar does. Each envelope's
+// sixteen bytes are clamped at once (bytes past w belong to the next
+// envelope and are never looked up), the four clamped vectors are
+// transposed so that one dword holds a segment's four symbols, and each
+// segment is then one VGATHERQPD from its table row and one VADDPD. The
+// caller bounds nb so that every sixteen-byte load stays inside mins and
+// maxs.
+
+// ECLAMP clamps the query symbols X15 into the envelope [mn, mx] the way
+// the comparison chain does — mn when q < mn, else min(q, mx) — and masks
+// the result to the table row (X14).
+#define ECLAMP(mn, mx, c) \
+	VMOVDQU   mn, X1;         \
+	VPMAXUB   X1, X15, X2;    \
+	VPCMPEQB  X15, X2, X2;    \
+	VPMINUB   mx, X15, X3;    \
+	VPBLENDVB X2, X3, X1, c;  \
+	VPAND     X14, c, c
+
+// ESEG adds one segment: the low dword of t holds the block's four symbols
+// on it, R8 points at its table row. It moves t and R8 on to the next
+// segment and leaves the block after the last one.
+#define ESEG(t) \
+	VPMOVZXBQ  t, Y12;                \
+	VPCMPEQD   Y13, Y13, Y13;         \
+	VXORPD     Y9, Y9, Y9;            \
+	VGATHERQPD Y13, (R8)(Y12*8), Y9;  \
+	VADDPD     Y9, Y0, Y0;            \
+	VPSRLDQ    $4, t, t;              \
+	ADDQ       DX, R8;                \
+	DECQ       CX;                    \
+	JZ         esum
+
+TEXT ·envelopeSumsAVX2(SB), NOSPLIT, $0-64
+	MOVQ tab+0(FP), SI
+	MOVQ q+8(FP), AX
+	MOVQ mins+16(FP), R9
+	MOVQ maxs+24(FP), R10
+	MOVQ w+32(FP), R11
+	MOVQ bits+40(FP), CX
+	MOVQ nb+48(FP), BX
+	MOVQ dst+56(FP), DI
+	VMOVDQU (AX), X15          // the query's symbols
+	MOVQ $1, DX
+	SHLQ CX, DX                // 1<<bits
+	LEAQ -1(DX), AX
+	MOVQ AX, X14
+	VPBROADCASTB X14, X14      // the symbol mask, in every byte
+	SHLQ $3, DX                // a table row, in bytes
+	LEAQ (R11)(R11*2), R12     // 3w
+
+eblock:
+	TESTQ BX, BX
+	JZ    edone
+	ECLAMP((R9), (R10), X4)
+	ECLAMP((R9)(R11*1), (R10)(R11*1), X5)
+	ECLAMP((R9)(R11*2), (R10)(R11*2), X6)
+	ECLAMP((R9)(R12*1), (R10)(R12*1), X7)
+
+	// Transpose: X4..X7 take segments 0-3, 4-7, 8-11 and 12-15, one dword
+	// a segment holding envelopes 0..3's symbols on it.
+	VPUNPCKLBW X5, X4, X8
+	VPUNPCKLBW X7, X6, X9
+	VPUNPCKHBW X5, X4, X10
+	VPUNPCKHBW X7, X6, X11
+	VPUNPCKLWD X9, X8, X4
+	VPUNPCKHWD X9, X8, X5
+	VPUNPCKLWD X11, X10, X6
+	VPUNPCKHWD X11, X10, X7
+
+	VXORPD Y0, Y0, Y0
+	MOVQ   SI, R8
+	MOVQ   R11, CX
+	ESEG(X4)
+	ESEG(X4)
+	ESEG(X4)
+	ESEG(X4)
+	ESEG(X5)
+	ESEG(X5)
+	ESEG(X5)
+	ESEG(X5)
+	ESEG(X6)
+	ESEG(X6)
+	ESEG(X6)
+	ESEG(X6)
+	ESEG(X7)
+	ESEG(X7)
+	ESEG(X7)
+	ESEG(X7)
+
+esum:
+	VMOVUPD Y0, (DI)
+	ADDQ    $32, DI
+	LEAQ    (R9)(R11*4), R9
+	LEAQ    (R10)(R11*4), R10
+	DECQ    BX
+	JMP     eblock
+
+edone:
+	VZEROUPPER
+	RET

@@ -1,6 +1,8 @@
 // Package simd provides the runtime-dispatched compute kernels behind
-// Coconut's two hottest loops: early-abandoning squared Euclidean distance
-// (plain and fused with payload decoding) and the MINDIST lookup-table sum.
+// Coconut's hottest loops, three kernels in all: early-abandoning squared
+// Euclidean distance (plain and fused with payload decoding), the MINDIST
+// lookup-table sum, and the envelope bound of a batch of symbol envelopes
+// (zone maps) against one query's table.
 //
 // Every kernel exists in (up to) two implementations selected at init time:
 // an architecture-accelerated one written in Go assembly (AVX2 on amd64,
@@ -11,7 +13,10 @@
 // so the two paths produce bit-for-bit identical results on every input and
 // cannot drift apart. FMA is deliberately not used in the assembly: fused
 // multiply-add skips the intermediate rounding of d*d and would break that
-// bit-equality.
+// bit-equality. The envelope kernel needs no blocked order: lane i of its
+// vector is envelope i, which sums its segments' lookups one at a time, in
+// segment order from zero, exactly as the scalar loop does. It has an AVX2
+// body only; on arm64 its accelerated set runs the scalar reference.
 //
 // Selection: init detects CPU support, runs a bit-exactness self-test of
 // the accelerated kernels against the scalar reference, and enables the
@@ -228,6 +233,59 @@ func TableSum(tab []float64, idx []int32) float64 {
 	return tot
 }
 
+// EnvelopeSegments is the most segments an envelope of EnvelopeSums has.
+const EnvelopeSegments = 16
+
+// EnvelopeSums bounds len(dst) consecutive symbol envelopes against one
+// query. Envelope i spans [mins[i*w+s], maxs[i*w+s]] on segment s, w =
+// len(q), and dst[i] is the sum over its segments, in segment order from
+// zero, of tab[s<<bits | c]: c is the query's symbol q[s] clamped into the
+// envelope by comparison — the minimum when q[s] is below it, else the
+// maximum when q[s] is above that, else q[s], which is how an inverted
+// envelope clamps too — and taken modulo 1<<bits, so that no byte input
+// indexes past a table row. w must be 1..EnvelopeSegments, bits 1..8, tab at
+// least w<<bits long and mins and maxs at least len(dst)*w; the kernel reads
+// nothing past either slice, so bytes after the last envelope let more of
+// the batch run in blocks.
+//
+// The AVX2 body bounds four envelopes a block: it clamps each envelope's
+// sixteen bytes at once, transposes the 4x16 clamped symbols, and then for
+// each segment gathers the four envelopes' lookups with one VGATHERQPD and
+// adds them with one VADDPD. Envelopes past the last whole block whose loads
+// stay inside the slices run through the scalar reference.
+func EnvelopeSums(dst, tab []float64, q []uint8, bits int, mins, maxs []uint8) {
+	w, n := len(q), len(dst)
+	if w < 1 || w > EnvelopeSegments || bits < 1 || bits > 8 || len(tab) < w<<bits || len(mins) < n*w || len(maxs) < n*w {
+		envelopeShapePanic(n, w, bits, len(tab), len(mins), len(maxs))
+	}
+	done := 0
+	if n >= 4 && accelOn.Load() {
+		if nb := envelopeBlocks(n, w, min(len(mins), len(maxs))); nb > 0 {
+			var qq [EnvelopeSegments]uint8
+			copy(qq[:], q)
+			envelopeBlocksAccel(dst, tab, &qq, bits, mins, maxs, w, nb)
+			done = 4 * nb
+		}
+	}
+	envelopeSumsScalar(dst[done:], tab, q, bits, mins[done*w:], maxs[done*w:])
+}
+
+// envelopeShapePanic reports EnvelopeSums' misuse, out of its line.
+//
+//go:noinline
+func envelopeShapePanic(n, w, bits, tab, mins, maxs int) {
+	panic(fmt.Sprintf("simd: EnvelopeSums of %d envelopes of %d segments at %d bits over a table of %d and %d/%d envelope bytes",
+		n, w, bits, tab, mins, maxs))
+}
+
+// envelopeBlocks returns how many whole blocks of four of n envelopes of w
+// segments the accelerated body may bound in arrays of avail bytes: it loads
+// EnvelopeSegments bytes at each envelope, so block b reads up to byte
+// (4b+3)*w + EnvelopeSegments.
+func envelopeBlocks(n, w, avail int) int {
+	return max(0, min(n/4, (avail-EnvelopeSegments+w)/(4*w)))
+}
+
 // --- Scalar reference kernels. ---
 //
 // These mirror the assembly exactly: lane j accumulates points j and j+4 of
@@ -309,6 +367,35 @@ func tableQuadsScalar(tab []float64, idx []int32, nq int, acc *[4]float64) {
 	acc[0], acc[1], acc[2], acc[3] = a0, a1, a2, a3
 }
 
+// envelopeSumsScalar is EnvelopeSums' reference. The comparison chain is
+// written as sign-mask selects: which side of an envelope the query symbol
+// falls on is as good as random, and a mispredicted branch costs more than
+// the lookup it guards.
+func envelopeSumsScalar(dst, tab []float64, q []uint8, bits int, mins, maxs []uint8) {
+	for i := range dst {
+		dst[i] = envelopeSum(tab, q, bits, mins[i*len(q):], maxs[i*len(q):])
+	}
+}
+
+// envelopeSum is the sum of the envelope that starts mn and mx, a loop of
+// its own so that what it keeps live fits in registers.
+func envelopeSum(tab []float64, q []uint8, bits int, mn, mx []uint8) float64 {
+	rowLen := 1 << bits
+	mask := rowLen - 1
+	mn, mx = mn[:len(q)], mx[:len(q)]
+	acc, row := 0.0, 0
+	for s, qs := range q {
+		c, lo, hi := int(qs), int(mn[s]), int(mx[s])
+		over := (hi - c) >> 63  // all ones when c > hi
+		under := (c - lo) >> 63 // all ones when c < lo
+		c ^= (c ^ hi) & over
+		c ^= (c ^ lo) & under
+		acc += tab[row|c&mask]
+		row += rowLen
+	}
+	return acc
+}
+
 // --- Init self-test. ---
 
 // selfTest proves the accelerated kernels bit-identical to the scalar
@@ -367,6 +454,43 @@ func selfTest() bool {
 		tableQuadsAccel(tab, idx, n/4, &aAcc)
 		if !accEqual(&sAcc, &aAcc) {
 			return false
+		}
+	}
+	return envelopeSelfTest(func() uint8 {
+		state = state*6364136223846793005 + 1442695040888963407
+		return uint8(state >> 56)
+	}, next)
+}
+
+// envelopeSelfTest holds the accelerated envelope blocks to the scalar
+// reference on every shape a summary may have, with arbitrary bytes for the
+// query symbols and the envelopes — inverted ones and symbols past the
+// cardinality included.
+func envelopeSelfTest(byteOf func() uint8, next func() float64) bool {
+	const n = 9
+	tab := make([]float64, EnvelopeSegments<<8)
+	for i := range tab {
+		tab[i] = next()
+	}
+	var q [EnvelopeSegments]uint8
+	mins, maxs := make([]uint8, n*EnvelopeSegments), make([]uint8, n*EnvelopeSegments)
+	var sDst, aDst [n]float64
+	for w := 1; w <= EnvelopeSegments; w++ {
+		for bits := 1; bits <= 8; bits++ {
+			for i := range q {
+				q[i] = byteOf()
+			}
+			for i := range mins {
+				mins[i], maxs[i] = byteOf(), byteOf()
+			}
+			nb := envelopeBlocks(n, w, len(mins))
+			envelopeSumsScalar(sDst[:4*nb], tab, q[:w], bits, mins, maxs)
+			envelopeBlocksAccel(aDst[:], tab, &q, bits, mins, maxs, w, nb)
+			for i := 0; i < 4*nb; i++ {
+				if math.Float64bits(sDst[i]) != math.Float64bits(aDst[i]) {
+					return false
+				}
+			}
 		}
 	}
 	return true

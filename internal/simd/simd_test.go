@@ -172,6 +172,135 @@ func TestTableSumKernelsBitIdentical(t *testing.T) {
 	}
 }
 
+// envelopePlain is the envelope bound stated plainly: each query symbol
+// clamped into envelope i by comparison, masked to the row, every lookup
+// added in segment order.
+func envelopePlain(tab []float64, q []uint8, bits int, mins, maxs []uint8, i int) float64 {
+	w, acc := len(q), 0.0
+	for s, c := range q {
+		if mn, mx := mins[i*w+s], maxs[i*w+s]; c < mn {
+			c = mn
+		} else if c > mx {
+			c = mx
+		}
+		acc += tab[s<<bits|int(c)&(1<<bits-1)]
+	}
+	return acc
+}
+
+// TestEnvelopeSumsKernelsBitIdentical: on every kernel set, EnvelopeSums
+// gives envelopePlain's bits for every shape a summary may have (1..16
+// segments x 1..8 bits), every batch length 0..37 (whole blocks and tails),
+// and equal, full-range, inverted and random envelopes, with the arrays cut
+// exactly at the batch's end and with bytes to spare after it.
+func TestEnvelopeSumsKernelsBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(59))
+	tab := make([]float64, EnvelopeSegments<<8)
+	for i := range tab {
+		tab[i] = rng.ExpFloat64() * 10
+	}
+	const maxN = 37
+	q := make([]uint8, EnvelopeSegments)
+	mins, maxs := make([]uint8, (maxN+2)*EnvelopeSegments), make([]uint8, (maxN+2)*EnvelopeSegments)
+	dst := make([]float64, maxN)
+	for w := 1; w <= EnvelopeSegments; w++ {
+		for bits := 1; bits <= 8; bits++ {
+			card := 1 << bits
+			for i := range q[:w] {
+				q[i] = uint8(rng.Intn(card))
+			}
+			for i := range mins {
+				a, b := uint8(rng.Intn(card)), uint8(rng.Intn(card))
+				switch i / w % 4 {
+				case 0: // equal
+					b = a
+				case 1: // the full range
+					a, b = 0, uint8(card-1)
+				case 2: // inverted, or equal
+					a, b = max(a, b), min(a, b)
+				}
+				mins[i], maxs[i] = a, b
+			}
+			for n := 0; n <= maxN; n++ {
+				for _, spare := range []int{0, 2 * w} {
+					mn, mx := mins[:n*w+spare], maxs[:n*w+spare]
+					withKernel(t, func(t *testing.T, name string) {
+						clear(dst)
+						EnvelopeSums(dst[:n], tab, q[:w], bits, mn, mx)
+						for i := 0; i < n; i++ {
+							if got, want := dst[i], envelopePlain(tab, q[:w], bits, mn, mx, i); math.Float64bits(got) != math.Float64bits(want) {
+								t.Fatalf("%dx%d n=%d spare=%d envelope %d: %x, plain %x", w, bits, n, spare, i, got, want)
+							}
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
+// TestEnvelopeSumsPanicsOnShortInput: a shape outside 1..16 x 1..8, a short
+// table or short envelope arrays are programming errors, reported rather
+// than read past.
+func TestEnvelopeSumsPanicsOnShortInput(t *testing.T) {
+	tab, q, env := make([]float64, 4<<2), make([]uint8, 4), make([]uint8, 8)
+	dst := make([]float64, 2)
+	for name, call := range map[string]func(){
+		"no segments":    func() { EnvelopeSums(dst, tab, nil, 2, env, env) },
+		"17 segments":    func() { EnvelopeSums(dst[:0], make([]float64, 17<<2), make([]uint8, 17), 2, nil, nil) },
+		"9 bits":         func() { EnvelopeSums(dst[:0], make([]float64, 4<<9), q, 9, nil, nil) },
+		"short table":    func() { EnvelopeSums(dst, tab[:15], q, 2, env, env) },
+		"short minima":   func() { EnvelopeSums(dst, tab, q, 2, env[:7], env) },
+		"short maxima":   func() { EnvelopeSums(dst, tab, q, 2, env, env[:7]) },
+		"third envelope": func() { EnvelopeSums(make([]float64, 3), tab, q, 2, env, env) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			call()
+		}()
+	}
+}
+
+// FuzzEnvelopeSums cross-checks EnvelopeSums against envelopePlain on
+// arbitrary bytes: raw holds the query's w symbols, then the minima and the
+// maxima of as many envelopes as fit. Every kernel set must give the plain
+// sum's bits.
+func FuzzEnvelopeSums(f *testing.F) {
+	f.Add([]byte{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, 3, 2, 3, 8, 4}, uint8(1), uint8(3), int64(1))
+	f.Add(make([]byte, 16+2*16*9), uint8(15), uint8(7), int64(2))
+	f.Fuzz(func(t *testing.T, raw []byte, w, bits uint8, seed int64) {
+		sw, sb := 1+int(w)%EnvelopeSegments, 1+int(bits)%8
+		if len(raw) < sw {
+			t.Skip()
+		}
+		q, env := raw[:sw], raw[sw:]
+		n := len(env) / (2 * sw)
+		mins, maxs := env[:n*sw], env[n*sw:]
+		rng := rand.New(rand.NewSource(seed))
+		tab := make([]float64, sw<<sb)
+		for i := range tab {
+			tab[i] = rng.ExpFloat64()
+		}
+		dst := make([]float64, n)
+		defer Select("auto")
+		for _, name := range Available() {
+			if err := Select(name); err != nil {
+				t.Fatal(err)
+			}
+			EnvelopeSums(dst, tab, q, sb, mins, maxs)
+			for i := range dst {
+				if got, want := dst[i], envelopePlain(tab, q, sb, mins, maxs, i); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("kernel %q, %dx%d envelope %d of %d: %x, plain %x", name, sw, sb, i, n, got, want)
+				}
+			}
+		}
+	})
+}
+
 // TestDecode pins the decode entry point against the encoding.
 func TestDecode(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))

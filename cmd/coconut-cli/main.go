@@ -149,10 +149,10 @@ func health(base string) error {
 
 func dataset(base string, args []string) error {
 	fs := flag.NewFlagSet("dataset", flag.ExitOnError)
-	kind := fs.String("kind", "astronomy", "astronomy or randomwalk")
+	kind := fs.String("kind", "astronomy", "astronomy, randomwalk, finance or ecg")
 	n := fs.Int("n", 10000, "series count")
 	length := fs.Int("len", 256, "series length")
-	frac := fs.Float64("frac", 0.05, "fraction of injected event templates (astronomy)")
+	frac := fs.Float64("frac", 0.05, "event/anomaly fraction (astronomy, finance, ecg)")
 	seed := fs.Int64("seed", 42, "generator seed")
 	fs.Parse(args)
 	var out server.DatasetResponse

@@ -679,22 +679,16 @@ func allRuns(m *manifest) []run.Run {
 
 // PlanSynopses implements zonestat.Provider for shard-level planning: one
 // synopsis per on-disk run of the current view. complete is false whenever
-// the write buffer holds entries or any run lacks statistics (recovered
-// from pre-synopsis metadata) — a shard-level bound would then not cover
+// the write buffer holds entries — a shard-level bound would then not cover
 // every entry, so the caller must always probe this index.
 func (l *LSM) PlanSynopses() ([]*zonestat.Synopsis, bool) {
 	v := l.cur.Load()
 	runs := allRuns(v.man)
-	syns := make([]*zonestat.Synopsis, 0, len(runs))
-	complete := len(v.buf) == 0
-	for _, r := range runs {
-		if r.Syn == nil {
-			complete = false
-			continue
-		}
-		syns = append(syns, r.Syn)
+	syns := make([]*zonestat.Synopsis, len(runs))
+	for i, r := range runs {
+		syns[i] = r.Syn
 	}
-	return syns, complete
+	return syns, len(v.buf) == 0
 }
 
 var _ zonestat.Provider = (*LSM)(nil)

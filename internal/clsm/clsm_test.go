@@ -334,10 +334,15 @@ func TestSaveOpenRoundTrip(t *testing.T) {
 			t.Fatalf("mat=%v: reopened count=%d runs=%d depth=%d, want %d/%d/%d",
 				mat, got.Count(), got.Runs(), got.Depth(), l.Count(), l.Runs(), l.Depth())
 		}
-		// The resident summaries Open rebuilt from the run files are the
-		// ones the flushes and merges built as they wrote them.
+		// The synopses and resident summaries Open rebuilt from the run
+		// files are the ones the flushes and merges built as they wrote
+		// them.
 		if !reflect.DeepEqual(allRuns(got.cur.Load().man), allRuns(l.cur.Load().man)) {
 			t.Fatalf("mat=%v: reopened runs differ from the saved ones", mat)
+		}
+		live, _ := l.PlanSynopses()
+		if syns, complete := got.PlanSynopses(); !complete || !reflect.DeepEqual(syns, live) {
+			t.Fatalf("mat=%v: reopened synopses %+v (complete=%v), the live ones %+v", mat, syns, complete, live)
 		}
 		rng := rand.New(rand.NewSource(700))
 		for trial := 0; trial < 8; trial++ {

@@ -1,15 +1,19 @@
 package clsm
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/compact"
 	"repro/internal/fsx"
+	"repro/internal/run"
+	"repro/internal/sortable"
 	"repro/internal/storage"
 	"repro/internal/wal"
 )
@@ -297,10 +301,53 @@ func TestFailedMerge(t *testing.T) {
 	}
 }
 
+// storedSynopsis is r's synopsis as versions 2 and 3 stored it — synLen u32
+// | count u64 | minTS u64 | maxTS u64 | key range 32 B | bits u8 |
+// segments u8 | envelope minima | maxima — with the envelope narrowed to the
+// top symbol of every segment: a bound that, trusted, rules out a run the
+// answers are in.
+func storedSynopsis(r run.Run) []byte {
+	le, syn := binary.LittleEndian, r.Syn
+	buf := le.AppendUint32(nil, uint32(58+2*syn.Segments))
+	buf = le.AppendUint64(buf, uint64(syn.Count))
+	buf = le.AppendUint64(buf, uint64(syn.MinTS))
+	buf = le.AppendUint64(buf, uint64(syn.MaxTS))
+	buf = append(buf, make([]byte, 2*sortable.KeyBytes)...)
+	buf = append(buf, uint8(syn.Bits), uint8(syn.Segments))
+	return append(buf, bytes.Repeat([]byte{uint8(1<<syn.Bits - 1)}, 2*syn.Segments)...)
+}
+
+// olderPayload is a persisted payload of l's current run set at an older
+// format version: the given one's counters, options, shape and level count,
+// then per run its name and count, from version 2 a stored synopsis
+// (storedSynopsis), from version 3 its packed flag.
+func olderPayload(l *LSM, payload []byte, version uint32) []byte {
+	le, buf := binary.LittleEndian, slices.Clone(payload[:65])
+	for _, lvl := range l.cur.Load().man.levels {
+		buf = le.AppendUint32(buf, uint32(len(lvl)))
+		for _, r := range lvl {
+			buf = le.AppendUint32(buf, uint32(len(r.File)))
+			buf = le.AppendUint64(append(buf, r.File...), uint64(r.Count))
+			if version >= 2 {
+				buf = append(buf, storedSynopsis(r)...)
+			}
+			if version >= 3 {
+				packed := byte(0)
+				if r.Packed {
+					packed = 1
+				}
+				buf = append(buf, packed)
+			}
+		}
+	}
+	return buf
+}
+
 // TestOpenOldMetaVersions: Open adopts a meta file of every format version.
 // The older ones are the current payload without each run's packed flag
-// (version 2) and also without its synopsis (version 1); their runs come
-// back without statistics, answering the same.
+// (before version 3) and with a stored synopsis (versions 2 and 3), which
+// Open skips: every version's runs come back with the synopses the live
+// LSM holds, PlanSynopses is complete, and they answer the same.
 func TestOpenOldMetaVersions(t *testing.T) {
 	ds := makeDataset(300, 84)
 	l, disk := buildLSM(t, ds, false, 3, 64)
@@ -311,25 +358,11 @@ func TestOpenOldMetaVersions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	le := binary.LittleEndian
+	live, _ := l.PlanSynopses()
 	for version := uint32(1); version <= lsmMetaVersion; version++ {
-		payload := append([]byte(nil), current[:65]...)
-		off := 65
-		for lv := le.Uint32(current[61:]); lv > 0; lv-- {
-			runs := le.Uint32(current[off:])
-			payload, off = append(payload, current[off:off+4]...), off+4
-			for ; runs > 0; runs-- {
-				named := 4 + int(le.Uint32(current[off:])) + 8
-				payload, off = append(payload, current[off:off+named]...), off+named
-				syn := 4 + int(le.Uint32(current[off:]))
-				if version >= 2 {
-					payload = append(payload, current[off:off+syn]...)
-				}
-				if off += syn; version >= 3 {
-					payload = append(payload, current[off])
-				}
-				off++
-			}
+		payload := current
+		if version < lsmMetaVersion {
+			payload = olderPayload(l, current, version)
 		}
 		if err := storage.WriteBlob(disk, "clsm"+lsmMetaFileSfx, lsmMetaMagic, version, nil, payload); err != nil {
 			t.Fatal(err)
@@ -341,10 +374,65 @@ func TestOpenOldMetaVersions(t *testing.T) {
 		if got.Count() != l.Count() || got.Runs() != l.Runs() {
 			t.Fatalf("version %d: count %d, runs %d; want %d, %d", version, got.Count(), got.Runs(), l.Count(), l.Runs())
 		}
-		syns, _ := got.PlanSynopses()
-		if (len(syns) > 0) != (version >= 2) {
-			t.Fatalf("version %d: %d runs with statistics", version, len(syns))
+		if syns, complete := got.PlanSynopses(); !complete || !reflect.DeepEqual(syns, live) {
+			t.Fatalf("version %d: synopses %+v (complete=%v), the live LSM's %+v", version, syns, complete, live)
 		}
 		assertAllSearchable(t, got, ds, ds.Count(), 3, int64(version))
 	}
+}
+
+// TestOpenIgnoresStoredSynopses: versions 2 and 3 of the meta file stored
+// each run's synopsis, and a planner bounds and skips a run by its synopsis
+// alone. Stored ones narrowed away from the query make exact answers wrong
+// if trusted; Open rebuilds every synopsis from the run's entries instead,
+// so they stay brute force's.
+func TestOpenIgnoresStoredSynopses(t *testing.T) {
+	ds := makeDataset(300, 85)
+	l, disk := buildLSM(t, ds, false, 3, 64)
+	if err := l.Save(); err != nil {
+		t.Fatal(err)
+	}
+	current, _, err := readBlob(disk, "clsm"+lsmMetaFileSfx, lsmMetaMagic, lsmMetaVersion, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := storage.WriteBlob(disk, "clsm"+lsmMetaFileSfx, lsmMetaMagic, 3, nil, olderPayload(l, current, 3)); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Open(Options{Disk: disk, Raw: normStore{ds}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertAllSearchable(t, got, ds, ds.Count(), 20, 85)
+}
+
+// TestRecoverIgnoresStoredSynopses is TestOpenIgnoresStoredSynopses through
+// a durable LSM's manifest: the run set a crash recovery adopts, with the
+// log's unflushed tail replayed beside it.
+func TestRecoverIgnoresStoredSynopses(t *testing.T) {
+	ds := makeDataset(300, 86)
+	disk, dir := crashDisk(t, ds), t.TempDir()
+	l, w := durableLSM(t, disk, dir, ds, 64)
+	for id := 0; id < ds.Count(); id++ {
+		s, _ := ds.Get(id)
+		if err := l.Insert(s, int64(id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if l.Runs() < 2 {
+		t.Fatalf("test needs several runs, has %d", l.Runs())
+	}
+	current, _, err := readBlob(disk, "clsm"+lsmManifestFileSfx, lsmManifestMagic, lsmManifestVersion, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := storage.WriteBlob(disk, "clsm"+lsmManifestFileSfx, lsmManifestMagic, 3, current[:8], olderPayload(l, current[8:], 3)); err != nil {
+		t.Fatal(err)
+	}
+	rec, w2 := recoverLSM(t, disk, dir, ds, 64)
+	defer w2.Close()
+	assertAllSearchable(t, rec, ds, ds.Count(), 20, 86)
 }

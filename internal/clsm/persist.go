@@ -11,7 +11,6 @@ import (
 	"repro/internal/series"
 	"repro/internal/sortable"
 	"repro/internal/storage"
-	"repro/internal/zonestat"
 )
 
 // Two persisted structures share one payload encoding:
@@ -32,25 +31,26 @@ import (
 //	growth u32 | bufferEntries u32
 //	materialized u8 | seriesLen u32 | segments u32 | bits u32
 //	levelCount u32 | per level: runCount u32 |
-//	  per run: nameLen u32 | name | count u64 | [v2: synLen u32 | synopsis]
+//	  per run: nameLen u32 | name | count u64 | packed u8
 //
-// Version 2 appends each run's planner synopsis (zonestat encoding; synLen
-// 0 when the run has none). Version-1 files are still read — their runs
-// simply carry no statistics, which disables planning for them until new
-// flushes and merges repopulate the synopses.
+// packed is 1 when the run's pages use the packed encoding (record.Layout),
+// 0 for the fixed-size record layout. A run's synopsis and summary are not
+// stored: Open rebuilds both from the run's entries (run.Store.Load).
 //
-// Version 3 appends a per-run packed flag byte (after the synopsis): 1 when
-// the run's pages use the packed encoding (record.Layout), 0 for the
-// fixed-size record layout. Version-1/2 files decode with packed=false,
-// which is exactly what they contain.
+// Older versions still open. Version 1 held no packed flag and version 2
+// added, after count, a stored synopsis (synLen u32 | synopsis), which
+// versions 2 and 3 hold and Open skips by its length, never decoding it;
+// version 3 added the packed flag and version 4 dropped the synopsis.
+// Version-1/2 files decode with packed=false, which is exactly what they
+// contain.
 //
 // In both files count is the number of entries held by the listed runs
 // (Save flushes first, so for the meta file that is also the live count).
 const (
 	lsmMetaMagic       = "CLSMMETA"
-	lsmMetaVersion     = 3
+	lsmMetaVersion     = 4
 	lsmManifestMagic   = "CLSMMANI"
-	lsmManifestVersion = 3
+	lsmManifestVersion = 4
 	lsmManifestFileSfx = ".manifest"
 	lsmMetaFileSfx     = ".meta"
 )
@@ -136,12 +136,6 @@ func (l *LSM) encodePayload(m *manifest) []byte {
 			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.File)))
 			buf = append(buf, r.File...)
 			buf = binary.LittleEndian.AppendUint64(buf, uint64(r.Count))
-			if r.Syn == nil {
-				buf = binary.LittleEndian.AppendUint32(buf, 0)
-			} else {
-				buf = binary.LittleEndian.AppendUint32(buf, uint32(r.Syn.EncodedSize()))
-				buf = r.Syn.AppendBinary(buf)
-			}
 			if r.Packed {
 				buf = append(buf, 1)
 			} else {
@@ -210,26 +204,11 @@ func decodePayload(disk storage.Backend, buf []byte, version uint32) (*metaState
 				Count: int64(binary.LittleEndian.Uint64(buf[off+nameLen:])),
 			}
 			off += nameLen + 8
-			if version >= 2 {
-				if off+4 > len(buf) {
-					return nil, fmt.Errorf("clsm: meta truncated at synopsis length")
+			if version == 2 || version == 3 {
+				if off+4 > len(buf) || len(buf)-off-4 < int(binary.LittleEndian.Uint32(buf[off:])) {
+					return nil, fmt.Errorf("clsm: meta truncated in the stored synopsis")
 				}
-				synLen := int(binary.LittleEndian.Uint32(buf[off:]))
-				off += 4
-				if synLen > 0 {
-					if off+synLen > len(buf) {
-						return nil, fmt.Errorf("clsm: meta truncated in synopsis")
-					}
-					syn, n, err := zonestat.Decode(buf[off : off+synLen])
-					if err != nil {
-						return nil, err
-					}
-					if n != synLen {
-						return nil, fmt.Errorf("clsm: synopsis length mismatch: %d != %d", n, synLen)
-					}
-					r.Syn = syn
-					off += synLen
-				}
+				off += 4 + int(binary.LittleEndian.Uint32(buf[off:]))
 			}
 			if version >= 3 {
 				if off+1 > len(buf) {
@@ -283,14 +262,14 @@ func readPersisted(disk storage.Backend, name string) (*metaState, error) {
 // the last Save's meta file, else none. A zero Config, GrowthFactor or
 // BufferEntries takes the persisted value — the default when nothing is
 // persisted, where a zero Config is an error — and a given Config must match
-// the persisted one. Each adopted run gets its resident summary back from
-// one sequential pass over its file (run.Store.Load). Open then removes the
-// run files the adopted set does not name: the output of a flush or merge
-// that crashed before its manifest was persisted, whose name the next flush
-// would otherwise collide with (run names continue from the persisted seq),
-// and merge victims whose reclaim the crash pre-empted. Only names of
-// exactly the form runName produces are candidates. Open replays no log;
-// Replay does.
+// the persisted one. Each adopted run gets its synopsis and resident
+// summary back from one sequential pass over its file (run.Store.Load). Open
+// then removes the run files the adopted set does not name: the output of a
+// flush or merge that crashed before its manifest was persisted, whose name
+// the next flush would otherwise collide with (run names continue from the
+// persisted seq), and merge victims whose reclaim the crash pre-empted. Only
+// names of exactly the form runName produces are candidates. Open replays no
+// log; Replay does.
 func Open(opts Options) (*LSM, error) {
 	if opts.Disk == nil {
 		return nil, fmt.Errorf("clsm: Disk is required")

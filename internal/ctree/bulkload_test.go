@@ -147,7 +147,7 @@ func checkLeafLevel(t *testing.T, tr *Tree, sorted []record.Entry) {
 		}
 		for _, e := range entries {
 			syms := sortable.Symbols(e.Key, cfg.Segments, cfg.Bits)
-			syn.AddSyms(e.Key, syms[:cfg.Segments], e.TS)
+			syn.AddSyms(syms[:cfg.Segments], e.TS)
 		}
 		off += count
 	}

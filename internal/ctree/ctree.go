@@ -106,12 +106,9 @@ type Tree struct {
 }
 
 // PlanSynopses implements zonestat.Provider for shard-level planning: the
-// whole tree is one probe unit, summarized by one synopsis. complete is
-// false for trees opened from pre-statistics metadata.
+// whole tree is one probe unit, summarized by one synopsis, which always
+// covers every entry.
 func (t *Tree) PlanSynopses() ([]*zonestat.Synopsis, bool) {
-	if t.leaves.Syn == nil {
-		return nil, false
-	}
 	return []*zonestat.Synopsis{t.leaves.Syn}, true
 }
 
@@ -215,7 +212,7 @@ func bulkLoad(opts Options, n int64, write func(t *Tree, sorter *extsort.Sorter)
 		return nil, err
 	}
 	t.capacity = opts.Disk.PageSize() / t.store.Codec().Size()
-	b := run.NewBuilder(opts.Config, n, t.target(), zonestat.New(opts.Config.Segments, opts.Config.Bits))
+	b := run.NewBuilder(opts.Config, n, t.target())
 	sorter := &extsort.Sorter{
 		Disk: opts.Disk, Codec: t.store.Codec(), MemBudget: opts.MemBudget,
 		TmpPrefix: opts.Name + ".sort", Parallelism: parallel.Resolve(opts.Parallelism),
@@ -289,9 +286,7 @@ func (t *Tree) InsertEntry(e record.Entry) error {
 	}
 	// Widening the synopsis before the write can only leave it too wide on a
 	// failed insert — safe; too narrow would be a wrong bound.
-	if t.leaves.Syn != nil {
-		t.leaves.Syn.Add(e.Key, e.TS)
-	}
+	t.leaves.Syn.Add(e.Key, e.TS)
 	m := t.leaves.Sum
 	li := m.Find(e.Key) // 0 in an empty tree, whose first insert writes leaf 0
 	var entries []record.Entry

@@ -9,22 +9,26 @@ import (
 	"repro/internal/run"
 	"repro/internal/sortable"
 	"repro/internal/storage"
-	"repro/internal/zonestat"
 )
 
 // Metadata format (stored on the same disk as the leaves, in
-// "<name>.meta"), at version 5:
+// "<name>.meta"), at version 6:
 //
 //	magic "CTREEMTA" | version u32 | payload length u64
 //	count u64 | nextID u64 | capacity u32 | target u32 | fill f64-bits u64
-//	materialized u8 | seriesLen u32 | segments u32 | bits u32
-//	synLen u32 | whole-tree synopsis | packed u8
+//	materialized u8 | seriesLen u32 | segments u32 | bits u32 | packed u8
 //	| leaf summary (run.Summary.AppendBinary: per leaf its entry count and
 //	  page number, the leaf envelopes, the SAX and timestamp columns)
 //
 // A reopened tree scans from the decoded summary without reading its
-// leaves; the groups and their envelopes are derived on decode. Older
-// versions held, after bits, a directory instead of the summary:
+// leaves; the groups and their envelopes are derived on decode, and the
+// whole-tree synopsis is folded from the SAX and timestamp columns
+// (run.DecodeSummary). Version 5 held, before the packed flag, a stored
+// copy of that synopsis:
+//
+//	synLen u32 | whole-tree synopsis
+//
+// Older versions held, after bits, a directory instead of the summary:
 //
 //	leafCount u32 | per leaf: minKey 16B | count u32 | page u64
 //	[v2: envPresent u8 | synMin leafCount*segments B | synMax ... B
@@ -34,14 +38,16 @@ import (
 //
 // Version 2 added the leaf envelopes and the synopsis, 3 the packed flag
 // (record.Layout; earlier files hold fixed-size records), 4 the SAX
-// column. Files of versions 1–4 still open: Open takes each leaf's count
-// and page from the directory and rebuilds the whole summary with one pass
-// over the leaf pages (run.Store.Load); what else they hold of it is
-// ignored. Every stored symbol is checked against the cardinality on decode:
-// the lower-bound kernels index tables with them.
+// column, 5 the summary, and 6 dropped the synopsis. Files of versions 1–5
+// still open; a stored synopsis is skipped by its length, never decoded.
+// Open takes a version 1–4 file's leaf counts and pages from the directory
+// and rebuilds the whole summary and the synopsis with one pass over the
+// leaf pages (run.Store.Load); what else they hold of it is ignored. Every
+// stored symbol is checked against the cardinality on decode: the
+// lower-bound kernels index tables with them.
 const (
 	metaMagic   = "CTREEMTA"
-	metaVersion = 5
+	metaVersion = 6
 )
 
 // Save persists the tree's metadata and leaf summary to "<name>.meta" on its
@@ -63,12 +69,6 @@ func (t *Tree) encodeMeta() []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(cfg.SeriesLen))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(cfg.Segments))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(cfg.Bits))
-	if syn := t.leaves.Syn; syn != nil {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(syn.EncodedSize()))
-		buf = syn.AppendBinary(buf)
-	} else {
-		buf = binary.LittleEndian.AppendUint32(buf, 0)
-	}
 	return t.leaves.Sum.AppendBinary(append(buf, flag(t.leaves.Packed)))
 }
 
@@ -147,27 +147,11 @@ func decodeMeta(opts Options, buf []byte, version uint32) (*Tree, error) {
 			rest = rest[1:]
 		}
 	}
-	if version >= 2 {
-		if len(rest) < 4 {
-			return nil, fmt.Errorf("ctree: meta truncated at synopsis length")
+	if version >= 2 && version < 6 {
+		if len(rest) < 4 || len(rest)-4 < int(binary.LittleEndian.Uint32(rest)) {
+			return nil, fmt.Errorf("ctree: meta truncated in the stored synopsis")
 		}
-		synLen := int(binary.LittleEndian.Uint32(rest))
-		if rest = rest[4:]; len(rest) < synLen {
-			return nil, fmt.Errorf("ctree: meta truncated in synopsis")
-		}
-		if synLen > 0 {
-			syn, n, err := zonestat.Decode(rest[:synLen])
-			if err != nil {
-				return nil, err
-			}
-			// Inserts fold symbols decoded at the tree's shape into it.
-			if n != synLen || syn.Segments != cfg.Segments || syn.Bits != cfg.Bits {
-				return nil, fmt.Errorf("ctree: persisted synopsis is %dx%d bits in %d of %d bytes, the tree %dx%d",
-					syn.Segments, syn.Bits, n, synLen, cfg.Segments, cfg.Bits)
-			}
-			t.leaves.Syn = syn
-		}
-		rest = rest[synLen:]
+		rest = rest[4+int(binary.LittleEndian.Uint32(rest)):]
 	}
 	if version >= 3 {
 		if len(rest) < 1 {
@@ -180,7 +164,7 @@ func decodeMeta(opts Options, buf []byte, version uint32) (*Tree, error) {
 	}
 	var err error
 	if version >= 5 {
-		t.leaves.Sum, err = run.DecodeSummary(rest, cfg, t.leaves.Count)
+		t.leaves.Sum, t.leaves.Syn, err = run.DecodeSummary(rest, cfg, t.leaves.Count)
 	} else {
 		t.leaves, err = t.store.Load(t.leaves, counts, pages)
 	}

@@ -2,10 +2,13 @@ package ctree
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -31,6 +34,9 @@ func TestSaveOpenRoundTrip(t *testing.T) {
 		}
 		if got.Name() != tr.Name() {
 			t.Fatalf("name %q != %q", got.Name(), tr.Name())
+		}
+		if !reflect.DeepEqual(got.leaves.Syn, tr.leaves.Syn) {
+			t.Fatalf("mat=%v: reopened synopsis %+v, the live one %+v", mat, got.leaves.Syn, tr.leaves.Syn)
 		}
 		// Searches on the reopened tree agree with the original.
 		rng := rand.New(rand.NewSource(310))
@@ -83,6 +89,9 @@ func TestSaveOpenAfterSplits(t *testing.T) {
 	}
 	if !splitMap(got) {
 		t.Fatal("page map not restored")
+	}
+	if !reflect.DeepEqual(got.leaves.Syn, tr.leaves.Syn) {
+		t.Fatalf("reopened synopsis %+v, the live one %+v", got.leaves.Syn, tr.leaves.Syn)
 	}
 	s, _ := ds.Get(100)
 	res, err := exactSearch(got, index.NewQuery(s, cfg), 1)
@@ -149,23 +158,30 @@ func TestOpenErrors(t *testing.T) {
 	}
 }
 
-// TestOpenRejectsForeignSynopsisShape: inserts widen the tree synopsis with
-// symbols decoded at the tree's own shape, so metadata whose synopsis claims
-// another shape must not open.
-func TestOpenRejectsForeignSynopsisShape(t *testing.T) {
-	ds := buildDataset(t, 100, 35)
+// TestOpenSkipsStoredSynopsis: meta v5 stored a copy of the whole-tree
+// synopsis before the packed flag. Open skips it by its length and folds the
+// synopsis from the decoded columns instead, so a stored one narrowed away
+// from every entry, and of another shape, changes nothing.
+func TestOpenSkipsStoredSynopsis(t *testing.T) {
+	ds := buildDataset(t, 400, 35)
 	tr, disk := buildTree(t, ds, false, 1.0)
 	meta := tr.encodeMeta()
-	if _, err := decodeMeta(Options{Disk: disk, Name: "ctree", Raw: normStore{ds}}, meta, metaVersion); err != nil {
+	stored := make([]byte, 58+2*3) // count, time and key ranges, bits, segments, envelope: all zero but segments
+	stored[57] = 3
+	v5 := binary.LittleEndian.AppendUint32(slices.Clone(meta[:45]), uint32(len(stored)))
+	v5 = append(append(v5, stored...), meta[45:]...)
+	if err := storage.WriteBlob(disk, "ctree.meta", metaMagic, 5, nil, v5); err != nil {
 		t.Fatal(err)
 	}
-	// The synopsis is the last field before the packed flag and the leaf
-	// summary; its bits byte sits at offset 56 (a changed segments byte
-	// already fails the length check).
-	summary := len(tr.leaves.Sum.AppendBinary(nil))
-	meta[len(meta)-summary-1-tr.leaves.Syn.EncodedSize()+56]--
-	if _, err := decodeMeta(Options{Disk: disk, Name: "ctree", Raw: normStore{ds}}, meta, metaVersion); err == nil {
-		t.Fatal("synopsis bits changed: metadata still opens")
+	got, err := Open(Options{Disk: disk, Name: "ctree", Raw: normStore{ds}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.leaves.Syn, tr.leaves.Syn) || !reflect.DeepEqual(got.leaves.Syn, foldLeaves(t, got)) {
+		t.Fatalf("reopened synopsis %+v, the live one %+v", got.leaves.Syn, tr.leaves.Syn)
+	}
+	if !bytes.Equal(got.encodeMeta(), meta) {
+		t.Fatal("a reopened v5 tree does not save as the tree it was")
 	}
 }
 

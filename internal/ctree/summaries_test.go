@@ -5,12 +5,15 @@ import (
 	"encoding/binary"
 	"math/rand"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/gen"
 	"repro/internal/index"
 	"repro/internal/series"
+	"repro/internal/sortable"
 	"repro/internal/storage"
+	"repro/internal/zonestat"
 )
 
 // checkSummaries holds the tree's leaf summary to its leaf pages: the
@@ -18,6 +21,23 @@ import (
 // envelopes and page map are what the pages hold, the fence keys ascend, the
 // groups tile the leaves.
 func checkSummaries(t *Tree) error { return t.store.Verify(t.leaves) }
+
+// foldLeaves is the tree's synopsis rebuilt from its leaf pages: every entry
+// they hold, folded one by one.
+func foldLeaves(t *testing.T, tr *Tree) *zonestat.Synopsis {
+	t.Helper()
+	syn := zonestat.New(tr.opts.Config.Segments, tr.opts.Config.Bits)
+	for li := 0; li < tr.Leaves(); li++ {
+		entries, err := tr.readLeaf(li)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			syn.Add(e.Key, e.TS)
+		}
+	}
+	return syn
+}
 
 // leafReads is a storage.Tracer counting the reads of a tree's leaf file.
 type leafReads struct{ n int }
@@ -60,8 +80,9 @@ func buildShape(t *testing.T, ds *series.Dataset, materialized, compress bool, f
 
 // TestSummariesFollowTheTree holds checkSummaries after a bulk load, while a
 // few thousand random inserts split leaves and groups, and across a
-// Save/Open round trip of the grown tree (meta v5: the summary is decoded,
-// not rebuilt) — and the reopened tree keeps maintaining it.
+// Save/Open round trip of the grown tree (meta v5 on: the summary is
+// decoded, not rebuilt, and the synopsis folded from its columns is the
+// live one) — and the reopened tree keeps maintaining it.
 func TestSummariesFollowTheTree(t *testing.T) {
 	for _, sh := range summaryShapes {
 		t.Run(sh.name, func(t *testing.T) {
@@ -111,6 +132,9 @@ func TestSummariesFollowTheTree(t *testing.T) {
 			if err := checkSummaries(got); err != nil {
 				t.Fatalf("after Save/Open: %v", err)
 			}
+			if !reflect.DeepEqual(got.leaves.Syn, tr.leaves.Syn) {
+				t.Fatalf("reopened synopsis %+v, the live one %+v", got.leaves.Syn, tr.leaves.Syn)
+			}
 			insert(got, 300)
 			if err := checkSummaries(got); err != nil {
 				t.Fatalf("after inserts into the reopened tree: %v", err)
@@ -145,7 +169,8 @@ func TestSummariesOfATreeGrownFromNothing(t *testing.T) {
 // (buildDataset seed 701) bulk-loaded at timestamp 0, then 40 inserted
 // (seed 702) at timestamp 5, enough to split leaves, so the page map is not
 // the identity. Open must rebuild the whole summary — timestamp column
-// included, which no version before 5 stored — from the leaf pages.
+// included, which no version before 5 stored — and the synopsis from the
+// leaf pages, skipping the stored synopsis.
 func TestOpenOlderMetaRebuildsSummaries(t *testing.T) {
 	for _, fx := range []struct {
 		file    string
@@ -155,6 +180,8 @@ func TestOpenOlderMetaRebuildsSummaries(t *testing.T) {
 		{"meta_v2_fixed.ccnut", 2, false},
 		{"meta_v3_fixed.ccnut", 3, false},
 		{"meta_v3_packed.ccnut", 3, true},
+		{"meta_v4_fixed.ccnut", 4, false},
+		{"meta_v4_packed.ccnut", 4, true},
 	} {
 		t.Run(fx.file, func(t *testing.T) {
 			disk, err := storage.LoadDiskFile(nil, filepath.Join("testdata", fx.file))
@@ -167,6 +194,23 @@ func TestOpenOlderMetaRebuildsSummaries(t *testing.T) {
 			}
 			if v := uint32(meta[len(metaMagic)]); v != fx.version {
 				t.Fatalf("fixture is meta v%d, want v%d", v, fx.version)
+			}
+			// The stored synopsis, narrowed to an envelope no entry lies
+			// in, is skipped: the reopened one is the leaves' fold.
+			payload, _, err := storage.ReadBlob(disk, "ctree.meta", metaMagic, metaVersion, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			leaves, w := int(binary.LittleEndian.Uint32(payload[45:])), testConfig(false).Segments
+			off := 45 + 4 + leaves*(sortable.KeyBytes+4+8)
+			if payload[off] == 1 { // the leaf envelopes
+				off += 2 * leaves * w
+			}
+			off++
+			end := off + 4 + int(binary.LittleEndian.Uint32(payload[off:]))
+			clear(payload[end-2*w : end])
+			if err := storage.WriteBlob(disk, "ctree.meta", metaMagic, fx.version, nil, payload); err != nil {
+				t.Fatal(err)
 			}
 			ds := buildDataset(t, 300, 701)
 			rng := rand.New(rand.NewSource(702))
@@ -182,6 +226,9 @@ func TestOpenOlderMetaRebuildsSummaries(t *testing.T) {
 			}
 			if err := checkSummaries(tr); err != nil {
 				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(tr.leaves.Syn, foldLeaves(t, tr)) {
+				t.Fatalf("opened synopsis %+v, the leaves' fold %+v", tr.leaves.Syn, foldLeaves(t, tr))
 			}
 			// The rebuilt tree answers exactly, takes inserts, and saves as
 			// the current version.
@@ -258,8 +305,7 @@ func FuzzDecodeMetaV4(f *testing.F) {
 			t.Fatalf("a v4 payload opened without its leaf pages")
 		}
 		meta := tr.encodeMeta()
-		synLen := int(binary.LittleEndian.Uint32(meta[45:]))
-		sum := meta[45+4+synLen+1:]
+		sum := meta[45+1:]
 		w, bits, count := tr.opts.Config.Segments, tr.opts.Config.Bits, tr.Count()
 		pages := int(binary.LittleEndian.Uint32(sum))
 		if pages != tr.Leaves() {

@@ -79,11 +79,11 @@ func SortPlan(units []PlanUnit) {
 }
 
 // SynopsisBoundSq returns the squared lower bound between the query and
-// every entry in the unit summarized by syn. A nil or shape-mismatched
-// synopsis yields 0 (no bound: always probe); an empty unit yields +Inf
-// (nothing to find: always skippable).
+// every entry in the unit summarized by syn. A shape-mismatched synopsis
+// yields 0 (no bound: always probe); an empty unit yields +Inf (nothing to
+// find: always skippable).
 func (p *Pruner) SynopsisBoundSq(syn *zonestat.Synopsis) float64 {
-	if syn == nil || syn.Segments != p.segments || syn.Bits != p.bits {
+	if syn.Segments != p.segments || syn.Bits != p.bits {
 		return 0
 	}
 	if syn.Count == 0 {
@@ -95,7 +95,7 @@ func (p *Pruner) SynopsisBoundSq(syn *zonestat.Synopsis) float64 {
 // UnitBoundSq is SynopsisBoundSq under q's window too: a unit whose time
 // range misses the window holds nothing to find.
 func (p *Pruner) UnitBoundSq(q Query, syn *zonestat.Synopsis) float64 {
-	if q.Windowed && syn != nil && !syn.IntersectsWindow(q.MinTS, q.MaxTS) {
+	if q.Windowed && !syn.IntersectsWindow(q.MinTS, q.MaxTS) {
 		return math.Inf(1)
 	}
 	return p.SynopsisBoundSq(syn)

@@ -69,9 +69,6 @@ func TestSynopsisBoundEdgeCases(t *testing.T) {
 	q := NewQuery(randSeries(rng, cfg.SeriesLen), cfg)
 	var p Pruner
 	p.Fill(q.PAA, cfg)
-	if got := p.SynopsisBoundSq(nil); got != 0 {
-		t.Fatalf("nil synopsis bound = %g, want 0", got)
-	}
 	if got := p.SynopsisBoundSq(zonestat.New(4, 2)); got != 0 {
 		t.Fatalf("shape-mismatched synopsis bound = %g, want 0", got)
 	}

@@ -25,11 +25,10 @@ const mergeBudget = 1 << 20
 
 // Run describes one sorted run. Files carry no header, so the entry count
 // and the page encoding travel with the descriptor. Syn summarizes the
-// entries for the query planner: built, like Sum, from the entries
-// themselves as the run is written or merged. nil — a run recovered from
-// pre-synopsis metadata — means unknown, not empty: a planner never skips or
-// bounds such a run, until a merge rebuilds it. Sum, the resident summary,
-// comes from Write, Merge or Load: every search reads a run through it.
+// entries for the query planner and Sum, the resident summary, is what
+// every search reads a run through. Both come from the entries themselves,
+// in the one pass of Write, Merge or Load, so neither is ever nil, and
+// neither is persisted.
 type Run struct {
 	File   string
 	Count  int64
@@ -86,7 +85,7 @@ func (s *Store) sorter(packed bool, b *Builder) *extsort.Sorter {
 // fixed-size records — and builds the run's synopsis and resident summary on
 // the way. A failed write leaves no file behind, and returns no run.
 func (s *Store) Write(name string, sorted []record.Entry, packed bool) (Run, error) {
-	b := NewBuilder(s.Config, int64(len(sorted)), s.Disk.PageSize()/s.codec.Size(), zonestat.New(s.Config.Segments, s.Config.Bits))
+	b := NewBuilder(s.Config, int64(len(sorted)), s.Disk.PageSize()/s.codec.Size())
 	if err := s.sorter(packed, b).WriteRun(name, sorted); err != nil {
 		return Run{}, err
 	}
@@ -95,9 +94,8 @@ func (s *Store) Write(name string, sorted []record.Entry, packed bool) (Run, err
 
 // Merge sort-merges runs, in any mix of encodings, into one new run. The
 // inputs are left intact. The merged synopsis and summary are built from the
-// merged entries as they are written, so they are exact whatever is known
-// about the inputs (the synopsis equals the union of the inputs', when every
-// input has one). A failed merge leaves no file behind, and returns no run.
+// merged entries as they are written (the synopsis equals the union of the
+// inputs'). A failed merge leaves no file behind, and returns no run.
 func (s *Store) Merge(inputs []Run, name string, packed bool) (Run, error) {
 	files := make([]extsort.Input, len(inputs))
 	var total int64
@@ -105,21 +103,21 @@ func (s *Store) Merge(inputs []Run, name string, packed bool) (Run, error) {
 		files[i] = extsort.Input{Name: in.File, Count: in.Count, Packed: in.Packed}
 		total += in.Count
 	}
-	b := NewBuilder(s.Config, total, s.Disk.PageSize()/s.codec.Size(), zonestat.New(s.Config.Segments, s.Config.Bits))
+	b := NewBuilder(s.Config, total, s.Disk.PageSize()/s.codec.Size())
 	if _, err := s.sorter(packed, b).Merge(files, name); err != nil {
 		return Run{}, err
 	}
 	return b.Run(name, packed), nil
 }
 
-// Load returns r — a file described by metadata — with its summary, built
-// by one sequential pass over the file, which must hold exactly r.Count
-// entries. A run passes no directory: its pages are read as a file written
-// at full pages (record.Layout.NextPage). A CTree opening metadata older
-// than the summary passes its directory: each page's entry count (a packed
-// page's header must agree) and page number (nil: the identity). The pass
-// reads the disk itself, not the reader: reopening an index fills no cache
-// with pages no query asked for.
+// Load returns r — a file described by metadata — with its synopsis and
+// summary, built by one sequential pass over the file, which must hold
+// exactly r.Count entries. A run passes no directory: its pages are read as
+// a file written at full pages (record.Layout.NextPage). A CTree opening
+// metadata older than the summary passes its directory: each page's entry
+// count (a packed page's header must agree) and page number (nil: the
+// identity). The pass reads the disk itself, not the reader: reopening an
+// index fills no cache with pages no query asked for.
 func (s *Store) Load(r Run, counts []int, pageOf []int64) (Run, error) {
 	l, err := s.Layout(r.Packed)
 	if err != nil {
@@ -133,7 +131,7 @@ func (s *Store) Load(r Run, counts []int, pageOf []int64) (Run, error) {
 	if counts != nil {
 		pages = len(counts)
 	}
-	b := NewBuilder(s.Config, min(r.Count, n*int64(s.Disk.PageSize())), s.Disk.PageSize()/s.codec.Size(), nil) // a count the file cannot back sizes nothing
+	b := NewBuilder(s.Config, min(r.Count, n*int64(s.Disk.PageSize())), s.Disk.PageSize()/s.codec.Size()) // a count the file cannot back sizes nothing
 	cur := storage.ScanChunks(s.Disk, r.File, 0, n, storage.DefaultBufferPages)
 	var seen int64
 	for p := 0; p < pages; p++ {
@@ -162,7 +160,8 @@ func (s *Store) Load(r Run, counts []int, pageOf []int64) (Run, error) {
 	if seen != r.Count {
 		return Run{}, fmt.Errorf("run: %s holds %d entries, its metadata says %d", r.File, seen, r.Count)
 	}
-	r.Sum = b.Run(r.File, r.Packed).Sum
+	built := b.Run(r.File, r.Packed)
+	r.Syn, r.Sum = built.Syn, built.Sum
 	r.Sum.pageOf = mapOrNil(pageOf)
 	return r, r.Sum.ascending()
 }

@@ -262,10 +262,10 @@ func TestRunTable(t *testing.T) {
 				if err := s.Verify(r); err != nil {
 					t.Fatal(err)
 				}
-				// What a pass over the file rebuilds — the summary of a
-				// reopened index — is the value the writer built.
-				if loaded, err := s.Load(Run{File: r.File, Count: r.Count, Syn: r.Syn, Packed: r.Packed}, nil, nil); err != nil || !reflect.DeepEqual(loaded, r) {
-					t.Fatalf("Load rebuilds %+v (%v), the writer built %+v", loaded.Sum, err, r.Sum)
+				// What a pass over the file rebuilds — the synopsis and
+				// summary of a reopened index — is what the writer built.
+				if loaded, err := s.Load(Run{File: r.File, Count: r.Count, Packed: r.Packed}, nil, nil); err != nil || !reflect.DeepEqual(loaded, r) {
+					t.Fatalf("Load rebuilds %+v, %+v (%v), the writer built %+v, %+v", loaded.Syn, loaded.Sum, err, r.Syn, r.Sum)
 				}
 				pages := readPages(t, disk, r)
 				sameEntries(t, "written run", flatten(pages), entries)
@@ -544,9 +544,8 @@ func rescan(entries []record.Entry) *zonestat.Synopsis {
 
 // TestRunMerge merges runs of mixed encodings into both output encodings: the
 // merged run holds the sorted union, its synopsis is the one a rescan of
-// the merged file builds — which is the union of the inputs', and no less
-// exact when an input's is unknown — its summary is the file's, and the
-// inputs stay intact.
+// the merged file builds — which is the union of the inputs' — its summary
+// is the file's, and the inputs stay intact.
 func TestRunMerge(t *testing.T) {
 	a, _ := testEntries(130, 1)
 	b, _ := testEntries(70, 2)
@@ -597,17 +596,6 @@ func TestRunMerge(t *testing.T) {
 				}
 				for i, in := range inputs {
 					sameEntries(t, in.File, flatten(readPages(t, disk, in)), [][]record.Entry{a, b, c}[i])
-				}
-
-				// An input recovered from pre-synopsis metadata: the merge
-				// reads its entries all the same.
-				inputs[1].Syn = nil
-				u, err := s.Merge(inputs, "unknown", packOutput)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(u.Syn, rebuilt) {
-					t.Errorf("an unknown input gave synopsis %+v, rescan gives %+v", u.Syn, rebuilt)
 				}
 			})
 		}
@@ -814,8 +802,8 @@ func TestDecodeSummaryChecksEnvelopes(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf := r.Sum.AppendBinary(nil)
-	if _, err := DecodeSummary(buf, testCfg, r.Count); err != nil {
-		t.Fatal(err)
+	if _, syn, err := DecodeSummary(buf, testCfg, r.Count); err != nil || !reflect.DeepEqual(syn, r.Syn) {
+		t.Fatalf("decoded synopsis %+v (%v), the writer built %+v", syn, err, r.Syn)
 	}
 	q := testQueries(1, 17)[0]
 	ctx := index.AcquireCtx(q, testCfg)
@@ -852,7 +840,7 @@ func TestDecodeSummaryChecksEnvelopes(t *testing.T) {
 	if got := scan(trusted); got.ID == nn.ID {
 		t.Fatalf("fixture: page %d's narrowed envelope still lets the scan find %d", p, nn.ID)
 	}
-	if _, err := DecodeSummary(narrowed, testCfg, r.Count); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("page %d's", p)) {
+	if _, _, err := DecodeSummary(narrowed, testCfg, r.Count); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("page %d's", p)) {
 		t.Fatalf("page %d's envelope narrowed away from the query: DecodeSummary error %v", p, err)
 	}
 	rng := rand.New(rand.NewSource(19))
@@ -860,7 +848,7 @@ func TestDecodeSummaryChecksEnvelopes(t *testing.T) {
 		at := rng.Intn(2 * pages * w)
 		one := slices.Clone(buf)
 		one[4+12*pages+at] ^= 1 << rng.Intn(8)
-		if _, err := DecodeSummary(one, testCfg, r.Count); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("page %d's", at%(pages*w)/w)) {
+		if _, _, err := DecodeSummary(one, testCfg, r.Count); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("page %d's", at%(pages*w)/w)) {
 			t.Fatalf("envelope byte %d changed: DecodeSummary error %v", at, err)
 		}
 	}

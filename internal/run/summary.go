@@ -134,9 +134,9 @@ func (m *Summary) span(lo, hi int) (from, to int64) {
 	return from, to
 }
 
-// Builder builds a summary, and a synopsis when handed one, from a file's
-// entries in file order: Observe is the file writer's per-entry hook
-// (extsort.Observer), so each key is transposed once, for both.
+// Builder builds a summary and a synopsis from a file's entries in file
+// order: Observe is the file writer's per-entry hook (extsort.Observer), so
+// each key is transposed once, for both.
 type Builder struct {
 	m    Summary
 	syms []uint8
@@ -147,14 +147,14 @@ type Builder struct {
 // NewBuilder returns a builder for a file of count entries of cfg's shape,
 // about perPage to a page: what it is sized for, one allocation per kind of
 // array, the four envelope arrays sharing one.
-func NewBuilder(cfg index.Config, count int64, perPage int, syn *zonestat.Synopsis) *Builder {
+func NewBuilder(cfg index.Config, count int64, perPage int) *Builder {
 	perPage = max(perPage, 1) // a packed page may hold what no fixed-size one can
 	pages := int((count + int64(perPage) - 1) / int64(perPage))
 	w, groups := cfg.Segments, (pages+groupPages-1)/groupPages
 	env, p, g := make([]uint8, 0, 2*(pages+groups)*w), pages*w, groups*w
 	return &Builder{m: Summary{segs: w, bits: cfg.Bits, cnt: make([]int, 0, pages), grp: make([]group, 0, groups),
 		envMin: env[:0:p], envMax: env[p : p : 2*p], grpMin: env[2*p : 2*p : 2*p+g], grpMax: env[2*p+g : 2*p+g : 2*p+2*g]},
-		syms: make([]uint8, 0, int(count)*w), ts: make([]int64, 0, count), syn: syn}
+		syms: make([]uint8, 0, int(count)*w), ts: make([]int64, 0, count), syn: zonestat.New(w, cfg.Bits)}
 }
 
 // Observe takes the next entry of the file, which opens a page if pageStart.
@@ -162,9 +162,7 @@ func (b *Builder) Observe(e record.Entry, pageStart bool) {
 	m := &b.m
 	arr := sortable.Symbols(e.Key, m.segs, m.bits)
 	syms := arr[:m.segs]
-	if b.syn != nil {
-		b.syn.AddSyms(e.Key, syms, e.TS)
-	}
+	b.syn.AddSyms(syms, e.TS)
 	if pageStart {
 		m.cnt = append(m.cnt, 0)
 		m.envMin = append(m.envMin, syms...)
@@ -321,16 +319,16 @@ func (m *Summary) AppendBinary(buf []byte) []byte {
 }
 
 // DecodeSummary decodes the summary AppendBinary wrote (all of buf) of a
-// file of count entries of cfg's shape. Every count is checked against the
-// bytes before anything is sized by it, every symbol against the
-// cardinality: the lower-bound kernels index tables with them. A page's
-// envelope is derived from its SAX column, and a stored one that differs
-// is an error: a scan skips a page on its envelope alone, so a narrowed one
-// would drop answers.
-func DecodeSummary(buf []byte, cfg index.Config, count int64) (*Summary, error) {
+// file of count entries of cfg's shape, and folds the file's synopsis from
+// its SAX and timestamp columns. Every count is checked against the bytes
+// before anything is sized by it, every symbol against the cardinality: the
+// lower-bound kernels index tables with them. A page's envelope is derived
+// from its SAX column, and a stored one that differs is an error: a scan
+// skips a page on its envelope alone, so a narrowed one would drop answers.
+func DecodeSummary(buf []byte, cfg index.Config, count int64) (*Summary, *zonestat.Synopsis, error) {
 	w := cfg.Segments
 	if len(buf) < 4 || (len(buf)-4)/12 < int(binary.LittleEndian.Uint32(buf)) {
-		return nil, fmt.Errorf("run: summary truncated in its page directory")
+		return nil, nil, fmt.Errorf("run: summary truncated in its page directory")
 	}
 	pages := int(binary.LittleEndian.Uint32(buf))
 	buf = buf[4:]
@@ -340,7 +338,7 @@ func DecodeSummary(buf []byte, cfg index.Config, count int64) (*Summary, error) 
 		m.cnt[p] = int(binary.LittleEndian.Uint32(buf[p*12:]))
 		m.pageOf[p] = int64(binary.LittleEndian.Uint64(buf[p*12+4:]))
 		if m.cnt[p] < 1 {
-			return nil, fmt.Errorf("run: summary page %d holds no entries", p)
+			return nil, nil, fmt.Errorf("run: summary page %d holds no entries", p)
 		}
 		total += int64(m.cnt[p])
 	}
@@ -348,10 +346,10 @@ func DecodeSummary(buf []byte, cfg index.Config, count int64) (*Summary, error) 
 	buf = buf[pages*12:]
 	envs := 2 * pages * w
 	if want := int64(envs) + count*int64(w+8); total != count || int64(len(buf)) != want {
-		return nil, fmt.Errorf("run: summary of %d entries (the file: %d) in %d pages has %d bytes of envelopes and columns, want %d", total, count, pages, len(buf), want)
+		return nil, nil, fmt.Errorf("run: summary of %d entries (the file: %d) in %d pages has %d bytes of envelopes and columns, want %d", total, count, pages, len(buf), want)
 	}
 	if !index.SymbolsBelow(buf[:envs+int(count)*w], cfg.Bits) {
-		return nil, fmt.Errorf("run: summary holds a symbol beyond %d bits", cfg.Bits)
+		return nil, nil, fmt.Errorf("run: summary holds a symbol beyond %d bits", cfg.Bits)
 	}
 	m.envMin, m.envMax = make([]uint8, envs/2), make([]uint8, envs/2)
 	syms := slices.Clone(buf[envs : envs+int(count)*w])
@@ -359,15 +357,16 @@ func DecodeSummary(buf []byte, cfg index.Config, count int64) (*Summary, error) 
 		mn, mx := m.env(m.envMin, m.envMax, p)
 		index.SetEnvelope(mn, mx, syms[off*w:(off+m.cnt[p])*w])
 		if smn, smx := m.env(buf, buf[envs/2:], p); !bytes.Equal(mn, smn) || !bytes.Equal(mx, smx) {
-			return nil, fmt.Errorf("run: summary page %d's stored envelope is not its entries' symbol range", p)
+			return nil, nil, fmt.Errorf("run: summary page %d's stored envelope is not its entries' symbol range", p)
 		}
 	}
-	ts := make([]int64, count)
+	ts, syn := make([]int64, count), zonestat.New(w, cfg.Bits)
 	for i := range ts {
 		ts[i] = int64(binary.LittleEndian.Uint64(buf[envs+int(count)*w+8*i:]))
+		syn.AddSyms(syms[i*w:(i+1)*w], ts[i])
 	}
 	m.groupBy(syms, ts)
-	return m, m.ascending()
+	return m, syn, m.ascending()
 }
 
 // mapOrNil returns pageOf, or nil, which means the same, when it is the

@@ -226,10 +226,10 @@ func (s *Server) handleVariants(w http.ResponseWriter, r *http.Request) {
 
 // DatasetRequest asks for a synthetic dataset.
 type DatasetRequest struct {
-	Kind      string  `json:"kind"` // "astronomy", "randomwalk"
+	Kind      string  `json:"kind"` // "astronomy" (default), "randomwalk", "finance", "ecg"
 	N         int     `json:"n"`
 	Len       int     `json:"len"`
-	FracEvent float64 `json:"frac_event"`
+	FracEvent float64 `json:"frac_event"` // event/anomaly fraction (astronomy, finance, ecg)
 	Seed      int64   `json:"seed"`
 }
 

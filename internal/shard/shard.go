@@ -102,8 +102,8 @@ func (sh Shard) IOStats() storage.Stats {
 // every series in the shard: the minimum of the shard's per-unit synopsis
 // bounds, with window-disjoint units contributing +Inf. A shard whose index
 // exposes no synopses — or whose synopses do not cover every entry (an
-// unflushed write buffer, a pre-synopsis snapshot) — yields 0: no bound,
-// always probe. An empty (or fully out-of-window) shard yields +Inf.
+// unflushed write buffer) — yields 0: no bound, always probe. An empty (or
+// fully out-of-window) shard yields +Inf.
 func (sh *Shard) boundSq(q index.Query, ctx *index.SearchCtx) float64 {
 	prov, ok := sh.Index.(zonestat.Provider)
 	if !ok {

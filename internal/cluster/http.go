@@ -81,8 +81,7 @@ func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	var qr server.QueryRequest
-	if err := json.NewDecoder(req.Body).Decode(&qr); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request: %v", err)
+	if !server.DecodeRequest(w, req, &qr) {
 		return
 	}
 	if (qr.MinTS == nil) != (qr.MaxTS == nil) {
@@ -154,8 +153,7 @@ func (r *Router) handleQueryBatch(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	var qr server.BatchQueryRequest
-	if err := json.NewDecoder(req.Body).Decode(&qr); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request: %v", err)
+	if !server.DecodeRequest(w, req, &qr) {
 		return
 	}
 	if len(qr.Queries) == 0 || len(qr.Queries) > 1<<16 {
@@ -195,8 +193,7 @@ func (r *Router) handleInsert(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	var ir server.InsertRequest
-	if err := json.NewDecoder(req.Body).Decode(&ir); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request: %v", err)
+	if !server.DecodeRequest(w, req, &ir) {
 		return
 	}
 	if len(ir.Series) == 0 || len(ir.Series) > 1<<16 {
@@ -275,8 +272,7 @@ func (r *Router) handleDrain(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	var dr DrainRequest
-	if err := json.NewDecoder(req.Body).Decode(&dr); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request: %v", err)
+	if !server.DecodeRequest(w, req, &dr) {
 		return
 	}
 	var err error

@@ -39,8 +39,14 @@ import (
 //     is the same float64, bit for bit, on every kernel set and equal to
 //     what a bit-at-a-time decode gives (prune_test.go holds it to one).
 //     An index that keeps its entries' symbols resident (the CTree's SAX
-//     column) skips the transpose as well: MinDistSqSyms is the same sum
-//     from the symbols, and the Page cursor takes them in place of keys.
+//     column) skips the transpose as well, and the Page cursor takes them in
+//     place of keys: SymbolBoundSqs bounds a page's entries in one
+//     simd.SymbolSums call, one entry an iteration under AVX2, with each
+//     entry's lookups added in TableSum's order, so its bounds are
+//     MinDistSqKey's bit for bit. MinDistSqSyms is the batch of one; the
+//     page evaluator (EvalPage, EvalPageRange) bounds every resident entry
+//     of a page at once, out-of-window ones included, and its loop reads
+//     the results.
 //
 //   - A unit's symbol envelope (a zone map: zonestat) bounds every series
 //     in the unit at once, one clamped lookup per segment. EnvelopeSqs
@@ -52,7 +58,8 @@ import (
 //     envelope bound is the same float64, bit for bit.
 //
 //   - A SearchCtx bundles the Pruner with per-worker Scratch states
-//     (raw-series decode buffer, candidate-ordering scratch) and is
+//     (raw-series decode buffer, candidate-ordering scratch, the page loop's
+//     envelope bounds and the page evaluator's entry bounds) and is
 //     recycled through a sync.Pool, so concurrent searches allocate nothing
 //     per candidate probe. Pages themselves arrive as pinned borrows from
 //     the storage.PageReader (zero-copy), not as scratch copies.
@@ -200,22 +207,24 @@ func (p *Pruner) MinDistSqKey(k sortable.Key) float64 {
 
 // MinDistSqSyms is MinDistSqKey for a key whose transpose is already at
 // hand: syms holds the key's symbols, one per segment, as sortable.Symbols
-// returns them (the CTree keeps them resident for every entry, so its scans
-// bound an entry without its key). The sum is the same table indexes through
-// the same kernel, so it is the same float64 as MinDistSqKey's, bit for bit
-// (the index build is written out in both: each is the per-entry cost of a
-// scan, and one calling the other is a call per entry that neither inlines).
-// Every symbol must be below 1<<Bits, which the callers' sources guarantee:
-// Symbols by construction, a persisted column by validation on decode.
+// returns them. It is SymbolBoundSqs' batch of one, so every bound from
+// symbols is the same float64, bit for bit, and that is MinDistSqKey's: the
+// kernel adds the same lookups in TableSum's blocked order.
 func (p *Pruner) MinDistSqSyms(syms []uint8) float64 {
-	var idx [sortable.MaxSegments]int32
-	syms = syms[:p.segments]
-	row, rowLen := int32(0), int32(1)<<uint(p.bits)
-	for s, sym := range syms {
-		idx[s] = row | int32(sym)
-		row += rowLen
-	}
-	return simd.TableSum(p.tab[p.bits], idx[:len(syms)])
+	var b [1]float64
+	p.SymbolBoundSqs(b[:], syms[:p.segments])
+	return b[0]
+}
+
+// SymbolBoundSqs sets dst[i] to the squared lower bound of entry i of the
+// flat symbol column syms, Segments symbols to an entry (entry i at
+// [i*Segments, (i+1)*Segments)), each as MinDistSqSyms gives it, in one
+// simd.SymbolSums call: the CTree keeps every entry's symbols resident, so a
+// page's entries are bounded before its bytes are read. Every symbol must be
+// below 1<<Bits, which the callers' sources guarantee: Symbols by
+// construction, a persisted column by validation on decode.
+func (p *Pruner) SymbolBoundSqs(dst []float64, syms []uint8) {
+	simd.SymbolSums(dst, p.tab[p.bits], p.segments, p.bits, syms)
 }
 
 // EnvelopeSq returns the squared iSAX lower bound between the query and
@@ -336,6 +345,9 @@ type Scratch struct {
 	Query  Query
 	Page   Page
 	bounds []float64
+	// lbs holds the page evaluator's entry bounds, a slice of its own: the
+	// page loop's envelope bounds (bounds) are live while a page is evaluated.
+	lbs []float64
 	// Trace and Planner alias the query's trace recorder (nil untraced) and
 	// planner, refreshed by Scratches: workers report candidate tallies to
 	// the one, and a page scan asks the other whether to skip dead pages.
@@ -452,6 +464,17 @@ func (s *Scratch) Bounds(n int) []float64 {
 	return s.bounds[:n]
 }
 
+// entryBounds bounds every entry of pg's resident symbol column, in one call
+// for the page, into the scratch's own slice of entry bounds.
+func (s *Scratch) entryBounds(pg *Page) []float64 {
+	if cap(s.lbs) < pg.n {
+		s.lbs = make([]float64, pg.n)
+	}
+	lbs := s.lbs[:pg.n]
+	s.P.SymbolBoundSqs(lbs, pg.syms)
+	return lbs
+}
+
 // encodedRaw is a raw store that verifies a candidate on its stored bytes,
 // decoding nothing (storage.RawFile).
 type encodedRaw interface {
@@ -527,8 +550,7 @@ type Page struct {
 	view    *record.PackedView // otherwise: packed columns of data, see openView
 	data    []byte
 	codec   record.Codec
-	syms    []uint8 // non-nil: the entries' symbols, segs to an entry
-	segs    int
+	syms    []uint8 // non-nil: the entries' symbols, the pruner's segments to an entry
 	tss     []int64 // non-nil: the entries' timestamps
 }
 
@@ -553,7 +575,7 @@ func EntryPage(entries []record.Entry) Page { return Page{n: len(entries), ents:
 // sortable.Symbols gives them for its key. The entry count is then the
 // column's, which a packed page's header must agree with once it is opened.
 func (pg *Page) UseSymbols(syms []uint8, segs int) {
-	pg.syms, pg.segs, pg.n = syms, segs, len(syms)/segs
+	pg.syms, pg.n = syms, len(syms)/segs
 }
 
 // UseTimestamps makes the cursor read its entries' timestamps from tss, one
@@ -701,6 +723,10 @@ func EvalPage(q *Query, pg *Page, raw series.RawStore, col *Collector, sc *Scrat
 		}
 	}
 	n := pg.n
+	var lbs []float64
+	if pg.syms != nil {
+		lbs = sc.entryBounds(pg)
+	}
 	cands := sc.cands[:0]
 	count := 0
 	traced := sc.Trace != nil
@@ -708,8 +734,8 @@ func EvalPage(q *Query, pg *Page, raw series.RawStore, col *Collector, sc *Scrat
 	for i := pg.nextInWindow(q, 0, n); i < n; i = pg.nextInWindow(q, i+1, n) {
 		count++
 		var lbSq float64
-		if pg.syms != nil {
-			lbSq = sc.P.MinDistSqSyms(pg.syms[i*pg.segs : (i+1)*pg.segs])
+		if lbs != nil {
+			lbSq = lbs[i]
 		} else {
 			lbSq = sc.P.MinDistSqKey(pg.key(i))
 		}
@@ -774,6 +800,10 @@ func EvalPageRange(q *Query, pg *Page, raw series.RawStore, col *RangeCollector,
 		}
 	}
 	n := pg.n
+	var lbs []float64
+	if pg.syms != nil {
+		lbs = sc.entryBounds(pg)
+	}
 	traced := sc.Trace != nil
 	var seen, ver, ab, pr int64
 	for i := pg.nextInWindow(q, 0, n); i < n; i = pg.nextInWindow(q, i+1, n) {
@@ -781,8 +811,8 @@ func EvalPageRange(q *Query, pg *Page, raw series.RawStore, col *RangeCollector,
 			seen++
 		}
 		var lbSq float64
-		if pg.syms != nil {
-			lbSq = sc.P.MinDistSqSyms(pg.syms[i*pg.segs : (i+1)*pg.segs])
+		if lbs != nil {
+			lbSq = lbs[i]
 		} else {
 			lbSq = sc.P.MinDistSqKey(pg.key(i))
 		}

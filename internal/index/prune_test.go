@@ -97,7 +97,8 @@ func minDistSqKeySerial(p *Pruner, k sortable.Key) float64 {
 // bound is the same float64, bit for bit, as the bit-serial decode summed
 // in the blocked order — so no prune, skip or page read can differ — and so
 // is the bound taken from the key's symbols (MinDistSqSyms), which is what a
-// scan over resident symbols computes in place of MinDistSqKey.
+// scan over resident symbols computes in place of MinDistSqKey, one key at a
+// time or a column of them at once (SymbolBoundSqs).
 func TestMinDistSqKeyBitIdentical(t *testing.T) {
 	defer simd.Select("auto")
 	for _, kernels := range simd.Available() {
@@ -109,7 +110,10 @@ func TestMinDistSqKeyBitIdentical(t *testing.T) {
 		for w := 1; w <= sortable.MaxSegments; w++ {
 			for bits := 1; bits <= sax.MaxBits; bits++ {
 				p.Fill(randPAA(rng, w), Config{SeriesLen: w * (1 + rng.Intn(16)), Segments: w, Bits: bits})
-				for trial := 0; trial < 50; trial++ {
+				const trials = 50
+				var column []uint8
+				var wants [trials]float64
+				for trial := range wants {
 					k := sortable.Key{Hi: rng.Uint64(), Lo: rng.Uint64()}
 					got, want := p.MinDistSqKey(k), minDistSqKeySerial(&p, k)
 					if math.Float64bits(got) != math.Float64bits(want) {
@@ -118,6 +122,14 @@ func TestMinDistSqKeyBitIdentical(t *testing.T) {
 					syms := sortable.Symbols(k, w, bits)
 					if got := p.MinDistSqSyms(syms[:w]); math.Float64bits(got) != math.Float64bits(want) {
 						t.Fatalf("%s %dx%d key %v: MinDistSqSyms %x, bit-serial %x", kernels, w, bits, k, got, want)
+					}
+					column, wants[trial] = append(column, syms[:w]...), want
+				}
+				var got [trials]float64
+				p.SymbolBoundSqs(got[:], column)
+				for i := range got {
+					if math.Float64bits(got[i]) != math.Float64bits(wants[i]) {
+						t.Fatalf("%s %dx%d entry %d: SymbolBoundSqs %x, bit-serial %x", kernels, w, bits, i, got[i], wants[i])
 					}
 				}
 			}

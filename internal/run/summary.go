@@ -472,9 +472,11 @@ func (s *Store) ProbePage(r Run, p int, q index.Query, col *index.Collector, sc 
 // page with col.SkipSq when it reaches it. A dead group is only a short cut,
 // which decides its pages the way their own bounds would: a page's envelope
 // lies inside its group's, so its bound is at least the group's, term by
-// term in the same order, and the collector's bound only tightens. The query
-// and each page reach eval through sc (Scratch.Query, Scratch.Page), by
-// pointer, so the loop copies neither once a page.
+// term in the same order, and the collector's bound only tightens; a dead
+// group the planner may skip joins the pending run of dead pages in one
+// step, not a page at a time. The query and each page reach eval through sc
+// (Scratch.Query, Scratch.Page), by pointer, so the loop copies neither once
+// a page.
 //
 // A dead page is spared every touch of its bytes and every bound of its
 // entries. Whether it is also left unread is the search's planner's decision
@@ -513,7 +515,8 @@ func (s *Store) scanPages(r Run, lo, hi int, sc *index.Scratch, col index.Envelo
 	cur := s.Reader.Scan(r.File, from, to)
 	defer cur.Close()
 	// Pages are read in ascending order, so the read position — page rp, in
-	// group rg at offset off of its columns — only moves forward.
+	// group rg at offset off of its columns — only moves forward: page by
+	// page inside a group, and straight to the first page of a later one.
 	rg, off := m.locate(lo)
 	rp, next, g0 := lo, m.end(rg), rg
 	resident := !pageKeyBounds
@@ -531,6 +534,10 @@ func (s *Store) scanPages(r Run, lo, hi int, sc *index.Scratch, col index.Envelo
 	for g := g0; g < len(m.grp) && m.grp[g].first < hi; g++ {
 		first, end := max(lo, m.grp[g].first), min(hi, m.end(g))
 		groupDead := bounded && col.SkipSq(groups[g-g0])
+		if groupDead && skip {
+			pending += end - first // every page dead: one step, not one a page
+			continue
+		}
 		if bounded && !groupDead {
 			pages = pageBuf[:end-first]
 			sc.P.EnvelopeSqs(pages, w, m.envMin[first*w:], m.envMax[first*w:])
@@ -549,10 +556,15 @@ func (s *Store) scanPages(r Run, lo, hi int, sc *index.Scratch, col index.Envelo
 			}
 			pending, started = 0, true
 			for d := from; d <= p; d++ {
-				for ; rp < d; rp++ {
-					if off += m.cnt[rp]; rp+1 == next {
-						rg, off, next = rg+1, 0, m.end(rg+1)
+				if d >= next { // d is in a later group: jump to that group's first page
+					for d >= next {
+						rg++
+						next = m.end(rg)
 					}
+					rp, off = m.grp[rg].first, 0
+				}
+				for ; rp < d; rp++ {
+					off += m.cnt[rp]
 				}
 				data, err := cur.Pin(m.Phys(d))
 				if err != nil {

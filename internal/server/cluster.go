@@ -9,7 +9,6 @@ package server
 // single-node collector selection bit-for-bit.
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -82,8 +81,7 @@ func (s *Server) handleClusterSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req ClusterSearchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request: %v", err)
+	if !DecodeRequest(w, r, &req) {
 		return
 	}
 	b, ok := s.clusterBuild(w, req.Build)
@@ -187,8 +185,7 @@ func (s *Server) handleClusterInsert(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req ClusterInsertRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request: %v", err)
+	if !DecodeRequest(w, r, &req) {
 		return
 	}
 	b, ok := s.clusterBuild(w, req.Build)

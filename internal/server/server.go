@@ -8,6 +8,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	mrand "math/rand"
 	"net/http"
@@ -207,6 +208,31 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
+// MaxRequestBytes caps every JSON request body, on a node and on the router.
+// It holds 2^19 values at 32 bytes, more than the widest float64 takes in
+// JSON with its separator: a batch of 32 series of the longest length a
+// dataset may have (16 384 points), or of 4 096 series of 128 points.
+const MaxRequestBytes = 16 << 20
+
+// DecodeRequest decodes r's JSON body into v, reading at most
+// MaxRequestBytes of it, and reports whether v holds the request. A body
+// over the cap is answered 413, one that does not decode 400, each with a
+// JSON error. Every handler that takes a JSON body, the router's too, reads
+// it here.
+func DecodeRequest(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBytes)).Decode(v)
+	var tooBig *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooBig):
+		writeError(w, http.StatusRequestEntityTooLarge, "request body over %d bytes", tooBig.Limit)
+	default:
+		writeError(w, http.StatusBadRequest, "bad request: %v", err)
+	}
+	return false
+}
+
 func (s *Server) nextID(prefix string) string {
 	s.seq++
 	return fmt.Sprintf("%s-%d", prefix, s.seq)
@@ -257,8 +283,7 @@ func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]any{"datasets": out})
 	case http.MethodPost:
 		var req DatasetRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, "bad request: %v", err)
+		if !DecodeRequest(w, r, &req) {
 			return
 		}
 		if req.N <= 0 || req.N > 1<<20 {
@@ -457,8 +482,7 @@ func (s *Server) handleBuild(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req BuildRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request: %v", err)
+	if !DecodeRequest(w, r, &req) {
 		return
 	}
 	s.mu.RLock()
@@ -563,8 +587,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req QueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request: %v", err)
+	if !DecodeRequest(w, r, &req) {
 		return
 	}
 	b, ok := s.lookupBuild(req.Build)
@@ -725,8 +748,7 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req BatchQueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request: %v", err)
+	if !DecodeRequest(w, r, &req) {
 		return
 	}
 	b, ok := s.lookupBuild(req.Build)
@@ -819,8 +841,7 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req InsertRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request: %v", err)
+	if !DecodeRequest(w, r, &req) {
 		return
 	}
 	b, ok := s.lookupBuild(req.Build)
@@ -1085,8 +1106,7 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req RecommendRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request: %v", err)
+	if !DecodeRequest(w, r, &req) {
 		return
 	}
 	rec := recommender.Recommend(recommender.Scenario{

@@ -95,3 +95,30 @@ func BenchmarkKernelEnvelopeSums(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkKernelSymbolSums bounds 48 consecutive entries of 16 segments at
+// 8 bits an op — a page's resident SAX column — and reports the cost of one
+// entry.
+func BenchmarkKernelSymbolSums(b *testing.B) {
+	const n, w, bits = 48, 16, 8
+	rng := rand.New(rand.NewSource(10))
+	tab := make([]float64, w<<bits)
+	for i := range tab {
+		tab[i] = rng.ExpFloat64()
+	}
+	syms := make([]uint8, n*w)
+	for i := range syms {
+		syms[i] = uint8(rng.Intn(1 << bits))
+	}
+	dst := make([]float64, n)
+	defer Select("auto")
+	for _, name := range Available() {
+		Select(name)
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				SymbolSums(dst, tab, w, bits, syms)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/entry")
+		})
+	}
+}

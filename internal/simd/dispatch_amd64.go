@@ -49,6 +49,10 @@ func envelopeBlocksAccel(dst, tab []float64, q *[EnvelopeSegments]uint8, bits in
 	envelopeSumsAVX2(&tab[0], q, &mins[0], &maxs[0], int64(w), int64(bits), int64(nb), &dst[0])
 }
 
+func symbolSumsAccel(dst, tab []float64, w, bits int, syms []uint8) {
+	symbolSumsAVX2(&tab[0], &syms[0], int64(w), int64(bits), int64(len(dst)), &dst[0])
+}
+
 // Implemented in kernels_amd64.s.
 
 //go:noescape
@@ -59,6 +63,9 @@ func tableQuadsAVX2(tab *float64, idx *int32, nq int64, acc *[4]float64)
 
 //go:noescape
 func envelopeSumsAVX2(tab *float64, q *[EnvelopeSegments]uint8, mins, maxs *uint8, w, bits, nb int64, dst *float64)
+
+//go:noescape
+func symbolSumsAVX2(tab *float64, syms *uint8, w, bits, n int64, dst *float64)
 
 // Implemented in cpuid_amd64.s.
 

@@ -34,6 +34,12 @@ func envelopeBlocksAccel(dst, tab []float64, q *[EnvelopeSegments]uint8, bits in
 	envelopeSumsScalar(dst[:4*nb], tab, q[:w], bits, mins, maxs)
 }
 
+// symbolSumsAccel has no NEON body: the set's symbol sums run the scalar
+// reference.
+func symbolSumsAccel(dst, tab []float64, w, bits int, syms []uint8) {
+	symbolSumsScalar(dst, tab, w, bits, syms)
+}
+
 // Implemented in kernels_arm64.s.
 
 //go:noescape

@@ -27,3 +27,7 @@ func tableQuadsAccel(tab []float64, idx []int32, nq int, acc *[4]float64) {
 func envelopeBlocksAccel(dst, tab []float64, q *[EnvelopeSegments]uint8, bits int, mins, maxs []uint8, w, nb int) {
 	panic("simd: no accelerated kernels on this architecture")
 }
+
+func symbolSumsAccel(dst, tab []float64, w, bits int, syms []uint8) {
+	panic("simd: no accelerated kernels on this architecture")
+}

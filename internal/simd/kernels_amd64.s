@@ -187,3 +187,104 @@ esum:
 edone:
 	VZEROUPPER
 	RET
+
+// func symbolSumsAVX2(tab *float64, syms *uint8, w, bits, n int64, dst *float64)
+//
+// Bounds n consecutive entries of w symbols, one an iteration, in
+// symbolSumsScalar's order: lane j of Y0 adds the lookups of segments j,
+// j+4, ... of the entry, quad by quad, then the lanes combine as
+// (a0+a2)+(a1+a3) and the segments past the last whole quad follow one at a
+// time. A quad's four symbols are one VPMOVZXBD, masked to the row (X14)
+// and offset to their four rows (X8..X11, set up before the loop), then one
+// VGATHERDPD and one VADDPD.
+
+// SQUAD adds quad q of the entry at SI, whose rows' offsets are in offs,
+// and leaves for the lane sum after the last one.
+#define SQUAD(q, offs) \
+	VPMOVZXBD  (q*4)(SI), X1;       \
+	VPAND      X14, X1, X1;         \
+	VPADDD     offs, X1, X1;        \
+	VPCMPEQD   Y2, Y2, Y2;          \
+	VXORPD     Y3, Y3, Y3;          \
+	VGATHERDPD Y2, (R8)(X1*8), Y3;  \
+	VADDPD     Y3, Y0, Y0;          \
+	DECQ       CX;                  \
+	JZ         shsum
+
+TEXT ·symbolSumsAVX2(SB), NOSPLIT, $0-48
+	MOVQ tab+0(FP), R8
+	MOVQ syms+8(FP), SI
+	MOVQ w+16(FP), R11
+	MOVQ bits+24(FP), CX
+	MOVQ n+32(FP), BX
+	MOVQ dst+40(FP), DI
+	MOVQ $1, DX
+	SHLQ CX, DX                // 1<<bits, a row's length
+	LEAQ -1(DX), R12           // the symbol mask
+	MOVQ R12, X14
+	VPBROADCASTD X14, X14
+	// X8..X11: the offsets of segments 4q..4q+3's rows, (4q+j)<<bits.
+	MOVQ DX, X13
+	VPBROADCASTD X13, X13      // one row, in every lane
+	VPXOR   X8, X8, X8
+	VPSLLDQ $4, X13, X12       // (0, r, r, r)
+	VPADDD  X12, X8, X8        // (0, r, r, r)
+	VPSLLDQ $8, X13, X12       // (0, 0, r, r)
+	VPADDD  X12, X8, X8        // (0, r, 2r, 2r)
+	VPSLLDQ $12, X13, X12      // (0, 0, 0, r)
+	VPADDD  X12, X8, X8        // (0, r, 2r, 3r)
+	VPSLLD  $2, X13, X13       // four rows
+	VPADDD  X13, X8, X9
+	VPADDD  X13, X9, X10
+	VPADDD  X13, X10, X11
+	// R13: the segments in whole quads; R9: the tail's first row, in bytes.
+	MOVQ R11, R13
+	SHRQ $2, R13
+	MOVQ R13, R9
+	SHLQ $2, R9
+	SHLQ CX, R9
+	SHLQ $3, R9
+	ADDQ R8, R9
+	SHLQ $3, DX                // a row, in bytes
+
+sentry:
+	TESTQ BX, BX
+	JZ    sdone
+	VXORPD Y0, Y0, Y0
+	MOVQ   R13, CX
+	TESTQ  CX, CX
+	JZ     shsum
+	SQUAD(0, X8)
+	SQUAD(1, X9)
+	SQUAD(2, X10)
+	SQUAD(3, X11)
+
+shsum:
+	VEXTRACTF128 $1, Y0, X1
+	VADDPD  X1, X0, X2         // (a0+a2, a1+a3)
+	VSHUFPD $1, X2, X2, X3
+	VADDSD  X3, X2, X4         // (a0+a2)+(a1+a3)
+	// The tail: segments 4*R13 .. w-1, one lookup each, in order.
+	MOVQ R13, AX
+	SHLQ $2, AX                // its first segment
+	MOVQ R9, R10
+stail:
+	CMPQ    AX, R11
+	JGE     sstore
+	MOVBQZX (SI)(AX*1), R14
+	ANDQ    R12, R14
+	VADDSD  (R10)(R14*8), X4, X4
+	ADDQ    DX, R10
+	INCQ    AX
+	JMP     stail
+
+sstore:
+	VMOVSD X4, (DI)
+	ADDQ   $8, DI
+	ADDQ   R11, SI
+	DECQ   BX
+	JMP    sentry
+
+sdone:
+	VZEROUPPER
+	RET

@@ -1,8 +1,9 @@
 // Package simd provides the runtime-dispatched compute kernels behind
-// Coconut's hottest loops, three kernels in all: early-abandoning squared
+// Coconut's hottest loops, four kernels in all: early-abandoning squared
 // Euclidean distance (plain and fused with payload decoding), the MINDIST
-// lookup-table sum, and the envelope bound of a batch of symbol envelopes
-// (zone maps) against one query's table.
+// lookup-table sum, the envelope bound of a batch of symbol envelopes (zone
+// maps) against one query's table, and the bound of a batch of entries from
+// their resident symbols.
 //
 // Every kernel exists in (up to) two implementations selected at init time:
 // an architecture-accelerated one written in Go assembly (AVX2 on amd64,
@@ -15,8 +16,12 @@
 // multiply-add skips the intermediate rounding of d*d and would break that
 // bit-equality. The envelope kernel needs no blocked order: lane i of its
 // vector is envelope i, which sums its segments' lookups one at a time, in
-// segment order from zero, exactly as the scalar loop does. It has an AVX2
-// body only; on arm64 its accelerated set runs the scalar reference.
+// segment order from zero, exactly as the scalar loop does. The symbol
+// kernel keeps the table sum's order, one entry at a time: lane j adds the
+// lookups of segments j, j+4, ..., the lanes combine as (a0+a2)+(a1+a3),
+// and the segments past the last whole quad follow in order, so an entry's
+// bound is TableSum's over its indexes, bit for bit. Those two have AVX2
+// bodies only; on arm64 the accelerated set runs their scalar references.
 //
 // Selection: init detects CPU support, runs a bit-exactness self-test of
 // the accelerated kernels against the scalar reference, and enables the
@@ -286,6 +291,40 @@ func envelopeBlocks(n, w, avail int) int {
 	return max(0, min(n/4, (avail-EnvelopeSegments+w)/(4*w)))
 }
 
+// SymbolSums bounds len(dst) consecutive entries' symbols against one query:
+// entry i's w symbols are syms[i*w : (i+1)*w], and dst[i] is the sum of
+// tab[s<<bits | syms[i*w+s]] over its segments s, each symbol taken modulo
+// 1<<bits so that no byte input indexes past a table row. The sum is added in
+// TableSum's blocked order — four lanes over the quads of segments, lanes
+// combined (a0+a2)+(a1+a3), the remaining segments added in sequence — so
+// dst[i] is, bit for bit, TableSum over the entry's table indexes. w must be
+// 1..EnvelopeSegments, bits 1..8, tab at least w<<bits long and syms at least
+// len(dst)*w.
+//
+// The AVX2 body bounds one entry an iteration: each quad of its symbols is
+// one VPMOVZXBD, masked and offset to its table rows by registers set up
+// before the loop, one VGATHERDPD and one VADDPD. It reads no byte past an
+// entry's w, so it bounds the whole batch.
+func SymbolSums(dst, tab []float64, w, bits int, syms []uint8) {
+	n := len(dst)
+	if w < 1 || w > EnvelopeSegments || bits < 1 || bits > 8 || len(tab) < w<<bits || len(syms) < n*w {
+		symbolShapePanic(n, w, bits, len(tab), len(syms))
+	}
+	if n > 0 && accelOn.Load() {
+		symbolSumsAccel(dst, tab, w, bits, syms)
+		return
+	}
+	symbolSumsScalar(dst, tab, w, bits, syms)
+}
+
+// symbolShapePanic reports SymbolSums' misuse, out of its line.
+//
+//go:noinline
+func symbolShapePanic(n, w, bits, tab, syms int) {
+	panic(fmt.Sprintf("simd: SymbolSums of %d entries of %d segments at %d bits over a table of %d and %d symbol bytes",
+		n, w, bits, tab, syms))
+}
+
 // --- Scalar reference kernels. ---
 //
 // These mirror the assembly exactly: lane j accumulates points j and j+4 of
@@ -365,6 +404,33 @@ func tableQuadsScalar(tab []float64, idx []int32, nq int, acc *[4]float64) {
 		a3 += tab[ii[3]]
 	}
 	acc[0], acc[1], acc[2], acc[3] = a0, a1, a2, a3
+}
+
+// symbolSumsScalar is SymbolSums' reference: lane j of an entry adds the
+// lookups of segments j, j+4, ..., as tableQuadsScalar's does, and the tail
+// follows the combined lanes in segment order.
+func symbolSumsScalar(dst, tab []float64, w, bits int, syms []uint8) {
+	rowLen, mask := 1<<bits, 1<<bits-1
+	nq := w / 4
+	for i := range dst {
+		e := syms[i*w : (i+1)*w : (i+1)*w]
+		var a0, a1, a2, a3 float64
+		row := 0
+		for b := 0; b < nq; b++ {
+			qd := e[4*b : 4*b+4 : 4*b+4]
+			a0 += tab[row|int(qd[0])&mask]
+			a1 += tab[row+rowLen|int(qd[1])&mask]
+			a2 += tab[row+2*rowLen|int(qd[2])&mask]
+			a3 += tab[row+3*rowLen|int(qd[3])&mask]
+			row += 4 * rowLen
+		}
+		tot := (a0 + a2) + (a1 + a3)
+		for _, c := range e[4*nq:] {
+			tot += tab[row|int(c)&mask]
+			row += rowLen
+		}
+		dst[i] = tot
+	}
 }
 
 // envelopeSumsScalar is EnvelopeSums' reference. The comparison chain is
@@ -456,10 +522,11 @@ func selfTest() bool {
 			return false
 		}
 	}
-	return envelopeSelfTest(func() uint8 {
+	byteOf := func() uint8 {
 		state = state*6364136223846793005 + 1442695040888963407
 		return uint8(state >> 56)
-	}, next)
+	}
+	return envelopeSelfTest(byteOf, next) && symbolSelfTest(byteOf, next)
 }
 
 // envelopeSelfTest holds the accelerated envelope blocks to the scalar
@@ -487,6 +554,34 @@ func envelopeSelfTest(byteOf func() uint8, next func() float64) bool {
 			envelopeSumsScalar(sDst[:4*nb], tab, q[:w], bits, mins, maxs)
 			envelopeBlocksAccel(aDst[:], tab, &q, bits, mins, maxs, w, nb)
 			for i := 0; i < 4*nb; i++ {
+				if math.Float64bits(sDst[i]) != math.Float64bits(aDst[i]) {
+					return false
+				}
+			}
+		}
+	}
+	return true
+}
+
+// symbolSelfTest holds the accelerated symbol sums to the scalar reference
+// on every shape a summary may have, with arbitrary bytes for the symbols —
+// symbols past the cardinality included.
+func symbolSelfTest(byteOf func() uint8, next func() float64) bool {
+	const n = 5
+	tab := make([]float64, EnvelopeSegments<<8)
+	for i := range tab {
+		tab[i] = next()
+	}
+	syms := make([]uint8, n*EnvelopeSegments)
+	var sDst, aDst [n]float64
+	for w := 1; w <= EnvelopeSegments; w++ {
+		for bits := 1; bits <= 8; bits++ {
+			for i := range syms {
+				syms[i] = byteOf()
+			}
+			symbolSumsScalar(sDst[:], tab, w, bits, syms)
+			symbolSumsAccel(aDst[:], tab, w, bits, syms)
+			for i := range sDst {
 				if math.Float64bits(sDst[i]) != math.Float64bits(aDst[i]) {
 					return false
 				}

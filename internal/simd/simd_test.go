@@ -301,6 +301,104 @@ func FuzzEnvelopeSums(f *testing.F) {
 	})
 }
 
+// symbolTableSum is entry i of a SymbolSums batch as TableSum sees it: its
+// masked symbols turned into table indexes, row s at s<<bits — the indexes
+// index.Pruner.MinDistSqKey sums for a key of those symbols.
+func symbolTableSum(tab []float64, w, bits int, syms []uint8, i int) float64 {
+	var idx [EnvelopeSegments]int32
+	for s, c := range syms[i*w : (i+1)*w] {
+		idx[s] = int32(s<<bits | int(c)&(1<<bits-1))
+	}
+	return TableSum(tab, idx[:w])
+}
+
+// TestSymbolSumsKernelsBitIdentical: on every kernel set, SymbolSums gives
+// TableSum's bits for every entry, on every shape a summary may have (1..16
+// segments x 1..8 bits), every batch length 0..19, and arbitrary bytes for
+// the symbols, those past the cardinality included.
+func TestSymbolSumsKernelsBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	tab := make([]float64, EnvelopeSegments<<8)
+	for i := range tab {
+		tab[i] = rng.ExpFloat64() * 10
+	}
+	const maxN = 19
+	syms := make([]uint8, maxN*EnvelopeSegments)
+	dst := make([]float64, maxN)
+	for w := 1; w <= EnvelopeSegments; w++ {
+		for bits := 1; bits <= 8; bits++ {
+			for i := range syms {
+				syms[i] = uint8(rng.Intn(256))
+			}
+			for n := 0; n <= maxN; n++ {
+				withKernel(t, func(t *testing.T, name string) {
+					clear(dst)
+					SymbolSums(dst[:n], tab[:w<<bits], w, bits, syms[:n*w])
+					for i := 0; i < n; i++ {
+						if got, want := dst[i], symbolTableSum(tab, w, bits, syms, i); math.Float64bits(got) != math.Float64bits(want) {
+							t.Fatalf("%dx%d n=%d entry %d: %x, TableSum %x", w, bits, n, i, got, want)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestSymbolSumsPanicsOnShortInput: a shape outside 1..16 x 1..8, a short
+// table or a short symbol array are programming errors, reported rather than
+// read past.
+func TestSymbolSumsPanicsOnShortInput(t *testing.T) {
+	tab, syms, dst := make([]float64, 4<<2), make([]uint8, 8), make([]float64, 2)
+	for name, call := range map[string]func(){
+		"no segments":  func() { SymbolSums(dst, tab, 0, 2, syms) },
+		"17 segments":  func() { SymbolSums(dst[:0], make([]float64, 17<<2), 17, 2, nil) },
+		"9 bits":       func() { SymbolSums(dst[:0], make([]float64, 4<<9), 4, 9, nil) },
+		"short table":  func() { SymbolSums(dst, tab[:15], 4, 2, syms) },
+		"short column": func() { SymbolSums(dst, tab, 4, 2, syms[:7]) },
+		"third entry":  func() { SymbolSums(make([]float64, 3), tab, 4, 2, syms) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			call()
+		}()
+	}
+}
+
+// FuzzSymbolSums cross-checks SymbolSums against TableSum on arbitrary
+// bytes: raw holds as many entries of w symbols as fit. Every kernel set
+// must give TableSum's bits.
+func FuzzSymbolSums(f *testing.F) {
+	f.Add([]byte{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, 3, 2, 3, 8, 4}, uint8(3), uint8(2), int64(1))
+	f.Add(make([]byte, 16*5), uint8(15), uint8(7), int64(2))
+	f.Fuzz(func(t *testing.T, raw []byte, w, bits uint8, seed int64) {
+		sw, sb := 1+int(w)%EnvelopeSegments, 1+int(bits)%8
+		n := len(raw) / sw
+		rng := rand.New(rand.NewSource(seed))
+		tab := make([]float64, sw<<sb)
+		for i := range tab {
+			tab[i] = rng.ExpFloat64()
+		}
+		dst := make([]float64, n)
+		defer Select("auto")
+		for _, name := range Available() {
+			if err := Select(name); err != nil {
+				t.Fatal(err)
+			}
+			SymbolSums(dst, tab, sw, sb, raw)
+			for i := range dst {
+				if got, want := dst[i], symbolTableSum(tab, sw, sb, raw, i); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("kernel %q, %dx%d entry %d of %d: %x, TableSum %x", name, sw, sb, i, n, got, want)
+				}
+			}
+		}
+	})
+}
+
 // TestDecode pins the decode entry point against the encoding.
 func TestDecode(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))

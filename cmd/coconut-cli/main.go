@@ -258,14 +258,35 @@ func insertCmd(base string, args []string) error {
 	for i, ser := range raw {
 		batch[i] = ser
 	}
-	var out server.InsertResponse
-	if err := call("POST", base+"/api/insert", server.InsertRequest{
-		Build: *buildID, Series: batch, TS: *ts,
-	}, &out); err != nil {
+	out, err := insertBatch(base, *buildID, batch, *ts)
+	if err != nil {
 		return err
 	}
 	pretty(out)
 	return nil
+}
+
+// insertBatch posts batch in order, in as few /api/insert requests as keep
+// each within server.MaxRequestValues, and sums their responses: the count
+// is the last one's, and the batch is synced only if every request was.
+func insertBatch(base, build string, batch [][]float64, ts int64) (server.InsertResponse, error) {
+	per := max(1, server.MaxRequestValues/max(1, len(batch[0])))
+	total := server.InsertResponse{Synced: true}
+	for len(batch) > 0 {
+		part := batch[:min(per, len(batch))]
+		batch = batch[len(part):]
+		var out server.InsertResponse
+		if err := call("POST", base+"/api/insert", server.InsertRequest{
+			Build: build, Series: part, TS: ts,
+		}, &out); err != nil {
+			return total, fmt.Errorf("insert: after %d series: %w", total.Inserted, err)
+		}
+		total.Inserted += out.Inserted
+		total.Count = out.Count
+		total.Synced = total.Synced && out.Synced
+		total.Millis += out.Millis
+	}
+	return total, nil
 }
 
 func query(base string, args []string) error {

@@ -156,8 +156,7 @@ func (r *Router) handleQueryBatch(w http.ResponseWriter, req *http.Request) {
 	if !server.DecodeRequest(w, req, &qr) {
 		return
 	}
-	if len(qr.Queries) == 0 || len(qr.Queries) > 1<<16 {
-		writeError(w, http.StatusBadRequest, "queries must number in (0, 65536], got %d", len(qr.Queries))
+	if !server.BatchFits(w, "queries", len(qr.Queries), server.Values(qr.Queries)) {
 		return
 	}
 	start := time.Now()
@@ -196,8 +195,7 @@ func (r *Router) handleInsert(w http.ResponseWriter, req *http.Request) {
 	if !server.DecodeRequest(w, req, &ir) {
 		return
 	}
-	if len(ir.Series) == 0 || len(ir.Series) > 1<<16 {
-		writeError(w, http.StatusBadRequest, "series must number in (0, 65536], got %d", len(ir.Series))
+	if !server.BatchFits(w, "series", len(ir.Series), server.Values(ir.Series)) {
 		return
 	}
 	ts := ir.Timestamps

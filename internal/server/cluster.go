@@ -192,8 +192,11 @@ func (s *Server) handleClusterInsert(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	if len(req.Entries) == 0 || len(req.Entries) > 1<<16 {
-		writeError(w, http.StatusBadRequest, "entries must number in (0, 65536], got %d", len(req.Entries))
+	values := 0
+	for _, e := range req.Entries {
+		values += len(e.Series)
+	}
+	if !BatchFits(w, "entries", len(req.Entries), values) {
 		return
 	}
 	for i, e := range req.Entries {

@@ -49,3 +49,33 @@ func TestRequestBodyCap(t *testing.T) {
 		t.Fatalf("a dataset request at the cap: status %d, %+v (%v)", rec.Code, d, err)
 	}
 }
+
+// TestBatchValuesCap: a batch within MaxBatch whose series hold more than
+// MaxRequestValues values in all is refused with 413 and a JSON error on
+// every batch endpoint of a node, though its body is well under the cap.
+func TestBatchValuesCap(t *testing.T) {
+	ts := newTestServer(t)
+	_, b := buildOn(t, ts, "CTreeFull")
+	cb := clusterNode(t, ts, 2, []int{0, 1})
+	over := func(length int) [][]float64 {
+		batch := make([][]float64, MaxRequestValues/length+1)
+		for i := range batch {
+			batch[i] = make([]float64, length)
+		}
+		return batch
+	}
+	entries := make([]ClusterEntry, MaxRequestValues/32+1)
+	for i := range entries {
+		entries[i] = ClusterEntry{ID: 200 + int64(i), Series: make([]float64, 32)}
+	}
+	for path, req := range map[string]any{
+		"/api/insert":         InsertRequest{Build: b.ID, Series: over(64)},
+		"/api/query/batch":    BatchQueryRequest{Build: b.ID, Queries: over(64)},
+		"/api/cluster/insert": ClusterInsertRequest{Build: cb, Entries: entries},
+	} {
+		var e errorResponse
+		if code := postJSON(t, ts.URL+path, req, &e); code != http.StatusRequestEntityTooLarge || e.Error == "" {
+			t.Errorf("%s over the values cap: status %d, error %q", path, code, e.Error)
+		}
+	}
+}

@@ -208,11 +208,46 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
+// MaxBatch caps the series or queries one batch request carries.
+const MaxBatch = 1 << 16
+
+// MaxRequestValues caps the values one batch request's series hold in all,
+// e.g. 32 series of the longest length a dataset may have (16 384 points),
+// or 2 048 series of 256 points. A client with a larger batch splits it, as
+// coconut-cli insert does.
+const MaxRequestValues = 1 << 19
+
 // MaxRequestBytes caps every JSON request body, on a node and on the router.
-// It holds 2^19 values at 32 bytes, more than the widest float64 takes in
-// JSON with its separator: a batch of 32 series of the longest length a
-// dataset may have (16 384 points), or of 4 096 series of 128 points.
-const MaxRequestBytes = 16 << 20
+// It gives each of MaxRequestValues values 32 bytes, more than the 26 the
+// widest float64 takes in JSON with its separator, and each of MaxBatch
+// entries 128 bytes of framing. So a router insert that passes BatchFits
+// still fits once the router re-encodes it into /api/cluster/insert bodies,
+// whose entries each add an id, a ts and their keys (at most 66 bytes).
+const MaxRequestBytes = MaxRequestValues*32 + MaxBatch*128
+
+// BatchFits reports whether a batch of n series or queries, holding values
+// values in all, is within MaxBatch and MaxRequestValues. If it is not, it
+// answers 400 for the count or 413 for the values, each with a JSON error.
+func BatchFits(w http.ResponseWriter, what string, n, values int) bool {
+	switch {
+	case n == 0 || n > MaxBatch:
+		writeError(w, http.StatusBadRequest, "%s must number in (0, %d], got %d", what, MaxBatch, n)
+	case values > MaxRequestValues:
+		writeError(w, http.StatusRequestEntityTooLarge, "%s hold %d values, over %d", what, values, MaxRequestValues)
+	default:
+		return true
+	}
+	return false
+}
+
+// Values counts the values a batch of series holds.
+func Values(batch [][]float64) int {
+	n := 0
+	for _, s := range batch {
+		n += len(s)
+	}
+	return n
+}
 
 // DecodeRequest decodes r's JSON body into v, reading at most
 // MaxRequestBytes of it, and reports whether v holds the request. A body
@@ -756,8 +791,7 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "build %q not found", req.Build)
 		return
 	}
-	if len(req.Queries) == 0 || len(req.Queries) > 1<<16 {
-		writeError(w, http.StatusBadRequest, "queries must number in (0, 65536], got %d", len(req.Queries))
+	if !BatchFits(w, "queries", len(req.Queries), Values(req.Queries)) {
 		return
 	}
 	if req.K <= 0 {
@@ -849,8 +883,7 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "build %q not found", req.Build)
 		return
 	}
-	if len(req.Series) == 0 || len(req.Series) > 1<<16 {
-		writeError(w, http.StatusBadRequest, "series must number in (0, 65536], got %d", len(req.Series))
+	if !BatchFits(w, "series", len(req.Series), Values(req.Series)) {
 		return
 	}
 	if req.Timestamps != nil && len(req.Timestamps) != len(req.Series) {

@@ -151,8 +151,8 @@ func BenchmarkEnvelope(b *testing.B) {
 
 // BenchmarkColumnBound measures what bounding the entries of one leaf costs
 // an exact scan, by where their symbols come from: the resident SAX column,
-// an entry a call (MinDistSqSyms over the leaf's slice) or the leaf in one
-// call (batch: SymbolBoundSqs, what the page evaluator does), or the keys on
+// an entry a call (SymbolBoundSqs of one entry's slice) or the leaf in one
+// call (batch: SymbolBoundSqs, what the page loop does), or the keys on
 // the leaf's page — fixed-width records, or a packed page's key column behind
 // its header — transposed per entry (MinDistSqKey). One op is one leaf of three
 // materialized entries, a 4 KB page like the static benchmark's; the scan
@@ -205,7 +205,9 @@ func BenchmarkColumnBound(b *testing.B) {
 		{"column", func(li int) (sum float64) {
 			syms := column[li*leafBytes : (li+1)*leafBytes]
 			for off := 0; off < len(syms); off += cfg.Segments {
-				sum += p.MinDistSqSyms(syms[off : off+cfg.Segments])
+				var lb [1]float64
+				p.SymbolBoundSqs(lb[:], syms[off:off+cfg.Segments])
+				sum += lb[0]
 			}
 			return sum
 		}},

@@ -364,8 +364,11 @@ func (p *Pool) insert(sh *cacheShard, fr *frame, k uint64) {
 
 // scanCursor is the pool's storage.Cursor. A hit pins the cached frame
 // until the next Pin. A miss is served by the backing disk's cursor, opened
-// at the first one, and — when the declared range fits the cache — copied
-// into a frame for the next scan to hit.
+// at the first one, and — when the declared range fits the cache (keep) —
+// copied into a frame for the next scan to hit. Keeps reports keep: a page
+// loop then reads every page its envelope leaves live, so a range that fits
+// is paid for once and hit from then on, instead of leaving a page unread
+// now that a later query would miss on.
 type scanCursor struct {
 	p        *Pool
 	name     string
@@ -446,6 +449,8 @@ func (c *scanCursor) Pin(page int64) ([]byte, error) {
 	}
 	return data, nil
 }
+
+func (c *scanCursor) Keeps() bool { return c.keep }
 
 func (c *scanCursor) unpin() {
 	if c.fr != nil {

@@ -3,6 +3,7 @@ package index
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 
@@ -43,10 +44,12 @@ import (
 //     place of keys: SymbolBoundSqs bounds a page's entries in one
 //     simd.SymbolSums call, one entry an iteration under AVX2, with each
 //     entry's lookups added in TableSum's order, so its bounds are
-//     MinDistSqKey's bit for bit. MinDistSqSyms is the batch of one; the
-//     page evaluator (EvalPage, EvalPageRange) bounds every resident entry
-//     of a page at once, out-of-window ones included, and its loop reads
-//     the results.
+//     MinDistSqKey's bit for bit. A page's resident entries are bounded at
+//     once, out-of-window ones included, in one place (Scratch.entryBounds):
+//     by the page loop, which decides from their least in-window bound
+//     whether to read the page at all (Scratch.ResidentBounds) and hands a
+//     live page's bounds on (Page.UseBounds), or else by the page evaluator
+//     (EvalPage, EvalPageRange); the evaluator's loop reads the results.
 //
 //   - A unit's symbol envelope (a zone map: zonestat) bounds every series
 //     in the unit at once, one clamped lookup per segment. EnvelopeSqs
@@ -205,24 +208,15 @@ func (p *Pruner) MinDistSqKey(k sortable.Key) float64 {
 	return simd.TableSum(p.tab[p.bits], idx[:p.segments])
 }
 
-// MinDistSqSyms is MinDistSqKey for a key whose transpose is already at
-// hand: syms holds the key's symbols, one per segment, as sortable.Symbols
-// returns them. It is SymbolBoundSqs' batch of one, so every bound from
-// symbols is the same float64, bit for bit, and that is MinDistSqKey's: the
-// kernel adds the same lookups in TableSum's blocked order.
-func (p *Pruner) MinDistSqSyms(syms []uint8) float64 {
-	var b [1]float64
-	p.SymbolBoundSqs(b[:], syms[:p.segments])
-	return b[0]
-}
-
 // SymbolBoundSqs sets dst[i] to the squared lower bound of entry i of the
 // flat symbol column syms, Segments symbols to an entry (entry i at
-// [i*Segments, (i+1)*Segments)), each as MinDistSqSyms gives it, in one
-// simd.SymbolSums call: the CTree keeps every entry's symbols resident, so a
-// page's entries are bounded before its bytes are read. Every symbol must be
-// below 1<<Bits, which the callers' sources guarantee: Symbols by
-// construction, a persisted column by validation on decode.
+// [i*Segments, (i+1)*Segments)), in one simd.SymbolSums call: the summaries
+// keep every entry's symbols resident, so a page's entries are bounded before
+// its bytes are read. Each is MinDistSqKey's bound of the entry's key, the
+// same float64 bit for bit: the kernel adds the same lookups in TableSum's
+// blocked order. Every symbol must be below 1<<Bits, which the callers'
+// sources guarantee: Symbols by construction, a persisted column by
+// validation on decode.
 func (p *Pruner) SymbolBoundSqs(dst []float64, syms []uint8) {
 	simd.SymbolSums(dst, p.tab[p.bits], p.segments, p.bits, syms)
 }
@@ -345,7 +339,7 @@ type Scratch struct {
 	Query  Query
 	Page   Page
 	bounds []float64
-	// lbs holds the page evaluator's entry bounds, a slice of its own: the
+	// lbs holds a page's entry bounds (entryBounds), a slice of its own: the
 	// page loop's envelope bounds (bounds) are live while a page is evaluated.
 	lbs []float64
 	// Trace and Planner alias the query's trace recorder (nil untraced) and
@@ -464,15 +458,62 @@ func (s *Scratch) Bounds(n int) []float64 {
 	return s.bounds[:n]
 }
 
-// entryBounds bounds every entry of pg's resident symbol column, in one call
-// for the page, into the scratch's own slice of entry bounds.
-func (s *Scratch) entryBounds(pg *Page) []float64 {
-	if cap(s.lbs) < pg.n {
-		s.lbs = make([]float64, pg.n)
+// entryBounds bounds every entry of a page's resident symbol column, in one
+// call for the page, into the scratch's own slice of entry bounds.
+func (s *Scratch) entryBounds(syms []uint8) []float64 {
+	n := len(syms) / s.P.segments
+	if cap(s.lbs) < n {
+		s.lbs = make([]float64, n)
 	}
-	lbs := s.lbs[:pg.n]
-	s.P.SymbolBoundSqs(lbs, pg.syms)
+	lbs := s.lbs[:n]
+	s.P.SymbolBoundSqs(lbs, syms)
 	return lbs
+}
+
+// ResidentBounds bounds the entries of a page's resident columns — syms, the
+// pruner's segments to an entry as Page.UseSymbols takes them, and tss, one
+// timestamp an entry — and returns their bounds with the least among the
+// entries in q's window, or nil and +Inf, having bounded nothing, when no
+// entry is in it. A page loop decides from it whether to read the page:
+// SkipSq is monotone in the bound, so a page with no in-window entry, or
+// whose least bound SkipSq rules out, is one the evaluator would prune whole
+// now. A live page takes the bounds on to the evaluator (Page.UseBounds),
+// which then does not compute them again. They are the scratch's own, valid
+// until it bounds another page.
+//
+// It runs for every page a scan reaches live, so its loops have no branch
+// to mispredict: an entry is in the window when its timestamp's offset from
+// the window's start, unsigned, is within the window's span, and a bound,
+// never negative, orders as its bits do, so the least is an integer
+// minimum, with bits no bound has standing for an entry out of the window.
+func (s *Scratch) ResidentBounds(q *Query, syms []uint8, tss []int64) (lbs []float64, least float64) {
+	lo, span := uint64(q.MinTS), uint64(q.MaxTS)-uint64(q.MinTS)
+	if !q.Windowed {
+		lo, span = 0, math.MaxUint64
+	} else if q.MaxTS < q.MinTS {
+		return nil, math.Inf(1)
+	}
+	in := 0
+	for _, ts := range tss {
+		if uint64(ts)-lo <= span {
+			in++
+		}
+	}
+	if in == 0 {
+		return nil, math.Inf(1)
+	}
+	lbs = s.entryBounds(syms)
+	m := uint64(math.MaxUint64)
+	for i, lb := range lbs {
+		b := math.Float64bits(lb)
+		if uint64(tss[i])-lo > span {
+			b = math.MaxUint64
+		}
+		if b < m {
+			m = b
+		}
+	}
+	return lbs, math.Float64frombits(m)
 }
 
 // encodedRaw is a raw store that verifies a candidate on its stored bytes,
@@ -550,8 +591,9 @@ type Page struct {
 	view    *record.PackedView // otherwise: packed columns of data, see openView
 	data    []byte
 	codec   record.Codec
-	syms    []uint8 // non-nil: the entries' symbols, the pruner's segments to an entry
-	tss     []int64 // non-nil: the entries' timestamps
+	syms    []uint8   // non-nil: the entries' symbols, the pruner's segments to an entry
+	tss     []int64   // non-nil: the entries' timestamps
+	lbs     []float64 // non-nil: the entries' bounds, from the page loop (UseBounds)
 }
 
 // FixedPage describes n records encoded back-to-back (codec.Size() bytes
@@ -581,6 +623,10 @@ func (pg *Page) UseSymbols(syms []uint8, segs int) {
 // UseTimestamps makes the cursor read its entries' timestamps from tss, one
 // an entry in page order, instead of from the page.
 func (pg *Page) UseTimestamps(tss []int64) { pg.tss = tss }
+
+// UseBounds hands the cursor its entries' bounds, as Scratch.ResidentBounds
+// returned them for its symbols, so the evaluator does not bound them again.
+func (pg *Page) UseBounds(lbs []float64) { pg.lbs = lbs }
 
 // resident reports whether nothing before a survivor's verification reads
 // the page under q: the bounds come from resident symbols, and the window
@@ -723,9 +769,9 @@ func EvalPage(q *Query, pg *Page, raw series.RawStore, col *Collector, sc *Scrat
 		}
 	}
 	n := pg.n
-	var lbs []float64
-	if pg.syms != nil {
-		lbs = sc.entryBounds(pg)
+	lbs := pg.lbs
+	if lbs == nil && pg.syms != nil {
+		lbs = sc.entryBounds(pg.syms)
 	}
 	cands := sc.cands[:0]
 	count := 0
@@ -800,9 +846,9 @@ func EvalPageRange(q *Query, pg *Page, raw series.RawStore, col *RangeCollector,
 		}
 	}
 	n := pg.n
-	var lbs []float64
-	if pg.syms != nil {
-		lbs = sc.entryBounds(pg)
+	lbs := pg.lbs
+	if lbs == nil && pg.syms != nil {
+		lbs = sc.entryBounds(pg.syms)
 	}
 	traced := sc.Trace != nil
 	var seen, ver, ab, pr int64

@@ -96,9 +96,9 @@ func minDistSqKeySerial(p *Pruner, k sortable.Key) float64 {
 // TestMinDistSqKeyBitIdentical: on every kernel set, for every shape, the
 // bound is the same float64, bit for bit, as the bit-serial decode summed
 // in the blocked order — so no prune, skip or page read can differ — and so
-// is the bound taken from the key's symbols (MinDistSqSyms), which is what a
-// scan over resident symbols computes in place of MinDistSqKey, one key at a
-// time or a column of them at once (SymbolBoundSqs).
+// is the bound taken from the key's symbols (SymbolBoundSqs), which is what a
+// scan over resident symbols computes in place of MinDistSqKey, of one key's
+// symbols alone or of a column of them at once.
 func TestMinDistSqKeyBitIdentical(t *testing.T) {
 	defer simd.Select("auto")
 	for _, kernels := range simd.Available() {
@@ -120,8 +120,9 @@ func TestMinDistSqKeyBitIdentical(t *testing.T) {
 						t.Fatalf("%s %dx%d key %v: MinDistSqKey %x, bit-serial %x", kernels, w, bits, k, got, want)
 					}
 					syms := sortable.Symbols(k, w, bits)
-					if got := p.MinDistSqSyms(syms[:w]); math.Float64bits(got) != math.Float64bits(want) {
-						t.Fatalf("%s %dx%d key %v: MinDistSqSyms %x, bit-serial %x", kernels, w, bits, k, got, want)
+					var one [1]float64
+					if p.SymbolBoundSqs(one[:], syms[:w]); math.Float64bits(one[0]) != math.Float64bits(want) {
+						t.Fatalf("%s %dx%d key %v: SymbolBoundSqs of its symbols %x, bit-serial %x", kernels, w, bits, k, one[0], want)
 					}
 					column, wants[trial] = append(column, syms[:w]...), want
 				}
@@ -492,6 +493,50 @@ func TestEnvelopeHelpers(t *testing.T) {
 		SetEnvelope(mn, mx, column)
 		if !bytes.Equal(mn, wantMin) || !bytes.Equal(mx, wantMax) {
 			t.Fatalf("trial %d: envelope [%v, %v], want [%v, %v]", trial, mn, mx, wantMin, wantMax)
+		}
+	}
+}
+
+// TestResidentBoundsMatchesWindowFilter: the page loop's least in-window
+// bound (ResidentBounds, branch-free) is the one the plain loop over
+// InWindow finds, +Inf when no entry is in the window, and its bounds are
+// SymbolBoundSqs', on windows inside, around, across and past the page's
+// timestamps, empty ones and the widest, at the int64 extremes too.
+func TestResidentBoundsMatchesWindowFilter(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	cfg := Config{SeriesLen: 64, Segments: 8, Bits: 6}
+	var p Pruner
+	p.Fill(randPAA(rng, cfg.Segments), cfg)
+	sc := &Scratch{P: &p}
+	edges := []int64{math.MinInt64, math.MinInt64 + 1, -5, -1, 0, 1, 3, 7, math.MaxInt64 - 1, math.MaxInt64}
+	for trial := 0; trial < 2000; trial++ {
+		n := 1 + rng.Intn(12)
+		syms := make([]uint8, n*cfg.Segments)
+		for i := range syms {
+			syms[i] = uint8(rng.Intn(1 << cfg.Bits))
+		}
+		tss := make([]int64, n)
+		for i := range tss {
+			tss[i] = edges[rng.Intn(len(edges))]
+			if rng.Intn(2) == 0 {
+				tss[i] = rng.Int63n(10) - 3
+			}
+		}
+		q := Query{}
+		if trial%5 != 0 {
+			q = q.WithWindow(edges[rng.Intn(len(edges))], edges[rng.Intn(len(edges))])
+		}
+		want := make([]float64, n)
+		p.SymbolBoundSqs(want, syms)
+		least := math.Inf(1)
+		for i, lb := range want {
+			if q.InWindow(tss[i]) && lb < least {
+				least = lb
+			}
+		}
+		lbs, got := sc.ResidentBounds(&q, syms, tss)
+		if got != least || !math.IsInf(least, 1) && !slices.Equal(lbs, want) {
+			t.Fatalf("window %v [%d, %d], timestamps %v: least %v (bounds %v), want %v (bounds %v)", q.Windowed, q.MinTS, q.MaxTS, tss, got, lbs, least, want)
 		}
 	}
 }

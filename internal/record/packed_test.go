@@ -1,6 +1,7 @@
 package record
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -41,7 +42,7 @@ func randomSortedEntries(rng *rand.Rand, c Codec, n int, shape string) []Entry {
 	return out
 }
 
-func packEntries(t *testing.T, c Codec, pageSize int, entries []Entry) ([]byte, int) {
+func packEntries(t testing.TB, c Codec, pageSize int, entries []Entry) ([]byte, int) {
 	t.Helper()
 	b, err := NewPageBuilder(c, pageSize)
 	if err != nil {
@@ -65,7 +66,7 @@ func packEntries(t *testing.T, c Codec, pageSize int, entries []Entry) ([]byte, 
 	return page, added
 }
 
-func checkPackedPage(t *testing.T, c Codec, page []byte, want []Entry) {
+func checkPackedPage(t testing.TB, c Codec, page []byte, want []Entry) {
 	t.Helper()
 	v, err := c.ViewPacked(page)
 	if err != nil {
@@ -85,7 +86,7 @@ func checkPackedPage(t *testing.T, c Codec, page []byte, want []Entry) {
 		if got.Key != e.Key || got.ID != e.ID || got.TS != e.TS {
 			t.Fatalf("entry %d = %+v, want %+v", i, got, e)
 		}
-		if c.Materialized && !slices.Equal(got.Payload, e.Payload) {
+		if c.Materialized && !slices.EqualFunc(got.Payload, e.Payload, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
 			t.Fatalf("entry %d payload mismatch", i)
 		}
 	}
@@ -264,4 +265,59 @@ func (s *testPageStore) cursor(name string) testCursor {
 
 func (c testCursor) Pin(page int64) ([]byte, error) {
 	return c.data[page*int64(c.pageSize) : (page+1)*int64(c.pageSize)], nil
+}
+
+// fuzzCodec is the codec FuzzViewPacked opens pages under: entries of 16
+// points, materialized or not.
+func fuzzCodec(materialized bool) Codec { return Codec{SeriesLen: 16, Materialized: materialized} }
+
+// FuzzViewPacked feeds Codec.ViewPacked arbitrary page bytes, seeded with
+// pages PageBuilder.Encode wrote for real entries, which must decode to
+// them. It must never panic; on a page it accepts, every accessor stays in
+// bounds for every entry below Count(), and the entries it reads, packed
+// again by a builder when they fit a page of the same size, read back the
+// same.
+func FuzzViewPacked(f *testing.F) {
+	rng := rand.New(rand.NewSource(41))
+	for _, seed := range []struct {
+		materialized bool
+		n, pageSize  int
+		shape        string
+	}{{false, 200, 4096, "aligned"}, {true, 5, 1024, "dense"}, {false, 40, 512, "clustered"}, {true, 1, 256, "aligned"}} {
+		c := fuzzCodec(seed.materialized)
+		entries := randomSortedEntries(rng, c, seed.n, seed.shape)
+		page, added := packEntries(f, c, seed.pageSize, entries)
+		checkPackedPage(f, c, page, entries[:added])
+		f.Add(page, seed.materialized)
+	}
+	f.Fuzz(func(t *testing.T, page []byte, materialized bool) {
+		c := fuzzCodec(materialized)
+		v, err := c.ViewPacked(page)
+		if err != nil {
+			return
+		}
+		entries := make([]Entry, v.Count())
+		for i := range entries {
+			if entries[i], err = v.EntryInto(i, c, nil); err != nil {
+				t.Fatalf("entry %d of %d: %v", i, v.Count(), err)
+			}
+			if got, want := len(v.PayloadBytes(i)), c.Size()-HeaderBytes; got != want {
+				t.Fatalf("entry %d: %d payload bytes, want %d", i, got, want)
+			}
+		}
+		b, err := NewPageBuilder(c, len(page))
+		if err != nil || len(entries) == 0 {
+			return
+		}
+		for _, e := range entries {
+			if ok, err := b.TryAdd(e); err != nil || !ok {
+				return // out of key order (a key past the top wraps) or too many
+			}
+		}
+		again := make([]byte, len(page))
+		if _, err := b.Encode(again); err != nil {
+			t.Fatal(err)
+		}
+		checkPackedPage(t, c, again, entries)
+	})
 }

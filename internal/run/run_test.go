@@ -9,6 +9,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/bufpool"
@@ -203,20 +204,23 @@ func search(t *testing.T, s *Store, r Run, q index.Query, pl *index.Planner, k i
 // for the fixed encoding, stream.BTP — the same numbers) produced at the
 // commit before runs had resident summaries, planner off, every page a scan
 // reached pinned — measured there, not derived from this package. The
-// planned figures are the same script under Scan's skip rule: the scans make
-// fewer sequential reads (on a pool, fewer hits) and the same random ones.
+// planned figures are the same script under Scan's skip rule. On a pool,
+// whose cache holds the run, pages are skipped on their envelopes alone: the
+// scans make fewer hits and the same misses. On a disk, pages are skipped on
+// their entries' bounds too: the scans make fewer sequential reads and one
+// random read fewer.
 var scriptStats = map[string]struct {
 	pages                             int64
 	write, approx, unplanned, planned storage.Stats
 }{
 	"fixed/disk": {19, storage.Stats{SeqWrites: 18, RandWrites: 1},
-		storage.Stats{SeqReads: 5, RandReads: 11}, storage.Stats{SeqReads: 64, RandReads: 25}, storage.Stats{SeqReads: 54, RandReads: 25}},
+		storage.Stats{SeqReads: 5, RandReads: 11}, storage.Stats{SeqReads: 64, RandReads: 25}, storage.Stats{SeqReads: 43, RandReads: 24}},
 	"fixed/pool": {19, storage.Stats{SeqWrites: 18, RandWrites: 1},
 		storage.Stats{SeqReads: 3, RandReads: 7, CacheHits: 6, CacheMisses: 10},
 		storage.Stats{SeqReads: 8, RandReads: 11, CacheHits: 70, CacheMisses: 19},
 		storage.Stats{SeqReads: 8, RandReads: 11, CacheHits: 60, CacheMisses: 19}},
 	"packed/disk": {7, storage.Stats{SeqWrites: 6, RandWrites: 1},
-		storage.Stats{SeqReads: 5, RandReads: 7}, storage.Stats{SeqReads: 26, RandReads: 19}, storage.Stats{SeqReads: 22, RandReads: 19}},
+		storage.Stats{SeqReads: 5, RandReads: 7}, storage.Stats{SeqReads: 26, RandReads: 19}, storage.Stats{SeqReads: 19, RandReads: 18}},
 	"packed/pool": {7, storage.Stats{SeqWrites: 6, RandWrites: 1},
 		storage.Stats{SeqReads: 1, RandReads: 4, CacheHits: 7, CacheMisses: 5},
 		storage.Stats{SeqReads: 1, RandReads: 6, CacheHits: 38, CacheMisses: 7},
@@ -851,5 +855,113 @@ func TestDecodeSummaryChecksEnvelopes(t *testing.T) {
 		if _, _, err := DecodeSummary(one, testCfg, r.Count); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("page %d's", at%(pages*w)/w)) {
 			t.Fatalf("envelope byte %d changed: DecodeSummary error %v", at, err)
 		}
+	}
+}
+
+// pageTracer records the page numbers a disk reads (of the one file a test
+// run writes).
+type pageTracer struct {
+	mu    sync.Mutex
+	pages map[int64]bool
+}
+
+func (p *pageTracer) Access(file string, page int64, write bool) {
+	if !write {
+		p.mu.Lock()
+		p.pages[page] = true
+		p.mu.Unlock()
+	}
+}
+
+// entryDeadPageSize holds two deadCfg entries to a page in either encoding
+// (1 088 bytes fixed-size, about 1 100 packed), and not three.
+const entryDeadPageSize = 1200
+
+// TestScanSkipsEntryDeadPages: a page whose envelope a query's bound leaves
+// live, but whose every in-window entry that bound rules out, is decided by
+// its entries — left unread, where it trails the scan, on a reader that
+// keeps nothing, and counted as a planned skip. The run is two pages: two
+// copies of l, which a k=1 query q finds at a distance between page 1's
+// envelope bound and its entries' bounds, then a and b, which sort after l
+// and span q's symbols on their first two segments between them, so that
+// the envelope of page 1 comes near q though neither entry does. A windowed
+// query for a itself, over l's timestamps only, finds page 1 live by every
+// bound but holding no entry in its window. A buffer pool whose cache holds
+// the run reads page 1 (it keeps what it reads: skipping would only move the
+// read to a later query), and so does a scan with the planner disabled.
+// Every answer is brute force's.
+func TestScanSkipsEntryDeadPages(t *testing.T) {
+	l, a, b, q := blockSeries(0.5, 0.5), blockSeries(0.1, 1.8), blockSeries(1.8, 0.1), blockSeries(1, 1)
+	var entries []record.Entry
+	raw := normStore{}
+	for _, s := range []series.Series{l, l, a, b} {
+		key, z := deadCfg.Summarize(s)
+		id := int64(len(entries))
+		entries = append(entries, record.Entry{Key: key, ID: id, TS: id, Payload: z})
+		raw = append(raw, z)
+	}
+	if !sort.SliceIsSorted(entries, func(i, j int) bool { return entries[i].Less(entries[j]) }) {
+		t.Fatal("fixture: l, a and b are not in key order")
+	}
+	for _, row := range []struct {
+		name     string
+		kind     string
+		packed   bool
+		disabled bool
+		query    index.Query
+		read1    bool // page 1 is read
+	}{
+		{"heap/fixed", "heap", false, false, index.NewQuery(q, deadCfg), false},
+		{"heap/packed", "heap", true, false, index.NewQuery(q, deadCfg), false},
+		{"memfs/fixed", "memfs", false, false, index.NewQuery(q, deadCfg), false},
+		{"memfs/packed", "memfs", true, false, index.NewQuery(q, deadCfg), false},
+		{"windowed/heap", "heap", false, false, index.NewQuery(a, deadCfg).WithWindow(0, 1), false},
+		{"windowed/memfs", "memfs", true, false, index.NewQuery(a, deadCfg).WithWindow(0, 1), false},
+		{"pool/fixed", "pool", false, false, index.NewQuery(q, deadCfg), true},
+		{"pool/packed", "pool", true, false, index.NewQuery(q, deadCfg), true},
+		{"unplanned/heap", "heap", false, true, index.NewQuery(q, deadCfg), true},
+		{"unplanned/memfs", "memfs", true, true, index.NewQuery(q, deadCfg), true},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			s, disk, _ := newStoreOf(t, row.kind, entryDeadPageSize, deadCfg, nil)
+			r, err := s.Write("r", entries, row.packed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := r.Sum.Pages(); n != 2 || r.Sum.Entries(0) != 2 {
+				t.Fatalf("fixture: %d entries on %d pages, want two a page", len(entries), n)
+			}
+			want := bruteKNN(row.query, entries, raw, 1)
+			ctx := index.AcquireCtx(row.query, deadCfg)
+			defer ctx.Release()
+			// The fixture's premise: page 1's envelope is live to the answer,
+			// and so is one of its entries just when the query is windowed.
+			kthSq := want[0].Dist * want[0].Dist
+			if lb := ctx.P.EnvelopeSq(r.Sum.env(r.Sum.envMin, r.Sum.envMax, 1)); lb > kthSq {
+				t.Fatalf("fixture: page 1's envelope bound %v is above the answer's %v", lb, kthSq)
+			}
+			live := false
+			for _, e := range entries[2:] {
+				live = live || ctx.P.MinDistSqKey(e.Key) <= kthSq
+			}
+			if live != row.query.Windowed {
+				t.Fatalf("fixture: page 1 holds an entry live to the answer: %v, want %v", live, row.query.Windowed)
+			}
+			tr := &pageTracer{pages: map[int64]bool{}}
+			disk.SetTracer(tr)
+			pl := &index.Planner{Disabled: row.disabled}
+			ctx.Planner = pl
+			col := index.NewCollector(1)
+			if err := s.ScanKNN(r, row.query, col, ctx.Scratch0()); err != nil {
+				t.Fatal(err)
+			}
+			sameResults(t, "scan", col.Results(), want)
+			if !tr.pages[0] || tr.pages[1] != row.read1 {
+				t.Errorf("pages read %v; want page 0, and page 1 %v", tr.pages, row.read1)
+			}
+			if unread := int64(2 - len(tr.pages)); pl.Skips() != unread {
+				t.Errorf("the planner counted %d skips; %d pages went unread", pl.Skips(), unread)
+			}
+		})
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -62,10 +63,12 @@ const groupPages = 16
 const interiorSkipRun = 12
 
 // pageKeyBounds is a test hook, not an option: scans run as they did before
-// the summaries — every entry bounded and window-filtered from its page's
-// bytes, and an envelope tested only where it decides a skip. The
-// equivalence suites hold every index's resident scans to it: same answers,
-// same page accesses in the same order.
+// the summaries — every page evaluated is bounded and window-filtered entry
+// by entry from its bytes, and the summary is consulted only where it
+// decides a skip: an envelope, and the SAX and timestamp columns of a page
+// its envelope leaves live (see Scan). The equivalence suites hold every
+// index's resident scans to it: same answers, same page accesses in the
+// same order.
 var pageKeyBounds bool
 
 // SetPageKeyBounds switches the reference hook. Set it only while no search
@@ -466,7 +469,8 @@ func (s *Store) ProbePage(r Run, p int, q index.Query, col *index.Collector, sc 
 // it pins pages [lo, hi) of r in ascending order through one storage cursor
 // and hands each to eval (index.EvalPage or EvalPageRange) with its slices
 // of the columns attached, unless col rules out every series inside it
-// (dead) by the page's envelope bound. The loop bounds envelopes in batches
+// (dead) by the page's envelope bound or, where a skip may follow, by its
+// entries' bounds (below). The loop bounds envelopes in batches
 // (index.Pruner.EnvelopeSqs): the groups of the range at once, then, as it
 // reaches a group col has not ruled out, that group's pages; it decides each
 // page with col.SkipSq when it reaches it. A dead group is only a short cut,
@@ -478,8 +482,21 @@ func (s *Store) ProbePage(r Run, p int, q index.Query, col *index.Collector, sc 
 // (Scratch.Query, Scratch.Page), by pointer, so the loop copies neither once
 // a page.
 //
-// A dead page is spared every touch of its bytes and every bound of its
-// entries. Whether it is also left unread is the search's planner's decision
+// A page its envelope leaves live is decided by its entries before it is
+// pinned when the planner may skip it and the cursor keeps nothing
+// (storage.Cursor.Keeps): its resident entries are bounded in one call
+// (Scratch.ResidentBounds), and it is dead when none is in the query's window
+// or col rules out the least in-window bound — exactly when eval would prune
+// every in-window entry now, SkipSq being monotone in the bound. A live page
+// takes those bounds on to eval (Page.UseBounds). A cursor that keeps what it
+// reads — a buffer pool's, over a range that fits its cache — pays for a page
+// once; skipping a page there that only its entries rule out would only move
+// its read to a later query, as a random one, so there the envelope alone
+// decides. The reference path (pageKeyBounds) decides skips from the columns
+// too, so both paths read the same pages.
+//
+// A dead page is spared every touch of its bytes and every further bound.
+// Whether it is also left unread is the search's planner's decision
 // (Scratch.Planner), under one rule: a run of dead pages goes unread when it
 // leads or trails the range, or when it is at least interiorSkipRun long; a
 // shorter interior run is read after all, so a declined skip's I/O is that
@@ -487,12 +504,13 @@ func (s *Store) ProbePage(r Run, p int, q index.Query, col *index.Collector, sc 
 // either end a skip only drops reads, and mid-range it drops m sequential
 // reads but makes the read after the gap a random one, a net saving from
 // interiorSkipRun on (a random read costs ten sequential ones under the
-// default model), so no scan costs more than it would unplanned. A dead page
-// that is read — every one when the planner is disabled, the reference path
-// — is pinned and released undecoded, and the trace counts its in-window
-// entries, off the timestamp column, as seen and pruned. The pages skipped
-// are counted into the planner and, beside the pages read, into the query's
-// trace as units of the given kind.
+// default model), so no scan costs more than it would unplanned: a declined
+// run is still pinned. A dead page that is read — a declined run's, or, with
+// the planner disabled, every page an envelope rules out — is pinned and
+// released undecoded (the reference path evaluates it from its bytes), and
+// the trace counts its in-window entries, off the timestamp column, as seen
+// and pruned. The pages skipped are counted into the planner and, beside the
+// pages read, into the query's trace as units of the given kind.
 func (s *Store) Scan(r Run, lo, hi int, kind string, q index.Query, sc *index.Scratch, col index.EnvelopeTester, eval func(q *index.Query, pg *index.Page) error) error {
 	if lo >= hi {
 		return nil
@@ -506,8 +524,11 @@ func (s *Store) Scan(r Run, lo, hi int, kind string, q index.Query, sc *index.Sc
 }
 
 // scanPages is Scan's loop over a non-empty range; it returns the pages it
-// left unread. (The accounting stays outside: a deferred closure over the
-// count here costs the loop a tenth of a CTree scan's time.)
+// left unread. Each page is decided where the loop reaches it: by its
+// group's envelope bound, its own, then, when a skip may follow, its
+// entries' least in-window bound. (The accounting stays outside: a deferred
+// closure over the count here costs the loop a tenth of a CTree scan's
+// time.)
 func (s *Store) scanPages(r Run, lo, hi int, sc *index.Scratch, col index.EnvelopeTester, eval func(q *index.Query, pg *index.Page) error) (skipped int64, err error) {
 	m, w := r.Sum, r.Sum.segs
 	skip := sc.Planner.Enabled()
@@ -522,8 +543,9 @@ func (s *Store) scanPages(r Run, lo, hi int, sc *index.Scratch, col index.Envelo
 	resident := !pageKeyBounds
 	// Envelopes decide pages when a dead page is spared its evaluation
 	// (resident) or left unread (skip); the reference path without a planner
-	// evaluates every page.
-	bounded := resident || skip
+	// evaluates every page. A page its envelope leaves live is decided by its
+	// entries when it may go unread and the cursor keeps nothing (see Scan).
+	bounded, entries := resident || skip, skip && !cur.Keeps()
 	var groups, pages []float64
 	var pageBuf [2 * groupPages]float64 // a group holds fewer pages (Verify)
 	if bounded {
@@ -542,8 +564,19 @@ func (s *Store) scanPages(r Run, lo, hi int, sc *index.Scratch, col index.Envelo
 			pages = pageBuf[:end-first]
 			sc.P.EnvelopeSqs(pages, w, m.envMin[first*w:], m.envMax[first*w:])
 		}
-		for p := first; p < end; p++ {
+		at := 0 // page p's offset in group g's columns
+		for _, n := range m.cnt[m.grp[g].first:first] {
+			at += n
+		}
+		for p := first; p < end; p, at = p+1, at+m.cnt[p] {
 			dead := groupDead || bounded && col.SkipSq(pages[p-first])
+			var lbs []float64
+			if !dead && entries {
+				gr, n := &m.grp[g], m.cnt[p]
+				var least float64
+				lbs, least = sc.ResidentBounds(&sc.Query, gr.syms[at*w:(at+n)*w], gr.ts[at:at+n])
+				dead = math.IsInf(least, 1) || col.SkipSq(least) // +Inf: no entry in the window
+			}
 			if dead && skip {
 				pending++
 				continue
@@ -572,6 +605,9 @@ func (s *Store) scanPages(r Run, lo, hi int, sc *index.Scratch, col index.Envelo
 				}
 				if d == p && !dead || d < p && !resident {
 					s.page(&sc.Page, r, d, rg, off, data)
+					if d == p && resident {
+						sc.Page.UseBounds(lbs)
+					}
 					if err := eval(&sc.Query, &sc.Page); err != nil {
 						return skipped, err
 					}

@@ -16,8 +16,16 @@ import "fmt"
 // consumed — when Pin returns it — never when it is fetched, so the
 // sequential/random sequence of a scan is exactly that of one PinPage per
 // Pin, on every backend.
+//
+// Keeps reports whether the cursor keeps what it reads for later scans of
+// the range: a buffer pool's does when the declared range fits its cache. A
+// page loop reads such a range whole rather than leave unread a page only
+// its entries, not its envelope, rule out: the page is paid for once, where
+// skipping it now only moves its read to a later query, as a random one.
+// The disk's cursors keep nothing.
 type Cursor interface {
 	Pin(page int64) ([]byte, error)
+	Keeps() bool
 	Close()
 }
 
@@ -85,6 +93,8 @@ func (c *cursor) Pin(page int64) ([]byte, error) {
 	return data, nil
 }
 
+func (c *cursor) Keeps() bool { return false }
+
 func (c *cursor) Close() {
 	d := c.d
 	*c = cursor{win: window{buf: c.win.buf}}
@@ -131,5 +141,7 @@ func (c *chunkCursor) Pin(page int64) ([]byte, error) {
 	off := int(page-c.start) * ps
 	return c.buf[off : off+ps : off+ps], nil
 }
+
+func (c *chunkCursor) Keeps() bool { return false }
 
 func (c *chunkCursor) Close() {}

@@ -221,7 +221,7 @@ func BenchmarkColumnBound(b *testing.B) {
 		}},
 		{"fixed-page", func(li int) (sum float64) {
 			for i := 0; i < perLeaf; i++ {
-				sum += p.MinDistSqKey(record.DecodeKeyOnly(fixed[li][i*codec.Size():]))
+				sum += p.MinDistSqKey(sortable.DecodeKey(fixed[li][i*codec.Size():]))
 			}
 			return sum
 		}},

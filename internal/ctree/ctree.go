@@ -258,8 +258,8 @@ func (t *Tree) readLeaf(li int) ([]record.Entry, error) {
 	if _, err := t.store.Reader.ReadPage(t.leaves.File, phys, t.pageBuf); err != nil {
 		return nil, err
 	}
-	pg, err := t.layout.Page(t.pageBuf, t.leaves.Sum.Entries(li))
-	if err != nil {
+	var pg record.PageView
+	if err := t.layout.Page(&pg, t.pageBuf, t.leaves.Sum.Entries(li)); err != nil {
 		return nil, fmt.Errorf("ctree: %s page %d: %w", t.leaves.File, phys, err)
 	}
 	return pg.Entries()

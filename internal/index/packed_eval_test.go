@@ -3,6 +3,7 @@ package index
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -13,8 +14,8 @@ import (
 )
 
 // buildEvalFixture summarizes n random series into key-sorted entries plus
-// both page encodings of the same entry sequence: the fixed-size layout and
-// a packed page.
+// both page encodings of the same entry sequence, each a whole page of
+// pageSize bytes: the fixed-size layout and a packed page.
 func buildEvalFixture(t *testing.T, rng *rand.Rand, cfg Config, n, pageSize int) (*series.Dataset, []record.Entry, []byte, []byte) {
 	t.Helper()
 	codec := cfg.Codec()
@@ -42,13 +43,14 @@ func buildEvalFixture(t *testing.T, rng *rand.Rand, cfg Config, n, pageSize int)
 	}
 	sort.Slice(entries, func(a, b int) bool { return entries[a].Less(entries[b]) })
 
-	var fixed []byte
+	fixed := make([]byte, 0, pageSize)
 	for _, e := range entries {
 		var err error
 		if fixed, err = codec.Append(fixed, e); err != nil {
 			t.Fatal(err)
 		}
 	}
+	fixed = fixed[:pageSize]
 	b, err := record.NewPageBuilder(codec, pageSize)
 	if err != nil {
 		t.Fatal(err)
@@ -69,23 +71,34 @@ func buildEvalFixture(t *testing.T, rng *rand.Rand, cfg Config, n, pageSize int)
 	return ds, entries, fixed, packed
 }
 
+// layoutOf returns the layout, fixed-size or packed, of cfg's entries on
+// pages of pageSize bytes.
+func layoutOf(t testing.TB, cfg Config, pageSize int, packed bool) *record.Layout {
+	t.Helper()
+	l, err := record.NewLayout(cfg.Codec(), pageSize, packed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &l
+}
+
 // evalLayouts names the layouts of one entry sequence the page evaluator
 // reads through its cursor: three encodings, and the two on-page ones again
 // with the entries' symbols resident beside the page (UseSymbols), where the
 // bounds come from the symbols and the page is read only for survivors.
-func evalLayouts(entries []record.Entry, fixed, packed []byte, cfg Config) map[string]Page {
-	codec := cfg.Codec()
+func evalLayouts(t testing.TB, entries []record.Entry, fixed, packed []byte, cfg Config) map[string]Page {
+	fl, pl := layoutOf(t, cfg, len(fixed), false), layoutOf(t, cfg, len(packed), true)
 	var column []uint8
 	for _, e := range entries {
 		syms := sortable.Symbols(e.Key, cfg.Segments, cfg.Bits)
 		column = append(column, syms[:cfg.Segments]...)
 	}
-	fixedSyms, packedSyms := FixedPage(fixed, len(entries), codec), PackedPage(packed, codec)
+	fixedSyms, packedSyms := StoredPage(fl, fixed, len(entries)), StoredPage(pl, packed, len(entries))
 	fixedSyms.UseSymbols(column, cfg.Segments)
 	packedSyms.UseSymbols(column, cfg.Segments)
 	return map[string]Page{
-		"fixed":          FixedPage(fixed, len(entries), codec),
-		"packed":         PackedPage(packed, codec),
+		"fixed":          StoredPage(fl, fixed, len(entries)),
+		"packed":         StoredPage(pl, packed, len(entries)),
 		"entries":        EntryPage(entries),
 		"fixed+symbols":  fixedSyms,
 		"packed+symbols": packedSyms,
@@ -113,7 +126,7 @@ func TestEvalPageLayoutsMatch(t *testing.T) {
 	for _, materialized := range []bool{false, true} {
 		cfg := Config{SeriesLen: 32, Segments: 8, Bits: 4, Materialized: materialized}
 		ds, entries, fixed, packed := buildEvalFixture(t, rng, cfg, 48, 32768)
-		layouts := evalLayouts(entries, fixed, packed, cfg)
+		layouts := evalLayouts(t, entries, fixed, packed, cfg)
 
 		for trial := 0; trial < 20; trial++ {
 			qs := make(series.Series, cfg.SeriesLen)
@@ -153,7 +166,7 @@ func TestEvalPageRangeLayoutsMatch(t *testing.T) {
 	for _, materialized := range []bool{false, true} {
 		cfg := Config{SeriesLen: 32, Segments: 8, Bits: 4, Materialized: materialized}
 		ds, entries, fixed, packed := buildEvalFixture(t, rng, cfg, 48, 32768)
-		layouts := evalLayouts(entries, fixed, packed, cfg)
+		layouts := evalLayouts(t, entries, fixed, packed, cfg)
 
 		qs := make(series.Series, cfg.SeriesLen)
 		for j := range qs {
@@ -197,7 +210,7 @@ func TestEvalPageDoesNotAllocate(t *testing.T) {
 	ctx := AcquireCtx(q, cfg)
 	defer ctx.Release()
 	sc := ctx.Scratch0()
-	for name, pg := range evalLayouts(entries, fixed, packed, cfg) {
+	for name, pg := range evalLayouts(t, entries, fixed, packed, cfg) {
 		col := NewCollector(3)
 		// Warm the scratch candidate buffer to its high-water mark.
 		if _, err := EvalPage(&q, &pg, ds, col, sc); err != nil {
@@ -240,7 +253,7 @@ func TestEvalPageSymbolsSpareThePage(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	cfg := Config{SeriesLen: 32, Segments: 8, Bits: 4, Materialized: true}
 	ds, entries, fixed, packed := buildEvalFixture(t, rng, cfg, 24, 16384)
-	layouts := evalLayouts(entries, fixed, packed, cfg)
+	layouts := evalLayouts(t, entries, fixed, packed, cfg)
 	qs := make(series.Series, cfg.SeriesLen)
 	for j := range qs {
 		qs[j] = 10 * rng.NormFloat64()
@@ -284,13 +297,24 @@ func TestEvalPageSymbolsSpareThePage(t *testing.T) {
 	if _, err := EvalPage(&q, &pg, ds, full(), sc); err == nil {
 		t.Fatal("undecodable packed page evaluated without its symbols: no error")
 	}
-	// A survivor opens the page, whose header must agree with the symbols.
+	// A survivor opens the page, which must hold the entries its symbols
+	// count: a packed page's header must agree, and a fixed-size page, which
+	// does not say, must have room for them.
 	short := layouts["packed+symbols"]
 	short.UseSymbols(short.syms[:len(short.syms)-cfg.Segments], cfg.Segments)
-	if _, err := EvalPage(&q, &short, ds, NewCollector(1), sc); err == nil {
-		t.Fatal("packed page with one entry more than its symbols: no error")
-	}
-	if err := EvalPageRange(&q, &short, ds, NewRangeCollector(1e6), sc); err == nil {
-		t.Fatal("packed page with one entry more than its symbols: no error from the range evaluator")
+	exact := len(entries) * cfg.Codec().Size() // a fixed-size page that holds exactly the entries
+	over := StoredPage(layoutOf(t, cfg, exact, false), fixed[:exact], len(entries)+1)
+	column := layouts["fixed+symbols"].syms
+	over.UseSymbols(append(slices.Clone(column), column[:cfg.Segments]...), cfg.Segments)
+	for name, pg := range map[string]Page{
+		"packed page with one entry more than its symbols":              short,
+		"fixed-size page with room for one entry less than its symbols": over,
+	} {
+		if _, err := EvalPage(&q, &pg, ds, NewCollector(1), sc); err == nil {
+			t.Fatalf("%s: no error", name)
+		}
+		if err := EvalPageRange(&q, &pg, ds, NewRangeCollector(1e6), sc); err == nil {
+			t.Fatalf("%s: no error from the range evaluator", name)
+		}
 	}
 }

@@ -61,11 +61,12 @@ import (
 //     envelope bound is the same float64, bit for bit.
 //
 //   - A SearchCtx bundles the Pruner with per-worker Scratch states
-//     (raw-series decode buffer, candidate-ordering scratch, the page loop's
-//     envelope bounds and the page evaluator's entry bounds) and is
-//     recycled through a sync.Pool, so concurrent searches allocate nothing
-//     per candidate probe. Pages themselves arrive as pinned borrows from
-//     the storage.PageReader (zero-copy), not as scratch copies.
+//     (candidate-ordering scratch, the view of the stored page under
+//     evaluation, the page loop's envelope bounds and the page evaluator's
+//     entry bounds) and is recycled through a sync.Pool, so concurrent
+//     searches allocate nothing per candidate probe. Pages themselves arrive
+//     as pinned borrows from the storage.PageReader (zero-copy), not as
+//     scratch copies.
 //
 // # Query-context lifecycle
 //
@@ -84,7 +85,7 @@ import (
 // each task; a scratch is exclusive to its slot while a task runs, so its
 // buffers need no locking. Scratches must be materialized on the
 // coordinating goroutine (Scratches / Scratch0) before workers start.
-// Release returns the whole bundle — tables, decode scratch, candidate
+// Release returns the whole bundle — tables, page view, candidate
 // slices — to the pool for the next query; a context must not be used
 // after Release.
 
@@ -323,15 +324,15 @@ type pageCand struct {
 	i    int32
 }
 
-// Scratch is the per-worker mutable state of one query: a raw-series
-// decode buffer and candidate-ordering scratch (index pages are read as
-// pinned zero-copy borrows, so no page buffer lives here). Exactly one
-// task uses a scratch at a time (one per FanOut worker slot), so
-// none of it is locked. P points at the query's shared read-only Pruner.
+// Scratch is the per-worker mutable state of one query: candidate-ordering
+// scratch and the view of the stored page under evaluation (index pages are
+// read as pinned zero-copy borrows, so no page buffer lives here). Exactly
+// one task uses a scratch at a time (one per FanOut worker slot), so none of
+// it is locked. P points at the query's shared read-only Pruner.
 type Scratch struct {
 	P     *Pruner
 	cands []pageCand
-	view  record.PackedView // the packed page under evaluation, see Page.openView
+	view  record.PageView // the stored page under evaluation, see Page.open
 	// Query and Page are what a page loop (run.Store.Scan) hands the page
 	// evaluator: it copies the query in once a scan and describes each page
 	// in place, and the evaluator takes both by pointer, so nothing is
@@ -568,44 +569,39 @@ func ScanBuffer(buf []record.Entry, q Query, raw series.RawStore, col *Collector
 	return nil
 }
 
-// Page is a cursor over the entries one probe evaluates, whatever their
-// layout — chosen where the page is pinned. The evaluation loops read every
-// layout through it by position: the window filter and the squared lower
-// bound come from the encoded header (or the packed columns, decoders fused
-// into the loop) alone, and only surviving candidates touch their payload.
-// It is a small stack value — building one allocates nothing, and no
-// record is ever decoded into an Entry. A Page aliases the pin (or the
-// caller's entry slice) and is valid only as long as it is.
+// Page is a cursor over the entries one probe evaluates — a stored page of
+// an entry file or entries already in memory — chosen where the page is
+// pinned. The evaluation loops read both through it by position: a stored
+// page through the record.PageView its layout opens, which alone knows the
+// encoding, so the window filter and the squared lower bound come from the
+// entries' headers (or packed columns) alone, and only surviving candidates
+// touch their payload. It is a small stack value — building one allocates
+// nothing, and no record is ever decoded into an Entry. A Page aliases the
+// pin (or the caller's entry slice) and is valid only as long as it is.
 //
 // A page's lower bounds need only its entries' symbols, and an index that
 // keeps those resident hands them to the cursor (UseSymbols): the bounds
 // then read no page bytes at all, and an unwindowed evaluation that prunes
-// every entry returns without having touched — for a packed page, without
-// having opened — the page. The window filter needs only the timestamps, so
-// a cursor that has been handed those too (UseTimestamps, what a sorted run
-// keeps) evaluates a windowed query the same way.
+// every entry returns without having opened the page. The window filter
+// needs only the timestamps, so a cursor that has been handed those too
+// (UseTimestamps, what a sorted run keeps) evaluates a windowed query the
+// same way.
 type Page struct {
-	n       int
-	recSize int                // > 0: fixed-width records in data
-	ents    []record.Entry     // non-nil: decoded entries
-	view    *record.PackedView // otherwise: packed columns of data, see openView
-	data    []byte
-	codec   record.Codec
-	syms    []uint8   // non-nil: the entries' symbols, the pruner's segments to an entry
-	tss     []int64   // non-nil: the entries' timestamps
-	lbs     []float64 // non-nil: the entries' bounds, from the page loop (UseBounds)
+	n      int
+	ents   []record.Entry // EntryPage: the entries
+	layout *record.Layout // StoredPage: the layout data is a page of; nil for entries
+	data   []byte
+	view   *record.PageView // the stored page opened, in the worker's scratch (open)
+	syms   []uint8          // non-nil: the entries' symbols, the pruner's segments to an entry
+	tss    []int64          // non-nil: the entries' timestamps
+	lbs    []float64        // non-nil: the entries' bounds, from the page loop (UseBounds)
 }
 
-// FixedPage describes n records encoded back-to-back (codec.Size() bytes
-// each) at the start of a pinned page.
-func FixedPage(data []byte, n int, codec record.Codec) Page {
-	return Page{n: n, recSize: codec.Size(), data: data, codec: codec}
-}
-
-// PackedPage describes a pinned packed (compressed) page; its header
-// carries the entry count.
-func PackedPage(data []byte, codec record.Codec) Page {
-	return Page{data: data, codec: codec}
+// StoredPage describes a pinned page of an entry file in layout l that holds
+// n entries, as its directory or summary says: the page must agree when it
+// is opened (record.Layout.Page).
+func StoredPage(l *record.Layout, data []byte, n int) Page {
+	return Page{n: n, layout: l, data: data}
 }
 
 // EntryPage describes already-decoded in-memory entries: leaf buffers,
@@ -615,7 +611,7 @@ func EntryPage(entries []record.Entry) Page { return Page{n: len(entries), ents:
 // UseSymbols makes the cursor bound its entries from syms instead of from
 // their keys: segs symbols per entry in page order, each entry's as
 // sortable.Symbols gives them for its key. The entry count is then the
-// column's, which a packed page's header must agree with once it is opened.
+// column's, which a stored page must agree with once it is opened.
 func (pg *Page) UseSymbols(syms []uint8, segs int) {
 	pg.syms, pg.n = syms, len(syms)/segs
 }
@@ -635,47 +631,48 @@ func (pg *Page) resident(q *Query) bool {
 	return pg.syms != nil && (!q.Windowed || pg.tss != nil)
 }
 
-// packed reports whether the page is in the packed layout. The evaluation
-// loops then open its column view (openView) and point pg.view at it: the
-// view is too large to carry in every Page the probes pass around.
-func (pg *Page) packed() bool { return pg.recSize == 0 && pg.data != nil }
+// begin readies pg for an evaluation under q, as both evaluators start: it
+// returns the entries' bounds — nil when they are to come from keys — and
+// whether the page is resident, and opens a stored page that is not.
+func (pg *Page) begin(q *Query, sc *Scratch) (lbs []float64, resident bool, err error) {
+	pg.view = nil // what an earlier evaluation opened is sc's, and may be another page's by now
+	if resident = pg.resident(q); !resident {
+		if err := pg.open(sc); err != nil {
+			return nil, false, err
+		}
+	}
+	if lbs = pg.lbs; lbs == nil && pg.syms != nil {
+		lbs = sc.entryBounds(pg.syms)
+	}
+	return lbs, resident, nil
+}
 
-// openView opens a packed page's column view, unless it is open already;
-// other layouts have nothing to open. A loop calls it before its first read
-// of page bytes: at once when the bounds or the window filter need them,
-// otherwise only when an entry has survived its bound. The view lives in
-// the worker's scratch, which one evaluation uses at a time.
-func (pg *Page) openView(sc *Scratch) error {
-	if !pg.packed() || pg.view != nil {
+// open opens a stored page through its layout, which checks the page holds
+// the entries the cursor says, unless it is open already; entries in memory
+// have nothing to open. A loop calls it before its first read of page
+// bytes: at once when the bounds or the window filter need them, otherwise
+// only when an entry has survived its bound. The view lives in the worker's
+// scratch, which one evaluation uses at a time: it is too large to carry in
+// every Page the probes pass around.
+func (pg *Page) open(sc *Scratch) error {
+	if pg.layout == nil || pg.view != nil {
 		return nil
 	}
-	v, err := pg.codec.ViewPacked(pg.data)
-	if err != nil {
+	if err := pg.layout.Page(&sc.view, pg.data, pg.n); err != nil {
 		return err
 	}
-	if pg.syms == nil {
-		pg.n = v.Count()
-	} else if v.Count() != pg.n {
-		return fmt.Errorf("index: packed page holds %d entries, its resident symbols %d", v.Count(), pg.n)
-	}
-	sc.view = v
 	pg.view = &sc.view
 	return nil
 }
-
-func (pg *Page) rec(i int) []byte { return pg.data[i*pg.recSize : (i+1)*pg.recSize] }
 
 func (pg *Page) ts(i int) int64 {
 	switch {
 	case pg.tss != nil:
 		return pg.tss[i]
-	case pg.recSize > 0:
-		return record.DecodeTS(pg.rec(i))
-	case pg.ents != nil:
+	case pg.layout == nil:
 		return pg.ents[i].TS
-	default:
-		return pg.view.TS(i)
 	}
+	return pg.view.TS(i)
 }
 
 // nextInWindow returns the first entry at or after i (of n) whose timestamp
@@ -688,9 +685,10 @@ func (pg *Page) nextInWindow(q *Query, i, n int) int {
 	return pg.skipOutOfWindow(q.MinTS, q.MaxTS, i, n)
 }
 
-// skipOutOfWindow is nextInWindow's loop, written per layout over locals so
-// that passing over out-of-window entries — most of a page, on a narrow
-// window — costs a decode and two compares each, not a call.
+// skipOutOfWindow is nextInWindow's loop, written per source of timestamps
+// over locals so that passing over out-of-window entries — most of a page,
+// on a narrow window — costs two compares each, not a call, where the
+// timestamps are in memory.
 func (pg *Page) skipOutOfWindow(lo, hi int64, i, n int) int {
 	out := func(ts int64) bool { return ts < lo || ts > hi }
 	switch {
@@ -698,11 +696,7 @@ func (pg *Page) skipOutOfWindow(lo, hi int64, i, n int) int {
 		for tss := pg.tss[:n]; i < n && out(tss[i]); {
 			i++
 		}
-	case pg.recSize > 0:
-		for data, size := pg.data, pg.recSize; i < n && out(record.DecodeTS(data[i*size:])); {
-			i++
-		}
-	case pg.ents != nil:
+	case pg.layout == nil:
 		for ents := pg.ents; i < n && out(ents[i].TS); {
 			i++
 		}
@@ -715,41 +709,30 @@ func (pg *Page) skipOutOfWindow(lo, hi int64, i, n int) int {
 }
 
 func (pg *Page) key(i int) sortable.Key {
-	switch {
-	case pg.recSize > 0:
-		return record.DecodeKeyOnly(pg.rec(i))
-	case pg.ents != nil:
+	if pg.layout == nil {
 		return pg.ents[i].Key
-	default:
-		return pg.view.Key(i)
 	}
+	return pg.view.Key(i)
 }
 
 func (pg *Page) id(i int) int64 {
-	switch {
-	case pg.recSize > 0:
-		return record.DecodeID(pg.rec(i))
-	case pg.ents != nil:
+	if pg.layout == nil {
 		return pg.ents[i].ID
-	default:
-		return pg.view.ID(i)
 	}
+	return pg.view.ID(i)
 }
 
 // distSq verifies entry i: the early-abandoning squared distance to the
 // query, accumulated directly from the encoded payload when the page
 // carries one, from a raw fetch otherwise.
 func (pg *Page) distSq(q *Query, i int, raw series.RawStore, limitSq float64) (float64, error) {
-	switch {
-	case pg.ents != nil:
+	if pg.layout == nil {
 		return TrueDistSq(q, pg.ents[i], raw, limitSq)
-	case !pg.codec.Materialized:
-		return rawDistSq(q, pg.id(i), raw, limitSq)
-	case pg.recSize > 0:
-		return q.Norm.SqDistEncodedEarlyAbandon(pg.rec(i)[record.HeaderBytes:], limitSq), nil
-	default:
-		return q.Norm.SqDistEncodedEarlyAbandon(pg.view.PayloadBytes(i), limitSq), nil
 	}
+	if pay := pg.view.PayloadBytes(i); pay != nil {
+		return q.Norm.SqDistEncodedEarlyAbandon(pay, limitSq), nil
+	}
+	return rawDistSq(q, pg.view.ID(i), raw, limitSq)
 }
 
 // EvalPage evaluates one page against the k-NN collector: in-window entries
@@ -761,18 +744,11 @@ func (pg *Page) distSq(q *Query, i int, raw series.RawStore, limitSq float64) (f
 // returns the number of in-window entries seen. Query and page are taken by
 // pointer, so a page loop copies neither once a page (Scratch.Query, .Page).
 func EvalPage(q *Query, pg *Page, raw series.RawStore, col *Collector, sc *Scratch) (int, error) {
-	pg.view = nil // what an earlier evaluation opened is sc's, and may be another page's by now
-	resident := pg.resident(q)
-	if !resident {
-		if err := pg.openView(sc); err != nil {
-			return 0, err
-		}
+	lbs, resident, err := pg.begin(q, sc)
+	if err != nil {
+		return 0, err
 	}
 	n := pg.n
-	lbs := pg.lbs
-	if lbs == nil && pg.syms != nil {
-		lbs = sc.entryBounds(pg.syms)
-	}
 	cands := sc.cands[:0]
 	count := 0
 	traced := sc.Trace != nil
@@ -802,7 +778,7 @@ func EvalPage(q *Query, pg *Page, raw series.RawStore, col *Collector, sc *Scrat
 		}
 		return count, nil
 	}
-	if err := pg.openView(sc); err != nil {
+	if err := pg.open(sc); err != nil {
 		return count, err
 	}
 	slices.SortFunc(cands, func(a, b pageCand) int { return cmp.Compare(a.lbSq, b.lbSq) })
@@ -838,18 +814,11 @@ func EvalPage(q *Query, pg *Page, raw series.RawStore, col *Collector, sc *Scrat
 // static, so candidates need no ordering and every in-window, unpruned
 // entry verifies directly.
 func EvalPageRange(q *Query, pg *Page, raw series.RawStore, col *RangeCollector, sc *Scratch) error {
-	pg.view = nil
-	resident := pg.resident(q)
-	if !resident {
-		if err := pg.openView(sc); err != nil {
-			return err
-		}
+	lbs, resident, err := pg.begin(q, sc)
+	if err != nil {
+		return err
 	}
 	n := pg.n
-	lbs := pg.lbs
-	if lbs == nil && pg.syms != nil {
-		lbs = sc.entryBounds(pg.syms)
-	}
 	traced := sc.Trace != nil
 	var seen, ver, ab, pr int64
 	for i := pg.nextInWindow(q, 0, n); i < n; i = pg.nextInWindow(q, i+1, n) {
@@ -868,7 +837,7 @@ func EvalPageRange(q *Query, pg *Page, raw series.RawStore, col *RangeCollector,
 			}
 			continue
 		}
-		if err := pg.openView(sc); err != nil {
+		if err := pg.open(sc); err != nil {
 			return err
 		}
 		dSq, err := pg.distSq(q, i, raw, col.BoundSq())

@@ -324,7 +324,7 @@ func TestEvalPageEncodedMatchesEntries(t *testing.T) {
 		codec := cfg.Codec()
 		ds := series.NewDataset(cfg.SeriesLen)
 		var entries []record.Entry
-		var page []byte
+		page := make([]byte, 0, 16384)
 		for i := 0; i < 40; i++ {
 			s := make(series.Series, cfg.SeriesLen)
 			for j := range s {
@@ -361,7 +361,7 @@ func TestEvalPageEncodedMatchesEntries(t *testing.T) {
 
 		ctx2 := AcquireCtx(q, cfg)
 		colB := NewCollector(5)
-		fixed := FixedPage(page, len(entries), codec)
+		fixed := StoredPage(layoutOf(t, cfg, cap(page), false), page[:cap(page)], len(entries))
 		if _, err := EvalPage(&q, &fixed, ds, colB, ctx2.Scratch0()); err != nil {
 			t.Fatal(err)
 		}

@@ -54,7 +54,7 @@ func NewLayout(c Codec, pageSize int, packed bool) (Layout, error) {
 // this layout — a Writer's write-behind, a Reader's read-ahead — when its
 // caller would give it pages: a fixed-size stream takes the caller's width
 // (at least one page), a packed stream always moves 16 pages at a time.
-func (l Layout) StreamPages(pages int) int {
+func (l *Layout) StreamPages(pages int) int {
 	if l.packed {
 		return packedStreamPages
 	}
@@ -63,7 +63,7 @@ func (l Layout) StreamPages(pages int) int {
 
 // maxPerPage bounds the entries one page of the layout can hold: a packed
 // entry may take no bits beside its payload.
-func (l Layout) maxPerPage() int {
+func (l *Layout) maxPerPage() int {
 	if !l.packed {
 		return l.perPage
 	}
@@ -83,49 +83,53 @@ type PageView struct {
 	n      int
 }
 
-// Page opens a page whose entry count the caller knows — from a directory or
-// a summary. A packed page's header must agree; a fixed-size page, which
-// does not say, must have room for count.
-func (l Layout) Page(data []byte, count int) (PageView, error) {
-	pg, err := l.open(data, count)
+// Page opens data into pg as a page whose entry count the caller knows —
+// from a directory or a summary. A packed page's header must agree; a
+// fixed-size page, which does not say, must have room for count. pg is
+// written in place, so a loop that opens page after page copies no view;
+// after an error it is no page to read.
+func (l *Layout) Page(pg *PageView, data []byte, count int) error {
+	err := l.open(pg, data, count)
 	if err == nil && pg.n != count {
 		err = fmt.Errorf("record: page holds %d entries, its directory says %d", pg.n, count)
 	}
-	return pg, err
+	return err
 }
 
-// NextPage opens the next page of a file written at full pages, of which
-// left entries remain: a fixed-size page holds as many of them as fit, a
-// packed page what its header says, which must be one or more and no more
-// than left.
-func (l Layout) NextPage(data []byte, left int64) (PageView, error) {
-	pg, err := l.open(data, int(min(left, int64(l.perPage))))
+// NextPage opens data into pg, as Page does, as the next page of a file
+// written at full pages, of which left entries remain: a fixed-size page
+// holds as many of them as fit, a packed page what its header says, which
+// must be one or more and no more than left.
+func (l *Layout) NextPage(pg *PageView, data []byte, left int64) error {
+	err := l.open(pg, data, int(min(left, int64(l.perPage))))
 	if err == nil && int64(pg.n) > left {
 		err = fmt.Errorf("record: page holds %d entries, the file has %d left", pg.n, left)
 	}
-	return pg, err
+	return err
 }
 
-// open opens data as a page of the layout: a packed page holds what its
-// header says, a fixed-size one count entries.
-func (l Layout) open(data []byte, count int) (PageView, error) {
+// open opens data into pg as a page of the layout: a packed page holds what
+// its header says, a fixed-size one count entries. A fixed-size page leaves
+// pg's packed view, which it never reads, as it was: clearing it would make
+// the query loop's opening of such a page four times as costly.
+func (l *Layout) open(pg *PageView, data []byte, count int) error {
+	pg.codec, pg.packed, pg.data, pg.n = l.codec, l.packed, data, count
 	if len(data) < l.pageSize {
-		return PageView{}, fmt.Errorf("record: page of %d bytes, the layout's are %d", len(data), l.pageSize)
+		return fmt.Errorf("record: page of %d bytes, the layout's are %d", len(data), l.pageSize)
 	}
-	pg := PageView{codec: l.codec, packed: l.packed, data: data, n: count}
 	if l.packed {
 		v, err := l.codec.ViewPacked(data)
 		if err != nil {
-			return PageView{}, err
+			return err
 		}
 		pg.view, pg.n = v, v.Count()
 	} else if count > l.perPage {
-		return PageView{}, fmt.Errorf("record: page claims %d entries, a page holds %d", count, l.perPage)
+		return fmt.Errorf("record: page claims %d entries, a page holds %d", count, l.perPage)
 	}
 	if pg.n < 1 {
-		return PageView{}, fmt.Errorf("record: page holds no entries")
+		return fmt.Errorf("record: page holds no entries")
 	}
-	return pg, nil
+	return nil
 }
 
 // Count returns the number of entries on the page.
@@ -136,7 +140,15 @@ func (p *PageView) Key(i int) sortable.Key {
 	if p.packed {
 		return p.view.Key(i)
 	}
-	return DecodeKeyOnly(p.data[i*p.codec.Size():])
+	return sortable.DecodeKey(p.data[i*p.codec.Size():])
+}
+
+// ID returns entry i's series ID.
+func (p *PageView) ID(i int) int64 {
+	if p.packed {
+		return p.view.ID(i)
+	}
+	return decodeID(p.data[i*p.codec.Size():])
 }
 
 // TS returns entry i's timestamp.
@@ -144,7 +156,20 @@ func (p *PageView) TS(i int) int64 {
 	if p.packed {
 		return p.view.TS(i)
 	}
-	return DecodeTS(p.data[i*p.codec.Size():])
+	return decodeTS(p.data[i*p.codec.Size():])
+}
+
+// PayloadBytes returns entry i's payload as the page stores it, verbatim,
+// or nil when the codec is not materialized. The slice aliases the page.
+func (p *PageView) PayloadBytes(i int) []byte {
+	switch {
+	case !p.codec.Materialized:
+		return nil
+	case p.packed:
+		return p.view.PayloadBytes(i)
+	}
+	size := p.codec.Size()
+	return p.data[i*size+HeaderBytes : (i+1)*size]
 }
 
 // Entries decodes every entry of the page; payloads are freshly allocated.
@@ -189,7 +214,7 @@ type Writer struct {
 // reach ⌊page size · fill⌋, or sooner when an entry no longer fits; values
 // outside (0,1) mean full pages. chunkPages is the write-behind width the
 // caller gives the stream (see StreamPages).
-func (l Layout) Create(d PageAppender, name string, fill float64, chunkPages int) (*Writer, error) {
+func (l *Layout) Create(d PageAppender, name string, fill float64, chunkPages int) (*Writer, error) {
 	if d.PageSize() != l.pageSize {
 		return nil, fmt.Errorf("record: %q: a disk of %d-byte pages, a layout of %d", name, d.PageSize(), l.pageSize)
 	}
@@ -293,12 +318,12 @@ type Reader struct {
 // count entries — fewer pages than any page of the layout could hold them
 // in — is refused here; one whose pages hold fewer entries than their
 // number allows is refused when the reader runs out of them.
-func (l Layout) NewReader(pages PageCursor, npages int64, name string, count int64) (*Reader, error) {
+func (l *Layout) NewReader(pages PageCursor, npages int64, name string, count int64) (*Reader, error) {
 	per := int64(l.maxPerPage())
 	if need := (count + per - 1) / per; npages < need {
 		return nil, fmt.Errorf("record: file %q has %d pages, need %d for %d entries", name, npages, need, count)
 	}
-	return &Reader{l: l, pages: pages, name: name, npages: npages, count: count}, nil
+	return &Reader{l: *l, pages: pages, name: name, npages: npages, count: count}, nil
 }
 
 // Next returns the next entry, or io.EOF after the last. Its payload is
@@ -317,7 +342,8 @@ func (r *Reader) Next(payload series.Series) (Entry, error) {
 		if err != nil {
 			return Entry{}, err
 		}
-		if r.page, err = r.l.NextPage(data, r.count-r.read); err != nil {
+		if err := r.l.NextPage(&r.page, data, r.count-r.read); err != nil {
+			r.page = PageView{}
 			return Entry{}, fmt.Errorf("record: %s page %d: %w", r.name, r.next, err)
 		}
 		r.next, r.idx = r.next+1, 0

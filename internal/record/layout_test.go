@@ -50,13 +50,14 @@ func streamRoundTrip(t *testing.T, c Codec, pageSize int, packed bool, fill floa
 		fill = 1
 	}
 	b, want := l.Builder(), make([]byte, pageSize)
+	var pg PageView
 	for p, from := range starts {
 		to := len(entries)
 		if p+1 < len(starts) {
 			to = starts[p+1]
 		}
 		page := file[p*pageSize : (p+1)*pageSize]
-		if _, err := l.Page(page, to-from); err != nil {
+		if err := l.Page(&pg, page, to-from); err != nil {
 			t.Fatalf("page %d: %v", p, err)
 		}
 		if last := p == len(starts)-1; !packed && !last && to-from != max(1, int(float64(pageSize/c.Size())*fill)) {
@@ -179,39 +180,52 @@ func TestReaderRejectsShortFile(t *testing.T) {
 
 // TestPageChecksItsCount: a page opened with a count — a directory's, a
 // summary's — must hold that many entries, and a page of a file written at
-// full pages no more than the file has left.
+// full pages no more than the file has left. What it opens reads back every
+// entry it was built from, in both layouts, materialized or not: the
+// payload bytes verbatim, or nil without a payload.
 func TestPageChecksItsCount(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	c := Codec{SeriesLen: 4}
-	entries := randomSortedEntries(rng, c, 5, "dense")
-	for _, packed := range []bool{false, true} {
-		l, _ := NewLayout(c, 512, packed)
-		page := make([]byte, 512)
-		if fits, err := encodeAll(l.Builder(), page, entries); err != nil || !fits {
-			t.Fatal(fits, err)
-		}
-		pg, err := l.Page(page, 5)
-		if err != nil || pg.Count() != 5 || pg.Key(0) != entries[0].Key || pg.TS(4) != entries[4].TS {
-			t.Fatalf("packed=%v: %+v %v", packed, pg, err)
-		}
-		got, err := pg.Entries()
-		if err != nil || len(got) != 5 || got[2].ID != entries[2].ID {
-			t.Fatalf("packed=%v: entries %+v %v", packed, got, err)
-		}
-		for _, bad := range []int{0, 512} {
-			if _, err := l.Page(page, bad); err == nil {
-				t.Fatalf("packed=%v: a page of 5 entries opened as %d", packed, bad)
+	for _, c := range []Codec{{SeriesLen: 4}, {SeriesLen: 4, Materialized: true}} {
+		entries := randomSortedEntries(rng, c, 5, "dense")
+		for _, packed := range []bool{false, true} {
+			l, _ := NewLayout(c, 512, packed)
+			page := make([]byte, 512)
+			if fits, err := encodeAll(l.Builder(), page, entries); err != nil || !fits {
+				t.Fatal(fits, err)
 			}
-		}
-		if _, err := l.NextPage(page, 0); err == nil {
-			t.Fatalf("packed=%v: a page opened past the file's count", packed)
-		}
-		if packed {
-			if _, err := l.Page(page, 4); err == nil || !strings.Contains(err.Error(), "directory says 4") {
-				t.Fatalf("a packed page of 5 entries opened as 4: %v", err)
+			var pg PageView
+			if err := l.Page(&pg, page, 5); err != nil || pg.Count() != 5 {
+				t.Fatalf("%+v packed=%v: %+v %v", c, packed, pg, err)
 			}
-			if _, err := l.NextPage(page, 4); err == nil {
-				t.Fatal("a packed page of 5 entries opened with 4 left")
+			for i, e := range entries {
+				var pay []byte
+				if c.Materialized {
+					pay = e.Payload.AppendBinary(nil)
+				}
+				got := pg.PayloadBytes(i)
+				if pg.Key(i) != e.Key || pg.ID(i) != e.ID || pg.TS(i) != e.TS || !bytes.Equal(got, pay) || (got == nil) != (pay == nil) {
+					t.Fatalf("%+v packed=%v: entry %d reads back as %v %d %d %x", c, packed, i, pg.Key(i), pg.ID(i), pg.TS(i), got)
+				}
+			}
+			got, err := pg.Entries()
+			if err != nil || len(got) != 5 || got[2].ID != entries[2].ID {
+				t.Fatalf("%+v packed=%v: entries %+v %v", c, packed, got, err)
+			}
+			for _, bad := range []int{0, 512} {
+				if err := l.Page(&PageView{}, page, bad); err == nil {
+					t.Fatalf("%+v packed=%v: a page of 5 entries opened as %d", c, packed, bad)
+				}
+			}
+			if err := l.NextPage(&PageView{}, page, 0); err == nil {
+				t.Fatalf("%+v packed=%v: a page opened past the file's count", c, packed)
+			}
+			if packed {
+				if err := l.Page(&PageView{}, page, 4); err == nil || !strings.Contains(err.Error(), "directory says 4") {
+					t.Fatalf("%+v: a packed page of 5 entries opened as 4: %v", c, err)
+				}
+				if err := l.NextPage(&PageView{}, page, 4); err == nil {
+					t.Fatalf("%+v: a packed page of 5 entries opened with 4 left", c)
+				}
 			}
 		}
 	}

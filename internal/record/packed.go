@@ -111,7 +111,7 @@ func NewPageBuilder(c Codec, pageSize int) (*PageBuilder, error) {
 }
 
 // Builder returns a page builder of the layout.
-func (l Layout) Builder() *PageBuilder {
+func (l *Layout) Builder() *PageBuilder {
 	b := &PageBuilder{codec: l.codec, pageSize: l.pageSize, paySize: l.codec.Size() - HeaderBytes}
 	if !l.packed {
 		b.perPage = l.perPage

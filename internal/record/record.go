@@ -11,11 +11,12 @@
 // A Layout is that encoding at one page size, and the package is the only
 // code that knows how either is written, streamed or decoded: a Layout's
 // Writer lays entries into the pages of a new file, its Reader streams them
-// back, its PageView decodes one page and its PageBuilder encodes one. The
-// query loop reads pages through index.Page instead, where a query's time
-// goes. The page-device surfaces a Writer and a Reader need (PageAppender,
-// PageCursor) are what storage.Backend and storage.Cursor provide, so the
-// package stays free of a storage dependency.
+// back, its PageView decodes one page — for the query loop too, which reads
+// a stored page's keys, IDs, timestamps and payload bytes through one — and
+// its PageBuilder encodes one. The page-device surfaces a Writer and a
+// Reader need (PageAppender, PageCursor) are what storage.Backend and
+// storage.Cursor provide, so the package stays free of a storage
+// dependency.
 package record
 
 import (
@@ -87,11 +88,7 @@ func (c Codec) DecodeInto(buf []byte, payload series.Series) (Entry, error) {
 	if len(buf) < c.Size() {
 		return Entry{}, fmt.Errorf("record: short buffer %d, want %d", len(buf), c.Size())
 	}
-	e := Entry{
-		Key: sortable.DecodeKey(buf),
-		ID:  int64(binary.LittleEndian.Uint64(buf[sortable.KeyBytes:])),
-		TS:  int64(binary.LittleEndian.Uint64(buf[sortable.KeyBytes+8:])),
-	}
+	e := Entry{Key: sortable.DecodeKey(buf), ID: decodeID(buf), TS: decodeTS(buf)}
 	if c.Materialized {
 		p, err := series.DecodeBinaryInto(buf[HeaderBytes:], c.payloadBuf(payload))
 		if err != nil {
@@ -111,18 +108,12 @@ func (c Codec) payloadBuf(buf series.Series) series.Series {
 	return buf[:c.SeriesLen]
 }
 
-// DecodeKeyOnly extracts just the sortable key — used on scan paths that
-// prune by MINDIST before paying for full decoding.
-func DecodeKeyOnly(buf []byte) sortable.Key {
-	return sortable.DecodeKey(buf)
-}
-
-// DecodeID extracts just the series ID from an encoded entry.
-func DecodeID(buf []byte) int64 {
+// decodeID extracts just the series ID from a fixed-size record.
+func decodeID(buf []byte) int64 {
 	return int64(binary.LittleEndian.Uint64(buf[sortable.KeyBytes:]))
 }
 
-// DecodeTS extracts just the timestamp from an encoded entry.
-func DecodeTS(buf []byte) int64 {
+// decodeTS extracts just the timestamp from a fixed-size record.
+func decodeTS(buf []byte) int64 {
 	return int64(binary.LittleEndian.Uint64(buf[sortable.KeyBytes+8:]))
 }

@@ -64,12 +64,26 @@ func TestCodecPayloadValidation(t *testing.T) {
 	}
 }
 
-func TestDecodeKeyOnly(t *testing.T) {
-	c := Codec{}
-	e := Entry{Key: sortable.Key{Hi: 123, Lo: 456}}
-	buf, _ := c.Encode(e)
-	if DecodeKeyOnly(buf) != e.Key {
-		t.Fatal("DecodeKeyOnly mismatch")
+func TestDecodeHeaderFieldsInPlace(t *testing.T) {
+	// The page view reads a record's ID and timestamp straight from its
+	// header, payload bytes and all, so the field decoders must agree with
+	// Encode at the extremes and never read past the header.
+	c := Codec{SeriesLen: 2, Materialized: true}
+	for _, e := range []Entry{
+		{Key: sortable.Key{Hi: 1, Lo: 2}, ID: -1, TS: 1 << 62, Payload: series.Series{3, 4}},
+		{Key: sortable.Key{Hi: ^uint64(0)}, ID: 1<<63 - 1, TS: -1 << 63, Payload: series.Series{-5, 6}},
+	} {
+		buf, err := c.Encode(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sortable.DecodeKey(buf) != e.Key || decodeID(buf) != e.ID || decodeTS(buf) != e.TS {
+			t.Fatalf("header fields = (%v, %d, %d), want (%v, %d, %d)",
+				sortable.DecodeKey(buf), decodeID(buf), decodeTS(buf), e.Key, e.ID, e.TS)
+		}
+		if got := decodeTS(buf[:HeaderBytes]); got != e.TS {
+			t.Fatalf("decodeTS on header alone = %d, want %d", got, e.TS)
+		}
 	}
 }
 

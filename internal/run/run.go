@@ -54,16 +54,24 @@ type Store struct {
 	Raw    series.RawStore
 
 	codec record.Codec
+	// The page layouts of the store's files, built once, so that no page a
+	// search reads builds one; an error is why NewLayout refused the
+	// encoding, whose zero Layout then opens no page.
+	fixed, packed       record.Layout
+	fixedErr, packedErr error
 }
 
 // NewStore returns the run store of an index of the given shape, whose
-// entries must fit a page of the disk (the index validates that). A nil
-// reader selects the disk itself (uncached).
+// entries must fit a page of the disk (the index validates that, through
+// Layout). A nil reader selects the disk itself (uncached).
 func NewStore(disk storage.Backend, reader storage.PageReader, cfg index.Config, raw series.RawStore) Store {
 	if reader == nil {
 		reader = disk
 	}
-	return Store{Disk: disk, Reader: reader, Config: cfg, Raw: raw, codec: cfg.Codec()}
+	s := Store{Disk: disk, Reader: reader, Config: cfg, Raw: raw, codec: cfg.Codec()}
+	s.fixed, s.fixedErr = record.NewLayout(s.codec, disk.PageSize(), false)
+	s.packed, s.packedErr = record.NewLayout(s.codec, disk.PageSize(), true)
+	return s
 }
 
 // Codec returns the entry codec of the store's runs.
@@ -72,7 +80,10 @@ func (s *Store) Codec() record.Codec { return s.codec }
 // Layout returns the page layout of the store's files in the given
 // encoding, or an error when its entries cannot fit a page of the disk.
 func (s *Store) Layout(packed bool) (record.Layout, error) {
-	return record.NewLayout(s.codec, s.Disk.PageSize(), packed)
+	if packed {
+		return s.packed, s.packedErr
+	}
+	return s.fixed, s.fixedErr
 }
 
 // sorter returns the writer of one run in the given encoding, watched by b.
@@ -145,9 +156,9 @@ func (s *Store) Load(r Run, counts []int, pageOf []int64) (Run, error) {
 		}
 		var pg record.PageView
 		if counts != nil {
-			pg, err = l.Page(data, counts[p])
+			err = l.Page(&pg, data, counts[p])
 		} else {
-			pg, err = l.NextPage(data, r.Count-seen)
+			err = l.NextPage(&pg, data, r.Count-seen)
 		}
 		if err != nil {
 			return Run{}, fmt.Errorf("run: %s page %d: %w", r.File, phys, err)
@@ -209,8 +220,8 @@ func (s *Store) firstKey(r Run, p int, data []byte) (sortable.Key, error) {
 	if err != nil {
 		return sortable.Key{}, err
 	}
-	pg, err := l.Page(data, r.Sum.Entries(p))
-	if err != nil {
+	var pg record.PageView
+	if err := l.Page(&pg, data, r.Sum.Entries(p)); err != nil {
 		return sortable.Key{}, fmt.Errorf("run: %s page %d: %w", r.File, p, err)
 	}
 	return pg.Key(0), nil

@@ -438,12 +438,11 @@ func (s *Store) Verify(r Run) error {
 // symbols and timestamps from the columns and reads data only to verify a
 // survivor.
 func (s *Store) page(pg *index.Page, r Run, p, g, off int, data []byte) {
-	m, n := r.Sum, r.Sum.cnt[p]
+	m, n, l := r.Sum, r.Sum.cnt[p], &s.fixed
 	if r.Packed {
-		*pg = index.PackedPage(data, s.codec)
-	} else {
-		*pg = index.FixedPage(data, n, s.codec)
+		l = &s.packed
 	}
+	*pg = index.StoredPage(l, data, n)
 	if !pageKeyBounds {
 		pg.UseSymbols(m.grp[g].syms[off*m.segs:(off+n)*m.segs], m.segs)
 		pg.UseTimestamps(m.grp[g].ts[off : off+n])

@@ -132,7 +132,7 @@ func TestInterleaveFirstDivergentRoundDecidesOrder(t *testing.T) {
 func TestKeyBinaryEncodingPreservesOrder(t *testing.T) {
 	// The on-disk big-endian encoding must order exactly like Key.Compare —
 	// run files are merged by decoded keys but validated/probed by raw
-	// bytes (DecodeKeyOnly fast paths).
+	// bytes (the page views' fast paths).
 	rng := rand.New(rand.NewSource(14))
 	for trial := 0; trial < 2000; trial++ {
 		a := Key{Hi: rng.Uint64(), Lo: rng.Uint64()}

@@ -842,7 +842,7 @@ func BenchmarkPlannedSearch(b *testing.B) {
 	}
 }
 
-// --- SIMD + compression benchmarks (PR 9's layer). ---
+// --- SIMD and key-only search benchmarks. ---
 
 // BenchmarkDistKernels measures the three hot distance primitives under
 // each kernel set this machine offers (always "scalar", plus "avx2" or
@@ -894,12 +894,11 @@ func BenchmarkDistKernels(b *testing.B) {
 	}
 }
 
-// BenchmarkCompressedSearch measures exact k-NN search over packed pages
-// against the fixed-layout baseline on the same build — tree and LSM, the
-// two on-disk shapes the codec serves. Answers are byte-identical (pinned
-// by compress_equivalence_test.go); what the packed rows must show is the
-// io-cost/query drop from fitting more candidates per page, with time and
-// allocations no worse than the fixed rows the gate tracks alongside.
+// BenchmarkCompressedSearch measures exact k-NN search on the key-only tree
+// and LSM at the E-table scale — the leaf and run scans with the raw fetches
+// that verify their candidates — and reports the io-cost of both. Every
+// build writes fixed-size pages; the rows keep the names they had beside
+// packed ones, so the bench gate compares them with earlier commits.
 func BenchmarkCompressedSearch(b *testing.B) {
 	sc := benchScale()
 	ds, _ := gen.Astronomy(gen.AstronomyConfig{N: 10000, Len: sc.SeriesLen, FracEvent: 0.05, Seed: sc.Seed})
@@ -910,29 +909,21 @@ func BenchmarkCompressedSearch(b *testing.B) {
 		queries[i] = index.NewQuery(gen.RandomWalk(rng, sc.SeriesLen), cfg)
 	}
 	for _, variant := range []string{"CTree", "CLSM"} {
-		for _, enc := range []struct {
-			name     string
-			compress bool
-		}{
-			{"fixed", false},
-			{"packed", true},
-		} {
-			built, err := assemble.Build(specFor(variant, cfg, assemble.Spec{Compress: enc.compress}), ds)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Run(variant+"/"+enc.name, func(b *testing.B) {
-				b.ReportAllocs()
-				before := built.IOStats()
-				for i := 0; i < b.N; i++ {
-					if _, err := built.ExactSearch(queries[i%len(queries)], 5); err != nil {
-						b.Fatal(err)
-					}
-				}
-				diff := built.IOStats().Sub(before)
-				b.ReportMetric(diff.Cost(storage.DefaultCostModel)/float64(b.N), "io-cost/query")
-			})
+		built, err := assemble.Build(specFor(variant, cfg, assemble.Spec{}), ds)
+		if err != nil {
+			b.Fatal(err)
 		}
+		b.Run(variant+"/fixed", func(b *testing.B) {
+			b.ReportAllocs()
+			before := built.IOStats()
+			for i := 0; i < b.N; i++ {
+				if _, err := built.ExactSearch(queries[i%len(queries)], 5); err != nil {
+					b.Fatal(err)
+				}
+			}
+			diff := built.IOStats().Sub(before)
+			b.ReportMetric(diff.Cost(storage.DefaultCostModel)/float64(b.N), "io-cost/query")
+		})
 	}
 }
 
@@ -1028,7 +1019,7 @@ func runBench(b *testing.B, n int) (s run.Store, r run.Run, q index.Query) {
 		return cmp.Compare(a.ID, b.ID)
 	})
 	s = run.NewStore(storage.NewDisk(0), nil, cfg, nil)
-	r, err := s.Write("run", entries, false)
+	r, err := s.Write("run", entries)
 	if err != nil {
 		b.Fatal(err)
 	}

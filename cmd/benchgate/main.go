@@ -12,11 +12,11 @@
 //	git checkout <merge-base> && go test ... | tee base.txt
 //	benchgate -base base.txt -head head.txt -max-time-ratio 1.15 -json BENCH_compare.json
 //
-// The CI workflow currently gates BenchmarkParallelSearch, BenchmarkMinDist,
-// BenchmarkVerify, BenchmarkCachedSearch, and BenchmarkPlannedSearch (the
-// GATE_BENCH list in .github/workflows/ci.yml); the alloc/op rule is what
-// pins the cached search's zero-allocation warm page fetches, and the
-// io-cost/query rule is what pins the planner's I/O savings.
+// The CI workflow gates the benchmarks its GATE_BENCH list names
+// (.github/workflows/ci.yml), which is the one place that list is kept.
+// Among them, the alloc/op rule is what pins the cached search's
+// zero-allocation warm page fetches, and the io-cost/query rule is what
+// pins the planner's I/O savings.
 //
 // Time comparisons use the minimum across -count runs (noise only ever
 // slows a run down), and regressions below -noise-floor-ns are ignored so

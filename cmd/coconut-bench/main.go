@@ -95,10 +95,9 @@ func main() {
 		ids[i] = e.id
 	}
 	var (
-		expFlag  = flag.String("exp", "all", "comma-separated experiment ids or 'all'; known: "+strings.Join(ids, ","))
-		quick    = flag.Bool("quick", false, "reduced sizes for a fast smoke run")
-		kernels  = flag.String("kernels", "", "force a distance-kernel implementation: avx2, neon, or scalar (default: auto-detect)")
-		compress = flag.Bool("compress", false, "store on-disk pages (tree leaves, LSM runs) in the packed encoding in every experiment build; results are identical, I/O cost drops")
+		expFlag = flag.String("exp", "all", "comma-separated experiment ids or 'all'; known: "+strings.Join(ids, ","))
+		quick   = flag.Bool("quick", false, "reduced sizes for a fast smoke run")
+		kernels = flag.String("kernels", "", "force a distance-kernel implementation: avx2, neon, or scalar (default: auto-detect)")
 	)
 	flag.Parse()
 
@@ -108,12 +107,9 @@ func main() {
 			os.Exit(2)
 		}
 	}
-	fmt.Printf("distance kernels: %s; compressed runs: %v\n", simd.Active(), *compress)
+	fmt.Printf("distance kernels: %s\n", simd.Active())
 
 	cfg := workload.DefaultRunConfig()
-	for _, sc := range []*workload.Scale{&cfg.Scale, &cfg.E3Scale, &cfg.E5Scale} {
-		sc.Compress = *compress
-	}
 	if *quick {
 		cfg.E1Sizes = []int{1000, 2000}
 		cfg.E2N, cfg.E2Queries = 2000, 10

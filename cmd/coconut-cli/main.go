@@ -15,7 +15,6 @@
 //	dataset  -kind astronomy -n 10000 -len 256
 //	build    -dataset ds-1 -variant CTree [-fill 0.9] [-growth 4] [-shards 4] [-cache 4194304]
 //	         [-wal batched|sync|off] [-compact-workers 2] [-storage sim|file]
-//	         [-compress]
 //	insert   -build build-1 -n 100 [-template supernova] [-ts 7]
 //	query    -build build-1 -template supernova [-k 5] [-exact] [-min 0 -max 99]
 //	recommend -streaming -queries 500 -memfrac 0.1 [-tight] [-smallwin]
@@ -181,7 +180,6 @@ func build(base string, args []string) error {
 	walMode := fs.String("wal", "", "CLSM durability: batched, sync, or off (needs the server's -wal root; empty = batched when the root is set)")
 	compactWorkers := fs.Int("compact-workers", 0, "CLSM background-merge workers (0 = server default, -1 = force inline)")
 	storage := fs.String("storage", "", "storage backend: sim (simulated disk) or file (real page files; needs the server's -storage root; empty = server default)")
-	compress := fs.Bool("compress", false, "store on-disk pages (tree leaves, LSM runs) in the packed encoding; answers identical, I/O cost lower")
 	fs.Parse(args)
 	if *ds == "" {
 		return fmt.Errorf("build: -dataset is required")
@@ -213,7 +211,7 @@ func build(base string, args []string) error {
 		FillFactor: *fill, GrowthFactor: *growth, MemBudget: *mem,
 		Shards: *shards, Parallelism: *par, CacheBytes: *cache,
 		Durability: *walMode, CompactionWorkers: *compactWorkers,
-		Storage: *storage, Compress: *compress,
+		Storage: *storage,
 	}, &out)
 	if err != nil {
 		return err

@@ -149,16 +149,6 @@ type Options struct {
 	// worker pool across all shards. It applies alike to NewLSM and OpenLSM,
 	// with or without a WAL.
 	CompactionWorkers int
-	// CompressRuns stores on-disk pages — LSM runs and tree leaves — in the
-	// packed encoding: delta/bit-packed sortable keys, frame-of-reference
-	// IDs and timestamps, payloads verbatim. Each page holds as many
-	// entries as its compressed bytes allow, so scans evaluate more
-	// candidates per page read and I/O cost per query drops. Results are
-	// byte-identical either way. Encoding is a per-run property: an LSM
-	// reopened with a different setting keeps old runs readable and
-	// re-encodes them as merges rewrite them. Streaming temporal schemes
-	// (TP/BTP) keep their fixed-size partitions regardless.
-	CompressRuns bool
 }
 
 // Durability selects how eagerly the write-ahead log syncs; see
@@ -190,7 +180,7 @@ func (o Options) spec(fam string) assemble.Spec {
 		CacheBytes: o.CacheBytes, Parallelism: o.Parallelism,
 		RawInMemory: true,
 		WALDir:      o.WALDir, Durability: string(o.Durability), CompactionWorkers: o.CompactionWorkers,
-		StorageDir: o.StorageDir, FS: o.FS, Compress: o.CompressRuns,
+		StorageDir: o.StorageDir, FS: o.FS,
 	}
 	if s.Parallelism == 0 {
 		s.Parallelism = -1

@@ -27,13 +27,16 @@ var updateFormats = flag.Bool("update", false, "rewrite testdata/entry_files.sha
 const formatsPageSize = 1024
 
 // TestFormatsEntryFiles pins the bytes of every entry-page file the system
-// writes — a sorted file from Sort (fixed and packed, full and 0.7-filled,
-// fitting the memory budget and not), WriteRun, a Merge of mixed
-// encodings, a CTree's leaf level after inserts that split leaves, and CLSM
-// runs after flushes and merges — to a committed list of SHA-256s, beside
-// the whole Disk.Stats() of the pass that wrote each. A moved byte or a
-// changed read-ahead shows as a diff of testdata/entry_files.sha256;
-// `go test -run TestFormats -update .` rewrites it.
+// writes — a sorted file from Sort (full and 0.7-filled, fitting the memory
+// budget and not), WriteRun, a Merge of mixed encodings, a CTree's leaf
+// level after inserts that split leaves, and CLSM runs after flushes and
+// merges — to a committed list of SHA-256s, beside the whole Disk.Stats() of
+// the pass that wrote each. Every file is written fixed-size; the merge's
+// packed input is written as older builds wrote it (writePackedFile), and
+// pinned too. A moved byte or a changed read-ahead shows as a diff of
+// testdata/entry_files.sha256; `go test -run TestFormats -update .` rewrites
+// it. The labels keep the packed=false they had when a build could write
+// either layout, so that the lines stay what they were.
 func TestFormatsEntryFiles(t *testing.T) {
 	var out []string
 	note := func(name string, d *storage.Disk, prefix string, stats storage.Stats, extra string) {
@@ -53,26 +56,23 @@ func TestFormatsEntryFiles(t *testing.T) {
 	for _, mat := range []bool{false, true} {
 		cfg := index.Config{SeriesLen: 16, Segments: 4, Bits: 8, Materialized: mat}
 		entries := formatEntries(cfg, 600, 7)
-		for _, packed := range []bool{false, true} {
-			for _, fill := range []float64{1, 0.7} {
-				for _, budget := range []int{1 << 20, 2 * formatsPageSize} {
-					name := fmt.Sprintf("sort/mat=%v/packed=%v/fill=%v/budget=%d", mat, packed, fill, budget)
-					d := storage.NewDisk(formatsPageSize)
-					writeUnsorted(t, d, cfg.Codec(), entries)
-					d.ResetStats()
-					s := &extsort.Sorter{Disk: d, Codec: cfg.Codec(), MemBudget: budget,
-						Output: extsort.Output{Packed: packed, Fill: fill}}
-					passes, err := s.Sort("in", int64(len(entries)), "out")
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					note(name, d, "out", d.Stats(), fmt.Sprintf(" passes=%d", passes))
+		for _, fill := range []float64{1, 0.7} {
+			for _, budget := range []int{1 << 20, 2 * formatsPageSize} {
+				name := fmt.Sprintf("sort/mat=%v/packed=false/fill=%v/budget=%d", mat, fill, budget)
+				d := storage.NewDisk(formatsPageSize)
+				writeUnsorted(t, d, cfg.Codec(), entries)
+				d.ResetStats()
+				s := &extsort.Sorter{Disk: d, Codec: cfg.Codec(), MemBudget: budget, Output: extsort.Output{Fill: fill}}
+				passes, err := s.Sort("in", int64(len(entries)), "out")
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
 				}
+				note(name, d, "out", d.Stats(), fmt.Sprintf(" passes=%d", passes))
 			}
 		}
 
-		// WriteRun three runs, fixed, packed, fixed; then merge them into
-		// either encoding under a budget of a few pages per input.
+		// Write three runs, fixed, packed, fixed; then merge them under a
+		// budget of a few pages per input.
 		sorted := sortedCopy(entries)
 		d := storage.NewDisk(formatsPageSize)
 		var inputs []extsort.Input
@@ -83,71 +83,64 @@ func TestFormatsEntryFiles(t *testing.T) {
 			}
 			file := fmt.Sprintf("run%d", i)
 			d.ResetStats()
-			s := &extsort.Sorter{Disk: d, Codec: cfg.Codec(), Output: extsort.Output{Packed: packed}}
-			if err := s.WriteRun(file, part); err != nil {
+			if packed {
+				writePackedFile(t, d, cfg.Codec(), file, part)
+			} else if err := (&extsort.Sorter{Disk: d, Codec: cfg.Codec()}).WriteRun(file, part); err != nil {
 				t.Fatal(err)
 			}
 			note(fmt.Sprintf("writerun/mat=%v/packed=%v", mat, packed), d, file, d.Stats(), "")
 			inputs = append(inputs, extsort.Input{Name: file, Count: int64(len(part)), Packed: packed})
 		}
-		for _, packed := range []bool{false, true} {
-			file := fmt.Sprintf("merged.packed=%v", packed)
-			d.ResetStats()
-			s := &extsort.Sorter{Disk: d, Codec: cfg.Codec(), MemBudget: 12 * formatsPageSize, Output: extsort.Output{Packed: packed}}
-			n, err := s.Merge(inputs, file)
-			if err != nil || n != int64(len(sorted)) {
-				t.Fatalf("merge: %d entries, %v", n, err)
-			}
-			note(fmt.Sprintf("merge/mat=%v/packed=%v", mat, packed), d, file, d.Stats(), "")
+		d.ResetStats()
+		s := &extsort.Sorter{Disk: d, Codec: cfg.Codec(), MemBudget: 12 * formatsPageSize}
+		n, err := s.Merge(inputs, "merged.packed=false")
+		if err != nil || n != int64(len(sorted)) {
+			t.Fatalf("merge: %d entries, %v", n, err)
 		}
+		note(fmt.Sprintf("merge/mat=%v/packed=false", mat), d, "merged.packed=false", d.Stats(), "")
 
 		// A CTree at fill 0.7, then inserts enough to split leaves.
-		for _, packed := range []bool{false, true} {
-			d := storage.NewDisk(formatsPageSize)
-			opts := ctree.Options{Disk: d, Name: "tree", Config: cfg, FillFactor: 0.7, MemBudget: 4 * formatsPageSize, Compress: packed}
-			tr, err := ctree.BuildFromEntries(opts, sortedCopy(entries[:400]))
-			if err != nil {
+		d = storage.NewDisk(formatsPageSize)
+		tr, err := ctree.BuildFromEntries(ctree.Options{Disk: d, Name: "tree", Config: cfg, FillFactor: 0.7, MemBudget: 4 * formatsPageSize},
+			sortedCopy(entries[:400]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := fmt.Sprintf("ctree/mat=%v/packed=false", mat)
+		note(name+"/build", d, "tree.leaves", d.Stats(), fmt.Sprintf(" leaves=%d", tr.Leaves()))
+		d.ResetStats()
+		leaves := tr.Leaves()
+		for _, e := range entries[400:] {
+			if err := tr.InsertEntry(e); err != nil {
 				t.Fatal(err)
 			}
-			name := fmt.Sprintf("ctree/mat=%v/packed=%v", mat, packed)
-			note(name+"/build", d, "tree.leaves", d.Stats(), fmt.Sprintf(" leaves=%d", tr.Leaves()))
-			d.ResetStats()
-			leaves := tr.Leaves()
-			for _, e := range entries[400:] {
-				if err := tr.InsertEntry(e); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if tr.Leaves() <= leaves {
-				t.Fatalf("%s: inserts split no leaf (%d leaves)", name, leaves)
-			}
-			note(name+"/insert", d, "tree.leaves", d.Stats(), fmt.Sprintf(" leaves=%d", tr.Leaves()))
 		}
+		if tr.Leaves() <= leaves {
+			t.Fatalf("%s: inserts split no leaf (%d leaves)", name, leaves)
+		}
+		note(name+"/insert", d, "tree.leaves", d.Stats(), fmt.Sprintf(" leaves=%d", tr.Leaves()))
 
 		// A CLSM whose flushes cascade into merges, inline.
-		for _, packed := range []bool{false, true} {
-			d := storage.NewDisk(formatsPageSize)
-			opts := clsm.Options{Disk: d, Name: "lsm", Config: cfg, GrowthFactor: 2, BufferEntries: 64, Compress: packed}
-			l, err := clsm.Open(opts)
-			if err != nil {
+		d = storage.NewDisk(formatsPageSize)
+		l, err := clsm.Open(clsm.Options{Disk: d, Name: "lsm", Config: cfg, GrowthFactor: 2, BufferEntries: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if err := l.InsertEntry(e); err != nil {
 				t.Fatal(err)
 			}
-			for _, e := range entries {
-				if err := l.InsertEntry(e); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := l.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			if l.Merges() == 0 {
-				t.Fatalf("clsm packed=%v: no merge", packed)
-			}
-			note(fmt.Sprintf("clsm/mat=%v/packed=%v", mat, packed), d, "lsm.run.", d.Stats(),
-				fmt.Sprintf(" flushes=%d merges=%d runs=%d", l.Flushes(), l.Merges(), l.Runs()))
-			if err := l.Close(); err != nil {
-				t.Fatal(err)
-			}
+		}
+		if err := l.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if l.Merges() == 0 {
+			t.Fatalf("clsm mat=%v: no merge", mat)
+		}
+		note(fmt.Sprintf("clsm/mat=%v/packed=false", mat), d, "lsm.run.", d.Stats(),
+			fmt.Sprintf(" flushes=%d merges=%d runs=%d", l.Flushes(), l.Merges(), l.Runs()))
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 	got := strings.Join(out, "\n") + "\n"
@@ -218,6 +211,34 @@ func writeUnsorted(t *testing.T, d *storage.Disk, c record.Codec, entries []reco
 		}
 	}
 	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// writePackedFile writes entries, in (Key, ID) order, into a new file of
+// full packed pages through the packed record.Layout's page builder, as
+// older builds did. No build writes such a file now; a merge still reads it.
+func writePackedFile(t *testing.T, d *storage.Disk, c record.Codec, name string, entries []record.Entry) {
+	t.Helper()
+	l, err := record.NewLayout(c, d.PageSize(), true)
+	if err == nil {
+		err = d.Create(name)
+	}
+	b, page := l.Builder(), make([]byte, d.PageSize())
+	for i := 0; err == nil && i < len(entries); {
+		for ok := true; err == nil && ok && i < len(entries); {
+			if ok, err = b.TryAdd(entries[i]); ok {
+				i++
+			}
+		}
+		if err == nil {
+			_, err = b.Encode(page)
+		}
+		if err == nil {
+			_, err = d.AppendPages(name, page)
+		}
+	}
+	if err != nil {
 		t.Fatal(err)
 	}
 }

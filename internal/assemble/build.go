@@ -330,7 +330,7 @@ func buildOne(spec Spec, cfg index.Config, ds *series.Dataset, sh shared) (b *Bu
 		t, err = ctree.Build(ctree.Options{
 			Disk: b.Disk, Reader: b.Reader(), Name: treeName, Config: cfg,
 			FillFactor: spec.FillFactor, MemBudget: spec.MemBudget, Raw: b.RawStore(),
-			Parallelism: spec.Parallelism, Compress: spec.Compress,
+			Parallelism: spec.Parallelism,
 		}, ds, 0)
 		if err != nil {
 			return
@@ -340,7 +340,7 @@ func buildOne(spec Spec, cfg index.Config, ds *series.Dataset, sh shared) (b *Bu
 		opts := clsm.Options{
 			Disk: b.Disk, Reader: b.Reader(), Name: lsmName, Config: cfg,
 			GrowthFactor: spec.GrowthFactor, BufferEntries: buffer, Raw: b.RawStore(),
-			Scheduler: b.Compactor, Compress: spec.Compress,
+			Scheduler: b.Compactor,
 		}
 		if spec.WALDir != "" {
 			if b.WAL, err = openWAL(spec); err != nil {

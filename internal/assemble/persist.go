@@ -123,13 +123,12 @@ func (b *Built) saveParts(path string) error {
 // defines the index shape; spec names the index family by its Variant
 // ("CTree" or "CLSM", either form) and carries what a snapshot does not
 // hold: FS (where the file lives), CacheBytes (a buffer pool over the
-// snapshot's pages, as Build puts one), and for CLSM Compress (a property of
-// each run: existing runs keep theirs, new flushes and merges follow the
-// setting), WALDir and Durability (the log tail past the snapshot is
-// replayed — the crash story), CompactionWorkers, and GrowthFactor /
-// BufferEntries to override the persisted shape. Other fields are ignored:
-// parallelism is not part of a snapshot, and a reopened build searches on a
-// pool of GOMAXPROCS workers (SetParallelism).
+// snapshot's pages, as Build puts one), and for CLSM WALDir and Durability
+// (the log tail past the snapshot is replayed — the crash story),
+// CompactionWorkers, and GrowthFactor / BufferEntries to override the
+// persisted shape. Other fields are ignored: parallelism is not part of a
+// snapshot, and a reopened build searches on a pool of GOMAXPROCS workers
+// (SetParallelism).
 func Open(path string, spec Spec) (*Built, error) {
 	disk, err := storage.LoadDiskFile(spec.FS, path)
 	if err != nil {
@@ -175,7 +174,7 @@ func openOne(disk storage.Backend, spec Spec, sh shared) (b *Built, err error) {
 		var lsm *clsm.LSM
 		if lsm, err = clsm.Open(clsm.Options{
 			Disk: disk, Reader: b.Reader(), Name: lsmName, GrowthFactor: spec.GrowthFactor, BufferEntries: spec.BufferEntries,
-			Raw: b.RawStore(), WAL: b.WAL, Scheduler: b.Compactor, Compress: spec.Compress,
+			Raw: b.RawStore(), WAL: b.WAL, Scheduler: b.Compactor,
 		}); err != nil {
 			return
 		}

@@ -109,8 +109,6 @@ type Spec struct {
 	// from the first write of construction on (SetTracer installs one
 	// afterwards); partitioned builds prefix file names per shard.
 	Tracer storage.Tracer `json:"-"`
-	// Compress stores CTree leaves and CLSM runs in the packed page encoding.
-	Compress bool `json:"compress,omitempty"`
 }
 
 // family splits a variant name into its index family and whether it is the

@@ -102,12 +102,6 @@ type Options struct {
 	// be shared across many indexes (one background-work budget for a whole
 	// sharded deployment).
 	Scheduler *compact.Scheduler
-	// Compress writes new runs in the packed page encoding (record.PageBuilder):
-	// frame-of-reference bit-packed keys, IDs, and timestamps with verbatim
-	// payloads, so each run page carries more candidates per I/O. Existing
-	// uncompressed runs remain readable — the manifest tracks each run's
-	// encoding — and merges re-encode per this setting.
-	Compress bool
 }
 
 // setDefaults fills what o leaves zero from the persisted state st (nil when
@@ -408,7 +402,7 @@ func (l *LSM) Flush() error {
 	sorted := make([]record.Entry, n)
 	copy(sorted, snap)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Less(sorted[j]) })
-	flushed, err := l.store.Write(l.runName(), sorted, l.opts.Compress)
+	flushed, err := l.store.Write(l.runName(), sorted)
 	if err != nil {
 		return err
 	}
@@ -543,7 +537,7 @@ func (l *LSM) compactNow() error {
 		for i, r := range victims {
 			files[i] = r.File
 		}
-		merged, err := l.store.Merge(victims, l.runName(), l.opts.Compress)
+		merged, err := l.store.Merge(victims, l.runName())
 		if err != nil {
 			return err
 		}

@@ -22,12 +22,12 @@ import (
 // and every compaction mode: scheduler ∈ {nil, zero workers, two workers,
 // two workers closed mid-ingest} × origin ∈ {fresh, Save → Open, crash →
 // Open + Replay over a manifest, snapshot + log → Open + Replay over a meta
-// file, durable snapshot → Open without a log → Save → Open} × encoding ∈
-// {fixed, packed}. The first half of the series reaches
-// the origin, the second half the LSM under test; every row must answer as
-// brute force does, hold its tiering invariant once quiesced, report its
-// compaction mode, and keep each run's resident summary the one its file
-// rebuilds.
+// file, durable snapshot → Open without a log → Save → Open}. The first half
+// of the series reaches the origin, the second half the LSM under test;
+// every row must answer as brute force does, hold its tiering invariant once
+// quiesced, report its compaction mode, keep each run's resident summary the
+// one its file rebuilds, and hold fixed-size runs only. (An LSM with packed
+// runs, which older builds wrote, is the root package's TestPackedFixtures.)
 func TestLifecycleTable(t *testing.T) {
 	const n, half, growth, buf = 480, 240, 3, 32
 	ds := makeDataset(n, 81)
@@ -89,7 +89,7 @@ func TestLifecycleTable(t *testing.T) {
 		}},
 		{"save-open", func(t *testing.T, opts Options) *LSM {
 			disk := storage.NewDisk(0)
-			saved := mustOpen(t, Options{Disk: disk, Config: testConfig(false), GrowthFactor: growth, BufferEntries: buf, Raw: opts.Raw, Compress: opts.Compress})
+			saved := mustOpen(t, Options{Disk: disk, Config: testConfig(false), GrowthFactor: growth, BufferEntries: buf, Raw: opts.Raw})
 			insert(t, saved, 0, half)
 			if err := saved.Save(); err != nil {
 				t.Fatal(err)
@@ -101,7 +101,7 @@ func TestLifecycleTable(t *testing.T) {
 			disk, dir := storage.NewDisk(0), t.TempDir()
 			w := openWAL(t, dir)
 			crashed := mustOpen(t, Options{Disk: disk, Config: testConfig(false), GrowthFactor: growth, BufferEntries: buf, Raw: opts.Raw,
-				Compress: opts.Compress, WAL: w})
+				WAL: w})
 			insert(t, crashed, 0, half)
 			if err := w.Sync(); err != nil {
 				t.Fatal(err)
@@ -117,14 +117,14 @@ func TestLifecycleTable(t *testing.T) {
 			// over a copy with a log, the LSM takes the rest of the half and
 			// crashes with the copy. The snapshot plus the log recover it.
 			disk := storage.NewDisk(0)
-			saved := mustOpen(t, Options{Disk: disk, Config: testConfig(false), GrowthFactor: growth, BufferEntries: buf, Raw: opts.Raw, Compress: opts.Compress})
+			saved := mustOpen(t, Options{Disk: disk, Config: testConfig(false), GrowthFactor: growth, BufferEntries: buf, Raw: opts.Raw})
 			insert(t, saved, 0, half/2)
 			if err := saved.Save(); err != nil {
 				t.Fatal(err)
 			}
 			load, dir := snapshot(t, disk), t.TempDir()
 			w := openWAL(t, dir)
-			crashed := mustOpen(t, Options{Disk: load(), Raw: opts.Raw, Compress: opts.Compress, WAL: w})
+			crashed := mustOpen(t, Options{Disk: load(), Raw: opts.Raw, WAL: w})
 			insert(t, crashed, half/2, half)
 			if err := w.Sync(); err != nil {
 				t.Fatal(err)
@@ -141,7 +141,7 @@ func TestLifecycleTable(t *testing.T) {
 			// and saves again; that snapshot must reopen to its Save.
 			disk := storage.NewDisk(0)
 			durable := mustOpen(t, Options{Disk: disk, Config: testConfig(false), GrowthFactor: growth, BufferEntries: buf, Raw: opts.Raw,
-				Compress: opts.Compress, WAL: openWAL(t, t.TempDir())})
+				WAL: openWAL(t, t.TempDir())})
 			insert(t, durable, 0, half/2)
 			if err := durable.Save(); err != nil {
 				t.Fatal(err)
@@ -150,7 +150,7 @@ func TestLifecycleTable(t *testing.T) {
 				t.Fatal("the durable snapshot holds no manifest")
 			}
 			copied := snapshot(t, disk)()
-			reopened := mustOpen(t, Options{Disk: copied, Raw: opts.Raw, Compress: opts.Compress})
+			reopened := mustOpen(t, Options{Disk: copied, Raw: opts.Raw})
 			insert(t, reopened, half/2, half)
 			if err := reopened.Save(); err != nil {
 				t.Fatal(err)
@@ -175,44 +175,42 @@ func TestLifecycleTable(t *testing.T) {
 	}
 	for _, sc := range schedulers {
 		for _, or := range origins {
-			for _, packed := range []bool{false, true} {
-				t.Run(fmt.Sprintf("%s/%s/packed=%v", sc.name, or.name, packed), func(t *testing.T) {
-					sched := sc.new()
-					if sched != nil {
-						defer sched.Close()
+			t.Run(sc.name+"/"+or.name, func(t *testing.T) {
+				sched := sc.new()
+				if sched != nil {
+					defer sched.Close()
+				}
+				l := or.open(t, Options{Raw: normStore{ds}, Scheduler: sched})
+				if l.Config() != testConfig(false) || l.opts.GrowthFactor != growth || l.opts.BufferEntries != buf {
+					t.Fatalf("shape %+v, growth %d, buffer %d; want the persisted ones", l.Config(), l.opts.GrowthFactor, l.opts.BufferEntries)
+				}
+				insert(t, l, half, 3*n/4)
+				if sc.closeAfter {
+					sched.Close()
+				}
+				insert(t, l, 3*n/4, n)
+				if err := l.Quiesce(); err != nil {
+					t.Fatal(err)
+				}
+				assertAllSearchable(t, l, ds, n, 4, 81)
+				st := l.CompactionStats()
+				if st.Background != sc.background || st.Pending || st.Flushes == 0 || st.Merges == 0 || st.Levels != l.Depth() {
+					t.Fatalf("compaction stats %+v", st)
+				}
+				for lvl, runs := range l.cur.Load().man.levels {
+					if len(runs) >= growth {
+						t.Fatalf("quiesced level %d holds %d runs, growth factor %d", lvl, len(runs), growth)
 					}
-					l := or.open(t, Options{Raw: normStore{ds}, Scheduler: sched, Compress: packed})
-					if l.Config() != testConfig(false) || l.opts.GrowthFactor != growth || l.opts.BufferEntries != buf {
-						t.Fatalf("shape %+v, growth %d, buffer %d; want the persisted ones", l.Config(), l.opts.GrowthFactor, l.opts.BufferEntries)
-					}
-					insert(t, l, half, 3*n/4)
-					if sc.closeAfter {
-						sched.Close()
-					}
-					insert(t, l, 3*n/4, n)
-					if err := l.Quiesce(); err != nil {
-						t.Fatal(err)
-					}
-					assertAllSearchable(t, l, ds, n, 4, 81)
-					st := l.CompactionStats()
-					if st.Background != sc.background || st.Pending || st.Flushes == 0 || st.Merges == 0 || st.Levels != l.Depth() {
-						t.Fatalf("compaction stats %+v", st)
-					}
-					for lvl, runs := range l.cur.Load().man.levels {
-						if len(runs) >= growth {
-							t.Fatalf("quiesced level %d holds %d runs, growth factor %d", lvl, len(runs), growth)
-						}
-						for _, r := range runs {
-							if r.Packed != packed {
-								t.Fatalf("run %s packed=%v, want %v", r.File, r.Packed, packed)
-							}
+					for _, r := range runs {
+						if r.Packed {
+							t.Fatalf("run %s is packed", r.File)
 						}
 					}
-					if err := l.Close(); err != nil {
-						t.Fatal(err)
-					}
-				})
-			}
+				}
+				if err := l.Close(); err != nil {
+					t.Fatal(err)
+				}
+			})
 		}
 	}
 }

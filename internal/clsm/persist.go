@@ -34,8 +34,10 @@ import (
 //	  per run: nameLen u32 | name | count u64 | packed u8
 //
 // packed is 1 when the run's pages use the packed encoding (record.Layout),
-// 0 for the fixed-size record layout. A run's synopsis and summary are not
-// stored: Open rebuilds both from the run's entries (run.Store.Load).
+// which older builds wrote, 0 for the fixed-size record layout every flush
+// and merge writes now (a merge reads packed inputs). A run's synopsis and
+// summary are not stored: Open rebuilds both from the run's entries
+// (run.Store.Load).
 //
 // Older versions still open. Version 1 held no packed flag and version 2
 // added, after count, a stored synopsis (synLen u32 | synopsis), which
@@ -292,7 +294,7 @@ func Open(opts Options) (*LSM, error) {
 		store:   run.NewStore(opts.Disk, opts.Reader, opts.Config, opts.Raw),
 		adopted: st.src,
 	}
-	if _, err := l.store.Layout(opts.Compress); err != nil {
+	if _, err := l.store.Layout(false); err != nil {
 		return nil, fmt.Errorf("clsm: %w", err)
 	}
 	for _, lvl := range st.levels {

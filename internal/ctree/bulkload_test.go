@@ -77,9 +77,7 @@ func filePages(t *testing.T, d storage.Backend, name string) []byte {
 // checkLeafLevel holds a bulk-loaded tree to the sorted entries it was built
 // from. The leaf file is, byte for byte, those entries encoded leaf by leaf
 // through the insert path's encodePage at the summary's counts; the counts
-// are where the fill rule ends a page (a fixed page at max(1, ⌊capacity·fill⌋)
-// records; a packed page once its bytes reach ⌊pageSize·fill⌋ or when the
-// next entry does not fit — checked with a page builder of the test's own);
+// are where the fill rule ends a page, at max(1, ⌊capacity·fill⌋) records;
 // the fence keys, the synopsis and (run.Store.Verify) the rest of the
 // summary are what the pages hold.
 func checkLeafLevel(t *testing.T, tr *Tree, sorted []record.Entry) {
@@ -93,16 +91,10 @@ func checkLeafLevel(t *testing.T, tr *Tree, sorted []record.Entry) {
 	if len(file) != m.Pages()*pageSize {
 		t.Fatalf("leaf file is %d bytes, %d leaves need %d", len(file), m.Pages(), m.Pages()*pageSize)
 	}
-	codec := tr.store.Codec()
-	var pb *record.PageBuilder
 	if tr.leaves.Packed {
-		var err error
-		if pb, err = record.NewPageBuilder(codec, pageSize); err != nil {
-			t.Fatal(err)
-		}
+		t.Fatal("a bulk load wrote packed leaves")
 	}
-	fillBytes := int(math.Floor(float64(pageSize) * tr.opts.FillFactor))
-	wantFixed := int(math.Max(1, math.Floor(float64(pageSize/codec.Size())*tr.opts.FillFactor)))
+	wantFixed := int(math.Max(1, math.Floor(float64(pageSize/tr.store.Codec().Size())*tr.opts.FillFactor)))
 	syn := zonestat.New(cfg.Segments, cfg.Bits)
 	off := 0
 	for li := 0; li < m.Pages(); li++ {
@@ -124,26 +116,8 @@ func checkLeafLevel(t *testing.T, tr *Tree, sorted []record.Entry) {
 		if got := file[li*pageSize : (li+1)*pageSize]; !bytes.Equal(got, want) {
 			t.Fatalf("leaf %d: page bytes differ from encodePage of its %d entries", li, count)
 		}
-		switch {
-		case !tr.leaves.Packed:
-			if count != wantFixed && !(last && count < wantFixed) {
-				t.Fatalf("leaf %d holds %d records, the fill rule closes a page at %d", li, count, wantFixed)
-			}
-		default:
-			for i, e := range entries {
-				if ok, err := pb.TryAdd(e); err != nil || !ok {
-					t.Fatalf("leaf %d entry %d does not fit its page: %v", li, i, err)
-				}
-				if i < len(entries)-1 && tr.opts.FillFactor < 1 && pb.EncodedBytes() >= fillBytes {
-					t.Fatalf("leaf %d reached %d bytes (fill closes at %d) with %d entries still to come", li, pb.EncodedBytes(), fillBytes, len(entries)-1-i)
-				}
-			}
-			if !last && (tr.opts.FillFactor == 1 || pb.EncodedBytes() < fillBytes) {
-				if ok, _ := pb.TryAdd(sorted[off+count]); ok {
-					t.Fatalf("leaf %d closed at %d bytes (fill closes at %d) though the next entry fits", li, pb.EncodedBytes(), fillBytes)
-				}
-			}
-			pb.Reset()
+		if count != wantFixed && !(last && count < wantFixed) {
+			t.Fatalf("leaf %d holds %d records, the fill rule closes a page at %d", li, count, wantFixed)
 		}
 		for _, e := range entries {
 			syms := sortable.Symbols(e.Key, cfg.Segments, cfg.Bits)
@@ -204,132 +178,130 @@ func TestBulkLoadTable(t *testing.T) {
 		for _, sz := range sizes {
 			ds := buildDataset(t, sz.n, int64(900+sz.n))
 			sorted := sortedEntries(ds, cfg)
-			for _, compress := range []bool{false, true} {
-				for _, fill := range []float64{1.0, 0.9, 0.7, 0.34} {
-					var serial []byte
-					for _, par := range []int{1, 4} {
-						name := fmt.Sprintf("mat=%v/%s/packed=%v/fill=%v/par=%d", mat, sz.name, compress, fill, par)
-						t.Run(name, func(t *testing.T) {
-							disk := storage.NewDisk(pageSize)
-							log := &writeLog{}
-							disk.SetTracer(log)
-							opts := Options{
-								Disk: disk, Name: "t", Config: cfg, FillFactor: fill, MemBudget: budget,
-								Raw: normStore{ds}, Compress: compress, Parallelism: par,
-							}
-							tr, err := BuildTS(opts, ds, func(id int) int64 { return int64(id % 7) })
-							if err != nil {
-								t.Fatal(err)
-							}
-							checkLeafLevel(t, tr, sorted)
+			for _, fill := range []float64{1.0, 0.9, 0.7, 0.34} {
+				var serial []byte
+				for _, par := range []int{1, 4} {
+					name := fmt.Sprintf("mat=%v/%s/fill=%v/par=%d", mat, sz.name, fill, par)
+					t.Run(name, func(t *testing.T) {
+						disk := storage.NewDisk(pageSize)
+						log := &writeLog{}
+						disk.SetTracer(log)
+						opts := Options{
+							Disk: disk, Name: "t", Config: cfg, FillFactor: fill, MemBudget: budget,
+							Raw: normStore{ds}, Parallelism: par,
+						}
+						tr, err := BuildTS(opts, ds, func(id int) int64 { return int64(id % 7) })
+						if err != nil {
+							t.Fatal(err)
+						}
+						checkLeafLevel(t, tr, sorted)
 
-							if got := disk.Files(); !slices.Equal(got, []string{"t.leaves"}) {
-								t.Fatalf("files after the build: %v", got)
-							}
-							passes := 0
-							for file, pages := range log.writes {
-								switch {
-								case file == "t.unsorted":
-								case file == "t.leaves":
-									for p, n := range pages {
-										if n != 1 {
-											t.Fatalf("leaf page %d written %d times", p, n)
-										}
-									}
-									if len(pages) != tr.Leaves() {
-										t.Fatalf("%d leaf pages written, the tree has %d", len(pages), tr.Leaves())
-									}
-								case strings.HasPrefix(file, "t.sort.p"):
-									var pass, run int
-									if _, err := fmt.Sscanf(file, "t.sort.p%d.r%d", &pass, &run); err != nil {
-										t.Fatalf("temporary %q: %v", file, err)
-									}
-									passes = max(passes, pass+1)
-								default:
-									t.Fatalf("the build wrote %q", file)
-								}
-							}
-							if par == 1 && passes != sz.passes {
-								t.Fatalf("temporaries of %d passes, the row is built to need %d", passes, sz.passes)
-							}
-							leafBytes := filePages(t, disk, "t.leaves")
-							if par == 1 {
-								serial = leafBytes
-							} else if !bytes.Equal(leafBytes, serial) {
-								t.Fatal("leaf file differs from the serial build's")
-							}
-
-							log.writes = nil
-							opts.Name = "part"
-							part, err := BuildFromEntries(opts, sorted)
-							if err != nil {
-								t.Fatal(err)
-							}
-							if got := disk.Files(); !slices.Equal(got, []string{"part.leaves", "t.leaves"}) {
-								t.Fatalf("files after loading a partition: %v", got)
-							}
-							for file := range log.writes {
-								if file != "part.leaves" {
-									t.Fatalf("loading a partition wrote %q", file)
-								}
-							}
-							if !bytes.Equal(filePages(t, disk, "part.leaves"), leafBytes) {
-								t.Fatal("partition's leaf file differs from the build's")
-							}
-							if !reflect.DeepEqual(resident(part), resident(tr)) {
-								t.Fatal("partition's resident state differs from the build's")
-							}
-
-							if err := tr.Save(); err != nil {
-								t.Fatal(err)
-							}
-							re, err := Open(Options{Disk: disk, Name: "t", Raw: normStore{ds}})
-							if err != nil {
-								t.Fatal(err)
-							}
-							if !reflect.DeepEqual(resident(re), resident(tr)) {
-								t.Fatal("reopened tree's resident state differs from the built one's")
-							}
-							rng := rand.New(rand.NewSource(int64(sz.n)))
-							for trial := 0; trial < 4; trial++ {
-								s := gen.RandomWalk(rng, 64)
-								q := index.NewQuery(s, cfg)
-								want := bruteKNN(s, ds, 5)
-								for _, x := range []*Tree{tr, re} {
-									got, err := exactSearch(x, q, 5)
-									if err != nil {
-										t.Fatal(err)
-									}
-									if len(got) != len(want) {
-										t.Fatalf("exact: %d results, want %d", len(got), len(want))
-									}
-									for i := range want {
-										if got[i].ID != want[i].ID || math.Abs(got[i].Dist-want[i].Dist) > 1e-9 {
-											t.Fatalf("exact result %d: %+v, want %+v", i, got[i], want[i])
-										}
+						if got := disk.Files(); !slices.Equal(got, []string{"t.leaves"}) {
+							t.Fatalf("files after the build: %v", got)
+						}
+						passes := 0
+						for file, pages := range log.writes {
+							switch {
+							case file == "t.unsorted":
+							case file == "t.leaves":
+								for p, n := range pages {
+									if n != 1 {
+										t.Fatalf("leaf page %d written %d times", p, n)
 									}
 								}
-								approx, err := approxSearch(tr, q, 5)
+								if len(pages) != tr.Leaves() {
+									t.Fatalf("%d leaf pages written, the tree has %d", len(pages), tr.Leaves())
+								}
+							case strings.HasPrefix(file, "t.sort.p"):
+								var pass, run int
+								if _, err := fmt.Sscanf(file, "t.sort.p%d.r%d", &pass, &run); err != nil {
+									t.Fatalf("temporary %q: %v", file, err)
+								}
+								passes = max(passes, pass+1)
+							default:
+								t.Fatalf("the build wrote %q", file)
+							}
+						}
+						if par == 1 && passes != sz.passes {
+							t.Fatalf("temporaries of %d passes, the row is built to need %d", passes, sz.passes)
+						}
+						leafBytes := filePages(t, disk, "t.leaves")
+						if par == 1 {
+							serial = leafBytes
+						} else if !bytes.Equal(leafBytes, serial) {
+							t.Fatal("leaf file differs from the serial build's")
+						}
+
+						log.writes = nil
+						opts.Name = "part"
+						part, err := BuildFromEntries(opts, sorted)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if got := disk.Files(); !slices.Equal(got, []string{"part.leaves", "t.leaves"}) {
+							t.Fatalf("files after loading a partition: %v", got)
+						}
+						for file := range log.writes {
+							if file != "part.leaves" {
+								t.Fatalf("loading a partition wrote %q", file)
+							}
+						}
+						if !bytes.Equal(filePages(t, disk, "part.leaves"), leafBytes) {
+							t.Fatal("partition's leaf file differs from the build's")
+						}
+						if !reflect.DeepEqual(resident(part), resident(tr)) {
+							t.Fatal("partition's resident state differs from the build's")
+						}
+
+						if err := tr.Save(); err != nil {
+							t.Fatal(err)
+						}
+						re, err := Open(Options{Disk: disk, Name: "t", Raw: normStore{ds}})
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !reflect.DeepEqual(resident(re), resident(tr)) {
+							t.Fatal("reopened tree's resident state differs from the built one's")
+						}
+						rng := rand.New(rand.NewSource(int64(sz.n)))
+						for trial := 0; trial < 4; trial++ {
+							s := gen.RandomWalk(rng, 64)
+							q := index.NewQuery(s, cfg)
+							want := bruteKNN(s, ds, 5)
+							for _, x := range []*Tree{tr, re} {
+								got, err := exactSearch(x, q, 5)
 								if err != nil {
 									t.Fatal(err)
 								}
-								if len(approx) != min(5, sz.n) {
-									t.Fatalf("approximate: %d results of %d series", len(approx), sz.n)
+								if len(got) != len(want) {
+									t.Fatalf("exact: %d results, want %d", len(got), len(want))
 								}
-								all := bruteKNN(s, ds, sz.n)
-								for _, r := range approx {
-									i := slices.IndexFunc(all, func(w index.Result) bool { return w.ID == r.ID })
-									if i < 0 || math.Abs(all[i].Dist-r.Dist) > 1e-9 {
-										t.Fatalf("approximate result %+v is not series %d's distance", r, r.ID)
+								for i := range want {
+									if got[i].ID != want[i].ID || math.Abs(got[i].Dist-want[i].Dist) > 1e-9 {
+										t.Fatalf("exact result %d: %+v, want %+v", i, got[i], want[i])
 									}
 								}
-								reApprox, err := approxSearch(re, q, 5)
-								if err != nil || !reflect.DeepEqual(reApprox, approx) {
-									t.Fatalf("approximate on the reopened tree: %v, %v; built: %v", reApprox, err, approx)
+							}
+							approx, err := approxSearch(tr, q, 5)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if len(approx) != min(5, sz.n) {
+								t.Fatalf("approximate: %d results of %d series", len(approx), sz.n)
+							}
+							all := bruteKNN(s, ds, sz.n)
+							for _, r := range approx {
+								i := slices.IndexFunc(all, func(w index.Result) bool { return w.ID == r.ID })
+								if i < 0 || math.Abs(all[i].Dist-r.Dist) > 1e-9 {
+									t.Fatalf("approximate result %+v is not series %d's distance", r, r.ID)
 								}
 							}
-						})
-					}
+							reApprox, err := approxSearch(re, q, 5)
+							if err != nil || !reflect.DeepEqual(reApprox, approx) {
+								t.Fatalf("approximate on the reopened tree: %v, %v; built: %v", reApprox, err, approx)
+							}
+						}
+					})
 				}
 			}
 		}

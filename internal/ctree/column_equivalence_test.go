@@ -3,6 +3,7 @@ package ctree_test
 import (
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"testing"
@@ -28,8 +29,9 @@ import (
 // Stats record: sequential and random reads and writes, cache hits and
 // misses, planned skips. That is the claim "which pages a query reads, and
 // in what order, did not change", made through every surface a CTree sits
-// behind: the facade tree (fixed, packed, cached, file-backed, after
-// splits), the sharded tree, and the stream's TP partitions.
+// behind: the facade tree (fixed, cached, file-backed, after splits, and a
+// packed one an older build saved, which no build writes now), the sharded
+// tree, and the stream's TP partitions.
 //
 // With several workers only the answers are compared. The pool hands leaf
 // ranges to workers as they come free and a worker's collector carries its
@@ -40,11 +42,15 @@ import (
 
 const equivLen = 64
 
-func equivWalks(seed int64, n int) [][]float64 {
+// packedTreeFixture is the root package's snapshot of a materialized tree
+// with packed leaves, of 32-point series (see its TestPackedFixtures).
+var packedTreeFixture = filepath.Join("..", "..", "testdata", "ctree_v6_packed_full.ccnut")
+
+func walks(seed int64, n, length int) [][]float64 {
 	rng := rand.New(rand.NewSource(seed))
 	out := make([][]float64, n)
 	for i := range out {
-		out[i] = gen.RandomWalk(rng, equivLen)
+		out[i] = gen.RandomWalk(rng, length)
 	}
 	return out
 }
@@ -144,9 +150,9 @@ func (b built) Stats() coconut.Stats {
 }
 
 func TestColumnScanEquivalence(t *testing.T) {
-	data := equivWalks(81, 3000)
-	late := equivWalks(82, 600)
-	queries := append(equivWalks(83, 6), data[17], data[2024]) // far ones and members
+	data := walks(81, 3000, equivLen)
+	late := walks(82, 600, equivLen)
+	queries := append(walks(83, 6, equivLen), data[17], data[2024]) // far ones and members
 	base := coconut.Options{SeriesLen: equivLen, Segments: 8, Bits: 6}
 	full := base
 	full.Materialized = true
@@ -155,7 +161,7 @@ func TestColumnScanEquivalence(t *testing.T) {
 		searcher
 		SearchApprox(q []float64, k int) ([]coconut.Match, error)
 		SearchBatch(qs [][]float64, k int) ([][]coconut.Match, error)
-	}) [][]coconut.Match {
+	}, queries [][]float64) [][]coconut.Match {
 		ans := matrix(t, tr, queries, func(q []float64) [][]coconut.Match {
 			return [][]coconut.Match{must[[]coconut.Match](t)(tr.SearchApprox(q, 5))}
 		})
@@ -170,7 +176,22 @@ func TestColumnScanEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			return treeQueries(t, tr), tr.Stats()
+			return treeQueries(t, tr, queries), tr.Stats()
+		}
+	}
+	// packed is tree(inserts) over the packed fixture, 180 series of 32
+	// points: its inserts split packed leaves, which stay packed.
+	packed := func(inserts int) scenario {
+		return func(t *testing.T, opts coconut.Options) ([][]coconut.Match, coconut.Stats) {
+			tr := must[*coconut.Tree](t)(coconut.OpenTree(packedTreeFixture, opts))
+			defer tr.Close()
+			tr.SetParallelism(opts.Parallelism)
+			for i, s := range walks(86, inserts, 32) {
+				if err := tr.Insert(s, int64(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return treeQueries(t, tr, walks(87, 8, 32)), tr.Stats()
 		}
 	}
 	// unplanned is tree(0) over base, assembled as BuildTree assembles it,
@@ -185,7 +206,7 @@ func TestColumnScanEquivalence(t *testing.T) {
 		}, ds))}
 		defer tr.Close()
 		tr.Planner.Disabled = true
-		return treeQueries(t, tr), tr.Stats()
+		return treeQueries(t, tr, queries), tr.Stats()
 	}
 	sharded := func(shards int) scenario {
 		return func(t *testing.T, opts coconut.Options) ([][]coconut.Match, coconut.Stats) {
@@ -235,9 +256,9 @@ func TestColumnScanEquivalence(t *testing.T) {
 	}{
 		{"tree", true, base, tree(0)},
 		{"tree-full", true, full, tree(0)},
-		{"tree-packed", true, with(full, func(o *coconut.Options) { o.CompressRuns = true }), tree(0)},
+		{"tree-packed", true, full, packed(0)},
 		{"tree-splits", true, with(full, func(o *coconut.Options) { o.FillFactor = 0.8 }), tree(600)},
-		{"tree-packed-splits", true, with(base, func(o *coconut.Options) { o.CompressRuns, o.PageSize = true, 512 }), tree(600)},
+		{"tree-packed-splits", true, with(full, func(o *coconut.Options) { o.CacheBytes = 16 << 10 }), packed(200)},
 		{"tree-cached", true, with(full, func(o *coconut.Options) { o.CacheBytes = 96 << 10 }), tree(100)},
 		{"tree-file", true, with(full, func(o *coconut.Options) { o.StorageDir = "per run" }), tree(100)},
 		{"tree-unplanned", false, base, unplanned},
@@ -286,20 +307,18 @@ func TestColumnScanEquivalence(t *testing.T) {
 // every page it reads. The windowed row is a TP partition (entries stamped
 // with their arrival, loaded from memory) queried over a window: the window
 // filter reads the timestamp column, so a leaf whose skip was declined is
-// released undecoded too.
+// released undecoded too. (The run package's trace test holds packed pages
+// to the same, through the scan a tree's leaves share.)
 func TestColumnScanTraceMatchesReference(t *testing.T) {
 	defer run.SetPageKeyBounds(false)
 	ds := series.NewDataset(equivLen)
-	for _, s := range equivWalks(84, 4000) {
+	for _, s := range walks(84, 4000, equivLen) {
 		ds.Append(series.Series(s).ZNormalize())
 	}
 	cfg := index.Config{SeriesLen: equivLen, Segments: 8, Bits: 6, Materialized: true}
-	build := func(compress bool) *ctree.Tree {
-		tr, err := ctree.Build(ctree.Options{Disk: storage.NewDisk(2048), Config: cfg, Compress: compress, Parallelism: 1}, ds, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tr
+	fixed, err := ctree.Build(ctree.Options{Disk: storage.NewDisk(2048), Config: cfg, Parallelism: 1}, ds, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
 	arrivals := make([]record.Entry, ds.Count())
 	for id := range arrivals {
@@ -316,9 +335,9 @@ func TestColumnScanTraceMatchesReference(t *testing.T) {
 		name     string
 		tr       *ctree.Tree
 		windowed bool
-	}{{"fixed", build(false), false}, {"packed", build(true), false}, {"tp-windowed", partition, true}} {
+	}{{"fixed", fixed, false}, {"tp-windowed", partition, true}} {
 		tr := row.tr
-		for i, s := range equivWalks(85, 8) {
+		for i, s := range walks(85, 8, equivLen) {
 			trace := func(reference bool, search func(q index.Query) error) *obs.TraceSnapshot {
 				run.SetPageKeyBounds(reference)
 				q := index.NewQuery(s, cfg)

@@ -56,13 +56,6 @@ type Options struct {
 	// values <= 0 select GOMAXPROCS. The built index is identical at every
 	// setting. (A search fans out on the pool its context carries.)
 	Parallelism int
-	// Compress selects the packed page encoding for leaf pages
-	// (delta/bit-packed keys, frame-of-reference IDs and timestamps): each
-	// leaf holds as many entries as its compressed bytes allow instead of a
-	// fixed record count. The encoding is a per-tree build-time property
-	// recorded in the metadata; searches and inserts are answer-identical
-	// either way.
-	Compress bool
 }
 
 func (o *Options) setDefaults() error {
@@ -94,7 +87,7 @@ type Tree struct {
 	opts     Options
 	store    run.Store     // the leaf file's reader, entry codec and raw store
 	leaves   run.Run       // the leaf file: count, synopsis, encoding and summary
-	layout   record.Layout // the leaf pages': fixed-size or packed
+	layout   record.Layout // the leaf pages': fixed-size, or packed in an older tree
 	capacity int           // max entries per fixed-size leaf page
 	nextID64 int64         // next auto-assigned insert ID
 	// Insert-path scratch, one of each per tree because inserts are
@@ -200,15 +193,14 @@ func BuildFromEntries(opts Options, sorted []record.Entry) (*Tree, error) {
 
 // bulkLoad returns the tree over the n entries write puts into the leaf file
 // through sorter, whose output is described as the tree's leaf level: its
-// encoding, its fill factor, and the summary builder as its observer, which
-// takes the leaf summary and the synopsis from the pass that writes the
-// pages.
+// fill factor, and the summary builder as its observer, which takes the
+// leaf summary and the synopsis from the pass that writes the pages.
 func bulkLoad(opts Options, n int64, write func(t *Tree, sorter *extsort.Sorter) error) (*Tree, error) {
 	if err := opts.setDefaults(); err != nil {
 		return nil, err
 	}
 	t := newTree(opts)
-	if err := t.initLayout(opts.Compress); err != nil {
+	if err := t.initLayout(false); err != nil {
 		return nil, err
 	}
 	t.capacity = opts.Disk.PageSize() / t.store.Codec().Size()
@@ -216,12 +208,12 @@ func bulkLoad(opts Options, n int64, write func(t *Tree, sorter *extsort.Sorter)
 	sorter := &extsort.Sorter{
 		Disk: opts.Disk, Codec: t.store.Codec(), MemBudget: opts.MemBudget,
 		TmpPrefix: opts.Name + ".sort", Parallelism: parallel.Resolve(opts.Parallelism),
-		Output: extsort.Output{Packed: t.leaves.Packed, Fill: opts.FillFactor, Observer: b.Observe},
+		Output: extsort.Output{Fill: opts.FillFactor, Observer: b.Observe},
 	}
 	if err := write(t, sorter); err != nil {
 		return nil, err
 	}
-	t.leaves = b.Run(t.leaves.File, t.leaves.Packed)
+	t.leaves = b.Run(t.leaves.File)
 	t.nextID64 = n
 	return t, nil
 }
@@ -236,8 +228,8 @@ func newTree(opts Options) *Tree {
 	}
 }
 
-// initLayout sets the leaf pages' layout, packed or fixed-size, which
-// checks that an entry fits a page.
+// initLayout sets the leaf pages' layout, fixed-size or, for a tree an
+// older build wrote, packed, which checks that an entry fits a page.
 func (t *Tree) initLayout(packed bool) (err error) {
 	if t.layout, err = t.store.Layout(packed); err != nil {
 		return fmt.Errorf("ctree: %w", err)
@@ -337,10 +329,10 @@ func (t *Tree) InsertEntry(e record.Entry) error {
 
 // encodePage renders entries as one leaf page in the insert-path page
 // buffer, or reports that they do not fit one — a record count for
-// fixed-size pages, a trial fit for packed ones (compressed size is
-// data-dependent) — and the builder that has taken every entry is the one
-// that encodes them. The returned page aliases the buffer and is valid until
-// the next call.
+// fixed-size pages, a trial fit for the packed ones of a tree an older build
+// wrote (compressed size is data-dependent) — and the builder that has taken
+// every entry is the one that encodes them. The returned page aliases the
+// buffer and is valid until the next call.
 func (t *Tree) encodePage(entries []record.Entry) (page []byte, fits bool, err error) {
 	t.pb.Reset()
 	for _, e := range entries {

@@ -37,7 +37,9 @@ import (
 //	[v4: SAX column count*segments B]
 //
 // Version 2 added the leaf envelopes and the synopsis, 3 the packed flag
-// (record.Layout; earlier files hold fixed-size records), 4 the SAX
+// (record.Layout; earlier files hold fixed-size records, and so does every
+// tree built now: a tree whose leaves an older build packed keeps them
+// packed, its inserts included, and saves its flag as 1), 4 the SAX
 // column, 5 the summary, and 6 dropped the synopsis. Files of versions 1–5
 // still open; a stored synopsis is skipped by its length, never decoded.
 // Open takes a version 1–4 file's leaf counts and pages from the directory
@@ -157,7 +159,7 @@ func decodeMeta(opts Options, buf []byte, version uint32) (*Tree, error) {
 		if len(rest) < 1 {
 			return nil, fmt.Errorf("ctree: meta truncated at packed flag")
 		}
-		t.leaves.Packed, t.opts.Compress, rest = rest[0] == 1, rest[0] == 1, rest[1:]
+		t.leaves.Packed, rest = rest[0] == 1, rest[1:]
 	}
 	if err := t.initLayout(t.leaves.Packed); err != nil {
 		return nil, err

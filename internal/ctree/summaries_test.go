@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/index"
+	"repro/internal/run"
 	"repro/internal/series"
 	"repro/internal/sortable"
 	"repro/internal/storage"
@@ -48,14 +49,15 @@ func (l *leafReads) Access(file string, _ int64, write bool) {
 	}
 }
 
-// summaryShapes are the builds the invariant is held on: both layouts,
-// materialized or not, packed to the brim or with insert slack. The pages
-// are small, so that 1500 series make enough leaves for several groups: a
+// summaryShapes are the builds the invariant is held on: materialized or
+// not, full to the brim or with insert slack, and in both layouts — a packed
+// tree as older builds wrote one (packedTree), at full pages. The pages are
+// small, so that 1500 series make enough leaves for several groups: a
 // materialized leaf holds three entries, like the benchmark's.
 var summaryShapes = []struct {
 	name         string
 	materialized bool
-	compress     bool
+	packed       bool
 	fill         float64
 	pageSize     int
 }{
@@ -63,15 +65,54 @@ var summaryShapes = []struct {
 	{"fixed-slack", false, false, 0.6, 256},
 	{"fixed-full", true, false, 1.0, 2048},
 	{"packed", false, true, 1.0, 256},
-	{"packed-slack", true, true, 0.7, 2048},
+	{"packed-full", true, true, 1.0, 2048},
 }
 
-func buildShape(t *testing.T, ds *series.Dataset, materialized, compress bool, fill float64, pageSize int) *Tree {
+func buildShape(t *testing.T, ds *series.Dataset, materialized, packed bool, fill float64, pageSize int) *Tree {
 	t.Helper()
-	tr, err := Build(Options{
-		Disk: storage.NewDisk(pageSize), Config: testConfig(materialized), FillFactor: fill,
-		Raw: normStore{ds}, Compress: compress,
-	}, ds, 0)
+	opts := Options{Disk: storage.NewDisk(pageSize), Config: testConfig(materialized), FillFactor: fill, Raw: normStore{ds}}
+	if packed {
+		return packedTree(t, opts, ds)
+	}
+	tr, err := Build(opts, ds, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
+// packedTree returns a tree over ds (sortedEntries) with packed leaves, as
+// older builds wrote them: full pages of the packed layout's page builder,
+// the summary read off them as Open rebuilds an older tree's (run.Store.Load).
+// No build writes packed leaves now; a packed tree answers and takes inserts.
+func packedTree(t *testing.T, opts Options, ds *series.Dataset) *Tree {
+	t.Helper()
+	err := opts.setDefaults()
+	tr := newTree(opts)
+	if err == nil {
+		err = tr.initLayout(true)
+	}
+	if err == nil {
+		err = opts.Disk.Create(tr.leaves.File)
+	}
+	tr.capacity, tr.nextID64 = opts.Disk.PageSize()/tr.store.Codec().Size(), int64(ds.Count())
+	entries := sortedEntries(ds, opts.Config)
+	for i := 0; err == nil && i < len(entries); {
+		for ok := true; err == nil && ok && i < len(entries); {
+			if ok, err = tr.pb.TryAdd(entries[i]); ok {
+				i++
+			}
+		}
+		if err == nil {
+			_, err = tr.pb.Encode(tr.pageBuf)
+		}
+		if err == nil {
+			_, err = opts.Disk.AppendPages(tr.leaves.File, tr.pageBuf)
+		}
+	}
+	if err == nil {
+		tr.leaves, err = tr.store.Load(run.Run{File: tr.leaves.File, Count: tr.nextID64, Packed: true}, nil, nil)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +128,7 @@ func TestSummariesFollowTheTree(t *testing.T) {
 	for _, sh := range summaryShapes {
 		t.Run(sh.name, func(t *testing.T) {
 			ds := buildDataset(t, 1500, 71)
-			tr := buildShape(t, ds, sh.materialized, sh.compress, sh.fill, sh.pageSize)
+			tr := buildShape(t, ds, sh.materialized, sh.packed, sh.fill, sh.pageSize)
 			if err := checkSummaries(tr); err != nil {
 				t.Fatalf("after build: %v", err)
 			}
@@ -146,18 +187,20 @@ func TestSummariesFollowTheTree(t *testing.T) {
 // TestSummariesOfATreeGrownFromNothing: the first insert into an empty tree
 // creates leaf, columns and group together.
 func TestSummariesOfATreeGrownFromNothing(t *testing.T) {
-	for _, compress := range []bool{false, true} {
-		ds := series.NewDataset(64)
-		tr := buildShape(t, ds, true, compress, 1.0, 2048)
-		rng := rand.New(rand.NewSource(73))
-		for i := 0; i < 400; i++ {
-			if err := tr.Insert(gen.RandomWalk(rng, 64), 0); err != nil {
-				t.Fatal(err)
+	for _, packed := range []bool{false, true} {
+		t.Run(map[bool]string{false: "fixed", true: "packed"}[packed], func(t *testing.T) {
+			ds := series.NewDataset(64)
+			tr := buildShape(t, ds, true, packed, 1.0, 2048)
+			rng := rand.New(rand.NewSource(73))
+			for i := 0; i < 400; i++ {
+				if err := tr.Insert(gen.RandomWalk(rng, 64), 0); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}
-		if err := checkSummaries(tr); err != nil {
-			t.Fatalf("compress=%v: %v", compress, err)
-		}
+			if err := checkSummaries(tr); err != nil {
+				t.Fatalf("packed=%v: %v", packed, err)
+			}
+		})
 	}
 }
 

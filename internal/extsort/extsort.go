@@ -8,11 +8,11 @@
 //
 // It is also the one place a new sorted file is written: a CLSM run, a BTP
 // partition, a merge of either and a CTree's leaf level are all what Sort,
-// Merge or WriteRun wrote, in the encoding and at the page fill the Sorter's
-// Output names, and each owner derives what it keeps in memory about its
-// file from the Observer of that one pass. How entries are laid into pages,
-// and read back, is internal/record's: a record.Layout's Writer and Reader,
-// whichever the encoding.
+// Merge or WriteRun wrote, in fixed-size records at the page fill the
+// Sorter's Output names, and each owner derives what it keeps in memory
+// about its file from the Observer of that one pass. Inputs may also be
+// packed, a format older builds wrote. How entries are laid into pages, and
+// read back, is internal/record's: a record.Layout's Writer and Reader.
 package extsort
 
 import (
@@ -44,15 +44,13 @@ type Sorter struct {
 	// factor.
 	Parallelism int
 	// Output describes the file Sort, Merge and WriteRun produce. The zero
-	// value is a plain sorted file: fixed-size records, full pages, nobody
-	// watching — which is also what Sort's temporary runs always are.
+	// value is a plain sorted file: full pages, nobody watching — which is
+	// also what Sort's temporary runs always are.
 	Output
 }
 
-// Output describes a sorted file to be written.
+// Output describes a sorted file to be written, in fixed-size records.
 type Output struct {
-	// Packed selects the packed page encoding over fixed-size records.
-	Packed bool
 	// Fill is the fraction of each page populated, the rest left as slack
 	// for later inserts (a CTree's fill factor; see record.Layout.Create).
 	// Values outside (0,1) mean full pages, which is what every Input is
@@ -275,7 +273,8 @@ func (s *Sorter) sortRunsParallel(reader *record.Reader, bufEntries, workers int
 
 // Input names one sorted entry file: a phase-1 run of Sort, a CLSM run, a
 // BTP partition. Count is its entry count (files carry no header); Packed
-// says its pages use the packed encoding rather than fixed-size records.
+// says its pages use the packed encoding, which older builds wrote, rather
+// than fixed-size records.
 type Input struct {
 	Name   string
 	Count  int64
@@ -304,7 +303,7 @@ type entryWriter struct {
 // create makes the file (which must not exist) with a write-behind buffer
 // of chunkPages pages (record.Layout.StreamPages).
 func (s *Sorter) create(name string, out Output, chunkPages int) (*entryWriter, error) {
-	l, err := record.NewLayout(s.Codec, s.Disk.PageSize(), out.Packed)
+	l, err := record.NewLayout(s.Codec, s.Disk.PageSize(), false)
 	if err != nil {
 		return nil, err
 	}
@@ -356,9 +355,9 @@ func (s *Sorter) write(name string, entries []record.Entry, out Output) error {
 }
 
 // Merge k-way merges already-sorted entry files, in any mix of encodings,
-// into one new sorted file as the sorter's Output describes it, under the
-// sorter's full memory budget. Inputs are left intact. Returns the merged
-// entry count.
+// into one new fixed-size sorted file as the sorter's Output describes it,
+// under the sorter's full memory budget. Inputs are left intact. Returns the
+// merged entry count.
 func (s *Sorter) Merge(inputs []Input, output string) (int64, error) {
 	return s.merge(inputs, output, s.Output, s.MemBudget)
 }

@@ -1,6 +1,7 @@
 package extsort
 
 import (
+	"fmt"
 	"io"
 	"math/rand"
 	"slices"
@@ -294,19 +295,18 @@ func readFile(d *storage.Disk, in Input, c record.Codec) ([]record.Entry, error)
 }
 
 // TestMergeSorted is the one table over Sorter.Merge: inputs in any mix of
-// encodings, both output encodings. The merged sequence must be the sorted
-// union whatever the encodings — encoding never changes answers — and the
-// inputs stay intact.
+// encodings — packed ones written as older builds wrote them (writePacked)
+// — into a fixed-size output. The merged sequence must be the sorted union
+// whatever the encodings — encoding never changes answers — and the inputs
+// stay intact.
 func TestMergeSorted(t *testing.T) {
 	cases := []struct {
-		name       string
-		packed     []bool // one input per element
-		packOutput bool
+		name   string
+		packed []bool // one input per element
 	}{
-		{"fixed", []bool{false, false, false}, false},
-		{"mixed-encodings", []bool{false, true, true, false}, false},
-		{"mixed-encodings-packed-output", []bool{false, true, true, false}, true},
-		{"packed", []bool{true, true}, true},
+		{"fixed", []bool{false, false, false}},
+		{"mixed-encodings", []bool{false, true, true, false}},
+		{"packed", []bool{true, true}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -321,8 +321,9 @@ func TestMergeSorted(t *testing.T) {
 				entries := writeUnsorted(t, d, "u"+string(rune('0'+i)), c, n, int64(40+i))
 				sortEntries(entries)
 				in := Input{Name: "s" + string(rune('0'+i)), Count: int64(n), Packed: packed}
-				s.Packed = packed
-				if err := s.WriteRun(in.Name, entries); err != nil {
+				if packed {
+					writePacked(t, d, c, in.Name, entries)
+				} else if err := s.WriteRun(in.Name, entries); err != nil {
 					t.Fatal(err)
 				}
 				inputs = append(inputs, in)
@@ -331,7 +332,6 @@ func TestMergeSorted(t *testing.T) {
 			}
 			sortEntries(all)
 
-			s.Packed = tc.packOutput
 			got, err := s.Merge(inputs, "merged")
 			if err != nil {
 				t.Fatal(err)
@@ -339,11 +339,39 @@ func TestMergeSorted(t *testing.T) {
 			if got != int64(len(all)) {
 				t.Fatalf("merged %d entries, want %d", got, len(all))
 			}
-			assertEntries(t, "merged", readRun(t, d, Input{Name: "merged", Count: got, Packed: tc.packOutput}, c), all)
+			assertEntries(t, "merged", readRun(t, d, Input{Name: "merged", Count: got}, c), all)
 			for i, in := range inputs {
 				assertEntries(t, in.Name, readRun(t, d, in, c), parts[i])
 			}
 		})
+	}
+}
+
+// writePacked writes entries, in (Key, ID) order, into a new file of full
+// packed pages through the packed record.Layout's page builder, as older
+// builds did. No build writes such a file now; a merge still reads it.
+func writePacked(t *testing.T, d storage.Backend, c record.Codec, name string, entries []record.Entry) {
+	t.Helper()
+	l, err := record.NewLayout(c, d.PageSize(), true)
+	if err == nil {
+		err = d.Create(name)
+	}
+	b, page := l.Builder(), make([]byte, d.PageSize())
+	for i := 0; err == nil && i < len(entries); {
+		for ok := true; err == nil && ok && i < len(entries); {
+			if ok, err = b.TryAdd(entries[i]); ok {
+				i++
+			}
+		}
+		if err == nil {
+			_, err = b.Encode(page)
+		}
+		if err == nil {
+			_, err = d.AppendPages(name, page)
+		}
+	}
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -380,7 +408,8 @@ func sortEntries(entries []record.Entry) {
 // TestMergeDoesNotAllocatePerEntry pins the merge loop's cost: each source
 // decodes its entries' payloads into one buffer of its own, so a merge of
 // materialized entries allocates per file and per chunk of pages, never per
-// entry — and still writes every payload it read, in both encodings.
+// entry — and still writes every payload it read, from inputs of both
+// encodings.
 func TestMergeDoesNotAllocatePerEntry(t *testing.T) {
 	c := record.Codec{SeriesLen: 16, Materialized: true}
 	d := storage.NewDisk(4096) // 25 entries to a page: a page's allocations are not an entry's
@@ -399,41 +428,36 @@ func TestMergeDoesNotAllocatePerEntry(t *testing.T) {
 		}
 		sortEntries(entries)
 		in := Input{Name: "in" + string(rune('0'+i)), Count: int64(len(entries)), Packed: packed}
-		s.Packed = packed
-		if err := s.WriteRun(in.Name, entries); err != nil {
+		if packed {
+			writePacked(t, d, c, in.Name, entries)
+		} else if err := s.WriteRun(in.Name, entries); err != nil {
 			t.Fatal(err)
 		}
 		inputs = append(inputs, in)
 		all = append(all, entries...)
 	}
 	sortEntries(all)
-	for _, packOutput := range []bool{false, true} {
-		s.Packed = packOutput
-		merge := func() {
-			if _, err := s.Merge(inputs, "merged"); err != nil {
-				t.Fatal(err)
-			}
+	merge := func() {
+		if _, err := s.Merge(inputs, "merged"); err != nil {
+			t.Fatal(err)
 		}
-		merge()
-		got := readRun(t, d, Input{Name: "merged", Count: int64(len(all)), Packed: packOutput}, c)
-		assertEntries(t, "merged", got, all)
-		for i := range all {
-			if !slices.Equal(got[i].Payload, all[i].Payload) {
-				t.Fatalf("packed output=%v: entry %d's payload changed in the merge", packOutput, i)
-			}
+	}
+	merge()
+	got := readRun(t, d, Input{Name: "merged", Count: int64(len(all))}, c)
+	assertEntries(t, "merged", got, all)
+	for i := range all {
+		if !slices.Equal(got[i].Payload, all[i].Payload) {
+			t.Fatalf("entry %d's payload changed in the merge", i)
 		}
-		allocs := testing.AllocsPerRun(3, func() {
-			if err := d.Remove("merged"); err != nil {
-				t.Fatal(err)
-			}
-			merge()
-		})
-		if allocs > float64(len(all))/4 {
-			t.Errorf("packed output=%v: %.0f allocations to merge %d entries, want none per entry", packOutput, allocs, len(all))
-		}
+	}
+	allocs := testing.AllocsPerRun(3, func() {
 		if err := d.Remove("merged"); err != nil {
 			t.Fatal(err)
 		}
+		merge()
+	})
+	if allocs > float64(len(all))/4 {
+		t.Errorf("%.0f allocations to merge %d entries, want none per entry", allocs, len(all))
 	}
 }
 
@@ -443,8 +467,7 @@ func TestMergeDoesNotAllocatePerEntry(t *testing.T) {
 // a few runs, or needed a pass of temporaries, serial or on workers — with
 // nothing left beside it; and the observer sees every entry once, in file
 // order, first-of-page exactly where the file's pages begin: every
-// max(1, ⌊records per page · fill⌋) records of a fixed file, and at each
-// packed page's own decoded count.
+// max(1, ⌊records per page · fill⌋) records.
 func TestSortOutputDescription(t *testing.T) {
 	const pageSize, bufEntries = 256, 32
 	c := record.Codec{}
@@ -454,9 +477,9 @@ func TestSortOutputDescription(t *testing.T) {
 		"runs": bufEntries * fanIn, "multi-pass": bufEntries*fanIn*2 + 7,
 	}
 	for size, n := range sizes {
-		for _, packed := range []bool{false, true} {
-			for _, fill := range []float64{0, 1, 0.7, 0.34} {
-				for _, par := range []int{0, 4} {
+		for _, fill := range []float64{0, 1, 0.7, 0.34} {
+			for _, par := range []int{0, 4} {
+				t.Run(fmt.Sprintf("%s/fill=%v/par=%d", size, fill, par), func(t *testing.T) {
 					d := storage.NewDisk(pageSize)
 					entries := writeUnsorted(t, d, "in", c, n, int64(n))
 					sortEntries(entries)
@@ -466,7 +489,7 @@ func TestSortOutputDescription(t *testing.T) {
 					}
 					var got []seen
 					s := &Sorter{Disk: d, Codec: c, MemBudget: bufEntries * c.Size(), Parallelism: par,
-						Output: Output{Packed: packed, Fill: fill, Observer: func(e record.Entry, pageStart bool) {
+						Output: Output{Fill: fill, Observer: func(e record.Entry, pageStart bool) {
 							got = append(got, seen{e.ID, pageStart})
 						}}}
 					passes, err := s.Sort("in", int64(n), "out")
@@ -474,18 +497,17 @@ func TestSortOutputDescription(t *testing.T) {
 						t.Fatal(err)
 					}
 					if files := d.Files(); !slices.Equal(files, []string{"in", "out"}) {
-						t.Fatalf("%s: files after the sort: %v", size, files)
+						t.Fatalf("files after the sort: %v", files)
 					}
 					if par == 0 && (passes > 0) != (n > bufEntries) || size == "multi-pass" && passes < 2 {
-						t.Fatalf("%s: %d entries sorted in %d passes", size, n, passes)
+						t.Fatalf("%d entries sorted in %d passes", n, passes)
 					}
 					s.Observer = nil
 					if err := s.WriteRun("ref", entries); err != nil {
 						t.Fatal(err)
 					}
-					out := readAllPages(t, d, "out")
-					if !slices.Equal(out, readAllPages(t, d, "ref")) {
-						t.Fatalf("%s packed=%v fill=%v par=%d: Sort's output differs from WriteRun's", size, packed, fill, par)
+					if !slices.Equal(readAllPages(t, d, "out"), readAllPages(t, d, "ref")) {
+						t.Fatal("Sort's output differs from WriteRun's")
 					}
 
 					var want []seen
@@ -493,34 +515,13 @@ func TestSortOutputDescription(t *testing.T) {
 					if fill > 0 && fill < 1 {
 						perPage = max(1, int(float64(perPage)*fill))
 					}
-					for p := 0; len(want) < n; p++ {
-						count := min(perPage, n-len(want))
-						if packed {
-							v, err := c.ViewPacked(out[p*pageSize : (p+1)*pageSize])
-							if err != nil {
-								t.Fatal(err)
-							}
-							count = v.Count()
-						}
-						for i := 0; i < count; i++ {
-							want = append(want, seen{entries[len(want)].ID, i == 0})
-						}
+					for i := 0; i < n; i++ {
+						want = append(want, seen{entries[i].ID, i%perPage == 0})
 					}
 					if !slices.Equal(got, want) {
-						t.Fatalf("%s packed=%v fill=%v par=%d: the observer saw %d entries, the file holds %d, or they differ",
-							size, packed, fill, par, len(got), len(want))
+						t.Fatalf("the observer saw %d entries, the file holds %d, or they differ", len(got), len(want))
 					}
-					if packed && fill > 0 && fill < 1 && n > bufEntries {
-						// Slack in a packed page is more pages for the same entries.
-						s.Fill = 1
-						if err := s.WriteRun("full", entries); err != nil {
-							t.Fatal(err)
-						}
-						if full := len(readAllPages(t, d, "full")); len(out) <= full {
-							t.Fatalf("%s: fill %v made %d bytes of packed pages, full pages make %d", size, fill, len(out), full)
-						}
-					}
-				}
+				})
 			}
 		}
 	}

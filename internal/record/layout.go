@@ -194,7 +194,7 @@ func (p *PageView) entryInto(i int, payload series.Series) (Entry, error) {
 	return p.codec.DecodeInto(p.data[i*size:(i+1)*size], payload)
 }
 
-// Writer appends entries, in (Key, ID) order, to a new file of a layout,
+// Writer appends entries, in (Key, ID) order, to a new fixed-size file,
 // and is the only code that decides where a page of one ends. Completed
 // pages accumulate in a write-behind chunk flushed with one multi-page
 // append; Close writes the last page and flushes.
@@ -203,35 +203,31 @@ type Writer struct {
 	name   string
 	b      *PageBuilder
 	chunk  []byte
-	fillAt int // encoded bytes at which a page closes; 0: when the next entry does not fit
+	fillAt int // entries at which a page closes, no more than a page holds
 	closed bool
 }
 
 // Create creates the file (which must not exist) and returns a writer of
-// entries into it. Fill is the fraction of each page populated, the rest
-// left as slack for later inserts: a fixed-size page closes at max(1,
-// ⌊entries per page · fill⌋) entries, a packed page once its encoded bytes
-// reach ⌊page size · fill⌋, or sooner when an entry no longer fits; values
-// outside (0,1) mean full pages. chunkPages is the write-behind width the
-// caller gives the stream (see StreamPages).
+// entries into it. Only a fixed-size layout is written: a packed file is a
+// format older builds wrote, which the readers still open. Fill is the
+// fraction of each page populated, the rest left as slack for later
+// inserts: a page closes at max(1, ⌊entries per page · fill⌋) entries;
+// values outside (0,1) mean full pages. chunkPages is the write-behind
+// width the caller gives the stream (see StreamPages).
 func (l *Layout) Create(d PageAppender, name string, fill float64, chunkPages int) (*Writer, error) {
+	if l.packed {
+		return nil, fmt.Errorf("record: %q: packed files are read, not written", name)
+	}
 	if d.PageSize() != l.pageSize {
 		return nil, fmt.Errorf("record: %q: a disk of %d-byte pages, a layout of %d", name, d.PageSize(), l.pageSize)
 	}
 	if fill <= 0 || fill > 1 {
 		fill = 1
 	}
-	fillAt := max(1, int(float64(l.perPage)*fill)) * l.codec.Size()
-	if l.packed {
-		fillAt = 0
-		if fill < 1 {
-			fillAt = int(float64(l.pageSize) * fill)
-		}
-	}
 	if err := d.Create(name); err != nil {
 		return nil, err
 	}
-	return &Writer{disk: d, name: name, b: l.Builder(), fillAt: fillAt,
+	return &Writer{disk: d, name: name, b: l.Builder(), fillAt: max(1, int(float64(l.perPage)*fill)),
 		chunk: make([]byte, 0, l.StreamPages(chunkPages)*l.pageSize)}, nil
 }
 
@@ -241,18 +237,11 @@ func (w *Writer) Write(e Entry) (pageStart bool, err error) {
 	if w.closed {
 		return false, fmt.Errorf("record: write to closed writer %q", w.name)
 	}
-	ok, err := w.b.TryAdd(e)
-	if err == nil && !ok {
-		if err = w.endPage(); err == nil {
-			if ok, err = w.b.TryAdd(e); err == nil && !ok {
-				err = fmt.Errorf("record: entry rejected by an empty page of %q (unsorted input?)", w.name)
-			}
-		}
-	}
-	if err != nil {
+	// The page closes at fillAt entries, so the builder never finds it full.
+	if _, err := w.b.TryAdd(e); err != nil {
 		return false, err
 	}
-	if pageStart = w.b.Count() == 1; w.fillAt > 0 && w.b.EncodedBytes() >= w.fillAt {
+	if pageStart = w.b.Count() == 1; w.b.Count() == w.fillAt {
 		err = w.endPage()
 	}
 	return pageStart, err

@@ -122,15 +122,6 @@ func (l *Layout) Builder() *PageBuilder {
 // Count returns the number of entries currently staged.
 func (b *PageBuilder) Count() int { return len(b.keys) }
 
-// EncodedBytes returns the page bytes the staged entries would occupy
-// (for a packed page: header and bitstreams, excluding the tail slack).
-func (b *PageBuilder) EncodedBytes() int {
-	if b.perPage > 0 {
-		return len(b.pay)
-	}
-	return b.sizeWith(len(b.keys), packedWidthsOf(b.orHi, b.orLo, b.minID, b.maxID, b.minTS, b.maxTS))
-}
-
 type packedWidths struct {
 	keyW, keyShift, idW, tsW uint8
 }

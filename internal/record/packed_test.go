@@ -1,6 +1,7 @@
 package record
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -208,7 +209,9 @@ func TestPackedWriterReaderStream(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for _, c := range []Codec{{SeriesLen: 12}, {SeriesLen: 12, Materialized: true}} {
 		for _, n := range []int{0, 1, 100, 5000} {
-			streamRoundTrip(t, c, 256, true, 1, randomSortedEntries(rng, c, n, "clustered"))
+			t.Run(fmt.Sprintf("mat=%v/n=%d", c.Materialized, n), func(t *testing.T) {
+				streamRoundTrip(t, c, 256, true, 1, randomSortedEntries(rng, c, n, "clustered"))
+			})
 		}
 	}
 }

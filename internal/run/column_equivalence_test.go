@@ -3,6 +3,7 @@ package run_test
 import (
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -36,19 +37,25 @@ import (
 //     probe no longer pins it no longer leaves behind.)
 //
 // The scenarios reach runs through every surface they sit behind: the
-// facade's LSM (fixed and packed runs, on the heap, on host files, under a
-// pool smaller than a run, after merges, after a reopen that rebuilds every
-// summary from its file) and its BTP stream; TP, whose partitions are trees,
+// facade's LSM (on the heap, on host files, under a pool smaller than a run,
+// after merges, after a reopen that rebuilds every summary from its file,
+// and an LSM an older build saved with packed runs, which no build writes
+// now) and its BTP stream; TP, whose partitions are trees,
 // rides along as the control the hooks must not move. With several workers
 // only the answers are compared (see internal/ctree's suite for why).
 
 const equivLen = 64
 
-func equivWalks(seed int64, n int) [][]float64 {
+// packedLSMFixture is the root package's snapshot of a key-only LSM whose
+// two runs are packed: 300 series of 32 points at timestamps 0–299 (see
+// its TestPackedFixtures).
+var packedLSMFixture = filepath.Join("..", "..", "testdata", "clsm_v4_packed.ccnut")
+
+func walks(seed int64, n, length int) [][]float64 {
 	rng := rand.New(rand.NewSource(seed))
 	out := make([][]float64, n)
 	for i := range out {
-		out[i] = gen.RandomWalk(rng, equivLen)
+		out[i] = gen.RandomWalk(rng, length)
 	}
 	return out
 }
@@ -134,8 +141,8 @@ func (b built) Stats() coconut.Stats {
 }
 
 func TestColumnScanEquivalence(t *testing.T) {
-	data := equivWalks(91, 2600)
-	queries := append(equivWalks(93, 5), data[17], data[2024]) // far ones and members
+	data := walks(91, 2600, equivLen)
+	queries := append(walks(93, 5, equivLen), data[17], data[2024]) // far ones and members
 	base := coconut.Options{SeriesLen: equivLen, Segments: 8, Bits: 6, BufferEntries: 200, GrowthFactor: 3}
 	full := base
 	full.Materialized = true
@@ -143,7 +150,7 @@ func TestColumnScanEquivalence(t *testing.T) {
 	// lsmQueries is every search an LSM answers from its runs: exact,
 	// windowed (a wide window and one inside a single flush), range around
 	// the exact answer's third neighbour, approximate, and a batch.
-	lsmQueries := func(t *testing.T, l lsmIndex) [][]coconut.Match {
+	lsmQueries := func(t *testing.T, l lsmIndex, queries [][]float64) [][]coconut.Match {
 		var ans [][]coconut.Match
 		ms := must[[]coconut.Match](t)
 		for _, q := range queries {
@@ -169,7 +176,23 @@ func TestColumnScanEquivalence(t *testing.T) {
 		l := must[*coconut.LSM](t)(coconut.NewLSM(opts))
 		defer l.Close()
 		insert(t, l, 0, 2500)
-		return lsmQueries(t, l), l.Stats()
+		return lsmQueries(t, l, queries), l.Stats()
+	}
+	// packed opens the packed fixture and inserts 1000 series: the searches
+	// run over its packed runs, then over those left packed beside the
+	// fixed-size runs the merges made of the others.
+	packed := func(t *testing.T, opts coconut.Options) ([][]coconut.Match, coconut.Stats) {
+		l := must[*coconut.LSM](t)(coconut.OpenLSM(packedLSMFixture, opts))
+		defer l.Close()
+		l.SetParallelism(opts.Parallelism)
+		qs := walks(94, 6, 32)
+		ans := lsmQueries(t, l, qs)
+		for i, s := range walks(95, 1000, 32) {
+			if err := l.Insert(s, int64(300+i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return append(ans, lsmQueries(t, l, qs)...), l.Stats()
 	}
 	// unplanned is lsm over base, assembled as NewLSM assembles it, with the
 	// build's planner off.
@@ -181,7 +204,7 @@ func TestColumnScanEquivalence(t *testing.T) {
 		defer l.Close()
 		l.Planner.Disabled = true
 		insert(t, l, 0, 2500)
-		return lsmQueries(t, l), l.Stats()
+		return lsmQueries(t, l, queries), l.Stats()
 	}
 	// reopened closes the LSM half way and opens it again over the same
 	// directories, so the searches run over summaries rebuilt from the run
@@ -195,9 +218,9 @@ func TestColumnScanEquivalence(t *testing.T) {
 		}
 		l = must[*coconut.LSM](t)(coconut.NewLSM(opts))
 		defer l.Close()
-		ans := lsmQueries(t, l)
+		ans := lsmQueries(t, l, queries)
 		insert(t, l, 1300, 2500)
-		return append(ans, lsmQueries(t, l)...), l.Stats()
+		return append(ans, lsmQueries(t, l, queries)...), l.Stats()
 	}
 	stream := func(kind coconut.SchemeKind) scenario {
 		return func(t *testing.T, opts coconut.Options) ([][]coconut.Match, coconut.Stats) {
@@ -237,25 +260,14 @@ func TestColumnScanEquivalence(t *testing.T) {
 	}{
 		{"lsm", true, false, func() coconut.Options { return base }, lsm},
 		{"lsm-full", true, false, func() coconut.Options { return full }, lsm},
-		{"lsm-packed", true, false, func() coconut.Options {
-			return with(full, func(o *coconut.Options) { o.CompressRuns = true })
-		}, lsm},
-		{"lsm-packed-small-pages", true, false, func() coconut.Options {
-			return with(base, func(o *coconut.Options) { o.CompressRuns, o.PageSize = true, 512 })
-		}, lsm},
+		{"lsm-packed", true, false, func() coconut.Options { return base }, packed},
 		{"lsm-file", true, false, func() coconut.Options { return with(full, memfs) }, lsm},
-		{"lsm-file-packed", true, false, func() coconut.Options {
-			return with(base, func(o *coconut.Options) { memfs(o); o.CompressRuns = true })
-		}, lsm},
 		{"lsm-pool", true, true, func() coconut.Options { return with(full, smallPool) }, lsm},
-		{"lsm-file-pool-packed", true, true, func() coconut.Options {
-			return with(full, func(o *coconut.Options) { memfs(o); smallPool(o); o.CompressRuns = true })
-		}, lsm},
 		{"lsm-unplanned", true, false, func() coconut.Options { return base }, unplanned},
 		{"lsm-reopened", true, false, func() coconut.Options { return full }, reopened},
 		{"lsm-reopened-packed-pool", true, true, func() coconut.Options {
-			return with(full, func(o *coconut.Options) { smallPool(o); o.CompressRuns = true })
-		}, reopened},
+			return with(base, func(o *coconut.Options) { o.CacheBytes = 16 << 10 })
+		}, packed},
 		{"stream-btp", true, false, func() coconut.Options { return base }, stream(coconut.BTP)},
 		{"stream-btp-full", true, false, func() coconut.Options { return full }, stream(coconut.BTP)},
 		{"stream-btp-file", true, false, func() coconut.Options { return with(full, memfs) }, stream(coconut.BTP)},

@@ -33,7 +33,7 @@ type Run struct {
 	File   string
 	Count  int64
 	Syn    *zonestat.Synopsis
-	Packed bool // pages use the packed (compressed) encoding
+	Packed bool // pages use the packed encoding, which older builds wrote
 	Sum    *Summary
 }
 
@@ -86,28 +86,29 @@ func (s *Store) Layout(packed bool) (record.Layout, error) {
 	return s.fixed, s.fixedErr
 }
 
-// sorter returns the writer of one run in the given encoding, watched by b.
-func (s *Store) sorter(packed bool, b *Builder) *extsort.Sorter {
+// sorter returns the writer of one run, watched by b.
+func (s *Store) sorter(b *Builder) *extsort.Sorter {
 	return &extsort.Sorter{Disk: s.Disk, Codec: s.codec, MemBudget: mergeBudget,
-		Output: extsort.Output{Packed: packed, Observer: b.Observe}}
+		Output: extsort.Output{Observer: b.Observe}}
 }
 
-// Write streams sorted entries into a new run file — packed pages or
-// fixed-size records — and builds the run's synopsis and resident summary on
-// the way. A failed write leaves no file behind, and returns no run.
-func (s *Store) Write(name string, sorted []record.Entry, packed bool) (Run, error) {
+// Write streams sorted entries into a new run file of fixed-size records,
+// and builds the run's synopsis and resident summary on the way. A failed
+// write leaves no file behind, and returns no run.
+func (s *Store) Write(name string, sorted []record.Entry) (Run, error) {
 	b := NewBuilder(s.Config, int64(len(sorted)), s.Disk.PageSize()/s.codec.Size())
-	if err := s.sorter(packed, b).WriteRun(name, sorted); err != nil {
+	if err := s.sorter(b).WriteRun(name, sorted); err != nil {
 		return Run{}, err
 	}
-	return b.Run(name, packed), nil
+	return b.Run(name), nil
 }
 
-// Merge sort-merges runs, in any mix of encodings, into one new run. The
-// inputs are left intact. The merged synopsis and summary are built from the
-// merged entries as they are written (the synopsis equals the union of the
-// inputs'). A failed merge leaves no file behind, and returns no run.
-func (s *Store) Merge(inputs []Run, name string, packed bool) (Run, error) {
+// Merge sort-merges runs, in any mix of encodings, into one new run of
+// fixed-size records. The inputs are left intact. The merged synopsis and
+// summary are built from the merged entries as they are written (the
+// synopsis equals the union of the inputs'). A failed merge leaves no file
+// behind, and returns no run.
+func (s *Store) Merge(inputs []Run, name string) (Run, error) {
 	files := make([]extsort.Input, len(inputs))
 	var total int64
 	for i, in := range inputs {
@@ -115,10 +116,10 @@ func (s *Store) Merge(inputs []Run, name string, packed bool) (Run, error) {
 		total += in.Count
 	}
 	b := NewBuilder(s.Config, total, s.Disk.PageSize()/s.codec.Size())
-	if _, err := s.sorter(packed, b).Merge(files, name); err != nil {
+	if _, err := s.sorter(b).Merge(files, name); err != nil {
 		return Run{}, err
 	}
-	return b.Run(name, packed), nil
+	return b.Run(name), nil
 }
 
 // Load returns r — a file described by metadata — with its synopsis and
@@ -171,7 +172,7 @@ func (s *Store) Load(r Run, counts []int, pageOf []int64) (Run, error) {
 	if seen != r.Count {
 		return Run{}, fmt.Errorf("run: %s holds %d entries, its metadata says %d", r.File, seen, r.Count)
 	}
-	built := b.Run(r.File, r.Packed)
+	built := b.Run(r.File)
 	r.Syn, r.Sum = built.Syn, built.Sum
 	r.Sum.pageOf = mapOrNil(pageOf)
 	return r, r.Sum.ascending()

@@ -94,43 +94,25 @@ func newStoreOf(t *testing.T, kind string, pageSize int, cfg index.Config, raw s
 	return s, disk, stats
 }
 
-// readPages decodes a run file page by page with the record package's own
-// decoders — independent of the run package's page arithmetic.
+// readPages decodes a run file page by page through a record.Layout of its
+// encoding — independent of the run package's page arithmetic.
 func readPages(t *testing.T, disk *storage.Disk, r Run) [][]record.Entry {
 	t.Helper()
-	codec := testCfg.Codec()
-	npages, err := disk.NumPages(r.File)
+	l, err := record.NewLayout(testCfg.Codec(), disk.PageSize(), r.Packed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var pages [][]record.Entry
-	left := r.Count
+	var pg record.PageView
 	buf := make([]byte, disk.PageSize())
-	for p := int64(0); p < npages; p++ {
-		if _, err := disk.ReadPage(r.File, p, buf); err != nil {
-			t.Fatal(err)
+	for p, left := int64(0), r.Count; left > 0; p++ {
+		_, err := disk.ReadPage(r.File, p, buf)
+		if err == nil {
+			err = l.NextPage(&pg, buf, left)
 		}
-		var page []record.Entry
-		if r.Packed {
-			v, err := codec.ViewPacked(buf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < v.Count(); i++ {
-				e, err := v.EntryInto(i, codec, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				page = append(page, e)
-			}
-		} else {
-			for off := 0; off+codec.Size() <= len(buf) && int64(len(page)) < left; off += codec.Size() {
-				e, err := codec.DecodeInto(buf[off:off+codec.Size()], nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				page = append(page, e)
-			}
+		page, err2 := pg.Entries()
+		if err != nil || err2 != nil {
+			t.Fatalf("page %d: %v %v", p, err, err2)
 		}
 		left -= int64(len(page))
 		pages = append(pages, page)
@@ -250,7 +232,7 @@ func TestRunTable(t *testing.T) {
 			t.Run(enc+"/"+kind, func(t *testing.T) {
 				row := scriptStats[enc+"/"+src]
 				s, disk, stats := newStore(t, kind, raw)
-				r, err := s.Write("r", entries, packed)
+				r, err := writeRun(s, "r", entries, packed)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -454,7 +436,7 @@ func deadRunRow(t *testing.T, blocks [4]int, packed bool, kind string) {
 		t.Fatal("the blocks are not in key order")
 	}
 	s, _, stats := newStoreOf(t, kind, deadPageSize, deadCfg, nil)
-	r, err := s.Write("r", entries, packed)
+	r, err := writeRun(s, "r", entries, packed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -546,8 +528,9 @@ func rescan(entries []record.Entry) *zonestat.Synopsis {
 	return syn
 }
 
-// TestRunMerge merges runs of mixed encodings into both output encodings: the
-// merged run holds the sorted union, its synopsis is the one a rescan of
+// TestRunMerge merges runs of mixed encodings, a packed one written as
+// older builds wrote it (writeRun), into a fixed-size run: the merged run
+// holds the sorted union, its synopsis is the one a rescan of
 // the merged file builds — which is the union of the inputs' — its summary
 // is the file's, and the inputs stay intact.
 func TestRunMerge(t *testing.T) {
@@ -564,52 +547,48 @@ func TestRunMerge(t *testing.T) {
 	sort.Slice(all, func(i, j int) bool { return all[i].Less(all[j]) })
 
 	for _, kind := range []string{"heap", "memfs"} {
-		for _, packOutput := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%s/packed-output=%v", kind, packOutput), func(t *testing.T) {
-				s, disk, _ := newStore(t, kind, nil)
-				var inputs []Run
-				for i, in := range []struct {
-					entries []record.Entry
-					packed  bool
-				}{{a, false}, {b, true}, {c, false}} {
-					r, err := s.Write(fmt.Sprintf("in%d", i), in.entries, in.packed)
-					if err != nil {
-						t.Fatal(err)
-					}
-					inputs = append(inputs, r)
-				}
-				m, err := s.Merge(inputs, "merged", packOutput)
+		t.Run(kind, func(t *testing.T) {
+			s, disk, _ := newStore(t, kind, nil)
+			var inputs []Run
+			for i, part := range [][]record.Entry{a, b, c} {
+				r, err := writeRun(s, fmt.Sprintf("in%d", i), part, i == 1)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if m.File != "merged" || m.Count != int64(len(all)) || m.Packed != packOutput {
-					t.Fatalf("descriptor %+v", m)
-				}
-				merged := flatten(readPages(t, disk, m))
-				sameEntries(t, "merged run", merged, all)
-				rebuilt := rescan(merged)
-				if !reflect.DeepEqual(m.Syn, rebuilt) {
-					t.Errorf("merged synopsis %+v, rescan gives %+v", m.Syn, rebuilt)
-				}
-				// The inputs' union: their entries, summarized together.
-				if union := rescan(all); !reflect.DeepEqual(m.Syn, union) {
-					t.Errorf("merged synopsis %+v, the inputs' union %+v", m.Syn, union)
-				}
-				if err := s.Verify(m); err != nil {
-					t.Fatal(err)
-				}
-				for i, in := range inputs {
-					sameEntries(t, in.File, flatten(readPages(t, disk, in)), [][]record.Entry{a, b, c}[i])
-				}
-			})
-		}
+				inputs = append(inputs, r)
+			}
+			m, err := s.Merge(inputs, "merged")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.File != "merged" || m.Count != int64(len(all)) || m.Packed {
+				t.Fatalf("descriptor %+v", m)
+			}
+			merged := flatten(readPages(t, disk, m))
+			sameEntries(t, "merged run", merged, all)
+			rebuilt := rescan(merged)
+			if !reflect.DeepEqual(m.Syn, rebuilt) {
+				t.Errorf("merged synopsis %+v, rescan gives %+v", m.Syn, rebuilt)
+			}
+			// The inputs' union: their entries, summarized together.
+			if union := rescan(all); !reflect.DeepEqual(m.Syn, union) {
+				t.Errorf("merged synopsis %+v, the inputs' union %+v", m.Syn, union)
+			}
+			if err := s.Verify(m); err != nil {
+				t.Fatal(err)
+			}
+			for i, in := range inputs {
+				sameEntries(t, in.File, flatten(readPages(t, disk, in)), [][]record.Entry{a, b, c}[i])
+			}
+		})
 	}
 }
 
 // TestFaultInjectionLeavesNoFile injects a write fault into Write and into
-// Merge, in both encodings: the error surfaces with no run — and so no
-// summary of the entries the writer had got through — and the partial output
-// is gone from the disk and from the filesystem beneath it.
+// Merge, of a fixed-size input and of a packed one: the error surfaces with
+// no run — and so no summary of the entries the writer had got through — and
+// the partial output is gone from the disk and from the filesystem beneath
+// it.
 func TestFaultInjectionLeavesNoFile(t *testing.T) {
 	entries, _ := testEntries(300, 7)
 	for _, packed := range []bool{false, true} {
@@ -620,7 +599,7 @@ func TestFaultInjectionLeavesNoFile(t *testing.T) {
 				t.Fatal(err)
 			}
 			s := NewStore(disk, nil, testCfg, nil)
-			in, err := s.Write("in", entries, packed)
+			in, err := writeRun(s, "in", entries, packed)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -631,10 +610,10 @@ func TestFaultInjectionLeavesNoFile(t *testing.T) {
 				}
 				return nil
 			})
-			if r, err := s.Write("out", entries, packed); !errors.Is(err, fsx.ErrInjected) || !reflect.DeepEqual(r, Run{}) {
+			if r, err := s.Write("out", entries); !errors.Is(err, fsx.ErrInjected) || !reflect.DeepEqual(r, Run{}) {
 				t.Fatalf("Write: %+v, %v, want no run and the injected fault", r, err)
 			}
-			if r, err := s.Merge([]Run{in, in}, "out", packed); !errors.Is(err, fsx.ErrInjected) || !reflect.DeepEqual(r, Run{}) {
+			if r, err := s.Merge([]Run{in, in}, "out"); !errors.Is(err, fsx.ErrInjected) || !reflect.DeepEqual(r, Run{}) {
 				t.Fatalf("Merge: %+v, %v, want no run and the injected fault", r, err)
 			}
 			fsys.SetFaultHook(nil)
@@ -645,7 +624,7 @@ func TestFaultInjectionLeavesNoFile(t *testing.T) {
 				t.Error("partial output file still on the filesystem")
 			}
 			// The name is free again.
-			out, err := s.Write("out", entries, packed)
+			out, err := s.Write("out", entries)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -666,23 +645,25 @@ func TestWarmScanDoesNotAllocate(t *testing.T) {
 	q := testQueries(1, 99)[0]
 	for _, packed := range []bool{false, true} {
 		for _, kind := range readerKinds {
-			s, _, _ := newStore(t, kind, raw)
-			r, err := s.Write("r", entries, packed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ctx := index.AcquireCtx(q, testCfg)
-			col := index.NewCollector(5)
-			scan := func() {
-				if err := s.ScanKNN(r, q, col, ctx.Scratch0()); err != nil {
+			t.Run(fmt.Sprintf("packed=%v/%s", packed, kind), func(t *testing.T) {
+				s, _, _ := newStore(t, kind, raw)
+				r, err := writeRun(s, "r", entries, packed)
+				if err != nil {
 					t.Fatal(err)
 				}
-			}
-			scan()
-			if n := testing.AllocsPerRun(50, scan); n >= 1 {
-				t.Errorf("packed=%v %s: %.1f allocs per warm scan, want 0", packed, kind, n)
-			}
-			ctx.Release()
+				ctx := index.AcquireCtx(q, testCfg)
+				col := index.NewCollector(5)
+				scan := func() {
+					if err := s.ScanKNN(r, q, col, ctx.Scratch0()); err != nil {
+						t.Fatal(err)
+					}
+				}
+				scan()
+				if n := testing.AllocsPerRun(50, scan); n >= 1 {
+					t.Errorf("packed=%v %s: %.1f allocs per warm scan, want 0", packed, kind, n)
+				}
+				ctx.Release()
+			})
 		}
 	}
 }
@@ -701,68 +682,105 @@ func TestRunScanTraceMatchesReference(t *testing.T) {
 	for _, c := range []struct {
 		packed, planned bool
 	}{{false, false}, {true, false}, {false, true}, {true, true}} {
-		packed := c.packed
-		s, _, _ := newStore(t, "heap", raw)
-		pl := &index.Planner{Disabled: !c.planned}
-		r, err := s.Write("r", entries, packed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pages, skipped := r.Sum.Pages(), int64(0)
-		for i, q := range testQueries(6, 99) {
-			trace := func(reference bool, scan func(q index.Query, sc *index.Scratch) error) *obs.TraceSnapshot {
-				SetPageKeyBounds(reference)
-				q.Trace = obs.NewQueryTrace()
-				ctx := index.AcquireCtx(q, testCfg)
-				defer ctx.Release()
-				ctx.Planner = pl
-				if err := scan(q, ctx.Scratch0()); err != nil {
-					t.Fatal(err)
-				}
-				return q.Trace.Snapshot()
+		t.Run(fmt.Sprintf("packed=%v/planned=%v", c.packed, c.planned), func(t *testing.T) {
+			packed := c.packed
+			s, _, _ := newStore(t, "heap", raw)
+			pl := &index.Planner{Disabled: !c.planned}
+			r, err := writeRun(s, "r", entries, packed)
+			if err != nil {
+				t.Fatal(err)
 			}
-			eps := 0.0
-			knn := func(q index.Query, sc *index.Scratch) error {
-				col := index.NewCollector(5)
-				if err := s.Probe(r, q, col, sc); err != nil { // seeds the bound, as a search does
+			pages, skipped := r.Sum.Pages(), int64(0)
+			for i, q := range testQueries(6, 99) {
+				trace := func(reference bool, scan func(q index.Query, sc *index.Scratch) error) *obs.TraceSnapshot {
+					SetPageKeyBounds(reference)
+					q.Trace = obs.NewQueryTrace()
+					ctx := index.AcquireCtx(q, testCfg)
+					defer ctx.Release()
+					ctx.Planner = pl
+					if err := scan(q, ctx.Scratch0()); err != nil {
+						t.Fatal(err)
+					}
+					return q.Trace.Snapshot()
+				}
+				eps := 0.0
+				knn := func(q index.Query, sc *index.Scratch) error {
+					col := index.NewCollector(5)
+					if err := s.Probe(r, q, col, sc); err != nil { // seeds the bound, as a search does
+						return err
+					}
+					err := s.ScanKNN(r, q, col, sc)
+					if res := col.Results(); len(res) > 2 {
+						eps = res[2].Dist
+					}
 					return err
 				}
-				err := s.ScanKNN(r, q, col, sc)
-				if res := col.Results(); len(res) > 2 {
-					eps = res[2].Dist
+				windowed := func(scan func(index.Query, *index.Scratch) error) func(index.Query, *index.Scratch) error {
+					return func(q index.Query, sc *index.Scratch) error { return scan(q.WithWindow(200, 700), sc) }
 				}
-				return err
+				rng := func(q index.Query, sc *index.Scratch) error {
+					return s.ScanRange(r, q, index.NewRangeCollector(eps), sc)
+				}
+				for _, mode := range []struct {
+					name string
+					scan func(index.Query, *index.Scratch) error
+				}{{"knn", knn}, {"range", rng}, {"windowed knn", windowed(knn)}, {"windowed range", windowed(rng)}} {
+					want, got := trace(true, mode.scan), trace(false, mode.scan)
+					if want.UndecodedPages != 0 || want.Candidates.Seen == 0 {
+						t.Fatalf("packed=%v query %d %s: the reference scan saw %d candidates and left %d pages undecoded", packed, i, mode.name, want.Candidates.Seen, want.UndecodedPages)
+					}
+					if got.UndecodedPages == 0 && !c.planned || got.UndecodedPages > int64(pages)+1 {
+						t.Fatalf("packed=%v query %d %s: %d of %d pages undecoded", packed, i, mode.name, got.UndecodedPages, pages)
+					}
+					if skipped += got.PlannedSkips; !c.planned && skipped != 0 {
+						t.Fatalf("packed=%v query %d %s: the unplanned scan skipped %d pages", packed, i, mode.name, skipped)
+					}
+					got.UndecodedPages = 0
+					if !reflect.DeepEqual(want, got) {
+						t.Fatalf("packed=%v query %d %s: traces diverged:\nreference: %+v\nresident:  %+v", packed, i, mode.name, want, got)
+					}
+				}
 			}
-			windowed := func(scan func(index.Query, *index.Scratch) error) func(index.Query, *index.Scratch) error {
-				return func(q index.Query, sc *index.Scratch) error { return scan(q.WithWindow(200, 700), sc) }
+			if c.planned && skipped == 0 {
+				t.Errorf("packed=%v: the planned scans skipped no page", packed)
 			}
-			rng := func(q index.Query, sc *index.Scratch) error {
-				return s.ScanRange(r, q, index.NewRangeCollector(eps), sc)
-			}
-			for _, mode := range []struct {
-				name string
-				scan func(index.Query, *index.Scratch) error
-			}{{"knn", knn}, {"range", rng}, {"windowed knn", windowed(knn)}, {"windowed range", windowed(rng)}} {
-				want, got := trace(true, mode.scan), trace(false, mode.scan)
-				if want.UndecodedPages != 0 || want.Candidates.Seen == 0 {
-					t.Fatalf("packed=%v query %d %s: the reference scan saw %d candidates and left %d pages undecoded", packed, i, mode.name, want.Candidates.Seen, want.UndecodedPages)
-				}
-				if got.UndecodedPages == 0 && !c.planned || got.UndecodedPages > int64(pages)+1 {
-					t.Fatalf("packed=%v query %d %s: %d of %d pages undecoded", packed, i, mode.name, got.UndecodedPages, pages)
-				}
-				if skipped += got.PlannedSkips; !c.planned && skipped != 0 {
-					t.Fatalf("packed=%v query %d %s: the unplanned scan skipped %d pages", packed, i, mode.name, skipped)
-				}
-				got.UndecodedPages = 0
-				if !reflect.DeepEqual(want, got) {
-					t.Fatalf("packed=%v query %d %s: traces diverged:\nreference: %+v\nresident:  %+v", packed, i, mode.name, want, got)
-				}
+		})
+	}
+}
+
+// writeRun puts sorted entries into a new run of s: fixed-size through
+// Write, or packed as older builds wrote it (full pages of the packed
+// layout's page builder), summarized as Write summarizes.
+func writeRun(s Store, name string, entries []record.Entry, packed bool) (Run, error) {
+	if !packed {
+		return s.Write(name, entries)
+	}
+	l, err := s.Layout(true)
+	if err == nil {
+		err = s.Disk.Create(name)
+	}
+	b := NewBuilder(s.Config, int64(len(entries)), s.Disk.PageSize()/s.Codec().Size())
+	pb, page := l.Builder(), make([]byte, s.Disk.PageSize())
+	for i := 0; err == nil && i < len(entries); {
+		for from, ok := i, true; err == nil && ok && i < len(entries); {
+			if ok, err = pb.TryAdd(entries[i]); ok {
+				b.Observe(entries[i], i == from)
+				i++
 			}
 		}
-		if c.planned && skipped == 0 {
-			t.Errorf("packed=%v: the planned scans skipped no page", packed)
+		if err == nil {
+			_, err = pb.Encode(page)
+		}
+		if err == nil {
+			_, err = s.Disk.AppendPages(name, page)
 		}
 	}
+	if err != nil {
+		return Run{}, err
+	}
+	r := b.Run(name)
+	r.Packed = true
+	return r, nil
 }
 
 // TestLoadChecksTheCount: a file that cannot hold the entries its metadata
@@ -771,23 +789,25 @@ func TestRunScanTraceMatchesReference(t *testing.T) {
 func TestLoadChecksTheCount(t *testing.T) {
 	entries, _ := testEntries(300, 7)
 	for _, packed := range []bool{false, true} {
-		s, _, _ := newStore(t, "heap", nil)
-		r, err := s.Write("r", entries, packed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, off := range []int64{-1, 1, testPageSize} {
-			bad := Run{File: r.File, Count: r.Count + off, Packed: packed}
-			if !packed && off < testPageSize/int64(testCfg.Codec().Size()) {
-				continue // a fixed-size file carries no counts: only its length can disagree
+		t.Run(fmt.Sprintf("packed=%v", packed), func(t *testing.T) {
+			s, _, _ := newStore(t, "heap", nil)
+			r, err := writeRun(s, "r", entries, packed)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if got, err := s.Load(bad, nil, nil); err == nil {
-				t.Errorf("packed=%v: Load accepted a count of %d for a file of %d entries: %+v", packed, bad.Count, r.Count, got)
+			for _, off := range []int64{-1, 1, testPageSize} {
+				bad := Run{File: r.File, Count: r.Count + off, Packed: packed}
+				if !packed && off < testPageSize/int64(testCfg.Codec().Size()) {
+					continue // a fixed-size file carries no counts: only its length can disagree
+				}
+				if got, err := s.Load(bad, nil, nil); err == nil {
+					t.Errorf("packed=%v: Load accepted a count of %d for a file of %d entries: %+v", packed, bad.Count, r.Count, got)
+				}
 			}
-		}
-		if err := s.Verify(r); err != nil {
-			t.Fatal(err)
-		}
+			if err := s.Verify(r); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
@@ -801,7 +821,7 @@ func TestLoadChecksTheCount(t *testing.T) {
 func TestDecodeSummaryChecksEnvelopes(t *testing.T) {
 	entries, raw := testEntries(2000, 13)
 	s, _, _ := newStore(t, "heap", raw)
-	r, err := s.Write("r", entries, false)
+	r, err := s.Write("r", entries)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -924,7 +944,7 @@ func TestScanSkipsEntryDeadPages(t *testing.T) {
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			s, disk, _ := newStoreOf(t, row.kind, entryDeadPageSize, deadCfg, nil)
-			r, err := s.Write("r", entries, row.packed)
+			r, err := writeRun(s, "r", entries, row.packed)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -179,11 +179,11 @@ func (b *Builder) Observe(e record.Entry, pageStart bool) {
 	b.ts = append(b.ts, e.TS)
 }
 
-// Run returns the descriptor of the file the builder has watched being
-// written, with its summary.
-func (b *Builder) Run(file string, packed bool) Run {
+// Run returns the descriptor of the fixed-size file the builder has watched
+// being written, with its summary.
+func (b *Builder) Run(file string) Run {
 	b.m.groupBy(b.syms, b.ts)
-	return Run{File: file, Count: int64(len(b.ts)), Syn: b.syn, Packed: packed, Sum: &b.m}
+	return Run{File: file, Count: int64(len(b.ts)), Syn: b.syn, Sum: &b.m}
 }
 
 // groupBy tiles the pages into groups of groupPages, each given its slice of

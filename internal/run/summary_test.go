@@ -35,7 +35,7 @@ func writtenSummary(tb testing.TB, cfg index.Config, n int, packed bool, seed in
 	}
 	sort.Slice(entries, func(i, j int) bool { return entries[i].Less(entries[j]) })
 	s := NewStore(storage.NewDisk(testPageSize), nil, cfg, raw)
-	r, err := s.Write("r", entries, packed)
+	r, err := writeRun(s, "r", entries, packed)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -412,9 +412,8 @@ type BuildRequest struct {
 	// NodeShards lists which logical shards this node holds, each in
 	// [0, ClusterShards), no duplicates. Required with ClusterShards.
 	NodeShards []int `json:"node_shards"`
-	// Compress stores this build's on-disk pages (tree leaves, LSM runs)
-	// in the packed encoding: more entries per page, lower I/O cost per
-	// query, byte-identical answers.
+	// Compress is accepted and ignored: every build writes fixed-size
+	// pages. Older clients still send it.
 	Compress bool `json:"compress"`
 }
 
@@ -431,8 +430,8 @@ type BuildResponse struct {
 	RawPages   int64   `json:"raw_pages"`
 	BuildMilli int64   `json:"build_ms"`
 	Shards     int     `json:"shards"`
-	Backend    string  `json:"backend"` // "sim" or "file"
-	Compress   bool    `json:"compress"`
+	Backend    string  `json:"backend"`  // "sim" or "file"
+	Compress   bool    `json:"compress"` // always false: no build writes packed pages
 	// Kernel names the distance-kernel implementation the process selected
 	// at startup ("avx2", "neon", or "scalar").
 	Kernel string `json:"kernel"`
@@ -455,7 +454,6 @@ func (s *Server) specFor(req BuildRequest, seriesLen int) (assemble.Spec, error)
 	spec.Segments, spec.Bits = req.Segments, req.Bits
 	spec.FillFactor, spec.GrowthFactor, spec.MemBudget = req.FillFactor, req.GrowthFactor, req.MemBudget
 	spec.ClusterShards, spec.NodeShards = req.ClusterShards, req.NodeShards
-	spec.Compress = req.Compress
 	if req.Parallelism != 0 {
 		spec.Parallelism = req.Parallelism
 	}
@@ -564,7 +562,6 @@ func (s *Server) handleBuild(w http.ResponseWriter, r *http.Request) {
 		BuildMilli: b.BuildTime.Milliseconds(),
 		Shards:     b.Shards(),
 		Backend:    b.Disk.Kind(),
-		Compress:   req.Compress,
 		Kernel:     simd.Active(),
 	}
 	if spec.ClusterShards > 0 {

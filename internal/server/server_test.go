@@ -140,6 +140,28 @@ func TestBuildAllVariants(t *testing.T) {
 	}
 }
 
+// TestBuildIgnoresCompress: the compress field older clients send is
+// accepted and ignored. Every build writes fixed-size pages, so a key-only
+// build asked to compress writes what one not asked writes, and says so.
+func TestBuildIgnoresCompress(t *testing.T) {
+	ts := newTestServer(t)
+	var d DatasetResponse
+	postJSON(t, ts.URL+"/api/datasets", DatasetRequest{Kind: "astronomy", N: 600, Len: 64, Seed: 4}, &d)
+	var plain, asked BuildResponse
+	for _, b := range []struct {
+		compress bool
+		resp     *BuildResponse
+	}{{false, &plain}, {true, &asked}} {
+		req := BuildRequest{Dataset: d.ID, Variant: "CLSM", Segments: 8, Bits: 8, Compress: b.compress}
+		if code := postJSON(t, ts.URL+"/api/build", req, b.resp); code != http.StatusCreated {
+			t.Fatalf("compress=%v: build status %d", b.compress, code)
+		}
+	}
+	if asked.Compress || asked.IndexPages != plain.IndexPages || asked.SeqIO != plain.SeqIO || asked.RandIO != plain.RandIO {
+		t.Fatalf("a build asked to compress: %+v; one not asked: %+v", asked, plain)
+	}
+}
+
 func TestBuildValidation(t *testing.T) {
 	ts := newTestServer(t)
 	var e errorResponse

@@ -103,7 +103,7 @@ func (b *BTP) Seal() error {
 		return nil
 	}
 	sort.Slice(b.buffer, func(i, j int) bool { return b.buffer[i].Less(b.buffer[j]) })
-	sealed, err := b.store.Write(b.nextFile(), b.buffer, false)
+	sealed, err := b.store.Write(b.nextFile(), b.buffer)
 	if err != nil {
 		return err
 	}
@@ -132,7 +132,7 @@ func (b *BTP) bound() error {
 		for j, p := range group {
 			inputs[j] = p.Run
 		}
-		merged, err := b.store.Merge(inputs, b.nextFile(), false)
+		merged, err := b.store.Merge(inputs, b.nextFile())
 		if err != nil {
 			return err
 		}

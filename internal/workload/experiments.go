@@ -19,9 +19,6 @@ type Scale struct {
 	Bits      int
 	Seed      int64
 	Cost      storage.CostModel
-	// Compress applies to every build of a sweep: it carries
-	// cmd/coconut-bench's -compress flag.
-	Compress bool
 }
 
 func (s Scale) defaults() Scale {
@@ -48,11 +45,9 @@ func (s Scale) config() index.Config {
 }
 
 // spec describes a build of variant at this scale: tune carries the
-// experiment's own settings, the scale fills in the summarization shape and
-// the sweep-wide page encoding.
+// experiment's own settings, the scale fills in the summarization shape.
 func (s Scale) spec(variant string, tune assemble.Spec) assemble.Spec {
 	tune.Variant, tune.SeriesLen, tune.Segments, tune.Bits = variant, s.SeriesLen, s.Segments, s.Bits
-	tune.Compress = tune.Compress || s.Compress
 	return tune
 }
 

@@ -253,7 +253,7 @@ func E8Recommender() *Table {
 
 // E9Storage regenerates the footprint comparison: index pages per variant
 // (raw series file excluded) across dataset sizes. Expected shape: Coconut
-// indexes are compact (packed pages); ADS+ leaves are sparse; materialized
+// indexes are compact (full pages); ADS+ leaves are sparse; materialized
 // variants pay the payload multiple.
 func E9Storage(sc Scale, sizes []int) (*Table, error) {
 	sc = sc.defaults()

@@ -42,9 +42,8 @@ func OpenTree(path string, opts ...Options) (*Tree, error) {
 // replays the log tail past the snapshot (recovering acknowledged inserts
 // the snapshot missed — the crash story), Durability applies as in NewLSM,
 // and so do CompactionWorkers, with or without a WAL, and CacheBytes, as in
-// OpenTree. CompressRuns also applies: run encoding is a property of each
-// run, so existing runs keep the encoding they were written with while new
-// flushes and merges follow the reopened setting. GrowthFactor and
+// OpenTree. Runs an older build wrote packed stay readable, and merges
+// rewrite them fixed-size, as every new run is. GrowthFactor and
 // BufferEntries, when set, override the persisted ones. Other Options fields
 // are ignored; the snapshot defines the index shape.
 func OpenLSM(path string, opts ...Options) (*LSM, error) {

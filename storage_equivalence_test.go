@@ -20,8 +20,8 @@ import (
 // with identical I/O accounting too, since both backends run the same
 // accounting core.
 
-// equivParallelisms are the Options.Parallelism settings the backend and
-// compression equivalence tests build their handles at. Answers are compared
+// equivParallelisms are the Options.Parallelism settings the backend
+// equivalence tests build their handles at. Answers are compared
 // at both — the default (one worker per CPU) and 1. Stats and io-cost are
 // compared only between handles built at 1: with several workers the
 // backend's one shared head word sees the workers' accesses interleaved, so

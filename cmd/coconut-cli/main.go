@@ -15,8 +15,11 @@
 //	dataset  -kind astronomy -n 10000 -len 256
 //	build    -dataset ds-1 -variant CTree [-fill 0.9] [-growth 4] [-shards 4] [-cache 4194304]
 //	         [-wal batched|sync|off] [-compact-workers 2] [-storage sim|file]
+//	         (unset flags take the server's resolution; the server checks them)
 //	insert   -build build-1 -n 100 [-template supernova] [-ts 7]
 //	query    -build build-1 -template supernova [-k 5] [-exact] [-min 0 -max 99]
+//	explain  (query's flags) [-units] [-no-heatmap]
+//	stats    -build build-1
 //	recommend -streaming -queries 500 -memfrac 0.1 [-tight] [-smallwin]
 //	heatmap  -build build-1
 package main
@@ -165,45 +168,27 @@ func dataset(base string, args []string) error {
 	return nil
 }
 
+// build asks for one index build. A setting left unset takes what the
+// server resolves 0 or empty to (docs/API.md's build table), and the server
+// alone checks the request: a bad value comes back as its 400.
 func build(base string, args []string) error {
 	fs := flag.NewFlagSet("build", flag.ExitOnError)
 	ds := fs.String("dataset", "", "dataset id (required)")
 	variant := fs.String("variant", "CTree", "ADS+, ADSFull, CTree, CTreeFull, CLSM, CLSMFull")
-	segments := fs.Int("segments", 16, "iSAX segments")
-	bits := fs.Int("bits", 8, "cardinality bits per segment")
-	fill := fs.Float64("fill", 1.0, "CTree leaf fill factor")
-	growth := fs.Int("growth", 4, "CLSM growth factor")
-	mem := fs.Int("mem", 1<<20, "construction memory budget (bytes)")
-	shards := fs.Int("shards", 0, "shard count (0 = server default, 1 = unsharded, N > 1 hash-partitions)")
-	par := fs.Int("parallelism", 0, "per-query worker pool (0 = server default, 1 = serial, -1 = one per CPU)")
-	cache := fs.Int64("cache", 0, "buffer-pool bytes (0 = server default, -1 = force uncached)")
+	segments := fs.Int("segments", 0, "iSAX segments (0 = the index default)")
+	bits := fs.Int("bits", 0, "cardinality bits per segment (0 = the index default)")
+	fill := fs.Float64("fill", 0, "CTree leaf fill factor (0 = the index default)")
+	growth := fs.Int("growth", 0, "CLSM growth factor (0 = the index default)")
+	mem := fs.Int("mem", 0, "construction memory budget in bytes (0 = the index default)")
+	shards := fs.Int("shards", 0, "shard count (0 or 1 = unsharded, N > 1 hash-partitions)")
+	par := fs.Int("parallelism", 0, "per-query worker pool (0 or 1 = serial, -1 = one per CPU)")
+	cache := fs.Int64("cache", 0, "buffer-pool bytes (0 = uncached)")
 	walMode := fs.String("wal", "", "CLSM durability: batched, sync, or off (needs the server's -wal root; empty = batched when the root is set)")
-	compactWorkers := fs.Int("compact-workers", 0, "CLSM background-merge workers (0 = server default, -1 = force inline)")
-	storage := fs.String("storage", "", "storage backend: sim (simulated disk) or file (real page files; needs the server's -storage root; empty = server default)")
+	compactWorkers := fs.Int("compact-workers", 0, "CLSM background-merge workers (0 = inline merges)")
+	storage := fs.String("storage", "", "storage backend: sim (simulated disk) or file (real page files; needs the server's -storage root; empty = file when the root is set)")
 	fs.Parse(args)
 	if *ds == "" {
 		return fmt.Errorf("build: -dataset is required")
-	}
-	switch *walMode {
-	case "", "batched", "sync", "off":
-	default:
-		return fmt.Errorf("build: -wal must be batched, sync, or off, got %q", *walMode)
-	}
-	switch *storage {
-	case "", "sim", "file":
-	default:
-		return fmt.Errorf("build: -storage must be sim or file, got %q", *storage)
-	}
-	if *compactWorkers < -1 || *compactWorkers > 64 {
-		return fmt.Errorf("build: -compact-workers must be in [-1, 64] (-1 = force inline, 0 = server default), got %d", *compactWorkers)
-	}
-	// Validate client-side so a bad flag fails fast with a clear message
-	// instead of a server 400.
-	if *shards < 0 {
-		return fmt.Errorf("build: -shards must be >= 0 (0 = server default, N > 1 shards), got %d", *shards)
-	}
-	if *cache < -1 {
-		return fmt.Errorf("build: -cache must be >= -1 (-1 = force uncached, 0 = server default), got %d", *cache)
 	}
 	var out server.BuildResponse
 	err := call("POST", base+"/api/build", server.BuildRequest{
@@ -287,8 +272,9 @@ func insertBatch(base, build string, batch [][]float64, ts int64) (server.Insert
 	return total, nil
 }
 
-func query(base string, args []string) error {
-	fs := flag.NewFlagSet("query", flag.ExitOnError)
+// queryFlags declares the flags query and explain share on fs. After
+// fs.Parse, request returns the query they describe, or an error naming cmd.
+func queryFlags(fs *flag.FlagSet, cmd string) (request func() (server.QueryRequest, error)) {
 	buildID := fs.String("build", "", "build id (required)")
 	template := fs.String("template", "supernova", "query pattern: supernova, binary-star, earthquake, randomwalk")
 	length := fs.Int("len", 256, "query length (must match the dataset)")
@@ -297,17 +283,33 @@ func query(base string, args []string) error {
 	minTS := fs.Int64("min", -1, "window lower bound (with -max)")
 	maxTS := fs.Int64("max", -1, "window upper bound (with -min)")
 	seed := fs.Int64("seed", 1, "pattern seed")
+	return func() (server.QueryRequest, error) {
+		if *buildID == "" {
+			return server.QueryRequest{}, fmt.Errorf("%s: -build is required", cmd)
+		}
+		q, err := templateQuery(*template, *length, *seed)
+		if err != nil {
+			return server.QueryRequest{}, fmt.Errorf("%s: %v", cmd, err)
+		}
+		req := server.QueryRequest{Build: *buildID, Series: q, K: *k, Exact: *exact}
+		// A negative bound is unset, and one bound without the other is refused.
+		if (*minTS < 0) != (*maxTS < 0) {
+			return req, fmt.Errorf("%s: -min and -max go together", cmd)
+		}
+		if *minTS >= 0 {
+			req.MinTS, req.MaxTS = minTS, maxTS
+		}
+		return req, nil
+	}
+}
+
+func query(base string, args []string) error {
+	fs := flag.NewFlagSet("query", flag.ExitOnError)
+	request := queryFlags(fs, "query")
 	fs.Parse(args)
-	if *buildID == "" {
-		return fmt.Errorf("query: -build is required")
-	}
-	q, err := templateQuery(*template, *length, *seed)
+	req, err := request()
 	if err != nil {
-		return fmt.Errorf("query: %v", err)
-	}
-	req := server.QueryRequest{Build: *buildID, Series: q, K: *k, Exact: *exact}
-	if err := window(&req, minTS, maxTS); err != nil {
-		return fmt.Errorf("query: %v", err)
+		return err
 	}
 	var out server.QueryResponse
 	if err := call("POST", base+"/api/query", req, &out); err != nil {
@@ -317,34 +319,21 @@ func query(base string, args []string) error {
 	return nil
 }
 
-// explainCmd runs one traced query and renders the execution trace — plan
-// cache outcome, per-kind probe/skip counts, candidate verification, pages
-// released undecoded, phase timings, per-query I/O — followed by the
-// build's access heat map.
+// explainCmd runs one traced query and renders the execution trace —
+// per-kind probe/skip counts, candidate verification, pages released
+// undecoded, phase timings, per-query I/O — followed by the build's access
+// heat map.
 func explainCmd(base string, args []string) error {
 	fs := flag.NewFlagSet("explain", flag.ExitOnError)
-	buildID := fs.String("build", "", "build id (required)")
-	template := fs.String("template", "supernova", "query pattern: supernova, binary-star, earthquake, randomwalk")
-	length := fs.Int("len", 256, "query length (must match the dataset)")
-	k := fs.Int("k", 1, "neighbors")
-	exact := fs.Bool("exact", false, "exact (vs approximate) search")
-	minTS := fs.Int64("min", -1, "window lower bound (with -max)")
-	maxTS := fs.Int64("max", -1, "window upper bound (with -min)")
-	seed := fs.Int64("seed", 1, "pattern seed")
+	request := queryFlags(fs, "explain")
 	units := fs.Bool("units", false, "also list per-unit probe records (bounds per run/partition/leaf/shard)")
 	noHeat := fs.Bool("no-heatmap", false, "skip the access heat map")
 	fs.Parse(args)
-	if *buildID == "" {
-		return fmt.Errorf("explain: -build is required")
-	}
-	q, err := templateQuery(*template, *length, *seed)
+	req, err := request()
 	if err != nil {
-		return fmt.Errorf("explain: %v", err)
+		return err
 	}
-	req := server.QueryRequest{Build: *buildID, Series: q, K: *k, Exact: *exact, Trace: true}
-	if err := window(&req, minTS, maxTS); err != nil {
-		return fmt.Errorf("explain: %v", err)
-	}
+	req.Trace = true
 	var out server.QueryResponse
 	if err := call("POST", base+"/api/query", req, &out); err != nil {
 		return err
@@ -387,21 +376,9 @@ func explainCmd(base string, args []string) error {
 	}
 	if !*noHeat {
 		fmt.Println()
-		if err := heatmapCmd(base, []string{"-build", *buildID}); err != nil {
+		if err := heatmapCmd(base, []string{"-build", req.Build}); err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// window puts the -min/-max time window on req. The flags go together: a
-// negative value is unset, and one bound without the other is refused.
-func window(req *server.QueryRequest, minTS, maxTS *int64) error {
-	if (*minTS < 0) != (*maxTS < 0) {
-		return fmt.Errorf("-min and -max go together")
-	}
-	if *minTS >= 0 {
-		req.MinTS, req.MaxTS = minTS, maxTS
 	}
 	return nil
 }

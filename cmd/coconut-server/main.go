@@ -14,6 +14,9 @@
 //	curl -s -X POST localhost:8734/api/build -d '{"dataset":"ds-1","variant":"CTree"}'
 //	curl -s -X POST localhost:8734/api/recommend -d '{"streaming":true,"small_windows":true}'
 //
+// A build's settings come from its request alone; -wal and -storage only
+// name the roots under which builds keep their logs and page files.
+//
 // The server shuts down gracefully on SIGINT or SIGTERM: the listener
 // stops, in-flight requests drain, and every build's background machinery
 // (WALs, compaction workers, file-backed storage) flushes and closes.
@@ -28,21 +31,13 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/assemble"
 	"repro/internal/obs"
 	"repro/internal/server"
 )
 
 func main() {
 	addr := flag.String("addr", ":8734", "listen address")
-	// Serial by default so out-of-the-box build and query I/O accounting
-	// reproduces the paper's single-stream numbers; opt into the parallel
-	// engine per server (-parallelism) or per build request.
-	par := flag.Int("parallelism", 1, "default per-query worker pool size for builds (1 = serial, matching the paper's accounting; -1 = one worker per CPU)")
-	shards := flag.Int("shards", 0, "default shard count for builds (0 or 1 = unsharded; N > 1 hash-partitions each build across N shards, queries fan across them)")
-	cache := flag.Int64("cache", 0, "default buffer-pool size in bytes for builds (0 = uncached, the paper-faithful accounting; N > 0 serves hot pages from a shared cache and charges only misses)")
 	walRoot := flag.String("wal", "", "WAL root directory: each CLSM build keeps a write-ahead log in its own subdirectory, making POST /api/insert durable (empty = no WALs)")
-	compactWorkers := flag.Int("compact-workers", 0, "default background-merge workers for CLSM builds (0 = inline merges; N > 0 runs level merges off the insert path)")
 	storageRoot := flag.String("storage", "", "storage root directory: builds default to the file-backed page store, each in its own subdirectory; results are byte-identical to the simulated disk (empty = simulated disk only)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this private address (e.g. localhost:6060; empty = disabled)")
 	slowQuery := flag.Duration("slow-query", 0, "record queries and inserts slower than this in the slow-query log at GET /api/slowlog (0 = disabled)")
@@ -50,16 +45,6 @@ func main() {
 	s := server.New()
 	s.SetWALRoot(*walRoot)
 	s.SetStorageRoot(*storageRoot)
-	// Reject bad defaults at startup: otherwise every build request that
-	// leaves the field unset would fail with a 400 blaming the client.
-	if err := s.SetDefaults(assemble.Spec{
-		Parallelism:       *par,
-		Shards:            *shards,
-		CacheBytes:        *cache,
-		CompactionWorkers: *compactWorkers,
-	}); err != nil {
-		log.Fatalf("coconut-server: bad default (-parallelism, -shards, -cache, -compact-workers): %v", err)
-	}
 	s.SetSlowQuery(*slowQuery)
 	if *pprofAddr != "" {
 		psrv, err := obs.StartPprof(*pprofAddr)

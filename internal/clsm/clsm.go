@@ -625,18 +625,19 @@ func (l *LSM) Close() error {
 	return l.CompactionErr()
 }
 
-// CompactionStats describes the state of the ingest/compaction machinery.
+// CompactionStats describes the state of the ingest/compaction machinery. Its
+// JSON form is the body of /api/stats's compaction section.
 type CompactionStats struct {
-	Flushes           int64 // buffer flushes so far
-	Merges            int64 // level merges so far
-	Levels            int   // levels currently holding runs
-	Runs              int   // on-disk runs in the current manifest
-	ManifestVersion   int64 // version of the current manifest
-	RetainedManifests int   // manifest versions not yet reclaimed (current included)
-	ReclaimedRuns     int64 // obsolete run files deleted so far
-	Background        bool  // merges run on scheduler workers
-	Pending           bool  // a compaction job is queued or in flight
-	DurableLSN        int64 // WAL LSN safely in runs (-1 when none/no WAL)
+	Background        bool  `json:"background"`         // merges run on scheduler workers
+	Flushes           int64 `json:"flushes"`            // buffer flushes so far
+	Merges            int64 `json:"merges"`             // level merges so far
+	Levels            int   `json:"levels"`             // levels currently holding runs
+	Runs              int   `json:"runs"`               // on-disk runs in the current manifest
+	ManifestVersion   int64 `json:"manifest_version"`   // version of the current manifest
+	RetainedManifests int   `json:"retained_manifests"` // manifest versions not yet reclaimed (current included)
+	ReclaimedRuns     int64 `json:"reclaimed_runs"`     // obsolete run files deleted so far
+	Pending           bool  `json:"pending"`            // a compaction job is queued or in flight
+	DurableLSN        int64 `json:"durable_lsn"`        // WAL LSN safely in runs (-1 when none/no WAL)
 }
 
 // CompactionStats returns a snapshot of the ingest/compaction state.

@@ -7,7 +7,6 @@ package cluster
 // /api/cluster/: topology + node status, and graceful drain.
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -17,16 +16,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/server"
 )
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
-}
 
 // Handler returns the router's HTTP handler.
 func (r *Router) Handler() http.Handler {
@@ -46,10 +35,10 @@ func (r *Router) Handler() http.Handler {
 // (newest first) and the active threshold.
 func (r *Router) handleSlowLog(w http.ResponseWriter, req *http.Request) {
 	if req.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
+		server.WriteError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	server.WriteJSON(w, http.StatusOK, map[string]any{
 		"threshold_micros": r.slow.Threshold().Microseconds(),
 		"total":            r.slow.Total(),
 		"entries":          r.slow.Entries(),
@@ -63,7 +52,7 @@ func (r *Router) handleHealth(w http.ResponseWriter, req *http.Request) {
 			healthy++
 		}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	server.WriteJSON(w, http.StatusOK, map[string]any{
 		"status":  "ok",
 		"service": "coconut router",
 		"nodes":   len(r.nodes),
@@ -77,7 +66,7 @@ func (r *Router) handleHealth(w http.ResponseWriter, req *http.Request) {
 // holding the whole dataset; the build field is ignored.
 func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request) {
 	if req.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
+		server.WriteError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
 	var qr server.QueryRequest
@@ -85,7 +74,7 @@ func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	if (qr.MinTS == nil) != (qr.MaxTS == nil) {
-		writeError(w, http.StatusBadRequest, "min_ts and max_ts are required together")
+		server.WriteError(w, http.StatusBadRequest, "min_ts and max_ts are required together")
 		return
 	}
 	mode := "approx"
@@ -113,7 +102,7 @@ func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request) {
 	elapsed := time.Since(start)
 	r.observeQuery(mode, elapsed, stats, err)
 	if err != nil {
-		writeError(w, http.StatusBadGateway, "cluster query failed: %v", err)
+		server.WriteError(w, http.StatusBadGateway, "cluster query failed: %v", err)
 		return
 	}
 	// The router's trace rides next to the node-shaped response body, so
@@ -142,14 +131,14 @@ func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request) {
 	for _, res := range rs {
 		resp.Results = append(resp.Results, server.QueryResult{ID: res.ID, TS: res.TS, Dist: res.Dist})
 	}
-	writeJSON(w, http.StatusOK, resp)
+	server.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleQueryBatch answers POST /api/query/batch; per-query answers are
 // byte-identical to the corresponding single /api/query call.
 func (r *Router) handleQueryBatch(w http.ResponseWriter, req *http.Request) {
 	if req.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
+		server.WriteError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
 	var qr server.BatchQueryRequest
@@ -163,7 +152,7 @@ func (r *Router) handleQueryBatch(w http.ResponseWriter, req *http.Request) {
 	rss, stats, err := r.SearchBatch(qr.Queries, qr.K, qr.Exact)
 	r.observeQuery("batch", time.Since(start), stats, err)
 	if err != nil {
-		writeError(w, http.StatusBadGateway, "cluster batch query failed: %v", err)
+		server.WriteError(w, http.StatusBadGateway, "cluster batch query failed: %v", err)
 		return
 	}
 	resp := server.BatchQueryResponse{
@@ -180,7 +169,7 @@ func (r *Router) handleQueryBatch(w http.ResponseWriter, req *http.Request) {
 		}
 		resp.Results[i] = out
 	}
-	writeJSON(w, http.StatusOK, resp)
+	server.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleInsert answers POST /api/insert: the router assigns global IDs and
@@ -188,7 +177,7 @@ func (r *Router) handleQueryBatch(w http.ResponseWriter, req *http.Request) {
 // HTTP 429 — back off and resend.
 func (r *Router) handleInsert(w http.ResponseWriter, req *http.Request) {
 	if req.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
+		server.WriteError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
 	var ir server.InsertRequest
@@ -211,11 +200,11 @@ func (r *Router) handleInsert(w http.ResponseWriter, req *http.Request) {
 	if err != nil {
 		if errors.Is(err, ErrBusy) {
 			r.metrics.insertRejects.Inc()
-			writeError(w, http.StatusTooManyRequests, "%v", err)
+			server.WriteError(w, http.StatusTooManyRequests, "%v", err)
 			return
 		}
 		r.metrics.insertErrors.Inc()
-		writeError(w, http.StatusBadGateway, "cluster insert failed: %v", err)
+		server.WriteError(w, http.StatusBadGateway, "cluster insert failed: %v", err)
 		return
 	}
 	r.metrics.inserts.Inc()
@@ -228,7 +217,7 @@ func (r *Router) handleInsert(w http.ResponseWriter, req *http.Request) {
 			Detail:         fmt.Sprintf("%d series", len(ir.Series)),
 		})
 	}
-	writeJSON(w, http.StatusOK, server.InsertResponse{
+	server.WriteJSON(w, http.StatusOK, server.InsertResponse{
 		Inserted: len(ir.Series),
 		Count:    count,
 		Synced:   true,
@@ -245,10 +234,10 @@ type TopologyResponse struct {
 
 func (r *Router) handleTopology(w http.ResponseWriter, req *http.Request) {
 	if req.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
+		server.WriteError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
-	writeJSON(w, http.StatusOK, TopologyResponse{
+	server.WriteJSON(w, http.StatusOK, TopologyResponse{
 		Shards:    r.topo.Shards,
 		SeriesLen: r.topo.SeriesLen,
 		Count:     r.Count(),
@@ -266,7 +255,7 @@ type DrainRequest struct {
 
 func (r *Router) handleDrain(w http.ResponseWriter, req *http.Request) {
 	if req.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
+		server.WriteError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
 	var dr DrainRequest
@@ -280,8 +269,8 @@ func (r *Router) handleDrain(w http.ResponseWriter, req *http.Request) {
 		err = r.Drain(dr.Node)
 	}
 	if err != nil {
-		writeError(w, http.StatusNotFound, "%v", err)
+		server.WriteError(w, http.StatusNotFound, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"node": dr.Node, "draining": !dr.Undrain})
+	server.WriteJSON(w, http.StatusOK, map[string]any{"node": dr.Node, "draining": !dr.Undrain})
 }

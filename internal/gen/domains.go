@@ -42,8 +42,8 @@ func Finance(cfg FinanceConfig) (*series.Dataset, []int) {
 	for i := 0; i < cfg.N; i++ {
 		s := GBM(rng, cfg.Len, 100, 0, cfg.Sigma)
 		if rng.Float64() < cfg.CrashProb {
-			at := cfg.Len/4 + rng.Intn(cfg.Len/2)
-			drop := 0.3 + rng.Float64()*0.4 // 30-70% crash
+			at := cfg.Len/4 + rng.Intn(max(1, cfg.Len/2)) // Len 1: the crash starts at 0
+			drop := 0.3 + rng.Float64()*0.4               // 30-70% crash
 			for j := at; j < cfg.Len; j++ {
 				rec := math.Min(1, float64(j-at)/float64(cfg.Len-at)*0.5)
 				s[j] *= (1 - drop) + drop*rec

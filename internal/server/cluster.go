@@ -58,11 +58,11 @@ type ClusterSearchResponse struct {
 func (s *Server) clusterBuild(w http.ResponseWriter, id string) (*build, bool) {
 	b, ok := s.lookupBuild(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, "build %q not found", id)
+		WriteError(w, http.StatusNotFound, "build %q not found", id)
 		return nil, false
 	}
 	if b.built.Spec.ClusterShards == 0 {
-		writeError(w, http.StatusBadRequest, "build %q is not a cluster build (no cluster_shards)", id)
+		WriteError(w, http.StatusBadRequest, "build %q is not a cluster build (no cluster_shards)", id)
 		return nil, false
 	}
 	return b, true
@@ -77,7 +77,7 @@ func (s *Server) clusterBuild(w http.ResponseWriter, id string) (*build, bool) {
 // is the node's (500), as on /api/query.
 func (s *Server) handleClusterSearch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
+		WriteError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
 	var req ClusterSearchRequest
@@ -89,7 +89,7 @@ func (s *Server) handleClusterSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if len(req.Series) != b.built.Config.SeriesLen {
-		writeError(w, http.StatusBadRequest, "query length %d, want %d", len(req.Series), b.built.Config.SeriesLen)
+		WriteError(w, http.StatusBadRequest, "query length %d, want %d", len(req.Series), b.built.Config.SeriesLen)
 		return
 	}
 	if req.K <= 0 {
@@ -97,7 +97,7 @@ func (s *Server) handleClusterSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	q, err := window(index.NewQuery(series.Series(req.Series), b.built.Config), req.MinTS, req.MaxTS)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	g := b.built.Group
@@ -110,10 +110,10 @@ func (s *Server) handleClusterSearch(w http.ResponseWriter, r *http.Request) {
 	case mode == "":
 		mode = modeExact
 	case mode == modeRange && req.Eps <= 0:
-		writeError(w, http.StatusBadRequest, "range mode needs eps > 0, got %g", req.Eps)
+		WriteError(w, http.StatusBadRequest, "range mode needs eps > 0, got %g", req.Eps)
 		return
 	case mode != modeExact && mode != modeApprox && mode != modeRange:
-		writeError(w, http.StatusBadRequest, "unknown mode %q (want exact, approx, or range)", req.Mode)
+		WriteError(w, http.StatusBadRequest, "unknown mode %q (want exact, approx, or range)", req.Mode)
 		return
 	}
 	// Router-driven probes count in the node's query metrics too: a scrape
@@ -137,7 +137,7 @@ func (s *Server) handleClusterSearch(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, shard.ErrNotOwned) {
 			status = http.StatusBadRequest
 		}
-		writeError(w, status, "cluster search failed: %v", err)
+		WriteError(w, status, "cluster search failed: %v", err)
 		return
 	}
 	resp := ClusterSearchResponse{Results: []ClusterResult{}, Shards: shards}
@@ -147,7 +147,7 @@ func (s *Server) handleClusterSearch(w http.ResponseWriter, r *http.Request) {
 	resp.Cost = diff.Cost(s.cost)
 	resp.SeqIO = diff.SeqReads + diff.SeqWrites
 	resp.RandIO = diff.RandReads + diff.RandWrites
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // ClusterEntry is one replica write: a router-assigned global ID, its
@@ -181,7 +181,7 @@ type ClusterInsertResponse struct {
 // against queries like every insert.
 func (s *Server) handleClusterInsert(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
+		WriteError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
 	var req ClusterInsertRequest
@@ -201,7 +201,7 @@ func (s *Server) handleClusterInsert(w http.ResponseWriter, r *http.Request) {
 	}
 	for i, e := range req.Entries {
 		if len(e.Series) != b.built.Config.SeriesLen {
-			writeError(w, http.StatusBadRequest, "entry %d length %d, want %d", i, len(e.Series), b.built.Config.SeriesLen)
+			WriteError(w, http.StatusBadRequest, "entry %d length %d, want %d", i, len(e.Series), b.built.Config.SeriesLen)
 			return
 		}
 	}
@@ -223,10 +223,10 @@ func (s *Server) handleClusterInsert(w http.ResponseWriter, r *http.Request) {
 		if applied > 0 {
 			status = http.StatusInternalServerError
 		}
-		writeError(w, status, "cluster insert failed after %d entries: %v", applied, err)
+		WriteError(w, status, "cluster insert failed after %d entries: %v", applied, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, ClusterInsertResponse{Applied: applied, Count: count, MaxID: maxID})
+	WriteJSON(w, http.StatusOK, ClusterInsertResponse{Applied: applied, Count: count, MaxID: maxID})
 }
 
 // ClusterInfoResponse describes a node's cluster build: which shards it
@@ -246,7 +246,7 @@ type ClusterInfoResponse struct {
 // handleClusterInfo answers GET /api/cluster/info?build=...
 func (s *Server) handleClusterInfo(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
+		WriteError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
 	b, ok := s.clusterBuild(w, r.URL.Query().Get("build"))
@@ -256,7 +256,7 @@ func (s *Server) handleClusterInfo(w http.ResponseWriter, r *http.Request) {
 	g := b.built.Group
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	writeJSON(w, http.StatusOK, ClusterInfoResponse{
+	WriteJSON(w, http.StatusOK, ClusterInfoResponse{
 		Build:         b.id,
 		Variant:       b.built.Index.Name(),
 		ClusterShards: g.NShards(),

@@ -2,25 +2,33 @@ package server
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
-	"repro/internal/assemble"
+	"repro/internal/simd"
 )
 
-// newDurableTestServer runs a server with a WAL root and background
-// compaction enabled by default.
-func newDurableTestServer(t *testing.T, workers int) *httptest.Server {
+// durableBuild runs a server with a WAL root and builds a CLSMFull index on
+// it whose level merges run on two background workers.
+func durableBuild(t *testing.T) (*httptest.Server, BuildResponse) {
 	t.Helper()
 	s := New()
 	s.SetWALRoot(t.TempDir())
-	s.SetDefaults(assemble.Spec{CompactionWorkers: workers})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
-	return ts
+	var d DatasetResponse
+	postJSON(t, ts.URL+"/api/datasets", DatasetRequest{Kind: "astronomy", N: 300, Len: 64, Seed: 2}, &d)
+	var b BuildResponse
+	req := BuildRequest{Dataset: d.ID, Variant: "CLSMFull", Segments: 8, Bits: 8, CompactionWorkers: 2}
+	if code := postJSON(t, ts.URL+"/api/build", req, &b); code != http.StatusCreated {
+		t.Fatalf("build status %d", code)
+	}
+	return ts, b
 }
 
 func randRaw(rng *rand.Rand, n int) []float64 {
@@ -34,8 +42,7 @@ func randRaw(rng *rand.Rand, n int) []float64 {
 }
 
 func TestInsertEndpointRoundTrip(t *testing.T) {
-	ts := newDurableTestServer(t, 2)
-	_, b := buildOn(t, ts, "CLSMFull")
+	ts, b := durableBuild(t)
 
 	rng := rand.New(rand.NewSource(7))
 	batch := make([][]float64, 50)
@@ -116,8 +123,7 @@ func TestInsertValidation(t *testing.T) {
 }
 
 func TestConcurrentInsertsAndQueries(t *testing.T) {
-	ts := newDurableTestServer(t, 2)
-	_, b := buildOn(t, ts, "CLSMFull")
+	ts, b := durableBuild(t)
 	var wg sync.WaitGroup
 	errs := make(chan string, 64)
 	for w := 0; w < 2; w++ {
@@ -158,5 +164,51 @@ func TestConcurrentInsertsAndQueries(t *testing.T) {
 	getJSON(t, ts.URL+"/api/stats?build="+b.ID, &st)
 	if st.WAL.Appends != 300+20 {
 		t.Fatalf("wal appends = %d, want 320", st.WAL.Appends)
+	}
+}
+
+// statsBody is GET /api/stats of a durable CLSMFull build with a small cache
+// and inline merges, after 50 inserts and one exact query. The %s is the
+// process's distance kernel.
+const statsBody = `{"build":"build-3","variant":"CLSMFull","shards":1,"backend":"sim","kernel":"%s",` +
+	`"aggregate":{"seq_reads":13,"rand_reads":3,"seq_writes":42,"rand_writes":2,"cache_hits":1,"cache_misses":16,"hit_ratio":0.058823529411764705,"cost":105},` +
+	`"per_shard":[{"seq_reads":13,"rand_reads":3,"seq_writes":42,"rand_writes":2,"cache_hits":1,"cache_misses":16,"hit_ratio":0.058823529411764705,"cost":105}],` +
+	`"cache":{"enabled":true,"capacity_bytes":65536,"capacity_frames":16,"hits":1,"misses":16,"hit_ratio":0.058823529411764705,"evictions":0},` +
+	`"planner":{"planned_skips":27},` +
+	`"wal":{"enabled":true,"segments":1,"first_lsn":0,"next_lsn":350,"appends":350,"syncs":350,"rotations":0,"truncated_segments":0,"bytes_appended":193550},` +
+	`"compaction":{"enabled":true,"background":false,"flushes":1,"merges":0,"levels":1,"runs":1,"manifest_version":1,"retained_manifests":1,"reclaimed_runs":0,"pending":false,"durable_lsn":299}}`
+
+// TestStatsBodyPinned: the /api/stats body of a durable CLSM build keeps
+// its bytes: field names, order and values.
+func TestStatsBodyPinned(t *testing.T) {
+	s := New()
+	s.SetWALRoot(t.TempDir())
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	var d DatasetResponse
+	postJSON(t, ts.URL+"/api/datasets", DatasetRequest{Kind: "astronomy", N: 300, Len: 64, Seed: 2}, &d)
+	var b BuildResponse
+	req := BuildRequest{Dataset: d.ID, Variant: "CLSMFull", Segments: 8, Bits: 8, Durability: "sync", CacheBytes: 1 << 16}
+	if code := postJSON(t, ts.URL+"/api/build", req, &b); code != http.StatusCreated {
+		t.Fatalf("build status %d", code)
+	}
+	rng := rand.New(rand.NewSource(7))
+	batch := make([][]float64, 50)
+	for i := range batch {
+		batch[i] = randRaw(rng, 64)
+	}
+	postJSON(t, ts.URL+"/api/insert", InsertRequest{Build: b.ID, Series: batch, TS: 9}, nil)
+	postJSON(t, ts.URL+"/api/query", QueryRequest{Build: b.ID, Series: batch[0], K: 3, Exact: true}, nil)
+	resp, err := http.Get(ts.URL + "/api/stats?build=" + b.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := strings.TrimSpace(string(raw)), fmt.Sprintf(statsBody, simd.Active()); got != want {
+		t.Fatalf("stats body:\n got %s\nwant %s", got, want)
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/assemble"
+	"repro/internal/clsm"
 	"repro/internal/gen"
 	"repro/internal/heatmap"
 	"repro/internal/index"
@@ -25,6 +26,7 @@ import (
 	"repro/internal/series"
 	"repro/internal/simd"
 	"repro/internal/storage"
+	"repro/internal/wal"
 )
 
 // Server is the algorithms server. Create with New and mount via Handler.
@@ -41,9 +43,6 @@ type Server struct {
 	builds   map[string]*build
 	seq      int
 	cost     storage.CostModel
-	// defaults holds the value every build-request field falls back to when
-	// the request leaves it unset (SetDefaults).
-	defaults assemble.Spec
 	// walRoot, when set, gives every CLSM build a write-ahead log in its
 	// own subdirectory; durability comes from the build request (default
 	// batched group commit).
@@ -86,23 +85,6 @@ func New() *Server {
 	}
 	s.metrics = newServerMetrics(s)
 	return s
-}
-
-// SetDefaults installs the values build requests fall back to for the
-// fields they leave unset: Parallelism (0 or 1 keeps queries serial, the
-// paper-faithful default; negative selects GOMAXPROCS), Shards (N > 1
-// hash-partitions every new build), CacheBytes and CompactionWorkers (CLSM
-// builds). The defaults are checked exactly as a
-// request relying on them would be, so a bad flag fails at startup instead
-// of turning every build request into a 400. Call before serving.
-func (s *Server) SetDefaults(d assemble.Spec) error {
-	prev := s.defaults
-	s.defaults = d
-	if _, err := s.specFor(BuildRequest{Variant: "CTree"}, 16); err != nil {
-		s.defaults = prev
-		return err
-	}
-	return nil
 }
 
 // SetWALRoot makes CLSM builds durable: each one keeps a segmented
@@ -184,17 +166,19 @@ func (s *Server) Handler() http.Handler {
 // (newest first) and the active threshold.
 func (s *Server) handleSlowLog(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
+		WriteError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"threshold_micros": s.slow.Threshold().Microseconds(),
 		"total":            s.slow.Total(),
 		"entries":          s.slow.Entries(),
 	})
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON answers with status and v as the JSON body. Every handler's
+// answer, the router's too, is written here.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(v)
@@ -204,8 +188,9 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...)})
+// WriteError answers with status and the body {"error": message}.
+func WriteError(w http.ResponseWriter, status int, format string, args ...any) {
+	WriteJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
 // MaxBatch caps the series or queries one batch request carries.
@@ -231,9 +216,9 @@ const MaxRequestBytes = MaxRequestValues*32 + MaxBatch*128
 func BatchFits(w http.ResponseWriter, what string, n, values int) bool {
 	switch {
 	case n == 0 || n > MaxBatch:
-		writeError(w, http.StatusBadRequest, "%s must number in (0, %d], got %d", what, MaxBatch, n)
+		WriteError(w, http.StatusBadRequest, "%s must number in (0, %d], got %d", what, MaxBatch, n)
 	case values > MaxRequestValues:
-		writeError(w, http.StatusRequestEntityTooLarge, "%s hold %d values, over %d", what, values, MaxRequestValues)
+		WriteError(w, http.StatusRequestEntityTooLarge, "%s hold %d values, over %d", what, values, MaxRequestValues)
 	default:
 		return true
 	}
@@ -261,9 +246,9 @@ func DecodeRequest(w http.ResponseWriter, r *http.Request, v any) bool {
 	case err == nil:
 		return true
 	case errors.As(err, &tooBig):
-		writeError(w, http.StatusRequestEntityTooLarge, "request body over %d bytes", tooBig.Limit)
+		WriteError(w, http.StatusRequestEntityTooLarge, "request body over %d bytes", tooBig.Limit)
 	default:
-		writeError(w, http.StatusBadRequest, "bad request: %v", err)
+		WriteError(w, http.StatusBadRequest, "bad request: %v", err)
 	}
 	return false
 }
@@ -274,15 +259,15 @@ func (s *Server) nextID(prefix string) string {
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok", "service": "coconut-palm algorithms server"})
+	WriteJSON(w, http.StatusOK, map[string]string{"status": "ok", "service": "coconut-palm algorithms server"})
 }
 
 func (s *Server) handleVariants(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
+		WriteError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"variants": assemble.Variants})
+	WriteJSON(w, http.StatusOK, map[string]any{"variants": assemble.Variants})
 }
 
 // DatasetRequest asks for a synthetic dataset.
@@ -315,22 +300,22 @@ func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 		for _, d := range s.datasets {
 			out = append(out, DatasetResponse{ID: d.id, Kind: d.kind, Count: d.ds.Count(), Len: d.ds.Len})
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"datasets": out})
+		WriteJSON(w, http.StatusOK, map[string]any{"datasets": out})
 	case http.MethodPost:
 		var req DatasetRequest
 		if !DecodeRequest(w, r, &req) {
 			return
 		}
 		if req.N <= 0 || req.N > 1<<20 {
-			writeError(w, http.StatusBadRequest, "n must be in (0, 2^20], got %d", req.N)
+			WriteError(w, http.StatusBadRequest, "n must be in (0, 2^20], got %d", req.N)
 			return
 		}
 		if req.Len <= 0 || req.Len > 1<<14 {
-			writeError(w, http.StatusBadRequest, "len must be in (0, 16384], got %d", req.Len)
+			WriteError(w, http.StatusBadRequest, "len must be in (0, 16384], got %d", req.Len)
 			return
 		}
 		if req.N*req.Len > maxDatasetValues {
-			writeError(w, http.StatusBadRequest, "n x len must be at most 2^26 values (512 MiB), got %d x %d", req.N, req.Len)
+			WriteError(w, http.StatusBadRequest, "n x len must be at most 2^26 values (512 MiB), got %d x %d", req.N, req.Len)
 			return
 		}
 		var ds *series.Dataset
@@ -349,16 +334,16 @@ func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 		case "ecg":
 			ds, _ = gen.ECGDataset(gen.ECGConfig{N: req.N, Len: req.Len, ArrhythPct: req.FracEvent, Seed: req.Seed})
 		default:
-			writeError(w, http.StatusBadRequest, "unknown dataset kind %q", req.Kind)
+			WriteError(w, http.StatusBadRequest, "unknown dataset kind %q", req.Kind)
 			return
 		}
 		s.mu.Lock()
 		id := s.nextID("ds")
 		s.datasets[id] = &dataset{id: id, kind: req.Kind, ds: ds}
 		s.mu.Unlock()
-		writeJSON(w, http.StatusCreated, DatasetResponse{ID: id, Kind: req.Kind, Count: ds.Count(), Len: ds.Len})
+		WriteJSON(w, http.StatusCreated, DatasetResponse{ID: id, Kind: req.Kind, Count: ds.Count(), Len: ds.Len})
 	default:
-		writeError(w, http.StatusMethodNotAllowed, "GET or POST only")
+		WriteError(w, http.StatusMethodNotAllowed, "GET or POST only")
 	}
 }
 
@@ -372,19 +357,18 @@ type BuildRequest struct {
 	GrowthFactor int     `json:"growth_factor"`
 	MemBudget    int     `json:"mem_budget"`
 	// Parallelism bounds the worker goroutines each query against this
-	// build may use (and construction's sort workers): unset or 0 falls
-	// back to the server default, 1 is serial, negative selects GOMAXPROCS.
-	// Answers are identical at every setting.
+	// build may use (and construction's sort workers): unset, 0 or 1 is
+	// serial, negative selects GOMAXPROCS. Answers are identical at every
+	// setting.
 	Parallelism int `json:"parallelism"`
 	// Shards > 1 hash-partitions the build across that many independent
-	// shards, each on its own disk, with queries fanned across them; unset
-	// or 0 falls back to the server default, 1 forces unsharded. Answers
-	// are identical at every setting.
+	// shards, each on its own disk, with queries fanned across them; unset,
+	// 0 or 1 is unsharded. Answers are identical at every setting.
 	Shards int `json:"shards"`
 	// CacheBytes > 0 puts a buffer pool of that size between the build's
-	// indexes and its disk(s); sharded builds share one pool. Unset or 0
-	// falls back to the server default; -1 forces uncached. Answers are
-	// identical at every setting — only I/O cost changes.
+	// indexes and its disk(s); sharded builds share one pool. Unset, 0 or
+	// negative is uncached. Answers are identical at every setting — only
+	// I/O cost changes.
 	CacheBytes int64 `json:"cache_bytes"`
 	// Durability selects the WAL group-commit policy for CLSM builds when
 	// the server runs with a WAL root (-wal): "" or "batched" groups
@@ -392,8 +376,8 @@ type BuildRequest struct {
 	// disables the WAL for this build. Ignored without a WAL root.
 	Durability string `json:"durability"`
 	// CompactionWorkers > 0 runs this build's level merges on a background
-	// pool of that many workers; unset or 0 falls back to the server
-	// default, -1 forces inline merges. CLSM variants only, unsharded.
+	// pool of that many workers; unset, 0 or negative merges inline. CLSM
+	// variants only, unsharded.
 	CompactionWorkers int `json:"compaction_workers"`
 	// Storage selects the storage backend for this build: "sim" is the
 	// simulated in-memory disk (the paper-faithful accounting), "file"
@@ -442,43 +426,35 @@ type BuildResponse struct {
 }
 
 // specFor maps a build request over a dataset of series length seriesLen
-// onto the one build description: unset fields take the server defaults,
-// the wire's explicit opt-outs (-1, "off", shards 1) are resolved, the
-// server's caps on outside input are enforced, and the result is validated.
-// WALDir and StorageDir come back as the server's roots (or empty); the
-// caller allots the build's own subdirectories.
+// onto the one build description: each field means what Spec's field means,
+// the older wire's opt-outs (negative cache_bytes or compaction_workers,
+// shards 1) read as Spec's zero, the server's caps on outside input are
+// enforced, and the result is validated. WALDir and StorageDir come back as
+// the server's roots (or empty); the caller allots the build's own
+// subdirectories.
 func (s *Server) specFor(req BuildRequest, seriesLen int) (assemble.Spec, error) {
-	spec := s.defaults
-	spec.WALDir, spec.StorageDir = s.walRoot, s.storageRoot
-	spec.Variant, spec.SeriesLen = req.Variant, seriesLen
-	spec.Segments, spec.Bits = req.Segments, req.Bits
-	spec.FillFactor, spec.GrowthFactor, spec.MemBudget = req.FillFactor, req.GrowthFactor, req.MemBudget
-	spec.ClusterShards, spec.NodeShards = req.ClusterShards, req.NodeShards
-	if req.Parallelism != 0 {
-		spec.Parallelism = req.Parallelism
-	}
-	if req.Shards != 0 {
-		spec.Shards = req.Shards
+	spec := assemble.Spec{
+		Variant: req.Variant, SeriesLen: seriesLen,
+		Segments: req.Segments, Bits: req.Bits,
+		FillFactor: req.FillFactor, GrowthFactor: req.GrowthFactor, MemBudget: req.MemBudget,
+		Parallelism: req.Parallelism, Shards: req.Shards,
+		CacheBytes: max(0, req.CacheBytes), CompactionWorkers: max(0, req.CompactionWorkers),
+		ClusterShards: req.ClusterShards, NodeShards: req.NodeShards,
+		WALDir: s.walRoot, StorageDir: s.storageRoot,
 	}
 	if spec.Shards < 0 || spec.Shards > 256 {
 		return spec, fmt.Errorf("shards must be in [0, 256], got %d", spec.Shards)
 	}
 	if spec.Shards == 1 {
-		spec.Shards = 0 // the wire's "1 forces unsharded"
+		spec.Shards = 0 // on the wire one shard is unsharded; to Spec it is a group of one
 	}
 	if spec.ClusterShards < 0 || spec.ClusterShards > 1024 {
 		return spec, fmt.Errorf("cluster_shards must be in [0, 1024], got %d", spec.ClusterShards)
 	}
-	if req.CacheBytes != 0 {
-		spec.CacheBytes = max(0, req.CacheBytes) // negative: explicit opt-out of the server default
-	}
-	if spec.CacheBytes < 0 || spec.CacheBytes > 1<<32 {
+	if spec.CacheBytes > 1<<32 {
 		return spec, fmt.Errorf("cache_bytes must be in [0, %d], got %d", int64(1)<<32, spec.CacheBytes)
 	}
-	if req.CompactionWorkers != 0 {
-		spec.CompactionWorkers = max(0, req.CompactionWorkers)
-	}
-	if spec.CompactionWorkers < 0 || spec.CompactionWorkers > 64 {
+	if spec.CompactionWorkers > 64 {
 		return spec, fmt.Errorf("compaction_workers must be in [0, 64], got %d", spec.CompactionWorkers)
 	}
 	switch req.Storage {
@@ -492,15 +468,16 @@ func (s *Server) specFor(req BuildRequest, seriesLen int) (assemble.Spec, error)
 	default:
 		return spec, fmt.Errorf("unknown storage %q (want sim or file)", req.Storage)
 	}
+	if req.Durability != "off" {
+		spec.Durability = req.Durability // Validate refuses an unknown policy on any variant
+	}
 	// Durable ingest and background merges are requested for unsharded CLSM
 	// builds only.
 	if (req.Variant == "CLSM" || req.Variant == "CLSMFull") && !spec.Partitioned() {
 		switch {
 		case req.Durability == "off":
 			spec.WALDir = ""
-		case spec.WALDir != "":
-			spec.Durability = req.Durability
-		case req.Durability != "":
+		case spec.WALDir == "" && req.Durability != "":
 			return spec, fmt.Errorf("durability %q needs the server to run with a WAL root (-wal)", req.Durability)
 		}
 	} else {
@@ -511,7 +488,7 @@ func (s *Server) specFor(req BuildRequest, seriesLen int) (assemble.Spec, error)
 
 func (s *Server) handleBuild(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
+		WriteError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
 	var req BuildRequest
@@ -522,12 +499,12 @@ func (s *Server) handleBuild(w http.ResponseWriter, r *http.Request) {
 	d, ok := s.datasets[req.Dataset]
 	s.mu.RUnlock()
 	if !ok {
-		writeError(w, http.StatusNotFound, "dataset %q not found", req.Dataset)
+		WriteError(w, http.StatusNotFound, "dataset %q not found", req.Dataset)
 		return
 	}
 	spec, err := s.specFor(req, d.ds.Len)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	s.mu.Lock()
@@ -540,7 +517,7 @@ func (s *Server) handleBuild(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	b, err := assemble.Build(spec, d.ds)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "build failed: %v", err)
+		WriteError(w, http.StatusBadRequest, "build failed: %v", err)
 		return
 	}
 	rec := heatmap.NewRecorder()
@@ -567,7 +544,7 @@ func (s *Server) handleBuild(w http.ResponseWriter, r *http.Request) {
 	if spec.ClusterShards > 0 {
 		resp.ClusterShards, resp.NodeShards = b.Group.NShards(), b.Group.Owned()
 	}
-	writeJSON(w, http.StatusCreated, resp)
+	WriteJSON(w, http.StatusCreated, resp)
 }
 
 // QueryRequest issues a similarity query against a build. Series is the
@@ -615,7 +592,7 @@ type QueryResponse struct {
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
+		WriteError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
 	var req QueryRequest
@@ -624,11 +601,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	b, ok := s.lookupBuild(req.Build)
 	if !ok {
-		writeError(w, http.StatusNotFound, "build %q not found", req.Build)
+		WriteError(w, http.StatusNotFound, "build %q not found", req.Build)
 		return
 	}
 	if len(req.Series) != b.built.Config.SeriesLen {
-		writeError(w, http.StatusBadRequest, "query length %d, want %d", len(req.Series), b.built.Config.SeriesLen)
+		WriteError(w, http.StatusBadRequest, "query length %d, want %d", len(req.Series), b.built.Config.SeriesLen)
 		return
 	}
 	if req.K <= 0 {
@@ -643,7 +620,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	q, err := window(index.NewQuery(series.Series(req.Series), b.built.Config), req.MinTS, req.MaxTS)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	var tr *obs.QueryTrace
@@ -665,7 +642,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return err
 	})
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "query failed: %v", err)
+		WriteError(w, http.StatusInternalServerError, "query failed: %v", err)
 		return
 	}
 	resp := QueryResponse{
@@ -690,7 +667,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	for _, res := range rs {
 		resp.Results = append(resp.Results, QueryResult{ID: res.ID, TS: res.TS, Dist: res.Dist})
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // window restricts q to the time window [*minTS, *maxTS]. The two bounds
@@ -776,7 +753,7 @@ type BatchQueryResponse struct {
 // corresponding single /api/query call.
 func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
+		WriteError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
 	var req BatchQueryRequest
@@ -785,7 +762,7 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	b, ok := s.lookupBuild(req.Build)
 	if !ok {
-		writeError(w, http.StatusNotFound, "build %q not found", req.Build)
+		WriteError(w, http.StatusNotFound, "build %q not found", req.Build)
 		return
 	}
 	if !BatchFits(w, "queries", len(req.Queries), Values(req.Queries)) {
@@ -797,7 +774,7 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	qs := make([]index.Query, len(req.Queries))
 	for i, raw := range req.Queries {
 		if len(raw) != b.built.Config.SeriesLen {
-			writeError(w, http.StatusBadRequest, "query %d length %d, want %d", i, len(raw), b.built.Config.SeriesLen)
+			WriteError(w, http.StatusBadRequest, "query %d length %d, want %d", i, len(raw), b.built.Config.SeriesLen)
 			return
 		}
 		qs[i] = index.NewQuery(series.Series(raw), b.built.Config)
@@ -818,7 +795,7 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 		return nil
 	})
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "batch query failed: %v", err)
+		WriteError(w, http.StatusInternalServerError, "batch query failed: %v", err)
 		return
 	}
 	resp := BatchQueryResponse{
@@ -836,7 +813,7 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Results[i] = out
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // InsertRequest appends series to an existing build — the live ingest
@@ -868,7 +845,7 @@ type InsertResponse struct {
 // WAL-logged before the response acknowledges the batch.
 func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
+		WriteError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
 	var req InsertRequest
@@ -877,19 +854,19 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	}
 	b, ok := s.lookupBuild(req.Build)
 	if !ok {
-		writeError(w, http.StatusNotFound, "build %q not found", req.Build)
+		WriteError(w, http.StatusNotFound, "build %q not found", req.Build)
 		return
 	}
 	if !BatchFits(w, "series", len(req.Series), Values(req.Series)) {
 		return
 	}
 	if req.Timestamps != nil && len(req.Timestamps) != len(req.Series) {
-		writeError(w, http.StatusBadRequest, "timestamps length %d, series length %d", len(req.Timestamps), len(req.Series))
+		WriteError(w, http.StatusBadRequest, "timestamps length %d, series length %d", len(req.Timestamps), len(req.Series))
 		return
 	}
 	for i, ser := range req.Series {
 		if len(ser) != b.built.Config.SeriesLen {
-			writeError(w, http.StatusBadRequest, "series %d length %d, want %d", i, len(ser), b.built.Config.SeriesLen)
+			WriteError(w, http.StatusBadRequest, "series %d length %d, want %d", i, len(ser), b.built.Config.SeriesLen)
 			return
 		}
 	}
@@ -924,7 +901,7 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		if inserted > 0 {
 			status = http.StatusInternalServerError
 		}
-		writeError(w, status, "insert failed after %d series: %v", inserted, err)
+		WriteError(w, status, "insert failed after %d series: %v", inserted, err)
 		return
 	}
 	elapsed := time.Since(start)
@@ -939,7 +916,7 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 			Detail:         fmt.Sprintf("%d series", inserted),
 		})
 	}
-	writeJSON(w, http.StatusOK, InsertResponse{
+	WriteJSON(w, http.StatusOK, InsertResponse{
 		Inserted: inserted,
 		Count:    count,
 		Synced:   synced || b.built.WAL == nil,
@@ -976,31 +953,15 @@ type CacheStats struct {
 // WALStats is the /api/stats section describing a durable build's
 // write-ahead log.
 type WALStats struct {
-	Enabled       bool  `json:"enabled"`
-	Segments      int   `json:"segments"`
-	FirstLSN      int64 `json:"first_lsn"`
-	NextLSN       int64 `json:"next_lsn"`
-	Appends       int64 `json:"appends"`
-	Syncs         int64 `json:"syncs"`
-	Rotations     int64 `json:"rotations"`
-	Truncated     int64 `json:"truncated_segments"`
-	BytesAppended int64 `json:"bytes_appended"`
+	Enabled bool `json:"enabled"`
+	wal.Stats
 }
 
-// CompactionStatsJSON is the /api/stats section describing a CLSM build's
+// CompactionStats is the /api/stats section describing a CLSM build's
 // ingest/compaction machinery.
-type CompactionStatsJSON struct {
-	Enabled           bool  `json:"enabled"`
-	Background        bool  `json:"background"`
-	Flushes           int64 `json:"flushes"`
-	Merges            int64 `json:"merges"`
-	Levels            int   `json:"levels"`
-	Runs              int   `json:"runs"`
-	ManifestVersion   int64 `json:"manifest_version"`
-	RetainedManifests int   `json:"retained_manifests"`
-	ReclaimedRuns     int64 `json:"reclaimed_runs"`
-	Pending           bool  `json:"pending"`
-	DurableLSN        int64 `json:"durable_lsn"`
+type CompactionStats struct {
+	Enabled bool `json:"enabled"`
+	clsm.CompactionStats
 }
 
 // PlannerStats is the /api/stats section describing a build's query
@@ -1015,17 +976,17 @@ type PlannerStats struct {
 // the buffer pool, the query planner, and — for durable CLSM builds —
 // the write-ahead log and compaction machinery.
 type StatsResponse struct {
-	Build      string              `json:"build"`
-	Variant    string              `json:"variant"`
-	Shards     int                 `json:"shards"`
-	Backend    string              `json:"backend"` // "sim" or "file"
-	Kernel     string              `json:"kernel"`  // active distance-kernel implementation
-	Aggregate  DiskStats           `json:"aggregate"`
-	PerShard   []DiskStats         `json:"per_shard"`
-	Cache      CacheStats          `json:"cache"`
-	Planner    PlannerStats        `json:"planner"`
-	WAL        WALStats            `json:"wal"`
-	Compaction CompactionStatsJSON `json:"compaction"`
+	Build      string          `json:"build"`
+	Variant    string          `json:"variant"`
+	Shards     int             `json:"shards"`
+	Backend    string          `json:"backend"` // "sim" or "file"
+	Kernel     string          `json:"kernel"`  // active distance-kernel implementation
+	Aggregate  DiskStats       `json:"aggregate"`
+	PerShard   []DiskStats     `json:"per_shard"`
+	Cache      CacheStats      `json:"cache"`
+	Planner    PlannerStats    `json:"planner"`
+	WAL        WALStats        `json:"wal"`
+	Compaction CompactionStats `json:"compaction"`
 }
 
 func (s *Server) diskStats(st storage.Stats) DiskStats {
@@ -1042,13 +1003,13 @@ func (s *Server) diskStats(st storage.Stats) DiskStats {
 // aggregate I/O accounting of a build's disks.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
+		WriteError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
 	id := r.URL.Query().Get("build")
 	b, ok := s.lookupBuild(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, "build %q not found", id)
+		WriteError(w, http.StatusNotFound, "build %q not found", id)
 		return
 	}
 	b.mu.RLock()
@@ -1064,32 +1025,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Planner:   PlannerStats{PlannedSkips: b.built.Planner.Skips()},
 	}
 	if wst, ok := b.built.WALStats(); ok {
-		resp.WAL = WALStats{
-			Enabled:       true,
-			Segments:      wst.Segments,
-			FirstLSN:      wst.FirstLSN,
-			NextLSN:       wst.NextLSN,
-			Appends:       wst.Appends,
-			Syncs:         wst.Syncs,
-			Rotations:     wst.Rotations,
-			Truncated:     wst.Truncated,
-			BytesAppended: wst.BytesAppended,
-		}
+		resp.WAL = WALStats{Enabled: true, Stats: wst}
 	}
 	if cst, ok := b.built.CompactionStats(); ok {
-		resp.Compaction = CompactionStatsJSON{
-			Enabled:           true,
-			Background:        cst.Background,
-			Flushes:           cst.Flushes,
-			Merges:            cst.Merges,
-			Levels:            cst.Levels,
-			Runs:              cst.Runs,
-			ManifestVersion:   cst.ManifestVersion,
-			RetainedManifests: cst.RetainedManifests,
-			ReclaimedRuns:     cst.ReclaimedRuns,
-			Pending:           cst.Pending,
-			DurableLSN:        cst.DurableLSN,
-		}
+		resp.Compaction = CompactionStats{Enabled: true, CompactionStats: cst}
 	}
 	if c := b.built.Cache; c != nil {
 		resp.Cache = CacheStats{
@@ -1109,7 +1048,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	} else {
 		resp.PerShard = []DiskStats{resp.Aggregate}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // RecommendRequest mirrors recommender.Scenario.
@@ -1132,7 +1071,7 @@ type RecommendResponse struct {
 
 func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
+		WriteError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
 	var req RecommendRequest
@@ -1147,7 +1086,7 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 		StorageTight:     req.StorageTight,
 		SmallWindows:     req.SmallWindows,
 	})
-	writeJSON(w, http.StatusOK, RecommendResponse{
+	WriteJSON(w, http.StatusOK, RecommendResponse{
 		Variant:      rec.Variant(),
 		FillFactor:   rec.FillFactor,
 		GrowthFactor: rec.GrowthFactor,
@@ -1165,13 +1104,13 @@ type HeatmapResponse struct {
 
 func (s *Server) handleHeatmap(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
+		WriteError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
 	id := r.URL.Query().Get("build")
 	b, ok := s.lookupBuild(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, "build %q not found", id)
+		WriteError(w, http.StatusNotFound, "build %q not found", id)
 		return
 	}
 	buckets := 60
@@ -1180,7 +1119,7 @@ func (s *Server) handleHeatmap(w http.ResponseWriter, r *http.Request) {
 	for _, m := range maps {
 		resp.ASCII = append(resp.ASCII, m.ASCII())
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 func newRand(seed int64) *mrand.Rand { return mrand.New(mrand.NewSource(seed)) }

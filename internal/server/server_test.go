@@ -113,6 +113,15 @@ func TestDatasetValidation(t *testing.T) {
 			t.Fatalf("%d x %d dataset status %d", req.N, req.Len, code)
 		}
 	}
+	// The shortest series every kind generates, with every series carrying
+	// its event: a dataset, not a panic the client sees as a dropped
+	// connection.
+	for _, kind := range []string{"astronomy", "randomwalk", "finance", "ecg"} {
+		var d DatasetResponse
+		if code := postJSON(t, ts.URL+"/api/datasets", DatasetRequest{Kind: kind, N: 4, Len: 1, FracEvent: 1}, &d); code != http.StatusCreated || d.Count != 4 {
+			t.Fatalf("%s of length 1: status %d, %+v", kind, code, d)
+		}
+	}
 }
 
 func buildOn(t *testing.T, ts *httptest.Server, variant string) (DatasetResponse, BuildResponse) {
@@ -162,6 +171,61 @@ func TestBuildIgnoresCompress(t *testing.T) {
 	}
 }
 
+// TestBuildSettingsFromRequest: a build's settings come from its request
+// alone, and 0 means what Spec's zero means. A request that leaves
+// parallelism, shards, cache_bytes and compaction_workers unset, one that
+// writes Spec's zeros out, and one that sends the older wire's opt-outs
+// (cache_bytes -1, compaction_workers -1, shards 1, parallelism 0 or 1)
+// build the same index and give byte-identical exact answers.
+func TestBuildSettingsFromRequest(t *testing.T) {
+	ts := newTestServer(t)
+	var d DatasetResponse
+	postJSON(t, ts.URL+"/api/datasets", DatasetRequest{Kind: "astronomy", N: 500, Len: 64, Seed: 5}, &d)
+	queries := gen.TemplateQueries(gen.TemplateSupernova, 64, 4, 0.5, 9)
+	rows := []struct {
+		name   string
+		fields map[string]any
+	}{
+		{"unset", nil},
+		{"spec zeros", map[string]any{"parallelism": 0, "shards": 0, "cache_bytes": 0, "compaction_workers": 0}},
+		{"old opt-outs", map[string]any{"parallelism": 0, "shards": 1, "cache_bytes": -1, "compaction_workers": -1}},
+		{"serial", map[string]any{"parallelism": 1}},
+	}
+	for _, variant := range []string{"CTree", "CLSM"} {
+		var want BuildResponse
+		var wantAnswers []byte
+		for i, row := range rows {
+			req := map[string]any{"dataset": d.ID, "variant": variant, "segments": 8, "bits": 8}
+			for k, v := range row.fields {
+				req[k] = v
+			}
+			var b BuildResponse
+			if code := postJSON(t, ts.URL+"/api/build", req, &b); code != http.StatusCreated {
+				t.Fatalf("%s %s: build status %d", variant, row.name, code)
+			}
+			var answers []QueryResult
+			for _, q := range queries {
+				var qr QueryResponse
+				if code := postJSON(t, ts.URL+"/api/query", QueryRequest{Build: b.ID, Series: q, K: 5, Exact: true}, &qr); code != http.StatusOK {
+					t.Fatalf("%s %s: query status %d", variant, row.name, code)
+				}
+				answers = append(answers, qr.Results...)
+			}
+			got, _ := json.Marshal(answers)
+			if i == 0 {
+				want, wantAnswers = b, got
+				continue
+			}
+			if b.Count != want.Count || b.IndexPages != want.IndexPages || b.Shards != want.Shards || b.Backend != want.Backend {
+				t.Fatalf("%s %s: build %+v, unset gives %+v", variant, row.name, b, want)
+			}
+			if !bytes.Equal(got, wantAnswers) {
+				t.Fatalf("%s %s: answers differ from unset:\n%s\n%s", variant, row.name, got, wantAnswers)
+			}
+		}
+	}
+}
+
 func TestBuildValidation(t *testing.T) {
 	ts := newTestServer(t)
 	var e errorResponse
@@ -172,6 +236,9 @@ func TestBuildValidation(t *testing.T) {
 	postJSON(t, ts.URL+"/api/datasets", DatasetRequest{N: 10, Len: 64}, &d)
 	if code := postJSON(t, ts.URL+"/api/build", BuildRequest{Dataset: d.ID, Variant: "bogus"}, &e); code != http.StatusBadRequest {
 		t.Fatalf("bogus variant status %d", code)
+	}
+	if code := postJSON(t, ts.URL+"/api/build", BuildRequest{Dataset: d.ID, Variant: "CTree", Durability: "bogus"}, &e); code != http.StatusBadRequest {
+		t.Fatalf("bogus durability status %d", code)
 	}
 }
 

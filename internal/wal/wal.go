@@ -104,16 +104,17 @@ func SyncOptions(dir string) Options {
 	return Options{Dir: dir}
 }
 
-// Stats is a snapshot of the log's accounting, surfaced by /api/stats.
+// Stats is a snapshot of the log's accounting. Its JSON form is the body of
+// /api/stats's wal section.
 type Stats struct {
-	Segments      int   // live segment files (active included)
-	FirstLSN      int64 // oldest retained LSN (== NextLSN when empty)
-	NextLSN       int64 // LSN the next append will receive
-	Appends       int64 // frames appended this session
-	Syncs         int64 // fsyncs issued this session
-	Rotations     int64 // segment rotations this session
-	Truncated     int64 // segments removed by TruncateThrough this session
-	BytesAppended int64 // payload+framing bytes appended this session
+	Segments      int   `json:"segments"`           // live segment files (active included)
+	FirstLSN      int64 `json:"first_lsn"`          // oldest retained LSN (== NextLSN when empty)
+	NextLSN       int64 `json:"next_lsn"`           // LSN the next append will receive
+	Appends       int64 `json:"appends"`            // frames appended this session
+	Syncs         int64 `json:"syncs"`              // fsyncs issued this session
+	Rotations     int64 `json:"rotations"`          // segment rotations this session
+	Truncated     int64 `json:"truncated_segments"` // segments removed by TruncateThrough this session
+	BytesAppended int64 `json:"bytes_appended"`     // payload+framing bytes appended this session
 }
 
 // segment is one on-disk segment file.

@@ -16,12 +16,15 @@
 //	build    -dataset ds-1 -variant CTree [-fill 0.9] [-growth 4] [-shards 4] [-cache 4194304]
 //	         [-wal batched|sync|off] [-compact-workers 2] [-storage sim|file]
 //	         (unset flags take the server's resolution; the server checks them)
-//	insert   -build build-1 -n 100 [-template supernova] [-ts 7]
-//	query    -build build-1 -template supernova [-k 5] [-exact] [-min 0 -max 99]
+//	insert   -build build-1 -n 100 [-template supernova] [-ts 7] [-len 0]
+//	query    -build build-1 -template supernova [-k 5] [-exact] [-min 0 -max 99] [-len 0]
 //	explain  (query's flags) [-units] [-no-heatmap]
 //	stats    -build build-1
 //	recommend -streaming -queries 500 -memfrac 0.1 [-tight] [-smallwin]
 //	heatmap  -build build-1
+//
+// insert, query and explain generate series of the build's length, which
+// they read from GET /api/stats; -len overrides it.
 package main
 
 import (
@@ -212,7 +215,7 @@ func insertCmd(base string, args []string) error {
 	buildID := fs.String("build", "", "build id (required)")
 	n := fs.Int("n", 100, "series to insert")
 	template := fs.String("template", "randomwalk", "series pattern: supernova, binary-star, earthquake, randomwalk")
-	length := fs.Int("len", 256, "series length (must match the dataset)")
+	length := fs.Int("len", 0, "series length (0 = the build's)")
 	ts := fs.Int64("ts", 0, "ingestion timestamp for the batch")
 	seed := fs.Int64("seed", 1, "pattern seed")
 	fs.Parse(args)
@@ -222,24 +225,9 @@ func insertCmd(base string, args []string) error {
 	if *n < 1 || *n > 1<<16 {
 		return fmt.Errorf("insert: -n must be in [1, 65536], got %d", *n)
 	}
-	var tmpl gen.Template
-	noise := 0.1
-	switch *template {
-	case "supernova":
-		tmpl = gen.TemplateSupernova
-	case "binary-star":
-		tmpl = gen.TemplateBinaryStar
-	case "earthquake":
-		tmpl = gen.TemplateEarthquake
-	case "randomwalk":
-		tmpl, noise = gen.TemplateSupernova, 10
-	default:
-		return fmt.Errorf("insert: unknown template %q", *template)
-	}
-	raw := gen.TemplateQueries(tmpl, *length, *n, noise, *seed)
-	batch := make([][]float64, len(raw))
-	for i, ser := range raw {
-		batch[i] = ser
+	batch, err := templateSeries(base, *buildID, *template, *length, *n, *seed)
+	if err != nil {
+		return fmt.Errorf("insert: %v", err)
 	}
 	out, err := insertBatch(base, *buildID, batch, *ts)
 	if err != nil {
@@ -273,25 +261,26 @@ func insertBatch(base, build string, batch [][]float64, ts int64) (server.Insert
 }
 
 // queryFlags declares the flags query and explain share on fs. After
-// fs.Parse, request returns the query they describe, or an error naming cmd.
-func queryFlags(fs *flag.FlagSet, cmd string) (request func() (server.QueryRequest, error)) {
+// fs.Parse, request returns the query they describe to the server at base,
+// or an error naming cmd.
+func queryFlags(fs *flag.FlagSet, cmd string) (request func(base string) (server.QueryRequest, error)) {
 	buildID := fs.String("build", "", "build id (required)")
 	template := fs.String("template", "supernova", "query pattern: supernova, binary-star, earthquake, randomwalk")
-	length := fs.Int("len", 256, "query length (must match the dataset)")
+	length := fs.Int("len", 0, "query length (0 = the build's)")
 	k := fs.Int("k", 1, "neighbors")
 	exact := fs.Bool("exact", false, "exact (vs approximate) search")
 	minTS := fs.Int64("min", -1, "window lower bound (with -max)")
 	maxTS := fs.Int64("max", -1, "window upper bound (with -min)")
 	seed := fs.Int64("seed", 1, "pattern seed")
-	return func() (server.QueryRequest, error) {
+	return func(base string) (server.QueryRequest, error) {
 		if *buildID == "" {
 			return server.QueryRequest{}, fmt.Errorf("%s: -build is required", cmd)
 		}
-		q, err := templateQuery(*template, *length, *seed)
+		q, err := templateSeries(base, *buildID, *template, *length, 1, *seed)
 		if err != nil {
 			return server.QueryRequest{}, fmt.Errorf("%s: %v", cmd, err)
 		}
-		req := server.QueryRequest{Build: *buildID, Series: q, K: *k, Exact: *exact}
+		req := server.QueryRequest{Build: *buildID, Series: q[0], K: *k, Exact: *exact}
 		// A negative bound is unset, and one bound without the other is refused.
 		if (*minTS < 0) != (*maxTS < 0) {
 			return req, fmt.Errorf("%s: -min and -max go together", cmd)
@@ -307,7 +296,7 @@ func query(base string, args []string) error {
 	fs := flag.NewFlagSet("query", flag.ExitOnError)
 	request := queryFlags(fs, "query")
 	fs.Parse(args)
-	req, err := request()
+	req, err := request(base)
 	if err != nil {
 		return err
 	}
@@ -329,7 +318,7 @@ func explainCmd(base string, args []string) error {
 	units := fs.Bool("units", false, "also list per-unit probe records (bounds per run/partition/leaf/shard)")
 	noHeat := fs.Bool("no-heatmap", false, "skip the access heat map")
 	fs.Parse(args)
-	req, err := request()
+	req, err := request(base)
 	if err != nil {
 		return err
 	}
@@ -383,19 +372,39 @@ func explainCmd(base string, args []string) error {
 	return nil
 }
 
-// templateQuery generates one query series from a named pattern.
-func templateQuery(template string, length int, seed int64) ([]float64, error) {
-	switch template {
-	case "supernova":
-		return gen.TemplateQueries(gen.TemplateSupernova, length, 1, 0.1, seed)[0], nil
-	case "binary-star":
-		return gen.TemplateQueries(gen.TemplateBinaryStar, length, 1, 0.1, seed)[0], nil
-	case "earthquake":
-		return gen.TemplateQueries(gen.TemplateEarthquake, length, 1, 0.1, seed)[0], nil
-	case "randomwalk":
-		return gen.TemplateQueries(gen.TemplateSupernova, length, 1, 10, seed)[0], nil
+// templates are the series patterns insert and query draw from: a
+// generator template and the noise added to it.
+var templates = map[string]struct {
+	tmpl  gen.Template
+	noise float64
+}{
+	"supernova":   {gen.TemplateSupernova, 0.1},
+	"binary-star": {gen.TemplateBinaryStar, 0.1},
+	"earthquake":  {gen.TemplateEarthquake, 0.1},
+	"randomwalk":  {gen.TemplateSupernova, 10},
+}
+
+// templateSeries generates n series from a named pattern, of length points,
+// or with length 0 of the build's series length, read from the server at
+// base.
+func templateSeries(base, build, template string, length, n int, seed int64) ([][]float64, error) {
+	t, ok := templates[template]
+	if !ok {
+		return nil, fmt.Errorf("unknown template %q", template)
 	}
-	return nil, fmt.Errorf("unknown template %q", template)
+	if length == 0 {
+		var st server.StatsResponse
+		if err := call("GET", base+"/api/stats?build="+build, nil, &st); err != nil {
+			return nil, fmt.Errorf("reading the build's series length (or pass -len): %w", err)
+		}
+		length = st.SeriesLen
+	}
+	raw := gen.TemplateQueries(t.tmpl, length, n, t.noise, seed)
+	out := make([][]float64, len(raw))
+	for i, ser := range raw {
+		out[i] = ser
+	}
+	return out, nil
 }
 
 func recommend(base string, args []string) error {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
 	"math"
 	"math/rand"
 	"net/http"
@@ -257,16 +258,129 @@ func TestRouterEquivalenceTopologies(t *testing.T) {
 				got = queryHTTP(t, rts.URL, "", q, 5, true, 0)
 				sameHTTPResults(t, "post-insert exact", got.Results, want.Results)
 			}
-			// One bound alone is refused, as a node refuses it, not answered
-			// unwindowed.
-			for _, half := range []server.QueryRequest{{MinTS: &minTS}, {MaxTS: &maxTS}} {
-				half.Series, half.K, half.Exact = qs[0], 5, true
-				if code := postJSON(t, rts.URL+"/api/query", half, nil); code != http.StatusBadRequest {
-					t.Fatalf("router half window %+v: status %d", half, code)
+			contractRows(t, baseTS.URL, baseBuild, rts.URL)
+		})
+	}
+}
+
+// contractRows sends each row of the request contract, a subtest, to the
+// baseline node (with its build) and to the router, in order, and requires
+// the same status from both, byte-identical results on an answer and the
+// same body on a refusal. The inserts change what later rows see on both sides alike.
+// Input a node refuses is refused before any fan-out, so the router counts
+// no failed query or insert.
+func contractRows(t *testing.T, nodeURL, build, routerURL string) {
+	extra := testQueries(16)[10:]
+	short := extra[0][:testLen-1]
+	zero, nine := int64(0), int64(9)
+	for _, row := range []struct {
+		name, path string
+		req        func(build string) any
+		status     int
+	}{
+		{"unstamped insert", "/api/insert", func(b string) any {
+			return server.InsertRequest{Build: b, Series: extra[:2]}
+		}, http.StatusOK},
+		{"exact query after an unstamped insert", "/api/query", func(b string) any {
+			return server.QueryRequest{Build: b, Series: extra[0], K: 3, Exact: true}
+		}, http.StatusOK},
+		{"windowed query at [0, 0]", "/api/query", func(b string) any {
+			return server.QueryRequest{Build: b, Series: extra[1], K: 5, Exact: true, MinTS: &zero, MaxTS: &zero}
+		}, http.StatusOK},
+		{"stamped insert", "/api/insert", func(b string) any {
+			return server.InsertRequest{Build: b, Series: extra[2:4], TS: 7}
+		}, http.StatusOK},
+		{"per-series timestamps insert", "/api/insert", func(b string) any {
+			return server.InsertRequest{Build: b, Series: extra[4:6], Timestamps: []int64{8, 9}}
+		}, http.StatusOK},
+		{"windowed query over the stamps", "/api/query", func(b string) any {
+			seven := int64(7)
+			return server.QueryRequest{Build: b, Series: extra[3], K: 10, Exact: true, MinTS: &seven, MaxTS: &nine}
+		}, http.StatusOK},
+		{"short query", "/api/query", func(b string) any {
+			return server.QueryRequest{Build: b, Series: short, K: 3, Exact: true}
+		}, http.StatusBadRequest},
+		{"short batch query", "/api/query/batch", func(b string) any {
+			return server.BatchQueryRequest{Build: b, Queries: [][]float64{extra[0], short}, K: 3, Exact: true}
+		}, http.StatusBadRequest},
+		{"short insert series", "/api/insert", func(b string) any {
+			return server.InsertRequest{Build: b, Series: [][]float64{extra[0], short}}
+		}, http.StatusBadRequest},
+		{"timestamps of the wrong length", "/api/insert", func(b string) any {
+			return server.InsertRequest{Build: b, Series: extra[:2], Timestamps: []int64{1}}
+		}, http.StatusBadRequest},
+		{"min_ts alone", "/api/query", func(b string) any {
+			return server.QueryRequest{Build: b, Series: extra[0], K: 3, Exact: true, MinTS: &zero}
+		}, http.StatusBadRequest},
+		{"max_ts alone", "/api/query", func(b string) any {
+			return server.QueryRequest{Build: b, Series: extra[0], K: 3, Exact: true, MaxTS: &nine}
+		}, http.StatusBadRequest},
+		{"empty batch", "/api/query/batch", func(b string) any {
+			return server.BatchQueryRequest{Build: b, Queries: [][]float64{}, K: 3, Exact: true}
+		}, http.StatusBadRequest},
+		{"exact query after every row", "/api/query", func(b string) any {
+			return server.QueryRequest{Build: b, Series: extra[5], K: 8, Exact: true}
+		}, http.StatusOK},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			nodeCode, nodeBody := postRaw(t, nodeURL+row.path, row.req(build))
+			routerCode, routerBody := postRaw(t, routerURL+row.path, row.req(""))
+			if nodeCode != row.status || routerCode != row.status {
+				t.Fatalf("node %d %s, router %d %s, want %d", nodeCode, nodeBody, routerCode, routerBody, row.status)
+			}
+			if row.status != http.StatusOK {
+				if !bytes.Equal(routerBody, nodeBody) {
+					t.Fatalf("router refused with %s, node with %s", routerBody, nodeBody)
 				}
+				return
+			}
+			var nodeOut, routerOut struct {
+				Results json.RawMessage `json:"results"`
+			}
+			if err := json.Unmarshal(nodeBody, &nodeOut); err != nil {
+				t.Fatal(err)
+			}
+			if err := json.Unmarshal(routerBody, &routerOut); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(routerOut.Results, nodeOut.Results) {
+				t.Fatalf("router results %s, node results %s", routerOut.Results, nodeOut.Results)
 			}
 		})
 	}
+	resp, err := http.Get(routerURL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	exposition, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"coconut_router_query_errors_total 0\n", "coconut_router_insert_errors_total 0\n"} {
+		if !strings.Contains(string(exposition), want) {
+			t.Errorf("router /metrics lacks %q after the contract rows", strings.TrimSpace(want))
+		}
+	}
+}
+
+// postRaw posts body as JSON and returns the status and the raw response.
+func postRaw(t *testing.T, url string, body any) (int, []byte) {
+	t.Helper()
+	buf, err := json.Marshal(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(url, "application/json", bytes.NewReader(buf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, raw
 }
 
 // TestOversizedK sends k = 2^36 — a number no index holds that many series
@@ -611,7 +725,7 @@ func TestRouterInsertStaleReplica(t *testing.T) {
 
 	// Losing the last replica of a shard is a reported data-loss error.
 	a.ts.Close()
-	if _, err := r.Insert(extra[:1], nil); err == nil ||
+	if _, err := r.Insert(extra[:1], []int64{0}); err == nil ||
 		!strings.Contains(err.Error(), "lost every replica") {
 		t.Fatalf("insert with all replicas dead: err = %v", err)
 	}
@@ -647,7 +761,7 @@ func TestRouterInsertBackpressure(t *testing.T) {
 	extra := testQueries(2)
 	done := make(chan error, 1)
 	go func() {
-		_, err := r.Insert(extra[:1], nil)
+		_, err := r.Insert(extra[:1], []int64{0})
 		done <- err
 	}()
 	// Only try to overflow once the first batch provably occupies the
@@ -657,7 +771,7 @@ func TestRouterInsertBackpressure(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("first insert never reached the node")
 	}
-	if _, err := r.Insert(extra[1:], nil); !errors.Is(err, ErrBusy) {
+	if _, err := r.Insert(extra[1:], []int64{0}); !errors.Is(err, ErrBusy) {
 		t.Fatalf("overflow insert: err = %v, want ErrBusy", err)
 	}
 	gate <- struct{}{} // let the first batch through
@@ -667,7 +781,7 @@ func TestRouterInsertBackpressure(t *testing.T) {
 	// With the window free again, inserts are admitted (gate stays open
 	// enough: feed one token per request).
 	go func() { gate <- struct{}{} }()
-	if _, err := r.Insert(extra[1:], nil); err != nil {
+	if _, err := r.Insert(extra[1:], []int64{0}); err != nil {
 		t.Fatalf("post-backpressure insert: %v", err)
 	}
 }

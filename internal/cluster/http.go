@@ -1,19 +1,21 @@
 package cluster
 
-// The router's public HTTP surface mirrors a single coconut-server's query
-// and insert API (same request/response shapes; the build field is ignored
-// — the topology names the builds), so clients talk to one address and need
-// not know they face a cluster. Router-specific operations live under
-// /api/cluster/: topology + node status, and graceful drain.
+// The router's public HTTP surface is a single coconut-server's query and
+// insert API (same request/response shapes; the build field is ignored —
+// the topology names the builds), so clients talk to one address and need
+// not know they face a cluster. Requests are checked, stamped, rendered and
+// counted by the node's own request code (server.QueryRequest.Check,
+// server.InsertRequest.Stamps, server.Results, server.RequestMetrics); what
+// is the router's own is the scatter-gather behind them, router_trace, 429
+// admission and 502 for a node's failure. Router-specific operations live
+// under /api/cluster/: topology + node status, and graceful drain.
 
 import (
 	"errors"
-	"fmt"
 	"net/http"
 	"time"
 
 	"repro/internal/index"
-	"repro/internal/obs"
 	"repro/internal/server"
 )
 
@@ -26,23 +28,9 @@ func (r *Router) Handler() http.Handler {
 	mux.HandleFunc("/api/insert", r.handleInsert)
 	mux.HandleFunc("/api/cluster/topology", r.handleTopology)
 	mux.HandleFunc("/api/cluster/drain", r.handleDrain)
-	mux.HandleFunc("/api/slowlog", r.handleSlowLog)
+	mux.HandleFunc("/api/slowlog", r.metrics.HandleSlowLog)
 	mux.Handle("/metrics", r.metrics.reg.Handler())
 	return mux
-}
-
-// handleSlowLog answers GET /api/slowlog: the most recent slow requests
-// (newest first) and the active threshold.
-func (r *Router) handleSlowLog(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodGet {
-		server.WriteError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
-	server.WriteJSON(w, http.StatusOK, map[string]any{
-		"threshold_micros": r.slow.Threshold().Microseconds(),
-		"total":            r.slow.Total(),
-		"entries":          r.slow.Entries(),
-	})
 }
 
 func (r *Router) handleHealth(w http.ResponseWriter, req *http.Request) {
@@ -73,20 +61,12 @@ func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request) {
 	if !server.DecodeRequest(w, req, &qr) {
 		return
 	}
-	if (qr.MinTS == nil) != (qr.MaxTS == nil) {
-		server.WriteError(w, http.StatusBadRequest, "min_ts and max_ts are required together")
+	mode, ok := qr.Check(w, req, r.topo.SeriesLen)
+	if !ok {
 		return
 	}
-	mode := "approx"
-	switch {
-	case qr.Eps > 0:
-		mode = "range"
-	case qr.Exact:
-		mode = "exact"
-	}
-	traced := qr.Trace || req.URL.Query().Get("trace") == "1"
-	if traced {
-		r.metrics.traced.Inc()
+	if qr.Trace {
+		r.metrics.Traced()
 	}
 	start := time.Now()
 	var (
@@ -94,13 +74,13 @@ func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request) {
 		stats Stats
 		err   error
 	)
-	if qr.Eps > 0 {
+	if mode == server.ModeRange {
 		rs, stats, err = r.RangeSearch(qr.Series, qr.Eps, qr.MinTS, qr.MaxTS)
 	} else {
 		rs, stats, err = r.Search(qr.Series, qr.K, qr.Exact, qr.MinTS, qr.MaxTS)
 	}
 	elapsed := time.Since(start)
-	r.observeQuery(mode, elapsed, stats, err)
+	r.metrics.ObserveQuery(mode, "", elapsed, stats.Cost, err)
 	if err != nil {
 		server.WriteError(w, http.StatusBadGateway, "cluster query failed: %v", err)
 		return
@@ -112,12 +92,13 @@ func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request) {
 		RouterTrace *RouterTrace `json:"router_trace,omitempty"`
 	}{
 		QueryResponse: server.QueryResponse{
-			Cost:   stats.Cost,
-			SeqIO:  stats.SeqIO,
-			RandIO: stats.RandIO,
+			Results: server.Results(rs),
+			Cost:    stats.Cost,
+			SeqIO:   stats.SeqIO,
+			RandIO:  stats.RandIO,
 		},
 	}
-	if traced {
+	if qr.Trace {
 		resp.RouterTrace = &RouterTrace{
 			Calls:      stats.Calls,
 			Retries:    stats.Retries,
@@ -127,9 +108,6 @@ func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request) {
 			RandIO:     stats.RandIO,
 			WallMicros: elapsed.Microseconds(),
 		}
-	}
-	for _, res := range rs {
-		resp.Results = append(resp.Results, server.QueryResult{ID: res.ID, TS: res.TS, Dist: res.Dist})
 	}
 	server.WriteJSON(w, http.StatusOK, resp)
 }
@@ -145,31 +123,23 @@ func (r *Router) handleQueryBatch(w http.ResponseWriter, req *http.Request) {
 	if !server.DecodeRequest(w, req, &qr) {
 		return
 	}
-	if !server.BatchFits(w, "queries", len(qr.Queries), server.Values(qr.Queries)) {
+	if !qr.Check(w, r.topo.SeriesLen) {
 		return
 	}
 	start := time.Now()
 	rss, stats, err := r.SearchBatch(qr.Queries, qr.K, qr.Exact)
-	r.observeQuery("batch", time.Since(start), stats, err)
+	r.metrics.ObserveQuery(server.ModeBatch, "", time.Since(start), stats.Cost, err)
 	if err != nil {
 		server.WriteError(w, http.StatusBadGateway, "cluster batch query failed: %v", err)
 		return
 	}
-	resp := server.BatchQueryResponse{
-		Results: make([][]server.QueryResult, len(rss)),
+	server.WriteJSON(w, http.StatusOK, server.BatchQueryResponse{
+		Results: server.BatchResults(rss),
 		Queries: len(rss),
 		Cost:    stats.Cost,
 		SeqIO:   stats.SeqIO,
 		RandIO:  stats.RandIO,
-	}
-	for i, rs := range rss {
-		out := make([]server.QueryResult, 0, len(rs))
-		for _, res := range rs {
-			out = append(out, server.QueryResult{ID: res.ID, TS: res.TS, Dist: res.Dist})
-		}
-		resp.Results[i] = out
-	}
-	server.WriteJSON(w, http.StatusOK, resp)
+	})
 }
 
 // handleInsert answers POST /api/insert: the router assigns global IDs and
@@ -184,38 +154,20 @@ func (r *Router) handleInsert(w http.ResponseWriter, req *http.Request) {
 	if !server.DecodeRequest(w, req, &ir) {
 		return
 	}
-	if !server.BatchFits(w, "series", len(ir.Series), server.Values(ir.Series)) {
+	if !ir.Check(w, r.topo.SeriesLen) {
 		return
-	}
-	ts := ir.Timestamps
-	if ts == nil && ir.TS != 0 {
-		ts = make([]int64, len(ir.Series))
-		for i := range ts {
-			ts[i] = ir.TS
-		}
 	}
 	start := time.Now()
-	count, err := r.Insert(ir.Series, ts)
-	elapsed := time.Since(start)
-	if err != nil {
-		if errors.Is(err, ErrBusy) {
-			r.metrics.insertRejects.Inc()
-			server.WriteError(w, http.StatusTooManyRequests, "%v", err)
-			return
-		}
-		r.metrics.insertErrors.Inc()
-		server.WriteError(w, http.StatusBadGateway, "cluster insert failed: %v", err)
+	count, err := r.Insert(ir.Series, ir.Stamps())
+	if errors.Is(err, ErrBusy) {
+		r.metrics.insertRejects.Inc()
+		server.WriteError(w, http.StatusTooManyRequests, "%v", err)
 		return
 	}
-	r.metrics.inserts.Inc()
-	r.metrics.insertedRows.Add(int64(len(ir.Series)))
-	r.metrics.insertLatency.Observe(elapsed.Seconds())
-	if r.slow.Slow(elapsed) {
-		r.slow.Record(obs.SlowEntry{
-			DurationMicros: elapsed.Microseconds(),
-			Kind:           "insert",
-			Detail:         fmt.Sprintf("%d series", len(ir.Series)),
-		})
+	r.metrics.ObserveInsert("", len(ir.Series), time.Since(start), err)
+	if err != nil {
+		server.WriteError(w, http.StatusBadGateway, "cluster insert failed: %v", err)
+		return
 	}
 	server.WriteJSON(w, http.StatusOK, server.InsertResponse{
 		Inserted: len(ir.Series),

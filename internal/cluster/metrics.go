@@ -4,54 +4,28 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/server"
 )
 
-// routerMetrics is the router's /metrics surface: request-path counters
-// and latency histograms, plus a scrape-time collector deriving fan-out
-// totals and per-node replica health from the state the router already
-// maintains.
+// routerMetrics is the router's /metrics surface: the request-path
+// families it shares with a node (server.RequestMetrics, under
+// "coconut_router_") and admission rejects, plus a scrape-time collector
+// deriving fan-out totals and per-node replica health from the state the
+// router already maintains.
 type routerMetrics struct {
 	reg *obs.Registry
-
-	queries       map[string]*obs.Counter   // by mode: approx, exact, range, batch
-	queryLatency  map[string]*obs.Histogram // by mode
-	queryErrors   *obs.Counter
-	inserts       *obs.Counter
-	insertedRows  *obs.Counter
-	insertErrors  *obs.Counter
+	*server.RequestMetrics
 	insertRejects *obs.Counter
-	insertLatency *obs.Histogram
-	traced        *obs.Counter
 }
 
 func newRouterMetrics(r *Router) *routerMetrics {
 	reg := obs.NewRegistry()
 	m := &routerMetrics{
-		reg:          reg,
-		queries:      make(map[string]*obs.Counter, 4),
-		queryLatency: make(map[string]*obs.Histogram, 4),
+		reg:            reg,
+		RequestMetrics: server.NewRequestMetrics(reg, "coconut_router_"),
+		insertRejects: reg.Counter("coconut_router_insert_rejects_total",
+			"Insert batches rejected by admission control (HTTP 429)."),
 	}
-	for _, mode := range []string{"approx", "exact", "range", "batch"} {
-		m.queries[mode] = reg.Counter("coconut_router_queries_total",
-			"Queries routed, by mode.", "mode", mode)
-		m.queryLatency[mode] = reg.Histogram("coconut_router_query_latency_seconds",
-			"End-to-end routed query wall time in seconds, by mode.",
-			obs.LatencyBuckets(), "mode", mode)
-	}
-	m.queryErrors = reg.Counter("coconut_router_query_errors_total",
-		"Routed queries that failed.")
-	m.inserts = reg.Counter("coconut_router_inserts_total",
-		"Insert batches admitted and fanned out.")
-	m.insertedRows = reg.Counter("coconut_router_inserted_series_total",
-		"Series inserted cluster-wide through the router.")
-	m.insertErrors = reg.Counter("coconut_router_insert_errors_total",
-		"Insert batches that failed after admission.")
-	m.insertRejects = reg.Counter("coconut_router_insert_rejects_total",
-		"Insert batches rejected by admission control (HTTP 429).")
-	m.insertLatency = reg.Histogram("coconut_router_insert_latency_seconds",
-		"Insert batch wall time in seconds.", obs.LatencyBuckets())
-	m.traced = reg.Counter("coconut_router_traced_queries_total",
-		"Routed queries that carried a trace.")
 	reg.Collect(r.collectRouter)
 	return m
 }
@@ -104,29 +78,10 @@ type RouterTrace struct {
 	WallMicros int64   `json:"wall_micros"`
 }
 
-// observeQuery feeds one routed query into the histograms and, past the
-// threshold, the slow-query log.
-func (r *Router) observeQuery(mode string, elapsed time.Duration, stats Stats, err error) {
-	if err != nil {
-		r.metrics.queryErrors.Inc()
-		return
-	}
-	r.metrics.queries[mode].Inc()
-	r.metrics.queryLatency[mode].Observe(elapsed.Seconds())
-	if r.slow.Slow(elapsed) {
-		r.slow.Record(obs.SlowEntry{
-			DurationMicros: elapsed.Microseconds(),
-			Kind:           "query",
-			Mode:           mode,
-			Cost:           stats.Cost,
-		})
-	}
-}
-
 // SetSlowQuery arms the router's slow-query log: requests slower than d
 // are recorded in a bounded ring served at GET /api/slowlog. d <= 0
 // disables it. Safe to call while serving.
-func (r *Router) SetSlowQuery(d time.Duration) { r.slow.SetThreshold(d) }
+func (r *Router) SetSlowQuery(d time.Duration) { r.metrics.SetSlowQuery(d) }
 
 // Metrics exposes the router's metrics registry.
 func (r *Router) Metrics() *obs.Registry { return r.metrics.reg }

@@ -8,14 +8,17 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/obs"
 	"repro/internal/server"
 )
 
 // TestRouterMetricsAndTrace drives queries through a 2-node router and
 // checks the observability surface: /metrics exposes routed counters and
-// per-node health, and ?trace=1 attaches the router's fan-out trace while
-// leaving untraced responses node-shaped.
+// per-node health, ?trace=1 attaches the router's fan-out trace while
+// leaving untraced responses node-shaped, and /api/slowlog lists each
+// query slower than the armed threshold.
 func TestRouterMetricsAndTrace(t *testing.T) {
 	n1 := startNode(t, 2, []int{0, 1}, nil)
 	n2 := startNode(t, 2, []int{0, 1}, nil)
@@ -25,6 +28,7 @@ func TestRouterMetricsAndTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(r.Close)
+	r.SetSlowQuery(time.Nanosecond)
 	rts := httptest.NewServer(r.Handler())
 	t.Cleanup(rts.Close)
 
@@ -88,5 +92,21 @@ func TestRouterMetricsAndTrace(t *testing.T) {
 	}
 	if t.Failed() {
 		t.Logf("exposition:\n%s", text)
+	}
+
+	sresp, err := http.Get(rts.URL + "/api/slowlog")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sresp.Body.Close()
+	var sl struct {
+		Total   int64           `json:"total"`
+		Entries []obs.SlowEntry `json:"entries"`
+	}
+	if err := json.NewDecoder(sresp.Body).Decode(&sl); err != nil || sresp.StatusCode != http.StatusOK {
+		t.Fatalf("slowlog status %d (%v)", sresp.StatusCode, err)
+	}
+	if sl.Total != 2 || len(sl.Entries) != 2 || sl.Entries[0].Kind != "query" || sl.Entries[0].Mode != "exact" || sl.Entries[0].Build != "" {
+		t.Fatalf("router slow log after two exact queries: %+v", sl)
 	}
 }

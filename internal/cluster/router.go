@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/index"
-	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/server"
 	"repro/internal/shard"
@@ -111,7 +110,6 @@ type Router struct {
 	hedges  atomic.Int64
 
 	metrics *routerMetrics
-	slow    *obs.SlowLog
 }
 
 // New validates the topology, contacts every node to verify its build
@@ -143,7 +141,6 @@ func New(topo Topology, opts Options) (*Router, error) {
 		client:    opts.Client,
 		insertSem: make(chan struct{}, opts.MaxInflightInserts),
 		stop:      make(chan struct{}),
-		slow:      obs.NewSlowLog(0),
 	}
 	r.metrics = newRouterMetrics(r)
 	if r.client == nil {
@@ -617,12 +614,10 @@ func (r *Router) lastShardError(failedNodes map[int]bool) string {
 
 // --- public query API ----------------------------------------------------
 
-func (r *Router) checkQuery(q []float64) error {
-	if len(q) != r.topo.SeriesLen {
-		return fmt.Errorf("cluster: query length %d, want %d", len(q), r.topo.SeriesLen)
-	}
-	return nil
-}
+// The query and insert entries below take input a request check has
+// passed (server.QueryRequest.Check, BatchQueryRequest.Check,
+// InsertRequest.Check against the topology's series length): what they send
+// a node, the node accepts, so a failure they return is a node's.
 
 // Search answers a k-NN query over the whole cluster. Exact mode is
 // byte-identical to a single-node exact search over the same data at any
@@ -630,15 +625,12 @@ func (r *Router) checkQuery(q []float64) error {
 // build with the same shard count (approximate answers are per-shard
 // heuristics, so they depend on the partitioning, not on node placement).
 func (r *Router) Search(q []float64, k int, exact bool, minTS, maxTS *int64) ([]index.Result, Stats, error) {
-	if err := r.checkQuery(q); err != nil {
-		return nil, Stats{}, err
-	}
 	// A k-NN over n series returns at most n: no answer changes, and nothing
 	// downstream is sized by a number off the wire.
 	k = max(1, min(k, int(r.Count())))
-	mode := "approx"
+	mode := server.ModeApprox
 	if exact {
-		mode = "exact"
+		mode = server.ModeExact
 	}
 	col := index.NewCollector(k)
 	stats, err := r.gather(server.ClusterSearchRequest{
@@ -650,20 +642,14 @@ func (r *Router) Search(q []float64, k int, exact bool, minTS, maxTS *int64) ([]
 	return col.Results(), stats, nil
 }
 
-// RangeSearch answers an epsilon-range query: every series within Euclidean
-// distance eps of q, byte-identical to the single-node answer (range
-// membership is decided in true-distance space on the nodes, and the merge
-// only dedups and sorts).
+// RangeSearch answers an epsilon-range query (eps > 0): every series within
+// Euclidean distance eps of q, byte-identical to the single-node answer
+// (range membership is decided in true-distance space on the nodes, and the
+// merge only dedups and sorts).
 func (r *Router) RangeSearch(q []float64, eps float64, minTS, maxTS *int64) ([]index.Result, Stats, error) {
-	if err := r.checkQuery(q); err != nil {
-		return nil, Stats{}, err
-	}
-	if eps <= 0 {
-		return nil, Stats{}, fmt.Errorf("cluster: range search needs eps > 0, got %g", eps)
-	}
 	col := index.NewRangeCollector(eps)
 	stats, err := r.gather(server.ClusterSearchRequest{
-		Series: q, Mode: "range", Eps: eps, MinTS: minTS, MaxTS: maxTS,
+		Series: q, Mode: server.ModeRange, Eps: eps, MinTS: minTS, MaxTS: maxTS,
 	}, func(id, ts int64, distSq float64) { col.AddSq(id, ts, distSq) })
 	if err != nil {
 		return nil, stats, err
@@ -702,26 +688,16 @@ func (r *Router) SearchBatch(qs [][]float64, k int, exact bool) ([][]index.Resul
 
 // --- insert fan-out ------------------------------------------------------
 
-// Insert appends a batch of series cluster-wide. The router assigns dense
-// global IDs (hash placement then routes each to its shard), writes every
-// replica of each touched shard (write-all/read-one), and returns the new
-// cluster-wide count. A replica that fails or rejects the write is marked
-// stale and leaves read rotation; the insert still succeeds while every
-// touched shard retains at least one live replica — losing all of them is
-// reported as an error. Admission is bounded: more than MaxInflightInserts
-// concurrently admitted batches fail fast with ErrBusy.
+// Insert appends a batch of series cluster-wide, series i stamped
+// timestamps[i]. The router assigns dense global IDs (hash placement then
+// routes each to its shard), writes every replica of each touched shard
+// (write-all/read-one), and returns the new cluster-wide count. A replica
+// that fails or rejects the write is marked stale and leaves read rotation;
+// the insert still succeeds while every touched shard retains at least one
+// live replica — losing all of them is reported as an error. Admission is
+// bounded: more than MaxInflightInserts concurrently admitted batches fail
+// fast with ErrBusy.
 func (r *Router) Insert(batch [][]float64, timestamps []int64) (int64, error) {
-	if len(batch) == 0 {
-		return r.count.Load(), nil
-	}
-	for i, s := range batch {
-		if len(s) != r.topo.SeriesLen {
-			return 0, fmt.Errorf("cluster: series %d length %d, want %d", i, len(s), r.topo.SeriesLen)
-		}
-	}
-	if timestamps != nil && len(timestamps) != len(batch) {
-		return 0, fmt.Errorf("cluster: %d timestamps for %d series", len(timestamps), len(batch))
-	}
 	select {
 	case r.insertSem <- struct{}{}:
 	default:
@@ -740,16 +716,12 @@ func (r *Router) Insert(batch [][]float64, timestamps []int64) (int64, error) {
 	touched := make(map[int][]int) // shard -> replica node indices
 	for i, s := range batch {
 		id := base + int64(i)
-		ts := id
-		if timestamps != nil {
-			ts = timestamps[i]
-		}
 		si := int(shard.Of(id, r.topo.Shards))
 		if _, ok := touched[si]; !ok {
 			touched[si] = r.replicas[si]
 		}
 		for _, ni := range touched[si] {
-			perNode[ni] = append(perNode[ni], server.ClusterEntry{ID: id, TS: ts, Series: s})
+			perNode[ni] = append(perNode[ni], server.ClusterEntry{ID: id, TS: timestamps[i], Series: s})
 		}
 	}
 

@@ -8,7 +8,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 
 	"repro/internal/simd"
@@ -165,20 +164,4 @@ func DecodeBinaryInto(buf []byte, dst Series) (Series, error) {
 	}
 	simd.Decode(buf, dst)
 	return dst, nil
-}
-
-// Write writes the binary encoding of s to w.
-func (s Series) Write(w io.Writer) error {
-	buf := s.AppendBinary(make([]byte, 0, Size(len(s))))
-	_, err := w.Write(buf)
-	return err
-}
-
-// Read reads a series of length n from r.
-func Read(r io.Reader, n int) (Series, error) {
-	buf := make([]byte, Size(n))
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
-	}
-	return DecodeBinary(buf, n)
 }

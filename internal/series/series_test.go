@@ -1,9 +1,7 @@
 package series
 
 import (
-	"bytes"
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -148,44 +146,6 @@ func TestDatasetAppendGet(t *testing.T) {
 	}
 	if _, err := d.Append(Series{1}); err == nil {
 		t.Error("expected length-mismatch error")
-	}
-}
-
-func TestDatasetRoundTrip(t *testing.T) {
-	d := NewDataset(4)
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 10; i++ {
-		s := make(Series, 4)
-		for j := range s {
-			s[j] = rng.NormFloat64()
-		}
-		if _, err := d.Append(s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var buf bytes.Buffer
-	if _, err := d.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadDataset(&buf, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Count() != d.Count() {
-		t.Fatalf("count = %d, want %d", got.Count(), d.Count())
-	}
-	for i := range d.Values {
-		for j := range d.Values[i] {
-			if got.Values[i][j] != d.Values[i][j] {
-				t.Fatalf("value [%d][%d] mismatch", i, j)
-			}
-		}
-	}
-}
-
-func TestReadDatasetTruncated(t *testing.T) {
-	if _, err := ReadDataset(bytes.NewReader(make([]byte, 12)), 2); err == nil {
-		t.Fatal("expected truncation error")
 	}
 }
 

@@ -95,11 +95,11 @@ func (s *Server) handleClusterSearch(w http.ResponseWriter, r *http.Request) {
 	if req.K <= 0 {
 		req.K = 1
 	}
-	q, err := window(index.NewQuery(series.Series(req.Series), b.built.Config), req.MinTS, req.MaxTS)
-	if err != nil {
+	if err := checkWindow(req.MinTS, req.MaxTS); err != nil {
 		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	q := windowed(index.NewQuery(series.Series(req.Series), b.built.Config), req.MinTS, req.MaxTS)
 	g := b.built.Group
 	shards := req.Shards
 	if len(shards) == 0 {
@@ -108,11 +108,11 @@ func (s *Server) handleClusterSearch(w http.ResponseWriter, r *http.Request) {
 	mode := req.Mode
 	switch {
 	case mode == "":
-		mode = modeExact
-	case mode == modeRange && req.Eps <= 0:
+		mode = ModeExact
+	case mode == ModeRange && req.Eps <= 0:
 		WriteError(w, http.StatusBadRequest, "range mode needs eps > 0, got %g", req.Eps)
 		return
-	case mode != modeExact && mode != modeApprox && mode != modeRange:
+	case mode != ModeExact && mode != ModeApprox && mode != ModeRange:
 		WriteError(w, http.StatusBadRequest, "unknown mode %q (want exact, approx, or range)", req.Mode)
 		return
 	}
@@ -123,9 +123,9 @@ func (s *Server) handleClusterSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	diff, _, _, err := s.search(b, mode, func() (err error) {
 		switch pool := b.built.Workers(); mode {
-		case modeRange:
+		case ModeRange:
 			col, err = g.RangeSearchShards(q, req.Eps, shards, pool, b.built.Planner)
-		case modeApprox:
+		case ModeApprox:
 			col, err = g.ApproxSearchShards(q, b.boundK(req.K), shards, pool, b.built.Planner)
 		default:
 			col, err = g.ExactSearchShards(q, b.boundK(req.K), shards, pool, b.built.Planner)

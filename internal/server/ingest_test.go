@@ -170,7 +170,7 @@ func TestConcurrentInsertsAndQueries(t *testing.T) {
 // statsBody is GET /api/stats of a durable CLSMFull build with a small cache
 // and inline merges, after 50 inserts and one exact query. The %s is the
 // process's distance kernel.
-const statsBody = `{"build":"build-3","variant":"CLSMFull","shards":1,"backend":"sim","kernel":"%s",` +
+const statsBody = `{"build":"build-3","variant":"CLSMFull","shards":1,"backend":"sim","kernel":"%s","series_len":64,` +
 	`"aggregate":{"seq_reads":13,"rand_reads":3,"seq_writes":42,"rand_writes":2,"cache_hits":1,"cache_misses":16,"hit_ratio":0.058823529411764705,"cost":105},` +
 	`"per_shard":[{"seq_reads":13,"rand_reads":3,"seq_writes":42,"rand_writes":2,"cache_hits":1,"cache_misses":16,"hit_ratio":0.058823529411764705,"cost":105}],` +
 	`"cache":{"enabled":true,"capacity_bytes":65536,"capacity_frames":16,"hits":1,"misses":16,"hit_ratio":0.058823529411764705,"evictions":0},` +

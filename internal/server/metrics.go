@@ -5,60 +5,29 @@ import (
 	"repro/internal/simd"
 )
 
-// serverMetrics is the node's /metrics surface: static counters and
-// histograms updated on the request path, plus a scrape-time collector
-// that derives per-build series (I/O, cache, planner, WAL, compaction,
-// heat map) from the accounting every subsystem already keeps — scrapes
-// read existing atomic counters, so the query hot path gains nothing.
+// serverMetrics is the node's /metrics surface: the request-path families
+// it shares with the router (RequestMetrics, under "coconut_") and the I/O
+// cost of each query by mode, plus a scrape-time collector that derives
+// per-build series (I/O, cache, planner, WAL, compaction, heat map) from the
+// accounting every subsystem already keeps — scrapes read existing atomic
+// counters, so the query hot path gains nothing.
 type serverMetrics struct {
 	reg *obs.Registry
-
-	queryLatency  map[string]*obs.Histogram // by mode: approx, exact, range, batch
-	queryIOCost   map[string]*obs.Histogram
-	queries       map[string]*obs.Counter
-	queryErrors   *obs.Counter
-	insertLatency *obs.Histogram
-	inserts       *obs.Counter
-	insertedRows  *obs.Counter
-	insertErrors  *obs.Counter
-	traced        *obs.Counter
+	*RequestMetrics
+	queryIOCost map[string]*obs.Histogram // by mode
 }
-
-const (
-	modeApprox = "approx"
-	modeExact  = "exact"
-	modeRange  = "range"
-	modeBatch  = "batch"
-)
 
 func newServerMetrics(s *Server) *serverMetrics {
 	reg := obs.NewRegistry()
 	m := &serverMetrics{
-		reg:          reg,
-		queryLatency: make(map[string]*obs.Histogram, 4),
-		queryIOCost:  make(map[string]*obs.Histogram, 4),
-		queries:      make(map[string]*obs.Counter, 4),
+		reg:            reg,
+		RequestMetrics: NewRequestMetrics(reg, "coconut_"),
+		queryIOCost:    make(map[string]*obs.Histogram, len(modes)),
 	}
-	for _, mode := range []string{modeApprox, modeExact, modeRange, modeBatch} {
-		m.queries[mode] = reg.Counter("coconut_queries_total",
-			"Queries served, by mode.", "mode", mode)
-		m.queryLatency[mode] = reg.Histogram("coconut_query_latency_seconds",
-			"Query wall time in seconds, by mode.", obs.LatencyBuckets(), "mode", mode)
+	for _, mode := range modes {
 		m.queryIOCost[mode] = reg.Histogram("coconut_query_io_cost",
 			"Modelled I/O cost per query, by mode.", obs.IOBuckets(), "mode", mode)
 	}
-	m.queryErrors = reg.Counter("coconut_query_errors_total",
-		"Queries that failed.")
-	m.inserts = reg.Counter("coconut_inserts_total",
-		"Insert batches accepted.")
-	m.insertedRows = reg.Counter("coconut_inserted_series_total",
-		"Series appended through the live-ingest path.")
-	m.insertErrors = reg.Counter("coconut_insert_errors_total",
-		"Insert batches that failed.")
-	m.insertLatency = reg.Histogram("coconut_insert_latency_seconds",
-		"Insert batch wall time in seconds.", obs.LatencyBuckets())
-	m.traced = reg.Counter("coconut_traced_queries_total",
-		"Queries that carried a trace recorder.")
 	reg.Collect(s.collectBuilds)
 	return m
 }

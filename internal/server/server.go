@@ -52,10 +52,9 @@ type Server struct {
 	// default to the file backend when a root is set; requests may force
 	// either backend per build.
 	storageRoot string
-	// metrics is the node's /metrics surface; slow is the slow-query ring
-	// (inert until SetSlowQuery arms a threshold).
+	// metrics is the node's /metrics surface and slow-query ring (inert
+	// until SetSlowQuery arms a threshold).
 	metrics *serverMetrics
-	slow    *obs.SlowLog
 }
 
 type dataset struct {
@@ -81,7 +80,6 @@ func New() *Server {
 		datasets: make(map[string]*dataset),
 		builds:   make(map[string]*build),
 		cost:     storage.DefaultCostModel,
-		slow:     obs.NewSlowLog(0),
 	}
 	s.metrics = newServerMetrics(s)
 	return s
@@ -101,14 +99,10 @@ func (s *Server) SetWALRoot(dir string) { s.walRoot = dir }
 // results are byte-identical on either backend. Call before serving.
 func (s *Server) SetStorageRoot(dir string) { s.storageRoot = dir }
 
-// SetSlowQuery arms the slow-query log: queries slower than d are
-// recorded in a bounded ring served at GET /api/slowlog (and mirrored to
-// the process log). d <= 0 disables it. Safe to call while serving.
-func (s *Server) SetSlowQuery(d time.Duration) { s.slow.SetThreshold(d) }
-
-// SlowLog exposes the server's slow-query ring (for embedding callers;
-// the HTTP surface is GET /api/slowlog).
-func (s *Server) SlowLog() *obs.SlowLog { return s.slow }
+// SetSlowQuery arms the slow-query log: queries and inserts slower than d
+// are recorded in a bounded ring served at GET /api/slowlog. d <= 0
+// disables it. Safe to call while serving.
+func (s *Server) SetSlowQuery(d time.Duration) { s.metrics.SetSlowQuery(d) }
 
 // Metrics exposes the server's metrics registry, so embedding callers can
 // register their own series next to the node's.
@@ -157,23 +151,9 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/api/cluster/info", s.handleClusterInfo)
 	mux.HandleFunc("/api/recommend", s.handleRecommend)
 	mux.HandleFunc("/api/heatmap", s.handleHeatmap)
-	mux.HandleFunc("/api/slowlog", s.handleSlowLog)
+	mux.HandleFunc("/api/slowlog", s.metrics.HandleSlowLog)
 	mux.Handle("/metrics", s.metrics.reg.Handler())
 	return mux
-}
-
-// handleSlowLog answers GET /api/slowlog: the most recent slow queries
-// (newest first) and the active threshold.
-func (s *Server) handleSlowLog(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		WriteError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
-	WriteJSON(w, http.StatusOK, map[string]any{
-		"threshold_micros": s.slow.Threshold().Microseconds(),
-		"total":            s.slow.Total(),
-		"entries":          s.slow.Entries(),
-	})
 }
 
 // WriteJSON answers with status and v as the JSON body. Every handler's
@@ -604,37 +584,23 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusNotFound, "build %q not found", req.Build)
 		return
 	}
-	if len(req.Series) != b.built.Config.SeriesLen {
-		WriteError(w, http.StatusBadRequest, "query length %d, want %d", len(req.Series), b.built.Config.SeriesLen)
+	mode, ok := req.Check(w, r, b.built.Config.SeriesLen)
+	if !ok {
 		return
 	}
-	if req.K <= 0 {
-		req.K = 1
-	}
-	mode := modeApprox
-	switch {
-	case req.Eps > 0:
-		mode = modeRange
-	case req.Exact:
-		mode = modeExact
-	}
-	q, err := window(index.NewQuery(series.Series(req.Series), b.built.Config), req.MinTS, req.MaxTS)
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
+	q := windowed(index.NewQuery(series.Series(req.Series), b.built.Config), req.MinTS, req.MaxTS)
 	var tr *obs.QueryTrace
-	if req.Trace || r.URL.Query().Get("trace") == "1" {
+	if req.Trace {
 		tr = obs.NewQueryTrace()
 		q.Trace = tr
-		s.metrics.traced.Inc()
+		s.metrics.Traced()
 	}
 	var rs []index.Result
 	diff, skips, elapsed, err := s.search(b, mode, func() (err error) {
 		switch mode {
-		case modeRange:
+		case ModeRange:
 			rs, err = b.built.RangeSearch(q, req.Eps)
-		case modeExact:
+		case ModeExact:
 			rs, err = b.built.ExactSearch(q, b.boundK(req.K))
 		default:
 			rs, err = b.built.ApproxSearch(q, b.boundK(req.K))
@@ -646,6 +612,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := QueryResponse{
+		Results:      Results(rs),
 		Cost:         diff.Cost(s.cost),
 		SeqIO:        diff.SeqReads + diff.SeqWrites,
 		RandIO:       diff.RandReads + diff.RandWrites,
@@ -664,22 +631,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			Cost: diff.Cost(s.cost),
 		}
 	}
-	for _, res := range rs {
-		resp.Results = append(resp.Results, QueryResult{ID: res.ID, TS: res.TS, Dist: res.Dist})
-	}
 	WriteJSON(w, http.StatusOK, resp)
-}
-
-// window restricts q to the time window [*minTS, *maxTS]. The two bounds
-// come together: one alone is refused, never read as no window.
-func window(q index.Query, minTS, maxTS *int64) (index.Query, error) {
-	if (minTS == nil) != (maxTS == nil) {
-		return q, fmt.Errorf("min_ts and max_ts are required together")
-	}
-	if minTS != nil {
-		q = q.WithWindow(*minTS, *maxTS)
-	}
-	return q, nil
 }
 
 // boundK clamps a requested k to the series the build holds: a k-NN over n
@@ -701,29 +653,12 @@ func (s *Server) search(b *build, mode string, dispatch func() error) (diff stor
 	diff, skips = b.built.IOStats().Sub(before), b.built.Planner.Skips()-skipsBefore
 	b.mu.RUnlock()
 	elapsed = time.Since(start)
-	if err != nil {
-		s.metrics.queryErrors.Inc()
-	} else {
-		s.observeQuery(mode, elapsed, diff, b.id)
+	cost := diff.Cost(s.cost)
+	s.metrics.ObserveQuery(mode, b.id, elapsed, cost, err)
+	if err == nil {
+		s.metrics.queryIOCost[mode].Observe(cost)
 	}
 	return diff, skips, elapsed, err
-}
-
-// observeQuery feeds one finished query into the node's histograms and,
-// past the threshold, the slow-query log.
-func (s *Server) observeQuery(mode string, elapsed time.Duration, diff storage.Stats, build string) {
-	s.metrics.queries[mode].Inc()
-	s.metrics.queryLatency[mode].Observe(elapsed.Seconds())
-	s.metrics.queryIOCost[mode].Observe(diff.Cost(s.cost))
-	if s.slow.Slow(elapsed) {
-		s.slow.Record(obs.SlowEntry{
-			DurationMicros: elapsed.Microseconds(),
-			Kind:           "query",
-			Build:          build,
-			Mode:           mode,
-			Cost:           diff.Cost(s.cost),
-		})
-	}
 }
 
 // BatchQueryRequest issues many similarity queries against a build in one
@@ -765,22 +700,15 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusNotFound, "build %q not found", req.Build)
 		return
 	}
-	if !BatchFits(w, "queries", len(req.Queries), Values(req.Queries)) {
+	if !req.Check(w, b.built.Config.SeriesLen) {
 		return
-	}
-	if req.K <= 0 {
-		req.K = 1
 	}
 	qs := make([]index.Query, len(req.Queries))
 	for i, raw := range req.Queries {
-		if len(raw) != b.built.Config.SeriesLen {
-			WriteError(w, http.StatusBadRequest, "query %d length %d, want %d", i, len(raw), b.built.Config.SeriesLen)
-			return
-		}
 		qs[i] = index.NewQuery(series.Series(raw), b.built.Config)
 	}
 	var rss [][]index.Result
-	diff, skips, _, err := s.search(b, modeBatch, func() (err error) {
+	diff, skips, _, err := s.search(b, ModeBatch, func() (err error) {
 		k := b.boundK(req.K)
 		if req.Exact {
 			rss, err = b.built.SearchBatch(qs, k)
@@ -798,22 +726,14 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusInternalServerError, "batch query failed: %v", err)
 		return
 	}
-	resp := BatchQueryResponse{
-		Results:      make([][]QueryResult, len(rss)),
+	WriteJSON(w, http.StatusOK, BatchQueryResponse{
+		Results:      BatchResults(rss),
 		Queries:      len(rss),
 		Cost:         diff.Cost(s.cost),
 		SeqIO:        diff.SeqReads + diff.SeqWrites,
 		RandIO:       diff.RandReads + diff.RandWrites,
 		PlannedSkips: skips,
-	}
-	for i, rs := range rss {
-		out := make([]QueryResult, 0, len(rs))
-		for _, res := range rs {
-			out = append(out, QueryResult{ID: res.ID, TS: res.TS, Dist: res.Dist})
-		}
-		resp.Results[i] = out
-	}
-	WriteJSON(w, http.StatusOK, resp)
+	})
 }
 
 // InsertRequest appends series to an existing build — the live ingest
@@ -857,29 +777,16 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusNotFound, "build %q not found", req.Build)
 		return
 	}
-	if !BatchFits(w, "series", len(req.Series), Values(req.Series)) {
+	if !req.Check(w, b.built.Config.SeriesLen) {
 		return
 	}
-	if req.Timestamps != nil && len(req.Timestamps) != len(req.Series) {
-		WriteError(w, http.StatusBadRequest, "timestamps length %d, series length %d", len(req.Timestamps), len(req.Series))
-		return
-	}
-	for i, ser := range req.Series {
-		if len(ser) != b.built.Config.SeriesLen {
-			WriteError(w, http.StatusBadRequest, "series %d length %d, want %d", i, len(ser), b.built.Config.SeriesLen)
-			return
-		}
-	}
+	stamps := req.Stamps()
 	start := time.Now()
 	b.mu.Lock()
 	var err error
 	inserted := 0
 	for i, ser := range req.Series {
-		ts := req.TS
-		if req.Timestamps != nil {
-			ts = req.Timestamps[i]
-		}
-		if err = b.built.Ingest(series.Series(ser), ts); err != nil {
+		if err = b.built.Ingest(series.Series(ser), stamps[i]); err != nil {
 			break
 		}
 		inserted++
@@ -895,26 +802,15 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	}
 	count := b.built.Index.Count()
 	b.mu.Unlock()
+	elapsed := time.Since(start)
+	s.metrics.ObserveInsert(b.id, inserted, elapsed, err)
 	if err != nil {
-		s.metrics.insertErrors.Inc()
 		status := http.StatusBadRequest
 		if inserted > 0 {
 			status = http.StatusInternalServerError
 		}
 		WriteError(w, status, "insert failed after %d series: %v", inserted, err)
 		return
-	}
-	elapsed := time.Since(start)
-	s.metrics.inserts.Inc()
-	s.metrics.insertedRows.Add(int64(inserted))
-	s.metrics.insertLatency.Observe(elapsed.Seconds())
-	if s.slow.Slow(elapsed) {
-		s.slow.Record(obs.SlowEntry{
-			DurationMicros: elapsed.Microseconds(),
-			Kind:           "insert",
-			Build:          req.Build,
-			Detail:         fmt.Sprintf("%d series", inserted),
-		})
 	}
 	WriteJSON(w, http.StatusOK, InsertResponse{
 		Inserted: inserted,
@@ -970,17 +866,18 @@ type PlannerStats struct {
 	PlannedSkips int64 `json:"planned_skips"`
 }
 
-// StatsResponse reports a build's I/O accounting since construction:
-// aggregate over every disk backing the build, plus the per-shard
-// breakdown (one entry, equal to the aggregate, for unsharded builds),
-// the buffer pool, the query planner, and — for durable CLSM builds —
-// the write-ahead log and compaction machinery.
+// StatsResponse reports a build's series length and its I/O accounting
+// since construction: aggregate over every disk backing the build, plus
+// the per-shard breakdown (one entry, equal to the aggregate, for unsharded
+// builds), the buffer pool, the query planner, and — for durable CLSM
+// builds — the write-ahead log and compaction machinery.
 type StatsResponse struct {
 	Build      string          `json:"build"`
 	Variant    string          `json:"variant"`
 	Shards     int             `json:"shards"`
 	Backend    string          `json:"backend"` // "sim" or "file"
 	Kernel     string          `json:"kernel"`  // active distance-kernel implementation
+	SeriesLen  int             `json:"series_len"`
 	Aggregate  DiskStats       `json:"aggregate"`
 	PerShard   []DiskStats     `json:"per_shard"`
 	Cache      CacheStats      `json:"cache"`
@@ -1021,6 +918,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Shards:    b.built.Shards(),
 		Backend:   b.built.Disk.Kind(),
 		Kernel:    simd.Active(),
+		SeriesLen: b.built.Config.SeriesLen,
 		Aggregate: s.diskStats(agg),
 		Planner:   PlannerStats{PlannedSkips: b.built.Planner.Skips()},
 	}

@@ -5,10 +5,15 @@
 package coconut
 
 import (
+	"bytes"
 	"cmp"
+	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"slices"
 	"sync"
 	"testing"
@@ -22,6 +27,7 @@ import (
 	"repro/internal/run"
 	"repro/internal/sax"
 	"repro/internal/series"
+	"repro/internal/server"
 	"repro/internal/simd"
 	"repro/internal/sortable"
 	"repro/internal/storage"
@@ -1092,4 +1098,45 @@ func BenchmarkRunProbe(b *testing.B) {
 			}
 		}
 	})
+}
+
+// --- Request decoding: the serving tier's JSON in. ---
+
+// BenchmarkRequestDecode decodes request bodies through server.DecodeRequest,
+// the one decoder every node and router handler reads a body with: a
+// 32 × 128 /api/insert batch, the router's ingest unit, and a 128-point
+// /api/query. The bodies are json.Marshal's, as a Go client sends them.
+func BenchmarkRequestDecode(b *testing.B) {
+	rng := rand.New(rand.NewSource(44))
+	batch := make([][]float64, 32)
+	for i := range batch {
+		batch[i] = gen.RandomWalk(rng, 128)
+	}
+	for _, bc := range []struct {
+		name string
+		req  any
+		into func() any
+	}{
+		{"insert-32x128", server.InsertRequest{Build: "build-1", Series: batch, TS: 1}, func() any { return new(server.InsertRequest) }},
+		{"query-128", server.QueryRequest{Build: "build-1", Series: batch[0], K: 10, Exact: true}, func() any { return new(server.QueryRequest) }},
+	} {
+		body, err := json.Marshal(bc.req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(bc.name, func(b *testing.B) {
+			rec := httptest.NewRecorder()
+			rd := bytes.NewReader(body)
+			req := httptest.NewRequest(http.MethodPost, "/api/insert", io.NopCloser(rd))
+			b.SetBytes(int64(len(body)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rd.Reset(body)
+				if !server.DecodeRequest(rec, req, bc.into()) {
+					b.Fatalf("refused: %s", rec.Body)
+				}
+			}
+		})
+	}
 }

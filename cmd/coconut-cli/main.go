@@ -24,18 +24,21 @@
 //	heatmap  -build build-1
 //
 // insert, query and explain generate series of the build's length, which
-// they read from GET /api/stats; -len overrides it.
+// they read from GET /api/stats, or from a coconut-router's GET
+// /api/cluster/topology; -len overrides it.
 package main
 
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"net/http"
 	"os"
 
+	"repro/internal/cluster"
 	"repro/internal/gen"
 	"repro/internal/server"
 )
@@ -106,6 +109,14 @@ func statsCmd(base string, args []string) error {
 	return nil
 }
 
+// statusError is a response the server refused.
+type statusError struct {
+	code int
+	body []byte
+}
+
+func (e *statusError) Error() string { return fmt.Sprintf("server %d: %s", e.code, e.body) }
+
 func call(method, url string, body, out any) error {
 	var rdr io.Reader
 	if body != nil {
@@ -130,7 +141,7 @@ func call(method, url string, body, out any) error {
 		return err
 	}
 	if resp.StatusCode >= 400 {
-		return fmt.Errorf("server %d: %s", resp.StatusCode, bytes.TrimSpace(raw))
+		return &statusError{code: resp.StatusCode, body: bytes.TrimSpace(raw)}
 	}
 	if out != nil {
 		return json.Unmarshal(raw, out)
@@ -393,11 +404,10 @@ func templateSeries(base, build, template string, length, n int, seed int64) ([]
 		return nil, fmt.Errorf("unknown template %q", template)
 	}
 	if length == 0 {
-		var st server.StatsResponse
-		if err := call("GET", base+"/api/stats?build="+build, nil, &st); err != nil {
+		var err error
+		if length, err = seriesLen(base, build); err != nil {
 			return nil, fmt.Errorf("reading the build's series length (or pass -len): %w", err)
 		}
-		length = st.SeriesLen
 	}
 	raw := gen.TemplateQueries(t.tmpl, length, n, t.noise, seed)
 	out := make([][]float64, len(raw))
@@ -405,6 +415,21 @@ func templateSeries(base, build, template string, length, n int, seed int64) ([]
 		out[i] = ser
 	}
 	return out, nil
+}
+
+// seriesLen reads the series length of build from GET /api/stats, or, where
+// that is 404, from a router's GET /api/cluster/topology.
+func seriesLen(base, build string) (int, error) {
+	var st server.StatsResponse
+	err := call("GET", base+"/api/stats?build="+build, nil, &st)
+	var refused *statusError
+	if errors.As(err, &refused) && refused.code == http.StatusNotFound {
+		var topo cluster.TopologyResponse
+		if call("GET", base+"/api/cluster/topology", nil, &topo) == nil {
+			return topo.SeriesLen, nil
+		}
+	}
+	return st.SeriesLen, err
 }
 
 func recommend(base string, args []string) error {

@@ -6,7 +6,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/server"
 )
 
@@ -76,5 +78,36 @@ func TestSeriesLengthFromBuild(t *testing.T) {
 	}
 	if err := query(ts.URL, []string{"-build", b.ID, "-len", "64"}); err == nil || !strings.Contains(err.Error(), "server 400") {
 		t.Fatalf("query of 64 points against a 128-point build: %v, want a 400", err)
+	}
+}
+
+// TestSeriesLengthFromRouter: against a coconut-router, which serves no
+// GET /api/stats, query and insert without -len read the series length from
+// the router's topology.
+func TestSeriesLengthFromRouter(t *testing.T) {
+	node := httptest.NewServer(server.New().Handler())
+	defer node.Close()
+	var d server.DatasetResponse
+	if err := call("POST", node.URL+"/api/datasets", server.DatasetRequest{Kind: "randomwalk", N: 64, Len: 128, Seed: 3}, &d); err != nil {
+		t.Fatal(err)
+	}
+	var b server.BuildResponse
+	if err := call("POST", node.URL+"/api/build", server.BuildRequest{Dataset: d.ID, Variant: "CTreeFull", ClusterShards: 2, NodeShards: []int{0, 1}}, &b); err != nil {
+		t.Fatal(err)
+	}
+	r, err := cluster.New(cluster.Topology{Shards: 2, SeriesLen: 128, Nodes: []cluster.Node{
+		{Name: "a", URL: node.URL, Build: b.ID, Shards: []int{0, 1}},
+	}}, cluster.Options{Timeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	router := httptest.NewServer(r.Handler())
+	defer router.Close()
+	if err := query(router.URL, []string{"-build", b.ID}); err != nil {
+		t.Fatalf("query: %v", err)
+	}
+	if err := insertCmd(router.URL, []string{"-build", b.ID, "-n", "3"}); err != nil {
+		t.Fatalf("insert: %v", err)
 	}
 }

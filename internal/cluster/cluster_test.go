@@ -786,6 +786,43 @@ func TestRouterInsertBackpressure(t *testing.T) {
 	}
 }
 
+// delayInserts is a transport that holds every replica write for d before
+// sending it.
+type delayInserts struct {
+	d time.Duration
+}
+
+func (t delayInserts) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.URL.Path == "/api/cluster/insert" {
+		time.Sleep(t.d)
+	}
+	return http.DefaultTransport.RoundTrip(req)
+}
+
+// TestRouterInsertMillis: the router's POST /api/insert answers the batch's
+// wall time in "ms", which covers the replica writes it waited for.
+func TestRouterInsertMillis(t *testing.T) {
+	const delay = 30 * time.Millisecond
+	shards := [][]int{{0, 1, 2, 3}}
+	a := startNode(t, 4, shards[0], nil)
+	r, err := New(topologyOf(4, []*testNode{a}, shards), Options{
+		Timeout: 5 * time.Second, Client: &http.Client{Transport: delayInserts{delay}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	rt := httptest.NewServer(r.Handler())
+	defer rt.Close()
+	var out server.InsertResponse
+	if code := postJSON(t, rt.URL+"/api/insert", server.InsertRequest{Series: testQueries(2)}, &out); code != http.StatusOK || out.Inserted != 2 {
+		t.Fatalf("insert: status %d, %+v", code, out)
+	}
+	if out.Millis < delay.Milliseconds() {
+		t.Fatalf(`insert answered "ms": %d, want at least the %d ms its replica write was held`, out.Millis, delay.Milliseconds())
+	}
+}
+
 // TestRouterStartupStrictness: a router must refuse to serve over a
 // topology it cannot verify.
 func TestRouterStartupStrictness(t *testing.T) {

@@ -164,7 +164,8 @@ func (r *Router) handleInsert(w http.ResponseWriter, req *http.Request) {
 		server.WriteError(w, http.StatusTooManyRequests, "%v", err)
 		return
 	}
-	r.metrics.ObserveInsert("", len(ir.Series), time.Since(start), err)
+	elapsed := time.Since(start)
+	r.metrics.ObserveInsert("", len(ir.Series), elapsed, err)
 	if err != nil {
 		server.WriteError(w, http.StatusBadGateway, "cluster insert failed: %v", err)
 		return
@@ -173,6 +174,7 @@ func (r *Router) handleInsert(w http.ResponseWriter, req *http.Request) {
 		Inserted: len(ir.Series),
 		Count:    count,
 		Synced:   true,
+		Millis:   elapsed.Milliseconds(),
 	})
 }
 

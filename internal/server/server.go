@@ -8,7 +8,6 @@ package server
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	mrand "math/rand"
 	"net/http"
@@ -212,25 +211,6 @@ func Values(batch [][]float64) int {
 		n += len(s)
 	}
 	return n
-}
-
-// DecodeRequest decodes r's JSON body into v, reading at most
-// MaxRequestBytes of it, and reports whether v holds the request. A body
-// over the cap is answered 413, one that does not decode 400, each with a
-// JSON error. Every handler that takes a JSON body, the router's too, reads
-// it here.
-func DecodeRequest(w http.ResponseWriter, r *http.Request, v any) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBytes)).Decode(v)
-	var tooBig *http.MaxBytesError
-	switch {
-	case err == nil:
-		return true
-	case errors.As(err, &tooBig):
-		WriteError(w, http.StatusRequestEntityTooLarge, "request body over %d bytes", tooBig.Limit)
-	default:
-		WriteError(w, http.StatusBadRequest, "bad request: %v", err)
-	}
-	return false
 }
 
 func (s *Server) nextID(prefix string) string {

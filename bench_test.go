@@ -351,29 +351,48 @@ func BenchmarkRawFetch(b *testing.B) {
 	}
 }
 
+// BenchmarkExternalSortPerEntry is the external sort's cost amortized per
+// entry, at about ten runs merged in one pass: of header-only records, and
+// of records that carry a 128-point series, as a materialized index's do.
 func BenchmarkExternalSortPerEntry(b *testing.B) {
-	// Sort cost amortized per entry at a fixed run shape.
-	const n = 20000
-	c := record.Codec{}
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		d := storage.NewDisk(0)
-		w, _ := storage.NewRecordWriter(d, "in", c.Size())
-		rng := rand.New(rand.NewSource(3))
-		buf := make([]byte, 0, c.Size())
-		for j := 0; j < n; j++ {
-			buf = buf[:0]
-			buf, _ = c.Append(buf, record.Entry{Key: sortable.Key{Hi: rng.Uint64(), Lo: rng.Uint64()}, ID: int64(j)})
-			w.Write(buf)
-		}
-		w.Close()
-		b.StartTimer()
-		s := &extsort.Sorter{Disk: d, Codec: c, MemBudget: 64 * 1024}
-		if _, err := s.Sort("in", n, "out"); err != nil {
-			b.Fatal(err)
-		}
+	for _, row := range []struct {
+		name      string
+		c         record.Codec
+		n, budget int
+	}{
+		{"header-only", record.Codec{}, 20000, 64 << 10},
+		{"materialized-128", record.Codec{SeriesLen: 128, Materialized: true}, 10000, 1 << 20},
+	} {
+		b.Run(row.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				d := storage.NewDisk(0)
+				w, _ := storage.NewRecordWriter(d, "in", row.c.Size())
+				rng := rand.New(rand.NewSource(3))
+				buf := make([]byte, 0, row.c.Size())
+				var payload series.Series
+				if row.c.Materialized {
+					payload = make(series.Series, row.c.SeriesLen)
+				}
+				for j := 0; j < row.n; j++ {
+					for k := range payload {
+						payload[k] = rng.NormFloat64()
+					}
+					e := record.Entry{Key: sortable.Key{Hi: rng.Uint64(), Lo: rng.Uint64()}, ID: int64(j), Payload: payload}
+					buf, _ = row.c.Append(buf[:0], e)
+					w.Write(buf)
+				}
+				w.Close()
+				b.StartTimer()
+				s := &extsort.Sorter{Disk: d, Codec: row.c, MemBudget: row.budget}
+				if _, err := s.Sort("in", int64(row.n), "out"); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.N*row.n)/b.Elapsed().Seconds(), "entries/s")
+		})
 	}
-	b.ReportMetric(float64(b.N*n)/b.Elapsed().Seconds(), "entries/s")
 }
 
 // --- Index-level benchmarks (one per core operation). ---

@@ -40,6 +40,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/gen"
+	"repro/internal/obs"
 	"repro/internal/server"
 )
 
@@ -322,8 +323,13 @@ func query(base string, args []string) error {
 // explainCmd runs one traced query and renders the execution trace —
 // per-kind probe/skip counts, candidate verification, pages released
 // undecoded, phase timings, per-query I/O — followed by the build's access
-// heat map.
+// heat map. Against a coconut-router, which keeps the nodes' traces on the
+// nodes and serves no heat map, it renders the router's fan-out trace.
 func explainCmd(base string, args []string) error {
+	return explain(os.Stdout, base, args)
+}
+
+func explain(w io.Writer, base string, args []string) error {
 	fs := flag.NewFlagSet("explain", flag.ExitOnError)
 	request := queryFlags(fs, "explain")
 	units := fs.Bool("units", false, "also list per-unit probe records (bounds per run/partition/leaf/shard)")
@@ -334,53 +340,66 @@ func explainCmd(base string, args []string) error {
 		return err
 	}
 	req.Trace = true
-	var out server.QueryResponse
+	var out struct {
+		server.QueryResponse
+		RouterTrace *cluster.RouterTrace `json:"router_trace"`
+	}
 	if err := call("POST", base+"/api/query", req, &out); err != nil {
 		return err
 	}
 	for i, r := range out.Results {
-		fmt.Printf("#%d id=%d ts=%d dist=%.6f\n", i+1, r.ID, r.TS, r.Dist)
+		fmt.Fprintf(w, "#%d id=%d ts=%d dist=%.6f\n", i+1, r.ID, r.TS, r.Dist)
 	}
-	tr := out.Trace
-	if tr == nil {
+	switch {
+	case out.Trace != nil:
+		printTrace(w, out.Trace, *units)
+	case out.RouterTrace != nil:
+		rt := out.RouterTrace
+		fmt.Fprintf(w, "\nrouter: calls=%d retries=%d hedges=%d cost=%.1f seq_io=%d rand_io=%d wall=%dus\n",
+			rt.Calls, rt.Retries, rt.Hedges, rt.Cost, rt.SeqIO, rt.RandIO, rt.WallMicros)
+		fmt.Fprintln(w, "(a router serves no node trace and no heat map: explain against a node to drill in)")
+		return nil
+	default:
 		return fmt.Errorf("explain: server returned no trace (older server?)")
 	}
-	fmt.Printf("\nmode=%s k=%d kernel=%s wall=%dus planned_skips=%d\n",
+	if !*noHeat {
+		fmt.Fprintln(w)
+		return heatmap(w, base, []string{"-build", req.Build})
+	}
+	return nil
+}
+
+// printTrace renders a node's query trace.
+func printTrace(w io.Writer, tr *obs.TraceSnapshot, units bool) {
+	fmt.Fprintf(w, "\nmode=%s k=%d kernel=%s wall=%dus planned_skips=%d\n",
 		tr.Mode, tr.K, tr.Kernel, tr.WallMicros, tr.PlannedSkips)
 	for _, kc := range tr.Kinds {
-		fmt.Printf("  %-10s probed=%-6d skipped=%d\n", kc.Kind, kc.Probed, kc.Skipped)
+		fmt.Fprintf(w, "  %-10s probed=%-6d skipped=%d\n", kc.Kind, kc.Probed, kc.Skipped)
 	}
 	c := tr.Candidates
-	fmt.Printf("candidates: seen=%d verified=%d abandoned=%d pruned=%d\n",
+	fmt.Fprintf(w, "candidates: seen=%d verified=%d abandoned=%d pruned=%d\n",
 		c.Seen, c.Verified, c.Abandoned, c.Pruned)
 	// Probed pages a tree's resident symbols pruned whole: read (they are
 	// in io below) but released without a byte of them decoded.
-	fmt.Printf("pages released undecoded: %d\n", tr.UndecodedPages)
+	fmt.Fprintf(w, "pages released undecoded: %d\n", tr.UndecodedPages)
 	for _, ph := range tr.Phases {
-		fmt.Printf("  phase %-8s %dus\n", ph.Name, ph.Micros)
+		fmt.Fprintf(w, "  phase %-8s %dus\n", ph.Name, ph.Micros)
 	}
-	io := tr.IO
-	fmt.Printf("io: seq_r=%d rand_r=%d seq_w=%d rand_w=%d cache_hit=%d cache_miss=%d cost=%.1f\n",
-		io.SeqReads, io.RandReads, io.SeqWrites, io.RandWrites, io.CacheHits, io.CacheMisses, io.Cost)
-	if *units {
+	x := tr.IO
+	fmt.Fprintf(w, "io: seq_r=%d rand_r=%d seq_w=%d rand_w=%d cache_hit=%d cache_miss=%d cost=%.1f\n",
+		x.SeqReads, x.RandReads, x.SeqWrites, x.RandWrites, x.CacheHits, x.CacheMisses, x.Cost)
+	if units {
 		for _, u := range tr.Units {
 			state := "probe"
 			if u.Skipped {
 				state = "skip"
 			}
-			fmt.Printf("  unit %-10s idx=%-5d bound_sq=%-12.4f %s\n", u.Kind, u.Idx, u.BoundSq, state)
+			fmt.Fprintf(w, "  unit %-10s idx=%-5d bound_sq=%-12.4f %s\n", u.Kind, u.Idx, u.BoundSq, state)
 		}
 		if tr.UnitsTruncated > 0 {
-			fmt.Printf("  ... %d more units (detail capped)\n", tr.UnitsTruncated)
+			fmt.Fprintf(w, "  ... %d more units (detail capped)\n", tr.UnitsTruncated)
 		}
 	}
-	if !*noHeat {
-		fmt.Println()
-		if err := heatmapCmd(base, []string{"-build", req.Build}); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // templates are the series patterns insert and query draw from: a
@@ -457,6 +476,10 @@ func recommend(base string, args []string) error {
 }
 
 func heatmapCmd(base string, args []string) error {
+	return heatmap(os.Stdout, base, args)
+}
+
+func heatmap(w io.Writer, base string, args []string) error {
 	fs := flag.NewFlagSet("heatmap", flag.ExitOnError)
 	buildID := fs.String("build", "", "build id (required)")
 	fs.Parse(args)
@@ -468,9 +491,9 @@ func heatmapCmd(base string, args []string) error {
 		return err
 	}
 	for _, line := range out.ASCII {
-		fmt.Println(line)
+		fmt.Fprintln(w, line)
 	}
-	fmt.Printf("accesses=%d seq_frac=%.2f avg_jump=%.1f file_swaps=%d write_share=%.2f\n",
+	fmt.Fprintf(w, "accesses=%d seq_frac=%.2f avg_jump=%.1f file_swaps=%d write_share=%.2f\n",
 		out.Jumps.Accesses, out.Jumps.SeqFrac, out.Jumps.AvgJump, out.Jumps.FileSwaps, out.Jumps.WriteShare)
 	return nil
 }

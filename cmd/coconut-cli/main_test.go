@@ -111,3 +111,44 @@ func TestSeriesLengthFromRouter(t *testing.T) {
 		t.Fatalf("insert: %v", err)
 	}
 }
+
+// TestExplainAgainstRouter: against a coconut-router, explain renders the
+// router's fan-out trace, and skips the heat map, which a router does not
+// serve; against the node it renders the node's trace and heat map.
+func TestExplainAgainstRouter(t *testing.T) {
+	node := httptest.NewServer(server.New().Handler())
+	defer node.Close()
+	var d server.DatasetResponse
+	if err := call("POST", node.URL+"/api/datasets", server.DatasetRequest{Kind: "randomwalk", N: 64, Len: 128, Seed: 3}, &d); err != nil {
+		t.Fatal(err)
+	}
+	var b server.BuildResponse
+	if err := call("POST", node.URL+"/api/build", server.BuildRequest{Dataset: d.ID, Variant: "CTreeFull", ClusterShards: 1, NodeShards: []int{0}}, &b); err != nil {
+		t.Fatal(err)
+	}
+	r, err := cluster.New(cluster.Topology{Shards: 1, SeriesLen: 128, Nodes: []cluster.Node{
+		{Name: "a", URL: node.URL, Build: b.ID, Shards: []int{0}},
+	}}, cluster.Options{Timeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	router := httptest.NewServer(r.Handler())
+	defer router.Close()
+
+	var out strings.Builder
+	if err := explain(&out, router.URL, []string{"-build", b.ID, "-exact", "-k", "3"}); err != nil {
+		t.Fatalf("explain against the router: %v", err)
+	}
+	if got := out.String(); !strings.Contains(got, "#3 id=") || !strings.Contains(got, "router: calls=1 retries=0 hedges=0") ||
+		strings.Contains(got, "accesses=") {
+		t.Fatalf("explain against the router printed:\n%s", got)
+	}
+	out.Reset()
+	if err := explain(&out, node.URL, []string{"-build", b.ID, "-exact", "-k", "3"}); err != nil {
+		t.Fatalf("explain against the node: %v", err)
+	}
+	if got := out.String(); !strings.Contains(got, "candidates: seen=") || !strings.Contains(got, "accesses=") {
+		t.Fatalf("explain against the node printed:\n%s", got)
+	}
+}

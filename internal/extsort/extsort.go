@@ -16,14 +16,16 @@
 package extsort
 
 import (
+	"cmp"
 	"container/heap"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/parallel"
 	"repro/internal/record"
+	"repro/internal/sortable"
 	"repro/internal/storage"
 )
 
@@ -90,12 +92,12 @@ func (s *Sorter) Sort(input string, count int64, output string) (passes int, err
 	}
 	if count <= int64(bufEntries) {
 		// The input fits the budget: the one sorted buffer is the output.
-		entries, err := s.fill(reader, make([]record.Entry, 0, count))
-		if err != nil {
+		b := s.newRunBuffer(int(count))
+		if err := b.fill(reader); err != nil {
 			return 0, err
 		}
-		sortBuffer(entries)
-		return 0, s.WriteRun(output, entries)
+		b.sort()
+		return 0, s.writeBuffer(output, b, s.Output)
 	}
 	var runs []Input
 	if workers == 1 {
@@ -166,53 +168,99 @@ func (s *Sorter) workers() int {
 	return s.Parallelism
 }
 
-func sortBuffer(entries []record.Entry) {
-	sort.Slice(entries, func(i, j int) bool { return entries[i].Less(entries[j]) })
+// runBuffer is phase 1's working memory: whole records, in input order, in
+// one arena, and the index that sorts them, which moves a slot of key, ID
+// and offset instead of a record. Nothing in phase 1 decodes a payload.
+type runBuffer struct {
+	arena []byte
+	index []slot
+	size  int // bytes per record
 }
 
-// fill appends decoded entries from r to buf up to its capacity, each with
-// a payload of its own; it stops short only at the end of the input.
-func (s *Sorter) fill(r *record.Reader, buf []record.Entry) ([]record.Entry, error) {
-	for len(buf) < cap(buf) {
-		e, err := r.Next(nil)
+// slot is one buffered record: its (Key, ID) order, and where it starts in
+// the arena.
+type slot struct {
+	key sortable.Key
+	id  int64
+	off int
+}
+
+// newRunBuffer returns an empty buffer with room for entries records.
+func (s *Sorter) newRunBuffer(entries int) *runBuffer {
+	size := s.Codec.Size()
+	return &runBuffer{arena: make([]byte, 0, entries*size), index: make([]slot, 0, entries), size: size}
+}
+
+// fill empties the buffer and reads records from r into it until it is
+// full; it stops short only at the end of the input.
+func (b *runBuffer) fill(r *record.Reader) error {
+	b.arena, b.index = b.arena[:0], b.index[:0]
+	for len(b.index) < cap(b.index) {
+		rec, err := r.NextRecord()
 		if err == io.EOF {
-			break
+			return nil
 		}
 		if err != nil {
-			return buf, err
+			return err
 		}
-		buf = append(buf, e)
+		b.index = append(b.index, slot{key: rec.Key(), id: rec.ID(), off: len(b.arena)})
+		b.arena = append(b.arena, rec...)
 	}
-	return buf, nil
+	return nil
+}
+
+// sort orders the index by (Key, ID).
+func (b *runBuffer) sort() {
+	slices.SortFunc(b.index, func(x, y slot) int {
+		if c := x.key.Compare(y.key); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.id, y.id)
+	})
+}
+
+// writeBuffer writes the buffered records, in the index's order, to a new
+// file as out describes it.
+func (s *Sorter) writeBuffer(name string, b *runBuffer, out Output) error {
+	w, err := s.create(name, out, storage.DefaultBufferPages)
+	if err != nil {
+		return err
+	}
+	for _, sl := range b.index {
+		if err = w.write(sl.key, sl.id, b.arena[sl.off:sl.off+b.size]); err != nil {
+			break
+		}
+	}
+	return w.finish(err)
 }
 
 // sortRunsSerial is the classic phase 1: fill one bounded buffer, sort it,
 // write it out, repeat. Like sortRunsParallel it returns the runs it wrote
 // even when it fails, for Sort to remove.
 func (s *Sorter) sortRunsSerial(reader *record.Reader, bufEntries int) (runs []Input, err error) {
-	entries := make([]record.Entry, 0, bufEntries)
+	b := s.newRunBuffer(bufEntries)
 	for {
-		if entries, err = s.fill(reader, entries[:0]); err != nil || len(entries) == 0 {
+		if err = b.fill(reader); err != nil || len(b.index) == 0 {
 			return runs, err
 		}
-		sortBuffer(entries)
+		b.sort()
 		name := s.tmpName(0, len(runs))
-		if err := s.write(name, entries, Output{}); err != nil {
+		if err := s.writeBuffer(name, b, Output{}); err != nil {
 			return runs, err
 		}
-		runs = append(runs, Input{Name: name, Count: int64(len(entries))})
+		runs = append(runs, Input{Name: name, Count: int64(len(b.index))})
 	}
 }
 
 // sortRunsParallel is phase 1 as a three-stage pipeline: this goroutine
-// streams the input and batches entries, workers sort batches, and a writer
+// streams the input and batches records, workers sort batches, and a writer
 // goroutine streams completed runs to disk strictly in batch order, so
 // sorting CPU overlaps run-writing I/O and the write stream stays
 // single-headed.
 func (s *Sorter) sortRunsParallel(reader *record.Reader, bufEntries, workers int) ([]Input, error) {
 	type batch struct {
-		idx     int
-		entries []record.Entry
+		idx int
+		buf *runBuffer
 	}
 	sortCh := make(chan batch, workers)
 	writeCh := make(chan batch, workers)
@@ -222,7 +270,7 @@ func (s *Sorter) sortRunsParallel(reader *record.Reader, bufEntries, workers int
 		go func() {
 			defer wg.Done()
 			for b := range sortCh {
-				sortBuffer(b.entries)
+				b.buf.sort()
 				writeCh <- b
 			}
 		}()
@@ -234,18 +282,18 @@ func (s *Sorter) sortRunsParallel(reader *record.Reader, bufEntries, workers int
 	)
 	go func() {
 		defer close(writerDn)
-		pending := make(map[int][]record.Entry)
+		pending := make(map[int]*runBuffer)
 		next := 0
 		for b := range writeCh {
-			pending[b.idx] = b.entries
-			for entries, ok := pending[next]; ok; entries, ok = pending[next] {
+			pending[b.idx] = b.buf
+			for buf, ok := pending[next]; ok; buf, ok = pending[next] {
 				delete(pending, next)
 				if writerErr == nil {
 					name := s.tmpName(0, next)
-					if err := s.write(name, entries, Output{}); err != nil {
+					if err := s.writeBuffer(name, buf, Output{}); err != nil {
 						writerErr = err
 					} else {
-						runs = append(runs, Input{Name: name, Count: int64(len(entries))})
+						runs = append(runs, Input{Name: name, Count: int64(len(buf.index))})
 					}
 				}
 				next++
@@ -254,12 +302,11 @@ func (s *Sorter) sortRunsParallel(reader *record.Reader, bufEntries, workers int
 	}()
 	var readErr error
 	for idx := 0; ; idx++ {
-		var entries []record.Entry
-		entries, readErr = s.fill(reader, make([]record.Entry, 0, bufEntries))
-		if readErr != nil || len(entries) == 0 {
+		buf := s.newRunBuffer(bufEntries)
+		if readErr = buf.fill(reader); readErr != nil || len(buf.index) == 0 {
 			break
 		}
-		sortCh <- batch{idx: idx, entries: entries}
+		sortCh <- batch{idx: idx, buf: buf}
 	}
 	close(sortCh)
 	wg.Wait()
@@ -282,18 +329,17 @@ type Input struct {
 }
 
 // Observer sees every entry Sort, WriteRun or Merge appends to its output, in
-// file order and after the append has succeeded, with whether the entry is
-// the first of a page. It is how the owner of a sorted file derives what it
-// keeps about the file — statistics, resident summaries, a leaf directory —
-// from the one pass that writes it. The entry's payload is only valid during
-// the call.
-type Observer func(e record.Entry, pageStart bool)
+// file order and after the append has succeeded, by its key, ID and
+// timestamp, with whether the entry is the first of a page. It is how the
+// owner of a sorted file derives what it keeps about the file — statistics,
+// resident summaries, a leaf directory — from the one pass that writes it.
+type Observer func(key sortable.Key, id, ts int64, pageStart bool)
 
-// entryWriter is a record.Writer into a new file as an Output describes it,
-// which tells the Output's observer of every entry. A failed append or
+// recordWriter is a record.Writer into a new file as an Output describes
+// it, which tells the Output's observer of every entry. A failed append or
 // close removes the partial file: nothing references it, and it would
 // otherwise sit on the disk, counted in TotalPages.
-type entryWriter struct {
+type recordWriter struct {
 	*record.Writer
 	s    *Sorter
 	name string
@@ -302,7 +348,7 @@ type entryWriter struct {
 
 // create makes the file (which must not exist) with a write-behind buffer
 // of chunkPages pages (record.Layout.StreamPages).
-func (s *Sorter) create(name string, out Output, chunkPages int) (*entryWriter, error) {
+func (s *Sorter) create(name string, out Output, chunkPages int) (*recordWriter, error) {
 	l, err := record.NewLayout(s.Codec, s.Disk.PageSize(), false)
 	if err != nil {
 		return nil, err
@@ -311,21 +357,22 @@ func (s *Sorter) create(name string, out Output, chunkPages int) (*entryWriter, 
 	if err != nil {
 		return nil, err
 	}
-	return &entryWriter{Writer: w, s: s, name: name, obs: out.Observer}, nil
+	return &recordWriter{Writer: w, s: s, name: name, obs: out.Observer}, nil
 }
 
-// write appends one entry and tells the observer.
-func (w *entryWriter) write(e record.Entry) error {
-	pageStart, err := w.Write(e)
+// write appends one record, whose key and ID the caller has read, and tells
+// the observer.
+func (w *recordWriter) write(key sortable.Key, id int64, rec record.Record) error {
+	pageStart, err := w.WriteRecord(rec)
 	if err == nil && w.obs != nil {
-		w.obs(e, pageStart)
+		w.obs(key, id, rec.TS(), pageStart)
 	}
 	return err
 }
 
 // finish closes the file when err is nil; on any failure — the caller's err
 // or the close's own — it removes the partial file and returns the error.
-func (w *entryWriter) finish(err error) error {
+func (w *recordWriter) finish(err error) error {
 	if err == nil {
 		err = w.Close()
 	}
@@ -338,17 +385,17 @@ func (w *entryWriter) finish(err error) error {
 // WriteRun writes entries, already in (Key, ID) order, to a new file as the
 // sorter's Output describes it.
 func (s *Sorter) WriteRun(name string, entries []record.Entry) error {
-	return s.write(name, entries, s.Output)
-}
-
-func (s *Sorter) write(name string, entries []record.Entry, out Output) error {
-	w, err := s.create(name, out, storage.DefaultBufferPages)
+	w, err := s.create(name, s.Output, storage.DefaultBufferPages)
 	if err != nil {
 		return err
 	}
 	for _, e := range entries {
-		if err = w.write(e); err != nil {
+		var pageStart bool
+		if pageStart, err = w.Write(e); err != nil {
 			break
+		}
+		if w.obs != nil {
+			w.obs(e.Key, e.ID, e.TS, pageStart)
 		}
 	}
 	return w.finish(err)
@@ -367,24 +414,31 @@ func (s *Sorter) Merge(inputs []Input, output string) (int64, error) {
 // per-input read-ahead buffers plus a write-behind buffer, so each stream
 // moves the head once per chunk — the I/O discipline that makes external
 // merging sequential (packed streams keep their own fixed chunk, see
-// record.Layout.StreamPages). A source holds one entry at a time, written
-// before the source advances, so each decodes every payload into the
-// buffer of the entry before: the loop allocates nothing per entry.
+// record.Layout.StreamPages). A source holds one record at a time, written
+// before the source advances, so records move from page to page verbatim:
+// the loop decodes no payload and allocates nothing per entry.
 func (s *Sorter) merge(inputs []Input, output string, out Output, budget int) (int64, error) {
 	bufPages := max(1, budget/s.Disk.PageSize()/(len(inputs)+1))
 	w, err := s.create(output, out, bufPages)
 	if err != nil {
 		return 0, err
 	}
-	srcs := make([]*mergeSource, len(inputs))
+	h := &mergeHeap{items: make([]*source, 0, len(inputs))}
 	for i, in := range inputs {
-		src, err := s.open(in, bufPages)
+		r, err := s.open(in, bufPages)
 		if err != nil {
 			return 0, w.finish(err)
 		}
-		srcs[i] = &mergeSource{src: src, idx: i}
+		src := &source{r: r, idx: i}
+		ok, err := src.advance()
+		if err != nil {
+			return 0, w.finish(err)
+		}
+		if ok {
+			h.items = append(h.items, src)
+		}
 	}
-	total, err := mergeLoop(srcs, w.write)
+	total, err := h.drain(w.write)
 	return total, w.finish(err)
 }
 
@@ -402,24 +456,44 @@ func (s *Sorter) open(in Input, width int) (*record.Reader, error) {
 	return l.NewReader(storage.ScanChunks(s.Disk, in.Name, 0, npages, l.StreamPages(width)), npages, in.Name, in.Count)
 }
 
-// mergeLoop drains the sources through the tournament heap in (Key, ID)
-// order, invoking write on every entry. It returns the entry count.
-func mergeLoop(srcs []*mergeSource, write func(record.Entry) error) (int64, error) {
-	h := &mergeHeap{}
-	for _, src := range srcs {
-		ok, err := src.advance()
-		if err != nil {
-			return 0, err
-		}
-		if ok {
-			h.items = append(h.items, src)
-		}
+// source is one input of a merge: its reader, and the record it holds with
+// that record's key and ID.
+type source struct {
+	r   *record.Reader
+	key sortable.Key
+	id  int64
+	rec record.Record
+	idx int
+}
+
+// advance moves the source to its next record, and reports whether it had
+// one.
+func (m *source) advance() (bool, error) {
+	rec, err := m.r.NextRecord()
+	if err == io.EOF {
+		return false, nil
 	}
+	if err != nil {
+		return false, err
+	}
+	m.key, m.id, m.rec = rec.Key(), rec.ID(), rec
+	return true, nil
+}
+
+// mergeHeap is the tournament over the sources' current records, in
+// (Key, ID) order and, between equal records, in input order.
+type mergeHeap struct {
+	items []*source
+}
+
+// drain writes every record of every source through the heap in order,
+// and returns the count.
+func (h *mergeHeap) drain(write func(sortable.Key, int64, record.Record) error) (int64, error) {
 	heap.Init(h)
 	var total int64
 	for h.Len() > 0 {
 		src := h.items[0]
-		if err := write(src.cur); err != nil {
+		if err := write(src.key, src.id, src.rec); err != nil {
 			return total, err
 		}
 		total++
@@ -436,41 +510,19 @@ func mergeLoop(srcs []*mergeSource, write func(record.Entry) error) (int64, erro
 	return total, nil
 }
 
-type mergeSource struct {
-	src *record.Reader
-	cur record.Entry
-	idx int
-}
-
-func (m *mergeSource) advance() (bool, error) {
-	e, err := m.src.Next(m.cur.Payload)
-	if err == io.EOF {
-		return false, nil
-	}
-	if err != nil {
-		return false, err
-	}
-	m.cur = e
-	return true, nil
-}
-
-type mergeHeap struct {
-	items []*mergeSource
-}
-
 func (h *mergeHeap) Len() int { return len(h.items) }
 func (h *mergeHeap) Less(i, j int) bool {
 	a, b := h.items[i], h.items[j]
-	if a.cur.Less(b.cur) {
-		return true
+	if c := a.key.Compare(b.key); c != 0 {
+		return c < 0
 	}
-	if b.cur.Less(a.cur) {
-		return false
+	if a.id != b.id {
+		return a.id < b.id
 	}
 	return a.idx < b.idx // stable across sources
 }
 func (h *mergeHeap) Swap(i, j int) { h.items[i], h.items[j] = h.items[j], h.items[i] }
-func (h *mergeHeap) Push(x any)    { h.items = append(h.items, x.(*mergeSource)) }
+func (h *mergeHeap) Push(x any)    { h.items = append(h.items, x.(*source)) }
 func (h *mergeHeap) Pop() any {
 	old := h.items
 	n := len(old)

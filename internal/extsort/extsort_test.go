@@ -489,8 +489,8 @@ func TestSortOutputDescription(t *testing.T) {
 					}
 					var got []seen
 					s := &Sorter{Disk: d, Codec: c, MemBudget: bufEntries * c.Size(), Parallelism: par,
-						Output: Output{Fill: fill, Observer: func(e record.Entry, pageStart bool) {
-							got = append(got, seen{e.ID, pageStart})
+						Output: Output{Fill: fill, Observer: func(_ sortable.Key, id, _ int64, pageStart bool) {
+							got = append(got, seen{id, pageStart})
 						}}}
 					passes, err := s.Sort("in", int64(n), "out")
 					if err != nil {
@@ -524,5 +524,76 @@ func TestSortOutputDescription(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestSortDoesNotAllocatePerEntry pins phase 1's and phase 2's cost on
+// materialized entries: records move from page to buffer to page verbatim,
+// so a sort of several runs, serial or on workers, allocates per run file
+// and per page it writes (the simulated disk allocates each page it
+// stores), never per entry — and the output is the input sorted, payloads
+// and all.
+func TestSortDoesNotAllocatePerEntry(t *testing.T) {
+	const n, bufEntries = 2400, 300
+	c := record.Codec{SeriesLen: 16, Materialized: true}
+	for _, par := range []int{0, 2} {
+		t.Run(fmt.Sprintf("par=%d", par), func(t *testing.T) {
+			d := storage.NewDisk(4096) // 25 entries to a page
+			rng := rand.New(rand.NewSource(9))
+			w, err := storage.NewRecordWriter(d, "in", c.Size())
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := make([]record.Entry, n)
+			for i := range want {
+				p := make(series.Series, c.SeriesLen)
+				for k := range p {
+					p[k] = rng.NormFloat64()
+				}
+				want[i] = record.Entry{Key: sortable.Key{Hi: rng.Uint64() >> 54}, ID: int64(i), TS: int64(i % 7), Payload: p}
+				buf, err := c.Encode(want[i])
+				if err == nil {
+					err = w.Write(buf)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			sortEntries(want)
+			s := &Sorter{Disk: d, Codec: c, MemBudget: bufEntries * c.Size(), Parallelism: par}
+			var passes int
+			sort := func() {
+				if passes, err = s.Sort("in", n, "out"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			sort()
+			if passes < 1 {
+				t.Fatalf("%d entries sorted in memory, want runs", n)
+			}
+			got := readAll(t, d, "out", c, n)
+			assertEntries(t, "sorted", got, want)
+			for i := range want {
+				if !slices.Equal(got[i].Payload, want[i].Payload) {
+					t.Fatalf("entry %d's payload changed in the sort", i)
+				}
+			}
+			before := d.Stats()
+			allocs := testing.AllocsPerRun(3, func() {
+				if err := d.Remove("out"); err != nil {
+					t.Fatal(err)
+				}
+				sort()
+			})
+			pages := float64(d.Stats().Sub(before).Writes()) / 4 // AllocsPerRun runs the sort once more
+			runs := (n + bufEntries/max(1, par) - 1) / (bufEntries / max(1, par))
+			if perRun := (allocs - pages) / float64(runs); perRun > 40 {
+				t.Errorf("%.0f allocations beside %.0f pages written to sort %d entries in %d runs: %.0f a run, want a few, none per entry",
+					allocs, pages, n, runs, perRun)
+			}
+		})
 	}
 }

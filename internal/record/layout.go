@@ -195,16 +195,19 @@ func (p *PageView) entryInto(i int, payload series.Series) (Entry, error) {
 }
 
 // Writer appends entries, in (Key, ID) order, to a new fixed-size file,
-// and is the only code that decides where a page of one ends. Completed
-// pages accumulate in a write-behind chunk flushed with one multi-page
-// append; Close writes the last page and flushes.
+// and is the only code that decides where a page of one ends. Records are
+// laid straight into a write-behind chunk of pages, flushed with one
+// multi-page append; Close flushes the last, partial page.
 type Writer struct {
-	disk   PageAppender
-	name   string
-	b      *PageBuilder
-	chunk  []byte
-	fillAt int // entries at which a page closes, no more than a page holds
-	closed bool
+	disk     PageAppender
+	name     string
+	codec    Codec
+	pageSize int
+	rec      Record // Write's encoding of its entry
+	chunk    []byte
+	n        int // records on the chunk's last page; 0: no page open
+	fillAt   int // records at which a page closes, no more than a page holds
+	closed   bool
 }
 
 // Create creates the file (which must not exist) and returns a writer of
@@ -227,41 +230,46 @@ func (l *Layout) Create(d PageAppender, name string, fill float64, chunkPages in
 	if err := d.Create(name); err != nil {
 		return nil, err
 	}
-	return &Writer{disk: d, name: name, b: l.Builder(), fillAt: max(1, int(float64(l.perPage)*fill)),
-		chunk: make([]byte, 0, l.StreamPages(chunkPages)*l.pageSize)}, nil
+	return &Writer{disk: d, name: name, codec: l.codec, pageSize: l.pageSize,
+		fillAt: max(1, int(float64(l.perPage)*fill)),
+		chunk:  make([]byte, 0, l.StreamPages(chunkPages)*l.pageSize)}, nil
 }
 
 // Write appends one entry, closes the page it completes at the writer's
 // fill, and reports whether the entry opened a page.
 func (w *Writer) Write(e Entry) (pageStart bool, err error) {
+	rec, err := w.codec.Append(w.rec[:0], e)
+	if err != nil {
+		return false, err
+	}
+	w.rec = rec
+	return w.WriteRecord(rec)
+}
+
+// WriteRecord appends one record verbatim, as Write appends the entry it
+// encodes: it closes the page it completes and reports whether it opened
+// one.
+func (w *Writer) WriteRecord(rec Record) (pageStart bool, err error) {
 	if w.closed {
 		return false, fmt.Errorf("record: write to closed writer %q", w.name)
 	}
-	// The page closes at fillAt entries, so the builder never finds it full.
-	if _, err := w.b.TryAdd(e); err != nil {
-		return false, err
+	size := w.codec.Size()
+	if len(rec) != size {
+		return false, fmt.Errorf("record: record of %d bytes, want %d", len(rec), size)
 	}
-	if pageStart = w.b.Count() == 1; w.b.Count() == w.fillAt {
-		err = w.endPage()
+	if pageStart = w.n == 0; pageStart {
+		n := len(w.chunk)
+		w.chunk = w.chunk[:n+w.pageSize]
+		clear(w.chunk[n:])
+	}
+	copy(w.chunk[len(w.chunk)-w.pageSize+w.n*size:], rec)
+	if w.n++; w.n == w.fillAt {
+		w.n = 0
+		if len(w.chunk) == cap(w.chunk) {
+			err = w.flush()
+		}
 	}
 	return pageStart, err
-}
-
-// endPage renders the staged entries as the next page of the chunk, and
-// flushes the chunk once it is full.
-func (w *Writer) endPage() error {
-	if w.b.Count() == 0 {
-		return nil
-	}
-	n := len(w.chunk)
-	w.chunk = w.chunk[:n+w.b.pageSize]
-	if _, err := w.b.Encode(w.chunk[n:]); err != nil {
-		return err
-	}
-	if len(w.chunk) == cap(w.chunk) {
-		return w.flush()
-	}
-	return nil
 }
 
 func (w *Writer) flush() error {
@@ -275,31 +283,30 @@ func (w *Writer) flush() error {
 	return nil
 }
 
-// Close writes the last, partial page and flushes. The entry count is then
-// the caller's to keep (files carry no header).
+// Close flushes the pages written, the last one partial or not. The entry
+// count is then the caller's to keep (files carry no header).
 func (w *Writer) Close() error {
 	if w.closed {
 		return nil
 	}
-	w.closed = true
-	if err := w.endPage(); err != nil {
-		return err
-	}
+	w.closed, w.n = true, 0
 	return w.flush()
 }
 
 // Reader streams the entries of a file of a layout written at full pages,
 // in file order, over a page cursor.
 type Reader struct {
-	l      Layout
-	pages  PageCursor
-	name   string
-	npages int64
-	next   int64 // next page to pin
-	count  int64
-	read   int64
-	page   PageView // the page being read
-	idx    int      // next entry on it
+	l       Layout
+	pages   PageCursor
+	name    string
+	npages  int64
+	next    int64 // next page to pin
+	count   int64
+	read    int64
+	page    PageView      // the page being read
+	idx     int           // next entry on it
+	rec     Record        // a packed file's current record, re-encoded
+	payload series.Series // a packed file's current payload, decoded
 }
 
 // NewReader returns a reader of the count entries of the named file, whose
@@ -316,26 +323,11 @@ func (l *Layout) NewReader(pages PageCursor, npages int64, name string, count in
 }
 
 // Next returns the next entry, or io.EOF after the last. Its payload is
-// decoded into payload when that has the capacity for it — a merge hands
-// back the payload of the entry it has just written — and into a fresh
+// decoded into payload when that has the capacity for it, and into a fresh
 // slice otherwise.
 func (r *Reader) Next(payload series.Series) (Entry, error) {
-	if r.read >= r.count {
-		return Entry{}, io.EOF
-	}
-	if r.idx == r.page.n {
-		if r.next >= r.npages {
-			return Entry{}, fmt.Errorf("record: file %q exhausted after %d of %d entries", r.name, r.read, r.count)
-		}
-		data, err := r.pages.Pin(r.next)
-		if err != nil {
-			return Entry{}, err
-		}
-		if err := r.l.NextPage(&r.page, data, r.count-r.read); err != nil {
-			r.page = PageView{}
-			return Entry{}, fmt.Errorf("record: %s page %d: %w", r.name, r.next, err)
-		}
-		r.next, r.idx = r.next+1, 0
+	if err := r.advance(); err != nil {
+		return Entry{}, err
 	}
 	e, err := r.page.entryInto(r.idx, payload)
 	if err != nil {
@@ -344,4 +336,56 @@ func (r *Reader) Next(payload series.Series) (Entry, error) {
 	r.idx++
 	r.read++
 	return e, nil
+}
+
+// NextRecord returns the next entry's record, or io.EOF after the last. A
+// fixed-size file's record aliases the page the cursor pinned; a packed
+// file's entry is decoded and re-encoded into buffers of the reader's.
+// Either way the record is valid until the next call.
+func (r *Reader) NextRecord() (Record, error) {
+	if err := r.advance(); err != nil {
+		return nil, err
+	}
+	var rec Record
+	if r.page.packed {
+		e, err := r.page.view.EntryInto(r.idx, r.l.codec, r.payload)
+		if err != nil {
+			return nil, err
+		}
+		r.payload = e.Payload
+		if r.rec, err = r.l.codec.Append(r.rec[:0], e); err != nil {
+			return nil, err
+		}
+		rec = r.rec
+	} else {
+		size := r.l.codec.Size()
+		rec = r.page.data[r.idx*size : (r.idx+1)*size]
+	}
+	r.idx++
+	r.read++
+	return rec, nil
+}
+
+// advance makes the page being read one with an entry left to read, pinning
+// the next page when this one is done, or returns io.EOF after the last.
+func (r *Reader) advance() error {
+	if r.read >= r.count {
+		return io.EOF
+	}
+	if r.idx < r.page.n {
+		return nil
+	}
+	if r.next >= r.npages {
+		return fmt.Errorf("record: file %q exhausted after %d of %d entries", r.name, r.read, r.count)
+	}
+	data, err := r.pages.Pin(r.next)
+	if err != nil {
+		return err
+	}
+	if err := r.l.NextPage(&r.page, data, r.count-r.read); err != nil {
+		r.page = PageView{}
+		return fmt.Errorf("record: %s page %d: %w", r.name, r.next, err)
+	}
+	r.next, r.idx = r.next+1, 0
+	return nil
 }

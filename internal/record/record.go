@@ -10,10 +10,11 @@
 // header, so whoever names a file keeps its entry count and its encoding.
 // A Layout is that encoding at one page size, and the package is the only
 // code that knows how either is written, streamed or decoded: a Layout's
-// Writer lays entries into the pages of a new file, its Reader streams them
-// back, its PageView decodes one page — for the query loop too, which reads
-// a stored page's keys, IDs, timestamps and payload bytes through one — and
-// its PageBuilder encodes one. The page-device surfaces a Writer and a
+// Writer lays entries, or their fixed-size Records verbatim, into the pages
+// of a new file, its Reader streams them back as either, its PageView
+// decodes one page — for the query loop too, which reads a stored page's
+// keys, IDs, timestamps and payload bytes through one — and its PageBuilder
+// encodes one. The page-device surfaces a Writer and a
 // Reader need (PageAppender, PageCursor) are what storage.Backend and
 // storage.Cursor provide, so the package stays free of a storage
 // dependency.
@@ -107,6 +108,21 @@ func (c Codec) payloadBuf(buf series.Series) series.Series {
 	}
 	return buf[:c.SeriesLen]
 }
+
+// Record is one entry's fixed-size encoding, as a Codec appends it: key, ID,
+// timestamp and, in a materialized codec, the payload verbatim. Its
+// accessors read the header without decoding the payload, which is how an
+// external sort orders and moves entries.
+type Record []byte
+
+// Key returns the record's sortable key.
+func (r Record) Key() sortable.Key { return sortable.DecodeKey(r) }
+
+// ID returns the record's series ID.
+func (r Record) ID() int64 { return decodeID(r) }
+
+// TS returns the record's timestamp.
+func (r Record) TS() int64 { return decodeTS(r) }
 
 // decodeID extracts just the series ID from a fixed-size record.
 func decodeID(buf []byte) int64 {

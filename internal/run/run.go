@@ -165,7 +165,7 @@ func (s *Store) Load(r Run, counts []int, pageOf []int64) (Run, error) {
 			return Run{}, fmt.Errorf("run: %s page %d: %w", r.File, phys, err)
 		}
 		for i := 0; i < pg.Count(); i++ {
-			b.Observe(record.Entry{Key: pg.Key(i), TS: pg.TS(i)}, i == 0)
+			b.Observe(pg.Key(i), pg.ID(i), pg.TS(i), i == 0)
 		}
 		seen += int64(pg.Count())
 	}

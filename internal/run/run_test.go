@@ -764,7 +764,7 @@ func writeRun(s Store, name string, entries []record.Entry, packed bool) (Run, e
 	for i := 0; err == nil && i < len(entries); {
 		for from, ok := i, true; err == nil && ok && i < len(entries); {
 			if ok, err = pb.TryAdd(entries[i]); ok {
-				b.Observe(entries[i], i == from)
+				b.Observe(entries[i].Key, entries[i].ID, entries[i].TS, i == from)
 				i++
 			}
 		}

@@ -160,12 +160,13 @@ func NewBuilder(cfg index.Config, count int64, perPage int) *Builder {
 		syms: make([]uint8, 0, int(count)*w), ts: make([]int64, 0, count), syn: zonestat.New(w, cfg.Bits)}
 }
 
-// Observe takes the next entry of the file, which opens a page if pageStart.
-func (b *Builder) Observe(e record.Entry, pageStart bool) {
+// Observe takes the next entry of the file by its key and timestamp (its ID
+// is no part of a summary), the entry opening a page if pageStart.
+func (b *Builder) Observe(key sortable.Key, _, ts int64, pageStart bool) {
 	m := &b.m
-	arr := sortable.Symbols(e.Key, m.segs, m.bits)
+	arr := sortable.Symbols(key, m.segs, m.bits)
 	syms := arr[:m.segs]
-	b.syn.AddSyms(syms, e.TS)
+	b.syn.AddSyms(syms, ts)
 	if pageStart {
 		m.cnt = append(m.cnt, 0)
 		m.envMin = append(m.envMin, syms...)
@@ -176,7 +177,7 @@ func (b *Builder) Observe(e record.Entry, pageStart bool) {
 	}
 	m.cnt[len(m.cnt)-1]++
 	b.syms = append(b.syms, syms...)
-	b.ts = append(b.ts, e.TS)
+	b.ts = append(b.ts, ts)
 }
 
 // Run returns the descriptor of the fixed-size file the builder has watched

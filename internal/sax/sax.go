@@ -13,6 +13,7 @@ package sax
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/series"
 )
@@ -27,25 +28,39 @@ const MaxBits = 8
 // afterwards, so concurrent searches may call Breakpoints freely. Callers
 // must not modify the returned slice.
 func Breakpoints(cardinality int) []float64 {
-	if cardinality < 2 || cardinality > 1<<MaxBits {
-		panic(fmt.Sprintf("sax: cardinality %d out of range [2,%d]", cardinality, 1<<MaxBits))
-	}
+	checkCardinality(cardinality)
 	return bpCache[cardinality]
 }
 
+func checkCardinality(c int) {
+	if c < 2 || c > 1<<MaxBits {
+		panic(fmt.Sprintf("sax: cardinality %d out of range [2,%d]", c, 1<<MaxBits))
+	}
+}
+
 // bpCache[c] holds the breakpoints for cardinality c, for every c in
-// [2, 2^MaxBits]. It is written only by init; all later access is read-only,
-// which is what makes Breakpoints safe under the parallel query engine.
-var bpCache [1<<MaxBits + 1][]float64
+// [2, 2^MaxBits], and bpKeys[c] their orderKeys, padded to 2^⌈log2 c⌉ − 1
+// with keys above every value's, so that Symbol's search halves a power of
+// two. Both are written only by init; all later access is read-only, which
+// is what makes Breakpoints and Symbol safe under the parallel query engine.
+var (
+	bpCache [1<<MaxBits + 1][]float64
+	bpKeys  [1<<MaxBits + 1][]uint64
+)
 
 func init() {
 	for c := 2; c <= 1<<MaxBits; c++ {
 		bp := make([]float64, c-1)
+		keys := make([]uint64, 1<<bits.Len(uint(c-1))-1)
+		for i := range keys {
+			keys[i] = math.MaxUint64
+		}
 		for i := 1; i < c; i++ {
 			p := float64(i) / float64(c)
 			bp[i-1] = math.Sqrt2 * math.Erfinv(2*p-1)
+			keys[i-1] = orderKey(bp[i-1])
 		}
-		bpCache[c] = bp
+		bpCache[c], bpKeys[c] = bp, keys
 	}
 }
 
@@ -88,20 +103,36 @@ func PAA(s series.Series, w int) []float64 {
 }
 
 // Symbol maps a PAA value to its region index at the given cardinality:
-// the number of breakpoints strictly below the value, in [0, cardinality).
+// the number of breakpoints at or below the value, in [0, cardinality) —
+// the symbol whose Region [lo, hi) holds it. NaN, which no comparison
+// orders, maps to the highest region.
+//
+// The search is branch-free: it compares order-preserving uint64 keys of
+// the value and the breakpoints, and adds each step's result as a borrow
+// instead of branching on it, so a run of unrelated values costs no
+// mispredictions.
 func Symbol(v float64, cardinality int) uint8 {
-	bp := Breakpoints(cardinality)
-	// Binary search: first breakpoint > v gives the region.
-	lo, hi := 0, len(bp)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if v < bp[mid] {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
+	checkCardinality(cardinality)
+	keys, x, pos := bpKeys[cardinality], orderKey(v), 0
+	for step := (len(keys) + 1) >> 1; step > 0; step >>= 1 {
+		_, above := bits.Sub64(x, keys[pos+step-1], 0) // 1 when the breakpoint is above v
+		pos += step &^ -int(above)
 	}
-	return uint8(lo)
+	return uint8(pos)
+}
+
+// orderKey maps v to a uint64 whose unsigned order is v's numeric order:
+// the sign bit flipped for positive values, every bit for negative ones.
+// −0 is first made +0, which it equals, and NaN, which v < bp never holds
+// for, +Inf, so that both count the breakpoints the comparison would.
+func orderKey(v float64) uint64 {
+	const inf = 0x7FF0_0000_0000_0000
+	b := math.Float64bits(v)
+	abs := b &^ (1 << 63)
+	nan := -((inf - abs) >> 63) // all ones for NaN
+	b = b&^nan | inf&nan
+	b &^= (abs - 1) >> 63 << 63 // the sign of −0
+	return b ^ (uint64(int64(b)>>63) | 1<<63)
 }
 
 // Word is an iSAX word: one symbol per segment, each at Bits cardinality

@@ -3,6 +3,7 @@ package sax
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -121,6 +122,67 @@ func TestSymbolBoundaries(t *testing.T) {
 	if Symbol(100, 256) != 255 {
 		t.Error("very high value should be region 255")
 	}
+}
+
+// symbolBinarySearch is Symbol as a branchy binary search over the float
+// breakpoints: the reference the branch-free search must equal.
+func symbolBinarySearch(v float64, cardinality int) uint8 {
+	bp := Breakpoints(cardinality)
+	// Binary search: first breakpoint > v gives the region.
+	lo, hi := 0, len(bp)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if v < bp[mid] {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return uint8(lo)
+}
+
+// symbolEdgeValues are the values where an order-preserving key could part
+// from the float comparison: signed zeros, infinities, NaNs of both signs
+// and of the smallest and largest payloads, the extremes of the finite
+// range, and the smallest subnormals.
+var symbolEdgeValues = []float64{
+	0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
+	math.NaN(), math.Copysign(math.NaN(), -1),
+	math.Float64frombits(0x7FF0_0000_0000_0001), math.Float64frombits(0x7FFF_FFFF_FFFF_FFFF),
+	math.Float64frombits(0xFFF0_0000_0000_0001), math.Float64frombits(0xFFFF_FFFF_FFFF_FFFF),
+	math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+}
+
+// TestSymbolMatchesBinarySearch: at every cardinality, not only the powers
+// of two, the branch-free Symbol agrees with the binary search at every
+// breakpoint, at its neighbours on either side, and at the edge values.
+func TestSymbolMatchesBinarySearch(t *testing.T) {
+	for card := 2; card <= 1<<MaxBits; card++ {
+		vals := slices.Clone(symbolEdgeValues)
+		for _, bp := range Breakpoints(card) {
+			vals = append(vals, bp, math.Nextafter(bp, math.Inf(-1)), math.Nextafter(bp, math.Inf(1)))
+		}
+		for _, v := range vals {
+			if got, want := Symbol(v, card), symbolBinarySearch(v, card); got != want {
+				t.Fatalf("card %d: Symbol(%v [%#016x]) = %d, the binary search says %d",
+					card, v, math.Float64bits(v), got, want)
+			}
+		}
+	}
+}
+
+// FuzzSymbol holds Symbol to the binary search on any float64 bit pattern
+// at any cardinality.
+func FuzzSymbol(f *testing.F) {
+	for _, v := range symbolEdgeValues {
+		f.Add(math.Float64bits(v), uint8(255))
+	}
+	f.Fuzz(func(t *testing.T, v uint64, c uint8) {
+		card, x := 2+int(c)%(1<<MaxBits-1), math.Float64frombits(v)
+		if got, want := Symbol(x, card), symbolBinarySearch(x, card); got != want {
+			t.Fatalf("card %d: Symbol(%v [%#016x]) = %d, the binary search says %d", card, x, v, got, want)
+		}
+	})
 }
 
 func TestSymbolMonotone(t *testing.T) {

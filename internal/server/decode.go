@@ -1,38 +1,39 @@
 package server
 
 // This file holds the one request decoder. A body is read once, under
-// MaxRequestBytes. The float arrays of the five request types that carry
+// MaxRequestBytes: a body over it is refused whatever it holds, and one
+// under it must be one JSON value, followed by nothing but whitespace. The
+// float arrays of the five request types that carry
 // series are scanned here by hand: each number's JSON grammar is checked,
 // then strconv.ParseFloat(…, 64) reads it, the call encoding/json makes, so
 // the floats are bit-identical. Every other key of those objects goes, as its
 // raw bytes, to encoding/json, which keeps its key folding, null handling and
 // type errors. A body the scanner does not take (a grammar or type error, an
 // escaped or non-ASCII key beside the series, a repeated "entries", a
-// top-level value that is not an object) is decoded whole by encoding/json,
-// whose result or error is the answer. Every other request type is decoded
+// top-level value that is not an object, bytes after the value) is decoded
+// whole by json.Unmarshal, whose result or error is the answer. Every other request type is decoded
 // by encoding/json alone.
 
 import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"io"
 	"net/http"
 	"strconv"
 	"sync"
 )
 
-// DecodeRequest decodes r's JSON body into v, reading at most
-// MaxRequestBytes of it, and reports whether v holds the request. A body
-// over the cap is answered 413, one that does not decode 400, each with a
-// JSON error. Every handler that takes a JSON body, the router's too, reads
-// it here.
+// DecodeRequest decodes r's JSON body into v, and reports whether v holds
+// the request. A body over MaxRequestBytes is answered 413, whatever it
+// holds; one that is not a single JSON value, with only whitespace after
+// it, that decodes into v, is answered 400; each with a JSON error. Every
+// handler that takes a JSON body, the router's too, reads it here.
 func DecodeRequest(w http.ResponseWriter, r *http.Request, v any) bool {
 	d := decoders.Get().(*decoder)
 	defer d.release()
 	_, err := d.body.ReadFrom(http.MaxBytesReader(w, r.Body, MaxRequestBytes))
-	if err != nil || d.scan(d.body.Bytes(), v) != nil {
-		err = decodeJSON(d.body.Bytes(), err, v)
+	if err == nil && d.scan(d.body.Bytes(), v) != nil {
+		err = json.Unmarshal(d.body.Bytes(), v)
 	}
 	var tooBig *http.MaxBytesError
 	switch {
@@ -45,23 +46,6 @@ func DecodeRequest(w http.ResponseWriter, r *http.Request, v any) bool {
 	}
 	return false
 }
-
-// decodeJSON decodes the first JSON value of data into v with encoding/json,
-// as from a reader that returned data and then readErr. json.Decoder reads a
-// value's bytes before it looks at the read error, so a value complete
-// within the cap decodes, and a body over it is 413 unless its bytes before
-// the cap are already malformed.
-func decodeJSON(data []byte, readErr error, v any) error {
-	var src io.Reader = bytes.NewReader(data)
-	if readErr != nil {
-		src = io.MultiReader(src, failReader{readErr})
-	}
-	return json.NewDecoder(src).Decode(v)
-}
-
-type failReader struct{ err error }
-
-func (f failReader) Read([]byte) (int, error) { return 0, f.err }
 
 // maxPooledBody bounds the buffers a decoder keeps between requests, so one
 // large body does not stay resident.
@@ -118,6 +102,9 @@ func (d *decoder) scan(data []byte, v any) error {
 	}
 	if err != nil {
 		return err
+	}
+	if d.ws(); d.i != len(d.data) {
+		return errDecline // bytes after the value: json.Unmarshal words the error
 	}
 	if err := json.Unmarshal(d.rest, v); err != nil {
 		return err

@@ -9,14 +9,19 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
 
-// referenceDecode is DecodeRequest as encoding/json alone answers it: the
-// body streamed through one json.Decoder under the cap.
+// referenceDecode is DecodeRequest as encoding/json alone answers it: a
+// body over the cap is refused, one under it is json.Unmarshal's, which
+// takes one value followed by nothing but whitespace.
 func referenceDecode(w http.ResponseWriter, r *http.Request, v any) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBytes)).Decode(v)
+	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxRequestBytes))
+	if err == nil {
+		err = json.Unmarshal(data, v)
+	}
 	var tooBig *http.MaxBytesError
 	switch {
 	case err == nil:
@@ -40,9 +45,10 @@ var floatRequests = []func() any{
 }
 
 // sameDecode checks that DecodeRequest answers body as referenceDecode
-// does, for each of types: the same status and response
-// bytes, and when accepted the same value, floats compared bit for bit.
-func sameDecode(t *testing.T, types []func() any, body func() io.Reader) {
+// does, for each of types: the same status and response bytes, and when
+// accepted the same value, floats compared bit for bit. It returns the
+// status of the last type's answer.
+func sameDecode(t *testing.T, types []func() any, body func() io.Reader) (status int) {
 	t.Helper()
 	for _, mk := range types {
 		got, want := mk(), mk()
@@ -57,7 +63,9 @@ func sameDecode(t *testing.T, types []func() any, body func() io.Reader) {
 		if gotOK && !sameBits(reflect.ValueOf(got), reflect.ValueOf(want)) {
 			t.Fatalf("%s: decoded %+v, encoding/json %+v", name, got, want)
 		}
+		status = gotRec.Code
 	}
+	return status
 }
 
 // sameBits is reflect.DeepEqual with floats compared by their bits, so -0
@@ -110,7 +118,8 @@ func realRequests() []any {
 // accepted with the same value or refused with the same status and error.
 // The committed corpus (testdata/fuzz/FuzzDecodeRequest) holds edge cases of
 // JSON's number grammar, null and [], folded, escaped and repeated keys,
-// whitespace and trailing bytes; f.Add adds realRequests.
+// whitespace and trailing bytes (refused unless whitespace); f.Add adds
+// realRequests.
 func FuzzDecodeRequest(f *testing.F) {
 	for _, req := range realRequests() {
 		body, err := json.Marshal(req)
@@ -141,20 +150,49 @@ func TestScannerTakesRequests(t *testing.T) {
 	}
 }
 
-// TestDecodeRequestAtTheCap: bodies at and over MaxRequestBytes are
-// answered as encoding/json reading them under the cap answers them. A
-// value complete before the cap decodes, whatever follows it; a value cut
-// by the cap is 413; a malformed one is 400 though the body runs past it.
+// TestDecodeRequestAtTheCap: a body over MaxRequestBytes is 413 whatever
+// it holds — a value complete before the cap, or malformed before it — and
+// one at the cap decodes; each as the reference answers it.
 func TestDecodeRequestAtTheCap(t *testing.T) {
 	series := `{"series":[[1,2]],"ts":3`
-	for name, body := range map[string]func() io.Reader{
-		"value at the cap":   func() io.Reader { return paddedBody(series, MaxRequestBytes) },
-		"value over the cap": func() io.Reader { return paddedBody(series, MaxRequestBytes+1) },
-		"value then bytes past": func() io.Reader {
+	for name, tc := range map[string]struct {
+		body func() io.Reader
+		want int
+	}{
+		"value at the cap":   {func() io.Reader { return paddedBody(series, MaxRequestBytes) }, http.StatusOK},
+		"value over the cap": {func() io.Reader { return paddedBody(series, MaxRequestBytes+1) }, http.StatusRequestEntityTooLarge},
+		"value then bytes past": {func() io.Reader {
 			return io.MultiReader(strings.NewReader(series+"}"), paddedBody("{", MaxRequestBytes))
-		},
-		"malformed then past cap": func() io.Reader { return paddedBody(`{"series":[[1,x]]`, MaxRequestBytes+1) },
+		}, http.StatusRequestEntityTooLarge},
+		"malformed then past cap": {func() io.Reader { return paddedBody(`{"series":[[1,x]]`, MaxRequestBytes+1) },
+			http.StatusRequestEntityTooLarge},
 	} {
-		t.Run(name, func(t *testing.T) { sameDecode(t, floatRequests[3:4], body) })
+		t.Run(name, func(t *testing.T) {
+			if got := sameDecode(t, floatRequests[3:4], tc.body); got != tc.want {
+				t.Fatalf("status %d, want %d", got, tc.want)
+			}
+		})
+	}
+}
+
+// TestDecodeRequestOneValue: only whitespace may follow the body's one JSON
+// value; trailing bytes or a second value are 400, for a request the
+// scanner takes and for one encoding/json decodes alone.
+func TestDecodeRequestOneValue(t *testing.T) {
+	types := append(slices.Clone(floatRequests), func() any { return new(BuildRequest) })
+	for body, want := range map[string]int{
+		`{"build":"b"}`:               http.StatusOK,
+		"{\"build\":\"b\"} \t\r\n":    http.StatusOK,
+		`{"build":"b"}xyz`:            http.StatusBadRequest, // as corpus row trailing-bytes
+		`{"build":"b"} {"build":"c"}`: http.StatusBadRequest, // as corpus row trailing-value
+		`{"build":"b"},`:              http.StatusBadRequest,
+		`{"build":"b"} null`:          http.StatusBadRequest,
+		"{\"build\":\"b\"}\u00a0":     http.StatusBadRequest,
+	} {
+		for i := range types {
+			if got := sameDecode(t, types[i:i+1], func() io.Reader { return strings.NewReader(body) }); got != want {
+				t.Errorf("%q into type %d: status %d, want %d", body, i, got, want)
+			}
+		}
 	}
 }

@@ -23,20 +23,18 @@ import (
 var updateFormats = flag.Bool("update", false, "rewrite testdata/entry_files.sha256 from this run")
 
 // formatsPageSize is small enough that a few hundred short series span many
-// pages, and large enough for a packed page of a materialized entry.
+// pages.
 const formatsPageSize = 1024
 
 // TestFormatsEntryFiles pins the bytes of every entry-page file the system
 // writes — a sorted file from Sort (full and 0.7-filled, fitting the memory
-// budget and not), WriteRun, a Merge of mixed encodings, a CTree's leaf
+// budget and not), WriteRun, a Merge of three such runs, a CTree's leaf
 // level after inserts that split leaves, and CLSM runs after flushes and
 // merges — to a committed list of SHA-256s, beside the whole Disk.Stats() of
-// the pass that wrote each. Every file is written fixed-size; the merge's
-// packed input is written as older builds wrote it (writePackedFile), and
-// pinned too. A moved byte or a changed read-ahead shows as a diff of
-// testdata/entry_files.sha256; `go test -run TestFormats -update .` rewrites
-// it. The labels keep the packed=false they had when a build could write
-// either layout, so that the lines stay what they were.
+// the pass that wrote each. A moved byte or a changed read-ahead shows as a
+// diff of testdata/entry_files.sha256; `go test -run TestFormats -update .`
+// rewrites it. The labels keep the packed=false they had when a build could
+// write either layout, so that the lines stay what they were.
 func TestFormatsEntryFiles(t *testing.T) {
 	var out []string
 	note := func(name string, d *storage.Disk, prefix string, stats storage.Stats, extra string) {
@@ -71,25 +69,23 @@ func TestFormatsEntryFiles(t *testing.T) {
 			}
 		}
 
-		// Write three runs, fixed, packed, fixed; then merge them under a
-		// budget of a few pages per input.
+		// Write three runs, then merge them under a budget of a few pages
+		// per input.
 		sorted := sortedCopy(entries)
 		d := storage.NewDisk(formatsPageSize)
 		var inputs []extsort.Input
-		for i, packed := range []bool{false, true, false} {
+		for i := 0; i < 3; i++ {
 			var part []record.Entry
 			for j := i; j < len(sorted); j += 3 {
 				part = append(part, sorted[j])
 			}
 			file := fmt.Sprintf("run%d", i)
 			d.ResetStats()
-			if packed {
-				writePackedFile(t, d, cfg.Codec(), file, part)
-			} else if err := (&extsort.Sorter{Disk: d, Codec: cfg.Codec()}).WriteRun(file, part); err != nil {
+			if err := (&extsort.Sorter{Disk: d, Codec: cfg.Codec()}).WriteRun(file, part); err != nil {
 				t.Fatal(err)
 			}
-			note(fmt.Sprintf("writerun/mat=%v/packed=%v", mat, packed), d, file, d.Stats(), "")
-			inputs = append(inputs, extsort.Input{Name: file, Count: int64(len(part)), Packed: packed})
+			note(fmt.Sprintf("writerun/mat=%v/packed=false", mat), d, file, d.Stats(), "")
+			inputs = append(inputs, extsort.Input{Name: file, Count: int64(len(part))})
 		}
 		d.ResetStats()
 		s := &extsort.Sorter{Disk: d, Codec: cfg.Codec(), MemBudget: 12 * formatsPageSize}
@@ -211,34 +207,6 @@ func writeUnsorted(t *testing.T, d *storage.Disk, c record.Codec, entries []reco
 		}
 	}
 	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// writePackedFile writes entries, in (Key, ID) order, into a new file of
-// full packed pages through the packed record.Layout's page builder, as
-// older builds did. No build writes such a file now; a merge still reads it.
-func writePackedFile(t *testing.T, d *storage.Disk, c record.Codec, name string, entries []record.Entry) {
-	t.Helper()
-	l, err := record.NewLayout(c, d.PageSize(), true)
-	if err == nil {
-		err = d.Create(name)
-	}
-	b, page := l.Builder(), make([]byte, d.PageSize())
-	for i := 0; err == nil && i < len(entries); {
-		for ok := true; err == nil && ok && i < len(entries); {
-			if ok, err = b.TryAdd(entries[i]); ok {
-				i++
-			}
-		}
-		if err == nil {
-			_, err = b.Encode(page)
-		}
-		if err == nil {
-			_, err = d.AppendPages(name, page)
-		}
-	}
-	if err != nil {
 		t.Fatal(err)
 	}
 }

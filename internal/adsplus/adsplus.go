@@ -312,7 +312,7 @@ func (t *Tree) chooseSplitSegment(n *node) int {
 func (t *Tree) loadLeaf(n *node) ([]record.Entry, error) {
 	out := make([]record.Entry, 0, int(n.onDisk)+len(n.buffered))
 	if n.file != "" && n.onDisk > 0 {
-		l, err := record.NewLayout(t.codec, t.opts.Reader.PageSize(), false)
+		l, err := record.NewLayout(t.codec, t.opts.Reader.PageSize())
 		if err != nil {
 			return nil, err
 		}

@@ -128,14 +128,20 @@ func (b *Built) saveParts(path string) error {
 // CompactionWorkers, and GrowthFactor / BufferEntries to override the
 // persisted shape. Other fields are ignored: parallelism is not part of a
 // snapshot, and a reopened build searches on a pool of GOMAXPROCS workers
-// (SetParallelism).
+// (SetParallelism). An index that does not open is an error naming the
+// snapshot: one whose metadata says its pages are packed fails with
+// record.ErrPacked.
 func Open(path string, spec Spec) (*Built, error) {
 	disk, err := storage.LoadDiskFile(spec.FS, path)
 	if err != nil {
 		return nil, err
 	}
 	spec.PageSize = disk.PageSize() // the cache's frames hold the snapshot's pages
-	return owned(spec, func(sh shared) (*Built, error) { return openOne(disk, spec, sh) })
+	b, err := owned(spec, func(sh shared) (*Built, error) { return openOne(disk, spec, sh) })
+	if err != nil {
+		return nil, fmt.Errorf("assemble: snapshot %s: %w", path, err)
+	}
+	return b, nil
 }
 
 // openOne reopens the index on disk, a loaded snapshot, behind a pool on the
@@ -292,7 +298,7 @@ func OpenSharded(path string, spec Spec) (*Built, error) {
 				p, err = openOne(disk, inner, sh)
 			}
 			if err != nil {
-				return b, fmt.Errorf("assemble: opening shard %d: %w", i, err)
+				return b, fmt.Errorf("assemble: opening shard %d (%s): %w", i, shardFilePath(path, i), err)
 			}
 			b.Parts = append(b.Parts, p)
 			total += p.Index.Count()

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/compact"
 	"repro/internal/fsx"
+	"repro/internal/record"
 	"repro/internal/run"
 	"repro/internal/sortable"
 	"repro/internal/storage"
@@ -26,8 +27,7 @@ import (
 // of the series reaches the origin, the second half the LSM under test;
 // every row must answer as brute force does, hold its tiering invariant once
 // quiesced, report its compaction mode, keep each run's resident summary the
-// one its file rebuilds, and hold fixed-size runs only. (An LSM with packed
-// runs, which older builds wrote, is the root package's TestPackedFixtures.)
+// one its file rebuilds.
 func TestLifecycleTable(t *testing.T) {
 	const n, half, growth, buf = 480, 240, 3, 32
 	ds := makeDataset(n, 81)
@@ -201,11 +201,6 @@ func TestLifecycleTable(t *testing.T) {
 					if len(runs) >= growth {
 						t.Fatalf("quiesced level %d holds %d runs, growth factor %d", lvl, len(runs), growth)
 					}
-					for _, r := range runs {
-						if r.Packed {
-							t.Fatalf("run %s is packed", r.File)
-						}
-					}
 				}
 				if err := l.Close(); err != nil {
 					t.Fatal(err)
@@ -315,23 +310,24 @@ func storedSynopsis(r run.Run) []byte {
 	return append(buf, bytes.Repeat([]byte{uint8(1<<syn.Bits - 1)}, 2*syn.Segments)...)
 }
 
-// olderPayload is a persisted payload of l's current run set at an older
-// format version: the given one's counters, options, shape and level count,
-// then per run its name and count, from version 2 a stored synopsis
-// (storedSynopsis), from version 3 its packed flag.
-func olderPayload(l *LSM, payload []byte, version uint32) []byte {
+// olderPayload is a persisted payload of l's current run set at a format
+// version: the given one's counters, options, shape and level count, then
+// per run its name and count, from version 2 and to 3 a stored synopsis
+// (storedSynopsis), from version 3 its layout byte — 1, the packed layout
+// older builds could write, for the run named packedRun, 0 for the others.
+func olderPayload(l *LSM, payload []byte, version uint32, packedRun string) []byte {
 	le, buf := binary.LittleEndian, slices.Clone(payload[:65])
 	for _, lvl := range l.cur.Load().man.levels {
 		buf = le.AppendUint32(buf, uint32(len(lvl)))
 		for _, r := range lvl {
 			buf = le.AppendUint32(buf, uint32(len(r.File)))
 			buf = le.AppendUint64(append(buf, r.File...), uint64(r.Count))
-			if version >= 2 {
+			if version == 2 || version == 3 {
 				buf = append(buf, storedSynopsis(r)...)
 			}
 			if version >= 3 {
 				packed := byte(0)
-				if r.Packed {
+				if r.File == packedRun {
 					packed = 1
 				}
 				buf = append(buf, packed)
@@ -342,7 +338,7 @@ func olderPayload(l *LSM, payload []byte, version uint32) []byte {
 }
 
 // TestOpenOldMetaVersions: Open adopts a meta file of every format version.
-// The older ones are the current payload without each run's packed flag
+// The older ones are the current payload without each run's layout byte
 // (before version 3) and with a stored synopsis (versions 2 and 3), which
 // Open skips: every version's runs come back with the synopses the live
 // LSM holds, PlanSynopses is complete, and they answer the same.
@@ -360,7 +356,7 @@ func TestOpenOldMetaVersions(t *testing.T) {
 	for version := uint32(1); version <= lsmMetaVersion; version++ {
 		payload := current
 		if version < lsmMetaVersion {
-			payload = olderPayload(l, current, version)
+			payload = olderPayload(l, current, version, "")
 		}
 		if err := storage.WriteBlob(disk, "clsm"+lsmMetaFileSfx, lsmMetaMagic, version, nil, payload); err != nil {
 			t.Fatal(err)
@@ -394,7 +390,7 @@ func TestOpenIgnoresStoredSynopses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := storage.WriteBlob(disk, "clsm"+lsmMetaFileSfx, lsmMetaMagic, 3, nil, olderPayload(l, current, 3)); err != nil {
+	if err := storage.WriteBlob(disk, "clsm"+lsmMetaFileSfx, lsmMetaMagic, 3, nil, olderPayload(l, current, 3, "")); err != nil {
 		t.Fatal(err)
 	}
 	got, err := Open(Options{Disk: disk, Raw: normStore{ds}})
@@ -427,10 +423,62 @@ func TestRecoverIgnoresStoredSynopses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := storage.WriteBlob(disk, "clsm"+lsmManifestFileSfx, lsmManifestMagic, 3, current[:8], olderPayload(l, current[8:], 3)); err != nil {
+	if err := storage.WriteBlob(disk, "clsm"+lsmManifestFileSfx, lsmManifestMagic, 3, current[:8], olderPayload(l, current[8:], 3, "")); err != nil {
 		t.Fatal(err)
 	}
 	rec, w2 := recoverLSM(t, disk, dir, ds, 64)
 	defer w2.Close()
 	assertAllSearchable(t, rec, ds, ds.Count(), 20, 86)
+}
+
+// TestOpenRefusesPackedRuns: a meta file or a durable LSM's manifest whose
+// layout byte says a run is packed, the layout older builds could write,
+// does not open, at either version that holds the byte: the error is
+// record.ErrPacked, naming the file and the run.
+func TestOpenRefusesPackedRuns(t *testing.T) {
+	ds := makeDataset(300, 87)
+	saved, disk := buildLSM(t, ds, false, 3, 64)
+	if err := saved.Save(); err != nil {
+		t.Fatal(err)
+	}
+	meta, _, err := readBlob(disk, "clsm"+lsmMetaFileSfx, lsmMetaMagic, lsmMetaVersion, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	crashed, dir := crashDisk(t, ds), t.TempDir()
+	durable, w := durableLSM(t, crashed, dir, ds, 64)
+	for id := 0; id < ds.Count(); id++ {
+		s, _ := ds.Get(id)
+		if err := durable.Insert(s, int64(id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	manifest, _, err := readBlob(crashed, "clsm"+lsmManifestFileSfx, lsmManifestMagic, lsmManifestVersion, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, version := range []uint32{3, 4} {
+		packedRun := allRuns(saved.cur.Load().man)[0].File
+		if err := storage.WriteBlob(disk, "clsm"+lsmMetaFileSfx, lsmMetaMagic, version, nil, olderPayload(saved, meta, version, packedRun)); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Open(Options{Disk: disk, Raw: normStore{ds}})
+		if !errors.Is(err, record.ErrPacked) || !strings.Contains(err.Error(), "clsm"+lsmMetaFileSfx) || !strings.Contains(err.Error(), packedRun) {
+			t.Errorf("meta v%d with run %s packed: %v; want record.ErrPacked naming the file and the run", version, packedRun, err)
+		}
+
+		packedRun = allRuns(durable.cur.Load().man)[0].File
+		if err := storage.WriteBlob(crashed, "clsm"+lsmManifestFileSfx, lsmManifestMagic, version, manifest[:8], olderPayload(durable, manifest[8:], version, packedRun)); err != nil {
+			t.Fatal(err)
+		}
+		opts, w2 := crashOpts(t, crashed, dir, ds, 64)
+		_, err = Open(opts)
+		w2.Close()
+		if !errors.Is(err, record.ErrPacked) || !strings.Contains(err.Error(), "clsm"+lsmManifestFileSfx) || !strings.Contains(err.Error(), packedRun) {
+			t.Errorf("manifest v%d with run %s packed: %v; want record.ErrPacked naming the file and the run", version, packedRun, err)
+		}
+	}
 }

@@ -31,20 +31,17 @@ import (
 //	growth u32 | bufferEntries u32
 //	materialized u8 | seriesLen u32 | segments u32 | bits u32
 //	levelCount u32 | per level: runCount u32 |
-//	  per run: nameLen u32 | name | count u64 | packed u8
+//	  per run: nameLen u32 | name | count u64 | layout u8
 //
-// packed is 1 when the run's pages use the packed encoding (record.Layout),
-// which older builds wrote, 0 for the fixed-size record layout every flush
-// and merge writes now (a merge reads packed inputs). A run's synopsis and
-// summary are not stored: Open rebuilds both from the run's entries
-// (run.Store.Load).
+// layout is 0: the run's pages hold fixed-size records. A 1 says they are
+// packed, a layout older builds could write and no build reads, and the
+// file is refused with record.ErrPacked. A run's synopsis and summary are
+// not stored: Open rebuilds both from the run's entries (run.Store.Load).
 //
-// Older versions still open. Version 1 held no packed flag and version 2
+// Older versions still open. Version 1 held no layout byte and version 2
 // added, after count, a stored synopsis (synLen u32 | synopsis), which
 // versions 2 and 3 hold and Open skips by its length, never decoding it;
-// version 3 added the packed flag and version 4 dropped the synopsis.
-// Version-1/2 files decode with packed=false, which is exactly what they
-// contain.
+// version 3 added the layout byte and version 4 dropped the synopsis.
 //
 // In both files count is the number of entries held by the listed runs
 // (Save flushes first, so for the meta file that is also the live count).
@@ -138,11 +135,7 @@ func (l *LSM) encodePayload(m *manifest) []byte {
 			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.File)))
 			buf = append(buf, r.File...)
 			buf = binary.LittleEndian.AppendUint64(buf, uint64(r.Count))
-			if r.Packed {
-				buf = append(buf, 1)
-			} else {
-				buf = append(buf, 0)
-			}
+			buf = append(buf, 0) // the layout byte: fixed-size records
 		}
 	}
 	return buf
@@ -157,10 +150,10 @@ func readBlob(disk storage.Backend, name, magic string, maxVersion uint32, prefi
 	return blob, version, nil
 }
 
-// decodePayload parses the shared payload (at the given format version),
-// verifying the listed run files exist on disk and hold the recorded number
-// of entries.
-func decodePayload(disk storage.Backend, buf []byte, version uint32) (*metaState, error) {
+// decodePayload parses the shared payload of the named file (at the given
+// format version), verifying the listed run files exist on disk and hold
+// the recorded number of entries.
+func decodePayload(disk storage.Backend, name string, buf []byte, version uint32) (*metaState, error) {
 	const fixed = 8*5 + 4*2 + 1 + 4*3 + 4
 	if len(buf) < fixed {
 		return nil, fmt.Errorf("clsm: meta payload too short: %d", len(buf))
@@ -214,9 +207,11 @@ func decodePayload(disk storage.Backend, buf []byte, version uint32) (*metaState
 			}
 			if version >= 3 {
 				if off+1 > len(buf) {
-					return nil, fmt.Errorf("clsm: meta truncated at packed flag")
+					return nil, fmt.Errorf("clsm: meta truncated at the layout byte")
 				}
-				r.Packed = buf[off] == 1
+				if buf[off] == 1 {
+					return nil, fmt.Errorf("clsm: %s: run %q: %w", name, r.File, record.ErrPacked)
+				}
 				off++
 			}
 			if !disk.Exists(r.File) {
@@ -248,7 +243,7 @@ func readPersisted(disk storage.Backend, name string) (*metaState, error) {
 	if err != nil {
 		return nil, err
 	}
-	st, err := decodePayload(disk, blob[prefix:], ver)
+	st, err := decodePayload(disk, file, blob[prefix:], ver)
 	if err != nil {
 		return nil, err
 	}
@@ -270,8 +265,9 @@ func readPersisted(disk storage.Backend, name string) (*metaState, error) {
 // flush or merge that crashed before its manifest was persisted, whose name
 // the next flush would otherwise collide with (run names continue from the
 // persisted seq), and merge victims whose reclaim the crash pre-empted. Only
-// names of exactly the form runName produces are candidates. Open replays no
-// log; Replay does.
+// names of exactly the form runName produces are candidates. A manifest or
+// meta file that says a run is packed fails with record.ErrPacked: rebuild
+// such an LSM from its dataset. Open replays no log; Replay does.
 func Open(opts Options) (*LSM, error) {
 	if opts.Disk == nil {
 		return nil, fmt.Errorf("clsm: Disk is required")
@@ -294,7 +290,7 @@ func Open(opts Options) (*LSM, error) {
 		store:   run.NewStore(opts.Disk, opts.Reader, opts.Config, opts.Raw),
 		adopted: st.src,
 	}
-	if _, err := l.store.Layout(false); err != nil {
+	if _, err := l.store.Layout(); err != nil {
 		return nil, fmt.Errorf("clsm: %w", err)
 	}
 	for _, lvl := range st.levels {

@@ -91,9 +91,6 @@ func checkLeafLevel(t *testing.T, tr *Tree, sorted []record.Entry) {
 	if len(file) != m.Pages()*pageSize {
 		t.Fatalf("leaf file is %d bytes, %d leaves need %d", len(file), m.Pages(), m.Pages()*pageSize)
 	}
-	if tr.leaves.Packed {
-		t.Fatal("a bulk load wrote packed leaves")
-	}
 	wantFixed := int(math.Max(1, math.Floor(float64(pageSize/tr.store.Codec().Size())*tr.opts.FillFactor)))
 	syn := zonestat.New(cfg.Segments, cfg.Bits)
 	off := 0
@@ -140,7 +137,7 @@ func checkLeafLevel(t *testing.T, tr *Tree, sorted []record.Entry) {
 // reflect.DeepEqual: the summary by its persistent form and its group count.
 func resident(tr *Tree) []any {
 	l := tr.leaves
-	return []any{l.Count, l.Syn, l.Packed, l.Sum.AppendBinary(nil), l.Sum.Groups(), tr.capacity, tr.nextID64}
+	return []any{l.Count, l.Syn, l.Sum.AppendBinary(nil), l.Sum.Groups(), tr.capacity, tr.nextID64}
 }
 
 // TestBulkLoadTable is the bulk load's one table: the leaf level is what the

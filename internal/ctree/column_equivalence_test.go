@@ -3,7 +3,6 @@ package ctree_test
 import (
 	"fmt"
 	"math/rand"
-	"path/filepath"
 	"reflect"
 	"sort"
 	"testing"
@@ -29,9 +28,8 @@ import (
 // Stats record: sequential and random reads and writes, cache hits and
 // misses, planned skips. That is the claim "which pages a query reads, and
 // in what order, did not change", made through every surface a CTree sits
-// behind: the facade tree (fixed, cached, file-backed, after splits, and a
-// packed one an older build saved, which no build writes now), the sharded
-// tree, and the stream's TP partitions.
+// behind: the facade tree (fixed, cached, file-backed, after splits), the
+// sharded tree, and the stream's TP partitions.
 //
 // With several workers only the answers are compared. The pool hands leaf
 // ranges to workers as they come free and a worker's collector carries its
@@ -41,10 +39,6 @@ import (
 // root package).
 
 const equivLen = 64
-
-// packedTreeFixture is the root package's snapshot of a materialized tree
-// with packed leaves, of 32-point series (see its TestPackedFixtures).
-var packedTreeFixture = filepath.Join("..", "..", "testdata", "ctree_v6_packed_full.ccnut")
 
 func walks(seed int64, n, length int) [][]float64 {
 	rng := rand.New(rand.NewSource(seed))
@@ -179,21 +173,6 @@ func TestColumnScanEquivalence(t *testing.T) {
 			return treeQueries(t, tr, queries), tr.Stats()
 		}
 	}
-	// packed is tree(inserts) over the packed fixture, 180 series of 32
-	// points: its inserts split packed leaves, which stay packed.
-	packed := func(inserts int) scenario {
-		return func(t *testing.T, opts coconut.Options) ([][]coconut.Match, coconut.Stats) {
-			tr := must[*coconut.Tree](t)(coconut.OpenTree(packedTreeFixture, opts))
-			defer tr.Close()
-			tr.SetParallelism(opts.Parallelism)
-			for i, s := range walks(86, inserts, 32) {
-				if err := tr.Insert(s, int64(i)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			return treeQueries(t, tr, walks(87, 8, 32)), tr.Stats()
-		}
-	}
 	// unplanned is tree(0) over base, assembled as BuildTree assembles it,
 	// with the build's planner off.
 	unplanned := func(t *testing.T, opts coconut.Options) ([][]coconut.Match, coconut.Stats) {
@@ -256,9 +235,7 @@ func TestColumnScanEquivalence(t *testing.T) {
 	}{
 		{"tree", true, base, tree(0)},
 		{"tree-full", true, full, tree(0)},
-		{"tree-packed", true, full, packed(0)},
 		{"tree-splits", true, with(full, func(o *coconut.Options) { o.FillFactor = 0.8 }), tree(600)},
-		{"tree-packed-splits", true, with(full, func(o *coconut.Options) { o.CacheBytes = 16 << 10 }), packed(200)},
 		{"tree-cached", true, with(full, func(o *coconut.Options) { o.CacheBytes = 96 << 10 }), tree(100)},
 		{"tree-file", true, with(full, func(o *coconut.Options) { o.StorageDir = "per run" }), tree(100)},
 		{"tree-unplanned", false, base, unplanned},
@@ -307,8 +284,7 @@ func TestColumnScanEquivalence(t *testing.T) {
 // every page it reads. The windowed row is a TP partition (entries stamped
 // with their arrival, loaded from memory) queried over a window: the window
 // filter reads the timestamp column, so a leaf whose skip was declined is
-// released undecoded too. (The run package's trace test holds packed pages
-// to the same, through the scan a tree's leaves share.)
+// released undecoded too.
 func TestColumnScanTraceMatchesReference(t *testing.T) {
 	defer run.SetPageKeyBounds(false)
 	ds := series.NewDataset(equivLen)

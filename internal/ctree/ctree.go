@@ -10,8 +10,8 @@
 // internal/extsort (encoding, fill factor) and takes their resident summary
 // — internal/run's, the one every sorted run keeps — from the observer of
 // the pass that writes them. An insert rewrites one leaf in place: it reads
-// the page through the leaf layout's page decode and renders it again with
-// the layout's encoder (internal/record), whichever the encoding.
+// the page through the leaf layout's page decode (internal/record) and
+// renders its entries again as fixed-size records.
 package ctree
 
 import (
@@ -35,8 +35,8 @@ type Options struct {
 	Name   string       // file name prefix on the disk
 	Config index.Config // summarization shape; Materialized selects CTreeFull
 	// FillFactor is the fraction of each leaf page populated at build time,
-	// in (0,1]; the remainder is slack for inserts. Default 1.0 (fully
-	// packed, the read-optimal layout).
+	// in (0,1]; the remainder is slack for inserts. Default 1.0 (full
+	// pages, the read-optimal layout).
 	FillFactor float64
 	// MemBudget is the working memory for external sorting, in bytes.
 	// Default 1 MiB.
@@ -86,16 +86,14 @@ func (o *Options) setDefaults() error {
 type Tree struct {
 	opts     Options
 	store    run.Store     // the leaf file's reader, entry codec and raw store
-	leaves   run.Run       // the leaf file: count, synopsis, encoding and summary
-	layout   record.Layout // the leaf pages': fixed-size, or packed in an older tree
-	capacity int           // max entries per fixed-size leaf page
+	leaves   run.Run       // the leaf file: count, synopsis and summary
+	layout   record.Layout // the leaf pages'
+	capacity int           // max entries per leaf page
 	nextID64 int64         // next auto-assigned insert ID
-	// Insert-path scratch, one of each per tree because inserts are
-	// externally serialized: the page a leaf is read into and re-encoded
-	// into (both backends copy what they are handed to write), and the
-	// layout's page builder, whose trial fit is also the encoding.
+	// Insert-path scratch, one per tree because inserts are externally
+	// serialized: the page a leaf is read into and re-encoded into (both
+	// backends copy what they are handed to write).
 	pageBuf []byte
-	pb      *record.PageBuilder
 }
 
 // PlanSynopses implements zonestat.Provider for shard-level planning: the
@@ -199,11 +197,10 @@ func bulkLoad(opts Options, n int64, write func(t *Tree, sorter *extsort.Sorter)
 	if err := opts.setDefaults(); err != nil {
 		return nil, err
 	}
-	t := newTree(opts)
-	if err := t.initLayout(false); err != nil {
+	t, err := newTree(opts)
+	if err != nil {
 		return nil, err
 	}
-	t.capacity = opts.Disk.PageSize() / t.store.Codec().Size()
 	b := run.NewBuilder(opts.Config, n, t.target())
 	sorter := &extsort.Sorter{
 		Disk: opts.Disk, Codec: t.store.Codec(), MemBudget: opts.MemBudget,
@@ -218,24 +215,21 @@ func bulkLoad(opts Options, n int64, write func(t *Tree, sorter *extsort.Sorter)
 	return t, nil
 }
 
-// newTree returns the tree of opts, its leaf file named but not described.
-func newTree(opts Options) *Tree {
-	return &Tree{
+// newTree returns the tree of opts, its leaf file named but not described,
+// or an error when an entry cannot fit a leaf page.
+func newTree(opts Options) (*Tree, error) {
+	t := &Tree{
 		opts:    opts,
 		store:   run.NewStore(opts.Disk, opts.Reader, opts.Config, opts.Raw),
 		leaves:  run.Run{File: opts.Name + ".leaves"},
 		pageBuf: make([]byte, opts.Disk.PageSize()),
 	}
-}
-
-// initLayout sets the leaf pages' layout, fixed-size or, for a tree an
-// older build wrote, packed, which checks that an entry fits a page.
-func (t *Tree) initLayout(packed bool) (err error) {
-	if t.layout, err = t.store.Layout(packed); err != nil {
-		return fmt.Errorf("ctree: %w", err)
+	var err error
+	if t.layout, err = t.store.Layout(); err != nil {
+		return nil, fmt.Errorf("ctree: %w", err)
 	}
-	t.leaves.Packed, t.pb = packed, t.layout.Builder()
-	return nil
+	t.capacity = opts.Disk.PageSize() / t.store.Codec().Size()
+	return t, nil
 }
 
 // target is how many entries a fixed-size leaf holds when built: the fill
@@ -327,21 +321,22 @@ func (t *Tree) InsertEntry(e record.Entry) error {
 	return nil
 }
 
-// encodePage renders entries as one leaf page in the insert-path page
-// buffer, or reports that they do not fit one — a record count for
-// fixed-size pages, a trial fit for the packed ones of a tree an older build
-// wrote (compressed size is data-dependent) — and the builder that has taken
-// every entry is the one that encodes them. The returned page aliases the
-// buffer and is valid until the next call.
+// encodePage renders entries as one leaf page of fixed-size records in the
+// insert-path page buffer, the rest of the page zeroes, or reports that
+// they do not fit one: a leaf holds at most capacity entries. The returned
+// page aliases the buffer and is valid until the next call.
 func (t *Tree) encodePage(entries []record.Entry) (page []byte, fits bool, err error) {
-	t.pb.Reset()
+	if len(entries) > t.capacity {
+		return nil, false, nil
+	}
+	page = t.pageBuf[:0]
 	for _, e := range entries {
-		if ok, err := t.pb.TryAdd(e); err != nil || !ok {
+		if page, err = t.store.Codec().Append(page, e); err != nil {
 			return nil, false, err
 		}
 	}
-	_, err = t.pb.Encode(t.pageBuf)
-	return t.pageBuf, err == nil, err
+	clear(t.pageBuf[len(page):])
+	return t.pageBuf, true, nil
 }
 
 // encodeFitting is encodePage for entries that must fit: half of a leaf

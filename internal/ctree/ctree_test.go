@@ -1,10 +1,8 @@
 package ctree
 
 import (
-	"encoding/binary"
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"repro/internal/gen"
@@ -353,71 +351,33 @@ func TestInsertSplits(t *testing.T) {
 	}
 }
 
-// TestInsertRejectsMisreadLeaf: an insert reads its leaf back through the
-// page decode, which holds a packed page's header count to the count the
-// summary keeps. A leaf whose header says one entry fewer is an error naming
-// the file and the page, never a misdecoded leaf written back.
-func TestInsertRejectsMisreadLeaf(t *testing.T) {
-	ds := buildDataset(t, 300, 12)
-	for _, mat := range []bool{false, true} {
-		t.Run(map[bool]string{false: "key-only", true: "materialized"}[mat], func(t *testing.T) {
-			disk := storage.NewDisk(0)
-			tr := packedTree(t, Options{Disk: disk, Config: testConfig(mat), Raw: normStore{ds}}, ds)
-			page := make([]byte, disk.PageSize())
-			for li := 0; li < tr.Leaves(); li++ {
-				phys := tr.leaves.Sum.Phys(li)
-				if _, err := disk.ReadPage(tr.leaves.File, phys, page); err != nil {
-					t.Fatal(err)
-				}
-				binary.LittleEndian.PutUint16(page[4:], binary.LittleEndian.Uint16(page[4:])-1)
-				if err := disk.WritePage(tr.leaves.File, phys, page); err != nil {
-					t.Fatal(err)
-				}
-			}
-			before := disk.Stats().Writes()
-			err := tr.Insert(gen.RandomWalk(rand.New(rand.NewSource(13)), 64), 0)
-			if err == nil || !strings.Contains(err.Error(), tr.leaves.File+" page ") {
-				t.Fatalf("mat=%v: insert into a leaf whose header lost an entry: err %v, want one naming %s and the page", mat, err, tr.leaves.File)
-			}
-			if w := disk.Stats().Writes() - before; w != 0 {
-				t.Fatalf("mat=%v: the failed insert wrote %d pages", mat, w)
-			}
-		})
-	}
-}
-
 // TestStatisticsStayExactUnderInserts holds the planner statistics to a
-// rebuild from the leaves after bulk load, in-place inserts and splits, in
-// both layouts (a packed tree as older builds wrote one, packedTree): every
-// leaf's symbol envelope (run.Store.Verify) and the tree synopsis equal what
+// rebuild from the leaves after bulk load, in-place inserts and splits:
+// every leaf's symbol envelope (run.Store.Verify) and the tree synopsis equal what
 // folding the leaf's entries one by one gives. An insert that fits widens
 // its leaf's envelope by the new entry alone; this is the check that doing
 // so loses nothing.
 func TestStatisticsStayExactUnderInserts(t *testing.T) {
-	for _, packed := range []bool{false, true} {
-		t.Run(map[bool]string{false: "fixed", true: "packed"}[packed], func(t *testing.T) {
-			ds := buildDataset(t, 500, 12)
-			tr := buildShape(t, ds, true, packed, 0.7, 0)
-			before := tr.Leaves()
-			rng := rand.New(rand.NewSource(120))
-			for i := 0; i < 300; i++ {
-				if err := tr.Insert(gen.RandomWalk(rng, 64), int64(i)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if tr.Leaves() <= before {
-				t.Fatalf("packed=%v: no split in %d inserts", packed, 300)
-			}
-			if err := tr.store.Verify(tr.leaves); err != nil {
-				t.Fatalf("packed=%v: %v", packed, err)
-			}
-			whole := foldLeaves(t, tr)
-			got := tr.leaves.Syn
-			if got.Count != whole.Count || got.MinTS != whole.MinTS || got.MaxTS != whole.MaxTS ||
-				string(got.MinSym) != string(whole.MinSym) || string(got.MaxSym) != string(whole.MaxSym) {
-				t.Fatalf("packed=%v: tree synopsis %+v, rebuilt %+v", packed, got, whole)
-			}
-		})
+	ds := buildDataset(t, 500, 12)
+	tr := buildShape(t, ds, true, 0.7, 0)
+	before := tr.Leaves()
+	rng := rand.New(rand.NewSource(120))
+	for i := 0; i < 300; i++ {
+		if err := tr.Insert(gen.RandomWalk(rng, 64), int64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if tr.Leaves() <= before {
+		t.Fatalf("no split in %d inserts", 300)
+	}
+	if err := tr.store.Verify(tr.leaves); err != nil {
+		t.Fatal(err)
+	}
+	whole := foldLeaves(t, tr)
+	got := tr.leaves.Syn
+	if got.Count != whole.Count || got.MinTS != whole.MinTS || got.MaxTS != whole.MaxTS ||
+		string(got.MinSym) != string(whole.MinSym) || string(got.MaxSym) != string(whole.MaxSym) {
+		t.Fatalf("tree synopsis %+v, rebuilt %+v", got, whole)
 	}
 }
 

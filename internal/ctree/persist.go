@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"repro/internal/index"
+	"repro/internal/record"
 	"repro/internal/run"
 	"repro/internal/sortable"
 	"repro/internal/storage"
@@ -16,15 +17,19 @@ import (
 //
 //	magic "CTREEMTA" | version u32 | payload length u64
 //	count u64 | nextID u64 | capacity u32 | target u32 | fill f64-bits u64
-//	materialized u8 | seriesLen u32 | segments u32 | bits u32 | packed u8
+//	materialized u8 | seriesLen u32 | segments u32 | bits u32 | layout u8
 //	| leaf summary (run.Summary.AppendBinary: per leaf its entry count and
 //	  page number, the leaf envelopes, the SAX and timestamp columns)
 //
 // A reopened tree scans from the decoded summary without reading its
 // leaves; the groups and their envelopes are derived on decode, and the
 // whole-tree synopsis is folded from the SAX and timestamp columns
-// (run.DecodeSummary). Version 5 held, before the packed flag, a stored
-// copy of that synopsis:
+// (run.DecodeSummary); capacity (the records a page holds) and target (the
+// records a bulk load puts on one) are derived from the page size and the
+// fill factor on open, not read. The layout byte is 0: fixed-size
+// records. A 1 says the leaves are packed, a layout older builds could
+// write and no build reads, and the file is refused with record.ErrPacked.
+// Version 5 held, before the layout byte, a stored copy of that synopsis:
 //
 //	synLen u32 | whole-tree synopsis
 //
@@ -33,15 +38,14 @@ import (
 //	leafCount u32 | per leaf: minKey 16B | count u32 | page u64
 //	[v2: envPresent u8 | synMin leafCount*segments B | synMax ... B
 //	     | synLen u32 | whole-tree synopsis]
-//	[v3: packed u8]
+//	[v3: layout u8]
 //	[v4: SAX column count*segments B]
 //
-// Version 2 added the leaf envelopes and the synopsis, 3 the packed flag
-// (record.Layout; earlier files hold fixed-size records, and so does every
-// tree built now: a tree whose leaves an older build packed keeps them
-// packed, its inserts included, and saves its flag as 1), 4 the SAX
-// column, 5 the summary, and 6 dropped the synopsis. Files of versions 1–5
-// still open; a stored synopsis is skipped by its length, never decoded.
+// Version 2 added the leaf envelopes and the synopsis, 3 the layout byte
+// (earlier files hold fixed-size records), 4 the SAX column, 5 the summary,
+// and 6 dropped the synopsis. Files of versions 1–5 still open, but for a
+// layout byte of 1; a stored synopsis is skipped by its length, never
+// decoded.
 // Open takes a version 1–4 file's leaf counts and pages from the directory
 // and rebuilds the whole summary and the synopsis with one pass over the
 // leaf pages (run.Store.Load); what else they hold of it is ignored. Every
@@ -71,7 +75,7 @@ func (t *Tree) encodeMeta() []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(cfg.SeriesLen))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(cfg.Segments))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(cfg.Bits))
-	return t.leaves.Sum.AppendBinary(append(buf, flag(t.leaves.Packed)))
+	return t.leaves.Sum.AppendBinary(append(buf, 0)) // the layout byte: fixed-size records
 }
 
 func flag(b bool) byte {
@@ -84,7 +88,9 @@ func flag(b bool) byte {
 // Open reconstructs a saved tree from a disk holding "<name>.leaves" and
 // "<name>.meta". Of opts it takes Disk, Name, Reader and (for
 // non-materialized trees) Raw as Build does; the structure — Config,
-// FillFactor, page encoding — is restored from the metadata.
+// FillFactor — is restored from the metadata. Metadata that says the
+// leaves are packed fails with record.ErrPacked: rebuild such a tree from
+// its dataset.
 func Open(opts Options) (*Tree, error) {
 	if opts.Disk == nil {
 		return nil, fmt.Errorf("ctree: Disk is required")
@@ -114,10 +120,12 @@ func decodeMeta(opts Options, buf []byte, version uint32) (*Tree, error) {
 		return nil, fmt.Errorf("ctree: invalid persisted config: %w", err)
 	}
 	opts.Config, opts.FillFactor = cfg, math.Float64frombits(binary.LittleEndian.Uint64(buf[24:]))
-	t := newTree(opts)
+	t, err := newTree(opts)
+	if err != nil {
+		return nil, err
+	}
 	t.leaves.Count = int64(binary.LittleEndian.Uint64(buf))
 	t.nextID64 = int64(binary.LittleEndian.Uint64(buf[8:]))
-	t.capacity = int(binary.LittleEndian.Uint32(buf[16:]))
 	if !opts.Disk.Exists(t.leaves.File) {
 		return nil, fmt.Errorf("ctree: leaf file %q missing", t.leaves.File)
 	}
@@ -157,14 +165,13 @@ func decodeMeta(opts Options, buf []byte, version uint32) (*Tree, error) {
 	}
 	if version >= 3 {
 		if len(rest) < 1 {
-			return nil, fmt.Errorf("ctree: meta truncated at packed flag")
+			return nil, fmt.Errorf("ctree: meta truncated at the layout byte")
 		}
-		t.leaves.Packed, rest = rest[0] == 1, rest[1:]
+		if rest[0] == 1 {
+			return nil, fmt.Errorf("ctree: %s.meta: %w", opts.Name, record.ErrPacked)
+		}
+		rest = rest[1:]
 	}
-	if err := t.initLayout(t.leaves.Packed); err != nil {
-		return nil, err
-	}
-	var err error
 	if version >= 5 {
 		t.leaves.Sum, t.leaves.Syn, err = run.DecodeSummary(rest, cfg, t.leaves.Count)
 	} else {

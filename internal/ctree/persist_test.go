@@ -159,7 +159,7 @@ func TestOpenErrors(t *testing.T) {
 }
 
 // TestOpenSkipsStoredSynopsis: meta v5 stored a copy of the whole-tree
-// synopsis before the packed flag. Open skips it by its length and folds the
+// synopsis before the layout byte. Open skips it by its length and folds the
 // synopsis from the decoded columns instead, so a stored one narrowed away
 // from every entry, and of another shape, changes nothing.
 func TestOpenSkipsStoredSynopsis(t *testing.T) {

@@ -3,14 +3,16 @@ package ctree
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math/rand"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/gen"
 	"repro/internal/index"
-	"repro/internal/run"
+	"repro/internal/record"
 	"repro/internal/series"
 	"repro/internal/sortable"
 	"repro/internal/storage"
@@ -50,69 +52,24 @@ func (l *leafReads) Access(file string, _ int64, write bool) {
 }
 
 // summaryShapes are the builds the invariant is held on: materialized or
-// not, full to the brim or with insert slack, and in both layouts — a packed
-// tree as older builds wrote one (packedTree), at full pages. The pages are
-// small, so that 1500 series make enough leaves for several groups: a
-// materialized leaf holds three entries, like the benchmark's.
+// not, full to the brim or with insert slack. The pages are small, so that
+// 1500 series make enough leaves for several groups: a materialized leaf
+// holds three entries, like the benchmark's.
 var summaryShapes = []struct {
 	name         string
 	materialized bool
-	packed       bool
 	fill         float64
 	pageSize     int
 }{
-	{"fixed", false, false, 1.0, 256},
-	{"fixed-slack", false, false, 0.6, 256},
-	{"fixed-full", true, false, 1.0, 2048},
-	{"packed", false, true, 1.0, 256},
-	{"packed-full", true, true, 1.0, 2048},
+	{"fixed", false, 1.0, 256},
+	{"fixed-slack", false, 0.6, 256},
+	{"fixed-full", true, 1.0, 2048},
 }
 
-func buildShape(t *testing.T, ds *series.Dataset, materialized, packed bool, fill float64, pageSize int) *Tree {
+func buildShape(t *testing.T, ds *series.Dataset, materialized bool, fill float64, pageSize int) *Tree {
 	t.Helper()
 	opts := Options{Disk: storage.NewDisk(pageSize), Config: testConfig(materialized), FillFactor: fill, Raw: normStore{ds}}
-	if packed {
-		return packedTree(t, opts, ds)
-	}
 	tr, err := Build(opts, ds, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tr
-}
-
-// packedTree returns a tree over ds (sortedEntries) with packed leaves, as
-// older builds wrote them: full pages of the packed layout's page builder,
-// the summary read off them as Open rebuilds an older tree's (run.Store.Load).
-// No build writes packed leaves now; a packed tree answers and takes inserts.
-func packedTree(t *testing.T, opts Options, ds *series.Dataset) *Tree {
-	t.Helper()
-	err := opts.setDefaults()
-	tr := newTree(opts)
-	if err == nil {
-		err = tr.initLayout(true)
-	}
-	if err == nil {
-		err = opts.Disk.Create(tr.leaves.File)
-	}
-	tr.capacity, tr.nextID64 = opts.Disk.PageSize()/tr.store.Codec().Size(), int64(ds.Count())
-	entries := sortedEntries(ds, opts.Config)
-	for i := 0; err == nil && i < len(entries); {
-		for ok := true; err == nil && ok && i < len(entries); {
-			if ok, err = tr.pb.TryAdd(entries[i]); ok {
-				i++
-			}
-		}
-		if err == nil {
-			_, err = tr.pb.Encode(tr.pageBuf)
-		}
-		if err == nil {
-			_, err = opts.Disk.AppendPages(tr.leaves.File, tr.pageBuf)
-		}
-	}
-	if err == nil {
-		tr.leaves, err = tr.store.Load(run.Run{File: tr.leaves.File, Count: tr.nextID64, Packed: true}, nil, nil)
-	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +85,7 @@ func TestSummariesFollowTheTree(t *testing.T) {
 	for _, sh := range summaryShapes {
 		t.Run(sh.name, func(t *testing.T) {
 			ds := buildDataset(t, 1500, 71)
-			tr := buildShape(t, ds, sh.materialized, sh.packed, sh.fill, sh.pageSize)
+			tr := buildShape(t, ds, sh.materialized, sh.fill, sh.pageSize)
 			if err := checkSummaries(tr); err != nil {
 				t.Fatalf("after build: %v", err)
 			}
@@ -187,20 +144,16 @@ func TestSummariesFollowTheTree(t *testing.T) {
 // TestSummariesOfATreeGrownFromNothing: the first insert into an empty tree
 // creates leaf, columns and group together.
 func TestSummariesOfATreeGrownFromNothing(t *testing.T) {
-	for _, packed := range []bool{false, true} {
-		t.Run(map[bool]string{false: "fixed", true: "packed"}[packed], func(t *testing.T) {
-			ds := series.NewDataset(64)
-			tr := buildShape(t, ds, true, packed, 1.0, 2048)
-			rng := rand.New(rand.NewSource(73))
-			for i := 0; i < 400; i++ {
-				if err := tr.Insert(gen.RandomWalk(rng, 64), 0); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := checkSummaries(tr); err != nil {
-				t.Fatalf("packed=%v: %v", packed, err)
-			}
-		})
+	ds := series.NewDataset(64)
+	tr := buildShape(t, ds, true, 1.0, 2048)
+	rng := rand.New(rand.NewSource(73))
+	for i := 0; i < 400; i++ {
+		if err := tr.Insert(gen.RandomWalk(rng, 64), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := checkSummaries(tr); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -213,7 +166,10 @@ func TestSummariesOfATreeGrownFromNothing(t *testing.T) {
 // (seed 702) at timestamp 5, enough to split leaves, so the page map is not
 // the identity. Open must rebuild the whole summary — timestamp column
 // included, which no version before 5 stored — and the synopsis from the
-// leaf pages, skipping the stored synopsis.
+// leaf pages, skipping the stored synopsis. The v3 and v4 fixtures of a
+// tree whose leaves an older build packed (meta_v3_packed, meta_v4_packed:
+// the same series on packed pages, flag 1) must not open: they fail with
+// record.ErrPacked, naming the meta file.
 func TestOpenOlderMetaRebuildsSummaries(t *testing.T) {
 	for _, fx := range []struct {
 		file    string
@@ -237,6 +193,13 @@ func TestOpenOlderMetaRebuildsSummaries(t *testing.T) {
 			}
 			if v := uint32(meta[len(metaMagic)]); v != fx.version {
 				t.Fatalf("fixture is meta v%d, want v%d", v, fx.version)
+			}
+			if fx.packed {
+				tr, err := Open(Options{Disk: disk, Name: "ctree"})
+				if !errors.Is(err, record.ErrPacked) || !strings.Contains(err.Error(), "ctree.meta") {
+					t.Fatalf("opened a packed tree: %v, error %v; want record.ErrPacked naming ctree.meta", tr, err)
+				}
+				return
 			}
 			// The stored synopsis, narrowed to an envelope no entry lies
 			// in, is skipped: the reopened one is the leaves' fold.
@@ -264,8 +227,8 @@ func TestOpenOlderMetaRebuildsSummaries(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if tr.leaves.Packed != fx.packed || tr.Count() != 340 || !splitMap(tr) {
-				t.Fatalf("opened packed=%v count=%d split page map=%v", tr.leaves.Packed, tr.Count(), splitMap(tr))
+			if tr.Count() != 340 || !splitMap(tr) {
+				t.Fatalf("opened count=%d split page map=%v", tr.Count(), splitMap(tr))
 			}
 			if err := checkSummaries(tr); err != nil {
 				t.Fatal(err)
@@ -323,7 +286,8 @@ func TestOpenOlderMetaRebuildsSummaries(t *testing.T) {
 // layout) has at least one entry a page, the tree's count in all and no
 // symbol beyond the cardinality, and which decodes to the same encoding
 // again. The committed corpus (testdata/fuzz/FuzzDecodeMetaV4) holds the v4
-// payloads of a fixed and a packed tree (40 series, 8 segments of 6 bits)
+// payloads of a fixed and a packed tree (40 series, 8 segments of 6 bits;
+// the packed one, and every payload derived from it, must be refused)
 // and, of each, truncations at the column and in the directory, a symbol
 // beyond the cardinality in the column and in a leaf envelope, and an
 // inflated leaf count; and (v5-*) the v5 payloads of such trees and, of

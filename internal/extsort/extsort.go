@@ -10,9 +10,9 @@
 // partition, a merge of either and a CTree's leaf level are all what Sort,
 // Merge or WriteRun wrote, in fixed-size records at the page fill the
 // Sorter's Output names, and each owner derives what it keeps in memory
-// about its file from the Observer of that one pass. Inputs may also be
-// packed, a format older builds wrote. How entries are laid into pages, and
-// read back, is internal/record's: a record.Layout's Writer and Reader.
+// about its file from the Observer of that one pass. How entries are laid
+// into pages, and read back, is internal/record's: a record.Layout's Writer
+// and Reader.
 package extsort
 
 import (
@@ -319,13 +319,10 @@ func (s *Sorter) sortRunsParallel(reader *record.Reader, bufEntries, workers int
 }
 
 // Input names one sorted entry file: a phase-1 run of Sort, a CLSM run, a
-// BTP partition. Count is its entry count (files carry no header); Packed
-// says its pages use the packed encoding, which older builds wrote, rather
-// than fixed-size records.
+// BTP partition. Count is its entry count (files carry no header).
 type Input struct {
-	Name   string
-	Count  int64
-	Packed bool
+	Name  string
+	Count int64
 }
 
 // Observer sees every entry Sort, WriteRun or Merge appends to its output, in
@@ -347,9 +344,9 @@ type recordWriter struct {
 }
 
 // create makes the file (which must not exist) with a write-behind buffer
-// of chunkPages pages (record.Layout.StreamPages).
+// of chunkPages pages.
 func (s *Sorter) create(name string, out Output, chunkPages int) (*recordWriter, error) {
-	l, err := record.NewLayout(s.Codec, s.Disk.PageSize(), false)
+	l, err := record.NewLayout(s.Codec, s.Disk.PageSize())
 	if err != nil {
 		return nil, err
 	}
@@ -401,8 +398,8 @@ func (s *Sorter) WriteRun(name string, entries []record.Entry) error {
 	return w.finish(err)
 }
 
-// Merge k-way merges already-sorted entry files, in any mix of encodings,
-// into one new fixed-size sorted file as the sorter's Output describes it,
+// Merge k-way merges already-sorted entry files into one new sorted file as
+// the sorter's Output describes it,
 // under the sorter's full memory budget. Inputs are left intact. Returns the
 // merged entry count.
 func (s *Sorter) Merge(inputs []Input, output string) (int64, error) {
@@ -413,8 +410,7 @@ func (s *Sorter) Merge(inputs []Input, output string) (int64, error) {
 // MemBudget when Sort's merge groups run concurrently) is split into
 // per-input read-ahead buffers plus a write-behind buffer, so each stream
 // moves the head once per chunk — the I/O discipline that makes external
-// merging sequential (packed streams keep their own fixed chunk, see
-// record.Layout.StreamPages). A source holds one record at a time, written
+// merging sequential. A source holds one record at a time, written
 // before the source advances, so records move from page to page verbatim:
 // the loop decodes no payload and allocates nothing per entry.
 func (s *Sorter) merge(inputs []Input, output string, out Output, budget int) (int64, error) {
@@ -443,9 +439,9 @@ func (s *Sorter) merge(inputs []Input, output string, out Output, budget int) (i
 }
 
 // open returns a sequential entry reader over one sorted input file, read
-// ahead width pages at a time (record.Layout.StreamPages).
+// ahead width pages at a time.
 func (s *Sorter) open(in Input, width int) (*record.Reader, error) {
-	l, err := record.NewLayout(s.Codec, s.Disk.PageSize(), in.Packed)
+	l, err := record.NewLayout(s.Codec, s.Disk.PageSize())
 	if err != nil {
 		return nil, err
 	}
@@ -453,7 +449,7 @@ func (s *Sorter) open(in Input, width int) (*record.Reader, error) {
 	if err != nil {
 		return nil, err
 	}
-	return l.NewReader(storage.ScanChunks(s.Disk, in.Name, 0, npages, l.StreamPages(width)), npages, in.Name, in.Count)
+	return l.NewReader(storage.ScanChunks(s.Disk, in.Name, 0, npages, width), npages, in.Name, in.Count)
 }
 
 // source is one input of a merge: its reader, and the record it holds with

@@ -294,88 +294,44 @@ func readFile(d *storage.Disk, in Input, c record.Codec) ([]record.Entry, error)
 	}
 }
 
-// TestMergeSorted is the one table over Sorter.Merge: inputs in any mix of
-// encodings — packed ones written as older builds wrote them (writePacked)
-// — into a fixed-size output. The merged sequence must be the sorted union
-// whatever the encodings — encoding never changes answers — and the inputs
-// stay intact.
+// TestMergeSorted is the one test of Sorter.Merge's output: the merged
+// sequence of three sorted inputs must be their sorted union, and the
+// inputs stay intact.
 func TestMergeSorted(t *testing.T) {
-	cases := []struct {
-		name   string
-		packed []bool // one input per element
-	}{
-		{"fixed", []bool{false, false, false}},
-		{"mixed-encodings", []bool{false, true, true, false}},
-		{"packed", []bool{true, true}},
+	d := storage.NewDisk(512)
+	c := record.Codec{}
+	s := &Sorter{Disk: d, Codec: c, MemBudget: 1 << 16}
+	var inputs []Input
+	var parts [][]record.Entry
+	var all []record.Entry
+	for i := 0; i < 3; i++ {
+		n := 60 * (i + 1)
+		entries := writeUnsorted(t, d, "u"+string(rune('0'+i)), c, n, int64(40+i))
+		sortEntries(entries)
+		in := Input{Name: "s" + string(rune('0'+i)), Count: int64(n)}
+		if err := s.WriteRun(in.Name, entries); err != nil {
+			t.Fatal(err)
+		}
+		inputs = append(inputs, in)
+		parts = append(parts, entries)
+		all = append(all, entries...)
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			d := storage.NewDisk(512)
-			c := record.Codec{}
-			s := &Sorter{Disk: d, Codec: c, MemBudget: 1 << 16}
-			var inputs []Input
-			var parts [][]record.Entry
-			var all []record.Entry
-			for i, packed := range tc.packed {
-				n := 60 * (i + 1)
-				entries := writeUnsorted(t, d, "u"+string(rune('0'+i)), c, n, int64(40+i))
-				sortEntries(entries)
-				in := Input{Name: "s" + string(rune('0'+i)), Count: int64(n), Packed: packed}
-				if packed {
-					writePacked(t, d, c, in.Name, entries)
-				} else if err := s.WriteRun(in.Name, entries); err != nil {
-					t.Fatal(err)
-				}
-				inputs = append(inputs, in)
-				parts = append(parts, entries)
-				all = append(all, entries...)
-			}
-			sortEntries(all)
+	sortEntries(all)
 
-			got, err := s.Merge(inputs, "merged")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != int64(len(all)) {
-				t.Fatalf("merged %d entries, want %d", got, len(all))
-			}
-			assertEntries(t, "merged", readRun(t, d, Input{Name: "merged", Count: got}, c), all)
-			for i, in := range inputs {
-				assertEntries(t, in.Name, readRun(t, d, in, c), parts[i])
-			}
-		})
-	}
-}
-
-// writePacked writes entries, in (Key, ID) order, into a new file of full
-// packed pages through the packed record.Layout's page builder, as older
-// builds did. No build writes such a file now; a merge still reads it.
-func writePacked(t *testing.T, d storage.Backend, c record.Codec, name string, entries []record.Entry) {
-	t.Helper()
-	l, err := record.NewLayout(c, d.PageSize(), true)
-	if err == nil {
-		err = d.Create(name)
-	}
-	b, page := l.Builder(), make([]byte, d.PageSize())
-	for i := 0; err == nil && i < len(entries); {
-		for ok := true; err == nil && ok && i < len(entries); {
-			if ok, err = b.TryAdd(entries[i]); ok {
-				i++
-			}
-		}
-		if err == nil {
-			_, err = b.Encode(page)
-		}
-		if err == nil {
-			_, err = d.AppendPages(name, page)
-		}
-	}
+	got, err := s.Merge(inputs, "merged")
 	if err != nil {
 		t.Fatal(err)
 	}
+	if got != int64(len(all)) {
+		t.Fatalf("merged %d entries, want %d", got, len(all))
+	}
+	assertEntries(t, "merged", readRun(t, d, Input{Name: "merged", Count: got}, c), all)
+	for i, in := range inputs {
+		assertEntries(t, in.Name, readRun(t, d, in, c), parts[i])
+	}
 }
 
-// readRun decodes a sorted file in either encoding.
+// readRun decodes a sorted file.
 func readRun(t *testing.T, d *storage.Disk, in Input, c record.Codec) []record.Entry {
 	t.Helper()
 	out, err := readFile(d, in, c)
@@ -406,10 +362,10 @@ func sortEntries(entries []record.Entry) {
 }
 
 // TestMergeDoesNotAllocatePerEntry pins the merge loop's cost: each source
-// decodes its entries' payloads into one buffer of its own, so a merge of
-// materialized entries allocates per file and per chunk of pages, never per
-// entry — and still writes every payload it read, from inputs of both
-// encodings.
+// holds a record that aliases its pinned page and moves verbatim to the
+// output page, so a merge of materialized entries allocates per file and
+// per chunk of pages, never per entry — and still writes every payload it
+// read.
 func TestMergeDoesNotAllocatePerEntry(t *testing.T) {
 	c := record.Codec{SeriesLen: 16, Materialized: true}
 	d := storage.NewDisk(4096) // 25 entries to a page: a page's allocations are not an entry's
@@ -417,7 +373,7 @@ func TestMergeDoesNotAllocatePerEntry(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	var inputs []Input
 	var all []record.Entry
-	for i, packed := range []bool{false, true, false} {
+	for i := 0; i < 3; i++ {
 		entries := make([]record.Entry, 400)
 		for j := range entries {
 			p := make(series.Series, c.SeriesLen)
@@ -427,10 +383,8 @@ func TestMergeDoesNotAllocatePerEntry(t *testing.T) {
 			entries[j] = record.Entry{Key: sortable.Key{Hi: rng.Uint64()}, ID: int64(i*1000 + j), TS: int64(j), Payload: p}
 		}
 		sortEntries(entries)
-		in := Input{Name: "in" + string(rune('0'+i)), Count: int64(len(entries)), Packed: packed}
-		if packed {
-			writePacked(t, d, c, in.Name, entries)
-		} else if err := s.WriteRun(in.Name, entries); err != nil {
+		in := Input{Name: "in" + string(rune('0'+i)), Count: int64(len(entries))}
+		if err := s.WriteRun(in.Name, entries); err != nil {
 			t.Fatal(err)
 		}
 		inputs = append(inputs, in)

@@ -14,9 +14,8 @@ import (
 )
 
 // buildEvalFixture summarizes n random series into key-sorted entries plus
-// both page encodings of the same entry sequence, each a whole page of
-// pageSize bytes: the fixed-size layout and a packed page.
-func buildEvalFixture(t *testing.T, rng *rand.Rand, cfg Config, n, pageSize int) (*series.Dataset, []record.Entry, []byte, []byte) {
+// their page of fixed-size records, a whole page of pageSize bytes.
+func buildEvalFixture(t *testing.T, rng *rand.Rand, cfg Config, n, pageSize int) (*series.Dataset, []record.Entry, []byte) {
 	t.Helper()
 	codec := cfg.Codec()
 	ds := series.NewDataset(cfg.SeriesLen)
@@ -50,58 +49,37 @@ func buildEvalFixture(t *testing.T, rng *rand.Rand, cfg Config, n, pageSize int)
 			t.Fatal(err)
 		}
 	}
-	fixed = fixed[:pageSize]
-	b, err := record.NewPageBuilder(codec, pageSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		ok, err := b.TryAdd(e)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			t.Fatalf("fixture of %d entries does not fit one %d-byte packed page", n, pageSize)
-		}
-	}
-	packed := make([]byte, pageSize)
-	if _, err := b.Encode(packed); err != nil {
-		t.Fatal(err)
-	}
-	return ds, entries, fixed, packed
+	return ds, entries, fixed[:pageSize]
 }
 
-// layoutOf returns the layout, fixed-size or packed, of cfg's entries on
-// pages of pageSize bytes.
-func layoutOf(t testing.TB, cfg Config, pageSize int, packed bool) *record.Layout {
+// layoutOf returns the layout of cfg's entries on pages of pageSize bytes.
+func layoutOf(t testing.TB, cfg Config, pageSize int) *record.Layout {
 	t.Helper()
-	l, err := record.NewLayout(cfg.Codec(), pageSize, packed)
+	l, err := record.NewLayout(cfg.Codec(), pageSize)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return &l
 }
 
-// evalLayouts names the layouts of one entry sequence the page evaluator
-// reads through its cursor: three encodings, and the two on-page ones again
-// with the entries' symbols resident beside the page (UseSymbols), where the
-// bounds come from the symbols and the page is read only for survivors.
-func evalLayouts(t testing.TB, entries []record.Entry, fixed, packed []byte, cfg Config) map[string]Page {
-	fl, pl := layoutOf(t, cfg, len(fixed), false), layoutOf(t, cfg, len(packed), true)
+// evalLayouts names the sources of one entry sequence the page evaluator
+// reads through its cursor: the stored page, the decoded entries, and the
+// stored page again with the entries' symbols resident beside it
+// (UseSymbols), where the bounds come from the symbols and the page is read
+// only for survivors.
+func evalLayouts(t testing.TB, entries []record.Entry, fixed []byte, cfg Config) map[string]Page {
+	fl := layoutOf(t, cfg, len(fixed))
 	var column []uint8
 	for _, e := range entries {
 		syms := sortable.Symbols(e.Key, cfg.Segments, cfg.Bits)
 		column = append(column, syms[:cfg.Segments]...)
 	}
-	fixedSyms, packedSyms := StoredPage(fl, fixed, len(entries)), StoredPage(pl, packed, len(entries))
+	fixedSyms := StoredPage(fl, fixed, len(entries))
 	fixedSyms.UseSymbols(column, cfg.Segments)
-	packedSyms.UseSymbols(column, cfg.Segments)
 	return map[string]Page{
-		"fixed":          StoredPage(fl, fixed, len(entries)),
-		"packed":         StoredPage(pl, packed, len(entries)),
-		"entries":        EntryPage(entries),
-		"fixed+symbols":  fixedSyms,
-		"packed+symbols": packedSyms,
+		"fixed":         StoredPage(fl, fixed, len(entries)),
+		"entries":       EntryPage(entries),
+		"fixed+symbols": fixedSyms,
 	}
 }
 
@@ -119,14 +97,14 @@ func sameResults(t *testing.T, label string, want, got []Result) {
 
 // TestEvalPageLayoutsMatch is the page-cursor equivalence property: the
 // k-NN evaluator must produce byte-identical collector contents (and
-// identical window-survivor counts) whichever layout it reads the entries
+// identical window-survivor counts) whichever source it reads the entries
 // from, materialized or not, windowed or not.
 func TestEvalPageLayoutsMatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for _, materialized := range []bool{false, true} {
 		cfg := Config{SeriesLen: 32, Segments: 8, Bits: 4, Materialized: materialized}
-		ds, entries, fixed, packed := buildEvalFixture(t, rng, cfg, 48, 32768)
-		layouts := evalLayouts(t, entries, fixed, packed, cfg)
+		ds, entries, fixed := buildEvalFixture(t, rng, cfg, 48, 32768)
+		layouts := evalLayouts(t, entries, fixed, cfg)
 
 		for trial := 0; trial < 20; trial++ {
 			qs := make(series.Series, cfg.SeriesLen)
@@ -165,8 +143,8 @@ func TestEvalPageRangeLayoutsMatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	for _, materialized := range []bool{false, true} {
 		cfg := Config{SeriesLen: 32, Segments: 8, Bits: 4, Materialized: materialized}
-		ds, entries, fixed, packed := buildEvalFixture(t, rng, cfg, 48, 32768)
-		layouts := evalLayouts(t, entries, fixed, packed, cfg)
+		ds, entries, fixed := buildEvalFixture(t, rng, cfg, 48, 32768)
+		layouts := evalLayouts(t, entries, fixed, cfg)
 
 		qs := make(series.Series, cfg.SeriesLen)
 		for j := range qs {
@@ -192,16 +170,15 @@ func TestEvalPageRangeLayoutsMatch(t *testing.T) {
 }
 
 // TestEvalPageDoesNotAllocate pins the probe path's zero-allocation
-// property on every layout and both loops: the cursor is a stack value,
-// packed decompression is fused into the scan, and the candidate buffer is
-// drawn from scratch.
+// property on every source and both loops: the cursor is a stack value,
+// and the candidate buffer is drawn from scratch.
 func TestEvalPageDoesNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not stable under -race")
 	}
 	rng := rand.New(rand.NewSource(23))
 	cfg := Config{SeriesLen: 32, Segments: 8, Bits: 4, Materialized: true}
-	ds, entries, fixed, packed := buildEvalFixture(t, rng, cfg, 24, 16384)
+	ds, entries, fixed := buildEvalFixture(t, rng, cfg, 24, 16384)
 	qs := make(series.Series, cfg.SeriesLen)
 	for j := range qs {
 		qs[j] = rng.NormFloat64()
@@ -210,7 +187,7 @@ func TestEvalPageDoesNotAllocate(t *testing.T) {
 	ctx := AcquireCtx(q, cfg)
 	defer ctx.Release()
 	sc := ctx.Scratch0()
-	for name, pg := range evalLayouts(t, entries, fixed, packed, cfg) {
+	for name, pg := range evalLayouts(t, entries, fixed, cfg) {
 		col := NewCollector(3)
 		// Warm the scratch candidate buffer to its high-water mark.
 		if _, err := EvalPage(&q, &pg, ds, col, sc); err != nil {
@@ -246,14 +223,15 @@ func TestEvalPageDoesNotAllocate(t *testing.T) {
 
 // TestEvalPageSymbolsSpareThePage: with the entries' symbols resident, a
 // page none of whose entries survives its bound is never read — the
-// evaluators return without opening it, so bytes that do not even decode
-// go unnoticed and the trace counts the page as released undecoded — while
-// a page with a survivor is opened and must agree with its symbols.
+// evaluators return without opening it, so a page too short to be one
+// goes unnoticed and the trace counts the page as released undecoded —
+// while a page with a survivor is opened and must have room for the
+// entries its symbols count.
 func TestEvalPageSymbolsSpareThePage(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	cfg := Config{SeriesLen: 32, Segments: 8, Bits: 4, Materialized: true}
-	ds, entries, fixed, packed := buildEvalFixture(t, rng, cfg, 24, 16384)
-	layouts := evalLayouts(t, entries, fixed, packed, cfg)
+	ds, entries, fixed := buildEvalFixture(t, rng, cfg, 24, 16384)
+	layouts := evalLayouts(t, entries, fixed, cfg)
 	qs := make(series.Series, cfg.SeriesLen)
 	for j := range qs {
 		qs[j] = 10 * rng.NormFloat64()
@@ -275,40 +253,33 @@ func TestEvalPageSymbolsSpareThePage(t *testing.T) {
 		col.AddSq(-1, 0, least/2)
 		return col
 	}
-	garbage := make([]byte, len(packed))
-	for _, name := range []string{"fixed+symbols", "packed+symbols"} {
-		pg := layouts[name]
-		pg.data = garbage
-		n, err := EvalPage(&q, &pg, ds, full(), sc)
-		if err != nil || n != len(entries) {
-			t.Fatalf("%s k-NN over an undecodable page: n=%d err=%v, want %d entries pruned unread", name, n, err, len(entries))
-		}
-		if err := EvalPageRange(&q, &pg, ds, NewRangeCollector(math.Sqrt(least)/2), sc); err != nil {
-			t.Fatalf("%s range over an undecodable page: %v", name, err)
-		}
+	pg := layouts["fixed+symbols"]
+	pg.data = fixed[:1] // no page at all: opening it would fail
+	n, err := EvalPage(&q, &pg, ds, full(), sc)
+	if err != nil || n != len(entries) {
+		t.Fatalf("k-NN over an unopenable page: n=%d err=%v, want %d entries pruned unread", n, err, len(entries))
+	}
+	if err := EvalPageRange(&q, &pg, ds, NewRangeCollector(math.Sqrt(least)/2), sc); err != nil {
+		t.Fatalf("range over an unopenable page: %v", err)
 	}
 	snap := q.Trace.Snapshot()
-	if c := snap.Candidates; snap.UndecodedPages != 4 || c.Seen != int64(4*len(entries)) || c.Pruned != c.Seen || c.Verified != 0 {
-		t.Fatalf("trace after four spared pages: undecoded=%d candidates=%+v", snap.UndecodedPages, c)
+	if c := snap.Candidates; snap.UndecodedPages != 2 || c.Seen != int64(2*len(entries)) || c.Pruned != c.Seen || c.Verified != 0 {
+		t.Fatalf("trace after two spared pages: undecoded=%d candidates=%+v", snap.UndecodedPages, c)
 	}
 	// The same bytes without resident symbols have to be read.
-	pg := layouts["packed"]
-	pg.data = garbage
+	pg = layouts["fixed"]
+	pg.data = fixed[:1]
 	if _, err := EvalPage(&q, &pg, ds, full(), sc); err == nil {
-		t.Fatal("undecodable packed page evaluated without its symbols: no error")
+		t.Fatal("unopenable page evaluated without its symbols: no error")
 	}
-	// A survivor opens the page, which must hold the entries its symbols
-	// count: a packed page's header must agree, and a fixed-size page, which
-	// does not say, must have room for them.
-	short := layouts["packed+symbols"]
-	short.UseSymbols(short.syms[:len(short.syms)-cfg.Segments], cfg.Segments)
-	exact := len(entries) * cfg.Codec().Size() // a fixed-size page that holds exactly the entries
-	over := StoredPage(layoutOf(t, cfg, exact, false), fixed[:exact], len(entries)+1)
+	// A survivor opens the page, which must have room for the entries its
+	// symbols count.
+	exact := len(entries) * cfg.Codec().Size() // a page that holds exactly the entries
+	over := StoredPage(layoutOf(t, cfg, exact), fixed[:exact], len(entries)+1)
 	column := layouts["fixed+symbols"].syms
 	over.UseSymbols(append(slices.Clone(column), column[:cfg.Segments]...), cfg.Segments)
 	for name, pg := range map[string]Page{
-		"packed page with one entry more than its symbols":              short,
-		"fixed-size page with room for one entry less than its symbols": over,
+		"page with room for one entry less than its symbols": over,
 	} {
 		if _, err := EvalPage(&q, &pg, ds, NewCollector(1), sc); err == nil {
 			t.Fatalf("%s: no error", name)

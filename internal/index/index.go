@@ -17,12 +17,12 @@
 // synopses from package zonestat turn into MINDIST lower bounds that order
 // probe units (runs, partitions, shards) best-bound-first and skip units
 // whose bound exceeds the collector's current worst. EvalPage and
-// EvalPageRange (prune.go) are the page-evaluation loops: one pinned page —
-// fixed-width, packed, or already decoded — filtered by window, pruned per
-// entry, and verified in ascending lower-bound order. Every bound is a true
-// lower bound, so planned and unplanned searches return byte-identical
-// results; only I/O cost changes. A variant supplies how to bound a unit
-// and how to pin its pages.
+// EvalPageRange (prune.go) are the page-evaluation loops: one pinned page
+// of fixed-width records, or entries already decoded, filtered by window,
+// pruned per entry, and verified in ascending lower-bound order. Every
+// bound is a true lower bound, so planned and unplanned searches return
+// byte-identical results; only I/O cost changes. A variant supplies how to
+// bound a unit and how to pin its pages.
 //
 // # The search contract
 //

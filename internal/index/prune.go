@@ -61,12 +61,11 @@ import (
 //     envelope bound is the same float64, bit for bit.
 //
 //   - A SearchCtx bundles the Pruner with per-worker Scratch states
-//     (candidate-ordering scratch, the view of the stored page under
-//     evaluation, the page loop's envelope bounds and the page evaluator's
-//     entry bounds) and is recycled through a sync.Pool, so concurrent
-//     searches allocate nothing per candidate probe. Pages themselves arrive
-//     as pinned borrows from the storage.PageReader (zero-copy), not as
-//     scratch copies.
+//     (candidate-ordering scratch, the page loop's envelope bounds and the
+//     page evaluator's entry bounds) and is recycled through a sync.Pool,
+//     so concurrent searches allocate nothing per candidate probe. Pages
+//     themselves arrive as pinned borrows from the storage.PageReader
+//     (zero-copy), not as scratch copies.
 //
 // # Query-context lifecycle
 //
@@ -85,8 +84,8 @@ import (
 // each task; a scratch is exclusive to its slot while a task runs, so its
 // buffers need no locking. Scratches must be materialized on the
 // coordinating goroutine (Scratches / Scratch0) before workers start.
-// Release returns the whole bundle — tables, page view, candidate
-// slices — to the pool for the next query; a context must not be used
+// Release returns the whole bundle — tables, candidate slices — to the
+// pool for the next query; a context must not be used
 // after Release.
 
 // Pruner holds the per-query MINDIST lookup tables in squared space. The
@@ -325,14 +324,13 @@ type pageCand struct {
 }
 
 // Scratch is the per-worker mutable state of one query: candidate-ordering
-// scratch and the view of the stored page under evaluation (index pages are
-// read as pinned zero-copy borrows, so no page buffer lives here). Exactly
-// one task uses a scratch at a time (one per FanOut worker slot), so none of
-// it is locked. P points at the query's shared read-only Pruner.
+// scratch (index pages are read as pinned zero-copy borrows, so no page
+// buffer lives here). Exactly one task uses a scratch at a time (one per
+// FanOut worker slot), so none of it is locked. P points at the query's
+// shared read-only Pruner.
 type Scratch struct {
 	P     *Pruner
 	cands []pageCand
-	view  record.PageView // the stored page under evaluation, see Page.open
 	// Query and Page are what a page loop (run.Store.Scan) hands the page
 	// evaluator: it copies the query in once a scan and describes each page
 	// in place, and the evaluator takes both by pointer, so nothing is
@@ -572,12 +570,12 @@ func ScanBuffer(buf []record.Entry, q Query, raw series.RawStore, col *Collector
 // Page is a cursor over the entries one probe evaluates — a stored page of
 // an entry file or entries already in memory — chosen where the page is
 // pinned. The evaluation loops read both through it by position: a stored
-// page through the record.PageView its layout opens, which alone knows the
-// encoding, so the window filter and the squared lower bound come from the
-// entries' headers (or packed columns) alone, and only surviving candidates
-// touch their payload. It is a small stack value — building one allocates
-// nothing, and no record is ever decoded into an Entry. A Page aliases the
-// pin (or the caller's entry slice) and is valid only as long as it is.
+// page through the record.PageView its layout opens into the cursor itself,
+// so the window filter and the squared lower bound come from the entries'
+// headers alone, and only surviving candidates touch their payload. It is a
+// stack value — building one allocates nothing, and no record is ever
+// decoded into an Entry. A Page aliases the pin (or the caller's entry
+// slice) and is valid only as long as it is.
 //
 // A page's lower bounds need only its entries' symbols, and an index that
 // keeps those resident hands them to the cursor (UseSymbols): the bounds
@@ -591,10 +589,11 @@ type Page struct {
 	ents   []record.Entry // EntryPage: the entries
 	layout *record.Layout // StoredPage: the layout data is a page of; nil for entries
 	data   []byte
-	view   *record.PageView // the stored page opened, in the worker's scratch (open)
-	syms   []uint8          // non-nil: the entries' symbols, the pruner's segments to an entry
-	tss    []int64          // non-nil: the entries' timestamps
-	lbs    []float64        // non-nil: the entries' bounds, from the page loop (UseBounds)
+	view   record.PageView // the stored page, once opened (open)
+	opened bool
+	syms   []uint8   // non-nil: the entries' symbols, the pruner's segments to an entry
+	tss    []int64   // non-nil: the entries' timestamps
+	lbs    []float64 // non-nil: the entries' bounds, from the page loop (UseBounds)
 }
 
 // StoredPage describes a pinned page of an entry file in layout l that holds
@@ -635,9 +634,8 @@ func (pg *Page) resident(q *Query) bool {
 // returns the entries' bounds — nil when they are to come from keys — and
 // whether the page is resident, and opens a stored page that is not.
 func (pg *Page) begin(q *Query, sc *Scratch) (lbs []float64, resident bool, err error) {
-	pg.view = nil // what an earlier evaluation opened is sc's, and may be another page's by now
 	if resident = pg.resident(q); !resident {
-		if err := pg.open(sc); err != nil {
+		if err := pg.open(); err != nil {
 			return nil, false, err
 		}
 	}
@@ -651,17 +649,15 @@ func (pg *Page) begin(q *Query, sc *Scratch) (lbs []float64, resident bool, err 
 // the entries the cursor says, unless it is open already; entries in memory
 // have nothing to open. A loop calls it before its first read of page
 // bytes: at once when the bounds or the window filter need them, otherwise
-// only when an entry has survived its bound. The view lives in the worker's
-// scratch, which one evaluation uses at a time: it is too large to carry in
-// every Page the probes pass around.
-func (pg *Page) open(sc *Scratch) error {
-	if pg.layout == nil || pg.view != nil {
+// only when an entry has survived its bound.
+func (pg *Page) open() error {
+	if pg.layout == nil || pg.opened {
 		return nil
 	}
-	if err := pg.layout.Page(&sc.view, pg.data, pg.n); err != nil {
+	if err := pg.layout.Page(&pg.view, pg.data, pg.n); err != nil {
 		return err
 	}
-	pg.view = &sc.view
+	pg.opened = true
 	return nil
 }
 
@@ -701,7 +697,7 @@ func (pg *Page) skipOutOfWindow(lo, hi int64, i, n int) int {
 			i++
 		}
 	default:
-		for view := pg.view; i < n && out(view.TS(i)); {
+		for view := &pg.view; i < n && out(view.TS(i)); {
 			i++
 		}
 	}
@@ -778,7 +774,7 @@ func EvalPage(q *Query, pg *Page, raw series.RawStore, col *Collector, sc *Scrat
 		}
 		return count, nil
 	}
-	if err := pg.open(sc); err != nil {
+	if err := pg.open(); err != nil {
 		return count, err
 	}
 	slices.SortFunc(cands, func(a, b pageCand) int { return cmp.Compare(a.lbSq, b.lbSq) })
@@ -837,7 +833,7 @@ func EvalPageRange(q *Query, pg *Page, raw series.RawStore, col *RangeCollector,
 			}
 			continue
 		}
-		if err := pg.open(sc); err != nil {
+		if err := pg.open(); err != nil {
 			return err
 		}
 		dSq, err := pg.distSq(q, i, raw, col.BoundSq())

@@ -361,7 +361,7 @@ func TestEvalPageEncodedMatchesEntries(t *testing.T) {
 
 		ctx2 := AcquireCtx(q, cfg)
 		colB := NewCollector(5)
-		fixed := StoredPage(layoutOf(t, cfg, cap(page), false), page[:cap(page)], len(entries))
+		fixed := StoredPage(layoutOf(t, cfg, cap(page)), page[:cap(page)], len(entries))
 		if _, err := EvalPage(&q, &fixed, ds, colB, ctx2.Scratch0()); err != nil {
 			t.Fatal(err)
 		}

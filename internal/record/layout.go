@@ -22,114 +22,59 @@ type PageCursor interface {
 	Pin(page int64) ([]byte, error)
 }
 
-// packedStreamPages is the chunk width of every packed stream, in pages.
-const packedStreamPages = 16
-
-// Layout is the page layout of an entry file: entries of one codec, on
-// pages of one size, fixed-size or packed. It is a value, built once and
-// valid for both files and pages.
+// Layout is the page layout of an entry file: fixed-size entries of one
+// codec on pages of one size, as many to a page as fit, the rest of the
+// page zeroes. It is a value, built once and valid for both files and
+// pages.
 type Layout struct {
 	codec    Codec
+	size     int // the codec's entry size
 	pageSize int
-	packed   bool
-	perPage  int // fixed-size entries a page holds
+	perPage  int // entries a page holds
 }
 
 // NewLayout returns the layout of the codec's entries on pages of pageSize
-// bytes, packed or fixed-size. It errors when an entry cannot fit a page:
-// for a packed layout, one worst-case entry with the page header and the
-// readers' slack.
-func NewLayout(c Codec, pageSize int, packed bool) (Layout, error) {
-	l := Layout{codec: c, pageSize: pageSize, packed: packed, perPage: pageSize / c.Size()}
-	if packed && !packedFits(c, pageSize) {
-		return Layout{}, fmt.Errorf("record: packed entry of series length %d cannot fit page size %d", c.SeriesLen, pageSize)
-	}
+// bytes. It errors when an entry cannot fit a page.
+func NewLayout(c Codec, pageSize int) (Layout, error) {
+	l := Layout{codec: c, size: c.Size(), pageSize: pageSize, perPage: pageSize / c.Size()}
 	if l.perPage < 1 {
 		return Layout{}, fmt.Errorf("record: entry size %d exceeds page size %d", c.Size(), pageSize)
 	}
 	return l, nil
 }
 
-// StreamPages returns the chunk width, in pages, of a stream over a file of
-// this layout — a Writer's write-behind, a Reader's read-ahead — when its
-// caller would give it pages: a fixed-size stream takes the caller's width
-// (at least one page), a packed stream always moves 16 pages at a time.
-func (l *Layout) StreamPages(pages int) int {
-	if l.packed {
-		return packedStreamPages
-	}
-	return max(1, pages)
-}
-
-// maxPerPage bounds the entries one page of the layout can hold: a packed
-// entry may take no bits beside its payload.
-func (l *Layout) maxPerPage() int {
-	if !l.packed {
-		return l.perPage
-	}
-	if pay := l.codec.Size() - HeaderBytes; pay > 0 {
-		return min(maxPackedCount, (l.pageSize-PackedHeaderBytes-PackedSlack)/pay)
-	}
-	return maxPackedCount
-}
-
-// PageView is one page of an entry file opened for decoding, in either
-// layout. It aliases the page bytes, so it is valid while they are.
+// PageView is one page of an entry file opened for decoding: an array of
+// fixed-size records. It aliases the page bytes, so it is valid while they
+// are.
 type PageView struct {
-	codec  Codec
-	packed bool
-	data   []byte
-	view   PackedView
-	n      int
+	codec Codec
+	size  int // the codec's entry size
+	data  []byte
+	n     int
 }
 
 // Page opens data into pg as a page whose entry count the caller knows —
-// from a directory or a summary. A packed page's header must agree; a
-// fixed-size page, which does not say, must have room for count. pg is
+// from a directory or a summary — which the page must have room for. pg is
 // written in place, so a loop that opens page after page copies no view;
 // after an error it is no page to read.
 func (l *Layout) Page(pg *PageView, data []byte, count int) error {
-	err := l.open(pg, data, count)
-	if err == nil && pg.n != count {
-		err = fmt.Errorf("record: page holds %d entries, its directory says %d", pg.n, count)
-	}
-	return err
-}
-
-// NextPage opens data into pg, as Page does, as the next page of a file
-// written at full pages, of which left entries remain: a fixed-size page
-// holds as many of them as fit, a packed page what its header says, which
-// must be one or more and no more than left.
-func (l *Layout) NextPage(pg *PageView, data []byte, left int64) error {
-	err := l.open(pg, data, int(min(left, int64(l.perPage))))
-	if err == nil && int64(pg.n) > left {
-		err = fmt.Errorf("record: page holds %d entries, the file has %d left", pg.n, left)
-	}
-	return err
-}
-
-// open opens data into pg as a page of the layout: a packed page holds what
-// its header says, a fixed-size one count entries. A fixed-size page leaves
-// pg's packed view, which it never reads, as it was: clearing it would make
-// the query loop's opening of such a page four times as costly.
-func (l *Layout) open(pg *PageView, data []byte, count int) error {
-	pg.codec, pg.packed, pg.data, pg.n = l.codec, l.packed, data, count
-	if len(data) < l.pageSize {
+	pg.codec, pg.size, pg.data, pg.n = l.codec, l.size, data, count
+	switch {
+	case len(data) < l.pageSize:
 		return fmt.Errorf("record: page of %d bytes, the layout's are %d", len(data), l.pageSize)
-	}
-	if l.packed {
-		v, err := l.codec.ViewPacked(data)
-		if err != nil {
-			return err
-		}
-		pg.view, pg.n = v, v.Count()
-	} else if count > l.perPage {
+	case count > l.perPage:
 		return fmt.Errorf("record: page claims %d entries, a page holds %d", count, l.perPage)
-	}
-	if pg.n < 1 {
+	case count < 1:
 		return fmt.Errorf("record: page holds no entries")
 	}
 	return nil
+}
+
+// NextPage opens data into pg, as Page does, as the next page of a file
+// written at full pages, of which left entries remain: the page holds as
+// many of them as fit.
+func (l *Layout) NextPage(pg *PageView, data []byte, left int64) error {
+	return l.Page(pg, data, int(min(left, int64(l.perPage))))
 }
 
 // Count returns the number of entries on the page.
@@ -137,39 +82,31 @@ func (p *PageView) Count() int { return p.n }
 
 // Key returns entry i's sortable key.
 func (p *PageView) Key(i int) sortable.Key {
-	if p.packed {
-		return p.view.Key(i)
-	}
-	return sortable.DecodeKey(p.data[i*p.codec.Size():])
+	return sortable.DecodeKey(p.data[i*p.size:])
 }
 
 // ID returns entry i's series ID.
 func (p *PageView) ID(i int) int64 {
-	if p.packed {
-		return p.view.ID(i)
-	}
-	return decodeID(p.data[i*p.codec.Size():])
+	return decodeID(p.data[i*p.size:])
 }
 
 // TS returns entry i's timestamp.
 func (p *PageView) TS(i int) int64 {
-	if p.packed {
-		return p.view.TS(i)
-	}
-	return decodeTS(p.data[i*p.codec.Size():])
+	return decodeTS(p.data[i*p.size:])
 }
 
 // PayloadBytes returns entry i's payload as the page stores it, verbatim,
 // or nil when the codec is not materialized. The slice aliases the page.
 func (p *PageView) PayloadBytes(i int) []byte {
-	switch {
-	case !p.codec.Materialized:
+	if !p.codec.Materialized {
 		return nil
-	case p.packed:
-		return p.view.PayloadBytes(i)
 	}
-	size := p.codec.Size()
-	return p.data[i*size+HeaderBytes : (i+1)*size]
+	return p.data[i*p.size+HeaderBytes : (i+1)*p.size]
+}
+
+// record returns entry i's record. It aliases the page.
+func (p *PageView) record(i int) Record {
+	return Record(p.data[i*p.size : (i+1)*p.size])
 }
 
 // Entries decodes every entry of the page; payloads are freshly allocated.
@@ -177,25 +114,14 @@ func (p *PageView) Entries() ([]Entry, error) {
 	out := make([]Entry, p.n)
 	for i := range out {
 		var err error
-		if out[i], err = p.entryInto(i, nil); err != nil {
+		if out[i], err = p.codec.DecodeInto(p.record(i), nil); err != nil {
 			return nil, err
 		}
 	}
 	return out, nil
 }
 
-// entryInto decodes entry i, its payload into payload when that has the
-// capacity for it (see Codec.DecodeInto).
-func (p *PageView) entryInto(i int, payload series.Series) (Entry, error) {
-	if p.packed {
-		return p.view.EntryInto(i, p.codec, payload)
-	}
-	size := p.codec.Size()
-	return p.codec.DecodeInto(p.data[i*size:(i+1)*size], payload)
-}
-
-// Writer appends entries, in (Key, ID) order, to a new fixed-size file,
-// and is the only code that decides where a page of one ends. Records are
+// Writer appends entries, in (Key, ID) order, to a new file, and is the only code that decides where a page of one ends. Records are
 // laid straight into a write-behind chunk of pages, flushed with one
 // multi-page append; Close flushes the last, partial page.
 type Writer struct {
@@ -211,16 +137,11 @@ type Writer struct {
 }
 
 // Create creates the file (which must not exist) and returns a writer of
-// entries into it. Only a fixed-size layout is written: a packed file is a
-// format older builds wrote, which the readers still open. Fill is the
-// fraction of each page populated, the rest left as slack for later
-// inserts: a page closes at max(1, ⌊entries per page · fill⌋) entries;
-// values outside (0,1) mean full pages. chunkPages is the write-behind
-// width the caller gives the stream (see StreamPages).
+// entries into it. Fill is the fraction of each page populated, the rest
+// left as slack for later inserts: a page closes at max(1, ⌊entries per
+// page · fill⌋) entries; values outside (0,1) mean full pages. chunkPages
+// is the write-behind width, in pages (at least one).
 func (l *Layout) Create(d PageAppender, name string, fill float64, chunkPages int) (*Writer, error) {
-	if l.packed {
-		return nil, fmt.Errorf("record: %q: packed files are read, not written", name)
-	}
 	if d.PageSize() != l.pageSize {
 		return nil, fmt.Errorf("record: %q: a disk of %d-byte pages, a layout of %d", name, d.PageSize(), l.pageSize)
 	}
@@ -232,7 +153,7 @@ func (l *Layout) Create(d PageAppender, name string, fill float64, chunkPages in
 	}
 	return &Writer{disk: d, name: name, codec: l.codec, pageSize: l.pageSize,
 		fillAt: max(1, int(float64(l.perPage)*fill)),
-		chunk:  make([]byte, 0, l.StreamPages(chunkPages)*l.pageSize)}, nil
+		chunk:  make([]byte, 0, max(1, chunkPages)*l.pageSize)}, nil
 }
 
 // Write appends one entry, closes the page it completes at the writer's
@@ -296,26 +217,23 @@ func (w *Writer) Close() error {
 // Reader streams the entries of a file of a layout written at full pages,
 // in file order, over a page cursor.
 type Reader struct {
-	l       Layout
-	pages   PageCursor
-	name    string
-	npages  int64
-	next    int64 // next page to pin
-	count   int64
-	read    int64
-	page    PageView      // the page being read
-	idx     int           // next entry on it
-	rec     Record        // a packed file's current record, re-encoded
-	payload series.Series // a packed file's current payload, decoded
+	l      Layout
+	pages  PageCursor
+	name   string
+	npages int64
+	next   int64 // next page to pin
+	count  int64
+	read   int64
+	page   PageView // the page being read
+	idx    int      // next entry on it
 }
 
 // NewReader returns a reader of the count entries of the named file, whose
 // npages pages it takes from pages in ascending order. A file too short for
-// count entries — fewer pages than any page of the layout could hold them
-// in — is refused here; one whose pages hold fewer entries than their
-// number allows is refused when the reader runs out of them.
+// count entries — fewer pages than full pages of the layout hold them in —
+// is refused here.
 func (l *Layout) NewReader(pages PageCursor, npages int64, name string, count int64) (*Reader, error) {
-	per := int64(l.maxPerPage())
+	per := int64(l.perPage)
 	if need := (count + per - 1) / per; npages < need {
 		return nil, fmt.Errorf("record: file %q has %d pages, need %d for %d entries", name, npages, need, count)
 	}
@@ -329,7 +247,7 @@ func (r *Reader) Next(payload series.Series) (Entry, error) {
 	if err := r.advance(); err != nil {
 		return Entry{}, err
 	}
-	e, err := r.page.entryInto(r.idx, payload)
+	e, err := r.l.codec.DecodeInto(r.page.record(r.idx), payload)
 	if err != nil {
 		return Entry{}, err
 	}
@@ -338,29 +256,14 @@ func (r *Reader) Next(payload series.Series) (Entry, error) {
 	return e, nil
 }
 
-// NextRecord returns the next entry's record, or io.EOF after the last. A
-// fixed-size file's record aliases the page the cursor pinned; a packed
-// file's entry is decoded and re-encoded into buffers of the reader's.
-// Either way the record is valid until the next call.
+// NextRecord returns the next entry's record, or io.EOF after the last. The
+// record aliases the page the cursor pinned, and is valid until the next
+// call.
 func (r *Reader) NextRecord() (Record, error) {
 	if err := r.advance(); err != nil {
 		return nil, err
 	}
-	var rec Record
-	if r.page.packed {
-		e, err := r.page.view.EntryInto(r.idx, r.l.codec, r.payload)
-		if err != nil {
-			return nil, err
-		}
-		r.payload = e.Payload
-		if r.rec, err = r.l.codec.Append(r.rec[:0], e); err != nil {
-			return nil, err
-		}
-		rec = r.rec
-	} else {
-		size := r.l.codec.Size()
-		rec = r.page.data[r.idx*size : (r.idx+1)*size]
-	}
+	rec := r.page.record(r.idx)
 	r.idx++
 	r.read++
 	return rec, nil
@@ -374,9 +277,6 @@ func (r *Reader) advance() error {
 	}
 	if r.idx < r.page.n {
 		return nil
-	}
-	if r.next >= r.npages {
-		return fmt.Errorf("record: file %q exhausted after %d of %d entries", r.name, r.read, r.count)
 	}
 	data, err := r.pages.Pin(r.next)
 	if err != nil {

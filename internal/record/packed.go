@@ -2,20 +2,27 @@ package record
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/bits"
 
-	"repro/internal/series"
 	"repro/internal/sortable"
 )
 
-// Packed pages are the compressed on-disk encoding of entry runs: instead of
-// fixed 32-byte headers per entry, a page stores its entries column-wise with
-// frame-of-reference bit packing, so each page carries more candidates per
-// I/O. The encoding is lossless — keys, IDs, and timestamps reconstruct
-// bit-for-bit, and materialized payloads are stored verbatim so the
-// early-abandoning distance kernels run straight off the page bytes, exactly
-// as on fixed-size pages.
+// ErrPacked is why an index whose metadata says its pages are packed does
+// not open: older builds could write that layout, and no index reads it
+// now. Openers wrap it with the name of the file that says so.
+var ErrPacked = errors.New("record: the packed page layout is no longer read; rebuild the index from its dataset")
+
+// Packed pages are a compressed encoding of entry pages that older builds
+// could write: instead of fixed 32-byte headers per entry, a page stores
+// its entries column-wise with frame-of-reference bit packing. No index
+// reads or writes them; what is left here is the codec alone — a page
+// builder and a view of a page's key, ID and timestamp columns — which
+// measurements of the packed layout against the fixed-size one still
+// call. The encoding is lossless — keys, IDs, and timestamps reconstruct
+// bit-for-bit — and materialized payloads are stored verbatim after the
+// columns.
 //
 // Page layout (all integers little-endian unless noted):
 //
@@ -46,10 +53,8 @@ import (
 // pathological page simply packs at full width.
 //
 // Readers locate values in O(1) (value i occupies bits [i*W, (i+1)*W) of its
-// stream), which keeps the probe path's verify phase — sorted by lower bound,
-// so it revisits survivors in arbitrary page order — as cheap as on
-// fixed-size pages. Bit reads use unaligned 8-byte loads; PackedSlack spare
-// bytes at the page tail keep those loads in bounds.
+// stream). Bit reads use unaligned 8-byte loads; PackedSlack spare bytes at
+// the page tail keep those loads in bounds.
 const (
 	packedMagic   = 0x7C0C
 	packedVersion = 1
@@ -79,20 +84,19 @@ func packedFits(c Codec, pageSize int) bool {
 	return worst <= pageSize
 }
 
-// PageBuilder assembles one page of a layout at a time. Add entries in
-// (Key, ID) order with TryAdd until it reports the page full, then Encode
-// and continue with the rejected entry on the next page. Payload bytes are
+// PageBuilder assembles one packed page at a time. Add entries in (Key, ID)
+// order with TryAdd until it reports the page full, then Encode and
+// continue with the rejected entry on the next page. Payload bytes are
 // copied in at TryAdd time, so callers may reuse entry buffers immediately.
 type PageBuilder struct {
 	codec    Codec
 	pageSize int
 	paySize  int
-	perPage  int // fixed-size layout: the entries a page holds; 0: packed
 
 	keys []sortable.Key
-	ids  []int64 // packed only
-	tss  []int64 // packed only
-	pay  []byte  // packed: the payloads; fixed-size: the whole records
+	ids  []int64
+	tss  []int64
+	pay  []byte
 
 	orHi, orLo   uint64 // OR of key deltas from keys[0]
 	minID, maxID int64
@@ -103,24 +107,11 @@ type PageBuilder struct {
 // errors when even a single worst-case entry cannot fit, so
 // misconfiguration fails at construction instead of mid-write.
 func NewPageBuilder(c Codec, pageSize int) (*PageBuilder, error) {
-	l, err := NewLayout(c, pageSize, true)
-	if err != nil {
-		return nil, err
+	if !packedFits(c, pageSize) {
+		return nil, fmt.Errorf("record: packed entry of series length %d cannot fit page size %d", c.SeriesLen, pageSize)
 	}
-	return l.Builder(), nil
+	return &PageBuilder{codec: c, pageSize: pageSize, paySize: c.Size() - HeaderBytes}, nil
 }
-
-// Builder returns a page builder of the layout.
-func (l *Layout) Builder() *PageBuilder {
-	b := &PageBuilder{codec: l.codec, pageSize: l.pageSize, paySize: l.codec.Size() - HeaderBytes}
-	if !l.packed {
-		b.perPage = l.perPage
-	}
-	return b
-}
-
-// Count returns the number of entries currently staged.
-func (b *PageBuilder) Count() int { return len(b.keys) }
 
 type packedWidths struct {
 	keyW, keyShift, idW, tsW uint8
@@ -149,24 +140,13 @@ func (b *PageBuilder) sizeWith(count int, w packedWidths) int {
 }
 
 // TryAdd stages one entry. It returns false — leaving the builder unchanged
-// — when the entry does not fit on the current page: a fixed-size page
-// holds its record count; a packed page rejects an entry not in key order
-// with the staged ones, or over the size budget. A false return on an empty
-// builder cannot happen (the layout verified the worst case fits).
+// — when the entry does not fit on the current page: one not in key order
+// with the staged ones, or over the size budget. A false return on an
+// empty builder cannot happen (NewPageBuilder verified the worst case
+// fits).
 func (b *PageBuilder) TryAdd(e Entry) (bool, error) {
 	if b.codec.Materialized && len(e.Payload) != b.codec.SeriesLen {
 		return false, fmt.Errorf("record: payload length %d, want %d", len(e.Payload), b.codec.SeriesLen)
-	}
-	if b.perPage > 0 {
-		if len(b.keys) == b.perPage {
-			return false, nil
-		}
-		pay, err := b.codec.Append(b.pay, e)
-		if err != nil {
-			return false, err
-		}
-		b.keys, b.pay = append(b.keys, e.Key), pay
-		return true, nil
 	}
 	if len(b.keys) >= maxPackedCount {
 		return false, nil
@@ -214,10 +194,7 @@ func (b *PageBuilder) Encode(page []byte) (int, error) {
 		return 0, fmt.Errorf("record: page buffer %d short of page size %d", len(page), b.pageSize)
 	}
 	clear(page[:b.pageSize])
-	defer b.Reset()
-	if b.perPage > 0 {
-		return copy(page, b.pay), nil
-	}
+	defer b.reset()
 	w := packedWidthsOf(b.orHi, b.orLo, b.minID, b.maxID, b.minTS, b.maxTS)
 	used := b.sizeWith(count, w)
 	binary.LittleEndian.PutUint16(page, packedMagic)
@@ -262,9 +239,8 @@ func (b *PageBuilder) Encode(page []byte) (int, error) {
 	return used, nil
 }
 
-// Reset discards the staged entries, as Encode does once it has rendered
-// them: a trial fit that ends in a rejection leaves the builder reusable.
-func (b *PageBuilder) Reset() {
+// reset discards the staged entries, once Encode has rendered them.
+func (b *PageBuilder) reset() {
 	b.keys = b.keys[:0]
 	b.ids = b.ids[:0]
 	b.tss = b.tss[:0]
@@ -274,7 +250,7 @@ func (b *PageBuilder) Reset() {
 
 // PackedView is a decoded packed-page header with O(1) column accessors. It
 // is a value type — constructing one allocates nothing — and aliases the
-// page bytes, so it is valid only while the page pin is held.
+// page bytes, so it is valid only while they are.
 type PackedView struct {
 	page    []byte
 	count   int
@@ -289,8 +265,6 @@ type PackedView struct {
 	keysOff int
 	idsOff  int
 	tsOff   int
-	payOff  int
-	paySize int
 }
 
 // ViewPacked validates and opens a packed page under the codec. The page
@@ -325,14 +299,14 @@ func (c Codec) ViewPacked(page []byte) (PackedView, error) {
 	if v.keyW > 128 || v.shift > 127 || v.idW > 64 || v.tsW > 64 {
 		return PackedView{}, fmt.Errorf("record: packed page widths out of range")
 	}
-	if mat {
-		v.paySize = 8 * c.SeriesLen
-	}
 	v.keysOff = PackedHeaderBytes
 	v.idsOff = v.keysOff + (v.count*int(v.keyW)+7)/8
 	v.tsOff = v.idsOff + (v.count*int(v.idW)+7)/8
-	v.payOff = v.tsOff + (v.count*int(v.tsW)+7)/8
-	if used := v.payOff + v.count*v.paySize; used+PackedSlack > len(page) {
+	used := v.tsOff + (v.count*int(v.tsW)+7)/8
+	if mat {
+		used += v.count * 8 * c.SeriesLen
+	}
+	if used+PackedSlack > len(page) {
 		return PackedView{}, fmt.Errorf("record: packed page overruns: %d bytes used of %d", used, len(page))
 	}
 	return v, nil
@@ -365,28 +339,6 @@ func (v *PackedView) ID(i int) int64 {
 // TS returns entry i's ingestion timestamp.
 func (v *PackedView) TS(i int) int64 {
 	return int64(uint64(v.baseTS) + getBits(v.page[v.tsOff:], i*int(v.tsW), v.tsW))
-}
-
-// PayloadBytes returns entry i's verbatim payload encoding (materialized
-// codecs only). The slice aliases the page.
-func (v *PackedView) PayloadBytes(i int) []byte {
-	off := v.payOff + i*v.paySize
-	return v.page[off : off+v.paySize]
-}
-
-// EntryInto decodes entry i in full, the payload (when materialized) into
-// payload when that has the capacity for it (see Codec.DecodeInto) and into
-// a fresh slice, aliasing nothing of the page, otherwise.
-func (v *PackedView) EntryInto(i int, c Codec, payload series.Series) (Entry, error) {
-	e := Entry{Key: v.Key(i), ID: v.ID(i), TS: v.TS(i)}
-	if v.paySize > 0 {
-		p, err := series.DecodeBinaryInto(v.PayloadBytes(i), c.payloadBuf(payload))
-		if err != nil {
-			return Entry{}, err
-		}
-		e.Payload = p
-	}
-	return e, nil
 }
 
 // putBits writes the low w bits of val at bit offset bitOff of b (w <= 64).

@@ -2,9 +2,7 @@ package record
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
-	"slices"
 	"sort"
 	"testing"
 
@@ -67,6 +65,8 @@ func packEntries(t testing.TB, c Codec, pageSize int, entries []Entry) ([]byte, 
 	return page, added
 }
 
+// checkPackedPage opens page as a packed page and holds its columns to
+// want's keys, IDs and timestamps.
 func checkPackedPage(t testing.TB, c Codec, page []byte, want []Entry) {
 	t.Helper()
 	v, err := c.ViewPacked(page)
@@ -80,15 +80,8 @@ func checkPackedPage(t testing.TB, c Codec, page []byte, want []Entry) {
 		t.Fatalf("first key = %v, want %v", v.Key(0), want[0].Key)
 	}
 	for i, e := range want {
-		got, err := v.EntryInto(i, c, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Key != e.Key || got.ID != e.ID || got.TS != e.TS {
-			t.Fatalf("entry %d = %+v, want %+v", i, got, e)
-		}
-		if c.Materialized && !slices.EqualFunc(got.Payload, e.Payload, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
-			t.Fatalf("entry %d payload mismatch", i)
+		if v.Key(i) != e.Key || v.ID(i) != e.ID || v.TS(i) != e.TS {
+			t.Fatalf("entry %d = %v %d %d, want %+v", i, v.Key(i), v.ID(i), v.TS(i), e)
 		}
 	}
 }
@@ -198,20 +191,7 @@ func TestPackedViewRejectsCorruptPages(t *testing.T) {
 			continue
 		}
 		for i := 0; i < v.Count(); i++ {
-			_, _ = v.EntryInto(i, c, nil)
-		}
-	}
-}
-
-// TestPackedWriterReaderStream streams entries through a packed layout's
-// Writer and back through its Reader (layout_test.go covers both layouts).
-func TestPackedWriterReaderStream(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	for _, c := range []Codec{{SeriesLen: 12}, {SeriesLen: 12, Materialized: true}} {
-		for _, n := range []int{0, 1, 100, 5000} {
-			t.Run(fmt.Sprintf("mat=%v/n=%d", c.Materialized, n), func(t *testing.T) {
-				streamRoundTrip(t, c, 256, true, 1, randomSortedEntries(rng, c, n, "clustered"))
-			})
+			_, _, _ = v.Key(i), v.ID(i), v.TS(i)
 		}
 	}
 }
@@ -276,10 +256,10 @@ func fuzzCodec(materialized bool) Codec { return Codec{SeriesLen: 16, Materializ
 
 // FuzzViewPacked feeds Codec.ViewPacked arbitrary page bytes, seeded with
 // pages PageBuilder.Encode wrote for real entries, which must decode to
-// them. It must never panic; on a page it accepts, every accessor stays in
-// bounds for every entry below Count(), and the entries it reads, packed
-// again by a builder when they fit a page of the same size, read back the
-// same.
+// them. It must never panic; on a page it accepts, every column accessor
+// stays in bounds for every entry below Count(), and the keys, IDs and
+// timestamps it reads, packed again by a builder (with zero payloads) when
+// they fit a page of the same size, read back the same.
 func FuzzViewPacked(f *testing.F) {
 	rng := rand.New(rand.NewSource(41))
 	for _, seed := range []struct {
@@ -301,11 +281,9 @@ func FuzzViewPacked(f *testing.F) {
 		}
 		entries := make([]Entry, v.Count())
 		for i := range entries {
-			if entries[i], err = v.EntryInto(i, c, nil); err != nil {
-				t.Fatalf("entry %d of %d: %v", i, v.Count(), err)
-			}
-			if got, want := len(v.PayloadBytes(i)), c.Size()-HeaderBytes; got != want {
-				t.Fatalf("entry %d: %d payload bytes, want %d", i, got, want)
+			entries[i] = Entry{Key: v.Key(i), ID: v.ID(i), TS: v.TS(i)}
+			if materialized {
+				entries[i].Payload = make(series.Series, c.SeriesLen)
 			}
 		}
 		b, err := NewPageBuilder(c, len(page))
@@ -324,3 +302,56 @@ func FuzzViewPacked(f *testing.F) {
 		checkPackedPage(t, c, again, entries)
 	})
 }
+
+// BenchmarkPageViews times what reading an entry's key, ID and timestamp
+// off a stored page costs in each layout: opening the page (Layout.Page, or
+// ViewPacked) and reading the three columns of every entry, per entry. The
+// pages are 4 KB of sorted key-only entries (128 fixed-size, more packed)
+// and of materialized entries of 128 points (3 fixed-size).
+func BenchmarkPageViews(b *testing.B) {
+	const pageSize = 4096
+	rng := rand.New(rand.NewSource(47))
+	var sink int64
+	for _, c := range []Codec{{SeriesLen: 128}, {SeriesLen: 128, Materialized: true}} {
+		l, err := NewLayout(c, pageSize)
+		if err != nil {
+			b.Fatal(err)
+		}
+		entries := randomSortedEntries(rng, c, pageSize/c.Size()*8, "aligned")
+		fixed := make([]byte, 0, pageSize)
+		for _, e := range entries[:l.perPage] {
+			if fixed, err = c.Append(fixed, e); err != nil {
+				b.Fatal(err)
+			}
+		}
+		fixed = fixed[:pageSize]
+		packed, packedN := packEntries(b, c, pageSize, entries)
+		b.Run(fmt.Sprintf("fixed/mat=%v", c.Materialized), func(b *testing.B) {
+			var pg PageView
+			for i := 0; i < b.N; i++ {
+				if err := l.Page(&pg, fixed, l.perPage); err != nil {
+					b.Fatal(err)
+				}
+				for j := 0; j < pg.Count(); j++ {
+					sink += int64(pg.Key(j).Lo&1) + pg.ID(j)&1 + pg.TS(j)&1
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*l.perPage), "ns/entry")
+		})
+		b.Run(fmt.Sprintf("packed/mat=%v", c.Materialized), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				v, err := c.ViewPacked(packed)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for j := 0; j < v.Count(); j++ {
+					sink += int64(v.Key(j).Lo&1) + v.ID(j)&1 + v.TS(j)&1
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*packedN), "ns/entry")
+		})
+	}
+	benchSink = sink
+}
+
+var benchSink int64

@@ -4,20 +4,18 @@
 // and the pages entries are stored on. Entries sort by (Key, ID), the order
 // produced by external sorting and maintained by CTree and CLSM.
 //
-// An entry file is a run of pages, each holding whole entries in (Key, ID)
-// order, in one of two encodings: fixed-size records (as many as fit, the
-// rest of the page zeroes) or packed pages (packed.go). Files carry no
-// header, so whoever names a file keeps its entry count and its encoding.
-// A Layout is that encoding at one page size, and the package is the only
-// code that knows how either is written, streamed or decoded: a Layout's
-// Writer lays entries, or their fixed-size Records verbatim, into the pages
-// of a new file, its Reader streams them back as either, its PageView
-// decodes one page — for the query loop too, which reads a stored page's
-// keys, IDs, timestamps and payload bytes through one — and its PageBuilder
-// encodes one. The page-device surfaces a Writer and a
-// Reader need (PageAppender, PageCursor) are what storage.Backend and
-// storage.Cursor provide, so the package stays free of a storage
-// dependency.
+// An entry file is a run of pages, each holding whole fixed-size records in
+// (Key, ID) order, as many as fit, the rest of the page zeroes. Files carry
+// no header, so whoever names a file keeps its entry count. A Layout is
+// that encoding at one page size, and the package is the only code that
+// knows how it is written, streamed or decoded: a Layout's Writer lays
+// entries, or their Records verbatim, into the pages of a new file, its
+// Reader streams them back as either, and its PageView decodes one page —
+// for the query loop too, which reads a stored page's keys, IDs,
+// timestamps and payload bytes through one. The page-device surfaces a
+// Writer and a Reader need (PageAppender, PageCursor) are what
+// storage.Backend and storage.Cursor provide, so the package stays free of
+// a storage dependency.
 package record
 
 import (

@@ -3,7 +3,6 @@ package run_test
 import (
 	"fmt"
 	"math/rand"
-	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -38,18 +37,12 @@ import (
 //
 // The scenarios reach runs through every surface they sit behind: the
 // facade's LSM (on the heap, on host files, under a pool smaller than a run,
-// after merges, after a reopen that rebuilds every summary from its file,
-// and an LSM an older build saved with packed runs, which no build writes
-// now) and its BTP stream; TP, whose partitions are trees,
+// after merges, after a reopen that rebuilds every summary from its file)
+// and its BTP stream; TP, whose partitions are trees,
 // rides along as the control the hooks must not move. With several workers
 // only the answers are compared (see internal/ctree's suite for why).
 
 const equivLen = 64
-
-// packedLSMFixture is the root package's snapshot of a key-only LSM whose
-// two runs are packed: 300 series of 32 points at timestamps 0–299 (see
-// its TestPackedFixtures).
-var packedLSMFixture = filepath.Join("..", "..", "testdata", "clsm_v4_packed.ccnut")
 
 func walks(seed int64, n, length int) [][]float64 {
 	rng := rand.New(rand.NewSource(seed))
@@ -178,22 +171,6 @@ func TestColumnScanEquivalence(t *testing.T) {
 		insert(t, l, 0, 2500)
 		return lsmQueries(t, l, queries), l.Stats()
 	}
-	// packed opens the packed fixture and inserts 1000 series: the searches
-	// run over its packed runs, then over those left packed beside the
-	// fixed-size runs the merges made of the others.
-	packed := func(t *testing.T, opts coconut.Options) ([][]coconut.Match, coconut.Stats) {
-		l := must[*coconut.LSM](t)(coconut.OpenLSM(packedLSMFixture, opts))
-		defer l.Close()
-		l.SetParallelism(opts.Parallelism)
-		qs := walks(94, 6, 32)
-		ans := lsmQueries(t, l, qs)
-		for i, s := range walks(95, 1000, 32) {
-			if err := l.Insert(s, int64(300+i)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return append(ans, lsmQueries(t, l, qs)...), l.Stats()
-	}
 	// unplanned is lsm over base, assembled as NewLSM assembles it, with the
 	// build's planner off.
 	unplanned := func(t *testing.T, opts coconut.Options) ([][]coconut.Match, coconut.Stats) {
@@ -260,14 +237,10 @@ func TestColumnScanEquivalence(t *testing.T) {
 	}{
 		{"lsm", true, false, func() coconut.Options { return base }, lsm},
 		{"lsm-full", true, false, func() coconut.Options { return full }, lsm},
-		{"lsm-packed", true, false, func() coconut.Options { return base }, packed},
 		{"lsm-file", true, false, func() coconut.Options { return with(full, memfs) }, lsm},
 		{"lsm-pool", true, true, func() coconut.Options { return with(full, smallPool) }, lsm},
 		{"lsm-unplanned", true, false, func() coconut.Options { return base }, unplanned},
 		{"lsm-reopened", true, false, func() coconut.Options { return full }, reopened},
-		{"lsm-reopened-packed-pool", true, true, func() coconut.Options {
-			return with(base, func(o *coconut.Options) { o.CacheBytes = 16 << 10 })
-		}, packed},
 		{"stream-btp", true, false, func() coconut.Options { return base }, stream(coconut.BTP)},
 		{"stream-btp-full", true, false, func() coconut.Options { return full }, stream(coconut.BTP)},
 		{"stream-btp-file", true, false, func() coconut.Options { return with(full, memfs) }, stream(coconut.BTP)},

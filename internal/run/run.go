@@ -24,17 +24,16 @@ import (
 const mergeBudget = 1 << 20
 
 // Run describes one sorted run. Files carry no header, so the entry count
-// and the page encoding travel with the descriptor. Syn summarizes the
+// travels with the descriptor. Syn summarizes the
 // entries for the query planner and Sum, the resident summary, is what
 // every search reads a run through. Both come from the entries themselves,
 // in the one pass of Write, Merge or Load, so neither is ever nil, and
 // neither is persisted.
 type Run struct {
-	File   string
-	Count  int64
-	Syn    *zonestat.Synopsis
-	Packed bool // pages use the packed encoding, which older builds wrote
-	Sum    *Summary
+	File  string
+	Count int64
+	Syn   *zonestat.Synopsis
+	Sum   *Summary
 }
 
 // onProbePin is a test hook, not an option (see export_test.go): when set,
@@ -54,11 +53,11 @@ type Store struct {
 	Raw    series.RawStore
 
 	codec record.Codec
-	// The page layouts of the store's files, built once, so that no page a
-	// search reads builds one; an error is why NewLayout refused the
-	// encoding, whose zero Layout then opens no page.
-	fixed, packed       record.Layout
-	fixedErr, packedErr error
+	// The page layout of the store's files, built once, so that no page a
+	// search reads builds one; an error is why NewLayout refused it, and
+	// the zero Layout then opens no page.
+	layout    record.Layout
+	layoutErr error
 }
 
 // NewStore returns the run store of an index of the given shape, whose
@@ -69,22 +68,16 @@ func NewStore(disk storage.Backend, reader storage.PageReader, cfg index.Config,
 		reader = disk
 	}
 	s := Store{Disk: disk, Reader: reader, Config: cfg, Raw: raw, codec: cfg.Codec()}
-	s.fixed, s.fixedErr = record.NewLayout(s.codec, disk.PageSize(), false)
-	s.packed, s.packedErr = record.NewLayout(s.codec, disk.PageSize(), true)
+	s.layout, s.layoutErr = record.NewLayout(s.codec, disk.PageSize())
 	return s
 }
 
 // Codec returns the entry codec of the store's runs.
 func (s *Store) Codec() record.Codec { return s.codec }
 
-// Layout returns the page layout of the store's files in the given
-// encoding, or an error when its entries cannot fit a page of the disk.
-func (s *Store) Layout(packed bool) (record.Layout, error) {
-	if packed {
-		return s.packed, s.packedErr
-	}
-	return s.fixed, s.fixedErr
-}
+// Layout returns the page layout of the store's files, or an error when
+// its entries cannot fit a page of the disk.
+func (s *Store) Layout() (record.Layout, error) { return s.layout, s.layoutErr }
 
 // sorter returns the writer of one run, watched by b.
 func (s *Store) sorter(b *Builder) *extsort.Sorter {
@@ -103,8 +96,7 @@ func (s *Store) Write(name string, sorted []record.Entry) (Run, error) {
 	return b.Run(name), nil
 }
 
-// Merge sort-merges runs, in any mix of encodings, into one new run of
-// fixed-size records. The inputs are left intact. The merged synopsis and
+// Merge sort-merges runs into one new run. The inputs are left intact. The merged synopsis and
 // summary are built from the merged entries as they are written (the
 // synopsis equals the union of the inputs'). A failed merge leaves no file
 // behind, and returns no run.
@@ -112,7 +104,7 @@ func (s *Store) Merge(inputs []Run, name string) (Run, error) {
 	files := make([]extsort.Input, len(inputs))
 	var total int64
 	for i, in := range inputs {
-		files[i] = extsort.Input{Name: in.File, Count: in.Count, Packed: in.Packed}
+		files[i] = extsort.Input{Name: in.File, Count: in.Count}
 		total += in.Count
 	}
 	b := NewBuilder(s.Config, total, s.Disk.PageSize()/s.codec.Size())
@@ -127,11 +119,10 @@ func (s *Store) Merge(inputs []Run, name string) (Run, error) {
 // exactly r.Count entries. A run passes no directory: its pages are read as
 // a file written at full pages (record.Layout.NextPage). A CTree opening
 // metadata older than the summary passes its directory: each page's entry
-// count (a packed page's header must agree) and page number (nil: the
-// identity). The pass reads the disk itself, not the reader: reopening an
+// count and page number (nil: the identity). The pass reads the disk itself, not the reader: reopening an
 // index fills no cache with pages no query asked for.
 func (s *Store) Load(r Run, counts []int, pageOf []int64) (Run, error) {
-	l, err := s.Layout(r.Packed)
+	l, err := s.Layout()
 	if err != nil {
 		return Run{}, fmt.Errorf("run: %s: %w", r.File, err)
 	}
@@ -217,12 +208,8 @@ func (s *Store) Probe(r Run, q index.Query, col *index.Collector, sc *index.Scra
 
 // firstKey decodes the first key of page p of r, pinned as data.
 func (s *Store) firstKey(r Run, p int, data []byte) (sortable.Key, error) {
-	l, err := s.Layout(r.Packed)
-	if err != nil {
-		return sortable.Key{}, err
-	}
 	var pg record.PageView
-	if err := l.Page(&pg, data, r.Sum.Entries(p)); err != nil {
+	if err := s.layout.Page(&pg, data, r.Sum.Entries(p)); err != nil {
 		return sortable.Key{}, fmt.Errorf("run: %s page %d: %w", r.File, p, err)
 	}
 	return pg.Key(0), nil

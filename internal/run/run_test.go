@@ -94,11 +94,11 @@ func newStoreOf(t *testing.T, kind string, pageSize int, cfg index.Config, raw s
 	return s, disk, stats
 }
 
-// readPages decodes a run file page by page through a record.Layout of its
-// encoding — independent of the run package's page arithmetic.
+// readPages decodes a run file page by page through a record.Layout —
+// independent of the run package's page arithmetic.
 func readPages(t *testing.T, disk *storage.Disk, r Run) [][]record.Entry {
 	t.Helper()
-	l, err := record.NewLayout(testCfg.Codec(), disk.PageSize(), r.Packed)
+	l, err := record.NewLayout(testCfg.Codec(), disk.PageSize())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,15 +201,9 @@ var scriptStats = map[string]struct {
 		storage.Stats{SeqReads: 3, RandReads: 7, CacheHits: 6, CacheMisses: 10},
 		storage.Stats{SeqReads: 8, RandReads: 11, CacheHits: 70, CacheMisses: 19},
 		storage.Stats{SeqReads: 8, RandReads: 11, CacheHits: 60, CacheMisses: 19}},
-	"packed/disk": {7, storage.Stats{SeqWrites: 6, RandWrites: 1},
-		storage.Stats{SeqReads: 5, RandReads: 7}, storage.Stats{SeqReads: 26, RandReads: 19}, storage.Stats{SeqReads: 19, RandReads: 18}},
-	"packed/pool": {7, storage.Stats{SeqWrites: 6, RandWrites: 1},
-		storage.Stats{SeqReads: 1, RandReads: 4, CacheHits: 7, CacheMisses: 5},
-		storage.Stats{SeqReads: 1, RandReads: 6, CacheHits: 38, CacheMisses: 7},
-		storage.Stats{SeqReads: 1, RandReads: 6, CacheHits: 34, CacheMisses: 7}},
 }
 
-// TestRunTable checks one written run on every encoding and page source:
+// TestRunTable checks one written run on every page source:
 // the file holds exactly its entries, the synopsis and the resident summary
 // are the ones a rescan builds, Probe and ScanKNN answer as brute force does,
 // and the access script costs exactly its scriptStats row — with the planner
@@ -220,133 +214,121 @@ var scriptStats = map[string]struct {
 func TestRunTable(t *testing.T) {
 	entries, raw := testEntries(300, 7)
 	queries := testQueries(3, 99)
-	for _, packed := range []bool{false, true} {
-		for _, kind := range readerKinds {
-			enc, src := "fixed", "disk"
-			if packed {
-				enc = "packed"
-			}
-			if kind == "pool" {
-				src = "pool"
-			}
-			t.Run(enc+"/"+kind, func(t *testing.T) {
-				row := scriptStats[enc+"/"+src]
-				s, disk, stats := newStore(t, kind, raw)
-				r, err := writeRun(s, "r", entries, packed)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if r.File != "r" || r.Count != 300 || r.Packed != packed {
-					t.Fatalf("descriptor %+v", r)
-				}
-				if got := disk.Stats(); got != row.write {
-					t.Errorf("write stats %+v, parent %+v", got, row.write)
-				}
-				if n := r.Sum.Pages(); int64(n) != row.pages {
-					t.Fatalf("Pages = %d; parent wrote %d", n, row.pages)
-				}
-				if err := s.Verify(r); err != nil {
-					t.Fatal(err)
-				}
-				// What a pass over the file rebuilds — the synopsis and
-				// summary of a reopened index — is what the writer built.
-				if loaded, err := s.Load(Run{File: r.File, Count: r.Count, Packed: r.Packed}, nil, nil); err != nil || !reflect.DeepEqual(loaded, r) {
-					t.Fatalf("Load rebuilds %+v, %+v (%v), the writer built %+v, %+v", loaded.Syn, loaded.Sum, err, r.Syn, r.Sum)
-				}
-				pages := readPages(t, disk, r)
-				sameEntries(t, "written run", flatten(pages), entries)
-				if rebuilt := rescan(entries); !reflect.DeepEqual(r.Syn, rebuilt) {
-					t.Errorf("synopsis %+v, rescan gives %+v", r.Syn, rebuilt)
-				}
-				// A page access is a read of the disk, or with a pool a hit
-				// or a miss. The fence-key probe makes one per run; what it
-				// no longer pins it also no longer leaves in the pool, so
-				// only the total is comparable.
-				accesses := func(st storage.Stats) int64 {
-					if src == "pool" {
-						return st.CacheHits + st.CacheMisses
-					}
-					return st.SeqReads + st.RandReads
-				}
-
-				for _, planned := range []bool{false, true} {
-					name, want := "unplanned", row.unplanned
-					if planned {
-						name, want = "planned", row.planned
-					}
-					t.Run(name, func(t *testing.T) {
-						pl := &index.Planner{Disabled: !planned}
-						for i, q := range append(queries, queries[0].WithWindow(50, 220)) {
-							// The probe settles on the last page whose first
-							// key is not above the query key (page 0 when none
-							// is).
-							cover := 0
-							for p := range pages {
-								if !q.Key.Less(pages[p][0].Key) {
-									cover = p
-								}
-							}
-							sameResults(t, fmt.Sprintf("probe %d", i), search(t, &s, r, q, pl, 5, (*Store).Probe), bruteKNN(q, pages[cover], raw, 5))
-							sameResults(t, fmt.Sprintf("scan %d", i), search(t, &s, r, q, pl, 5, (*Store).ScanKNN), bruteKNN(q, entries, raw, 5))
-						}
-
-						script := func() (approx, exact storage.Stats, skips int64) {
-							if p, ok := s.Reader.(*bufpool.Pool); ok {
-								p.Purge() // the parent's script started cold
-							}
-							stats.ResetStats()
-							skips = pl.Skips()
-							for _, q := range queries {
-								search(t, &s, r, q, pl, 5, (*Store).Probe)
-							}
-							approx = stats.Stats()
-							for _, q := range queries {
-								search(t, &s, r, q, pl, 5, (*Store).Probe)
-								search(t, &s, r, q, pl, 5, (*Store).ScanKNN)
-							}
-							return approx, stats.Stats(), pl.Skips() - skips
-						}
-						pins := ProbePins()
-						SetPinnedProbe(true)
-						approx, exact, skips := script()
-						SetPinnedProbe(false)
-						pins = ProbePins() - pins
-						if approx != row.approx || exact != want {
-							t.Errorf("pinning probes: 3 probes %+v, +3 probe+scan %+v; want %+v, %+v", approx, exact, row.approx, want)
-						}
-						// Every page a scan skipped is one access fewer than
-						// the parent's, and the planner counted it.
-						if saved := accesses(row.unplanned) - accesses(exact); skips != saved || planned != (skips > 0) {
-							t.Errorf("the planner counted %d skipped pages; the scans made %d accesses fewer than the parent's", skips, saved)
-						}
-						approx, exact, _ = script()
-						if got := accesses(approx); got != 3 {
-							t.Errorf("3 fence-key probes made %d page accesses: %+v", got, approx)
-						}
-						if got, want := accesses(exact), accesses(want)-pins; pins == 0 || got != want {
-							t.Errorf("fence-key probes: %d page accesses (%+v), want the pinning script's less %d first-key pins = %d", got, exact, pins, want)
-						}
-					})
-				}
-			})
+	for _, kind := range readerKinds {
+		src := "disk"
+		if kind == "pool" {
+			src = "pool"
 		}
+		t.Run("fixed/"+kind, func(t *testing.T) {
+			row := scriptStats["fixed/"+src]
+			s, disk, stats := newStore(t, kind, raw)
+			r, err := s.Write("r", entries)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.File != "r" || r.Count != 300 {
+				t.Fatalf("descriptor %+v", r)
+			}
+			if got := disk.Stats(); got != row.write {
+				t.Errorf("write stats %+v, parent %+v", got, row.write)
+			}
+			if n := r.Sum.Pages(); int64(n) != row.pages {
+				t.Fatalf("Pages = %d; parent wrote %d", n, row.pages)
+			}
+			if err := s.Verify(r); err != nil {
+				t.Fatal(err)
+			}
+			// What a pass over the file rebuilds — the synopsis and
+			// summary of a reopened index — is what the writer built.
+			if loaded, err := s.Load(Run{File: r.File, Count: r.Count}, nil, nil); err != nil || !reflect.DeepEqual(loaded, r) {
+				t.Fatalf("Load rebuilds %+v, %+v (%v), the writer built %+v, %+v", loaded.Syn, loaded.Sum, err, r.Syn, r.Sum)
+			}
+			pages := readPages(t, disk, r)
+			sameEntries(t, "written run", flatten(pages), entries)
+			if rebuilt := rescan(entries); !reflect.DeepEqual(r.Syn, rebuilt) {
+				t.Errorf("synopsis %+v, rescan gives %+v", r.Syn, rebuilt)
+			}
+			// A page access is a read of the disk, or with a pool a hit
+			// or a miss. The fence-key probe makes one per run; what it
+			// no longer pins it also no longer leaves in the pool, so
+			// only the total is comparable.
+			accesses := func(st storage.Stats) int64 {
+				if src == "pool" {
+					return st.CacheHits + st.CacheMisses
+				}
+				return st.SeqReads + st.RandReads
+			}
+
+			for _, planned := range []bool{false, true} {
+				name, want := "unplanned", row.unplanned
+				if planned {
+					name, want = "planned", row.planned
+				}
+				t.Run(name, func(t *testing.T) {
+					pl := &index.Planner{Disabled: !planned}
+					for i, q := range append(queries, queries[0].WithWindow(50, 220)) {
+						// The probe settles on the last page whose first
+						// key is not above the query key (page 0 when none
+						// is).
+						cover := 0
+						for p := range pages {
+							if !q.Key.Less(pages[p][0].Key) {
+								cover = p
+							}
+						}
+						sameResults(t, fmt.Sprintf("probe %d", i), search(t, &s, r, q, pl, 5, (*Store).Probe), bruteKNN(q, pages[cover], raw, 5))
+						sameResults(t, fmt.Sprintf("scan %d", i), search(t, &s, r, q, pl, 5, (*Store).ScanKNN), bruteKNN(q, entries, raw, 5))
+					}
+
+					script := func() (approx, exact storage.Stats, skips int64) {
+						if p, ok := s.Reader.(*bufpool.Pool); ok {
+							p.Purge() // the parent's script started cold
+						}
+						stats.ResetStats()
+						skips = pl.Skips()
+						for _, q := range queries {
+							search(t, &s, r, q, pl, 5, (*Store).Probe)
+						}
+						approx = stats.Stats()
+						for _, q := range queries {
+							search(t, &s, r, q, pl, 5, (*Store).Probe)
+							search(t, &s, r, q, pl, 5, (*Store).ScanKNN)
+						}
+						return approx, stats.Stats(), pl.Skips() - skips
+					}
+					pins := ProbePins()
+					SetPinnedProbe(true)
+					approx, exact, skips := script()
+					SetPinnedProbe(false)
+					pins = ProbePins() - pins
+					if approx != row.approx || exact != want {
+						t.Errorf("pinning probes: 3 probes %+v, +3 probe+scan %+v; want %+v, %+v", approx, exact, row.approx, want)
+					}
+					// Every page a scan skipped is one access fewer than
+					// the parent's, and the planner counted it.
+					if saved := accesses(row.unplanned) - accesses(exact); skips != saved || planned != (skips > 0) {
+						t.Errorf("the planner counted %d skipped pages; the scans made %d accesses fewer than the parent's", skips, saved)
+					}
+					approx, exact, _ = script()
+					if got := accesses(approx); got != 3 {
+						t.Errorf("3 fence-key probes made %d page accesses: %+v", got, approx)
+					}
+					if got, want := accesses(exact), accesses(want)-pins; pins == 0 || got != want {
+						t.Errorf("fence-key probes: %d page accesses (%+v), want the pinning script's less %d first-key pins = %d", got, exact, pins, want)
+					}
+				})
+			}
+		})
 	}
 	for _, shape := range deadShapes {
-		for _, packed := range []bool{false, true} {
-			for _, kind := range readerKinds {
-				enc := "fixed"
-				if packed {
-					enc = "packed"
-				}
-				t.Run("dead/"+shape.name+"/"+enc+"/"+kind, func(t *testing.T) { deadRunRow(t, shape.blocks, packed, kind) })
-			}
+		for _, kind := range readerKinds {
+			t.Run("dead/"+shape.name+"/fixed/"+kind, func(t *testing.T) { deadRunRow(t, shape.blocks, kind) })
 		}
 	}
 }
 
-// deadCfg is a materialized shape whose entry fills a page alone in either
-// encoding on deadPageSize pages (544 bytes fixed-size, 564 packed): a run
-// of it has a page an entry, so its dead runs are exactly as long as the
+// deadCfg is a materialized shape whose entry fills a page alone on
+// deadPageSize pages (544 bytes): a run of it has a page an entry, so its dead runs are exactly as long as the
 // entries that make them.
 var deadCfg = index.Config{SeriesLen: 64, Segments: 8, Bits: 8, Materialized: true}
 
@@ -419,7 +401,7 @@ func readsByRule(dead []bool) int {
 // page unplanned and readsByRule's count planned, reports the others as
 // skipped "page" units to the trace and the planner and every dead page it
 // reads as undecoded; and no planned scan costs more than the unplanned one.
-func deadRunRow(t *testing.T, blocks [4]int, packed bool, kind string) {
+func deadRunRow(t *testing.T, blocks [4]int, kind string) {
 	var entries []record.Entry
 	var dead []bool
 	raw := normStore{}
@@ -436,7 +418,7 @@ func deadRunRow(t *testing.T, blocks [4]int, packed bool, kind string) {
 		t.Fatal("the blocks are not in key order")
 	}
 	s, _, stats := newStoreOf(t, kind, deadPageSize, deadCfg, nil)
-	r, err := writeRun(s, "r", entries, packed)
+	r, err := s.Write("r", entries)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -528,9 +510,7 @@ func rescan(entries []record.Entry) *zonestat.Synopsis {
 	return syn
 }
 
-// TestRunMerge merges runs of mixed encodings, a packed one written as
-// older builds wrote it (writeRun), into a fixed-size run: the merged run
-// holds the sorted union, its synopsis is the one a rescan of
+// TestRunMerge merges runs into one: the merged run holds the sorted union, its synopsis is the one a rescan of
 // the merged file builds — which is the union of the inputs' — its summary
 // is the file's, and the inputs stay intact.
 func TestRunMerge(t *testing.T) {
@@ -551,7 +531,7 @@ func TestRunMerge(t *testing.T) {
 			s, disk, _ := newStore(t, kind, nil)
 			var inputs []Run
 			for i, part := range [][]record.Entry{a, b, c} {
-				r, err := writeRun(s, fmt.Sprintf("in%d", i), part, i == 1)
+				r, err := s.Write(fmt.Sprintf("in%d", i), part)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -561,7 +541,7 @@ func TestRunMerge(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if m.File != "merged" || m.Count != int64(len(all)) || m.Packed {
+			if m.File != "merged" || m.Count != int64(len(all)) {
 				t.Fatalf("descriptor %+v", m)
 			}
 			merged := flatten(readPages(t, disk, m))
@@ -585,53 +565,48 @@ func TestRunMerge(t *testing.T) {
 }
 
 // TestFaultInjectionLeavesNoFile injects a write fault into Write and into
-// Merge, of a fixed-size input and of a packed one: the error surfaces with
-// no run — and so no summary of the entries the writer had got through — and
+// Merge: the error surfaces with no run — and so no summary of the entries the writer had got through — and
 // the partial output is gone from the disk and from the filesystem beneath
 // it.
 func TestFaultInjectionLeavesNoFile(t *testing.T) {
 	entries, _ := testEntries(300, 7)
-	for _, packed := range []bool{false, true} {
-		t.Run(fmt.Sprintf("packed=%v", packed), func(t *testing.T) {
-			fsys := fsx.NewMemFS()
-			disk, err := storage.NewFileDisk(storage.FileDiskOptions{Dir: "d", FS: fsys, PageSize: testPageSize})
-			if err != nil {
-				t.Fatal(err)
-			}
-			s := NewStore(disk, nil, testCfg, nil)
-			in, err := writeRun(s, "in", entries, packed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			before := disk.TotalPages()
-			fsys.SetFaultHook(func(op, path string) error {
-				if op == "write" && strings.Contains(path, "out") {
-					return fsx.ErrInjected
-				}
-				return nil
-			})
-			if r, err := s.Write("out", entries); !errors.Is(err, fsx.ErrInjected) || !reflect.DeepEqual(r, Run{}) {
-				t.Fatalf("Write: %+v, %v, want no run and the injected fault", r, err)
-			}
-			if r, err := s.Merge([]Run{in, in}, "out"); !errors.Is(err, fsx.ErrInjected) || !reflect.DeepEqual(r, Run{}) {
-				t.Fatalf("Merge: %+v, %v, want no run and the injected fault", r, err)
-			}
-			fsys.SetFaultHook(nil)
-			if disk.Exists("out") || disk.TotalPages() != before {
-				t.Errorf("partial output left behind: exists=%v, pages %d -> %d", disk.Exists("out"), before, disk.TotalPages())
-			}
-			if _, err := fsys.Stat("d/out.cpg"); err == nil {
-				t.Error("partial output file still on the filesystem")
-			}
-			// The name is free again.
-			out, err := s.Write("out", entries)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := s.Verify(out); err != nil {
-				t.Fatal(err)
-			}
-		})
+	fsys := fsx.NewMemFS()
+	disk, err := storage.NewFileDisk(storage.FileDiskOptions{Dir: "d", FS: fsys, PageSize: testPageSize})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewStore(disk, nil, testCfg, nil)
+	in, err := s.Write("in", entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := disk.TotalPages()
+	fsys.SetFaultHook(func(op, path string) error {
+		if op == "write" && strings.Contains(path, "out") {
+			return fsx.ErrInjected
+		}
+		return nil
+	})
+	if r, err := s.Write("out", entries); !errors.Is(err, fsx.ErrInjected) || !reflect.DeepEqual(r, Run{}) {
+		t.Fatalf("Write: %+v, %v, want no run and the injected fault", r, err)
+	}
+	if r, err := s.Merge([]Run{in, in}, "out"); !errors.Is(err, fsx.ErrInjected) || !reflect.DeepEqual(r, Run{}) {
+		t.Fatalf("Merge: %+v, %v, want no run and the injected fault", r, err)
+	}
+	fsys.SetFaultHook(nil)
+	if disk.Exists("out") || disk.TotalPages() != before {
+		t.Errorf("partial output left behind: exists=%v, pages %d -> %d", disk.Exists("out"), before, disk.TotalPages())
+	}
+	if _, err := fsys.Stat("d/out.cpg"); err == nil {
+		t.Error("partial output file still on the filesystem")
+	}
+	// The name is free again.
+	out, err := s.Write("out", entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Verify(out); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -643,28 +618,26 @@ func TestWarmScanDoesNotAllocate(t *testing.T) {
 	}
 	entries, raw := testEntries(300, 7)
 	q := testQueries(1, 99)[0]
-	for _, packed := range []bool{false, true} {
-		for _, kind := range readerKinds {
-			t.Run(fmt.Sprintf("packed=%v/%s", packed, kind), func(t *testing.T) {
-				s, _, _ := newStore(t, kind, raw)
-				r, err := writeRun(s, "r", entries, packed)
-				if err != nil {
+	for _, kind := range readerKinds {
+		t.Run(kind, func(t *testing.T) {
+			s, _, _ := newStore(t, kind, raw)
+			r, err := s.Write("r", entries)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := index.AcquireCtx(q, testCfg)
+			col := index.NewCollector(5)
+			scan := func() {
+				if err := s.ScanKNN(r, q, col, ctx.Scratch0()); err != nil {
 					t.Fatal(err)
 				}
-				ctx := index.AcquireCtx(q, testCfg)
-				col := index.NewCollector(5)
-				scan := func() {
-					if err := s.ScanKNN(r, q, col, ctx.Scratch0()); err != nil {
-						t.Fatal(err)
-					}
-				}
-				scan()
-				if n := testing.AllocsPerRun(50, scan); n >= 1 {
-					t.Errorf("packed=%v %s: %.1f allocs per warm scan, want 0", packed, kind, n)
-				}
-				ctx.Release()
-			})
-		}
+			}
+			scan()
+			if n := testing.AllocsPerRun(50, scan); n >= 1 {
+				t.Errorf("%s: %.1f allocs per warm scan, want 0", kind, n)
+			}
+			ctx.Release()
+		})
 	}
 }
 
@@ -679,14 +652,11 @@ func TestWarmScanDoesNotAllocate(t *testing.T) {
 func TestRunScanTraceMatchesReference(t *testing.T) {
 	defer SetPageKeyBounds(false)
 	entries, raw := testEntries(1200, 7)
-	for _, c := range []struct {
-		packed, planned bool
-	}{{false, false}, {true, false}, {false, true}, {true, true}} {
-		t.Run(fmt.Sprintf("packed=%v/planned=%v", c.packed, c.planned), func(t *testing.T) {
-			packed := c.packed
+	for _, planned := range []bool{false, true} {
+		t.Run(fmt.Sprintf("planned=%v", planned), func(t *testing.T) {
 			s, _, _ := newStore(t, "heap", raw)
-			pl := &index.Planner{Disabled: !c.planned}
-			r, err := writeRun(s, "r", entries, packed)
+			pl := &index.Planner{Disabled: !planned}
+			r, err := s.Write("r", entries)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -727,87 +697,43 @@ func TestRunScanTraceMatchesReference(t *testing.T) {
 				}{{"knn", knn}, {"range", rng}, {"windowed knn", windowed(knn)}, {"windowed range", windowed(rng)}} {
 					want, got := trace(true, mode.scan), trace(false, mode.scan)
 					if want.UndecodedPages != 0 || want.Candidates.Seen == 0 {
-						t.Fatalf("packed=%v query %d %s: the reference scan saw %d candidates and left %d pages undecoded", packed, i, mode.name, want.Candidates.Seen, want.UndecodedPages)
+						t.Fatalf("query %d %s: the reference scan saw %d candidates and left %d pages undecoded", i, mode.name, want.Candidates.Seen, want.UndecodedPages)
 					}
-					if got.UndecodedPages == 0 && !c.planned || got.UndecodedPages > int64(pages)+1 {
-						t.Fatalf("packed=%v query %d %s: %d of %d pages undecoded", packed, i, mode.name, got.UndecodedPages, pages)
+					if got.UndecodedPages == 0 && !planned || got.UndecodedPages > int64(pages)+1 {
+						t.Fatalf("query %d %s: %d of %d pages undecoded", i, mode.name, got.UndecodedPages, pages)
 					}
-					if skipped += got.PlannedSkips; !c.planned && skipped != 0 {
-						t.Fatalf("packed=%v query %d %s: the unplanned scan skipped %d pages", packed, i, mode.name, skipped)
+					if skipped += got.PlannedSkips; !planned && skipped != 0 {
+						t.Fatalf("query %d %s: the unplanned scan skipped %d pages", i, mode.name, skipped)
 					}
 					got.UndecodedPages = 0
 					if !reflect.DeepEqual(want, got) {
-						t.Fatalf("packed=%v query %d %s: traces diverged:\nreference: %+v\nresident:  %+v", packed, i, mode.name, want, got)
+						t.Fatalf("query %d %s: traces diverged:\nreference: %+v\nresident:  %+v", i, mode.name, want, got)
 					}
 				}
 			}
-			if c.planned && skipped == 0 {
-				t.Errorf("packed=%v: the planned scans skipped no page", packed)
+			if planned && skipped == 0 {
+				t.Error("the planned scans skipped no page")
 			}
 		})
 	}
 }
 
-// writeRun puts sorted entries into a new run of s: fixed-size through
-// Write, or packed as older builds wrote it (full pages of the packed
-// layout's page builder), summarized as Write summarizes.
-func writeRun(s Store, name string, entries []record.Entry, packed bool) (Run, error) {
-	if !packed {
-		return s.Write(name, entries)
-	}
-	l, err := s.Layout(true)
-	if err == nil {
-		err = s.Disk.Create(name)
-	}
-	b := NewBuilder(s.Config, int64(len(entries)), s.Disk.PageSize()/s.Codec().Size())
-	pb, page := l.Builder(), make([]byte, s.Disk.PageSize())
-	for i := 0; err == nil && i < len(entries); {
-		for from, ok := i, true; err == nil && ok && i < len(entries); {
-			if ok, err = pb.TryAdd(entries[i]); ok {
-				b.Observe(entries[i].Key, entries[i].ID, entries[i].TS, i == from)
-				i++
-			}
-		}
-		if err == nil {
-			_, err = pb.Encode(page)
-		}
-		if err == nil {
-			_, err = s.Disk.AppendPages(name, page)
-		}
-	}
-	if err != nil {
-		return Run{}, err
-	}
-	r := b.Run(name)
-	r.Packed = true
-	return r, nil
-}
-
-// TestLoadChecksTheCount: a file that cannot hold the entries its metadata
-// claims — too few fixed-size pages, packed pages whose counts add up to
-// another number — is refused, not summarized.
+// TestLoadChecksTheCount: a file too short for the entries its metadata
+// claims is refused, not summarized. A file carries no counts: only its
+// length can disagree.
 func TestLoadChecksTheCount(t *testing.T) {
 	entries, _ := testEntries(300, 7)
-	for _, packed := range []bool{false, true} {
-		t.Run(fmt.Sprintf("packed=%v", packed), func(t *testing.T) {
-			s, _, _ := newStore(t, "heap", nil)
-			r, err := writeRun(s, "r", entries, packed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, off := range []int64{-1, 1, testPageSize} {
-				bad := Run{File: r.File, Count: r.Count + off, Packed: packed}
-				if !packed && off < testPageSize/int64(testCfg.Codec().Size()) {
-					continue // a fixed-size file carries no counts: only its length can disagree
-				}
-				if got, err := s.Load(bad, nil, nil); err == nil {
-					t.Errorf("packed=%v: Load accepted a count of %d for a file of %d entries: %+v", packed, bad.Count, r.Count, got)
-				}
-			}
-			if err := s.Verify(r); err != nil {
-				t.Fatal(err)
-			}
-		})
+	s, _, _ := newStore(t, "heap", nil)
+	r, err := s.Write("r", entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := Run{File: r.File, Count: r.Count + testPageSize}
+	if got, err := s.Load(bad, nil, nil); err == nil {
+		t.Errorf("Load accepted a count of %d for a file of %d entries: %+v", bad.Count, r.Count, got)
+	}
+	if err := s.Verify(r); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -893,8 +819,8 @@ func (p *pageTracer) Access(file string, page int64, write bool) {
 	}
 }
 
-// entryDeadPageSize holds two deadCfg entries to a page in either encoding
-// (1 088 bytes fixed-size, about 1 100 packed), and not three.
+// entryDeadPageSize holds two deadCfg entries to a page (1 088 bytes), and
+// not three.
 const entryDeadPageSize = 1200
 
 // TestScanSkipsEntryDeadPages: a page whose envelope a query's bound leaves
@@ -926,25 +852,21 @@ func TestScanSkipsEntryDeadPages(t *testing.T) {
 	for _, row := range []struct {
 		name     string
 		kind     string
-		packed   bool
 		disabled bool
 		query    index.Query
 		read1    bool // page 1 is read
 	}{
-		{"heap/fixed", "heap", false, false, index.NewQuery(q, deadCfg), false},
-		{"heap/packed", "heap", true, false, index.NewQuery(q, deadCfg), false},
-		{"memfs/fixed", "memfs", false, false, index.NewQuery(q, deadCfg), false},
-		{"memfs/packed", "memfs", true, false, index.NewQuery(q, deadCfg), false},
-		{"windowed/heap", "heap", false, false, index.NewQuery(a, deadCfg).WithWindow(0, 1), false},
-		{"windowed/memfs", "memfs", true, false, index.NewQuery(a, deadCfg).WithWindow(0, 1), false},
-		{"pool/fixed", "pool", false, false, index.NewQuery(q, deadCfg), true},
-		{"pool/packed", "pool", true, false, index.NewQuery(q, deadCfg), true},
-		{"unplanned/heap", "heap", false, true, index.NewQuery(q, deadCfg), true},
-		{"unplanned/memfs", "memfs", true, true, index.NewQuery(q, deadCfg), true},
+		{"heap/fixed", "heap", false, index.NewQuery(q, deadCfg), false},
+		{"memfs/fixed", "memfs", false, index.NewQuery(q, deadCfg), false},
+		{"windowed/heap", "heap", false, index.NewQuery(a, deadCfg).WithWindow(0, 1), false},
+		{"windowed/memfs", "memfs", false, index.NewQuery(a, deadCfg).WithWindow(0, 1), false},
+		{"pool/fixed", "pool", false, index.NewQuery(q, deadCfg), true},
+		{"unplanned/heap", "heap", true, index.NewQuery(q, deadCfg), true},
+		{"unplanned/memfs", "memfs", true, index.NewQuery(q, deadCfg), true},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			s, disk, _ := newStoreOf(t, row.kind, entryDeadPageSize, deadCfg, nil)
-			r, err := writeRun(s, "r", entries, row.packed)
+			r, err := s.Write("r", entries)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -151,7 +151,7 @@ type Builder struct {
 // about perPage to a page: what it is sized for, one allocation per kind of
 // array, the four envelope arrays sharing one.
 func NewBuilder(cfg index.Config, count int64, perPage int) *Builder {
-	perPage = max(perPage, 1) // a packed page may hold what no fixed-size one can
+	perPage = max(perPage, 1)
 	pages := int((count + int64(perPage) - 1) / int64(perPage))
 	w, groups := cfg.Segments, (pages+groupPages-1)/groupPages
 	env, p, g := make([]uint8, 0, 2*(pages+groups)*w), pages*w, groups*w
@@ -407,7 +407,7 @@ func (m *Summary) ascending() error {
 // twice groupPages, with its pages' entries and envelopes' union.
 func (s *Store) Verify(r Run) error {
 	m := r.Sum
-	fresh, err := s.Load(Run{File: r.File, Count: r.Count, Packed: r.Packed}, m.cnt, m.pageOf)
+	fresh, err := s.Load(Run{File: r.File, Count: r.Count}, m.cnt, m.pageOf)
 	if err != nil {
 		return err
 	}
@@ -439,11 +439,8 @@ func (s *Store) Verify(r Run) error {
 // symbols and timestamps from the columns and reads data only to verify a
 // survivor.
 func (s *Store) page(pg *index.Page, r Run, p, g, off int, data []byte) {
-	m, n, l := r.Sum, r.Sum.cnt[p], &s.fixed
-	if r.Packed {
-		l = &s.packed
-	}
-	*pg = index.StoredPage(l, data, n)
+	m, n := r.Sum, r.Sum.cnt[p]
+	*pg = index.StoredPage(&s.layout, data, n)
 	if !pageKeyBounds {
 		pg.UseSymbols(m.grp[g].syms[off*m.segs:(off+n)*m.segs], m.segs)
 		pg.UseTimestamps(m.grp[g].ts[off : off+n])

@@ -22,9 +22,9 @@ func fuzzSummaryCfg(bits uint8) index.Config {
 	return cfg
 }
 
-// writtenSummary writes n random walks summarized under cfg as a run, fixed
-// or packed, and returns its summary's persistent form and entry count.
-func writtenSummary(tb testing.TB, cfg index.Config, n int, packed bool, seed int64) ([]byte, int64) {
+// writtenSummary writes n random walks summarized under cfg as a run, and
+// returns its summary's persistent form and entry count.
+func writtenSummary(tb testing.TB, cfg index.Config, n int, seed int64) ([]byte, int64) {
 	rng := rand.New(rand.NewSource(seed))
 	raw := make(normStore, n)
 	entries := make([]record.Entry, n)
@@ -35,7 +35,7 @@ func writtenSummary(tb testing.TB, cfg index.Config, n int, packed bool, seed in
 	}
 	sort.Slice(entries, func(i, j int) bool { return entries[i].Less(entries[j]) })
 	s := NewStore(storage.NewDisk(testPageSize), nil, cfg, raw)
-	r, err := writeRun(s, "r", entries, packed)
+	r, err := s.Write("r", entries)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -48,11 +48,10 @@ func writtenSummary(tb testing.TB, cfg index.Config, n int, packed bool, seed in
 // synopsis it returns the fold of its SAX and timestamp columns.
 func FuzzDecodeSummary(f *testing.F) {
 	for i, seed := range []struct {
-		bits   uint8
-		n      int
-		packed bool
-	}{{7, 300, false}, {7, 40, true}, {2, 120, false}, {0, 1, false}} {
-		buf, count := writtenSummary(f, fuzzSummaryCfg(seed.bits), seed.n, seed.packed, int64(i))
+		bits uint8
+		n    int
+	}{{7, 300}, {2, 120}, {0, 1}} {
+		buf, count := writtenSummary(f, fuzzSummaryCfg(seed.bits), seed.n, int64(i))
 		if _, _, err := DecodeSummary(buf, fuzzSummaryCfg(seed.bits), count); err != nil {
 			f.Fatalf("seed %d: a written summary does not decode: %v", i, err)
 		}

@@ -122,6 +122,53 @@ func TestInsertValidation(t *testing.T) {
 	}
 }
 
+// TestDurabilityRefusedWithoutALog: only an unsharded CLSM build keeps a
+// write-ahead log, so a build that would keep none is refused a durability
+// it names, even on a server with a WAL root, rather than built to answer
+// its inserts "synced" with no log behind them. No durability, or "off",
+// builds as before.
+func TestDurabilityRefusedWithoutALog(t *testing.T) {
+	s := New()
+	s.SetWALRoot(t.TempDir())
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	var d DatasetResponse
+	postJSON(t, ts.URL+"/api/datasets", DatasetRequest{Kind: "astronomy", N: 200, Len: 64, Seed: 4}, &d)
+	build := func(req BuildRequest) (int, string) {
+		req.Dataset, req.Segments, req.Bits = d.ID, 8, 8
+		var e struct {
+			Error string `json:"error"`
+		}
+		return postJSON(t, ts.URL+"/api/build", req, &e), e.Error
+	}
+	for _, c := range []struct {
+		name string
+		req  BuildRequest
+	}{
+		{"sharded CLSMFull", BuildRequest{Variant: "CLSMFull", Shards: 2}},
+		{"cluster CLSM", BuildRequest{Variant: "CLSM", ClusterShards: 2, NodeShards: []int{0}}},
+		{"CTreeFull", BuildRequest{Variant: "CTreeFull"}},
+	} {
+		for _, dur := range []string{"batched", "sync"} {
+			req := c.req
+			req.Durability = dur
+			if code, msg := build(req); code != http.StatusBadRequest || !strings.Contains(msg, "keeps no write-ahead log") {
+				t.Errorf("%s, durability %q: status %d, error %q; want 400 naming the missing log", c.name, dur, code, msg)
+			}
+		}
+		for _, dur := range []string{"", "off"} {
+			req := c.req
+			req.Durability = dur
+			if code, msg := build(req); code != http.StatusCreated {
+				t.Errorf("%s, durability %q: status %d (%s), want 201", c.name, dur, code, msg)
+			}
+		}
+	}
+	if code, msg := build(BuildRequest{Variant: "CLSMFull", Durability: "batched"}); code != http.StatusCreated {
+		t.Fatalf("unsharded CLSMFull, durability batched: status %d (%s)", code, msg)
+	}
+}
+
 func TestConcurrentInsertsAndQueries(t *testing.T) {
 	ts, b := durableBuild(t)
 	var wg sync.WaitGroup

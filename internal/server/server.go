@@ -432,7 +432,8 @@ func (s *Server) specFor(req BuildRequest, seriesLen int) (assemble.Spec, error)
 		spec.Durability = req.Durability // Validate refuses an unknown policy on any variant
 	}
 	// Durable ingest and background merges are requested for unsharded CLSM
-	// builds only.
+	// builds only: any other build keeps no log, and is refused a durability
+	// it would not have rather than acknowledge inserts as synced to none.
 	if (req.Variant == "CLSM" || req.Variant == "CLSMFull") && !spec.Partitioned() {
 		switch {
 		case req.Durability == "off":
@@ -441,6 +442,10 @@ func (s *Server) specFor(req BuildRequest, seriesLen int) (assemble.Spec, error)
 			return spec, fmt.Errorf("durability %q needs the server to run with a WAL root (-wal)", req.Durability)
 		}
 	} else {
+		if req.Durability == "batched" || req.Durability == "sync" {
+			return spec, fmt.Errorf("durability %q needs an unsharded CLSM or CLSMFull build: a %s build with shards=%d, cluster_shards=%d keeps no write-ahead log",
+				req.Durability, req.Variant, req.Shards, req.ClusterShards)
+		}
 		spec.WALDir, spec.CompactionWorkers = "", 0
 	}
 	return spec, spec.Validate()

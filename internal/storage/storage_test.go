@@ -107,7 +107,7 @@ func TestTracer(t *testing.T) {
 // openEntries opens the one entry reader (record.Layout's) over a file of
 // count fixed-size entries of codec c.
 func openEntries(d *Disk, name string, c record.Codec, count int64) (*record.Reader, error) {
-	l, err := record.NewLayout(c, d.PageSize(), false)
+	l, err := record.NewLayout(c, d.PageSize())
 	if err != nil {
 		return nil, err
 	}

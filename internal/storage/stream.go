@@ -13,8 +13,8 @@ const DefaultBufferPages = 16
 // records per page as fit (records never span pages, as in slotted pages)
 // and zeroing the rest. Pages accumulate in a write-behind chunk flushed
 // with a single multi-page append; Close flushes the final partial page.
-// Entry files, whose pages may be packed or left with slack, are written
-// through a record.Layout instead.
+// Entry files, whose pages may be left with slack, are written through a
+// record.Layout instead.
 type RecordWriter struct {
 	disk    Backend
 	name    string

@@ -62,7 +62,7 @@ func NewBTP(disk storage.Backend, reader storage.PageReader, name string, cfg in
 		return nil, fmt.Errorf("stream: mergeFactor must be >= 2, got %d", mergeFactor)
 	}
 	store := run.NewStore(disk, reader, cfg, raw)
-	if _, err := store.Layout(false); err != nil {
+	if _, err := store.Layout(); err != nil {
 		return nil, fmt.Errorf("stream: %w", err)
 	}
 	return &BTP{

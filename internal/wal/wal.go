@@ -326,20 +326,6 @@ func (l *Log) Append(payload []byte) (int64, error) {
 	return l.appendLocked(payload)
 }
 
-// AppendBatch appends every payload and syncs once at the end — the batch
-// ingest path: one fsync acknowledges the whole batch.
-func (l *Log) AppendBatch(payloads [][]byte) (first int64, err error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	first = l.nextLSNLocked()
-	for _, p := range payloads {
-		if _, err = l.appendLocked(p); err != nil {
-			return first, err
-		}
-	}
-	return first, l.syncLocked()
-}
-
 func (l *Log) appendLocked(payload []byte) (int64, error) {
 	if l.closed {
 		return 0, fmt.Errorf("wal: log is closed")

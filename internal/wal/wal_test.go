@@ -235,19 +235,6 @@ func TestStrictSyncEveryAppend(t *testing.T) {
 	}
 }
 
-func TestAppendBatch(t *testing.T) {
-	l := openTest(t, t.TempDir(), Options{SyncEvery: 1 << 30, SyncInterval: time.Hour})
-	defer l.Close()
-	batch := [][]byte{[]byte("a"), []byte("b"), []byte("c")}
-	first, err := l.AppendBatch(batch)
-	if err != nil || first != 0 {
-		t.Fatalf("batch: first=%d err=%v", first, err)
-	}
-	if st := l.Stats(); st.Syncs != 1 || st.Appends != 3 {
-		t.Fatalf("batch stats: %+v", st)
-	}
-}
-
 func TestConcurrentAppend(t *testing.T) {
 	l := openTest(t, t.TempDir(), Options{SyncEvery: 64})
 	defer l.Close()

@@ -1,6 +1,14 @@
 package coconut
 
-import "repro/internal/assemble"
+import (
+	"repro/internal/assemble"
+	"repro/internal/record"
+)
+
+// ErrPacked is what OpenTree, OpenLSM and OpenSharded wrap when a snapshot
+// says its pages are packed, a layout older builds could write and no index
+// reads: rebuild such an index from its dataset.
+var ErrPacked = record.ErrPacked
 
 // openSpec maps the optional Options of the Open functions onto the build
 // description the snapshot is reopened under.
@@ -26,6 +34,10 @@ func openSpec(fam string, opts []Options) assemble.Spec {
 // that size between the tree and its pages, as in BuildTree (frames take the
 // snapshot's page size). Other Options fields are ignored; the snapshot
 // defines the index shape.
+//
+// A snapshot whose leaves an older build packed does not open: the error,
+// which names the snapshot, wraps ErrPacked. Rebuild such a tree from its
+// dataset with BuildTree.
 func OpenTree(path string, opts ...Options) (*Tree, error) {
 	b, err := assemble.Open(path, openSpec("CTree", opts))
 	if err != nil {
@@ -42,10 +54,10 @@ func OpenTree(path string, opts ...Options) (*Tree, error) {
 // replays the log tail past the snapshot (recovering acknowledged inserts
 // the snapshot missed — the crash story), Durability applies as in NewLSM,
 // and so do CompactionWorkers, with or without a WAL, and CacheBytes, as in
-// OpenTree. Runs an older build wrote packed stay readable, and merges
-// rewrite them fixed-size, as every new run is. GrowthFactor and
-// BufferEntries, when set, override the persisted ones. Other Options fields
-// are ignored; the snapshot defines the index shape.
+// OpenTree. GrowthFactor and BufferEntries, when set, override the
+// persisted ones. Other Options fields are ignored; the snapshot defines the
+// index shape. As with OpenTree, a snapshot holding a run an older build
+// packed does not open (ErrPacked): rebuild it from its dataset.
 func OpenLSM(path string, opts ...Options) (*LSM, error) {
 	b, err := assemble.Open(path, openSpec("CLSM", opts))
 	if err != nil {

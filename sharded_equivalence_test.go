@@ -415,7 +415,7 @@ func TestShardedPersistence(t *testing.T) {
 }
 
 // narrowedTreeMeta returns a CTree meta payload of version 6 or 5 as meta
-// v5, which stored the tree's synopsis before the packed flag, with that
+// v5, which stored the tree's synopsis before the layout byte, with that
 // synopsis — count u64 | minTS u64 | maxTS u64 | key range 32 B | bits u8 |
 // segments u8 | envelope minima | maxima — narrowed to the top symbol of
 // every segment: a bound that, trusted, rules out a tree the answers are in.

@@ -3,6 +3,7 @@ package ctree_test
 import (
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"testing"
@@ -28,8 +29,9 @@ import (
 // Stats record: sequential and random reads and writes, cache hits and
 // misses, planned skips. That is the claim "which pages a query reads, and
 // in what order, did not change", made through every surface a CTree sits
-// behind: the facade tree (fixed, cached, file-backed, after splits), the
-// sharded tree, and the stream's TP partitions.
+// behind: the facade tree (fixed, cached, file-backed, after splits, and
+// opened from a saved snapshot, with splits behind a pool), the sharded
+// tree, and the stream's TP partitions.
 //
 // With several workers only the answers are compared. The pool hands leaf
 // ranges to workers as they come free and a worker's collector carries its
@@ -173,6 +175,30 @@ func TestColumnScanEquivalence(t *testing.T) {
 			return treeQueries(t, tr, queries), tr.Stats()
 		}
 	}
+	// opened is tree(inserts) over a tree saved as a snapshot right after
+	// its bulk load and opened again: the searches run over a summary
+	// decoded from the snapshot, and the inserts split leaves it opened.
+	opened := func(inserts int) scenario {
+		return func(t *testing.T, opts coconut.Options) ([][]coconut.Match, coconut.Stats) {
+			built := must[*coconut.Tree](t)(coconut.BuildTree(data, opts))
+			path := filepath.Join(t.TempDir(), "snapshot.ccnut")
+			if err := built.SaveFile(path); err != nil {
+				t.Fatal(err)
+			}
+			if err := built.Close(); err != nil {
+				t.Fatal(err)
+			}
+			tr := must[*coconut.Tree](t)(coconut.OpenTree(path, opts))
+			defer tr.Close()
+			tr.SetParallelism(opts.Parallelism)
+			for i, s := range late[:inserts] {
+				if err := tr.Insert(s, int64(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return treeQueries(t, tr, queries), tr.Stats()
+		}
+	}
 	// unplanned is tree(0) over base, assembled as BuildTree assembles it,
 	// with the build's planner off.
 	unplanned := func(t *testing.T, opts coconut.Options) ([][]coconut.Match, coconut.Stats) {
@@ -236,6 +262,8 @@ func TestColumnScanEquivalence(t *testing.T) {
 		{"tree", true, base, tree(0)},
 		{"tree-full", true, full, tree(0)},
 		{"tree-splits", true, with(full, func(o *coconut.Options) { o.FillFactor = 0.8 }), tree(600)},
+		{"tree-opened", true, full, opened(0)},
+		{"tree-opened-splits", true, with(full, func(o *coconut.Options) { o.CacheBytes = 16 << 10 }), opened(200)},
 		{"tree-cached", true, with(full, func(o *coconut.Options) { o.CacheBytes = 96 << 10 }), tree(100)},
 		{"tree-file", true, with(full, func(o *coconut.Options) { o.StorageDir = "per run" }), tree(100)},
 		{"tree-unplanned", false, base, unplanned},

@@ -1,10 +1,13 @@
 package ctree
 
 import (
+	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
+	"repro/internal/fsx"
 	"repro/internal/gen"
 	"repro/internal/index"
 	"repro/internal/parallel"
@@ -351,33 +354,84 @@ func TestInsertSplits(t *testing.T) {
 	}
 }
 
+// TestInsertRejectsMisreadLeaf: an insert reads its leaf before it writes
+// anything. A leaf that cannot be read — a read fault on the file-backed
+// disk — fails the insert with the read's error, with no page written and
+// the tree's count and leaves as they were; once the fault clears, the same
+// insert goes through and every leaf's envelope is still its entries'.
+func TestInsertRejectsMisreadLeaf(t *testing.T) {
+	ds := buildDataset(t, 300, 12)
+	for _, mat := range []bool{false, true} {
+		t.Run(map[bool]string{false: "key-only", true: "materialized"}[mat], func(t *testing.T) {
+			fsys := fsx.NewMemFS()
+			disk, err := storage.NewFileDisk(storage.FileDiskOptions{Dir: "store", PageSize: 1024, FS: fsys})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer disk.Close()
+			tr, err := Build(Options{Disk: disk, Name: "t", Config: testConfig(mat), Raw: normStore{ds}}, ds, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			count, leaves, writes := tr.Count(), tr.Leaves(), disk.Stats().Writes()
+			fsys.SetFaultHook(func(op, path string) error {
+				if op == "read" && strings.Contains(path, "t.leaves") {
+					return fsx.ErrInjected
+				}
+				return nil
+			})
+			s := gen.RandomWalk(rand.New(rand.NewSource(13)), 64)
+			if err := tr.Insert(s, 0); !errors.Is(err, fsx.ErrInjected) {
+				t.Fatalf("insert into a leaf that cannot be read: err %v, want the injected fault", err)
+			}
+			if w := disk.Stats().Writes() - writes; w != 0 || tr.Count() != count || tr.Leaves() != leaves {
+				t.Fatalf("the failed insert wrote %d pages, count %d -> %d, leaves %d -> %d", w, count, tr.Count(), leaves, tr.Leaves())
+			}
+			fsys.SetFaultHook(nil)
+			if err := tr.Insert(s, 0); err != nil {
+				t.Fatal(err)
+			}
+			if tr.Count() != count+1 {
+				t.Fatalf("count %d after one insert into %d", tr.Count(), count)
+			}
+			if err := tr.store.Verify(tr.leaves); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 // TestStatisticsStayExactUnderInserts holds the planner statistics to a
-// rebuild from the leaves after bulk load, in-place inserts and splits:
-// every leaf's symbol envelope (run.Store.Verify) and the tree synopsis equal what
-// folding the leaf's entries one by one gives. An insert that fits widens
-// its leaf's envelope by the new entry alone; this is the check that doing
-// so loses nothing.
+// rebuild from the leaves after bulk load, in-place inserts and splits, in
+// trees materialized or not: every leaf's symbol envelope
+// (run.Store.Verify) and the tree synopsis equal what folding the leaf's
+// entries one by one gives. An insert that fits widens its leaf's envelope
+// by the new entry alone; this is the check that doing so loses nothing.
 func TestStatisticsStayExactUnderInserts(t *testing.T) {
-	ds := buildDataset(t, 500, 12)
-	tr := buildShape(t, ds, true, 0.7, 0)
-	before := tr.Leaves()
-	rng := rand.New(rand.NewSource(120))
-	for i := 0; i < 300; i++ {
-		if err := tr.Insert(gen.RandomWalk(rng, 64), int64(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if tr.Leaves() <= before {
-		t.Fatalf("no split in %d inserts", 300)
-	}
-	if err := tr.store.Verify(tr.leaves); err != nil {
-		t.Fatal(err)
-	}
-	whole := foldLeaves(t, tr)
-	got := tr.leaves.Syn
-	if got.Count != whole.Count || got.MinTS != whole.MinTS || got.MaxTS != whole.MaxTS ||
-		string(got.MinSym) != string(whole.MinSym) || string(got.MaxSym) != string(whole.MaxSym) {
-		t.Fatalf("tree synopsis %+v, rebuilt %+v", got, whole)
+	for _, mat := range []bool{false, true} {
+		t.Run(map[bool]string{false: "key-only", true: "materialized"}[mat], func(t *testing.T) {
+			ds := buildDataset(t, 500, 12)
+			tr := buildShape(t, ds, mat, 0.7, 0)
+			before := tr.Leaves()
+			rng := rand.New(rand.NewSource(120))
+			for i := 0; i < 300; i++ {
+				if err := tr.Insert(gen.RandomWalk(rng, 64), int64(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if tr.Leaves() <= before {
+				t.Fatalf("no split in %d inserts", 300)
+			}
+			if err := tr.store.Verify(tr.leaves); err != nil {
+				t.Fatal(err)
+			}
+			whole := foldLeaves(t, tr)
+			got := tr.leaves.Syn
+			if got.Count != whole.Count || got.MinTS != whole.MinTS || got.MaxTS != whole.MaxTS ||
+				string(got.MinSym) != string(whole.MinSym) || string(got.MaxSym) != string(whole.MaxSym) {
+				t.Fatalf("tree synopsis %+v, rebuilt %+v", got, whole)
+			}
+		})
 	}
 }
 

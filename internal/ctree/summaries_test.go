@@ -52,9 +52,10 @@ func (l *leafReads) Access(file string, _ int64, write bool) {
 }
 
 // summaryShapes are the builds the invariant is held on: materialized or
-// not, full to the brim or with insert slack. The pages are small, so that
-// 1500 series make enough leaves for several groups: a materialized leaf
-// holds three entries, like the benchmark's.
+// not, full to the brim or with insert slack, on pages of a few or a few
+// dozen key-only entries. The pages are small, so that 1500 series make
+// enough leaves for several groups: a materialized leaf holds three
+// entries, like the benchmark's.
 var summaryShapes = []struct {
 	name         string
 	materialized bool
@@ -64,6 +65,8 @@ var summaryShapes = []struct {
 	{"fixed", false, 1.0, 256},
 	{"fixed-slack", false, 0.6, 256},
 	{"fixed-full", true, 1.0, 2048},
+	{"fixed-full-slack", true, 0.7, 2048},
+	{"fixed-wide", false, 1.0, 1024},
 }
 
 func buildShape(t *testing.T, ds *series.Dataset, materialized bool, fill float64, pageSize int) *Tree {
@@ -142,18 +145,22 @@ func TestSummariesFollowTheTree(t *testing.T) {
 }
 
 // TestSummariesOfATreeGrownFromNothing: the first insert into an empty tree
-// creates leaf, columns and group together.
+// creates leaf, columns and group together, materialized or not.
 func TestSummariesOfATreeGrownFromNothing(t *testing.T) {
-	ds := series.NewDataset(64)
-	tr := buildShape(t, ds, true, 1.0, 2048)
-	rng := rand.New(rand.NewSource(73))
-	for i := 0; i < 400; i++ {
-		if err := tr.Insert(gen.RandomWalk(rng, 64), 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := checkSummaries(tr); err != nil {
-		t.Fatal(err)
+	for _, mat := range []bool{false, true} {
+		t.Run(map[bool]string{false: "key-only", true: "materialized"}[mat], func(t *testing.T) {
+			ds := series.NewDataset(64)
+			tr := buildShape(t, ds, mat, 1.0, 2048)
+			rng := rand.New(rand.NewSource(73))
+			for i := 0; i < 400; i++ {
+				if err := tr.Insert(gen.RandomWalk(rng, 64), 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := checkSummaries(tr); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

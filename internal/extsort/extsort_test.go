@@ -294,40 +294,53 @@ func readFile(d *storage.Disk, in Input, c record.Codec) ([]record.Entry, error)
 	}
 }
 
-// TestMergeSorted is the one test of Sorter.Merge's output: the merged
-// sequence of three sorted inputs must be their sorted union, and the
-// inputs stay intact.
+// TestMergeSorted is the one table over Sorter.Merge's output: the merged
+// sequence of sorted inputs — two to nine of them, of different lengths, an
+// empty one and one of a single entry among them — must be their sorted
+// union, and the inputs stay intact.
 func TestMergeSorted(t *testing.T) {
-	d := storage.NewDisk(512)
-	c := record.Codec{}
-	s := &Sorter{Disk: d, Codec: c, MemBudget: 1 << 16}
-	var inputs []Input
-	var parts [][]record.Entry
-	var all []record.Entry
-	for i := 0; i < 3; i++ {
-		n := 60 * (i + 1)
-		entries := writeUnsorted(t, d, "u"+string(rune('0'+i)), c, n, int64(40+i))
-		sortEntries(entries)
-		in := Input{Name: "s" + string(rune('0'+i)), Count: int64(n)}
-		if err := s.WriteRun(in.Name, entries); err != nil {
-			t.Fatal(err)
-		}
-		inputs = append(inputs, in)
-		parts = append(parts, entries)
-		all = append(all, entries...)
-	}
-	sortEntries(all)
+	for _, tc := range []struct {
+		name  string
+		sizes []int // one input per element
+	}{
+		{"three", []int{60, 120, 180}},
+		{"four", []int{60, 120, 180, 240}},
+		{"two", []int{60, 120}},
+		{"empty-and-single", []int{0, 90, 1}},
+		{"nine", []int{15, 30, 45, 60, 75, 90, 105, 120, 135}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := storage.NewDisk(512)
+			c := record.Codec{}
+			s := &Sorter{Disk: d, Codec: c, MemBudget: 1 << 16}
+			var inputs []Input
+			var parts [][]record.Entry
+			var all []record.Entry
+			for i, n := range tc.sizes {
+				entries := writeUnsorted(t, d, "u"+string(rune('0'+i)), c, n, int64(40+i))
+				sortEntries(entries)
+				in := Input{Name: "s" + string(rune('0'+i)), Count: int64(n)}
+				if err := s.WriteRun(in.Name, entries); err != nil {
+					t.Fatal(err)
+				}
+				inputs = append(inputs, in)
+				parts = append(parts, entries)
+				all = append(all, entries...)
+			}
+			sortEntries(all)
 
-	got, err := s.Merge(inputs, "merged")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != int64(len(all)) {
-		t.Fatalf("merged %d entries, want %d", got, len(all))
-	}
-	assertEntries(t, "merged", readRun(t, d, Input{Name: "merged", Count: got}, c), all)
-	for i, in := range inputs {
-		assertEntries(t, in.Name, readRun(t, d, in, c), parts[i])
+			got, err := s.Merge(inputs, "merged")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != int64(len(all)) {
+				t.Fatalf("merged %d entries, want %d", got, len(all))
+			}
+			assertEntries(t, "merged", readRun(t, d, Input{Name: "merged", Count: got}, c), all)
+			for i, in := range inputs {
+				assertEntries(t, in.Name, readRun(t, d, in, c), parts[i])
+			}
+		})
 	}
 }
 

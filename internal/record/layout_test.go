@@ -119,17 +119,88 @@ func writeFixed(t *testing.T, d *testPageStore, l *Layout, fill float64, entries
 }
 
 // TestWriterReaderRoundTrip: the writer writes files at full pages and with
-// slack, and the reader reads those of full pages back.
+// slack, and the reader reads those of full pages back: on 512-byte pages,
+// and on 256-byte pages — two materialized entries to a page, so that fill
+// 0.7 closes each page at one — with clustered keys and files of up to 5000
+// entries, thousands of pages across hundreds of write-behind chunks.
 func TestWriterReaderRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for _, c := range []Codec{{SeriesLen: 12}, {SeriesLen: 12, Materialized: true}} {
-		for _, n := range []int{0, 1, 100, 700} {
-			for _, fill := range []float64{1, 0.7, 0} {
-				t.Run(fmt.Sprintf("mat=%v/n=%d/fill=%v", c.Materialized, n, fill), func(t *testing.T) {
-					streamRoundTrip(t, c, 512, fill, randomSortedEntries(rng, c, n, "aligned"))
-				})
+	for _, sh := range []struct {
+		prefix   string
+		pageSize int
+		shape    string
+		ns       []int
+		seed     int64
+	}{
+		{"", 512, "aligned", []int{0, 1, 100, 700}, 5},
+		{"page=256/", 256, "clustered", []int{0, 1, 100, 5000}, 21},
+	} {
+		rng := rand.New(rand.NewSource(sh.seed))
+		for _, c := range []Codec{{SeriesLen: 12}, {SeriesLen: 12, Materialized: true}} {
+			for _, n := range sh.ns {
+				for _, fill := range []float64{1, 0.7, 0} {
+					t.Run(fmt.Sprintf("%smat=%v/n=%d/fill=%v", sh.prefix, c.Materialized, n, fill), func(t *testing.T) {
+						streamRoundTrip(t, c, sh.pageSize, fill, randomSortedEntries(rng, c, n, sh.shape))
+					})
+				}
 			}
 		}
+	}
+}
+
+// appendRecorder is a testPageStore that records the size, in pages, of
+// every append.
+type appendRecorder struct {
+	*testPageStore
+	appends []int
+}
+
+func (a *appendRecorder) AppendPages(name string, data []byte) (int64, error) {
+	a.appends = append(a.appends, len(data)/a.pageSize)
+	return a.testPageStore.AppendPages(name, data)
+}
+
+// TestWriterChunkWidth: the write-behind width decides only how pages reach
+// the disk — in appends of that many pages, the last of what is left — and
+// never what the file holds, which is the same at every width.
+func TestWriterChunkWidth(t *testing.T) {
+	c := Codec{SeriesLen: 12}
+	l, err := NewLayout(c, 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := randomSortedEntries(rand.New(rand.NewSource(23)), c, 700, "aligned")
+	var want []byte
+	for _, width := range []int{1, 2, 3, 100} {
+		t.Run(fmt.Sprintf("chunk=%d", width), func(t *testing.T) {
+			d := &appendRecorder{testPageStore: newTestPageStore(512)}
+			w, err := l.Create(d, "f", 0.7, width)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range entries {
+				if _, err := w.Write(e); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			file, pages := d.files["f"], int(d.numPages("f"))
+			if want == nil {
+				want = file
+			}
+			if !bytes.Equal(file, want) {
+				t.Fatalf("width %d wrote other bytes than width 1", width)
+			}
+			if n := (pages + width - 1) / width; len(d.appends) != n {
+				t.Fatalf("%d pages in %d appends, want %d", pages, len(d.appends), n)
+			}
+			for i, n := range d.appends {
+				if last := i == len(d.appends)-1; n != width && !(last && n >= 1 && n < width) {
+					t.Fatalf("append %d of %d: %d pages at width %d", i, len(d.appends), n, width)
+				}
+			}
+		})
 	}
 }
 

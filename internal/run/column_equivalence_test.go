@@ -3,6 +3,7 @@ package run_test
 import (
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -37,8 +38,9 @@ import (
 //
 // The scenarios reach runs through every surface they sit behind: the
 // facade's LSM (on the heap, on host files, under a pool smaller than a run,
-// after merges, after a reopen that rebuilds every summary from its file)
-// and its BTP stream; TP, whose partitions are trees,
+// after merges, after a reopen that rebuilds every summary from its file,
+// and opened from a saved snapshot, uncached and behind a pool) and its BTP
+// stream; TP, whose partitions are trees,
 // rides along as the control the hooks must not move. With several workers
 // only the answers are compared (see internal/ctree's suite for why).
 
@@ -199,6 +201,27 @@ func TestColumnScanEquivalence(t *testing.T) {
 		insert(t, l, 1300, 2500)
 		return append(ans, lsmQueries(t, l, queries)...), l.Stats()
 	}
+	// opened saves the LSM half way as a snapshot and opens it again, so the
+	// searches run over runs whose summaries were rebuilt from the
+	// snapshot's files, then over those beside the runs later flushes and
+	// merges make of them.
+	opened := func(t *testing.T, opts coconut.Options) ([][]coconut.Match, coconut.Stats) {
+		l := must[*coconut.LSM](t)(coconut.NewLSM(opts))
+		insert(t, l, 0, 1300)
+		path := filepath.Join(t.TempDir(), "snapshot.ccnut")
+		if err := l.SaveFile(path); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		l = must[*coconut.LSM](t)(coconut.OpenLSM(path, opts))
+		defer l.Close()
+		l.SetParallelism(opts.Parallelism)
+		ans := lsmQueries(t, l, queries)
+		insert(t, l, 1300, 2500)
+		return append(ans, lsmQueries(t, l, queries)...), l.Stats()
+	}
 	stream := func(kind coconut.SchemeKind) scenario {
 		return func(t *testing.T, opts coconut.Options) ([][]coconut.Match, coconut.Stats) {
 			st := must[*coconut.Stream](t)(coconut.NewStream(kind, opts))
@@ -241,6 +264,10 @@ func TestColumnScanEquivalence(t *testing.T) {
 		{"lsm-pool", true, true, func() coconut.Options { return with(full, smallPool) }, lsm},
 		{"lsm-unplanned", true, false, func() coconut.Options { return base }, unplanned},
 		{"lsm-reopened", true, false, func() coconut.Options { return full }, reopened},
+		{"lsm-opened", true, false, func() coconut.Options { return base }, opened},
+		{"lsm-opened-pool", true, true, func() coconut.Options {
+			return with(base, func(o *coconut.Options) { o.CacheBytes = 16 << 10 })
+		}, opened},
 		{"stream-btp", true, false, func() coconut.Options { return base }, stream(coconut.BTP)},
 		{"stream-btp-full", true, false, func() coconut.Options { return full }, stream(coconut.BTP)},
 		{"stream-btp-file", true, false, func() coconut.Options { return with(full, memfs) }, stream(coconut.BTP)},

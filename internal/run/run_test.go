@@ -210,7 +210,8 @@ var scriptStats = map[string]struct {
 // disabled what it cost before the summaries, with it enabled that less the
 // pages the scans skipped — with the probe pinning its way to its page (a
 // test hook), and with the fence-key probe that many pins fewer. Its
-// dead-run rows hold the skip rule to its prediction on runs laid out for it.
+// dead-run rows hold the skip rule to its prediction on runs laid out for
+// it, of materialized entries (the "fixed" rows) and of key-only ones.
 func TestRunTable(t *testing.T) {
 	entries, raw := testEntries(300, 7)
 	queries := testQueries(3, 99)
@@ -322,7 +323,8 @@ func TestRunTable(t *testing.T) {
 	}
 	for _, shape := range deadShapes {
 		for _, kind := range readerKinds {
-			t.Run("dead/"+shape.name+"/fixed/"+kind, func(t *testing.T) { deadRunRow(t, shape.blocks, kind) })
+			t.Run("dead/"+shape.name+"/fixed/"+kind, func(t *testing.T) { deadRunRow(t, deadCfg, deadPageSize, shape.blocks, kind) })
+			t.Run("dead/"+shape.name+"/key-only/"+kind, func(t *testing.T) { deadRunRow(t, deadKeyCfg, deadKeyPageSize, shape.blocks, kind) })
 		}
 	}
 }
@@ -333,6 +335,13 @@ func TestRunTable(t *testing.T) {
 var deadCfg = index.Config{SeriesLen: 64, Segments: 8, Bits: 8, Materialized: true}
 
 const deadPageSize = 1024
+
+// deadKeyCfg is deadCfg's key-only shape, whose 32-byte entry fills a
+// deadKeyPageSize page alone: its dead-run rows are deadCfg's, with the
+// live entries verified against the raw store instead of their payloads.
+var deadKeyCfg = index.Config{SeriesLen: 64, Segments: 8, Bits: 8}
+
+const deadKeyPageSize = 48
 
 // blockSeries is the z-normalized, piecewise-constant series of deadCfg's
 // shape whose first two segments sit at a0 and a1 and whose last six even out
@@ -394,22 +403,27 @@ func readsByRule(dead []bool) int {
 	return reads
 }
 
-// deadRunRow is one dead-run row: a run of the given block counts, scanned
+// deadRunRow is one dead-run row: a run of the given block counts, of
+// entries of cfg's shape one to a page of pageSize, scanned
 // whole by a range query (whose dead pages are fixed: those of dead blocks)
 // and a k-NN query, each with the planner disabled and enabled, from a parked
 // head and a cold pool. Answers match brute force; the range scan reads every
 // page unplanned and readsByRule's count planned, reports the others as
 // skipped "page" units to the trace and the planner and every dead page it
 // reads as undecoded; and no planned scan costs more than the unplanned one.
-func deadRunRow(t *testing.T, blocks [4]int, kind string) {
+func deadRunRow(t *testing.T, cfg index.Config, pageSize int, blocks [4]int, kind string) {
 	var entries []record.Entry
 	var dead []bool
 	raw := normStore{}
 	for b, n := range blocks {
-		key, z := deadCfg.Summarize(blockSeries(deadBlocks[b].a0, deadBlocks[b].a1))
+		key, z := cfg.Summarize(blockSeries(deadBlocks[b].a0, deadBlocks[b].a1))
 		for i := 0; i < n; i++ {
 			id := int64(len(entries))
-			entries = append(entries, record.Entry{Key: key, ID: id, TS: id, Payload: z})
+			e := record.Entry{Key: key, ID: id, TS: id}
+			if cfg.Materialized {
+				e.Payload = z
+			}
+			entries = append(entries, e)
 			dead = append(dead, deadBlocks[b].dead)
 			raw = append(raw, z)
 		}
@@ -417,7 +431,7 @@ func deadRunRow(t *testing.T, blocks [4]int, kind string) {
 	if !sort.SliceIsSorted(entries, func(i, j int) bool { return entries[i].Less(entries[j]) }) {
 		t.Fatal("the blocks are not in key order")
 	}
-	s, _, stats := newStoreOf(t, kind, deadPageSize, deadCfg, nil)
+	s, _, stats := newStoreOf(t, kind, pageSize, cfg, raw)
 	r, err := s.Write("r", entries)
 	if err != nil {
 		t.Fatal(err)
@@ -431,7 +445,7 @@ func deadRunRow(t *testing.T, blocks [4]int, kind string) {
 		}
 		return st.SeqReads + st.RandReads
 	}
-	q := index.NewQuery(deadQuery, deadCfg)
+	q := index.NewQuery(deadQuery, cfg)
 	scan := func(planned bool, op func(q index.Query, sc *index.Scratch) error) (storage.Stats, *obs.TraceSnapshot, int64) {
 		pl := &index.Planner{Disabled: !planned}
 		if p, ok := s.Reader.(*bufpool.Pool); ok {
@@ -440,7 +454,7 @@ func deadRunRow(t *testing.T, blocks [4]int, kind string) {
 		stats.ResetStats()
 		q := q
 		q.Trace = obs.NewQueryTrace()
-		ctx := index.AcquireCtx(q, deadCfg)
+		ctx := index.AcquireCtx(q, cfg)
 		defer ctx.Release()
 		ctx.Planner = pl
 		if err := op(q, ctx.Scratch0()); err != nil {
@@ -512,7 +526,9 @@ func rescan(entries []record.Entry) *zonestat.Synopsis {
 
 // TestRunMerge merges runs into one: the merged run holds the sorted union, its synopsis is the one a rescan of
 // the merged file builds — which is the union of the inputs' — its summary
-// is the file's, and the inputs stay intact.
+// is the file's, and the inputs stay intact. A merge reads its inputs off
+// the disk: a store's pool is left as it was, holding no page no query asked
+// for.
 func TestRunMerge(t *testing.T) {
 	a, _ := testEntries(130, 1)
 	b, _ := testEntries(70, 2)
@@ -526,9 +542,9 @@ func TestRunMerge(t *testing.T) {
 	all := append(append(append([]record.Entry{}, a...), b...), c...)
 	sort.Slice(all, func(i, j int) bool { return all[i].Less(all[j]) })
 
-	for _, kind := range []string{"heap", "memfs"} {
+	for _, kind := range readerKinds {
 		t.Run(kind, func(t *testing.T) {
-			s, disk, _ := newStore(t, kind, nil)
+			s, disk, stats := newStore(t, kind, nil)
 			var inputs []Run
 			for i, part := range [][]record.Entry{a, b, c} {
 				r, err := s.Write(fmt.Sprintf("in%d", i), part)
@@ -540,6 +556,9 @@ func TestRunMerge(t *testing.T) {
 			m, err := s.Merge(inputs, "merged")
 			if err != nil {
 				t.Fatal(err)
+			}
+			if st := stats.Stats(); st.CacheHits+st.CacheMisses != 0 {
+				t.Errorf("the merge went through the pool: %+v", st)
 			}
 			if m.File != "merged" || m.Count != int64(len(all)) {
 				t.Fatalf("descriptor %+v", m)
@@ -611,34 +630,56 @@ func TestFaultInjectionLeavesNoFile(t *testing.T) {
 }
 
 // TestWarmScanDoesNotAllocate pins the scan loop's cost: one cursor, pages
-// handed to the evaluator by value, no per-page or per-run garbage.
+// handed to the evaluator by value, no per-page or per-run garbage — for
+// key-only entries, verified against the raw store, and for materialized
+// ones, verified against the payloads on their pages.
 func TestWarmScanDoesNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	entries, raw := testEntries(300, 7)
+	keyOnly, raw := testEntries(300, 7)
 	q := testQueries(1, 99)[0]
-	for _, kind := range readerKinds {
-		t.Run(kind, func(t *testing.T) {
-			s, _, _ := newStore(t, kind, raw)
-			r, err := s.Write("r", entries)
-			if err != nil {
-				t.Fatal(err)
+	for _, mat := range []bool{false, true} {
+		cfg, entries, pageSize := testCfg, keyOnly, testPageSize
+		if mat { // three 544-byte entries to a page
+			cfg.Materialized, entries, pageSize = true, materialize(keyOnly, raw), 4*testPageSize
+		}
+		for _, kind := range readerKinds {
+			name := kind
+			if mat {
+				name = "materialized/" + kind
 			}
-			ctx := index.AcquireCtx(q, testCfg)
-			col := index.NewCollector(5)
-			scan := func() {
-				if err := s.ScanKNN(r, q, col, ctx.Scratch0()); err != nil {
+			t.Run(name, func(t *testing.T) {
+				s, _, _ := newStoreOf(t, kind, pageSize, cfg, raw)
+				r, err := s.Write("r", entries)
+				if err != nil {
 					t.Fatal(err)
 				}
-			}
-			scan()
-			if n := testing.AllocsPerRun(50, scan); n >= 1 {
-				t.Errorf("%s: %.1f allocs per warm scan, want 0", kind, n)
-			}
-			ctx.Release()
-		})
+				ctx := index.AcquireCtx(q, cfg)
+				col := index.NewCollector(5)
+				scan := func() {
+					if err := s.ScanKNN(r, q, col, ctx.Scratch0()); err != nil {
+						t.Fatal(err)
+					}
+				}
+				scan()
+				if n := testing.AllocsPerRun(50, scan); n >= 1 {
+					t.Errorf("%s: %.1f allocs per warm scan, want 0", name, n)
+				}
+				ctx.Release()
+			})
+		}
 	}
+}
+
+// materialize returns entries with each payload the z-normalized series
+// raw holds for its ID.
+func materialize(entries []record.Entry, raw normStore) []record.Entry {
+	out := slices.Clone(entries)
+	for i := range out {
+		out[i].Payload = raw[out[i].ID]
+	}
+	return out
 }
 
 // TestRunScanTraceMatchesReference: a traced resident scan reports the
@@ -649,91 +690,116 @@ func TestWarmScanDoesNotAllocate(t *testing.T) {
 // released without decoding; the reference scan decodes every page it reads.
 // Planned, both leave the same dead pages unread and report them as skipped
 // "page" units; unplanned, every dead page is read, so some go undecoded.
+// So it holds for key-only entries, verified against the raw store, and for
+// materialized ones, verified against their payloads.
 func TestRunScanTraceMatchesReference(t *testing.T) {
 	defer SetPageKeyBounds(false)
-	entries, raw := testEntries(1200, 7)
-	for _, planned := range []bool{false, true} {
-		t.Run(fmt.Sprintf("planned=%v", planned), func(t *testing.T) {
-			s, _, _ := newStore(t, "heap", raw)
-			pl := &index.Planner{Disabled: !planned}
-			r, err := s.Write("r", entries)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pages, skipped := r.Sum.Pages(), int64(0)
-			for i, q := range testQueries(6, 99) {
-				trace := func(reference bool, scan func(q index.Query, sc *index.Scratch) error) *obs.TraceSnapshot {
-					SetPageKeyBounds(reference)
-					q.Trace = obs.NewQueryTrace()
-					ctx := index.AcquireCtx(q, testCfg)
-					defer ctx.Release()
-					ctx.Planner = pl
-					if err := scan(q, ctx.Scratch0()); err != nil {
-						t.Fatal(err)
-					}
-					return q.Trace.Snapshot()
-				}
-				eps := 0.0
-				knn := func(q index.Query, sc *index.Scratch) error {
-					col := index.NewCollector(5)
-					if err := s.Probe(r, q, col, sc); err != nil { // seeds the bound, as a search does
-						return err
-					}
-					err := s.ScanKNN(r, q, col, sc)
-					if res := col.Results(); len(res) > 2 {
-						eps = res[2].Dist
-					}
-					return err
-				}
-				windowed := func(scan func(index.Query, *index.Scratch) error) func(index.Query, *index.Scratch) error {
-					return func(q index.Query, sc *index.Scratch) error { return scan(q.WithWindow(200, 700), sc) }
-				}
-				rng := func(q index.Query, sc *index.Scratch) error {
-					return s.ScanRange(r, q, index.NewRangeCollector(eps), sc)
-				}
-				for _, mode := range []struct {
-					name string
-					scan func(index.Query, *index.Scratch) error
-				}{{"knn", knn}, {"range", rng}, {"windowed knn", windowed(knn)}, {"windowed range", windowed(rng)}} {
-					want, got := trace(true, mode.scan), trace(false, mode.scan)
-					if want.UndecodedPages != 0 || want.Candidates.Seen == 0 {
-						t.Fatalf("query %d %s: the reference scan saw %d candidates and left %d pages undecoded", i, mode.name, want.Candidates.Seen, want.UndecodedPages)
-					}
-					if got.UndecodedPages == 0 && !planned || got.UndecodedPages > int64(pages)+1 {
-						t.Fatalf("query %d %s: %d of %d pages undecoded", i, mode.name, got.UndecodedPages, pages)
-					}
-					if skipped += got.PlannedSkips; !planned && skipped != 0 {
-						t.Fatalf("query %d %s: the unplanned scan skipped %d pages", i, mode.name, skipped)
-					}
-					got.UndecodedPages = 0
-					if !reflect.DeepEqual(want, got) {
-						t.Fatalf("query %d %s: traces diverged:\nreference: %+v\nresident:  %+v", i, mode.name, want, got)
-					}
-				}
-			}
-			if planned && skipped == 0 {
-				t.Error("the planned scans skipped no page")
-			}
-		})
+	keyOnly, raw := testEntries(1200, 7)
+	for _, mat := range []bool{false, true} {
+		cfg, entries, pageSize, prefix := testCfg, keyOnly, testPageSize, ""
+		if mat { // three 544-byte entries to a page
+			cfg.Materialized, entries, pageSize, prefix = true, materialize(keyOnly, raw), 4*testPageSize, "materialized/"
+		}
+		for _, planned := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%splanned=%v", prefix, planned), func(t *testing.T) {
+				traceRow(t, cfg, pageSize, entries, raw, planned)
+			})
+		}
 	}
 }
 
-// TestLoadChecksTheCount: a file too short for the entries its metadata
-// claims is refused, not summarized. A file carries no counts: only its
-// length can disagree.
-func TestLoadChecksTheCount(t *testing.T) {
-	entries, _ := testEntries(300, 7)
-	s, _, _ := newStore(t, "heap", nil)
+// traceRow is one row of TestRunScanTraceMatchesReference: a run of entries
+// of cfg's shape on pages of pageSize, traced with the planner on or off.
+func traceRow(t *testing.T, cfg index.Config, pageSize int, entries []record.Entry, raw normStore, planned bool) {
+	s, _, _ := newStoreOf(t, "heap", pageSize, cfg, raw)
+	pl := &index.Planner{Disabled: !planned}
 	r, err := s.Write("r", entries)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := Run{File: r.File, Count: r.Count + testPageSize}
-	if got, err := s.Load(bad, nil, nil); err == nil {
-		t.Errorf("Load accepted a count of %d for a file of %d entries: %+v", bad.Count, r.Count, got)
+	pages, skipped := r.Sum.Pages(), int64(0)
+	for i, q := range testQueries(6, 99) {
+		trace := func(reference bool, scan func(q index.Query, sc *index.Scratch) error) *obs.TraceSnapshot {
+			SetPageKeyBounds(reference)
+			q.Trace = obs.NewQueryTrace()
+			ctx := index.AcquireCtx(q, cfg)
+			defer ctx.Release()
+			ctx.Planner = pl
+			if err := scan(q, ctx.Scratch0()); err != nil {
+				t.Fatal(err)
+			}
+			return q.Trace.Snapshot()
+		}
+		eps := 0.0
+		knn := func(q index.Query, sc *index.Scratch) error {
+			col := index.NewCollector(5)
+			if err := s.Probe(r, q, col, sc); err != nil { // seeds the bound, as a search does
+				return err
+			}
+			err := s.ScanKNN(r, q, col, sc)
+			if res := col.Results(); len(res) > 2 {
+				eps = res[2].Dist
+			}
+			return err
+		}
+		windowed := func(scan func(index.Query, *index.Scratch) error) func(index.Query, *index.Scratch) error {
+			return func(q index.Query, sc *index.Scratch) error { return scan(q.WithWindow(200, 700), sc) }
+		}
+		rng := func(q index.Query, sc *index.Scratch) error {
+			return s.ScanRange(r, q, index.NewRangeCollector(eps), sc)
+		}
+		for _, mode := range []struct {
+			name string
+			scan func(index.Query, *index.Scratch) error
+		}{{"knn", knn}, {"range", rng}, {"windowed knn", windowed(knn)}, {"windowed range", windowed(rng)}} {
+			want, got := trace(true, mode.scan), trace(false, mode.scan)
+			if want.UndecodedPages != 0 || want.Candidates.Seen == 0 {
+				t.Fatalf("query %d %s: the reference scan saw %d candidates and left %d pages undecoded", i, mode.name, want.Candidates.Seen, want.UndecodedPages)
+			}
+			if got.UndecodedPages == 0 && !planned || got.UndecodedPages > int64(pages)+1 {
+				t.Fatalf("query %d %s: %d of %d pages undecoded", i, mode.name, got.UndecodedPages, pages)
+			}
+			if skipped += got.PlannedSkips; !planned && skipped != 0 {
+				t.Fatalf("query %d %s: the unplanned scan skipped %d pages", i, mode.name, skipped)
+			}
+			got.UndecodedPages = 0
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("query %d %s: traces diverged:\nreference: %+v\nresident:  %+v", i, mode.name, want, got)
+			}
+		}
 	}
-	if err := s.Verify(r); err != nil {
-		t.Fatal(err)
+	if planned && skipped == 0 {
+		t.Error("the planned scans skipped no page")
+	}
+}
+
+// TestLoadChecksTheCount: a file too short for the entries its metadata
+// claims is refused, not summarized, on every page source. A file carries
+// no counts: only its length can disagree. Load reads the disk, not a
+// store's pool, which the pass leaves as it was.
+func TestLoadChecksTheCount(t *testing.T) {
+	entries, _ := testEntries(300, 7)
+	for _, kind := range readerKinds {
+		t.Run(kind, func(t *testing.T) {
+			s, _, stats := newStore(t, kind, nil)
+			r, err := s.Write("r", entries)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bad := Run{File: r.File, Count: r.Count + testPageSize}
+			if got, err := s.Load(bad, nil, nil); err == nil {
+				t.Errorf("Load accepted a count of %d for a file of %d entries: %+v", bad.Count, r.Count, got)
+			}
+			if _, err := s.Load(Run{File: r.File, Count: r.Count}, nil, nil); err != nil {
+				t.Fatal(err)
+			}
+			if st := stats.Stats(); st.CacheHits+st.CacheMisses != 0 {
+				t.Errorf("Load went through the pool: %+v", st)
+			}
+			if err := s.Verify(r); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
@@ -834,8 +900,8 @@ const entryDeadPageSize = 1200
 // query for a itself, over l's timestamps only, finds page 1 live by every
 // bound but holding no entry in its window. A buffer pool whose cache holds
 // the run reads page 1 (it keeps what it reads: skipping would only move the
-// read to a later query), and so does a scan with the planner disabled.
-// Every answer is brute force's.
+// read to a later query), windowed or not, and so does a scan with the
+// planner disabled. Every answer is brute force's.
 func TestScanSkipsEntryDeadPages(t *testing.T) {
 	l, a, b, q := blockSeries(0.5, 0.5), blockSeries(0.1, 1.8), blockSeries(1.8, 0.1), blockSeries(1, 1)
 	var entries []record.Entry
@@ -863,6 +929,9 @@ func TestScanSkipsEntryDeadPages(t *testing.T) {
 		{"pool/fixed", "pool", false, index.NewQuery(q, deadCfg), true},
 		{"unplanned/heap", "heap", true, index.NewQuery(q, deadCfg), true},
 		{"unplanned/memfs", "memfs", true, index.NewQuery(q, deadCfg), true},
+		{"windowed/pool", "pool", false, index.NewQuery(a, deadCfg).WithWindow(0, 1), true},
+		{"unplanned/pool", "pool", true, index.NewQuery(q, deadCfg), true},
+		{"unplanned/windowed/heap", "heap", true, index.NewQuery(a, deadCfg).WithWindow(0, 1), true},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			s, disk, _ := newStoreOf(t, row.kind, entryDeadPageSize, deadCfg, nil)

@@ -50,7 +50,7 @@ func FuzzDecodeSummary(f *testing.F) {
 	for i, seed := range []struct {
 		bits uint8
 		n    int
-	}{{7, 300}, {2, 120}, {0, 1}} {
+	}{{7, 300}, {7, 40}, {2, 120}, {0, 1}} {
 		buf, count := writtenSummary(f, fuzzSummaryCfg(seed.bits), seed.n, int64(i))
 		if _, _, err := DecodeSummary(buf, fuzzSummaryCfg(seed.bits), count); err != nil {
 			f.Fatalf("seed %d: a written summary does not decode: %v", i, err)

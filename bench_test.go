@@ -1051,11 +1051,6 @@ func runBench(b *testing.B, n int) (s run.Store, r run.Run, q index.Query) {
 	return s, r, index.NewQuery(gen.RandomWalk(rng, cfg.SeriesLen), cfg)
 }
 
-// neverDead is a collector that rules out no page by its envelope.
-type neverDead struct{}
-
-func (neverDead) SkipSq(float64) bool { return false }
-
 // BenchmarkRunScan is one exact window scan of a 16 384-entry run (2 341
 // pages), the newest eighth of its timestamps in the window, into a
 // collector a probe has seeded: bounding and window-filtering every entry
@@ -1072,17 +1067,18 @@ func BenchmarkRunScan(b *testing.B) {
 	defer ctx.Release()
 	sc := ctx.Scratch0()
 	pages := r.Sum.Pages()
+	neverDead := index.NewCollector(1) // empty: rules out no page by its envelope
 	for _, bc := range []struct {
 		name string
 		scan func(col *index.Collector) error
 	}{
 		{"column", func(col *index.Collector) error {
-			return s.Scan(r, 0, pages, "page", q, sc, neverDead{}, func(q *index.Query, pg *index.Page) error {
+			return s.Scan(r, 0, pages, "page", q, sc, neverDead, func(q *index.Query, pg *index.Page) error {
 				_, err := index.EvalPage(q, pg, nil, col, sc)
 				return err
 			})
 		}},
-		{"column+envelope", func(col *index.Collector) error { return s.ScanKNN(r, q, col, sc) }},
+		{"column+envelope", func(col *index.Collector) error { return s.ScanRun(r, q, col, sc) }},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()

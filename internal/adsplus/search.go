@@ -109,8 +109,7 @@ func (t *Tree) ExactInto(q index.Query, col *index.Collector, ctx *index.SearchC
 }
 
 // evalLeaf computes true distances for the in-window entries of a leaf
-// (disk extent plus buffer), verifying candidates in ascending squared
-// lower-bound order.
+// (disk extent plus buffer) that survive col's bound (index.EvalPage).
 func (t *Tree) evalLeaf(n *node, q index.Query, col *index.Collector, sc *index.Scratch) error {
 	entries, err := t.loadLeaf(n)
 	if err != nil {
@@ -157,8 +156,8 @@ func (p *nodePQ) Pop() any {
 }
 
 // RangeInto is the range search (index.Index): every subtree whose squared
-// node bound is within the squared epsilon is visited.
-func (t *Tree) RangeInto(q index.Query, col *index.RangeCollector, ctx *index.SearchCtx) error {
+// node bound is within the range collector's limit is visited.
+func (t *Tree) RangeInto(q index.Query, col *index.Collector, ctx *index.SearchCtx) error {
 	ctx.P.FillAll()
 	sc := ctx.Scratch0()
 	var visit func(n *node) error
@@ -175,13 +174,7 @@ func (t *Tree) RangeInto(q index.Query, col *index.RangeCollector, ctx *index.Se
 			}
 			return visit(n.children[1])
 		}
-		entries, err := t.loadLeaf(n)
-		if err != nil {
-			return err
-		}
-		sc.Trace.NoteProbes("leaf", 1)
-		pg := index.EntryPage(entries)
-		return index.EvalPageRange(&q, &pg, t.opts.Raw, col, sc)
+		return t.evalLeaf(n, q, col, sc)
 	}
 	for _, rk := range t.rootKeys {
 		if err := visit(t.roots[rk]); err != nil {

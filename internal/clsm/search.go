@@ -60,39 +60,38 @@ func (l *LSM) ExactInto(q index.Query, col *index.Collector, ctx *index.SearchCt
 		return err
 	}
 	defer ctx.Trace.Start("scan").End()
-	return forEachRun(l, v, q, ctx, col, (*run.Store).ScanKNN)
+	return forEachRun(l, v, q, ctx, col, (*run.Store).ScanRun)
 }
 
-// forEachRun applies scan (the run store's Probe, ScanKNN or ScanRange, as a
+// forEachRun applies scan (the run store's Probe or ScanRun, as a
 // method expression) to every run of view v through the planned-probe
 // executor (index.ProbeUnits), each worker slot of ctx's pool with its own
 // scratch. A run is bounded by its synopsis's envelope MINDIST, or by +Inf
 // when its time range misses the query window. The context's planner skips
 // runs here and pages in the store's scans: skipped runs are counted as
 // "run" units, skipped pages inside a scanned run as "page" units.
-func forEachRun[C index.FanCollector[C]](l *LSM, v *view, q index.Query, ctx *index.SearchCtx, col C, scan func(*run.Store, run.Run, index.Query, C, *index.Scratch) error) error {
+func forEachRun(l *LSM, v *view, q index.Query, ctx *index.SearchCtx, col *index.Collector, scan func(*run.Store, run.Run, index.Query, *index.Collector, *index.Scratch) error) error {
 	runs := allRuns(v.man)
 	scs := ctx.Scratches(ctx.Pool.WorkersFor(len(runs)))
 	return index.ProbeUnits(ctx, "run", ctx.PlanUnits(len(runs)), col, func(i int) float64 {
 		return ctx.P.UnitBoundSq(q, runs[i].Syn)
-	}, func(i, w int, col C) error {
+	}, func(i, w int, col *index.Collector) error {
 		return scan(&l.store, runs[i], q, col, scs[w])
 	})
 }
 
 // RangeInto is the range search (index.Index): the buffer and every run of
-// one pinned view scanned with squared epsilon pruning. The epsilon bound is
-// static, so per-worker range collectors merge into exactly the serial
-// answer.
-func (l *LSM) RangeInto(q index.Query, col *index.RangeCollector, ctx *index.SearchCtx) error {
+// one pinned view scanned with pruning against the range collector's fixed
+// limit, so per-worker collectors merge into exactly the serial answer.
+func (l *LSM) RangeInto(q index.Query, col *index.Collector, ctx *index.SearchCtx) error {
 	v := l.pinView()
 	defer l.unpinView(v)
 	pg := index.EntryPage(v.buf)
-	if err := index.EvalPageRange(&q, &pg, l.opts.Raw, col, ctx.Scratch0()); err != nil {
+	if _, err := index.EvalPage(&q, &pg, l.opts.Raw, col, ctx.Scratch0()); err != nil {
 		return err
 	}
 	defer ctx.Trace.Start("scan").End()
-	return forEachRun(l, v, q, ctx, col, (*run.Store).ScanRange)
+	return forEachRun(l, v, q, ctx, col, (*run.Store).ScanRun)
 }
 
 var (

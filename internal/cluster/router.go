@@ -418,13 +418,15 @@ type gatherEvent struct {
 }
 
 // gather covers every logical shard with at least one successful node
-// response and folds the responses' (id, ts, distSq) triples through merge.
+// response, folds the responses' (id, ts, distSq) triples into col on their
+// exact squared sums, and returns col's results: one gather-and-merge body
+// for every search mode, which differ only in the collector.
 // Failed calls are retried on other replicas with exponential backoff under
 // a per-shard budget of Retries+1 attempts; calls outstanding past
 // HedgeAfter trigger a duplicate on another replica. Duplicate coverage is
 // harmless (the merge collector dedups on identical values); an uncovered
 // shard with no replica left fails the query loudly.
-func (r *Router) gather(base server.ClusterSearchRequest, merge func(id, ts int64, distSq float64)) (Stats, error) {
+func (r *Router) gather(base server.ClusterSearchRequest, col *index.Collector) ([]index.Result, Stats, error) {
 	var stats Stats
 	nsh := r.topo.Shards
 	uncovered := make(map[int]bool, nsh)
@@ -537,7 +539,7 @@ func (r *Router) gather(base server.ClusterSearchRequest, merge func(id, ts int6
 		all[si] = si
 	}
 	if err := assign(all, 0, false); err != nil {
-		return stats, err
+		return nil, stats, err
 	}
 
 	for outstanding > 0 && len(uncovered) > 0 {
@@ -565,14 +567,14 @@ func (r *Router) gather(base server.ClusterSearchRequest, merge func(id, ts int6
 					r.retries.Add(1)
 					delay := r.opts.Backoff << uint(attempts[still[0]]-1)
 					if err := assign(still, delay, false); err != nil {
-						return stats, err
+						return nil, stats, err
 					}
 				}
 				continue
 			}
 			r.noteSuccess(r.nodes[e.node])
 			for _, it := range e.resp.Results {
-				merge(it.ID, it.TS, it.DistSq)
+				col.AddSq(it.ID, it.TS, it.DistSq)
 			}
 			stats.Cost += e.resp.Cost
 			stats.SeqIO += e.resp.SeqIO
@@ -591,14 +593,14 @@ func (r *Router) gather(base server.ClusterSearchRequest, merge func(id, ts int6
 				continue
 			}
 			if err := assign(still, 0, true); err != nil {
-				return stats, err
+				return nil, stats, err
 			}
 		}
 	}
 	if len(uncovered) > 0 {
-		return stats, fmt.Errorf("cluster: %d shard(s) uncovered after fan-out", len(uncovered))
+		return nil, stats, fmt.Errorf("cluster: %d shard(s) uncovered after fan-out", len(uncovered))
 	}
-	return stats, nil
+	return col.Results(), stats, nil
 }
 
 // lastShardError formats an error among a shard's failed replicas for
@@ -632,29 +634,19 @@ func (r *Router) Search(q []float64, k int, exact bool, minTS, maxTS *int64) ([]
 	if exact {
 		mode = server.ModeExact
 	}
-	col := index.NewCollector(k)
-	stats, err := r.gather(server.ClusterSearchRequest{
+	return r.gather(server.ClusterSearchRequest{
 		Series: q, K: k, Mode: mode, MinTS: minTS, MaxTS: maxTS,
-	}, func(id, ts int64, distSq float64) { col.AddSq(id, ts, distSq) })
-	if err != nil {
-		return nil, stats, err
-	}
-	return col.Results(), stats, nil
+	}, index.NewCollector(k))
 }
 
 // RangeSearch answers an epsilon-range query (eps > 0): every series within
 // Euclidean distance eps of q, byte-identical to the single-node answer
-// (range membership is decided in true-distance space on the nodes, and the
-// merge only dedups and sorts).
+// (the nodes and the merge decide membership on the same squared limit, and
+// the merge only dedups and sorts).
 func (r *Router) RangeSearch(q []float64, eps float64, minTS, maxTS *int64) ([]index.Result, Stats, error) {
-	col := index.NewRangeCollector(eps)
-	stats, err := r.gather(server.ClusterSearchRequest{
+	return r.gather(server.ClusterSearchRequest{
 		Series: q, Mode: server.ModeRange, Eps: eps, MinTS: minTS, MaxTS: maxTS,
-	}, func(id, ts int64, distSq float64) { col.AddSq(id, ts, distSq) })
-	if err != nil {
-		return nil, stats, err
-	}
-	return col.Results(), stats, nil
+	}, index.NewRangeCollector(eps))
 }
 
 // SearchBatch answers many k-NN queries, fanning queries across a bounded

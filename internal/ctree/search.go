@@ -1,9 +1,6 @@
 package ctree
 
-import (
-	"repro/internal/index"
-	"repro/internal/series"
-)
+import "repro/internal/index"
 
 // Search in a CTree fans out over contiguous leaf ranges: exact and range
 // searches split the leaf file into one chunk per worker of the context's
@@ -54,30 +51,24 @@ func (t *Tree) ExactInto(q index.Query, col *index.Collector, ctx *index.SearchC
 	if err := t.ApproxInto(q, col, ctx); err != nil {
 		return err
 	}
-	return scanAll(t, q, col, ctx, func(q *index.Query, pg *index.Page, raw series.RawStore, col *index.Collector, sc *index.Scratch) error {
-		_, err := index.EvalPage(q, pg, raw, col, sc)
-		return err
-	})
+	return scanAll(t, q, col, ctx)
 }
 
 // RangeInto is the range search (index.Index): one pruned scan of the leaf
 // file.
-func (t *Tree) RangeInto(q index.Query, col *index.RangeCollector, ctx *index.SearchCtx) error {
-	return scanAll(t, q, col, ctx, index.EvalPageRange)
+func (t *Tree) RangeInto(q index.Query, col *index.Collector, ctx *index.SearchCtx) error {
+	return scanAll(t, q, col, ctx)
 }
 
 // scanAll is the pruned scan of the whole leaf file, split into one
 // contiguous leaf range per available worker of the context's pool, so each
 // worker keeps the sequential access pattern the compact layout buys within
-// its own range; eval evaluates a page into the worker's collector, which is
-// all the exact and the range search differ in. Each range is the summary's
-// page loop (run.Store.Scan), which leaves dead leaves unread as the search's
-// planner allows — dropping work, never answers — and counts them as "leaf"
-// units.
-func scanAll[C interface {
-	index.FanCollector[C]
-	index.EnvelopeTester
-}](t *Tree, q index.Query, col C, ctx *index.SearchCtx, eval func(q *index.Query, pg *index.Page, raw series.RawStore, col C, sc *index.Scratch) error) error {
+// its own range; each page is evaluated into the worker's collector, whose
+// bound is all the exact and the range search differ in. Each range is the
+// summary's page loop (run.Store.Scan), which leaves dead leaves unread as
+// the search's planner allows — dropping work, never answers — and counts
+// them as "leaf" units.
+func scanAll(t *Tree, q index.Query, col *index.Collector, ctx *index.SearchCtx) error {
 	defer ctx.Trace.Start("scan").End()
 	n := t.Leaves()
 	w := ctx.Pool.WorkersFor(n)
@@ -88,9 +79,12 @@ func scanAll[C interface {
 		}
 	}
 	scs := ctx.Scratches(len(chunks))
-	return index.FanOut(ctx.Pool, len(chunks), col, func(i, w int, col C) error {
+	return index.FanOut(ctx.Pool, len(chunks), col, func(i, w int, col *index.Collector) error {
 		sc := scs[w]
-		return t.store.Scan(t.leaves, chunks[i][0], chunks[i][1], "leaf", q, sc, col, func(q *index.Query, pg *index.Page) error { return eval(q, pg, t.store.Raw, col, sc) })
+		return t.store.Scan(t.leaves, chunks[i][0], chunks[i][1], "leaf", q, sc, col, func(q *index.Query, pg *index.Page) error {
+			_, err := index.EvalPage(q, pg, t.store.Raw, col, sc)
+			return err
+		})
 	})
 }
 

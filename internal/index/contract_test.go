@@ -19,7 +19,7 @@ import (
 // knnCore and rangeCore are the two shapes of a search core.
 type (
 	knnCore   = func(index.Query, *index.Collector, *index.SearchCtx) error
-	rangeCore = func(index.Query, *index.RangeCollector, *index.SearchCtx) error
+	rangeCore = func(index.Query, *index.Collector, *index.SearchCtx) error
 )
 
 // contractRow is one implementer of the search contract over a build: an

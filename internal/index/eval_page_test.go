@@ -137,8 +137,8 @@ func TestEvalPageLayoutsMatch(t *testing.T) {
 	}
 }
 
-// TestEvalPageRangeLayoutsMatch mirrors the k-NN equivalence for the
-// epsilon-range evaluator.
+// TestEvalPageRangeLayoutsMatch mirrors the k-NN equivalence for EvalPage
+// against a range collector.
 func TestEvalPageRangeLayoutsMatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	for _, materialized := range []bool{false, true} {
@@ -156,7 +156,7 @@ func TestEvalPageRangeLayoutsMatch(t *testing.T) {
 				ctx := AcquireCtx(q, cfg)
 				defer ctx.Release()
 				col := NewRangeCollector(eps)
-				if err := EvalPageRange(&q, &pg, ds, col, ctx.Scratch0()); err != nil {
+				if _, err := EvalPage(&q, &pg, ds, col, ctx.Scratch0()); err != nil {
 					t.Fatal(err)
 				}
 				return col.Results()
@@ -170,7 +170,7 @@ func TestEvalPageRangeLayoutsMatch(t *testing.T) {
 }
 
 // TestEvalPageDoesNotAllocate pins the probe path's zero-allocation
-// property on every source and both loops: the cursor is a stack value,
+// property on every source and both collectors: the cursor is a stack value,
 // and the candidate buffer is drawn from scratch.
 func TestEvalPageDoesNotAllocate(t *testing.T) {
 	if raceEnabled {
@@ -204,14 +204,14 @@ func TestEvalPageDoesNotAllocate(t *testing.T) {
 		// Every entry lies within eps and is verified on each run; after the
 		// warming pass they are all duplicates, so the collector stops growing.
 		rcol := NewRangeCollector(50)
-		if err := EvalPageRange(&q, &pg, ds, rcol, sc); err != nil {
+		if _, err := EvalPage(&q, &pg, ds, rcol, sc); err != nil {
 			t.Fatal(err)
 		}
 		if len(rcol.Results()) != len(entries) {
 			t.Fatalf("%s: eps admits %d of %d entries", name, len(rcol.Results()), len(entries))
 		}
 		allocs = testing.AllocsPerRun(500, func() {
-			if err := EvalPageRange(&q, &pg, ds, rcol, sc); err != nil {
+			if _, err := EvalPage(&q, &pg, ds, rcol, sc); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -223,7 +223,7 @@ func TestEvalPageDoesNotAllocate(t *testing.T) {
 
 // TestEvalPageSymbolsSpareThePage: with the entries' symbols resident, a
 // page none of whose entries survives its bound is never read — the
-// evaluators return without opening it, so a page too short to be one
+// evaluator returns without opening it, under either collector, so a page too short to be one
 // goes unnoticed and the trace counts the page as released undecoded —
 // while a page with a survivor is opened and must have room for the
 // entries its symbols count.
@@ -259,7 +259,7 @@ func TestEvalPageSymbolsSpareThePage(t *testing.T) {
 	if err != nil || n != len(entries) {
 		t.Fatalf("k-NN over an unopenable page: n=%d err=%v, want %d entries pruned unread", n, err, len(entries))
 	}
-	if err := EvalPageRange(&q, &pg, ds, NewRangeCollector(math.Sqrt(least)/2), sc); err != nil {
+	if _, err := EvalPage(&q, &pg, ds, NewRangeCollector(math.Sqrt(least)/2), sc); err != nil {
 		t.Fatalf("range over an unopenable page: %v", err)
 	}
 	snap := q.Trace.Snapshot()
@@ -284,8 +284,69 @@ func TestEvalPageSymbolsSpareThePage(t *testing.T) {
 		if _, err := EvalPage(&q, &pg, ds, NewCollector(1), sc); err == nil {
 			t.Fatalf("%s: no error", name)
 		}
-		if err := EvalPageRange(&q, &pg, ds, NewRangeCollector(1e6), sc); err == nil {
-			t.Fatalf("%s: no error from the range evaluator", name)
+		if _, err := EvalPage(&q, &pg, ds, NewRangeCollector(1e6), sc); err == nil {
+			t.Fatalf("%s: no error under the range collector", name)
+		}
+	}
+}
+
+// fetchLog is a raw store that records the IDs it is asked for, in order.
+type fetchLog struct {
+	series.RawStore
+	ids []int64
+}
+
+func (f *fetchLog) Get(id int) (series.Series, error) {
+	f.ids = append(f.ids, int64(id))
+	return f.RawStore.Get(id)
+}
+
+// TestEvalPageFetchOrder pins the order a non-materialized page's
+// candidates are fetched in, on every source: ascending lower bound under a
+// k-NN collector, whose bound tightens as they verify, and page order under
+// a range collector, whose bound cannot move — the order the raw store
+// (and a file backend's Stats) sees.
+func TestEvalPageFetchOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	cfg := Config{SeriesLen: 32, Segments: 8, Bits: 4}
+	ds, entries, fixed := buildEvalFixture(t, rng, cfg, 48, 32768)
+	qs := make(series.Series, cfg.SeriesLen)
+	for j := range qs {
+		qs[j] = rng.NormFloat64()
+	}
+	q := NewQuery(qs, cfg)
+	ctx := AcquireCtx(q, cfg)
+	defer ctx.Release()
+	sc := ctx.Scratch0()
+	lb := map[int64]float64{}
+	var pageOrder []int64
+	for _, e := range entries {
+		lb[e.ID] = sc.P.MinDistSqKey(e.Key)
+		pageOrder = append(pageOrder, e.ID)
+	}
+	for name, pg := range evalLayouts(t, entries, fixed, cfg) {
+		raw := &fetchLog{RawStore: ds}
+		rpg := pg
+		if _, err := EvalPage(&q, &rpg, raw, NewRangeCollector(math.Inf(1)), sc); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(raw.ids, pageOrder) {
+			t.Fatalf("%s: range fetched %v, page order %v", name, raw.ids, pageOrder)
+		}
+		raw.ids = nil
+		if _, err := EvalPage(&q, &pg, raw, NewCollector(len(entries)), sc); err != nil {
+			t.Fatal(err)
+		}
+		if len(raw.ids) != len(entries) {
+			t.Fatalf("%s: k-NN fetched %d of %d entries", name, len(raw.ids), len(entries))
+		}
+		for i := 1; i < len(raw.ids); i++ {
+			if lb[raw.ids[i]] < lb[raw.ids[i-1]] {
+				t.Fatalf("%s: k-NN fetch %d has bound %v below its predecessor's %v", name, i, lb[raw.ids[i]], lb[raw.ids[i-1]])
+			}
+		}
+		if slices.Equal(raw.ids, pageOrder) {
+			t.Fatalf("%s: fixture's bounds ascend in page order: the two orders went undistinguished", name)
 		}
 	}
 }

@@ -16,10 +16,10 @@
 // it once. ProbeUnits (planner.go) is the planned-probe executor: zone-map
 // synopses from package zonestat turn into MINDIST lower bounds that order
 // probe units (runs, partitions, shards) best-bound-first and skip units
-// whose bound exceeds the collector's current worst. EvalPage and
-// EvalPageRange (prune.go) are the page-evaluation loops: one pinned page
-// of fixed-width records, or entries already decoded, filtered by window,
-// pruned per entry, and verified in ascending lower-bound order. Every
+// whose bound exceeds the collector's current worst. EvalPage (prune.go) is
+// the page-evaluation loop: one pinned page of fixed-width records, or
+// entries already decoded, filtered by window, pruned per entry, and
+// verified in ascending lower-bound order. Every
 // bound is a true lower bound, so planned and unplanned searches return
 // byte-identical results; only I/O cost changes. A variant supplies how to
 // bound a unit and how to pin its pages.
@@ -173,16 +173,24 @@ func worseSq(a, b sqItem) bool {
 	return a.id > b.id
 }
 
-// Collector maintains the k best results seen so far (a max-heap on
-// (squared distance, ID)), deduplicating by series ID. The heap is
-// hand-rolled rather than container/heap so pushes never box results into
-// interfaces — candidate collection allocates nothing.
+// Collector maintains the k best results seen so far whose squared distance
+// is within a limit, deduplicating by series ID: one collector for both
+// searches the paper's system answers with one pruning rule. A k-NN
+// collector (NewCollector) has the limit +Inf, and its pruning bound is the
+// k-th best squared distance, which tightens as results arrive. A range
+// collector (NewRangeCollector) has no k bound and a fixed limit, so its
+// pruning bound never moves. Below k results the items are an unordered
+// bag; the k-th result makes them a max-heap on (squared distance, ID),
+// kept by hand rather than by container/heap so pushes never box results
+// into interfaces — candidate collection allocates nothing.
 //
-// The collector's final contents are the k smallest (Dist, ID) pairs among
-// every result offered, independent of the order they were offered in —
-// the determinism guarantee behind parallel search.
+// The collector's final contents are the k smallest (Dist, ID) pairs within
+// the limit among every result offered, independent of the order they were
+// offered in — the determinism guarantee behind parallel search.
 type Collector struct {
 	k     int
+	limit float64 // squared-distance limit: +Inf for k-NN
+	bound float64 // WorstSq: limit below k results, then the k-th's squared distance
 	items []sqItem
 	seen  map[int64]bool
 }
@@ -195,18 +203,52 @@ const collectorPresize = 64
 
 // NewCollector creates a collector for the k nearest neighbors.
 func NewCollector(k int) *Collector {
-	if k < 1 {
-		k = 1
-	}
+	return newCollector(max(k, 1), math.Inf(1))
+}
+
+// NewRangeCollector creates a collector for every result within Euclidean
+// distance eps: no k bound, and the limit rangeLimit(eps).
+func NewRangeCollector(eps float64) *Collector {
+	return newCollector(math.MaxInt, rangeLimit(eps))
+}
+
+func newCollector(k int, limit float64) *Collector {
 	n := min(k, collectorPresize)
-	return &Collector{k: k, items: make([]sqItem, 0, n), seen: make(map[int64]bool, n)}
+	return &Collector{k: k, limit: limit, bound: limit, items: make([]sqItem, 0, n), seen: make(map[int64]bool, n)}
+}
+
+// rangeLimit returns the squared limit of a range search within eps: the
+// largest float64 t whose math.Sqrt is at most eps. Sqrt is monotone and
+// correctly rounded, so x > t exactly when math.Sqrt(x) > eps, for every x
+// including NaN and negatives: membership and pruning compare squared
+// numbers and still decide what the true-distance test decides — a caller
+// who sets eps to a distance a Result reported gets that neighbor back. t is
+// fl(eps²) or the float64 above it; fl(eps²) alone can under-round the
+// boundary. A NaN eps gives a NaN limit, which rejects nothing, as a
+// comparison with NaN does; a negative eps gives -Inf, which rejects every
+// distance a search can produce.
+func rangeLimit(eps float64) float64 {
+	switch {
+	case math.IsInf(eps, 1):
+		return eps
+	case eps < 0:
+		return math.Inf(-1)
+	}
+	t := eps * eps
+	for math.Sqrt(t) > eps { // eps² overflowed to +Inf
+		t = math.Nextafter(t, 0)
+	}
+	for u := math.Nextafter(t, math.Inf(1)); math.Sqrt(u) <= eps; u = math.Nextafter(u, math.Inf(1)) {
+		t = u
+	}
+	return t
 }
 
 // K returns the number of neighbors the collector keeps.
 func (c *Collector) K() int { return c.k }
 
 // Add offers a candidate carrying a true distance. It returns true if the
-// candidate entered the current top-k. It is the tests' brute-force
+// candidate entered the collected results. It is the tests' brute-force
 // reference and nothing else: every merge a search makes is on the
 // accumulated squared sums (AddSq).
 func (c *Collector) Add(r Result) bool {
@@ -215,16 +257,23 @@ func (c *Collector) Add(r Result) bool {
 
 // AddSq offers a candidate by squared distance — the hot-path entry point:
 // verifiers accumulate squared sums and never convert back. It returns true
-// if the candidate entered the current top-k.
+// if the candidate entered the collected results. A candidate beyond the
+// bound can enter neither a full heap nor a range, so it is turned away
+// before the seen set is consulted.
 func (c *Collector) AddSq(id, ts int64, distSq float64) bool {
-	if c.seen[id] {
+	if distSq > c.bound || c.seen[id] {
 		return false
 	}
 	it := sqItem{id: id, ts: ts, distSq: distSq}
 	if len(c.items) < c.k {
 		c.seen[id] = true
 		c.items = append(c.items, it)
-		c.siftUp(len(c.items) - 1)
+		if len(c.items) == c.k {
+			for i := c.k/2 - 1; i >= 0; i-- {
+				c.siftDown(i)
+			}
+			c.bound = c.items[0].distSq
+		}
 		return true
 	}
 	if !worseSq(c.items[0], it) {
@@ -234,18 +283,8 @@ func (c *Collector) AddSq(id, ts int64, distSq float64) bool {
 	delete(c.seen, c.items[0].id)
 	c.items[0] = it
 	c.siftDown(0)
+	c.bound = c.items[0].distSq
 	return true
-}
-
-func (c *Collector) siftUp(i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if !worseSq(c.items[i], c.items[p]) {
-			return
-		}
-		c.items[i], c.items[p] = c.items[p], c.items[i]
-		i = p
-	}
 }
 
 func (c *Collector) siftDown(i int) {
@@ -266,34 +305,39 @@ func (c *Collector) siftDown(i int) {
 	}
 }
 
-// SkipSq reports whether a candidate whose squared iSAX lower bound is lbSq
-// cannot change the collected results and may be skipped. The comparison is
-// strict: a candidate whose true distance exactly equals the current k-th
-// distance can still enter on an ID tie-break, so only bounds strictly
-// beyond the k-th distance are prunable. Using SkipSq (rather than comparing against
-// WorstSq directly) is what keeps pruning consistent with the collector's
-// total order, and therefore keeps parallel and serial search identical.
-func (c *Collector) SkipSq(lbSq float64) bool {
-	return len(c.items) >= c.k && lbSq > c.items[0].distSq
-}
+// SkipSq reports whether a candidate (or a unit of them) whose squared
+// lower bound is lbSq cannot change the collected results and may be
+// skipped. The comparison is strict: a candidate whose true distance
+// exactly equals the current k-th distance can still enter on an ID
+// tie-break, and one at a range's limit is within it, so only bounds
+// strictly beyond WorstSq are prunable. Using SkipSq (rather than comparing
+// against WorstSq directly) is what keeps pruning consistent with the
+// collector's total order, and therefore keeps parallel and serial search
+// identical. The bound only tightens, so a bound ruled out stays ruled out.
+func (c *Collector) SkipSq(lbSq float64) bool { return lbSq > c.bound }
 
-func (c *Collector) tightens() bool { return true }
+// boundFixed reports whether the pruning bound can never move: a range
+// collector's, which holds no k bound. Probe units and a page's candidates
+// are then taken in their own order, since ordering them best-first would
+// tighten nothing.
+func (c *Collector) boundFixed() bool { return c.k == math.MaxInt }
 
-// Clone returns a new collector with the same k and the same current
-// results. The parallel engine seeds one clone per worker so every worker
-// prunes with the bound established by the approximate phase. Prefer
+// Clone returns a new collector with the same k, the same limit and the same
+// current results. The parallel engine seeds one clone per worker so every
+// worker prunes with the bound established by the approximate phase. Prefer
 // PooledClone/MergeRelease on the fan-out path: they recycle the clones'
 // heap and seen-map storage across queries.
 func (c *Collector) Clone() *Collector {
-	n := NewCollector(c.k)
+	n := newCollector(c.k, c.limit)
 	n.copyFrom(c)
 	return n
 }
 
 // copyFrom seeds an empty collector with c's items (a verbatim copy
-// preserves the heap invariant) and rebuilds the seen set.
+// preserves the heap invariant) and bound, and rebuilds the seen set.
 func (n *Collector) copyFrom(c *Collector) {
 	n.items = append(n.items, c.items...)
+	n.bound = c.bound
 	for _, it := range c.items {
 		n.seen[it.id] = true
 	}
@@ -312,11 +356,12 @@ func (c *Collector) PooledClone() *Collector {
 	return n
 }
 
-// Sub returns an empty pooled collector with c's k: what a shard group hands
-// the index under it, whose IDs are not c's. Pair it with MergeMapped.
+// Sub returns an empty pooled collector with c's k and limit: what a shard
+// group hands the index under it, whose IDs are not c's. Pair it with
+// MergeMapped.
 func (c *Collector) Sub() *Collector {
 	n := collectorPool.Get().(*Collector)
-	n.k = c.k
+	n.k, n.limit, n.bound = c.k, c.limit, c.limit
 	n.items = n.items[:0]
 	if n.seen == nil {
 		n.seen = make(map[int64]bool, min(c.k, collectorPresize))
@@ -353,21 +398,16 @@ func (c *Collector) MergeRelease(o *Collector) {
 }
 
 // WorstSq returns the squared pruning bound — the squared distance of the
-// k-th best result, or +Inf while fewer than k results are held — which
+// k-th best result, or the limit while fewer than k results are held — which
 // verifiers pass straight to the early-abandoning squared distance
-// accumulators.
-func (c *Collector) WorstSq() float64 {
-	if len(c.items) < c.k {
-		return math.Inf(1)
-	}
-	return c.items[0].distSq
-}
+// accumulators: a sum abandoned beyond it could not have entered.
+func (c *Collector) WorstSq() float64 { return c.bound }
 
 // Full reports whether k results have been collected.
 func (c *Collector) Full() bool { return len(c.items) >= c.k }
 
-// Each visits every collected result with its exact squared distance, in
-// unspecified (heap) order. The distributed tier uses it to ship a node's
+// Each visits every collected result once with its exact squared distance,
+// in unspecified order. The distributed tier uses it to ship a node's
 // answer to the router on the original accumulated sums — the same ordering
 // keys the single-node collector compares — so the router-side merge
 // preserves even sub-ulp tie-breaks that re-squaring a reported distance
@@ -409,9 +449,9 @@ type Index interface {
 	ApproxInto(q Query, col *Collector, ctx *SearchCtx) error
 	// ExactInto collects the true nearest neighbors.
 	ExactInto(q Query, col *Collector, ctx *SearchCtx) error
-	// RangeInto collects every series within the collector's epsilon of the
-	// query.
-	RangeInto(q Query, col *RangeCollector, ctx *SearchCtx) error
+	// RangeInto collects every series within the range collector's limit
+	// of the query (NewRangeCollector).
+	RangeInto(q Query, col *Collector, ctx *SearchCtx) error
 }
 
 // Into is the one search entry: a pooled context filled for q under cfg,
@@ -419,7 +459,7 @@ type Index interface {
 // defaults, uncounted), core run into col on it, and col returned filled.
 // Approx, Exact and Range are it over an Index's cores; a caller holding a
 // core of another shape (a stream scheme, a shard subset) calls it directly.
-func Into[C any](q Query, cfg Config, pool *parallel.Pool, pl *Planner, col C, core func(Query, C, *SearchCtx) error) (C, error) {
+func Into(q Query, cfg Config, pool *parallel.Pool, pl *Planner, col *Collector, core func(Query, *Collector, *SearchCtx) error) (*Collector, error) {
 	ctx := AcquireCtx(q, cfg)
 	defer ctx.Release()
 	if pool.Workers() > 1 {
@@ -448,7 +488,7 @@ func Range(idx Index, q Query, cfg Config, pool *parallel.Pool, pl *Planner, eps
 }
 
 // Rendered renders a finished search's collector, passing its error through.
-func Rendered[C interface{ Results() []Result }](col C, err error) ([]Result, error) {
+func Rendered(col *Collector, err error) ([]Result, error) {
 	if err != nil {
 		return nil, err
 	}
@@ -460,124 +500,3 @@ func Rendered[C interface{ Results() []Result }](col C, err error) ([]Result, er
 type Inserter interface {
 	Insert(s series.Series, ts int64) error
 }
-
-// RangeCollector accumulates all results within eps, sorted by distance on
-// Results(). Unlike Collector there is no k; the pruning bound is eps
-// itself, held squared so membership tests stay in squared space.
-type RangeCollector struct {
-	eps   float64
-	epsSq float64
-	items []sqItem
-	seen  map[int64]bool
-}
-
-// NewRangeCollector creates a collector for results within eps.
-func NewRangeCollector(eps float64) *RangeCollector {
-	return &RangeCollector{eps: eps, epsSq: eps * eps, seen: make(map[int64]bool)}
-}
-
-// Bound returns the pruning bound as a true distance: candidates with lower
-// bounds beyond Bound cannot qualify.
-func (c *RangeCollector) Bound() float64 { return c.eps }
-
-// BoundSq returns the squared epsilon, used as the early-abandon limit for
-// candidate verification (the same fl(eps*eps) the true-distance code used
-// as bound*bound).
-func (c *RangeCollector) BoundSq() float64 { return c.epsSq }
-
-// SkipSq reports whether a candidate (or subtree) whose squared lower
-// bound is lbSq cannot contain qualifying results and may be skipped. The
-// comparison happens in true-distance space, mirroring AddSq's membership
-// test, so prune-implies-reject holds exactly even in the 1-ulp window
-// where fl(eps*eps) under-rounds eps² — one sqrt per pruning decision on
-// the range path only (k-NN pruning, whose bound is a collected distance
-// rather than a caller contract, stays fully squared).
-func (c *RangeCollector) SkipSq(lbSq float64) bool {
-	return math.Sqrt(lbSq) > c.eps
-}
-
-func (c *RangeCollector) tightens() bool { return false }
-
-// Add offers a candidate carrying a true distance; it is kept when within
-// eps and not a duplicate. Like Collector.Add, the tests' reference only.
-func (c *RangeCollector) Add(r Result) bool {
-	return c.AddSq(r.ID, r.TS, r.Dist*r.Dist)
-}
-
-// AddSq offers a candidate by squared distance, the hot-path entry point.
-// Membership is decided in true-distance space (one sqrt per candidate that
-// survived lower-bound pruning — a rounding error away from free): a caller
-// who sets eps to a distance reported in a Result must get that boundary
-// neighbor back, exactly as when the comparison was r.Dist > eps, and
-// fl(eps*eps) can under-round that boundary in squared space.
-func (c *RangeCollector) AddSq(id, ts int64, distSq float64) bool {
-	if math.Sqrt(distSq) > c.eps || c.seen[id] {
-		return false
-	}
-	c.seen[id] = true
-	c.items = append(c.items, sqItem{id: id, ts: ts, distSq: distSq})
-	return true
-}
-
-// Clone returns a new empty collector with the same epsilon. Unlike
-// Collector.Clone it carries no seed results: range collection prunes with
-// the static eps bound, so workers gain nothing from seeding. Prefer
-// PooledClone/MergeRelease on the fan-out path.
-func (c *RangeCollector) Clone() *RangeCollector { return NewRangeCollector(c.eps) }
-
-// rangeCollectorPool recycles range collectors across fan-outs, mirroring
-// the Collector pool: per-worker clones reuse previously allocated items
-// slices and seen maps.
-var rangeCollectorPool = sync.Pool{New: func() any { return new(RangeCollector) }}
-
-// PooledClone is Clone drawing storage from the range-collector pool. Pair
-// it with MergeRelease so the storage returns to the pool after the
-// fan-out.
-func (c *RangeCollector) PooledClone() *RangeCollector {
-	n := rangeCollectorPool.Get().(*RangeCollector)
-	n.eps, n.epsSq = c.eps, c.epsSq
-	n.items = n.items[:0]
-	if n.seen == nil {
-		n.seen = make(map[int64]bool)
-	} else {
-		clear(n.seen)
-	}
-	return n
-}
-
-// MergeRelease merges o into c and returns o's storage to the pool. o must
-// not be used afterwards.
-func (c *RangeCollector) MergeRelease(o *RangeCollector) {
-	c.Merge(o)
-	rangeCollectorPool.Put(o)
-}
-
-// MergeMapped is MergeRelease under the IDs ids[local], for a PooledClone
-// filled under local IDs; see Collector.MergeMapped.
-func (c *RangeCollector) MergeMapped(o *RangeCollector, ids []int64) {
-	for _, it := range o.items {
-		c.AddSq(ids[it.id], it.ts, it.distSq)
-	}
-	rangeCollectorPool.Put(o)
-}
-
-// Merge folds another range collector's results into c, deduplicating by
-// ID. The collected set — every candidate within eps — does not depend on
-// order, so per-worker range collectors merge deterministically.
-func (c *RangeCollector) Merge(o *RangeCollector) {
-	for _, it := range o.items {
-		c.AddSq(it.id, it.ts, it.distSq)
-	}
-}
-
-// Each visits every collected result with its exact squared distance, in
-// collection order. The distributed tier uses it to ship qualifying series
-// to the router as (global ID, TS, squared distance) triples.
-func (c *RangeCollector) Each(fn func(id, ts int64, distSq float64)) {
-	for _, it := range c.items {
-		fn(it.id, it.ts, it.distSq)
-	}
-}
-
-// Results returns all collected results sorted by ascending distance.
-func (c *RangeCollector) Results() []Result { return render(c.items) }

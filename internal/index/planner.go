@@ -145,7 +145,7 @@ func (c *SearchCtx) note(kind string, u PlanUnit, skipped bool) {
 // skippable reports whether a unit lower-bounded by boundSq cannot change
 // col: +Inf marks a unit with nothing to find (empty, or outside the query
 // window), which holds even while a k-NN collector is not yet full.
-func skippable[C FanCollector[C]](col C, boundSq float64) bool {
+func skippable(col *Collector, boundSq float64) bool {
 	return math.IsInf(boundSq, 1) || col.SkipSq(boundSq)
 }
 
@@ -168,7 +168,7 @@ func skippable[C FanCollector[C]](col C, boundSq float64) bool {
 //
 // With the planner disabled every unit is probed through the plain FanOut:
 // the reference path the equivalence suites compare against.
-func ProbeUnits[C FanCollector[C]](ctx *SearchCtx, kind string, units []PlanUnit, col C, bound func(i int) float64, probe func(i, worker int, col C) error) error {
+func ProbeUnits(ctx *SearchCtx, kind string, units []PlanUnit, col *Collector, bound func(i int) float64, probe func(i, worker int, col *Collector) error) error {
 	if !ctx.Planner.Enabled() {
 		ctx.Trace.NoteProbes(kind, int64(len(units)))
 		return FanOut(ctx.Pool, len(units), col, probe)
@@ -176,7 +176,7 @@ func ProbeUnits[C FanCollector[C]](ctx *SearchCtx, kind string, units []PlanUnit
 	for i := range units {
 		units[i] = PlanUnit{BoundSq: bound(i), Idx: i}
 	}
-	if col.tightens() {
+	if !col.boundFixed() {
 		SortPlan(units)
 	}
 	if ctx.Pool.WorkersFor(len(units)) <= 1 {
@@ -195,14 +195,14 @@ func ProbeUnits[C FanCollector[C]](ctx *SearchCtx, kind string, units []PlanUnit
 		}
 		live = append(live, u)
 	}
-	return FanOut(ctx.Pool, len(live), col, func(i, worker int, col C) error {
+	return FanOut(ctx.Pool, len(live), col, func(i, worker int, col *Collector) error {
 		return probeUnit(ctx, kind, live[i], worker, col, probe)
 	})
 }
 
 // probeUnit checks u against col right before probing it, and records
 // which of the two happened.
-func probeUnit[C FanCollector[C]](ctx *SearchCtx, kind string, u PlanUnit, worker int, col C, probe func(i, worker int, col C) error) error {
+func probeUnit(ctx *SearchCtx, kind string, u PlanUnit, worker int, col *Collector, probe func(i, worker int, col *Collector) error) error {
 	skip := skippable(col, u.BoundSq)
 	ctx.note(kind, u, skip)
 	if skip {

@@ -189,18 +189,17 @@ func randExecUnits(rng *rand.Rand, n int) []execUnit {
 // execRun drives ProbeUnits through ctx (or, with ctx == nil, the plain
 // FanOut reference on pool) over units into col and reports which units were
 // probed, in what order, and the answer.
-func execRun[C FanCollector[C]](t *testing.T, ctx *SearchCtx, pool *parallel.Pool, units []execUnit, col C,
-	add func(C, sqItem), results func(C) []Result) (probes []int, order []int, out []Result) {
+func execRun(t *testing.T, ctx *SearchCtx, pool *parallel.Pool, units []execUnit, col *Collector) (probes []int, order []int, out []Result) {
 	t.Helper()
 	var mu sync.Mutex
 	probes = make([]int, len(units))
-	probe := func(i, _ int, col C) error {
+	probe := func(i, _ int, col *Collector) error {
 		mu.Lock()
 		probes[i]++
 		order = append(order, i)
 		mu.Unlock()
 		for _, c := range units[i].cands {
-			add(col, c)
+			col.AddSq(c.id, c.ts, c.distSq)
 		}
 		return nil
 	}
@@ -213,24 +212,23 @@ func execRun[C FanCollector[C]](t *testing.T, ctx *SearchCtx, pool *parallel.Poo
 	if err != nil {
 		t.Fatal(err)
 	}
-	return probes, order, results(col)
+	return probes, order, col.Results()
 }
 
-// checkExec asserts the executor's contract for one collector type.
-func checkExec[C FanCollector[C]](t *testing.T, label string, rng *rand.Rand, newCol func() C,
-	add func(C, sqItem), results func(C) []Result) {
+// checkExec asserts the executor's contract for one kind of collector.
+func checkExec(t *testing.T, label string, rng *rand.Rand, newCol func() *Collector) {
 	t.Helper()
 	for trial := 0; trial < 40; trial++ {
 		units := randExecUnits(rng, rng.Intn(9))
 		for _, workers := range []int{1, 2, 4} {
 			pool := parallel.New(workers)
-			_, _, want := execRun(t, nil, pool, units, newCol(), add, results)
+			_, _, want := execRun(t, nil, pool, units, newCol())
 			for name, pl := range map[string]*Planner{"on": {}, "off": {Disabled: true}, "nil": nil} {
 				where := fmt.Sprintf("%s trial %d workers=%d planner=%s", label, trial, workers, name)
 				tr := obs.NewQueryTrace()
 				ctx := &SearchCtx{Pool: pool, Trace: tr, Planner: pl}
 				col := newCol()
-				probes, order, got := execRun(t, ctx, pool, units, col, add, results)
+				probes, order, got := execRun(t, ctx, pool, units, col)
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("%s: answer %v, unplanned fan-out %v", where, got, want)
 				}
@@ -274,7 +272,7 @@ func checkExec[C FanCollector[C]](t *testing.T, label string, rng *rand.Rand, ne
 				for i, u := range units {
 					planOrder[i] = PlanUnit{BoundSq: u.boundSq, Idx: i}
 				}
-				if col.tightens() {
+				if !col.boundFixed() {
 					SortPlan(planOrder)
 					for i, idx := range order {
 						if planOrder[i].Idx != idx {
@@ -306,14 +304,9 @@ func TestProbeUnits(t *testing.T) {
 					c.AddSq(s.id, s.ts, s.distSq)
 				}
 				return c
-			},
-			func(c *Collector, it sqItem) { c.AddSq(it.id, it.ts, it.distSq) },
-			(*Collector).Results)
+			})
 	}
-	checkExec(t, "range", rng,
-		func() *RangeCollector { return NewRangeCollector(2) },
-		func(c *RangeCollector, it sqItem) { c.AddSq(it.id, it.ts, it.distSq) },
-		(*RangeCollector).Results)
+	checkExec(t, "range", rng, func() *Collector { return NewRangeCollector(2) })
 }
 
 // The warm serial executor path — bound, sort, skip, probe, note — must not
@@ -334,17 +327,11 @@ func TestProbeUnitsSerialDoesNotAllocate(t *testing.T) {
 		return nil
 	}
 	rcol := NewRangeCollector(2)
-	rprobe := func(i, _ int, col *RangeCollector) error {
-		for _, c := range units[i].cands {
-			col.AddSq(c.id, c.ts, c.distSq)
-		}
-		return nil
-	}
 	run := func() {
 		if err := ProbeUnits(ctx, "unit", ctx.PlanUnits(len(units)), col, bound, probe); err != nil {
 			t.Fatal(err)
 		}
-		if err := ProbeUnits(ctx, "unit", ctx.PlanUnits(len(units)), rcol, bound, rprobe); err != nil {
+		if err := ProbeUnits(ctx, "unit", ctx.PlanUnits(len(units)), rcol, bound, probe); err != nil {
 			t.Fatal(err)
 		}
 	}

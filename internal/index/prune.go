@@ -49,7 +49,7 @@ import (
 //     by the page loop, which decides from their least in-window bound
 //     whether to read the page at all (Scratch.ResidentBounds) and hands a
 //     live page's bounds on (Page.UseBounds), or else by the page evaluator
-//     (EvalPage, EvalPageRange); the evaluator's loop reads the results.
+//     (EvalPage); the evaluator's loop reads the results.
 //
 //   - A unit's symbol envelope (a zone map: zonestat) bounds every series
 //     in the unit at once, one clamped lookup per segment. EnvelopeSqs
@@ -287,16 +287,6 @@ func SymbolsBelow(syms []uint8, bits int) bool {
 		}
 	}
 	return true
-}
-
-// EnvelopeTester is the side of a collector a page loop consults before it
-// evaluates what an envelope covers — a run's page, a tree's leaf or group of
-// leaves. Both collectors implement it.
-type EnvelopeTester interface {
-	// SkipSq reports whether a bound of lbSq already rules out every series
-	// under it: none could enter the collector. A collector's bound only
-	// tightens, so a bound ruled out stays ruled out.
-	SkipSq(lbSq float64) bool
 }
 
 // MinDistSqMixed returns the squared lower bound for a summarization with
@@ -630,7 +620,7 @@ func (pg *Page) resident(q *Query) bool {
 	return pg.syms != nil && (!q.Windowed || pg.tss != nil)
 }
 
-// begin readies pg for an evaluation under q, as both evaluators start: it
+// begin readies pg for an evaluation under q, as the evaluator starts: it
 // returns the entries' bounds — nil when they are to come from keys — and
 // whether the page is resident, and opens a stored page that is not.
 func (pg *Page) begin(q *Query, sc *Scratch) (lbs []float64, resident bool, err error) {
@@ -731,14 +721,17 @@ func (pg *Page) distSq(q *Query, i int, raw series.RawStore, limitSq float64) (f
 	return rawDistSq(q, pg.view.ID(i), raw, limitSq)
 }
 
-// EvalPage evaluates one page against the k-NN collector: in-window entries
+// EvalPage evaluates one page against the collector: in-window entries
 // whose squared lower bound survives the collector's current worst become
 // candidates, and candidates verify in ascending lower-bound order — the
 // most promising first, collapsing the pruning bound so the rest are
-// skipped without paying their (possibly random) raw fetches. Candidate
-// slots reuse the scratch slice, so a warm probe allocates nothing. It
-// returns the number of in-window entries seen. Query and page are taken by
-// pointer, so a page loop copies neither once a page (Scratch.Query, .Page).
+// skipped without paying their (possibly random) raw fetches. A range
+// collector's bound cannot move, so its candidates verify in page order,
+// which is then the order of a non-materialized index's raw fetches.
+// Candidate slots reuse the scratch slice, so a warm probe allocates
+// nothing. It returns the number of in-window entries seen. Query and page
+// are taken by pointer, so a page loop copies neither once a page
+// (Scratch.Query, .Page).
 func EvalPage(q *Query, pg *Page, raw series.RawStore, col *Collector, sc *Scratch) (int, error) {
 	lbs, resident, err := pg.begin(q, sc)
 	if err != nil {
@@ -777,14 +770,16 @@ func EvalPage(q *Query, pg *Page, raw series.RawStore, col *Collector, sc *Scrat
 	if err := pg.open(); err != nil {
 		return count, err
 	}
-	slices.SortFunc(cands, func(a, b pageCand) int { return cmp.Compare(a.lbSq, b.lbSq) })
+	if !col.boundFixed() {
+		slices.SortFunc(cands, func(a, b pageCand) int { return cmp.Compare(a.lbSq, b.lbSq) })
+	}
 	sc.cands = cands
 	for ci, c := range cands {
 		if col.SkipSq(c.lbSq) {
 			if traced {
 				pr += int64(len(cands) - ci)
 			}
-			break // all remaining candidates have larger lower bounds
+			break // sorted: the rest have larger bounds (a fixed bound skips none here)
 		}
 		i := int(c.i)
 		limitSq := col.WorstSq()
@@ -804,55 +799,4 @@ func EvalPage(q *Query, pg *Page, raw series.RawStore, col *Collector, sc *Scrat
 		sc.Trace.NoteCands(int64(count), ver, ab, pr)
 	}
 	return count, nil
-}
-
-// EvalPageRange is EvalPage against a range collector: the epsilon bound is
-// static, so candidates need no ordering and every in-window, unpruned
-// entry verifies directly.
-func EvalPageRange(q *Query, pg *Page, raw series.RawStore, col *RangeCollector, sc *Scratch) error {
-	lbs, resident, err := pg.begin(q, sc)
-	if err != nil {
-		return err
-	}
-	n := pg.n
-	traced := sc.Trace != nil
-	var seen, ver, ab, pr int64
-	for i := pg.nextInWindow(q, 0, n); i < n; i = pg.nextInWindow(q, i+1, n) {
-		if traced {
-			seen++
-		}
-		var lbSq float64
-		if lbs != nil {
-			lbSq = lbs[i]
-		} else {
-			lbSq = sc.P.MinDistSqKey(pg.key(i))
-		}
-		if col.SkipSq(lbSq) {
-			if traced {
-				pr++
-			}
-			continue
-		}
-		if err := pg.open(); err != nil {
-			return err
-		}
-		dSq, err := pg.distSq(q, i, raw, col.BoundSq())
-		if err != nil {
-			return err
-		}
-		if traced {
-			ver++
-			if dSq > col.BoundSq() {
-				ab++
-			}
-		}
-		col.AddSq(pg.id(i), pg.ts(i), dSq)
-	}
-	if traced {
-		sc.Trace.NoteCands(seen, ver, ab, pr)
-		if resident && ver == 0 {
-			sc.Trace.NoteUndecoded(1)
-		}
-	}
-	return nil
 }

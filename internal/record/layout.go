@@ -125,15 +125,14 @@ func (p *PageView) Entries() ([]Entry, error) {
 // laid straight into a write-behind chunk of pages, flushed with one
 // multi-page append; Close flushes the last, partial page.
 type Writer struct {
-	disk     PageAppender
-	name     string
-	codec    Codec
-	pageSize int
-	rec      Record // Write's encoding of its entry
-	chunk    []byte
-	n        int // records on the chunk's last page; 0: no page open
-	fillAt   int // records at which a page closes, no more than a page holds
-	closed   bool
+	disk   PageAppender
+	name   string
+	l      Layout
+	rec    Record // Write's encoding of its entry
+	chunk  []byte
+	n      int // records on the chunk's last page; 0: no page open
+	fillAt int // records at which a page closes, no more than a page holds
+	closed bool
 }
 
 // Create creates the file (which must not exist) and returns a writer of
@@ -151,7 +150,7 @@ func (l *Layout) Create(d PageAppender, name string, fill float64, chunkPages in
 	if err := d.Create(name); err != nil {
 		return nil, err
 	}
-	return &Writer{disk: d, name: name, codec: l.codec, pageSize: l.pageSize,
+	return &Writer{disk: d, name: name, l: *l,
 		fillAt: max(1, int(float64(l.perPage)*fill)),
 		chunk:  make([]byte, 0, max(1, chunkPages)*l.pageSize)}, nil
 }
@@ -159,7 +158,7 @@ func (l *Layout) Create(d PageAppender, name string, fill float64, chunkPages in
 // Write appends one entry, closes the page it completes at the writer's
 // fill, and reports whether the entry opened a page.
 func (w *Writer) Write(e Entry) (pageStart bool, err error) {
-	rec, err := w.codec.Append(w.rec[:0], e)
+	rec, err := w.l.codec.Append(w.rec[:0], e)
 	if err != nil {
 		return false, err
 	}
@@ -174,16 +173,16 @@ func (w *Writer) WriteRecord(rec Record) (pageStart bool, err error) {
 	if w.closed {
 		return false, fmt.Errorf("record: write to closed writer %q", w.name)
 	}
-	size := w.codec.Size()
+	size, pageSize := w.l.size, w.l.pageSize
 	if len(rec) != size {
 		return false, fmt.Errorf("record: record of %d bytes, want %d", len(rec), size)
 	}
 	if pageStart = w.n == 0; pageStart {
 		n := len(w.chunk)
-		w.chunk = w.chunk[:n+w.pageSize]
+		w.chunk = w.chunk[:n+pageSize]
 		clear(w.chunk[n:])
 	}
-	copy(w.chunk[len(w.chunk)-w.pageSize+w.n*size:], rec)
+	copy(w.chunk[len(w.chunk)-pageSize+w.n*size:], rec)
 	if w.n++; w.n == w.fillAt {
 		w.n = 0
 		if len(w.chunk) == cap(w.chunk) {

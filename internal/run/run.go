@@ -215,23 +215,17 @@ func (s *Store) firstKey(r Run, p int, data []byte) (sortable.Key, error) {
 	return pg.Key(0), nil
 }
 
-// ScanKNN scans the whole run with squared lower-bound pruning into col,
-// verifying each page's surviving candidates in ascending lower-bound order.
-// Dead pages go unread under Scan's one skip rule — at the run's ends, and
-// mid-run in stretches long enough that the saved sequential reads outweigh
-// the random read after the gap — and are reported as skipped "page" units;
-// with the planner disabled every page is pinned.
-func (s *Store) ScanKNN(r Run, q index.Query, col *index.Collector, sc *index.Scratch) error {
+// ScanRun scans the whole run with squared lower-bound pruning into col,
+// verifying each page's surviving candidates through index.EvalPage: in
+// ascending lower-bound order for a k-NN collector, in page order for a
+// range collector. Dead pages go unread under Scan's one skip rule — at the
+// run's ends, and mid-run in stretches long enough that the saved
+// sequential reads outweigh the random read after the gap — and are
+// reported as skipped "page" units; with the planner disabled every page is
+// pinned.
+func (s *Store) ScanRun(r Run, q index.Query, col *index.Collector, sc *index.Scratch) error {
 	return s.Scan(r, 0, r.Sum.Pages(), "page", q, sc, col, func(q *index.Query, pg *index.Page) error {
 		_, err := index.EvalPage(q, pg, s.Raw, col, sc)
 		return err
-	})
-}
-
-// ScanRange scans the whole run with squared epsilon pruning into col, under
-// the same skip rule.
-func (s *Store) ScanRange(r Run, q index.Query, col *index.RangeCollector, sc *index.Scratch) error {
-	return s.Scan(r, 0, r.Sum.Pages(), "page", q, sc, col, func(q *index.Query, pg *index.Page) error {
-		return index.EvalPageRange(q, pg, s.Raw, col, sc)
 	})
 }

@@ -164,7 +164,7 @@ func sameResults(t *testing.T, what string, got, want []index.Result) {
 	}
 }
 
-// search runs one store operation (Probe or ScanKNN) into a fresh collector.
+// search runs one store operation (Probe or ScanRun) into a fresh collector.
 func search(t *testing.T, s *Store, r Run, q index.Query, pl *index.Planner, k int, op func(*Store, Run, index.Query, *index.Collector, *index.Scratch) error) []index.Result {
 	t.Helper()
 	ctx := index.AcquireCtx(q, testCfg)
@@ -205,7 +205,7 @@ var scriptStats = map[string]struct {
 
 // TestRunTable checks one written run on every page source:
 // the file holds exactly its entries, the synopsis and the resident summary
-// are the ones a rescan builds, Probe and ScanKNN answer as brute force does,
+// are the ones a rescan builds, Probe and ScanRun answer as brute force does,
 // and the access script costs exactly its scriptStats row — with the planner
 // disabled what it cost before the summaries, with it enabled that less the
 // pages the scans skipped — with the probe pinning its way to its page (a
@@ -278,7 +278,7 @@ func TestRunTable(t *testing.T) {
 							}
 						}
 						sameResults(t, fmt.Sprintf("probe %d", i), search(t, &s, r, q, pl, 5, (*Store).Probe), bruteKNN(q, pages[cover], raw, 5))
-						sameResults(t, fmt.Sprintf("scan %d", i), search(t, &s, r, q, pl, 5, (*Store).ScanKNN), bruteKNN(q, entries, raw, 5))
+						sameResults(t, fmt.Sprintf("scan %d", i), search(t, &s, r, q, pl, 5, (*Store).ScanRun), bruteKNN(q, entries, raw, 5))
 					}
 
 					script := func() (approx, exact storage.Stats, skips int64) {
@@ -293,7 +293,7 @@ func TestRunTable(t *testing.T) {
 						approx = stats.Stats()
 						for _, q := range queries {
 							search(t, &s, r, q, pl, 5, (*Store).Probe)
-							search(t, &s, r, q, pl, 5, (*Store).ScanKNN)
+							search(t, &s, r, q, pl, 5, (*Store).ScanRun)
 						}
 						return approx, stats.Stats(), pl.Skips() - skips
 					}
@@ -471,7 +471,7 @@ func deadRunRow(t *testing.T, cfg index.Config, pageSize int, blocks [4]int, kin
 		var got []index.Result
 		st, tr, skips := scan(planned, func(q index.Query, sc *index.Scratch) error {
 			col := index.NewRangeCollector(deadEps)
-			err := s.ScanRange(r, q, col, sc)
+			err := s.ScanRun(r, q, col, sc)
 			got = col.Results()
 			return err
 		})
@@ -504,7 +504,7 @@ func deadRunRow(t *testing.T, cfg index.Config, pageSize int, blocks [4]int, kin
 		var got []index.Result
 		st, _, _ := scan(planned, func(q index.Query, sc *index.Scratch) error {
 			col := index.NewCollector(3)
-			err := s.ScanKNN(r, q, col, sc)
+			err := s.ScanRun(r, q, col, sc)
 			got = col.Results()
 			return err
 		})
@@ -658,7 +658,7 @@ func TestWarmScanDoesNotAllocate(t *testing.T) {
 				ctx := index.AcquireCtx(q, cfg)
 				col := index.NewCollector(5)
 				scan := func() {
-					if err := s.ScanKNN(r, q, col, ctx.Scratch0()); err != nil {
+					if err := s.ScanRun(r, q, col, ctx.Scratch0()); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -736,7 +736,7 @@ func traceRow(t *testing.T, cfg index.Config, pageSize int, entries []record.Ent
 			if err := s.Probe(r, q, col, sc); err != nil { // seeds the bound, as a search does
 				return err
 			}
-			err := s.ScanKNN(r, q, col, sc)
+			err := s.ScanRun(r, q, col, sc)
 			if res := col.Results(); len(res) > 2 {
 				eps = res[2].Dist
 			}
@@ -746,7 +746,7 @@ func traceRow(t *testing.T, cfg index.Config, pageSize int, entries []record.Ent
 			return func(q index.Query, sc *index.Scratch) error { return scan(q.WithWindow(200, 700), sc) }
 		}
 		rng := func(q index.Query, sc *index.Scratch) error {
-			return s.ScanRange(r, q, index.NewRangeCollector(eps), sc)
+			return s.ScanRun(r, q, index.NewRangeCollector(eps), sc)
 		}
 		for _, mode := range []struct {
 			name string
@@ -826,7 +826,7 @@ func TestDecodeSummaryChecksEnvelopes(t *testing.T) {
 	defer ctx.Release()
 	scan := func(r Run) index.Result {
 		col := index.NewCollector(1)
-		if err := s.ScanKNN(r, q, col, ctx.Scratch0()); err != nil {
+		if err := s.ScanRun(r, q, col, ctx.Scratch0()); err != nil {
 			t.Fatal(err)
 		}
 		return col.Results()[0]
@@ -963,7 +963,7 @@ func TestScanSkipsEntryDeadPages(t *testing.T) {
 			pl := &index.Planner{Disabled: row.disabled}
 			ctx.Planner = pl
 			col := index.NewCollector(1)
-			if err := s.ScanKNN(r, row.query, col, ctx.Scratch0()); err != nil {
+			if err := s.ScanRun(r, row.query, col, ctx.Scratch0()); err != nil {
 				t.Fatal(err)
 			}
 			sameResults(t, "scan", col.Results(), want)

@@ -464,7 +464,7 @@ func (s *Store) ProbePage(r Run, p int, q index.Query, col *index.Collector, sc 
 
 // Scan is the one sequential page loop, of runs and CTree leaf levels alike:
 // it pins pages [lo, hi) of r in ascending order through one storage cursor
-// and hands each to eval (index.EvalPage or EvalPageRange) with its slices
+// and hands each to eval (index.EvalPage) with its slices
 // of the columns attached, unless col rules out every series inside it
 // (dead) by the page's envelope bound or, where a skip may follow, by its
 // entries' bounds (below). The loop bounds envelopes in batches
@@ -508,7 +508,7 @@ func (s *Store) ProbePage(r Run, p int, q index.Query, col *index.Collector, sc 
 // the trace counts its in-window entries, off the timestamp column, as seen
 // and pruned. The pages skipped are counted into the planner and, beside the
 // pages read, into the query's trace as units of the given kind.
-func (s *Store) Scan(r Run, lo, hi int, kind string, q index.Query, sc *index.Scratch, col index.EnvelopeTester, eval func(q *index.Query, pg *index.Page) error) error {
+func (s *Store) Scan(r Run, lo, hi int, kind string, q index.Query, sc *index.Scratch, col *index.Collector, eval func(q *index.Query, pg *index.Page) error) error {
 	if lo >= hi {
 		return nil
 	}
@@ -526,7 +526,7 @@ func (s *Store) Scan(r Run, lo, hi int, kind string, q index.Query, sc *index.Sc
 // entries' least in-window bound. (The accounting stays outside: a deferred
 // closure over the count here costs the loop a tenth of a CTree scan's
 // time.)
-func (s *Store) scanPages(r Run, lo, hi int, sc *index.Scratch, col index.EnvelopeTester, eval func(q *index.Query, pg *index.Page) error) (skipped int64, err error) {
+func (s *Store) scanPages(r Run, lo, hi int, sc *index.Scratch, col *index.Collector, eval func(q *index.Query, pg *index.Page) error) (skipped int64, err error) {
 	m, w := r.Sum, r.Sum.segs
 	skip := sc.Planner.Enabled()
 	from, to := m.span(lo, hi)

@@ -88,15 +88,7 @@ func (s *Server) handleClusterSearch(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	if len(req.Series) != b.built.Config.SeriesLen {
-		WriteError(w, http.StatusBadRequest, "query length %d, want %d", len(req.Series), b.built.Config.SeriesLen)
-		return
-	}
-	if req.K <= 0 {
-		req.K = 1
-	}
-	if err := checkWindow(req.MinTS, req.MaxTS); err != nil {
-		WriteError(w, http.StatusBadRequest, "%v", err)
+	if !checkQuery(w, req.Series, b.built.Config.SeriesLen, req.MinTS, req.MaxTS, &req.K) {
 		return
 	}
 	q := windowed(index.NewQuery(series.Series(req.Series), b.built.Config), req.MinTS, req.MaxTS)
@@ -118,9 +110,7 @@ func (s *Server) handleClusterSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	// Router-driven probes count in the node's query metrics too: a scrape
 	// of a cluster node reflects the load it actually served.
-	var col interface {
-		Each(func(id, ts int64, distSq float64))
-	}
+	var col *index.Collector
 	diff, _, _, err := s.search(b, mode, func() (err error) {
 		switch pool := b.built.Workers(); mode {
 		case ModeRange:

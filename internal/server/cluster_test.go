@@ -141,22 +141,23 @@ func TestClusterSearchValidation(t *testing.T) {
 	if !strings.Contains(e.Error, "does not own") {
 		t.Fatalf("unowned shard error = %q", e.Error)
 	}
-	if code := postJSON(t, ts.URL+"/api/cluster/search",
-		ClusterSearchRequest{Build: id, Series: q, Mode: "range"}, &e); code != 400 {
-		t.Fatalf("range without eps status %d", code)
-	}
-	if code := postJSON(t, ts.URL+"/api/cluster/search",
-		ClusterSearchRequest{Build: id, Series: q, Mode: "wat"}, &e); code != 400 {
-		t.Fatalf("bad mode status %d", code)
-	}
-	if code := postJSON(t, ts.URL+"/api/cluster/search",
-		ClusterSearchRequest{Build: id, Series: q[:10], K: 3}, &e); code != 400 {
-		t.Fatalf("short series status %d", code)
-	}
+	// Refusals answer 400 with the node's own texts: a node's query and a
+	// cluster search share the length, window and k checks.
 	bound := int64(5)
-	if code := postJSON(t, ts.URL+"/api/cluster/search",
-		ClusterSearchRequest{Build: id, Series: q, K: 3, MinTS: &bound}, &e); code != 400 {
-		t.Fatalf("min_ts without max_ts status %d", code)
+	for _, row := range []struct {
+		name string
+		req  ClusterSearchRequest
+		want string
+	}{
+		{"range without eps", ClusterSearchRequest{Build: id, Series: q, Mode: "range"}, "range mode needs eps > 0, got 0"},
+		{"bad mode", ClusterSearchRequest{Build: id, Series: q, Mode: "wat"}, `unknown mode "wat" (want exact, approx, or range)`},
+		{"short series", ClusterSearchRequest{Build: id, Series: q[:10], K: 3}, "query length 10, want 32"},
+		{"min_ts without max_ts", ClusterSearchRequest{Build: id, Series: q, K: 3, MinTS: &bound}, "min_ts and max_ts are required together"},
+	} {
+		e = errorResponse{}
+		if code := postJSON(t, ts.URL+"/api/cluster/search", row.req, &e); code != 400 || e.Error != row.want {
+			t.Fatalf("%s: status %d error %q, want 400 %q", row.name, code, e.Error, row.want)
+		}
 	}
 	// A page of an owned shard that cannot be read is the node's failure,
 	// not the request's.

@@ -31,16 +31,10 @@ const (
 // (below 1 is 1). It returns the query's mode, or false once it has answered
 // 400.
 func (q *QueryRequest) Check(w http.ResponseWriter, r *http.Request, n int) (string, bool) {
-	if len(q.Series) != n {
-		WriteError(w, http.StatusBadRequest, "query length %d, want %d", len(q.Series), n)
-		return "", false
-	}
-	if err := checkWindow(q.MinTS, q.MaxTS); err != nil {
-		WriteError(w, http.StatusBadRequest, "%v", err)
+	if !checkQuery(w, q.Series, n, q.MinTS, q.MaxTS, &q.K) {
 		return "", false
 	}
 	q.Trace = q.Trace || r.URL.Query().Get("trace") == "1"
-	q.K = max(q.K, 1)
 	switch {
 	case q.Eps > 0:
 		return ModeRange, true
@@ -50,13 +44,21 @@ func (q *QueryRequest) Check(w http.ResponseWriter, r *http.Request, n int) (str
 	return ModeApprox, true
 }
 
-// checkWindow refuses one time-window bound without the other: one alone is
-// never read as no window.
-func checkWindow(minTS, maxTS *int64) error {
-	if (minTS == nil) != (maxTS == nil) {
-		return fmt.Errorf("min_ts and max_ts are required together")
+// checkQuery is the query checks a node's query and a cluster search share:
+// the series against the length n it must have, one time-window bound
+// never without the other (one alone is never read as no window), and k
+// below 1 filled as 1. It reports false once it has answered 400.
+func checkQuery(w http.ResponseWriter, series []float64, n int, minTS, maxTS *int64, k *int) bool {
+	if len(series) != n {
+		WriteError(w, http.StatusBadRequest, "query length %d, want %d", len(series), n)
+		return false
 	}
-	return nil
+	if (minTS == nil) != (maxTS == nil) {
+		WriteError(w, http.StatusBadRequest, "min_ts and max_ts are required together")
+		return false
+	}
+	*k = max(*k, 1)
+	return true
 }
 
 // windowed restricts q to the time window [*minTS, *maxTS] when the checked

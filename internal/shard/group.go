@@ -163,12 +163,12 @@ func (g *Group) resolve(reqs []int) ([]int, error) {
 // shardsInto runs search — one of exact, approx and rangeScan — over a
 // requested shard list into col through the one search entry (index.Into),
 // fanning out on pool under pl, and returns col.
-func shardsInto[C any](g *Group, q index.Query, reqs []int, pool *parallel.Pool, pl *index.Planner, col C, search func(index.Query, C, []int, *index.SearchCtx) error) (C, error) {
+func shardsInto(g *Group, q index.Query, reqs []int, pool *parallel.Pool, pl *index.Planner, col *index.Collector, search func(index.Query, *index.Collector, []int, *index.SearchCtx) error) (*index.Collector, error) {
 	shards, err := g.resolve(reqs)
 	if err != nil {
 		return col, err
 	}
-	return index.Into(q, g.cfg, pool, pl, col, func(q index.Query, col C, ctx *index.SearchCtx) error {
+	return index.Into(q, g.cfg, pool, pl, col, func(q index.Query, col *index.Collector, ctx *index.SearchCtx) error {
 		return search(q, col, shards, ctx)
 	})
 }
@@ -178,11 +178,11 @@ func shardsInto[C any](g *Group, q index.Query, reqs []int, pool *parallel.Pool,
 // ctxs[w]. The plan lives in ctx's outer buffer: each shard's inner index
 // plans its own runs or leaves in the primary buffer of its context, which
 // without a pool is ctx itself.
-func probe[C index.FanCollector[C]](g *Group, q index.Query, col C, shards []int, ctx *index.SearchCtx, search func(sh *Shard, ctx *index.SearchCtx, col C) error) error {
+func probe(g *Group, q index.Query, col *index.Collector, shards []int, ctx *index.SearchCtx, search func(sh *Shard, ctx *index.SearchCtx, col *index.Collector) error) error {
 	return ctx.Parts(q, g.cfg, len(shards), func(ctxs index.Ctxs) error {
 		return index.ProbeUnits(ctx, "shard", ctx.OuterPlanUnits(len(shards)), col, func(i int) float64 {
 			return g.shards[shards[i]].boundSq(q, ctx)
-		}, func(i, w int, col C) error {
+		}, func(i, w int, col *index.Collector) error {
 			return search(g.shards[shards[i]], ctxs[w], col)
 		})
 	})
@@ -194,7 +194,7 @@ func probe[C index.FanCollector[C]](g *Group, q index.Query, col C, shards []int
 // parallelism.
 func (g *Group) exact(q index.Query, col *index.Collector, shards []int, ctx *index.SearchCtx) error {
 	return probe(g, q, col, shards, ctx, func(sh *Shard, ctx *index.SearchCtx, col *index.Collector) error {
-		return into(sh, &g.idsMu, sh.Index.ExactInto, q, ctx, col, col.Sub())
+		return into(sh, &g.idsMu, sh.Index.ExactInto, q, ctx, col)
 	})
 }
 
@@ -205,16 +205,16 @@ func (g *Group) approx(q index.Query, col *index.Collector, shards []int, ctx *i
 	return ctx.Parts(q, g.cfg, len(shards), func(ctxs index.Ctxs) error {
 		return index.FanOut(ctx.Pool, len(shards), col, func(i, w int, col *index.Collector) error {
 			sh := g.shards[shards[i]]
-			return into(sh, &g.idsMu, sh.Index.ApproxInto, q, ctxs[w], col, col.Sub())
+			return into(sh, &g.idsMu, sh.Index.ApproxInto, q, ctxs[w], col)
 		})
 	})
 }
 
-// rangeScan is the range search. The epsilon bound is static, so a shard
-// whose envelope bound exceeds it is dropped before the fan-out.
-func (g *Group) rangeScan(q index.Query, col *index.RangeCollector, shards []int, ctx *index.SearchCtx) error {
-	return probe(g, q, col, shards, ctx, func(sh *Shard, ctx *index.SearchCtx, col *index.RangeCollector) error {
-		return into(sh, &g.idsMu, sh.Index.RangeInto, q, ctx, col, col.PooledClone())
+// rangeScan is the range search. The range collector's limit is fixed, so a
+// shard whose envelope bound exceeds it is dropped before the fan-out.
+func (g *Group) rangeScan(q index.Query, col *index.Collector, shards []int, ctx *index.SearchCtx) error {
+	return probe(g, q, col, shards, ctx, func(sh *Shard, ctx *index.SearchCtx, col *index.Collector) error {
+		return into(sh, &g.idsMu, sh.Index.RangeInto, q, ctx, col)
 	})
 }
 
@@ -231,7 +231,7 @@ func (g *Group) ExactSearchShards(q index.Query, k int, reqs []int, pool *parall
 // shard subset (nil = all owned), fanning out on pool under pl, and returns
 // the collector with every qualifying series under its global ID and its
 // exact squared sum.
-func (g *Group) RangeSearchShards(q index.Query, eps float64, reqs []int, pool *parallel.Pool, pl *index.Planner) (*index.RangeCollector, error) {
+func (g *Group) RangeSearchShards(q index.Query, eps float64, reqs []int, pool *parallel.Pool, pl *index.Planner) (*index.Collector, error) {
 	return shardsInto(g, q, reqs, pool, pl, index.NewRangeCollector(eps), g.rangeScan)
 }
 
@@ -257,7 +257,7 @@ func (g *Group) ApproxInto(q index.Query, col *index.Collector, ctx *index.Searc
 	return g.approx(q, col, g.owned, ctx)
 }
 
-func (g *Group) RangeInto(q index.Query, col *index.RangeCollector, ctx *index.SearchCtx) error {
+func (g *Group) RangeInto(q index.Query, col *index.Collector, ctx *index.SearchCtx) error {
 	return g.rangeScan(q, col, g.owned, ctx)
 }
 

@@ -130,12 +130,14 @@ func (sh *Shard) ids(mu *sync.RWMutex) []int64 {
 	return ids
 }
 
-// into searches the shard through one of its index's cores into sub — an
-// empty pooled collector of col's shape, filled under local IDs — and folds
-// sub into col under global IDs on the exact accumulated squared sums, which
-// makes the sharded selection bit-for-bit the unsharded one. The ID mapping
-// is snapshotted after the search: an insert the search saw is then in it.
-func into[C interface{ MergeMapped(C, []int64) }](sh *Shard, mu *sync.RWMutex, core func(index.Query, C, *index.SearchCtx) error, q index.Query, ctx *index.SearchCtx, col, sub C) error {
+// into searches the shard through one of its index's cores into col.Sub() —
+// an empty pooled collector of col's k and limit, filled under local IDs —
+// and folds that into col under global IDs on the exact accumulated squared
+// sums, which makes the sharded selection bit-for-bit the unsharded one. The
+// ID mapping is snapshotted after the search: an insert the search saw is
+// then in it.
+func into(sh *Shard, mu *sync.RWMutex, core func(index.Query, *index.Collector, *index.SearchCtx) error, q index.Query, ctx *index.SearchCtx, col *index.Collector) error {
+	sub := col.Sub()
 	if err := core(q, sub, ctx); err != nil {
 		return err
 	}

@@ -202,10 +202,10 @@ func (b *BTP) ExactInto(q index.Query, col *index.Collector, ctx *index.SearchCt
 	if err := b.ApproxInto(q, col, ctx); err != nil {
 		return err
 	}
-	return b.forEachPart(q, ctx, col, (*run.Store).ScanKNN)
+	return b.forEachPart(q, ctx, col, (*run.Store).ScanRun)
 }
 
-// forEachPart applies scan (the run store's Probe or ScanKNN, as a method
+// forEachPart applies scan (the run store's Probe or ScanRun, as a method
 // expression) to every partition intersecting the query window through the
 // planned-probe executor (index.ProbeUnits) — the same
 // discipline as CLSM runs, with the same determinism guarantee. A partition

@@ -12,7 +12,10 @@
 //   - LSM (CoconutLSM): a write-optimized log-structured merge index for
 //     continuously arriving series.
 //   - Stream: temporal-window exploration over streams using the PP, TP, or
-//     BTP schemes.
+//     BTP schemes. A stream is an index like the others — a PP stream is a
+//     CLSM, a TP or BTP stream keeps its time-partitions itself — but it
+//     keeps no write-ahead log and runs no background compaction: NewStream
+//     refuses Options.WALDir and CompactionWorkers.
 //   - Sharded: N independent Tree or LSM shards behind one facade, series
 //     hash-partitioned across them, probes fanned out and merged
 //     deterministically.
@@ -57,6 +60,7 @@ package coconut
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/assemble"
 	"repro/internal/clsm"
@@ -319,8 +323,12 @@ func (h *handle) SearchApprox(q []float64, k int) ([]Match, error) {
 
 // SearchRange returns every indexed series within Euclidean distance eps
 // of q, sorted by distance — on a Sharded index byte-identical to the
-// unsharded answer.
+// unsharded answer. eps is a distance: 0 answers the exact matches, +Inf
+// every series, and a NaN or a negative eps is refused.
 func (h *handle) SearchRange(q []float64, eps float64) ([]Match, error) {
+	if math.IsNaN(eps) || eps < 0 {
+		return nil, fmt.Errorf("coconut: eps must be a distance, at least 0; got %v", eps)
+	}
 	rs, err := h.b.RangeSearch(index.NewQuery(series.Series(q), h.cfg), eps)
 	return convert(rs), err
 }

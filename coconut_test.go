@@ -4,7 +4,10 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"strings"
 	"testing"
+
+	"repro/internal/clsm"
 )
 
 func randomWalks(n, length int, seed int64) [][]float64 {
@@ -426,5 +429,114 @@ func TestSaveOpenLSM(t *testing.T) {
 	}
 	if res[0].Dist > 1e-9 || res[0].TS != 1000 {
 		t.Fatalf("post-reopen insert not found: %+v", res)
+	}
+}
+
+// TestSearchRangeRefusesNaNAndNegativeEps: a NaN or a negative eps is no
+// distance, and every handle refuses it, naming eps; 0 and +Inf answer as
+// documented — the exact matches, and every series.
+func TestSearchRangeRefusesNaNAndNegativeEps(t *testing.T) {
+	data := randomWalks(300, 64, 31)
+	opts := Options{SeriesLen: 64, Materialized: true, BufferEntries: 64}
+	tr, err := BuildTree(data, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	l, err := NewLSM(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	for i, s := range data {
+		if err := l.Insert(s, int64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sh, err := BuildShardedTree(data, 3, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sh.Close()
+	for name, idx := range map[string]interface {
+		SearchRange(q []float64, eps float64) ([]Match, error)
+	}{"Tree": tr, "LSM": l, "Sharded": sh} {
+		for _, eps := range []float64{math.NaN(), -1, math.Inf(-1), -1e-300} {
+			if _, err := idx.SearchRange(data[7], eps); err == nil || !strings.Contains(err.Error(), "eps") {
+				t.Errorf("%s eps=%v: %v, want an error naming eps", name, eps, err)
+			}
+		}
+		if got, err := idx.SearchRange(data[7], 0); err != nil || len(got) != 1 || got[0].ID != 7 {
+			t.Errorf("%s eps=0: %+v, %v; want series 7 alone", name, got, err)
+		}
+		if got, err := idx.SearchRange(data[7], math.Inf(1)); err != nil || len(got) != len(data) {
+			t.Errorf("%s eps=+Inf: %d results, %v; want all %d", name, len(got), err, len(data))
+		}
+	}
+}
+
+// TestStreamPPIsItsBaseIndex: a PP stream is a plain CLSM build, ingesting
+// in arrival order — one partition, named for its index, nothing to seal,
+// saved as the LSM it is — where a TP stream has no snapshot.
+func TestStreamPPIsItsBaseIndex(t *testing.T) {
+	s, err := NewStream(PP, Options{SeriesLen: 64, BufferEntries: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if _, ok := s.b.Index.(*clsm.LSM); !ok {
+		t.Fatalf("a PP stream's index is %T, want its CLSM", s.b.Index)
+	}
+	if s.Name() != "CLSM+PP" || s.Partitions() != 1 {
+		t.Fatalf("name %q, %d partitions; want CLSM+PP and 1", s.Name(), s.Partitions())
+	}
+	for i, ser := range randomWalks(50, 64, 2) {
+		if id, err := s.Ingest(ser, int64(i)); err != nil || id != i {
+			t.Fatalf("ingest %d: id %d, %v", i, id, err)
+		}
+	}
+	if s.Count() != 50 || s.Partitions() != 1 {
+		t.Fatalf("count %d, %d partitions; want 50 and 1", s.Count(), s.Partitions())
+	}
+	if err := s.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	path := t.TempDir() + "/pp.ccnut"
+	if err := s.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	l, err := OpenLSM(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if l.Count() != 50 {
+		t.Fatalf("the saved PP stream reopens as an LSM of %d series, want 50", l.Count())
+	}
+	tp, err := NewStream(TP, Options{SeriesLen: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tp.Close()
+	if err := tp.SaveFile(t.TempDir() + "/tp.ccnut"); err == nil {
+		t.Fatal("a TP stream was saved")
+	}
+}
+
+// TestNewStreamRefusesDurability: a stream keeps no write-ahead log and runs
+// no background compaction, and says so rather than dropping either setting.
+func TestNewStreamRefusesDurability(t *testing.T) {
+	for _, kind := range []SchemeKind{PP, TP, BTP} {
+		for name, opts := range map[string]Options{
+			"WALDir":            {SeriesLen: 64, WALDir: t.TempDir()},
+			"CompactionWorkers": {SeriesLen: 64, CompactionWorkers: 2},
+		} {
+			if s, err := NewStream(kind, opts); err == nil || !strings.Contains(err.Error(), name) {
+				if s != nil {
+					s.Close()
+				}
+				t.Errorf("%s with %s: %v, want an error naming %s", kind, name, err, name)
+			}
+		}
 	}
 }

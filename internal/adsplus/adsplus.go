@@ -175,7 +175,7 @@ func (t *Tree) InsertID(s series.Series, ts int64) (int64, error) {
 }
 
 // InsertEntry adds a pre-summarized entry with caller-controlled ID — used
-// by the streaming schemes, which summarize once and own global IDs.
+// by TP's ADS+ partitions, whose scheme summarizes once and owns global IDs.
 func (t *Tree) InsertEntry(e record.Entry) error {
 	if e.ID >= t.nextID {
 		t.nextID = e.ID + 1

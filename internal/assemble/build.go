@@ -18,6 +18,7 @@ import (
 	"repro/internal/series"
 	"repro/internal/shard"
 	"repro/internal/storage"
+	"repro/internal/stream"
 	"repro/internal/wal"
 )
 
@@ -31,7 +32,8 @@ type Built struct {
 	// defaults applied; Config the summarization shape it resolves to.
 	Spec   Spec
 	Config index.Config
-	// Index is the built index: the CTree / CLSM / ADS+ itself, or, for a
+	// Index is the built index: the CTree / CLSM / ADS+ itself, the
+	// streaming scheme over one (Spec.Scheme, a stream.Scheme), or, for a
 	// partitioned build, Group.
 	Index index.Index
 	// Group is the hash-partitioned composition of a partitioned build (nil
@@ -107,6 +109,9 @@ func Build(spec Spec, ds *series.Dataset) (*Built, error) {
 	if ds.Len != cfg.SeriesLen {
 		return nil, fmt.Errorf("assemble: dataset holds series of length %d, spec says %d", ds.Len, cfg.SeriesLen)
 	}
+	if spec.Scheme != "" && ds.Count() > 0 {
+		return nil, fmt.Errorf("assemble: a %s stream starts empty and takes its series through Ingest; got a dataset of %d", spec.Scheme, ds.Count())
+	}
 	return owned(spec, func(sh shared) (*Built, error) {
 		if spec.Partitioned() {
 			return buildGroup(spec, cfg, ds, sh)
@@ -133,19 +138,6 @@ func owned(spec Spec, open func(shared) (*Built, error)) (*Built, error) {
 	b.ownsSched = true
 	b.workers, b.Planner = parallel.New(b.Spec.Parallelism), new(index.Planner)
 	return b, nil
-}
-
-// Base opens the storage half of a build — backend, buffer pool, raw series
-// file, search pool and planner — and leaves the index to the caller (the
-// streaming schemes, which are not index variants).
-func Base(spec Spec) (*Built, error) {
-	spec, cfg, err := spec.resolve()
-	if err != nil {
-		return nil, err
-	}
-	return owned(spec, func(sh shared) (*Built, error) {
-		return base(spec, cfg, series.NewDataset(cfg.SeriesLen), sh, false)
-	})
 }
 
 // base performs the steps every build starts with: backend → buffer pool →
@@ -303,12 +295,12 @@ func (b *Built) inStep() error {
 
 // buildOne assembles one unpartitioned index on its own disk: base, then —
 // for CLSM — the WAL (replayed when it already holds entries), then the
-// index itself over ds. On error it returns what it had assembled so far
-// beside the error, for the caller to Close — once nothing else is using
-// the shared scheduler any more.
+// index itself over ds, or the streaming scheme over an empty one. On error
+// it returns what it had assembled so far beside the error, for the caller
+// to Close — once nothing else is using the shared scheduler any more.
 func buildOne(spec Spec, cfg index.Config, ds *series.Dataset, sh shared) (b *Built, err error) {
 	fam, _, _ := family(spec.Variant)
-	if b, err = base(spec, cfg, ds, sh, fam == familyCLSM && ds.Count() == 0); err != nil {
+	if b, err = base(spec, cfg, ds, sh, fam == familyCLSM && ds.Count() == 0 && spec.Scheme == ""); err != nil {
 		return nil, err
 	}
 	buffer := spec.BufferEntries
@@ -324,8 +316,10 @@ func buildOne(spec Spec, cfg index.Config, ds *series.Dataset, sh shared) (b *Bu
 		return nil
 	}
 	start := time.Now()
-	switch fam {
-	case familyCTree:
+	switch {
+	case spec.Scheme != "":
+		err = b.openScheme(fam, buffer)
+	case fam == familyCTree:
 		var t *ctree.Tree
 		t, err = ctree.Build(ctree.Options{
 			Disk: b.Disk, Reader: b.Reader(), Name: treeName, Config: cfg,
@@ -336,7 +330,7 @@ func buildOne(spec Spec, cfg index.Config, ds *series.Dataset, sh shared) (b *Bu
 			return
 		}
 		b.Index = t
-	case familyCLSM:
+	case fam == familyCLSM:
 		opts := clsm.Options{
 			Disk: b.Disk, Reader: b.Reader(), Name: lsmName, Config: cfg,
 			GrowthFactor: spec.GrowthFactor, BufferEntries: buffer, Raw: b.RawStore(),
@@ -379,7 +373,7 @@ func buildOne(spec Spec, cfg index.Config, ds *series.Dataset, sh shared) (b *Bu
 				err = l.Flush()
 			}
 		}
-	case familyADS:
+	case fam == familyADS:
 		var t *adsplus.Tree
 		t, err = adsplus.New(adsplus.Options{
 			Disk: b.Disk, Reader: b.Reader(), Config: cfg, BufferEntries: buffer, Raw: b.RawStore(),
@@ -404,6 +398,28 @@ func buildOne(spec Spec, cfg index.Config, ds *series.Dataset, sh shared) (b *Bu
 	b.BuildStats = b.IOStats()
 	b.IndexPages = b.Disk.TotalPages() - b.RawPages
 	return b, nil
+}
+
+// openScheme makes the spec's streaming scheme the build's index, on its
+// disk, reader and raw series file: TP seals every buffer of arrivals into a
+// partition of the variant, BTP into a run.
+func (b *Built) openScheme(fam string, buffer int) error {
+	raw := b.RawStore()
+	var sc stream.Scheme
+	var err error
+	switch {
+	case b.Spec.Scheme == schemeBTP:
+		sc, err = stream.NewBTP(b.Disk, b.Reader(), "btp", b.Config, buffer, 2, raw)
+	case fam == familyCTree:
+		sc, err = stream.NewTP(b.Spec.Variant, b.Config, stream.CTreeFactory(b.Disk, b.Reader(), b.Config, raw), buffer, raw)
+	default:
+		sc, err = stream.NewTP(b.Spec.Variant, b.Config, stream.ADSFactory(b.Disk, b.Reader(), b.Config, raw), buffer, raw)
+	}
+	if err != nil {
+		return err
+	}
+	b.Index = sc
+	return nil
 }
 
 // shardDir names shard i's directory under a partitioned build's storage or

@@ -9,15 +9,18 @@ import (
 	"repro/internal/parallel"
 	"repro/internal/series"
 	"repro/internal/storage"
+	"repro/internal/stream"
 	"repro/internal/wal"
 )
 
 // Ingest appends one series after construction: a non-materialized build
 // appends it to its raw series file first, so the entry is resolvable once a
-// search can see it. On a partitioned build the series takes the next dense
-// global ID and routes to its hash-assigned shard; a cluster build refuses,
-// its IDs being the router's to assign (ClusterInsert). Safe for concurrent
-// use with searches; concurrent inserts serialize.
+// search can see it. The series takes the next dense ID, in insertion order;
+// on a partitioned build it routes to its hash-assigned shard, and a cluster
+// build refuses, its IDs being the router's to assign (ClusterInsert). Safe
+// for concurrent use with searches, except on a streaming scheme
+// (Spec.Scheme), whose buffer a search reads unguarded; concurrent inserts
+// serialize.
 func (b *Built) Ingest(s series.Series, ts int64) error {
 	if b.Group == nil {
 		return b.insert(s, ts)
@@ -85,6 +88,25 @@ func (b *Built) insert(s series.Series, ts int64) error {
 	return b.inStep()
 }
 
+// Seal flushes a streaming scheme's buffered arrivals into a partition; a
+// no-op on an index, whose searches read its buffer.
+func (b *Built) Seal() error {
+	if sc, ok := b.Index.(stream.Scheme); ok {
+		return sc.Seal()
+	}
+	return nil
+}
+
+// Partitions returns how many separately searchable pieces the build keeps
+// as a stream: its scheme's partitions, or 1 for an index, which as a PP
+// stream is one piece.
+func (b *Built) Partitions() int {
+	if sc, ok := b.Index.(stream.Scheme); ok {
+		return sc.Partitions()
+	}
+	return 1
+}
+
 // eachLSM applies fn to every CLSM behind the build, part by part.
 func (b *Built) eachLSM(fn func(*clsm.LSM) error) error {
 	for _, p := range b.Parts {
@@ -134,7 +156,7 @@ func (b *Built) SetParallelism(n int) {
 }
 
 // Workers returns the build's search pool, for a search the build has no
-// entry for (a stream scheme's, a node's shard subset).
+// entry for (a node's shard subset).
 func (b *Built) Workers() *parallel.Pool { return b.workers }
 
 // ApproxSearch returns up to k likely near neighbors of q (index.Approx on

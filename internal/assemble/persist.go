@@ -155,6 +155,10 @@ func openOne(disk storage.Backend, spec Spec, sh shared) (b *Built, err error) {
 			b = nil
 		}
 	}()
+	if spec.Scheme != "" {
+		err = fmt.Errorf("assemble: a snapshot holds a CTree or CLSM, not a %s stream", spec.Scheme)
+		return
+	}
 	if err = b.attach(sh.cache); err != nil {
 		return
 	}

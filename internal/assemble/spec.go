@@ -3,16 +3,24 @@
 // public coconut facade, the algorithms server and the experiment harness
 // all describe a build as a Spec and obtain it from Build (or Open, for a
 // saved snapshot), so every design choice the paper's recommender navigates
-// — variant × materialization × buffer × growth × cache × backend × WAL ×
-// shards — is declared, validated, wired and torn down in one place.
+// — variant × materialization × streaming scheme × buffer × growth × cache ×
+// backend × WAL × shards — is declared, validated, wired and torn down in
+// one place.
 //
 // Build performs, in order: storage backend (simulated disk or file-backed
 // page store) → buffer pool on the build's shared cache → raw series file
 // (non-materialized only: on the build's disk or a heap disk of its own) →
 // write-ahead log (opened, and replayed when it already holds entries) →
-// compaction scheduler → the CTree / CLSM / ADS+ index → for partitioned
-// builds, one such shard per owned partition on the shared cache and
-// scheduler, wrapped in a shard.Group. The build's search pool and query
+// compaction scheduler → the CTree / CLSM / ADS+ index, or the streaming
+// scheme over it → for partitioned builds, one such shard per owned
+// partition on the shared cache and scheduler, wrapped in a shard.Group.
+//
+// A stream is a build. PP, the post-processing scheme, is the variant
+// itself, ingesting arrivals through Built.Ingest and filtering windows as
+// it searches. TP and BTP (Spec.Scheme) partition the arrivals themselves —
+// TP into partitions of the variant, BTP into CLSM runs — on the same disk,
+// pool and raw series file, and are the build's Index: every search entry of
+// Built serves them unchanged. The build's search pool and query
 // planner are made once, for the whole build; parts hold neither. The
 // returned Built owns everything it opened; a build that fails part-way
 // closes what it had opened before returning the error.
@@ -105,6 +113,14 @@ type Spec struct {
 	// fault-injection tests put fsx.MemFS here).
 	StorageDir string `json:"storage_dir,omitempty"`
 	FS         fsx.FS `json:"-"`
+	// Scheme puts a streaming scheme over the variant (Section 3 of the
+	// paper): "TP" seals every BufferEntries arrivals into a partition of a
+	// CTree or ADS+ variant, "BTP" into a CLSM run that bounded merges
+	// consolidate. "" builds the variant itself, which is the PP scheme when
+	// it ingests a stream. A scheme build starts empty, unpartitioned and
+	// without a WAL or background compaction, and takes its series through
+	// Ingest.
+	Scheme string `json:"scheme,omitempty"`
 	// Tracer, when set, observes every page access of the build's disk(s)
 	// from the first write of construction on (SetTracer installs one
 	// afterwards); partitioned builds prefix file names per shard.
@@ -148,9 +164,15 @@ func (s Spec) Config() index.Config {
 	return cfg
 }
 
+// Streaming schemes Spec.Scheme names.
+const (
+	schemeTP  = "TP"
+	schemeBTP = "BTP"
+)
+
 // Validate is the one check of a build description: variant, summarization
-// shape, partitioning and the durability enum. Callers facing outside input
-// add their own resource caps on top.
+// shape, partitioning, the durability enum and the streaming scheme. Callers
+// facing outside input add their own resource caps on top.
 func (s Spec) Validate() error {
 	if _, _, ok := family(s.Variant); !ok {
 		return fmt.Errorf("assemble: unknown variant %q (want one of %v)", s.Variant, Variants)
@@ -187,10 +209,31 @@ func (s Spec) Validate() error {
 	default:
 		return fmt.Errorf("assemble: unknown durability %q (want \"batched\" or \"sync\")", s.Durability)
 	}
+	return s.validScheme()
+}
+
+// validScheme checks the streaming scheme against the variant it goes over
+// and the settings a stream has no use for.
+func (s Spec) validScheme() error {
+	fam, _, _ := family(s.Variant)
+	switch {
+	case s.Scheme == "":
+		return nil
+	case s.Scheme != schemeTP && s.Scheme != schemeBTP:
+		return fmt.Errorf("assemble: unknown scheme %q (want \"TP\", \"BTP\", or none for PP)", s.Scheme)
+	case s.Scheme == schemeTP && fam == familyCLSM:
+		return fmt.Errorf("assemble: TP partitions a CTree or ADS+ variant, not %s (BTP is the CLSM scheme)", s.Variant)
+	case s.Scheme == schemeBTP && fam != familyCLSM:
+		return fmt.Errorf("assemble: BTP partitions are CLSM runs, not %s", s.Variant)
+	case s.Partitioned():
+		return fmt.Errorf("assemble: a %s stream is unpartitioned; shards and cluster shards must stay unset", s.Scheme)
+	case s.WALDir != "" || s.CompactionWorkers > 0:
+		return fmt.Errorf("assemble: a %s stream keeps no write-ahead log and runs no background compaction; wal_dir and compaction_workers must stay unset", s.Scheme)
+	}
 	return nil
 }
 
-// resolve validates the spec and applies the defaults Build and Base share.
+// resolve validates the spec and applies Build's defaults.
 func (s Spec) resolve() (Spec, index.Config, error) {
 	if err := s.Validate(); err != nil {
 		return s, index.Config{}, err

@@ -323,8 +323,8 @@ func (l *LSM) Insert(s series.Series, ts int64) error {
 	return l.insertEntry(e, z)
 }
 
-// InsertEntry adds a pre-summarized entry with caller-controlled ID — used
-// by the streaming schemes, which summarize once and own global IDs.
+// InsertEntry adds a pre-summarized entry with caller-controlled ID: Insert
+// without the summarizing, for a caller that holds entries already.
 func (l *LSM) InsertEntry(e record.Entry) error {
 	l.raiseNextID(e.ID)
 	return l.insertEntry(e, e.Payload)

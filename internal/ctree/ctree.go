@@ -264,8 +264,8 @@ func (t *Tree) Insert(s series.Series, ts int64) error {
 	return t.InsertEntry(e)
 }
 
-// InsertEntry adds a pre-summarized entry with caller-controlled ID — used
-// by the streaming schemes, which summarize once and own global IDs.
+// InsertEntry adds a pre-summarized entry with caller-controlled ID: Insert
+// without the summarizing, for a caller that holds entries already.
 func (t *Tree) InsertEntry(e record.Entry) error {
 	if e.ID >= t.nextID64 {
 		t.nextID64 = e.ID + 1

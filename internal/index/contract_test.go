@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/assemble"
@@ -12,77 +13,46 @@ import (
 	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/series"
-	"repro/internal/storage"
 	"repro/internal/stream"
 )
 
-// knnCore and rangeCore are the two shapes of a search core.
-type (
-	knnCore   = func(index.Query, *index.Collector, *index.SearchCtx) error
-	rangeCore = func(index.Query, *index.Collector, *index.SearchCtx) error
-)
-
-// contractRow is one implementer of the search contract over a build: an
-// index.Index, or a stream scheme, which has k-NN cores only and is no Index.
-type contractRow struct {
-	b             *assemble.Built
-	idx           index.Index // nil for a scheme
-	approx, exact knnCore
-	rng           rangeCore // nil for a scheme
-}
-
-// contractRows builds every implementer over ds: the three indexes and a
-// shard group through assemble.Build, and the three stream schemes over the
-// storage half of a build, fed ds with series i arriving at tick i.
-func contractRows(t *testing.T, ds *series.Dataset) map[string]contractRow {
+// contractRows builds every implementer over ds through assemble.Build: the
+// three indexes and a shard group over ds, and the streams — PP, which is
+// its base index, and the TP and BTP schemes — fed ds through Ingest, series
+// i arriving at tick i.
+func contractRows(t *testing.T, ds *series.Dataset) map[string]*assemble.Built {
 	t.Helper()
-	spec := func(variant string, buffer, shards int) assemble.Spec {
-		return assemble.Spec{Variant: variant, SeriesLen: 64, Segments: 8, Bits: 6, RawInMemory: true, BufferEntries: buffer, Shards: shards}
+	spec := func(variant, scheme string, buffer, shards int) assemble.Spec {
+		return assemble.Spec{Variant: variant, Scheme: scheme, SeriesLen: 64, Segments: 8, Bits: 6, RawInMemory: true, BufferEntries: buffer, Shards: shards}
 	}
-	rows := map[string]contractRow{}
+	rows := map[string]*assemble.Built{}
 	for name, s := range map[string]assemble.Spec{
-		"ctree.Tree":   spec("CTree", 0, 0),
-		"clsm.LSM":     spec("CLSMFull", 200, 0),
-		"adsplus.Tree": spec("ADS+", 0, 0),
-		"shard.Group":  spec("CLSM", 100, 3),
+		"ctree.Tree":   spec("CTree", "", 0, 0),
+		"clsm.LSM":     spec("CLSMFull", "", 200, 0),
+		"adsplus.Tree": spec("ADS+", "", 0, 0),
+		"shard.Group":  spec("CLSM", "", 100, 3),
+		"stream.PP":    spec("CLSMFull", "", 200, 0),
+		"stream.TP":    spec("CTreeFull", "TP", 200, 0),
+		"stream.BTP":   spec("CLSMFull", "BTP", 200, 0),
 	} {
-		b, err := assemble.Build(s, ds)
+		streamed := strings.HasPrefix(name, "stream.")
+		from := ds
+		if streamed {
+			from = nil
+		}
+		b, err := assemble.Build(s, from)
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { b.Close() })
-		rows[name] = contractRow{b: b, idx: b.Index, approx: b.Index.ApproxInto, exact: b.Index.ExactInto, rng: b.Index.RangeInto}
-	}
-	for _, name := range []string{"stream.PP", "stream.TP", "stream.BTP"} {
-		var b *assemble.Built
-		var err error
-		if name == "stream.PP" {
-			b, err = assemble.Build(spec("CLSMFull", 200, 0), nil)
-		} else {
-			b, err = assemble.Base(spec("CLSMFull", 200, 0))
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { b.Close() })
-		var sc stream.Scheme
-		switch name {
-		case "stream.PP":
-			sc = stream.NewPP(b.Index.(stream.EntryIndex), b.Config)
-		case "stream.TP":
-			sc, err = stream.NewTP("tp", b.Config, stream.CTreeFactory(b.Disk, b.Reader(), b.Config, nil), 200, nil)
-		case "stream.BTP":
-			sc, err = stream.NewBTP(b.Disk, b.Reader(), "btp", b.Config, 200, 2, nil)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		for id, s := range ds.Values {
-			if _, err := sc.Ingest(s, int64(id)); err != nil {
-				t.Fatal(err)
+		if streamed {
+			for id, ser := range ds.Values {
+				if err := b.Ingest(ser, int64(id)); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
-		rows[name] = contractRow{b: b, approx: sc.ApproxInto, exact: sc.ExactInto}
+		rows[name] = b
 	}
 	return rows
 }
@@ -95,32 +65,30 @@ type contractKind struct {
 	core  func(q index.Query, ctx *index.SearchCtx) ([]index.Result, error)
 }
 
-// kinds returns the row's search kinds: exact and approximate k-NN, and
-// range within eps where the row has a range core. An index's entries are
-// index.Exact, Approx and Range; a scheme's are index.Into over its cores.
-func (row contractRow) kinds(cfg index.Config, k int, eps float64) []contractKind {
-	pl := row.b.Planner
-	knn := func(name string, core knnCore, entry func(index.Index, index.Query, index.Config, *parallel.Pool, *index.Planner, int) ([]index.Result, error)) contractKind {
-		return contractKind{name, func(q index.Query, pool *parallel.Pool) ([]index.Result, error) {
-			if row.idx != nil {
-				return entry(row.idx, q, cfg, pool, pl, k)
-			}
-			return index.Rendered(index.Into(q, cfg, pool, pl, index.NewCollector(k), core))
-		}, func(q index.Query, ctx *index.SearchCtx) ([]index.Result, error) {
-			col := index.NewCollector(k)
-			return index.Rendered(col, core(q, col, ctx))
-		}}
+// contractKinds returns a build's search kinds, exact and approximate k-NN
+// and range within eps: the entries index.Exact, Approx and Range, and the
+// index's cores.
+func contractKinds(b *assemble.Built, k int, eps float64) []contractKind {
+	idx, cfg, pl := b.Index, b.Config, b.Planner
+	core := func(col func() *index.Collector, core func(index.Query, *index.Collector, *index.SearchCtx) error) func(index.Query, *index.SearchCtx) ([]index.Result, error) {
+		return func(q index.Query, ctx *index.SearchCtx) ([]index.Result, error) {
+			c := col()
+			return index.Rendered(c, core(q, c, ctx))
+		}
 	}
-	kinds := []contractKind{knn("exact", row.exact, index.Exact), knn("approx", row.approx, index.Approx)}
-	if row.rng != nil {
-		kinds = append(kinds, contractKind{"range", func(q index.Query, pool *parallel.Pool) ([]index.Result, error) {
-			return index.Range(row.idx, q, cfg, pool, pl, eps)
-		}, func(q index.Query, ctx *index.SearchCtx) ([]index.Result, error) {
-			col := index.NewRangeCollector(eps)
-			return index.Rendered(col, row.rng(q, col, ctx))
-		}})
+	knn := func() *index.Collector { return index.NewCollector(k) }
+	rng := func() *index.Collector { return index.NewRangeCollector(eps) }
+	return []contractKind{
+		{"exact", func(q index.Query, pool *parallel.Pool) ([]index.Result, error) {
+			return index.Exact(idx, q, cfg, pool, pl, k)
+		}, core(knn, idx.ExactInto)},
+		{"approx", func(q index.Query, pool *parallel.Pool) ([]index.Result, error) {
+			return index.Approx(idx, q, cfg, pool, pl, k)
+		}, core(knn, idx.ApproxInto)},
+		{"range", func(q index.Query, pool *parallel.Pool) ([]index.Result, error) {
+			return index.Range(idx, q, cfg, pool, pl, eps)
+		}, core(rng, idx.RangeInto)},
 	}
-	return kinds
 }
 
 // TestSearchContract holds every implementer to the one search contract:
@@ -136,19 +104,16 @@ func TestSearchContract(t *testing.T) {
 	for len(raws) < 6 {
 		raws = append(raws, gen.RandomWalk(rng, 64))
 	}
-	for name, row := range contractRows(t, ds) {
+	for name, b := range contractRows(t, ds) {
 		t.Run(name, func(t *testing.T) {
-			b, cfg := row.b, row.b.Config
+			cfg := b.Config
 			queries := make([]index.Query, len(raws))
 			for i, raw := range raws {
 				queries[i] = index.NewQuery(raw, cfg)
 			}
-			var batch [][]index.Result
-			if row.idx != nil {
-				var err error
-				if batch, err = index.Batch(parallel.New(2), b.Planner, cfg, row.idx, queries, k); err != nil {
-					t.Fatal(err)
-				}
+			batch, err := index.Batch(parallel.New(2), b.Planner, cfg, b.Index, queries, k)
+			if err != nil {
+				t.Fatal(err)
 			}
 			for qi, q := range queries {
 				bruteKNN := index.NewCollector(k)
@@ -160,7 +125,7 @@ func TestSearchContract(t *testing.T) {
 				for id, s := range ds.Values {
 					bruteRange.Add(index.Result{ID: int64(id), TS: int64(id), Dist: math.Sqrt(q.Norm.SqDist(s.ZNormalize()))})
 				}
-				for _, kind := range row.kinds(cfg, k, eps) {
+				for _, kind := range contractKinds(b, k, eps) {
 					// The core on a serial context under the build's planner,
 					// traced; then what it reads once it has read it, the head
 					// where it leaves it (the meter prices an access by the one
@@ -187,7 +152,7 @@ func TestSearchContract(t *testing.T) {
 						if !sameAnswers(want, bruteKNN.Results()) {
 							t.Fatalf("query %d exact: %+v, brute force %+v", qi, want, bruteKNN.Results())
 						}
-						if batch != nil && !reflect.DeepEqual(batch[qi], want) {
+						if !reflect.DeepEqual(batch[qi], want) {
 							t.Fatalf("query %d: batch element %+v, the core %+v", qi, batch[qi], want)
 						}
 					case "range":
@@ -257,20 +222,17 @@ func TestSearchContractTPContexts(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	const partitions, bufferCap = 32, 32
-	cfg := index.Config{SeriesLen: 64, Segments: 8, Bits: 8}
-	raw := series.NewDataset(64)
-	tp, err := stream.NewTP("tp", cfg, stream.CTreeFactory(storage.NewDisk(0), nil, cfg, raw), bufferCap, raw)
+	b, err := assemble.Build(assemble.Spec{Variant: "CTree", Scheme: "TP", SeriesLen: 64, Segments: 8, Bits: 8, BufferEntries: bufferCap, RawInMemory: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer b.Close()
+	tp, cfg := b.Index.(stream.Scheme), b.Config
 	rng := rand.New(rand.NewSource(33))
 	var q index.Query
 	for i := 0; i < partitions*bufferCap; i++ {
 		s := gen.RandomWalk(rng, 64)
-		if _, err := raw.Append(s.ZNormalize()); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := tp.Ingest(s, int64(i)); err != nil {
+		if err := b.Ingest(s, int64(i)); err != nil {
 			t.Fatal(err)
 		}
 		if i == 500 {

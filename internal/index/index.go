@@ -458,7 +458,7 @@ type Index interface {
 // fanning out on pool (nil or one worker: serial) and planning under pl (nil:
 // defaults, uncounted), core run into col on it, and col returned filled.
 // Approx, Exact and Range are it over an Index's cores; a caller holding a
-// core of another shape (a stream scheme, a shard subset) calls it directly.
+// core of another shape (a shard subset) calls it directly.
 func Into(q Query, cfg Config, pool *parallel.Pool, pl *Planner, col *Collector, core func(Query, *Collector, *SearchCtx) error) (*Collector, error) {
 	ctx := AcquireCtx(q, cfg)
 	defer ctx.Release()
@@ -496,7 +496,8 @@ func Rendered(col *Collector, err error) ([]Result, error) {
 }
 
 // Inserter is implemented by indexes that accept incremental inserts
-// (CLSM natively; CTree via leaf slack; ADS+ top-down).
+// (CLSM natively; CTree via leaf slack; ADS+ top-down; the TP and BTP
+// stream schemes into their buffer), each assigning the next dense ID.
 type Inserter interface {
 	Insert(s series.Series, ts int64) error
 }

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/index"
-	"repro/internal/record"
 	"repro/internal/run"
 	"repro/internal/series"
 	"repro/internal/storage"
@@ -28,15 +27,12 @@ type btpPart struct {
 // queries, as TP) while older data consolidates into large contiguous runs
 // (effective pruning and bounded partition counts for large windows, as PP).
 type BTP struct {
+	arrivals
 	store       run.Store // writes, merges, probes and scans the partition files
 	name        string
-	sum         summarizer
-	bufferCap   int
 	mergeFactor int
-	buffer      []record.Entry
 	parts       []btpPart
 	seq         int
-	count       int64
 	merges      int64
 }
 
@@ -46,14 +42,12 @@ type BTP struct {
 // of same-class partitions that triggers a merge (default 2, the most
 // aggressive bounding).
 func NewBTP(disk storage.Backend, reader storage.PageReader, name string, cfg index.Config, bufferCap, mergeFactor int, raw series.RawStore) (*BTP, error) {
-	if err := cfg.Validate(); err != nil {
+	a, err := newArrivals(cfg, bufferCap)
+	if err != nil {
 		return nil, err
 	}
 	if disk == nil {
 		return nil, fmt.Errorf("stream: Disk is required")
-	}
-	if bufferCap < 1 {
-		return nil, fmt.Errorf("stream: bufferCap must be positive, got %d", bufferCap)
 	}
 	if mergeFactor == 0 {
 		mergeFactor = 2
@@ -65,16 +59,10 @@ func NewBTP(disk storage.Backend, reader storage.PageReader, name string, cfg in
 	if _, err := store.Layout(); err != nil {
 		return nil, fmt.Errorf("stream: %w", err)
 	}
-	return &BTP{
-		store:       store,
-		name:        name,
-		sum:         summarizer{cfg: cfg},
-		bufferCap:   bufferCap,
-		mergeFactor: mergeFactor,
-	}, nil
+	return &BTP{arrivals: a, store: store, name: name, mergeFactor: mergeFactor}, nil
 }
 
-// Name implements Scheme.
+// Name implements index.Index.
 func (b *BTP) Name() string {
 	if b.store.Config.Materialized {
 		return "CLSMFull+BTP"
@@ -82,18 +70,12 @@ func (b *BTP) Name() string {
 	return "CLSM+BTP"
 }
 
-// Ingest implements Scheme.
-func (b *BTP) Ingest(s series.Series, ts int64) (int64, error) {
-	e, err := b.sum.entry(s, ts)
-	if err != nil {
-		return 0, err
+// Insert implements Scheme.
+func (b *BTP) Insert(s series.Series, ts int64) error {
+	if full, err := b.add(s, ts); err != nil || !full {
+		return err
 	}
-	b.buffer = append(b.buffer, e)
-	b.count++
-	if len(b.buffer) >= b.bufferCap {
-		return e.ID, b.Seal()
-	}
-	return e.ID, nil
+	return b.Seal()
 }
 
 // Seal implements Scheme: flush the buffer into a class-0 partition and
@@ -170,29 +152,23 @@ func (b *BTP) findMergeRun() int {
 	return -1
 }
 
-// Count implements Scheme.
-func (b *BTP) Count() int64 { return b.count }
-
 // Partitions implements Scheme.
 func (b *BTP) Partitions() int { return len(b.parts) }
 
 // Merges returns the number of partition merges performed.
 func (b *BTP) Merges() int64 { return b.merges }
 
-// ApproxInto implements Scheme: the buffer is scanned and each intersecting
-// partition is probed at the query key's page. Partitions are independent
-// sorted runs, so probes execute concurrently on ctx's pool. It is also the
-// exact search's first phase on the same context (one table fill across
-// both).
+// ApproxInto implements index.Index: the buffer is scanned and each
+// intersecting partition is probed at the query key's page. Partitions are
+// independent sorted runs, so probes execute concurrently on ctx's pool. It
+// is also the exact search's first phase on the same context (one table
+// fill across both).
 func (b *BTP) ApproxInto(q index.Query, col *index.Collector, ctx *index.SearchCtx) error {
-	if err := index.ScanBuffer(b.buffer, q, b.store.Raw, col, ctx.Scratch0()); err != nil {
-		return err
-	}
-	return b.forEachPart(q, ctx, col, (*run.Store).Probe)
+	return b.search(q, col, ctx, (*run.Store).Probe)
 }
 
-// ExactInto implements Scheme: the approximate phase seeds the bound, then
-// a pruned scan of every intersecting partition, partitions scanning
+// ExactInto implements index.Index: the approximate phase seeds the bound,
+// then a pruned scan of every intersecting partition, partitions scanning
 // concurrently. The buffer was already fully evaluated by the approximate
 // phase (deduplication by ID makes re-offering it a no-op), so only the
 // partitions need the full pass. Partitions whose range falls outside the
@@ -203,6 +179,21 @@ func (b *BTP) ExactInto(q index.Query, col *index.Collector, ctx *index.SearchCt
 		return err
 	}
 	return b.forEachPart(q, ctx, col, (*run.Store).ScanRun)
+}
+
+// RangeInto implements index.Index: the buffer, then a pruned scan of
+// every intersecting partition. A range collector's bound is fixed, so no
+// probe phase runs first.
+func (b *BTP) RangeInto(q index.Query, col *index.Collector, ctx *index.SearchCtx) error {
+	return b.search(q, col, ctx, (*run.Store).ScanRun)
+}
+
+// search scans the buffer, then every intersecting partition with scan.
+func (b *BTP) search(q index.Query, col *index.Collector, ctx *index.SearchCtx, scan func(*run.Store, run.Run, index.Query, *index.Collector, *index.Scratch) error) error {
+	if err := index.ScanBuffer(b.buffer, q, b.store.Raw, col, ctx.Scratch0()); err != nil {
+		return err
+	}
+	return b.forEachPart(q, ctx, col, scan)
 }
 
 // forEachPart applies scan (the run store's Probe or ScanRun, as a method

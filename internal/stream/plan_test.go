@@ -26,7 +26,7 @@ func buildPlanned(t *testing.T, kind string, mat bool) (Scheme, []series.Series)
 	var err error
 	switch kind {
 	case "tp":
-		sc, err = NewTP("tp", cfg, CTreeFactory(disk, nil, cfg, raw), 128, raw)
+		sc, err = NewTP("CTree", cfg, CTreeFactory(disk, nil, cfg, raw), 128, raw)
 	case "btp":
 		sc, err = NewBTP(disk, nil, "btp", cfg, 128, 2, raw)
 	}

@@ -107,8 +107,8 @@ func TestBTPFaultInjection(t *testing.T) {
 				return nil
 			})
 			raw.add(ss[last])
-			if _, err := btp.Ingest(ss[last], ts[last]); !errors.Is(err, fsx.ErrInjected) {
-				t.Fatalf("Ingest: %v, want the injected fault", err)
+			if err := btp.Insert(ss[last], ts[last]); !errors.Is(err, fsx.ErrInjected) {
+				t.Fatalf("Insert: %v, want the injected fault", err)
 			}
 			fsys.SetFaultHook(nil)
 

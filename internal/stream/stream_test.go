@@ -29,14 +29,21 @@ func search(core func(index.Query, *index.Collector, *index.SearchCtx) error, q 
 	return index.Rendered(index.Into(q, testConfig(false), pool, pl, index.NewCollector(k), core))
 }
 
-// exactSearch and approxSearch search sc on testPool under the default
+// exactSearch and approxSearch search idx on testPool under the default
 // planner.
-func exactSearch(sc Scheme, q index.Query, k int) ([]index.Result, error) {
-	return search(sc.ExactInto, q, k, testPool, nil)
+func exactSearch(idx index.Index, q index.Query, k int) ([]index.Result, error) {
+	return search(idx.ExactInto, q, k, testPool, nil)
 }
 
-func approxSearch(sc Scheme, q index.Query, k int) ([]index.Result, error) {
-	return search(sc.ApproxInto, q, k, testPool, nil)
+func approxSearch(idx index.Index, q index.Query, k int) ([]index.Result, error) {
+	return search(idx.ApproxInto, q, k, testPool, nil)
+}
+
+// ingester is what a stream is ingested into: a scheme, or the plain index
+// that is the PP scheme.
+type ingester interface {
+	index.Index
+	index.Inserter
 }
 
 // memRaw collects ingested z-normalized series as the schemes' raw store.
@@ -58,17 +65,17 @@ func streamData(n int, seed int64) ([]series.Series, []int64) {
 	return ss, ts
 }
 
-// ingestAll pushes the stream through a scheme, mirroring series into raw.
-func ingestAll(t *testing.T, sc Scheme, raw *memRaw, ss []series.Series, ts []int64) {
+// ingestAll pushes the stream through a scheme or a plain index, mirroring
+// series into raw: each takes the next dense ID.
+func ingestAll(t *testing.T, sc ingester, raw *memRaw, ss []series.Series, ts []int64) {
 	t.Helper()
 	for i, s := range ss {
 		raw.add(s)
-		id, err := sc.Ingest(s, ts[i])
-		if err != nil {
+		if err := sc.Insert(s, ts[i]); err != nil {
 			t.Fatal(err)
 		}
-		if id != int64(i) {
-			t.Fatalf("ingest %d assigned id %d", i, id)
+		if n := sc.Count(); n != int64(i+1) {
+			t.Fatalf("ingest %d left the count at %d", i, n)
 		}
 	}
 }
@@ -86,40 +93,42 @@ func bruteWindowKNN(q series.Series, ss []series.Series, ts []int64, minTS, maxT
 	return col.Results()
 }
 
-func newPPCLSM(t *testing.T, raw *memRaw, mat bool) *PP {
+// The PP scheme is its base index, ingesting in arrival order: its rows
+// are a plain CLSM and a plain ADS+.
+func newPPCLSM(t *testing.T, raw *memRaw, mat bool) *clsm.LSM {
 	t.Helper()
 	disk := storage.NewDisk(0)
 	base, err := clsm.Open(clsm.Options{Disk: disk, Config: testConfig(mat), BufferEntries: 128, Raw: raw})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewPP(base, testConfig(mat))
+	return base
 }
 
-func newPPADS(t *testing.T, raw *memRaw, mat bool) *PP {
+func newPPADS(t *testing.T, raw *memRaw, mat bool) *adsplus.Tree {
 	t.Helper()
 	disk := storage.NewDisk(0)
 	base, err := adsplus.New(adsplus.Options{Disk: disk, Config: testConfig(mat), Raw: raw, LeafCapacity: 64, BufferEntries: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewPP(base, testConfig(mat))
+	return base
 }
 
-func schemes(t *testing.T, raw *memRaw, mat bool) map[string]Scheme {
+func schemes(t *testing.T, raw *memRaw, mat bool) map[string]ingester {
 	t.Helper()
-	out := map[string]Scheme{
+	out := map[string]ingester{
 		"PP-CLSM": newPPCLSM(t, raw, mat),
 		"PP-ADS":  newPPADS(t, raw, mat),
 	}
 	diskTP := storage.NewDisk(0)
-	tp, err := NewTP("tp", testConfig(mat), CTreeFactory(diskTP, nil, testConfig(mat), raw), 128, raw)
+	tp, err := NewTP("CTree", testConfig(mat), CTreeFactory(diskTP, nil, testConfig(mat), raw), 128, raw)
 	if err != nil {
 		t.Fatal(err)
 	}
 	out["TP-CTree"] = tp
 	diskTPA := storage.NewDisk(0)
-	tpa, err := NewTP("tpa", testConfig(mat), ADSFactory(diskTPA, nil, testConfig(mat), raw), 128, raw)
+	tpa, err := NewTP("ADS+", testConfig(mat), ADSFactory(diskTPA, nil, testConfig(mat), raw), 128, raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +147,7 @@ func TestAllSchemesExactMatchesBruteForce(t *testing.T) {
 	for _, mat := range []bool{false, true} {
 		// Every scheme over the same stream, each bound to a raw store of
 		// its own.
-		scs := map[string]Scheme{}
+		scs := map[string]ingester{}
 		for _, name := range names {
 			raw := &memRaw{}
 			scs[name] = schemes(t, raw, mat)[name]
@@ -191,31 +200,15 @@ func TestAllSchemesExactMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestPPNameAndPartitions(t *testing.T) {
-	raw := &memRaw{}
-	pp := newPPCLSM(t, raw, false)
-	if pp.Name() != "CLSM+PP" {
-		t.Fatalf("name = %q", pp.Name())
-	}
-	if pp.Partitions() != 1 {
-		t.Fatal("PP must report one partition")
-	}
-	ss, ts := streamData(50, 2)
-	ingestAll(t, pp, raw, ss, ts)
-	if pp.Count() != 50 {
-		t.Fatalf("count = %d", pp.Count())
-	}
-	if err := pp.Seal(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestTPPartitionsGrowLinearly(t *testing.T) {
 	raw := &memRaw{}
 	disk := storage.NewDisk(0)
-	tp, err := NewTP("tp", testConfig(false), CTreeFactory(disk, nil, testConfig(false), raw), 100, raw)
+	tp, err := NewTP("CTree", testConfig(false), CTreeFactory(disk, nil, testConfig(false), raw), 100, raw)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if tp.Name() != "CTree+TP" {
+		t.Fatalf("name before the first partition = %q", tp.Name())
 	}
 	ss, ts := streamData(1000, 3)
 	ingestAll(t, tp, raw, ss, ts)
@@ -351,7 +344,7 @@ func TestBTPSmallWindowSkipsLargePartitions(t *testing.T) {
 func TestTPWindowSkipsPartitions(t *testing.T) {
 	raw := &memRaw{}
 	disk := storage.NewDisk(0)
-	tp, err := NewTP("tp", testConfig(true), CTreeFactory(disk, nil, testConfig(true), raw), 128, raw)
+	tp, err := NewTP("CTreeFull", testConfig(true), CTreeFactory(disk, nil, testConfig(true), raw), 128, raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,9 +371,13 @@ func TestTPWindowSkipsPartitions(t *testing.T) {
 
 func TestIngestValidation(t *testing.T) {
 	raw := &memRaw{}
-	pp := newPPCLSM(t, raw, false)
-	if _, err := pp.Ingest(make(series.Series, 5), 0); err == nil {
-		t.Fatal("wrong-length ingest should fail")
+	for name, sc := range schemes(t, raw, false) {
+		if _, ok := sc.(Scheme); !ok {
+			continue // a plain index's Insert is the build's to check
+		}
+		if err := sc.Insert(make(series.Series, 5), 0); err == nil {
+			t.Fatalf("%s: wrong-length ingest should fail", name)
+		}
 	}
 	if _, err := NewTP("x", index.Config{}, nil, 10, raw); err == nil {
 		t.Fatal("invalid config should fail")
@@ -438,7 +435,7 @@ func TestBTPPartitionCountLogarithmic(t *testing.T) {
 	for i := 0; i < 50*63; i++ { // 63 flushes = 111111b -> 6 partitions
 		s := gen.RandomWalk(rng, 64)
 		raw.add(s)
-		if _, err := btp.Ingest(s, int64(i)); err != nil {
+		if err := btp.Insert(s, int64(i)); err != nil {
 			t.Fatal(err)
 		}
 		if (i+1)%50 == 0 {
@@ -468,7 +465,7 @@ func TestBTPClassSizes(t *testing.T) {
 	for i := 0; i < buf*21; i++ { // 21 flushes = 10101b
 		s := gen.RandomWalk(rng, 64)
 		raw.add(s)
-		if _, err := btp.Ingest(s, int64(i)); err != nil {
+		if err := btp.Insert(s, int64(i)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -62,58 +62,36 @@ type tpPart struct {
 // partitions whose range intersects the window — but nothing ever merges,
 // so partitions accumulate linearly with stream length.
 type TP struct {
-	baseName  string
-	sum       summarizer
-	raw       series.RawStore
-	factory   PartitionFactory
-	bufferCap int
-	buffer    []record.Entry
-	parts     []tpPart
-	seq       int
-	count     int64
+	arrivals
+	name    string
+	raw     series.RawStore
+	factory PartitionFactory
+	parts   []tpPart
+	seq     int
 }
 
-// NewTP builds a temporal-partitioning scheme. baseName names partition
-// files ("<baseName>.part.N..."); bufferCap is the partition size in
-// entries; raw serves non-materialized distance evaluation of buffered
-// entries.
-func NewTP(baseName string, cfg index.Config, factory PartitionFactory, bufferCap int, raw series.RawStore) (*TP, error) {
-	if err := cfg.Validate(); err != nil {
+// NewTP builds a temporal-partitioning scheme whose partitions factory
+// makes. base names the index they are (e.g. "CTree"), and so the scheme
+// ("CTree+TP"); partition files are named "tp.part.N"; bufferCap is the
+// partition size in entries; raw serves non-materialized distance
+// evaluation of buffered entries.
+func NewTP(base string, cfg index.Config, factory PartitionFactory, bufferCap int, raw series.RawStore) (*TP, error) {
+	a, err := newArrivals(cfg, bufferCap)
+	if err != nil {
 		return nil, err
 	}
-	if bufferCap < 1 {
-		return nil, fmt.Errorf("stream: bufferCap must be positive, got %d", bufferCap)
-	}
-	return &TP{
-		baseName:  baseName,
-		sum:       summarizer{cfg: cfg},
-		raw:       raw,
-		factory:   factory,
-		bufferCap: bufferCap,
-	}, nil
+	return &TP{arrivals: a, name: base + "+TP", raw: raw, factory: factory}, nil
 }
 
-// Name implements Scheme: "<base>+TP" after the first partition exists, or
-// the generic "TP" before.
-func (t *TP) Name() string {
-	if len(t.parts) > 0 {
-		return t.parts[0].idx.Name() + "+TP"
-	}
-	return "TP"
-}
+// Name implements index.Index: "<base>+TP".
+func (t *TP) Name() string { return t.name }
 
-// Ingest implements Scheme.
-func (t *TP) Ingest(s series.Series, ts int64) (int64, error) {
-	e, err := t.sum.entry(s, ts)
-	if err != nil {
-		return 0, err
+// Insert implements Scheme.
+func (t *TP) Insert(s series.Series, ts int64) error {
+	if full, err := t.add(s, ts); err != nil || !full {
+		return err
 	}
-	t.buffer = append(t.buffer, e)
-	t.count++
-	if len(t.buffer) >= t.bufferCap {
-		return e.ID, t.Seal()
-	}
-	return e.ID, nil
+	return t.Seal()
 }
 
 // Seal implements Scheme: the buffered entries become a new partition.
@@ -121,12 +99,12 @@ func (t *TP) Seal() error {
 	if len(t.buffer) == 0 {
 		return nil
 	}
-	syn := zonestat.New(t.sum.cfg.Segments, t.sum.cfg.Bits)
+	syn := zonestat.New(t.cfg.Segments, t.cfg.Bits)
 	for _, e := range t.buffer {
 		syn.Add(e.Key, e.TS)
 	}
 	t.seq++
-	name := fmt.Sprintf("%s.part.%04d", t.baseName, t.seq)
+	name := fmt.Sprintf("tp.part.%04d", t.seq)
 	idx, err := t.factory(name, t.buffer)
 	if err != nil {
 		return err
@@ -135,9 +113,6 @@ func (t *TP) Seal() error {
 	t.buffer = nil
 	return nil
 }
-
-// Count implements Scheme.
-func (t *TP) Count() int64 { return t.count }
 
 // Partitions implements Scheme.
 func (t *TP) Partitions() int { return len(t.parts) }
@@ -148,22 +123,27 @@ func intersects(q index.Query, syn *zonestat.Synopsis) bool {
 	return !q.Windowed || syn.IntersectsWindow(q.MinTS, q.MaxTS)
 }
 
-// ApproxInto implements Scheme: probe each intersecting partition and the
-// buffer.
+// ApproxInto implements index.Index: probe each intersecting partition and
+// the buffer.
 func (t *TP) ApproxInto(q index.Query, col *index.Collector, ctx *index.SearchCtx) error {
 	return t.search(q, col, ctx, index.Index.ApproxInto)
 }
 
-// ExactInto implements Scheme.
+// ExactInto implements index.Index.
 func (t *TP) ExactInto(q index.Query, col *index.Collector, ctx *index.SearchCtx) error {
 	return t.search(q, col, ctx, index.Index.ExactInto)
 }
 
+// RangeInto implements index.Index.
+func (t *TP) RangeInto(q index.Query, col *index.Collector, ctx *index.SearchCtx) error {
+	return t.search(q, col, ctx, index.Index.RangeInto)
+}
+
 // search scans the in-memory buffer, then searches every partition whose
 // time range intersects the window (a filter outside the planner's count)
-// through core — index.Index's ApproxInto or ExactInto — straight into the
-// collector: partition IDs are already global, and the bound earlier
-// partitions left in col prunes later ones. Partitions go through the
+// through core — index.Index's ApproxInto, ExactInto or RangeInto —
+// straight into the collector: partition IDs are already global, and the
+// bound earlier partitions left in col prunes later ones. Partitions go through the
 // planned-probe executor on ctx's pool under ctx's planner, bounded by their
 // synopsis's envelope MINDIST, each worker slot with a serial context of its
 // own under the same planner (the partition plan in ctx's outer buffer, a
@@ -181,7 +161,7 @@ func (t *TP) search(q index.Query, col *index.Collector, ctx *index.SearchCtx, c
 	if err := index.ScanBuffer(t.buffer, q, t.raw, col, ctx.Scratch0()); err != nil {
 		return err
 	}
-	return ctx.Parts(q, t.sum.cfg, len(active), func(ctxs index.Ctxs) error {
+	return ctx.Parts(q, t.cfg, len(active), func(ctxs index.Ctxs) error {
 		return index.ProbeUnits(ctx, "partition", ctx.OuterPlanUnits(len(active)), col, func(i int) float64 {
 			return ctx.P.SynopsisBoundSq(active[i].syn)
 		}, func(i, w int, col *index.Collector) error {

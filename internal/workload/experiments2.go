@@ -11,70 +11,18 @@ import (
 	"repro/internal/recommender"
 	"repro/internal/series"
 	"repro/internal/storage"
-	"repro/internal/stream"
 )
 
-// streamScheme is one Scenario 2 contender and the assembled build under it,
-// which the caller closes: every scheme gets the same storage half — a fresh
-// disk, and a raw series file on a heap disk of its own — so relative index
-// I/O is what the experiment isolates.
-type streamScheme struct {
-	name string
-	stream.Scheme
-	b *assemble.Built
-}
-
-// StreamSchemes builds the Scenario 2 contenders, in table order: the ADS+
+// e6Schemes are the Scenario 2 contenders, in table order: the ADS+
 // baselines with PP and TP, the CTree variants, and the recommender's choice
-// CLSM+BTP. PP wraps an ordinary (empty) build of its base index; TP and BTP
-// manage their own partitions over the storage half of one (assemble.Base),
-// as coconut.NewStream has them.
-func StreamSchemes(sc Scale, bufferEntries int) ([]streamScheme, error) {
-	sc = sc.defaults()
-	cfg := sc.config()
-	builds := []struct {
-		name string
-		pp   string // PP: its base index's variant
-		tp   func(storage.Backend, storage.PageReader, index.Config, series.RawStore) stream.PartitionFactory
-	}{
-		{name: "ADS+PP", pp: "ADS+"},
-		{name: "ADS+TP", tp: stream.ADSFactory},
-		{name: "CLSM+PP", pp: "CLSM"},
-		{name: "CTree+TP", tp: stream.CTreeFactory},
-		{name: "CLSM+BTP"},
-	}
-	var out []streamScheme
-	for _, bld := range builds {
-		spec := sc.spec("CLSM", assemble.Spec{RawInMemory: true, BufferEntries: bufferEntries})
-		s := streamScheme{name: bld.name}
-		var err error
-		if bld.pp != "" {
-			spec.Variant = bld.pp
-			if s.b, err = assemble.Build(spec, nil); err == nil {
-				s.Scheme = stream.NewPP(s.b.Index.(stream.EntryIndex), cfg)
-			}
-		} else if s.b, err = assemble.Base(spec); err == nil {
-			if raw := s.b.Raw; bld.tp != nil {
-				s.Scheme, err = stream.NewTP("tp", cfg, bld.tp(s.b.Disk, nil, cfg, raw), bufferEntries, raw)
-			} else {
-				s.Scheme, err = stream.NewBTP(s.b.Disk, nil, "btp", cfg, bufferEntries, 2, raw)
-			}
-		}
-		if s.b != nil {
-			out = append(out, s)
-		}
-		if err != nil {
-			closeSchemes(out)
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-func closeSchemes(schemes []streamScheme) {
-	for _, s := range schemes {
-		s.b.Close()
-	}
+// CLSM+BTP — each a variant and the scheme over it, "" being PP, the
+// variant itself.
+var e6Schemes = []struct{ name, variant, scheme string }{
+	{"ADS+PP", "ADS+", ""},
+	{"ADS+TP", "ADS+", "TP"},
+	{"CLSM+PP", "CLSM", ""},
+	{"CTree+TP", "CTree", "TP"},
+	{"CLSM+BTP", "CLSM", "BTP"},
 }
 
 // E6Streaming regenerates Scenario 2: a seismic stream is ingested by each
@@ -95,59 +43,51 @@ func E6Streaming(sc Scale, batches, batchSize, bufferEntries, numQueries int) (*
 		Batches: batches, BatchSize: batchSize, Len: sc.SeriesLen,
 		QuakeProb: 0.02, Seed: sc.Seed + 6,
 	})
-	maxTS := data[len(data)-1].TS
 	queries := gen.TemplateQueries(gen.TemplateEarthquake, sc.SeriesLen, numQueries, 0.2, sc.Seed+7)
+	for _, c := range e6Schemes {
+		// Every scheme gets the same storage half — a fresh disk, and a raw
+		// series file on a heap disk of its own — so relative index I/O is
+		// what the experiment isolates.
+		spec := sc.spec(c.variant, assemble.Spec{Scheme: c.scheme, RawInMemory: true, BufferEntries: bufferEntries})
+		cells, err := e6Row(spec, sc.Cost, data, queries)
+		if err != nil {
+			return nil, fmt.Errorf("E6 %s: %w", c.name, err)
+		}
+		t.AddRow(append([]string{c.name}, cells...)...)
+	}
+	return t, nil
+}
 
-	schemes, err := StreamSchemes(sc, bufferEntries)
+// e6Row builds one contender, ingests the stream into it and issues the
+// window queries: its ingest cost, its per-query cost at each window width
+// and its final partition count.
+func e6Row(spec assemble.Spec, cost storage.CostModel, data []gen.Batch, queries []series.Series) ([]string, error) {
+	b, err := assemble.Build(spec, nil)
 	if err != nil {
 		return nil, err
 	}
-	defer closeSchemes(schemes)
-	cfg := sc.config()
-	for _, s := range schemes {
-		name, disk := s.name, s.b.Disk
-		disk.ResetStats()
-		for _, b := range data {
-			for _, ser := range b.Series {
-				if _, err := s.b.Raw.Append(ser.ZNormalize()); err != nil {
-					return nil, fmt.Errorf("E6 %s raw series: %w", name, err)
-				}
-				if _, err := s.Ingest(ser, b.TS); err != nil {
-					return nil, fmt.Errorf("E6 %s ingest: %w", name, err)
-				}
+	defer b.Close()
+	b.Disk.ResetStats()
+	for _, batch := range data {
+		for _, ser := range batch.Series {
+			if err := b.Ingest(ser, batch.TS); err != nil {
+				return nil, fmt.Errorf("ingest: %w", err)
 			}
 		}
-		ingestCost := disk.Stats().Cost(sc.Cost)
-
-		runWin := func(frac float64) (float64, error) {
-			minTS := maxTS - int64(frac*float64(maxTS))
-			disk.ResetStats()
-			for _, q := range queries {
-				pq := index.NewQuery(q, cfg).WithWindow(minTS, maxTS)
-				if _, err := index.Into(pq, cfg, s.b.Workers(), s.b.Planner, index.NewCollector(1), s.ExactInto); err != nil {
-					return 0, err
-				}
-			}
-			return disk.Stats().Cost(sc.Cost) / float64(len(queries)), nil
-		}
-		q5, err := runWin(0.05)
-		if err != nil {
-			return nil, fmt.Errorf("E6 %s q5: %w", name, err)
-		}
-		q25, err := runWin(0.25)
-		if err != nil {
-			return nil, err
-		}
-		q100, err := runWin(1.0)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(name,
-			fmt.Sprintf("%.0f", ingestCost),
-			fmt.Sprintf("%.1f", q5), fmt.Sprintf("%.1f", q25), fmt.Sprintf("%.1f", q100),
-			fmt.Sprintf("%d", s.Partitions()))
 	}
-	return t, nil
+	cells := []string{fmt.Sprintf("%.0f", b.Disk.Stats().Cost(cost))}
+	maxTS := data[len(data)-1].TS
+	for _, frac := range []float64{0.05, 0.25, 1.0} {
+		minTS := maxTS - int64(frac*float64(maxTS))
+		b.Disk.ResetStats()
+		for _, q := range queries {
+			if _, err := b.ExactSearch(index.NewQuery(q, b.Config).WithWindow(minTS, maxTS), 1); err != nil {
+				return nil, fmt.Errorf("%.0f%% window: %w", frac*100, err)
+			}
+		}
+		cells = append(cells, fmt.Sprintf("%.1f", b.Disk.Stats().Cost(cost)/float64(len(queries))))
+	}
+	return append(cells, fmt.Sprintf("%d", b.Partitions())), nil
 }
 
 // E7Heatmap regenerates the demo's access-pattern comparison: page traces
@@ -226,29 +166,38 @@ func E8Recommender() *Table {
 		Note:    "Scenario 1 (static, few queries) -> CTree; +queries -> CTreeFull; Scenario 2 (streaming) -> CLSM+BTP",
 		Columns: []string{"streaming", "queries", "memory", "storage-tight", "windows", "recommendation"},
 	}
+	for _, s := range e8Scenarios() {
+		win := "-"
+		if s.SmallWindows {
+			win = "small"
+		}
+		t.AddRow(fmt.Sprintf("%v", s.Streaming), fmt.Sprintf("%d", s.ExpectedQueries),
+			fmt.Sprintf("%.0f%%", s.MemoryBudgetFrac*100), fmt.Sprintf("%v", s.StorageTight), win, recommender.Recommend(s).Variant())
+	}
+	return t
+}
+
+// e8Scenarios is E8's scenario grid, in table order: static and streaming
+// (with small windows), few and many queries, tight and ample memory,
+// storage tight or not.
+func e8Scenarios() []recommender.Scenario {
+	var out []recommender.Scenario
 	for _, streaming := range []bool{false, true} {
 		for _, q := range []int{10, 1000} {
 			for _, mem := range []float64{0.01, 0.25} {
 				for _, tight := range []bool{false, true} {
-					s := recommender.Scenario{
+					out = append(out, recommender.Scenario{
 						Streaming:        streaming,
 						ExpectedQueries:  q,
 						MemoryBudgetFrac: mem,
 						StorageTight:     tight,
 						SmallWindows:     streaming,
-					}
-					r := recommender.Recommend(s)
-					win := "-"
-					if streaming {
-						win = "small"
-					}
-					t.AddRow(fmt.Sprintf("%v", streaming), fmt.Sprintf("%d", q),
-						fmt.Sprintf("%.0f%%", mem*100), fmt.Sprintf("%v", tight), win, r.Variant())
+					})
 				}
 			}
 		}
 	}
-	return t
+	return out
 }
 
 // E9Storage regenerates the footprint comparison: index pages per variant

@@ -4,10 +4,8 @@ import (
 	"fmt"
 
 	"repro/internal/assemble"
-	"repro/internal/clsm"
 	"repro/internal/index"
 	"repro/internal/series"
-	"repro/internal/stream"
 )
 
 // SchemeKind selects a streaming exploration scheme.
@@ -27,114 +25,86 @@ const (
 )
 
 // Stream explores continuously arriving data series within temporal
-// windows.
+// windows. It is an index handle like Tree's and LSM's — its Search,
+// SearchRange and SearchBatch answer over the whole history — whose index
+// is the scheme: a PP stream is a CLSM, and a TP or BTP stream keeps its
+// time-partitions itself. SaveFile saves a PP stream as the CLSM it is
+// (OpenLSM reopens it) and refuses a TP or BTP stream.
 type Stream struct {
-	b      *assemble.Built // backend, pool, planner and raw series file; the scheme is the index
-	scheme stream.Scheme
-	cfg    index.Config
+	handle
+	kind SchemeKind
 }
 
 // NewStream creates a streaming index using the given scheme. BufferEntries
 // (default 1024) sets the partition/flush granularity for TP and BTP and
-// the write buffer for PP.
+// the write buffer for PP. A stream keeps no write-ahead log and runs no
+// background compaction: Options.WALDir and CompactionWorkers are refused.
 func NewStream(kind SchemeKind, opts Options) (*Stream, error) {
-	if kind != PP && kind != TP && kind != BTP {
-		return nil, fmt.Errorf("coconut: unknown scheme %q (want PP, TP, or BTP)", kind)
+	if opts.WALDir != "" || opts.CompactionWorkers != 0 {
+		return nil, fmt.Errorf("coconut: a stream keeps no write-ahead log and runs no background compaction; leave WALDir and CompactionWorkers unset")
 	}
-	// PP is one CLSM index over everything — an ordinary build; TP and BTP
-	// manage their own partitions over the storage half of one.
-	spec := opts.spec("CLSM")
-	spec.WALDir, spec.CompactionWorkers = "", 0
-	var b *assemble.Built
-	var err error
-	if kind == PP {
-		b, err = assemble.Build(spec, nil)
-	} else {
-		b, err = assemble.Base(spec)
-	}
-	if err != nil {
-		return nil, err
-	}
-	st := &Stream{b: b, cfg: b.Config}
-	raw, buf := b.RawStore(), spec.BufferEntries
+	// A PP stream is a CLSM; TP partitions into CTrees, BTP into CLSM runs.
+	fam, scheme := "CLSM", string(kind)
 	switch kind {
 	case PP:
-		st.scheme = stream.NewPP(b.Index.(*clsm.LSM), st.cfg)
+		scheme = ""
 	case TP:
-		st.scheme, err = stream.NewTP("stream", st.cfg, stream.CTreeFactory(b.Disk, b.Reader(), st.cfg, raw), buf, raw)
+		fam = "CTree"
 	case BTP:
-		st.scheme, err = stream.NewBTP(b.Disk, b.Reader(), "stream", st.cfg, buf, 2, raw)
+	default:
+		return nil, fmt.Errorf("coconut: unknown scheme %q (want PP, TP, or BTP)", kind)
 	}
+	spec := opts.spec(fam)
+	spec.Scheme = scheme
+	b, err := assemble.Build(spec, nil)
 	if err != nil {
-		b.Close()
 		return nil, err
 	}
-	return st, nil
+	return &Stream{handle{b: b, cfg: b.Config}, kind}, nil
 }
 
 // Ingest adds one arriving series with its timestamp, returning its ID.
 func (s *Stream) Ingest(ser []float64, ts int64) (int, error) {
-	if len(ser) != s.cfg.SeriesLen {
-		return 0, fmt.Errorf("coconut: series length %d, want %d", len(ser), s.cfg.SeriesLen)
-	}
-	if s.b.Raw != nil {
-		if _, err := s.b.Raw.Append(series.Series(ser).ZNormalize()); err != nil {
-			return 0, err
-		}
-	}
-	id, err := s.scheme.Ingest(series.Series(ser), ts)
-	return int(id), err
+	id := s.Count()
+	return id, s.Insert(ser, ts)
 }
 
-// Seal flushes buffered arrivals into the scheme's on-disk structures.
-func (s *Stream) Seal() error { return s.scheme.Seal() }
+// Seal flushes buffered arrivals into the scheme's on-disk structures. A PP
+// stream's CLSM answers from its write buffer, so it has nothing to seal.
+func (s *Stream) Seal() error { return s.b.Seal() }
 
 // SearchWindow returns the exact k nearest neighbors among entries whose
 // timestamp lies in [minTS, maxTS].
 func (s *Stream) SearchWindow(q []float64, k int, minTS, maxTS int64) ([]Match, error) {
-	return s.search(index.NewQuery(series.Series(q), s.cfg).WithWindow(minTS, maxTS), k, s.scheme.ExactInto)
-}
-
-// Search returns the exact k nearest neighbors over the whole history.
-func (s *Stream) Search(q []float64, k int) ([]Match, error) {
-	return s.search(index.NewQuery(series.Series(q), s.cfg), k, s.scheme.ExactInto)
+	return s.searchWindow(q, k, minTS, maxTS)
 }
 
 // SearchApprox probes the scheme near q's key without exactness
 // guarantees, restricted to [minTS, maxTS].
 func (s *Stream) SearchApprox(q []float64, k int, minTS, maxTS int64) ([]Match, error) {
-	return s.search(index.NewQuery(series.Series(q), s.cfg).WithWindow(minTS, maxTS), k, s.scheme.ApproxInto)
-}
-
-// search runs one of the scheme's cores through the search entry on the
-// build's pool and planner.
-func (s *Stream) search(q index.Query, k int, core func(index.Query, *index.Collector, *index.SearchCtx) error) ([]Match, error) {
-	rs, err := index.Rendered(index.Into(q, s.cfg, s.b.Workers(), s.b.Planner, index.NewCollector(k), core))
+	rs, err := s.b.ApproxSearch(index.NewQuery(series.Series(q), s.cfg).WithWindow(minTS, maxTS), k)
 	return convert(rs), err
 }
 
-// Count returns the number of ingested series.
-func (s *Stream) Count() int { return int(s.scheme.Count()) }
-
 // Partitions returns how many separately-searchable pieces exist: 1 for
 // PP, linear in stream length for TP, logarithmic for BTP.
-func (s *Stream) Partitions() int { return s.scheme.Partitions() }
+func (s *Stream) Partitions() int { return s.b.Partitions() }
 
 // Name reports the scheme and base index, e.g. "CLSM+BTP".
-func (s *Stream) Name() string { return s.scheme.Name() }
-
-// Stats returns the I/O accounting of the stream's disk since creation,
-// cache counters included when a buffer pool is configured, plus the query
-// planner's skip counter.
-func (s *Stream) Stats() Stats { return statsOf(s.b) }
+func (s *Stream) Name() string {
+	if s.kind == PP {
+		return s.b.Index.Name() + "+PP"
+	}
+	return s.b.Index.Name()
+}
 
 // Close seals buffered arrivals into the scheme's on-disk structures,
 // releases the buffer pool's pages, and closes the storage backend (which,
 // on the file-backed backend, fsyncs and closes the page files).
 // Idempotent; defer it like any other index handle.
 func (s *Stream) Close() error {
-	err := s.scheme.Seal()
-	if cerr := s.b.Close(); err == nil {
+	err := s.Seal()
+	if cerr := s.handle.Close(); err == nil {
 		err = cerr
 	}
 	return err

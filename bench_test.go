@@ -1073,7 +1073,7 @@ func BenchmarkRunScan(b *testing.B) {
 		scan func(col *index.Collector) error
 	}{
 		{"column", func(col *index.Collector) error {
-			return s.Scan(r, 0, pages, "page", q, sc, neverDead, func(q *index.Query, pg *index.Page) error {
+			return s.Scan(r, 0, 0, pages, "page", q, sc, neverDead, func(q *index.Query, pg *index.Page) error {
 				_, err := index.EvalPage(q, pg, nil, col, sc)
 				return err
 			})

@@ -409,7 +409,7 @@ func (b *Built) openScheme(fam string, buffer int) error {
 	var err error
 	switch {
 	case b.Spec.Scheme == schemeBTP:
-		sc, err = stream.NewBTP(b.Disk, b.Reader(), "btp", b.Config, buffer, 2, raw)
+		sc, err = stream.NewBTP(b.Disk, b.Reader(), "btp", b.Config, buffer, raw)
 	case fam == familyCTree:
 		sc, err = stream.NewTP(b.Spec.Variant, b.Config, stream.CTreeFactory(b.Disk, b.Reader(), b.Config, raw), buffer, raw)
 	default:

@@ -44,9 +44,10 @@ func (t *Tree) ApproxInto(q index.Query, col *index.Collector, ctx *index.Search
 }
 
 // ExactInto is the exact search (index.Index). The approximate phase seeds
-// the best-so-far bound, then the whole leaf file is scanned, and only
-// entries whose squared lower bound survives pay for a true distance (from
-// the inline payload bytes, or a raw-file fetch when non-materialized).
+// the best-so-far bound, then the whole leaf file is scanned (materialized,
+// from the covering leaf: scanAll), and only entries whose squared lower
+// bound survives pay for a true distance (from the inline payload bytes, or
+// a raw-file fetch when non-materialized).
 func (t *Tree) ExactInto(q index.Query, col *index.Collector, ctx *index.SearchCtx) error {
 	if err := t.ApproxInto(q, col, ctx); err != nil {
 		return err
@@ -68,20 +69,36 @@ func (t *Tree) RangeInto(q index.Query, col *index.Collector, ctx *index.SearchC
 // summary's page loop (run.Store.Scan), which leaves dead leaves unread as
 // the search's planner allows — dropping work, never answers — and counts
 // them as "leaf" units.
+//
+// A k-NN search over materialized leaves starts the range that holds the
+// query's covering leaf at that leaf and wraps once: similar series sit next
+// to each other in the key order, so the leaves beside the query's key
+// tighten the bound before the rest of the range is judged against it. Every
+// other range, a range search (its bound cannot move) and a non-materialized
+// tree read in file order: there a leaf's verification fetches raw series in
+// leaf order, and reordering those fetches is not what this rule buys.
 func scanAll(t *Tree, q index.Query, col *index.Collector, ctx *index.SearchCtx) error {
 	defer ctx.Trace.Start("scan").End()
 	n := t.Leaves()
+	center := -1 // the leaf its range starts at; -1: every range starts at its first leaf
+	if n > 0 && !col.BoundFixed() && t.opts.Config.Materialized {
+		center = t.leaves.Sum.Find(q.Key)
+	}
 	w := ctx.Pool.WorkersFor(n)
-	chunks := make([][2]int, 0, w)
+	chunks := make([][3]int, 0, w)
 	for i := 0; i < w; i++ {
 		if lo, hi := i*n/w, (i+1)*n/w; lo < hi {
-			chunks = append(chunks, [2]int{lo, hi})
+			start := lo
+			if lo <= center && center < hi {
+				start = center
+			}
+			chunks = append(chunks, [3]int{lo, start, hi})
 		}
 	}
 	scs := ctx.Scratches(len(chunks))
 	return index.FanOut(ctx.Pool, len(chunks), col, func(i, w int, col *index.Collector) error {
-		sc := scs[w]
-		return t.store.Scan(t.leaves, chunks[i][0], chunks[i][1], "leaf", q, sc, col, func(q *index.Query, pg *index.Page) error {
+		sc, c := scs[w], chunks[i]
+		return t.store.Scan(t.leaves, c[0], c[1], c[2], "leaf", q, sc, col, func(q *index.Query, pg *index.Page) error {
 			_, err := index.EvalPage(q, pg, t.store.Raw, col, sc)
 			return err
 		})

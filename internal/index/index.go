@@ -316,11 +316,11 @@ func (c *Collector) siftDown(i int) {
 // identical. The bound only tightens, so a bound ruled out stays ruled out.
 func (c *Collector) SkipSq(lbSq float64) bool { return lbSq > c.bound }
 
-// boundFixed reports whether the pruning bound can never move: a range
+// BoundFixed reports whether the pruning bound can never move: a range
 // collector's, which holds no k bound. Probe units and a page's candidates
 // are then taken in their own order, since ordering them best-first would
 // tighten nothing.
-func (c *Collector) boundFixed() bool { return c.k == math.MaxInt }
+func (c *Collector) BoundFixed() bool { return c.k == math.MaxInt }
 
 // Clone returns a new collector with the same k, the same limit and the same
 // current results. The parallel engine seeds one clone per worker so every

@@ -176,7 +176,7 @@ func ProbeUnits(ctx *SearchCtx, kind string, units []PlanUnit, col *Collector, b
 	for i := range units {
 		units[i] = PlanUnit{BoundSq: bound(i), Idx: i}
 	}
-	if !col.boundFixed() {
+	if !col.BoundFixed() {
 		SortPlan(units)
 	}
 	if ctx.Pool.WorkersFor(len(units)) <= 1 {

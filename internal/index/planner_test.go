@@ -272,7 +272,7 @@ func checkExec(t *testing.T, label string, rng *rand.Rand, newCol func() *Collec
 				for i, u := range units {
 					planOrder[i] = PlanUnit{BoundSq: u.boundSq, Idx: i}
 				}
-				if !col.boundFixed() {
+				if !col.BoundFixed() {
 					SortPlan(planOrder)
 					for i, idx := range order {
 						if planOrder[i].Idx != idx {

@@ -770,7 +770,7 @@ func EvalPage(q *Query, pg *Page, raw series.RawStore, col *Collector, sc *Scrat
 	if err := pg.open(); err != nil {
 		return count, err
 	}
-	if !col.boundFixed() {
+	if !col.BoundFixed() {
 		slices.SortFunc(cands, func(a, b pageCand) int { return cmp.Compare(a.lbSq, b.lbSq) })
 	}
 	sc.cands = cands

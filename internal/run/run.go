@@ -224,7 +224,7 @@ func (s *Store) firstKey(r Run, p int, data []byte) (sortable.Key, error) {
 // reported as skipped "page" units; with the planner disabled every page is
 // pinned.
 func (s *Store) ScanRun(r Run, q index.Query, col *index.Collector, sc *index.Scratch) error {
-	return s.Scan(r, 0, r.Sum.Pages(), "page", q, sc, col, func(q *index.Query, pg *index.Page) error {
+	return s.Scan(r, 0, 0, r.Sum.Pages(), "page", q, sc, col, func(q *index.Query, pg *index.Page) error {
 		_, err := index.EvalPage(q, pg, s.Raw, col, sc)
 		return err
 	})

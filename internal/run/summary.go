@@ -463,8 +463,10 @@ func (s *Store) ProbePage(r Run, p int, q index.Query, col *index.Collector, sc 
 }
 
 // Scan is the one sequential page loop, of runs and CTree leaf levels alike:
-// it pins pages [lo, hi) of r in ascending order through one storage cursor
-// and hands each to eval (index.EvalPage) with its slices
+// it pins pages [lo, hi) of r through one storage cursor opened over the
+// whole range, ascending from start to hi and then, wrapping once, from lo to
+// start (start = lo reads the range in file order), and hands each to eval
+// (index.EvalPage) with its slices
 // of the columns attached, unless col rules out every series inside it
 // (dead) by the page's envelope bound or, where a skip may follow, by its
 // entries' bounds (below). The loop bounds envelopes in batches
@@ -478,6 +480,13 @@ func (s *Store) ProbePage(r Run, p int, q index.Query, col *index.Collector, sc 
 // step, not a page at a time. The query and each page reach eval through sc
 // (Scratch.Query, Scratch.Page), by pointer, so the loop copies neither once
 // a page.
+//
+// The start page is a k-NN search's to choose: beginning at the query's
+// covering page evaluates its key neighbourhood first, whose entries tighten
+// the collector's bound most, before the pages left of it are judged. The
+// cursor is one over [lo, hi) whatever the start, so whether it keeps what
+// it reads (storage.Cursor.Keeps) is decided on the whole range, as for a
+// scan in file order.
 //
 // A page its envelope leaves live is decided by its entries before it is
 // pinned when the planner may skip it and the cursor keeps nothing
@@ -495,10 +504,11 @@ func (s *Store) ProbePage(r Run, p int, q index.Query, col *index.Collector, sc 
 // A dead page is spared every touch of its bytes and every further bound.
 // Whether it is also left unread is the search's planner's decision
 // (Scratch.Planner), under one rule: a run of dead pages goes unread when it
-// leads or trails the range, or when it is at least interiorSkipRun long; a
-// shorter interior run is read after all, so a declined skip's I/O is that
-// of no skip. The rule is what makes a skip safe under the cost model: at
-// either end a skip only drops reads, and mid-range it drops m sequential
+// leads or trails either leg of the scan — [start, hi) or [lo, start) — or
+// when it is at least interiorSkipRun long; a shorter interior run is read
+// after all, so a declined skip's I/O is that of no skip. The rule is what
+// makes a skip safe under the cost model: at either end of a leg a skip only
+// drops reads (the wrap is a seek anyway), and mid-leg it drops m sequential
 // reads but makes the read after the gap a random one, a net saving from
 // interiorSkipRun on (a random read costs ten sequential ones under the
 // default model), so no scan costs more than it would unplanned: a declined
@@ -508,12 +518,15 @@ func (s *Store) ProbePage(r Run, p int, q index.Query, col *index.Collector, sc 
 // the trace counts its in-window entries, off the timestamp column, as seen
 // and pruned. The pages skipped are counted into the planner and, beside the
 // pages read, into the query's trace as units of the given kind.
-func (s *Store) Scan(r Run, lo, hi int, kind string, q index.Query, sc *index.Scratch, col *index.Collector, eval func(q *index.Query, pg *index.Page) error) error {
+func (s *Store) Scan(r Run, lo, start, hi int, kind string, q index.Query, sc *index.Scratch, col *index.Collector, eval func(q *index.Query, pg *index.Page) error) error {
 	if lo >= hi {
 		return nil
 	}
+	if start < lo || start >= hi {
+		return fmt.Errorf("run: %s: scan starts at page %d, outside [%d, %d)", r.File, start, lo, hi)
+	}
 	sc.Query = q
-	skipped, err := s.scanPages(r, lo, hi, sc, col, eval)
+	skipped, err := s.scanPages(r, lo, start, hi, sc, col, eval)
 	sc.Planner.NoteSkips(skipped)
 	sc.Trace.NoteSkips(kind, skipped)
 	sc.Trace.NoteProbes(kind, int64(hi-lo)-skipped)
@@ -526,17 +539,13 @@ func (s *Store) Scan(r Run, lo, hi int, kind string, q index.Query, sc *index.Sc
 // entries' least in-window bound. (The accounting stays outside: a deferred
 // closure over the count here costs the loop a tenth of a CTree scan's
 // time.)
-func (s *Store) scanPages(r Run, lo, hi int, sc *index.Scratch, col *index.Collector, eval func(q *index.Query, pg *index.Page) error) (skipped int64, err error) {
+func (s *Store) scanPages(r Run, lo, start, hi int, sc *index.Scratch, col *index.Collector, eval func(q *index.Query, pg *index.Page) error) (skipped int64, err error) {
 	m, w := r.Sum, r.Sum.segs
 	skip := sc.Planner.Enabled()
 	from, to := m.span(lo, hi)
 	cur := s.Reader.Scan(r.File, from, to)
 	defer cur.Close()
-	// Pages are read in ascending order, so the read position — page rp, in
-	// group rg at offset off of its columns — only moves forward: page by
-	// page inside a group, and straight to the first page of a later one.
-	rg, off := m.locate(lo)
-	rp, next, g0 := lo, m.end(rg), rg
+	g0, _ := m.locate(lo)
 	resident := !pageKeyBounds
 	// Envelopes decide pages when a dead page is spared its evaluation
 	// (resident) or left unread (skip); the reference path without a planner
@@ -549,76 +558,89 @@ func (s *Store) scanPages(r Run, lo, hi int, sc *index.Scratch, col *index.Colle
 		groups = sc.Bounds(sort.Search(len(m.grp), func(g int) bool { return m.grp[g].first >= hi }) - g0)
 		sc.P.EnvelopeSqs(groups, w, m.grpMin[g0*w:], m.grpMax[g0*w:])
 	}
-	pending, started := 0, false // the dead pages [p-pending, p) are neither skipped nor read yet
-	for g := g0; g < len(m.grp) && m.grp[g].first < hi; g++ {
-		first, end := max(lo, m.grp[g].first), min(hi, m.end(g))
-		groupDead := bounded && col.SkipSq(groups[g-g0])
-		if groupDead && skip {
-			pending += end - first // every page dead: one step, not one a page
+	for _, leg := range [2][2]int{{start, hi}, {lo, start}} {
+		a, b := leg[0], leg[1]
+		if a >= b {
 			continue
 		}
-		if bounded && !groupDead {
-			pages = pageBuf[:end-first]
-			sc.P.EnvelopeSqs(pages, w, m.envMin[first*w:], m.envMax[first*w:])
-		}
-		at := 0 // page p's offset in group g's columns
-		for _, n := range m.cnt[m.grp[g].first:first] {
-			at += n
-		}
-		for p := first; p < end; p, at = p+1, at+m.cnt[p] {
-			dead := groupDead || bounded && col.SkipSq(pages[p-first])
-			var lbs []float64
-			if !dead && entries {
-				gr, n := &m.grp[g], m.cnt[p]
-				var least float64
-				lbs, least = sc.ResidentBounds(&sc.Query, gr.syms[at*w:(at+n)*w], gr.ts[at:at+n])
-				dead = math.IsInf(least, 1) || col.SkipSq(least) // +Inf: no entry in the window
-			}
-			if dead && skip {
-				pending++
+		// Within a leg pages are read in ascending order, so the read position
+		// — page rp, in group rg at offset off of its columns — only moves
+		// forward: page by page inside a group, and straight to the first page
+		// of a later one.
+		rg, off := m.locate(a)
+		rp, next, ga := a, m.end(rg), rg
+		pending, started := 0, false // the dead pages [p-pending, p) are neither skipped nor read yet
+		for g := ga; g < len(m.grp) && m.grp[g].first < b; g++ {
+			first, end := max(a, m.grp[g].first), min(b, m.end(g))
+			groupDead := bounded && col.SkipSq(groups[g-g0])
+			if groupDead && skip {
+				pending += end - first // every page dead: one step, not one a page
 				continue
 			}
-			from := p // read pages [from, p]: a declined run of dead pages, then p
-			if started && pending < interiorSkipRun {
-				from -= pending
-			} else {
-				skipped += int64(pending)
+			if bounded && !groupDead {
+				pages = pageBuf[:end-first]
+				sc.P.EnvelopeSqs(pages, w, m.envMin[first*w:], m.envMax[first*w:])
 			}
-			pending, started = 0, true
-			for d := from; d <= p; d++ {
-				if d >= next { // d is in a later group: jump to that group's first page
-					for d >= next {
-						rg++
-						next = m.end(rg)
+			at := 0 // page p's offset in group g's columns
+			for _, n := range m.cnt[m.grp[g].first:first] {
+				at += n
+			}
+			for p := first; p < end; p, at = p+1, at+m.cnt[p] {
+				dead := groupDead || bounded && col.SkipSq(pages[p-first])
+				var lbs []float64
+				if !dead && entries {
+					gr, n := &m.grp[g], m.cnt[p]
+					var least float64
+					lbs, least = sc.ResidentBounds(&sc.Query, gr.syms[at*w:(at+n)*w], gr.ts[at:at+n])
+					dead = math.IsInf(least, 1) || col.SkipSq(least) // +Inf: no entry in the window
+				}
+				if dead && skip {
+					pending++
+					continue
+				}
+				from := p // read pages [from, p]: a declined run of dead pages, then p
+				if started && pending < interiorSkipRun {
+					from -= pending
+				} else {
+					skipped += int64(pending)
+				}
+				pending, started = 0, true
+				for d := from; d <= p; d++ {
+					if d >= next { // d is in a later group: jump to that group's first page
+						for d >= next {
+							rg++
+							next = m.end(rg)
+						}
+						rp, off = m.grp[rg].first, 0
 					}
-					rp, off = m.grp[rg].first, 0
-				}
-				for ; rp < d; rp++ {
-					off += m.cnt[rp]
-				}
-				data, err := cur.Pin(m.Phys(d))
-				if err != nil {
-					return skipped, err
-				}
-				if d == p && !dead || d < p && !resident {
-					s.page(&sc.Page, r, d, rg, off, data)
-					if d == p && resident {
-						sc.Page.UseBounds(lbs)
+					for ; rp < d; rp++ {
+						off += m.cnt[rp]
 					}
-					if err := eval(&sc.Query, &sc.Page); err != nil {
+					data, err := cur.Pin(m.Phys(d))
+					if err != nil {
 						return skipped, err
 					}
-				} else if sc.Trace != nil {
-					n := int64(0)
-					for _, ts := range m.grp[rg].ts[off : off+m.cnt[d]] {
-						if sc.Query.InWindow(ts) {
-							n++
+					if d == p && !dead || d < p && !resident {
+						s.page(&sc.Page, r, d, rg, off, data)
+						if d == p && resident {
+							sc.Page.UseBounds(lbs)
 						}
+						if err := eval(&sc.Query, &sc.Page); err != nil {
+							return skipped, err
+						}
+					} else if sc.Trace != nil {
+						n := int64(0)
+						for _, ts := range m.grp[rg].ts[off : off+m.cnt[d]] {
+							if sc.Query.InWindow(ts) {
+								n++
+							}
+						}
+						sc.NoteDeadPage(n)
 					}
-					sc.NoteDeadPage(n)
 				}
 			}
 		}
+		skipped += int64(pending) // a run trailing the leg: nothing re-enters, free
 	}
-	return skipped + int64(pending), nil // a trailing run: nothing re-enters, free
+	return skipped, nil
 }

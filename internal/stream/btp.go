@@ -21,27 +21,28 @@ type btpPart struct {
 
 // BTP implements Bounded Temporal Partitioning — the scheme the sortable
 // summarization makes possible (Section 3). Buffer flushes create class-0
-// partitions; whenever MergeFactor time-adjacent partitions of the same
+// partitions; whenever mergeFactor time-adjacent partitions of the same
 // class accumulate, they are sort-merged into one partition of the next
 // class. Newer data therefore lives in small partitions (cheap small-window
 // queries, as TP) while older data consolidates into large contiguous runs
 // (effective pruning and bounded partition counts for large windows, as PP).
 type BTP struct {
 	arrivals
-	store       run.Store // writes, merges, probes and scans the partition files
-	name        string
-	mergeFactor int
-	parts       []btpPart
-	seq         int
-	merges      int64
+	store  run.Store // writes, merges, probes and scans the partition files
+	name   string
+	parts  []btpPart
+	seq    int
+	merges int64
 }
+
+// mergeFactor is the number of same-class partitions that triggers a merge:
+// pairs, the most aggressive bounding.
+const mergeFactor = 2
 
 // NewBTP builds a bounded-temporal-partitioning scheme over sorted runs.
 // reader serves the partitions' page reads (typically a buffer pool over
-// disk); nil selects the disk itself (uncached). mergeFactor is the number
-// of same-class partitions that triggers a merge (default 2, the most
-// aggressive bounding).
-func NewBTP(disk storage.Backend, reader storage.PageReader, name string, cfg index.Config, bufferCap, mergeFactor int, raw series.RawStore) (*BTP, error) {
+// disk); nil selects the disk itself (uncached).
+func NewBTP(disk storage.Backend, reader storage.PageReader, name string, cfg index.Config, bufferCap int, raw series.RawStore) (*BTP, error) {
 	a, err := newArrivals(cfg, bufferCap)
 	if err != nil {
 		return nil, err
@@ -49,17 +50,11 @@ func NewBTP(disk storage.Backend, reader storage.PageReader, name string, cfg in
 	if disk == nil {
 		return nil, fmt.Errorf("stream: Disk is required")
 	}
-	if mergeFactor == 0 {
-		mergeFactor = 2
-	}
-	if mergeFactor < 2 {
-		return nil, fmt.Errorf("stream: mergeFactor must be >= 2, got %d", mergeFactor)
-	}
 	store := run.NewStore(disk, reader, cfg, raw)
 	if _, err := store.Layout(); err != nil {
 		return nil, fmt.Errorf("stream: %w", err)
 	}
-	return &BTP{arrivals: a, store: store, name: name, mergeFactor: mergeFactor}, nil
+	return &BTP{arrivals: a, store: store, name: name}, nil
 }
 
 // Name implements index.Index.
@@ -109,7 +104,7 @@ func (b *BTP) bound() error {
 		if i < 0 {
 			return nil
 		}
-		group := b.parts[i : i+b.mergeFactor]
+		group := b.parts[i : i+mergeFactor]
 		inputs := make([]run.Run, len(group))
 		for j, p := range group {
 			inputs[j] = p.Run
@@ -123,7 +118,7 @@ func (b *BTP) bound() error {
 		// naming a deleted one.
 		rest := append([]btpPart{}, b.parts[:i]...)
 		rest = append(rest, btpPart{Run: merged, class: group[0].class + 1})
-		b.parts = append(rest, b.parts[i+b.mergeFactor:]...)
+		b.parts = append(rest, b.parts[i+mergeFactor:]...)
 		b.merges++
 		for _, in := range inputs {
 			if err := b.store.Disk.Remove(in.File); err != nil {
@@ -136,10 +131,10 @@ func (b *BTP) bound() error {
 // findMergeRun returns the index of the first run of mergeFactor
 // consecutive partitions sharing a class, or -1.
 func (b *BTP) findMergeRun() int {
-	for i := 0; i+b.mergeFactor <= len(b.parts); i++ {
+	for i := 0; i+mergeFactor <= len(b.parts); i++ {
 		c := b.parts[i].class
 		ok := true
-		for j := 1; j < b.mergeFactor; j++ {
+		for j := 1; j < mergeFactor; j++ {
 			if b.parts[i+j].class != c {
 				ok = false
 				break

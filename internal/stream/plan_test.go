@@ -28,7 +28,7 @@ func buildPlanned(t *testing.T, kind string, mat bool) (Scheme, []series.Series)
 	case "tp":
 		sc, err = NewTP("CTree", cfg, CTreeFactory(disk, nil, cfg, raw), 128, raw)
 	case "btp":
-		sc, err = NewBTP(disk, nil, "btp", cfg, 128, 2, raw)
+		sc, err = NewBTP(disk, nil, "btp", cfg, 128, raw)
 	}
 	if err != nil {
 		t.Fatal(err)

@@ -29,7 +29,7 @@ func TestCLSMFlushAndBTPSealWriteTheSameRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	btp, err := NewBTP(btpDisk, nil, "btp", testConfig(false), n, 2, raw)
+	btp, err := NewBTP(btpDisk, nil, "btp", testConfig(false), n, raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestBTPFaultInjection(t *testing.T) {
 				t.Fatal(err)
 			}
 			raw := &memRaw{}
-			btp, err := NewBTP(disk, nil, "btp", testConfig(false), bufferCap, 2, raw)
+			btp, err := NewBTP(disk, nil, "btp", testConfig(false), bufferCap, raw)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -133,7 +133,7 @@ func schemes(t *testing.T, raw *memRaw, mat bool) map[string]ingester {
 		t.Fatal(err)
 	}
 	out["TP-ADS"] = tpa
-	btp, err := NewBTP(storage.NewDisk(0), nil, "btp", testConfig(mat), 128, 2, raw)
+	btp, err := NewBTP(storage.NewDisk(0), nil, "btp", testConfig(mat), 128, raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestTPPartitionsGrowLinearly(t *testing.T) {
 
 func TestBTPBoundsPartitions(t *testing.T) {
 	raw := &memRaw{}
-	btp, err := NewBTP(storage.NewDisk(0), nil, "btp", testConfig(false), 100, 2, raw)
+	btp, err := NewBTP(storage.NewDisk(0), nil, "btp", testConfig(false), 100, raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestBTPBoundsPartitions(t *testing.T) {
 
 func TestBTPTimeRangesDisjointOrdered(t *testing.T) {
 	raw := &memRaw{}
-	btp, err := NewBTP(storage.NewDisk(0), nil, "btp", testConfig(false), 64, 2, raw)
+	btp, err := NewBTP(storage.NewDisk(0), nil, "btp", testConfig(false), 64, raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +294,7 @@ func (f *fileReads) Access(file string, _ int64, write bool) {
 func TestBTPSmallWindowSkipsLargePartitions(t *testing.T) {
 	raw := &memRaw{}
 	disk := storage.NewDisk(0)
-	btp, err := NewBTP(disk, nil, "btp", testConfig(true), 128, 2, raw)
+	btp, err := NewBTP(disk, nil, "btp", testConfig(true), 128, raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,11 +385,8 @@ func TestIngestValidation(t *testing.T) {
 	if _, err := NewTP("x", testConfig(false), nil, 0, raw); err == nil {
 		t.Fatal("zero buffer should fail")
 	}
-	if _, err := NewBTP(nil, nil, "x", testConfig(false), 10, 2, raw); err == nil {
+	if _, err := NewBTP(nil, nil, "x", testConfig(false), 10, raw); err == nil {
 		t.Fatal("nil disk should fail")
-	}
-	if _, err := NewBTP(storage.NewDisk(0), nil, "x", testConfig(false), 10, 1, raw); err == nil {
-		t.Fatal("merge factor 1 should fail")
 	}
 }
 
@@ -426,7 +423,7 @@ func TestApproxSearchAcrossSchemes(t *testing.T) {
 // the flush count, not linearly as TP.
 func TestBTPPartitionCountLogarithmic(t *testing.T) {
 	raw := &memRaw{}
-	btp, err := NewBTP(storage.NewDisk(0), nil, "btp", testConfig(false), 50, 2, raw)
+	btp, err := NewBTP(storage.NewDisk(0), nil, "btp", testConfig(false), 50, raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -457,7 +454,7 @@ func TestBTPPartitionCountLogarithmic(t *testing.T) {
 func TestBTPClassSizes(t *testing.T) {
 	raw := &memRaw{}
 	const buf = 40
-	btp, err := NewBTP(storage.NewDisk(0), nil, "btp", testConfig(false), buf, 2, raw)
+	btp, err := NewBTP(storage.NewDisk(0), nil, "btp", testConfig(false), buf, raw)
 	if err != nil {
 		t.Fatal(err)
 	}

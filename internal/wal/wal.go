@@ -20,12 +20,15 @@
 //
 // # Group commit
 //
-// Append buffers frames in user space and fsyncs on a configurable cadence:
-// every SyncEvery appends, whenever SyncInterval has elapsed since the last
-// sync, or on an explicit Sync. With both knobs zero every append syncs
-// before returning — the strict-durability setting. Durability therefore
-// means: an insert is crash-safe once the log has synced past its LSN; the
-// batched modes trade a bounded window of recent acknowledgements for
+// Append writes each frame straight to the active segment — two write
+// calls, its header then its payload, with no buffering in user space — and
+// then fsyncs by policy: once SyncEvery appends are unsynced, or when the
+// append finds SyncInterval elapsed since the last sync (no timer fires
+// between appends), or on an explicit Sync. With both knobs zero every
+// append syncs before returning — the strict-durability setting. Durability
+// therefore means: an insert is crash-safe once the log has synced past its
+// LSN; until then its frame sits in the operating system's page cache, so
+// the batched modes trade a bounded window of recent acknowledgements for
 // ingest throughput, exactly the group-commit trade databases make.
 //
 // # Recovery and truncation

@@ -6,7 +6,6 @@ package coconut
 
 import (
 	"bytes"
-	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -1037,12 +1036,7 @@ func runBench(b *testing.B, n int) (s run.Store, r run.Run, q index.Query) {
 		key, z := cfg.Summarize(gen.RandomWalk(rng, cfg.SeriesLen))
 		entries[i] = record.Entry{Key: key, ID: int64(i), TS: int64(i), Payload: z}
 	}
-	slices.SortFunc(entries, func(a, b record.Entry) int {
-		if c := a.Key.Compare(b.Key); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.ID, b.ID)
-	})
+	record.Sort(entries)
 	s = run.NewStore(storage.NewDisk(0), nil, cfg, nil)
 	r, err := s.Write("run", entries)
 	if err != nil {
@@ -1098,21 +1092,36 @@ func BenchmarkRunScan(b *testing.B) {
 
 // BenchmarkRunProbe is one approximate probe of the same run: the covering
 // page found by searching the fence keys the resident column holds
-// ("fence"), then pinned and evaluated. (Pinning first keys off log₂(pages)
-// pages instead is the equivalence suites' reference, not a benchmark.)
+// ("fence"), then pinned and evaluated — a CLSM run's probe; and BTP's
+// ranked probe of a window query over the newest eighth of the run
+// ("ranked"), which bounds the best groups' pages from the resident columns
+// and reads up to its budget of eight of them. (Pinning first keys, or the
+// ranked candidates, off their pages instead is the equivalence suites'
+// reference, not a benchmark.)
 func BenchmarkRunProbe(b *testing.B) {
-	s, r, q := runBench(b, 16384)
-	ctx := index.AcquireCtx(q, s.Config)
-	defer ctx.Release()
-	sc := ctx.Scratch0()
-	b.Run("fence", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if err := s.Probe(r, q, index.NewCollector(10), sc); err != nil {
-				b.Fatal(err)
+	const n = 16384
+	s, r, q := runBench(b, n)
+	windowed := q.WithWindow(n-n/8, n)
+	for _, bc := range []struct {
+		name  string
+		q     index.Query
+		probe func(*run.Store, run.Run, index.Query, *index.Collector, *index.Scratch) error
+	}{
+		{"fence", q, (*run.Store).Probe},
+		{"ranked", windowed, (*run.Store).RankedProbe},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			ctx := index.AcquireCtx(bc.q, s.Config)
+			defer ctx.Release()
+			sc := ctx.Scratch0()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := bc.probe(&s, r, bc.q, index.NewCollector(10), sc); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
+		})
+	}
 }
 
 // --- Request decoding: the serving tier's JSON in. ---

@@ -44,7 +44,6 @@ package clsm
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -401,7 +400,7 @@ func (l *LSM) Flush() error {
 	// Sort a copy — searches are scanning the live buffer.
 	sorted := make([]record.Entry, n)
 	copy(sorted, snap)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Less(sorted[j]) })
+	record.Sort(sorted)
 	flushed, err := l.store.Write(l.runName(), sorted)
 	if err != nil {
 		return err

@@ -258,7 +258,10 @@ func TestSearchContractTPContexts(t *testing.T) {
 // rendered results and what the scan itself keeps. A non-materialized
 // tree's exact search averages between 12 and 13 allocations a query, so
 // the whole-number count reads either from one process to the next; its
-// ceiling is the higher.
+// ceiling is the higher. The BTP stream is fed the series one tick apart and
+// queried over a window, so its partitions' ranked probes
+// (run.Store.RankedProbe) seed its exact search: they allocate nothing, the
+// exact search one allocation fewer than with the covering-page probe.
 func TestSearchEntryAllocs(t *testing.T) {
 	if index.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -274,16 +277,31 @@ func TestSearchEntryAllocs(t *testing.T) {
 		{"CTree", assemble.Spec{Variant: "CTree"}, 13, 10, 12},
 		{"CLSMFull", assemble.Spec{Variant: "CLSMFull", BufferEntries: 200}, 17, 13, 13},
 		{"Sharded3xCTreeFull", assemble.Spec{Variant: "CTreeFull", Shards: 3}, 22, 12, 22},
+		{"CLSMFull+BTP", assemble.Spec{Variant: "CLSMFull", Scheme: "BTP", BufferEntries: 200}, 14, 12, 12},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			spec := row.spec
 			spec.SeriesLen, spec.Segments, spec.Bits, spec.RawInMemory = 64, 16, 8, true
-			b, err := assemble.Build(spec, ds)
+			from := ds
+			if spec.Scheme != "" {
+				from = nil // a stream is built empty and fed its series, series i at tick i
+			}
+			b, err := assemble.Build(spec, from)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer b.Close()
+			if from == nil {
+				for i, s := range ds.Values {
+					if err := b.Ingest(s, int64(i)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
 			q := index.NewQuery(ds.Values[123], b.Config)
+			if from == nil {
+				q = q.WithWindow(1000, 3000) // a stream's query is windowed
+			}
 			rs, err := b.ExactSearch(q, k)
 			if err != nil {
 				t.Fatal(err)

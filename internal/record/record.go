@@ -19,8 +19,10 @@
 package record
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"repro/internal/series"
 	"repro/internal/sortable"
@@ -36,12 +38,21 @@ type Entry struct {
 
 // Less orders entries by (Key, ID): key order is the sortable-summarization
 // order; ID breaks ties deterministically.
-func (e Entry) Less(o Entry) bool {
+func (e Entry) Less(o Entry) bool { return e.Compare(o) < 0 }
+
+// Compare is Less as a three-way comparison: -1, 0 or +1.
+func (e Entry) Compare(o Entry) int {
 	if c := e.Key.Compare(o.Key); c != 0 {
-		return c < 0
+		return c
 	}
-	return e.ID < o.ID
+	return cmp.Compare(e.ID, o.ID)
 }
+
+// Sort puts entries in (Key, ID) order, the order of every entry file: the
+// one in-memory sort of a flushed buffer, a sealed partition or a TP
+// partition's bulk load. The order is total, so the result does not depend
+// on the algorithm.
+func Sort(entries []Entry) { slices.SortFunc(entries, Entry.Compare) }
 
 // HeaderBytes is the size of the fixed (non-payload) part of an entry.
 const HeaderBytes = sortable.KeyBytes + 8 + 8

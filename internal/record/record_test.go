@@ -1,7 +1,9 @@
 package record
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -105,6 +107,47 @@ func TestEntryLessOrdering(t *testing.T) {
 		if a.Key == b.Key && a.ID > b.ID {
 			t.Fatalf("tie not broken by ID at %d", i)
 		}
+	}
+}
+
+// TestSortIsLessOrder: Sort gives the (Key, ID) sequence a sort by Less
+// gives and keeps every entry, on entries with repeated keys and IDs at the
+// int64 extremes, and Compare agrees with Less in sign.
+func TestSortIsLessOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	ids := []int64{math.MinInt64, -1, 0, 1, math.MaxInt64}
+	entries := make([]Entry, 700)
+	for i := range entries {
+		entries[i] = Entry{
+			Key:     sortable.Key{Hi: rng.Uint64() % 4 << 62, Lo: rng.Uint64() % 5},
+			ID:      ids[rng.Intn(len(ids))] + int64(i%3) - 1,
+			TS:      int64(i),
+			Payload: series.Series{float64(i)},
+		}
+	}
+	for i, a := range entries {
+		b := entries[(i*7+3)%len(entries)]
+		if c := a.Compare(b); (c < 0) != a.Less(b) || (c > 0) != b.Less(a) {
+			t.Fatalf("Compare(%+v, %+v) = %d against Less", a, b, c)
+		}
+	}
+	want := slices.Clone(entries)
+	sort.SliceStable(want, func(i, j int) bool { return want[i].Less(want[j]) })
+	got := slices.Clone(entries)
+	Sort(got)
+	for i := range want {
+		// Equal (Key, ID) pairs may come out in either order: compare what
+		// the order fixes, and that the multiset of entries is kept.
+		if got[i].Key != want[i].Key || got[i].ID != want[i].ID {
+			t.Fatalf("entry %d: %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	seen := map[int64]bool{}
+	for _, e := range got {
+		seen[e.TS] = true
+	}
+	if len(seen) != len(entries) {
+		t.Fatalf("Sort kept %d of %d entries", len(seen), len(entries))
 	}
 }
 

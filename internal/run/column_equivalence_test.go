@@ -17,24 +17,29 @@ import (
 )
 
 // The resident searches of a sorted run — page envelope, SAX and timestamp
-// columns, page bytes for a survivor only, and a probe that finds its page
-// among fence keys in memory — are held here to the searches they replaced,
-// which bounded and window-filtered every entry from its page's bytes and
-// pinned their way to a probe's page (run.SetPageKeyBounds, a test hook).
-// Each scenario builds its index three times from the same data and runs the
+// columns, page bytes for a survivor only, and probes that pick their pages
+// in memory — are held here to the searches they replaced, which bounded and
+// window-filtered every entry from its page's bytes (run.SetPageKeyBounds, a
+// test hook) and pinned pages to pick a probe's (run.SetPinnedProbe, a
+// second one). A CLSM run's probe pins its way to the covering page through
+// the first keys; a BTP partition's ranked probe (run.Store.RankedProbe)
+// pins each page it ranks and bounds its in-window entries from the page's
+// bytes, which must keep, and then read, the pages the columns pick. Each
+// scenario builds its index three times from the same data and runs the
 // same operations:
 //
 //   - reference: page-key bounds, pinning probe;
-//   - resident scan, pinning probe (run.SetPinnedProbe): the same answers
-//     and, for a serial search, the same Stats record whole — sequential and
-//     random reads and writes, cache hits and misses, planned skips. That is
-//     the claim "which pages a scan reads, in what order, and what it leaves
-//     in the cache did not change";
-//   - resident scan, fence-key probe (what ships): the same answers, the
-//     same writes and planned skips, and exactly as many page accesses fewer
-//     as the reference's probes pinned first keys. (Which of the remaining
-//     accesses hit a cache, or count as sequential, does move: the pages a
-//     probe no longer pins it no longer leaves behind.)
+//   - resident scan, pinning probe: the same answers and, for a serial
+//     search, the same Stats record whole — sequential and random reads and
+//     writes, cache hits and misses, planned skips. That is the claim "which
+//     pages a scan reads, in what order, and what it leaves in the cache did
+//     not change";
+//   - resident scan, resident probe (what ships): the same answers —
+//     approximate ones too, which name the pages a probe read — the same
+//     writes and planned skips, and exactly as many page accesses fewer as
+//     the reference's probes pinned to pick their pages. (Which of the
+//     remaining accesses hit a cache, or count as sequential, does move: the
+//     pages a probe no longer pins it no longer leaves behind.)
 //
 // The scenarios reach runs through every surface they sit behind: the
 // facade's LSM (on the heap, on host files, under a pool smaller than a run,
@@ -253,7 +258,7 @@ func TestColumnScanEquivalence(t *testing.T) {
 
 	scenarios := []struct {
 		name   string
-		pins   bool // the reference's probes must have pinned first keys
+		pins   bool // the reference's probes must have pinned pages to pick theirs
 		cached bool
 		opts   func() coconut.Options // Parallelism is set per run below
 		run    scenario
@@ -272,6 +277,11 @@ func TestColumnScanEquivalence(t *testing.T) {
 		{"stream-btp-full", true, false, func() coconut.Options { return full }, stream(coconut.BTP)},
 		{"stream-btp-file", true, false, func() coconut.Options { return with(full, memfs) }, stream(coconut.BTP)},
 		{"stream-btp-pool", true, true, func() coconut.Options { return with(full, smallPool) }, stream(coconut.BTP)},
+		// Two flushes of 1250 merge into one partition of 358 pages, whose
+		// ranked probe reads up to two.
+		{"stream-btp-wide", true, false, func() coconut.Options {
+			return with(full, func(o *coconut.Options) { o.BufferEntries = 1250 })
+		}, stream(coconut.BTP)},
 		{"stream-tp", false, false, func() coconut.Options { return base }, stream(coconut.TP)},
 	}
 	defer run.SetPageKeyBounds(false)
@@ -290,12 +300,12 @@ func TestColumnScanEquivalence(t *testing.T) {
 				}
 				wantAns, want, pins := play(true, true)
 				if want.SeqReads+want.RandReads == 0 || (pins != 0) != sc.pins {
-					t.Fatalf("scenario exercises nothing: %+v, %d first-key pins", want, pins)
+					t.Fatalf("scenario exercises nothing: %+v, %d probe pins", want, pins)
 				}
 				for _, mode := range []struct {
 					name   string
 					pinned bool
-				}{{"resident scan, pinning probe", true}, {"resident scan, fence-key probe", false}} {
+				}{{"resident scan, pinning probe", true}, {"resident scan, resident probe", false}} {
 					gotAns, got, gotPins := play(false, mode.pinned)
 					for i := range wantAns {
 						if !reflect.DeepEqual(wantAns[i], gotAns[i]) {
@@ -307,7 +317,7 @@ func TestColumnScanEquivalence(t *testing.T) {
 					}
 					if mode.pinned {
 						if got != want || gotPins != pins {
-							t.Fatalf("%s: accounting diverged (%d and %d first-key pins):\nreference: %+v\nresident:  %+v", mode.name, pins, gotPins, want, got)
+							t.Fatalf("%s: accounting diverged (%d and %d probe pins):\nreference: %+v\nresident:  %+v", mode.name, pins, gotPins, want, got)
 						}
 						continue
 					}
@@ -320,7 +330,7 @@ func TestColumnScanEquivalence(t *testing.T) {
 					if gotPins != 0 || accesses(got) != accesses(want)-pins ||
 						got.SeqWrites != want.SeqWrites || got.RandWrites != want.RandWrites ||
 						got.PlannedSkips != want.PlannedSkips || got.Pages != want.Pages {
-						t.Fatalf("%s: want the reference's accounting less its %d first-key pins:\nreference: %+v\nresident:  %+v", mode.name, pins, want, got)
+						t.Fatalf("%s: want the reference's accounting less its %d probe pins:\nreference: %+v\nresident:  %+v", mode.name, pins, want, got)
 					}
 				}
 			})

@@ -462,6 +462,159 @@ func (s *Store) ProbePage(r Run, p int, q index.Query, col *index.Collector, sc 
 	return n, err
 }
 
+// rankedGroups is how many groups a ranked probe ranks the pages of: the
+// unit's best by envelope bound, 512 pages when built. Ranking reads only
+// the resident summary, so the count costs CPU, not I/O. It is the sizing a
+// prototype found on stream_window (see ARCHITECTURE, "Resident page
+// summary").
+const rankedGroups = 32
+
+// A ranked probe reads at most max(1, pages/rankedShare) of its unit's
+// pages, and never more than rankedCap. Each page it reads is a random read,
+// ten sequential ones under the default cost model, so on a unit of P pages
+// the seed costs at most 10·P/128 sequential reads, under 8% of reading the
+// unit end to end — what an exact scan of it costs before any page is
+// skipped — and a unit under 256 pages gets the one page the covering-page
+// probe read. The cap holds the largest units to 80 sequential reads' worth:
+// eight pages of seven materialized entries, some five times k = 10
+// candidates. (A prototype's fixed eight pages cut stream_window's io a
+// little more, 2 502 → 1 903 a query at seed 977 against 1 932, but raised
+// E6's CLSM+BTP query cost over the whole history 64.0 → 88.2, and its
+// reads evicted what the small pool of TestCachedStreamEquivalence holds.)
+const rankedShare, rankedCap = 128, 8
+
+// rankedBudget returns how many pages a ranked probe of a unit of the given
+// pages may read.
+func rankedBudget(pages int) int { return min(rankedCap, max(1, pages/rankedShare)) }
+
+// rankedPage is a page a ranked probe may read, with its least in-window
+// entry bound.
+type rankedPage struct {
+	bound float64
+	page  int
+}
+
+// RankedProbe is a windowed approximate probe of r into col that picks its
+// pages from the resident summary before it pins one: it bounds the groups'
+// envelopes (Pruner.EnvelopeSqs), takes the rankedGroups best, bounds their
+// pages' envelopes and then, for a page its envelope does not rule out, its
+// entries (Scratch.ResidentBounds), and keeps the budget's worth of pages
+// with the least in-window entry bound, ties to the lower page. It reads
+// them in that order, each through ProbePage, until the next one's bound is
+// ruled out by col (SkipSq) — every later one's is too, the bounds ascending
+// and the collector's only tightening. A page with no in-window entry is
+// never read.
+//
+// Groups are visited in ascending bound order, so the first that col rules
+// out, or whose bound is beyond the worst page kept once the budget is
+// full, ends the ranking; a page is passed over on its envelope bound by the
+// same two tests, its entries unbounded. Neither changes a page read: an
+// entry's bound is at least its page envelope's, which is at least its
+// group's, and a page col rules out now it would rule out when the page's
+// turn came, after every live page kept before it.
+//
+// BTP's partitions use it (stream.BTP.ApproxInto, and with it the seed of
+// their exact search); CLSM runs, CTrees and TP keep the covering page
+// (Probe): see ARCHITECTURE, "Resident page summary". Under the pinned-probe
+// test hook a page's entries are bounded from its bytes, pinned for the
+// purpose, as a store without summaries would have to: the same pages are
+// kept, and the extra pins are counted.
+func (s *Store) RankedProbe(r Run, q index.Query, col *index.Collector, sc *index.Scratch) error {
+	m, w := r.Sum, r.Sum.segs
+	if m.Pages() == 0 {
+		return nil
+	}
+	budget := rankedBudget(m.Pages())
+	groups := sc.Bounds(len(m.grp))
+	sc.P.EnvelopeSqs(groups, w, m.grpMin, m.grpMax)
+	var best [rankedGroups]int // group indexes by ascending (bound, index)
+	nb := 0
+	for g, b := range groups {
+		if nb == rankedGroups && b >= groups[best[nb-1]] {
+			continue
+		}
+		nb = min(nb+1, rankedGroups)
+		i := nb - 1
+		for ; i > 0 && b < groups[best[i-1]]; i-- {
+			best[i] = best[i-1]
+		}
+		best[i] = g
+	}
+	var top [rankedCap]rankedPage // by ascending (bound, page)
+	var pageBuf [2 * groupPages]float64
+	n := 0
+	full := func(b float64) bool { return n == budget && b > top[n-1].bound }
+	for _, g := range best[:nb] {
+		if col.SkipSq(groups[g]) || full(groups[g]) {
+			break
+		}
+		first, end := m.grp[g].first, m.end(g)
+		pages := pageBuf[:end-first]
+		sc.P.EnvelopeSqs(pages, w, m.envMin[first*w:], m.envMax[first*w:])
+		at := 0 // page p's offset in group g's columns
+		for p := first; p < end; p, at = p+1, at+m.cnt[p] {
+			if col.SkipSq(pages[p-first]) || full(pages[p-first]) {
+				continue
+			}
+			least, err := s.leastInWindow(r, p, g, at, &q, sc)
+			if err != nil {
+				return err
+			}
+			if math.IsInf(least, 1) || col.SkipSq(least) || full(least) ||
+				n == budget && least == top[n-1].bound && p > top[n-1].page {
+				continue
+			}
+			n = min(n+1, budget)
+			i := n - 1
+			for ; i > 0 && (least < top[i-1].bound || least == top[i-1].bound && p < top[i-1].page); i-- {
+				top[i] = top[i-1]
+			}
+			top[i] = rankedPage{least, p}
+		}
+	}
+	for _, c := range top[:n] {
+		if col.SkipSq(c.bound) {
+			break
+		}
+		if _, err := s.ProbePage(r, c.page, q, col, sc); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// leastInWindow returns the least bound among page p's entries in q's
+// window, +Inf when none is in it: from the resident columns (p is in group
+// g, at offset off of its columns) or, under the pinned-probe hook, from the
+// page's bytes, read through a cursor of its own.
+func (s *Store) leastInWindow(r Run, p, g, off int, q *index.Query, sc *index.Scratch) (float64, error) {
+	n := r.Sum.cnt[p]
+	if onProbePin == nil {
+		gr, w := &r.Sum.grp[g], r.Sum.segs
+		_, least := sc.ResidentBounds(q, gr.syms[off*w:(off+n)*w], gr.ts[off:off+n])
+		return least, nil
+	}
+	phys := r.Sum.Phys(p)
+	cur := s.Reader.Scan(r.File, phys, phys+1)
+	defer cur.Close()
+	data, err := cur.Pin(phys)
+	if err != nil {
+		return 0, err
+	}
+	onProbePin()
+	var pg record.PageView
+	if err := s.layout.Page(&pg, data, n); err != nil {
+		return 0, fmt.Errorf("run: %s page %d: %w", r.File, p, err)
+	}
+	least := math.Inf(1)
+	for i := 0; i < pg.Count(); i++ {
+		if q.InWindow(pg.TS(i)) {
+			least = min(least, sc.P.MinDistSqKey(pg.Key(i)))
+		}
+	}
+	return least, nil
+}
+
 // Scan is the one sequential page loop, of runs and CTree leaf levels alike:
 // it pins pages [lo, hi) of r through one storage cursor opened over the
 // whole range, ascending from start to hi and then, wrapping once, from lo to

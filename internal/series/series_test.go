@@ -1,6 +1,8 @@
 package series
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math"
 	"testing"
 	"testing/quick"
@@ -112,6 +114,46 @@ func TestBinaryRoundTrip(t *testing.T) {
 	for i := range s {
 		if got[i] != s[i] {
 			t.Errorf("roundtrip[%d] = %v, want %v", i, got[i], s[i])
+		}
+	}
+}
+
+// TestAppendBinaryPerPoint holds AppendBinary to the per-point encoding —
+// each point's IEEE-754 bits appended little-endian in turn — bit for bit,
+// over the values whose bits a float conversion could disturb: NaNs with
+// payloads and signs, both zeros, both infinities and subnormals, appended
+// to nil, to a buffer with bytes before them, and to one with room to spare.
+func TestAppendBinaryPerPoint(t *testing.T) {
+	bits := math.Float64frombits
+	special := Series{
+		math.NaN(), bits(0x7ff8_0000_0000_0001), bits(0xfff8_dead_beef_0000), bits(0x7ff0_0000_0000_0001), // quiet, payload, negative, signalling
+		0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
+		bits(1), bits(0x000f_ffff_ffff_ffff), -bits(1), math.SmallestNonzeroFloat64, // subnormals
+		math.MaxFloat64, -math.MaxFloat64, 1, -2.5,
+	}
+	perPoint := func(buf []byte, s Series) []byte {
+		for _, v := range s {
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+		}
+		return buf
+	}
+	for _, row := range []struct {
+		name   string
+		s      Series
+		prefix []byte
+		room   int // spare capacity of the buffer appended to
+	}{
+		{"special", special, nil, 0},
+		{"special after bytes", special, []byte{1, 2, 3}, 0},
+		{"special with room", special, []byte{1, 2, 3, 4, 5}, 1024},
+		{"empty", Series{}, []byte{9}, 0},
+		{"nil", nil, nil, 0},
+		{"one", Series{bits(0x7ff4_0000_0000_0000)}, nil, 0},
+	} {
+		buf := func() []byte { return append(make([]byte, 0, len(row.prefix)+row.room), row.prefix...) }
+		want := perPoint(buf(), row.s)
+		if got := row.s.AppendBinary(buf()); !bytes.Equal(got, want) {
+			t.Errorf("%s: % x, want % x", row.name, got, want)
 		}
 	}
 }

@@ -2,9 +2,9 @@ package stream
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/index"
+	"repro/internal/record"
 	"repro/internal/run"
 	"repro/internal/series"
 	"repro/internal/storage"
@@ -79,7 +79,7 @@ func (b *BTP) Seal() error {
 	if len(b.buffer) == 0 {
 		return nil
 	}
-	sort.Slice(b.buffer, func(i, j int) bool { return b.buffer[i].Less(b.buffer[j]) })
+	record.Sort(b.buffer)
 	sealed, err := b.store.Write(b.nextFile(), b.buffer)
 	if err != nil {
 		return err
@@ -154,12 +154,15 @@ func (b *BTP) Partitions() int { return len(b.parts) }
 func (b *BTP) Merges() int64 { return b.merges }
 
 // ApproxInto implements index.Index: the buffer is scanned and each
-// intersecting partition is probed at the query key's page. Partitions are
-// independent sorted runs, so probes execute concurrently on ctx's pool. It
-// is also the exact search's first phase on the same context (one table
-// fill across both).
+// intersecting partition is probed at the pages its resident summary ranks
+// best for the query and its window (run.Store.RankedProbe), not at the
+// query key's page, which for a window query mostly holds entries outside
+// it. Partitions are independent sorted runs, so probes execute
+// concurrently on ctx's pool. It is also the exact search's first phase on
+// the same context (one table fill across both), so the pages it reads set
+// the bound the scans prune by.
 func (b *BTP) ApproxInto(q index.Query, col *index.Collector, ctx *index.SearchCtx) error {
-	return b.search(q, col, ctx, (*run.Store).Probe)
+	return b.search(q, col, ctx, (*run.Store).RankedProbe)
 }
 
 // ExactInto implements index.Index: the approximate phase seeds the bound,
@@ -191,9 +194,9 @@ func (b *BTP) search(q index.Query, col *index.Collector, ctx *index.SearchCtx, 
 	return b.forEachPart(q, ctx, col, scan)
 }
 
-// forEachPart applies scan (the run store's Probe or ScanRun, as a method
-// expression) to every partition intersecting the query window through the
-// planned-probe executor (index.ProbeUnits) — the same
+// forEachPart applies scan (the run store's RankedProbe or ScanRun, as a
+// method expression) to every partition intersecting the query window
+// through the planned-probe executor (index.ProbeUnits) — the same
 // discipline as CLSM runs, with the same determinism guarantee. A partition
 // is bounded by its synopsis's envelope MINDIST; window filtering happens
 // here, outside the planner's skip count.

@@ -3,7 +3,6 @@ package stream
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/adsplus"
 	"repro/internal/ctree"
@@ -24,7 +23,7 @@ type PartitionFactory func(name string, entries []record.Entry) (index.Index, er
 func CTreeFactory(disk storage.Backend, reader storage.PageReader, cfg index.Config, raw series.RawStore) PartitionFactory {
 	return func(name string, entries []record.Entry) (index.Index, error) {
 		sorted := slices.Clone(entries)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i].Less(sorted[j]) })
+		record.Sort(sorted)
 		// A partition's bulk load is one sorted write (Parallelism 1 sorts
 		// nothing on workers).
 		return ctree.BuildFromEntries(ctree.Options{Disk: disk, Reader: reader, Name: name, Config: cfg, Raw: raw, Parallelism: 1}, sorted)

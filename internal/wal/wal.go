@@ -20,12 +20,13 @@
 //
 // # Group commit
 //
-// Append writes each frame straight to the active segment — two write
-// calls, its header then its payload, with no buffering in user space — and
-// then fsyncs by policy: once SyncEvery appends are unsynced, or when the
-// append finds SyncInterval elapsed since the last sync (no timer fires
-// between appends), or on an explicit Sync. With both knobs zero every
-// append syncs before returning — the strict-durability setting. Durability
+// Append writes each frame straight to the active segment — one write call,
+// its header and payload laid out in a buffer the log reuses, with nothing
+// held back across appends — and then fsyncs by policy: once SyncEvery
+// appends are unsynced, or when the append finds SyncInterval elapsed since
+// the last sync (no timer fires between appends), or on an explicit Sync.
+// With both knobs zero every append syncs before returning — the
+// strict-durability setting. Durability
 // therefore means: an insert is crash-safe once the log has synced past its
 // LSN; until then its frame sits in the operating system's page cache, so
 // the batched modes trade a bounded window of recent acknowledgements for
@@ -143,6 +144,7 @@ type Log struct {
 	unsynced int        // appends since last fsync
 	lastSync time.Time
 	closed   bool
+	frame    []byte // the frame being appended, header and payload: one write
 
 	appends, syncs, rotations, truncated, bytes int64
 }
@@ -344,13 +346,10 @@ func (l *Log) appendLocked(payload []byte) (int64, error) {
 		tail = l.segs[len(l.segs)-1]
 	}
 	lsn := tail.first + tail.count
-	var head [frameHeader]byte
-	binary.LittleEndian.PutUint32(head[:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(head[4:], crc32.Checksum(payload, castagnoli))
-	if _, err := l.active.Write(head[:]); err != nil {
-		return 0, err
-	}
-	if _, err := l.active.Write(payload); err != nil {
+	l.frame = binary.LittleEndian.AppendUint32(l.frame[:0], uint32(len(payload)))
+	l.frame = binary.LittleEndian.AppendUint32(l.frame, crc32.Checksum(payload, castagnoli))
+	l.frame = append(l.frame, payload...)
+	if _, err := l.active.Write(l.frame); err != nil {
 		return 0, err
 	}
 	tail.count++

@@ -2,7 +2,9 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sync"
@@ -232,6 +234,53 @@ func TestStrictSyncEveryAppend(t *testing.T) {
 	}
 	if st := l.Stats(); st.Syncs != 10 {
 		t.Fatalf("strict mode syncs = %d, want 10", st.Syncs)
+	}
+}
+
+// TestAppendIsOneWrite: each Append hands its whole frame, header and
+// payload, to one write call, and the frames are the ones replay reads: the
+// same payloads, each behind its length and CRC-32C.
+func TestAppendIsOneWrite(t *testing.T) {
+	fsys := fsx.NewMemFS()
+	var writes []string
+	fsys.SetFaultHook(func(op, path string) error {
+		if op == "write" {
+			writes = append(writes, path)
+		}
+		return nil
+	})
+	l := openTest(t, "wal", Options{FS: fsys, SyncEvery: 1000, SyncInterval: time.Hour})
+	payloads := [][]byte{[]byte("x"), bytes.Repeat([]byte{7}, 4000), {}, []byte("last")}
+	var want []byte
+	for i, p := range payloads {
+		writes = writes[:0]
+		if _, err := l.Append(p); err != nil {
+			t.Fatal(err)
+		}
+		if len(writes) != 1 {
+			t.Fatalf("append %d (%d bytes) made %d write calls, want 1", i, len(p), len(writes))
+		}
+		want = binary.LittleEndian.AppendUint32(want, uint32(len(p)))
+		want = binary.LittleEndian.AppendUint32(want, crc32.Checksum(p, castagnoli))
+		want = append(want, p...)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := listSegments(fsys, "wal")
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("segments %v, %v", segs, err)
+	}
+	if got, err := fsys.ReadFile(segs[0]); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("segment holds %d bytes (%v), want the %d bytes of the frames", len(got), err, len(want))
+	}
+	reopened := openTest(t, "wal", Options{FS: fsys})
+	defer reopened.Close()
+	_, got := collect(t, reopened, 0)
+	for i := range payloads {
+		if !bytes.Equal(got[i], payloads[i]) {
+			t.Fatalf("replayed payload %d = %q, want %q", i, got[i], payloads[i])
+		}
 	}
 }
 

@@ -79,8 +79,9 @@ func (s *Stream) SearchWindow(q []float64, k int, minTS, maxTS int64) ([]Match, 
 	return s.searchWindow(q, k, minTS, maxTS)
 }
 
-// SearchApprox probes the scheme near q's key without exactness
-// guarantees, restricted to [minTS, maxTS].
+// SearchApprox probes the scheme without exactness guarantees, restricted
+// to [minTS, maxTS]: near q's key, or, on BTP, at the pages each
+// partition's resident summary ranks best for q and the window.
 func (s *Stream) SearchApprox(q []float64, k int, minTS, maxTS int64) ([]Match, error) {
 	rs, err := s.b.ApproxSearch(index.NewQuery(series.Series(q), s.cfg).WithWindow(minTS, maxTS), k)
 	return convert(rs), err

@@ -22,6 +22,7 @@ import (
 	"repro/internal/extsort"
 	"repro/internal/gen"
 	"repro/internal/index"
+	"repro/internal/obs"
 	"repro/internal/record"
 	"repro/internal/run"
 	"repro/internal/sax"
@@ -108,7 +109,7 @@ var benchSink float64
 
 // BenchmarkEnvelope measures the zone-map bounds of the CTree scans over the
 // leaf envelopes of a sorted run of random-walk keys, 32 to a leaf: "full"
-// is one envelope an op through EnvelopeSq (the value SynopsisBoundSq orders
+// is one envelope an op through EnvelopeSq (the value UnitBoundSq orders
 // plans by), "batch" is 16 consecutive leaves an op through EnvelopeSqs,
 // what the page loop pays for a page group's leaves, reported per envelope.
 // 2048 leaves, because a branch predictor learns a few hundred and then
@@ -841,7 +842,7 @@ func BenchmarkPlannedSearch(b *testing.B) {
 	run := func(b *testing.B, built *assemble.Built) {
 		b.ReportAllocs()
 		before := built.IOStats()
-		skipsBefore := built.Planner.Skips()
+		skipsBefore := built.Searched.PlannedSkips()
 		for i := 0; i < b.N; i++ {
 			if _, err := built.ExactSearch(queries[i%len(queries)], 5); err != nil {
 				b.Fatal(err)
@@ -849,7 +850,7 @@ func BenchmarkPlannedSearch(b *testing.B) {
 		}
 		diff := built.IOStats().Sub(before)
 		b.ReportMetric(diff.Cost(storage.DefaultCostModel)/float64(b.N), "io-cost/query")
-		b.ReportMetric(float64(built.Planner.Skips()-skipsBefore)/float64(b.N), "skips/query")
+		b.ReportMetric(float64(built.Searched.PlannedSkips()-skipsBefore)/float64(b.N), "skips/query")
 	}
 	// MemBudget keeps leaves small: many leaf ranges, the unit the planner
 	// orders and skips.
@@ -1067,7 +1068,7 @@ func BenchmarkRunScan(b *testing.B) {
 		scan func(col *index.Collector) error
 	}{
 		{"column", func(col *index.Collector) error {
-			return s.Scan(r, 0, 0, pages, "page", q, sc, neverDead, func(q *index.Query, pg *index.Page) error {
+			return s.Scan(r, 0, 0, pages, obs.PageUnit, q, sc, neverDead, func(q *index.Query, pg *index.Page) error {
 				_, err := index.EvalPage(q, pg, nil, col, sc)
 				return err
 			})

@@ -224,9 +224,10 @@ type Stats struct {
 	CacheHits             int64
 	CacheMisses           int64
 	Pages                 int64 // total pages on the index's disk
-	// PlannedSkips counts probe units (runs, partitions, leaf ranges,
-	// shards) the query planner skipped because their synopsis envelope
-	// bound proved they could not improve the answer.
+	// PlannedSkips counts the probe units (shards, runs, partitions, leaves,
+	// pages) the searches so far skipped whole because a bound proved they
+	// could not improve the answer: the sum of each search's own count,
+	// which is what its trace reports.
 	PlannedSkips int64
 	// Kernel names the active distance-kernel implementation ("avx2",
 	// "neon", or "scalar"): the best the CPU offers, unless the
@@ -261,11 +262,11 @@ func convert(rs []index.Result) []Match {
 }
 
 // statsOf renders an assembled build's accounting: the I/O of every disk
-// behind it, the buffer-pool counters when it is cached, and the planner's
-// skip counter.
+// behind it, the buffer-pool counters when it is cached, and the units its
+// searches skipped (their running total).
 func statsOf(b *assemble.Built) Stats {
 	s := toStats(b.IOStats(), b.TotalPages())
-	s.PlannedSkips = b.Planner.Skips()
+	s.PlannedSkips = b.Searched.PlannedSkips()
 	return s
 }
 
@@ -375,7 +376,7 @@ func (h *handle) SetParallelism(n int) { h.b.SetParallelism(n) }
 
 // Stats returns the I/O accounting of the index's disk(s) since creation,
 // cache counters included when a buffer pool is configured (one pool serves
-// every shard of a Sharded index), plus the query planner's skip counter.
+// every shard of a Sharded index), plus the units its searches skipped.
 func (h *handle) Stats() Stats { return statsOf(h.b) }
 
 // SaveFile persists the index — pages, structure metadata, and, when not

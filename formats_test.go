@@ -17,6 +17,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/index"
 	"repro/internal/record"
+	"repro/internal/series"
 	"repro/internal/storage"
 )
 
@@ -53,7 +54,8 @@ func TestFormatsEntryFiles(t *testing.T) {
 	}
 	for _, mat := range []bool{false, true} {
 		cfg := index.Config{SeriesLen: 16, Segments: 4, Bits: 8, Materialized: mat}
-		entries := formatEntries(cfg, 600, 7)
+		walks := formatWalks(cfg, 600, 7)
+		entries := formatEntries(cfg, walks)
 		for _, fill := range []float64{1, 0.7} {
 			for _, budget := range []int{1 << 20, 2 * formatsPageSize} {
 				name := fmt.Sprintf("sort/mat=%v/packed=false/fill=%v/budget=%d", mat, fill, budget)
@@ -122,8 +124,8 @@ func TestFormatsEntryFiles(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, e := range entries {
-			if err := l.InsertEntry(e); err != nil {
+		for i, s := range walks { // the series of entries[i], at its TS
+			if err := l.Insert(s, int64(i/7)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -169,13 +171,23 @@ func TestFormatsEntryFiles(t *testing.T) {
 	}
 }
 
-// formatEntries returns n summarized random walks with IDs 0..n-1 and
-// timestamps that repeat, in arrival (unsorted) order.
-func formatEntries(cfg index.Config, n int, seed int64) []record.Entry {
+// formatWalks returns n random walks of cfg's length.
+func formatWalks(cfg index.Config, n int, seed int64) []series.Series {
 	rng := rand.New(rand.NewSource(seed))
-	out := make([]record.Entry, n)
+	out := make([]series.Series, n)
 	for i := range out {
-		key, z := cfg.Summarize(gen.RandomWalk(rng, cfg.SeriesLen))
+		out[i] = gen.RandomWalk(rng, cfg.SeriesLen)
+	}
+	return out
+}
+
+// formatEntries summarizes walks under cfg as an index inserts them, in
+// arrival (unsorted) order: entry i has ID i and TS i/7, timestamps that
+// repeat.
+func formatEntries(cfg index.Config, walks []series.Series) []record.Entry {
+	out := make([]record.Entry, len(walks))
+	for i, s := range walks {
+		key, z := cfg.Summarize(s)
 		out[i] = record.Entry{Key: key, ID: int64(i), TS: int64(i / 7)}
 		if cfg.Materialized {
 			out[i].Payload = z

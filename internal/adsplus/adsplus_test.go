@@ -20,15 +20,15 @@ func testConfig(materialized bool) index.Config {
 
 // exactSearch, approxSearch and rangeSearch search tr through the entries.
 func exactSearch(tr *Tree, q index.Query, k int) ([]index.Result, error) {
-	return index.Exact(tr, q, tr.opts.Config, nil, nil, k)
+	return index.Rendered(index.Into(q, tr.opts.Config, nil, nil, nil, index.NewCollector(k), tr.ExactInto))
 }
 
 func approxSearch(tr *Tree, q index.Query, k int) ([]index.Result, error) {
-	return index.Approx(tr, q, tr.opts.Config, nil, nil, k)
+	return index.Rendered(index.Into(q, tr.opts.Config, nil, nil, nil, index.NewCollector(k), tr.ApproxInto))
 }
 
 func rangeSearch(tr *Tree, q index.Query, eps float64) ([]index.Result, error) {
-	return index.Range(tr, q, tr.opts.Config, nil, nil, eps)
+	return index.Rendered(index.Into(q, tr.opts.Config, nil, nil, nil, index.NewRangeCollector(eps), tr.RangeInto))
 }
 
 type normStore struct{ d *series.Dataset }

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/index"
+	"repro/internal/obs"
 	"repro/internal/sax"
 )
 
@@ -101,7 +102,7 @@ func (t *Tree) ExactInto(q index.Query, col *index.Collector, ctx *index.SearchC
 			if d := nodeMinDistSq(sc.P, c); d < col.WorstSq() {
 				heap.Push(pq, &nodeDist{n: c, d: d})
 			} else if c.leaf {
-				sc.Trace.NoteSkips("leaf", 1)
+				sc.Tally.Note(obs.LeafUnit, 0, 1)
 			}
 		}
 	}
@@ -115,7 +116,7 @@ func (t *Tree) evalLeaf(n *node, q index.Query, col *index.Collector, sc *index.
 	if err != nil {
 		return err
 	}
-	sc.Trace.NoteProbes("leaf", 1)
+	sc.Tally.Note(obs.LeafUnit, 1, 0)
 	pg := index.EntryPage(entries)
 	_, err = index.EvalPage(&q, &pg, t.opts.Raw, col, sc)
 	return err
@@ -164,7 +165,7 @@ func (t *Tree) RangeInto(q index.Query, col *index.Collector, ctx *index.SearchC
 	visit = func(n *node) error {
 		if col.SkipSq(nodeMinDistSq(sc.P, n)) {
 			if n.leaf {
-				sc.Trace.NoteSkips("leaf", 1)
+				sc.Tally.Note(obs.LeafUnit, 0, 1)
 			}
 			return nil
 		}

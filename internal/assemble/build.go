@@ -14,6 +14,7 @@ import (
 	"repro/internal/compact"
 	"repro/internal/ctree"
 	"repro/internal/index"
+	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/series"
 	"repro/internal/shard"
@@ -51,9 +52,12 @@ type Built struct {
 	Raw  *storage.RawFile
 	// Cache is the frame store behind the pool(s); nil uncached.
 	Cache *bufpool.Cache
-	// Planner is the build's one query planner (reference switch, skip
-	// counter): every search of the build plans under it; parts hold none.
+	// Planner is the build's one query planner (the reference switch): every
+	// search of the build plans under it; parts hold none.
 	Planner *index.Planner
+	// Searched is the running total of every finished search's record of
+	// its unit outcomes (index.SearchCtx.Tally); parts keep none.
+	Searched obs.Tally
 	// WAL is the write-ahead log of a durable CLSM build (nil without
 	// WALDir; partitioned builds keep one per part) and Compactor the
 	// background-merge scheduler (nil inline).

@@ -159,29 +159,27 @@ func (b *Built) SetParallelism(n int) {
 // entry for (a node's shard subset).
 func (b *Built) Workers() *parallel.Pool { return b.workers }
 
-// ApproxSearch returns up to k likely near neighbors of q (index.Approx on
-// the build's pool and planner).
+// ApproxSearch returns up to k likely near neighbors of q (index.Into on the
+// build's pool, planner and running total).
 func (b *Built) ApproxSearch(q index.Query, k int) ([]index.Result, error) {
-	return index.Approx(b.Index, q, b.Config, b.workers, b.Planner, k)
+	return index.Rendered(index.Into(q, b.Config, b.workers, b.Planner, &b.Searched, index.NewCollector(k), b.Index.ApproxInto))
 }
 
-// ExactSearch returns the true k nearest neighbors of q (index.Exact on the
-// build's pool and planner).
+// ExactSearch returns the true k nearest neighbors of q, as ApproxSearch.
 func (b *Built) ExactSearch(q index.Query, k int) ([]index.Result, error) {
-	return index.Exact(b.Index, q, b.Config, b.workers, b.Planner, k)
+	return index.Rendered(index.Into(q, b.Config, b.workers, b.Planner, &b.Searched, index.NewCollector(k), b.Index.ExactInto))
 }
 
-// RangeSearch returns every series within distance eps of q (index.Range on
-// the build's pool and planner).
+// RangeSearch returns every series within distance eps of q, as ApproxSearch.
 func (b *Built) RangeSearch(q index.Query, eps float64) ([]index.Result, error) {
-	return index.Range(b.Index, q, b.Config, b.workers, b.Planner, eps)
+	return index.Rendered(index.Into(q, b.Config, b.workers, b.Planner, &b.Searched, index.NewRangeCollector(eps), b.Index.RangeInto))
 }
 
 // SearchBatch answers one exact k-NN query per element of qs (index.Batch),
 // byte-identically to ExactSearch: the build's pool moves from within one
 // search to across queries.
 func (b *Built) SearchBatch(qs []index.Query, k int) ([][]index.Result, error) {
-	return index.Batch(b.workers, b.Planner, b.Config, b.Index, qs, k)
+	return index.Batch(b.workers, b.Planner, &b.Searched, b.Config, b.Index, qs, k)
 }
 
 // Close shuts the build down: waits out in-flight background merges, stops

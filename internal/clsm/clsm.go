@@ -322,13 +322,6 @@ func (l *LSM) Insert(s series.Series, ts int64) error {
 	return l.insertEntry(e, z)
 }
 
-// InsertEntry adds a pre-summarized entry with caller-controlled ID: Insert
-// without the summarizing, for a caller that holds entries already.
-func (l *LSM) InsertEntry(e record.Entry) error {
-	l.raiseNextID(e.ID)
-	return l.insertEntry(e, e.Payload)
-}
-
 func (l *LSM) raiseNextID(id int64) {
 	for {
 		cur := l.nextID.Load()
@@ -341,9 +334,8 @@ func (l *LSM) raiseNextID(id int64) {
 	}
 }
 
-// insertEntry logs, buffers, and publishes one entry. walSeries is the
-// series logged alongside the entry header (the z-normalized series for
-// Insert; the payload, possibly nil, for InsertEntry) so recovery can
+// insertEntry logs, buffers, and publishes one entry. walSeries, the
+// z-normalized series, is logged alongside the entry header so recovery can
 // refill a raw series file as well as the index.
 func (l *LSM) insertEntry(e record.Entry, walSeries series.Series) error {
 	l.mu.Lock()

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/index"
+	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/series"
 	"repro/internal/storage"
@@ -24,15 +25,15 @@ var testPool = parallel.New(0)
 // exactSearch, approxSearch and rangeSearch search l through the entries on
 // testPool.
 func exactSearch(l *LSM, q index.Query, k int) ([]index.Result, error) {
-	return index.Exact(l, q, l.Config(), testPool, nil, k)
+	return index.Rendered(index.Into(q, l.Config(), testPool, nil, nil, index.NewCollector(k), l.ExactInto))
 }
 
 func approxSearch(l *LSM, q index.Query, k int) ([]index.Result, error) {
-	return index.Approx(l, q, l.Config(), testPool, nil, k)
+	return index.Rendered(index.Into(q, l.Config(), testPool, nil, nil, index.NewCollector(k), l.ApproxInto))
 }
 
 func rangeSearch(l *LSM, q index.Query, eps float64) ([]index.Result, error) {
-	return index.Range(l, q, l.Config(), testPool, nil, eps)
+	return index.Rendered(index.Into(q, l.Config(), testPool, nil, nil, index.NewRangeCollector(eps), l.RangeInto))
 }
 
 type normStore struct{ d *series.Dataset }
@@ -75,6 +76,33 @@ func buildLSM(t *testing.T, ds *series.Dataset, materialized bool, growth, bufEn
 		}
 	}
 	return l, disk
+}
+
+// TestBufferCandidatesTraced: the write buffer is evaluated like any page of
+// entries, so a traced search over a CLSM that holds only buffered entries
+// reports every in-window entry as a candidate seen.
+func TestBufferCandidatesTraced(t *testing.T) {
+	ds := makeDataset(300, 5)
+	l, _ := buildLSM(t, ds, true, 4, 1000) // entry i at TS i, none flushed
+	if l.Runs() != 0 {
+		t.Fatalf("fixture: %d runs, want the buffer alone", l.Runs())
+	}
+	s, _ := ds.Get(150)
+	for _, c := range []struct {
+		q    index.Query
+		seen int64
+	}{
+		{index.NewQuery(s, l.Config()), 300},
+		{index.NewQuery(s, l.Config()).WithWindow(100, 199), 100},
+	} {
+		c.q.Trace = obs.NewQueryTrace()
+		if _, err := exactSearch(l, c.q, 5); err != nil {
+			t.Fatal(err)
+		}
+		if got := c.q.Trace.Snapshot(new(obs.Tally)).Candidates.Seen; got != c.seen {
+			t.Errorf("window %v: %d candidates seen, want the %d in-window entries", c.q.Windowed, got, c.seen)
+		}
+	}
 }
 
 func bruteKNN(q series.Series, ds *series.Dataset, k int) []index.Result {

@@ -2,6 +2,7 @@ package clsm
 
 import (
 	"repro/internal/index"
+	"repro/internal/obs"
 	"repro/internal/run"
 )
 
@@ -23,9 +24,10 @@ import (
 // which every view of the same data shares.
 
 // ApproxInto is the approximate search (index.Index): the in-memory buffer
-// is scanned outright, and in every on-disk run a binary search over the
-// run's resident page-first keys locates the query key's neighborhood, of
-// which one page is read and examined. Cost grows with the number of runs —
+// is evaluated outright, as one page of entries (index.EvalPage), and in
+// every on-disk run a binary search over the run's resident page-first keys
+// locates the query key's neighborhood, of which one page is read and
+// examined. Cost grows with the number of runs —
 // the read side of the LSM trade-off; concurrency over runs is what claws
 // the latency back.
 func (l *LSM) ApproxInto(q index.Query, col *index.Collector, ctx *index.SearchCtx) error {
@@ -41,7 +43,8 @@ func (l *LSM) approx(v *view, q index.Query, col *index.Collector, ctx *index.Se
 		defer l.unpinView(v)
 	}
 	defer ctx.Trace.Start("approx").End()
-	if err := index.ScanBuffer(v.buf, q, l.opts.Raw, col, ctx.Scratch0()); err != nil {
+	pg := index.BufferPage(v.buf)
+	if _, err := index.EvalPage(&q, &pg, l.opts.Raw, col, ctx.Scratch0()); err != nil {
 		return err
 	}
 	return forEachRun(l, v, q, ctx, col, (*run.Store).Probe)
@@ -73,7 +76,7 @@ func (l *LSM) ExactInto(q index.Query, col *index.Collector, ctx *index.SearchCt
 func forEachRun(l *LSM, v *view, q index.Query, ctx *index.SearchCtx, col *index.Collector, scan func(*run.Store, run.Run, index.Query, *index.Collector, *index.Scratch) error) error {
 	runs := allRuns(v.man)
 	scs := ctx.Scratches(ctx.Pool.WorkersFor(len(runs)))
-	return index.ProbeUnits(ctx, "run", ctx.PlanUnits(len(runs)), col, func(i int) float64 {
+	return index.ProbeUnits(ctx, obs.RunUnit, ctx.PlanUnits(len(runs)), col, func(i int) float64 {
 		return ctx.P.UnitBoundSq(q, runs[i].Syn)
 	}, func(i, w int, col *index.Collector) error {
 		return scan(&l.store, runs[i], q, col, scs[w])
@@ -86,7 +89,7 @@ func forEachRun(l *LSM, v *view, q index.Query, ctx *index.SearchCtx, col *index
 func (l *LSM) RangeInto(q index.Query, col *index.Collector, ctx *index.SearchCtx) error {
 	v := l.pinView()
 	defer l.unpinView(v)
-	pg := index.EntryPage(v.buf)
+	pg := index.BufferPage(v.buf)
 	if _, err := index.EvalPage(&q, &pg, l.opts.Raw, col, ctx.Scratch0()); err != nil {
 		return err
 	}

@@ -141,7 +141,7 @@ func (b built) Stats() coconut.Stats {
 	return coconut.Stats{
 		SeqReads: st.SeqReads, RandReads: st.RandReads, SeqWrites: st.SeqWrites, RandWrites: st.RandWrites,
 		CacheHits: st.CacheHits, CacheMisses: st.CacheMisses,
-		Pages: b.TotalPages(), PlannedSkips: b.Planner.Skips(),
+		Pages: b.TotalPages(), PlannedSkips: b.Searched.PlannedSkips(),
 	}
 }
 
@@ -348,11 +348,11 @@ func TestColumnScanTraceMatchesReference(t *testing.T) {
 				if row.windowed {
 					q = q.WithWindow(1000, 2999)
 				}
-				q.Trace = obs.NewQueryTrace()
+				q.Trace, q.Tally = obs.NewQueryTrace(), new(obs.Tally)
 				if err := search(q); err != nil {
 					t.Fatal(err)
 				}
-				snap := q.Trace.Snapshot()
+				snap := q.Trace.Snapshot(q.Tally)
 				snap.Phases = nil // wall times
 				return snap
 			}
@@ -362,13 +362,16 @@ func TestColumnScanTraceMatchesReference(t *testing.T) {
 				search func(q index.Query) error
 			}{
 				{"exact", func(q index.Query) error {
-					res, err := index.Exact(tr, q, cfg, nil, nil, 5)
+					res, err := index.Rendered(index.Into(q, cfg, nil, nil, nil, index.NewCollector(5), tr.ExactInto))
 					if err == nil {
 						eps = res[2].Dist
 					}
 					return err
 				}},
-				{"range", func(q index.Query) error { _, err := index.Range(tr, q, cfg, nil, nil, eps); return err }},
+				{"range", func(q index.Query) error {
+					_, err := index.Rendered(index.Into(q, cfg, nil, nil, nil, index.NewRangeCollector(eps), tr.RangeInto))
+					return err
+				}},
 			} {
 				want, got := trace(true, mode.search), trace(false, mode.search)
 				if want.UndecodedPages != 0 {

@@ -26,15 +26,15 @@ var testPool = parallel.New(0)
 // exactSearch, approxSearch and rangeSearch search tr through the entries
 // on testPool.
 func exactSearch(tr *Tree, q index.Query, k int) ([]index.Result, error) {
-	return index.Exact(tr, q, tr.Config(), testPool, nil, k)
+	return index.Rendered(index.Into(q, tr.Config(), testPool, nil, nil, index.NewCollector(k), tr.ExactInto))
 }
 
 func approxSearch(tr *Tree, q index.Query, k int) ([]index.Result, error) {
-	return index.Approx(tr, q, tr.Config(), testPool, nil, k)
+	return index.Rendered(index.Into(q, tr.Config(), testPool, nil, nil, index.NewCollector(k), tr.ApproxInto))
 }
 
 func rangeSearch(tr *Tree, q index.Query, eps float64) ([]index.Result, error) {
-	return index.Range(tr, q, tr.Config(), testPool, nil, eps)
+	return index.Rendered(index.Into(q, tr.Config(), testPool, nil, nil, index.NewRangeCollector(eps), tr.RangeInto))
 }
 
 // normStore wraps a dataset, z-normalizing on access, matching the

@@ -56,12 +56,12 @@ func TestScanAllStartsAtTheCoveringLeaf(t *testing.T) {
 			for _, workers := range []int{1, 2, 4} {
 				pool := parallel.New(workers)
 				label := fmt.Sprintf("mat=%v trial %d workers=%d", mat, trial, workers)
-				got, err := index.Exact(tr, q, tr.Config(), pool, nil, 5)
+				got, err := index.Rendered(index.Into(q, tr.Config(), pool, nil, nil, index.NewCollector(5), tr.ExactInto))
 				if err != nil {
 					t.Fatal(err)
 				}
 				sameDists(t, label+" exact", got, want)
-				got, err = index.Range(tr, q, tr.Config(), pool, nil, eps)
+				got, err = index.Rendered(index.Into(q, tr.Config(), pool, nil, nil, index.NewRangeCollector(eps), tr.RangeInto))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -76,7 +76,7 @@ func TestScanAllStartsAtTheCoveringLeaf(t *testing.T) {
 						center = tr.leaves.Sum.Find(q.Key)
 					}
 					reads.pages = nil
-					if _, err := index.Into(q, tr.Config(), pool, &index.Planner{Disabled: true}, col, func(q index.Query, col *index.Collector, ctx *index.SearchCtx) error {
+					if _, err := index.Into(q, tr.Config(), pool, &index.Planner{Disabled: true}, nil, col, func(q index.Query, col *index.Collector, ctx *index.SearchCtx) error {
 						return scanAll(tr, q, col, ctx)
 					}); err != nil {
 						t.Fatal(err)

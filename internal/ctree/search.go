@@ -1,6 +1,9 @@
 package ctree
 
-import "repro/internal/index"
+import (
+	"repro/internal/index"
+	"repro/internal/obs"
+)
 
 // Search in a CTree fans out over contiguous leaf ranges: exact and range
 // searches split the leaf file into one chunk per worker of the context's
@@ -22,7 +25,7 @@ func (t *Tree) ApproxInto(q index.Query, col *index.Collector, ctx *index.Search
 	defer ctx.Trace.Start("approx").End()
 	sc := ctx.Scratch0()
 	probe := func(li int) (int, error) {
-		sc.Trace.NoteProbes("leaf", 1)
+		sc.Tally.Note(obs.LeafUnit, 1, 0)
 		return t.store.ProbePage(t.leaves, li, q, col, sc)
 	}
 	center := t.leaves.Sum.Find(q.Key)
@@ -98,7 +101,7 @@ func scanAll(t *Tree, q index.Query, col *index.Collector, ctx *index.SearchCtx)
 	scs := ctx.Scratches(len(chunks))
 	return index.FanOut(ctx.Pool, len(chunks), col, func(i, w int, col *index.Collector) error {
 		sc, c := scs[w], chunks[i]
-		return t.store.Scan(t.leaves, c[0], c[1], c[2], "leaf", q, sc, col, func(q *index.Query, pg *index.Page) error {
+		return t.store.Scan(t.leaves, c[0], c[1], c[2], obs.LeafUnit, q, sc, col, func(q *index.Query, pg *index.Page) error {
 			_, err := index.EvalPage(q, pg, t.store.Raw, col, sc)
 			return err
 		})

@@ -1,14 +1,17 @@
 package index
 
-import "repro/internal/parallel"
+import (
+	"repro/internal/obs"
+	"repro/internal/parallel"
+)
 
 // Refill re-fills the context's pruning tables for a new query, keeping
-// every scratch buffer, and re-binds the context's trace to the query's so a
-// pooled batch context follows each query's tracing state. Batch executors
-// call it between queries instead of releasing and re-acquiring the context.
+// every scratch buffer, and re-binds its trace and record to the query's so
+// a pooled batch context follows each query's state. Batch executors call
+// it between queries instead of releasing and re-acquiring the context.
 func (c *SearchCtx) Refill(q Query, cfg Config) {
 	c.P.Fill(q.PAA, cfg)
-	c.Trace = q.Trace
+	c.Trace, c.Tally = q.Trace, obs.Tally{}
 }
 
 // Batch answers one exact k-NN query per element of qs on any index,
@@ -17,12 +20,12 @@ func (c *SearchCtx) Refill(q Query, cfg Config) {
 // query (the only per-query cost) while its page buffers, decode scratch and
 // candidate slices persist, and it is handed to idx.ExactInto without a pool
 // — on a shard group each query probes every shard with that single context.
-// Each query scans serially under pl, so out[i] is byte-identical to
-// Exact(idx, qs[i], cfg, pool, pl, k): batching changes throughput, never
-// answers. On error the lowest-indexed query's error is reported
-// (parallel.Pool's deterministic error contract) and the partial outputs are
-// discarded.
-func Batch(pool *parallel.Pool, pl *Planner, cfg Config, idx Index, qs []Query, k int) ([][]Result, error) {
+// Each query scans serially under pl, so out[i] is byte-identical to what
+// Into answers for qs[i] with idx.ExactInto: batching changes throughput,
+// never answers, and its record goes where Into's does. On error the
+// lowest-indexed query's error is reported (parallel.Pool's deterministic
+// error contract) and the partial outputs are discarded.
+func Batch(pool *parallel.Pool, pl *Planner, total *obs.Tally, cfg Config, idx Index, qs []Query, k int) ([][]Result, error) {
 	if len(qs) == 0 {
 		return nil, nil
 	}
@@ -38,7 +41,10 @@ func Batch(pool *parallel.Pool, pl *Planner, cfg Config, idx Index, qs []Query, 
 		ctx := ctxs[worker]
 		ctx.Refill(qs[i], cfg)
 		col := NewCollector(k)
-		if err := idx.ExactInto(qs[i], col, ctx); err != nil {
+		err := idx.ExactInto(qs[i], col, ctx)
+		qs[i].Tally.Add(&ctx.Tally)
+		total.Add(&ctx.Tally)
+		if err != nil {
 			return err
 		}
 		out[i] = col.Results()

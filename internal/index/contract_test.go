@@ -66,29 +66,21 @@ type contractKind struct {
 }
 
 // contractKinds returns a build's search kinds, exact and approximate k-NN
-// and range within eps: the entries index.Exact, Approx and Range, and the
-// index's cores.
+// and range within eps: each through the entry, index.Into, and through the
+// index's core.
 func contractKinds(b *assemble.Built, k int, eps float64) []contractKind {
 	idx, cfg, pl := b.Index, b.Config, b.Planner
-	core := func(col func() *index.Collector, core func(index.Query, *index.Collector, *index.SearchCtx) error) func(index.Query, *index.SearchCtx) ([]index.Result, error) {
-		return func(q index.Query, ctx *index.SearchCtx) ([]index.Result, error) {
+	kind := func(name string, col func() *index.Collector, core func(index.Query, *index.Collector, *index.SearchCtx) error) contractKind {
+		return contractKind{name, func(q index.Query, pool *parallel.Pool) ([]index.Result, error) {
+			return index.Rendered(index.Into(q, cfg, pool, pl, nil, col(), core))
+		}, func(q index.Query, ctx *index.SearchCtx) ([]index.Result, error) {
 			c := col()
 			return index.Rendered(c, core(q, c, ctx))
-		}
+		}}
 	}
 	knn := func() *index.Collector { return index.NewCollector(k) }
 	rng := func() *index.Collector { return index.NewRangeCollector(eps) }
-	return []contractKind{
-		{"exact", func(q index.Query, pool *parallel.Pool) ([]index.Result, error) {
-			return index.Exact(idx, q, cfg, pool, pl, k)
-		}, core(knn, idx.ExactInto)},
-		{"approx", func(q index.Query, pool *parallel.Pool) ([]index.Result, error) {
-			return index.Approx(idx, q, cfg, pool, pl, k)
-		}, core(knn, idx.ApproxInto)},
-		{"range", func(q index.Query, pool *parallel.Pool) ([]index.Result, error) {
-			return index.Range(idx, q, cfg, pool, pl, eps)
-		}, core(rng, idx.RangeInto)},
-	}
+	return []contractKind{kind("exact", knn, idx.ExactInto), kind("approx", knn, idx.ApproxInto), kind("range", rng, idx.RangeInto)}
 }
 
 // TestSearchContract holds every implementer to the one search contract:
@@ -111,7 +103,7 @@ func TestSearchContract(t *testing.T) {
 			for i, raw := range raws {
 				queries[i] = index.NewQuery(raw, cfg)
 			}
-			batch, err := index.Batch(parallel.New(2), b.Planner, cfg, b.Index, queries, k)
+			batch, err := index.Batch(parallel.New(2), b.Planner, nil, cfg, b.Index, queries, k)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -131,11 +123,12 @@ func TestSearchContract(t *testing.T) {
 					// where it leaves it (the meter prices an access by the one
 					// before it).
 					cq := q
-					cq.Trace = obs.NewQueryTrace()
+					cq.Trace, cq.Tally = obs.NewQueryTrace(), new(obs.Tally)
 					core := func(q index.Query) ([]index.Result, error) {
 						ctx := index.AcquireCtx(q, cfg)
 						defer ctx.Release()
 						ctx.Planner = b.Planner
+						defer q.Tally.Add(&ctx.Tally)
 						return kind.core(q, ctx)
 					}
 					want, err := core(cq)
@@ -163,7 +156,7 @@ func TestSearchContract(t *testing.T) {
 					for _, workers := range []int{1, 2, 4} {
 						eq := q
 						if workers == 1 {
-							eq.Trace = obs.NewQueryTrace()
+							eq.Trace, eq.Tally = obs.NewQueryTrace(), new(obs.Tally)
 						}
 						before := b.IOStats()
 						got, err := kind.entry(eq, parallel.New(workers))
@@ -177,7 +170,7 @@ func TestSearchContract(t *testing.T) {
 						if workers != 1 {
 							continue
 						}
-						if e, c := untimed(eq.Trace), untimed(cq.Trace); !reflect.DeepEqual(e, c) {
+						if e, c := untimed(eq), untimed(cq); !reflect.DeepEqual(e, c) {
 							t.Fatalf("query %d %s: the entry's trace %+v, the core's %+v", qi, kind.name, e, c)
 						}
 						if entryStats != coreStats {
@@ -190,9 +183,9 @@ func TestSearchContract(t *testing.T) {
 	}
 }
 
-// untimed is a trace's snapshot without its wall times.
-func untimed(tr *obs.QueryTrace) *obs.TraceSnapshot {
-	snap := tr.Snapshot()
+// untimed is a traced query's snapshot without its wall times.
+func untimed(q index.Query) *obs.TraceSnapshot {
+	snap := q.Trace.Snapshot(q.Tally)
 	for i := range snap.Phases {
 		snap.Phases[i].Micros = 0
 	}
@@ -243,7 +236,7 @@ func TestSearchContractTPContexts(t *testing.T) {
 		t.Fatalf("%d partitions, want %d", tp.Partitions(), partitions)
 	}
 	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := index.Into(q, cfg, nil, nil, index.NewCollector(1), tp.ExactInto); err != nil {
+		if _, err := index.Into(q, cfg, nil, nil, nil, index.NewCollector(1), tp.ExactInto); err != nil {
 			t.Fatal(err)
 		}
 	})

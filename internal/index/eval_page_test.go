@@ -262,7 +262,7 @@ func TestEvalPageSymbolsSpareThePage(t *testing.T) {
 	if _, err := EvalPage(&q, &pg, ds, NewRangeCollector(math.Sqrt(least)/2), sc); err != nil {
 		t.Fatalf("range over an unopenable page: %v", err)
 	}
-	snap := q.Trace.Snapshot()
+	snap := q.Trace.Snapshot(new(obs.Tally))
 	if c := snap.Candidates; snap.UndecodedPages != 2 || c.Seen != int64(2*len(entries)) || c.Pruned != c.Seen || c.Verified != 0 {
 		t.Fatalf("trace after two spared pages: undecoded=%d candidates=%+v", snap.UndecodedPages, c)
 	}

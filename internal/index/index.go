@@ -36,14 +36,14 @@
 // stream) spends it across its parts and hands each part a serial context
 // (SearchCtx.Parts); Batch spends it across queries and hands every query a
 // serial context. Beside the pool the context carries the search's one
-// planner, which every level, parts included, plans under and counts into.
-// Only an entry (Into, and Approx, Exact and Range over an Index) sets the
-// pool and the planner — it acquires the context, runs the core into a new
-// collector and renders the result — and assemble.Built holds the one pool
-// and the one planner a build's searches use. A core leaves the exact
-// accumulated squared sums in the collector, so every composition merges on
-// the keys a single index compares; and it may be handed a collector that
-// already holds results, which only tighten its pruning.
+// planner, which every level, parts included, plans under, and its one
+// record of the units it probed and skipped (SearchCtx.Tally), which every
+// level counts into. Only an entry (Into, Batch) sets the pool and the
+// planner and hands the record on, and assemble.Built holds the one pool,
+// the one planner and the running total of a build's searches. A core leaves
+// the exact accumulated squared sums in the collector, so every composition
+// merges on the keys a single index compares; and it may be handed a
+// collector that already holds results, which only tighten its pruning.
 package index
 
 import (
@@ -113,6 +113,10 @@ type Query struct {
 	// untraced default (nil) costs the hot path one nil check per
 	// instrumentation point. Answers are byte-identical traced or not.
 	Trace *obs.QueryTrace
+	// Tally, when non-nil, is where the entry (Into, Batch) adds the
+	// finished search's record of its unit outcomes (SearchCtx.Tally), which
+	// a trace's snapshot renders (QueryTrace.Snapshot).
+	Tally *obs.Tally
 }
 
 // NewQuery prepares a raw series as a query under config c.
@@ -456,35 +460,21 @@ type Index interface {
 
 // Into is the one search entry: a pooled context filled for q under cfg,
 // fanning out on pool (nil or one worker: serial) and planning under pl (nil:
-// defaults, uncounted), core run into col on it, and col returned filled.
-// Approx, Exact and Range are it over an Index's cores; a caller holding a
-// core of another shape (a shard subset) calls it directly.
-func Into(q Query, cfg Config, pool *parallel.Pool, pl *Planner, col *Collector, core func(Query, *Collector, *SearchCtx) error) (*Collector, error) {
+// defaults), core — an Index's ApproxInto, ExactInto or RangeInto, or a core
+// of another shape (a shard subset) — run into col on it, and col returned
+// filled. The search's record goes to q.Tally and is folded once into total,
+// a build's running total (nil: none).
+func Into(q Query, cfg Config, pool *parallel.Pool, pl *Planner, total *obs.Tally, col *Collector, core func(Query, *Collector, *SearchCtx) error) (*Collector, error) {
 	ctx := AcquireCtx(q, cfg)
 	defer ctx.Release()
 	if pool.Workers() > 1 {
 		ctx.Pool = pool
 	}
 	ctx.Planner = pl
-	return col, core(q, col, ctx)
-}
-
-// Approx returns up to k likely near neighbors of q in idx, fanning out on
-// pool under pl.
-func Approx(idx Index, q Query, cfg Config, pool *parallel.Pool, pl *Planner, k int) ([]Result, error) {
-	return Rendered(Into(q, cfg, pool, pl, NewCollector(k), idx.ApproxInto))
-}
-
-// Exact returns the true k nearest neighbors of q in idx, fanning out on
-// pool under pl.
-func Exact(idx Index, q Query, cfg Config, pool *parallel.Pool, pl *Planner, k int) ([]Result, error) {
-	return Rendered(Into(q, cfg, pool, pl, NewCollector(k), idx.ExactInto))
-}
-
-// Range returns every series in idx within Euclidean distance eps of q,
-// fanning out on pool under pl.
-func Range(idx Index, q Query, cfg Config, pool *parallel.Pool, pl *Planner, eps float64) ([]Result, error) {
-	return Rendered(Into(q, cfg, pool, pl, NewRangeCollector(eps), idx.RangeInto))
+	err := core(q, col, ctx)
+	q.Tally.Add(&ctx.Tally)
+	total.Add(&ctx.Tally)
+	return col, err
 }
 
 // Rendered renders a finished search's collector, passing its error through.

@@ -2,8 +2,8 @@ package index
 
 import (
 	"math"
-	"sync/atomic"
 
+	"repro/internal/obs"
 	"repro/internal/zonestat"
 )
 
@@ -23,14 +23,15 @@ import (
 // (distance, id) ordering), so planned and unplanned searches return
 // byte-identical results. Tests assert this exactly.
 //
-// A search has one planner, on its context (SearchCtx.Planner). ProbeUnits
-// is the only place that sorts a plan, counts a unit skip into it or records
-// a probe unit into a trace; page-level skipping — a CTree's leaves, a run's
-// or partition's pages — is a run-length-aware algorithm with the same
-// accounting under the same planner, in the one page loop (run.Store.Scan).
-// That keeps a trace's planned skips equal to the planner's counter delta in
-// every composition. What an index variant contributes is how to bound a
-// unit and how to probe it.
+// A search has one planner, on its context (SearchCtx.Planner), and one
+// record of what it probed and skipped (SearchCtx.Tally). ProbeUnits is the
+// only place that sorts a plan or counts a probe unit; page-level skipping —
+// a CTree's leaves, a run's or partition's pages — is a run-length-aware
+// algorithm under the same planner, counted into the same record, in the one
+// page loop (run.Store.Scan). Every view of a search's planning — its
+// response, its trace, a build's running total — reads that one record.
+// What an index variant contributes is how to bound a unit and how to probe
+// it.
 
 // PlanUnit pairs a probe unit's index in the caller's unit list with its
 // squared envelope lower bound, for sorting into probe order.
@@ -78,66 +79,44 @@ func SortPlan(units []PlanUnit) {
 	}
 }
 
-// SynopsisBoundSq returns the squared lower bound between the query and
-// every entry in the unit summarized by syn. A shape-mismatched synopsis
-// yields 0 (no bound: always probe); an empty unit yields +Inf (nothing to
-// find: always skippable).
-func (p *Pruner) SynopsisBoundSq(syn *zonestat.Synopsis) float64 {
-	if syn.Segments != p.segments || syn.Bits != p.bits {
+// UnitBoundSq returns the squared lower bound between q and every entry in
+// the probe unit summarized by syn: +Inf (nothing to find: always
+// skippable) for a unit whose time range misses q's window or that is
+// empty, 0 (no bound: always probe) for a shape-mismatched synopsis.
+func (p *Pruner) UnitBoundSq(q Query, syn *zonestat.Synopsis) float64 {
+	switch {
+	case q.Windowed && !syn.IntersectsWindow(q.MinTS, q.MaxTS):
+		return math.Inf(1)
+	case syn.Segments != p.segments || syn.Bits != p.bits:
 		return 0
-	}
-	if syn.Count == 0 {
+	case syn.Count == 0:
 		return math.Inf(1)
 	}
 	return p.EnvelopeSq(syn.MinSym, syn.MaxSym)
 }
 
-// UnitBoundSq is SynopsisBoundSq under q's window too: a unit whose time
-// range misses the window holds nothing to find.
-func (p *Pruner) UnitBoundSq(q Query, syn *zonestat.Synopsis) float64 {
-	if q.Windowed && !syn.IntersectsWindow(q.MinTS, q.MaxTS) {
-		return math.Inf(1)
-	}
-	return p.SynopsisBoundSq(syn)
-}
-
-// Planner is a search's planning handle: a skip counter and the reference
-// switch. No index holds one; a search reaches it through its context, so
-// one planner counts every level of a composition. A nil Planner behaves
-// like an enabled planner that drops its counter. One Planner may serve any
-// number of searches at once (assemble.Built holds one per build).
+// Planner is a search's planning switch. No index holds one; a search
+// reaches it through its context, so one planner governs every level of a
+// composition. A nil Planner behaves like an enabled one. One Planner may
+// serve any number of searches at once (assemble.Built holds one per build).
 type Planner struct {
 	// Disabled selects the reference path — unplanned probe order, no unit
 	// skipped, every page a scan reaches read — that the equivalence suites
 	// hold planned answers and io-cost to. No option sets it: they set it on
 	// a build's planner after the build, before searching.
 	Disabled bool
-	skips    atomic.Int64
 }
 
 // Enabled reports whether probe ordering and unit skipping should run.
 func (pl *Planner) Enabled() bool { return pl == nil || !pl.Disabled }
 
-// NoteSkips records n probe units skipped by their envelope bound.
-func (pl *Planner) NoteSkips(n int64) {
-	if pl != nil && n != 0 {
-		pl.skips.Add(n)
-	}
-}
-
-// Skips returns the number of probe units skipped so far.
-func (pl *Planner) Skips() int64 {
-	if pl == nil {
-		return 0
-	}
-	return pl.skips.Load()
-}
-
-// note records one unit as probed or skipped in the trace, counting a skip
-// into the planner.
-func (c *SearchCtx) note(kind string, u PlanUnit, skipped bool) {
+// note records one unit as probed or skipped, in the search's record and,
+// with its bound, in its trace.
+func (c *SearchCtx) note(kind obs.Kind, u PlanUnit, skipped bool) {
 	if skipped {
-		c.Planner.NoteSkips(1)
+		c.Tally.Note(kind, 0, 1)
+	} else {
+		c.Tally.Note(kind, 1, 0)
 	}
 	c.Trace.NoteUnit(kind, u.Idx, u.BoundSq, skipped)
 }
@@ -149,12 +128,12 @@ func skippable(col *Collector, boundSq float64) bool {
 	return math.IsInf(boundSq, 1) || col.SkipSq(boundSq)
 }
 
-// ProbeUnits probes the units of one kind ("run", "partition", "shard") into
-// col on ctx's pool, planner and trace; units is the plan buffer, one slot a
-// unit (ctx.PlanUnits or OuterPlanUnits). bound(i) is unit i's squared
-// envelope lower bound (0 = unknown, +Inf = nothing to find); probe(i,
-// worker, col) searches unit i into the collector it is handed, as worker
-// slot worker of ctx's pool.
+// ProbeUnits probes the units of one kind (runs, partitions, shards) into
+// col on ctx's pool and planner, counting each into ctx's record and trace;
+// units is the plan buffer, one slot a unit (ctx.PlanUnits or
+// OuterPlanUnits). bound(i) is unit i's squared envelope lower bound (0 =
+// unknown, +Inf = nothing to find); probe(i, worker, col) searches unit i
+// into the collector it is handed, as worker slot worker of ctx's pool.
 //
 // With one usable worker, units are probed straight into col in ascending
 // (bound, index) order, each checked against col right before its probe:
@@ -168,9 +147,9 @@ func skippable(col *Collector, boundSq float64) bool {
 //
 // With the planner disabled every unit is probed through the plain FanOut:
 // the reference path the equivalence suites compare against.
-func ProbeUnits(ctx *SearchCtx, kind string, units []PlanUnit, col *Collector, bound func(i int) float64, probe func(i, worker int, col *Collector) error) error {
+func ProbeUnits(ctx *SearchCtx, kind obs.Kind, units []PlanUnit, col *Collector, bound func(i int) float64, probe func(i, worker int, col *Collector) error) error {
 	if !ctx.Planner.Enabled() {
-		ctx.Trace.NoteProbes(kind, int64(len(units)))
+		ctx.Tally.Note(kind, int64(len(units)), 0)
 		return FanOut(ctx.Pool, len(units), col, probe)
 	}
 	for i := range units {
@@ -202,7 +181,7 @@ func ProbeUnits(ctx *SearchCtx, kind string, units []PlanUnit, col *Collector, b
 
 // probeUnit checks u against col right before probing it, and records
 // which of the two happened.
-func probeUnit(ctx *SearchCtx, kind string, u PlanUnit, worker int, col *Collector, probe func(i, worker int, col *Collector) error) error {
+func probeUnit(ctx *SearchCtx, kind obs.Kind, u PlanUnit, worker int, col *Collector, probe func(i, worker int, col *Collector) error) error {
 	skip := skippable(col, u.BoundSq)
 	ctx.note(kind, u, skip)
 	if skip {

@@ -48,7 +48,7 @@ func TestEnvelopeBoundIsLowerBound(t *testing.T) {
 				minEntry = lb
 			}
 		}
-		env := p.SynopsisBoundSq(syn)
+		env := p.UnitBoundSq(Query{}, syn)
 		if env > minEntry+1e-12 {
 			t.Fatalf("cfg %+v: envelope bound %g exceeds tightest member bound %g", cfg, env, minEntry)
 		}
@@ -57,7 +57,7 @@ func TestEnvelopeBoundIsLowerBound(t *testing.T) {
 		w := sax.FromPAA(sax.PAA(randSeries(rng, cfg.SeriesLen).ZNormalize(), cfg.Segments), cfg.Bits)
 		key := sortable.Interleave(w)
 		one.Add(key, 0)
-		if got, want := p.SynopsisBoundSq(one), p.MinDistSqKey(key); got != want {
+		if got, want := p.UnitBoundSq(Query{}, one), p.MinDistSqKey(key); got != want {
 			t.Fatalf("singleton envelope %g != entry bound %g", got, want)
 		}
 	}
@@ -69,11 +69,11 @@ func TestSynopsisBoundEdgeCases(t *testing.T) {
 	q := NewQuery(randSeries(rng, cfg.SeriesLen), cfg)
 	var p Pruner
 	p.Fill(q.PAA, cfg)
-	if got := p.SynopsisBoundSq(zonestat.New(4, 2)); got != 0 {
+	if got := p.UnitBoundSq(Query{}, zonestat.New(4, 2)); got != 0 {
 		t.Fatalf("shape-mismatched synopsis bound = %g, want 0", got)
 	}
 	empty := zonestat.New(cfg.Segments, cfg.Bits)
-	if got := p.SynopsisBoundSq(empty); !(got > 1e300) {
+	if got := p.UnitBoundSq(Query{}, empty); !(got > 1e300) {
 		t.Fatalf("empty synopsis bound = %g, want +Inf", got)
 	}
 }
@@ -107,7 +107,6 @@ func TestPlannedWarmPathAllocs(t *testing.T) {
 	cfg := Config{SeriesLen: 128, Segments: 16, Bits: 8}
 	rng := rand.New(rand.NewSource(77))
 	q := NewQuery(randSeries(rng, cfg.SeriesLen), cfg)
-	pl := &Planner{}
 	syns := make([]*zonestat.Synopsis, 6)
 	for i := range syns {
 		syns[i] = zonestat.New(cfg.Segments, cfg.Bits)
@@ -124,10 +123,10 @@ func TestPlannedWarmPathAllocs(t *testing.T) {
 		c := AcquireCtx(q, cfg)
 		units := c.PlanUnits(len(syns))
 		for i, syn := range syns {
-			units[i] = PlanUnit{BoundSq: c.P.SynopsisBoundSq(syn), Idx: i}
+			units[i] = PlanUnit{BoundSq: c.P.UnitBoundSq(q, syn), Idx: i}
 		}
 		SortPlan(units)
-		pl.NoteSkips(1)
+		c.Tally.Note(obs.RunUnit, 0, 1)
 		c.Release()
 	})
 	if allocs != 0 {
@@ -135,14 +134,10 @@ func TestPlannedWarmPathAllocs(t *testing.T) {
 	}
 }
 
-func TestNilPlannerIsEnabledNoop(t *testing.T) {
+func TestNilPlannerIsEnabled(t *testing.T) {
 	var pl *Planner
 	if !pl.Enabled() {
 		t.Fatal("nil planner must plan")
-	}
-	pl.NoteSkips(3)
-	if pl.Skips() != 0 {
-		t.Fatal("nil planner must drop counters")
 	}
 	disabled := &Planner{Disabled: true}
 	if disabled.Enabled() {
@@ -207,7 +202,7 @@ func execRun(t *testing.T, ctx *SearchCtx, pool *parallel.Pool, units []execUnit
 	if ctx == nil {
 		err = FanOut(pool, len(units), col, probe)
 	} else {
-		err = ProbeUnits(ctx, "unit", ctx.PlanUnits(len(units)), col, func(i int) float64 { return units[i].boundSq }, probe)
+		err = ProbeUnits(ctx, obs.RunUnit, ctx.PlanUnits(len(units)), col, func(i int) float64 { return units[i].boundSq }, probe)
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -239,17 +234,23 @@ func checkExec(t *testing.T, label string, rng *rand.Rand, newCol func() *Collec
 					}
 					probed += n
 				}
-				snap := tr.Snapshot()
+				snap := tr.Snapshot(&ctx.Tally)
 				var tracedProbed, tracedSkipped int64
 				for _, kc := range snap.Kinds {
 					tracedProbed += kc.Probed
 					tracedSkipped += kc.Skipped
 				}
 				if tracedProbed != int64(probed) || tracedProbed+tracedSkipped != int64(len(units)) {
-					t.Fatalf("%s: trace has %d probed + %d skipped for %d units, %d probes ran", where, tracedProbed, tracedSkipped, len(units), probed)
+					t.Fatalf("%s: record has %d probed + %d skipped for %d units, %d probes ran", where, tracedProbed, tracedSkipped, len(units), probed)
 				}
-				if pl != nil && snap.PlannedSkips != pl.Skips() {
-					t.Fatalf("%s: trace planned skips %d, planner delta %d", where, snap.PlannedSkips, pl.Skips())
+				var detailed int64
+				for _, u := range snap.Units {
+					if u.Skipped {
+						detailed++
+					}
+				}
+				if snap.PlannedSkips != detailed {
+					t.Fatalf("%s: record planned skips %d, trace detail %d", where, snap.PlannedSkips, detailed)
 				}
 				if !pl.Enabled() {
 					if probed != len(units) {
@@ -290,7 +291,8 @@ func checkExec(t *testing.T, label string, rng *rand.Rand, newCol func() *Collec
 // TestProbeUnits is the planned-probe executor's property test: whatever
 // the bounds (0, ties, +Inf), k, worker count, collector type and planner
 // state, every unit is probed or skipped exactly once, answers equal the
-// unplanned fan-out's, and the trace's skips equal the planner's.
+// unplanned fan-out's, and the record's skips equal the trace's skipped
+// units.
 func TestProbeUnits(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
 	for _, k := range []int{1, 5} {
@@ -316,8 +318,7 @@ func TestProbeUnitsSerialDoesNotAllocate(t *testing.T) {
 		t.Skip("allocation counts are not stable under -race")
 	}
 	units := randExecUnits(rand.New(rand.NewSource(103)), 8)
-	pl := &Planner{}
-	ctx := &SearchCtx{Planner: pl}
+	ctx := &SearchCtx{Planner: &Planner{}}
 	bound := func(i int) float64 { return units[i].boundSq }
 	col := NewCollector(5)
 	probe := func(i, _ int, col *Collector) error {
@@ -328,10 +329,10 @@ func TestProbeUnitsSerialDoesNotAllocate(t *testing.T) {
 	}
 	rcol := NewRangeCollector(2)
 	run := func() {
-		if err := ProbeUnits(ctx, "unit", ctx.PlanUnits(len(units)), col, bound, probe); err != nil {
+		if err := ProbeUnits(ctx, obs.RunUnit, ctx.PlanUnits(len(units)), col, bound, probe); err != nil {
 			t.Fatal(err)
 		}
-		if err := ProbeUnits(ctx, "unit", ctx.PlanUnits(len(units)), rcol, bound, probe); err != nil {
+		if err := ProbeUnits(ctx, obs.RunUnit, ctx.PlanUnits(len(units)), rcol, bound, probe); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -339,7 +340,7 @@ func TestProbeUnitsSerialDoesNotAllocate(t *testing.T) {
 	if allocs := testing.AllocsPerRun(200, run); allocs != 0 {
 		t.Fatalf("warm serial executor allocates %v per run, want 0", allocs)
 	}
-	if pl.Skips() == 0 {
+	if ctx.Tally.PlannedSkips() == 0 {
 		t.Fatal("fixture skipped no unit: the skip path went unmeasured")
 	}
 }

@@ -57,7 +57,7 @@ import (
 //     call, four at a time under AVX2: the page loop (run.Store.Scan)
 //     bounds a range's page groups at once, then a live group's pages, and
 //     decides each page when it reaches it. EnvelopeSq, which ordering a
-//     probe plan needs (SynopsisBoundSq), is the batch of one, so every
+//     probe plan needs (UnitBoundSq), is the batch of one, so every
 //     envelope bound is the same float64, bit for bit.
 //
 //   - A SearchCtx bundles the Pruner with per-worker Scratch states
@@ -331,10 +331,11 @@ type Scratch struct {
 	// lbs holds a page's entry bounds (entryBounds), a slice of its own: the
 	// page loop's envelope bounds (bounds) are live while a page is evaluated.
 	lbs []float64
-	// Trace and Planner alias the query's trace recorder (nil untraced) and
-	// planner, refreshed by Scratches: workers report candidate tallies to
-	// the one, and a page scan asks the other whether to skip dead pages.
+	// Trace, Tally and Planner alias the query's trace recorder (nil
+	// untraced), record and planner, refreshed by Scratches: a page scan asks
+	// the planner whether to skip dead pages and counts them in the record.
 	Trace   *obs.QueryTrace
+	Tally   *obs.Tally
 	Planner *Planner
 }
 
@@ -366,10 +367,13 @@ type SearchCtx struct {
 	// (Parts) — is serial.
 	Pool *parallel.Pool
 	// Planner is the search's one planner (planner.go), which orders and
-	// skips at every level — shard, run, partition, leaf, page — and counts
-	// every skip; nil plans with defaults, uncounted. An entry (Into, Batch)
-	// sets it, Release clears it and Parts hands it to every part.
+	// skips at every level — shard, run, partition, leaf, page; nil plans
+	// with defaults. An entry (Into, Batch) sets it, Release clears it and
+	// Parts hands it to every part.
 	Planner *Planner
+	// Tally is the search's one record of its unit outcomes, every level's
+	// (a part's context adds its own into it: Parts). Refill empties it.
+	Tally obs.Tally
 }
 
 var ctxPool = sync.Pool{New: func() any { return new(SearchCtx) }}
@@ -405,7 +409,8 @@ func (cs Ctxs) Release() {
 // partitions), one per worker slot of c's pool, every one of them serial and
 // under c's planner: whoever holds the pool owns the parallelism, and the
 // composition spends it across its parts. Without a pool that is c itself;
-// with one, contexts filled for q, released when fan returns.
+// with one, contexts filled for q, whose records are added into c's and
+// which are released when fan returns.
 func (c *SearchCtx) Parts(q Query, cfg Config, n int, fan func(Ctxs) error) error {
 	if c.Pool == nil {
 		return fan(Ctxs{c})
@@ -415,22 +420,26 @@ func (c *SearchCtx) Parts(q Query, cfg Config, n int, fan func(Ctxs) error) erro
 		cs[i] = AcquireCtx(q, cfg)
 		cs[i].Planner = c.Planner
 	}
-	defer cs.Release()
-	return fan(cs)
+	err := fan(cs)
+	for _, p := range cs {
+		c.Tally.Add(&p.Tally)
+	}
+	cs.Release()
+	return err
 }
 
 // Scratches returns scratch states for worker slots 0..n-1, growing the set
 // as needed. It must be called on the coordinating goroutine before workers
 // start; the returned scratches may then be used concurrently, one per
-// slot. Each call refreshes the scratches' trace and planner aliases from
-// the context, so pooled scratches follow the current query's.
+// slot. Each call refreshes the scratches' trace, record and planner aliases
+// from the context, so pooled scratches follow the current query's.
 func (c *SearchCtx) Scratches(n int) []*Scratch {
 	for len(c.scratches) < n {
 		c.scratches = append(c.scratches, &Scratch{P: &c.P})
 	}
 	out := c.scratches[:n]
 	for _, sc := range out {
-		sc.Trace, sc.Planner = c.Trace, c.Planner
+		sc.Trace, sc.Tally, sc.Planner = c.Trace, &c.Tally, c.Planner
 	}
 	return out
 }
@@ -539,24 +548,6 @@ func TrueDistSq(q *Query, e record.Entry, raw series.RawStore, limitSq float64) 
 	return rawDistSq(q, e.ID, raw, limitSq)
 }
 
-// ScanBuffer evaluates an in-memory write buffer (a CLSM's, a stream
-// scheme's), in buffer order — which is the order of a non-materialized
-// index's raw fetches: every in-window entry whose lower bound survives is
-// verified into col.
-func ScanBuffer(buf []record.Entry, q Query, raw series.RawStore, col *Collector, sc *Scratch) error {
-	for _, e := range buf {
-		if !q.InWindow(e.TS) || col.SkipSq(sc.P.MinDistSqKey(e.Key)) {
-			continue
-		}
-		dSq, err := TrueDistSq(&q, e, raw, col.WorstSq())
-		if err != nil {
-			return err
-		}
-		col.AddSq(e.ID, e.TS, dSq)
-	}
-	return nil
-}
-
 // Page is a cursor over the entries one probe evaluates — a stored page of
 // an entry file or entries already in memory — chosen where the page is
 // pinned. The evaluation loops read both through it by position: a stored
@@ -575,15 +566,16 @@ func ScanBuffer(buf []record.Entry, q Query, raw series.RawStore, col *Collector
 // (UseTimestamps, what a sorted run keeps) evaluates a windowed query the
 // same way.
 type Page struct {
-	n      int
-	ents   []record.Entry // EntryPage: the entries
-	layout *record.Layout // StoredPage: the layout data is a page of; nil for entries
-	data   []byte
-	view   record.PageView // the stored page, once opened (open)
-	opened bool
-	syms   []uint8   // non-nil: the entries' symbols, the pruner's segments to an entry
-	tss    []int64   // non-nil: the entries' timestamps
-	lbs    []float64 // non-nil: the entries' bounds, from the page loop (UseBounds)
+	n        int
+	ents     []record.Entry // EntryPage: the entries
+	layout   *record.Layout // StoredPage: the layout data is a page of; nil for entries
+	data     []byte
+	view     record.PageView // the stored page, once opened (open)
+	opened   bool
+	arrivals bool      // BufferPage: candidates verify in page order
+	syms     []uint8   // non-nil: the entries' symbols, the pruner's segments to an entry
+	tss      []int64   // non-nil: the entries' timestamps
+	lbs      []float64 // non-nil: the entries' bounds, from the page loop (UseBounds)
 }
 
 // StoredPage describes a pinned page of an entry file in layout l that holds
@@ -593,9 +585,16 @@ func StoredPage(l *record.Layout, data []byte, n int) Page {
 	return Page{n: n, layout: l, data: data}
 }
 
-// EntryPage describes already-decoded in-memory entries: leaf buffers,
-// write buffers.
+// EntryPage describes already-decoded in-memory entries: an ADS+ leaf.
 func EntryPage(entries []record.Entry) Page { return Page{n: len(entries), ents: entries} }
+
+// BufferPage is EntryPage over a write buffer's arrivals, whose candidates
+// verify in arrival order, each checked against the collector's bound right
+// before: a buffer holds thousands of entries, and ordering them all by
+// bound would cost more than the verifications it saves.
+func BufferPage(entries []record.Entry) Page {
+	return Page{n: len(entries), ents: entries, arrivals: true}
+}
 
 // UseSymbols makes the cursor bound its entries from syms instead of from
 // their keys: segs symbols per entry in page order, each entry's as
@@ -727,7 +726,8 @@ func (pg *Page) distSq(q *Query, i int, raw series.RawStore, limitSq float64) (f
 // most promising first, collapsing the pruning bound so the rest are
 // skipped without paying their (possibly random) raw fetches. A range
 // collector's bound cannot move, so its candidates verify in page order,
-// which is then the order of a non-materialized index's raw fetches.
+// which is then the order of a non-materialized index's raw fetches; so do
+// a write buffer's (BufferPage), each checked against the bound first.
 // Candidate slots reuse the scratch slice, so a warm probe allocates
 // nothing. It returns the number of in-window entries seen. Query and page
 // are taken by pointer, so a page loop copies neither once a page
@@ -770,16 +770,19 @@ func EvalPage(q *Query, pg *Page, raw series.RawStore, col *Collector, sc *Scrat
 	if err := pg.open(); err != nil {
 		return count, err
 	}
-	if !col.BoundFixed() {
+	sorted := !col.BoundFixed() && !pg.arrivals
+	if sorted {
 		slices.SortFunc(cands, func(a, b pageCand) int { return cmp.Compare(a.lbSq, b.lbSq) })
 	}
 	sc.cands = cands
 	for ci, c := range cands {
-		if col.SkipSq(c.lbSq) {
-			if traced {
-				pr += int64(len(cands) - ci)
+		if col.SkipSq(c.lbSq) { // never under a fixed bound
+			if !sorted {
+				pr++
+				continue
 			}
-			break // sorted: the rest have larger bounds (a fixed bound skips none here)
+			pr += int64(len(cands) - ci)
+			break // sorted: the rest have larger bounds
 		}
 		i := int(c.i)
 		limitSq := col.WorstSq()

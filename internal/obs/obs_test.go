@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -99,13 +100,15 @@ func TestZeroAllocHotPath(t *testing.T) {
 	h := NewHistogram(LatencyBuckets())
 	sl := NewSlowLog(8)
 	var tr *QueryTrace // nil: the untraced hot path
+	var tally Tally
 	if n := testing.AllocsPerRun(1000, func() {
 		c.Inc()
 		g.Set(1.5)
 		h.Observe(0.001)
 		_ = sl.Slow(time.Millisecond)
-		tr.NoteUnit("run", 3, 1.25, false)
-		tr.NoteSkips("run", 7)
+		tr.NoteUnit(RunUnit, 3, 1.25, false)
+		tally.Note(RunUnit, 0, 7)
+		tally.Note(PageUnit, 2, 0)
 		tr.NoteCands(10, 5, 2, 3)
 		sp := tr.Start("scan")
 		sp.End()
@@ -114,37 +117,30 @@ func TestZeroAllocHotPath(t *testing.T) {
 	}
 }
 
-// TestQueryTrace exercises the traced path: unit detail, aggregates,
-// truncation, candidate tallies, phases, and the
-// snapshot's derived skip total.
+// TestQueryTrace exercises the traced path: unit detail, truncation,
+// candidate tallies, phases, and the kinds and skip total the snapshot
+// renders from the search's record.
 func TestQueryTrace(t *testing.T) {
 	tr := NewQueryTrace()
-	tr.NoteUnit("run", 0, 2.5, false)
-	tr.NoteUnit("run", 1, 9.0, true)
-	tr.NoteSkips("run", 3)
-	tr.NoteProbes("leaf", 5)
-	tr.NoteSkips("leaf", 2)
+	var tally Tally
+	tr.NoteUnit(RunUnit, 0, 2.5, false)
+	tr.NoteUnit(RunUnit, 1, 9.0, true)
+	tally.Note(RunUnit, 1, 4)
+	tally.Note(LeafUnit, 5, 2)
 	tr.NoteCands(100, 40, 10, 50)
 	sp := tr.Start("scan")
 	time.Sleep(time.Millisecond)
 	sp.End()
 
-	s := tr.Snapshot()
-	if s.PlannedSkips != 6 { // 1 unit + 3 bulk + 2 leaf
+	s := tr.Snapshot(&tally)
+	if s.PlannedSkips != 6 { // 4 runs + 2 leaves
 		t.Fatalf("planned skips = %d, want 6", s.PlannedSkips)
 	}
 	if len(s.Units) != 2 || s.Units[1].Skipped != true || s.Units[1].BoundSq != 9.0 {
 		t.Fatalf("unit detail wrong: %+v", s.Units)
 	}
-	kinds := map[string]KindCount{}
-	for _, k := range s.Kinds {
-		kinds[k.Kind] = k
-	}
-	if k := kinds["run"]; k.Probed != 1 || k.Skipped != 4 {
-		t.Fatalf("run aggregate = %+v", k)
-	}
-	if k := kinds["leaf"]; k.Probed != 5 || k.Skipped != 2 {
-		t.Fatalf("leaf aggregate = %+v", k)
+	if want := []KindCount{{"run", 1, 4}, {"leaf", 5, 2}}; !reflect.DeepEqual(s.Kinds, want) {
+		t.Fatalf("kinds = %+v, want %+v", s.Kinds, want)
 	}
 	if s.Candidates.Seen != 100 || s.Candidates.Verified != 40 ||
 		s.Candidates.Abandoned != 10 || s.Candidates.Pruned != 50 {
@@ -154,24 +150,54 @@ func TestQueryTrace(t *testing.T) {
 		t.Fatalf("phases = %+v", s.Phases)
 	}
 
-	// Detail caps; aggregates keep counting.
+	// Detail caps.
 	big := NewQueryTrace()
 	for i := 0; i < maxUnitDetail+10; i++ {
-		big.NoteUnit("run", i, 0, false)
+		big.NoteUnit(RunUnit, i, 0, false)
 	}
-	bs := big.Snapshot()
+	bs := big.Snapshot(new(Tally))
 	if len(bs.Units) != maxUnitDetail || bs.UnitsTruncated != 10 {
 		t.Fatalf("cap: %d units, %d truncated", len(bs.Units), bs.UnitsTruncated)
 	}
-	if bs.Kinds[0].Probed != maxUnitDetail+10 {
-		t.Fatalf("cap aggregate = %+v", bs.Kinds[0])
+	if bs.Kinds != nil || bs.PlannedSkips != 0 {
+		t.Fatalf("a snapshot of an empty record has kinds %+v and %d skips", bs.Kinds, bs.PlannedSkips)
 	}
 
 	// Nil trace snapshots to nil.
 	var nilTr *QueryTrace
-	if nilTr.Snapshot() != nil {
+	if nilTr.Snapshot(&tally) != nil {
 		t.Fatal("nil trace must snapshot to nil")
 	}
+}
+
+// TestTally checks a search's record: its workers add to it at once, a
+// fold adds every kind's counts and a nil destination receives nothing.
+func TestTally(t *testing.T) {
+	var tally Tally
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 1000; i++ {
+				tally.Note(PageUnit, 1, 0)
+				tally.Note(PartitionUnit, 0, 2)
+			}
+		}()
+	}
+	wg.Wait()
+	if want := []KindCount{{"partition", 0, 8000}, {"page", 4000, 0}}; !reflect.DeepEqual(tally.Kinds(), want) {
+		t.Fatalf("kinds = %+v, want %+v", tally.Kinds(), want)
+	}
+	var total Tally
+	total.Note(ShardUnit, 0, 1)
+	total.Add(&tally)
+	total.Add(&tally)
+	if got := total.PlannedSkips(); got != 16001 {
+		t.Fatalf("folded skips = %d, want 16001", got)
+	}
+	var nilTally *Tally
+	nilTally.Add(&total) // must not panic
 }
 
 // TestSlowLog checks thresholding, the ring's newest-first eviction

@@ -8,22 +8,87 @@ import (
 )
 
 // maxUnitDetail caps the per-unit records a trace keeps; beyond it only
-// the per-kind aggregates grow (UnitsTruncated counts the overflow).
+// UnitsTruncated grows (the search's Tally counts every unit).
 const maxUnitDetail = 256
 
+// Kind is a probe unit's kind: what a search probes, or skips whole by a
+// bound.
+type Kind uint8
+
+// The probe unit kinds, outermost first.
+const (
+	ShardUnit Kind = iota
+	RunUnit
+	PartitionUnit
+	LeafUnit
+	PageUnit
+	numKinds
+)
+
+var kindNames = [numKinds]string{"shard", "run", "partition", "leaf", "page"}
+
+// Tally is one search's record of its unit outcomes: the probe units of each
+// kind it probed and skipped. It is written only where a search decides a
+// unit, and every view of a search's planning — its response, its trace, a
+// build's running total — reads it. The search's workers write it at once,
+// so its counters are atomic; no other search writes it. A finished
+// search's record is added to a Tally of its caller's (Add), which many
+// searches may add to at once: a build's running total. The zero value is
+// empty.
+type Tally struct {
+	n [numKinds][2]atomic.Int64 // probed, skipped
+}
+
+// Note adds probed and skipped units of kind k.
+func (t *Tally) Note(k Kind, probed, skipped int64) {
+	t.n[k][0].Add(probed)
+	t.n[k][1].Add(skipped)
+}
+
+// Add folds o's counts into t, unless t is nil, touching only the kinds o
+// counted.
+func (t *Tally) Add(o *Tally) {
+	if t == nil {
+		return
+	}
+	for k := range o.n {
+		if p, s := o.n[k][0].Load(), o.n[k][1].Load(); p != 0 || s != 0 {
+			t.Note(Kind(k), p, s)
+		}
+	}
+}
+
+// PlannedSkips returns the units skipped, over every kind.
+func (t *Tally) PlannedSkips() (n int64) {
+	for k := range t.n {
+		n += t.n[k][1].Load()
+	}
+	return n
+}
+
+// Kinds returns the counts of every kind with a unit probed or skipped,
+// outermost first.
+func (t *Tally) Kinds() (out []KindCount) {
+	for k := range t.n {
+		if p, s := t.n[k][0].Load(), t.n[k][1].Load(); p != 0 || s != 0 {
+			out = append(out, KindCount{Kind: kindNames[k], Probed: p, Skipped: s})
+		}
+	}
+	return out
+}
+
 // QueryTrace records one query's execution for the ?trace=1 / explain
-// surface: which probe units (runs, partitions, leaves, shards) were
-// probed vs. skipped and at what synopsis bound, candidate verification
-// counts, and per-phase wall time. Every method
-// is safe on a nil receiver — the untraced hot path pays one nil check
-// and nothing else. A traced query may take the internal mutex and
-// allocate freely; traces are per-request and never shared across
-// queries.
+// surface: which probe units (runs, partitions, shards) were probed vs.
+// skipped and at what synopsis bound, candidate verification counts, and
+// per-phase wall time; its snapshot takes the per-kind counts from the
+// search's Tally. Every method is safe on a nil receiver — the untraced hot
+// path pays one nil check and nothing else. A traced query may take the
+// internal mutex and allocate freely; traces are per-request and never
+// shared across queries.
 type QueryTrace struct {
 	mu        sync.Mutex
 	units     []UnitSnapshot
 	truncated int
-	kinds     []KindCount
 	phases    []PhaseSnapshot
 
 	seen, verified, abandoned, pruned atomic.Int64
@@ -44,7 +109,7 @@ type UnitSnapshot struct {
 	Skipped bool    `json:"skipped,omitempty"`
 }
 
-// KindCount aggregates probed/skipped totals for one unit kind.
+// KindCount is a Tally's probed/skipped totals for one unit kind.
 type KindCount struct {
 	Kind    string `json:"kind"`
 	Probed  int64  `json:"probed"`
@@ -101,23 +166,11 @@ type TraceSnapshot struct {
 	WallMicros     int64           `json:"wall_micros,omitempty"`
 }
 
-// bump updates the per-kind aggregate; caller holds t.mu.
-func (t *QueryTrace) bump(kind string, probed, skipped int64) {
-	for i := range t.kinds {
-		if t.kinds[i].Kind == kind {
-			t.kinds[i].Probed += probed
-			t.kinds[i].Skipped += skipped
-			return
-		}
-	}
-	t.kinds = append(t.kinds, KindCount{Kind: kind, Probed: probed, Skipped: skipped})
-}
-
-// NoteUnit records one probe unit (probed or skipped) with its synopsis
-// bound, keeping per-unit detail up to the cap and aggregates beyond. An
-// infinite bound (an empty unit, or one outside the query window) is
-// stored as -1 so snapshots stay JSON-serializable.
-func (t *QueryTrace) NoteUnit(kind string, idx int, boundSq float64, skipped bool) {
+// NoteUnit records one probe unit's detail (probed or skipped) with its
+// synopsis bound, up to the cap. An infinite bound (an empty unit, or one
+// outside the query window) is stored as -1 so snapshots stay
+// JSON-serializable.
+func (t *QueryTrace) NoteUnit(kind Kind, idx int, boundSq float64, skipped bool) {
 	if t == nil {
 		return
 	}
@@ -125,39 +178,11 @@ func (t *QueryTrace) NoteUnit(kind string, idx int, boundSq float64, skipped boo
 		boundSq = -1
 	}
 	t.mu.Lock()
-	if skipped {
-		t.bump(kind, 0, 1)
-	} else {
-		t.bump(kind, 1, 0)
-	}
 	if len(t.units) < maxUnitDetail {
-		t.units = append(t.units, UnitSnapshot{Kind: kind, Idx: idx, BoundSq: boundSq, Skipped: skipped})
+		t.units = append(t.units, UnitSnapshot{Kind: kindNames[kind], Idx: idx, BoundSq: boundSq, Skipped: skipped})
 	} else {
 		t.truncated++
 	}
-	t.mu.Unlock()
-}
-
-// NoteSkips adds n skipped units of the kind to the aggregates without
-// per-unit detail — for paths (tree leaf runs) whose unit count would
-// swamp the detail cap.
-func (t *QueryTrace) NoteSkips(kind string, n int64) {
-	if t == nil || n == 0 {
-		return
-	}
-	t.mu.Lock()
-	t.bump(kind, 0, n)
-	t.mu.Unlock()
-}
-
-// NoteProbes adds n probed units of the kind to the aggregates without
-// per-unit detail.
-func (t *QueryTrace) NoteProbes(kind string, n int64) {
-	if t == nil || n == 0 {
-		return
-	}
-	t.mu.Lock()
-	t.bump(kind, n, 0)
 	t.mu.Unlock()
 }
 
@@ -216,10 +241,11 @@ func (s Span) End() {
 	s.t.mu.Unlock()
 }
 
-// Snapshot renders the trace. The caller owns the result and typically
-// fills Mode/K/Kernel/IO/WallMicros before serializing. Nil-safe (nil
-// trace → nil snapshot).
-func (t *QueryTrace) Snapshot() *TraceSnapshot {
+// Snapshot renders the trace of a finished search whose unit outcomes are
+// tally: its kinds and planned skips are the tally's. The caller owns the
+// result and typically fills Mode/K/Kernel/IO/WallMicros before
+// serializing. Nil-safe (nil trace → nil snapshot).
+func (t *QueryTrace) Snapshot(tally *Tally) *TraceSnapshot {
 	if t == nil {
 		return nil
 	}
@@ -228,7 +254,8 @@ func (t *QueryTrace) Snapshot() *TraceSnapshot {
 	s := &TraceSnapshot{
 		Units:          append([]UnitSnapshot(nil), t.units...),
 		UnitsTruncated: t.truncated,
-		Kinds:          append([]KindCount(nil), t.kinds...),
+		Kinds:          tally.Kinds(),
+		PlannedSkips:   tally.PlannedSkips(),
 		Phases:         append([]PhaseSnapshot(nil), t.phases...),
 		Candidates: CandidateCounts{
 			Seen:      t.seen.Load(),
@@ -237,9 +264,6 @@ func (t *QueryTrace) Snapshot() *TraceSnapshot {
 			Pruned:    t.pruned.Load(),
 		},
 		UndecodedPages: t.undecoded.Load(),
-	}
-	for _, k := range s.Kinds {
-		s.PlannedSkips += k.Skipped
 	}
 	return s
 }

@@ -136,7 +136,7 @@ func (b built) Stats() coconut.Stats {
 	return coconut.Stats{
 		SeqReads: st.SeqReads, RandReads: st.RandReads, SeqWrites: st.SeqWrites, RandWrites: st.RandWrites,
 		CacheHits: st.CacheHits, CacheMisses: st.CacheMisses,
-		Pages: b.TotalPages(), PlannedSkips: b.Planner.Skips(),
+		Pages: b.TotalPages(), PlannedSkips: b.Searched.PlannedSkips(),
 	}
 }
 

@@ -174,6 +174,7 @@ func search(t *testing.T, s *Store, r Run, q index.Query, pl *index.Planner, k i
 	if err := op(s, r, q, col, ctx.Scratch0()); err != nil {
 		t.Fatal(err)
 	}
+	q.Tally.Add(&ctx.Tally) // as an entry hands the record back
 	return col.Results()
 }
 
@@ -286,16 +287,18 @@ func TestRunTable(t *testing.T) {
 							p.Purge() // the parent's script started cold
 						}
 						stats.ResetStats()
-						skips = pl.Skips()
+						var tally obs.Tally
 						for _, q := range queries {
+							q.Tally = &tally
 							search(t, &s, r, q, pl, 5, (*Store).Probe)
 						}
 						approx = stats.Stats()
 						for _, q := range queries {
+							q.Tally = &tally
 							search(t, &s, r, q, pl, 5, (*Store).Probe)
 							search(t, &s, r, q, pl, 5, (*Store).ScanRun)
 						}
-						return approx, stats.Stats(), pl.Skips() - skips
+						return approx, stats.Stats(), tally.PlannedSkips()
 					}
 					pins := ProbePins()
 					SetPinnedProbe(true)
@@ -409,7 +412,7 @@ func readsByRule(dead []bool) int {
 // and a k-NN query, each with the planner disabled and enabled, from a parked
 // head and a cold pool. Answers match brute force; the range scan reads every
 // page unplanned and readsByRule's count planned, reports the others as
-// skipped "page" units to the trace and the planner and every dead page it
+// skipped "page" units to the search's record and every dead page it
 // reads as undecoded; and no planned scan costs more than the unplanned one.
 func deadRunRow(t *testing.T, cfg index.Config, pageSize int, blocks [4]int, kind string) {
 	var entries []record.Entry
@@ -460,7 +463,7 @@ func deadRunRow(t *testing.T, cfg index.Config, pageSize int, blocks [4]int, kin
 		if err := op(q, ctx.Scratch0()); err != nil {
 			t.Fatal(err)
 		}
-		return stats.Stats(), q.Trace.Snapshot(), pl.Skips()
+		return stats.Stats(), q.Trace.Snapshot(&ctx.Tally), ctx.Tally.PlannedSkips()
 	}
 	want := index.NewRangeCollector(deadEps)
 	for _, e := range entries {
@@ -728,7 +731,7 @@ func traceRow(t *testing.T, cfg index.Config, pageSize int, entries []record.Ent
 			if err := scan(q, ctx.Scratch0()); err != nil {
 				t.Fatal(err)
 			}
-			return q.Trace.Snapshot()
+			return q.Trace.Snapshot(&ctx.Tally)
 		}
 		eps := 0.0
 		knn := func(q index.Query, sc *index.Scratch) error {
@@ -970,8 +973,8 @@ func TestScanSkipsEntryDeadPages(t *testing.T) {
 			if !tr.pages[0] || tr.pages[1] != row.read1 {
 				t.Errorf("pages read %v; want page 0, and page 1 %v", tr.pages, row.read1)
 			}
-			if unread := int64(2 - len(tr.pages)); pl.Skips() != unread {
-				t.Errorf("the planner counted %d skips; %d pages went unread", pl.Skips(), unread)
+			if unread := int64(2 - len(tr.pages)); ctx.Tally.PlannedSkips() != unread {
+				t.Errorf("the search counted %d skips; %d pages went unread", ctx.Tally.PlannedSkips(), unread)
 			}
 		})
 	}

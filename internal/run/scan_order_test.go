@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/bufpool"
 	"repro/internal/index"
+	"repro/internal/obs"
 	"repro/internal/storage"
 )
 
@@ -64,7 +65,7 @@ func scanFrom(s *Store, r Run, lo, start, hi int, q index.Query, pl *index.Plann
 	defer ctx.Release()
 	ctx.Planner = pl
 	sc := ctx.Scratch0()
-	return s.Scan(r, lo, start, hi, "page", q, sc, col, func(q *index.Query, pg *index.Page) error {
+	return s.Scan(r, lo, start, hi, obs.PageUnit, q, sc, col, func(q *index.Query, pg *index.Page) error {
 		_, err := index.EvalPage(q, pg, s.Raw, col, sc)
 		return err
 	})

@@ -9,6 +9,7 @@ import (
 	"sort"
 
 	"repro/internal/index"
+	"repro/internal/obs"
 	"repro/internal/record"
 	"repro/internal/sax"
 	"repro/internal/sortable"
@@ -669,9 +670,9 @@ func (s *Store) leastInWindow(r Run, p, g, off int, q *index.Query, sc *index.Sc
 // the planner disabled, every page an envelope rules out — is pinned and
 // released undecoded (the reference path evaluates it from its bytes), and
 // the trace counts its in-window entries, off the timestamp column, as seen
-// and pruned. The pages skipped are counted into the planner and, beside the
-// pages read, into the query's trace as units of the given kind.
-func (s *Store) Scan(r Run, lo, start, hi int, kind string, q index.Query, sc *index.Scratch, col *index.Collector, eval func(q *index.Query, pg *index.Page) error) error {
+// and pruned. The pages skipped and the pages read are counted into the
+// search's record (Scratch.Tally) as units of the given kind.
+func (s *Store) Scan(r Run, lo, start, hi int, kind obs.Kind, q index.Query, sc *index.Scratch, col *index.Collector, eval func(q *index.Query, pg *index.Page) error) error {
 	if lo >= hi {
 		return nil
 	}
@@ -680,9 +681,7 @@ func (s *Store) Scan(r Run, lo, start, hi int, kind string, q index.Query, sc *i
 	}
 	sc.Query = q
 	skipped, err := s.scanPages(r, lo, start, hi, sc, col, eval)
-	sc.Planner.NoteSkips(skipped)
-	sc.Trace.NoteSkips(kind, skipped)
-	sc.Trace.NoteProbes(kind, int64(hi-lo)-skipped)
+	sc.Tally.Note(kind, int64(hi-lo)-skipped, skipped)
 	return err
 }
 

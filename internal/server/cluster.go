@@ -109,9 +109,11 @@ func (s *Server) handleClusterSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Router-driven probes count in the node's query metrics too: a scrape
-	// of a cluster node reflects the load it actually served.
+	// of a cluster node reflects the load it actually served, and the
+	// search's record goes straight into the build's running total.
+	q.Tally = &b.built.Searched
 	var col *index.Collector
-	diff, _, _, err := s.search(b, mode, func() (err error) {
+	diff, _, err := s.search(b, mode, func() (err error) {
 		switch pool := b.built.Workers(); mode {
 		case ModeRange:
 			col, err = g.RangeSearchShards(q, req.Eps, shards, pool, b.built.Planner)

@@ -70,7 +70,7 @@ func (s *Server) collectBuilds(e *obs.Emit) {
 				float64(c.Evictions()), "build", id)
 		}
 		e.Counter("coconut_build_planner_skips", "Probe units skipped by the planner.",
-			float64(b.built.Planner.Skips()), "build", id)
+			float64(b.built.Searched.PlannedSkips()), "build", id)
 		if wst, ok := b.built.WALStats(); ok {
 			e.Counter("coconut_build_wal_appends", "WAL records appended.",
 				float64(wst.Appends), "build", id)

@@ -1,10 +1,15 @@
 package server
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -12,14 +17,14 @@ import (
 )
 
 // TestTracedQueryAgreesWithStats checks the per-query trace against the
-// build's cumulative accounting, on a CTree (leaves skipped by its scan) and
-// a materialized CLSM (runs skipped by the planner, pages by the run scans;
+// build's cumulative accounting, on a CTree (leaves skipped by its scan), a
+// materialized CLSM (runs skipped by the planner, pages by the run scans;
 // seven entries to a page keep page envelopes narrow enough that a query
-// near a member rules some out): the trace's
-// planner-skip total must equal the response's planned_skips delta, and the
-// deltas together the build's planned_skips in /api/stats; its I/O must
-// equal the response's disk accounting, and some unit must actually have
-// been probed.
+// near a member rules some out) and a materialized ADS+ (leaves its
+// best-first traversal prunes): the trace's planned-skip total must equal
+// the response's planned_skips, and the responses' together the build's
+// planned_skips in /api/stats; its I/O must equal the response's disk
+// accounting, and some unit must actually have been probed.
 func TestTracedQueryAgreesWithStats(t *testing.T) {
 	ts := newTestServer(t)
 	var d DatasetResponse
@@ -34,14 +39,14 @@ func TestTracedQueryAgreesWithStats(t *testing.T) {
 	for _, c := range []struct {
 		variant   string
 		skipKinds []string // kinds whose skips the query must show
-	}{{"CTree", nil}, {"CLSMFull", []string{"page"}}} {
+	}{{"CTree", nil}, {"CLSMFull", []string{"page"}}, {"ADSFull", []string{"leaf"}}} {
 		var b BuildResponse
 		if code := postJSON(t, ts.URL+"/api/build", BuildRequest{
 			Dataset: d.ID, Variant: c.variant, Segments: 8, Bits: 8, MemBudget: 16 << 10,
 		}, &b); code != http.StatusCreated {
 			t.Fatalf("%s: build status %d", c.variant, code)
 		}
-		// Twice traced: the planner counter the second delta reads is warm.
+		// Twice traced: the second query runs on a warm build.
 		var skips int64
 		for i := 0; i < 2; i++ {
 			var qr QueryResponse
@@ -109,6 +114,76 @@ func TestTracedQueryAgreesWithStats(t *testing.T) {
 		if viaURL.Trace == nil {
 			t.Fatalf("%s: ?trace=1 returned no trace", c.variant)
 		}
+	}
+}
+
+// TestConcurrentQueriesKeepTheirAccounting sends eight identical exact
+// queries at once to a CTree and to a CLSM build: each response's
+// planned_skips and each trace's per-kind counts must be what the same query
+// answers alone, whatever the others skip meanwhile. The builds search
+// serially (the default parallelism), so one query's plan is deterministic;
+// I/O is the build's disk delta and is not compared.
+func TestConcurrentQueriesKeepTheirAccounting(t *testing.T) {
+	ts := newTestServer(t)
+	var d DatasetResponse
+	postJSON(t, ts.URL+"/api/datasets", DatasetRequest{Kind: "astronomy", N: 3000, Len: 64, Seed: 7}, &d)
+	ds, _ := gen.Astronomy(gen.AstronomyConfig{N: 3000, Len: 64, Seed: 7})
+	q, err := ds.Get(1234)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, variant := range []string{"CTree", "CLSMFull"} {
+		var b BuildResponse
+		if code := postJSON(t, ts.URL+"/api/build", BuildRequest{
+			Dataset: d.ID, Variant: variant, Segments: 8, Bits: 8, MemBudget: 16 << 10,
+		}, &b); code != http.StatusCreated {
+			t.Fatalf("%s: build status %d", variant, code)
+		}
+		body, err := json.Marshal(QueryRequest{Build: b.ID, Series: q, K: 2, Exact: true, Trace: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		query := func() (QueryResponse, error) {
+			var qr QueryResponse
+			resp, err := http.Post(ts.URL+"/api/query", "application/json", bytes.NewReader(body))
+			if err != nil {
+				return qr, err
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				return qr, fmt.Errorf("status %d", resp.StatusCode)
+			}
+			return qr, json.NewDecoder(resp.Body).Decode(&qr)
+		}
+		solo, err := query()
+		if err != nil {
+			t.Fatalf("%s: solo query: %v", variant, err)
+		}
+		if solo.PlannedSkips == 0 {
+			t.Fatalf("%s: fixture: the query skips nothing alone", variant)
+		}
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i := 0; i < 8; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				qr, err := query()
+				if err != nil {
+					t.Errorf("%s: concurrent query: %v", variant, err)
+					return
+				}
+				if qr.Trace == nil {
+					t.Errorf("%s: concurrent traced query returned no trace", variant)
+				} else if qr.PlannedSkips != solo.PlannedSkips || !reflect.DeepEqual(qr.Trace.Kinds, solo.Trace.Kinds) {
+					t.Errorf("%s: concurrent query answered planned_skips %d, kinds %+v; alone %d, %+v",
+						variant, qr.PlannedSkips, qr.Trace.Kinds, solo.PlannedSkips, solo.Trace.Kinds)
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
 	}
 }
 

@@ -540,9 +540,10 @@ type QueryResult struct {
 }
 
 // QueryResponse reports answers plus the I/O cost the demo GUI charts.
-// PlannedSkips counts the probe units (runs, partitions, leaf ranges,
-// shards) whose synopsis envelope let the planner skip them outright for
-// this query.
+// PlannedSkips counts the probe units (shards, runs, partitions, leaves,
+// pages) this query skipped whole by a bound: its own count, which its
+// trace's equals. Cost, SeqIO and RandIO are the build's disk delta over the
+// search, so they include pages read by queries running at the same time.
 type QueryResponse struct {
 	Results      []QueryResult `json:"results"`
 	Cost         float64       `json:"cost"`
@@ -574,6 +575,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	q := windowed(index.NewQuery(series.Series(req.Series), b.built.Config), req.MinTS, req.MaxTS)
+	q.Tally = new(obs.Tally)
 	var tr *obs.QueryTrace
 	if req.Trace {
 		tr = obs.NewQueryTrace()
@@ -581,7 +583,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.metrics.Traced()
 	}
 	var rs []index.Result
-	diff, skips, elapsed, err := s.search(b, mode, func() (err error) {
+	diff, elapsed, err := s.search(b, mode, func() (err error) {
 		switch mode {
 		case ModeRange:
 			rs, err = b.built.RangeSearch(q, req.Eps)
@@ -601,10 +603,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		Cost:         diff.Cost(s.cost),
 		SeqIO:        diff.SeqReads + diff.SeqWrites,
 		RandIO:       diff.RandReads + diff.RandWrites,
-		PlannedSkips: skips,
+		PlannedSkips: q.Tally.PlannedSkips(),
 	}
 	if tr != nil {
-		resp.Trace = tr.Snapshot()
+		resp.Trace = tr.Snapshot(q.Tally)
 		resp.Trace.Mode = mode
 		resp.Trace.K = req.K
 		resp.Trace.Kernel = simd.Active()
@@ -625,17 +627,16 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 func (b *build) boundK(k int) int { return min(k, max(1, int(b.built.Index.Count()))) }
 
 // search is the one search step of the query endpoints: under the build's
-// read lock it times dispatch between two readings of the I/O and
-// planner-skip counters, and returns the deltas; a success is observed under
-// mode, a failure counted and left to the caller to report with the status
-// it maps to there.
-func (s *Server) search(b *build, mode string, dispatch func() error) (diff storage.Stats, skips int64, elapsed time.Duration, err error) {
+// read lock it times dispatch between two readings of the build's I/O
+// counters, and returns their delta; a success is observed under mode, a
+// failure counted and left to the caller to report with the status it maps
+// to there.
+func (s *Server) search(b *build, mode string, dispatch func() error) (diff storage.Stats, elapsed time.Duration, err error) {
 	start := time.Now()
 	b.mu.RLock()
 	before := b.built.IOStats()
-	skipsBefore := b.built.Planner.Skips()
 	err = dispatch()
-	diff, skips = b.built.IOStats().Sub(before), b.built.Planner.Skips()-skipsBefore
+	diff = b.built.IOStats().Sub(before)
 	b.mu.RUnlock()
 	elapsed = time.Since(start)
 	cost := diff.Cost(s.cost)
@@ -643,7 +644,7 @@ func (s *Server) search(b *build, mode string, dispatch func() error) (diff stor
 	if err == nil {
 		s.metrics.queryIOCost[mode].Observe(cost)
 	}
-	return diff, skips, elapsed, err
+	return diff, elapsed, err
 }
 
 // BatchQueryRequest issues many similarity queries against a build in one
@@ -656,7 +657,8 @@ type BatchQueryRequest struct {
 }
 
 // BatchQueryResponse reports per-query answers plus the batch's aggregate
-// I/O cost and planner accounting (envelope skips across the whole batch).
+// I/O cost (the build's disk delta, as QueryResponse's) and planned skips:
+// the sum of its queries' own.
 type BatchQueryResponse struct {
 	Results      [][]QueryResult `json:"results"`
 	Queries      int             `json:"queries"`
@@ -688,12 +690,14 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	if !req.Check(w, b.built.Config.SeriesLen) {
 		return
 	}
+	var tally obs.Tally
 	qs := make([]index.Query, len(req.Queries))
 	for i, raw := range req.Queries {
 		qs[i] = index.NewQuery(series.Series(raw), b.built.Config)
+		qs[i].Tally = &tally
 	}
 	var rss [][]index.Result
-	diff, skips, _, err := s.search(b, ModeBatch, func() (err error) {
+	diff, _, err := s.search(b, ModeBatch, func() (err error) {
 		k := b.boundK(req.K)
 		if req.Exact {
 			rss, err = b.built.SearchBatch(qs, k)
@@ -717,7 +721,7 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 		Cost:         diff.Cost(s.cost),
 		SeqIO:        diff.SeqReads + diff.SeqWrites,
 		RandIO:       diff.RandReads + diff.RandWrites,
-		PlannedSkips: skips,
+		PlannedSkips: tally.PlannedSkips(),
 	})
 }
 
@@ -846,7 +850,8 @@ type CompactionStats struct {
 }
 
 // PlannerStats is the /api/stats section describing a build's query
-// planner: envelope skips across every query so far.
+// planner: the units every query so far skipped, the sum of their own
+// counts (assemble.Built.Searched).
 type PlannerStats struct {
 	PlannedSkips int64 `json:"planned_skips"`
 }
@@ -905,7 +910,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Kernel:    simd.Active(),
 		SeriesLen: b.built.Config.SeriesLen,
 		Aggregate: s.diskStats(agg),
-		Planner:   PlannerStats{PlannedSkips: b.built.Planner.Skips()},
+		Planner:   PlannerStats{PlannedSkips: b.built.Searched.PlannedSkips()},
 	}
 	if wst, ok := b.built.WALStats(); ok {
 		resp.WAL = WALStats{Enabled: true, Stats: wst}

@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"repro/internal/index"
+	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/storage"
 )
@@ -25,8 +26,8 @@ import (
 // worker pool the search context carries, ordered and skipped by its planner;
 // every shard searches serially, with a context of its own per worker slot
 // under the same planner (index.SearchCtx.Parts), so shard-, run-, leaf- and
-// page-level planning count into one planner. A search without a pool is the
-// serial case of the same executor.
+// page-level outcomes count into the search's one record. A search without a
+// pool is the serial case of the same executor.
 //
 // A Group implements index.Index over its whole owned subset; on a fully
 // replicated node those answers equal the cluster-wide ones.
@@ -168,7 +169,7 @@ func shardsInto(g *Group, q index.Query, reqs []int, pool *parallel.Pool, pl *in
 	if err != nil {
 		return col, err
 	}
-	return index.Into(q, g.cfg, pool, pl, col, func(q index.Query, col *index.Collector, ctx *index.SearchCtx) error {
+	return index.Into(q, g.cfg, pool, pl, nil, col, func(q index.Query, col *index.Collector, ctx *index.SearchCtx) error {
 		return search(q, col, shards, ctx)
 	})
 }
@@ -180,7 +181,7 @@ func shardsInto(g *Group, q index.Query, reqs []int, pool *parallel.Pool, pl *in
 // without a pool is ctx itself.
 func probe(g *Group, q index.Query, col *index.Collector, shards []int, ctx *index.SearchCtx, search func(sh *Shard, ctx *index.SearchCtx, col *index.Collector) error) error {
 	return ctx.Parts(q, g.cfg, len(shards), func(ctxs index.Ctxs) error {
-		return index.ProbeUnits(ctx, "shard", ctx.OuterPlanUnits(len(shards)), col, func(i int) float64 {
+		return index.ProbeUnits(ctx, obs.ShardUnit, ctx.OuterPlanUnits(len(shards)), col, func(i int) float64 {
 			return g.shards[shards[i]].boundSq(q, ctx)
 		}, func(i, w int, col *index.Collector) error {
 			return search(g.shards[shards[i]], ctxs[w], col)

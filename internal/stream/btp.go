@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/index"
+	"repro/internal/obs"
 	"repro/internal/record"
 	"repro/internal/run"
 	"repro/internal/series"
@@ -186,32 +187,27 @@ func (b *BTP) RangeInto(q index.Query, col *index.Collector, ctx *index.SearchCt
 	return b.search(q, col, ctx, (*run.Store).ScanRun)
 }
 
-// search scans the buffer, then every intersecting partition with scan.
+// search evaluates the buffer as one page of entries (index.EvalPage), then
+// every partition with scan.
 func (b *BTP) search(q index.Query, col *index.Collector, ctx *index.SearchCtx, scan func(*run.Store, run.Run, index.Query, *index.Collector, *index.Scratch) error) error {
-	if err := index.ScanBuffer(b.buffer, q, b.store.Raw, col, ctx.Scratch0()); err != nil {
+	pg := index.BufferPage(b.buffer)
+	if _, err := index.EvalPage(&q, &pg, b.store.Raw, col, ctx.Scratch0()); err != nil {
 		return err
 	}
 	return b.forEachPart(q, ctx, col, scan)
 }
 
 // forEachPart applies scan (the run store's RankedProbe or ScanRun, as a
-// method expression) to every partition intersecting the query window
-// through the planned-probe executor (index.ProbeUnits) — the same
-// discipline as CLSM runs, with the same determinism guarantee. A partition
-// is bounded by its synopsis's envelope MINDIST; window filtering happens
-// here, outside the planner's skip count.
+// method expression) to every partition through the planned-probe executor
+// (index.ProbeUnits) — the same discipline as CLSM runs, with the same
+// determinism guarantee. A partition is bounded by its synopsis's envelope
+// MINDIST, or by +Inf, a skip, when its time range misses the window.
 func (b *BTP) forEachPart(q index.Query, ctx *index.SearchCtx, col *index.Collector, scan func(*run.Store, run.Run, index.Query, *index.Collector, *index.Scratch) error) error {
-	var active []run.Run
-	for _, p := range b.parts {
-		if intersects(q, p.Syn) {
-			active = append(active, p.Run)
-		}
-	}
-	scs := ctx.Scratches(ctx.Pool.WorkersFor(len(active)))
-	return index.ProbeUnits(ctx, "partition", ctx.PlanUnits(len(active)), col, func(i int) float64 {
-		return ctx.P.SynopsisBoundSq(active[i].Syn)
+	scs := ctx.Scratches(ctx.Pool.WorkersFor(len(b.parts)))
+	return index.ProbeUnits(ctx, obs.PartitionUnit, ctx.PlanUnits(len(b.parts)), col, func(i int) float64 {
+		return ctx.P.UnitBoundSq(q, b.parts[i].Syn)
 	}, func(i, w int, col *index.Collector) error {
-		return scan(&b.store, active[i], q, col, scs[w])
+		return scan(&b.store, b.parts[i].Run, q, col, scs[w])
 	})
 }
 

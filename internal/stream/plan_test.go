@@ -43,15 +43,16 @@ func buildPlanned(t *testing.T, kind string, mat bool) (Scheme, []series.Series)
 // answer, byte for byte — approximate, exact, whole-history, and windowed
 // alike, for random queries and for perturbed members of the stream, whose
 // bound tightens at once. It also holds both sides to what they claim: under
-// the planner a traced exact query's planned skips are the planner's counter
-// delta, every level of the scheme counted into the one planner; under a
-// Disabled planner (the reference path) it skips no unit of any kind,
-// partition or page.
+// the planner a traced exact query's planned skips, read from the record it
+// hands back, are what its entry folded into the running total, every level
+// of the scheme counted into the one record; under a Disabled planner (the
+// reference path) it skips no unit of any kind, partition or page.
 func TestPlannedSearchMatchesUnplanned(t *testing.T) {
 	for _, kind := range []string{"tp", "btp"} {
 		for _, mat := range []bool{false, true} {
 			sc, ss := buildPlanned(t, kind, mat)
 			on, off := &index.Planner{}, &index.Planner{Disabled: true}
+			var onTotal, offTotal obs.Tally
 			rng := rand.New(rand.NewSource(71))
 			for trial := 0; trial < 25; trial++ {
 				q := gen.RandomWalk(rng, 64)
@@ -67,21 +68,21 @@ func TestPlannedSearchMatchesUnplanned(t *testing.T) {
 					pq = pq.WithWindow(lo, lo+int64(rng.Intn(200)))
 				}
 				k := 1 + rng.Intn(5)
-				exact := func(pl *index.Planner) ([]index.Result, *obs.TraceSnapshot) {
+				exact := func(pl *index.Planner, total *obs.Tally) ([]index.Result, *obs.TraceSnapshot) {
 					tq := pq
-					tq.Trace = obs.NewQueryTrace()
-					res, err := search(sc.ExactInto, tq, k, testPool, pl)
+					tq.Trace, tq.Tally = obs.NewQueryTrace(), new(obs.Tally)
+					res, err := search(sc.ExactInto, tq, k, testPool, pl, total)
 					if err != nil {
 						t.Fatal(err)
 					}
-					return res, tq.Trace.Snapshot()
+					return res, tq.Trace.Snapshot(tq.Tally)
 				}
-				skips := on.Skips()
-				a, planned := exact(on)
-				if d := on.Skips() - skips; planned.PlannedSkips != d {
-					t.Fatalf("%s mat=%v trial %d: the trace planned %d skips, the planner counted %d", kind, mat, trial, planned.PlannedSkips, d)
+				skips := onTotal.PlannedSkips()
+				a, planned := exact(on, &onTotal)
+				if d := onTotal.PlannedSkips() - skips; planned.PlannedSkips != d {
+					t.Fatalf("%s mat=%v trial %d: the trace planned %d skips, the running total counted %d", kind, mat, trial, planned.PlannedSkips, d)
 				}
-				b, reference := exact(off)
+				b, reference := exact(off, &offTotal)
 				for _, kc := range reference.Kinds {
 					if kc.Skipped != 0 {
 						t.Fatalf("%s mat=%v trial %d: the reference path skipped %d %s units", kind, mat, trial, kc.Skipped, kc.Kind)
@@ -90,11 +91,11 @@ func TestPlannedSearchMatchesUnplanned(t *testing.T) {
 				if !reflect.DeepEqual(a, b) {
 					t.Fatalf("%s mat=%v trial %d: exact planned %v != unplanned %v", kind, mat, trial, a, b)
 				}
-				a, err := search(sc.ApproxInto, pq, k, testPool, on)
+				a, err := search(sc.ApproxInto, pq, k, testPool, on, &onTotal)
 				if err != nil {
 					t.Fatal(err)
 				}
-				b, err = search(sc.ApproxInto, pq, k, testPool, off)
+				b, err = search(sc.ApproxInto, pq, k, testPool, off, &offTotal)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -102,8 +103,8 @@ func TestPlannedSearchMatchesUnplanned(t *testing.T) {
 					t.Fatalf("%s mat=%v trial %d: approx planned %v != unplanned %v", kind, mat, trial, a, b)
 				}
 			}
-			if on.Skips() == 0 || off.Skips() != 0 {
-				t.Fatalf("%s mat=%v: the planner skipped %d units, the reference path %d; want some and none", kind, mat, on.Skips(), off.Skips())
+			if onTotal.PlannedSkips() == 0 || offTotal.PlannedSkips() != 0 {
+				t.Fatalf("%s mat=%v: the planner skipped %d units, the reference path %d; want some and none", kind, mat, onTotal.PlannedSkips(), offTotal.PlannedSkips())
 			}
 		}
 	}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/clsm"
 	"repro/internal/gen"
 	"repro/internal/index"
+	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/series"
 	"repro/internal/storage"
@@ -24,19 +25,20 @@ func testConfig(materialized bool) index.Config {
 // partition fan-out runs whenever the test binary has several procs.
 var testPool = parallel.New(0)
 
-// search runs a scheme's core through the search entry on pool under pl.
-func search(core func(index.Query, *index.Collector, *index.SearchCtx) error, q index.Query, k int, pool *parallel.Pool, pl *index.Planner) ([]index.Result, error) {
-	return index.Rendered(index.Into(q, testConfig(false), pool, pl, index.NewCollector(k), core))
+// search runs a scheme's core through the search entry on pool under pl,
+// folding its record into total.
+func search(core func(index.Query, *index.Collector, *index.SearchCtx) error, q index.Query, k int, pool *parallel.Pool, pl *index.Planner, total *obs.Tally) ([]index.Result, error) {
+	return index.Rendered(index.Into(q, testConfig(false), pool, pl, total, index.NewCollector(k), core))
 }
 
 // exactSearch and approxSearch search idx on testPool under the default
 // planner.
 func exactSearch(idx index.Index, q index.Query, k int) ([]index.Result, error) {
-	return search(idx.ExactInto, q, k, testPool, nil)
+	return search(idx.ExactInto, q, k, testPool, nil, nil)
 }
 
 func approxSearch(idx index.Index, q index.Query, k int) ([]index.Result, error) {
-	return search(idx.ApproxInto, q, k, testPool, nil)
+	return search(idx.ApproxInto, q, k, testPool, nil, nil)
 }
 
 // ingester is what a stream is ingested into: a scheme, or the plain index
@@ -168,7 +170,7 @@ func TestAllSchemesExactMatchesBruteForce(t *testing.T) {
 				for _, workers := range []int{1, 4} {
 					var first []index.Result
 					for _, name := range names {
-						got, err := search(scs[name].ExactInto, qq, 3, parallel.New(workers), nil)
+						got, err := search(scs[name].ExactInto, qq, 3, parallel.New(workers), nil, nil)
 						if err != nil {
 							t.Fatalf("%s mat=%v: %v", name, mat, err)
 						}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/adsplus"
 	"repro/internal/ctree"
 	"repro/internal/index"
+	"repro/internal/obs"
 	"repro/internal/record"
 	"repro/internal/series"
 	"repro/internal/storage"
@@ -116,14 +117,8 @@ func (t *TP) Seal() error {
 // Partitions implements Scheme.
 func (t *TP) Partitions() int { return len(t.parts) }
 
-// intersects reports whether a partition's time range, read from its
-// synopsis, meets the query window.
-func intersects(q index.Query, syn *zonestat.Synopsis) bool {
-	return !q.Windowed || syn.IntersectsWindow(q.MinTS, q.MaxTS)
-}
-
-// ApproxInto implements index.Index: probe each intersecting partition and
-// the buffer.
+// ApproxInto implements index.Index: probe the buffer and each partition
+// whose time range meets the window.
 func (t *TP) ApproxInto(q index.Query, col *index.Collector, ctx *index.SearchCtx) error {
 	return t.search(q, col, ctx, index.Index.ApproxInto)
 }
@@ -138,33 +133,28 @@ func (t *TP) RangeInto(q index.Query, col *index.Collector, ctx *index.SearchCtx
 	return t.search(q, col, ctx, index.Index.RangeInto)
 }
 
-// search scans the in-memory buffer, then searches every partition whose
-// time range intersects the window (a filter outside the planner's count)
-// through core — index.Index's ApproxInto, ExactInto or RangeInto —
-// straight into the collector: partition IDs are already global, and the
-// bound earlier partitions left in col prunes later ones. Partitions go through the
+// search evaluates the in-memory buffer as one page of entries
+// (index.EvalPage), then searches the partitions through core —
+// index.Index's ApproxInto, ExactInto or RangeInto — straight into the
+// collector: partition IDs are already global, and the bound earlier
+// partitions left in col prunes later ones. Partitions go through the
 // planned-probe executor on ctx's pool under ctx's planner, bounded by their
-// synopsis's envelope MINDIST, each worker slot with a serial context of its
+// synopsis's envelope MINDIST, or by +Inf, a skip, when their time range
+// misses the window; each worker slot searches with a serial context of its
 // own under the same planner (the partition plan in ctx's outer buffer, a
-// partition's own in its context's primary);
-// per-worker collectors merge on their exact squared sums, giving the same
-// answer as the serial, unplanned loop — and as PP and BTP over the same
-// stream.
+// partition's own in its context's primary). Per-worker collectors merge on
+// their exact squared sums, giving the same answer as the serial, unplanned
+// loop — and as PP and BTP over the same stream.
 func (t *TP) search(q index.Query, col *index.Collector, ctx *index.SearchCtx, core func(index.Index, index.Query, *index.Collector, *index.SearchCtx) error) error {
-	var active []tpPart
-	for _, p := range t.parts {
-		if intersects(q, p.syn) {
-			active = append(active, p)
-		}
-	}
-	if err := index.ScanBuffer(t.buffer, q, t.raw, col, ctx.Scratch0()); err != nil {
+	pg := index.BufferPage(t.buffer)
+	if _, err := index.EvalPage(&q, &pg, t.raw, col, ctx.Scratch0()); err != nil {
 		return err
 	}
-	return ctx.Parts(q, t.cfg, len(active), func(ctxs index.Ctxs) error {
-		return index.ProbeUnits(ctx, "partition", ctx.OuterPlanUnits(len(active)), col, func(i int) float64 {
-			return ctx.P.SynopsisBoundSq(active[i].syn)
+	return ctx.Parts(q, t.cfg, len(t.parts), func(ctxs index.Ctxs) error {
+		return index.ProbeUnits(ctx, obs.PartitionUnit, ctx.OuterPlanUnits(len(t.parts)), col, func(i int) float64 {
+			return ctx.P.UnitBoundSq(q, t.parts[i].syn)
 		}, func(i, w int, col *index.Collector) error {
-			return core(active[i].idx, q, col, ctxs[w])
+			return core(t.parts[i].idx, q, col, ctxs[w])
 		})
 	})
 }

@@ -60,10 +60,10 @@ func TestE17Planner(t *testing.T) {
 
 // TestBuildVariantPlannerKnobs pins the planner plumbing: every build gets a
 // planner and the parts of a sharded build hold none, so one traced query's
-// planned skips — shard, leaf range and page alike — are the build planner's
-// counter delta; turning it off after the build (Disabled, the reference
-// path) leaves the answers alone and the counter still — which RunQueries
-// surfaces as deltas. On this
+// planned skips — shard, leaf range and page alike — are what it folded into
+// the build's running total; turning the planner off after the build
+// (Disabled, the reference path) leaves the answers alone and the total
+// still — which RunQueries reports from its queries' records. On this
 // skewed workload (queries are perturbed indexed series, so the pruning bound
 // tightens at once) the planned path skips units and costs strictly less
 // io per query than the reference path.
@@ -89,14 +89,14 @@ func TestBuildVariantPlannerKnobs(t *testing.T) {
 		}
 		var traced int64
 		for i, q := range iqs {
-			q.Trace = obs.NewQueryTrace()
-			skips := b.Planner.Skips()
+			q.Trace, q.Tally = obs.NewQueryTrace(), new(obs.Tally)
+			skips := b.Searched.PlannedSkips()
 			if _, err := b.ExactSearch(q, 3); err != nil {
 				t.Fatal(err)
 			}
-			d := b.Planner.Skips() - skips
-			if snap := q.Trace.Snapshot(); snap.PlannedSkips != d {
-				t.Fatalf("shards=%d query %d: the trace planned %d skips, the build's planner counted %d", shards, i, snap.PlannedSkips, d)
+			d := b.Searched.PlannedSkips() - skips
+			if snap := q.Trace.Snapshot(q.Tally); snap.PlannedSkips != d {
+				t.Fatalf("shards=%d query %d: the trace planned %d skips, the build's running total counted %d", shards, i, snap.PlannedSkips, d)
 			}
 			traced += d
 		}
@@ -135,7 +135,7 @@ func TestBuildVariantPlannerKnobs(t *testing.T) {
 // exactPass answers every prepared query exactly against b, returning the
 // answers with the pass's accounting.
 func exactPass(b *assemble.Built, iqs []index.Query, k int) ([][]index.Result, QueryStats, error) {
-	return pass(b, len(iqs), func(i int) ([]index.Result, error) { return b.ExactSearch(iqs[i], k) })
+	return pass(b, len(iqs), k, func(i int) index.Query { return iqs[i] }, b.ExactSearch)
 }
 
 // sameResults reports the first divergence between two result batches.

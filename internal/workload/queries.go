@@ -7,6 +7,7 @@ import (
 	"repro/internal/assemble"
 	"repro/internal/gen"
 	"repro/internal/index"
+	"repro/internal/obs"
 	"repro/internal/series"
 	"repro/internal/storage"
 )
@@ -22,9 +23,8 @@ type QueryStats struct {
 	WallTime  time.Duration
 	MeanDist  float64 // mean distance of the best answer (quality indicator)
 	ExactDist float64 // mean true 1-NN distance (for approximate recall context)
-	// PlannedSkips is the planner's activity during the workload: probe
-	// units skipped by their synopsis bound (zero with the planner
-	// disabled or absent).
+	// PlannedSkips is the probe units the workload's searches skipped by a
+	// bound: the sum of each search's own count.
 	PlannedSkips int64
 }
 
@@ -44,9 +44,7 @@ func RunQueries(b *assemble.Built, queries []series.Series, cfg index.Config, k 
 	if !exact {
 		search = b.ApproxSearch
 	}
-	answers, qs, err := pass(b, len(queries), func(i int) ([]index.Result, error) {
-		return search(index.NewQuery(queries[i], cfg), k)
-	})
+	answers, qs, err := pass(b, len(queries), k, func(i int) index.Query { return index.NewQuery(queries[i], cfg) }, search)
 	var distSum float64
 	for _, rs := range answers {
 		if len(rs) > 0 {
@@ -57,14 +55,17 @@ func RunQueries(b *assemble.Built, queries []series.Series, cfg index.Config, k 
 	return qs, err
 }
 
-// pass runs n searches against b, returning their answers with the pass's
-// accounting (I/O, wall time, planner skips).
-func pass(b *assemble.Built, n int, search func(i int) ([]index.Result, error)) ([][]index.Result, QueryStats, error) {
-	before, skipsBefore := b.IOStats(), b.Planner.Skips()
-	start := time.Now()
+// pass runs the searches of queries 0..n-1 against b, one at a time, and
+// returns their answers with the pass's accounting: I/O (the build's disk
+// delta), wall time and the planned skips their records hold.
+func pass(b *assemble.Built, n, k int, query func(i int) index.Query, search func(index.Query, int) ([]index.Result, error)) ([][]index.Result, QueryStats, error) {
+	var tally obs.Tally
+	before, start := b.IOStats(), time.Now()
 	out := make([][]index.Result, n)
 	for i := range out {
-		rs, err := search(i)
+		q := query(i)
+		q.Tally = &tally
+		rs, err := search(q, k)
 		if err != nil {
 			return nil, QueryStats{}, err
 		}
@@ -74,7 +75,7 @@ func pass(b *assemble.Built, n int, search func(i int) ([]index.Result, error)) 
 		Queries:      n,
 		Stats:        b.IOStats().Sub(before),
 		WallTime:     time.Since(start),
-		PlannedSkips: b.Planner.Skips() - skipsBefore,
+		PlannedSkips: tally.PlannedSkips(),
 	}, nil
 }
 

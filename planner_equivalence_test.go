@@ -208,7 +208,8 @@ func TestPlannedShardedLSMEquivalence(t *testing.T) {
 // TestPlannedConcurrentBatches hammers one shared planner from concurrent
 // SearchBatch calls over a duplicated query set and checks every answer
 // against the planner-off reference. Run under -race this also pins the
-// planner counters race-clean across batch worker slots.
+// searches' records and the build's running total race-clean across batch
+// worker slots.
 func TestPlannedConcurrentBatches(t *testing.T) {
 	data, queries := cacheEquivData(2000, 64, 15)
 	opts := Options{SeriesLen: 64, Segments: 8, Bits: 6, Materialized: true}

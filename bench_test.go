@@ -1026,11 +1026,12 @@ func BenchmarkScan(b *testing.B) {
 	}
 }
 
-// runBench writes one run of materialized length-64 entries with timestamps
-// 0..n-1 — seven to a page, like the durable_lsm and stream_window workloads'
-// — and returns it with its resident summary.
-func runBench(b *testing.B, n int) (s run.Store, r run.Run, q index.Query) {
-	cfg := index.Config{SeriesLen: 64, Segments: 16, Bits: 8, Materialized: true}
+// runBench writes one run of n materialized entries of seriesLen points with
+// timestamps 0..n-1 — at length 64 seven to a page, like the durable_lsm and
+// stream_window workloads', at 128 three, like static_tree's leaves — and
+// returns it with its resident summary.
+func runBench(b *testing.B, n, seriesLen int) (s run.Store, r run.Run, q index.Query) {
+	cfg := index.Config{SeriesLen: seriesLen, Segments: 16, Bits: 8, Materialized: true}
 	rng := rand.New(rand.NewSource(7))
 	entries := make([]record.Entry, n)
 	for i := range entries {
@@ -1056,7 +1057,7 @@ func runBench(b *testing.B, n int) (s run.Store, r run.Run, q index.Query) {
 // replaced is the equivalence suites' reference, not a benchmark.)
 func BenchmarkRunScan(b *testing.B) {
 	const n = 16384
-	s, r, q := runBench(b, n)
+	s, r, q := runBench(b, n, 64)
 	q = q.WithWindow(n-n/8, n)
 	ctx := index.AcquireCtx(q, s.Config)
 	defer ctx.Release()
@@ -1096,28 +1097,52 @@ func BenchmarkRunScan(b *testing.B) {
 // ("fence"), then pinned and evaluated — a CLSM run's probe; and BTP's
 // ranked probe of a window query over the newest eighth of the run
 // ("ranked"), which bounds the best groups' pages from the resident columns
-// and reads up to its budget of eight of them. (Pinning first keys, or the
-// ranked candidates, off their pages instead is the equivalence suites'
-// reference, not a benchmark.)
+// and reads up to its budget of eight of them. "ranked-ctree" is a CTree's
+// ranked probe, without a window, of a leaf level the size of static_tree's:
+// 100 000 materialized series of 128 points, three to a 4 KiB page, 33 334
+// pages, built at the row's first run. (Pinning first keys, or the ranked
+// candidates, off their pages instead is the equivalence suites' reference,
+// not a benchmark.)
 func BenchmarkRunProbe(b *testing.B) {
 	const n = 16384
-	s, r, q := runBench(b, n)
+	s, r, q := runBench(b, n, 64)
 	windowed := q.WithWindow(n-n/8, n)
+	ranked := func(kind obs.Kind) func(*run.Store, run.Run, index.Query, *index.Collector, *index.Scratch) error {
+		return func(s *run.Store, r run.Run, q index.Query, col *index.Collector, sc *index.Scratch) error {
+			return s.RankedProbe(r, kind, q, col, sc)
+		}
+	}
+	var leaves struct { // the leaf level, built once
+		s run.Store
+		r run.Run
+		q index.Query
+	}
 	for _, bc := range []struct {
 		name  string
-		q     index.Query
+		data  func(b *testing.B) (run.Store, run.Run, index.Query)
 		probe func(*run.Store, run.Run, index.Query, *index.Collector, *index.Scratch) error
 	}{
-		{"fence", q, (*run.Store).Probe},
-		{"ranked", windowed, (*run.Store).RankedProbe},
+		{"fence", func(*testing.B) (run.Store, run.Run, index.Query) { return s, r, q }, (*run.Store).Probe},
+		{"ranked", func(*testing.B) (run.Store, run.Run, index.Query) { return s, r, windowed }, ranked(obs.PageUnit)},
+		{"ranked-ctree", func(b *testing.B) (run.Store, run.Run, index.Query) {
+			if leaves.r.Sum == nil {
+				leaves.s, leaves.r, leaves.q = runBench(b, 100_000, 128)
+				if pages := leaves.r.Sum.Pages(); pages != 33_334 {
+					b.Fatalf("fixture: %d leaf pages", pages)
+				}
+			}
+			return leaves.s, leaves.r, leaves.q
+		}, ranked(obs.LeafUnit)},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			ctx := index.AcquireCtx(bc.q, s.Config)
+			s, r, q := bc.data(b)
+			ctx := index.AcquireCtx(q, s.Config)
 			defer ctx.Release()
 			sc := ctx.Scratch0()
 			b.ReportAllocs()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := bc.probe(&s, r, bc.q, index.NewCollector(10), sc); err != nil {
+				if err := bc.probe(&s, r, q, index.NewCollector(10), sc); err != nil {
 					b.Fatal(err)
 				}
 			}

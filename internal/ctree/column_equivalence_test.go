@@ -31,7 +31,12 @@ import (
 // in what order, did not change", made through every surface a CTree sits
 // behind: the facade tree (fixed, cached, file-backed, after splits, and
 // opened from a saved snapshot, with splits behind a pool), the sharded
-// tree, and the stream's TP partitions.
+// tree, and the stream's TP partitions. A materialized tree of the 3 000
+// series holds 429 leaves, enough that its approximate probe, and with it
+// the seed of every exact search, reads the leaves its summary ranks best
+// (run.Store.RankedProbe) under either scan; a key-only one holds 24 and
+// walks out from the covering leaf. (The ranking's own reference, which
+// pins the leaves it ranks, is internal/run's suite's tree-ranked row.)
 //
 // With several workers only the answers are compared. The pool hands leaf
 // ranges to workers as they come free and a worker's collector carries its

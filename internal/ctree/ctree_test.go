@@ -10,7 +10,9 @@ import (
 	"repro/internal/fsx"
 	"repro/internal/gen"
 	"repro/internal/index"
+	"repro/internal/obs"
 	"repro/internal/parallel"
+	"repro/internal/run"
 	"repro/internal/series"
 	"repro/internal/storage"
 )
@@ -269,6 +271,50 @@ func TestApproxSearchFewerThanK(t *testing.T) {
 	}
 	if len(got) != 3 {
 		t.Fatalf("got %d results, want all 3", len(got))
+	}
+}
+
+// TestTracedLeavesAreLeavesRead: a traced search's "leaf" kind counts the
+// leaves it read, each read once, and skips none in its approximate phase:
+// on a leaf level of 343 pages, whose approximate probe reads the leaves its
+// summary ranks best (at most its budget of two, run.RankedBudget), and on
+// one of 143 pages, probed at the covering leaf and its neighbours. An
+// exact search's count is its approximate phase's plus the pages its scan
+// read.
+func TestTracedLeavesAreLeavesRead(t *testing.T) {
+	for _, c := range []struct {
+		series, leaves int
+		ranked         bool
+	}{{1000, 143, false}, {2400, 343, true}} {
+		ds := buildDataset(t, c.series, 9)
+		tr, disk := buildTree(t, ds, true, 1.0)
+		if tr.Leaves() != c.leaves || (run.RankedBudget(tr.Leaves()) > 1) != c.ranked {
+			t.Fatalf("fixture: %d leaves, ranked budget %d", tr.Leaves(), run.RankedBudget(tr.Leaves()))
+		}
+		rng := rand.New(rand.NewSource(91))
+		for i := 0; i < 20; i++ {
+			q := index.NewQuery(gen.RandomWalk(rng, 64), testConfig(true))
+			for _, mode := range []struct {
+				name   string
+				search func(index.Query, *index.Collector, *index.SearchCtx) error
+			}{{"approx", tr.ApproxInto}, {"exact", tr.ExactInto}} {
+				q.Trace, q.Tally = obs.NewQueryTrace(), new(obs.Tally)
+				before := disk.Stats()
+				if _, err := index.Into(q, tr.Config(), nil, nil, nil, index.NewCollector(5), mode.search); err != nil {
+					t.Fatal(err)
+				}
+				reads := disk.Stats().Sub(before).Reads()
+				var leaf obs.KindCount
+				for _, k := range q.Trace.Snapshot(q.Tally).Kinds {
+					if k.Kind == "leaf" {
+						leaf = k
+					}
+				}
+				if leaf.Probed != reads || reads == 0 || mode.name == "approx" && (leaf.Skipped != 0 || c.ranked && reads > 2) {
+					t.Fatalf("%d leaves, query %d, %s: %d leaves read, trace %+v", c.leaves, i, mode.name, reads, leaf)
+				}
+			}
+		}
 	}
 }
 

@@ -307,7 +307,8 @@ func (p *Pruner) MinDistSqMixed(syms, bits []uint8) float64 {
 }
 
 // pageCand orders one candidate of the page under evaluation — entry i of
-// the Page — by squared lower bound.
+// the Page — by squared lower bound, then by position, so candidates of
+// equal bound verify in page order.
 type pageCand struct {
 	lbSq float64
 	i    int32
@@ -485,10 +486,8 @@ func (s *Scratch) entryBounds(syms []uint8) []float64 {
 // never negative, orders as its bits do, so the least is an integer
 // minimum, with bits no bound has standing for an entry out of the window.
 func (s *Scratch) ResidentBounds(q *Query, syms []uint8, tss []int64) (lbs []float64, least float64) {
-	lo, span := uint64(q.MinTS), uint64(q.MaxTS)-uint64(q.MinTS)
-	if !q.Windowed {
-		lo, span = 0, math.MaxUint64
-	} else if q.MaxTS < q.MinTS {
+	lo, span, ok := q.windowSpan()
+	if !ok {
 		return nil, math.Inf(1)
 	}
 	in := 0
@@ -512,6 +511,47 @@ func (s *Scratch) ResidentBounds(q *Query, syms []uint8, tss []int64) (lbs []flo
 		}
 	}
 	return lbs, math.Float64frombits(m)
+}
+
+// LeastResident returns the least bound among the entries of resident
+// columns — syms and tss, as ResidentBounds takes them — that are in q's
+// window, +Inf when none is: ResidentBounds' least, the same float64, for
+// a caller that needs no other bound. It bounds only the entries in the
+// window, each run of consecutive ones in one call, so a window that holds a
+// few of a page's entries costs a few bounds, not the page's.
+func (s *Scratch) LeastResident(q *Query, syms []uint8, tss []int64) float64 {
+	lo, span, ok := q.windowSpan()
+	if !ok {
+		return math.Inf(1)
+	}
+	w, m := s.P.segments, math.Float64bits(math.Inf(1))
+	for i := 0; i < len(tss); {
+		if uint64(tss[i])-lo > span {
+			i++
+			continue
+		}
+		j := i + 1
+		for j < len(tss) && uint64(tss[j])-lo <= span {
+			j++
+		}
+		for _, lb := range s.entryBounds(syms[i*w : j*w]) {
+			if b := math.Float64bits(lb); b < m { // a bound, never negative, orders as its bits do
+				m = b
+			}
+		}
+		i = j
+	}
+	return math.Float64frombits(m)
+}
+
+// windowSpan returns q's window as the start and span of the unsigned
+// offset test the resident loops apply to a timestamp (the whole range when
+// q is unwindowed), and false for a window that holds no timestamp.
+func (q *Query) windowSpan() (lo, span uint64, ok bool) {
+	if !q.Windowed {
+		return 0, math.MaxUint64, true
+	}
+	return uint64(q.MinTS), uint64(q.MaxTS) - uint64(q.MinTS), q.MaxTS >= q.MinTS
 }
 
 // encodedRaw is a raw store that verifies a candidate on its stored bytes,
@@ -724,7 +764,9 @@ func (pg *Page) distSq(q *Query, i int, raw series.RawStore, limitSq float64) (f
 // whose squared lower bound survives the collector's current worst become
 // candidates, and candidates verify in ascending lower-bound order — the
 // most promising first, collapsing the pruning bound so the rest are
-// skipped without paying their (possibly random) raw fetches. A range
+// skipped without paying their (possibly random) raw fetches — equal bounds
+// in page order, so that a non-materialized index fetches those in file
+// order, not in whatever order the sort left them. A range
 // collector's bound cannot move, so its candidates verify in page order,
 // which is then the order of a non-materialized index's raw fetches; so do
 // a write buffer's (BufferPage), each checked against the bound first.
@@ -772,7 +814,12 @@ func EvalPage(q *Query, pg *Page, raw series.RawStore, col *Collector, sc *Scrat
 	}
 	sorted := !col.BoundFixed() && !pg.arrivals
 	if sorted {
-		slices.SortFunc(cands, func(a, b pageCand) int { return cmp.Compare(a.lbSq, b.lbSq) })
+		slices.SortFunc(cands, func(a, b pageCand) int {
+			if c := cmp.Compare(a.lbSq, b.lbSq); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.i, b.i)
+		})
 	}
 	sc.cands = cands
 	for ci, c := range cands {

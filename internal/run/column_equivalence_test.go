@@ -44,10 +44,12 @@ import (
 // The scenarios reach runs through every surface they sit behind: the
 // facade's LSM (on the heap, on host files, under a pool smaller than a run,
 // after merges, after a reopen that rebuilds every summary from its file,
-// and opened from a saved snapshot, uncached and behind a pool) and its BTP
-// stream; TP, whose partitions are trees,
-// rides along as the control the hooks must not move. With several workers
-// only the answers are compared (see internal/ctree's suite for why).
+// and opened from a saved snapshot, uncached and behind a pool), its BTP
+// stream, and a CTree whose leaf level is large enough to be probed ranked,
+// before and after splits; TP, whose partitions are trees too small to
+// rank, rides along as the control the hooks must not move. With several
+// workers only the answers are compared (see internal/ctree's suite for
+// why).
 
 const equivLen = 64
 
@@ -246,6 +248,32 @@ func TestColumnScanEquivalence(t *testing.T) {
 			return ans, st.Stats()
 		}
 	}
+	// tree is a CTree of 2 400 series, 343 leaves when materialized: a leaf
+	// level whose ranked budget is two pages, so its approximate probe, and
+	// with it the seed of its exact search, reads the leaves its summary
+	// ranks best (ctree.Tree.ApproxInto). Then 200 inserts split leaves,
+	// which moves the page map off the identity, and the queries run again.
+	tree := func(t *testing.T, opts coconut.Options) ([][]coconut.Match, coconut.Stats) {
+		tr := must[*coconut.Tree](t)(coconut.BuildTree(data[:2400], opts))
+		defer tr.Close()
+		var ans [][]coconut.Match
+		ms := must[[]coconut.Match](t)
+		search := func() {
+			for _, q := range queries {
+				exact := ms(tr.Search(q, 5))
+				ans = append(ans, exact, ms(tr.SearchRange(q, exact[2].Dist)), ms(tr.SearchApprox(q, 5)))
+			}
+			ans = append(ans, must[[][]coconut.Match](t)(tr.SearchBatch(queries, 3))...)
+		}
+		search()
+		for i, s := range data[2400:] {
+			if err := tr.Insert(s, int64(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		search()
+		return ans, tr.Stats()
+	}
 	with := func(o coconut.Options, mod func(o *coconut.Options)) coconut.Options {
 		mod(&o)
 		return o
@@ -283,6 +311,7 @@ func TestColumnScanEquivalence(t *testing.T) {
 			return with(full, func(o *coconut.Options) { o.BufferEntries = 1250 })
 		}, stream(coconut.BTP)},
 		{"stream-tp", false, false, func() coconut.Options { return base }, stream(coconut.TP)},
+		{"tree-ranked", true, false, func() coconut.Options { return full }, tree},
 	}
 	defer run.SetPageKeyBounds(false)
 	defer run.SetPinnedProbe(false)

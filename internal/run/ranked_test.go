@@ -6,9 +6,11 @@ import (
 	"math"
 	"reflect"
 	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/index"
+	"repro/internal/obs"
 	"repro/internal/record"
 )
 
@@ -51,30 +53,158 @@ func rankedPlan(r Run, pages [][]record.Entry, q index.Query, p *index.Pruner) [
 		}
 		return cmp.Compare(a.page, b.page)
 	})
-	return plan[:min(len(plan), rankedBudget(m.Pages()))]
+	return plan[:min(len(plan), RankedBudget(m.Pages()))]
 }
 
-// TestRankedProbe holds RankedProbe to its plan (rankedPlan) on a run of
-// 1 050 pages: it reads the plan's pages in the plan's order, stopping at
-// the first whose bound the collector then rules out — never a page with no
-// entry in the window, never more than the budget — and answers as probing
-// those pages one by one does. The collector comes in empty (k = 5 or 1),
-// or holding the query's exact nearest neighbour (k = 1), which rules out
-// every page whose least bound is beyond it before the probe reads one.
-// Under the pinned-probe hook the probe bounds its candidates from their
-// bytes: it pins each once more, then reads the same pages.
-func TestRankedProbe(t *testing.T) {
-	defer SetPinnedProbe(false)
-	entries, raw := testEntries(2100, 23)
-	s, disk, _ := newStoreOf(t, "heap", rankedPageSize, testCfg, raw)
-	r, err := s.Write("r", entries)
+// insertLikeCTree inserts late into r as a CTree's insert path does
+// (ctree.Tree.InsertEntry): each entry into the page whose key range holds
+// it, a page that overflows split in two, its upper half appended to the
+// file. The summary's page map leaves the identity, and its groups grow past
+// groupPages before they are halved.
+func insertLikeCTree(t *testing.T, s Store, r Run, late []record.Entry) Run {
+	t.Helper()
+	l, err := s.Layout()
 	if err != nil {
 		t.Fatal(err)
 	}
+	capacity := s.Disk.PageSize() / s.Codec().Size()
+	buf := make([]byte, s.Disk.PageSize())
+	encode := func(es []record.Entry) []byte {
+		page := buf[:0]
+		for _, e := range es {
+			if page, err = s.Codec().Append(page, e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		clear(buf[len(page):])
+		return buf
+	}
+	m := r.Sum
+	for _, e := range late {
+		p := m.Find(e.Key)
+		var pg record.PageView
+		if _, err := s.Disk.ReadPage(r.File, m.Phys(p), buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Page(&pg, buf, m.Entries(p)); err != nil {
+			t.Fatal(err)
+		}
+		entries, err := pg.Entries()
+		if err != nil {
+			t.Fatal(err)
+		}
+		pos := sort.Search(len(entries), func(i int) bool { return e.Less(entries[i]) })
+		entries = slices.Insert(entries, pos, e)
+		lo := entries
+		if len(entries) > capacity {
+			lo = entries[:len(entries)/2]
+		}
+		if err := s.Disk.WritePage(r.File, m.Phys(p), encode(lo)); err != nil {
+			t.Fatal(err)
+		}
+		var phys int64
+		if len(lo) < len(entries) {
+			if phys, err = s.Disk.AppendPage(r.File, encode(entries[len(lo):])); err != nil {
+				t.Fatal(err)
+			}
+		}
+		r.Count++
+		m.Insert(p, pos, e)
+		if len(lo) < len(entries) {
+			m.Split(p, len(lo), phys)
+		}
+	}
+	if err := s.Verify(r); err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// summaryPages decodes r's pages in key order, each read at its page number
+// in the file (Summary.Phys) and holding the entries the summary counts.
+func summaryPages(t *testing.T, s Store, r Run) [][]record.Entry {
+	t.Helper()
+	l, err := s.Layout()
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, s.Disk.PageSize())
+	pages := make([][]record.Entry, r.Sum.Pages())
+	for p := range pages {
+		var pg record.PageView
+		if _, err := s.Disk.ReadPage(r.File, r.Sum.Phys(p), buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Page(&pg, buf, r.Sum.Entries(p)); err != nil {
+			t.Fatal(err)
+		}
+		if pages[p], err = pg.Entries(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return pages
+}
+
+// TestRankedProbe holds RankedProbe to its plan (rankedPlan) on a run of
+// 1 050 pages, and on the same run after a thousand inserts, made as a
+// CTree makes them, have split its pages: it reads the plan's pages in the plan's order,
+// stopping at the first whose bound the collector then rules out — never a
+// page with no entry in the window, never more than the budget — and answers
+// as probing those pages one by one does. The collector comes in empty
+// (k = 5 or 1), or holding the query's exact nearest neighbour (k = 1),
+// which rules out every page whose least bound is beyond it before the probe
+// reads one. Under the pinned-probe hook the probe bounds its candidates
+// from their bytes: it pins each once more, then reads the same pages. The
+// probe counts the pages it reads as probed units of its caller's kind.
+func TestRankedProbe(t *testing.T) {
+	defer SetPinnedProbe(false)
+	all, raw := testEntries(3100, 23)
+	var base []record.Entry // the first 2 100 series in key order, the rest by ID: as they arrive
+	late := make([]record.Entry, len(all))
+	for _, e := range all {
+		if e.ID < 2100 {
+			base = append(base, e)
+		}
+		late[e.ID] = e
+	}
+	late = late[2100:]
+	for _, fx := range []struct {
+		name   string
+		splits bool
+		kind   obs.Kind // and its name in a search's record
+		unit   string
+	}{{"run", false, obs.PageUnit, "page"}, {"ctree-splits", true, obs.LeafUnit, "leaf"}} {
+		t.Run(fx.name, func(t *testing.T) { rankedProbeCase(t, raw, base, late, fx.splits, fx.kind, fx.unit) })
+	}
+}
+
+func rankedProbeCase(t *testing.T, raw normStore, base, late []record.Entry, splits bool, kind obs.Kind, unit string) {
+	s, disk, _ := newStoreOf(t, "heap", rankedPageSize, testCfg, raw)
+	r, err := s.Write("r", base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := base
 	if r.Sum.Pages() != 1050 || r.Sum.Groups() <= rankedGroups {
 		t.Fatalf("fixture: %d pages in %d groups", r.Sum.Pages(), r.Sum.Groups())
 	}
-	pages := readPages(t, disk, r)
+	if splits {
+		r = insertLikeCTree(t, s, r, late)
+		entries = append(slices.Clone(base), late...)
+		moved, widest := 0, 0
+		for p := 0; p < r.Sum.Pages(); p++ {
+			if r.Sum.Phys(p) != int64(p) {
+				moved++
+			}
+		}
+		for g := range r.Sum.grp {
+			widest = max(widest, r.Sum.end(g)-r.Sum.grp[g].first)
+		}
+		if moved == 0 || widest <= groupPages || r.Sum.Groups() <= rankedGroups {
+			t.Fatalf("fixture: %d of %d pages off the identity map, widest group %d pages, %d groups", moved, r.Sum.Pages(), widest, r.Sum.Groups())
+		}
+	}
+	pages := summaryPages(t, s, r)
 	tr := &orderTracer{}
 	disk.SetTracer(tr)
 	var stopped, full, narrow int
@@ -104,11 +234,13 @@ func TestRankedProbe(t *testing.T) {
 				}
 				plan := rankedPlan(r, pages, q, &ctx.P)
 				want, wantCol := []int64{}, fresh()
+				var wantPages []int
 				for _, c := range plan {
 					if wantCol.SkipSq(c.bound) {
 						break
 					}
-					want = append(want, int64(c.page))
+					want = append(want, r.Sum.Phys(c.page))
+					wantPages = append(wantPages, c.page)
 					if _, err := s.ProbePage(r, c.page, q, wantCol, sc); err != nil {
 						t.Fatal(err)
 					}
@@ -116,12 +248,15 @@ func TestRankedProbe(t *testing.T) {
 				tr.take()
 				for _, pinned := range []bool{false, true} {
 					SetPinnedProbe(pinned)
-					pins := ProbePins()
+					pins, probed := ProbePins(), probedUnits(&ctx.Tally, unit)
 					col := fresh()
-					if err := s.RankedProbe(r, q, col, sc); err != nil {
+					if err := s.RankedProbe(r, kind, q, col, sc); err != nil {
 						t.Fatal(err)
 					}
 					read, pins := tr.take(), ProbePins()-pins
+					if probed = probedUnits(&ctx.Tally, unit) - probed; probed != int64(len(want)) {
+						t.Fatalf("%s, pinned %v: %d units probed, want the %d pages read", name, pinned, probed, len(want))
+					}
 					if pinned {
 						if pins == 0 || int64(len(read)) != pins+int64(len(want)) {
 							t.Fatalf("%s, pinned: %d reads, %d of them ranking pins, want %d probes besides", name, len(read), pins, len(want))
@@ -136,7 +271,7 @@ func TestRankedProbe(t *testing.T) {
 					}
 				}
 				ctx.Release()
-				for _, p := range want {
+				for _, p := range wantPages {
 					in := false
 					for _, e := range pages[p] {
 						in = in || q.InWindow(e.TS)
@@ -145,7 +280,7 @@ func TestRankedProbe(t *testing.T) {
 						t.Fatalf("%s: read page %d, which holds no entry in the window", name, p)
 					}
 				}
-				budget := rankedBudget(r.Sum.Pages())
+				budget := RankedBudget(r.Sum.Pages())
 				switch {
 				case len(want) > budget:
 					t.Fatalf("%s: read %d pages, over the budget of %d", name, len(want), budget)
@@ -168,6 +303,16 @@ func TestRankedProbe(t *testing.T) {
 	}
 }
 
+// probedUnits returns the units of the named kind t counts as probed.
+func probedUnits(t *obs.Tally, unit string) int64 {
+	for _, k := range t.Kinds() {
+		if k.Kind == unit {
+			return k.Probed
+		}
+	}
+	return 0
+}
+
 // TestRankedProbeBudget: the budget is one page per rankedShare, at least
 // one and at most rankedCap, and a run too small to fill a budget of one is
 // probed at its best page.
@@ -183,14 +328,14 @@ func TestRankedProbeBudget(t *testing.T) {
 	defer ctx.Release()
 	col := index.NewCollector(3)
 	before := s.Disk.Stats()
-	if err := s.RankedProbe(r, q, col, ctx.Scratch0()); err != nil {
+	if err := s.RankedProbe(r, obs.PageUnit, q, col, ctx.Scratch0()); err != nil {
 		t.Fatal(err)
 	}
 	if st := s.Disk.Stats().Sub(before); st.Reads() != 1 || len(col.Results()) != 2 {
 		t.Fatalf("a 20-page run: %d reads, %d answers; want one page of two entries", st.Reads(), len(col.Results()))
 	}
 	for _, c := range []struct{ pages, budget int }{{1, 1}, {255, 1}, {256, 2}, {1023, 7}, {1024, 8}, {1 << 20, 8}} {
-		if got := rankedBudget(c.pages); got != c.budget {
+		if got := RankedBudget(c.pages); got != c.budget {
 			t.Errorf("%d pages: budget %d, want %d", c.pages, got, c.budget)
 		}
 	}

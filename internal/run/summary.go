@@ -449,8 +449,9 @@ func (s *Store) page(pg *index.Page, r Run, p, g, off int, data []byte) {
 }
 
 // ProbePage pins page p of r and evaluates all its entries into col: a
-// run's covering page (Probe), a CTree's covering leaf and the neighbours
-// its approximate search widens to. It returns the in-window entries seen.
+// run's covering page (Probe), a small CTree's covering leaf and the
+// neighbours its approximate search widens to, and each page a ranked probe
+// picks (RankedProbe). It returns the in-window entries seen.
 func (s *Store) ProbePage(r Run, p int, q index.Query, col *index.Collector, sc *index.Scratch) (int, error) {
 	h, err := s.Reader.PinPage(r.File, r.Sum.Phys(p))
 	if err != nil {
@@ -484,9 +485,10 @@ const rankedGroups = 32
 // reads evicted what the small pool of TestCachedStreamEquivalence holds.)
 const rankedShare, rankedCap = 128, 8
 
-// rankedBudget returns how many pages a ranked probe of a unit of the given
-// pages may read.
-func rankedBudget(pages int) int { return min(rankedCap, max(1, pages/rankedShare)) }
+// RankedBudget returns how many pages a ranked probe of a unit of the given
+// pages may read. A caller with another probe for a unit whose budget is one
+// page (a CTree's covering-leaf walk) keeps it there: see Store.RankedProbe.
+func RankedBudget(pages int) int { return min(rankedCap, max(1, pages/rankedShare)) }
 
 // rankedPage is a page a ranked probe may read, with its least in-window
 // entry bound.
@@ -495,16 +497,18 @@ type rankedPage struct {
 	page  int
 }
 
-// RankedProbe is a windowed approximate probe of r into col that picks its
-// pages from the resident summary before it pins one: it bounds the groups'
+// RankedProbe is the approximate probe of r into col that picks its pages
+// from the resident summary before it pins one: it bounds the groups'
 // envelopes (Pruner.EnvelopeSqs), takes the rankedGroups best, bounds their
 // pages' envelopes and then, for a page its envelope does not rule out, its
-// entries (Scratch.ResidentBounds), and keeps the budget's worth of pages
-// with the least in-window entry bound, ties to the lower page. It reads
-// them in that order, each through ProbePage, until the next one's bound is
-// ruled out by col (SkipSq) — every later one's is too, the bounds ascending
-// and the collector's only tightening. A page with no in-window entry is
-// never read.
+// in-window entries (Scratch.LeastResident), and keeps the budget's worth of
+// pages (RankedBudget) with the least in-window entry bound, ties to the
+// lower page. It reads them in that order, each through ProbePage, until the next
+// one's bound is ruled out by col (SkipSq) — every later one's is too, the
+// bounds ascending and the collector's only tightening. A page with no
+// in-window entry is never read. The pages it reads are counted into the
+// search's record (Scratch.Tally) as probed units of the given kind, as Scan
+// counts the pages it reads.
 //
 // Groups are visited in ascending bound order, so the first that col rules
 // out, or whose bound is beyond the worst page kept once the budget is
@@ -514,18 +518,19 @@ type rankedPage struct {
 // group's, and a page col rules out now it would rule out when the page's
 // turn came, after every live page kept before it.
 //
-// BTP's partitions use it (stream.BTP.ApproxInto, and with it the seed of
-// their exact search); CLSM runs, CTrees and TP keep the covering page
-// (Probe): see ARCHITECTURE, "Resident page summary". Under the pinned-probe
-// test hook a page's entries are bounded from its bytes, pinned for the
-// purpose, as a store without summaries would have to: the same pages are
-// kept, and the extra pins are counted.
-func (s *Store) RankedProbe(r Run, q index.Query, col *index.Collector, sc *index.Scratch) error {
+// BTP's partitions use it whatever their size (stream.BTP.ApproxInto, and
+// with it the seed of their exact search), and a CTree's leaf level once
+// its budget is more than one page (ctree.Tree.ApproxInto); CLSM runs keep
+// the covering page (Probe): see ARCHITECTURE, "Resident page summary".
+// Under the pinned-probe test hook a page's entries are bounded from its
+// bytes, pinned for the purpose, as a store without summaries would have
+// to: the same pages are kept, and the extra pins are counted.
+func (s *Store) RankedProbe(r Run, kind obs.Kind, q index.Query, col *index.Collector, sc *index.Scratch) error {
 	m, w := r.Sum, r.Sum.segs
 	if m.Pages() == 0 {
 		return nil
 	}
-	budget := rankedBudget(m.Pages())
+	budget := RankedBudget(m.Pages())
 	groups := sc.Bounds(len(m.grp))
 	sc.P.EnvelopeSqs(groups, w, m.grpMin, m.grpMax)
 	var best [rankedGroups]int // group indexes by ascending (bound, index)
@@ -534,11 +539,10 @@ func (s *Store) RankedProbe(r Run, q index.Query, col *index.Collector, sc *inde
 		if nb == rankedGroups && b >= groups[best[nb-1]] {
 			continue
 		}
+		// After the kept groups of bound b or less: ties to the lower index.
+		i := sort.Search(nb, func(i int) bool { return b < groups[best[i]] })
 		nb = min(nb+1, rankedGroups)
-		i := nb - 1
-		for ; i > 0 && b < groups[best[i-1]]; i-- {
-			best[i] = best[i-1]
-		}
+		copy(best[i+1:nb], best[i:nb-1])
 		best[i] = g
 	}
 	var top [rankedCap]rankedPage // by ascending (bound, page)
@@ -573,15 +577,19 @@ func (s *Store) RankedProbe(r Run, q index.Query, col *index.Collector, sc *inde
 			top[i] = rankedPage{least, p}
 		}
 	}
+	read := 0
+	var err error
 	for _, c := range top[:n] {
 		if col.SkipSq(c.bound) {
 			break
 		}
-		if _, err := s.ProbePage(r, c.page, q, col, sc); err != nil {
-			return err
+		read++
+		if _, err = s.ProbePage(r, c.page, q, col, sc); err != nil {
+			break
 		}
 	}
-	return nil
+	sc.Tally.Note(kind, int64(read), 0)
+	return err
 }
 
 // leastInWindow returns the least bound among page p's entries in q's
@@ -592,8 +600,7 @@ func (s *Store) leastInWindow(r Run, p, g, off int, q *index.Query, sc *index.Sc
 	n := r.Sum.cnt[p]
 	if onProbePin == nil {
 		gr, w := &r.Sum.grp[g], r.Sum.segs
-		_, least := sc.ResidentBounds(q, gr.syms[off*w:(off+n)*w], gr.ts[off:off+n])
-		return least, nil
+		return sc.LeastResident(q, gr.syms[off*w:(off+n)*w], gr.ts[off:off+n]), nil
 	}
 	phys := r.Sum.Phys(p)
 	cur := s.Reader.Scan(r.File, phys, phys+1)

@@ -163,7 +163,9 @@ func (b *BTP) Merges() int64 { return b.merges }
 // the same context (one table fill across both), so the pages it reads set
 // the bound the scans prune by.
 func (b *BTP) ApproxInto(q index.Query, col *index.Collector, ctx *index.SearchCtx) error {
-	return b.search(q, col, ctx, (*run.Store).RankedProbe)
+	return b.search(q, col, ctx, func(s *run.Store, r run.Run, q index.Query, col *index.Collector, sc *index.Scratch) error {
+		return s.RankedProbe(r, obs.PageUnit, q, col, sc)
+	})
 }
 
 // ExactInto implements index.Index: the approximate phase seeds the bound,
@@ -197,8 +199,8 @@ func (b *BTP) search(q index.Query, col *index.Collector, ctx *index.SearchCtx, 
 	return b.forEachPart(q, ctx, col, scan)
 }
 
-// forEachPart applies scan (the run store's RankedProbe or ScanRun, as a
-// method expression) to every partition through the planned-probe executor
+// forEachPart applies scan (the run store's RankedProbe, counting pages, or
+// ScanRun) to every partition through the planned-probe executor
 // (index.ProbeUnits) — the same discipline as CLSM runs, with the same
 // determinism guarantee. A partition is bounded by its synopsis's envelope
 // MINDIST, or by +Inf, a skip, when its time range misses the window.

@@ -26,8 +26,8 @@ import (
 // compared only between handles built at 1: with several workers the
 // backend's one shared head word sees the workers' accesses interleaved, so
 // the sequential/random split depends on the schedule (Options.Parallelism
-// says as much). That pins the comparison, it does not fix the meter: the
-// ROADMAP item that makes the I/O meter a function of the plan — a
+// says as much). That pins the comparison, it does not fix the meter:
+// ROADMAP's "Make the I/O meter a function of the plan" — a
 // schedule-independent accounting model — stays open.
 var equivParallelisms = []int{0, 1}
 

@@ -315,12 +315,14 @@ func (h *handle) Search(q []float64, k int) ([]Match, error) {
 
 // SearchApprox returns up to k likely neighbors from a few page reads, picked
 // in memory, and no exactness guarantee: deduplicated matches with true
-// distances, ordered by (distance, ID). A tree of fewer than 256 leaves reads
-// the leaf covering the query's key and its neighbours until k entries are
-// seen; a larger one reads the leaves its resident summary ranks best, one
-// per 128 leaves and at most eight, and answers from their entries alone,
-// which may be fewer than k. An LSM reads the covering page of each run, and
-// a Sharded index does either in each shard.
+// distances, ordered by (distance, ID). A tree reads the leaf covering the
+// query's key and its neighbours until k entries are seen. A materialized
+// tree of 256 leaves or more first reads the leaves its resident summary
+// ranks best, one per 128 leaves and at most eight, and goes on to the
+// covering leaf only if they hold fewer than k; ranking them costs CPU, not
+// reads: on a 33 334-leaf tree about 0.1 ms a query against 0.025 ms for
+// the covering leaf alone (2-vCPU Xeon, AVX2). An LSM reads the covering
+// page of each run, and a Sharded index does either in each shard.
 func (h *handle) SearchApprox(q []float64, k int) ([]Match, error) {
 	rs, err := h.b.ApproxSearch(index.NewQuery(series.Series(q), h.cfg), k)
 	return convert(rs), err

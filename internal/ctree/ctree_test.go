@@ -12,7 +12,6 @@ import (
 	"repro/internal/index"
 	"repro/internal/obs"
 	"repro/internal/parallel"
-	"repro/internal/run"
 	"repro/internal/series"
 	"repro/internal/storage"
 )
@@ -276,20 +275,27 @@ func TestApproxSearchFewerThanK(t *testing.T) {
 
 // TestTracedLeavesAreLeavesRead: a traced search's "leaf" kind counts the
 // leaves it read, each read once, and skips none in its approximate phase:
-// on a leaf level of 343 pages, whose approximate probe reads the leaves its
-// summary ranks best (at most its budget of two, run.RankedBudget), and on
-// one of 143 pages, probed at the covering leaf and its neighbours. An
-// exact search's count is its approximate phase's plus the pages its scan
-// read.
+// on a leaf level of 143 pages, probed at the covering leaf and its
+// neighbours; on one of 343 pages, whose approximate probe reads the leaves
+// its summary ranks best (run.Store.RanksLeaves), at most its budget of two,
+// enough for k = 5; and on one of 1 200 pages of two entries, whose
+// eight ranked leaves hold fewer than k = 20, so that its probe goes on
+// from the covering leaf. An exact search's count is its approximate
+// phase's plus the pages its scan read.
 func TestTracedLeavesAreLeavesRead(t *testing.T) {
 	for _, c := range []struct {
-		series, leaves int
-		ranked         bool
-	}{{1000, 143, false}, {2400, 343, true}} {
+		series int
+		fill   float64
+		k      int
+		leaves int
+		ranked bool
+		// The approximate phase's fewest and most reads; 0: unchecked.
+		least, most int
+	}{{1000, 1, 5, 143, false, 0, 0}, {2400, 1, 5, 343, true, 0, 2}, {2400, 0.3, 20, 1200, true, 9, 0}} {
 		ds := buildDataset(t, c.series, 9)
-		tr, disk := buildTree(t, ds, true, 1.0)
-		if tr.Leaves() != c.leaves || (run.RankedBudget(tr.Leaves()) > 1) != c.ranked {
-			t.Fatalf("fixture: %d leaves, ranked budget %d", tr.Leaves(), run.RankedBudget(tr.Leaves()))
+		tr, disk := buildTree(t, ds, true, c.fill)
+		if tr.Leaves() != c.leaves || tr.store.RanksLeaves(tr.leaves) != c.ranked {
+			t.Fatalf("fixture: %d leaves, ranks them %v", tr.Leaves(), tr.store.RanksLeaves(tr.leaves))
 		}
 		rng := rand.New(rand.NewSource(91))
 		for i := 0; i < 20; i++ {
@@ -300,7 +306,7 @@ func TestTracedLeavesAreLeavesRead(t *testing.T) {
 			}{{"approx", tr.ApproxInto}, {"exact", tr.ExactInto}} {
 				q.Trace, q.Tally = obs.NewQueryTrace(), new(obs.Tally)
 				before := disk.Stats()
-				if _, err := index.Into(q, tr.Config(), nil, nil, nil, index.NewCollector(5), mode.search); err != nil {
+				if _, err := index.Into(q, tr.Config(), nil, nil, nil, index.NewCollector(c.k), mode.search); err != nil {
 					t.Fatal(err)
 				}
 				reads := disk.Stats().Sub(before).Reads()
@@ -310,8 +316,40 @@ func TestTracedLeavesAreLeavesRead(t *testing.T) {
 						leaf = k
 					}
 				}
-				if leaf.Probed != reads || reads == 0 || mode.name == "approx" && (leaf.Skipped != 0 || c.ranked && reads > 2) {
+				if leaf.Probed != reads || reads == 0 || mode.name == "approx" && (leaf.Skipped != 0 || reads < int64(c.least) || c.most > 0 && reads > int64(c.most)) {
 					t.Fatalf("%d leaves, query %d, %s: %d leaves read, trace %+v", c.leaves, i, mode.name, reads, leaf)
+				}
+			}
+		}
+	}
+}
+
+// TestApproxSearchRankedReturnsK: a tree whose ranked leaves hold fewer
+// entries than k answers an approximate search with k results all the same:
+// 1 200 leaves of two entries, eight of them ranked, and k from 1 to past
+// the ranked leaves' sixteen entries. A key-only tree of 400 leaves of six
+// entries, which does not rank them, answers with k as well.
+func TestApproxSearchRankedReturnsK(t *testing.T) {
+	ds := buildDataset(t, 2400, 12)
+	rng := rand.New(rand.NewSource(120))
+	for _, materialized := range []bool{true, false} {
+		fill := 0.05
+		if materialized {
+			fill = 0.3
+		}
+		tr, _ := buildTree(t, ds, materialized, fill)
+		if tr.store.RanksLeaves(tr.leaves) != materialized || tr.Leaves() < 256 {
+			t.Fatalf("fixture: materialized %v, %d leaves, ranks them %v", materialized, tr.Leaves(), tr.store.RanksLeaves(tr.leaves))
+		}
+		for trial := 0; trial < 20; trial++ {
+			q := index.NewQuery(gen.RandomWalk(rng, 64), testConfig(materialized))
+			for _, k := range []int{1, 10, 16, 17, 50} {
+				got, err := approxSearch(tr, q, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != k {
+					t.Fatalf("materialized %v, query %d: approx returned %d results, want %d", materialized, trial, len(got), k)
 				}
 			}
 		}

@@ -3,7 +3,6 @@ package ctree
 import (
 	"repro/internal/index"
 	"repro/internal/obs"
-	"repro/internal/run"
 )
 
 // Search in a CTree fans out over contiguous leaf ranges: exact and range
@@ -13,55 +12,29 @@ import (
 // (index.Collector). Any number of searches may run concurrently against one
 // tree; only inserts require external serialization against searches.
 
-// ApproxInto is the approximate search (index.Index). A leaf level whose
-// ranked budget is more than one page (run.RankedBudget: 256 leaves or more)
-// is probed at the leaves its resident summary ranks best for the query and
-// its window (run.Store.RankedProbe): up to eight leaves, picked without a
-// read, whose entries' bounds are the least. A smaller one is probed at the
-// covering leaf, found among the summary's fence keys, then alternating
-// outward until k in-window candidates have been evaluated (fill-factor slack
-// or windows can leave leaves short): there ranking would read the one best
-// leaf, which seeds an exact search worse than the covering leaf and its
-// neighbours do. Either way the leaves read are counted as probed "leaf"
-// units. The probe is navigational, so it stays serial whatever pool the
-// context carries.
+// ApproxInto is the approximate search (index.Index): the leaf level's
+// probe (run.Store.LeafProbe). A materialized level of 256 leaves or more is
+// read first at the leaves its resident summary ranks best for the query and
+// its window, up to eight, picked without a read; then, and on any other
+// level, at the covering leaf and alternating outward until k in-window
+// candidates have been evaluated (fill-factor slack or windows can leave
+// leaves short). The leaves read are counted as probed "leaf" units. The
+// probe is navigational, so it stays serial whatever pool the context
+// carries.
 func (t *Tree) ApproxInto(q index.Query, col *index.Collector, ctx *index.SearchCtx) error {
-	leaves := t.Leaves()
-	if leaves == 0 {
+	if t.Leaves() == 0 {
 		return nil
 	}
 	defer ctx.Trace.Start("approx").End()
-	sc := ctx.Scratch0()
-	if run.RankedBudget(leaves) > 1 {
-		return t.store.RankedProbe(t.leaves, obs.LeafUnit, q, col, sc)
-	}
-	probe := func(li int) (int, error) {
-		sc.Tally.Note(obs.LeafUnit, 1, 0)
-		return t.store.ProbePage(t.leaves, li, q, col, sc)
-	}
-	center := t.leaves.Sum.Find(q.Key)
-	seen, err := probe(center)
-	for lo, hi := center, center; err == nil && seen < col.K() && (lo > 0 || hi < leaves-1); {
-		n := 0
-		if lo > 0 {
-			lo--
-			n, err = probe(lo)
-			seen += n
-		}
-		if err == nil && seen < col.K() && hi < leaves-1 {
-			hi++
-			n, err = probe(hi)
-			seen += n
-		}
-	}
-	return err
+	return t.store.LeafProbe(t.leaves, q, col, ctx.Scratch0())
 }
 
 // ExactInto is the exact search (index.Index). The approximate phase seeds
-// the best-so-far bound (ranked leaves on a large tree), then the whole leaf
-// file is scanned (materialized, from the covering leaf: scanAll), and only
-// entries whose squared lower bound survives pay for a true distance (from
-// the inline payload bytes, or a raw-file fetch when non-materialized).
+// the best-so-far bound (ranked leaves first on a large materialized tree),
+// then the whole leaf file is scanned (materialized, from the covering leaf:
+// scanAll), and only entries whose squared lower bound survives pay for a
+// true distance (from the inline payload bytes, or a raw-file fetch when
+// non-materialized).
 func (t *Tree) ExactInto(q index.Query, col *index.Collector, ctx *index.SearchCtx) error {
 	if err := t.ApproxInto(q, col, ctx); err != nil {
 		return err

@@ -12,6 +12,7 @@ import (
 	"repro/internal/index"
 	"repro/internal/obs"
 	"repro/internal/record"
+	"repro/internal/storage"
 )
 
 // rankedPageSize holds two key-only testCfg entries to a page, so that 2 100
@@ -53,7 +54,7 @@ func rankedPlan(r Run, pages [][]record.Entry, q index.Query, p *index.Pruner) [
 		}
 		return cmp.Compare(a.page, b.page)
 	})
-	return plan[:min(len(plan), RankedBudget(m.Pages()))]
+	return plan[:min(len(plan), rankedBudget(m.Pages()))]
 }
 
 // insertLikeCTree inserts late into r as a CTree's insert path does
@@ -280,7 +281,7 @@ func rankedProbeCase(t *testing.T, raw normStore, base, late []record.Entry, spl
 						t.Fatalf("%s: read page %d, which holds no entry in the window", name, p)
 					}
 				}
-				budget := RankedBudget(r.Sum.Pages())
+				budget := rankedBudget(r.Sum.Pages())
 				switch {
 				case len(want) > budget:
 					t.Fatalf("%s: read %d pages, over the budget of %d", name, len(want), budget)
@@ -335,8 +336,158 @@ func TestRankedProbeBudget(t *testing.T) {
 		t.Fatalf("a 20-page run: %d reads, %d answers; want one page of two entries", st.Reads(), len(col.Results()))
 	}
 	for _, c := range []struct{ pages, budget int }{{1, 1}, {255, 1}, {256, 2}, {1023, 7}, {1024, 8}, {1 << 20, 8}} {
-		if got := RankedBudget(c.pages); got != c.budget {
+		if got := rankedBudget(c.pages); got != c.budget {
 			t.Errorf("%d pages: budget %d, want %d", c.pages, got, c.budget)
 		}
+	}
+}
+
+// TestLeafProbe holds a CTree's approximate probe (LeafProbe) to its rule on
+// a leaf level of 1 050 pages, as built and after a thousand CTree-like
+// inserts have split it. A materialized level ranks its leaves: it reads the
+// pages RankedProbe reads (rankedPlan, cut at the first page the collector
+// then rules out), and, if they leave the collector short of k results, the
+// covering leaf and its neighbours alternating outward, passing over the
+// pages already read, until k in-window entries have been seen. A key-only
+// level of the same entries only walks. Either way every page read counts
+// as a probed "leaf" unit, and the answer holds k results, or every
+// in-window entry when there are fewer.
+func TestLeafProbe(t *testing.T) {
+	all, raw := testEntries(3100, 23)
+	materialized := testCfg
+	materialized.Materialized = true
+	for _, fx := range []struct {
+		name     string
+		cfg      index.Config
+		pageSize int
+		splits   bool
+	}{
+		{"materialized", materialized, 2 * materialized.Codec().Size(), false},
+		{"materialized-splits", materialized, 2 * materialized.Codec().Size(), true},
+		{"key-only", testCfg, rankedPageSize, false},
+		{"key-only-splits", testCfg, rankedPageSize, true},
+	} {
+		t.Run(fx.name, func(t *testing.T) {
+			var base []record.Entry // the first 2 100 series in key order, the rest by ID
+			late := make([]record.Entry, len(all))
+			for _, e := range all {
+				if fx.cfg.Materialized {
+					e.Payload = raw[e.ID]
+				}
+				if e.ID < 2100 {
+					base = append(base, e)
+				}
+				late[e.ID] = e
+			}
+			late = late[2100:]
+			s, disk, _ := newStoreOf(t, "heap", fx.pageSize, fx.cfg, raw)
+			r, err := s.Write("r", base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.Sum.Pages() != 1050 || s.RanksLeaves(r) != fx.cfg.Materialized {
+				t.Fatalf("fixture: %d pages, ranks its leaves %v", r.Sum.Pages(), s.RanksLeaves(r))
+			}
+			if fx.splits {
+				r = insertLikeCTree(t, s, r, late)
+			}
+			leafProbeCase(t, s, disk, r, summaryPages(t, s, r), fx.cfg)
+		})
+	}
+}
+
+func leafProbeCase(t *testing.T, s Store, disk *storage.Disk, r Run, pages [][]record.Entry, cfg index.Config) {
+	tr := &orderTracer{}
+	disk.SetTracer(tr)
+	var rankedOnly, toppedUp, walked int
+	for i, base := range testQueries(8, 37) {
+		for _, q := range []index.Query{base, base.WithWindow(400, 1100), base.WithWindow(2000, 2003), base.WithWindow(5000, 6000)} {
+			inWindow := 0
+			for _, pg := range pages {
+				for _, e := range pg {
+					if q.InWindow(e.TS) {
+						inWindow++
+					}
+				}
+			}
+			for _, k := range []int{1, 5, 40} {
+				name := fmt.Sprintf("query %d window %v [%d, %d] k %d", i, q.Windowed, q.MinTS, q.MaxTS, k)
+				ctx := index.AcquireCtx(q, cfg)
+				sc := ctx.Scratch0()
+				want, wantCol := []int64{}, index.NewCollector(k)
+				seen := 0
+				visit := func(p int) {
+					want = append(want, r.Sum.Phys(p))
+					n, err := s.ProbePage(r, p, q, wantCol, sc)
+					if err != nil {
+						t.Fatal(err)
+					}
+					seen += n
+				}
+				var ranked []int
+				if cfg.Materialized {
+					for _, c := range rankedPlan(r, pages, q, &ctx.P) {
+						if wantCol.SkipSq(c.bound) {
+							break
+						}
+						ranked = append(ranked, c.page)
+						visit(c.page)
+					}
+				}
+				switch {
+				case wantCol.Full():
+					rankedOnly++
+				case len(ranked) > 0:
+					toppedUp++
+				default:
+					walked++
+				}
+				if !wantCol.Full() {
+					step := func(p int) {
+						if !slices.Contains(ranked, p) {
+							visit(p)
+						}
+					}
+					center, n := r.Sum.Find(q.Key), r.Sum.Pages()
+					step(center)
+					for lo, hi := center, center; seen < k && (lo > 0 || hi < n-1); {
+						if lo > 0 {
+							lo--
+							step(lo)
+						}
+						if seen < k && hi < n-1 {
+							hi++
+							step(hi)
+						}
+					}
+				}
+				tr.take()
+				probed := probedUnits(&ctx.Tally, "leaf")
+				col := index.NewCollector(k)
+				if err := s.LeafProbe(r, q, col, sc); err != nil {
+					t.Fatal(err)
+				}
+				read := tr.take()
+				if probed = probedUnits(&ctx.Tally, "leaf") - probed; probed != int64(len(read)) {
+					t.Fatalf("%s: %d leaf units probed, %d pages read", name, probed, len(read))
+				}
+				if !slices.Equal(read, want) {
+					t.Fatalf("%s: read pages %v, want %v", name, read, want)
+				}
+				got := col.Results()
+				if !reflect.DeepEqual(got, wantCol.Results()) {
+					t.Fatalf("%s: answers %v, want %v", name, got, wantCol.Results())
+				}
+				if len(got) != min(k, inWindow) {
+					t.Fatalf("%s: %d answers of %d in-window entries", name, len(got), inWindow)
+				}
+				ctx.Release()
+			}
+		}
+	}
+	// A ranked level's rows end at the ranked pages and go on to the walk;
+	// a key-only level's all walk.
+	if cfg.Materialized && (rankedOnly == 0 || toppedUp == 0) || !cfg.Materialized && walked == 0 {
+		t.Fatalf("ranked pages enough %d times, topped up %d, walked alone %d", rankedOnly, toppedUp, walked)
 	}
 }

@@ -2,6 +2,7 @@ package run
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -41,6 +42,10 @@ type Summary struct {
 	// grpMin/grpMax are their envelopes (their pages' union), at g*segs.
 	grp            []group
 	grpMin, grpMax []uint8
+	// bandMin/bandMax are the envelopes of each bandGroups consecutive
+	// groups (their groups' union), at b*segs: a ranked probe bounds the
+	// bands first and a band's groups only if one of them could be kept.
+	bandMin, bandMax []uint8
 }
 
 // group is groupPages consecutive pages when built. A split adds its new
@@ -56,6 +61,9 @@ type group struct {
 }
 
 const groupPages = 16
+
+// bandGroups is the groups a band of a summary's envelopes spans.
+const bandGroups = 16
 
 // interiorSkipRun is the shortest interior run of dead pages worth leaving
 // unread: skipping m pages mid-range saves m sequential reads but turns the
@@ -206,6 +214,21 @@ func (m *Summary) groupBy(syms []uint8, ts []int64) {
 	for g := range m.grp {
 		m.setGroupEnv(g)
 	}
+	m.setBands()
+}
+
+// setBands makes every band's envelope the union of its groups'.
+func (m *Summary) setBands() {
+	w, bands := m.segs, (len(m.grp)+bandGroups-1)/bandGroups
+	m.bandMin, m.bandMax = slices.Grow(m.bandMin[:0], bands*w)[:bands*w], slices.Grow(m.bandMax[:0], bands*w)[:bands*w]
+	for b := 0; b < bands; b++ {
+		mn, mx := m.env(m.bandMin, m.bandMax, b)
+		lo, hi := b*bandGroups*w, min((b+1)*bandGroups, len(m.grp))*w
+		index.SetEnvelope(mn, mx, m.grpMin[lo:hi])
+		for off := lo; off < hi; off += w {
+			index.WidenEnvelope(mn, mx, m.grpMax[off:off+w])
+		}
+	}
 }
 
 // setGroupEnv makes group g's envelope the union of its pages'.
@@ -251,6 +274,7 @@ func (m *Summary) Insert(p, i int, e record.Entry) {
 	if len(m.cnt) == 0 { // an empty leaf level's first entry opens its first page
 		m.cnt, m.grp = []int{0}, []group{{}}
 		m.envMin, m.envMax, m.grpMin, m.grpMax = slices.Clone(syms), slices.Clone(syms), slices.Clone(syms), slices.Clone(syms)
+		m.bandMin, m.bandMax = slices.Clone(syms), slices.Clone(syms)
 	}
 	g, off := m.locate(p)
 	gr := &m.grp[g]
@@ -261,12 +285,15 @@ func (m *Summary) Insert(p, i int, e record.Entry) {
 	index.WidenEnvelope(mn, mx, syms)
 	mn, mx = m.env(m.grpMin, m.grpMax, g)
 	index.WidenEnvelope(mn, mx, syms)
+	mn, mx = m.env(m.bandMin, m.bandMax, g/bandGroups)
+	index.WidenEnvelope(mn, mx, syms)
 }
 
 // Split follows the split of page p of a CTree's leaf level: its entries end
 // at mid, the rest are a new page p+1, appended to the file as page phys.
 // The new page joins p's group, whose envelope already covers every entry
-// involved; a group that has reached twice its built size is then halved.
+// involved; a group that has reached twice its built size is then halved,
+// which shifts every later group's band.
 func (m *Summary) Split(p, mid int, phys int64) {
 	w := m.segs
 	for len(m.pageOf) < len(m.cnt) { // the identity, nil until now
@@ -296,6 +323,7 @@ func (m *Summary) Split(p, mid int, phys int64) {
 	m.grpMax = slices.Insert(m.grpMax, (g+1)*w, make([]uint8, w)...)
 	m.setGroupEnv(g)
 	m.setGroupEnv(g + 1)
+	m.setBands()
 }
 
 // AppendBinary appends the summary's persistent form:
@@ -404,8 +432,9 @@ func (m *Summary) ascending() error {
 // Verify holds r's summary to r's file — the invariant a summary keeps
 // through builds, inserts, splits, encodings and loads: a pass over the
 // pages by its page map (Store.Load, which checks the fence keys ascend)
-// gives the same persistent form, and the groups tile the pages, each under
-// twice groupPages, with its pages' entries and envelopes' union.
+// gives the same persistent form, the groups tile the pages, each under
+// twice groupPages, with its pages' entries and envelopes' union, and each
+// band's envelope is its groups' union.
 func (s *Store) Verify(r Run) error {
 	m := r.Sum
 	fresh, err := s.Load(Run{File: r.File, Count: r.Count}, m.cnt, m.pageOf)
@@ -432,6 +461,10 @@ func (s *Store) Verify(r Run) error {
 	if next != m.Pages() || !bytes.Equal(want.grpMin, m.grpMin) || !bytes.Equal(want.grpMax, m.grpMax) {
 		return fmt.Errorf("run: %s: groups end at page %d of %d, or their envelopes are not their pages' union", r.File, next, m.Pages())
 	}
+	want.bandMin, want.bandMax = nil, nil
+	if want.setBands(); !bytes.Equal(want.bandMin, m.bandMin) || !bytes.Equal(want.bandMax, m.bandMax) {
+		return fmt.Errorf("run: %s: band envelopes are not their groups' union", r.File)
+	}
 	return nil
 }
 
@@ -449,9 +482,9 @@ func (s *Store) page(pg *index.Page, r Run, p, g, off int, data []byte) {
 }
 
 // ProbePage pins page p of r and evaluates all its entries into col: a
-// run's covering page (Probe), a small CTree's covering leaf and the
-// neighbours its approximate search widens to, and each page a ranked probe
-// picks (RankedProbe). It returns the in-window entries seen.
+// run's covering page (Probe), each page a ranked probe picks (RankedProbe)
+// and each leaf a CTree's approximate probe reads (LeafProbe). It returns
+// the in-window entries seen.
 func (s *Store) ProbePage(r Run, p int, q index.Query, col *index.Collector, sc *index.Scratch) (int, error) {
 	h, err := s.Reader.PinPage(r.File, r.Sum.Phys(p))
 	if err != nil {
@@ -485,10 +518,9 @@ const rankedGroups = 32
 // reads evicted what the small pool of TestCachedStreamEquivalence holds.)
 const rankedShare, rankedCap = 128, 8
 
-// RankedBudget returns how many pages a ranked probe of a unit of the given
-// pages may read. A caller with another probe for a unit whose budget is one
-// page (a CTree's covering-leaf walk) keeps it there: see Store.RankedProbe.
-func RankedBudget(pages int) int { return min(rankedCap, max(1, pages/rankedShare)) }
+// rankedBudget returns how many pages a ranked probe of a unit of the given
+// pages may read.
+func rankedBudget(pages int) int { return min(rankedCap, max(1, pages/rankedShare)) }
 
 // rankedPage is a page a ranked probe may read, with its least in-window
 // entry bound.
@@ -497,62 +529,97 @@ type rankedPage struct {
 	page  int
 }
 
+// rankedUnit is a band or a group a ranked probe bounds, with its envelope
+// bound.
+type rankedUnit struct {
+	bound float64
+	i     int
+}
+
 // RankedProbe is the approximate probe of r into col that picks its pages
-// from the resident summary before it pins one: it bounds the groups'
-// envelopes (Pruner.EnvelopeSqs), takes the rankedGroups best, bounds their
+// from the resident summary before it pins one. It bounds the bands'
+// envelopes (Pruner.EnvelopeSqs) and, in ascending band bound order, their
+// groups', until a band's bound is beyond the worst of the rankedGroups
+// best groups kept (ties to the lower group). It bounds the kept groups'
 // pages' envelopes and then, for a page its envelope does not rule out, its
-// in-window entries (Scratch.LeastResident), and keeps the budget's worth of
-// pages (RankedBudget) with the least in-window entry bound, ties to the
-// lower page. It reads them in that order, each through ProbePage, until the next
-// one's bound is ruled out by col (SkipSq) — every later one's is too, the
-// bounds ascending and the collector's only tightening. A page with no
-// in-window entry is never read. The pages it reads are counted into the
-// search's record (Scratch.Tally) as probed units of the given kind, as Scan
-// counts the pages it reads.
+// in-window entries (Scratch.LeastResident), and keeps the budget's worth
+// of pages (rankedBudget) with the least in-window entry bound, ties to the
+// lower page. It reads them in that order, each through ProbePage, until
+// the next one's bound is ruled out by col (SkipSq) — every later one's is
+// too, the bounds ascending and the collector's only tightening. A page
+// with no in-window entry is never read. The pages it reads are counted
+// into the search's record (Scratch.Tally) as probed units of the given
+// kind, as Scan counts the pages it reads.
 //
-// Groups are visited in ascending bound order, so the first that col rules
-// out, or whose bound is beyond the worst page kept once the budget is
-// full, ends the ranking; a page is passed over on its envelope bound by the
-// same two tests, its entries unbounded. Neither changes a page read: an
-// entry's bound is at least its page envelope's, which is at least its
-// group's, and a page col rules out now it would rule out when the page's
-// turn came, after every live page kept before it.
+// The kept groups are visited in ascending bound order, so the first that
+// col rules out, or whose bound is beyond the worst page kept once the
+// budget is full, ends the ranking; a page is passed over on its envelope
+// bound by the same two tests, its entries unbounded. None of this changes
+// a page read: an entry's bound is at least its page envelope's, which is
+// at least its group's, which is at least its band's, and a page col rules
+// out now it would rule out when the page's turn came, after every live
+// page kept before it.
 //
 // BTP's partitions use it whatever their size (stream.BTP.ApproxInto, and
-// with it the seed of their exact search), and a CTree's leaf level once
-// its budget is more than one page (ctree.Tree.ApproxInto); CLSM runs keep
-// the covering page (Probe): see ARCHITECTURE, "Resident page summary".
+// with it the seed of their exact search), and a CTree's leaf level when it
+// ranks its leaves (LeafProbe); CLSM runs keep the covering page (Probe):
+// see ARCHITECTURE, "Resident page summary".
 // Under the pinned-probe test hook a page's entries are bounded from its
 // bytes, pinned for the purpose, as a store without summaries would have
 // to: the same pages are kept, and the extra pins are counted.
 func (s *Store) RankedProbe(r Run, kind obs.Kind, q index.Query, col *index.Collector, sc *index.Scratch) error {
+	var top [rankedCap]rankedPage
+	_, _, err := s.rankedProbe(&top, r, kind, q, col, sc)
+	return err
+}
+
+// rankedProbe is RankedProbe, ranking into top: the pages it read are
+// top[:read], and seen is the in-window entries they held.
+func (s *Store) rankedProbe(top *[rankedCap]rankedPage, r Run, kind obs.Kind, q index.Query, col *index.Collector, sc *index.Scratch) (read, seen int, err error) {
 	m, w := r.Sum, r.Sum.segs
 	if m.Pages() == 0 {
-		return nil
+		return 0, 0, nil
 	}
-	budget := RankedBudget(m.Pages())
-	groups := sc.Bounds(len(m.grp))
-	sc.P.EnvelopeSqs(groups, w, m.grpMin, m.grpMax)
-	var best [rankedGroups]int // group indexes by ascending (bound, index)
+	budget := rankedBudget(m.Pages())
+	bands := sc.Bounds(len(m.bandMin) / w)
+	sc.P.EnvelopeSqs(bands, w, m.bandMin, m.bandMax)
+	var orderBuf [256]rankedUnit // the bands by ascending bound; on the stack to 65 536 pages
+	order := orderBuf[:0]
+	for b, bb := range bands {
+		order = append(order, rankedUnit{bb, b})
+	}
+	slices.SortFunc(order, func(a, b rankedUnit) int { return cmp.Compare(a.bound, b.bound) })
+	var best [rankedGroups]rankedUnit // the groups kept, by ascending (bound, group)
+	before := func(b float64, g int, kept rankedUnit) bool { return b < kept.bound || b == kept.bound && g < kept.i }
+	var groupBuf [bandGroups]float64
 	nb := 0
-	for g, b := range groups {
-		if nb == rankedGroups && b >= groups[best[nb-1]] {
-			continue
+	for _, band := range order {
+		if nb == rankedGroups && band.bound > best[nb-1].bound {
+			break
 		}
-		// After the kept groups of bound b or less: ties to the lower index.
-		i := sort.Search(nb, func(i int) bool { return b < groups[best[i]] })
-		nb = min(nb+1, rankedGroups)
-		copy(best[i+1:nb], best[i:nb-1])
-		best[i] = g
+		g0 := band.i * bandGroups
+		groups := groupBuf[:min(bandGroups, len(m.grp)-g0)]
+		sc.P.EnvelopeSqs(groups, w, m.grpMin[g0*w:], m.grpMax[g0*w:])
+		for i, b := range groups {
+			g := g0 + i
+			if nb == rankedGroups && !before(b, g, best[nb-1]) {
+				continue
+			}
+			j := sort.Search(nb, func(j int) bool { return before(b, g, best[j]) })
+			nb = min(nb+1, rankedGroups)
+			copy(best[j+1:nb], best[j:nb-1])
+			best[j] = rankedUnit{b, g}
+		}
 	}
-	var top [rankedCap]rankedPage // by ascending (bound, page)
+	// top holds the kept pages by ascending (bound, page).
 	var pageBuf [2 * groupPages]float64
 	n := 0
 	full := func(b float64) bool { return n == budget && b > top[n-1].bound }
-	for _, g := range best[:nb] {
-		if col.SkipSq(groups[g]) || full(groups[g]) {
+	for _, kept := range best[:nb] {
+		if col.SkipSq(kept.bound) || full(kept.bound) {
 			break
 		}
+		g := kept.i
 		first, end := m.grp[g].first, m.end(g)
 		pages := pageBuf[:end-first]
 		sc.P.EnvelopeSqs(pages, w, m.envMin[first*w:], m.envMax[first*w:])
@@ -563,7 +630,7 @@ func (s *Store) RankedProbe(r Run, kind obs.Kind, q index.Query, col *index.Coll
 			}
 			least, err := s.leastInWindow(r, p, g, at, &q, sc)
 			if err != nil {
-				return err
+				return 0, 0, err
 			}
 			if math.IsInf(least, 1) || col.SkipSq(least) || full(least) ||
 				n == budget && least == top[n-1].bound && p > top[n-1].page {
@@ -577,18 +644,80 @@ func (s *Store) RankedProbe(r Run, kind obs.Kind, q index.Query, col *index.Coll
 			top[i] = rankedPage{least, p}
 		}
 	}
-	read := 0
-	var err error
 	for _, c := range top[:n] {
 		if col.SkipSq(c.bound) {
 			break
 		}
 		read++
-		if _, err = s.ProbePage(r, c.page, q, col, sc); err != nil {
+		var in int
+		if in, err = s.ProbePage(r, c.page, q, col, sc); err != nil {
 			break
 		}
+		seen += in
 	}
 	sc.Tally.Note(kind, int64(read), 0)
+	return read, seen, err
+}
+
+// RanksLeaves reports whether a CTree's approximate probe of its leaf level
+// r starts at the leaves its summary ranks best (LeafProbe): when the
+// leaves are materialized and the ranked budget is more than one page, 256
+// leaves or more. A one-page budget would read the one best-bounded leaf,
+// which seeds an exact search worse than the covering leaf and its
+// neighbours do (E2's materialized CTree query cost 63.0 → 70.2, its
+// key-only one 912.8 → 968.8). On a key-only level every candidate a ranked
+// leaf holds costs a random raw fetch to verify, and no measurement shows
+// the ranking paying for them there. (BTP's partitions rank whatever their
+// size: stream.BTP.ApproxInto.)
+func (s *Store) RanksLeaves(r Run) bool {
+	return s.codec.Materialized && rankedBudget(r.Sum.Pages()) > 1
+}
+
+// LeafProbe is a CTree's approximate probe of its leaf level r into col. A
+// level that ranks its leaves (RanksLeaves) is first probed at the leaves
+// its summary ranks best (RankedProbe); if they leave col short of k
+// results — few entries a leaf, or a window few of them are in — and on
+// every other level, leaves are then read from the covering leaf, found
+// among the summary's fence keys, alternating outward, passing over those
+// already read, until k in-window entries have been evaluated or the level
+// is exhausted. Every leaf read is counted as a probed "leaf" unit.
+func (s *Store) LeafProbe(r Run, q index.Query, col *index.Collector, sc *index.Scratch) error {
+	leaves := r.Sum.Pages()
+	if leaves == 0 {
+		return nil
+	}
+	var top [rankedCap]rankedPage
+	ranked, seen := 0, 0
+	if s.RanksLeaves(r) {
+		var err error
+		if ranked, seen, err = s.rankedProbe(&top, r, obs.LeafUnit, q, col, sc); err != nil || col.Full() {
+			return err
+		}
+	}
+	probe := func(p int) (int, error) {
+		for _, c := range top[:ranked] {
+			if c.page == p {
+				return 0, nil
+			}
+		}
+		sc.Tally.Note(obs.LeafUnit, 1, 0)
+		return s.ProbePage(r, p, q, col, sc)
+	}
+	center := r.Sum.Find(q.Key)
+	n, err := probe(center)
+	seen += n
+	for lo, hi := center, center; err == nil && seen < col.K() && (lo > 0 || hi < leaves-1); {
+		if lo > 0 {
+			lo--
+			n, err = probe(lo)
+			seen += n
+		}
+		if err == nil && seen < col.K() && hi < leaves-1 {
+			hi++
+			n, err = probe(hi)
+			seen += n
+		}
+	}
 	return err
 }
 

@@ -80,9 +80,9 @@ func (s *Stream) SearchWindow(q []float64, k int, minTS, maxTS int64) ([]Match, 
 }
 
 // SearchApprox probes the scheme without exactness guarantees, restricted
-// to [minTS, maxTS]: near q's key, or, on BTP and on a TP partition of 256
-// leaves or more, at the pages each partition's resident summary ranks best
-// for q and the window.
+// to [minTS, maxTS]: near q's key, or, on BTP and first on a materialized
+// TP partition of 256 leaves or more, at the pages each partition's resident
+// summary ranks best for q and the window.
 func (s *Stream) SearchApprox(q []float64, k int, minTS, maxTS int64) ([]Match, error) {
 	rs, err := s.b.ApproxSearch(index.NewQuery(series.Series(q), s.cfg).WithWindow(minTS, maxTS), k)
 	return convert(rs), err

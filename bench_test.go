@@ -627,6 +627,54 @@ func BenchmarkParallelSearch(b *testing.B) {
 	}
 }
 
+// BenchmarkBufferSearch measures the queries a durable LSM serves while
+// its write buffer is most of the way full: a CLSMFull whose 4 096-entry
+// buffer holds 2 560 entries over 16 384 flushed ones, on the simulated
+// disk, one worker. A window query spans the newest 20 000 timestamps and
+// an approximate query all of them; either evaluates the whole buffer,
+// bounded from its symbol column, before it reaches the runs.
+func BenchmarkBufferSearch(b *testing.B) {
+	const length, buffer, flushed, buffered, window, k = 64, 4096, 4 * 4096, 2560, 20000, 10
+	rng := rand.New(rand.NewSource(7))
+	l, err := NewLSM(Options{SeriesLen: length, Materialized: true, BufferEntries: buffer, GrowthFactor: 4, Parallelism: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer l.Close()
+	for i := 0; i < flushed+buffered; i++ {
+		if err := l.Insert(gen.RandomWalk(rng, length), int64(i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := l.Quiesce(); err != nil {
+		b.Fatal(err)
+	}
+	if got := l.CompactionStats().Flushes; got != flushed/buffer {
+		b.Fatalf("%d flushes, want %d with %d entries left buffered", got, flushed/buffer, buffered)
+	}
+	queries := make([][]float64, 32)
+	for i := range queries {
+		queries[i] = gen.RandomWalk(rng, length)
+	}
+	hi := int64(flushed + buffered - 1)
+	for _, c := range []struct {
+		name   string
+		search func(q []float64) ([]Match, error)
+	}{
+		{"window", func(q []float64) ([]Match, error) { return l.SearchWindow(q, k, hi-window+1, hi) }},
+		{"approx", func(q []float64) ([]Match, error) { return l.SearchApprox(q, k) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.search(queries[i%len(queries)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // --- Sharded + batched execution benchmark (PR 3's layer). ---
 
 // BenchmarkBatchSearch measures exact k-NN throughput over a CoconutTree

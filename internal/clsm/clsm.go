@@ -187,7 +187,7 @@ func (m *manifest) entriesIn() int64 {
 // buffer to run during a flush is always visible in exactly one of the two.
 type view struct {
 	man *manifest
-	buf []record.Entry // immutable prefix snapshot; appends land beyond len
+	buf index.Buffer // immutable prefix snapshot, entries and column; appends land beyond both
 }
 
 // LSM is a CoconutLSM index. Completed and in-construction indexes are safe
@@ -200,9 +200,10 @@ type LSM struct {
 
 	// mu guards buffer growth, WAL append ordering, and every publication
 	// of cur. Searches never take it.
-	mu      sync.Mutex
-	buffer  []record.Entry // append-only between flush commits
-	bufBase int64          // WAL LSN of buffer[0] (valid when WAL is set)
+	mu       sync.Mutex
+	buffer   index.Buffer // append-only between flush commits
+	bufBase  int64        // WAL LSN of the buffer's first entry (valid when WAL is set)
+	walFrame []byte       // the WAL frame being appended, reused across inserts
 
 	cur atomic.Pointer[view]
 
@@ -340,18 +341,19 @@ func (l *LSM) raiseNextID(id int64) {
 func (l *LSM) insertEntry(e record.Entry, walSeries series.Series) error {
 	l.mu.Lock()
 	if l.opts.WAL != nil && !l.replaying {
-		lsn, err := l.opts.WAL.Append(encodeWALFrame(e, walSeries))
+		l.walFrame = appendWALFrame(l.walFrame[:0], e, walSeries)
+		lsn, err := l.opts.WAL.Append(l.walFrame)
 		if err != nil {
 			l.mu.Unlock()
 			return fmt.Errorf("clsm: wal append: %w", err)
 		}
-		if want := l.bufBase + int64(len(l.buffer)); lsn != want {
+		if want := l.bufBase + int64(l.buffer.Len()); lsn != want {
 			l.mu.Unlock()
 			return fmt.Errorf("clsm: wal LSN %d, want %d (log shared with another writer?)", lsn, want)
 		}
 	}
-	l.buffer = append(l.buffer, e)
-	full := len(l.buffer) >= l.opts.BufferEntries
+	l.buffer.Add(e)
+	full := l.buffer.Len() >= l.opts.BufferEntries
 	l.cur.Store(&view{man: l.cur.Load().man, buf: l.buffer})
 	l.mu.Unlock()
 	l.count.Add(1)
@@ -372,12 +374,12 @@ func (l *LSM) Flush() error {
 	// Snapshot the buffer prefix to flush. The buffer stays visible to
 	// searches until the commit swaps run and buffer in one step.
 	l.mu.Lock()
-	n := len(l.buffer)
+	n := l.buffer.Len()
 	if n == 0 {
 		l.mu.Unlock()
 		return nil
 	}
-	snap := l.buffer[:n:n]
+	snap := l.buffer.Entries()[:n:n]
 	flushedLSN := l.bufBase + int64(n) - 1
 	l.mu.Unlock()
 
@@ -398,8 +400,8 @@ func (l *LSM) Flush() error {
 		return err
 	}
 
-	// Commit: new manifest with the run, buffer minus the flushed prefix,
-	// one atomic view swap.
+	// Commit: new manifest with the run, buffer minus the flushed prefix
+	// (entries and column alike), one atomic view swap.
 	l.writeMu.Lock()
 	l.mu.Lock()
 	v := l.cur.Load()
@@ -407,7 +409,7 @@ func (l *LSM) Flush() error {
 	if l.opts.WAL != nil {
 		man.durableLSN = flushedLSN
 	}
-	l.buffer = l.buffer[n:]
+	l.buffer.Drop(n)
 	l.bufBase += int64(n)
 	l.cur.Store(&view{man: man, buf: l.buffer})
 	retire(v.man, man, nil)
@@ -674,7 +676,7 @@ func (l *LSM) PlanSynopses() ([]*zonestat.Synopsis, bool) {
 	for i, r := range runs {
 		syns[i] = r.Syn
 	}
-	return syns, len(v.buf) == 0
+	return syns, v.buf.Len() == 0
 }
 
 var _ zonestat.Provider = (*LSM)(nil)

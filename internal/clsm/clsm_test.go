@@ -169,7 +169,7 @@ func TestFlushAndMergeCascade(t *testing.T) {
 	for _, r := range allRuns(l.cur.Load().man) {
 		total += r.Count
 	}
-	total += int64(len(l.buffer))
+	total += int64(l.buffer.Len())
 	if total != 1000 {
 		t.Fatalf("entries across runs+buffer = %d, want 1000", total)
 	}

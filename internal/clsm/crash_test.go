@@ -182,7 +182,7 @@ func TestCrashRecoveryTruncatedWALOnlyReplaysTail(t *testing.T) {
 	assertAllSearchable(t, rec, ds, 500, 6, 4242)
 	// Recovery replayed only the un-flushed tail: the buffer holds at most
 	// one flush interval's worth.
-	if got := len(rec.buffer); got >= 64 {
+	if got := rec.buffer.Len(); got >= 64 {
 		t.Fatalf("recovered buffer holds %d entries, want < 64", got)
 	}
 }

@@ -288,6 +288,7 @@ func Open(opts Options) (*LSM, error) {
 	l := &LSM{
 		opts:    opts,
 		store:   run.NewStore(opts.Disk, opts.Reader, opts.Config, opts.Raw),
+		buffer:  index.NewBuffer(opts.Config),
 		adopted: st.src,
 	}
 	if _, err := l.store.Layout(); err != nil {
@@ -308,7 +309,7 @@ func Open(opts Options) (*LSM, error) {
 	l.flushes.Store(st.flushes)
 	l.merges.Store(st.merges)
 	man := &manifest{levels: st.levels, durableLSN: st.durableLSN}
-	l.cur.Store(&view{man: man})
+	l.cur.Store(&view{man: man, buf: l.buffer})
 	l.oldest = man
 	l.bufBase = st.durableLSN + 1
 
@@ -383,9 +384,9 @@ func (l *LSM) Replay(onReplay func(record.Entry, series.Series) error) error {
 			return nil
 		}
 		l.mu.Lock()
-		if len(l.buffer) == 0 {
+		if l.buffer.Len() == 0 {
 			l.bufBase = lsn
-		} else if l.bufBase+int64(len(l.buffer)) != lsn {
+		} else if l.bufBase+int64(l.buffer.Len()) != lsn {
 			l.mu.Unlock()
 			return fmt.Errorf("clsm: non-contiguous WAL replay at LSN %d", lsn)
 		}
@@ -420,13 +421,10 @@ func sameShape(stored, given index.Config) error {
 
 // WAL frame: flag u8 (1 = series present) | key | id u64 | ts u64 |
 // [series]. The series rides along even for non-materialized indexes so
-// recovery can refill a raw series file.
-func encodeWALFrame(e record.Entry, s series.Series) []byte {
-	n := 1 + record.HeaderBytes
-	if s != nil {
-		n += series.Size(len(s))
-	}
-	buf := make([]byte, 0, n)
+// recovery can refill a raw series file. appendWALFrame appends the frame
+// to buf, which an LSM reuses across inserts: the log copies the payload
+// into its own frame.
+func appendWALFrame(buf []byte, e record.Entry, s series.Series) []byte {
 	if s != nil {
 		buf = append(buf, 1)
 	} else {

@@ -24,7 +24,8 @@ import (
 // which every view of the same data shares.
 
 // ApproxInto is the approximate search (index.Index): the in-memory buffer
-// is evaluated outright, as one page of entries (index.EvalPage), and in
+// is evaluated outright, as one page of entries bounded from its symbol
+// column (index.Buffer.Page, index.EvalPage), and in
 // every on-disk run a binary search over the run's resident page-first keys
 // locates the query key's neighborhood, of which one page is read and
 // examined. Cost grows with the number of runs —
@@ -43,7 +44,7 @@ func (l *LSM) approx(v *view, q index.Query, col *index.Collector, ctx *index.Se
 		defer l.unpinView(v)
 	}
 	defer ctx.Trace.Start("approx").End()
-	pg := index.BufferPage(v.buf)
+	pg := v.buf.Page(&q)
 	if _, err := index.EvalPage(&q, &pg, l.opts.Raw, col, ctx.Scratch0()); err != nil {
 		return err
 	}
@@ -89,7 +90,7 @@ func forEachRun(l *LSM, v *view, q index.Query, ctx *index.SearchCtx, col *index
 func (l *LSM) RangeInto(q index.Query, col *index.Collector, ctx *index.SearchCtx) error {
 	v := l.pinView()
 	defer l.unpinView(v)
-	pg := index.BufferPage(v.buf)
+	pg := v.buf.Page(&q)
 	if _, err := index.EvalPage(&q, &pg, l.opts.Raw, col, ctx.Scratch0()); err != nil {
 		return err
 	}

@@ -251,10 +251,3 @@ func TestPropertyCollectorNeverExceedsK(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

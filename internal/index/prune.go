@@ -39,17 +39,19 @@ import (
 //     summed by simd.TableSum in the kernels' blocked order, so the bound
 //     is the same float64, bit for bit, on every kernel set and equal to
 //     what a bit-at-a-time decode gives (prune_test.go holds it to one).
-//     An index that keeps its entries' symbols resident (the CTree's SAX
-//     column) skips the transpose as well, and the Page cursor takes them in
-//     place of keys: SymbolBoundSqs bounds a page's entries in one
-//     simd.SymbolSums call, one entry an iteration under AVX2, with each
-//     entry's lookups added in TableSum's order, so its bounds are
-//     MinDistSqKey's bit for bit. A page's resident entries are bounded at
-//     once, out-of-window ones included, in one place (Scratch.entryBounds):
-//     by the page loop, which decides from their least in-window bound
-//     whether to read the page at all (Scratch.ResidentBounds) and hands a
-//     live page's bounds on (Page.UseBounds), or else by the page evaluator
-//     (EvalPage); the evaluator's loop reads the results.
+//     An index that keeps its entries' symbols resident (a CTree's or a
+//     run's SAX column, a write buffer's: Buffer) skips the transpose as
+//     well, and the Page cursor takes them in place of keys: SymbolBoundSqs
+//     bounds a page's entries in one simd.SymbolSums call, one entry an
+//     iteration under AVX2, with each entry's lookups added in TableSum's
+//     order, so its bounds are MinDistSqKey's bit for bit. A page's resident
+//     entries are bounded at once, out-of-window ones included (a write
+//     buffer's page is its in-window stretch: Buffer.Page), in one place
+//     (Scratch.entryBounds): by the page loop, which decides from their
+//     least in-window bound whether to read the page at all
+//     (Scratch.ResidentBounds) and hands a live page's bounds on
+//     (Page.UseBounds), or else by the page evaluator (EvalPage); the
+//     evaluator's loop reads the results.
 //
 //   - A unit's symbol envelope (a zone map: zonestat) bounds every series
 //     in the unit at once, one clamped lookup per segment. EnvelopeSqs
@@ -612,7 +614,7 @@ type Page struct {
 	data     []byte
 	view     record.PageView // the stored page, once opened (open)
 	opened   bool
-	arrivals bool      // BufferPage: candidates verify in page order
+	arrivals bool      // Buffer.Page: candidates verify in page order
 	syms     []uint8   // non-nil: the entries' symbols, the pruner's segments to an entry
 	tss      []int64   // non-nil: the entries' timestamps
 	lbs      []float64 // non-nil: the entries' bounds, from the page loop (UseBounds)
@@ -627,14 +629,6 @@ func StoredPage(l *record.Layout, data []byte, n int) Page {
 
 // EntryPage describes already-decoded in-memory entries: an ADS+ leaf.
 func EntryPage(entries []record.Entry) Page { return Page{n: len(entries), ents: entries} }
-
-// BufferPage is EntryPage over a write buffer's arrivals, whose candidates
-// verify in arrival order, each checked against the collector's bound right
-// before: a buffer holds thousands of entries, and ordering them all by
-// bound would cost more than the verifications it saves.
-func BufferPage(entries []record.Entry) Page {
-	return Page{n: len(entries), ents: entries, arrivals: true}
-}
 
 // UseSymbols makes the cursor bound its entries from syms instead of from
 // their keys: segs symbols per entry in page order, each entry's as
@@ -769,7 +763,7 @@ func (pg *Page) distSq(q *Query, i int, raw series.RawStore, limitSq float64) (f
 // order, not in whatever order the sort left them. A range
 // collector's bound cannot move, so its candidates verify in page order,
 // which is then the order of a non-materialized index's raw fetches; so do
-// a write buffer's (BufferPage), each checked against the bound first.
+// a write buffer's (Buffer.Page), each checked against the bound first.
 // Candidate slots reuse the scratch slice, so a warm probe allocates
 // nothing. It returns the number of in-window entries seen. Query and page
 // are taken by pointer, so a page loop copies neither once a page
@@ -803,7 +797,7 @@ func EvalPage(q *Query, pg *Page, raw series.RawStore, col *Collector, sc *Scrat
 	if len(cands) == 0 {
 		if traced {
 			sc.Trace.NoteCands(int64(count), 0, 0, pr)
-			if resident {
+			if resident && pg.layout != nil { // a pinned page, released unread
 				sc.Trace.NoteUndecoded(1)
 			}
 		}

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/index"
 	"repro/internal/obs"
@@ -75,18 +76,20 @@ func (b *BTP) Insert(s series.Series, ts int64) error {
 }
 
 // Seal implements Scheme: flush the buffer into a class-0 partition and
-// apply the bounding merges.
+// apply the bounding merges. It sorts a copy, so a failed write leaves the
+// buffer in arrival order, its symbol column beside it.
 func (b *BTP) Seal() error {
-	if len(b.buffer) == 0 {
+	if b.buffer.Len() == 0 {
 		return nil
 	}
-	record.Sort(b.buffer)
-	sealed, err := b.store.Write(b.nextFile(), b.buffer)
+	sorted := slices.Clone(b.buffer.Entries())
+	record.Sort(sorted)
+	sealed, err := b.store.Write(b.nextFile(), sorted)
 	if err != nil {
 		return err
 	}
 	b.parts = append(b.parts, btpPart{Run: sealed, class: 0})
-	b.buffer = nil
+	b.buffer.Drop(len(sorted))
 	return b.bound()
 }
 
@@ -189,10 +192,11 @@ func (b *BTP) RangeInto(q index.Query, col *index.Collector, ctx *index.SearchCt
 	return b.search(q, col, ctx, (*run.Store).ScanRun)
 }
 
-// search evaluates the buffer as one page of entries (index.EvalPage), then
-// every partition with scan.
+// search evaluates the buffer as one page of entries bounded from its
+// symbol column (index.Buffer.Page, index.EvalPage), then every partition
+// with scan.
 func (b *BTP) search(q index.Query, col *index.Collector, ctx *index.SearchCtx, scan func(*run.Store, run.Run, index.Query, *index.Collector, *index.Scratch) error) error {
-	pg := index.BufferPage(b.buffer)
+	pg := b.buffer.Page(&q)
 	if _, err := index.EvalPage(&q, &pg, b.store.Raw, col, ctx.Scratch0()); err != nil {
 		return err
 	}

@@ -53,12 +53,12 @@ type Scheme interface {
 
 // arrivals is the front end both schemes share: it z-normalizes and
 // summarizes each arriving series, gives it its timestamp and the next
-// global ID — the count of the series before it — and buffers it until a
-// partition's worth has arrived.
+// global ID — the count of the series before it — and buffers it, with its
+// symbols (index.Buffer), until a partition's worth has arrived.
 type arrivals struct {
 	cfg       index.Config
 	bufferCap int
-	buffer    []record.Entry
+	buffer    index.Buffer
 	count     int64
 }
 
@@ -69,7 +69,7 @@ func newArrivals(cfg index.Config, bufferCap int) (arrivals, error) {
 	if bufferCap < 1 {
 		return arrivals{}, fmt.Errorf("stream: bufferCap must be positive, got %d", bufferCap)
 	}
-	return arrivals{cfg: cfg, bufferCap: bufferCap}, nil
+	return arrivals{cfg: cfg, bufferCap: bufferCap, buffer: index.NewBuffer(cfg)}, nil
 }
 
 // add buffers one arrival and reports whether the buffer is full.
@@ -82,9 +82,9 @@ func (a *arrivals) add(ser series.Series, ts int64) (full bool, err error) {
 	if a.cfg.Materialized {
 		e.Payload = z
 	}
-	a.buffer = append(a.buffer, e)
+	a.buffer.Add(e)
 	a.count++
-	return len(a.buffer) >= a.bufferCap, nil
+	return a.buffer.Len() >= a.bufferCap, nil
 }
 
 // Count implements index.Index: every arrival, buffered ones included.

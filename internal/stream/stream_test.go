@@ -268,7 +268,7 @@ func TestBTPTimeRangesDisjointOrdered(t *testing.T) {
 	for _, p := range btp.parts {
 		total += p.Count
 	}
-	total += int64(len(btp.buffer))
+	total += int64(btp.buffer.Len())
 	if total != 1000 {
 		t.Fatalf("entries = %d, want 1000", total)
 	}

@@ -96,21 +96,22 @@ func (t *TP) Insert(s series.Series, ts int64) error {
 
 // Seal implements Scheme: the buffered entries become a new partition.
 func (t *TP) Seal() error {
-	if len(t.buffer) == 0 {
+	entries := t.buffer.Entries()
+	if len(entries) == 0 {
 		return nil
 	}
 	syn := zonestat.New(t.cfg.Segments, t.cfg.Bits)
-	for _, e := range t.buffer {
+	for _, e := range entries {
 		syn.Add(e.Key, e.TS)
 	}
 	t.seq++
 	name := fmt.Sprintf("tp.part.%04d", t.seq)
-	idx, err := t.factory(name, t.buffer)
+	idx, err := t.factory(name, entries)
 	if err != nil {
 		return err
 	}
 	t.parts = append(t.parts, tpPart{idx: idx, syn: syn})
-	t.buffer = nil
+	t.buffer.Drop(len(entries))
 	return nil
 }
 
@@ -133,8 +134,8 @@ func (t *TP) RangeInto(q index.Query, col *index.Collector, ctx *index.SearchCtx
 	return t.search(q, col, ctx, index.Index.RangeInto)
 }
 
-// search evaluates the in-memory buffer as one page of entries
-// (index.EvalPage), then searches the partitions through core —
+// search evaluates the in-memory buffer as one page of entries bounded
+// from its symbol column (index.Buffer.Page, index.EvalPage), then searches the partitions through core —
 // index.Index's ApproxInto, ExactInto or RangeInto — straight into the
 // collector: partition IDs are already global, and the bound earlier
 // partitions left in col prunes later ones. Partitions go through the
@@ -146,7 +147,7 @@ func (t *TP) RangeInto(q index.Query, col *index.Collector, ctx *index.SearchCtx
 // their exact squared sums, giving the same answer as the serial, unplanned
 // loop — and as PP and BTP over the same stream.
 func (t *TP) search(q index.Query, col *index.Collector, ctx *index.SearchCtx, core func(index.Index, index.Query, *index.Collector, *index.SearchCtx) error) error {
-	pg := index.BufferPage(t.buffer)
+	pg := t.buffer.Page(&q)
 	if _, err := index.EvalPage(&q, &pg, t.raw, col, ctx.Scratch0()); err != nil {
 		return err
 	}

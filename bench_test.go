@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/assemble"
 	"repro/internal/bufpool"
+	"repro/internal/cluster"
 	"repro/internal/extsort"
 	"repro/internal/gen"
 	"repro/internal/index"
@@ -1202,7 +1203,8 @@ func BenchmarkRunProbe(b *testing.B) {
 
 // BenchmarkRequestDecode decodes request bodies through server.DecodeRequest,
 // the one decoder every node and router handler reads a body with: a
-// 32 × 128 /api/insert batch, the router's ingest unit, and a 128-point
+// 32 × 128 /api/insert batch, the router's ingest unit, as a node decodes
+// it and as the router does (server.InsertLiterals), and a 128-point
 // /api/query. The bodies are json.Marshal's, as a Go client sends them.
 func BenchmarkRequestDecode(b *testing.B) {
 	rng := rand.New(rand.NewSource(44))
@@ -1216,6 +1218,7 @@ func BenchmarkRequestDecode(b *testing.B) {
 		into func() any
 	}{
 		{"insert-32x128", server.InsertRequest{Build: "build-1", Series: batch, TS: 1}, func() any { return new(server.InsertRequest) }},
+		{"insert-32x128-literals", server.InsertRequest{Build: "build-1", Series: batch, TS: 1}, func() any { return new(server.InsertLiterals) }},
 		{"query-128", server.QueryRequest{Build: "build-1", Series: batch[0], K: 10, Exact: true}, func() any { return new(server.QueryRequest) }},
 	} {
 		body, err := json.Marshal(bc.req)
@@ -1236,5 +1239,74 @@ func BenchmarkRequestDecode(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkRoutedInsert times one 32 × 128 insert through the router: a
+// router over two in-process nodes on loopback HTTP, each holding every
+// shard of a 4-shard CTreeFull cluster build, so each op decodes the
+// client's body, writes both replicas and waits for them. The body is
+// json.Marshal's, as a Go client sends it. Run it with -benchmem.
+func BenchmarkRoutedInsert(b *testing.B) {
+	const (
+		shards = 4
+		length = 128
+	)
+	post := func(url string, req, out any) {
+		body, err := json.Marshal(req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode/100 != 2 {
+			b.Fatalf("%s: status %d", url, resp.StatusCode)
+		}
+		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+			b.Fatal(err)
+		}
+	}
+	all := []int{0, 1, 2, 3}
+	var topo cluster.Topology
+	topo.Shards, topo.SeriesLen = shards, length
+	for _, name := range []string{"a", "b"} {
+		node := httptest.NewServer(server.New().Handler())
+		defer node.Close()
+		var d server.DatasetResponse
+		post(node.URL+"/api/datasets", server.DatasetRequest{Kind: "randomwalk", N: 1000, Len: length, Seed: 55}, &d)
+		var built server.BuildResponse
+		post(node.URL+"/api/build", server.BuildRequest{Dataset: d.ID, Variant: "CTreeFull", ClusterShards: shards, NodeShards: all}, &built)
+		topo.Nodes = append(topo.Nodes, cluster.Node{Name: name, URL: node.URL, Build: built.ID, Shards: all})
+	}
+	r, err := cluster.New(topo, cluster.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer r.Close()
+	h := r.Handler()
+
+	rng := rand.New(rand.NewSource(56))
+	batch := make([][]float64, 32)
+	for i := range batch {
+		batch[i] = gen.RandomWalk(rng, length)
+	}
+	body, err := json.Marshal(server.InsertRequest{Series: batch, TS: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rd := bytes.NewReader(body)
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rd.Reset(body)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/insert", io.NopCloser(rd)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("insert: status %d, %s", rec.Code, rec.Body)
+		}
 	}
 }

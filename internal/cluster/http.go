@@ -5,10 +5,11 @@ package cluster
 // the topology names the builds), so clients talk to one address and need
 // not know they face a cluster. Requests are checked, stamped, rendered and
 // counted by the node's own request code (server.QueryRequest.Check,
-// server.InsertRequest.Stamps, server.Results, server.RequestMetrics); what
-// is the router's own is the scatter-gather behind them, router_trace, 429
-// admission and 502 for a node's failure. Router-specific operations live
-// under /api/cluster/: topology + node status, and graceful drain.
+// server.InsertLiterals.Check and Stamps, server.Results,
+// server.RequestMetrics); what is the router's own is the scatter-gather
+// behind them, router_trace, 429 admission and 502 for a node's failure.
+// Router-specific operations live under /api/cluster/: topology + node
+// status, and graceful drain.
 
 import (
 	"errors"
@@ -143,14 +144,15 @@ func (r *Router) handleQueryBatch(w http.ResponseWriter, req *http.Request) {
 }
 
 // handleInsert answers POST /api/insert: the router assigns global IDs and
-// writes every replica of each touched shard. Admission control surfaces as
-// HTTP 429 — back off and resend.
+// writes every replica of each touched shard, forwarding each series as the
+// literal server.InsertLiterals kept of it, never parsed into floats.
+// Admission control surfaces as HTTP 429 — back off and resend.
 func (r *Router) handleInsert(w http.ResponseWriter, req *http.Request) {
 	if req.Method != http.MethodPost {
 		server.WriteError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	var ir server.InsertRequest
+	var ir server.InsertLiterals
 	if !server.DecodeRequest(w, req, &ir) {
 		return
 	}
@@ -158,7 +160,7 @@ func (r *Router) handleInsert(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	start := time.Now()
-	count, err := r.Insert(ir.Series, ir.Stamps())
+	count, err := r.InsertLiterals(ir.Series, ir.Stamps())
 	if errors.Is(err, ErrBusy) {
 		r.metrics.insertRejects.Inc()
 		server.WriteError(w, http.StatusTooManyRequests, "%v", err)

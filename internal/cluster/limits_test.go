@@ -122,3 +122,77 @@ func TestRouterInsertAtCapKeepsReplica(t *testing.T) {
 		}
 	}
 }
+
+// TestRouterInsertWideAtCapKeepsReplica: a router insert padded to exactly
+// server.MaxRequestBytes, holding server.MaxBatch series of 8 points whose
+// numbers are spelled wider than 25 bytes with whitespace inside their
+// arrays, reaches the node holding every shard once the router has
+// compacted its literals and added an id per entry: no 413, and the node
+// does not go stale.
+func TestRouterInsertWideAtCapKeepsReplica(t *testing.T) {
+	const length = server.MaxRequestValues / server.MaxBatch
+	ts := httptest.NewServer(server.New().Handler())
+	t.Cleanup(ts.Close)
+	var d server.DatasetResponse
+	if code := postJSON(t, ts.URL+"/api/datasets",
+		server.DatasetRequest{Kind: "randomwalk", N: testN, Len: length, Seed: testSeed}, &d); code != 201 {
+		t.Fatalf("dataset status %d", code)
+	}
+	var b server.BuildResponse
+	if code := postJSON(t, ts.URL+"/api/build", server.BuildRequest{
+		Dataset: d.ID, Variant: "ADS+", Segments: length, Bits: 8, ClusterShards: 2, NodeShards: []int{0, 1},
+	}, &b); code != 201 {
+		t.Fatalf("cluster build status %d", code)
+	}
+	topo := Topology{Shards: 2, SeriesLen: length, Nodes: []Node{{Name: "a", URL: ts.URL, Build: b.ID, Shards: []int{0, 1}}}}
+	r, err := New(topo, Options{Timeout: 2 * time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+
+	// Both spell -1.2345678901234567e-6, which encoding/json writes in 25
+	// bytes, in 42: forwarded as spelled, even without the whitespace, the
+	// node's body would be over the cap.
+	wide := []string{"-0.0000012345678901234567" + strings.Repeat("0", 17), "-1.2345678901234567" + strings.Repeat("0", 19) + "E-06"}
+	var row strings.Builder
+	row.WriteString("[\n")
+	for i := 0; i < length; i++ {
+		if i > 0 {
+			row.WriteString(", ")
+		}
+		row.WriteString(wide[i%2])
+	}
+	row.WriteString("]")
+	var head strings.Builder
+	head.WriteString(`{"series":[`)
+	for i := 0; i < server.MaxBatch; i++ {
+		if i > 0 {
+			head.WriteByte(',')
+		}
+		head.WriteString(row.String())
+	}
+	head.WriteString(`],"timestamps":[`)
+	for i := 0; i < server.MaxBatch; i++ {
+		if i > 0 {
+			head.WriteByte(',')
+		}
+		head.WriteString(strconv.FormatInt(math.MinInt64+int64(i), 10))
+	}
+	head.WriteString("]")
+	if head.Len() >= server.MaxRequestBytes || head.Len() < server.MaxRequestBytes-server.MaxRequestBytes/16 {
+		t.Fatalf("the request head is %d bytes, want just under the cap, %d", head.Len(), server.MaxRequestBytes)
+	}
+
+	rec := httptest.NewRecorder()
+	r.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/insert", paddedBody(head.String(), server.MaxRequestBytes)))
+	var out server.InsertResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &out); rec.Code != http.StatusOK || err != nil || out.Count != testN+server.MaxBatch {
+		t.Fatalf("a wide insert at the cap: status %d, %s (%v), want count %d", rec.Code, rec.Body.Bytes(), err, testN+server.MaxBatch)
+	}
+	for _, st := range r.NodeStatuses() {
+		if st.Stale || st.Fails != 0 {
+			t.Errorf("node %s after a wide insert at the cap: stale %v, %d fails (%s)", st.Name, st.Stale, st.Fails, st.LastErr)
+		}
+	}
+}

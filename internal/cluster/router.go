@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -292,6 +293,12 @@ func (r *Router) postJSON(ctx context.Context, st *nodeState, path string, req, 
 	if err != nil {
 		return err
 	}
+	return r.post(ctx, st, path, body, resp)
+}
+
+// post sends body, a JSON request, to st's path and decodes the answer into
+// resp; a status other than 200 is an error holding the node's text.
+func (r *Router) post(ctx context.Context, st *nodeState, path string, body []byte, resp any) error {
 	ctx, cancel := context.WithTimeout(ctx, r.opts.Timeout)
 	defer cancel()
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, st.node.URL+path, bytes.NewReader(body))
@@ -618,7 +625,7 @@ func (r *Router) lastShardError(failedNodes map[int]bool) string {
 
 // The query and insert entries below take input a request check has
 // passed (server.QueryRequest.Check, BatchQueryRequest.Check,
-// InsertRequest.Check against the topology's series length): what they send
+// InsertLiterals.Check against the topology's series length): what they send
 // a node, the node accepts, so a failure they return is a node's.
 
 // Search answers a k-NN query over the whole cluster. Exact mode is
@@ -681,15 +688,32 @@ func (r *Router) SearchBatch(qs [][]float64, k int, exact bool) ([][]index.Resul
 // --- insert fan-out ------------------------------------------------------
 
 // Insert appends a batch of series cluster-wide, series i stamped
-// timestamps[i]. The router assigns dense global IDs (hash placement then
-// routes each to its shard), writes every replica of each touched shard
-// (write-all/read-one), and returns the new cluster-wide count. A replica
-// that fails or rejects the write is marked stale and leaves read rotation;
-// the insert still succeeds while every touched shard retains at least one
-// live replica — losing all of them is reported as an error. Admission is
-// bounded: more than MaxInflightInserts concurrently admitted batches fail
-// fast with ErrBusy.
+// timestamps[i]: InsertLiterals over each series rendered as json.Marshal
+// renders it. A NaN or ±Inf value is refused, with json.Marshal's error,
+// before anything is sent.
 func (r *Router) Insert(batch [][]float64, timestamps []int64) (int64, error) {
+	series := make([][]byte, len(batch))
+	for i, s := range batch {
+		var err error
+		if series[i], err = server.AppendSeries(nil, s); err != nil {
+			return 0, err
+		}
+	}
+	return r.InsertLiterals(series, timestamps)
+}
+
+// InsertLiterals appends a batch of series cluster-wide, series i stamped
+// timestamps[i]. Each series is one compact JSON array literal of the
+// topology's series length, as server.InsertLiterals holds a checked
+// request's, and goes to the nodes as it is. The router assigns dense
+// global IDs (hash placement then routes each to its shard), writes every
+// replica of each touched shard (write-all/read-one), and returns the new
+// cluster-wide count. A replica that fails or rejects the write is marked
+// stale and leaves read rotation; the insert still succeeds while every
+// touched shard retains at least one live replica — losing all of them is
+// reported as an error. Admission is bounded: more than
+// MaxInflightInserts concurrently admitted batches fail fast with ErrBusy.
+func (r *Router) InsertLiterals(series [][]byte, timestamps []int64) (int64, error) {
 	select {
 	case r.insertSem <- struct{}{}:
 	default:
@@ -704,16 +728,15 @@ func (r *Router) Insert(batch [][]float64, timestamps []int64) (int64, error) {
 	defer r.insertMu.Unlock()
 
 	base := r.count.Load()
-	perNode := make([][]server.ClusterEntry, len(r.nodes))
-	touched := make(map[int][]int) // shard -> replica node indices
-	for i, s := range batch {
-		id := base + int64(i)
-		si := int(shard.Of(id, r.topo.Shards))
+	perNode := make([][]int, len(r.nodes)) // node -> the batch positions it writes
+	touched := make(map[int][]int)         // shard -> replica node indices
+	for i := range series {
+		si := int(shard.Of(base+int64(i), r.topo.Shards))
 		if _, ok := touched[si]; !ok {
 			touched[si] = r.replicas[si]
 		}
 		for _, ni := range touched[si] {
-			perNode[ni] = append(perNode[ni], server.ClusterEntry{ID: id, TS: timestamps[i], Series: s})
+			perNode[ni] = append(perNode[ni], i)
 		}
 	}
 
@@ -728,14 +751,12 @@ func (r *Router) Insert(batch [][]float64, timestamps []int64) (int64, error) {
 			continue
 		}
 		wg.Add(1)
-		go func(ni int, entries []server.ClusterEntry) {
+		go func(ni int, entries []int) {
 			defer wg.Done()
 			st := r.nodes[ni]
 			var resp server.ClusterInsertResponse
-			err := r.postJSON(context.Background(), st, "/api/cluster/insert", server.ClusterInsertRequest{
-				Build:   st.node.Build,
-				Entries: entries,
-			}, &resp)
+			body := insertBody(st.node.Build, base, entries, series, timestamps)
+			err := r.post(context.Background(), st, "/api/cluster/insert", body, &resp)
 			if err == nil && resp.Applied != len(entries) {
 				err = fmt.Errorf("applied %d of %d entries", resp.Applied, len(entries))
 			}
@@ -763,7 +784,7 @@ func (r *Router) Insert(batch [][]float64, timestamps []int64) (int64, error) {
 	}
 	// The count advances regardless: nodes that applied the batch hold the
 	// new IDs, and global IDs must stay dense and never be reissued.
-	newCount := base + int64(len(batch))
+	newCount := base + int64(len(series))
 	r.count.Store(newCount)
 
 	for si, reps := range touched {
@@ -781,4 +802,34 @@ func (r *Router) Insert(batch [][]float64, timestamps []int64) (int64, error) {
 	// in NodeStatuses), but every touched shard kept a live replica: the
 	// write is safe and succeeds.
 	return newCount, nil
+}
+
+// insertBody renders one replica write, the /api/cluster/insert body for
+// build: the batch positions entries, position i as the entry
+// {"id": base+i, "ts": timestamps[i], "series": series[i]}. These are the
+// bytes json.Marshal writes for the server.ClusterInsertRequest, the
+// literals spliced in as they are.
+func insertBody(build string, base int64, entries []int, series [][]byte, timestamps []int64) []byte {
+	name, _ := json.Marshal(build) // a string always marshals
+	size := len(name) + 24
+	for _, i := range entries {
+		size += len(series[i]) + 80
+	}
+	b := make([]byte, 0, size)
+	b = append(b, `{"build":`...)
+	b = append(b, name...)
+	b = append(b, `,"entries":[`...)
+	for k, i := range entries {
+		if k > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, `{"id":`...)
+		b = strconv.AppendInt(b, base+int64(i), 10)
+		b = append(b, `,"ts":`...)
+		b = strconv.AppendInt(b, timestamps[i], 10)
+		b = append(b, `,"series":`...)
+		b = append(b, series[i]...)
+		b = append(b, '}')
+	}
+	return append(b, "]}"...)
 }

@@ -151,17 +151,20 @@ type ClusterEntry struct {
 }
 
 // ClusterInsertRequest appends router-routed series to a cluster build.
-// Every entry's ID must hash-place into a shard this node owns and extend
-// that shard's ID sequence strictly ascending — a replica that missed an
-// earlier write rejects the batch instead of silently diverging.
+// Every entry's ID must hash-place into a shard this node owns and be
+// exactly the next ID that shard expects, counting the batch's earlier
+// entries — a replica that missed an earlier write rejects the batch, whole
+// and before any entry applies, instead of silently diverging.
 type ClusterInsertRequest struct {
 	Build   string         `json:"build"`
 	Entries []ClusterEntry `json:"entries"`
 }
 
-// ClusterInsertResponse reports how many entries landed. Applied < the
-// batch size means the batch stopped at the first failing entry; the node's
-// shards then hold a prefix, and the router marks this replica stale.
+// ClusterInsertResponse reports how many entries landed: the whole batch.
+// A batch whose IDs the node refuses is a 400 with nothing applied; one
+// that fails while applying (a page the node could not write) is a 500,
+// the node's shards then holding a prefix. Either way the router marks
+// this replica stale.
 type ClusterInsertResponse struct {
 	Applied int   `json:"applied"`
 	Count   int64 `json:"count"` // node-local series count after the batch
@@ -169,8 +172,9 @@ type ClusterInsertResponse struct {
 }
 
 // handleClusterInsert answers POST /api/cluster/insert, the replica write
-// path: entries apply in order under the build's write lock, serialized
-// against queries like every insert.
+// path: the batch is checked as an insert is (checkInsert), its IDs against
+// the node's shards, and then its entries apply in order under the build's
+// write lock, serialized against queries like every insert.
 func (s *Server) handleClusterInsert(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		WriteError(w, http.StatusMethodNotAllowed, "POST only")
@@ -184,23 +188,25 @@ func (s *Server) handleClusterInsert(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	values := 0
-	for _, e := range req.Entries {
-		values += len(e.Series)
-	}
-	if !BatchFits(w, "entries", len(req.Entries), values) {
+	entries := req.Entries
+	if !checkInsert(w, "entries", "entry", len(entries), func(i int) int { return len(entries[i].Series) }, nil, b.built.Config.SeriesLen) {
 		return
 	}
-	for i, e := range req.Entries {
-		if len(e.Series) != b.built.Config.SeriesLen {
-			WriteError(w, http.StatusBadRequest, "entry %d length %d, want %d", i, len(e.Series), b.built.Config.SeriesLen)
-			return
-		}
+	ids := make([]int64, len(entries))
+	for i, e := range entries {
+		ids[i] = e.ID
 	}
 	b.mu.Lock()
+	// Every entry's ID is checked before any entry applies, so a batch a
+	// replica must refuse leaves it as it was.
+	if i, err := b.built.Group.PrepareBatch(ids); err != nil {
+		b.mu.Unlock()
+		WriteError(w, http.StatusBadRequest, "cluster insert failed after 0 entries: entry %d (id %d): %v", i, ids[i], err)
+		return
+	}
 	applied := 0
 	var err error
-	for _, e := range req.Entries {
+	for _, e := range entries {
 		if err = b.built.ClusterInsert(e.ID, series.Series(e.Series), e.TS); err != nil {
 			err = fmt.Errorf("entry %d (id %d): %w", applied, e.ID, err)
 			break
@@ -211,11 +217,7 @@ func (s *Server) handleClusterInsert(w http.ResponseWriter, r *http.Request) {
 	maxID := b.built.Group.MaxID()
 	b.mu.Unlock()
 	if err != nil {
-		status := http.StatusBadRequest
-		if applied > 0 {
-			status = http.StatusInternalServerError
-		}
-		WriteError(w, status, "cluster insert failed after %d entries: %v", applied, err)
+		WriteError(w, http.StatusInternalServerError, "cluster insert failed after %d entries: %v", applied, err)
 		return
 	}
 	WriteJSON(w, http.StatusOK, ClusterInsertResponse{Applied: applied, Count: count, MaxID: maxID})

@@ -1,7 +1,9 @@
 package server
 
 import (
+	"fmt"
 	"math"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -221,6 +223,42 @@ func TestClusterInsertEndpoint(t *testing.T) {
 	}
 	if len(got.Results) != 1 || (got.Results[0].ID != next && got.Results[0].ID != next+1) {
 		t.Fatalf("post-insert nearest = %+v, want one of ids %d/%d", got.Results, next, next+1)
+	}
+}
+
+// TestClusterInsertChecksWholeBatch: a replica batch is checked whole
+// before any entry applies. One whose third entry skips an ID is a 400
+// naming that entry, and leaves the node's count as it was; the corrected
+// batch then applies.
+func TestClusterInsertChecksWholeBatch(t *testing.T) {
+	ts := newTestServer(t)
+	id := clusterNode(t, ts, 2, []int{0, 1})
+	var before ClusterInfoResponse
+	getJSON(t, ts.URL+"/api/cluster/info?build="+id, &before)
+
+	s := probeSeries(32)
+	next := before.MaxID + 1
+	entries := []ClusterEntry{{ID: next, Series: s}, {ID: next + 1, Series: s}, {ID: next + 3, Series: s}, {ID: next + 4, Series: s}}
+	var e errorResponse
+	if code := postJSON(t, ts.URL+"/api/cluster/insert", ClusterInsertRequest{Build: id, Entries: entries}, &e); code != http.StatusBadRequest {
+		t.Fatalf("a batch skipping an ID: status %d (%s)", code, e.Error)
+	}
+	if want := fmt.Sprintf("entry 2 (id %d)", next+3); !strings.Contains(e.Error, want) || !strings.Contains(e.Error, "missed a write") {
+		t.Fatalf("a batch skipping an ID: error %q, want it to name %q", e.Error, want)
+	}
+	var after ClusterInfoResponse
+	getJSON(t, ts.URL+"/api/cluster/info?build="+id, &after)
+	if after.Count != before.Count || after.MaxID != before.MaxID {
+		t.Fatalf("a refused batch applied: count %d → %d, max id %d → %d", before.Count, after.Count, before.MaxID, after.MaxID)
+	}
+
+	entries[2].ID, entries[3].ID = next+2, next+3
+	var ins ClusterInsertResponse
+	if code := postJSON(t, ts.URL+"/api/cluster/insert", ClusterInsertRequest{Build: id, Entries: entries}, &ins); code != http.StatusOK {
+		t.Fatalf("the corrected batch: status %d", code)
+	}
+	if ins.Applied != len(entries) || ins.Count != before.Count+int64(len(entries)) || ins.MaxID != next+3 {
+		t.Fatalf("the corrected batch: %+v", ins)
 	}
 }
 

@@ -11,8 +11,10 @@ package server
 // type errors. A body the scanner does not take (a grammar or type error, an
 // escaped or non-ASCII key beside the series, a repeated "entries", a
 // top-level value that is not an object, bytes after the value) is decoded
-// whole by json.Unmarshal, whose result or error is the answer. Every other request type is decoded
-// by encoding/json alone.
+// whole by json.Unmarshal, whose result or error is the answer. The
+// router's InsertLiterals is scanned as an InsertRequest is, its series kept
+// as literals (literals.go). Every other request type is decoded by
+// encoding/json alone.
 
 import (
 	"bytes"
@@ -33,7 +35,7 @@ func DecodeRequest(w http.ResponseWriter, r *http.Request, v any) bool {
 	defer d.release()
 	_, err := d.body.ReadFrom(http.MaxBytesReader(w, r.Body, MaxRequestBytes))
 	if err == nil && d.scan(d.body.Bytes(), v) != nil {
-		err = json.Unmarshal(d.body.Bytes(), v)
+		err = unmarshal(d.body.Bytes(), v)
 	}
 	var tooBig *http.MaxBytesError
 	switch {
@@ -74,6 +76,21 @@ func (d *decoder) release() {
 // errDecline reports a body the scanner leaves whole to encoding/json.
 var errDecline = errors.New("server: body left to encoding/json")
 
+// unmarshal decodes data into v with encoding/json alone: an InsertLiterals
+// as the InsertRequest it stands for, so its errors are that type's, with
+// the decoded floats then rendered as literals.
+func unmarshal(data []byte, v any) error {
+	l, ok := v.(*InsertLiterals)
+	if !ok {
+		return json.Unmarshal(data, v)
+	}
+	if err := json.Unmarshal(data, &l.req); err != nil {
+		return err
+	}
+	l.render()
+	return nil
+}
+
 // scan decodes data into v when v is one of the request types that carry
 // float arrays and the scanner takes the body. The scan cuts the float
 // arrays out of the body's object into rest, encoding/json decodes rest into
@@ -83,8 +100,9 @@ func (d *decoder) scan(data []byte, v any) error {
 	d.data, d.i, d.rest = data, 0, d.rest[:0]
 	d.ws()
 	var (
-		set func()
-		err error
+		set  func()
+		err  error
+		rest = v // what encoding/json decodes rest into
 	)
 	switch v := v.(type) {
 	case *QueryRequest:
@@ -95,6 +113,9 @@ func (d *decoder) scan(data []byte, v any) error {
 		set, err = d.nested("queries", &v.Queries)
 	case *InsertRequest:
 		set, err = d.nested("series", &v.Series)
+	case *InsertLiterals:
+		set, err = d.literals(v)
+		rest = &v.req
 	case *ClusterInsertRequest:
 		set, err = d.entries(&v.Entries)
 	default:
@@ -106,7 +127,7 @@ func (d *decoder) scan(data []byte, v any) error {
 	if d.ws(); d.i != len(d.data) {
 		return errDecline // bytes after the value: json.Unmarshal words the error
 	}
-	if err := json.Unmarshal(d.rest, v); err != nil {
+	if err := json.Unmarshal(d.rest, rest); err != nil {
 		return err
 	}
 	set()
@@ -393,6 +414,14 @@ func (d *decoder) str() (plain bool, err error) {
 // -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, and reports whether there
 // was one.
 func (d *decoder) number() bool {
+	ok, _ := d.numberRange()
+	return ok
+}
+
+// numberRange is number, and also reports whether the number can be out of
+// float64's range: whether it has an exponent part, or 309 or more integer
+// digits (a 308-digit integer is below math.MaxFloat64).
+func (d *decoder) numberRange() (ok, mayOverflow bool) {
 	b, i := d.data, d.i
 	if i < len(b) && b[i] == '-' {
 		i++
@@ -401,14 +430,16 @@ func (d *decoder) number() bool {
 	case i < len(b) && b[i] == '0':
 		i++
 	case i < len(b) && '1' <= b[i] && b[i] <= '9':
-		i = digits(b, i+1)
+		j := digits(b, i+1)
+		mayOverflow = j-i >= 309
+		i = j
 	default:
-		return false
+		return false, false
 	}
 	if i < len(b) && b[i] == '.' {
 		j := digits(b, i+1)
 		if j == i+1 {
-			return false
+			return false, false
 		}
 		i = j
 	}
@@ -419,12 +450,13 @@ func (d *decoder) number() bool {
 		}
 		j := digits(b, i)
 		if j == i {
-			return false
+			return false, false
 		}
 		i = j
+		mayOverflow = true
 	}
 	d.i = i
-	return true
+	return true, mayOverflow
 }
 
 // digits returns the index of the first non-digit at or after i.

@@ -91,16 +91,29 @@ func (q *BatchQueryRequest) Check(w http.ResponseWriter, n int) bool {
 // against the series length n. It reports false once it has answered 400,
 // or 413 for a batch holding too many values.
 func (q *InsertRequest) Check(w http.ResponseWriter, n int) bool {
-	if !BatchFits(w, "series", len(q.Series), Values(q.Series)) {
+	return checkInsert(w, "series", "series", len(q.Series), func(i int) int { return len(q.Series[i]) }, q.Timestamps, n)
+}
+
+// checkInsert is the one insert check, over a batch of count series whose
+// lengths length reports: the batch's size within BatchFits (what names
+// the batch), timestamps, when given, one per series, and each series of
+// length n (item names one). It reports false once it has answered 400, or
+// 413 for a batch holding too many values.
+func checkInsert(w http.ResponseWriter, what, item string, count int, length func(int) int, timestamps []int64, n int) bool {
+	values := 0
+	for i := 0; i < count; i++ {
+		values += length(i)
+	}
+	if !BatchFits(w, what, count, values) {
 		return false
 	}
-	if q.Timestamps != nil && len(q.Timestamps) != len(q.Series) {
-		WriteError(w, http.StatusBadRequest, "timestamps length %d, series length %d", len(q.Timestamps), len(q.Series))
+	if timestamps != nil && len(timestamps) != count {
+		WriteError(w, http.StatusBadRequest, "timestamps length %d, series length %d", len(timestamps), count)
 		return false
 	}
-	for i, ser := range q.Series {
-		if len(ser) != n {
-			WriteError(w, http.StatusBadRequest, "series %d length %d, want %d", i, len(ser), n)
+	for i := 0; i < count; i++ {
+		if got := length(i); got != n {
+			WriteError(w, http.StatusBadRequest, "%s %d length %d, want %d", item, i, got, n)
 			return false
 		}
 	}
@@ -109,15 +122,19 @@ func (q *InsertRequest) Check(w http.ResponseWriter, n int) bool {
 
 // Stamps returns each series' insert stamp: timestamps[i], else ts, which
 // defaults to 0.
-func (q *InsertRequest) Stamps() []int64 {
-	if q.Timestamps != nil {
-		return q.Timestamps
+func (q *InsertRequest) Stamps() []int64 { return stamps(q.Timestamps, q.TS, len(q.Series)) }
+
+// stamps returns the stamps of n series: timestamps when given, else ts
+// for each.
+func stamps(timestamps []int64, ts int64, n int) []int64 {
+	if timestamps != nil {
+		return timestamps
 	}
-	ts := make([]int64, len(q.Series))
-	for i := range ts {
-		ts[i] = q.TS
+	out := make([]int64, n)
+	for i := range out {
+		out[i] = ts
 	}
-	return ts
+	return out
 }
 
 // Results renders one query's answers on the wire, in order; a query with

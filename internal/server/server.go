@@ -185,7 +185,8 @@ const MaxRequestValues = 1 << 19
 // It gives each of MaxRequestValues values 32 bytes, more than the 26 the
 // widest float64 takes in JSON with its separator, and each of MaxBatch
 // entries 128 bytes of framing. So a router insert that passes BatchFits
-// still fits once the router re-encodes it into /api/cluster/insert bodies,
+// still fits once the router writes it into /api/cluster/insert bodies,
+// whose numbers it forwards in at most 25 bytes each (InsertLiterals) and
 // whose entries each add an id, a ts and their keys (at most 66 bytes).
 const MaxRequestBytes = MaxRequestValues*32 + MaxBatch*128
 

@@ -3,6 +3,7 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
 
@@ -273,19 +274,43 @@ func (g *Group) RangeInto(q index.Query, col *index.Collector, ctx *index.Search
 // and rejects the insert instead of silently diverging, so the router marks
 // it stale rather than serving wrong answers from it.
 func (g *Group) PrepareInsert(id int64) (int, error) {
+	g.idsMu.RLock()
+	defer g.idsMu.RUnlock()
+	return g.prepare(id, g.lastID)
+}
+
+// PrepareBatch checks that ids may be appended in their order: each as
+// PrepareInsert checks it once the ones before it are in. It applies
+// nothing, and on a bad ID returns its position in ids and PrepareInsert's
+// error for it, so a caller can refuse the whole batch before any of it
+// applies.
+func (g *Group) PrepareBatch(ids []int64) (int, error) {
+	g.idsMu.RLock()
+	defer g.idsMu.RUnlock()
+	last := maps.Clone(g.lastID)
+	for i, id := range ids {
+		si, err := g.prepare(id, last)
+		if err != nil {
+			return i, err
+		}
+		last[si] = id
+	}
+	return 0, nil
+}
+
+// prepare is PrepareInsert's check of id against the last IDs in last.
+// Callers hold idsMu.
+func (g *Group) prepare(id int64, last map[int]int64) (int, error) {
 	si := Of(id, g.nshards)
 	if !g.Owns(si) {
 		return 0, fmt.Errorf("shard: ID %d belongs to shard %d, not owned (owned %v)", id, si, g.owned)
 	}
-	g.idsMu.RLock()
-	last := g.lastID[si]
-	g.idsMu.RUnlock()
-	if id <= last {
-		return 0, fmt.Errorf("shard: ID %d not ascending on shard %d (last %d)", id, si, last)
+	if id <= last[si] {
+		return 0, fmt.Errorf("shard: ID %d not ascending on shard %d (last %d)", id, si, last[si])
 	}
-	if next := nextIDFor(si, last, g.nshards); next >= 0 && id != next {
+	if next := nextIDFor(si, last[si], g.nshards); next >= 0 && id != next {
 		return 0, fmt.Errorf("shard: ID %d skips shard %d's next expected ID %d (last %d): this replica missed a write",
-			id, si, next, last)
+			id, si, next, last[si])
 	}
 	return si, nil
 }

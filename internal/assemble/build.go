@@ -524,7 +524,7 @@ func (b *Built) group(nsh int, owned []int, part [][]int64) error {
 			return fmt.Errorf("assemble: recovered shard %d holds %d series but the hash placement assigns it %d (wrong shard count, or a crash lost part of a batched group-commit window)",
 				si, got, len(part[si]))
 		}
-		shards[si] = &shard.Shard{Index: p.Index, Disk: p.Disk, Reader: p.Reader(), IDs: part[si]}
+		shards[si] = &shard.Shard{Index: p.Index, IDs: part[si]}
 	}
 	g, err := shard.NewGroup(b.Config, nsh, shards)
 	if err != nil {

@@ -227,13 +227,18 @@ func (b *Built) Close() error {
 func (b *Built) BuildCost(m storage.CostModel) float64 { return b.BuildStats.Cost(m) }
 
 // IOStats returns the statistics aggregated over every disk backing the
-// build, buffer-pool hit/miss counters included. Query-cost accounting must
-// diff this, not Disk.Stats, to charge every shard and see cache hits.
+// build, buffer-pool hit/miss counters included: a partitioned build's sum
+// over its parts. Query-cost accounting must diff this, not Disk.Stats, to
+// charge every shard and see cache hits.
 func (b *Built) IOStats() storage.Stats {
-	switch {
-	case b.Group != nil:
-		return b.Group.IOStats()
-	case b.Pool != nil:
+	if b.Parts != nil {
+		var agg storage.Stats
+		for _, p := range b.Parts {
+			agg = agg.Add(p.IOStats())
+		}
+		return agg
+	}
+	if b.Pool != nil {
 		return b.Pool.Stats()
 	}
 	return b.Disk.Stats()
@@ -242,8 +247,12 @@ func (b *Built) IOStats() storage.Stats {
 // TotalPages returns the page count summed over every disk backing the
 // build.
 func (b *Built) TotalPages() int64 {
-	if b.Group != nil {
-		return b.Group.TotalPages()
+	if b.Parts != nil {
+		var n int64
+		for _, p := range b.Parts {
+			n += p.TotalPages()
+		}
+		return n
 	}
 	return b.Disk.TotalPages()
 }

@@ -50,6 +50,8 @@ import (
 	"fmt"
 	"net/url"
 	"os"
+
+	"repro/internal/server"
 )
 
 // Node is one index-node entry in a topology: a coconut-server base URL, a
@@ -85,12 +87,12 @@ type Topology struct {
 	Nodes []Node `json:"nodes"`
 }
 
-// Validate checks structural sanity: positive shard count, unique node
-// names, parseable URLs, shard indices in range, and every shard covered by
-// at least one node.
+// Validate checks structural sanity: a shard count in [1,
+// server.MaxClusterShards], unique node names, parseable URLs, shard indices
+// in range, and every shard covered by at least one node.
 func (t Topology) Validate() error {
-	if t.Shards < 1 {
-		return fmt.Errorf("cluster: topology needs shards >= 1, got %d", t.Shards)
+	if t.Shards < 1 || t.Shards > server.MaxClusterShards {
+		return fmt.Errorf("cluster: topology needs shards in [1, %d], got %d", server.MaxClusterShards, t.Shards)
 	}
 	if t.SeriesLen < 1 {
 		return fmt.Errorf("cluster: topology needs series_len >= 1, got %d", t.SeriesLen)

@@ -868,6 +868,8 @@ func TestTopologyValidate(t *testing.T) {
 		substr string
 	}{
 		{"no shards", func(tp *Topology) { tp.Shards = 0 }, "shards"},
+		{"shards past the cap", func(tp *Topology) { tp.Shards = 1025 }, "shards in [1, 1024]"},
+		{"shards past any slice", func(tp *Topology) { tp.Shards = 1 << 62 }, "shards in [1, 1024]"},
 		{"no nodes", func(tp *Topology) { tp.Nodes = nil }, "no nodes"},
 		{"dup name", func(tp *Topology) { tp.Nodes[1].Name = "a" }, "duplicate"},
 		{"bad url", func(tp *Topology) { tp.Nodes[0].URL = "::" }, "URL"},
@@ -911,4 +913,30 @@ func TestLoadTopology(t *testing.T) {
 	if _, err := LoadTopology(path); err == nil {
 		t.Fatal("invalid topology accepted")
 	}
+}
+
+// FuzzTopology holds LoadTopology to its contract on any file: it never
+// panics, and a topology it accepts passes Validate and gives every shard in
+// [0, Shards) a replica. The committed corpus (testdata/fuzz/FuzzTopology)
+// holds a valid three-node file, duplicate names, an out-of-range shard,
+// 1 025 and 1<<62 shards, and null nodes.
+func FuzzTopology(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "topo.json")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		topo, err := LoadTopology(path)
+		if err != nil {
+			return
+		}
+		if err := topo.Validate(); err != nil {
+			t.Fatalf("accepted topology fails Validate: %v", err)
+		}
+		for si := 0; si < topo.Shards; si++ {
+			if len(topo.Replicas(si)) == 0 {
+				t.Fatalf("accepted topology leaves shard %d without a replica", si)
+			}
+		}
+	})
 }

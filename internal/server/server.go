@@ -175,6 +175,10 @@ func WriteError(w http.ResponseWriter, status int, format string, args ...any) {
 // MaxBatch caps the series or queries one batch request carries.
 const MaxBatch = 1 << 16
 
+// MaxClusterShards caps a cluster's logical shard count: a node build's
+// cluster_shards and a router topology's shards.
+const MaxClusterShards = 1024
+
 // MaxRequestValues caps the values one batch request's series hold in all,
 // e.g. 32 series of the longest length a dataset may have (16 384 points),
 // or 2 048 series of 256 points. A client with a larger batch splits it, as
@@ -409,8 +413,8 @@ func (s *Server) specFor(req BuildRequest, seriesLen int) (assemble.Spec, error)
 	if spec.Shards == 1 {
 		spec.Shards = 0 // on the wire one shard is unsharded; to Spec it is a group of one
 	}
-	if spec.ClusterShards < 0 || spec.ClusterShards > 1024 {
-		return spec, fmt.Errorf("cluster_shards must be in [0, 1024], got %d", spec.ClusterShards)
+	if spec.ClusterShards < 0 || spec.ClusterShards > MaxClusterShards {
+		return spec, fmt.Errorf("cluster_shards must be in [0, %d], got %d", MaxClusterShards, spec.ClusterShards)
 	}
 	if spec.CacheBytes > 1<<32 {
 		return spec, fmt.Errorf("cache_bytes must be in [0, %d], got %d", int64(1)<<32, spec.CacheBytes)
@@ -930,9 +934,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			Evictions:      c.Evictions(),
 		}
 	}
-	if g := b.built.Group; g != nil {
-		for _, st := range g.ShardStats() {
-			resp.PerShard = append(resp.PerShard, s.diskStats(st))
+	if parts := b.built.Parts; parts != nil {
+		for _, p := range parts {
+			resp.PerShard = append(resp.PerShard, s.diskStats(p.IOStats()))
 		}
 	} else {
 		resp.PerShard = []DiskStats{resp.Aggregate}

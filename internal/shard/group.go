@@ -10,7 +10,6 @@ import (
 	"repro/internal/index"
 	"repro/internal/obs"
 	"repro/internal/parallel"
-	"repro/internal/storage"
 )
 
 // Group is the set of shards one process holds of a logical index
@@ -344,35 +343,6 @@ func (g *Group) NoteInsert(si int, id int64) {
 	g.shards[si].IDs = append(g.shards[si].IDs, id)
 	g.lastID[si] = id
 	g.count++
-}
-
-// IOStats returns disk statistics aggregated over every owned shard,
-// cache-aware when shards read through a buffer pool.
-func (g *Group) IOStats() storage.Stats {
-	var agg storage.Stats
-	for _, si := range g.owned {
-		agg = agg.Add(g.shards[si].IOStats())
-	}
-	return agg
-}
-
-// ShardStats returns each owned shard's statistics, in ascending shard
-// order (matching Owned).
-func (g *Group) ShardStats() []storage.Stats {
-	out := make([]storage.Stats, 0, len(g.owned))
-	for _, si := range g.owned {
-		out = append(out, g.shards[si].IOStats())
-	}
-	return out
-}
-
-// TotalPages returns the page count summed over every owned shard's disk.
-func (g *Group) TotalPages() int64 {
-	var n int64
-	for _, si := range g.owned {
-		n += g.shards[si].Disk.TotalPages()
-	}
-	return n
 }
 
 // index.Inserter is deliberately not implemented: inserts carry explicit

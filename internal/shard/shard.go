@@ -44,7 +44,6 @@ import (
 	"sync"
 
 	"repro/internal/index"
-	"repro/internal/storage"
 	"repro/internal/zonestat"
 )
 
@@ -76,26 +75,11 @@ func Partition(n int64, shards int) [][]int64 {
 	return out
 }
 
-// Shard is one partition of a sharded index: an independent sub-index on
-// its own disk, plus the local-to-global ID mapping of the series it holds.
+// Shard is one partition of a sharded index: an independent sub-index, plus
+// the local-to-global ID mapping of the series it holds.
 type Shard struct {
 	Index index.Index
-	Disk  storage.Backend
-	// Reader is the page reader the shard's index reads through — the disk
-	// itself, or a buffer pool over it. When it provides statistics
-	// (storage.StatsProvider — *bufpool.Pool does), shard-level accounting
-	// includes its cache hit/miss counters; nil falls back to Disk.
-	Reader storage.PageReader
-	IDs    []int64 // IDs[local] = global ID, ascending
-}
-
-// IOStats returns the shard's I/O accounting: the reader's cache-aware
-// statistics when available, the bare disk's otherwise.
-func (sh Shard) IOStats() storage.Stats {
-	if sp, ok := sh.Reader.(storage.StatsProvider); ok {
-		return sp.Stats()
-	}
-	return sh.Disk.Stats()
+	IDs   []int64 // IDs[local] = global ID, ascending
 }
 
 // boundSq returns the squared envelope lower bound between the query and

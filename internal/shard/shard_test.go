@@ -162,7 +162,7 @@ func TestNewValidates(t *testing.T) {
 	}
 	// A mapping whose length disagrees with the sub-index count must be
 	// rejected: it would silently mistranslate IDs.
-	_, err = shard.NewGroup(cfg, 1, map[int]*shard.Shard{0: {Index: b.Index, Disk: b.Disk, IDs: make([]int64, 7)}})
+	_, err = shard.NewGroup(cfg, 1, map[int]*shard.Shard{0: {Index: b.Index, IDs: make([]int64, 7)}})
 	if err == nil {
 		t.Fatal("NewGroup accepted a shard whose ID map disagrees with its index count")
 	}
